@@ -14,7 +14,7 @@ use std::time::Duration;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rpq_bench::direction_workload;
 use rpq_core::ProductEngine;
-use rpq_core::{eval_product_pair_csr, eval_product_pair_forward_csr, eval_to, Query};
+use rpq_core::{eval_pair, eval_to, search_pair, EvalScratch, Query, SearchOpts};
 use rpq_graph::CsrGraph;
 use rpq_optimizer::{Direction, PlannedEngine};
 
@@ -40,7 +40,17 @@ fn bench(c: &mut Criterion) {
             "planner must choose backward at fanout {fanout}: {plan:?}"
         );
         let chosen = planned.eval_pair(&query, &graph, w.source, w.target);
-        let forced = eval_product_pair_forward_csr(query.nfa(), &graph, w.source, w.target);
+        let forced = search_pair(
+            query.nfa(),
+            &query.nfa().reverse(),
+            &graph,
+            w.source,
+            w.target,
+            Direction::Forward,
+            &SearchOpts::default(),
+            &mut EvalScratch::new(),
+        )
+        .0;
         assert!(chosen.reachable && forced.reachable);
         assert!(
             chosen.stats.edges_scanned * 10 < forced.stats.edges_scanned,
@@ -58,8 +68,18 @@ fn bench(c: &mut Criterion) {
             |b, _| {
                 b.iter(|| {
                     black_box(
-                        eval_product_pair_forward_csr(query.nfa(), &graph, w.source, w.target)
-                            .reachable,
+                        search_pair(
+                            query.nfa(),
+                            &query.nfa().reverse(),
+                            &graph,
+                            w.source,
+                            w.target,
+                            Direction::Forward,
+                            &SearchOpts::default(),
+                            &mut EvalScratch::new(),
+                        )
+                        .0
+                        .reachable,
                     )
                 })
             },
@@ -80,13 +100,7 @@ fn bench(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("pair_meet_in_middle", fanout),
             &fanout,
-            |b, _| {
-                b.iter(|| {
-                    black_box(
-                        eval_product_pair_csr(query.nfa(), &graph, w.source, w.target).reachable,
-                    )
-                })
-            },
+            |b, _| b.iter(|| black_box(eval_pair(&query, &graph, w.source, w.target).reachable)),
         );
         group.bench_with_input(
             BenchmarkId::new("target_bound_backward", fanout),

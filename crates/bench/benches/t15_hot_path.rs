@@ -13,7 +13,7 @@
 //!   cover `|Q|·|V|`) and returns identical answers; the measured series
 //!   compare the warm pooled path against a cold arena per evaluation.
 //! * **Multi-target lanes beat the loop** — on the funnel workload the
-//!   bit-parallel [`rpq_core::eval_product_to_batch_csr`] kernel scans
+//!   bit-parallel [`rpq_core::search_lanes`] kernel scans
 //!   strictly fewer edges than N independent backward BFS runs, with
 //!   identical per-target answers.
 
@@ -23,13 +23,20 @@ use std::time::Duration;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rpq_automata::Nfa;
 use rpq_bench::{eval_workload, multi_target_workload, pull_workload, skewed_workload};
-use rpq_core::{
-    eval_product_backward_reversed_csr, eval_product_csr_with, eval_product_to_batch_csr,
-    EvalScratch, FrontierMode, ScratchPool,
-};
+use rpq_core::{search_lanes, search_nodes, EvalScratch, FrontierMode, ScratchPool, SearchOpts};
 use rpq_graph::CsrGraph;
 
 fn bench(c: &mut Criterion) {
+    // Forced-sparse (always push) is the baseline the hybrid is gated
+    // against; the multi-target series run the reversed automaton backward.
+    let sparse_opts = SearchOpts {
+        mode: FrontierMode::ForcedSparse,
+        ..SearchOpts::default()
+    };
+    let backward = SearchOpts {
+        reverse_adj: true,
+        ..SearchOpts::default()
+    };
     let mut group = c.benchmark_group("t15_hot_path");
     group.sample_size(10);
     group.measurement_time(Duration::from_millis(900));
@@ -43,15 +50,9 @@ fn bench(c: &mut Criterion) {
         let mut scratch = EvalScratch::new();
         for (name, q) in &w.queries {
             let nfa = Nfa::thompson(q);
-            let sparse = eval_product_csr_with(
-                &nfa,
-                &graph,
-                w.source,
-                FrontierMode::ForcedSparse,
-                &mut scratch,
-            );
+            let sparse = search_nodes(&nfa, &graph, w.source, &sparse_opts, &mut scratch).0;
             let hybrid =
-                eval_product_csr_with(&nfa, &graph, w.source, FrontierMode::Hybrid, &mut scratch);
+                search_nodes(&nfa, &graph, w.source, &SearchOpts::default(), &mut scratch).0;
             assert_eq!(sparse.answers, hybrid.answers, "{name} diverged");
             assert!(
                 hybrid.stats.edges_scanned <= sparse.stats.edges_scanned,
@@ -63,15 +64,8 @@ fn bench(c: &mut Criterion) {
         let w = skewed_workload(128, 32);
         let graph = CsrGraph::from(&w.instance);
         let nfa = Nfa::thompson(&w.query);
-        let sparse = eval_product_csr_with(
-            &nfa,
-            &graph,
-            w.source,
-            FrontierMode::ForcedSparse,
-            &mut scratch,
-        );
-        let hybrid =
-            eval_product_csr_with(&nfa, &graph, w.source, FrontierMode::Hybrid, &mut scratch);
+        let sparse = search_nodes(&nfa, &graph, w.source, &sparse_opts, &mut scratch).0;
+        let hybrid = search_nodes(&nfa, &graph, w.source, &SearchOpts::default(), &mut scratch).0;
         assert_eq!(sparse.answers, hybrid.answers, "skewed diverged");
         assert!(hybrid.stats.edges_scanned <= sparse.stats.edges_scanned);
     }
@@ -83,15 +77,8 @@ fn bench(c: &mut Criterion) {
         let graph = CsrGraph::from(&w.instance);
         let nfa = Nfa::thompson(&w.query);
         let mut scratch = EvalScratch::new();
-        let sparse = eval_product_csr_with(
-            &nfa,
-            &graph,
-            w.source,
-            FrontierMode::ForcedSparse,
-            &mut scratch,
-        );
-        let hybrid =
-            eval_product_csr_with(&nfa, &graph, w.source, FrontierMode::Hybrid, &mut scratch);
+        let sparse = search_nodes(&nfa, &graph, w.source, &sparse_opts, &mut scratch).0;
+        let hybrid = search_nodes(&nfa, &graph, w.source, &SearchOpts::default(), &mut scratch).0;
         assert_eq!(sparse.answers, hybrid.answers, "pull workload diverged");
         assert!(
             hybrid.stats.pull_levels >= 1,
@@ -108,13 +95,14 @@ fn bench(c: &mut Criterion) {
             let mut scratch = EvalScratch::new();
             b.iter(|| {
                 black_box(
-                    eval_product_csr_with(
+                    search_nodes(
                         &nfa,
                         &graph,
                         black_box(w.source),
-                        FrontierMode::Hybrid,
+                        &SearchOpts::default(),
                         &mut scratch,
                     )
+                    .0
                     .answers
                     .len(),
                 )
@@ -124,13 +112,14 @@ fn bench(c: &mut Criterion) {
             let mut scratch = EvalScratch::new();
             b.iter(|| {
                 black_box(
-                    eval_product_csr_with(
+                    search_nodes(
                         &nfa,
                         &graph,
                         black_box(w.source),
-                        FrontierMode::ForcedSparse,
+                        &sparse_opts,
                         &mut scratch,
                     )
+                    .0
                     .answers
                     .len(),
                 )
@@ -147,11 +136,11 @@ fn bench(c: &mut Criterion) {
         let pool = ScratchPool::new();
         let cold = {
             let mut scratch = pool.checkout();
-            eval_product_csr_with(&nfa, &graph, w.source, FrontierMode::Hybrid, &mut scratch)
+            search_nodes(&nfa, &graph, w.source, &SearchOpts::default(), &mut scratch).0
         };
         let warm = {
             let mut scratch = pool.checkout();
-            eval_product_csr_with(&nfa, &graph, w.source, FrontierMode::Hybrid, &mut scratch)
+            search_nodes(&nfa, &graph, w.source, &SearchOpts::default(), &mut scratch).0
         };
         assert_eq!(cold.answers, warm.answers, "warm scratch diverged");
         assert!(
@@ -165,13 +154,14 @@ fn bench(c: &mut Criterion) {
             b.iter(|| {
                 let mut scratch = pool.checkout();
                 black_box(
-                    eval_product_csr_with(
+                    search_nodes(
                         &nfa,
                         &graph,
                         black_box(w.source),
-                        FrontierMode::Hybrid,
+                        &SearchOpts::default(),
                         &mut scratch,
                     )
+                    .0
                     .answers
                     .len(),
                 )
@@ -181,13 +171,14 @@ fn bench(c: &mut Criterion) {
             b.iter(|| {
                 let mut scratch = EvalScratch::new();
                 black_box(
-                    eval_product_csr_with(
+                    search_nodes(
                         &nfa,
                         &graph,
                         black_box(w.source),
-                        FrontierMode::Hybrid,
+                        &SearchOpts::default(),
                         &mut scratch,
                     )
+                    .0
                     .answers
                     .len(),
                 )
@@ -201,11 +192,17 @@ fn bench(c: &mut Criterion) {
         let w = multi_target_workload(64, 16, targets_n);
         let graph = CsrGraph::from(&w.instance);
         let reversed = Nfa::thompson(&w.query).reverse();
-        let batch = eval_product_to_batch_csr(&reversed, &graph, &w.targets);
+        let batch = search_lanes(
+            &reversed,
+            &graph,
+            &w.targets,
+            &backward,
+            &mut EvalScratch::new(),
+        );
         let per_target = batch.per_source().expect("lane kernel partitions");
         let mut loop_edges = 0usize;
         for (i, &t) in w.targets.iter().enumerate() {
-            let single = eval_product_backward_reversed_csr(&reversed, &graph, t);
+            let single = search_nodes(&reversed, &graph, t, &backward, &mut EvalScratch::new()).0;
             loop_edges += single.stats.edges_scanned;
             assert_eq!(per_target[i], single.answers, "target {i} diverged");
         }
@@ -222,9 +219,15 @@ fn bench(c: &mut Criterion) {
             |b, _| {
                 b.iter(|| {
                     black_box(
-                        eval_product_to_batch_csr(&reversed, &graph, black_box(&w.targets))
-                            .union()
-                            .len(),
+                        search_lanes(
+                            &reversed,
+                            &graph,
+                            black_box(&w.targets),
+                            &backward,
+                            &mut EvalScratch::new(),
+                        )
+                        .union()
+                        .len(),
                     )
                 })
             },
@@ -236,10 +239,16 @@ fn bench(c: &mut Criterion) {
                 b.iter(|| {
                     let mut total = 0usize;
                     for &t in &w.targets {
-                        total +=
-                            eval_product_backward_reversed_csr(&reversed, &graph, black_box(t))
-                                .answers
-                                .len();
+                        total += search_nodes(
+                            &reversed,
+                            &graph,
+                            black_box(t),
+                            &backward,
+                            &mut EvalScratch::new(),
+                        )
+                        .0
+                        .answers
+                        .len();
                     }
                     black_box(total)
                 })

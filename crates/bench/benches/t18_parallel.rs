@@ -29,10 +29,7 @@ use std::time::{Duration, Instant};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rpq_automata::Nfa;
 use rpq_bench::eval_workload;
-use rpq_core::{
-    eval_product_batch_csr_with, eval_product_batch_parallel_csr_with, eval_product_csr_with,
-    eval_product_parallel_csr_with, EvalControl, EvalScratch, FrontierMode, ScratchPool,
-};
+use rpq_core::{search_lanes, search_nodes, EvalScratch, FrontierMode, ScratchPool, SearchOpts};
 use rpq_graph::{CsrGraph, Oid};
 
 /// Minimum wall clock of `n` runs of `f` (the robust statistic for a
@@ -56,6 +53,11 @@ fn bench(c: &mut Criterion) {
 
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let pool = ScratchPool::with_capacity(8);
+    let at_dop = |dop: usize| SearchOpts {
+        dop,
+        pool: Some(&pool),
+        ..SearchOpts::default()
+    };
 
     // Acceptance 1 + 4: agreement across DoP and mode, hybrid <= sparse
     // under parallelism. The web workload's broad closure saturates the
@@ -73,17 +75,26 @@ fn bench(c: &mut Criterion) {
                 FrontierMode::ForcedDense,
                 FrontierMode::Hybrid,
             ] {
-                let seq = eval_product_csr_with(&nfa, &graph, w.source, mode, &mut scratch);
+                let seq = search_nodes(
+                    &nfa,
+                    &graph,
+                    w.source,
+                    &SearchOpts {
+                        mode,
+                        ..SearchOpts::default()
+                    },
+                    &mut scratch,
+                )
+                .0;
                 for dop in [1usize, 2, 4] {
-                    let (par, _) = eval_product_parallel_csr_with(
+                    let (par, _) = search_nodes(
                         &nfa,
                         &graph,
                         w.source,
-                        None,
-                        mode,
-                        &EvalControl::UNLIMITED,
-                        dop,
-                        &pool,
+                        &SearchOpts {
+                            mode,
+                            ..at_dop(dop)
+                        },
                         &mut scratch,
                     );
                     assert_eq!(
@@ -98,28 +109,17 @@ fn bench(c: &mut Criterion) {
             }
         }
         // hybrid <= sparse with the level sweeps actually partitioned
-        let (sparse, _) = eval_product_parallel_csr_with(
+        let (sparse, _) = search_nodes(
             &broad,
             &graph,
             w.source,
-            None,
-            FrontierMode::ForcedSparse,
-            &EvalControl::UNLIMITED,
-            4,
-            &pool,
+            &SearchOpts {
+                mode: FrontierMode::ForcedSparse,
+                ..at_dop(4)
+            },
             &mut scratch,
         );
-        let (hybrid, _) = eval_product_parallel_csr_with(
-            &broad,
-            &graph,
-            w.source,
-            None,
-            FrontierMode::Hybrid,
-            &EvalControl::UNLIMITED,
-            4,
-            &pool,
-            &mut scratch,
-        );
+        let (hybrid, _) = search_nodes(&broad, &graph, w.source, &at_dop(4), &mut scratch);
         assert_eq!(
             sparse.answers, hybrid.answers,
             "hybrid diverged under parallelism"
@@ -139,28 +139,25 @@ fn bench(c: &mut Criterion) {
         let mut scratch = EvalScratch::new();
         let seq_time = min_time_of(9, || {
             black_box(
-                eval_product_csr_with(&broad, &graph, w.source, FrontierMode::Hybrid, &mut scratch)
-                    .answers
-                    .len(),
+                search_nodes(
+                    &broad,
+                    &graph,
+                    w.source,
+                    &SearchOpts::default(),
+                    &mut scratch,
+                )
+                .0
+                .answers
+                .len(),
             );
         });
         let mut scratch2 = EvalScratch::new();
         let dop1_time = min_time_of(9, || {
             black_box(
-                eval_product_parallel_csr_with(
-                    &broad,
-                    &graph,
-                    w.source,
-                    None,
-                    FrontierMode::Hybrid,
-                    &EvalControl::UNLIMITED,
-                    1,
-                    &pool,
-                    &mut scratch2,
-                )
-                .0
-                .answers
-                .len(),
+                search_nodes(&broad, &graph, w.source, &at_dop(1), &mut scratch2)
+                    .0
+                    .answers
+                    .len(),
             );
         });
         assert!(
@@ -176,9 +173,14 @@ fn bench(c: &mut Criterion) {
         let sources: Vec<Oid> = (0..graph.num_nodes() as u32).step_by(16).map(Oid).collect();
         assert!(sources.len() >= 256, "need multiple 64-lane waves");
         let mut scratch = EvalScratch::new();
-        let seq = eval_product_batch_csr_with(&broad, &graph, &sources, &mut scratch);
-        let par =
-            eval_product_batch_parallel_csr_with(&broad, &graph, &sources, 4, &pool, &mut scratch);
+        let seq = search_lanes(
+            &broad,
+            &graph,
+            &sources,
+            &SearchOpts::default(),
+            &mut scratch,
+        );
+        let par = search_lanes(&broad, &graph, &sources, &at_dop(4), &mut scratch);
         assert_eq!(
             par.per_source(),
             seq.per_source(),
@@ -187,30 +189,16 @@ fn bench(c: &mut Criterion) {
         if cores >= 4 {
             let dop1 = min_time_of(5, || {
                 black_box(
-                    eval_product_batch_parallel_csr_with(
-                        &broad,
-                        &graph,
-                        &sources,
-                        1,
-                        &pool,
-                        &mut scratch,
-                    )
-                    .stats
-                    .answers,
+                    search_lanes(&broad, &graph, &sources, &at_dop(1), &mut scratch)
+                        .stats
+                        .answers,
                 );
             });
             let dop4 = min_time_of(5, || {
                 black_box(
-                    eval_product_batch_parallel_csr_with(
-                        &broad,
-                        &graph,
-                        &sources,
-                        4,
-                        &pool,
-                        &mut scratch,
-                    )
-                    .stats
-                    .answers,
+                    search_lanes(&broad, &graph, &sources, &at_dop(4), &mut scratch)
+                        .stats
+                        .answers,
                 );
             });
             let speedup = dop1.as_secs_f64() / dop4.as_secs_f64().max(f64::MIN_POSITIVE);
@@ -231,12 +219,11 @@ fn bench(c: &mut Criterion) {
                 let mut scratch = EvalScratch::new();
                 b.iter(|| {
                     black_box(
-                        eval_product_batch_parallel_csr_with(
+                        search_lanes(
                             &broad,
                             &graph,
                             black_box(&sources),
-                            dop,
-                            &pool,
+                            &at_dop(dop),
                             &mut scratch,
                         )
                         .stats
@@ -259,15 +246,11 @@ fn bench(c: &mut Criterion) {
                 let mut scratch = EvalScratch::new();
                 b.iter(|| {
                     black_box(
-                        eval_product_parallel_csr_with(
+                        search_nodes(
                             &broad,
                             &graph,
                             black_box(w.source),
-                            None,
-                            FrontierMode::Hybrid,
-                            &EvalControl::UNLIMITED,
-                            dop,
-                            &pool,
+                            &at_dop(dop),
                             &mut scratch,
                         )
                         .0

@@ -61,9 +61,8 @@ use rpq_bench::{
     multi_source_workload, multi_target_workload, pull_workload, skewed_workload,
 };
 use rpq_core::{
-    eval_product_backward_reversed_csr, eval_product_csr, eval_product_csr_with,
-    eval_product_pair_forward_csr, eval_product_to_batch_csr, Engine, EvalScratch, EvalStats,
-    FrontierMode, ProductEngine, Query, ScratchPool,
+    eval_product_csr, search_lanes, search_nodes, search_pair, Engine, EvalScratch, EvalStats,
+    FrontierMode, ProductEngine, Query, ScratchPool, SearchOpts,
 };
 use rpq_core::{EvalControl, EvalRequest, Termination};
 use rpq_distributed::PartitionedBatchEngine;
@@ -97,6 +96,10 @@ fn measure(repeats: usize, mut f: impl FnMut() -> EvalStats) -> (u128, EvalStats
 }
 
 fn main() {
+    let backward = SearchOpts {
+        reverse_adj: true,
+        ..SearchOpts::default()
+    };
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut json_path: Option<String> = None;
     let mut repeats = 15usize;
@@ -199,7 +202,18 @@ fn main() {
         );
 
         let (t, stats) = measure(repeats, || {
-            eval_product_pair_forward_csr(query.nfa(), &graph, w.source, w.target).stats
+            search_pair(
+                query.nfa(),
+                &query.nfa().reverse(),
+                &graph,
+                w.source,
+                w.target,
+                Direction::Forward,
+                &SearchOpts::default(),
+                &mut EvalScratch::new(),
+            )
+            .0
+            .stats
         });
         t12_points.push(SeriesPoint {
             name: "pair_forced_forward",
@@ -376,13 +390,17 @@ fn main() {
 
         let mut scratch = EvalScratch::new();
         let (t, stats) = measure(repeats, || {
-            eval_product_csr_with(
+            search_nodes(
                 &nfa,
                 &graph,
                 w.source,
-                FrontierMode::ForcedSparse,
+                &SearchOpts {
+                    mode: FrontierMode::ForcedSparse,
+                    ..SearchOpts::default()
+                },
                 &mut scratch,
             )
+            .0
             .stats
         });
         t15_points.push(SeriesPoint {
@@ -394,7 +412,9 @@ fn main() {
         let sparse_edges = stats.edges_scanned;
 
         let (t, stats) = measure(repeats, || {
-            eval_product_csr_with(&nfa, &graph, w.source, FrontierMode::Hybrid, &mut scratch).stats
+            search_nodes(&nfa, &graph, w.source, &SearchOpts::default(), &mut scratch)
+                .0
+                .stats
         });
         t15_points.push(SeriesPoint {
             name: "hot_pull_hybrid",
@@ -418,7 +438,9 @@ fn main() {
 
         let (t, stats) = measure(repeats, || {
             let mut scratch = pool.checkout();
-            eval_product_csr_with(&nfa, &graph, w.source, FrontierMode::Hybrid, &mut scratch).stats
+            search_nodes(&nfa, &graph, w.source, &SearchOpts::default(), &mut scratch)
+                .0
+                .stats
         });
         t15_points.push(SeriesPoint {
             name: "hot_warm_scratch",
@@ -434,7 +456,9 @@ fn main() {
 
         let (t, stats) = measure(repeats, || {
             let mut scratch = EvalScratch::new();
-            eval_product_csr_with(&nfa, &graph, w.source, FrontierMode::Hybrid, &mut scratch).stats
+            search_nodes(&nfa, &graph, w.source, &SearchOpts::default(), &mut scratch)
+                .0
+                .stats
         });
         t15_points.push(SeriesPoint {
             name: "hot_cold_alloc",
@@ -451,7 +475,17 @@ fn main() {
         let (t, stats) = measure(repeats, || {
             let mut total = EvalStats::default();
             for &target in &w.targets {
-                total.merge(&eval_product_backward_reversed_csr(&reversed, &graph, target).stats);
+                total.merge(
+                    &search_nodes(
+                        &reversed,
+                        &graph,
+                        target,
+                        &backward,
+                        &mut EvalScratch::new(),
+                    )
+                    .0
+                    .stats,
+                );
             }
             total
         });
@@ -464,7 +498,14 @@ fn main() {
         let loop_edges = stats.edges_scanned;
 
         let (t, stats) = measure(repeats, || {
-            eval_product_to_batch_csr(&reversed, &graph, &w.targets).stats
+            search_lanes(
+                &reversed,
+                &graph,
+                &w.targets,
+                &backward,
+                &mut EvalScratch::new(),
+            )
+            .stats
         });
         t15_points.push(SeriesPoint {
             name: "hot_lanes_to_batch",
@@ -689,31 +730,39 @@ fn main() {
     // single-core runners, where only the work counters are stable.
     let mut t18_points: Vec<SeriesPoint> = Vec::new();
     {
-        use rpq_core::{eval_product_batch_parallel_csr_with, eval_product_parallel_csr_with};
         use rpq_graph::Oid;
         let w = eval_workload(13, 4_000);
         let graph = CsrGraph::from(&w.instance);
         let broad = rpq_automata::Nfa::thompson(&w.queries[3].1);
         let pool = ScratchPool::with_capacity(8);
         let mut scratch = EvalScratch::new();
-        let seq =
-            eval_product_csr_with(&broad, &graph, w.source, FrontierMode::Hybrid, &mut scratch);
+        let seq = search_nodes(
+            &broad,
+            &graph,
+            w.source,
+            &SearchOpts::default(),
+            &mut scratch,
+        )
+        .0;
         let sources: Vec<Oid> = (0..graph.num_nodes() as u32).step_by(16).map(Oid).collect();
-        let seq_batch = {
-            use rpq_core::eval_product_batch_csr_with;
-            eval_product_batch_csr_with(&broad, &graph, &sources, &mut scratch)
-        };
+        let seq_batch = search_lanes(
+            &broad,
+            &graph,
+            &sources,
+            &SearchOpts::default(),
+            &mut scratch,
+        );
         for &dop in &[1usize, 2, 4] {
             let (t, stats) = measure(repeats, || {
-                eval_product_parallel_csr_with(
+                search_nodes(
                     &broad,
                     &graph,
                     w.source,
-                    None,
-                    FrontierMode::Hybrid,
-                    &EvalControl::UNLIMITED,
-                    dop,
-                    &pool,
+                    &SearchOpts {
+                        dop,
+                        pool: Some(&pool),
+                        ..SearchOpts::default()
+                    },
                     &mut scratch,
                 )
                 .0
@@ -733,15 +782,15 @@ fn main() {
                 stats.edges_scanned, seq.stats.edges_scanned,
                 "parallel product search must price exactly like sequential at dop={dop}"
             );
-            let (par, _) = eval_product_parallel_csr_with(
+            let (par, _) = search_nodes(
                 &broad,
                 &graph,
                 w.source,
-                None,
-                FrontierMode::Hybrid,
-                &EvalControl::UNLIMITED,
-                dop,
-                &pool,
+                &SearchOpts {
+                    dop,
+                    pool: Some(&pool),
+                    ..SearchOpts::default()
+                },
                 &mut scratch,
             );
             assert_eq!(
@@ -750,12 +799,15 @@ fn main() {
             );
 
             let (t, stats) = measure(repeats, || {
-                eval_product_batch_parallel_csr_with(
+                search_lanes(
                     &broad,
                     &graph,
                     &sources,
-                    dop,
-                    &pool,
+                    &SearchOpts {
+                        dop,
+                        pool: Some(&pool),
+                        ..SearchOpts::default()
+                    },
                     &mut scratch,
                 )
                 .stats
@@ -770,12 +822,15 @@ fn main() {
                 median_ns: t,
                 edges_scanned: stats.edges_scanned,
             });
-            let par_batch = eval_product_batch_parallel_csr_with(
+            let par_batch = search_lanes(
                 &broad,
                 &graph,
                 &sources,
-                dop,
-                &pool,
+                &SearchOpts {
+                    dop,
+                    pool: Some(&pool),
+                    ..SearchOpts::default()
+                },
                 &mut scratch,
             );
             assert_eq!(

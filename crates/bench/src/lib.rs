@@ -530,21 +530,24 @@ mod tests {
 
     #[test]
     fn pull_workload_triggers_the_pull_sweep() {
-        use rpq_core::{eval_product_csr_with, EvalScratch, FrontierMode};
+        use rpq_core::{search_nodes, EvalScratch, FrontierMode, SearchOpts};
         let w = pull_workload(24);
         assert_eq!(w.instance.num_edges(), 24 + 24 * 23);
         let csr = rpq_graph::CsrGraph::from(&w.instance);
         let nfa = rpq_automata::Nfa::thompson(&w.query);
         let mut scratch = EvalScratch::new();
-        let sparse = eval_product_csr_with(
+        let sparse = search_nodes(
             &nfa,
             &csr,
             w.source,
-            FrontierMode::ForcedSparse,
+            &SearchOpts {
+                mode: FrontierMode::ForcedSparse,
+                ..SearchOpts::default()
+            },
             &mut scratch,
-        );
-        let hybrid =
-            eval_product_csr_with(&nfa, &csr, w.source, FrontierMode::Hybrid, &mut scratch);
+        )
+        .0;
+        let hybrid = search_nodes(&nfa, &csr, w.source, &SearchOpts::default(), &mut scratch).0;
         assert_eq!(sparse.answers, hybrid.answers);
         assert_eq!(sparse.answers.len(), 25, "h* saturates the digraph");
         assert!(hybrid.stats.pull_levels >= 1, "hybrid never pulled");
@@ -567,7 +570,8 @@ mod tests {
         assert_eq!(w.targets.len(), 12);
         // every exit reaches back to the whole spine under cold*
         let nfa = rpq_automata::Nfa::thompson(&w.query);
-        let res = rpq_core::eval_product_backward_reversed_csr(&nfa.reverse(), &csr, w.targets[0]);
+        let query = rpq_core::Query::with_nfa(w.query.clone(), nfa, &w.alphabet);
+        let res = rpq_core::eval_to(&query, &csr, w.targets[0]);
         assert_eq!(res.answers.len(), 16 + 2, "spine + exit itself");
     }
 

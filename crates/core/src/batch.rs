@@ -5,30 +5,27 @@
 //! Looping a single-source engine re-walks the same CSR rows once per
 //! source; the batched engines here walk them once per *batch*.
 //!
-//! Two bit-parallel representations, both over [`rpq_graph::bitset`]:
+//! The bit-parallel representation, over [`rpq_graph::bitset`], is **lane
+//! mode** ([`search_lanes`], [`search_matrix`],
+//! [`eval_quotient_dfa_batch_csr`]): seeds are processed in waves of up to
+//! 64; cell `(q, v)` of a `LaneMatrix` holds a `u64` mask of which wave
+//! seeds have reached node `v` in automaton state (or quotient class) `q`.
+//! One pass over a CSR label row ORs the whole mask into every target —
+//! one scan advances every pending seed — and the lane partition recovers
+//! per-seed answer sets at the end.
 //!
-//! * **Lane mode** ([`eval_product_batch_csr`],
-//!   [`eval_quotient_dfa_batch_csr`]): sources are processed in waves of up
-//!   to 64; cell `(q, v)` of a `LaneMatrix` holds a `u64` mask of which
-//!   wave sources have reached node `v` in automaton state (or quotient
-//!   class) `q`. One pass over a CSR label row ORs the whole mask into
-//!   every target — one scan advances every pending source — and the lane
-//!   partition recovers per-source answer sets at the end.
-//! * **Union mode** ([`eval_product_batch_union_csr`]): when callers only
-//!   need `⋃ᵢ p(oᵢ, I)`, a single shared frontier — one [`NodeBitset`] per
-//!   NFA state ([`FrontierArena`]) — runs the whole batch as one BFS,
-//!   independent of the number of sources.
-//!
-//! Both run the level-synchronous product BFS of
-//! [`crate::product::eval_product_csr`] (ε-closure within a level, one
-//! graph edge per level step). `edges_scanned` counts each row pass once
-//! regardless of how many source lanes ride it — that is the measured win
-//! over the per-source loop (bench `t1_eval_scaling`, multi-source series).
+//! The lane kernel runs the level-synchronous product BFS of
+//! [`crate::product`] (ε-closure within a level, one graph edge per level
+//! step), always by push, uncapped and uncontrolled. `edges_scanned`
+//! counts each row pass once regardless of how many seed lanes ride it —
+//! that is the measured win over the per-seed loop (bench
+//! `t1_eval_scaling`, multi-source series).
 
 use rpq_automata::{Nfa, StateId};
-use rpq_graph::bitset::{FrontierArena, NodeBitset};
 use rpq_graph::{GraphView, Oid};
 
+use crate::parallel::wave_fanout;
+use crate::product::SearchOpts;
 use crate::quotient::SubsetInterner;
 use crate::scratch::EvalScratch;
 use crate::stats::EvalStats;
@@ -82,6 +79,27 @@ impl BatchResult {
     pub fn per_source(&self) -> Option<&[Vec<Oid>]> {
         self.per_source.as_deref()
     }
+
+    /// Re-align per-seed sets that were computed over a prefix of the
+    /// in-range seeds of `requested` (out-of-range oids seed nothing; a
+    /// controlled loop may stop early): every requested seed gets a slot,
+    /// the skipped ones an empty set.
+    pub(crate) fn aligned_to(mut self, requested: &[Oid], nv: usize) -> BatchResult {
+        if let Some(per) = &mut self.per_source {
+            if per.len() != requested.len() {
+                let mut computed = std::mem::take(per).into_iter();
+                let slot = |o: &Oid| {
+                    if o.index() < nv {
+                        computed.next().unwrap_or_default()
+                    } else {
+                        Vec::default()
+                    }
+                };
+                *per = requested.iter().map(slot).collect();
+            }
+        }
+        self
+    }
 }
 
 /// Answers for one wave: turn per-node lane masks into sorted per-source
@@ -102,97 +120,53 @@ pub(crate) fn collect_wave_answers(answer_masks: &[u64], wave_len: usize, out: &
     // node order is increasing, so each per-source list is already sorted
 }
 
-/// Bit-parallel batched product BFS: evaluate `L(nfa)` from every source in
-/// `sources` at once, in waves of up to 64 source lanes.
+/// The per-seed answer shape: evaluate `L(nfa)` from every seed at once, in
+/// waves of up to 64 lanes — `p(sᵢ, I)` per source forward, or
+/// `{o | tᵢ ∈ p(o, I)}` per target with `opts.reverse_adj` and the
+/// *reversed* automaton ([`Nfa::reverse`]). Reads `opts.reverse_adj`, and
+/// `opts.dop` / `opts.pool` to fan independent waves across workers.
 ///
 /// One `u64` lane mask per `(NFA state, node)` cell; a CSR label row is
 /// scanned once per cell activation, advancing every lane that reached the
-/// cell this level together. Per-source answers are recovered from the
-/// lane partition. `stats` are aggregated over waves; `answers` counts the
-/// per-source total (matching the default loop-over-`eval` aggregation).
-pub fn eval_product_batch_csr<G: GraphView>(nfa: &Nfa, graph: &G, sources: &[Oid]) -> BatchResult {
-    let mut scratch = EvalScratch::new();
-    eval_product_batch_csr_with(nfa, graph, sources, &mut scratch)
-}
-
-/// [`eval_product_batch_csr`] with a caller-provided [`EvalScratch`] — the
-/// pooled hot-path form: a warm scratch whose lane capacity covers
-/// `|Q|·|V|` runs the whole batch without allocating arenas.
-pub fn eval_product_batch_csr_with<G: GraphView>(
+/// cell this level together — replacing the one-BFS-per-seed loop.
+/// Per-seed answer sets are recovered from the lane partition, aligned
+/// with `seeds` (duplicate seeds each get a lane). `stats` are aggregated
+/// over waves; `answers` counts the per-seed total. A warm `scratch` whose
+/// lane capacity covers `|Q|·|V|` runs the whole batch without allocating
+/// arenas.
+pub fn search_lanes<G: GraphView>(
     nfa: &Nfa,
     graph: &G,
-    sources: &[Oid],
+    seeds: &[Oid],
+    opts: &SearchOpts<'_>,
     scratch: &mut EvalScratch,
 ) -> BatchResult {
-    batch_wave_kernel(nfa, graph, sources, false, scratch)
-}
-
-/// Bit-parallel batched *backward* product BFS: for each target in
-/// `targets`, compute `{o | target ∈ p(o, I)}` — all objects that reach the
-/// target spelling a word of `L(p)`.
-///
-/// Takes the *already-reversed* automaton ([`Nfa::reverse`]) and runs the
-/// same lane kernel as [`eval_product_batch_csr`] over the *reverse*
-/// adjacency, with targets as the wave lanes: one reverse-row pass advances
-/// every pending target at once, replacing the one-backward-BFS-per-target
-/// loop of the default `Engine::eval_to_batch`. Per-target answer sets ride
-/// the lane partition exactly as per-source sets do forward.
-pub fn eval_product_to_batch_csr<G: GraphView>(
-    reversed: &Nfa,
-    graph: &G,
-    targets: &[Oid],
-) -> BatchResult {
-    let mut scratch = EvalScratch::new();
-    eval_product_to_batch_csr_with(reversed, graph, targets, &mut scratch)
-}
-
-/// [`eval_product_to_batch_csr`] with a caller-provided [`EvalScratch`]
-/// (see [`eval_product_batch_csr_with`]).
-pub fn eval_product_to_batch_csr_with<G: GraphView>(
-    reversed: &Nfa,
-    graph: &G,
-    targets: &[Oid],
-    scratch: &mut EvalScratch,
-) -> BatchResult {
-    batch_wave_kernel(reversed, graph, targets, true, scratch)
-}
-
-/// The shared wave kernel behind the forward and backward batched product
-/// engines: waves of up to 64 lanes, one [`rpq_graph::bitset::LaneMatrix`]
-/// cell per (state, node), adjacency direction selected by `reverse_adj`
-/// (the automaton is taken as given — backward callers pass the reversed
-/// NFA). All arenas come from `scratch`'s lane section.
-fn batch_wave_kernel<G: GraphView>(
-    nfa: &Nfa,
-    graph: &G,
-    sources: &[Oid],
-    reverse_adj: bool,
-    scratch: &mut EvalScratch,
-) -> BatchResult {
-    let mut per_source: Vec<Vec<Oid>> = Vec::with_capacity(sources.len()); // alloc-ok: result value
-    let mut stats = batch_wave_kernel_sink(
+    let (waves, mut stats) = wave_fanout(
         nfa,
         graph,
-        sources,
-        reverse_adj,
+        seeds,
+        opts,
         scratch,
-        &mut |masks, _wave_start, wave_len| {
-            collect_wave_answers(masks, wave_len, &mut per_source);
+        |masks, _start, wave_len| {
+            let mut per: Vec<Vec<Oid>> = Vec::with_capacity(wave_len);
+            collect_wave_answers(masks, wave_len, &mut per);
+            per
         },
     );
-    stats.answers = per_source.iter().map(Vec::len).sum();
-    BatchResult::from_per_source(per_source, stats)
+    let per_seed: Vec<Vec<Oid>> = waves.into_iter().flatten().collect();
+    stats.answers = per_seed.iter().map(Vec::len).sum();
+    BatchResult::from_per_source(per_seed, stats)
 }
 
 /// The wave kernel proper, decoupled from the answer representation: after
 /// each completed wave, `on_wave` receives the per-node lane masks (`masks[v]`
 /// bit `l` set ⟺ wave source `wave_start + l` answers `v`), the wave's
-/// starting index into `sources`, and the wave length. [`batch_wave_kernel`]
-/// collects per-source answer lists; the matrix pass fills
-/// [`MatrixResult`] rows directly from the same masks, and the set-valued
-/// pair kernels ([`crate::pairset`]) turn them into (source, target)
-/// bindings. The returned stats leave `answers` at 0 — the caller sets it
-/// from its own representation.
+/// starting index into `sources`, and the wave length. [`search_lanes`]
+/// collects per-seed answer lists; [`search_matrix`] fills
+/// [`MatrixResult`] rows directly from the same masks, and
+/// [`crate::search_pairs`] turns them into (source, target) bindings. The
+/// returned stats leave `answers` at 0 — the caller sets it from its own
+/// representation.
 pub(crate) fn batch_wave_kernel_sink<G: GraphView>(
     nfa: &Nfa,
     graph: &G,
@@ -312,10 +286,11 @@ pub(crate) fn batch_wave_kernel_sink<G: GraphView>(
 }
 
 /// Bit-packed N×M reachability matrix: `reachable(i, j)` answers
-/// `targets[j] ∈ p(sources[i], I)`. Produced in one bit-parallel pass by
-/// the same wave kernel as [`eval_product_batch_csr`] — rows are filled
-/// straight from the per-node lane masks, so the matrix costs no more than
-/// the batched source evaluation plus one mask probe per (wave, target).
+/// `targets[j] ∈ p(sources[i], I)`. Produced in one bit-parallel pass
+/// ([`search_matrix`]) by the same wave kernel as [`search_lanes`] — rows
+/// are filled straight from the per-node lane masks, so the matrix costs no
+/// more than the batched source evaluation plus one mask probe per (wave,
+/// target).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MatrixResult {
     sources: Vec<Oid>,
@@ -370,6 +345,30 @@ impl MatrixResult {
         self.bits.iter().map(|w| w.count_ones() as usize).sum()
     }
 
+    /// Re-seat a matrix computed over the in-range rows and columns of the
+    /// requested axes onto those axes: an oid `>= nv` keeps its row or
+    /// column, all unreachable.
+    pub(crate) fn spread_over(self, sources: &[Oid], targets: &[Oid], nv: usize) -> MatrixResult {
+        if self.sources.len() == sources.len() && self.targets.len() == targets.len() {
+            return self;
+        }
+        let live = |axis: &[Oid]| -> Vec<usize> {
+            let kept = axis.iter().enumerate().filter(|(_, o)| o.index() < nv);
+            kept.map(|(i, _)| i).collect()
+        };
+        let mut full = MatrixResult::new(sources.to_vec(), targets.to_vec()); // alloc-ok: result value
+        let (rows, cols) = (live(sources), live(targets));
+        for (li, &i) in rows.iter().enumerate() {
+            for (lj, &j) in cols.iter().enumerate() {
+                if self.reachable(li, lj) {
+                    full.set(i, j);
+                }
+            }
+        }
+        full.stats = self.stats;
+        full
+    }
+
     /// The transposed matrix (`sources` and `targets` swap roles) — used
     /// by planners that run the reversed automaton from the smaller side
     /// and flip the result back.
@@ -387,24 +386,14 @@ impl MatrixResult {
     }
 }
 
-/// N-source × M-target reachability matrix in one bit-parallel pass: runs
-/// the lane wave kernel forward from `sources` and, after each wave, reads
-/// each target's lane mask once — cell `(i, j)` is set iff lane `i` of its
-/// wave answered `targets[j]`. Equivalent to M pair queries per source but
-/// sharing every CSR row pass across the whole wave.
-pub fn eval_product_matrix_csr<G: GraphView>(
-    nfa: &Nfa,
-    graph: &G,
-    sources: &[Oid],
-    targets: &[Oid],
-) -> MatrixResult {
-    let mut scratch = EvalScratch::new();
-    eval_product_matrix_csr_with(nfa, graph, sources, targets, &mut scratch)
-}
-
-/// [`eval_product_matrix_csr`] with a caller-provided [`EvalScratch`] — the
-/// pooled hot-path form.
-pub fn eval_product_matrix_csr_with<G: GraphView>(
+/// The matrix answer shape: the N-source × M-target reachability matrix in
+/// one bit-parallel pass. Runs the lane wave kernel forward from `sources`
+/// and, after each wave, reads each target's lane mask once — cell
+/// `(i, j)` is set iff lane `i` of its wave answered `targets[j]`.
+/// Equivalent to M pair queries per source but sharing every CSR row pass
+/// across the whole wave. Sequential (see the follow-ups listed on
+/// [`crate::run_request`]).
+pub fn search_matrix<G: GraphView>(
     nfa: &Nfa,
     graph: &G,
     sources: &[Oid],
@@ -446,82 +435,8 @@ pub(crate) fn lane_mask(wave_len: usize) -> u64 {
     }
 }
 
-/// Union-mode batched product BFS: one shared frontier — a [`NodeBitset`]
-/// per NFA state — seeded with *all* sources, for callers that only need
-/// `⋃ᵢ p(oᵢ, I)`. Work is that of a single BFS regardless of batch size.
-pub fn eval_product_batch_union_csr<G: GraphView>(
-    nfa: &Nfa,
-    graph: &G,
-    sources: &[Oid],
-) -> BatchResult {
-    let nq = nfa.num_states();
-    let nv = graph.num_nodes();
-    let mut stats = EvalStats::default();
-    let mut state_touched = vec![false; nq]; // alloc-ok: union-mode arena, not pooled
-
-    let mut reached = FrontierArena::new(nq, nv); // alloc-ok: union-mode arenas, not pooled
-    let mut frontier = FrontierArena::new(nq, nv);
-    let mut next = FrontierArena::new(nq, nv);
-    let mut answer = NodeBitset::new(nv);
-
-    for &s in sources {
-        if reached.state_mut(nfa.start() as usize).insert(s.index()) {
-            frontier.state_mut(nfa.start() as usize).insert(s.index());
-        }
-    }
-
-    while !frontier.is_empty() {
-        // ε-closure within the level.
-        let mut worklist: Vec<(StateId, usize)> = Vec::new(); // alloc-ok: union-mode worklist
-        for q in 0..nq {
-            for v in frontier.state(q).iter_ones() {
-                worklist.push((q as StateId, v));
-            }
-        }
-        while let Some((q, v)) = worklist.pop() {
-            for &q2 in nfa.eps_transitions(q) {
-                if reached.state_mut(q2 as usize).insert(v) {
-                    frontier.state_mut(q2 as usize).insert(v);
-                    worklist.push((q2, v));
-                }
-            }
-        }
-
-        for (q, touched) in state_touched.iter_mut().enumerate() {
-            if frontier.state(q).is_empty() {
-                continue;
-            }
-            *touched = true;
-            let accepting = nfa.is_accepting(q as StateId);
-            for v in frontier.state(q).iter_ones() {
-                stats.pairs_visited += 1;
-                if accepting {
-                    answer.insert(v);
-                }
-                for &(sym, q2) in nfa.transitions(q as StateId) {
-                    let targets = graph.out(Oid(v as u32), sym);
-                    stats.edges_scanned += targets.len();
-                    for v2 in targets {
-                        if reached.state_mut(q2 as usize).insert(v2.index()) {
-                            next.state_mut(q2 as usize).insert(v2.index());
-                        }
-                    }
-                }
-            }
-        }
-
-        frontier.swap(&mut next);
-        next.clear();
-    }
-
-    stats.classes_materialized = state_touched.iter().filter(|&&t| t).count();
-    let union: Vec<Oid> = answer.iter_ones().map(|v| Oid(v as u32)).collect();
-    stats.answers = union.len();
-    BatchResult::union_only(union, stats)
-}
-
 /// Bit-parallel batched quotient-DFA search: the same lane-mask scheme as
-/// [`eval_product_batch_csr`], but cells are `(quotient class, node)` with
+/// [`search_lanes`], but cells are `(quotient class, node)` with
 /// classes lazily determinized through the subset interner shared with
 /// [`crate::eval_quotient_dfa_csr`] (one subset step + memo probe per
 /// distinct `(class, label)` for the whole batch, not per source).
@@ -601,6 +516,11 @@ mod tests {
     use rpq_automata::Alphabet;
     use rpq_graph::{CsrGraph, InstanceBuilder};
 
+    fn lanes(query: &Query, csr: &CsrGraph, sources: &[Oid]) -> BatchResult {
+        let opts = SearchOpts::default();
+        search_lanes(query.nfa(), csr, sources, &opts, &mut EvalScratch::new())
+    }
+
     fn diamond() -> (Alphabet, CsrGraph, Vec<Oid>) {
         let mut ab = Alphabet::new();
         let mut b = InstanceBuilder::new(&mut ab);
@@ -620,7 +540,7 @@ mod tests {
         let (mut ab, csr, sources) = diamond();
         for qs in ["a.b*", "b*", "(a+b)*", "a.b.b", "()", "[]"] {
             let query = Query::parse(&mut ab, qs).unwrap();
-            let batch = eval_product_batch_csr(query.nfa(), &csr, &sources);
+            let batch = lanes(&query, &csr, &sources);
             let per = batch.per_source().unwrap();
             assert_eq!(per.len(), sources.len());
             for (i, &s) in sources.iter().enumerate() {
@@ -645,23 +565,6 @@ mod tests {
     }
 
     #[test]
-    fn union_mode_matches_union_of_singles() {
-        let (mut ab, csr, sources) = diamond();
-        for qs in ["a.b*", "(a+b)*", "b.b"] {
-            let query = Query::parse(&mut ab, qs).unwrap();
-            let batch = eval_product_batch_union_csr(query.nfa(), &csr, &sources);
-            assert!(batch.per_source().is_none());
-            let mut expected: Vec<Oid> = sources
-                .iter()
-                .flat_map(|&s| ProductEngine.eval(&query, &csr, s).answers)
-                .collect();
-            expected.sort_unstable();
-            expected.dedup();
-            assert_eq!(batch.union(), &expected[..], "{qs}");
-        }
-    }
-
-    #[test]
     fn shared_suffix_scans_fewer_edges_than_loop() {
         // N entry nodes funnel into one chain: the batch walks the chain
         // once, the loop N times.
@@ -679,7 +582,7 @@ mod tests {
         let sources: Vec<Oid> = (0..n).map(|i| names[format!("e{i}").as_str()]).collect();
         let query = Query::parse(&mut ab, "c*").unwrap();
 
-        let batch = eval_product_batch_csr(query.nfa(), &csr, &sources);
+        let batch = lanes(&query, &csr, &sources);
         let loop_edges: usize = sources
             .iter()
             .map(|&s| ProductEngine.eval(&query, &csr, s).stats.edges_scanned)
@@ -708,7 +611,7 @@ mod tests {
         let csr = CsrGraph::from(&inst);
         let sources: Vec<Oid> = (0..70).map(|i| names[format!("s{i}").as_str()]).collect();
         let query = Query::parse(&mut ab, "a.b").unwrap();
-        let batch = eval_product_batch_csr(query.nfa(), &csr, &sources);
+        let batch = lanes(&query, &csr, &sources);
         let t = names["t"];
         for per in batch.per_source().unwrap() {
             assert_eq!(per, &vec![t]);
@@ -721,11 +624,9 @@ mod tests {
     fn empty_source_set_is_empty() {
         let (mut ab, csr, _) = diamond();
         let query = Query::parse(&mut ab, "a*").unwrap();
-        let batch = eval_product_batch_csr(query.nfa(), &csr, &[]);
+        let batch = lanes(&query, &csr, &[]);
         assert!(batch.union().is_empty());
         assert_eq!(batch.per_source(), Some(&[][..]));
-        let ub = eval_product_batch_union_csr(query.nfa(), &csr, &[]);
-        assert!(ub.union().is_empty());
     }
 
     #[test]
@@ -733,7 +634,7 @@ mod tests {
         let (mut ab, csr, sources) = diamond();
         let query = Query::parse(&mut ab, "a.b*").unwrap();
         let dup = vec![sources[0], sources[0], sources[1]];
-        let batch = eval_product_batch_csr(query.nfa(), &csr, &dup);
+        let batch = lanes(&query, &csr, &dup);
         let per = batch.per_source().unwrap();
         assert_eq!(per[0], per[1]);
     }

@@ -25,13 +25,12 @@
 use rpq_automata::{parse_regex, Alphabet, Nfa, ParseError, Regex};
 use rpq_graph::{CsrGraph, Oid};
 
-use crate::batch::{
-    eval_product_batch_csr, eval_product_to_batch_csr, eval_quotient_dfa_batch_csr, BatchResult,
-};
-use crate::product::{eval_product_csr, EvalResult};
+use crate::batch::{eval_quotient_dfa_batch_csr, BatchResult};
+use crate::product::{eval_product_csr, EvalResult, FrontierMode, SearchOpts};
 use crate::quotient::{eval_derivative_csr, eval_quotient_dfa_csr};
-use crate::request::{run_default, EvalRequest, EvalResponse, SourceSpec};
-use crate::stats::EvalStats;
+use crate::request::{run_default, run_request, EvalRequest, EvalResponse, SourceSpec};
+use crate::scratch::EvalScratch;
+use crate::stats::{Direction, EvalStats};
 use crate::streaming::StreamingEval;
 
 /// A prepared path query: the regex, its Thompson NFA, and the alphabet it
@@ -131,7 +130,7 @@ pub trait Engine {
     /// default dispatch loops over [`Engine::eval`] and merges the
     /// per-source [`EvalStats`] (so no work counter is discarded), while
     /// set-at-a-time engines — the bit-parallel product BFS
-    /// ([`crate::eval_product_batch_csr`]), the batched quotient-DFA
+    /// ([`crate::search_lanes`]), the batched quotient-DFA
     /// search, the all-sources-seeded semi-naive Datalog fixpoint, the
     /// partitioned threaded driver in `rpq-distributed` — specialize the
     /// arm in their `run`. Union-only strategies report
@@ -146,7 +145,7 @@ pub trait Engine {
     ///
     /// Thin wrapper over [`Engine::run`] with [`SourceSpec::Target`]; the
     /// default dispatch runs the shared backward product BFS (reversed NFA
-    /// over the reverse adjacency, [`crate::eval_product_backward_csr`]) —
+    /// over the reverse adjacency, [`crate::eval_to`]) —
     /// correct for every engine because set-semantics answers are
     /// direction-independent. Engines with planner state specialize the
     /// arm in their `run` (e.g. `PlannedEngine` reuses its plan's cached
@@ -163,7 +162,7 @@ pub trait Engine {
     /// default dispatch loops the backward BFS per target and merges the
     /// per-target [`EvalStats`] (`per_source()` of the result is aligned
     /// with `targets`), while [`ProductEngine`] specializes the arm with
-    /// the bit-parallel backward wave ([`eval_product_to_batch_csr`]):
+    /// the bit-parallel backward wave ([`crate::search_lanes`]):
     /// waves of up to 64 *target* lanes over the reversed NFA and reverse
     /// adjacency, one row pass advancing every pending target at once.
     fn eval_to_batch(&self, query: &Query, graph: &CsrGraph, targets: &[Oid]) -> BatchResult {
@@ -185,34 +184,31 @@ impl Engine for ProductEngine {
         eval_product_csr(query.nfa(), graph, source)
     }
 
-    /// Specializes the uncontrolled multi-source and multi-target arms
-    /// with the bit-parallel wave kernels: one CSR row pass advances every
-    /// pending source lane at once ([`eval_product_batch_csr`]); targets
-    /// ride waves of up to 64 lanes over the reversed NFA and reverse
-    /// adjacency ([`eval_product_to_batch_csr`]), replacing the default
-    /// one-BFS-per-item loops. Everything else — controlled requests
-    /// included — falls back to [`run_default`].
+    /// Every request shape straight through [`run_request`] with a fresh
+    /// arena, sequentially: multi-source and multi-target requests ride
+    /// the bit-parallel lanes instead of the default one-BFS-per-item
+    /// loops, pairs meet in the middle. An uncontrolled request runs
+    /// [`FrontierMode::Hybrid`] and ignores the request's mode and
+    /// direction hints (they are hints); a controlled one honors its mode.
     fn run(&self, query: &Query, graph: &CsrGraph, req: &EvalRequest) -> EvalResponse {
-        if !req.is_controlled() {
-            match &req.spec {
-                SourceSpec::Sources(ss) => {
-                    return EvalResponse::from_batch(eval_product_batch_csr(
-                        query.nfa(),
-                        graph,
-                        ss,
-                    ));
-                }
-                SourceSpec::Targets(ts) => {
-                    return EvalResponse::from_batch(eval_product_to_batch_csr(
-                        &query.nfa().reverse(),
-                        graph,
-                        ts,
-                    ));
-                }
-                _ => {}
-            }
-        }
-        run_default(self, query, graph, req)
+        let opts = SearchOpts {
+            mode: if req.is_controlled() {
+                req.frontier_mode
+            } else {
+                FrontierMode::Hybrid
+            },
+            control: req.control(),
+            ..SearchOpts::default()
+        };
+        run_request(
+            query.nfa(),
+            &query.nfa().reverse(),
+            graph,
+            &req.spec,
+            Direction::Bidirectional,
+            &opts,
+            &mut EvalScratch::new(),
+        )
     }
 }
 

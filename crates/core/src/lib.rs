@@ -12,38 +12,36 @@
 //! * [`Engine`] — the unified trait: `eval(&self, &Query, &CsrGraph, Oid)`
 //!   over the label-indexed [`rpq_graph::CsrGraph`] snapshot, with shared
 //!   [`EvalStats`] work counters ([`Query`] packages regex + NFA +
-//!   alphabet once), plus batched multi-source evaluation via
-//!   [`Engine::eval_batch`] (default: loop + stats aggregation);
+//!   alphabet once);
 //! * [`request`] — the unified request/response convention:
 //!   [`Engine::run`] dispatches an [`EvalRequest`] (any question shape —
-//!   single source, batch, target-bound, pair, N×M matrix — plus uniform
-//!   budget/cancellation controls) to an [`EvalResponse`]; the legacy
-//!   per-shape `Engine` methods are thin wrappers over it;
-//! * [`batch`] — bit-parallel batched evaluation: the lane-partitioned
-//!   product BFS ([`eval_product_batch_csr`]), its union-mode shared
-//!   frontier ([`eval_product_batch_union_csr`]), and the batched
-//!   quotient-DFA search ([`eval_quotient_dfa_batch_csr`]), all returning
-//!   [`BatchResult`];
-//! * [`ProductEngine`] / [`eval_product_csr`] — the "more economical"
-//!   product-automaton BFS (PTIME combined complexity, NLOGSPACE data
-//!   complexity), frontier-based and label-indexed;
-//! * [`eval_product_backward_csr`] / [`pair`] — direction-aware variants:
-//!   the target-bound backward BFS (reversed NFA over the reverse CSR
-//!   adjacency) and the (source, target) pair scenario with forward,
-//!   backward, and meet-in-the-middle strategies ([`eval_pair`],
-//!   [`eval_to`]); `rpq-optimizer`'s `PlannedEngine` picks among them from
-//!   per-label statistics;
-//! * [`parallel`] — intra-query parallelism: the frontier-parallel
-//!   product BFS ([`eval_product_parallel_csr_with`]) that chunks push
-//!   levels and slab-partitions pull sweeps across `std::thread::scope`
-//!   workers with budget-lease soundness, governed by a shared
-//!   [`WorkerPool`];
-//! * [`pairset`] — *set-valued* pair answers: the (source, target) binding
-//!   sets a conjunctive-query atom induces between bound endpoint sets,
-//!   computed on the bit-parallel lane kernels with forward / backward /
-//!   both-bound strategies ([`eval_pairs_from_sources_csr_with`] and
-//!   friends) — the per-atom machinery `rpq-optimizer`'s join planner
-//!   composes;
+//!   single source, batch, target-bound, pair, N×M matrix, binding set —
+//!   plus uniform budget/cancellation controls) to an [`EvalResponse`];
+//!   [`run_request`] is the one executor that maps a request shape to a
+//!   product kernel (its rustdoc is the decision table);
+//! * [`product`] — the "more economical" product-automaton BFS (PTIME
+//!   combined complexity, NLOGSPACE data complexity), frontier-based and
+//!   label-indexed: **one** level-synchronous driver, direction-optimizing
+//!   per level, in which sequential evaluation is `dop == 1`, steered by
+//!   one [`SearchOpts`] (direction, depth cap, frontier mode, budget and
+//!   cancellation, degree of parallelism);
+//! * five entry points over that machinery, one per *answer shape*:
+//!   [`search_nodes`] (a node set — `p(o, I)` forward, `{o | t ∈ p(o, I)}`
+//!   backward), [`search_pair`] (one verdict: forward or backward early
+//!   exit, or meet-in-the-middle), [`search_lanes`] (per-seed node sets,
+//!   64 seeds per bit-parallel wave), [`search_matrix`] (an N×M bit
+//!   matrix from the same lanes), and [`search_pairs`] (the (source,
+//!   target) binding set a conjunctive-query atom induces — the per-atom
+//!   machinery `rpq-optimizer`'s join planner composes);
+//!   [`eval_product_csr`], [`eval_pair`] and [`eval_to`] are their
+//!   default-option one-liners, and `rpq-optimizer`'s `PlannedEngine`
+//!   picks directions and options from per-label statistics;
+//! * [`parallel`] — intra-query parallelism: the [`WorkerPool`] governor
+//!   and the fan-out of independent lane waves across pooled workers (the
+//!   driver fans out single BFS levels itself);
+//! * [`batch`] also holds the batched quotient-DFA search
+//!   ([`eval_quotient_dfa_batch_csr`]); batched results are
+//!   [`BatchResult`]s;
 //! * [`QuotientDfaEngine`] / [`eval_quotient_dfa_csr`] — explicit quotients
 //!   as lazily determinized state sets (the possibly-exponential
 //!   construction the paper warns about);
@@ -57,10 +55,6 @@
 //! * [`general`] — general path queries with character-level label patterns
 //!   and the `μ` translation (Proposition 2.2, Example 2.1 / Figure 1);
 //! * [`content`] — content-based selection via `content=w` self-loops.
-//!
-//! The historical free functions ([`eval_product`], [`eval_quotient_dfa`],
-//! [`eval_derivative`]) remain as thin wrappers that snapshot the
-//! [`rpq_graph::Instance`] per call; prefer building the [`CsrGraph`] once.
 //!
 //! ## Example
 //!
@@ -100,46 +94,26 @@ pub mod stats;
 pub mod streaming;
 
 pub use batch::{
-    eval_product_batch_csr, eval_product_batch_csr_with, eval_product_batch_union_csr,
-    eval_product_matrix_csr, eval_product_matrix_csr_with, eval_product_to_batch_csr,
-    eval_product_to_batch_csr_with, eval_quotient_dfa_batch_csr, BatchResult, MatrixResult,
+    eval_quotient_dfa_batch_csr, search_lanes, search_matrix, BatchResult, MatrixResult,
 };
 pub use engine::{
     DerivativeEngine, Engine, OracleEngine, ProductEngine, Query, QuotientDfaEngine,
     StreamingEngine,
 };
 pub use oracle::eval_oracle;
-pub use pair::{
-    eval_pair, eval_product_pair_backward_csr, eval_product_pair_backward_reversed_csr,
-    eval_product_pair_backward_reversed_csr_with, eval_product_pair_controlled_csr_with,
-    eval_product_pair_csr, eval_product_pair_csr_with, eval_product_pair_forward_csr,
-    eval_product_pair_forward_csr_with, eval_product_pair_reversed_csr_with, eval_to, PairResult,
-};
-pub use pairset::{
-    eval_pairs_bound_controlled_csr_with, eval_pairs_bound_csr_with,
-    eval_pairs_from_sources_controlled_csr_with, eval_pairs_from_sources_csr_with,
-    eval_pairs_to_targets_controlled_csr_with, eval_pairs_to_targets_csr_with, seed_candidates,
-    PairSetResult,
-};
-pub use parallel::{
-    eval_pairs_bound_parallel_csr_with, eval_pairs_from_sources_parallel_csr_with,
-    eval_pairs_to_targets_parallel_csr_with, eval_product_backward_parallel_reversed_csr_with,
-    eval_product_batch_parallel_csr_with, eval_product_parallel_csr_with,
-    eval_product_to_batch_parallel_csr_with, WorkerLease, WorkerPool, PAR_LEVEL_THRESHOLD,
-};
+pub use pair::{eval_pair, eval_to, search_pair, PairResult};
+pub use pairset::{search_pairs, seed_candidates, PairSetResult};
+pub use parallel::{WorkerLease, WorkerPool, PAR_LEVEL_THRESHOLD};
 pub use product::{
-    eval_product, eval_product_backward_controlled_reversed_csr_with, eval_product_backward_csr,
-    eval_product_backward_reversed_csr, eval_product_backward_reversed_csr_with,
-    eval_product_bounded_backward_reversed_csr, eval_product_bounded_backward_reversed_csr_with,
-    eval_product_bounded_csr, eval_product_bounded_csr_with, eval_product_controlled_csr_with,
-    eval_product_csr, eval_product_csr_with, eval_product_scan, EvalResult, FrontierMode,
-    PULL_SWEEP_DISCOUNT,
+    eval_product, eval_product_csr, eval_product_scan, search_nodes, EvalResult, FrontierMode,
+    SearchOpts, PULL_SWEEP_DISCOUNT,
 };
 pub use quotient::{
     eval_derivative, eval_derivative_csr, eval_quotient_dfa, eval_quotient_dfa_csr,
 };
 pub use request::{
-    run_default, Answers, EvalControl, EvalRequest, EvalResponse, SourceSpec, Termination,
+    live_oids, run_default, run_request, Answers, EvalControl, EvalRequest, EvalResponse,
+    SourceSpec, Termination,
 };
 pub use rpq_graph::CsrGraph;
 pub use scratch::{EvalScratch, PooledScratch, ScratchPool};

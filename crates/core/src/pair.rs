@@ -3,24 +3,22 @@
 //!
 //! The forward engines answer the *set* question "which objects does
 //! `p(o, I)` contain?". Many workloads ask the cheaper *pair* question:
-//! "does this word-labeled path exist between these two objects?". Three
-//! strategies answer it over any [`GraphView`] snapshot (the
-//! [`rpq_graph::CsrGraph`]
-//! or a delta overlay):
+//! "does this word-labeled path exist between these two objects?".
+//! [`search_pair`] answers it over any [`GraphView`] snapshot (the
+//! [`rpq_graph::CsrGraph`] or a delta overlay) by the [`Direction`] it is
+//! given:
 //!
-//! * [`eval_product_pair_forward_csr`] — the forward product BFS of
-//!   [`crate::eval_product_csr`] with an early exit as soon as `target`
-//!   becomes an answer;
-//! * [`eval_product_pair_backward_csr`] — the backward (reversed-NFA,
-//!   reverse-adjacency) BFS of [`crate::eval_product_backward_csr`] with an
-//!   early exit on `source`;
-//! * [`eval_product_pair_csr`] — **meet-in-the-middle**: both searches run
-//!   level-alternately (always expanding the currently smaller frontier)
-//!   and stop at the first `(state, node)` cell discovered from both ends —
-//!   a forward cell `(q, v)` says "some prefix `u` drives the automaton
-//!   `start →u→ q` along a path `source →…→ v`", a backward cell says
-//!   "some suffix `w` drives `q →w→ accept` along `v →…→ target`", so a
-//!   shared cell splices a witness word `u·w ∈ L(p)`. Seen sets are one
+//! * [`Direction::Forward`] — the forward product BFS with an early exit as
+//!   soon as `target` becomes an answer;
+//! * [`Direction::Backward`] — the backward (reversed-NFA,
+//!   reverse-adjacency) BFS with an early exit on `source`;
+//! * [`Direction::Bidirectional`] — **meet-in-the-middle**: both searches
+//!   run level-alternately (always expanding the currently smaller
+//!   frontier) and stop at the first `(state, node)` cell discovered from
+//!   both ends — a forward cell `(q, v)` says "some prefix `u` drives the
+//!   automaton `start →u→ q` along a path `source →…→ v`", a backward cell
+//!   says "some suffix `w` drives `q →w→ accept` along `v →…→ target`", so
+//!   a shared cell splices a witness word `u·w ∈ L(p)`. Seen sets are one
 //!   [`rpq_graph::bitset::NodeBitset`] per automaton state
 //!   ([`FrontierArena`]), so the intersection probe is one bit test.
 //!
@@ -34,12 +32,10 @@ use rpq_graph::bitset::FrontierArena;
 use rpq_graph::{GraphView, Oid};
 
 use crate::engine::Query;
-use crate::product::{
-    eval_product_backward_csr, product_search, product_search_with, EvalResult, FrontierMode,
-};
-use crate::request::{EvalControl, Termination};
+use crate::product::{product_search, search_nodes, EvalResult, SearchOpts};
+use crate::request::Termination;
 use crate::scratch::EvalScratch;
-use crate::stats::EvalStats;
+use crate::stats::{Direction, EvalStats};
 
 /// Result of a pair-reachability evaluation.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -50,117 +46,43 @@ pub struct PairResult {
     pub stats: EvalStats,
 }
 
-/// Forward product BFS with an early exit on `target`.
-pub fn eval_product_pair_forward_csr<G: GraphView>(
+/// The pair answer shape: is `target ∈ p(source, I)`? `reversed` must be
+/// `nfa.reverse()`. `direction` selects the strategy (see the module docs)
+/// and overrides `opts.reverse_adj`; the early-exit searches read the rest
+/// of `opts`, meet-in-the-middle reads none of it (it is uncontrolled and
+/// always completes).
+///
+/// A `reachable == true` verdict is definitive — even if the budget
+/// tripped right after the hit, the termination is reported
+/// [`Termination::Complete`]; `reachable == false` under a non-complete
+/// termination means *not determined* (the search was abandoned before
+/// exhausting the pair space).
+#[allow(clippy::too_many_arguments)]
+pub fn search_pair<G: GraphView>(
     nfa: &Nfa,
+    reversed: &Nfa,
     graph: &G,
     source: Oid,
     target: Oid,
-) -> PairResult {
-    let (res, found) = product_search(nfa, graph, source, false, Some(target), None);
-    pair_result(found, res.stats)
-}
-
-/// [`eval_product_pair_forward_csr`] with an explicit [`FrontierMode`] and
-/// caller-provided [`EvalScratch`] — the pooled hot-path form.
-pub fn eval_product_pair_forward_csr_with<G: GraphView>(
-    nfa: &Nfa,
-    graph: &G,
-    source: Oid,
-    target: Oid,
-    mode: FrontierMode,
-    scratch: &mut EvalScratch,
-) -> PairResult {
-    let (res, found, _) = product_search_with(
-        nfa,
-        graph,
-        source,
-        false,
-        Some(target),
-        None,
-        mode,
-        &EvalControl::UNLIMITED,
-        scratch,
-    );
-    pair_result(found, res.stats)
-}
-
-/// Pair reachability under serving-layer execution controls: the forward
-/// early-exit search with an `edges_scanned` budget and a cooperative
-/// cancellation flag. A `reachable == true` verdict is definitive even if
-/// the budget tripped right after the hit; `reachable == false` under a
-/// non-[`Termination::Complete`] termination means *not determined* — the
-/// search was abandoned before exhausting the pair space.
-pub fn eval_product_pair_controlled_csr_with<G: GraphView>(
-    nfa: &Nfa,
-    graph: &G,
-    source: Oid,
-    target: Oid,
-    mode: FrontierMode,
-    control: &EvalControl,
+    direction: Direction,
+    opts: &SearchOpts<'_>,
     scratch: &mut EvalScratch,
 ) -> (PairResult, Termination) {
-    let (res, found, term) = product_search_with(
-        nfa,
-        graph,
-        source,
-        false,
-        Some(target),
-        None,
-        mode,
-        control,
-        scratch,
-    );
+    let (auto, seed, stop_at, reverse_adj) = match direction {
+        Direction::Forward => (nfa, source, target, false),
+        Direction::Backward => (reversed, target, source, true),
+        Direction::Bidirectional => {
+            let res = meet_in_the_middle(nfa, reversed, graph, source, target, scratch);
+            return (res, Termination::Complete);
+        }
+    };
+    let opts = SearchOpts {
+        reverse_adj,
+        ..*opts
+    };
+    let (res, found, term) = product_search(auto, graph, seed, Some(stop_at), &opts, scratch);
     let term = if found { Termination::Complete } else { term };
     (pair_result(found, res.stats), term)
-}
-
-/// Backward product BFS (reversed NFA over the reverse adjacency, starting
-/// at `target`) with an early exit on `source`.
-pub fn eval_product_pair_backward_csr<G: GraphView>(
-    nfa: &Nfa,
-    graph: &G,
-    source: Oid,
-    target: Oid,
-) -> PairResult {
-    eval_product_pair_backward_reversed_csr(&nfa.reverse(), graph, source, target)
-}
-
-/// As [`eval_product_pair_backward_csr`], but taking the
-/// *already-reversed* automaton — for callers that cache [`Nfa::reverse`]
-/// across repeated pair queries (e.g. the planner's compiled plans).
-pub fn eval_product_pair_backward_reversed_csr<G: GraphView>(
-    reversed: &Nfa,
-    graph: &G,
-    source: Oid,
-    target: Oid,
-) -> PairResult {
-    let (res, found) = product_search(reversed, graph, target, true, Some(source), None);
-    pair_result(found, res.stats)
-}
-
-/// [`eval_product_pair_backward_reversed_csr`] with an explicit
-/// [`FrontierMode`] and caller-provided [`EvalScratch`].
-pub fn eval_product_pair_backward_reversed_csr_with<G: GraphView>(
-    reversed: &Nfa,
-    graph: &G,
-    source: Oid,
-    target: Oid,
-    mode: FrontierMode,
-    scratch: &mut EvalScratch,
-) -> PairResult {
-    let (res, found, _) = product_search_with(
-        reversed,
-        graph,
-        target,
-        true,
-        Some(source),
-        None,
-        mode,
-        &EvalControl::UNLIMITED,
-        scratch,
-    );
-    pair_result(found, res.stats)
 }
 
 fn pair_result(reachable: bool, mut stats: EvalStats) -> PairResult {
@@ -170,34 +92,9 @@ fn pair_result(reachable: bool, mut stats: EvalStats) -> PairResult {
 
 /// Meet-in-the-middle pair reachability: alternate expanding the smaller
 /// frontier of the forward and backward product searches, stopping at the
-/// first `(state, node)` cell seen from both ends.
-pub fn eval_product_pair_csr<G: GraphView>(
-    nfa: &Nfa,
-    graph: &G,
-    source: Oid,
-    target: Oid,
-) -> PairResult {
-    let mut scratch = EvalScratch::new();
-    eval_product_pair_csr_with(nfa, graph, source, target, &mut scratch)
-}
-
-/// [`eval_product_pair_csr`] with a caller-provided [`EvalScratch`] —
-/// reverses the automaton per call; planners holding a cached
-/// [`Nfa::reverse`] should use [`eval_product_pair_reversed_csr_with`].
-pub fn eval_product_pair_csr_with<G: GraphView>(
-    nfa: &Nfa,
-    graph: &G,
-    source: Oid,
-    target: Oid,
-    scratch: &mut EvalScratch,
-) -> PairResult {
-    eval_product_pair_reversed_csr_with(nfa, &nfa.reverse(), graph, source, target, scratch)
-}
-
-/// Meet-in-the-middle with both automata supplied (`reversed` must be
-/// `nfa.reverse()`) and all working memory drawn from `scratch` — the
-/// planner's pooled hot-path form.
-pub fn eval_product_pair_reversed_csr_with<G: GraphView>(
+/// first `(state, node)` cell seen from both ends. All working memory is
+/// drawn from `scratch`.
+fn meet_in_the_middle<G: GraphView>(
     nfa: &Nfa,
     reversed: &Nfa,
     graph: &G,
@@ -367,16 +264,40 @@ fn close_level(
 }
 
 /// `Query`-level pair entry point: is `target ∈ p(source, I)`?
-/// Meet-in-the-middle by default; use `rpq_optimizer::PlannedEngine` to
-/// pick the direction from label statistics instead.
+/// Meet-in-the-middle; use `rpq_optimizer::PlannedEngine` to pick the
+/// direction from label statistics instead.
 pub fn eval_pair<G: GraphView>(query: &Query, graph: &G, source: Oid, target: Oid) -> PairResult {
-    eval_product_pair_csr(query.nfa(), graph, source, target)
+    let nfa = query.nfa();
+    search_pair(
+        nfa,
+        &nfa.reverse(),
+        graph,
+        source,
+        target,
+        Direction::Bidirectional,
+        &SearchOpts::default(),
+        &mut EvalScratch::new(),
+    )
+    .0
 }
 
 /// `Query`-level target-bound entry point: `{o | target ∈ p(o, I)}` by the
-/// backward product BFS over the reverse adjacency.
+/// backward product BFS — the reversed automaton over the reverse
+/// adjacency, so work is proportional to edges matching the query's
+/// *last* label groups first (bench `t12_direction_choice`).
 pub fn eval_to<G: GraphView>(query: &Query, graph: &G, target: Oid) -> EvalResult {
-    eval_product_backward_csr(query.nfa(), graph, target)
+    let opts = SearchOpts {
+        reverse_adj: true,
+        ..SearchOpts::default()
+    };
+    search_nodes(
+        &query.nfa().reverse(),
+        graph,
+        target,
+        &opts,
+        &mut EvalScratch::new(),
+    )
+    .0
 }
 
 #[cfg(test)]
@@ -386,6 +307,12 @@ mod tests {
     use rpq_automata::{parse_regex, Alphabet};
     use rpq_graph::CsrGraph;
     use rpq_graph::InstanceBuilder;
+
+    fn pair(nfa: &Nfa, csr: &CsrGraph, s: Oid, t: Oid, direction: Direction) -> PairResult {
+        let opts = SearchOpts::default();
+        let scratch = &mut EvalScratch::new();
+        search_pair(nfa, &nfa.reverse(), csr, s, t, direction, &opts, scratch).0
+    }
 
     fn fig2ish() -> (Alphabet, CsrGraph) {
         let mut ab = Alphabet::new();
@@ -409,12 +336,12 @@ mod tests {
                 let forward = eval_product_csr(&nfa, &csr, s).answers;
                 for t in csr.nodes() {
                     let expect = forward.contains(&t);
-                    let mitm = eval_product_pair_csr(&nfa, &csr, s, t);
+                    let mitm = pair(&nfa, &csr, s, t, Direction::Bidirectional);
                     assert_eq!(mitm.reachable, expect, "mitm {qs} {s:?}->{t:?}");
                     assert_eq!(mitm.stats.answers, usize::from(expect));
-                    let fwd = eval_product_pair_forward_csr(&nfa, &csr, s, t);
+                    let fwd = pair(&nfa, &csr, s, t, Direction::Forward);
                     assert_eq!(fwd.reachable, expect, "fwd {qs} {s:?}->{t:?}");
-                    let bwd = eval_product_pair_backward_csr(&nfa, &csr, s, t);
+                    let bwd = pair(&nfa, &csr, s, t, Direction::Backward);
                     assert_eq!(bwd.reachable, expect, "bwd {qs} {s:?}->{t:?}");
                 }
             }
@@ -456,9 +383,9 @@ mod tests {
         let s = nodes[0];
         let answers = eval_product_csr(&nfa, &csr, s).answers;
         let t = *answers.last().expect("a^6 reaches something");
-        let mitm = eval_product_pair_csr(&nfa, &csr, s, t);
-        let fwd = eval_product_pair_forward_csr(&nfa, &csr, s, t);
-        let bwd = eval_product_pair_backward_csr(&nfa, &csr, s, t);
+        let mitm = pair(&nfa, &csr, s, t, Direction::Bidirectional);
+        let fwd = pair(&nfa, &csr, s, t, Direction::Forward);
+        let bwd = pair(&nfa, &csr, s, t, Direction::Backward);
         assert!(mitm.reachable && fwd.reachable && bwd.reachable);
         assert!(
             mitm.stats.edges_scanned < fwd.stats.edges_scanned

@@ -5,45 +5,42 @@
 //! [`crate::pair`] answers the *boolean* pair question for one (source,
 //! target). A conjunctive atom `x -[p]-> y` instead needs the *set* of
 //! bindings its regex induces between candidate `x` values and candidate
-//! `y` values. [`PairSetResult`] carries that binding set, and the
-//! kernels here produce it three ways — mirroring the pair module's
-//! forward / backward / both-bound strategies, all on the bit-parallel
-//! lane machinery of [`crate::batch`]:
+//! `y` values. [`PairSetResult`] carries that binding set, and
+//! [`search_pairs`] produces it — mirroring the pair module's forward /
+//! backward / both-bound strategies, all on the bit-parallel lane
+//! machinery of [`crate::batch`]:
 //!
-//! * [`eval_pairs_from_sources_csr_with`] — **forward**: wave the sources
-//!   through the product BFS in 64-lane chunks; every accepting lane mask
-//!   bit at node `v` is a binding `(source, v)`. Use when the atom's
-//!   source variable is bound and the target variable is free.
-//! * [`eval_pairs_to_targets_csr_with`] — **backward**: the same kernel
-//!   over the *reversed* automaton and reverse adjacency with targets as
-//!   lanes; masks yield bindings `(v, target)`. Use when only the target
-//!   variable is bound.
-//! * [`eval_pairs_bound_csr_with`] — **both bound** (the semijoin form):
-//!   forward lanes, but masks are probed only at the bound target nodes —
-//!   the N×M matrix kernel's cost profile with bindings instead of bits.
+//! * **forward** (seeds are sources): wave the sources through the product
+//!   BFS in 64-lane chunks; every accepting lane mask bit at node `v` is a
+//!   binding `(source, v)`. Use when the atom's source variable is bound
+//!   and the target variable is free.
+//! * **backward** (`opts.reverse_adj`, seeds are targets): the same kernel
+//!   over the *reversed* automaton and reverse adjacency; masks yield
+//!   bindings `(v, target)`. Use when only the target variable is bound.
+//! * **both bound** (`bound` given — the semijoin form): masks are probed
+//!   only at the bound nodes — the N×M matrix kernel's cost profile
+//!   ([`crate::search_matrix`]) with bindings instead of bits.
 //!
 //! When *neither* variable is bound, [`seed_candidates`] prunes the seed
 //! set to nodes that can take at least one step of the query (or every
 //! node, when the query accepts ε) before the forward kernel runs.
 //!
-//! The `*_controlled_csr_with` forms thread the serving layer's
-//! [`EvalControl`] through every seed: one shared `edges_scanned` budget,
-//! per-level cancellation, and the uniform soundness contract — bindings
-//! collected before an early termination are true bindings, seeds not
-//! reached before exhaustion simply contribute none
-//! ([`PairSetResult::termination`] says which case occurred). All working
-//! memory comes from the caller's [`EvalScratch`], so warm serving
-//! queries stay allocation-free apart from the result vector.
+//! Under an [`crate::EvalControl`] the lanes give way to one controlled
+//! search per seed: one shared `edges_scanned` budget, per-level
+//! cancellation, and the uniform soundness contract — bindings collected
+//! before an early termination are true bindings, seeds not reached before
+//! exhaustion simply contribute none ([`PairSetResult::termination`] says
+//! which case occurred). All working memory comes from the caller's
+//! [`EvalScratch`], so warm serving queries stay allocation-free apart
+//! from the result vector.
 
 use rpq_automata::{Nfa, Symbol};
 use rpq_graph::{GraphView, Oid};
 
-use crate::batch::{batch_wave_kernel_sink, lane_mask};
-use crate::product::{
-    eval_product_backward_controlled_reversed_csr_with, eval_product_controlled_csr_with,
-    FrontierMode,
-};
-use crate::request::{EvalControl, Termination};
+use crate::batch::lane_mask;
+use crate::parallel::wave_fanout;
+use crate::product::{search_nodes_each, SearchOpts};
+use crate::request::Termination;
 use crate::scratch::EvalScratch;
 use crate::stats::EvalStats;
 
@@ -88,7 +85,7 @@ impl PairSetResult {
 
 /// Finalize a binding list: lexicographic order, dedup (duplicate seeds
 /// each get a lane, so their bindings repeat), answer count.
-pub(crate) fn finish_pairs(
+fn finish_pairs(
     mut pairs: Vec<(Oid, Oid)>,
     mut stats: EvalStats,
     termination: Termination,
@@ -103,216 +100,90 @@ pub(crate) fn finish_pairs(
     }
 }
 
-/// Forward set-valued pair evaluation: all bindings `(s, t)` with
-/// `s ∈ sources` and `t ∈ p(s, I)`, by the bit-parallel lane kernel (one
-/// CSR row pass advances every pending source in the wave).
-pub fn eval_pairs_from_sources_csr_with<G: GraphView>(
+/// The binding-set answer shape: all `(s, t)` with `t ∈ p(s, I)` where one
+/// endpoint ranges over `seeds` and the other is free, or restricted to
+/// `bound` when given (sorted or not, duplicates allowed). Forward, seeds
+/// are sources; with `opts.reverse_adj` and the *reversed* automaton
+/// ([`Nfa::reverse`]), seeds are targets and `bound` restricts sources.
+///
+/// Uncontrolled, the seeds ride the bit-parallel lane kernel (one CSR row
+/// pass advances every pending seed of a wave; `opts.dop` / `opts.pool`
+/// fan independent waves across workers). Under `opts.control` each seed
+/// runs its own search in `opts.mode` with whatever the shared budget has
+/// left, stopping at the first non-complete termination; seeds not yet
+/// explored contribute no bindings — still a sound subset. That loop is
+/// sequential (its budget contract is order-dependent) and, like the
+/// lanes, uncapped: `opts.depth_cap` is not read.
+pub fn search_pairs<G: GraphView>(
     nfa: &Nfa,
     graph: &G,
-    sources: &[Oid],
+    seeds: &[Oid],
+    bound: Option<&[Oid]>,
+    opts: &SearchOpts<'_>,
     scratch: &mut EvalScratch,
 ) -> PairSetResult {
-    let mut pairs: Vec<(Oid, Oid)> = Vec::new(); // alloc-ok: result value
-    let stats = batch_wave_kernel_sink(
-        nfa,
-        graph,
-        sources,
-        false,
-        scratch,
-        &mut |masks, wave_start, wave_len| {
-            collect_mask_pairs(masks, wave_start, wave_len, sources, false, &mut pairs);
-        },
-    );
-    finish_pairs(pairs, stats, Termination::Complete)
-}
-
-/// Backward set-valued pair evaluation: all bindings `(s, t)` with
-/// `t ∈ targets` and `t ∈ p(s, I)`, by the lane kernel over the
-/// *already-reversed* automaton ([`Nfa::reverse`]) and reverse adjacency
-/// (targets ride the lanes; discovered sources fill the masks).
-pub fn eval_pairs_to_targets_csr_with<G: GraphView>(
-    reversed: &Nfa,
-    graph: &G,
-    targets: &[Oid],
-    scratch: &mut EvalScratch,
-) -> PairSetResult {
-    let mut pairs: Vec<(Oid, Oid)> = Vec::new(); // alloc-ok: result value
-    let stats = batch_wave_kernel_sink(
-        reversed,
-        graph,
-        targets,
-        true,
-        scratch,
-        &mut |masks, wave_start, wave_len| {
-            collect_mask_pairs(masks, wave_start, wave_len, targets, true, &mut pairs);
-        },
-    );
-    finish_pairs(pairs, stats, Termination::Complete)
-}
-
-/// Both-bound set-valued pair evaluation (the semijoin form): bindings
-/// `(s, t)` with `s ∈ sources`, `t ∈ targets`, `t ∈ p(s, I)`. Runs the
-/// forward lane kernel and probes each wave's masks only at the bound
-/// target nodes — the N×M matrix kernel's cost profile
-/// ([`crate::eval_product_matrix_csr_with`]) with bindings instead of a
-/// bit matrix.
-pub fn eval_pairs_bound_csr_with<G: GraphView>(
-    nfa: &Nfa,
-    graph: &G,
-    sources: &[Oid],
-    targets: &[Oid],
-    scratch: &mut EvalScratch,
-) -> PairSetResult {
-    let mut pairs: Vec<(Oid, Oid)> = Vec::new(); // alloc-ok: result value
-    let stats = batch_wave_kernel_sink(
-        nfa,
-        graph,
-        sources,
-        false,
-        scratch,
-        &mut |masks, wave_start, wave_len| {
-            for &t in targets {
-                let mask = masks.get(t.index()).copied().unwrap_or(0);
-                let mut m = mask & lane_mask(wave_len);
-                while m != 0 {
-                    let lane = m.trailing_zeros() as usize;
-                    m &= m - 1;
-                    pairs.push((sources[wave_start + lane], t));
+    let orient = |seed: Oid, v: Oid| {
+        if opts.reverse_adj {
+            (v, seed)
+        } else {
+            (seed, v)
+        }
+    };
+    if opts.control.is_unlimited() {
+        let (waves, stats) = wave_fanout(
+            nfa,
+            graph,
+            seeds,
+            opts,
+            scratch,
+            |masks, wave_start, wave_len| {
+                let mut out: Vec<(Oid, Oid)> = Vec::new(); // alloc-ok: result value
+                let mut emit = |v: Oid, mask: u64| {
+                    let mut m = mask & lane_mask(wave_len);
+                    while m != 0 {
+                        let lane = m.trailing_zeros() as usize;
+                        m &= m - 1;
+                        out.push(orient(seeds[wave_start + lane], v));
+                    }
+                };
+                match bound {
+                    Some(ends) => {
+                        for &v in ends {
+                            emit(v, masks.get(v.index()).copied().unwrap_or(0));
+                        }
+                    }
+                    None => {
+                        for (v, &mask) in masks.iter().enumerate() {
+                            emit(Oid(v as u32), mask);
+                        }
+                    }
                 }
-            }
-        },
-    );
-    finish_pairs(pairs, stats, Termination::Complete)
-}
-
-/// Turn one wave's accepting masks into bindings. Forward waves
-/// (`lanes_are_targets == false`) emit `(seed, v)`; backward waves emit
-/// `(v, seed)`.
-pub(crate) fn collect_mask_pairs(
-    masks: &[u64],
-    wave_start: usize,
-    wave_len: usize,
-    seeds: &[Oid],
-    lanes_are_targets: bool,
-    out: &mut Vec<(Oid, Oid)>,
-) {
-    let live = lane_mask(wave_len);
-    for (v, &mask) in masks.iter().enumerate() {
-        let mut m = mask & live;
-        while m != 0 {
-            let lane = m.trailing_zeros() as usize;
-            m &= m - 1;
-            let seed = seeds[wave_start + lane];
-            if lanes_are_targets {
-                out.push((Oid(v as u32), seed));
-            } else {
-                out.push((seed, Oid(v as u32)));
-            }
-        }
+                out
+            },
+        );
+        let pairs = waves.into_iter().flatten().collect();
+        return finish_pairs(pairs, stats, Termination::Complete);
     }
-}
 
-/// [`eval_pairs_from_sources_csr_with`] under serving-layer execution
-/// controls: one `edges_scanned` budget shared across every seed (each
-/// seed's search gets whatever the budget has left), cancellation checked
-/// per BFS level. Stops at the first non-complete termination; seeds not
-/// yet explored contribute no bindings — still a sound subset.
-pub fn eval_pairs_from_sources_controlled_csr_with<G: GraphView>(
-    nfa: &Nfa,
-    graph: &G,
-    sources: &[Oid],
-    mode: FrontierMode,
-    control: &EvalControl,
-    scratch: &mut EvalScratch,
-) -> PairSetResult {
-    controlled_seed_loop(graph, sources, control, scratch, &mut |g, s, c, scr| {
-        eval_product_controlled_csr_with(nfa, g, s, None, mode, c, scr)
-    })
-}
-
-/// [`eval_pairs_to_targets_csr_with`] under serving-layer execution
-/// controls (already-reversed automaton; see
-/// [`eval_pairs_from_sources_controlled_csr_with`] for the budget
-/// contract).
-pub fn eval_pairs_to_targets_controlled_csr_with<G: GraphView>(
-    reversed: &Nfa,
-    graph: &G,
-    targets: &[Oid],
-    mode: FrontierMode,
-    control: &EvalControl,
-    scratch: &mut EvalScratch,
-) -> PairSetResult {
-    let res = controlled_seed_loop(graph, targets, control, scratch, &mut |g, t, c, scr| {
-        eval_product_backward_controlled_reversed_csr_with(reversed, g, t, None, mode, c, scr)
+    let sorted_bound = bound.map(|ends| {
+        let mut ends = ends.to_vec(); // alloc-ok: sorted probe copy, result-sized
+        ends.sort_unstable();
+        ends
     });
-    // The seed loop emits (seed, answer); backward bindings are (answer,
-    // seed), so flip before finalizing.
-    let flipped: Vec<(Oid, Oid)> = res.pairs.iter().map(|&(t, s)| (s, t)).collect(); // alloc-ok: result value
-    finish_pairs(flipped, res.stats, res.termination)
-}
-
-/// [`eval_pairs_bound_csr_with`] under serving-layer execution controls:
-/// the per-seed controlled loop with each seed's answers filtered to the
-/// bound target set.
-pub fn eval_pairs_bound_controlled_csr_with<G: GraphView>(
-    nfa: &Nfa,
-    graph: &G,
-    sources: &[Oid],
-    targets: &[Oid],
-    mode: FrontierMode,
-    control: &EvalControl,
-    scratch: &mut EvalScratch,
-) -> PairSetResult {
-    let mut bound: Vec<Oid> = targets.to_vec(); // alloc-ok: sorted probe copy, result-sized
-    bound.sort_unstable();
-    bound.dedup();
-    let res = controlled_seed_loop(graph, sources, control, scratch, &mut |g, s, c, scr| {
-        eval_product_controlled_csr_with(nfa, g, s, None, mode, c, scr)
-    });
-    let filtered: Vec<(Oid, Oid)> = res
-        .pairs
-        .iter()
-        .copied()
-        .filter(|(_, t)| bound.binary_search(t).is_ok())
-        .collect(); // alloc-ok: result value
-    finish_pairs(filtered, res.stats, res.termination)
-}
-
-/// A controlled single-seed kernel: `(graph, seed, remaining control,
-/// scratch) → (per-seed result, termination)`.
-type SeedKernel<'k, G> = dyn FnMut(&G, Oid, &EvalControl, &mut EvalScratch) -> (crate::product::EvalResult, Termination)
-    + 'k;
-
-/// The shared controlled loop: run `kernel` once per seed with whatever
-/// the request budget has left, merging stats and collecting `(seed,
-/// answer)` bindings. Stops at the first non-complete termination.
-fn controlled_seed_loop<G: GraphView>(
-    graph: &G,
-    seeds: &[Oid],
-    control: &EvalControl,
-    scratch: &mut EvalScratch,
-    kernel: &mut SeedKernel<'_, G>,
-) -> PairSetResult {
+    let per_seed = SearchOpts {
+        depth_cap: None,
+        dop: 1,
+        ..*opts
+    };
     let mut pairs: Vec<(Oid, Oid)> = Vec::new(); // alloc-ok: result value
-    let mut stats = EvalStats::default();
-    let mut term = Termination::Complete;
-    for &seed in seeds {
-        let per_seed = EvalControl {
-            budget: control
-                .budget
-                .map(|b| b.saturating_sub(stats.edges_scanned)),
-            cancel: control.cancel,
-        };
-        let (r, t) = kernel(graph, seed, &per_seed, scratch);
-        stats.merge(&r.stats);
-        for &a in &r.answers {
-            pairs.push((seed, a));
-        }
-        if !t.is_complete() {
-            term = t;
-            break;
-        }
-    }
+    let (stats, term) = search_nodes_each(nfa, graph, seeds, &per_seed, scratch, |i, answers| {
+        let kept = answers.iter().filter(|a| {
+            sorted_bound
+                .as_ref()
+                .is_none_or(|ends| ends.binary_search(a).is_ok())
+        });
+        pairs.extend(kept.map(|&a| orient(seeds[i], a)));
+    });
     finish_pairs(pairs, stats, term)
 }
 
@@ -379,6 +250,7 @@ mod tests {
     use super::*;
     use crate::engine::Query;
     use crate::product::eval_product_csr;
+    use crate::request::EvalControl;
     use rpq_automata::Alphabet;
     use rpq_graph::{CsrGraph, InstanceBuilder};
     use std::sync::atomic::AtomicBool;
@@ -417,7 +289,14 @@ mod tests {
         let mut scratch = EvalScratch::new();
         for qs in ["a.b*", "(a+b)*", "b.b", "()", "[]"] {
             let q = Query::parse(&mut ab, qs).unwrap();
-            let res = eval_pairs_from_sources_csr_with(q.nfa(), &csr, &all, &mut scratch);
+            let res = search_pairs(
+                q.nfa(),
+                &csr,
+                &all,
+                None,
+                &SearchOpts::default(),
+                &mut scratch,
+            );
             assert_eq!(res.pairs, oracle_pairs(&q, &csr, &all), "{qs}");
             assert_eq!(res.stats.answers, res.pairs.len());
             assert_eq!(res.termination, Termination::Complete);
@@ -431,9 +310,20 @@ mod tests {
         let mut scratch = EvalScratch::new();
         for qs in ["a.b*", "(a+b)*", "b.b", "()"] {
             let q = Query::parse(&mut ab, qs).unwrap();
-            let fwd = eval_pairs_from_sources_csr_with(q.nfa(), &csr, &all, &mut scratch);
+            let fwd = search_pairs(
+                q.nfa(),
+                &csr,
+                &all,
+                None,
+                &SearchOpts::default(),
+                &mut scratch,
+            );
             let rev = q.nfa().reverse();
-            let bwd = eval_pairs_to_targets_csr_with(&rev, &csr, &all, &mut scratch);
+            let backward = SearchOpts {
+                reverse_adj: true,
+                ..SearchOpts::default()
+            };
+            let bwd = search_pairs(&rev, &csr, &all, None, &backward, &mut scratch);
             assert_eq!(fwd.pairs, bwd.pairs, "{qs}");
         }
     }
@@ -446,7 +336,14 @@ mod tests {
         let q = Query::parse(&mut ab, "(a+b)*").unwrap();
         let sources = vec![all[0], all[2]];
         let targets = vec![all[1]];
-        let res = eval_pairs_bound_csr_with(q.nfa(), &csr, &sources, &targets, &mut scratch);
+        let res = search_pairs(
+            q.nfa(),
+            &csr,
+            &sources,
+            Some(&targets),
+            &SearchOpts::default(),
+            &mut scratch,
+        );
         let expect: Vec<(Oid, Oid)> = oracle_pairs(&q, &csr, &sources)
             .into_iter()
             .filter(|(_, t)| targets.contains(t))
@@ -466,14 +363,11 @@ mod tests {
                 budget: Some(budget),
                 cancel: None,
             };
-            let res = eval_pairs_from_sources_controlled_csr_with(
-                q.nfa(),
-                &csr,
-                &all,
-                FrontierMode::Hybrid,
-                &control,
-                &mut scratch,
-            );
+            let opts = SearchOpts {
+                control,
+                ..SearchOpts::default()
+            };
+            let res = search_pairs(q.nfa(), &csr, &all, None, &opts, &mut scratch);
             assert!(res.stats.edges_scanned <= budget, "budget {budget}");
             for p in &res.pairs {
                 assert!(full.contains(p), "unsound binding {p:?}");
@@ -495,14 +389,11 @@ mod tests {
             budget: None,
             cancel: Some(&flag),
         };
-        let res = eval_pairs_from_sources_controlled_csr_with(
-            q.nfa(),
-            &csr,
-            &all,
-            FrontierMode::Hybrid,
-            &control,
-            &mut scratch,
-        );
+        let opts = SearchOpts {
+            control,
+            ..SearchOpts::default()
+        };
+        let res = search_pairs(q.nfa(), &csr, &all, None, &opts, &mut scratch);
         assert_eq!(res.termination, Termination::Cancelled);
         let full = oracle_pairs(&q, &csr, &all);
         for p in &res.pairs {
@@ -535,8 +426,22 @@ mod tests {
         let mut scratch = EvalScratch::new();
         let q = Query::parse(&mut ab, "a.b*").unwrap();
         let dup = vec![Oid(0), Oid(0), Oid(2)];
-        let res = eval_pairs_from_sources_csr_with(q.nfa(), &csr, &dup, &mut scratch);
-        let uniq = eval_pairs_from_sources_csr_with(q.nfa(), &csr, &[Oid(0), Oid(2)], &mut scratch);
+        let res = search_pairs(
+            q.nfa(),
+            &csr,
+            &dup,
+            None,
+            &SearchOpts::default(),
+            &mut scratch,
+        );
+        let uniq = search_pairs(
+            q.nfa(),
+            &csr,
+            &[Oid(0), Oid(2)],
+            None,
+            &SearchOpts::default(),
+            &mut scratch,
+        );
         assert_eq!(res.pairs, uniq.pairs);
     }
 }

@@ -13,13 +13,26 @@
 //! has `q` accepting. The pair space is `O(|Q| · |V|)` — the NLOGSPACE/NC
 //! bound's certificate.
 //!
-//! [`eval_product_csr`] is the primary entry point: it steps pairs through
-//! the label-indexed [`CsrGraph`] (`graph.out(v, sym)` is a contiguous slice
-//! of exactly the matching edges), so per-pair work is proportional to
-//! *matching* edges rather than `outdegree × fanout`. [`eval_product`] is a
-//! thin compatibility wrapper that snapshots an [`Instance`] first, and
+//! [`search_nodes`] is the entry point (and [`eval_product_csr`] its
+//! default-options one-liner): it steps pairs through the label-indexed
+//! snapshot (`graph.out(v, sym)` is a contiguous slice of exactly the
+//! matching edges), so per-pair work is proportional to *matching* edges
+//! rather than `outdegree × fanout`. [`eval_product`] is a thin
+//! compatibility wrapper that snapshots an [`Instance`] first, and
 //! [`eval_product_scan`] preserves the original scan-and-filter loop as the
 //! measurable baseline (bench `t1_eval_scaling`, skewed workload).
+//!
+//! # One driver
+//!
+//! The paper's procedure is *one* algorithm, and so is this module: one
+//! level loop, one push-sweep body and one pull-sweep body, over the one
+//! `(state, node)` mark table of an [`EvalScratch`]. What a search varies
+//! in — direction, depth cap, per-level strategy, budget and cancellation,
+//! degree of parallelism — is a field of [`SearchOpts`], not a sibling
+//! function: backward search is `reverse_adj` with the reversed automaton,
+//! "bounded" is `depth_cap`, "uncontrolled" is
+//! [`EvalControl::UNLIMITED`], and sequential is `dop == 1` (a level that
+//! does not fan out runs its sweep inline on the calling thread).
 //!
 //! # Direction-optimizing expansion
 //!
@@ -51,15 +64,36 @@
 //! `t15_hot_path`). All working memory comes from an [`EvalScratch`] arena
 //! (generation-stamped marks, reusable frontiers) so repeated queries
 //! allocate nothing after warm-up — see [`crate::scratch`].
+//!
+//! # Fanned-out levels
+//!
+//! Every level is a pure expansion step whose inputs (the ε-closed
+//! frontier, the mark table, the label index) are fixed for the duration
+//! of the sweep, so a level whose priced cost clears
+//! [`PAR_LEVEL_THRESHOLD`] can fan out across `std::thread::scope`
+//! workers without changing any observable semantics. **Push** levels
+//! chunk the frontier: workers claim fixed-size chunks from a shared
+//! cursor, claim newly reached pairs with one atomic `swap` on the mark
+//! table, and append them to per-worker buffers that the driver
+//! concatenates at the level barrier. **Pull** levels partition the node
+//! range into contiguous slabs, so each `(state, node)` candidate is owned
+//! by exactly one worker and the probe loop runs contention-free against
+//! the read-only densified frontier; per-worker pull-bound debits are
+//! summed at the barrier, keeping the shrinking bound exact. Budgets stay
+//! sound through one shared spent counter (row reservations for push,
+//! small returned leases for pull — see the sweeps).
+
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
 
 use rpq_automata::{Nfa, StateId, Symbol};
-use rpq_graph::{CsrGraph, GraphView, Instance, Oid};
+use rpq_graph::{CsrGraph, FrontierArena, GraphView, Instance, Oid};
 
+use crate::parallel::{BUDGET_LEASE, PAR_LEVEL_THRESHOLD, PULL_SLAB, PUSH_CHUNK};
 use crate::request::{EvalControl, Termination};
-use crate::scratch::EvalScratch;
+use crate::scratch::{EvalScratch, PooledScratch, ScratchPool};
 use crate::stats::EvalStats;
 
-/// How `product_search_with` expands each BFS level.
+/// How the product BFS expands each level.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub enum FrontierMode {
     /// Choose push or pull per level from measured costs (the default),
@@ -146,26 +180,70 @@ pub(crate) fn finish_eval(
     EvalResult { answers, stats }
 }
 
-/// Mark `(q, v)` seen (generation-stamped) and append it to `level` if it
-/// was not already seen this generation. Returns whether the pair was
-/// newly marked (first reach — the moment it stops being a pull
-/// candidate).
-#[inline]
-fn push_sparse(
-    q: StateId,
-    v: Oid,
-    nv: usize,
-    gen: u32,
-    seen: &mut [u32],
-    level: &mut Vec<(StateId, Oid)>,
-) -> bool {
-    let idx = q as usize * nv + v.index();
-    if seen[idx] != gen {
-        seen[idx] = gen;
-        level.push((q, v));
-        true
-    } else {
-        false
+/// Every dimension a product search varies in — the parameters of the one
+/// level-synchronous driver behind [`search_nodes`], [`crate::search_pair`],
+/// [`crate::search_lanes`], [`crate::search_matrix`] and
+/// [`crate::search_pairs`]. `SearchOpts::default()` is the paper's plain
+/// evaluation: forward, uncapped, [`FrontierMode::Hybrid`],
+/// [`EvalControl::UNLIMITED`], sequential.
+///
+/// Each entry point documents the fields it reads; the bit-parallel lane
+/// kernels ([`crate::search_lanes`], [`crate::search_matrix`], and
+/// [`crate::search_pairs`] when uncontrolled) expand every level by push
+/// and run uncapped and uncontrolled, so they read only `reverse_adj`,
+/// `dop` and `pool`.
+#[derive(Clone, Copy, Debug)]
+pub struct SearchOpts<'a> {
+    /// Traverse [`GraphView::rev`] instead of [`GraphView::out`]. The
+    /// automaton is taken as given, so backward callers pass the
+    /// *reversed* NFA ([`Nfa::reverse`]): a path `o →…→ t` spells
+    /// `w ∈ L(p)` exactly when the transposed path spells `reverse(w)`.
+    pub reverse_adj: bool,
+    /// Never expand BFS levels beyond this depth. Level `k` holds exactly
+    /// the pairs first reached by spelling `k` letters, so a cap of at
+    /// least the automaton's longest accepted word
+    /// ([`Nfa::longest_accepted_len`]) loses no answer — the planner's
+    /// finite-language fast path.
+    pub depth_cap: Option<usize>,
+    /// Per-level push/pull strategy.
+    pub mode: FrontierMode,
+    /// `edges_scanned` budget and cancellation flag.
+    pub control: EvalControl<'a>,
+    /// Degree of parallelism granted to this search (from a
+    /// [`crate::WorkerPool`] lease); `<= 1` is sequential.
+    pub dop: usize,
+    /// Where the `dop - 1` extra workers draw their arenas. Without a pool
+    /// the search is sequential whatever `dop` says.
+    pub pool: Option<&'a ScratchPool>,
+}
+
+impl Default for SearchOpts<'_> {
+    fn default() -> Self {
+        SearchOpts {
+            reverse_adj: false,
+            depth_cap: None,
+            mode: FrontierMode::Hybrid,
+            control: EvalControl::UNLIMITED,
+            dop: 1,
+            pool: None,
+        }
+    }
+}
+
+impl SearchOpts<'_> {
+    /// The same options, without the granted workers.
+    pub(crate) fn sequential(self) -> Self {
+        SearchOpts { dop: 1, ..self }
+    }
+
+    /// The degree of parallelism the search can actually use (see
+    /// [`SearchOpts::pool`]).
+    pub(crate) fn effective_dop(&self) -> usize {
+        if self.pool.is_some() {
+            self.dop.max(1)
+        } else {
+            1
+        }
     }
 }
 
@@ -215,190 +293,382 @@ pub(crate) fn pair_pull_probes<G: GraphView>(
     probes
 }
 
-/// Sparse *push* expansion of one (ε-closed) level: scan each frontier
-/// pair's matching adjacency rows and mark/enqueue unseen targets.
-///
-/// With a `budget`, the check runs *before* each row scan, so
-/// `stats.edges_scanned` never exceeds the budget; returns `true` when the
-/// budget tripped (the level is then partially expanded and the caller
-/// terminates the search).
-#[allow(clippy::too_many_arguments)]
-fn push_level<G: GraphView>(
-    nfa: &Nfa,
-    graph: &G,
-    reverse_adj: bool,
-    nv: usize,
-    gen: u32,
-    scratch: &mut EvalScratch,
-    stats: &mut EvalStats,
-    bound: &mut PullBound,
-    budget: Option<usize>,
-) -> bool {
-    for &(q, v) in &scratch.frontier {
-        for &(sym, q2) in nfa.transitions(q) {
-            let targets = if reverse_adj {
-                graph.rev(v, sym)
-            } else {
-                graph.out(v, sym)
-            };
-            if budget.is_some_and(|b| stats.edges_scanned + targets.len() > b) {
-                return true;
-            }
-            stats.edges_scanned += targets.len();
-            for v2 in targets {
-                if push_sparse(q2, v2, nv, gen, &mut scratch.seen, &mut scratch.next)
-                    && bound.active
-                {
-                    bound.debit(pair_pull_probes(
-                        graph,
-                        reverse_adj,
-                        &scratch.rev_trans,
-                        &scratch.rev_trans_off,
-                        q2,
-                        v2,
-                    ));
-                }
-            }
-        }
-    }
-    false
+/// Per-worker accumulators, summed at each level barrier. Keeping these
+/// local (one shared-counter touch per *level*, not per edge) is what
+/// makes the barrier merge exact without contending on every probe.
+#[derive(Default)]
+struct WorkerOut {
+    /// Edges scanned / probes performed by this worker.
+    edges: usize,
+    /// Pull-bound debits owed for pairs this worker newly reached.
+    debits: usize,
+    /// Cursor claims made after the worker had already processed its
+    /// static fair share — the work-stealing telemetry.
+    steals: usize,
 }
 
-/// Dense *pull* expansion of one (ε-closed) level: for every unreached
-/// pair `(q2, v2)`, merge-join the candidate's opposite-direction label
-/// groups against the reversed transition table and probe the densified
-/// frontier, stopping at the first hit. Produces exactly the same next
-/// level as [`push_level`]; `edges_scanned` counts probed endpoints only.
-///
-/// With a `budget`, every probe is pre-checked so `stats.edges_scanned`
-/// never exceeds it; returns `true` when the budget tripped (the dense
-/// arena is still left clean for the next search).
-#[allow(clippy::too_many_arguments)]
-fn pull_level<G: GraphView>(
-    nfa: &Nfa,
-    graph: &G,
+impl WorkerOut {
+    fn absorb(&mut self, other: WorkerOut) {
+        self.edges += other.edges;
+        self.debits += other.debits;
+        self.steals += other.steals;
+    }
+}
+
+/// Everything one level sweep reads, borrowed immutably for its duration
+/// (and shared by the workers of a fanned-out level).
+struct LevelCtx<'a, G> {
+    nfa: &'a Nfa,
+    graph: &'a G,
     reverse_adj: bool,
+    nq: usize,
     nv: usize,
     gen: u32,
-    scratch: &mut EvalScratch,
-    stats: &mut EvalStats,
-    bound: &mut PullBound,
+    bound_active: bool,
+    seen: &'a [AtomicU32],
+    rev_trans: &'a [(Symbol, StateId)],
+    rev_trans_off: &'a [usize],
+    frontier: &'a [(StateId, Oid)],
+    dense: &'a FrontierArena,
+    /// Shared claim cursor (frontier index for push, node index for pull).
+    cursor: &'a AtomicUsize,
+    /// Budget spent so far, cumulative across levels (reservations).
+    spent: &'a AtomicUsize,
+    /// Raised by the first worker that cannot reserve budget.
+    tripped: &'a AtomicBool,
     budget: Option<usize>,
-) -> bool {
-    let nq = nfa.num_states();
-    let mut tripped = false;
-    // Densify the current frontier for O(1) membership probes.
-    for &(q, v) in &scratch.frontier {
-        scratch.dense.state_mut(q as usize).insert(v.index());
-    }
-    'sweep: for q2 in 0..nq {
-        let (lo, hi) = (scratch.rev_trans_off[q2], scratch.rev_trans_off[q2 + 1]);
-        if lo == hi {
-            continue; // no labeled transition enters q2
+    /// Static fair share of claimable items per worker, for steal
+    /// accounting.
+    fair: usize,
+}
+
+impl<G: GraphView> LevelCtx<'_, G> {
+    /// Mark `(q, v)` reached this generation; `true` when this call was
+    /// the first to reach it. A level running inline (`SHARED == false`)
+    /// owns the table, so a relaxed load-then-store — two plain moves —
+    /// suffices; workers of a fanned-out level race on push targets and
+    /// claim with one `swap` (first marker wins).
+    #[inline]
+    fn mark<const SHARED: bool>(&self, q: StateId, v: Oid) -> bool {
+        let cell = &self.seen[q as usize * self.nv + v.index()];
+        if SHARED {
+            cell.swap(self.gen, Ordering::Relaxed) != self.gen
+        } else if cell.load(Ordering::Relaxed) != self.gen {
+            cell.store(self.gen, Ordering::Relaxed);
+            true
+        } else {
+            false
         }
-        let seg = &scratch.rev_trans[lo..hi];
-        for vi in 0..nv {
-            if scratch.seen[q2 * nv + vi] == gen {
-                continue;
-            }
-            let candidate = Oid(vi as u32);
-            // The candidate's in-edges under the expansion adjacency — the
-            // *opposite* orientation of the push step.
-            let groups = if reverse_adj {
-                graph.out_groups(candidate)
-            } else {
-                graph.rev_groups(candidate)
-            };
-            let mut si = 0usize;
-            'probe: for (sym, edges) in groups {
-                while si < seg.len() && seg[si].0 < sym {
-                    si += 1;
+    }
+
+    /// Claim the next `chunk` of `total` items. An inline level takes the
+    /// whole range as its one claim, in order; workers draw from the
+    /// shared cursor (claims past the static fair share count as steals —
+    /// the rebalancing a work-stealing deque buys, without one) and stop
+    /// once any of them has tripped the budget.
+    #[inline]
+    fn claim<const SHARED: bool>(
+        &self,
+        total: usize,
+        chunk: usize,
+        claimed: &mut usize,
+        out: &mut WorkerOut,
+    ) -> Option<(usize, usize)> {
+        if !SHARED {
+            let first = *claimed == 0 && total > 0;
+            *claimed = total;
+            return first.then_some((0, total));
+        }
+        if self.tripped.load(Ordering::Relaxed) {
+            return None;
+        }
+        let start = self.cursor.fetch_add(chunk, Ordering::Relaxed);
+        if start >= total {
+            return None;
+        }
+        if *claimed >= self.fair {
+            out.steals += 1;
+        }
+        let end = (start + chunk).min(total);
+        *claimed += end - start;
+        Some((start, end))
+    }
+
+    #[inline]
+    fn pull_probes(&self, q: StateId, v: Oid) -> usize {
+        pair_pull_probes(
+            self.graph,
+            self.reverse_adj,
+            self.rev_trans,
+            self.rev_trans_off,
+            q,
+            v,
+        )
+    }
+}
+
+/// Sparse *push* expansion of (a claimed part of) one ε-closed level: scan
+/// each frontier pair's matching adjacency rows and mark/enqueue unseen
+/// targets into `next`.
+///
+/// With a budget, each row's exact length is reserved against the shared
+/// spent counter *before* it is scanned, so reservations never exceed the
+/// budget and `edges_scanned <= budget` always; the first failed
+/// reservation raises `tripped` (the level is then partially expanded and
+/// the driver abandons the search).
+fn push_sweep<G: GraphView, const SHARED: bool>(
+    ctx: &LevelCtx<'_, G>,
+    next: &mut Vec<(StateId, Oid)>,
+) -> WorkerOut {
+    let mut out = WorkerOut::default();
+    let mut claimed = 0usize;
+    while let Some((start, end)) =
+        ctx.claim::<SHARED>(ctx.frontier.len(), PUSH_CHUNK, &mut claimed, &mut out)
+    {
+        for &(q, v) in &ctx.frontier[start..end] {
+            for &(sym, q2) in ctx.nfa.transitions(q) {
+                let targets = if ctx.reverse_adj {
+                    ctx.graph.rev(v, sym)
+                } else {
+                    ctx.graph.out(v, sym)
+                };
+                if let Some(b) = ctx.budget {
+                    let row = targets.len();
+                    let reserved =
+                        ctx.spent
+                            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |s| {
+                                (s + row <= b).then_some(s + row)
+                            });
+                    if reserved.is_err() {
+                        ctx.tripped.store(true, Ordering::Relaxed);
+                        return out;
+                    }
                 }
-                if si == seg.len() {
-                    break;
-                }
-                let mut sj = si;
-                while sj < seg.len() && seg[sj].0 == sym {
-                    sj += 1;
-                }
-                if sj == si {
-                    continue;
-                }
-                for u in edges {
-                    for &(_, qsrc) in &seg[si..sj] {
-                        if budget.is_some_and(|b| stats.edges_scanned >= b) {
-                            tripped = true;
-                            break 'sweep;
-                        }
-                        stats.edges_scanned += 1;
-                        if scratch.dense.state(qsrc as usize).contains(u.index()) {
-                            scratch.seen[q2 * nv + vi] = gen;
-                            scratch.next.push((q2 as StateId, candidate));
-                            bound.debit(pair_pull_probes(
-                                graph,
-                                reverse_adj,
-                                &scratch.rev_trans,
-                                &scratch.rev_trans_off,
-                                q2 as StateId,
-                                candidate,
-                            ));
-                            break 'probe;
+                out.edges += targets.len();
+                for v2 in targets {
+                    if ctx.mark::<SHARED>(q2, v2) {
+                        next.push((q2, v2));
+                        if ctx.bound_active {
+                            out.debits += ctx.pull_probes(q2, v2);
                         }
                     }
                 }
             }
         }
     }
-    // Leave the dense arena clean for the next level / next search (O(1)
-    // per untouched state thanks to the maintained bit counts).
-    scratch.dense.clear();
-    tripped
+    out
 }
 
-/// The level-synchronous product BFS shared by the forward, backward, and
-/// early-exit pair entry points, generic over any [`GraphView`] (the
-/// immutable CSR snapshot or the delta overlay). `reverse_adj` selects
-/// which adjacency each labeled step traverses ([`GraphView::out`] vs
-/// [`GraphView::rev`]); the automaton is taken as given, so backward
-/// callers pass the *reversed* NFA. With `stop_at`, the search returns as
-/// soon as that node becomes an answer (the answer list is then partial —
-/// pair callers consume only the flag and the stats). With `depth_cap`, BFS
-/// levels beyond the cap are never expanded: sound and complete whenever
-/// the cap is at least the length of the automaton's longest accepted word
-/// (level k holds exactly the pairs first reached by spelling k letters),
-/// which is how the planner evaluates finite-language queries without
-/// paying for graph cycles the automaton cannot follow to acceptance.
+/// Dense *pull* expansion of (a claimed node slab of) one ε-closed level:
+/// for every unreached pair `(q2, v2)`, merge-join the candidate's
+/// opposite-direction label groups against the reversed transition table
+/// and probe the densified frontier, stopping at the first hit. Produces
+/// exactly the next level [`push_sweep`] would; `edges` counts probed
+/// endpoints only. Slab ownership means no two workers ever race on a
+/// candidate, so the mark never needs a read-modify-write.
 ///
-/// `mode` selects the per-level expansion strategy (see [`FrontierMode`]);
-/// all working memory comes from `scratch`, which is resized/invalidated
-/// here and can be reused across calls of any `(|Q|, |V|)` shape.
+/// With a budget, probes are drawn in leases of [`BUDGET_LEASE`] against
+/// the shared spent counter and the unspent remainder is returned, so the
+/// counter equals the probes actually performed.
+fn pull_sweep<G: GraphView, const SHARED: bool>(
+    ctx: &LevelCtx<'_, G>,
+    next: &mut Vec<(StateId, Oid)>,
+) -> WorkerOut {
+    let mut out = WorkerOut::default();
+    let (nq, nv) = (ctx.nq, ctx.nv);
+    let mut claimed = 0usize;
+    // Probes pre-paid against the shared budget but not yet performed.
+    let mut lease = 0usize;
+    'slabs: while let Some((start, end)) =
+        ctx.claim::<SHARED>(nv, PULL_SLAB, &mut claimed, &mut out)
+    {
+        for q2 in 0..nq {
+            let (lo, hi) = (ctx.rev_trans_off[q2], ctx.rev_trans_off[q2 + 1]);
+            if lo == hi {
+                continue; // no labeled transition enters q2
+            }
+            let seg = &ctx.rev_trans[lo..hi];
+            for vi in start..end {
+                if ctx.seen[q2 * nv + vi].load(Ordering::Relaxed) == ctx.gen {
+                    continue;
+                }
+                let candidate = Oid(vi as u32);
+                // The candidate's in-edges under the expansion adjacency —
+                // the *opposite* orientation of the push step.
+                let groups = if ctx.reverse_adj {
+                    ctx.graph.out_groups(candidate)
+                } else {
+                    ctx.graph.rev_groups(candidate)
+                };
+                let mut si = 0usize;
+                'probe: for (sym, edges) in groups {
+                    while si < seg.len() && seg[si].0 < sym {
+                        si += 1;
+                    }
+                    if si == seg.len() {
+                        break;
+                    }
+                    let mut sj = si;
+                    while sj < seg.len() && seg[sj].0 == sym {
+                        sj += 1;
+                    }
+                    if sj == si {
+                        continue;
+                    }
+                    for u in edges {
+                        for &(_, qsrc) in &seg[si..sj] {
+                            if let Some(b) = ctx.budget {
+                                if lease == 0 {
+                                    lease = acquire_lease(ctx.spent, b);
+                                    if lease == 0 {
+                                        ctx.tripped.store(true, Ordering::Relaxed);
+                                        break 'slabs;
+                                    }
+                                }
+                                lease -= 1;
+                            }
+                            out.edges += 1;
+                            if ctx.dense.state(qsrc as usize).contains(u.index()) {
+                                ctx.seen[q2 * nv + vi].store(ctx.gen, Ordering::Relaxed);
+                                next.push((q2 as StateId, candidate));
+                                out.debits += ctx.pull_probes(q2 as StateId, candidate);
+                                break 'probe;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    if lease > 0 {
+        ctx.spent.fetch_sub(lease, Ordering::Relaxed);
+    }
+    out
+}
+
+/// Draw up to [`BUDGET_LEASE`] probes from the shared budget; 0 when the
+/// budget is exhausted.
+fn acquire_lease(spent: &AtomicUsize, budget: usize) -> usize {
+    match spent.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |s| {
+        (s < budget).then(|| (s + BUDGET_LEASE).min(budget))
+    }) {
+        Ok(prev) => (prev + BUDGET_LEASE).min(budget) - prev,
+        Err(_) => 0,
+    }
+}
+
+/// Run one level sweep with `threads` workers. `threads == 1` runs the
+/// sweep inline on the calling thread — same body, no spawn, no shared
+/// read-modify-writes; otherwise the extra workers collect into the
+/// `next` buffers of `worker_scratch`, which the driver concatenates at
+/// the level barrier.
+fn run_level<G: GraphView>(
+    ctx: &LevelCtx<'_, G>,
+    pull: bool,
+    threads: usize,
+    worker_scratch: &mut [PooledScratch<'_>],
+    own_next: &mut Vec<(StateId, Oid)>,
+) -> WorkerOut {
+    if threads <= 1 {
+        return if pull {
+            pull_sweep::<G, false>(ctx, own_next)
+        } else {
+            push_sweep::<G, false>(ctx, own_next)
+        };
+    }
+    let worker = if pull {
+        pull_sweep::<G, true>
+    } else {
+        push_sweep::<G, true>
+    };
+    let mut out = WorkerOut::default();
+    let extras = &mut worker_scratch[..threads - 1];
+    std::thread::scope(|s| {
+        let mut handles = Vec::with_capacity(extras.len()); // alloc-ok: one tiny vec per parallel level, not per edge
+        for w in extras.iter_mut() {
+            handles.push(s.spawn(move || worker(ctx, &mut w.next)));
+        }
+        out.absorb(worker(ctx, own_next));
+        for h in handles {
+            match h.join() {
+                Ok(part) => out.absorb(part),
+                Err(payload) => std::panic::resume_unwind(payload),
+            }
+        }
+    });
+    out
+}
+
+/// First reach of `(q, v)` on the driver's own thread (seeding and
+/// ε-closure): mark it, append it to the current frontier, and debit the
+/// pull bound — the pair stops being a pull candidate.
+#[inline]
+fn reach<G: GraphView>(
+    graph: &G,
+    reverse_adj: bool,
+    nv: usize,
+    q: StateId,
+    v: Oid,
+    bound: &mut PullBound,
+    scratch: &mut EvalScratch,
+) {
+    let gen = scratch.generation();
+    let cell = &scratch.seen[q as usize * nv + v.index()];
+    if cell.load(Ordering::Relaxed) == gen {
+        return;
+    }
+    cell.store(gen, Ordering::Relaxed);
+    scratch.frontier.push((q, v));
+    if bound.active {
+        bound.debit(pair_pull_probes(
+            graph,
+            reverse_adj,
+            &scratch.rev_trans,
+            &scratch.rev_trans_off,
+            q,
+            v,
+        ));
+    }
+}
+
+/// **The** level-synchronous product BFS (Section 2.2) — the one loop
+/// behind every node, pair and controlled entry point, generic over any
+/// [`GraphView`] (the immutable CSR snapshot or the delta overlay).
 ///
-/// `control` carries the serving-layer execution controls: the
-/// cancellation flag is checked once per BFS level, and the
-/// `edges_scanned` budget is enforced *before* every row scan / probe
-/// inside the level sweeps, so the returned stats always satisfy
-/// `edges_scanned ≤ budget`. Answers collected before an early
-/// termination are a sound subset (a node is only reported once an
-/// accepting pair is actually reached); the third return value says
-/// whether the search ran to exhaustion.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn product_search_with<G: GraphView>(
+/// Each level runs: ε-closure (ε-moves consume no edge, so their targets
+/// stay in the level) → answer pass (with `stop_at`, return as soon as
+/// that node is an answer; the answer list is then partial and pair
+/// callers consume only the flag) → depth-cap check → pricing → one push
+/// or pull sweep → swap. Sequential evaluation is simply `dop == 1`: a
+/// level fans out across up to `dop` threads only when its priced cost
+/// clears [`PAR_LEVEL_THRESHOLD`], and otherwise runs the same sweep body
+/// inline — so a sequential search checks out no worker arena, enters no
+/// `thread::scope`, and marks with plain loads and stores. Both sweeps
+/// produce the *set* of pairs first reached at the next level, so pricing
+/// sees identical inputs and `edges_scanned` is identical at every `dop`
+/// (only the unobserved frontier order varies).
+///
+/// Cancellation is checked once per level; the budget is enforced before
+/// every row scan / probe inside the sweeps, so `edges_scanned <= budget`.
+/// Answers collected before an early termination are a sound subset (a
+/// node is only reported once an accepting pair is actually reached).
+pub(crate) fn product_search<G: GraphView>(
     nfa: &Nfa,
     graph: &G,
-    source: Oid,
-    reverse_adj: bool,
+    seed: Oid,
     stop_at: Option<Oid>,
-    depth_cap: Option<usize>,
-    mode: FrontierMode,
-    control: &EvalControl,
+    opts: &SearchOpts<'_>,
     scratch: &mut EvalScratch,
 ) -> (EvalResult, bool, Termination) {
     let nq = nfa.num_states();
     let nv = graph.num_nodes();
-    debug_assert!(source.index() < nv.max(1), "source must be a graph node");
+    debug_assert!(seed.index() < nv.max(1), "seed must be a graph node");
+    let (reverse_adj, mode) = (opts.reverse_adj, opts.mode);
+    let dop = opts.effective_dop();
     let covered = scratch.begin(nq, nv);
     let mut stats = EvalStats {
         scratch_reused: usize::from(covered),
+        threads_used: usize::from(dop > 1),
         ..EvalStats::default()
     };
     let gen = scratch.generation();
@@ -421,67 +691,54 @@ pub(crate) fn product_search_with<G: GraphView>(
     if bound.active {
         scratch.build_rev_trans(nfa);
         let gstats = graph.stats();
-        let mut total = 0usize;
         for q in 0..nq {
             for &(sym, _) in nfa.transitions(q as StateId) {
-                total = total.saturating_add(gstats.edge_count(sym));
+                bound.remaining = bound.remaining.saturating_add(gstats.edge_count(sym));
             }
         }
-        bound.remaining = total;
     }
 
-    if nv > 0
-        && push_sparse(
-            nfa.start(),
-            source,
-            nv,
-            gen,
-            &mut scratch.seen,
-            &mut scratch.frontier,
-        )
-        && bound.active
-    {
-        bound.debit(pair_pull_probes(
+    // Per-worker arenas, checked out once per search: their `next`
+    // buffers receive a fanned-out level's newly reached pairs.
+    let mut workers: Vec<PooledScratch<'_>> = match opts.pool {
+        Some(pool) if dop > 1 => (1..dop).map(|_| pool.checkout()).collect(), // alloc-ok: one checkout vec per parallel search
+        _ => Vec::new(), // alloc-ok: empty, never allocates
+    };
+    for w in workers.iter_mut() {
+        w.next.clear();
+    }
+    // Budget state shared by the sweeps, cumulative across levels.
+    let spent = AtomicUsize::new(0);
+    let tripped = AtomicBool::new(false);
+
+    if nv > 0 {
+        reach(
             graph,
             reverse_adj,
-            &scratch.rev_trans,
-            &scratch.rev_trans_off,
+            nv,
             nfa.start(),
-            source,
-        ));
+            seed,
+            &mut bound,
+            scratch,
+        );
     }
 
     let mut depth = 0usize;
     'bfs: while !scratch.frontier.is_empty() {
-        // Cooperative cancellation: one relaxed flag read per BFS level.
-        if control.cancelled() {
+        if opts.control.cancelled() {
             termination = Termination::Cancelled;
             break 'bfs;
         }
-        // ε-closure inside the level: ε-moves advance the automaton without
-        // consuming an edge, so their targets belong to the same BFS level.
         let mut i = 0;
         while i < scratch.frontier.len() {
             let (q, v) = scratch.frontier[i];
             i += 1;
             for &q2 in nfa.eps_transitions(q) {
-                if push_sparse(q2, v, nv, gen, &mut scratch.seen, &mut scratch.frontier)
-                    && bound.active
-                {
-                    bound.debit(pair_pull_probes(
-                        graph,
-                        reverse_adj,
-                        &scratch.rev_trans,
-                        &scratch.rev_trans_off,
-                        q2,
-                        v,
-                    ));
-                }
+                reach(graph, reverse_adj, nv, q2, v, &mut bound, scratch);
             }
         }
         stats.frontier_peak = stats.frontier_peak.max(scratch.frontier.len());
 
-        // Answer/accept pass over the closed level.
         for &(q, v) in &scratch.frontier {
             stats.pairs_visited += 1;
             if scratch.state_marks[q as usize] != gen {
@@ -498,74 +755,115 @@ pub(crate) fn product_search_with<G: GraphView>(
             }
         }
 
-        // Level `depth` holds pairs first reachable by spelling `depth`
-        // letters; at the cap no longer word can be accepted, so the pairs
-        // are answer-checked above but never expanded — graph edges beyond
-        // the cap are not even scanned.
-        if depth_cap.is_some_and(|cap| depth >= cap) {
+        // At the cap no longer word can be accepted: the level was
+        // answer-checked above but is never expanded, so graph edges
+        // beyond the cap are not even scanned.
+        if opts.depth_cap.is_some_and(|cap| depth >= cap) {
             break 'bfs;
         }
 
-        // Consume one graph edge per pair: both sweeps produce exactly the
-        // pairs first reachable by spelling `depth + 1` letters.
+        // Price the level. Push costs exactly its frontier's row lengths
+        // (read off the label index — no edge is scanned); pull's probes
+        // are bounded by the remaining unreached mass. Both sweeps produce
+        // the same level, so taking the cheaper keeps hybrid ≤
+        // forced-sparse everywhere. A sequential search in a forced mode
+        // needs no price at all.
+        let hybrid = matches!(
+            mode,
+            FrontierMode::Hybrid | FrontierMode::HybridTuned { .. }
+        );
+        let mut push_cost = 0usize;
+        if hybrid || dop > 1 {
+            for &(q, v) in &scratch.frontier {
+                for &(sym, _) in nfa.transitions(q) {
+                    let row = if reverse_adj {
+                        graph.rev(v, sym)
+                    } else {
+                        graph.out(v, sym)
+                    };
+                    push_cost = push_cost.saturating_add(row.len());
+                }
+            }
+        }
+        let pull_cost = sweep_cost.saturating_add(bound.remaining);
         let use_pull = match mode {
             FrontierMode::ForcedSparse => false,
             FrontierMode::ForcedDense => true,
-            FrontierMode::Hybrid | FrontierMode::HybridTuned { .. } => {
-                // Exact cost push would pay for this level: row lengths
-                // from the label index — no edge is scanned to price it.
-                let mut push_cost = 0usize;
-                for &(q, v) in &scratch.frontier {
-                    for &(sym, _) in nfa.transitions(q) {
-                        let row = if reverse_adj {
-                            graph.rev(v, sym)
-                        } else {
-                            graph.out(v, sym)
-                        };
-                        push_cost = push_cost.saturating_add(row.len());
-                    }
-                }
-                // Pull's probes are bounded by the remaining unreached
-                // mass; both sweeps produce the same level, so taking the
-                // cheaper one keeps hybrid ≤ forced-sparse everywhere.
-                sweep_cost.saturating_add(bound.remaining) < push_cost
-            }
+            FrontierMode::Hybrid | FrontierMode::HybridTuned { .. } => pull_cost < push_cost,
         };
-        let tripped = if use_pull {
+        let level_cost = if use_pull { pull_cost } else { push_cost };
+        let threads = if dop > 1 && level_cost >= PAR_LEVEL_THRESHOLD {
+            dop
+        } else {
+            1
+        };
+        if threads > 1 {
+            stats.parallel_levels += 1;
+            stats.threads_used = stats.threads_used.max(threads);
+        }
+        if use_pull {
             stats.pull_levels += 1;
-            pull_level(
-                nfa,
-                graph,
-                reverse_adj,
-                nv,
-                gen,
-                scratch,
-                &mut stats,
-                &mut bound,
-                control.budget,
-            )
+            // Densify the frontier for O(1) membership probes; read-only
+            // for the duration of the sweep.
+            for &(q, v) in &scratch.frontier {
+                scratch.dense.state_mut(q as usize).insert(v.index());
+            }
         } else {
             stats.push_levels += 1;
-            push_level(
+        }
+
+        let cursor = AtomicUsize::new(0);
+        let claimable = if use_pull { nv } else { scratch.frontier.len() };
+        let out = {
+            // Disjoint field borrows: the sweep reads the frontier, marks
+            // and transition tables while `next` (and the worker arenas)
+            // collect the produced level.
+            let ctx = LevelCtx {
                 nfa,
                 graph,
                 reverse_adj,
+                nq,
                 nv,
                 gen,
-                scratch,
-                &mut stats,
-                &mut bound,
-                control.budget,
-            )
+                bound_active: bound.active,
+                seen: &scratch.seen,
+                rev_trans: &scratch.rev_trans,
+                rev_trans_off: &scratch.rev_trans_off,
+                frontier: &scratch.frontier,
+                dense: &scratch.dense,
+                cursor: &cursor,
+                spent: &spent,
+                tripped: &tripped,
+                budget: opts.control.budget,
+                fair: claimable.div_ceil(threads),
+            };
+            run_level(&ctx, use_pull, threads, &mut workers, &mut scratch.next)
         };
-        if tripped {
+        stats.edges_scanned += out.edges;
+        stats.steal_count += out.steals;
+        bound.debit(out.debits);
+        if use_pull {
+            // Leave the dense arena clean for the next level / search
+            // (O(1) per untouched state thanks to the maintained counts).
+            scratch.dense.clear();
+        }
+
+        if tripped.load(Ordering::Relaxed) {
             // The level is partially expanded; everything already answered
             // stays sound, the rest of the search is abandoned.
             termination = Termination::BudgetExhausted;
             scratch.next.clear();
+            for w in workers.iter_mut() {
+                w.next.clear();
+            }
             break 'bfs;
         }
 
+        // Level barrier: the next frontier is the concatenation of the
+        // per-worker buffers.
+        for w in workers.iter_mut() {
+            scratch.next.append(&mut w.next);
+        }
         std::mem::swap(&mut scratch.frontier, &mut scratch.next);
         scratch.next.clear();
         depth += 1;
@@ -580,227 +878,75 @@ pub(crate) fn product_search_with<G: GraphView>(
     (EvalResult { answers, stats }, found, termination)
 }
 
-/// `product_search_with` with a fresh arena, the default hybrid mode, and
-/// no execution controls — the form used by the one-shot entry points
-/// below (pooled callers pass their own warm scratch).
-pub(crate) fn product_search<G: GraphView>(
-    nfa: &Nfa,
-    graph: &G,
-    source: Oid,
-    reverse_adj: bool,
-    stop_at: Option<Oid>,
-    depth_cap: Option<usize>,
-) -> (EvalResult, bool) {
-    let mut scratch = EvalScratch::new();
-    let (res, found, _) = product_search_with(
-        nfa,
-        graph,
-        source,
-        reverse_adj,
-        stop_at,
-        depth_cap,
-        FrontierMode::Hybrid,
-        &EvalControl::UNLIMITED,
-        &mut scratch,
-    );
-    (res, found)
-}
-
-/// Evaluate `L(nfa)` from `source` over a label-indexed snapshot by
-/// frontier-based product BFS. `stats.edges_scanned` counts only the edges
-/// actually delivered by the label index — on label-skewed graphs this is a
-/// small fraction of what the scan-and-filter baseline touches.
+/// The node-set answer shape: evaluate `L(nfa)` from `seed` — `p(seed, I)`
+/// forward, or `{o | seed ∈ p(o, I)}` with `opts.reverse_adj` and the
+/// reversed automaton — by the product BFS, reading every field of
+/// `opts`. Returns the (sound, possibly partial) sorted answer set and how
+/// the search ended.
 ///
-/// Generic over any [`GraphView`]: the `_csr` suffix names the canonical
-/// snapshot form, but the same search runs unchanged over a
-/// `rpq_graph::DeltaGraph` overlay.
-pub fn eval_product_csr<G: GraphView>(nfa: &Nfa, graph: &G, source: Oid) -> EvalResult {
-    product_search(nfa, graph, source, false, None, None).0
-}
-
-/// [`eval_product_csr`] with an explicit [`FrontierMode`] and a
-/// caller-provided [`EvalScratch`] — the pooled hot-path form: a warm
+/// All working memory comes from `scratch`, which is resized/invalidated
+/// here and can be reused across calls of any `(|Q|, |V|)` shape; a warm
 /// scratch whose capacity covers `|Q|·|V|` makes the whole evaluation
 /// allocation-free (reported via `stats.scratch_reused`).
-pub fn eval_product_csr_with<G: GraphView>(
+/// `stats.edges_scanned` counts only the edges the label index delivered.
+pub fn search_nodes<G: GraphView>(
     nfa: &Nfa,
     graph: &G,
-    source: Oid,
-    mode: FrontierMode,
-    scratch: &mut EvalScratch,
-) -> EvalResult {
-    product_search_with(
-        nfa,
-        graph,
-        source,
-        false,
-        None,
-        None,
-        mode,
-        &EvalControl::UNLIMITED,
-        scratch,
-    )
-    .0
-}
-
-/// [`eval_product_csr_with`] under serving-layer execution controls: an
-/// `edges_scanned` budget and a cooperative cancellation flag
-/// ([`EvalControl`]), plus an optional BFS depth cap. Returns the (sound,
-/// possibly partial) answer set together with how the search ended — the
-/// kernel behind controlled [`crate::EvalRequest`]s.
-pub fn eval_product_controlled_csr_with<G: GraphView>(
-    nfa: &Nfa,
-    graph: &G,
-    source: Oid,
-    depth_cap: Option<usize>,
-    mode: FrontierMode,
-    control: &EvalControl,
+    seed: Oid,
+    opts: &SearchOpts<'_>,
     scratch: &mut EvalScratch,
 ) -> (EvalResult, Termination) {
-    let (res, _, term) = product_search_with(
-        nfa, graph, source, false, None, depth_cap, mode, control, scratch,
-    );
+    let (res, _, term) = product_search(nfa, graph, seed, None, opts, scratch);
     (res, term)
 }
 
-/// The backward (already-reversed automaton, reverse adjacency) form of
-/// [`eval_product_controlled_csr_with`] — the controlled kernel for
-/// target-bound requests.
-pub fn eval_product_backward_controlled_reversed_csr_with<G: GraphView>(
-    reversed: &Nfa,
-    graph: &G,
-    target: Oid,
-    depth_cap: Option<usize>,
-    mode: FrontierMode,
-    control: &EvalControl,
-    scratch: &mut EvalScratch,
-) -> (EvalResult, Termination) {
-    let (res, _, term) = product_search_with(
-        reversed, graph, target, true, None, depth_cap, mode, control, scratch,
-    );
-    (res, term)
-}
-
-/// [`eval_product_csr`] with a BFS depth cap: levels beyond `depth_cap`
-/// are never expanded (their graph edges are not even scanned). Sound and
-/// complete whenever `depth_cap ≥` the length of the longest word of
-/// `L(nfa)` ([`rpq_automata::Nfa::longest_accepted_len`]) — the planner's
-/// finite-language fast path: a finite query on a cyclic graph stops at
-/// its exact word-length bound instead of saturating the pair space.
-pub fn eval_product_bounded_csr<G: GraphView>(
+/// One [`search_nodes`] per seed under one shared control — the loop behind
+/// every controlled multi-item request arm ([`crate::run_request`]) and the
+/// controlled form of [`crate::search_pairs`]. Each seed's search gets
+/// whatever `opts.control.budget` has left after the seeds before it; the
+/// loop stops at the first non-complete termination, so seeds not yet
+/// explored report nothing — still a sound subset. `on_item` receives each
+/// explored seed's index and answer set, in order.
+pub(crate) fn search_nodes_each<G: GraphView>(
     nfa: &Nfa,
     graph: &G,
-    source: Oid,
-    depth_cap: usize,
-) -> EvalResult {
-    product_search(nfa, graph, source, false, None, Some(depth_cap)).0
+    seeds: &[Oid],
+    opts: &SearchOpts<'_>,
+    scratch: &mut EvalScratch,
+    mut on_item: impl FnMut(usize, Vec<Oid>),
+) -> (EvalStats, Termination) {
+    let mut stats = EvalStats::default();
+    for (i, &seed) in seeds.iter().enumerate() {
+        let budget = opts.control.budget;
+        let item = SearchOpts {
+            control: EvalControl {
+                budget: budget.map(|b| b.saturating_sub(stats.edges_scanned)),
+                cancel: opts.control.cancel,
+            },
+            ..*opts
+        };
+        let (res, term) = search_nodes(nfa, graph, seed, &item, scratch);
+        stats.merge(&res.stats);
+        on_item(i, res.answers);
+        if !term.is_complete() {
+            return (stats, term);
+        }
+    }
+    (stats, Termination::Complete)
 }
 
-/// [`eval_product_bounded_csr`] with an explicit mode and caller-provided
-/// scratch (see [`eval_product_csr_with`]).
-pub fn eval_product_bounded_csr_with<G: GraphView>(
-    nfa: &Nfa,
-    graph: &G,
-    source: Oid,
-    depth_cap: usize,
-    mode: FrontierMode,
-    scratch: &mut EvalScratch,
-) -> EvalResult {
-    product_search_with(
+/// `p(source, I)` over a label-indexed snapshot with default
+/// [`SearchOpts`] and a fresh arena — the one-line form the paper-example
+/// tests spell. Generic over any [`GraphView`]: the `_csr` suffix names
+/// the canonical snapshot form, but the same search runs unchanged over a
+/// `rpq_graph::DeltaGraph` overlay.
+pub fn eval_product_csr<G: GraphView>(nfa: &Nfa, graph: &G, source: Oid) -> EvalResult {
+    search_nodes(
         nfa,
         graph,
         source,
-        false,
-        None,
-        Some(depth_cap),
-        mode,
-        &EvalControl::UNLIMITED,
-        scratch,
-    )
-    .0
-}
-
-/// The backward ([`eval_product_backward_reversed_csr`]) form of
-/// [`eval_product_bounded_csr`]: already-reversed automaton, reverse
-/// adjacency, capped depth.
-pub fn eval_product_bounded_backward_reversed_csr<G: GraphView>(
-    reversed: &Nfa,
-    graph: &G,
-    target: Oid,
-    depth_cap: usize,
-) -> EvalResult {
-    product_search(reversed, graph, target, true, None, Some(depth_cap)).0
-}
-
-/// [`eval_product_bounded_backward_reversed_csr`] with an explicit mode and
-/// caller-provided scratch (see [`eval_product_csr_with`]).
-pub fn eval_product_bounded_backward_reversed_csr_with<G: GraphView>(
-    reversed: &Nfa,
-    graph: &G,
-    target: Oid,
-    depth_cap: usize,
-    mode: FrontierMode,
-    scratch: &mut EvalScratch,
-) -> EvalResult {
-    product_search_with(
-        reversed,
-        graph,
-        target,
-        true,
-        None,
-        Some(depth_cap),
-        mode,
-        &EvalControl::UNLIMITED,
-        scratch,
-    )
-    .0
-}
-
-/// The target-bound evaluation `{o | target ∈ p(o, I)}`: all objects that
-/// reach `target` by a path spelling a word of `L(nfa)`.
-///
-/// Runs the same frontier BFS as [`eval_product_csr`], but with the
-/// *reversed* automaton ([`Nfa::reverse`]) over the *reverse* CSR adjacency
-/// ([`CsrGraph::rev`]): a path `o →…→ target` spells `w ∈ L(p)` exactly
-/// when the transposed path `target →…→ o` spells `reverse(w) ∈
-/// L(reverse(p))`. Work is therefore proportional to edges matching the
-/// query's *last* label groups first — on graphs where those are rare this
-/// beats enumerating forward from every candidate source by orders of
-/// magnitude (bench `t12_direction_choice`).
-pub fn eval_product_backward_csr<G: GraphView>(nfa: &Nfa, graph: &G, target: Oid) -> EvalResult {
-    eval_product_backward_reversed_csr(&nfa.reverse(), graph, target)
-}
-
-/// As [`eval_product_backward_csr`], but taking the *already-reversed*
-/// automaton — for callers that cache [`Nfa::reverse`] across repeated
-/// backward evaluations (e.g. the planner's compiled plans).
-pub fn eval_product_backward_reversed_csr<G: GraphView>(
-    reversed: &Nfa,
-    graph: &G,
-    target: Oid,
-) -> EvalResult {
-    product_search(reversed, graph, target, true, None, None).0
-}
-
-/// [`eval_product_backward_reversed_csr`] with an explicit mode and
-/// caller-provided scratch (see [`eval_product_csr_with`]).
-pub fn eval_product_backward_reversed_csr_with<G: GraphView>(
-    reversed: &Nfa,
-    graph: &G,
-    target: Oid,
-    mode: FrontierMode,
-    scratch: &mut EvalScratch,
-) -> EvalResult {
-    product_search_with(
-        reversed,
-        graph,
-        target,
-        true,
-        None,
-        None,
-        mode,
-        &EvalControl::UNLIMITED,
-        scratch,
+        &SearchOpts::default(),
+        &mut EvalScratch::new(),
     )
     .0
 }
@@ -871,6 +1017,24 @@ mod tests {
     use super::*;
     use rpq_automata::{parse_regex, Alphabet};
     use rpq_graph::InstanceBuilder;
+
+    /// `p(seed, I)` (or, `reverse`d, `{o | seed ∈ p(o, I)}` — reversing
+    /// the automaton here) with an optional depth cap.
+    fn search(
+        nfa: &Nfa,
+        graph: &CsrGraph,
+        seed: Oid,
+        reverse: bool,
+        cap: Option<usize>,
+    ) -> EvalResult {
+        let opts = SearchOpts {
+            reverse_adj: reverse,
+            depth_cap: cap,
+            ..SearchOpts::default()
+        };
+        let auto = if reverse { nfa.reverse() } else { nfa.clone() };
+        search_nodes(&auto, graph, seed, &opts, &mut EvalScratch::new()).0
+    }
 
     fn eval(query: &str, edges: &[(&str, &str, &str)], src: &str) -> (Vec<String>, EvalStats) {
         let mut ab = Alphabet::new();
@@ -1004,7 +1168,7 @@ mod tests {
                 .map(|s| eval_product_csr(&nfa, &csr, s).answers)
                 .collect();
             for t in csr.nodes() {
-                let backward = eval_product_backward_csr(&nfa, &csr, t).answers;
+                let backward = search(&nfa, &csr, t, true, None).answers;
                 for s in csr.nodes() {
                     assert_eq!(
                         forward[s.index()].contains(&t),
@@ -1031,7 +1195,7 @@ mod tests {
         let q = parse_regex(&mut ab, "hot.cold").unwrap();
         let nfa = Nfa::thompson(&q);
         let fwd = eval_product_csr(&nfa, &csr, names["hub"]);
-        let bwd = eval_product_backward_csr(&nfa, &csr, names["t"]);
+        let bwd = search(&nfa, &csr, names["t"], true, None);
         assert_eq!(fwd.answers, vec![names["t"]]);
         assert_eq!(bwd.answers, vec![names["hub"]]);
         assert!(
@@ -1059,16 +1223,15 @@ mod tests {
         let nfa = Nfa::thompson(&r);
         assert_eq!(nfa.longest_accepted_len(), Some(2));
         let full = eval_product_csr(&nfa, &csr, names["s"]);
-        let capped = eval_product_bounded_csr(&nfa, &csr, names["s"], 2);
+        let capped = search(&nfa, &csr, names["s"], false, Some(2));
         assert_eq!(capped.answers, full.answers);
         // a cap below the longest word is allowed but incomplete — the
         // planner never does this; documented here as the contract edge
-        let short = eval_product_bounded_csr(&nfa, &csr, names["s"], 1);
+        let short = search(&nfa, &csr, names["s"], false, Some(1));
         assert!(short.answers.len() <= full.answers.len());
         // backward form agrees with the uncapped backward search
-        let rev = nfa.reverse();
-        let bwd_full = eval_product_backward_reversed_csr(&rev, &csr, names["t"]);
-        let bwd_capped = eval_product_bounded_backward_reversed_csr(&rev, &csr, names["t"], 2);
+        let bwd_full = search(&nfa, &csr, names["t"], true, None);
+        let bwd_capped = search(&nfa, &csr, names["t"], true, Some(2));
         assert_eq!(bwd_capped.answers, bwd_full.answers);
     }
 
@@ -1093,5 +1256,97 @@ mod tests {
             csr.stats.edges_scanned,
             scan.stats.edges_scanned
         );
+    }
+
+    fn web(n: usize) -> (CsrGraph, Oid, Nfa) {
+        let mut ab = Alphabet::new();
+        let mut b = InstanceBuilder::new(&mut ab);
+        for i in 0..n {
+            b.edge(&format!("n{i}"), "a", &format!("n{}", (i * 7 + 1) % n));
+            b.edge(&format!("n{i}"), "b", &format!("n{}", (i * 13 + 5) % n));
+            if i % 3 == 0 {
+                b.edge(&format!("n{i}"), "c", &format!("n{}", (i * 31 + 2) % n));
+            }
+        }
+        let (inst, names) = b.finish();
+        let r = parse_regex(&mut ab, "(a+b+c)*").unwrap();
+        (CsrGraph::from(&inst), names["n0"], Nfa::thompson(&r))
+    }
+
+    #[test]
+    fn parallel_agrees_with_sequential_on_broad_closure() {
+        let (graph, src, nfa) = web(400);
+        let seq = eval_product_csr(&nfa, &graph, src);
+        for dop in [1, 2, 4] {
+            let pool = ScratchPool::new();
+            let opts = SearchOpts {
+                dop,
+                pool: Some(&pool),
+                ..SearchOpts::default()
+            };
+            let (res, term) = search_nodes(&nfa, &graph, src, &opts, &mut EvalScratch::new());
+            assert_eq!(term, Termination::Complete);
+            assert_eq!(res.answers, seq.answers, "dop={dop}");
+            assert_eq!(
+                res.stats.edges_scanned, seq.stats.edges_scanned,
+                "dop={dop}"
+            );
+        }
+    }
+
+    #[test]
+    fn parallel_budget_is_a_sound_subset() {
+        let (graph, src, nfa) = web(200);
+        let full = eval_product_csr(&nfa, &graph, src);
+        for budget in [0usize, 1, 17, 150, 100_000] {
+            let pool = ScratchPool::new();
+            let opts = SearchOpts {
+                control: EvalControl {
+                    budget: Some(budget),
+                    cancel: None,
+                },
+                dop: 4,
+                pool: Some(&pool),
+                ..SearchOpts::default()
+            };
+            let (res, term) = search_nodes(&nfa, &graph, src, &opts, &mut EvalScratch::new());
+            assert!(res.stats.edges_scanned <= budget, "budget={budget}");
+            for o in &res.answers {
+                assert!(full.answers.binary_search(o).is_ok(), "unsound answer");
+            }
+            if term == Termination::Complete {
+                assert_eq!(res.answers, full.answers);
+            }
+            // the sequential search under the same budget also stays within it
+            let (seq, _) = search_nodes(
+                &nfa,
+                &graph,
+                src,
+                &opts.sequential(),
+                &mut EvalScratch::new(),
+            );
+            assert!(seq.stats.edges_scanned <= budget);
+        }
+    }
+
+    #[test]
+    fn forced_modes_agree_in_parallel() {
+        let (graph, src, nfa) = web(150);
+        let seq = eval_product_csr(&nfa, &graph, src);
+        for mode in [
+            FrontierMode::ForcedSparse,
+            FrontierMode::ForcedDense,
+            FrontierMode::hybrid_with_discount(64),
+        ] {
+            let pool = ScratchPool::new();
+            let opts = SearchOpts {
+                mode,
+                dop: 3,
+                pool: Some(&pool),
+                ..SearchOpts::default()
+            };
+            let (res, _) = search_nodes(&nfa, &graph, src, &opts, &mut EvalScratch::new());
+            assert_eq!(res.answers, seq.answers, "{mode:?}");
+        }
     }
 }

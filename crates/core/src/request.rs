@@ -24,24 +24,18 @@
 //! a sound subset (and a pair's `reachable == false` is "not determined",
 //! not "no").
 
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use rpq_graph::{CsrGraph, Oid};
+use rpq_automata::Nfa;
+use rpq_graph::{CsrGraph, GraphView, Oid};
 
-use crate::batch::{eval_product_matrix_csr_with, BatchResult, MatrixResult};
+use crate::batch::{search_lanes, search_matrix, BatchResult, MatrixResult};
 use crate::engine::{Engine, Query};
-use crate::pair::{eval_product_pair_controlled_csr_with, PairResult};
-use crate::pairset::{
-    eval_pairs_bound_controlled_csr_with, eval_pairs_bound_csr_with,
-    eval_pairs_from_sources_controlled_csr_with, eval_pairs_from_sources_csr_with,
-    eval_pairs_to_targets_controlled_csr_with, eval_pairs_to_targets_csr_with, seed_candidates,
-    PairSetResult,
-};
-use crate::product::{
-    eval_product_backward_controlled_reversed_csr_with, eval_product_controlled_csr_with,
-    EvalResult, FrontierMode,
-};
+use crate::pair::{eval_pair, eval_to, search_pair, PairResult};
+use crate::pairset::{search_pairs, seed_candidates, PairSetResult};
+use crate::product::{search_nodes, search_nodes_each, EvalResult, FrontierMode, SearchOpts};
 use crate::scratch::EvalScratch;
 use crate::stats::{Direction, EvalStats};
 
@@ -141,6 +135,34 @@ pub enum SourceSpec {
         /// free.
         targets: Option<Vec<Oid>>,
     },
+}
+
+impl SourceSpec {
+    /// The oid sets the request binds the path *start* and the path *end*
+    /// to (`None` = that side is free) — how a conjunctive query reads any
+    /// request shape as restrictions on its two head variables.
+    pub fn endpoints(&self) -> (Option<&[Oid]>, Option<&[Oid]>) {
+        use std::slice::from_ref;
+        match self {
+            SourceSpec::Source(s) => (Some(from_ref(s)), None),
+            SourceSpec::Sources(ss) => (Some(ss), None),
+            SourceSpec::Target(t) => (None, Some(from_ref(t))),
+            SourceSpec::Targets(ts) => (None, Some(ts)),
+            SourceSpec::Pair { source, target } => (Some(from_ref(source)), Some(from_ref(target))),
+            SourceSpec::Matrix { sources, targets } => (Some(sources), Some(targets)),
+            SourceSpec::Conjunctive { sources, targets } => {
+                (sources.as_deref(), targets.as_deref())
+            }
+        }
+    }
+
+    /// Does every oid the request names denote an object of a graph with
+    /// `num_nodes` nodes?
+    pub fn in_range(&self, num_nodes: usize) -> bool {
+        let (starts, ends) = self.endpoints();
+        let mut named = starts.into_iter().chain(ends).flatten();
+        named.all(|o| o.index() < num_nodes)
+    }
 }
 
 /// One evaluation request: the question ([`SourceSpec`]) plus uniform
@@ -287,6 +309,33 @@ pub struct EvalResponse {
 }
 
 impl EvalResponse {
+    /// The complete, empty, zero-work response to `spec` — what a
+    /// statically empty query (or a seed that is no object of the graph)
+    /// answers without touching an edge, shaped like the request:
+    /// per-item vectors and matrix axes keep the request's alignment.
+    pub fn empty_for(spec: &SourceSpec) -> EvalResponse {
+        let stats = EvalStats::default();
+        match spec {
+            SourceSpec::Source(_) | SourceSpec::Target(_) => EvalResponse::from_nodes(EvalResult {
+                answers: Vec::new(),
+                stats,
+            }),
+            SourceSpec::Sources(os) | SourceSpec::Targets(os) => EvalResponse::from_batch(
+                BatchResult::from_per_source(vec![Vec::new(); os.len()], stats),
+            ),
+            SourceSpec::Pair { .. } => EvalResponse::from_pair(PairResult {
+                reachable: false,
+                stats,
+            }),
+            SourceSpec::Matrix { sources, targets } => {
+                EvalResponse::from_matrix(MatrixResult::new(sources.clone(), targets.clone()))
+            }
+            SourceSpec::Conjunctive { .. } => {
+                EvalResponse::from_pairset(PairSetResult::empty(stats, Termination::Complete))
+            }
+        }
+    }
+
     /// Wrap a node-set result (complete).
     pub fn from_nodes(result: EvalResult) -> EvalResponse {
         EvalResponse {
@@ -422,11 +471,13 @@ impl EvalResponse {
 }
 
 /// The default [`Engine::run`] dispatch, shared by every engine that does
-/// not override `run`: uncontrolled requests route through the engine's
-/// own single-source strategy (and the shared backward/pair/matrix
-/// kernels); controlled requests route through the budget- and
-/// cancellation-aware product kernels, bypassing the engine so the budget
-/// binds uniformly.
+/// not override `run`: an uncontrolled single-source, multi-source,
+/// target-bound or pair request routes through the engine's own
+/// [`Engine::eval`] strategy and the `Query`-level backward / pair helpers
+/// ([`eval_to`], [`eval_pair`]); everything else — a budget or a
+/// cancellation flag, the matrix and binding-set shapes, an oid that is no
+/// object of `graph` — goes to [`run_request`], bypassing the engine so
+/// controls and validation bind uniformly.
 ///
 /// Engines that *do* override `run` (for set-at-a-time strategies or
 /// planning) call back into this for the arms they don't specialize.
@@ -436,256 +487,216 @@ pub fn run_default<E: Engine + ?Sized>(
     graph: &CsrGraph,
     req: &EvalRequest,
 ) -> EvalResponse {
-    if req.is_controlled() {
-        return run_controlled(query, graph, req);
-    }
+    let per_item = |items: &[Oid], eval: &dyn Fn(Oid) -> EvalResult| {
+        let mut stats = EvalStats::default();
+        let mut per = Vec::with_capacity(items.len());
+        for &item in items {
+            let r = eval(item);
+            stats.merge(&r.stats);
+            per.push(r.answers);
+        }
+        EvalResponse::from_batch(BatchResult::from_per_source(per, stats))
+    };
+    let own = !req.is_controlled() && req.spec.in_range(graph.num_nodes());
     match &req.spec {
-        SourceSpec::Source(s) => EvalResponse::from_nodes(engine.eval(query, graph, *s)),
-        SourceSpec::Sources(ss) => {
-            let mut stats = EvalStats::default();
-            let mut per_source = Vec::with_capacity(ss.len());
-            for &s in ss {
-                let r = engine.eval(query, graph, s);
-                stats.merge(&r.stats);
-                per_source.push(r.answers);
-            }
-            EvalResponse::from_batch(BatchResult::from_per_source(per_source, stats))
+        SourceSpec::Source(s) if own => EvalResponse::from_nodes(engine.eval(query, graph, *s)),
+        SourceSpec::Sources(ss) if own => per_item(ss, &|s| engine.eval(query, graph, s)),
+        SourceSpec::Target(t) if own => EvalResponse::from_nodes(eval_to(query, graph, *t)),
+        SourceSpec::Targets(ts) if own => per_item(ts, &|t| eval_to(query, graph, t)),
+        SourceSpec::Pair { source, target } if own => {
+            EvalResponse::from_pair(eval_pair(query, graph, *source, *target))
         }
-        SourceSpec::Target(t) => EvalResponse::from_nodes(crate::pair::eval_to(query, graph, *t)),
-        SourceSpec::Targets(ts) => {
-            let mut stats = EvalStats::default();
-            let mut per_target = Vec::with_capacity(ts.len());
-            for &t in ts {
-                let r = crate::pair::eval_to(query, graph, t);
-                stats.merge(&r.stats);
-                per_target.push(r.answers);
-            }
-            EvalResponse::from_batch(BatchResult::from_per_source(per_target, stats))
-        }
-        SourceSpec::Pair { source, target } => {
-            EvalResponse::from_pair(crate::pair::eval_pair(query, graph, *source, *target))
-        }
-        SourceSpec::Matrix { sources, targets } => {
-            let mut scratch = EvalScratch::new();
-            EvalResponse::from_matrix(eval_product_matrix_csr_with(
-                query.nfa(),
-                graph,
-                sources,
-                targets,
-                &mut scratch,
-            ))
-        }
-        SourceSpec::Conjunctive { sources, targets } => {
-            let mut scratch = EvalScratch::new();
-            let res = match (sources, targets) {
-                (Some(ss), Some(ts)) => {
-                    eval_pairs_bound_csr_with(query.nfa(), graph, ss, ts, &mut scratch)
-                }
-                (Some(ss), None) => {
-                    eval_pairs_from_sources_csr_with(query.nfa(), graph, ss, &mut scratch)
-                }
-                (None, Some(ts)) => {
-                    let reversed = query.nfa().reverse();
-                    eval_pairs_to_targets_csr_with(&reversed, graph, ts, &mut scratch)
-                }
-                (None, None) => {
-                    let seeds = seed_candidates(query.nfa(), graph, &mut scratch);
-                    eval_pairs_from_sources_csr_with(query.nfa(), graph, &seeds, &mut scratch)
-                }
+        spec => {
+            let opts = SearchOpts {
+                mode: req.frontier_mode,
+                control: req.control(),
+                ..SearchOpts::default()
             };
-            EvalResponse::from_pairset(res)
+            run_request(
+                query.nfa(),
+                &query.nfa().reverse(),
+                graph,
+                spec,
+                Direction::Bidirectional,
+                &opts,
+                &mut EvalScratch::new(),
+            )
         }
     }
 }
 
-/// Budget for the next item of a multi-item controlled request: whatever
-/// the whole-request budget has left after `spent` scans.
-fn remaining_budget(budget: Option<usize>, spent: usize) -> Option<usize> {
-    budget.map(|b| b.saturating_sub(spent))
+/// The in-range subsequence of `oids` (borrowed when nothing is dropped).
+/// An oid `>= num_nodes` is not an object of the instance: it seeds no
+/// search and is dropped from target / bound sets.
+pub fn live_oids(oids: &[Oid], num_nodes: usize) -> Cow<'_, [Oid]> {
+    if oids.iter().all(|o| o.index() < num_nodes) {
+        Cow::Borrowed(oids)
+    } else {
+        Cow::Owned(
+            oids.iter()
+                .copied()
+                .filter(|o| o.index() < num_nodes)
+                .collect(),
+        )
+    }
 }
 
-/// Controlled execution: every arm runs through the budget- and
-/// cancellation-aware product kernels. Multi-item arms share one budget
-/// across items (unexplored items report empty answer sets — still a sound
-/// subset) and stop at the first non-complete termination.
-fn run_controlled(query: &Query, graph: &CsrGraph, req: &EvalRequest) -> EvalResponse {
-    let mode = req.frontier_mode;
-    let cancel = req.cancel.as_deref();
-    let mut scratch = EvalScratch::new();
-    match &req.spec {
-        SourceSpec::Source(s) => {
-            let (res, term) = eval_product_controlled_csr_with(
-                query.nfa(),
-                graph,
-                *s,
-                None,
-                mode,
-                &req.control(),
-                &mut scratch,
-            );
-            EvalResponse::from_nodes(res).terminated(term)
+/// The one request executor: answer `spec` over `graph` with the product
+/// kernels, as `opts` directs. `nfa` is the (planned) query automaton and
+/// `reversed` its [`Nfa::reverse`]; `pair_direction` is the strategy for an
+/// uncontrolled pair question (a planner passes its direction decision, or
+/// the request's hint; an engine without one, `Bidirectional`). The
+/// request's controls arrive as `opts.control`, its effective frontier
+/// mode as `opts.mode`, the plan's finite-language bound as
+/// `opts.depth_cap`, and the worker lease as `opts.dop` / `opts.pool`.
+/// `opts.reverse_adj` is not read — each arm sets its own direction.
+///
+/// This is the only place a [`SourceSpec`] is matched to a kernel. It is
+/// also where request oids are validated: an oid `>= graph.num_nodes()` is
+/// not an object of the instance, so it seeds no search and is dropped
+/// from target and bound sets; its item's answer is empty, the
+/// termination stays [`Termination::Complete`], and per-item result
+/// vectors and matrix axes keep their alignment with the request.
+///
+/// # Decision table
+///
+/// "Controlled" means `opts.control` carries a budget or a cancellation
+/// flag. "Per-item loop" is one [`search_nodes`] per item, all sharing one
+/// remaining budget, stopping at the first non-complete item (unexplored
+/// items report empty sets — a sound subset).
+///
+/// | `spec` | uncontrolled | controlled |
+/// |---|---|---|
+/// | `Source` | [`search_nodes`] forward — cap, mode, dop | the same, under the control |
+/// | `Target` | [`search_nodes`] backward — cap, mode, dop | the same, under the control |
+/// | `Sources` | [`search_lanes`] forward, waves fanned across `dop` | per-item loop forward — cap, mode, dop |
+/// | `Targets` | with a cap: per-item loop backward at `dop = 1` (an exact depth cap beats lane sharing on short words); without: [`search_lanes`] backward, waves fanned across `dop` | per-item loop backward — cap, mode, dop |
+/// | `Pair` | [`search_pair`] by `pair_direction` — mode; no cap, `dop = 1` | [`search_pair`] forward early-exit — mode; no cap, `dop = 1` |
+/// | `Matrix` | [`search_matrix`] (sequential lanes) | per-item loop forward over the rows — cap, mode, `dop = 1` |
+/// | `Conjunctive` | [`search_pairs`] lanes, waves fanned across `dop`: sources bound → forward (target set as `bound`), only targets bound → backward, neither → forward from [`seed_candidates`] | [`search_pairs`] per-seed loop, same orientation — mode; no cap, `dop = 1` |
+///
+/// Asymmetries carried over unchanged (each moves `edges_scanned` or
+/// `threads_used`, so each is its own follow-up): the controlled pair arm
+/// ignores `pair_direction`; the pair arms and the controlled binding-set
+/// loop ignore the depth cap; the pair, matrix and controlled binding-set
+/// arms and the capped uncontrolled `Targets` loop never use granted
+/// workers; the lane kernels have no pull sweep, so they ignore the mode.
+pub fn run_request<G: GraphView>(
+    nfa: &Nfa,
+    reversed: &Nfa,
+    graph: &G,
+    spec: &SourceSpec,
+    pair_direction: Direction,
+    opts: &SearchOpts<'_>,
+    scratch: &mut EvalScratch,
+) -> EvalResponse {
+    let nv = graph.num_nodes();
+    let controlled = !opts.control.is_unlimited();
+    let forward = SearchOpts {
+        reverse_adj: false,
+        ..*opts
+    };
+    let backward = SearchOpts {
+        reverse_adj: true,
+        ..*opts
+    };
+    let nodes =
+        |(res, term): (EvalResult, Termination)| EvalResponse::from_nodes(res).terminated(term);
+    match spec {
+        SourceSpec::Source(_) | SourceSpec::Target(_) | SourceSpec::Pair { .. }
+            if !spec.in_range(nv) =>
+        {
+            EvalResponse::empty_for(spec)
         }
-        SourceSpec::Target(t) => {
-            let reversed = query.nfa().reverse();
-            let (res, term) = eval_product_backward_controlled_reversed_csr_with(
-                &reversed,
-                graph,
-                *t,
-                None,
-                mode,
-                &req.control(),
-                &mut scratch,
-            );
-            EvalResponse::from_nodes(res).terminated(term)
+        SourceSpec::Source(s) => nodes(search_nodes(nfa, graph, *s, &forward, scratch)),
+        SourceSpec::Target(t) => nodes(search_nodes(reversed, graph, *t, &backward, scratch)),
+        SourceSpec::Sources(ss) => per_seed(nfa, graph, ss, &forward, controlled, scratch),
+        SourceSpec::Targets(ts) if !controlled && opts.depth_cap.is_some() => {
+            per_seed(reversed, graph, ts, &backward.sequential(), true, scratch)
         }
-        SourceSpec::Sources(ss) => {
-            let mut stats = EvalStats::default();
-            let mut per = Vec::with_capacity(ss.len());
-            let mut term = Termination::Complete;
-            for &s in ss {
-                let control = EvalControl {
-                    budget: remaining_budget(req.budget, stats.edges_scanned),
-                    cancel,
-                };
-                let (r, t) = eval_product_controlled_csr_with(
-                    query.nfa(),
-                    graph,
-                    s,
-                    None,
-                    mode,
-                    &control,
-                    &mut scratch,
-                );
-                stats.merge(&r.stats);
-                per.push(r.answers);
-                if !t.is_complete() {
-                    term = t;
-                    break;
-                }
-            }
-            per.resize(ss.len(), Vec::new());
-            EvalResponse::from_batch(BatchResult::from_per_source(per, stats)).terminated(term)
-        }
-        SourceSpec::Targets(ts) => {
-            let reversed = query.nfa().reverse();
-            let mut stats = EvalStats::default();
-            let mut per = Vec::with_capacity(ts.len());
-            let mut term = Termination::Complete;
-            for &t in ts {
-                let control = EvalControl {
-                    budget: remaining_budget(req.budget, stats.edges_scanned),
-                    cancel,
-                };
-                let (r, tt) = eval_product_backward_controlled_reversed_csr_with(
-                    &reversed,
-                    graph,
-                    t,
-                    None,
-                    mode,
-                    &control,
-                    &mut scratch,
-                );
-                stats.merge(&r.stats);
-                per.push(r.answers);
-                if !tt.is_complete() {
-                    term = tt;
-                    break;
-                }
-            }
-            per.resize(ts.len(), Vec::new());
-            EvalResponse::from_batch(BatchResult::from_per_source(per, stats)).terminated(term)
-        }
+        SourceSpec::Targets(ts) => per_seed(reversed, graph, ts, &backward, controlled, scratch),
         SourceSpec::Pair { source, target } => {
-            let (pair, term) = eval_product_pair_controlled_csr_with(
-                query.nfa(),
-                graph,
-                *source,
-                *target,
-                mode,
-                &req.control(),
-                &mut scratch,
+            let direction = if controlled {
+                Direction::Forward
+            } else {
+                pair_direction
+            };
+            let opts = SearchOpts {
+                depth_cap: None,
+                ..opts.sequential()
+            };
+            let (pair, term) = search_pair(
+                nfa, reversed, graph, *source, *target, direction, &opts, scratch,
             );
             EvalResponse::from_pair(pair).terminated(term)
         }
         SourceSpec::Matrix { sources, targets } => {
-            let mut matrix = MatrixResult::new(sources.clone(), targets.clone());
-            let mut stats = EvalStats::default();
-            let mut term = Termination::Complete;
-            for (i, &s) in sources.iter().enumerate() {
-                let control = EvalControl {
-                    budget: remaining_budget(req.budget, stats.edges_scanned),
-                    cancel,
-                };
-                let (r, t) = eval_product_controlled_csr_with(
-                    query.nfa(),
+            let (rows, cols) = (live_oids(sources, nv), live_oids(targets, nv));
+            let (matrix, term) = if controlled {
+                let mut matrix = MatrixResult::new(rows.to_vec(), cols.to_vec());
+                let (mut stats, term) = search_nodes_each(
+                    nfa,
                     graph,
-                    s,
-                    None,
-                    mode,
-                    &control,
-                    &mut scratch,
+                    &rows,
+                    &forward.sequential(),
+                    scratch,
+                    |i, answers| {
+                        for (j, t) in cols.iter().enumerate() {
+                            if answers.binary_search(t).is_ok() {
+                                matrix.set(i, j);
+                            }
+                        }
+                    },
                 );
-                for (j, &tgt) in targets.iter().enumerate() {
-                    if r.answers.binary_search(&tgt).is_ok() {
-                        matrix.set(i, j);
-                    }
-                }
-                stats.merge(&r.stats);
-                if !t.is_complete() {
-                    term = t;
-                    break;
-                }
-            }
-            stats.answers = matrix.reachable_count();
-            matrix.stats = stats;
-            EvalResponse::from_matrix(matrix).terminated(term)
+                stats.answers = matrix.reachable_count();
+                matrix.stats = stats;
+                (matrix, term)
+            } else {
+                let matrix = search_matrix(nfa, graph, &rows, &cols, scratch);
+                (matrix, Termination::Complete)
+            };
+            EvalResponse::from_matrix(matrix.spread_over(sources, targets, nv)).terminated(term)
         }
         SourceSpec::Conjunctive { sources, targets } => {
-            let control = req.control();
-            let res: PairSetResult = match (sources, targets) {
-                (Some(ss), Some(ts)) => eval_pairs_bound_controlled_csr_with(
-                    query.nfa(),
-                    graph,
-                    ss,
-                    ts,
-                    mode,
-                    &control,
-                    &mut scratch,
-                ),
-                (Some(ss), None) => eval_pairs_from_sources_controlled_csr_with(
-                    query.nfa(),
-                    graph,
-                    ss,
-                    mode,
-                    &control,
-                    &mut scratch,
-                ),
-                (None, Some(ts)) => {
-                    let reversed = query.nfa().reverse();
-                    eval_pairs_to_targets_controlled_csr_with(
-                        &reversed,
-                        graph,
-                        ts,
-                        mode,
-                        &control,
-                        &mut scratch,
-                    )
-                }
+            let live_sources = sources.as_deref().map(|os| live_oids(os, nv));
+            let live_targets = targets.as_deref().map(|os| live_oids(os, nv));
+            let res = match (live_sources, live_targets) {
+                (Some(ss), ts) => search_pairs(nfa, graph, &ss, ts.as_deref(), &forward, scratch),
+                (None, Some(ts)) => search_pairs(reversed, graph, &ts, None, &backward, scratch),
                 (None, None) => {
-                    let seeds = seed_candidates(query.nfa(), graph, &mut scratch);
-                    eval_pairs_from_sources_controlled_csr_with(
-                        query.nfa(),
-                        graph,
-                        &seeds,
-                        mode,
-                        &control,
-                        &mut scratch,
-                    )
+                    let seeds = seed_candidates(nfa, graph, scratch);
+                    search_pairs(nfa, graph, &seeds, None, &forward, scratch)
                 }
             };
             EvalResponse::from_pairset(res)
         }
     }
+}
+
+/// The `Sources` / `Targets` arms of [`run_request`]: per-seed answers by
+/// the lanes or (`looped`) by the per-item loop, re-aligned with the
+/// request — dropped and unexplored seeds answer empty.
+fn per_seed<G: GraphView>(
+    nfa: &Nfa,
+    graph: &G,
+    seeds: &[Oid],
+    opts: &SearchOpts<'_>,
+    looped: bool,
+    scratch: &mut EvalScratch,
+) -> EvalResponse {
+    let nv = graph.num_nodes();
+    let live = live_oids(seeds, nv);
+    let (result, term) = if looped {
+        let mut per = Vec::with_capacity(live.len());
+        let (stats, term) = search_nodes_each(nfa, graph, &live, opts, scratch, |_, answers| {
+            per.push(answers)
+        });
+        (BatchResult::from_per_source(per, stats), term)
+    } else {
+        let lanes = search_lanes(nfa, graph, &live, opts, scratch);
+        (lanes, Termination::Complete)
+    };
+    EvalResponse::from_batch(result.aligned_to(seeds, nv)).terminated(term)
 }
 
 #[cfg(test)]

@@ -47,10 +47,12 @@ pub struct EvalScratch {
     /// Current mark generation; a mark-table cell is "set" iff it equals
     /// this. Bumped once per `EvalScratch::begin`.
     gen: u32,
-    /// (state, node) seen marks, indexed `q * nv + v` with the *current*
-    /// query's `nv` (stale marks from other geometries are just stale
-    /// generations).
-    pub(crate) seen: Vec<u32>,
+    /// The one (state, node) mark table, indexed `q * nv + v` with the
+    /// *current* query's `nv` (stale marks from other geometries are just
+    /// stale generations). Atomic so the workers of a fanned-out BFS level
+    /// can claim pairs with one `swap(gen)`; a level running inline uses
+    /// relaxed loads and stores, which compile to plain moves.
+    pub(crate) seen: Vec<AtomicU32>,
     /// Per-node answer marks (generation-stamped).
     pub(crate) answer_marks: Vec<u32>,
     /// Per-state touched marks (generation-stamped) — feeds
@@ -90,17 +92,6 @@ pub struct EvalScratch {
     pub(crate) answer_masks: Vec<u64>,
     /// Batch kernel: ε-closure worklist of (state, node-index) cells.
     pub(crate) worklist: Vec<(StateId, usize)>,
-    /// Atomic (state, node) seen marks for the frontier-parallel product
-    /// search, indexed `q * nv + v` like `seen`. Generation-stamped with
-    /// the *same* generation counter; a worker claims a pair with one
-    /// `swap(gen)` — first marker wins, losers see their own gen back.
-    /// Sized lazily by [`EvalScratch::begin_parallel`]; empty for
-    /// sequential-only arenas.
-    pub(crate) par_seen: Vec<AtomicU32>,
-    /// Parallel-section capacity (the atomic seen table).
-    par_nq: usize,
-    /// Parallel-section capacity (the atomic seen table).
-    par_nv: usize,
     /// Core-section capacity (mark tables, dense arenas).
     cap_nq: usize,
     /// Core-section capacity (mark tables, dense arenas).
@@ -177,33 +168,13 @@ impl EvalScratch {
         covered
     }
 
-    /// `EvalScratch::begin` for the frontier-parallel product search, which
-    /// additionally needs the atomic `par_seen` table sized. Returns `true`
-    /// when no allocation was needed (core *and* parallel capacity both
-    /// covered the shape).
-    pub(crate) fn begin_parallel(&mut self, nq: usize, nv: usize) -> bool {
-        let par_covered = nq <= self.par_nq && nv <= self.par_nv;
-        let covered = self.begin(nq, nv) & par_covered;
-        if !par_covered {
-            let new_nq = nq.max(self.par_nq);
-            let new_nv = nv.max(self.par_nv);
-            self.par_seen.clear();
-            // Fresh cells hold 0: never "set", the generation is >= 1.
-            self.par_seen
-                .resize_with(new_nq * new_nv, || AtomicU32::new(0));
-            self.par_nq = new_nq;
-            self.par_nv = new_nv;
-        }
-        covered
-    }
-
     fn grow_core(&mut self, nq: usize, nv: usize) {
         let new_nq = nq.max(self.cap_nq);
         let new_nv = nv.max(self.cap_nv);
         // Fresh tables start at generation 0 with all marks 0: never "set",
         // because the generation is bumped to >= 1 before any use.
         self.seen.clear();
-        self.seen.resize(new_nq * new_nv, 0);
+        self.seen.resize_with(new_nq * new_nv, || AtomicU32::new(0));
         self.answer_marks.clear();
         self.answer_marks.resize(new_nv, 0);
         self.state_marks.clear();
@@ -219,12 +190,11 @@ impl EvalScratch {
         if self.gen == u32::MAX {
             // Generation wrap (once per 2^32 - 1 evaluations): zero every
             // mark so stale cells cannot collide with the restarted counter.
-            self.seen.fill(0);
+            for cell in &mut self.seen {
+                *cell.get_mut() = 0;
+            }
             self.answer_marks.fill(0);
             self.state_marks.fill(0);
-            for cell in &self.par_seen {
-                cell.store(0, Ordering::Relaxed);
-            }
             self.gen = 0;
         }
         self.gen += 1;
@@ -400,9 +370,10 @@ mod tests {
         let mut s = EvalScratch::new();
         s.begin(2, 8);
         let g = s.generation();
-        s.seen[3] = g;
+        *s.seen[3].get_mut() = g;
         s.begin(2, 8);
-        assert_ne!(s.seen[3], s.generation(), "old marks are stale, not set");
+        let mark = *s.seen[3].get_mut();
+        assert_ne!(mark, s.generation(), "old marks are stale, not set");
     }
 
     #[test]
@@ -411,10 +382,11 @@ mod tests {
         s.begin(1, 4);
         s.gen = u32::MAX - 1;
         s.bump_gen();
-        s.seen[0] = s.generation();
+        let g = s.generation();
+        *s.seen[0].get_mut() = g;
         s.bump_gen(); // wraps: marks zeroed, gen restarts at 1
         assert_eq!(s.generation(), 1);
-        assert_eq!(s.seen[0], 0);
+        assert_eq!(*s.seen[0].get_mut(), 0);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! passing between them), this driver parallelizes over the *source set*:
 //! the sources are partitioned into contiguous chunks, each worker thread
 //! runs the bit-parallel batched product BFS
-//! ([`rpq_core::eval_product_batch_csr`]) over its chunk against the shared
+//! ([`rpq_core::search_lanes`]) over its chunk against the shared
 //! immutable [`CsrGraph`] snapshot, and the per-chunk [`BatchResult`]s are
 //! stitched back together in source order. Results are ferried back over
 //! the vendored crossbeam channels, so the driver composes with the same
@@ -19,11 +19,9 @@ use std::thread;
 
 use crossbeam::channel::unbounded;
 
-use rpq_automata::Nfa;
 use rpq_core::{
-    eval_product_batch_csr_with, eval_product_to_batch_csr_with, run_default, BatchResult, Engine,
-    EvalRequest, EvalResponse, EvalResult, EvalStats, ProductEngine, Query, ScratchPool,
-    SourceSpec,
+    run_default, search_lanes, BatchResult, Engine, EvalRequest, EvalResponse, EvalResult,
+    EvalStats, ProductEngine, Query, ScratchPool, SearchOpts, SourceSpec,
 };
 use rpq_graph::{CsrGraph, Oid};
 
@@ -136,29 +134,22 @@ impl Engine for PartitionedBatchEngine {
     /// NFA serves every worker on the target side). Everything else falls
     /// back to [`run_default`].
     fn run(&self, query: &Query, graph: &CsrGraph, req: &EvalRequest) -> EvalResponse {
-        if !req.is_controlled() {
-            match &req.spec {
-                SourceSpec::Sources(sources) => {
-                    return EvalResponse::from_batch(self.run_partitioned(
-                        sources,
-                        |chunk, scratch| {
-                            eval_product_batch_csr_with(query.nfa(), graph, chunk, scratch)
-                        },
-                    ));
-                }
-                SourceSpec::Targets(targets) => {
-                    let reversed: Nfa = query.nfa().reverse();
-                    return EvalResponse::from_batch(self.run_partitioned(
-                        targets,
-                        |chunk, scratch| {
-                            eval_product_to_batch_csr_with(&reversed, graph, chunk, scratch)
-                        },
-                    ));
-                }
-                _ => {}
+        let reversed;
+        let (items, nfa, reverse_adj) = match &req.spec {
+            SourceSpec::Sources(sources) if !req.is_controlled() => (sources, query.nfa(), false),
+            SourceSpec::Targets(targets) if !req.is_controlled() => {
+                reversed = query.nfa().reverse();
+                (targets, &reversed, true)
             }
-        }
-        run_default(self, query, graph, req)
+            _ => return run_default(self, query, graph, req),
+        };
+        let opts = SearchOpts {
+            reverse_adj,
+            ..SearchOpts::default()
+        };
+        EvalResponse::from_batch(self.run_partitioned(items, |chunk, scratch| {
+            search_lanes(nfa, graph, chunk, &opts, scratch)
+        }))
     }
 }
 

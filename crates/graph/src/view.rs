@@ -242,7 +242,10 @@ impl<'a> Iterator for ViewGroups<'a> {
 /// On a concrete [`CsrGraph`], the inherent slice-returning methods shadow
 /// these (existing callers keep their `&[Oid]` rows); the trait methods
 /// resolve inside generic code.
-pub trait GraphView {
+///
+/// `Sync` is a supertrait: a snapshot is read-only for the duration of a
+/// search, and the parallel kernels share it across worker threads.
+pub trait GraphView: Sync {
     /// Number of nodes.
     fn num_nodes(&self) -> usize;
 

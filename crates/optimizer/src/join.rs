@@ -43,12 +43,8 @@ use std::collections::HashMap;
 
 use rpq_automata::{parse_regex_embedded, Alphabet, ParseError};
 use rpq_core::{
-    eval_pairs_bound_controlled_csr_with, eval_pairs_bound_csr_with,
-    eval_pairs_bound_parallel_csr_with, eval_pairs_from_sources_controlled_csr_with,
-    eval_pairs_from_sources_csr_with, eval_pairs_from_sources_parallel_csr_with,
-    eval_pairs_to_targets_controlled_csr_with, eval_pairs_to_targets_csr_with,
-    eval_pairs_to_targets_parallel_csr_with, seed_candidates, AtomStats, Direction, EvalControl,
-    EvalScratch, EvalStats, FrontierMode, PairSetResult, Query, ScratchPool, Termination,
+    search_pairs, seed_candidates, AtomStats, Direction, EvalControl, EvalScratch, EvalStats,
+    FrontierMode, PairSetResult, Query, ScratchPool, SearchOpts, Termination,
 };
 use rpq_graph::{GraphView, LabelStats, Oid};
 
@@ -432,8 +428,8 @@ pub struct HeadBindings<'a> {
 /// Execute a CRPQ in the given atom `order` over `graph`, with semijoin
 /// propagation: each atom evaluates with its bound side restricted to the
 /// distinct values surviving the join so far (or to the request's head
-/// bindings before the first atom touches that variable), through the
-/// set-valued pair kernels of [`rpq_core::pairset`].
+/// bindings before the first atom touches that variable), through
+/// [`rpq_core::search_pairs`].
 ///
 /// `control` threads one shared `edges_scanned` budget and cancellation
 /// flag through every atom. A truncated atom contributes a sound *subset*
@@ -443,7 +439,7 @@ pub struct HeadBindings<'a> {
 /// outcome. One [`AtomStats`] record per atom lands in `stats.atoms` in
 /// execution order (atoms never started after a cancellation are recorded
 /// with `direction: None` and zero work).
-pub fn execute_join<G: GraphView + Sync>(
+pub fn execute_join<G: GraphView>(
     crpq: &Crpq,
     order: &[usize],
     graph: &G,
@@ -466,7 +462,7 @@ pub fn execute_join<G: GraphView + Sync>(
 /// Controlled atoms keep the shared-budget seed loop (its
 /// whatever-the-budget-has-left contract is order-dependent).
 #[allow(clippy::too_many_arguments)]
-pub fn execute_join_parallel<G: GraphView + Sync>(
+pub fn execute_join_parallel<G: GraphView>(
     crpq: &Crpq,
     order: &[usize],
     graph: &G,
@@ -481,7 +477,6 @@ pub fn execute_join_parallel<G: GraphView + Sync>(
     let mut rel: Option<Relation> = None;
     let mut stats = EvalStats::default();
     let mut term = Termination::Complete;
-    let controlled = control.budget.is_some() || control.cancel.is_some();
 
     // Pre-bindings for head variables, consumed the first time the
     // variable joins the relation.
@@ -517,22 +512,24 @@ pub fn execute_join_parallel<G: GraphView + Sync>(
             }
         };
 
-        let per_atom = EvalControl {
-            budget: control
-                .budget
-                .map(|b| b.saturating_sub(stats.edges_scanned)),
-            cancel: control.cancel,
+        let per_atom = SearchOpts {
+            mode,
+            control: EvalControl {
+                budget: control
+                    .budget
+                    .map(|b| b.saturating_sub(stats.edges_scanned)),
+                cancel: control.cancel,
+            },
+            dop,
+            pool: Some(pool),
+            ..SearchOpts::default()
         };
         let (res, dir) = eval_atom(
             atom,
             graph,
             u_vals.as_deref(),
             v_vals.as_deref(),
-            mode,
-            controlled,
             &per_atom,
-            dop,
-            pool,
             scratch,
         );
         if !res.termination.is_complete() && term.is_complete() {
@@ -612,68 +609,45 @@ pub fn execute_join_parallel<G: GraphView + Sync>(
     }
 }
 
-/// Evaluate one atom with the given bound sides through the pair-set
-/// kernels, returning the binding relation and the direction actually run.
-#[allow(clippy::too_many_arguments)]
-fn eval_atom<G: GraphView + Sync>(
+/// Evaluate one atom with the given bound sides through
+/// [`search_pairs`], returning the binding relation and the direction
+/// actually run: forward from the bound (or, with neither side bound, the
+/// pruned candidate) sources, probing only the bound targets when both
+/// sides are; backward from the targets when only they are bound.
+fn eval_atom<G: GraphView>(
     atom: &CrpqAtom,
     graph: &G,
     u_vals: Option<&[Oid]>,
     v_vals: Option<&[Oid]>,
-    mode: FrontierMode,
-    controlled: bool,
-    control: &EvalControl<'_>,
-    dop: usize,
-    pool: &ScratchPool,
+    opts: &SearchOpts<'_>,
     scratch: &mut EvalScratch,
 ) -> (PairSetResult, Direction) {
     let nfa = atom.query.nfa();
     match (u_vals, v_vals) {
-        (Some(ss), Some(ts)) => {
-            let r = if controlled {
-                eval_pairs_bound_controlled_csr_with(nfa, graph, ss, ts, mode, control, scratch)
-            } else if dop > 1 {
-                eval_pairs_bound_parallel_csr_with(nfa, graph, ss, ts, dop, pool, scratch)
+        (Some(ss), ts) => (
+            search_pairs(nfa, graph, ss, ts, opts, scratch),
+            if ts.is_some() {
+                Direction::Bidirectional
             } else {
-                eval_pairs_bound_csr_with(nfa, graph, ss, ts, scratch)
-            };
-            (r, Direction::Bidirectional)
-        }
-        (Some(ss), None) => {
-            let r = if controlled {
-                eval_pairs_from_sources_controlled_csr_with(nfa, graph, ss, mode, control, scratch)
-            } else if dop > 1 {
-                eval_pairs_from_sources_parallel_csr_with(nfa, graph, ss, dop, pool, scratch)
-            } else {
-                eval_pairs_from_sources_csr_with(nfa, graph, ss, scratch)
-            };
-            (r, Direction::Forward)
-        }
+                Direction::Forward
+            },
+        ),
         (None, Some(ts)) => {
-            let reversed = nfa.reverse();
-            let r = if controlled {
-                eval_pairs_to_targets_controlled_csr_with(
-                    &reversed, graph, ts, mode, control, scratch,
-                )
-            } else if dop > 1 {
-                eval_pairs_to_targets_parallel_csr_with(&reversed, graph, ts, dop, pool, scratch)
-            } else {
-                eval_pairs_to_targets_csr_with(&reversed, graph, ts, scratch)
+            let backward = SearchOpts {
+                reverse_adj: true,
+                ..*opts
             };
-            (r, Direction::Backward)
+            (
+                search_pairs(&nfa.reverse(), graph, ts, None, &backward, scratch),
+                Direction::Backward,
+            )
         }
         (None, None) => {
             let seeds = seed_candidates(nfa, graph, scratch);
-            let r = if controlled {
-                eval_pairs_from_sources_controlled_csr_with(
-                    nfa, graph, &seeds, mode, control, scratch,
-                )
-            } else if dop > 1 {
-                eval_pairs_from_sources_parallel_csr_with(nfa, graph, &seeds, dop, pool, scratch)
-            } else {
-                eval_pairs_from_sources_csr_with(nfa, graph, &seeds, scratch)
-            };
-            (r, Direction::Forward)
+            (
+                search_pairs(nfa, graph, &seeds, None, opts, scratch),
+                Direction::Forward,
+            )
         }
     }
 }
@@ -808,7 +782,8 @@ pub fn execute_naive<G: GraphView>(
     let mut rel: Option<Relation> = None;
     for atom in &crpq.atoms {
         let seeds = seed_candidates(atom.query.nfa(), graph, &mut scratch);
-        let res = eval_pairs_from_sources_csr_with(atom.query.nfa(), graph, &seeds, &mut scratch);
+        let opts = SearchOpts::default();
+        let res = search_pairs(atom.query.nfa(), graph, &seeds, None, &opts, &mut scratch);
         edges += res.stats.edges_scanned;
         let pairs: Vec<(Oid, Oid)> = if atom.src == atom.dst {
             res.pairs.iter().copied().filter(|(s, t)| s == t).collect()

@@ -60,22 +60,9 @@ use rpq_automata::{Alphabet, Nfa, Regex, StateId, Symbol};
 use rpq_constraints::general::Budget;
 use rpq_constraints::ConstraintSet;
 use rpq_core::{
-    eval_pairs_bound_controlled_csr_with, eval_pairs_bound_csr_with,
-    eval_pairs_bound_parallel_csr_with, eval_pairs_from_sources_controlled_csr_with,
-    eval_pairs_from_sources_csr_with, eval_pairs_from_sources_parallel_csr_with,
-    eval_pairs_to_targets_controlled_csr_with, eval_pairs_to_targets_csr_with,
-    eval_pairs_to_targets_parallel_csr_with, eval_product_backward_controlled_reversed_csr_with,
-    eval_product_backward_parallel_reversed_csr_with, eval_product_backward_reversed_csr_with,
-    eval_product_batch_csr_with, eval_product_batch_parallel_csr_with,
-    eval_product_bounded_backward_reversed_csr_with, eval_product_bounded_csr_with,
-    eval_product_controlled_csr_with, eval_product_csr_with, eval_product_matrix_csr_with,
-    eval_product_pair_backward_reversed_csr_with, eval_product_pair_controlled_csr_with,
-    eval_product_pair_forward_csr_with, eval_product_pair_reversed_csr_with,
-    eval_product_parallel_csr_with, eval_product_to_batch_csr_with,
-    eval_product_to_batch_parallel_csr_with, seed_candidates, Answers, BatchResult, Engine,
-    EvalControl, EvalRequest, EvalResponse, EvalResult, EvalStats, FrontierMode, MatrixResult,
-    PairResult, PairSetResult, Query, ScratchPool, SourceSpec, Termination, WorkerPool,
-    PAR_LEVEL_THRESHOLD, PULL_SWEEP_DISCOUNT,
+    live_oids, run_request, Answers, BatchResult, Engine, EvalRequest, EvalResponse, EvalResult,
+    EvalStats, FrontierMode, PairResult, Query, ScratchPool, SearchOpts, SourceSpec, WorkerLease,
+    WorkerPool, PAR_LEVEL_THRESHOLD, PULL_SWEEP_DISCOUNT,
 };
 use rpq_graph::{CsrGraph, GraphView, LabelStats, Oid};
 
@@ -502,15 +489,42 @@ impl<E> PlannedEngine<E> {
         stats.analysis_ns += facts.analysis_ns;
     }
 
-    /// The statically-empty fast path: an [`EvalResult`] produced without
-    /// touching the graph — zero edges scanned, no frontier allocated.
-    fn empty_result(&self, plan: &Plan, hit: bool) -> EvalResult {
-        let mut res = EvalResult {
-            answers: Vec::new(),
-            stats: EvalStats::default(),
+    /// Answer `spec` under `plan`: statically empty plans answer without
+    /// touching the graph (zero edges scanned, no arena checked out);
+    /// everything else is one [`run_request`] over the planned automata
+    /// with a pooled arena. Plan observability is stamped either way.
+    fn execute<G: GraphView>(
+        &self,
+        plan: &Plan,
+        hit: bool,
+        graph: &G,
+        spec: &SourceSpec,
+        pair_direction: Direction,
+        opts: &SearchOpts<'_>,
+    ) -> EvalResponse {
+        let resp = if plan.facts.statically_empty {
+            EvalResponse::empty_for(spec)
+        } else {
+            run_request(
+                plan.query.nfa(),
+                &plan.reversed,
+                graph,
+                spec,
+                pair_direction,
+                opts,
+                &mut self.scratch.checkout(),
+            )
         };
-        self.stamp(&mut res.stats, plan, hit);
-        res
+        self.stamped(resp, plan, hit)
+    }
+
+    /// The legacy per-shape entry points: plan, then answer `spec`
+    /// sequentially in the default [`FrontierMode::Hybrid`], depth-capped
+    /// when the planned language is finite, by the planned direction.
+    fn eval_spec<G: GraphView>(&self, query: &Query, graph: &G, spec: SourceSpec) -> EvalResponse {
+        let (plan, hit) = self.plan_status(query.regex(), query.alphabet(), graph);
+        let opts = sequential(&plan);
+        self.execute(&plan, hit, graph, &spec, plan.direction, &opts)
     }
 
     /// Evaluate `query` from `source` over **any** [`GraphView`] (e.g. a
@@ -520,60 +534,16 @@ impl<E> PlannedEngine<E> {
     /// trait's `CsrGraph` entry points; views always use the product
     /// search, which computes the same answer set.
     pub fn eval_view<G: GraphView>(&self, query: &Query, graph: &G, source: Oid) -> EvalResult {
-        let (plan, hit) = self.plan_status(query.regex(), query.alphabet(), graph);
-        if plan.facts.statically_empty {
-            return self.empty_result(&plan, hit);
-        }
-        let mut scratch = self.scratch.checkout();
-        let mut res = match plan.facts.max_word_len {
-            Some(cap) => eval_product_bounded_csr_with(
-                plan.query.nfa(),
-                graph,
-                source,
-                cap,
-                FrontierMode::Hybrid,
-                &mut scratch,
-            ),
-            None => eval_product_csr_with(
-                plan.query.nfa(),
-                graph,
-                source,
-                FrontierMode::Hybrid,
-                &mut scratch,
-            ),
-        };
-        self.stamp(&mut res.stats, &plan, hit);
-        res
+        self.eval_spec(query, graph, SourceSpec::Source(source))
+            .into_eval_result()
     }
 
     /// Target-bound evaluation `{o | target ∈ p(o, I)}` over any
     /// [`GraphView`]: rewrite, then run the backward product BFS over the
     /// reverse adjacency, reusing the plan's cached reversed NFA.
     pub fn eval_to<G: GraphView>(&self, query: &Query, graph: &G, target: Oid) -> EvalResult {
-        let (plan, hit) = self.plan_status(query.regex(), query.alphabet(), graph);
-        if plan.facts.statically_empty {
-            return self.empty_result(&plan, hit);
-        }
-        let mut scratch = self.scratch.checkout();
-        let mut res = match plan.facts.max_word_len {
-            Some(cap) => eval_product_bounded_backward_reversed_csr_with(
-                &plan.reversed,
-                graph,
-                target,
-                cap,
-                FrontierMode::Hybrid,
-                &mut scratch,
-            ),
-            None => eval_product_backward_reversed_csr_with(
-                &plan.reversed,
-                graph,
-                target,
-                FrontierMode::Hybrid,
-                &mut scratch,
-            ),
-        };
-        self.stamp(&mut res.stats, &plan, hit);
-        res
+        self.eval_spec(query, graph, SourceSpec::Target(target))
+            .into_eval_result()
     }
 
     /// Pair reachability `target ∈ p(source, I)?` by the planned
@@ -586,45 +556,8 @@ impl<E> PlannedEngine<E> {
         source: Oid,
         target: Oid,
     ) -> PairResult {
-        let (plan, hit) = self.plan_status(query.regex(), query.alphabet(), graph);
-        if plan.facts.statically_empty {
-            let mut res = PairResult {
-                reachable: false,
-                stats: EvalStats::default(),
-            };
-            self.stamp(&mut res.stats, &plan, hit);
-            return res;
-        }
-        let nfa = plan.query.nfa();
-        let mut scratch = self.scratch.checkout();
-        let mut res = match plan.direction {
-            Direction::Forward => eval_product_pair_forward_csr_with(
-                nfa,
-                graph,
-                source,
-                target,
-                FrontierMode::Hybrid,
-                &mut scratch,
-            ),
-            Direction::Backward => eval_product_pair_backward_reversed_csr_with(
-                &plan.reversed,
-                graph,
-                source,
-                target,
-                FrontierMode::Hybrid,
-                &mut scratch,
-            ),
-            Direction::Bidirectional => eval_product_pair_reversed_csr_with(
-                nfa,
-                &plan.reversed,
-                graph,
-                source,
-                target,
-                &mut scratch,
-            ),
-        };
-        self.stamp(&mut res.stats, &plan, hit);
-        res
+        self.eval_spec(query, graph, SourceSpec::Pair { source, target })
+            .into_pair()
     }
 
     /// Stamp plan observability into a response — both the aggregated
@@ -643,524 +576,39 @@ impl<E> PlannedEngine<E> {
 
     /// The unified [`EvalRequest`] entry point over **any** [`GraphView`] —
     /// the form the serving layer drives: one plan probe per request
-    /// (rewrite + direction + analysis, memoized per epoch lineage), every
-    /// [`SourceSpec`] arm, and uniform budget/cancellation controls.
+    /// (rewrite + direction + analysis, memoized per epoch lineage), the
+    /// statically-empty short-circuit, one worker-pool lease (the permits
+    /// granted cap every parallel level and wave this request runs, and
+    /// return to the pool when the response is built), then
+    /// [`run_request`] — whose decision table says which kernel serves
+    /// each [`SourceSpec`] — and the plan stamp.
     ///
-    /// Statically empty queries answer without touching the graph.
     /// Finite-language plans cap the product BFS depth at the longest
     /// accepted word — on controlled requests the cap *composes* with the
-    /// fetch budget (whichever binds first ends the search). Uncontrolled
-    /// multi-item arms run the bit-parallel lane kernels with the plan's
-    /// cached reversed automaton; the pair arm honors the request's
-    /// direction hint over the planned direction when one is given.
+    /// fetch budget (whichever binds first ends the search). An explicit
+    /// request frontier mode wins over the configured pull-sweep
+    /// discount; the pair arm honors the request's direction hint over
+    /// the planned direction when one is given.
     ///
     /// [`Engine::run`] on a `CsrGraph` delegates here.
-    pub fn run_view<G: GraphView + Sync>(
+    pub fn run_view<G: GraphView>(
         &self,
         query: &Query,
         graph: &G,
         req: &EvalRequest,
     ) -> EvalResponse {
         let (plan, hit) = self.plan_status(query.regex(), query.alphabet(), graph);
-        if plan.facts.statically_empty {
-            let empty_batch =
-                |n: usize| BatchResult::from_per_source(vec![Vec::new(); n], EvalStats::default());
-            let resp = match &req.spec {
-                SourceSpec::Source(_) | SourceSpec::Target(_) => {
-                    EvalResponse::from_nodes(EvalResult {
-                        answers: Vec::new(),
-                        stats: EvalStats::default(),
-                    })
-                }
-                SourceSpec::Sources(ss) => EvalResponse::from_batch(empty_batch(ss.len())),
-                SourceSpec::Targets(ts) => EvalResponse::from_batch(empty_batch(ts.len())),
-                SourceSpec::Pair { .. } => EvalResponse::from_pair(PairResult {
-                    reachable: false,
-                    stats: EvalStats::default(),
-                }),
-                SourceSpec::Matrix { sources, targets } => {
-                    EvalResponse::from_matrix(MatrixResult::new(sources.clone(), targets.clone()))
-                }
-                SourceSpec::Conjunctive { .. } => EvalResponse::from_pairset(PairSetResult::empty(
-                    EvalStats::default(),
-                    Termination::Complete,
-                )),
-            };
-            return self.stamped(resp, &plan, hit);
-        }
-        // One worker-pool lease per request: the permits granted here cap
-        // every parallel level/wave this request runs, and return to the
-        // pool when the response is built.
-        let lease = self.workers.lease(self.decide_dop(&plan, graph));
-        let dop = lease.dop();
-        let resp = if req.is_controlled() {
-            self.run_view_controlled(&plan, graph, req, dop)
-        } else {
-            self.run_view_uncontrolled(&plan, graph, req, dop)
+        let lease = (!plan.facts.statically_empty)
+            .then(|| self.workers.lease(self.decide_dop(&plan, graph)));
+        let opts = SearchOpts {
+            mode: self.effective_mode(req.frontier_mode),
+            control: req.control(),
+            dop: lease.as_ref().map_or(1, WorkerLease::dop),
+            pool: Some(&self.scratch),
+            ..sequential(&plan)
         };
-        self.stamped(resp, &plan, hit)
-    }
-
-    /// The uncontrolled arms of [`PlannedEngine::run_view`]: the planned
-    /// query through the generic product kernels, bounded by the plan's
-    /// finite-language depth cap where one exists.
-    fn run_view_uncontrolled<G: GraphView + Sync>(
-        &self,
-        plan: &Plan,
-        graph: &G,
-        req: &EvalRequest,
-        dop: usize,
-    ) -> EvalResponse {
-        let mode = self.effective_mode(req.frontier_mode);
-        let cap = plan.facts.max_word_len;
-        let mut scratch = self.scratch.checkout();
-        match &req.spec {
-            SourceSpec::Source(s) => EvalResponse::from_nodes(if dop > 1 {
-                let (res, _) = eval_product_parallel_csr_with(
-                    plan.query.nfa(),
-                    graph,
-                    *s,
-                    cap,
-                    mode,
-                    &EvalControl::UNLIMITED,
-                    dop,
-                    &self.scratch,
-                    &mut scratch,
-                );
-                res
-            } else {
-                match cap {
-                    Some(cap) => eval_product_bounded_csr_with(
-                        plan.query.nfa(),
-                        graph,
-                        *s,
-                        cap,
-                        mode,
-                        &mut scratch,
-                    ),
-                    None => eval_product_csr_with(plan.query.nfa(), graph, *s, mode, &mut scratch),
-                }
-            }),
-            SourceSpec::Sources(ss) => EvalResponse::from_batch(if dop > 1 {
-                eval_product_batch_parallel_csr_with(
-                    plan.query.nfa(),
-                    graph,
-                    ss,
-                    dop,
-                    &self.scratch,
-                    &mut scratch,
-                )
-            } else {
-                eval_product_batch_csr_with(plan.query.nfa(), graph, ss, &mut scratch)
-            }),
-            SourceSpec::Target(t) => EvalResponse::from_nodes(if dop > 1 {
-                let (res, _) = eval_product_backward_parallel_reversed_csr_with(
-                    &plan.reversed,
-                    graph,
-                    *t,
-                    cap,
-                    mode,
-                    &EvalControl::UNLIMITED,
-                    dop,
-                    &self.scratch,
-                    &mut scratch,
-                );
-                res
-            } else {
-                match cap {
-                    Some(cap) => eval_product_bounded_backward_reversed_csr_with(
-                        &plan.reversed,
-                        graph,
-                        *t,
-                        cap,
-                        mode,
-                        &mut scratch,
-                    ),
-                    None => eval_product_backward_reversed_csr_with(
-                        &plan.reversed,
-                        graph,
-                        *t,
-                        mode,
-                        &mut scratch,
-                    ),
-                }
-            }),
-            SourceSpec::Targets(ts) => match cap {
-                // Exact depth caps beat lane sharing on short words: keep
-                // the per-target bounded loop (mirrors `eval_to_batch`).
-                Some(cap) => {
-                    let mut stats = EvalStats::default();
-                    let mut per = Vec::with_capacity(ts.len());
-                    for &t in ts {
-                        let r = eval_product_bounded_backward_reversed_csr_with(
-                            &plan.reversed,
-                            graph,
-                            t,
-                            cap,
-                            mode,
-                            &mut scratch,
-                        );
-                        stats.merge(&r.stats);
-                        per.push(r.answers);
-                    }
-                    EvalResponse::from_batch(BatchResult::from_per_source(per, stats))
-                }
-                None => EvalResponse::from_batch(if dop > 1 {
-                    eval_product_to_batch_parallel_csr_with(
-                        &plan.reversed,
-                        graph,
-                        ts,
-                        dop,
-                        &self.scratch,
-                        &mut scratch,
-                    )
-                } else {
-                    eval_product_to_batch_csr_with(&plan.reversed, graph, ts, &mut scratch)
-                }),
-            },
-            SourceSpec::Pair { source, target } => {
-                let direction = req.direction.unwrap_or(plan.direction);
-                EvalResponse::from_pair(match direction {
-                    Direction::Forward => eval_product_pair_forward_csr_with(
-                        plan.query.nfa(),
-                        graph,
-                        *source,
-                        *target,
-                        mode,
-                        &mut scratch,
-                    ),
-                    Direction::Backward => eval_product_pair_backward_reversed_csr_with(
-                        &plan.reversed,
-                        graph,
-                        *source,
-                        *target,
-                        mode,
-                        &mut scratch,
-                    ),
-                    Direction::Bidirectional => eval_product_pair_reversed_csr_with(
-                        plan.query.nfa(),
-                        &plan.reversed,
-                        graph,
-                        *source,
-                        *target,
-                        &mut scratch,
-                    ),
-                })
-            }
-            SourceSpec::Matrix { sources, targets } => {
-                EvalResponse::from_matrix(eval_product_matrix_csr_with(
-                    plan.query.nfa(),
-                    graph,
-                    sources,
-                    targets,
-                    &mut scratch,
-                ))
-            }
-            SourceSpec::Conjunctive { sources, targets } => {
-                let res = match (sources, targets) {
-                    (Some(ss), Some(ts)) if dop > 1 => eval_pairs_bound_parallel_csr_with(
-                        plan.query.nfa(),
-                        graph,
-                        ss,
-                        ts,
-                        dop,
-                        &self.scratch,
-                        &mut scratch,
-                    ),
-                    (Some(ss), Some(ts)) => {
-                        eval_pairs_bound_csr_with(plan.query.nfa(), graph, ss, ts, &mut scratch)
-                    }
-                    (Some(ss), None) if dop > 1 => eval_pairs_from_sources_parallel_csr_with(
-                        plan.query.nfa(),
-                        graph,
-                        ss,
-                        dop,
-                        &self.scratch,
-                        &mut scratch,
-                    ),
-                    (Some(ss), None) => {
-                        eval_pairs_from_sources_csr_with(plan.query.nfa(), graph, ss, &mut scratch)
-                    }
-                    // The plan's cached reversed automaton serves the
-                    // target-bound form — no per-request reversal.
-                    (None, Some(ts)) if dop > 1 => eval_pairs_to_targets_parallel_csr_with(
-                        &plan.reversed,
-                        graph,
-                        ts,
-                        dop,
-                        &self.scratch,
-                        &mut scratch,
-                    ),
-                    (None, Some(ts)) => {
-                        eval_pairs_to_targets_csr_with(&plan.reversed, graph, ts, &mut scratch)
-                    }
-                    (None, None) => {
-                        let seeds = seed_candidates(plan.query.nfa(), graph, &mut scratch);
-                        if dop > 1 {
-                            eval_pairs_from_sources_parallel_csr_with(
-                                plan.query.nfa(),
-                                graph,
-                                &seeds,
-                                dop,
-                                &self.scratch,
-                                &mut scratch,
-                            )
-                        } else {
-                            eval_pairs_from_sources_csr_with(
-                                plan.query.nfa(),
-                                graph,
-                                &seeds,
-                                &mut scratch,
-                            )
-                        }
-                    }
-                };
-                EvalResponse::from_pairset(res)
-            }
-        }
-    }
-
-    /// The controlled arms of [`PlannedEngine::run_view`]: the planned
-    /// query through the budget- and cancellation-aware kernels, with the
-    /// finite-language depth cap composed into every search. Multi-item
-    /// arms share one budget and stop at the first non-complete
-    /// termination (unexplored items report empty sets — a sound subset).
-    fn run_view_controlled<G: GraphView + Sync>(
-        &self,
-        plan: &Plan,
-        graph: &G,
-        req: &EvalRequest,
-        dop: usize,
-    ) -> EvalResponse {
-        let mode = self.effective_mode(req.frontier_mode);
-        let cap = plan.facts.max_word_len;
-        let cancel = req.cancel.as_deref();
-        let mut scratch = self.scratch.checkout();
-        match &req.spec {
-            SourceSpec::Source(s) => {
-                let (res, term) = if dop > 1 {
-                    eval_product_parallel_csr_with(
-                        plan.query.nfa(),
-                        graph,
-                        *s,
-                        cap,
-                        mode,
-                        &req.control(),
-                        dop,
-                        &self.scratch,
-                        &mut scratch,
-                    )
-                } else {
-                    eval_product_controlled_csr_with(
-                        plan.query.nfa(),
-                        graph,
-                        *s,
-                        cap,
-                        mode,
-                        &req.control(),
-                        &mut scratch,
-                    )
-                };
-                EvalResponse::from_nodes(res).terminated(term)
-            }
-            SourceSpec::Target(t) => {
-                let (res, term) = if dop > 1 {
-                    eval_product_backward_parallel_reversed_csr_with(
-                        &plan.reversed,
-                        graph,
-                        *t,
-                        cap,
-                        mode,
-                        &req.control(),
-                        dop,
-                        &self.scratch,
-                        &mut scratch,
-                    )
-                } else {
-                    eval_product_backward_controlled_reversed_csr_with(
-                        &plan.reversed,
-                        graph,
-                        *t,
-                        cap,
-                        mode,
-                        &req.control(),
-                        &mut scratch,
-                    )
-                };
-                EvalResponse::from_nodes(res).terminated(term)
-            }
-            SourceSpec::Sources(ss) => {
-                let mut stats = EvalStats::default();
-                let mut per = Vec::with_capacity(ss.len());
-                let mut term = Termination::Complete;
-                for &s in ss {
-                    let control = EvalControl {
-                        budget: req.budget.map(|b| b.saturating_sub(stats.edges_scanned)),
-                        cancel,
-                    };
-                    let (r, t) = if dop > 1 {
-                        eval_product_parallel_csr_with(
-                            plan.query.nfa(),
-                            graph,
-                            s,
-                            cap,
-                            mode,
-                            &control,
-                            dop,
-                            &self.scratch,
-                            &mut scratch,
-                        )
-                    } else {
-                        eval_product_controlled_csr_with(
-                            plan.query.nfa(),
-                            graph,
-                            s,
-                            cap,
-                            mode,
-                            &control,
-                            &mut scratch,
-                        )
-                    };
-                    stats.merge(&r.stats);
-                    per.push(r.answers);
-                    if !t.is_complete() {
-                        term = t;
-                        break;
-                    }
-                }
-                per.resize(ss.len(), Vec::new());
-                EvalResponse::from_batch(BatchResult::from_per_source(per, stats)).terminated(term)
-            }
-            SourceSpec::Targets(ts) => {
-                let mut stats = EvalStats::default();
-                let mut per = Vec::with_capacity(ts.len());
-                let mut term = Termination::Complete;
-                for &t in ts {
-                    let control = EvalControl {
-                        budget: req.budget.map(|b| b.saturating_sub(stats.edges_scanned)),
-                        cancel,
-                    };
-                    let (r, tt) = if dop > 1 {
-                        eval_product_backward_parallel_reversed_csr_with(
-                            &plan.reversed,
-                            graph,
-                            t,
-                            cap,
-                            mode,
-                            &control,
-                            dop,
-                            &self.scratch,
-                            &mut scratch,
-                        )
-                    } else {
-                        eval_product_backward_controlled_reversed_csr_with(
-                            &plan.reversed,
-                            graph,
-                            t,
-                            cap,
-                            mode,
-                            &control,
-                            &mut scratch,
-                        )
-                    };
-                    stats.merge(&r.stats);
-                    per.push(r.answers);
-                    if !tt.is_complete() {
-                        term = tt;
-                        break;
-                    }
-                }
-                per.resize(ts.len(), Vec::new());
-                EvalResponse::from_batch(BatchResult::from_per_source(per, stats)).terminated(term)
-            }
-            SourceSpec::Pair { source, target } => {
-                let (pair, term) = eval_product_pair_controlled_csr_with(
-                    plan.query.nfa(),
-                    graph,
-                    *source,
-                    *target,
-                    mode,
-                    &req.control(),
-                    &mut scratch,
-                );
-                EvalResponse::from_pair(pair).terminated(term)
-            }
-            SourceSpec::Matrix { sources, targets } => {
-                let mut matrix = MatrixResult::new(sources.clone(), targets.clone());
-                let mut stats = EvalStats::default();
-                let mut term = Termination::Complete;
-                for (i, &s) in sources.iter().enumerate() {
-                    let control = EvalControl {
-                        budget: req.budget.map(|b| b.saturating_sub(stats.edges_scanned)),
-                        cancel,
-                    };
-                    let (r, t) = eval_product_controlled_csr_with(
-                        plan.query.nfa(),
-                        graph,
-                        s,
-                        cap,
-                        mode,
-                        &control,
-                        &mut scratch,
-                    );
-                    for (j, &tgt) in targets.iter().enumerate() {
-                        if r.answers.binary_search(&tgt).is_ok() {
-                            matrix.set(i, j);
-                        }
-                    }
-                    stats.merge(&r.stats);
-                    if !t.is_complete() {
-                        term = t;
-                        break;
-                    }
-                }
-                stats.answers = matrix.reachable_count();
-                matrix.stats = stats;
-                EvalResponse::from_matrix(matrix).terminated(term)
-            }
-            SourceSpec::Conjunctive { sources, targets } => {
-                let control = req.control();
-                let res = match (sources, targets) {
-                    (Some(ss), Some(ts)) => eval_pairs_bound_controlled_csr_with(
-                        plan.query.nfa(),
-                        graph,
-                        ss,
-                        ts,
-                        mode,
-                        &control,
-                        &mut scratch,
-                    ),
-                    (Some(ss), None) => eval_pairs_from_sources_controlled_csr_with(
-                        plan.query.nfa(),
-                        graph,
-                        ss,
-                        mode,
-                        &control,
-                        &mut scratch,
-                    ),
-                    (None, Some(ts)) => eval_pairs_to_targets_controlled_csr_with(
-                        &plan.reversed,
-                        graph,
-                        ts,
-                        mode,
-                        &control,
-                        &mut scratch,
-                    ),
-                    (None, None) => {
-                        let seeds = seed_candidates(plan.query.nfa(), graph, &mut scratch);
-                        eval_pairs_from_sources_controlled_csr_with(
-                            plan.query.nfa(),
-                            graph,
-                            &seeds,
-                            mode,
-                            &control,
-                            &mut scratch,
-                        )
-                    }
-                };
-                EvalResponse::from_pairset(res)
-            }
-        }
+        let direction = req.direction.unwrap_or(plan.direction);
+        self.execute(&plan, hit, graph, &req.spec, direction, &opts)
     }
 
     /// The memoized join plan for a conjunctive query over `graph`, plus
@@ -1220,41 +668,20 @@ impl<E> PlannedEngine<E> {
     /// response carries [`Answers::Bindings`] with per-atom
     /// `stats.atoms` telemetry in execution order, and plan-memo
     /// hit/miss counters stamped like every other planned evaluation.
-    pub fn run_crpq<G: GraphView + Sync>(
+    pub fn run_crpq<G: GraphView>(
         &self,
         crpq: &Crpq,
         graph: &G,
         req: &EvalRequest,
     ) -> EvalResponse {
-        let heads = match &req.spec {
-            SourceSpec::Source(s) => HeadBindings {
-                sources: Some(std::slice::from_ref(s)),
-                targets: None,
-            },
-            SourceSpec::Sources(ss) => HeadBindings {
-                sources: Some(ss),
-                targets: None,
-            },
-            SourceSpec::Target(t) => HeadBindings {
-                sources: None,
-                targets: Some(std::slice::from_ref(t)),
-            },
-            SourceSpec::Targets(ts) => HeadBindings {
-                sources: None,
-                targets: Some(ts),
-            },
-            SourceSpec::Pair { source, target } => HeadBindings {
-                sources: Some(std::slice::from_ref(source)),
-                targets: Some(std::slice::from_ref(target)),
-            },
-            SourceSpec::Matrix { sources, targets } => HeadBindings {
-                sources: Some(sources),
-                targets: Some(targets),
-            },
-            SourceSpec::Conjunctive { sources, targets } => HeadBindings {
-                sources: sources.as_deref(),
-                targets: targets.as_deref(),
-            },
+        // An oid that is no object of the graph binds nothing.
+        let nv = graph.num_nodes();
+        let (sources, targets) = req.spec.endpoints();
+        let sources = sources.map(|os| live_oids(os, nv));
+        let targets = targets.map(|os| live_oids(os, nv));
+        let heads = HeadBindings {
+            sources: sources.as_deref(),
+            targets: targets.as_deref(),
         };
         let (plan, hit) = self.crpq_plan(
             crpq,
@@ -1289,6 +716,15 @@ impl<E> PlannedEngine<E> {
         resp.stats.plan_cache_hits += usize::from(hit);
         resp.stats.plan_cache_misses += usize::from(!hit);
         resp
+    }
+}
+
+/// Sequential default-hybrid search options carrying `plan`'s
+/// finite-language depth cap.
+fn sequential(plan: &Plan) -> SearchOpts<'static> {
+    SearchOpts {
+        depth_cap: plan.facts.max_word_len,
+        ..SearchOpts::default()
     }
 }
 
@@ -1337,24 +773,16 @@ impl<E: Engine> Engine for PlannedEngine<E> {
     /// with no constraints it is identical unconditionally.
     fn eval(&self, query: &Query, graph: &CsrGraph, source: Oid) -> EvalResult {
         let (plan, hit) = self.plan_status(query.regex(), query.alphabet(), graph);
-        if plan.facts.statically_empty {
-            return self.empty_result(&plan, hit);
-        }
-        // Finite-language fast path: the longest accepted word bounds the
-        // product BFS depth exactly, so the bounded search beats any
-        // unbounded strategy the inner engine might pick.
-        if let Some(cap) = plan.facts.max_word_len {
-            let mut scratch = self.scratch.checkout();
-            let mut res = eval_product_bounded_csr_with(
-                plan.query.nfa(),
-                graph,
-                source,
-                cap,
-                FrontierMode::Hybrid,
-                &mut scratch,
-            );
-            self.stamp(&mut res.stats, &plan, hit);
-            return res;
+        // Statically empty plans answer without the graph; for a finite
+        // language the longest accepted word bounds the product BFS depth
+        // exactly, so the bounded search beats any unbounded strategy the
+        // inner engine might pick.
+        if plan.facts.statically_empty || plan.facts.max_word_len.is_some() {
+            let spec = SourceSpec::Source(source);
+            let opts = sequential(&plan);
+            return self
+                .execute(&plan, hit, graph, &spec, plan.direction, &opts)
+                .into_eval_result();
         }
         let mut res = self.inner.eval(&plan.query, graph, source);
         self.stamp(&mut res.stats, &plan, hit);
@@ -1386,46 +814,15 @@ impl<E: Engine> Engine for PlannedEngine<E> {
         PlannedEngine::eval_to(self, query, graph, target)
     }
 
-    /// One plan serves the whole multi-target batch. The unbounded path
-    /// runs the bit-parallel backward wave
-    /// ([`rpq_core::eval_product_to_batch_csr_with`]) with the plan's
-    /// cached reversed automaton — waves of up to 64 target lanes, one
-    /// reverse-row pass advancing every pending target at once. Finite
-    /// languages keep the per-target bounded loop (the exact depth cap
-    /// beats lane sharing on short words).
+    /// One plan serves the whole multi-target batch, sequentially in the
+    /// default hybrid mode: the unbounded path runs the bit-parallel
+    /// backward wave with the plan's cached reversed automaton — waves of
+    /// up to 64 target lanes, one reverse-row pass advancing every pending
+    /// target at once; finite languages keep the per-target bounded loop
+    /// (the exact depth cap beats lane sharing on short words).
     fn eval_to_batch(&self, query: &Query, graph: &CsrGraph, targets: &[Oid]) -> BatchResult {
-        let (plan, hit) = self.plan_status(query.regex(), query.alphabet(), graph);
-        let mut stats = EvalStats::default();
-        if plan.facts.statically_empty {
-            self.stamp(&mut stats, &plan, hit);
-            return BatchResult::from_per_source(vec![Vec::new(); targets.len()], stats);
-        }
-        let mut scratch = self.scratch.checkout();
-        match plan.facts.max_word_len {
-            Some(cap) => {
-                let mut per_target = Vec::with_capacity(targets.len());
-                for &t in targets {
-                    let r = eval_product_bounded_backward_reversed_csr_with(
-                        &plan.reversed,
-                        graph,
-                        t,
-                        cap,
-                        FrontierMode::Hybrid,
-                        &mut scratch,
-                    );
-                    stats.merge(&r.stats);
-                    per_target.push(r.answers);
-                }
-                self.stamp(&mut stats, &plan, hit);
-                BatchResult::from_per_source(per_target, stats)
-            }
-            None => {
-                let mut res =
-                    eval_product_to_batch_csr_with(&plan.reversed, graph, targets, &mut scratch);
-                self.stamp(&mut res.stats, &plan, hit);
-                res
-            }
-        }
+        self.eval_spec(query, graph, SourceSpec::Targets(targets.to_vec()))
+            .into_batch()
     }
 }
 
@@ -1433,7 +830,7 @@ impl<E: Engine> Engine for PlannedEngine<E> {
 mod tests {
     use super::*;
     use rpq_automata::parse_regex;
-    use rpq_core::ProductEngine;
+    use rpq_core::{EvalScratch, ProductEngine, Termination};
     use rpq_graph::{DeltaGraph, Instance, InstanceBuilder};
 
     /// The shared T5 cached workload (`rpq_bench::distributed_workload`):
@@ -1565,7 +962,17 @@ mod tests {
 
         let (s, t) = (names["s"], names["t"]);
         let planned_pair = planned.eval_pair(&query, &graph, s, t);
-        let forced_forward = rpq_core::eval_product_pair_forward_csr(query.nfa(), &graph, s, t);
+        let forced_forward = rpq_core::search_pair(
+            query.nfa(),
+            &query.nfa().reverse(),
+            &graph,
+            s,
+            t,
+            Direction::Forward,
+            &SearchOpts::default(),
+            &mut EvalScratch::new(),
+        )
+        .0;
         assert!(planned_pair.reachable && forced_forward.reachable);
         assert_eq!(planned_pair.stats.plan_direction, Some(Direction::Backward));
         assert!(

@@ -94,17 +94,13 @@ mod tests {
     use std::sync::Arc;
 
     use rpq_automata::Alphabet;
-    use rpq_core::{
-        eval_product_csr_with, EvalRequest, EvalScratch, FrontierMode, Query, SourceSpec,
-        Termination,
-    };
+    use rpq_core::{eval_product_csr, EvalRequest, Query, SourceSpec, Termination};
     use rpq_graph::{CompactionPolicy, DeltaGraph, EdgeDelta, InstanceBuilder, Oid};
 
     /// Exhaustive single-source answers over a pinned view, for soundness
     /// oracles.
     fn full_answers(q: &Query, view: &DeltaGraph, source: Oid) -> Vec<Oid> {
-        let mut scratch = EvalScratch::new();
-        eval_product_csr_with(q.nfa(), view, source, FrontierMode::Hybrid, &mut scratch).answers
+        eval_product_csr(q.nfa(), view, source).answers
     }
 
     /// A ring with a hub: n0 → n1 → … → n7 → n0 on `a`, hub edges on `b`.
@@ -265,7 +261,12 @@ mod tests {
         let server = Server::new(catalog, ab);
         let session = server.session();
         let q = server.parse("a.a").unwrap();
-        let handles: Vec<_> = nodes
+        // Planning runs unlocked, so concurrent first probes may each
+        // compile the plan: let one query finish planning before the
+        // fan-out.
+        let first = session.submit(&q, EvalRequest::source(nodes[0])).unwrap();
+        assert!(first.join().termination.is_complete());
+        let handles: Vec<_> = nodes[1..]
             .iter()
             .map(|&s| session.submit(&q, EvalRequest::source(s)).unwrap())
             .collect();
@@ -462,5 +463,116 @@ mod tests {
         // the pinned session still answers from its epoch, bit-for-bit
         let again = session.run(&q, &EvalRequest::source(nodes[0]));
         assert_eq!(again.nodes().unwrap(), baseline.nodes().unwrap());
+    }
+
+    /// An oid that is no object of the snapshot is not an error and not a
+    /// panic: it seeds no search and is dropped from target and bound
+    /// sets, its item answers empty, valid items answer exactly, the
+    /// termination stays `Complete`, and the admission slot is released.
+    #[test]
+    fn out_of_range_oids_answer_empty_for_every_request_shape() {
+        use rpq_core::eval_oracle;
+
+        let mut ab = Alphabet::new();
+        let mut b = InstanceBuilder::new(&mut ab);
+        for i in 0..8 {
+            b.edge(&format!("n{i}"), "a", &format!("n{}", (i + 1) % 8));
+            b.edge("hub", "b", &format!("n{i}"));
+        }
+        let (inst, names) = b.finish();
+        assert_eq!(inst.num_nodes(), 9);
+        let (ok, also_ok) = (names["n0"], names["n3"]);
+        let (bad, worse) = (Oid(1000), Oid(u32::MAX));
+        let server = Server::new(Arc::new(Catalog::from_instance(&inst)), ab);
+        let session = server.session();
+        let text = "a.a*";
+        let nfa = server.parse(text).unwrap().nfa().clone();
+        // p(o, I) by definition; every ring node reaches the whole ring
+        let oracle = |s: Oid| eval_oracle(&nfa, &inst, s, None);
+        assert_eq!(oracle(ok).len(), 8);
+        let run = |spec: SourceSpec| {
+            let resp = session.submit_text(text, spec).unwrap().join();
+            assert_eq!(resp.termination, Termination::Complete);
+            resp
+        };
+
+        assert!(run(SourceSpec::Source(worse)).nodes().unwrap().is_empty());
+        assert!(run(SourceSpec::Target(bad)).nodes().unwrap().is_empty());
+
+        let resp = run(SourceSpec::Sources(vec![ok, bad, also_ok]));
+        let per = resp.batch().unwrap().per_source().unwrap();
+        assert_eq!(per.len(), 3, "alignment with the request survives");
+        assert_eq!(per[0], oracle(ok));
+        assert!(per[1].is_empty());
+        assert_eq!(per[2], oracle(also_ok));
+
+        let resp = run(SourceSpec::Targets(vec![worse, ok]));
+        let per = resp.batch().unwrap().per_source().unwrap();
+        assert!(per[0].is_empty());
+        assert_eq!(per[1], oracle(ok), "on a ring, reaching = reached");
+
+        for (source, target) in [(ok, bad), (worse, ok), (bad, worse)] {
+            let resp = run(SourceSpec::Pair { source, target });
+            assert_eq!(resp.reachable(), Some(false));
+        }
+        assert_eq!(
+            run(SourceSpec::Pair {
+                source: ok,
+                target: also_ok
+            })
+            .reachable(),
+            Some(true)
+        );
+
+        let resp = run(SourceSpec::Matrix {
+            sources: vec![bad, ok],
+            targets: vec![also_ok, worse, ok],
+        });
+        let m = resp.matrix().unwrap();
+        assert_eq!((m.sources().len(), m.targets().len()), (2, 3));
+        let row = |i: usize| (0..3).map(|j| m.reachable(i, j)).collect::<Vec<_>>();
+        assert_eq!(row(0), [false, false, false]);
+        assert_eq!(row(1), [true, false, true]);
+
+        let from_ok: Vec<(Oid, Oid)> = oracle(ok).into_iter().map(|t| (ok, t)).collect();
+        let resp = run(SourceSpec::Conjunctive {
+            sources: Some(vec![bad, ok]),
+            targets: None,
+        });
+        assert_eq!(resp.bindings().unwrap(), from_ok);
+        let resp = run(SourceSpec::Conjunctive {
+            sources: Some(vec![ok, worse]),
+            targets: Some(vec![bad, also_ok]),
+        });
+        assert_eq!(resp.bindings().unwrap(), [(ok, also_ok)]);
+        let resp = run(SourceSpec::Conjunctive {
+            sources: None,
+            targets: Some(vec![worse]),
+        });
+        assert!(resp.bindings().unwrap().is_empty());
+
+        // the same through the conjunctive executor (head restrictions)
+        let crpq = server
+            .parse_crpq("ans(x, z) :- x -[a]-> y, y -[a*]-> z")
+            .unwrap();
+        let submit = |spec: SourceSpec| {
+            let handle = session.submit_crpq(&crpq, EvalRequest::new(spec)).unwrap();
+            let resp = handle.join();
+            assert_eq!(resp.termination, Termination::Complete);
+            resp
+        };
+        let resp = submit(SourceSpec::Sources(vec![bad, ok]));
+        assert_eq!(resp.bindings().unwrap(), from_ok);
+        assert!(submit(SourceSpec::Source(worse))
+            .bindings()
+            .unwrap()
+            .is_empty());
+        let resp = submit(SourceSpec::Matrix {
+            sources: vec![ok, bad],
+            targets: vec![worse, also_ok],
+        });
+        assert_eq!(resp.bindings().unwrap(), [(ok, also_ok)]);
+
+        assert_eq!(server.active_queries(), 0, "every admission slot came back");
     }
 }

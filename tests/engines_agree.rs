@@ -12,8 +12,9 @@ use rand::SeedableRng;
 use rpq::automata::random::{random_regex, RegexGenConfig};
 use rpq::automata::{Alphabet, Nfa, Regex, Symbol};
 use rpq::core::{
-    eval_derivative, eval_oracle, eval_product, eval_quotient_dfa, DerivativeEngine, Engine,
-    OracleEngine, ProductEngine, Query, QuotientDfaEngine, StreamingEngine,
+    eval_derivative, eval_oracle, eval_product, eval_quotient_dfa, search_nodes, DerivativeEngine,
+    Engine, EvalScratch, OracleEngine, ProductEngine, Query, QuotientDfaEngine, SearchOpts,
+    StreamingEngine,
 };
 use rpq::datalog::engine::{eval_naive, eval_seminaive};
 use rpq::datalog::translate::{load_instance, translate_quotient, translate_states};
@@ -428,7 +429,7 @@ proptest! {
     /// must appear.
     #[test]
     fn analyzed_queries_answer_like_unanalyzed_originals(seed in 0u64..10_000) {
-        use rpq::core::{eval_product_backward_reversed_csr, eval_product_csr, eval_to};
+        use rpq::core::{eval_product_csr, eval_to};
         use rpq::graph::DeltaGraph;
         use rpq::optimizer::PlannedEngine;
 
@@ -482,7 +483,7 @@ proptest! {
             );
             prop_assert_eq!(
                 planned.eval_to(&query, &dg, s).answers,
-                eval_product_backward_reversed_csr(&rev, &dg, s).answers,
+                search_nodes(&rev, &dg, s, &SearchOpts { reverse_adj: true, ..SearchOpts::default() }, &mut EvalScratch::new()).0.answers,
                 "delta backward at {:?}", s
             );
         }

@@ -15,9 +15,9 @@ use rand::SeedableRng;
 use rpq::automata::random::{random_regex, RegexGenConfig};
 use rpq::automata::{Alphabet, Nfa, Regex, Symbol};
 use rpq::core::{
-    eval_product_backward_reversed_csr_with, eval_product_csr, eval_product_csr_with, eval_to,
-    DerivativeEngine, Engine, EvalScratch, FrontierMode, OracleEngine, ProductEngine, Query,
-    QuotientDfaEngine, ScratchPool, StreamingEngine,
+    eval_product_csr, eval_to, search_nodes, DerivativeEngine, Engine, EvalScratch, FrontierMode,
+    OracleEngine, ProductEngine, Query, QuotientDfaEngine, ScratchPool, SearchOpts,
+    StreamingEngine,
 };
 use rpq::datalog::{DatalogMagicEngine, DatalogNaiveEngine, DatalogSeminaiveEngine};
 use rpq::distributed::{PartitionedBatchEngine, SimulatorEngine};
@@ -71,7 +71,17 @@ fn modes_forward<G: GraphView>(nfa: &Nfa, graph: &G, source: Oid) -> Vec<Oid> {
     let mut sparse_edges = 0usize;
     for mode in MODES {
         let mut scratch = EvalScratch::new();
-        let res = eval_product_csr_with(nfa, graph, source, mode, &mut scratch);
+        let res = search_nodes(
+            nfa,
+            graph,
+            source,
+            &SearchOpts {
+                mode,
+                ..SearchOpts::default()
+            },
+            &mut scratch,
+        )
+        .0;
         match mode {
             FrontierMode::ForcedSparse => sparse_edges = res.stats.edges_scanned,
             FrontierMode::Hybrid => assert!(
@@ -95,8 +105,18 @@ fn modes_backward<G: GraphView>(reversed: &Nfa, graph: &G, target: Oid) -> Vec<O
     let mut answers: Option<Vec<Oid>> = None;
     for mode in MODES {
         let mut scratch = EvalScratch::new();
-        let res =
-            eval_product_backward_reversed_csr_with(reversed, graph, target, mode, &mut scratch);
+        let res = search_nodes(
+            reversed,
+            graph,
+            target,
+            &SearchOpts {
+                reverse_adj: true,
+                mode,
+                ..SearchOpts::default()
+            },
+            &mut scratch,
+        )
+        .0;
         match &answers {
             None => answers = Some(res.answers),
             Some(a) => assert_eq!(a, &res.answers, "{mode:?} diverges to {target:?}"),
@@ -179,7 +199,7 @@ fn scratch_pool_reuse_across_interleaved_shapes() {
     ];
     for (i, ((graph, nfa, src), expect_warm)) in schedule.iter().enumerate() {
         let mut scratch = pool.checkout();
-        let res = eval_product_csr_with(nfa, graph, *src, FrontierMode::Hybrid, &mut scratch);
+        let res = search_nodes(nfa, graph, *src, &SearchOpts::default(), &mut scratch).0;
         assert_eq!(
             res.answers,
             eval_product_csr(nfa, graph, *src).answers,

@@ -11,7 +11,7 @@ use rand::rngs::StdRng;
 use rand::{Rng as _, SeedableRng};
 
 use rpq::automata::random::{random_regex, RegexGenConfig};
-use rpq::automata::{Alphabet, Nfa, Symbol};
+use rpq::automata::{Alphabet, Symbol};
 use rpq::core::{eval_product_csr, eval_quotient_dfa_csr, ProductEngine, Query};
 use rpq::graph::generators::random_graph;
 use rpq::graph::{CsrGraph, DeltaGraph, EdgeDelta, Instance, Oid};
@@ -153,10 +153,9 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed ^ 0xbac);
         let cfg = RegexGenConfig::new(syms.clone());
         let query = Query::new(random_regex(&mut rng, &cfg), &ab);
-        let nfa = Nfa::thompson(query.regex());
         for t in rebuilt.nodes() {
-            let over = rpq::core::eval_product_backward_csr(&nfa, &dg, t).answers;
-            let full = rpq::core::eval_product_backward_csr(&nfa, &rebuilt, t).answers;
+            let over = rpq::core::eval_to(&query, &dg, t).answers;
+            let full = rpq::core::eval_to(&query, &rebuilt, t).answers;
             prop_assert_eq!(over, full, "backward from {:?}", t);
         }
     }

@@ -1,0 +1,635 @@
+//! Golden work counters: "bit-identical" made executable.
+//!
+//! Every request shape × control × frontier mode × degree of parallelism is
+//! driven through the three entry points the serving path uses —
+//! `PlannedEngine::run_view`, `Engine::run` on `ProductEngine`, and
+//! `execute_join_parallel` — over seeded graphs (flat CSR snapshots and
+//! post-delta `DeltaGraph` overlays), and the answers hash, `termination`,
+//! `edges_scanned`, `pairs_visited`, `push_levels`, `pull_levels`,
+//! `frontier_peak`, `threads_used` and `parallel_levels` of each run are
+//! compared with `tests/fixtures/kernel_golden.txt`. Only the
+//! scheduling-dependent `steal_count` (and pool-dependent `scratch_reused`)
+//! are left out.
+//!
+//! The fixture was generated before the kernels were collapsed into one
+//! driver and is committed unchanged; a kernel refactor that moves any
+//! counter on any request fails here. Regenerate (only when a counter is
+//! *meant* to move) with `KERNEL_GOLDEN_BLESS=1 cargo test --test kernel_golden`.
+//!
+//! A budgeted run whose levels fan out across threads trips at a
+//! scheduling-dependent row, so budgets are recorded only for runs that trip
+//! (or finish) with `parallel_levels == 0`.
+
+use std::fmt::Write as _;
+use std::sync::atomic::AtomicBool;
+use std::sync::Arc;
+
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+
+use rpq::automata::{Alphabet, Symbol};
+use rpq::core::{
+    Answers, Engine, EvalControl, EvalRequest, EvalResponse, EvalScratch, EvalStats, FrontierMode,
+    ProductEngine, Query, ScratchPool, SourceSpec, Termination,
+};
+use rpq::graph::generators::random_graph;
+use rpq::graph::{CsrGraph, DeltaGraph, GraphView, Instance, Oid};
+use rpq::optimizer::{
+    execute_join_parallel, parse_crpq, plan_join, HeadBindings, PlannedEngine, PlannerConfig,
+};
+
+const FIXTURE: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/fixtures/kernel_golden.txt"
+);
+
+const MODES: [(char, FrontierMode); 4] = [
+    ('S', FrontierMode::ForcedSparse),
+    ('D', FrontierMode::ForcedDense),
+    ('H', FrontierMode::Hybrid),
+    ('T', FrontierMode::HybridTuned { pull_discount: 64 }),
+];
+
+/// ε-accepting, finite (depth-capped by the planner), closure, and
+/// union-heavy queries over the labels `a`, `b`, `c`.
+const QUERIES: [&str; 12] = [
+    "()",
+    "a*",
+    "a",
+    "a.b",
+    "a.(b+c).a",
+    "(a+b).(a+b).(a+b)",
+    "a.b*",
+    "(a.b)*",
+    "(a+b+c)*",
+    "(a.b+c)*.a",
+    "(a+b).(b+c)*.(a+c)",
+    "(a.b.c+b.a+c.c+a.c)*",
+];
+
+/// Run on the mid graph: fifteen labeled transitions each, so the
+/// planner's edge-mass estimate clears `PAR_LEVEL_THRESHOLD` and workers are
+/// granted although few levels are expensive enough to use them. One
+/// closure, one finite language (cap above `decide_dop`'s cutoff), one mixed.
+const MID_QUERIES: [&str; 3] = [
+    "(a.b.c.a.b.c+a.c.b+b.a.c+c.c.a)*",
+    "(a+b+c).(a+b+c).(a+b+c).(a+b+c).(a+b+c)",
+    "(a.b+c)*.(a+b+c).(a+b+c).(a.b.c+b.a+c)*",
+];
+
+/// Run on the big graph, where levels and waves fan out.
+const BIG_QUERIES: [&str; 3] = [
+    "(a+b+c)*",
+    "(a.b.c+a.c+b.a+c.b)*",
+    "(a+b).(a+b).(a+b).(a+c)",
+];
+
+const CRPQS: [&str; 3] = [
+    "ans(x, z) :- x -[a]-> y, y -[b*]-> z",
+    "ans(x, w) :- x -[(a+b)*]-> y, y -[c]-> z, z -[a+b]-> w",
+    "ans(x, y) :- x -[a.b]-> y, y -[(b+c)*]-> x",
+];
+
+fn fnv(h: &mut u64, x: u64) {
+    for b in x.to_le_bytes() {
+        *h ^= u64::from(b);
+        *h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+}
+
+fn hash_oids(h: &mut u64, oids: &[Oid]) {
+    fnv(h, oids.len() as u64);
+    for o in oids {
+        fnv(h, u64::from(o.0));
+    }
+}
+
+fn hash_pairs(h: &mut u64, pairs: &[(Oid, Oid)]) {
+    fnv(h, pairs.len() as u64);
+    for &(s, t) in pairs {
+        fnv(h, u64::from(s.0));
+        fnv(h, u64::from(t.0));
+    }
+}
+
+fn hash_answers(answers: &Answers) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    match answers {
+        Answers::Nodes(ns) => {
+            fnv(&mut h, 1);
+            hash_oids(&mut h, ns);
+        }
+        Answers::Batch(b) => {
+            fnv(&mut h, 2);
+            hash_oids(&mut h, b.union());
+            for per in b.per_source().unwrap_or(&[]) {
+                hash_oids(&mut h, per);
+            }
+        }
+        Answers::Reachable(r) => {
+            fnv(&mut h, 3);
+            fnv(&mut h, u64::from(*r));
+        }
+        Answers::Matrix(m) => {
+            fnv(&mut h, 4);
+            for i in 0..m.sources().len() {
+                for j in 0..m.targets().len() {
+                    fnv(&mut h, u64::from(m.reachable(i, j)));
+                }
+            }
+        }
+        Answers::Bindings(bs) => {
+            fnv(&mut h, 5);
+            hash_pairs(&mut h, bs);
+        }
+    }
+    h
+}
+
+fn term_char(t: Termination) -> char {
+    match t {
+        Termination::Complete => 'C',
+        Termination::BudgetExhausted => 'B',
+        Termination::Cancelled => 'X',
+    }
+}
+
+fn record(hash: u64, term: Termination, s: &EvalStats) -> String {
+    format!(
+        "{hash:016x},{},{},{},{},{},{},{},{}",
+        term_char(term),
+        s.edges_scanned,
+        s.pairs_visited,
+        s.push_levels,
+        s.pull_levels,
+        s.frontier_peak,
+        s.threads_used,
+        s.parallel_levels
+    )
+}
+
+fn record_response(resp: &EvalResponse) -> String {
+    record(hash_answers(&resp.answers), resp.termination, &resp.stats)
+}
+
+/// One fixture line: the four modes' records, collapsed to `*:` when the
+/// kernel ignored the mode.
+fn emit(out: &mut String, key: &str, per_mode: &[String]) {
+    if per_mode.windows(2).all(|w| w[0] == w[1]) {
+        let _ = writeln!(out, "{key} *:{}", per_mode[0]);
+    } else {
+        let _ = write!(out, "{key}");
+        for ((c, _), rec) in MODES.iter().zip(per_mode) {
+            let _ = write!(out, " {c}:{rec}");
+        }
+        out.push('\n');
+    }
+}
+
+fn seeded(seed: u64, nodes: usize, edges: usize) -> (Alphabet, Instance) {
+    let ab = Alphabet::from_names(["a", "b", "c"]);
+    let syms: Vec<Symbol> = ab.symbols().collect();
+    let mut rng = StdRng::seed_from_u64(seed);
+    let (inst, _) = random_graph(&mut rng, nodes, edges, &syms);
+    (ab, inst)
+}
+
+/// A post-delta epoch: a handful of inserts and deletes over the frozen
+/// base, so the overlay adjacency (not just the flat CSR) is on record.
+fn post_delta(inst: &Instance, ab: &Alphabet) -> DeltaGraph {
+    let mut dg = DeltaGraph::from_instance(inst);
+    let syms: Vec<Symbol> = ab.symbols().collect();
+    let n = dg.num_nodes() as u32;
+    for i in 0..8u32 {
+        dg.add_edge(Oid(i * 5 % n), syms[i as usize % 3], Oid((i * 11 + 3) % n));
+    }
+    let doomed: Vec<(Oid, Symbol, Oid)> = dg.edges().step_by(17).take(6).collect();
+    for (f, l, t) in doomed {
+        dg.delete_edge(f, l, t);
+    }
+    dg
+}
+
+fn picks(n: usize, count: usize, stride: usize, offset: usize) -> Vec<Oid> {
+    (0..count)
+        .map(|i| Oid(((i * stride + offset) % n) as u32))
+        .collect()
+}
+
+/// Every `SourceSpec` shape over an `n`-node graph. `many` seeds span more
+/// than one 64-lane wave; `free_conj` adds the all-free conjunctive form
+/// (every candidate node seeds a lane — kept off the big graphs).
+fn shapes(n: usize, many: usize, free_conj: bool) -> Vec<(&'static str, SourceSpec)> {
+    let srcs = picks(n, many, 7, 0);
+    let tgts = picks(n, many, 5, 2);
+    let few_s = picks(n, 9, 3, 1);
+    let few_t = picks(n, 6, 11, 4);
+    let mut v = vec![
+        ("source", SourceSpec::Source(Oid(0))),
+        ("target", SourceSpec::Target(Oid((n / 2) as u32))),
+        ("sources", SourceSpec::Sources(srcs.clone())),
+        ("targets", SourceSpec::Targets(tgts.clone())),
+        (
+            "pair",
+            SourceSpec::Pair {
+                source: Oid(0),
+                target: Oid((n / 3) as u32),
+            },
+        ),
+        (
+            "pair-self",
+            SourceSpec::Pair {
+                source: Oid(1),
+                target: Oid(1),
+            },
+        ),
+        (
+            "matrix",
+            SourceSpec::Matrix {
+                sources: few_s.clone(),
+                targets: few_t.clone(),
+            },
+        ),
+        (
+            "conj-s",
+            SourceSpec::Conjunctive {
+                sources: Some(srcs),
+                targets: None,
+            },
+        ),
+        (
+            "conj-t",
+            SourceSpec::Conjunctive {
+                sources: None,
+                targets: Some(tgts),
+            },
+        ),
+        (
+            "conj-st",
+            SourceSpec::Conjunctive {
+                sources: Some(few_s),
+                targets: Some(few_t),
+            },
+        ),
+    ];
+    if free_conj {
+        v.push((
+            "conj-free",
+            SourceSpec::Conjunctive {
+                sources: None,
+                targets: None,
+            },
+        ));
+    }
+    v
+}
+
+const UNREACHABLE_BUDGET: usize = usize::MAX >> 2;
+
+/// Which controlled runs a sweep records beside `none` and `cancel`.
+#[derive(Copy, Clone, PartialEq)]
+enum Budgets {
+    /// None (the run would fan out and trip at a scheduling-dependent row).
+    Off,
+    /// 25 % and 50 % of the uncontrolled run's `edges_scanned`.
+    Quarters,
+    /// `Quarters`, plus the controlled path run to completion.
+    QuartersAndFull,
+}
+
+/// Run one (runner, spec) under every control and mode and append the
+/// fixture lines.
+fn sweep_controls(
+    out: &mut String,
+    key: &str,
+    spec: &SourceSpec,
+    budgets: Budgets,
+    run: &mut dyn FnMut(&EvalRequest) -> EvalResponse,
+) {
+    let base = |mode: FrontierMode| EvalRequest::new(spec.clone()).with_frontier_mode(mode);
+
+    let free: Vec<EvalResponse> = MODES.iter().map(|&(_, m)| run(&base(m))).collect();
+    // Uncontrolled answers are exact in every mode: one hash.
+    for r in &free {
+        assert_eq!(
+            hash_answers(&r.answers),
+            hash_answers(&free[0].answers),
+            "{key}: uncontrolled answers differ between frontier modes"
+        );
+        assert_eq!(r.termination, Termination::Complete, "{key}");
+    }
+    let recs: Vec<String> = free.iter().map(record_response).collect();
+    emit(out, &format!("{key} none"), &recs);
+
+    let cancelled: Vec<String> = MODES
+        .iter()
+        .map(|&(_, m)| {
+            let flag = Arc::new(AtomicBool::new(true));
+            record_response(&run(&base(m).with_cancel(flag)))
+        })
+        .collect();
+    emit(out, &format!("{key} cancel"), &cancelled);
+
+    if budgets == Budgets::QuartersAndFull {
+        let recs: Vec<String> = MODES
+            .iter()
+            .map(|&(_, m)| {
+                let r = run(&base(m).with_budget(UNREACHABLE_BUDGET));
+                assert_eq!(
+                    hash_answers(&r.answers),
+                    hash_answers(&free[0].answers),
+                    "{key}: a never-binding budget changed the answers"
+                );
+                record_response(&r)
+            })
+            .collect();
+        emit(out, &format!("{key} full"), &recs);
+    }
+    if budgets == Budgets::Off {
+        return;
+    }
+    for (name, num) in [("b25", 1usize), ("b50", 2)] {
+        let recs: Vec<String> = MODES
+            .iter()
+            .zip(&free)
+            .map(|(&(_, m), f)| {
+                let budget = f.stats.edges_scanned * num / 4;
+                let r = run(&base(m).with_budget(budget));
+                assert!(r.stats.edges_scanned <= budget, "{key} {name}: over budget");
+                if r.stats.parallel_levels > 0 {
+                    // A level fanned out before the budget tripped: the
+                    // tripping row depends on worker interleaving. (Whether
+                    // a run gets that far does not: it is sequential up to
+                    // its first fanned-out level.)
+                    return "fanned-out".to_string();
+                }
+                record_response(&r)
+            })
+            .collect();
+        emit(out, &format!("{key} {name}"), &recs);
+    }
+}
+
+fn planned(ab: &Alphabet, dop: usize) -> PlannedEngine<ProductEngine> {
+    PlannedEngine::unconstrained(ProductEngine, ab.clone()).with_config(PlannerConfig {
+        parallelism: dop,
+        ..PlannerConfig::default()
+    })
+}
+
+/// `PlannedEngine::run_view` over one graph. Where workers can be granted
+/// (`dop > 1`) every request gets a new engine (plan memo, scratch pool,
+/// worker pool), so no arena is shared between requests.
+#[allow(clippy::too_many_arguments)]
+fn sweep_planned<G: GraphView + Sync>(
+    out: &mut String,
+    gname: &str,
+    ab: &Alphabet,
+    graph: &G,
+    queries: &[&str],
+    specs: &[(&'static str, SourceSpec)],
+    dops: &[usize],
+    budgets: Budgets,
+) {
+    for &dop in dops {
+        for qs in queries {
+            let mut qab = ab.clone();
+            let query = Query::parse(&mut qab, qs).unwrap();
+            let shared = planned(ab, dop);
+            for (sname, spec) in specs {
+                let key = format!("planned {gname} dop={dop} [{qs}] {sname}");
+                sweep_controls(out, &key, spec, budgets, &mut |req| {
+                    if dop > 1 {
+                        planned(ab, dop).run_view(&query, graph, req)
+                    } else {
+                        shared.run_view(&query, graph, req)
+                    }
+                });
+            }
+        }
+    }
+}
+
+fn sweep_product(
+    out: &mut String,
+    gname: &str,
+    ab: &Alphabet,
+    graph: &CsrGraph,
+    specs: &[(&'static str, SourceSpec)],
+) {
+    for qs in QUERIES {
+        let mut qab = ab.clone();
+        let query = Query::parse(&mut qab, qs).unwrap();
+        for (sname, spec) in specs {
+            let key = format!("product {gname} [{qs}] {sname}");
+            sweep_controls(out, &key, spec, Budgets::QuartersAndFull, &mut |req| {
+                ProductEngine.run(&query, graph, req)
+            });
+        }
+    }
+}
+
+/// `execute_join_parallel` over one graph: three CRPQs × free / source-bound
+/// / both-bound heads. Controlled atoms run the per-seed loop at dop 1, so
+/// budgets trip deterministically at every dop.
+fn sweep_join<G: GraphView + Sync>(
+    out: &mut String,
+    gname: &str,
+    ab: &Alphabet,
+    graph: &G,
+    dops: &[usize],
+) {
+    let n = graph.num_nodes();
+    let srcs = picks(n, 70, 7, 0);
+    let few_s = picks(n, 9, 3, 1);
+    let few_t = picks(n, 6, 11, 4);
+    let heads: [(&str, HeadBindings<'_>); 3] = [
+        ("free", HeadBindings::default()),
+        (
+            "src",
+            HeadBindings {
+                sources: Some(&srcs),
+                targets: None,
+            },
+        ),
+        (
+            "both",
+            HeadBindings {
+                sources: Some(&few_s),
+                targets: Some(&few_t),
+            },
+        ),
+    ];
+    for text in CRPQS {
+        let mut qab = ab.clone();
+        let crpq = parse_crpq(&mut qab, text).unwrap();
+        for (hname, head) in heads {
+            let order = plan_join(
+                &crpq,
+                graph.stats(),
+                &PlannerConfig::default(),
+                head.sources.is_some(),
+                head.targets.is_some(),
+            )
+            .order;
+            for &dop in dops {
+                let key = format!("join {gname} dop={dop} [{text}] {hname}");
+                let run = |mode: FrontierMode, control: &EvalControl<'_>| {
+                    let pool = ScratchPool::with_capacity(8);
+                    let mut scratch = EvalScratch::new();
+                    let res = execute_join_parallel(
+                        &crpq,
+                        &order,
+                        graph,
+                        head,
+                        mode,
+                        control,
+                        dop,
+                        &pool,
+                        &mut scratch,
+                    );
+                    let mut h = 0xcbf2_9ce4_8422_2325u64;
+                    hash_pairs(&mut h, &res.pairs);
+                    for a in &res.stats.atoms {
+                        fnv(&mut h, a.atom as u64);
+                        fnv(&mut h, a.edges_scanned as u64);
+                        fnv(&mut h, a.bindings as u64);
+                    }
+                    (record(h, res.termination, &res.stats), res.stats)
+                };
+                let budgeted = |budget: usize| EvalControl {
+                    budget: Some(budget),
+                    cancel: None,
+                };
+                let flag = AtomicBool::new(true);
+                let cancel = EvalControl {
+                    budget: None,
+                    cancel: Some(&flag),
+                };
+                let (mut none, mut cancelled, mut full) = (Vec::new(), Vec::new(), Vec::new());
+                let (mut b25, mut b50) = (Vec::new(), Vec::new());
+                for (_, mode) in MODES {
+                    let (rec, free) = run(mode, &EvalControl::UNLIMITED);
+                    none.push(rec);
+                    cancelled.push(run(mode, &cancel).0);
+                    full.push(run(mode, &budgeted(UNREACHABLE_BUDGET)).0);
+                    for (num, recs) in [(1, &mut b25), (2, &mut b50)] {
+                        let budget = free.edges_scanned * num / 4;
+                        let (rec, stats) = run(mode, &budgeted(budget));
+                        assert!(stats.edges_scanned <= budget, "{key}: over budget");
+                        recs.push(rec);
+                    }
+                }
+                for (name, recs) in [
+                    ("none", none),
+                    ("cancel", cancelled),
+                    ("full", full),
+                    ("b25", b25),
+                    ("b50", b50),
+                ] {
+                    emit(out, &format!("{key} {name}"), &recs);
+                }
+            }
+        }
+    }
+}
+
+fn generate() -> String {
+    let mut out = String::new();
+
+    // Small graphs: every query × every shape × every control, sequential
+    // (below `decide_dop`'s threshold the planner never grants workers;
+    // `execute_join_parallel` takes its dop directly).
+    let (ab, inst) = seeded(7, 48, 190);
+    let csr = CsrGraph::from(&inst);
+    let delta = post_delta(&inst, &ab);
+    let small = shapes(48, 66, true);
+    let all = Budgets::QuartersAndFull;
+    sweep_planned(
+        &mut out,
+        "small-csr",
+        &ab,
+        &csr,
+        &QUERIES,
+        &small,
+        &[1],
+        all,
+    );
+    sweep_planned(
+        &mut out,
+        "small-delta",
+        &ab,
+        &delta,
+        &QUERIES,
+        &small,
+        &[1],
+        all,
+    );
+    sweep_product(&mut out, "small-csr", &ab, &csr, &small);
+    sweep_join(&mut out, "small-csr", &ab, &csr, &[1, 2, 4]);
+    sweep_join(&mut out, "small-delta", &ab, &delta, &[2]);
+
+    // Mid overlay: enough label mass under many-transition automata that
+    // workers are granted and 66-seed lane waves fan out, while most BFS
+    // levels are too cheap to — the dop > 1 inline path, budgets included
+    // where they trip before any level fans out.
+    let (ab, inst) = seeded(11, 300, 3600);
+    let delta = post_delta(&inst, &ab);
+    let mid = shapes(300, 66, false);
+    sweep_planned(
+        &mut out,
+        "mid-delta",
+        &ab,
+        &delta,
+        &MID_QUERIES,
+        &mid,
+        &[2, 4],
+        Budgets::Quarters,
+    );
+
+    // Big snapshot: single-search levels genuinely fan out. Few seeds per
+    // multi-item shape — answer volume, not the kernel, would dominate.
+    let (ab, inst) = seeded(13, 4000, 36000);
+    let csr = CsrGraph::from(&inst);
+    let big = shapes(4000, 3, false);
+    sweep_planned(
+        &mut out,
+        "big-csr",
+        &ab,
+        &csr,
+        &BIG_QUERIES,
+        &big,
+        &[1, 2, 4],
+        Budgets::Off,
+    );
+
+    out
+}
+
+#[test]
+fn kernel_counters_match_the_golden_fixture() {
+    let got = generate();
+    if std::env::var_os("KERNEL_GOLDEN_BLESS").is_some() {
+        std::fs::create_dir_all(std::path::Path::new(FIXTURE).parent().unwrap()).unwrap();
+        std::fs::write(FIXTURE, &got).unwrap();
+        return;
+    }
+    let want = std::fs::read_to_string(FIXTURE).expect("tests/fixtures/kernel_golden.txt");
+    let (got_lines, want_lines): (Vec<&str>, Vec<&str>) =
+        (got.lines().collect(), want.lines().collect());
+    let diffs: Vec<String> = got_lines
+        .iter()
+        .zip(&want_lines)
+        .enumerate()
+        .filter(|(_, (g, w))| g != w)
+        .map(|(i, (g, w))| format!("line {}:\n  want {w}\n  got  {g}", i + 1))
+        .collect();
+    assert!(
+        diffs.is_empty() && got_lines.len() == want_lines.len(),
+        "{} of {} golden lines differ (got {} lines); first few:\n{}",
+        diffs.len(),
+        want_lines.len(),
+        got_lines.len(),
+        diffs[..diffs.len().min(8)].join("\n")
+    );
+}

@@ -16,14 +16,8 @@ use std::sync::atomic::AtomicBool;
 use rpq::automata::random::{random_regex, RegexGenConfig};
 use rpq::automata::{Alphabet, Regex, Symbol};
 use rpq::core::{
-    eval_pairs_bound_csr_with, eval_pairs_bound_parallel_csr_with,
-    eval_pairs_from_sources_csr_with, eval_pairs_from_sources_parallel_csr_with,
-    eval_pairs_to_targets_csr_with, eval_pairs_to_targets_parallel_csr_with,
-    eval_product_backward_parallel_reversed_csr_with, eval_product_backward_reversed_csr_with,
-    eval_product_batch_csr_with, eval_product_batch_parallel_csr_with, eval_product_csr_with,
-    eval_product_parallel_csr_with, eval_product_to_batch_csr_with,
-    eval_product_to_batch_parallel_csr_with, EvalControl, EvalScratch, FrontierMode, Query,
-    ScratchPool, Termination,
+    eval_oracle, search_lanes, search_nodes, search_pairs, EvalControl, EvalScratch, FrontierMode,
+    Query, ScratchPool, SearchOpts, Termination,
 };
 use rpq::graph::generators::random_graph;
 use rpq::graph::{CsrGraph, DeltaGraph, GraphView, Instance, Oid};
@@ -82,7 +76,7 @@ proptest! {
         let dg = post_delta(&inst, &ab, seed);
         let pool = ScratchPool::with_capacity(8);
 
-        fn check<G: GraphView + Sync>(
+        fn check<G: GraphView>(
             nfa: &rpq::automata::Nfa,
             rev: &rpq::automata::Nfa,
             graph: &G,
@@ -90,21 +84,19 @@ proptest! {
             pool: &ScratchPool,
         ) -> Result<(), TestCaseError> {
             for mode in MODES {
+                let fwd_opts = SearchOpts { mode, ..SearchOpts::default() };
+                let bwd_opts = SearchOpts { reverse_adj: true, ..fwd_opts };
                 let mut seq = EvalScratch::new();
-                let fwd = eval_product_csr_with(nfa, graph, src, mode, &mut seq);
-                let bwd = eval_product_backward_reversed_csr_with(rev, graph, src, mode, &mut seq);
+                let fwd = search_nodes(nfa, graph, src, &fwd_opts, &mut seq).0;
+                let bwd = search_nodes(rev, graph, src, &bwd_opts, &mut seq).0;
                 for dop in DOPS {
                     let mut scratch = EvalScratch::new();
-                    let (res, term) = eval_product_parallel_csr_with(
-                        nfa, graph, src, None, mode, &EvalControl::UNLIMITED,
-                        dop, pool, &mut scratch,
-                    );
+                    let par = SearchOpts { dop, pool: Some(pool), ..fwd_opts };
+                    let (res, term) = search_nodes(nfa, graph, src, &par, &mut scratch);
                     prop_assert_eq!(&res.answers, &fwd.answers, "fwd {:?} dop={}", mode, dop);
                     prop_assert_eq!(term, Termination::Complete);
-                    let (res, term) = eval_product_backward_parallel_reversed_csr_with(
-                        rev, graph, src, None, mode, &EvalControl::UNLIMITED,
-                        dop, pool, &mut scratch,
-                    );
+                    let par = SearchOpts { dop, pool: Some(pool), ..bwd_opts };
+                    let (res, term) = search_nodes(rev, graph, src, &par, &mut scratch);
                     prop_assert_eq!(&res.answers, &bwd.answers, "bwd {:?} dop={}", mode, dop);
                     prop_assert_eq!(term, Termination::Complete);
                 }
@@ -130,7 +122,7 @@ proptest! {
         let dg = post_delta(&inst, &ab, seed);
         let pool = ScratchPool::with_capacity(8);
 
-        fn check<G: GraphView + Sync>(
+        fn check<G: GraphView>(
             nfa: &rpq::automata::Nfa,
             rev: &rpq::automata::Nfa,
             graph: &G,
@@ -138,33 +130,27 @@ proptest! {
         ) -> Result<(), TestCaseError> {
             let sources: Vec<Oid> = (0..graph.num_nodes() as u32).map(Oid).collect();
             let targets: Vec<Oid> = (0..graph.num_nodes() as u32).step_by(7).map(Oid).collect();
+            let fwd = SearchOpts::default();
+            let bwd = SearchOpts { reverse_adj: true, ..fwd };
             let mut seq = EvalScratch::new();
-            let batch = eval_product_batch_csr_with(nfa, graph, &sources, &mut seq);
-            let to_batch = eval_product_to_batch_csr_with(rev, graph, &targets, &mut seq);
-            let from = eval_pairs_from_sources_csr_with(nfa, graph, &sources, &mut seq);
-            let to = eval_pairs_to_targets_csr_with(rev, graph, &targets, &mut seq);
-            let bound = eval_pairs_bound_csr_with(nfa, graph, &sources, &targets, &mut seq);
+            let batch = search_lanes(nfa, graph, &sources, &fwd, &mut seq);
+            let to_batch = search_lanes(rev, graph, &targets, &bwd, &mut seq);
+            let from = search_pairs(nfa, graph, &sources, None, &fwd, &mut seq);
+            let to = search_pairs(rev, graph, &targets, None, &bwd, &mut seq);
+            let bound = search_pairs(nfa, graph, &sources, Some(&targets), &fwd, &mut seq);
             for dop in DOPS {
                 let mut scratch = EvalScratch::new();
-                let b = eval_product_batch_parallel_csr_with(
-                    nfa, graph, &sources, dop, pool, &mut scratch,
-                );
+                let fwd = SearchOpts { dop, pool: Some(pool), ..fwd };
+                let bwd = SearchOpts { dop, pool: Some(pool), ..bwd };
+                let b = search_lanes(nfa, graph, &sources, &fwd, &mut scratch);
                 prop_assert_eq!(b.per_source(), batch.per_source(), "batch dop={}", dop);
-                let t = eval_product_to_batch_parallel_csr_with(
-                    rev, graph, &targets, dop, pool, &mut scratch,
-                );
+                let t = search_lanes(rev, graph, &targets, &bwd, &mut scratch);
                 prop_assert_eq!(t.per_source(), to_batch.per_source(), "to-batch dop={}", dop);
-                let f = eval_pairs_from_sources_parallel_csr_with(
-                    nfa, graph, &sources, dop, pool, &mut scratch,
-                );
+                let f = search_pairs(nfa, graph, &sources, None, &fwd, &mut scratch);
                 prop_assert_eq!(&f.pairs, &from.pairs, "pairs-from dop={}", dop);
-                let t = eval_pairs_to_targets_parallel_csr_with(
-                    rev, graph, &targets, dop, pool, &mut scratch,
-                );
+                let t = search_pairs(rev, graph, &targets, None, &bwd, &mut scratch);
                 prop_assert_eq!(&t.pairs, &to.pairs, "pairs-to dop={}", dop);
-                let b = eval_pairs_bound_parallel_csr_with(
-                    nfa, graph, &sources, &targets, dop, pool, &mut scratch,
-                );
+                let b = search_pairs(nfa, graph, &sources, Some(&targets), &fwd, &mut scratch);
                 prop_assert_eq!(&b.pairs, &bound.pairs, "pairs-bound dop={}", dop);
             }
             Ok(())
@@ -241,14 +227,13 @@ proptest! {
         let pool = ScratchPool::with_capacity(8);
 
         let mut seq = EvalScratch::new();
-        let full = eval_product_csr_with(nfa, &graph, src, FrontierMode::Hybrid, &mut seq);
+        let full = search_nodes(nfa, &graph, src, &SearchOpts::default(), &mut seq).0;
         let control = EvalControl { budget: Some(budget), cancel: None };
         for dop in DOPS {
             for mode in MODES {
                 let mut scratch = EvalScratch::new();
-                let (res, term) = eval_product_parallel_csr_with(
-                    nfa, &graph, src, None, mode, &control, dop, &pool, &mut scratch,
-                );
+                let opts = SearchOpts { mode, control, dop, pool: Some(&pool), ..SearchOpts::default() };
+                let (res, term) = search_nodes(nfa, &graph, src, &opts, &mut scratch);
                 prop_assert!(
                     res.stats.edges_scanned <= budget,
                     "scanned {} > budget {} ({:?} dop={})",
@@ -279,14 +264,13 @@ proptest! {
         let graph = CsrGraph::from(&inst);
         let pool = ScratchPool::with_capacity(8);
         let mut seq = EvalScratch::new();
-        let full = eval_product_csr_with(nfa, &graph, src, FrontierMode::Hybrid, &mut seq);
+        let full = search_nodes(nfa, &graph, src, &SearchOpts::default(), &mut seq).0;
         let flag = AtomicBool::new(true);
         let control = EvalControl { budget: None, cancel: Some(&flag) };
         for dop in DOPS {
             let mut scratch = EvalScratch::new();
-            let (res, term) = eval_product_parallel_csr_with(
-                nfa, &graph, src, None, FrontierMode::Hybrid, &control, dop, &pool, &mut scratch,
-            );
+            let opts = SearchOpts { control, dop, pool: Some(&pool), ..SearchOpts::default() };
+            let (res, term) = search_nodes(nfa, &graph, src, &opts, &mut scratch);
             for o in &res.answers {
                 prop_assert!(full.answers.binary_search(o).is_ok(), "unsound after cancel");
             }
@@ -314,45 +298,155 @@ fn parallel_outputs_are_deterministic_across_runs() {
     let pool = ScratchPool::with_capacity(8);
     let sources: Vec<Oid> = graph.nodes().collect();
 
+    let opts = SearchOpts {
+        dop: 4,
+        pool: Some(&pool),
+        ..SearchOpts::default()
+    };
     let mut scratch = EvalScratch::new();
-    let (first, _) = eval_product_parallel_csr_with(
-        nfa,
-        &graph,
-        src,
-        None,
-        FrontierMode::Hybrid,
-        &EvalControl::UNLIMITED,
-        4,
-        &pool,
-        &mut scratch,
-    );
-    let first_batch =
-        eval_product_batch_parallel_csr_with(nfa, &graph, &sources, 4, &pool, &mut scratch);
+    let (first, _) = search_nodes(nfa, &graph, src, &opts, &mut scratch);
+    let first_batch = search_lanes(nfa, &graph, &sources, &opts, &mut scratch);
     for run in 0..5 {
         let mut scratch = EvalScratch::new();
-        let (res, term) = eval_product_parallel_csr_with(
-            nfa,
-            &graph,
-            src,
-            None,
-            FrontierMode::Hybrid,
-            &EvalControl::UNLIMITED,
-            4,
-            &pool,
-            &mut scratch,
-        );
+        let (res, term) = search_nodes(nfa, &graph, src, &opts, &mut scratch);
         assert_eq!(res.answers, first.answers, "answers drifted on run {run}");
         assert_eq!(
             res.stats.edges_scanned, first.stats.edges_scanned,
             "work counter drifted on run {run}"
         );
         assert_eq!(term, Termination::Complete);
-        let batch =
-            eval_product_batch_parallel_csr_with(nfa, &graph, &sources, 4, &pool, &mut scratch);
+        let batch = search_lanes(nfa, &graph, &sources, &opts, &mut scratch);
         assert_eq!(
             batch.per_source(),
             first_batch.per_source(),
             "batch output drifted on run {run}"
         );
+    }
+}
+
+/// One pooled arena across parallel and sequential searches of different
+/// automaton sizes: parallel small-|Q| (twice, so the marks carry two
+/// generations) → sequential larger-|Q| (the arena regrows and its
+/// generation counter restarts) → the first query again in parallel.
+/// The arena has exactly one mark table, regrown with the rest, so the
+/// last search must see no stale mark: answers and `edges_scanned` equal
+/// a fresh-arena run. (With a second, separately grown table for parallel
+/// searches, the restarted counter collided with the old stamps and the
+/// last search returned 0 of 400 answers.)
+#[test]
+fn marks_survive_a_regrow_between_parallel_searches() {
+    let mut ab = Alphabet::from_names(["a", "b", "c"]);
+    let syms: Vec<Symbol> = ab.symbols().collect();
+    let n = 400u32;
+    let mut inst = Instance::new();
+    for _ in 0..n {
+        inst.add_node();
+    }
+    for i in 0..n {
+        inst.add_edge(Oid(i), syms[0], Oid((i * 7 + 1) % n));
+        inst.add_edge(Oid(i), syms[1], Oid((i * 13 + 5) % n));
+        if i % 3 == 0 {
+            inst.add_edge(Oid(i), syms[2], Oid((i * 31 + 2) % n));
+        }
+    }
+    let graph = CsrGraph::from(&inst);
+    let small = Query::parse(&mut ab, "(a+b+c)*").unwrap();
+    let large = Query::parse(&mut ab, "(a.b.c.a.b.c+a+b+c)*").unwrap();
+    assert!(large.nfa().num_states() > small.nfa().num_states());
+
+    let pool = ScratchPool::with_capacity(8);
+    let parallel = SearchOpts {
+        dop: 2,
+        pool: Some(&pool),
+        ..SearchOpts::default()
+    };
+    let sequential = SearchOpts::default();
+    let fresh = search_nodes(
+        small.nfa(),
+        &graph,
+        Oid(0),
+        &parallel,
+        &mut EvalScratch::new(),
+    )
+    .0;
+    assert_eq!(fresh.answers.len(), 400);
+
+    let mut arena = EvalScratch::new();
+    let steps = [
+        (&small, &parallel),
+        (&small, &parallel),
+        (&large, &sequential),
+        (&small, &parallel),
+    ];
+    for (step, (query, opts)) in steps.into_iter().enumerate() {
+        let (res, term) = search_nodes(query.nfa(), &graph, Oid(0), opts, &mut arena);
+        assert_eq!(term, Termination::Complete);
+        assert_eq!(res.answers, fresh.answers, "answers at step {step}");
+        if std::ptr::eq(query, &small) {
+            assert_eq!(
+                res.stats.edges_scanned, fresh.stats.edges_scanned,
+                "edges_scanned at step {step}"
+            );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The general form of the regression above: any sequence of searches
+    /// — automaton size, graph size, degree of parallelism, frontier mode
+    /// and direction all varying from one to the next — may share one
+    /// arena. Each answer set equals a fresh-arena run and contains the
+    /// definitional oracle's (equals it where the oracle's word bound is
+    /// authoritative).
+    #[test]
+    fn any_search_sequence_may_share_one_arena(seed in 0u64..10_000) {
+        use rand::Rng;
+        let ab = Alphabet::from_names(["a", "b", "c"]);
+        let syms: Vec<Symbol> = ab.symbols().collect();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let pool = ScratchPool::with_capacity(8);
+        let mut arena = EvalScratch::new();
+        for step in 0..10 {
+            let nodes = rng.random_range(3..9usize);
+            let (inst, _) = random_graph(&mut rng, nodes, nodes * 2, &syms);
+            let graph = CsrGraph::from(&inst);
+            let cfg = RegexGenConfig {
+                max_depth: rng.random_range(1..5usize),
+                ..RegexGenConfig::new(syms.clone())
+            };
+            let nfa = Query::new(random_regex(&mut rng, &cfg), &ab).nfa().clone();
+            let seed_node = Oid(rng.random_range(0..nodes) as u32);
+            let backward = rng.random_range(0..2) == 1;
+            let opts = SearchOpts {
+                reverse_adj: backward,
+                mode: MODES[rng.random_range(0..MODES.len())],
+                dop: DOPS[rng.random_range(0..DOPS.len())],
+                pool: Some(&pool),
+                ..SearchOpts::default()
+            };
+            let auto = if backward { nfa.reverse() } else { nfa.clone() };
+            let shared = search_nodes(&auto, &graph, seed_node, &opts, &mut arena).0;
+            let fresh = search_nodes(&auto, &graph, seed_node, &opts, &mut EvalScratch::new()).0;
+            prop_assert_eq!(&shared.answers, &fresh.answers, "step {} {:?}", step, opts);
+            prop_assert_eq!(shared.stats.edges_scanned, fresh.stats.edges_scanned);
+
+            // p(o, I) by definition; backward, every o whose set holds the seed
+            let oracle: Vec<Oid> = if backward {
+                graph
+                    .nodes()
+                    .filter(|&o| eval_oracle(&nfa, &inst, o, Some(8)).contains(&seed_node))
+                    .collect()
+            } else {
+                eval_oracle(&nfa, &inst, seed_node, Some(8))
+            };
+            for o in &oracle {
+                prop_assert!(shared.answers.binary_search(o).is_ok(), "step {} lost {:?}", step, o);
+            }
+            if nfa.num_states() * nodes <= 8 {
+                prop_assert_eq!(&shared.answers, &oracle, "step {}", step);
+            }
+        }
     }
 }

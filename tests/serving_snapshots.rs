@@ -69,14 +69,7 @@ fn rebuild_oracle(inst: &Instance, deltas: &[EdgeDelta], query: &Query, n0: Oid)
     let engine = rpq::core::ProductEngine;
     let mut out = Vec::with_capacity(deltas.len() + 1);
     let answers = |dg: &DeltaGraph| {
-        let mut a = rpq::core::eval_product_csr_with(
-            query.nfa(),
-            dg,
-            n0,
-            rpq::core::FrontierMode::Hybrid,
-            &mut rpq::core::EvalScratch::new(),
-        )
-        .answers;
+        let mut a = rpq::core::eval_product_csr(query.nfa(), dg, n0).answers;
         a.sort_unstable();
         a
     };

@@ -22,10 +22,11 @@
 //!   non-pooled baseline arenas) carry an `// alloc-ok: <why>` comment on
 //!   the same line, which allowlists it.
 //! * **Lock-free worker loops** — `.lock()` is forbidden in the
-//!   rpq-core `parallel` module outside tests: a blocking `Mutex` inside
-//!   a per-level worker loop serializes the fan-out and defeats the
-//!   chunked/slab partitioning (coordination is atomics + level
-//!   barriers). Deliberate exceptions (e.g. a once-per-search pool
+//!   rpq-core modules that hold worker bodies (`product`: the push/pull
+//!   level sweeps; `parallel`: the lane-wave workers) outside tests: a
+//!   blocking `Mutex` inside a per-level worker loop serializes the
+//!   fan-out and defeats the chunked/slab partitioning (coordination is
+//!   atomics + level barriers). Deliberate exceptions (e.g. a once-per-search pool
 //!   checkout) carry a `// lock-ok: <why>` comment on the same line.
 //! * **No blocking sleeps in the serving layer** — `thread::sleep` is
 //!   forbidden in `crates/server/src` outside `#[cfg(test)]` items. The
@@ -37,6 +38,12 @@
 //! braces cannot trip (or hide) a finding. The `alloc-ok:` allowlist is
 //! the one check made on *original* lines — the marker lives in a comment,
 //! which the cleaner blanks.
+//!
+//! # The surface report
+//!
+//! `cargo run -p xtask -- surface` prints ROADMAP's tracked numbers per
+//! crate: non-test code lines (non-blank, non-comment lines before a
+//! file's `#[cfg(test)]` module) and `pub fn` count.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -46,8 +53,9 @@ fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     match args.next().as_deref() {
         Some("lint") => lint(),
+        Some("surface") => surface(),
         cmd => {
-            eprintln!("unknown task {cmd:?}; usage: cargo run -p xtask -- lint");
+            eprintln!("unknown task {cmd:?}; usage: cargo run -p xtask -- <lint|surface>");
             ExitCode::from(2)
         }
     }
@@ -71,10 +79,11 @@ const NO_ALLOC_FILES: &[&str] = &[
 ];
 /// Forbidden tokens for the no-alloc rule.
 const ALLOC_TOKENS: &[&str] = &["vec![", "Vec::new()"];
-/// Parallel worker modules where a blocking `Mutex` lock would serialize
-/// the per-level fan-out: coordination there is atomics and level
+/// Modules holding parallel worker bodies (the level sweeps of the product
+/// BFS, the lane-wave workers), where a blocking `Mutex` lock would
+/// serialize the fan-out: coordination there is atomics and level
 /// barriers, never a lock held inside a worker loop.
-const NO_LOCK_FILES: &[&str] = &["crates/core/src/parallel.rs"];
+const NO_LOCK_FILES: &[&str] = &["crates/core/src/product.rs", "crates/core/src/parallel.rs"];
 /// Forbidden tokens for the no-worker-lock rule.
 const LOCK_TOKENS: &[&str] = &[".lock()"];
 /// Marker that allowlists one line for the no-worker-lock rule. Checked
@@ -136,6 +145,48 @@ fn lint() -> ExitCode {
     }
     eprintln!("xtask lint: {} violation(s)", violations.len());
     ExitCode::FAILURE
+}
+
+/// Print, per crate under `crates/`, the non-test code lines and the
+/// `pub fn` count of its `src/` tree, then the totals.
+fn surface() -> ExitCode {
+    let root = workspace_root();
+    let Ok(entries) = fs::read_dir(root.join("crates")) else {
+        eprintln!("xtask surface: no crates/ directory");
+        return ExitCode::FAILURE;
+    };
+    let mut crates: Vec<PathBuf> = entries.flatten().map(|e| e.path()).collect();
+    crates.sort();
+    println!("{:<16} {:>10} {:>8}", "crate", "code lines", "pub fn");
+    let (mut total_lines, mut total_fns) = (0usize, 0usize);
+    for dir in crates.iter().filter(|d| d.join("src").is_dir()) {
+        let (mut lines, mut fns) = (0usize, 0usize);
+        for file in rust_files(&dir.join("src")) {
+            let text = fs::read_to_string(&file).unwrap_or_default();
+            let (l, f) = surface_of(&text);
+            lines += l;
+            fns += f;
+        }
+        let name = dir.file_name().unwrap_or_default().to_string_lossy();
+        println!("{name:<16} {lines:>10} {fns:>8}");
+        total_lines += lines;
+        total_fns += fns;
+    }
+    println!("{:<16} {total_lines:>10} {total_fns:>8}", "total");
+    ExitCode::SUCCESS
+}
+
+/// (non-test code lines, `pub fn` count) of one source file: lines before
+/// the file's `#[cfg(test)]` item that are neither blank nor `//` comments.
+fn surface_of(text: &str) -> (usize, usize) {
+    let code = text
+        .lines()
+        .take_while(|l| !l.starts_with("#[cfg(test)]"))
+        .map(str::trim_start)
+        .filter(|l| !l.is_empty() && !l.starts_with("//"));
+    code.fold((0, 0), |(lines, fns), l| {
+        (lines + 1, fns + usize::from(l.starts_with("pub fn ")))
+    })
 }
 
 fn workspace_root() -> PathBuf {
@@ -500,6 +551,12 @@ fn test_mask(cleaned: &[String]) -> Vec<bool> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn surface_counts_code_before_the_test_module() {
+        let src = "//! docs\n\npub fn a() {}\n    // note\n    pub fn b() {}\nfn c() {}\n#[cfg(test)]\nmod tests {\n    pub fn d() {}\n}\n";
+        assert_eq!(surface_of(src), (3, 2));
+    }
 
     fn lines(s: &str) -> Vec<String> {
         clean_source(s)
