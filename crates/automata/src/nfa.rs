@@ -419,14 +419,10 @@ impl Nfa {
 
     /// The reversed-language automaton.
     ///
-    /// **Stable state numbering — downstream code depends on it:** the
-    /// result has exactly `num_states() + 1` states; state 0 is a fresh
-    /// start (ε-wired to the images of the accepting states) and state
-    /// `i` of `self` becomes state `i + 1`. The meet-in-the-middle pair
-    /// search in `rpq-core` intersects forward cells `(q, v)` with
-    /// backward cells `(q + 1, v)` under precisely this mapping (and
-    /// asserts the state count), so any change here must keep the shift
-    /// or update that correspondence.
+    /// **Stable state numbering:** the result has exactly
+    /// `num_states() + 1` states; state 0 is a fresh start (ε-wired to the
+    /// images of the accepting states) and state `i` of `self` becomes
+    /// state `i + 1`.
     pub fn reverse(&self) -> Nfa {
         let n = self.num_states();
         let mut out = Nfa {

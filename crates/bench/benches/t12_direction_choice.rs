@@ -5,8 +5,8 @@
 //! of magnitude — fewer edges than a forced-forward pair search. The
 //! assertions run at registration time, so `--test` mode (the CI bench
 //! smoke) enforces the acceptance criterion without paying measurement
-//! time; the measured series compare forced-forward, planned(backward),
-//! and meet-in-the-middle wall clocks.
+//! time; the measured series compare forced-forward and planned(backward)
+//! wall clocks.
 
 use std::hint::black_box;
 use std::time::Duration;
@@ -14,7 +14,7 @@ use std::time::Duration;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rpq_bench::direction_workload;
 use rpq_core::ProductEngine;
-use rpq_core::{eval_pair, eval_to, search_pair, EvalScratch, Query, SearchOpts};
+use rpq_core::{eval_to, search_pair, EvalScratch, Query, SearchOpts};
 use rpq_graph::CsrGraph;
 use rpq_optimizer::{Direction, PlannedEngine};
 
@@ -96,11 +96,6 @@ fn bench(c: &mut Criterion) {
                     )
                 })
             },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("pair_meet_in_middle", fanout),
-            &fanout,
-            |b, _| b.iter(|| black_box(eval_pair(&query, &graph, w.source, w.target).reachable)),
         );
         group.bench_with_input(
             BenchmarkId::new("target_bound_backward", fanout),

@@ -1,8 +1,7 @@
 //! T18 — intra-query parallelism: the frontier-parallel hybrid product
-//! BFS and the wave-parallel batch kernel against their sequential
-//! siblings. Four claims, asserted at registration time so `--test` mode
-//! (the CI bench smoke) enforces the acceptance criteria without paying
-//! measurement time:
+//! BFS against the sequential search. Three claims, asserted at
+//! registration time so `--test` mode (the CI bench smoke) enforces the
+//! acceptance criteria without paying measurement time:
 //!
 //! * **Parallelism never changes answers** — at every DoP and every
 //!   frontier mode the parallel kernels return bit-for-bit the sequential
@@ -13,11 +12,6 @@
 //!   identical work counters, and min-of-N wall clock within noise of the
 //!   direct sequential call (a generous 2× bound on an identical code
 //!   path; the real gap is one function call).
-//! * **Four workers win at least 2×** — on a multi-wave batch workload
-//!   the wave-parallel kernel at `dop = 4` beats `dop = 1` by ≥ 2× on
-//!   min-of-N wall clock, with identical per-source answers. Gated on
-//!   `std::thread::available_parallelism() >= 4` so single-core smoke
-//!   runners skip the timing claim (the agreement claims still run).
 //! * **Hybrid stays ≤ sparse under parallelism** — the parallel hybrid
 //!   run never scans more edges than the parallel forced-sparse run; the
 //!   exact shrinking pull-bound accounting (summed per-worker debits)
@@ -29,8 +23,8 @@ use std::time::{Duration, Instant};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rpq_automata::Nfa;
 use rpq_bench::eval_workload;
-use rpq_core::{search_lanes, search_nodes, EvalScratch, FrontierMode, ScratchPool, SearchOpts};
-use rpq_graph::{CsrGraph, Oid};
+use rpq_core::{search_nodes, EvalScratch, FrontierMode, ScratchPool, SearchOpts};
+use rpq_graph::CsrGraph;
 
 /// Minimum wall clock of `n` runs of `f` (the robust statistic for a
 /// speedup gate: load spikes only ever inflate samples).
@@ -59,7 +53,7 @@ fn bench(c: &mut Criterion) {
         ..SearchOpts::default()
     };
 
-    // Acceptance 1 + 4: agreement across DoP and mode, hybrid <= sparse
+    // Acceptance 1 + 3: agreement across DoP and mode, hybrid <= sparse
     // under parallelism. The web workload's broad closure saturates the
     // graph, so levels are large enough to cross PAR_LEVEL_THRESHOLD and
     // genuinely fan out.
@@ -164,74 +158,6 @@ fn bench(c: &mut Criterion) {
             dop1_time <= seq_time * 2 + Duration::from_micros(200),
             "dop=1 ({dop1_time:?}) not within noise of the sequential hot path ({seq_time:?})"
         );
-    }
-
-    // Acceptance 3: >= 2x speedup at 4 workers on the wave-parallel batch
-    // kernel, identical answers. Only meaningful with >= 4 cores; the CI
-    // bench runners have them, single-core smoke boxes skip the timing.
-    {
-        let sources: Vec<Oid> = (0..graph.num_nodes() as u32).step_by(16).map(Oid).collect();
-        assert!(sources.len() >= 256, "need multiple 64-lane waves");
-        let mut scratch = EvalScratch::new();
-        let seq = search_lanes(
-            &broad,
-            &graph,
-            &sources,
-            &SearchOpts::default(),
-            &mut scratch,
-        );
-        let par = search_lanes(&broad, &graph, &sources, &at_dop(4), &mut scratch);
-        assert_eq!(
-            par.per_source(),
-            seq.per_source(),
-            "wave fan-out changed the batch answers"
-        );
-        if cores >= 4 {
-            let dop1 = min_time_of(5, || {
-                black_box(
-                    search_lanes(&broad, &graph, &sources, &at_dop(1), &mut scratch)
-                        .stats
-                        .answers,
-                );
-            });
-            let dop4 = min_time_of(5, || {
-                black_box(
-                    search_lanes(&broad, &graph, &sources, &at_dop(4), &mut scratch)
-                        .stats
-                        .answers,
-                );
-            });
-            let speedup = dop1.as_secs_f64() / dop4.as_secs_f64().max(f64::MIN_POSITIVE);
-            assert!(
-                speedup >= 2.0,
-                "4 workers must win >= 2x on the wave batch (dop1 {dop1:?} / dop4 {dop4:?} = {speedup:.2}x)"
-            );
-        } else {
-            eprintln!("t18: {cores} core(s) available, skipping the 4-worker speedup gate");
-        }
-
-        // Measured series: the batch kernel by DoP (capped at the machine).
-        for &dop in &[1usize, 2, 4] {
-            if dop > 1 && dop > cores {
-                continue;
-            }
-            group.bench_with_input(BenchmarkId::new("batch_waves", dop), &dop, |b, &dop| {
-                let mut scratch = EvalScratch::new();
-                b.iter(|| {
-                    black_box(
-                        search_lanes(
-                            &broad,
-                            &graph,
-                            black_box(&sources),
-                            &at_dop(dop),
-                            &mut scratch,
-                        )
-                        .stats
-                        .answers,
-                    )
-                })
-            });
-        }
     }
 
     // Measured series: the frontier-parallel single-source kernel by DoP.

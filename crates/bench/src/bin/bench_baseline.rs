@@ -4,8 +4,8 @@
 //! name, `n` (batch size / fanout), median wall-clock nanoseconds over the
 //! repetitions, and the `edges_scanned` work counter:
 //!
-//! * **T1 multi-source** — the per-source product loop, the bit-parallel
-//!   batch engine, and the partitioned threaded driver;
+//! * **T1 multi-source** — the per-source product loop and the
+//!   partitioned threaded driver;
 //! * **T12 direction choice** — the forced-forward pair search against the
 //!   `PlannedEngine`'s statistics-chosen backward search on the
 //!   direction-skewed workload;
@@ -23,9 +23,8 @@
 //!   against the forced-sparse baseline on the high-fanout pull workload
 //!   (asserting strictly fewer edge scans), warm pooled scratch against a
 //!   cold arena per evaluation (asserting `scratch_reused > 0`; the
-//!   cold-vs-warm median gap is the recorded series), and the
-//!   multi-target lane kernel against the per-target backward loop
-//!   (asserting strictly fewer edge scans).
+//!   cold-vs-warm median gap is the recorded series), and the per-target
+//!   backward loop on the multi-target workload.
 //!
 //! * **T16 serving** — end-to-end mixed read/write serving through the
 //!   `rpq-server` session layer: N concurrent submissions against
@@ -39,10 +38,9 @@
 //!   the planned order scans strictly fewer edges than both, with
 //!   identical binding sets).
 //! * **T18 intra-query parallelism** — the frontier-parallel product
-//!   search and the wave-parallel batch kernel by degree of parallelism
-//!   (asserting identical answers and identical `edges_scanned` at every
-//!   DoP; the wall-clock speedup gate lives in the t18 bench, which can
-//!   check core count).
+//!   search by degree of parallelism (asserting identical answers and
+//!   identical `edges_scanned` at every DoP; the wall-clock speedup gate
+//!   lives in the t18 bench, which can check core count).
 //!
 //! ```text
 //! bench_baseline [--json PATH] [--repeats N]
@@ -61,8 +59,8 @@ use rpq_bench::{
     multi_source_workload, multi_target_workload, pull_workload, skewed_workload,
 };
 use rpq_core::{
-    eval_product_csr, search_lanes, search_nodes, search_pair, Engine, EvalScratch, EvalStats,
-    FrontierMode, ProductEngine, Query, ScratchPool, SearchOpts,
+    eval_product_csr, search_nodes, search_pair, Engine, EvalScratch, EvalStats, FrontierMode,
+    ProductEngine, Query, ScratchPool, SearchOpts,
 };
 use rpq_core::{EvalControl, EvalRequest, Termination};
 use rpq_distributed::PartitionedBatchEngine;
@@ -155,23 +153,6 @@ fn main() {
             median_ns: t,
             edges_scanned: stats.edges_scanned,
         });
-        let loop_edges = stats.edges_scanned;
-
-        let (t, stats) = measure(repeats, || {
-            ProductEngine.eval_batch(&query, &graph, &w.sources).stats
-        });
-        points.push(SeriesPoint {
-            name: "multi_batch_bitparallel",
-            n: nsrc,
-            median_ns: t,
-            edges_scanned: stats.edges_scanned,
-        });
-        assert!(
-            stats.edges_scanned < loop_edges,
-            "bit-parallel batch must scan fewer edges than the loop \
-             (batch {} vs loop {loop_edges} at n={nsrc})",
-            stats.edges_scanned
-        );
 
         let engine = PartitionedBatchEngine::new(4);
         let (t, stats) = measure(repeats, || {
@@ -378,8 +359,8 @@ fn main() {
     }
 
     // T15 hot-path series: hybrid vs forced-sparse on the pull workload,
-    // warm pooled scratch vs cold allocation, and the multi-target lane
-    // kernel vs the per-target backward loop. The assertions mirror the
+    // warm pooled scratch vs cold allocation, and the per-target backward
+    // loop on the multi-target workload. The assertions mirror the
     // t15 bench's acceptance criteria, so a hot-path regression fails this
     // job rather than shifting the baseline.
     let mut t15_points: Vec<SeriesPoint> = Vec::new();
@@ -495,30 +476,6 @@ fn main() {
             median_ns: t,
             edges_scanned: stats.edges_scanned,
         });
-        let loop_edges = stats.edges_scanned;
-
-        let (t, stats) = measure(repeats, || {
-            search_lanes(
-                &reversed,
-                &graph,
-                &w.targets,
-                &backward,
-                &mut EvalScratch::new(),
-            )
-            .stats
-        });
-        t15_points.push(SeriesPoint {
-            name: "hot_lanes_to_batch",
-            n: targets_n,
-            median_ns: t,
-            edges_scanned: stats.edges_scanned,
-        });
-        assert!(
-            stats.edges_scanned < loop_edges,
-            "multi-target lanes must scan strictly fewer edges than the loop \
-             (lanes {} vs loop {loop_edges} at n={targets_n})",
-            stats.edges_scanned
-        );
     }
 
     // T16 serving series: N concurrent sessions submit through the shared
@@ -720,8 +677,8 @@ fn main() {
     }
 
     // T18 intra-query parallelism series: the frontier-parallel product
-    // search and the wave-parallel batch kernel by degree of parallelism,
-    // against their sequential siblings on a broad-closure web workload.
+    // search by degree of parallelism, against the sequential search on a
+    // broad-closure web workload.
     // The assertions mirror the t18 bench's acceptance criteria (identical
     // answers and identical edges_scanned at every DoP — set-identical
     // levels price identically), so a parallel-soundness regression fails
@@ -730,7 +687,6 @@ fn main() {
     // single-core runners, where only the work counters are stable.
     let mut t18_points: Vec<SeriesPoint> = Vec::new();
     {
-        use rpq_graph::Oid;
         let w = eval_workload(13, 4_000);
         let graph = CsrGraph::from(&w.instance);
         let broad = rpq_automata::Nfa::thompson(&w.queries[3].1);
@@ -744,14 +700,6 @@ fn main() {
             &mut scratch,
         )
         .0;
-        let sources: Vec<Oid> = (0..graph.num_nodes() as u32).step_by(16).map(Oid).collect();
-        let seq_batch = search_lanes(
-            &broad,
-            &graph,
-            &sources,
-            &SearchOpts::default(),
-            &mut scratch,
-        );
         for &dop in &[1usize, 2, 4] {
             let (t, stats) = measure(repeats, || {
                 search_nodes(
@@ -796,47 +744,6 @@ fn main() {
             assert_eq!(
                 par.answers, seq.answers,
                 "parallel product search diverged at dop={dop}"
-            );
-
-            let (t, stats) = measure(repeats, || {
-                search_lanes(
-                    &broad,
-                    &graph,
-                    &sources,
-                    &SearchOpts {
-                        dop,
-                        pool: Some(&pool),
-                        ..SearchOpts::default()
-                    },
-                    &mut scratch,
-                )
-                .stats
-            });
-            t18_points.push(SeriesPoint {
-                name: match dop {
-                    1 => "par_batch_dop1",
-                    2 => "par_batch_dop2",
-                    _ => "par_batch_dop4",
-                },
-                n: dop,
-                median_ns: t,
-                edges_scanned: stats.edges_scanned,
-            });
-            let par_batch = search_lanes(
-                &broad,
-                &graph,
-                &sources,
-                &SearchOpts {
-                    dop,
-                    pool: Some(&pool),
-                    ..SearchOpts::default()
-                },
-                &mut scratch,
-            );
-            assert_eq!(
-                par_batch.per_source(),
-                seq_batch.per_source(),
-                "wave-parallel batch diverged at dop={dop}"
             );
         }
     }

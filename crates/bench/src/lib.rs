@@ -96,10 +96,9 @@ pub fn skewed_workload(depth: usize, hot_fanout: usize) -> SkewedWorkload {
 /// nodes each hold one `cold` edge into the head of a shared spine (plus
 /// `hot_fanout` hot-label noise edges, keeping the label skew), so every
 /// source's search funnels into the same suffix. The query `cold*` walks
-/// entry + spine. A per-source loop re-walks the spine once per source
-/// (`O(n_sources × depth)` edge scans); the bit-parallel batch engine
-/// walks it once with all source lanes merged (`O(n_sources + depth)`) —
-/// the T1 multi-source experiment.
+/// entry + spine, so a `Sources` request — one search per source —
+/// re-walks the spine once per source (`O(n_sources × depth)` edge scans)
+/// — the T1 multi-source experiment.
 pub struct MultiSourceWorkload {
     /// Shared alphabet.
     pub alphabet: Alphabet,
@@ -195,10 +194,9 @@ pub fn pull_workload(hubs: usize) -> PullWorkload {
 /// A multi-target funnel workload (T15): `n_targets` exit nodes hang off
 /// the tail of a shared `cold` spine (plus hot-label noise edges *into*
 /// the spine, keeping the reverse-adjacency label skew). The query `cold*`
-/// asked backward from each exit walks the same spine, so a per-target
-/// `eval_to` loop pays `O(n_targets × depth)` edge scans while the
-/// bit-parallel multi-target lane kernel walks the reverse spine once with
-/// all target lanes merged — `O(n_targets + depth)`.
+/// asked backward from each exit walks the same spine, so a `Targets`
+/// request — one backward search per target — pays
+/// `O(n_targets × depth)` edge scans.
 pub struct MultiTargetWorkload {
     /// Shared alphabet.
     pub alphabet: Alphabet,

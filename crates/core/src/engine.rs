@@ -25,10 +25,10 @@
 use rpq_automata::{parse_regex, Alphabet, Nfa, ParseError, Regex};
 use rpq_graph::{CsrGraph, Oid};
 
-use crate::batch::{eval_quotient_dfa_batch_csr, BatchResult};
-use crate::product::{eval_product_csr, EvalResult, FrontierMode, SearchOpts};
+use crate::batch::BatchResult;
+use crate::product::{eval_product_csr, EvalResult, SearchOpts};
 use crate::quotient::{eval_derivative_csr, eval_quotient_dfa_csr};
-use crate::request::{run_default, run_request, EvalRequest, EvalResponse, SourceSpec};
+use crate::request::{run_default, run_request, EvalRequest, EvalResponse};
 use crate::scratch::EvalScratch;
 use crate::stats::{Direction, EvalStats};
 use crate::streaming::StreamingEval;
@@ -107,33 +107,31 @@ pub trait Engine {
     fn eval(&self, query: &Query, graph: &CsrGraph, source: Oid) -> EvalResult;
 
     /// The unified entry point: dispatch an [`EvalRequest`] — any question
-    /// shape ([`SourceSpec`]) plus uniform execution controls (budget,
+    /// shape ([`crate::SourceSpec`]) plus uniform execution controls (budget,
     /// cancellation, frontier mode, direction hint) — to an
     /// [`EvalResponse`].
     ///
-    /// The default implementation is [`run_default`]: uncontrolled
-    /// requests route through the engine's own [`Engine::eval`] strategy
-    /// (and the shared backward / pair / matrix kernels); requests with a
-    /// budget or cancellation flag route through the controlled product
-    /// kernels so early termination is sound and uniform. Engines with
-    /// set-at-a-time strategies override this for the request arms they
-    /// specialize and fall back to [`run_default`] for the rest; the
-    /// legacy per-shape methods below are thin wrappers over `run`, making
-    /// it the single dispatch point (and the server's wire-level entry).
+    /// The default implementation is [`run_default`]: source-bound
+    /// requests route through the engine's own [`Engine::eval`] strategy,
+    /// every other shape — and any request with a budget or cancellation
+    /// flag, which only the product BFS can honor — through
+    /// [`run_request`]. Engines with set-at-a-time strategies override
+    /// this for the request arms they specialize and fall back to
+    /// [`run_default`] for the rest; the legacy per-shape methods below
+    /// are thin wrappers over `run`, making it the single dispatch point
+    /// (and the server's wire-level entry).
     fn run(&self, query: &Query, graph: &CsrGraph, req: &EvalRequest) -> EvalResponse {
         run_default(self, query, graph, req)
     }
 
     /// Evaluate `query` from every source in `sources` over `graph`.
     ///
-    /// Thin wrapper over [`Engine::run`] with [`SourceSpec::Sources`]; the
+    /// Thin wrapper over [`Engine::run`] with [`crate::SourceSpec::Sources`]; the
     /// default dispatch loops over [`Engine::eval`] and merges the
     /// per-source [`EvalStats`] (so no work counter is discarded), while
-    /// set-at-a-time engines — the bit-parallel product BFS
-    /// ([`crate::search_lanes`]), the batched quotient-DFA
-    /// search, the all-sources-seeded semi-naive Datalog fixpoint, the
-    /// partitioned threaded driver in `rpq-distributed` — specialize the
-    /// arm in their `run`. Union-only strategies report
+    /// set-at-a-time engines — the all-sources-seeded semi-naive Datalog
+    /// fixpoint, the partitioned threaded driver in `rpq-distributed` —
+    /// specialize the arm in their `run`. Union-only strategies report
     /// `per_source() == None`; all strategies agree on
     /// [`BatchResult::union`].
     fn eval_batch(&self, query: &Query, graph: &CsrGraph, sources: &[Oid]) -> BatchResult {
@@ -143,9 +141,9 @@ pub trait Engine {
 
     /// Target-bound evaluation `{o | target ∈ p(o, I)}`.
     ///
-    /// Thin wrapper over [`Engine::run`] with [`SourceSpec::Target`]; the
+    /// Thin wrapper over [`Engine::run`] with [`crate::SourceSpec::Target`]; the
     /// default dispatch runs the shared backward product BFS (reversed NFA
-    /// over the reverse adjacency, [`crate::eval_to`]) —
+    /// over the reverse adjacency, [`run_request`]) —
     /// correct for every engine because set-semantics answers are
     /// direction-independent. Engines with planner state specialize the
     /// arm in their `run` (e.g. `PlannedEngine` reuses its plan's cached
@@ -158,13 +156,10 @@ pub trait Engine {
     /// Evaluate the target-bound question for every target in `targets` —
     /// the multi-*target* mirror of [`Engine::eval_batch`].
     ///
-    /// Thin wrapper over [`Engine::run`] with [`SourceSpec::Targets`]; the
+    /// Thin wrapper over [`Engine::run`] with [`crate::SourceSpec::Targets`]; the
     /// default dispatch loops the backward BFS per target and merges the
     /// per-target [`EvalStats`] (`per_source()` of the result is aligned
-    /// with `targets`), while [`ProductEngine`] specializes the arm with
-    /// the bit-parallel backward wave ([`crate::search_lanes`]):
-    /// waves of up to 64 *target* lanes over the reversed NFA and reverse
-    /// adjacency, one row pass advancing every pending target at once.
+    /// with `targets`).
     fn eval_to_batch(&self, query: &Query, graph: &CsrGraph, targets: &[Oid]) -> BatchResult {
         self.run(query, graph, &EvalRequest::targets(targets.to_vec()))
             .into_batch()
@@ -185,18 +180,12 @@ impl Engine for ProductEngine {
     }
 
     /// Every request shape straight through [`run_request`] with a fresh
-    /// arena, sequentially: multi-source and multi-target requests ride
-    /// the bit-parallel lanes instead of the default one-BFS-per-item
-    /// loops, pairs meet in the middle. An uncontrolled request runs
-    /// [`FrontierMode::Hybrid`] and ignores the request's mode and
-    /// direction hints (they are hints); a controlled one honors its mode.
+    /// arena, sequentially, in the request's frontier mode and under its
+    /// controls. There is no plan, so no depth cap, and the direction hint
+    /// is not read: pairs run forward.
     fn run(&self, query: &Query, graph: &CsrGraph, req: &EvalRequest) -> EvalResponse {
         let opts = SearchOpts {
-            mode: if req.is_controlled() {
-                req.frontier_mode
-            } else {
-                FrontierMode::Hybrid
-            },
+            mode: req.frontier_mode,
             control: req.control(),
             ..SearchOpts::default()
         };
@@ -224,23 +213,6 @@ impl Engine for QuotientDfaEngine {
 
     fn eval(&self, query: &Query, graph: &CsrGraph, source: Oid) -> EvalResult {
         eval_quotient_dfa_csr(query.nfa(), graph, source)
-    }
-
-    /// Specializes the uncontrolled multi-source arm with the bit-parallel
-    /// BFS keeping one lane-mask table per lazily determinized quotient
-    /// class ([`eval_quotient_dfa_batch_csr`]); everything else falls back
-    /// to [`run_default`].
-    fn run(&self, query: &Query, graph: &CsrGraph, req: &EvalRequest) -> EvalResponse {
-        if let SourceSpec::Sources(ss) = &req.spec {
-            if !req.is_controlled() {
-                return EvalResponse::from_batch(eval_quotient_dfa_batch_csr(
-                    query.nfa(),
-                    graph,
-                    ss,
-                ));
-            }
-        }
-        run_default(self, query, graph, req)
     }
 }
 

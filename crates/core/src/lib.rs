@@ -25,23 +25,21 @@
 //!   per level, in which sequential evaluation is `dop == 1`, steered by
 //!   one [`SearchOpts`] (direction, depth cap, frontier mode, budget and
 //!   cancellation, degree of parallelism);
-//! * five entry points over that machinery, one per *answer shape*:
+//! * four entry points over that machinery, one per *answer shape*:
 //!   [`search_nodes`] (a node set — `p(o, I)` forward, `{o | t ∈ p(o, I)}`
-//!   backward), [`search_pair`] (one verdict: forward or backward early
-//!   exit, or meet-in-the-middle), [`search_lanes`] (per-seed node sets,
-//!   64 seeds per bit-parallel wave), [`search_matrix`] (an N×M bit
-//!   matrix from the same lanes), and [`search_pairs`] (the (source,
-//!   target) binding set a conjunctive-query atom induces — the per-atom
-//!   machinery `rpq-optimizer`'s join planner composes);
-//!   [`eval_product_csr`], [`eval_pair`] and [`eval_to`] are their
-//!   default-option one-liners, and `rpq-optimizer`'s `PlannedEngine`
-//!   picks directions and options from per-label statistics;
+//!   backward), [`search_pair`] (one verdict: early exit from the source
+//!   or from the target), [`search_pairs`] (the (source, target) binding
+//!   set a conjunctive-query atom induces — the per-atom machinery
+//!   `rpq-optimizer`'s join planner composes) and [`run_request`] (any
+//!   [`SourceSpec`]; per-seed sets and the N×M matrix are one
+//!   [`search_nodes`] per seed, reported as [`BatchResult`] /
+//!   [`MatrixResult`]); [`eval_product_csr`], [`eval_pair`] and
+//!   [`eval_to`] are their default-option one-liners, and
+//!   `rpq-optimizer`'s `PlannedEngine` picks directions and options from
+//!   per-label statistics;
 //! * [`parallel`] — intra-query parallelism: the [`WorkerPool`] governor
-//!   and the fan-out of independent lane waves across pooled workers (the
-//!   driver fans out single BFS levels itself);
-//! * [`batch`] also holds the batched quotient-DFA search
-//!   ([`eval_quotient_dfa_batch_csr`]); batched results are
-//!   [`BatchResult`]s;
+//!   and the fan-out constants (the driver fans out single BFS levels
+//!   itself);
 //! * [`QuotientDfaEngine`] / [`eval_quotient_dfa_csr`] — explicit quotients
 //!   as lazily determinized state sets (the possibly-exponential
 //!   construction the paper warns about);
@@ -93,9 +91,7 @@ pub mod scratch;
 pub mod stats;
 pub mod streaming;
 
-pub use batch::{
-    eval_quotient_dfa_batch_csr, search_lanes, search_matrix, BatchResult, MatrixResult,
-};
+pub use batch::{BatchResult, MatrixResult};
 pub use engine::{
     DerivativeEngine, Engine, OracleEngine, ProductEngine, Query, QuotientDfaEngine,
     StreamingEngine,

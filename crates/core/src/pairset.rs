@@ -6,39 +6,33 @@
 //! target). A conjunctive atom `x -[p]-> y` instead needs the *set* of
 //! bindings its regex induces between candidate `x` values and candidate
 //! `y` values. [`PairSetResult`] carries that binding set, and
-//! [`search_pairs`] produces it — mirroring the pair module's forward /
-//! backward / both-bound strategies, all on the bit-parallel lane
-//! machinery of [`crate::batch`]:
+//! [`search_pairs`] produces it with one [`crate::search_nodes`] per seed,
+//! mirroring the pair module's orientations:
 //!
-//! * **forward** (seeds are sources): wave the sources through the product
-//!   BFS in 64-lane chunks; every accepting lane mask bit at node `v` is a
-//!   binding `(source, v)`. Use when the atom's source variable is bound
-//!   and the target variable is free.
-//! * **backward** (`opts.reverse_adj`, seeds are targets): the same kernel
-//!   over the *reversed* automaton and reverse adjacency; masks yield
+//! * **forward** (seeds are sources): every answer `v` of the search from
+//!   source `s` is a binding `(s, v)`. Use when the atom's source variable
+//!   is bound and the target variable is free.
+//! * **backward** (`opts.reverse_adj`, seeds are targets): the same loop
+//!   over the *reversed* automaton and reverse adjacency; answers yield
 //!   bindings `(v, target)`. Use when only the target variable is bound.
-//! * **both bound** (`bound` given — the semijoin form): masks are probed
-//!   only at the bound nodes — the N×M matrix kernel's cost profile
-//!   ([`crate::search_matrix`]) with bindings instead of bits.
+//! * **both bound** (`bound` given — the semijoin form): each seed's
+//!   answers are kept only at the bound nodes.
 //!
 //! When *neither* variable is bound, [`seed_candidates`] prunes the seed
 //! set to nodes that can take at least one step of the query (or every
-//! node, when the query accepts ε) before the forward kernel runs.
+//! node, when the query accepts ε) before the forward loop runs.
 //!
-//! Under an [`crate::EvalControl`] the lanes give way to one controlled
-//! search per seed: one shared `edges_scanned` budget, per-level
-//! cancellation, and the uniform soundness contract — bindings collected
-//! before an early termination are true bindings, seeds not reached before
-//! exhaustion simply contribute none ([`PairSetResult::termination`] says
-//! which case occurred). All working memory comes from the caller's
-//! [`EvalScratch`], so warm serving queries stay allocation-free apart
-//! from the result vector.
+//! The seeds share one [`crate::EvalControl`]: one `edges_scanned` budget,
+//! per-level cancellation, and the uniform soundness contract — bindings
+//! collected before an early termination are true bindings, seeds not
+//! reached before exhaustion simply contribute none
+//! ([`PairSetResult::termination`] says which case occurred). All working
+//! memory comes from the caller's [`EvalScratch`], so warm serving queries
+//! stay allocation-free apart from the result vector.
 
 use rpq_automata::{Nfa, Symbol};
 use rpq_graph::{GraphView, Oid};
 
-use crate::batch::lane_mask;
-use crate::parallel::wave_fanout;
 use crate::product::{search_nodes_each, SearchOpts};
 use crate::request::Termination;
 use crate::scratch::EvalScratch;
@@ -84,7 +78,7 @@ impl PairSetResult {
 }
 
 /// Finalize a binding list: lexicographic order, dedup (duplicate seeds
-/// each get a lane, so their bindings repeat), answer count.
+/// are each searched, so their bindings repeat), answer count.
 fn finish_pairs(
     mut pairs: Vec<(Oid, Oid)>,
     mut stats: EvalStats,
@@ -106,14 +100,12 @@ fn finish_pairs(
 /// are sources; with `opts.reverse_adj` and the *reversed* automaton
 /// ([`Nfa::reverse`]), seeds are targets and `bound` restricts sources.
 ///
-/// Uncontrolled, the seeds ride the bit-parallel lane kernel (one CSR row
-/// pass advances every pending seed of a wave; `opts.dop` / `opts.pool`
-/// fan independent waves across workers). Under `opts.control` each seed
-/// runs its own search in `opts.mode` with whatever the shared budget has
-/// left, stopping at the first non-complete termination; seeds not yet
-/// explored contribute no bindings — still a sound subset. That loop is
-/// sequential (its budget contract is order-dependent) and, like the
-/// lanes, uncapped: `opts.depth_cap` is not read.
+/// Each seed runs its own search in `opts.mode` under `opts.control`, with
+/// whatever the shared budget has left, stopping at the first non-complete
+/// termination; seeds not yet explored contribute no bindings — still a
+/// sound subset. The loop is sequential (its budget contract is
+/// order-dependent) and uncapped: `opts.dop` and `opts.depth_cap` are not
+/// read.
 pub fn search_pairs<G: GraphView>(
     nfa: &Nfa,
     graph: &G,
@@ -129,42 +121,6 @@ pub fn search_pairs<G: GraphView>(
             (seed, v)
         }
     };
-    if opts.control.is_unlimited() {
-        let (waves, stats) = wave_fanout(
-            nfa,
-            graph,
-            seeds,
-            opts,
-            scratch,
-            |masks, wave_start, wave_len| {
-                let mut out: Vec<(Oid, Oid)> = Vec::new(); // alloc-ok: result value
-                let mut emit = |v: Oid, mask: u64| {
-                    let mut m = mask & lane_mask(wave_len);
-                    while m != 0 {
-                        let lane = m.trailing_zeros() as usize;
-                        m &= m - 1;
-                        out.push(orient(seeds[wave_start + lane], v));
-                    }
-                };
-                match bound {
-                    Some(ends) => {
-                        for &v in ends {
-                            emit(v, masks.get(v.index()).copied().unwrap_or(0));
-                        }
-                    }
-                    None => {
-                        for (v, &mask) in masks.iter().enumerate() {
-                            emit(Oid(v as u32), mask);
-                        }
-                    }
-                }
-                out
-            },
-        );
-        let pairs = waves.into_iter().flatten().collect();
-        return finish_pairs(pairs, stats, Termination::Complete);
-    }
-
     let sorted_bound = bound.map(|ends| {
         let mut ends = ends.to_vec(); // alloc-ok: sorted probe copy, result-sized
         ends.sort_unstable();

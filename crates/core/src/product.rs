@@ -181,17 +181,13 @@ pub(crate) fn finish_eval(
 }
 
 /// Every dimension a product search varies in — the parameters of the one
-/// level-synchronous driver behind [`search_nodes`], [`crate::search_pair`],
-/// [`crate::search_lanes`], [`crate::search_matrix`] and
-/// [`crate::search_pairs`]. `SearchOpts::default()` is the paper's plain
+/// level-synchronous driver behind the four answer-shape entry points,
+/// [`search_nodes`], [`crate::search_pair`], [`crate::search_pairs`] and
+/// [`crate::run_request`]. `SearchOpts::default()` is the paper's plain
 /// evaluation: forward, uncapped, [`FrontierMode::Hybrid`],
 /// [`EvalControl::UNLIMITED`], sequential.
 ///
-/// Each entry point documents the fields it reads; the bit-parallel lane
-/// kernels ([`crate::search_lanes`], [`crate::search_matrix`], and
-/// [`crate::search_pairs`] when uncontrolled) expand every level by push
-/// and run uncapped and uncontrolled, so they read only `reverse_adj`,
-/// `dop` and `pool`.
+/// Each entry point documents the fields it does not read.
 #[derive(Clone, Copy, Debug)]
 pub struct SearchOpts<'a> {
     /// Traverse [`GraphView::rev`] instead of [`GraphView::out`]. The
@@ -632,7 +628,7 @@ fn reach<G: GraphView>(
 }
 
 /// **The** level-synchronous product BFS (Section 2.2) — the one loop
-/// behind every node, pair and controlled entry point, generic over any
+/// behind every entry point, generic over any
 /// [`GraphView`] (the immutable CSR snapshot or the delta overlay).
 ///
 /// Each level runs: ε-closure (ε-moves consume no edge, so their targets
@@ -901,8 +897,8 @@ pub fn search_nodes<G: GraphView>(
 }
 
 /// One [`search_nodes`] per seed under one shared control — the loop behind
-/// every controlled multi-item request arm ([`crate::run_request`]) and the
-/// controlled form of [`crate::search_pairs`]. Each seed's search gets
+/// every multi-item request arm ([`crate::run_request`]) and
+/// [`crate::search_pairs`]. Each seed's search gets
 /// whatever `opts.control.budget` has left after the seeds before it; the
 /// loop stops at the first non-complete termination, so seeds not yet
 /// explored report nothing — still a sound subset. `on_item` receives each

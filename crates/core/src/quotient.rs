@@ -38,8 +38,7 @@ use crate::product::{finish_eval, EvalResult};
 use crate::stats::EvalStats;
 
 /// Interner for quotient classes as canonical NFA state sets, with the
-/// per-(class, label) subset-step memo. Shared between the single-source
-/// search below and the bit-parallel batched variant in [`crate::batch`].
+/// per-(class, label) subset-step memo of the single-source search below.
 ///
 /// Owns a [`Nfa::trim`]med copy of the automaton: dead states dragged
 /// along inside subset sets split otherwise-equal classes, so trimming

@@ -31,9 +31,9 @@ use std::sync::Arc;
 use rpq_automata::Nfa;
 use rpq_graph::{CsrGraph, GraphView, Oid};
 
-use crate::batch::{search_lanes, search_matrix, BatchResult, MatrixResult};
+use crate::batch::{BatchResult, MatrixResult};
 use crate::engine::{Engine, Query};
-use crate::pair::{eval_pair, eval_to, search_pair, PairResult};
+use crate::pair::{search_pair, PairResult};
 use crate::pairset::{search_pairs, seed_candidates, PairSetResult};
 use crate::product::{search_nodes, search_nodes_each, EvalResult, FrontierMode, SearchOpts};
 use crate::scratch::EvalScratch;
@@ -64,11 +64,6 @@ impl EvalControl<'_> {
     /// Has the cancellation flag been raised?
     pub fn cancelled(&self) -> bool {
         self.cancel.is_some_and(|c| c.load(Ordering::Relaxed))
-    }
-
-    /// Neither budget nor cancellation is in play.
-    pub fn is_unlimited(&self) -> bool {
-        self.budget.is_none() && self.cancel.is_none()
     }
 }
 
@@ -112,8 +107,8 @@ pub enum SourceSpec {
         /// Path end.
         target: Oid,
     },
-    /// The full N×M reachability matrix `target ∈ p(source, I)` in one
-    /// bit-parallel pass ([`MatrixResult`]).
+    /// The full N×M reachability matrix `target ∈ p(source, I)`
+    /// ([`MatrixResult`]).
     Matrix {
         /// Row objects (path starts).
         sources: Vec<Oid>,
@@ -170,8 +165,8 @@ impl SourceSpec {
 /// dispatched by [`Engine::run`].
 ///
 /// The direction and frontier-mode fields are *hints*: engines with their
-/// own strategy (or a planner) may override them; the controlled execution
-/// paths honor `frontier_mode` directly.
+/// own strategy (or a planner) may override them; [`run_request`] honors
+/// `frontier_mode` directly.
 #[derive(Clone, Debug)]
 pub struct EvalRequest {
     /// The question being asked.
@@ -264,8 +259,9 @@ impl EvalRequest {
         self
     }
 
-    /// Does the request carry a budget or a cancellation flag? Controlled
-    /// requests route through the budget-aware product kernels.
+    /// Does the request carry a budget or a cancellation flag? Only the
+    /// product BFS can be stopped early, so [`run_default`] routes such a
+    /// request past engines with their own strategy.
     pub fn is_controlled(&self) -> bool {
         self.budget.is_some() || self.cancel.is_some()
     }
@@ -381,7 +377,7 @@ impl EvalResponse {
         }
     }
 
-    /// Override the termination (builder for the controlled paths).
+    /// Override the termination (a search that ended early).
     pub fn terminated(mut self, termination: Termination) -> EvalResponse {
         self.termination = termination;
         self
@@ -471,13 +467,17 @@ impl EvalResponse {
 }
 
 /// The default [`Engine::run`] dispatch, shared by every engine that does
-/// not override `run`: an uncontrolled single-source, multi-source,
-/// target-bound or pair request routes through the engine's own
-/// [`Engine::eval`] strategy and the `Query`-level backward / pair helpers
-/// ([`eval_to`], [`eval_pair`]); everything else — a budget or a
-/// cancellation flag, the matrix and binding-set shapes, an oid that is no
-/// object of `graph` — goes to [`run_request`], bypassing the engine so
-/// controls and validation bind uniformly.
+/// not override `run`: a single-source or multi-source request routes
+/// through the engine's own [`Engine::eval`] strategy; everything else —
+/// the target-bound, pair, matrix and binding-set shapes, an oid that is
+/// no object of `graph` — goes to [`run_request`].
+///
+/// So does any request carrying a budget or a cancellation flag, and this
+/// is the one place that asks: an engine's own strategy cannot be stopped
+/// early, so a controlled request bypasses it for the product BFS, where
+/// the controls bind. That is a bypass of engines the serving path does
+/// not use, not a choice of algorithm on it — [`run_request`] itself runs
+/// the same search with or without a control.
 ///
 /// Engines that *do* override `run` (for set-at-a-time strategies or
 /// planning) call back into this for the arms they don't specialize.
@@ -487,24 +487,18 @@ pub fn run_default<E: Engine + ?Sized>(
     graph: &CsrGraph,
     req: &EvalRequest,
 ) -> EvalResponse {
-    let per_item = |items: &[Oid], eval: &dyn Fn(Oid) -> EvalResult| {
-        let mut stats = EvalStats::default();
-        let mut per = Vec::with_capacity(items.len());
-        for &item in items {
-            let r = eval(item);
-            stats.merge(&r.stats);
-            per.push(r.answers);
-        }
-        EvalResponse::from_batch(BatchResult::from_per_source(per, stats))
-    };
     let own = !req.is_controlled() && req.spec.in_range(graph.num_nodes());
     match &req.spec {
         SourceSpec::Source(s) if own => EvalResponse::from_nodes(engine.eval(query, graph, *s)),
-        SourceSpec::Sources(ss) if own => per_item(ss, &|s| engine.eval(query, graph, s)),
-        SourceSpec::Target(t) if own => EvalResponse::from_nodes(eval_to(query, graph, *t)),
-        SourceSpec::Targets(ts) if own => per_item(ts, &|t| eval_to(query, graph, t)),
-        SourceSpec::Pair { source, target } if own => {
-            EvalResponse::from_pair(eval_pair(query, graph, *source, *target))
+        SourceSpec::Sources(ss) if own => {
+            let mut stats = EvalStats::default();
+            let mut per = Vec::with_capacity(ss.len());
+            for &s in ss {
+                let r = engine.eval(query, graph, s);
+                stats.merge(&r.stats);
+                per.push(r.answers);
+            }
+            EvalResponse::from_batch(BatchResult::from_per_source(per, stats))
         }
         spec => {
             let opts = SearchOpts {
@@ -542,45 +536,46 @@ pub fn live_oids(oids: &[Oid], num_nodes: usize) -> Cow<'_, [Oid]> {
 }
 
 /// The one request executor: answer `spec` over `graph` with the product
-/// kernels, as `opts` directs. `nfa` is the (planned) query automaton and
-/// `reversed` its [`Nfa::reverse`]; `pair_direction` is the strategy for an
-/// uncontrolled pair question (a planner passes its direction decision, or
-/// the request's hint; an engine without one, `Bidirectional`). The
-/// request's controls arrive as `opts.control`, its effective frontier
-/// mode as `opts.mode`, the plan's finite-language bound as
-/// `opts.depth_cap`, and the worker lease as `opts.dop` / `opts.pool`.
-/// `opts.reverse_adj` is not read — each arm sets its own direction.
+/// BFS, as `opts` directs. `nfa` is the (planned) query automaton and
+/// `reversed` its [`Nfa::reverse`]; `pair_direction` is the end a pair
+/// question starts from (a planner passes its direction decision, or the
+/// request's hint; an engine without one, `Bidirectional` — "no decisive
+/// end", which runs forward). The request's controls arrive as
+/// `opts.control`, its effective frontier mode as `opts.mode`, the plan's
+/// finite-language bound as `opts.depth_cap`, and the worker lease as
+/// `opts.dop` / `opts.pool`. `opts.reverse_adj` is not read — each arm
+/// sets its own direction.
 ///
-/// This is the only place a [`SourceSpec`] is matched to a kernel. It is
-/// also where request oids are validated: an oid `>= graph.num_nodes()` is
-/// not an object of the instance, so it seeds no search and is dropped
-/// from target and bound sets; its item's answer is empty, the
-/// termination stays [`Termination::Complete`], and per-item result
-/// vectors and matrix axes keep their alignment with the request.
+/// This is the only place a [`SourceSpec`] is matched to a kernel, and
+/// nothing here asks whether a control is attached: a request with no
+/// control, with a flag that is never raised and with a budget that never
+/// binds run the same searches and report the same counters. It is also
+/// where request oids are validated: an oid `>= graph.num_nodes()` is not
+/// an object of the instance, so it seeds no search and is dropped from
+/// target and bound sets; its item's answer is empty, the termination
+/// stays [`Termination::Complete`], and per-item result vectors and matrix
+/// axes keep their alignment with the request.
 ///
 /// # Decision table
 ///
-/// "Controlled" means `opts.control` carries a budget or a cancellation
-/// flag. "Per-item loop" is one [`search_nodes`] per item, all sharing one
+/// "Per-item loop" is one [`search_nodes`] per item, all sharing one
 /// remaining budget, stopping at the first non-complete item (unexplored
 /// items report empty sets — a sound subset).
 ///
-/// | `spec` | uncontrolled | controlled |
-/// |---|---|---|
-/// | `Source` | [`search_nodes`] forward — cap, mode, dop | the same, under the control |
-/// | `Target` | [`search_nodes`] backward — cap, mode, dop | the same, under the control |
-/// | `Sources` | [`search_lanes`] forward, waves fanned across `dop` | per-item loop forward — cap, mode, dop |
-/// | `Targets` | with a cap: per-item loop backward at `dop = 1` (an exact depth cap beats lane sharing on short words); without: [`search_lanes`] backward, waves fanned across `dop` | per-item loop backward — cap, mode, dop |
-/// | `Pair` | [`search_pair`] by `pair_direction` — mode; no cap, `dop = 1` | [`search_pair`] forward early-exit — mode; no cap, `dop = 1` |
-/// | `Matrix` | [`search_matrix`] (sequential lanes) | per-item loop forward over the rows — cap, mode, `dop = 1` |
-/// | `Conjunctive` | [`search_pairs`] lanes, waves fanned across `dop`: sources bound → forward (target set as `bound`), only targets bound → backward, neither → forward from [`seed_candidates`] | [`search_pairs`] per-seed loop, same orientation — mode; no cap, `dop = 1` |
+/// | `spec` | kernel |
+/// |---|---|
+/// | `Source` | [`search_nodes`] forward — cap, mode, dop |
+/// | `Target` | [`search_nodes`] backward — cap, mode, dop |
+/// | `Sources` | per-item loop forward — cap, mode, dop |
+/// | `Targets` | per-item loop backward — cap, mode, dop |
+/// | `Pair` | [`search_pair`] early exit by `pair_direction` — mode; no cap, `dop = 1` |
+/// | `Matrix` | per-item loop forward over the rows — cap, mode, `dop = 1` |
+/// | `Conjunctive` | [`search_pairs`] per-seed loop: sources bound → forward (target set as `bound`), only targets bound → backward, neither → forward from [`seed_candidates`] — mode; no cap, `dop = 1` |
 ///
-/// Asymmetries carried over unchanged (each moves `edges_scanned` or
-/// `threads_used`, so each is its own follow-up): the controlled pair arm
-/// ignores `pair_direction`; the pair arms and the controlled binding-set
-/// loop ignore the depth cap; the pair, matrix and controlled binding-set
-/// arms and the capped uncontrolled `Targets` loop never use granted
-/// workers; the lane kernels have no pull sweep, so they ignore the mode.
+/// Deliberately not touched (each moves a served counter, so each is its
+/// own follow-up): the pair arm ignores the depth cap and runs at
+/// `dop = 1`; matrix rows and the binding-set loop run at `dop = 1`, the
+/// binding-set loop uncapped.
 pub fn run_request<G: GraphView>(
     nfa: &Nfa,
     reversed: &Nfa,
@@ -591,7 +586,6 @@ pub fn run_request<G: GraphView>(
     scratch: &mut EvalScratch,
 ) -> EvalResponse {
     let nv = graph.num_nodes();
-    let controlled = !opts.control.is_unlimited();
     let forward = SearchOpts {
         reverse_adj: false,
         ..*opts
@@ -610,51 +604,44 @@ pub fn run_request<G: GraphView>(
         }
         SourceSpec::Source(s) => nodes(search_nodes(nfa, graph, *s, &forward, scratch)),
         SourceSpec::Target(t) => nodes(search_nodes(reversed, graph, *t, &backward, scratch)),
-        SourceSpec::Sources(ss) => per_seed(nfa, graph, ss, &forward, controlled, scratch),
-        SourceSpec::Targets(ts) if !controlled && opts.depth_cap.is_some() => {
-            per_seed(reversed, graph, ts, &backward.sequential(), true, scratch)
-        }
-        SourceSpec::Targets(ts) => per_seed(reversed, graph, ts, &backward, controlled, scratch),
+        SourceSpec::Sources(ss) => per_seed(nfa, graph, ss, &forward, scratch),
+        SourceSpec::Targets(ts) => per_seed(reversed, graph, ts, &backward, scratch),
         SourceSpec::Pair { source, target } => {
-            let direction = if controlled {
-                Direction::Forward
-            } else {
-                pair_direction
-            };
             let opts = SearchOpts {
                 depth_cap: None,
                 ..opts.sequential()
             };
             let (pair, term) = search_pair(
-                nfa, reversed, graph, *source, *target, direction, &opts, scratch,
+                nfa,
+                reversed,
+                graph,
+                *source,
+                *target,
+                pair_direction,
+                &opts,
+                scratch,
             );
             EvalResponse::from_pair(pair).terminated(term)
         }
         SourceSpec::Matrix { sources, targets } => {
             let (rows, cols) = (live_oids(sources, nv), live_oids(targets, nv));
-            let (matrix, term) = if controlled {
-                let mut matrix = MatrixResult::new(rows.to_vec(), cols.to_vec());
-                let (mut stats, term) = search_nodes_each(
-                    nfa,
-                    graph,
-                    &rows,
-                    &forward.sequential(),
-                    scratch,
-                    |i, answers| {
-                        for (j, t) in cols.iter().enumerate() {
-                            if answers.binary_search(t).is_ok() {
-                                matrix.set(i, j);
-                            }
+            let mut matrix = MatrixResult::new(rows.to_vec(), cols.to_vec());
+            let (mut stats, term) = search_nodes_each(
+                nfa,
+                graph,
+                &rows,
+                &forward.sequential(),
+                scratch,
+                |i, answers| {
+                    for (j, t) in cols.iter().enumerate() {
+                        if answers.binary_search(t).is_ok() {
+                            matrix.set(i, j);
                         }
-                    },
-                );
-                stats.answers = matrix.reachable_count();
-                matrix.stats = stats;
-                (matrix, term)
-            } else {
-                let matrix = search_matrix(nfa, graph, &rows, &cols, scratch);
-                (matrix, Termination::Complete)
-            };
+                    }
+                },
+            );
+            stats.answers = matrix.reachable_count();
+            matrix.stats = stats;
             EvalResponse::from_matrix(matrix.spread_over(sources, targets, nv)).terminated(term)
         }
         SourceSpec::Conjunctive { sources, targets } => {
@@ -673,29 +660,23 @@ pub fn run_request<G: GraphView>(
     }
 }
 
-/// The `Sources` / `Targets` arms of [`run_request`]: per-seed answers by
-/// the lanes or (`looped`) by the per-item loop, re-aligned with the
-/// request — dropped and unexplored seeds answer empty.
+/// The `Sources` / `Targets` arms of [`run_request`]: the per-item loop,
+/// re-aligned with the request — dropped and unexplored seeds answer
+/// empty.
 fn per_seed<G: GraphView>(
     nfa: &Nfa,
     graph: &G,
     seeds: &[Oid],
     opts: &SearchOpts<'_>,
-    looped: bool,
     scratch: &mut EvalScratch,
 ) -> EvalResponse {
     let nv = graph.num_nodes();
     let live = live_oids(seeds, nv);
-    let (result, term) = if looped {
-        let mut per = Vec::with_capacity(live.len());
-        let (stats, term) = search_nodes_each(nfa, graph, &live, opts, scratch, |_, answers| {
-            per.push(answers)
-        });
-        (BatchResult::from_per_source(per, stats), term)
-    } else {
-        let lanes = search_lanes(nfa, graph, &live, opts, scratch);
-        (lanes, Termination::Complete)
-    };
+    let mut per = Vec::with_capacity(live.len());
+    let (stats, term) = search_nodes_each(nfa, graph, &live, opts, scratch, |_, answers| {
+        per.push(answers)
+    });
+    let result = BatchResult::from_per_source(per, stats);
     EvalResponse::from_batch(result.aligned_to(seeds, nv)).terminated(term)
 }
 

@@ -28,7 +28,7 @@ use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 
 use parking_lot::Mutex;
 use rpq_automata::{Nfa, StateId, Symbol};
-use rpq_graph::{FrontierArena, LaneMatrix, Oid};
+use rpq_graph::{FrontierArena, Oid};
 
 /// Default upper bound on arenas parked in a [`ScratchPool`]; checkouts
 /// beyond the bound under contention allocate fresh arenas that are dropped
@@ -38,9 +38,9 @@ use rpq_graph::{FrontierArena, LaneMatrix, Oid};
 /// is a cold alloc).
 const MAX_POOLED: usize = 8;
 
-/// Reusable per-evaluation working memory for the product-BFS family
-/// (single-source/target search, pair search, and the bit-parallel batch
-/// kernels). See the module docs for the design; obtain one with
+/// Reusable per-evaluation working memory for the product BFS (every
+/// answer shape runs on the one driver). See the module docs for the
+/// design; obtain one with
 /// [`EvalScratch::new`] or from a [`ScratchPool`].
 #[derive(Debug, Default)]
 pub struct EvalScratch {
@@ -62,17 +62,11 @@ pub struct EvalScratch {
     pub(crate) frontier: Vec<(StateId, Oid)>,
     /// Sparse frontier of the next BFS level.
     pub(crate) next: Vec<(StateId, Oid)>,
-    /// Second sparse frontier — the backward side of the pair search.
-    pub(crate) frontier_b: Vec<(StateId, Oid)>,
     /// Answers collected sparsely during the BFS (sorted at finish), so no
     /// O(|V|) sweep is needed to produce the result.
     pub(crate) answers: Vec<Oid>,
-    /// Dense per-state node sets: the pull step's frontier bitmap, the pair
-    /// search's forward seen set, and the batch kernel's active set.
+    /// Dense per-state node sets: the pull step's frontier bitmap.
     pub(crate) dense: FrontierArena,
-    /// Second dense arena: the pair search's backward seen set and the
-    /// batch kernel's next-active set.
-    pub(crate) dense_b: FrontierArena,
     /// Reversed-NFA transition table for the pull step, flattened: segment
     /// `rev_trans_off[q2]..rev_trans_off[q2 + 1]` lists the `(symbol,
     /// source-state)` pairs with a `source --symbol--> q2` transition,
@@ -82,24 +76,12 @@ pub struct EvalScratch {
     pub(crate) rev_trans_off: Vec<usize>,
     /// Cursor buffer for the counting-sort build of `rev_trans`.
     rev_cursor: Vec<usize>,
-    /// Batch kernel: lanes reached per (state, node).
-    pub(crate) reached: LaneMatrix,
-    /// Batch kernel: current-level lane frontier.
-    pub(crate) lanes_cur: LaneMatrix,
-    /// Batch kernel: next-level lane frontier.
-    pub(crate) lanes_next: LaneMatrix,
-    /// Batch kernel: per-node accepted-lane masks for the current wave.
-    pub(crate) answer_masks: Vec<u64>,
-    /// Batch kernel: ε-closure worklist of (state, node-index) cells.
+    /// ε-closure worklist of [`crate::seed_candidates`].
     pub(crate) worklist: Vec<(StateId, usize)>,
-    /// Core-section capacity (mark tables, dense arenas).
+    /// Capacity of the mark tables and the dense arena.
     cap_nq: usize,
-    /// Core-section capacity (mark tables, dense arenas).
+    /// Capacity of the mark tables and the dense arena.
     cap_nv: usize,
-    /// Lane-section capacity (the three lane matrices + answer masks).
-    lane_nq: usize,
-    /// Lane-section capacity (the three lane matrices + answer masks).
-    lane_nv: usize,
 }
 
 impl EvalScratch {
@@ -108,16 +90,11 @@ impl EvalScratch {
         EvalScratch::default()
     }
 
-    /// Does the core capacity already cover a `(states, nodes)` query
-    /// shape? When true, `EvalScratch::begin` for that shape performs no
+    /// Does the capacity already cover a `(states, nodes)` query shape?
+    /// When true, `EvalScratch::begin` for that shape performs no
     /// allocation.
     pub fn covers(&self, nq: usize, nv: usize) -> bool {
         nq <= self.cap_nq && nv <= self.cap_nv
-    }
-
-    /// Does the lane capacity (batch kernels) also cover the shape?
-    pub fn covers_lanes(&self, nq: usize, nv: usize) -> bool {
-        nq <= self.lane_nq && nv <= self.lane_nv
     }
 
     /// The current mark generation (valid between `begin` and the next
@@ -127,48 +104,27 @@ impl EvalScratch {
         self.gen
     }
 
-    /// Start a fresh single-search evaluation over a `(nq, nv)` shape:
-    /// grow the core buffers if needed, invalidate all marks by bumping the
+    /// Start a fresh search over a `(nq, nv)` shape: grow the buffers if
+    /// needed, invalidate all marks by bumping the
     /// generation, and clear the sparse buffers. Returns `true` when the
     /// existing capacity already covered the shape — i.e. this call touched
     /// no allocator (the `scratch_reused` signal).
     pub(crate) fn begin(&mut self, nq: usize, nv: usize) -> bool {
         let covered = self.covers(nq, nv);
         if !covered {
-            self.grow_core(nq, nv);
+            self.grow(nq, nv);
         }
         self.bump_gen();
         self.frontier.clear();
         self.next.clear();
-        self.frontier_b.clear();
         self.answers.clear();
-        // The dense arenas are cleared by their users after each level, so
-        // these are O(states) no-ops unless a search was abandoned mid-way.
+        // The dense arena is cleared after each pull level, so this is an
+        // O(states) no-op unless a search was abandoned mid-way.
         self.dense.clear();
-        self.dense_b.clear();
         covered
     }
 
-    /// `EvalScratch::begin` for the bit-parallel batch kernels, which
-    /// additionally need the lane matrices sized. The lane matrices are
-    /// *not* cleared here — the kernel clears them per 64-lane wave.
-    pub(crate) fn begin_batch(&mut self, nq: usize, nv: usize) -> bool {
-        let covered = self.begin(nq, nv) & self.covers_lanes(nq, nv);
-        if !self.covers_lanes(nq, nv) {
-            let new_nq = nq.max(self.lane_nq);
-            let new_nv = nv.max(self.lane_nv);
-            self.reached = LaneMatrix::new(new_nq, new_nv);
-            self.lanes_cur = LaneMatrix::new(new_nq, new_nv);
-            self.lanes_next = LaneMatrix::new(new_nq, new_nv);
-            self.answer_masks.resize(new_nv, 0);
-            self.lane_nq = new_nq;
-            self.lane_nv = new_nv;
-        }
-        self.worklist.clear();
-        covered
-    }
-
-    fn grow_core(&mut self, nq: usize, nv: usize) {
+    fn grow(&mut self, nq: usize, nv: usize) {
         let new_nq = nq.max(self.cap_nq);
         let new_nv = nv.max(self.cap_nv);
         // Fresh tables start at generation 0 with all marks 0: never "set",
@@ -180,7 +136,6 @@ impl EvalScratch {
         self.state_marks.clear();
         self.state_marks.resize(new_nq, 0);
         self.dense = FrontierArena::new(new_nq, new_nv);
-        self.dense_b = FrontierArena::new(new_nq, new_nv);
         self.gen = 0;
         self.cap_nq = new_nq;
         self.cap_nv = new_nv;

@@ -12,7 +12,7 @@ pub enum Direction {
     /// Backward product BFS (reversed NFA over the reverse adjacency) —
     /// the last label group is decisively the rare end.
     Backward,
-    /// Meet-in-the-middle — neither end dominates.
+    /// Neither end dominates — a pair search then starts from the source.
     Bidirectional,
 }
 
@@ -102,15 +102,14 @@ pub struct EvalStats {
     pub scratch_reused: usize,
     /// Peak number of OS threads a single evaluation engaged (1 for a
     /// purely sequential run, 0 for engines that predate the parallel
-    /// kernels). Set by the frontier-parallel product search and the
-    /// parallel wave fan-outs.
+    /// kernels). Set by the frontier-parallel product search.
     pub threads_used: usize,
-    /// Frontier chunks (or pull slabs / lane waves) a parallel worker
+    /// Frontier chunks (or pull slabs) a parallel worker
     /// claimed *beyond* its fair share — the work-stealing signal: nonzero
     /// means the static partition was skewed and the shared-cursor claims
     /// rebalanced it.
     pub steal_count: usize,
-    /// BFS levels (or wave batches) expanded with more than one worker.
+    /// BFS levels expanded with more than one worker.
     /// `parallel_levels = 0` with `threads_used <= 1` certifies the
     /// sequential fast path ran — the zero-regression observable.
     pub parallel_levels: usize,

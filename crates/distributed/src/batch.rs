@@ -3,10 +3,10 @@
 //! Unlike the Section 3.1 protocol runners (one site per *object*, message
 //! passing between them), this driver parallelizes over the *source set*:
 //! the sources are partitioned into contiguous chunks, each worker thread
-//! runs the bit-parallel batched product BFS
-//! ([`rpq_core::search_lanes`]) over its chunk against the shared
-//! immutable [`CsrGraph`] snapshot, and the per-chunk [`BatchResult`]s are
-//! stitched back together in source order. Results are ferried back over
+//! answers its chunk as one `Sources` / `Targets` request
+//! ([`rpq_core::run_request`]) against the shared immutable [`CsrGraph`]
+//! snapshot, and the per-chunk [`BatchResult`]s are stitched back together
+//! in source order. Results are ferried back over
 //! the vendored crossbeam channels, so the driver composes with the same
 //! plumbing as the protocol runners.
 //!
@@ -20,18 +20,17 @@ use std::thread;
 use crossbeam::channel::unbounded;
 
 use rpq_core::{
-    run_default, search_lanes, BatchResult, Engine, EvalRequest, EvalResponse, EvalResult,
-    EvalStats, ProductEngine, Query, ScratchPool, SearchOpts, SourceSpec,
+    run_default, run_request, BatchResult, Direction, Engine, EvalRequest, EvalResponse,
+    EvalResult, EvalStats, ProductEngine, Query, ScratchPool, SearchOpts, SourceSpec,
 };
 use rpq_graph::{CsrGraph, Oid};
 
 /// Batched multi-source evaluation partitioned across worker threads.
 ///
 /// `eval` delegates to the single-source product BFS; `eval_batch` fans the
-/// source set out over `workers` threads, each running the bit-parallel
-/// batch kernel on its chunk of the (shared, immutable) snapshot;
-/// `eval_to_batch` does the same with *target* lanes over the reversed NFA
-/// and reverse adjacency. Every worker draws its arenas from a shared
+/// source set out over `workers` threads, each answering its chunk of
+/// sources over the (shared, immutable) snapshot; `eval_to_batch` does the
+/// same with chunks of *targets* (reversed NFA, reverse adjacency). Every worker draws its arenas from a shared
 /// [`ScratchPool`], so steady-state batches allocate no frontier memory.
 #[derive(Clone, Debug)]
 pub struct PartitionedBatchEngine {
@@ -128,27 +127,25 @@ impl Engine for PartitionedBatchEngine {
         ProductEngine.eval(query, graph, source)
     }
 
-    /// Specializes the uncontrolled multi-source and multi-target arms by
-    /// fanning the item set out over the worker threads, each running the
-    /// bit-parallel wave kernel on its chunk (one reversal of the query's
-    /// NFA serves every worker on the target side). Everything else falls
-    /// back to [`run_default`].
+    /// Specializes the multi-source and multi-target arms by fanning the
+    /// item set out over the worker threads, each answering its chunk
+    /// through [`run_request`] (one reversal of the query's NFA serves
+    /// every worker). The chunks cannot share a budget, so a request
+    /// carrying controls — like everything else — falls back to
+    /// [`run_default`].
     fn run(&self, query: &Query, graph: &CsrGraph, req: &EvalRequest) -> EvalResponse {
-        let reversed;
-        let (items, nfa, reverse_adj) = match &req.spec {
-            SourceSpec::Sources(sources) if !req.is_controlled() => (sources, query.nfa(), false),
-            SourceSpec::Targets(targets) if !req.is_controlled() => {
-                reversed = query.nfa().reverse();
-                (targets, &reversed, true)
-            }
+        let (items, chunk_spec): (_, fn(Vec<Oid>) -> SourceSpec) = match &req.spec {
+            SourceSpec::Sources(sources) if !req.is_controlled() => (sources, SourceSpec::Sources),
+            SourceSpec::Targets(targets) if !req.is_controlled() => (targets, SourceSpec::Targets),
             _ => return run_default(self, query, graph, req),
         };
-        let opts = SearchOpts {
-            reverse_adj,
-            ..SearchOpts::default()
-        };
+        let (nfa, reversed) = (query.nfa(), query.nfa().reverse());
+        let opts = SearchOpts::default();
         EvalResponse::from_batch(self.run_partitioned(items, |chunk, scratch| {
-            search_lanes(nfa, graph, chunk, &opts, scratch)
+            let spec = chunk_spec(chunk.to_vec());
+            // no pair arm here, so the pair direction is never read
+            let dir = Direction::Forward;
+            run_request(nfa, &reversed, graph, &spec, dir, &opts, scratch).into_batch()
         }))
     }
 }

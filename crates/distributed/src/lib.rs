@@ -20,8 +20,8 @@
 //!   snapshot (CSR or delta overlay), absorbing `rpq_graph::EdgeDelta`
 //!   batches via `apply_delta` without a reshard;
 //! * [`batch`] — the threaded multi-source driver: sources partitioned
-//!   across worker threads, each running the bit-parallel batch kernel
-//!   over the shared immutable snapshot;
+//!   across worker threads, each answering its chunk over the shared
+//!   immutable snapshot;
 //! * [`decomposition`] — the ship-query-once-per-site baseline of the
 //!   related work (\[30\]), for protocol comparisons;
 //! * [`carrying`] — the Section 5 variant where agents carry accumulated

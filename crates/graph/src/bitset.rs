@@ -1,28 +1,20 @@
-//! Dense bit-parallel building blocks for batched evaluation.
+//! Dense per-state node sets for the product BFS.
 //!
-//! Multi-source evaluation advances many searches through the same
-//! [`crate::CsrGraph`] at once. The batched engines in `rpq-core` represent
-//! their frontiers in two bit-parallel forms, both provided here:
+//! A dense *pull* level of `rpq-core`'s product search probes "is
+//! `(state, node)` on the current frontier?" once per candidate in-edge, so
+//! the frontier is densified into bitmaps first:
 //!
-//! * [`NodeBitset`] — one bit per graph node in `u64` blocks. A
-//!   [`FrontierArena`] holds one such bitset per automaton state, the
-//!   "single shared frontier" used when callers only need the *union* of
-//!   the per-source answer sets.
-//! * [`LaneMatrix`] — one `u64` *lane mask* per (automaton-state, node)
-//!   cell, where lane `i` belongs to source `i` of the current wave (up to
-//!   64 sources per wave). One pass over a CSR label row ORs a whole mask
-//!   into every target, advancing all pending sources at once; the lane
-//!   partition is what recovers *per-source* reachability afterwards.
+//! * [`NodeBitset`] — one bit per graph node in `u64` blocks;
+//! * [`FrontierArena`] — one such bitset per automaton state.
 //!
-//! Both structures are plain arenas: allocated once per evaluation (or per
-//! wave) and reset in place, so the hot loops never allocate.
+//! Both are plain arenas: allocated once per evaluation arena and reset in
+//! place, so the hot loops never allocate.
 
 /// A fixed-capacity set of node indices stored as `u64` blocks.
 ///
 /// Maintains a running set-bit count so [`NodeBitset::is_empty`] and
-/// [`NodeBitset::count`] are O(1) — BFS loops ask "is the frontier empty"
-/// once per level, and the hybrid product search sizes its frontiers from
-/// `count()` when deciding between push and pull expansion.
+/// [`NodeBitset::count`] are O(1), and clearing an already-empty set (the
+/// common case between levels) touches no block.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct NodeBitset {
     blocks: Vec<u64>,
@@ -92,30 +84,10 @@ impl NodeBitset {
         self.ones += gained;
         gained != 0
     }
-
-    /// Iterate set bits in increasing order, skipping all-zero blocks
-    /// without entering the per-bit extraction loop.
-    pub fn iter_ones(&self) -> impl Iterator<Item = usize> + '_ {
-        self.blocks
-            .iter()
-            .enumerate()
-            .filter(|&(_, &block)| block != 0)
-            .flat_map(|(bi, &block)| {
-                let mut b = block;
-                std::iter::from_fn(move || {
-                    if b == 0 {
-                        return None;
-                    }
-                    let t = b.trailing_zeros() as usize;
-                    b &= b - 1;
-                    Some(bi * 64 + t)
-                })
-            })
-    }
 }
 
 /// One [`NodeBitset`] per automaton state, spanning all graph nodes — the
-/// frontier (or visited-set) shape of the union-mode batched BFS.
+/// densified frontier of a pull level.
 #[derive(Clone, Debug, Default)]
 pub struct FrontierArena {
     per_state: Vec<NodeBitset>,
@@ -144,87 +116,11 @@ impl FrontierArena {
         &mut self.per_state[q]
     }
 
-    /// True if every per-state bitset is empty (the BFS is done). O(states):
-    /// each per-state check reads a maintained count instead of scanning
-    /// blocks.
-    pub fn is_empty(&self) -> bool {
-        self.per_state.iter().all(NodeBitset::is_empty)
-    }
-
-    /// Total set bits across all states — the frontier size in
-    /// (state, node) pairs. O(states).
-    pub fn count(&self) -> usize {
-        self.per_state.iter().map(NodeBitset::count).sum()
-    }
-
     /// Clear every per-state bitset (retains allocations).
     pub fn clear(&mut self) {
         for b in &mut self.per_state {
             b.clear();
         }
-    }
-
-    /// Swap contents with `other` (the level-synchronous frontier flip).
-    pub fn swap(&mut self, other: &mut FrontierArena) {
-        std::mem::swap(&mut self.per_state, &mut other.per_state);
-    }
-}
-
-/// A dense `(state, node) -> u64` lane-mask table: bit `i` of cell
-/// `(q, v)` says source-lane `i` has reached node `v` in automaton state
-/// `q`. The source-partition bitmap of the bit-parallel batched product
-/// engine (waves of up to 64 lanes).
-#[derive(Clone, Debug, Default)]
-pub struct LaneMatrix {
-    nv: usize,
-    masks: Vec<u64>,
-}
-
-impl LaneMatrix {
-    /// An all-zero table for `states × nodes` cells.
-    pub fn new(states: usize, nodes: usize) -> LaneMatrix {
-        LaneMatrix {
-            nv: nodes,
-            masks: vec![0; states * nodes],
-        }
-    }
-
-    #[inline]
-    fn idx(&self, q: usize, v: usize) -> usize {
-        q * self.nv + v
-    }
-
-    /// The lane mask at `(q, v)`.
-    #[inline]
-    pub fn get(&self, q: usize, v: usize) -> u64 {
-        self.masks[self.idx(q, v)]
-    }
-
-    /// OR `bits` into `(q, v)`; returns the bits that were newly set.
-    #[inline]
-    pub fn or(&mut self, q: usize, v: usize, bits: u64) -> u64 {
-        let i = self.idx(q, v);
-        let newly = bits & !self.masks[i];
-        self.masks[i] |= newly;
-        newly
-    }
-
-    /// Replace the mask at `(q, v)` with zero, returning the old value.
-    #[inline]
-    pub fn take(&mut self, q: usize, v: usize) -> u64 {
-        let i = self.idx(q, v);
-        std::mem::take(&mut self.masks[i])
-    }
-
-    /// Zero every cell (retains the allocation).
-    pub fn clear(&mut self) {
-        self.masks.fill(0);
-    }
-
-    /// Swap contents with `other` (the level-synchronous frontier flip).
-    pub fn swap_contents(&mut self, other: &mut LaneMatrix) {
-        debug_assert_eq!(self.nv, other.nv);
-        std::mem::swap(&mut self.masks, &mut other.masks);
     }
 }
 
@@ -243,7 +139,6 @@ mod tests {
         assert!(s.contains(64));
         assert!(!s.contains(63));
         assert_eq!(s.count(), 3);
-        assert_eq!(s.iter_ones().collect::<Vec<_>>(), vec![0, 64, 129]);
         s.clear();
         assert!(s.is_empty());
         assert_eq!(s.len(), 130);
@@ -261,33 +156,13 @@ mod tests {
     }
 
     #[test]
-    fn frontier_arena_swap_and_clear() {
+    fn frontier_arena_clears_every_state() {
         let mut f = FrontierArena::new(3, 10);
-        let mut g = FrontierArena::new(3, 10);
         f.state_mut(1).insert(7);
         f.state_mut(2).insert(1);
-        assert!(!f.is_empty());
-        assert_eq!(f.count(), 2);
-        f.state_mut(2).clear();
-        assert_eq!(f.count(), 1);
+        assert!(f.state(1).contains(7));
         assert_eq!(f.num_states(), 3);
-        f.swap(&mut g);
-        assert!(f.is_empty());
-        assert!(g.state(1).contains(7));
-        g.clear();
-        assert!(g.is_empty());
-    }
-
-    #[test]
-    fn lane_matrix_or_returns_new_bits() {
-        let mut m = LaneMatrix::new(2, 5);
-        assert_eq!(m.or(1, 3, 0b1010), 0b1010);
-        assert_eq!(m.or(1, 3, 0b1110), 0b0100);
-        assert_eq!(m.get(1, 3), 0b1110);
-        assert_eq!(m.take(1, 3), 0b1110);
-        assert_eq!(m.get(1, 3), 0);
-        m.or(0, 0, 1);
-        m.clear();
-        assert_eq!(m.get(0, 0), 0);
+        f.clear();
+        assert!((0..3).all(|q| f.state(q).is_empty()));
     }
 }

@@ -24,9 +24,9 @@
 //!   which evaluators may only expand nodes they have reached; implemented
 //!   by [`Instance`], [`CsrGraph`], [`DeltaGraph`], and by synthetic
 //!   infinite graphs ([`InfiniteTree`], [`InfiniteComb`], [`LassoLine`]).
-//! * [`bitset`] — dense bit-parallel frontiers ([`NodeBitset`],
-//!   [`FrontierArena`], [`LaneMatrix`]) backing the batched multi-source
-//!   engines in `rpq-core`.
+//! * [`bitset`] — dense per-state node sets ([`NodeBitset`],
+//!   [`FrontierArena`]): the densified frontier of the product BFS's pull
+//!   levels in `rpq-core`.
 //! * [`generators`] — seeded workloads, including the exact Figure 2 graph
 //!   and the cached-site generator for the Section 3.2 experiments.
 
@@ -40,7 +40,7 @@ pub mod instance;
 pub mod source;
 pub mod view;
 
-pub use bitset::{FrontierArena, LaneMatrix, NodeBitset};
+pub use bitset::{FrontierArena, NodeBitset};
 pub use csr::{CsrGraph, LabelStats};
 pub use delta::{CompactionPolicy, DeltaGraph};
 pub use instance::{Instance, InstanceBuilder, Oid};

@@ -452,15 +452,15 @@ pub fn execute_join<G: GraphView>(
     execute_join_parallel(crpq, order, graph, heads, mode, control, 1, &pool, scratch)
 }
 
-/// [`execute_join`] with intra-query parallelism: uncontrolled atom
-/// evaluations fan their independent 64-lane seed waves across up to `dop`
-/// workers drawing per-worker arenas from `pool` (the engine's shared
-/// [`ScratchPool`]). Semijoin propagation is inherently sequential between
-/// atoms — each atom's bound side comes from the previous join step — so
-/// the parallelism lives *inside* each atom's pair-set kernel, where the
-/// waves are independent. `dop ≤ 1` is exactly [`execute_join`].
-/// Controlled atoms keep the shared-budget seed loop (its
-/// whatever-the-budget-has-left contract is order-dependent).
+/// [`execute_join`] with the request's worker grant: `dop` and `pool` (the
+/// engine's shared [`ScratchPool`]) ride into every atom's [`SearchOpts`].
+/// Semijoin propagation is inherently sequential between atoms — each
+/// atom's bound side comes from the previous join step — and inside an
+/// atom [`search_pairs`] runs its seeds one after the other at `dop = 1`
+/// (the shared budget's whatever-is-left contract is order-dependent), so
+/// the grant is carried but not spent: the result and every counter equal
+/// [`execute_join`]'s at any `dop` (spending it inside a seed's search is
+/// the follow-up listed on [`rpq_core::run_request`]).
 #[allow(clippy::too_many_arguments)]
 pub fn execute_join_parallel<G: GraphView>(
     crpq: &Crpq,

@@ -21,8 +21,8 @@
 //!   rewrite hook for the distributed runners;
 //! * [`planned`] — [`PlannedEngine`]: the optimizer as a first-class
 //!   `rpq_core::Engine` that rewrites (*what*), picks a traversal
-//!   direction from label statistics (*how*: forward / backward /
-//!   meet-in-the-middle), and memoizes compiled plans across threads;
+//!   direction from label statistics (*how*: forward / backward / no
+//!   decisive end), and memoizes compiled plans across threads;
 //! * [`join`] — conjunctive RPQs: the [`Crpq`] plan-as-data IR and text
 //!   grammar (`ans(x,z) :- x -[r*]-> y, y -[s.t]-> z`), the cost-based
 //!   join planner (rarest atom first, semijoin propagation along shared

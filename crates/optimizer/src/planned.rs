@@ -14,9 +14,9 @@
 //!    (edges matching the query's *first* label group) and the backward
 //!    cost (edges matching its *last*) — the *how*: [`Direction::Backward`]
 //!    when the last group is decisively rarer, [`Direction::Forward`] when
-//!    the first is, [`Direction::Bidirectional`] (meet-in-the-middle) when
-//!    neither end dominates; the decisiveness factor is a [`PlannerConfig`]
-//!    knob (default 2×);
+//!    the first is, [`Direction::Bidirectional`] ("no decisive end"; a
+//!    pair search then starts from the source) when neither end dominates;
+//!    the decisiveness factor is a [`PlannerConfig`] knob (default 2×);
 //! 3. memoizes the whole [`Plan`] behind a `parking_lot::Mutex`, so
 //!    repeated queries skip both the rewrite search and recompilation, and
 //!    one engine instance can be shared across threads (the threaded
@@ -547,8 +547,9 @@ impl<E> PlannedEngine<E> {
     }
 
     /// Pair reachability `target ∈ p(source, I)?` by the planned
-    /// direction: forward with early exit, backward with early exit, or
-    /// meet-in-the-middle. Generic over any [`GraphView`].
+    /// direction: early exit from the source, or from the target when the
+    /// last label group is decisively rarer. Generic over any
+    /// [`GraphView`].
     pub fn eval_pair<G: GraphView>(
         &self,
         query: &Query,
@@ -578,14 +579,14 @@ impl<E> PlannedEngine<E> {
     /// the form the serving layer drives: one plan probe per request
     /// (rewrite + direction + analysis, memoized per epoch lineage), the
     /// statically-empty short-circuit, one worker-pool lease (the permits
-    /// granted cap every parallel level and wave this request runs, and
-    /// return to the pool when the response is built), then
+    /// granted cap every parallel level this request runs, and return to
+    /// the pool when the response is built), then
     /// [`run_request`] — whose decision table says which kernel serves
     /// each [`SourceSpec`] — and the plan stamp.
     ///
     /// Finite-language plans cap the product BFS depth at the longest
-    /// accepted word — on controlled requests the cap *composes* with the
-    /// fetch budget (whichever binds first ends the search). An explicit
+    /// accepted word — the cap *composes* with a fetch budget (whichever
+    /// binds first ends the search). An explicit
     /// request frontier mode wins over the configured pull-sweep
     /// discount; the pair arm honors the request's direction hint over
     /// the planned direction when one is given.
@@ -730,8 +731,8 @@ fn sequential(plan: &Plan) -> SearchOpts<'static> {
 
 /// Pick the direction from the two entry-cost estimates: a decisive
 /// (≥ `config.decisiveness`×) win on either end takes that end; otherwise
-/// meet in the middle. Equal costs (including the all-zero degenerate
-/// case) stay bidirectional.
+/// neither does. Equal costs (including the all-zero degenerate case) stay
+/// bidirectional.
 fn choose_direction(
     forward_cost: usize,
     backward_cost: usize,
@@ -799,9 +800,8 @@ impl<E: Engine> Engine for PlannedEngine<E> {
             self.stamp(&mut stats, &plan, hit);
             return BatchResult::from_per_source(vec![Vec::new(); sources.len()], stats);
         }
-        // Finite languages keep the inner engine's batch machinery (the
-        // bit-parallel lanes already amortize multi-source work better
-        // than a per-source bounded loop would).
+        // The inner engine's batch strategy runs the planned query;
+        // `run_view` is the entry point that also applies the depth cap.
         let mut res = self.inner.eval_batch(&plan.query, graph, sources);
         self.stamp(&mut res.stats, &plan, hit);
         res
@@ -815,11 +815,8 @@ impl<E: Engine> Engine for PlannedEngine<E> {
     }
 
     /// One plan serves the whole multi-target batch, sequentially in the
-    /// default hybrid mode: the unbounded path runs the bit-parallel
-    /// backward wave with the plan's cached reversed automaton — waves of
-    /// up to 64 target lanes, one reverse-row pass advancing every pending
-    /// target at once; finite languages keep the per-target bounded loop
-    /// (the exact depth cap beats lane sharing on short words).
+    /// default hybrid mode: one backward search per target with the plan's
+    /// cached reversed automaton, depth-capped for finite languages.
     fn eval_to_batch(&self, query: &Query, graph: &CsrGraph, targets: &[Oid]) -> BatchResult {
         self.eval_spec(query, graph, SourceSpec::Targets(targets.to_vec()))
             .into_batch()

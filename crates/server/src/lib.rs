@@ -197,6 +197,16 @@ mod tests {
             .join();
         assert_eq!(resp.termination, Termination::Complete);
         assert_eq!(resp.nodes().unwrap(), &full[..]);
+        // the synchronous entry points are stamped too
+        let sync = session.run(&q, &EvalRequest::source(nodes[0]));
+        assert_eq!(sync.termination, Termination::BudgetExhausted);
+        assert!(sync.stats.edges_scanned <= 3, "budget binds on run");
+        let crpq = server.parse_crpq("ans(x, y) :- x -[(a+b)*]-> y").unwrap();
+        let sync = session.run_crpq(&crpq, &EvalRequest::source(nodes[0]));
+        assert_eq!(sync.termination, Termination::BudgetExhausted);
+        assert!(sync.stats.edges_scanned <= 3, "budget binds on run_crpq");
+        let own = EvalRequest::source(nodes[0]).with_budget(1_000_000);
+        assert_eq!(session.run(&q, &own).nodes().unwrap(), &full[..]);
     }
 
     #[test]
@@ -302,6 +312,75 @@ mod tests {
             .join();
         assert_eq!(p.reachable(), Some(true));
         assert_eq!(server.metrics().class(QueryClass::Pair).queries, 1);
+    }
+
+    /// A served pair runs from the end the planner picked. `hot.hot.cold`
+    /// over a source fanning out 64 hot edges (each target fanning on once
+    /// more) with one cold edge into the target (T12's direction workload):
+    /// the plan is `Backward`, the backward search walks three edges.
+    #[test]
+    fn served_pair_runs_by_the_planned_direction() {
+        use rpq_core::{search_pair, Direction, EvalScratch, SearchOpts};
+        use rpq_graph::Instance;
+
+        let mut ab = Alphabet::new();
+        let (hot, cold) = (ab.intern("hot"), ab.intern("cold"));
+        let mut inst = Instance::new();
+        let source = inst.add_node();
+        let mut last = source;
+        for _ in 0..64 {
+            let first = inst.add_node();
+            last = inst.add_node();
+            inst.add_edge(source, hot, first);
+            inst.add_edge(first, hot, last);
+        }
+        let target = inst.add_node();
+        inst.add_edge(last, cold, target);
+        let server = Server::new(Arc::new(Catalog::from_instance(&inst)), ab);
+        let session = server.session();
+        let q = server.parse("hot.hot.cold").unwrap();
+        assert_eq!(
+            server.engine().plan(&q, &**session.snapshot()).direction,
+            Direction::Backward
+        );
+        let forward = search_pair(
+            q.nfa(),
+            &q.nfa().reverse(),
+            &**session.snapshot(),
+            source,
+            target,
+            Direction::Forward,
+            &SearchOpts::default(),
+            &mut EvalScratch::new(),
+        )
+        .0;
+        assert!(forward.reachable);
+
+        let pair = || EvalRequest::pair(source, target);
+        let served = session.submit(&q, pair()).unwrap().join();
+        assert_eq!(served.reachable(), Some(true));
+        assert_eq!(served.termination, Termination::Complete);
+        assert!(
+            served.stats.edges_scanned * 10 <= forward.stats.edges_scanned,
+            "served {} vs forward {}",
+            served.stats.edges_scanned,
+            forward.stats.edges_scanned
+        );
+        // the request's hint wins over the plan
+        let hinted = session
+            .submit(&q, pair().with_direction(Direction::Forward))
+            .unwrap()
+            .join();
+        assert_eq!(hinted.reachable(), Some(true));
+        assert_eq!(hinted.stats.edges_scanned, forward.stats.edges_scanned);
+        // a budget below the backward scan binds on the backward search
+        let budget = served.stats.edges_scanned - 1;
+        let starved = session
+            .submit(&q, pair().with_budget(budget))
+            .unwrap()
+            .join();
+        assert_eq!(starved.termination, Termination::BudgetExhausted);
+        assert!(starved.stats.edges_scanned <= budget);
     }
 
     #[test]

@@ -143,11 +143,10 @@ pub struct ClassSnapshot {
     /// Most OS threads any single query of this class engaged (1 =
     /// everything ran sequentially; 0 = no query reported the counter).
     pub threads_peak: usize,
-    /// Total chunk/wave claims beyond workers' static fair shares — the
+    /// Total chunk/slab claims beyond workers' static fair shares — the
     /// intra-query work-stealing telemetry, summed across queries.
     pub steal_count: usize,
-    /// Total BFS levels (or wave fan-outs) expanded with more than one
-    /// worker thread.
+    /// Total BFS levels expanded with more than one worker thread.
     pub parallel_levels: usize,
     /// Median latency over the sliding window, nanoseconds (0 when empty).
     pub p50_latency_ns: u64,

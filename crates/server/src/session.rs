@@ -18,12 +18,15 @@
 //! joined or dropped) against [`ServerConfig::max_concurrent`]; a
 //! submission over the cap is rejected synchronously with
 //! [`SubmitError::Rejected`], carrying the observed occupancy. Every
-//! submission gets a cancellation flag ([`QueryHandle::cancel`]) and —
-//! unless the request carries its own — the server's default fetch
-//! budget, so a runaway query terminates with
-//! [`rpq_core::Termination::BudgetExhausted`] instead of monopolizing a
-//! worker.
+//! request — submitted or run synchronously — gets the server's default
+//! fetch budget unless it carries its own, so a runaway query terminates
+//! with [`rpq_core::Termination::BudgetExhausted`] instead of monopolizing
+//! a worker, and every submission gets a cancellation flag
+//! ([`QueryHandle::cancel`]). The flag never chooses the algorithm: the
+//! same request through [`Session::run`] and through [`Session::submit`]
+//! runs the same searches and reports the same work counters.
 
+use std::borrow::Cow;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -143,6 +146,22 @@ fn maybe_calibrate(engine: &PlannedEngine<ProductEngine>, metrics: &Metrics) {
         return;
     }
     calibrate_step(engine, metrics);
+}
+
+/// The one evaluation step every entry point shares: time `call` against
+/// the shared engine, record it under `class`, and give the piggy-backed
+/// calibration its turn.
+fn evaluate(
+    engine: &PlannedEngine<ProductEngine>,
+    metrics: &Metrics,
+    class: QueryClass,
+    call: impl FnOnce() -> EvalResponse,
+) -> EvalResponse {
+    let start = Instant::now();
+    let resp = call();
+    metrics.record(class, start.elapsed(), &resp.stats, resp.termination);
+    maybe_calibrate(engine, metrics);
+    resp
 }
 
 /// One bounded pull-discount step (the [`maybe_calibrate`] payload,
@@ -322,15 +341,29 @@ impl Session<'_> {
         Ok(AdmissionSlot(active.clone()))
     }
 
+    /// The budget `req` runs under: its own, else the server's default.
+    fn budget_for(&self, req: &EvalRequest) -> Option<usize> {
+        req.budget.or(self.server.config.default_budget)
+    }
+
+    /// `req` under [`Session::budget_for`] (borrowed when it already
+    /// carries that budget) — the synchronous entry points' stamp.
+    fn budgeted<'r>(&self, req: &'r EvalRequest) -> Cow<'r, EvalRequest> {
+        let budget = self.budget_for(req);
+        if budget == req.budget {
+            return Cow::Borrowed(req);
+        }
+        Cow::Owned(EvalRequest {
+            budget,
+            ..req.clone()
+        })
+    }
+
     /// Stamp the server's default budget onto a request that carries none,
     /// and ensure it has a cancellation flag; returns the flag for the
     /// handle.
     fn controls(&self, mut req: EvalRequest) -> (EvalRequest, Arc<AtomicBool>) {
-        if req.budget.is_none() {
-            if let Some(b) = self.server.config.default_budget {
-                req = req.with_budget(b);
-            }
-        }
+        req.budget = self.budget_for(&req);
         let cancel = match &req.cancel {
             Some(c) => c.clone(),
             None => {
@@ -354,11 +387,9 @@ impl Session<'_> {
         let metrics = self.server.metrics.clone();
         let query = query.clone();
         let join = std::thread::spawn(move || {
-            let start = Instant::now();
-            let resp = engine.run_view(&query, &*snapshot, &req);
-            metrics.record(class, start.elapsed(), &resp.stats, resp.termination);
-            maybe_calibrate(&engine, &metrics);
-            resp
+            evaluate(&engine, &metrics, class, || {
+                engine.run_view(&query, &*snapshot, &req)
+            })
         });
         Ok(QueryHandle {
             join,
@@ -386,11 +417,9 @@ impl Session<'_> {
         let crpq = crpq.clone();
         let class = QueryClass::Conjunctive;
         let join = std::thread::spawn(move || {
-            let start = Instant::now();
-            let resp = engine.run_crpq(&crpq, &*snapshot, &req);
-            metrics.record(class, start.elapsed(), &resp.stats, resp.termination);
-            maybe_calibrate(&engine, &metrics);
-            resp
+            evaluate(&engine, &metrics, class, || {
+                engine.run_crpq(&crpq, &*snapshot, &req)
+            })
         });
         Ok(QueryHandle {
             join,
@@ -415,33 +444,26 @@ impl Session<'_> {
     }
 
     /// Evaluate a conjunctive query synchronously on the caller's thread
-    /// (no admission slot or worker; still recorded in the metrics under
-    /// [`QueryClass::Conjunctive`]).
+    /// (no admission slot or worker; the default budget applies, and the
+    /// run is recorded in the metrics under [`QueryClass::Conjunctive`]).
     pub fn run_crpq(&self, crpq: &Crpq, req: &EvalRequest) -> EvalResponse {
-        let start = Instant::now();
-        let resp = self.server.engine.run_crpq(crpq, &*self.snapshot, req);
-        self.server.metrics.record(
-            QueryClass::Conjunctive,
-            start.elapsed(),
-            &resp.stats,
-            resp.termination,
-        );
-        maybe_calibrate(&self.server.engine, &self.server.metrics);
-        resp
+        let req = self.budgeted(req);
+        let (engine, metrics) = (&self.server.engine, &self.server.metrics);
+        evaluate(engine, metrics, QueryClass::Conjunctive, || {
+            engine.run_crpq(crpq, &*self.snapshot, &req)
+        })
     }
 
     /// Evaluate synchronously on the caller's thread against the pinned
-    /// snapshot (no admission slot, no worker thread; still recorded in
-    /// the metrics). The low-latency path for point queries.
+    /// snapshot (no admission slot, no worker thread; the default budget
+    /// applies, and the run is recorded in the metrics). The low-latency
+    /// path for point queries.
     pub fn run(&self, query: &Query, req: &EvalRequest) -> EvalResponse {
-        let class = QueryClass::of(&req.spec);
-        let start = Instant::now();
-        let resp = self.server.engine.run_view(query, &*self.snapshot, req);
-        self.server
-            .metrics
-            .record(class, start.elapsed(), &resp.stats, resp.termination);
-        maybe_calibrate(&self.server.engine, &self.server.metrics);
-        resp
+        let req = self.budgeted(req);
+        let (engine, metrics) = (&self.server.engine, &self.server.metrics);
+        evaluate(engine, metrics, QueryClass::of(&req.spec), || {
+            engine.run_view(query, &*self.snapshot, &req)
+        })
     }
 }
 

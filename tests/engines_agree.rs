@@ -278,10 +278,9 @@ fn threaded_engine_agrees_through_the_trait() {
     }
 }
 
-/// Engines with a real `eval_batch` override (bit-parallel product,
-/// batched quotient-DFA, multi-seeded semi-naive Datalog, the partitioned
-/// threaded driver) plus representatives of the default loop-over-`eval`
-/// path. Batched and default paths must agree with the per-source map /
+/// Engines with a real `eval_batch` override (the product request
+/// executor, multi-seeded semi-naive Datalog, the partitioned threaded
+/// driver) plus representatives of the default loop-over-`eval` path. Batched and default paths must agree with the per-source map /
 /// union of `eval`.
 fn batch_engines() -> Vec<Box<dyn Engine>> {
     vec![
@@ -344,7 +343,7 @@ proptest! {
 
     /// Direction agreement: for every (source, target) pair of a random
     /// graph × random regex, the forward answer relation, the backward
-    /// (transpose-semantics) relation, and the meet-in-the-middle pair
+    /// (transpose-semantics) relation, and the early-exit pair
     /// verdicts coincide — through the product engine, the quotient-DFA
     /// engine, and both `PlannedEngine`-wrapped variants — and a
     /// `PlannedEngine` never returns a different answer set than its
@@ -398,7 +397,7 @@ proptest! {
                 prop_assert_eq!(
                     eval_pair(&query, &graph, s, t).reachable,
                     fwd_says,
-                    "meet-in-the-middle {:?}->{:?}", s, t
+                    "eval_pair {:?}->{:?}", s, t
                 );
                 prop_assert_eq!(
                     planned_product.eval_pair(&query, &graph, s, t).reachable,
@@ -526,13 +525,11 @@ fn planned_wrapper_never_changes_answers() {
     }
 }
 
-/// Acceptance: on shared-prefix graphs (many sources funneling into one
-/// suffix) the bit-parallel batch engine scans strictly fewer edges than
-/// the per-source loop — one CSR row pass carries every pending source
-/// lane. At N = 16 entry nodes over a 40-edge chain the loop pays
-/// N × (depth + 1) row scans, the batch N + depth.
+/// On a shared-prefix graph (many sources funneling into one suffix) a
+/// `Sources` request is one product BFS per source: per-source answers and
+/// the total `edges_scanned` equal the hand-written loop's.
 #[test]
-fn batched_product_scans_fewer_edges_on_shared_prefix_graphs() {
+fn batched_product_is_the_per_source_loop_on_shared_prefix_graphs() {
     use rpq::graph::InstanceBuilder;
 
     let mut ab = Alphabet::new();
@@ -558,12 +555,7 @@ fn batched_product_scans_fewer_edges_on_shared_prefix_graphs() {
         loop_edges += single.stats.edges_scanned;
         assert_eq!(batch.per_source().unwrap()[i], single.answers);
     }
-    assert!(
-        batch.stats.edges_scanned * 4 < loop_edges,
-        "batch {} vs loop {} — expected at least a 4x edge-scan gap",
-        batch.stats.edges_scanned,
-        loop_edges
-    );
+    assert_eq!(batch.stats.edges_scanned, loop_edges);
 }
 
 #[test]

@@ -6,7 +6,14 @@
 //! `DeltaGraph` epoch — and must agree with every evaluation engine of
 //! Section 2. The pooled [`rpq::core::EvalScratch`] reuse is also pinned
 //! here: warm evaluations report `scratch_reused` and allocate no frontier
-//! memory, across interleaved queries of different `|Q|·|V|` shapes.
+//! memory, across interleaved queries of different `|Q|·|V|` shapes. And a
+//! control that never binds is not a semantics change either: every request
+//! shape through every serving entry point returns the same answers *and
+//! the same work counters* with no control, an unraised cancellation flag,
+//! or a budget that is never reached.
+
+use std::sync::atomic::AtomicBool;
+use std::sync::Arc;
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -15,15 +22,18 @@ use rand::SeedableRng;
 use rpq::automata::random::{random_regex, RegexGenConfig};
 use rpq::automata::{Alphabet, Nfa, Regex, Symbol};
 use rpq::core::{
-    eval_product_csr, eval_to, search_nodes, DerivativeEngine, Engine, EvalScratch, FrontierMode,
-    OracleEngine, ProductEngine, Query, QuotientDfaEngine, ScratchPool, SearchOpts,
-    StreamingEngine,
+    eval_product_csr, eval_to, search_nodes, Answers, DerivativeEngine, Engine, EvalControl,
+    EvalRequest, EvalResponse, EvalScratch, EvalStats, FrontierMode, OracleEngine, ProductEngine,
+    Query, QuotientDfaEngine, ScratchPool, SearchOpts, SourceSpec, StreamingEngine, Termination,
 };
 use rpq::datalog::{DatalogMagicEngine, DatalogNaiveEngine, DatalogSeminaiveEngine};
 use rpq::distributed::{PartitionedBatchEngine, SimulatorEngine};
 use rpq::graph::generators::random_graph;
 use rpq::graph::{CsrGraph, DeltaGraph, GraphView, Instance, Oid};
-use rpq::optimizer::PlannedEngine;
+use rpq::optimizer::{
+    execute_join_parallel, parse_crpq, plan_join, HeadBindings, PlannedEngine, PlannerConfig,
+};
+use rpq::server::{Catalog, Server, ServerConfig};
 
 const MODES: [FrontierMode; 4] = [
     FrontierMode::ForcedSparse,
@@ -247,4 +257,213 @@ fn serving_engines_reuse_their_pools() {
     let t1 = batch.eval_to_batch(&query, &graph, &sources);
     let t2 = batch.eval_to_batch(&query, &graph, &sources);
     assert_eq!(t1.per_source(), t2.per_source());
+}
+
+/// What a request observably did: its answers, how it ended, and the work
+/// counters a control must not move.
+type Outcome = (String, Termination, [usize; 5]);
+
+/// One way of running a request.
+type Runner<'a> = &'a dyn Fn(&EvalRequest) -> EvalResponse;
+
+fn outcome(answers: String, termination: Termination, s: &EvalStats) -> Outcome {
+    let counters = [
+        s.edges_scanned,
+        s.pairs_visited,
+        s.push_levels,
+        s.pull_levels,
+        s.frontier_peak,
+    ];
+    (answers, termination, counters)
+}
+
+fn response_outcome(resp: &EvalResponse) -> Outcome {
+    let answers = match &resp.answers {
+        Answers::Nodes(ns) => format!("{ns:?}"),
+        Answers::Batch(b) => format!("{:?}", b.per_source()),
+        Answers::Reachable(r) => format!("{r}"),
+        Answers::Matrix(m) => {
+            let cell = |i, j| if m.reachable(i, j) { '1' } else { '0' };
+            let row = |i| {
+                (0..m.targets().len())
+                    .map(|j| cell(i, j))
+                    .collect::<String>()
+            };
+            (0..m.sources().len())
+                .map(row)
+                .collect::<Vec<_>>()
+                .join("/")
+        }
+        Answers::Bindings(bs) => format!("{bs:?}"),
+    };
+    outcome(answers, resp.termination, &resp.stats)
+}
+
+/// A graph whose searches share suffixes: a seeded random core, sixteen
+/// entry nodes funnelling into core node 0, and a twelve-node tail chain
+/// hanging off core node 1 — many seeds, one shared continuation.
+fn funnel_setup(seed: u64) -> (Alphabet, Instance, Vec<Oid>) {
+    let ab = Alphabet::from_names(["a", "b", "c"]);
+    let syms: Vec<Symbol> = ab.symbols().collect();
+    let mut rng = StdRng::seed_from_u64(seed);
+    let (mut inst, _) = random_graph(&mut rng, 20, 50, &syms);
+    let entries: Vec<Oid> = (0..16).map(|_| inst.add_node()).collect();
+    for (i, &e) in entries.iter().enumerate() {
+        inst.add_edge(e, syms[i % 2], Oid(0));
+    }
+    let mut prev = Oid(1);
+    for i in 0..12 {
+        let next = inst.add_node();
+        inst.add_edge(prev, syms[i % 3], next);
+        prev = next;
+    }
+    (ab, inst, entries)
+}
+
+/// Every `SourceSpec` shape: the funnel entries as sources, the tail and
+/// part of the core as targets.
+fn all_shapes(n: usize, entries: &[Oid]) -> Vec<SourceSpec> {
+    let targets: Vec<Oid> = (0..n as u32).step_by(3).map(Oid).collect();
+    let few: Vec<Oid> = entries.iter().copied().take(5).collect();
+    let conj = |sources: Option<&[Oid]>, targets: Option<&[Oid]>| SourceSpec::Conjunctive {
+        sources: sources.map(<[Oid]>::to_vec),
+        targets: targets.map(<[Oid]>::to_vec),
+    };
+    vec![
+        SourceSpec::Source(entries[0]),
+        SourceSpec::Target(Oid(n as u32 - 1)),
+        SourceSpec::Sources(entries.to_vec()),
+        SourceSpec::Targets(targets.clone()),
+        SourceSpec::Pair {
+            source: entries[1],
+            target: Oid(n as u32 - 1),
+        },
+        SourceSpec::Matrix {
+            sources: few.clone(),
+            targets: targets.clone(),
+        },
+        conj(Some(entries), None),
+        conj(None, Some(&targets)),
+        conj(Some(&few), Some(&targets)),
+        conj(None, None),
+    ]
+}
+
+const NEVER_BINDS: usize = usize::MAX >> 2;
+
+/// An unraised cancellation flag changes nothing, and neither does a
+/// budget that never binds: on graphs where seeds share suffixes, every
+/// request shape × frontier mode × granted parallelism returns the same
+/// answers, `Complete`, and the same work counters with and without the
+/// control — through `PlannedEngine::run_view`, `ProductEngine::run`,
+/// `execute_join_parallel`, and `Session::run` against
+/// `Session::submit(..).join()` (which attaches a flag to everything).
+#[test]
+fn an_unraised_control_changes_nothing() {
+    for seed in [3u64, 17] {
+        let (ab, inst, entries) = funnel_setup(seed);
+        let csr = CsrGraph::from(&inst);
+        let shapes = all_shapes(csr.num_nodes(), &entries);
+        for dop in [1usize, 2] {
+            let config = PlannerConfig {
+                parallelism: dop,
+                ..PlannerConfig::default()
+            };
+            let planned =
+                PlannedEngine::unconstrained(ProductEngine, ab.clone()).with_config(config);
+            let server = Server::new(Arc::new(Catalog::from_instance(&inst)), ab.clone())
+                .with_config(ServerConfig {
+                    max_concurrent: 4,
+                    default_budget: None,
+                    parallelism: dop,
+                });
+            let session = server.session();
+            for qs in ["a*", "(a+b)*.c", "a.(a+b).(b+c)", "(a.b+c)*", "(a+b+c)*"] {
+                let query = Query::parse(&mut ab.clone(), qs).unwrap();
+                for (spec, mode) in shapes.iter().flat_map(|s| MODES.map(|m| (s, m))) {
+                    let free = EvalRequest::new(spec.clone()).with_frontier_mode(mode);
+                    let flagged = free.clone().with_cancel(Arc::new(AtomicBool::new(false)));
+                    let budgeted = free.clone().with_budget(NEVER_BINDS);
+                    let what = format!("seed {seed} dop {dop} [{qs}] {spec:?} {mode:?}");
+                    let runners: [(&str, Runner<'_>); 3] = [
+                        ("planned", &|r| planned.run_view(&query, &csr, r)),
+                        ("product", &|r| ProductEngine.run(&query, &csr, r)),
+                        ("session", &|r| session.run(&query, r)),
+                    ];
+                    for (name, run) in runners {
+                        let base = response_outcome(&run(&free));
+                        assert_eq!(base.1, Termination::Complete, "{name} {what}");
+                        assert_eq!(response_outcome(&run(&flagged)), base, "{name} flag {what}");
+                        assert_eq!(
+                            response_outcome(&run(&budgeted)),
+                            base,
+                            "{name} budget {what}"
+                        );
+                    }
+                    let submitted = session.submit(&query, free.clone()).unwrap().join();
+                    assert_eq!(
+                        response_outcome(&submitted),
+                        response_outcome(&session.run(&query, &free)),
+                        "submit vs run {what}"
+                    );
+                }
+            }
+
+            // The join executor takes its controls and its dop directly.
+            let few: Vec<Oid> = entries.iter().copied().take(5).collect();
+            let heads = [
+                HeadBindings::default(),
+                HeadBindings {
+                    sources: Some(&entries),
+                    targets: None,
+                },
+                HeadBindings {
+                    sources: Some(&few),
+                    targets: Some(&few),
+                },
+            ];
+            for text in [
+                "ans(x, z) :- x -[a+b]-> y, y -[(a+b)*]-> z",
+                "ans(x, w) :- x -[(a+b)*]-> y, y -[c]-> z, z -[a+b]-> w",
+            ] {
+                let crpq = parse_crpq(&mut ab.clone(), text).unwrap();
+                for (head, mode) in heads.iter().flat_map(|h| MODES.map(|m| (h, m))) {
+                    let (src, dst) = (head.sources.is_some(), head.targets.is_some());
+                    let order = plan_join(&crpq, csr.stats(), &config, src, dst).order;
+                    let run = |control: EvalControl<'_>| {
+                        let pool = ScratchPool::new();
+                        let res = execute_join_parallel(
+                            &crpq,
+                            &order,
+                            &csr,
+                            *head,
+                            mode,
+                            &control,
+                            dop,
+                            &pool,
+                            &mut EvalScratch::new(),
+                        );
+                        outcome(format!("{:?}", res.pairs), res.termination, &res.stats)
+                    };
+                    let base = run(EvalControl::UNLIMITED);
+                    assert_eq!(base.1, Termination::Complete);
+                    let flag = AtomicBool::new(false);
+                    let flagged = EvalControl {
+                        budget: None,
+                        cancel: Some(&flag),
+                    };
+                    let budgeted = EvalControl {
+                        budget: Some(NEVER_BINDS),
+                        cancel: None,
+                    };
+                    assert_eq!(run(flagged), base, "join flag [{text}] {mode:?} dop {dop}");
+                    assert_eq!(
+                        run(budgeted),
+                        base,
+                        "join budget [{text}] {mode:?} dop {dop}"
+                    );
+                }
+            }
+        }
+    }
 }

@@ -11,10 +11,14 @@
 //! scheduling-dependent `steal_count` (and pool-dependent `scratch_reused`)
 //! are left out.
 //!
-//! The fixture was generated before the kernels were collapsed into one
-//! driver and is committed unchanged; a kernel refactor that moves any
-//! counter on any request fails here. Regenerate (only when a counter is
-//! *meant* to move) with `KERNEL_GOLDEN_BLESS=1 cargo test --test kernel_golden`.
+//! A kernel refactor that moves any counter on any request fails here.
+//! Regenerate (only when a counter is *meant* to move) with
+//! `KERNEL_GOLDEN_BLESS=1 cargo test --test kernel_golden`.
+//!
+//! One rule is checked on the generated lines themselves, fixture or no
+//! fixture: a control that never binds changes nothing, so wherever a key
+//! has both a `none` line (no control) and a `full` line (a budget that is
+//! never reached), the two are equal.
 //!
 //! A budgeted run whose levels fan out across threads trips at a
 //! scheduling-dependent row, so budgets are recorded only for runs that trip
@@ -77,7 +81,7 @@ const MID_QUERIES: [&str; 3] = [
     "(a.b+c)*.(a+b+c).(a+b+c).(a.b.c+b.a+c)*",
 ];
 
-/// Run on the big graph, where levels and waves fan out.
+/// Run on the big graph, where levels fan out.
 const BIG_QUERIES: [&str; 3] = [
     "(a+b+c)*",
     "(a.b.c+a.c+b.a+c.b)*",
@@ -216,9 +220,9 @@ fn picks(n: usize, count: usize, stride: usize, offset: usize) -> Vec<Oid> {
         .collect()
 }
 
-/// Every `SourceSpec` shape over an `n`-node graph. `many` seeds span more
-/// than one 64-lane wave; `free_conj` adds the all-free conjunctive form
-/// (every candidate node seeds a lane — kept off the big graphs).
+/// Every `SourceSpec` shape over an `n`-node graph with `many` seeds per
+/// multi-seed shape; `free_conj` adds the all-free conjunctive form (every
+/// candidate node seeds a search — kept off the big graphs).
 fn shapes(n: usize, many: usize, free_conj: bool) -> Vec<(&'static str, SourceSpec)> {
     let srcs = picks(n, many, 7, 0);
     let tgts = picks(n, many, 5, 2);
@@ -430,8 +434,8 @@ fn sweep_product(
 }
 
 /// `execute_join_parallel` over one graph: three CRPQs × free / source-bound
-/// / both-bound heads. Controlled atoms run the per-seed loop at dop 1, so
-/// budgets trip deterministically at every dop.
+/// / both-bound heads. Atoms run the per-seed loop at dop 1, so budgets
+/// trip deterministically at every dop.
 fn sweep_join<G: GraphView + Sync>(
     out: &mut String,
     gname: &str,
@@ -534,12 +538,11 @@ fn sweep_join<G: GraphView + Sync>(
     }
 }
 
-fn generate() -> String {
+/// Small graphs: every query × every shape × every control, sequential
+/// (below `decide_dop`'s threshold the planner never grants workers;
+/// `execute_join_parallel` takes its dop directly).
+fn small_sections() -> String {
     let mut out = String::new();
-
-    // Small graphs: every query × every shape × every control, sequential
-    // (below `decide_dop`'s threshold the planner never grants workers;
-    // `execute_join_parallel` takes its dop directly).
     let (ab, inst) = seeded(7, 48, 190);
     let csr = CsrGraph::from(&inst);
     let delta = post_delta(&inst, &ab);
@@ -568,11 +571,15 @@ fn generate() -> String {
     sweep_product(&mut out, "small-csr", &ab, &csr, &small);
     sweep_join(&mut out, "small-csr", &ab, &csr, &[1, 2, 4]);
     sweep_join(&mut out, "small-delta", &ab, &delta, &[2]);
+    out
+}
 
-    // Mid overlay: enough label mass under many-transition automata that
-    // workers are granted and 66-seed lane waves fan out, while most BFS
-    // levels are too cheap to — the dop > 1 inline path, budgets included
-    // where they trip before any level fans out.
+/// Mid overlay: enough label mass under many-transition automata that
+/// workers are granted, while most BFS levels are too cheap to fan out —
+/// the dop > 1 inline path, budgets included where they trip before any
+/// level fans out.
+fn mid_section(dop: usize) -> String {
+    let mut out = String::new();
     let (ab, inst) = seeded(11, 300, 3600);
     let delta = post_delta(&inst, &ab);
     let mid = shapes(300, 66, false);
@@ -583,12 +590,16 @@ fn generate() -> String {
         &delta,
         &MID_QUERIES,
         &mid,
-        &[2, 4],
+        &[dop],
         Budgets::Quarters,
     );
+    out
+}
 
-    // Big snapshot: single-search levels genuinely fan out. Few seeds per
-    // multi-item shape — answer volume, not the kernel, would dominate.
+/// Big snapshot: levels genuinely fan out. Few seeds per multi-item shape
+/// — answer volume, not the kernel, would dominate.
+fn big_section() -> String {
+    let mut out = String::new();
     let (ab, inst) = seeded(13, 4000, 36000);
     let csr = CsrGraph::from(&inst);
     let big = shapes(4000, 3, false);
@@ -602,13 +613,51 @@ fn generate() -> String {
         &[1, 2, 4],
         Budgets::Off,
     );
-
     out
+}
+
+/// The fixture text. The sections share nothing (each builds its graphs
+/// and engines), so they are generated side by side and concatenated in
+/// fixture order.
+fn generate() -> String {
+    std::thread::scope(|s| {
+        let sections = [
+            s.spawn(small_sections),
+            s.spawn(|| mid_section(2)),
+            s.spawn(|| mid_section(4)),
+            s.spawn(big_section),
+        ];
+        let done = sections.map(|h| h.join().expect("section panicked"));
+        done.concat()
+    })
+}
+
+/// `(key, control, records)` of one fixture line: the control name is the
+/// word before the first mode tag.
+fn split_line(line: &str) -> (&str, &str, &str) {
+    let tag = line
+        .find(" *:")
+        .or_else(|| line.find(" S:"))
+        .expect("a mode tag");
+    let (key, control) = line[..tag].rsplit_once(' ').expect("key, then control");
+    (key, control, &line[tag..])
 }
 
 #[test]
 fn kernel_counters_match_the_golden_fixture() {
     let got = generate();
+    let mut unbound: Vec<(&str, &str)> = Vec::new();
+    for line in got.lines() {
+        match split_line(line) {
+            (key, "none", recs) => unbound.push((key, recs)),
+            (key, "full", recs) => {
+                let (nkey, none) = unbound.pop().expect("a `none` line before every `full`");
+                assert_eq!(nkey, key);
+                assert_eq!(none, recs, "{key}: a never-binding budget moved a counter");
+            }
+            _ => {}
+        }
+    }
     if std::env::var_os("KERNEL_GOLDEN_BLESS").is_some() {
         std::fs::create_dir_all(std::path::Path::new(FIXTURE).parent().unwrap()).unwrap();
         std::fs::write(FIXTURE, &got).unwrap();

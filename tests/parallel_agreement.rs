@@ -1,7 +1,8 @@
 //! Parallel-evaluation agreement: intra-query parallelism is an
 //! *optimization*, never a semantics change. The frontier-parallel product
-//! BFS, the wave-parallel batch/pairset kernels, and the parallel CRPQ
-//! executor must return exactly the sequential answers — across every
+//! BFS, the multi-seed request arms and pair-set loop that carry a worker
+//! grant, and the CRPQ executor must return exactly the sequential answers
+//! — across every
 //! frontier mode, forward and backward, on the immutable `CsrGraph`
 //! snapshot and on a post-delta `DeltaGraph` epoch, at every degree of
 //! parallelism. Budget and cancellation under parallelism must yield sound
@@ -16,8 +17,8 @@ use std::sync::atomic::AtomicBool;
 use rpq::automata::random::{random_regex, RegexGenConfig};
 use rpq::automata::{Alphabet, Regex, Symbol};
 use rpq::core::{
-    eval_oracle, search_lanes, search_nodes, search_pairs, EvalControl, EvalScratch, FrontierMode,
-    Query, ScratchPool, SearchOpts, Termination,
+    eval_oracle, run_request, search_nodes, search_pairs, Direction, EvalControl, EvalScratch,
+    FrontierMode, Query, ScratchPool, SearchOpts, SourceSpec, Termination,
 };
 use rpq::graph::generators::random_graph;
 use rpq::graph::{CsrGraph, DeltaGraph, GraphView, Instance, Oid};
@@ -107,13 +108,12 @@ proptest! {
         check(nfa, &rev, &dg, src, &pool)?;
     }
 
-    /// The wave-parallel batch and pairset kernels reassemble their
-    /// per-wave results into exactly the sequential output — batch
-    /// forward, batch backward, and all three pairset strategies, at every
-    /// DoP, on the CSR snapshot and a post-delta epoch. More than 64
-    /// sources forces multiple waves, so the fan-out genuinely splits.
+    /// Multi-seed requests and the pair-set loop return exactly the
+    /// sequential output whatever worker grant they carry — `Sources`,
+    /// `Targets`, and all three pair-set orientations, at every DoP, on the
+    /// CSR snapshot and a post-delta epoch.
     #[test]
-    fn parallel_wave_kernels_agree_with_sequential(seed in 0u64..10_000) {
+    fn parallel_multi_seed_requests_agree_with_sequential(seed in 0u64..10_000) {
         let (ab, inst, _, q) = random_setup(seed, 150, 600);
         let query = Query::new(q, &ab);
         let nfa = query.nfa();
@@ -130,11 +130,14 @@ proptest! {
         ) -> Result<(), TestCaseError> {
             let sources: Vec<Oid> = (0..graph.num_nodes() as u32).map(Oid).collect();
             let targets: Vec<Oid> = (0..graph.num_nodes() as u32).step_by(7).map(Oid).collect();
+            let per_seed = |spec: SourceSpec, opts: &SearchOpts<'_>, s: &mut EvalScratch| {
+                run_request(nfa, rev, graph, &spec, Direction::Forward, opts, s).into_batch()
+            };
             let fwd = SearchOpts::default();
             let bwd = SearchOpts { reverse_adj: true, ..fwd };
             let mut seq = EvalScratch::new();
-            let batch = search_lanes(nfa, graph, &sources, &fwd, &mut seq);
-            let to_batch = search_lanes(rev, graph, &targets, &bwd, &mut seq);
+            let batch = per_seed(SourceSpec::Sources(sources.clone()), &fwd, &mut seq);
+            let to_batch = per_seed(SourceSpec::Targets(targets.clone()), &fwd, &mut seq);
             let from = search_pairs(nfa, graph, &sources, None, &fwd, &mut seq);
             let to = search_pairs(rev, graph, &targets, None, &bwd, &mut seq);
             let bound = search_pairs(nfa, graph, &sources, Some(&targets), &fwd, &mut seq);
@@ -142,9 +145,10 @@ proptest! {
                 let mut scratch = EvalScratch::new();
                 let fwd = SearchOpts { dop, pool: Some(pool), ..fwd };
                 let bwd = SearchOpts { dop, pool: Some(pool), ..bwd };
-                let b = search_lanes(nfa, graph, &sources, &fwd, &mut scratch);
+                let b = per_seed(SourceSpec::Sources(sources.clone()), &fwd, &mut scratch);
                 prop_assert_eq!(b.per_source(), batch.per_source(), "batch dop={}", dop);
-                let t = search_lanes(rev, graph, &targets, &bwd, &mut scratch);
+                prop_assert_eq!(b.stats.edges_scanned, batch.stats.edges_scanned);
+                let t = per_seed(SourceSpec::Targets(targets.clone()), &fwd, &mut scratch);
                 prop_assert_eq!(t.per_source(), to_batch.per_source(), "to-batch dop={}", dop);
                 let f = search_pairs(nfa, graph, &sources, None, &fwd, &mut scratch);
                 prop_assert_eq!(&f.pairs, &from.pairs, "pairs-from dop={}", dop);
@@ -159,8 +163,8 @@ proptest! {
         check(nfa, &rev, &dg, &pool)?;
     }
 
-    /// The parallel CRPQ executor (semijoin steps on parallel pairset
-    /// kernels) returns exactly the sequential executor's bindings — free
+    /// The CRPQ executor handed a worker grant returns exactly the
+    /// sequential executor's bindings — free
     /// heads and restricted heads, planned order and reversed order.
     #[test]
     fn parallel_crpq_executor_agrees_with_sequential(seed in 0u64..10_000) {
@@ -305,7 +309,12 @@ fn parallel_outputs_are_deterministic_across_runs() {
     };
     let mut scratch = EvalScratch::new();
     let (first, _) = search_nodes(nfa, &graph, src, &opts, &mut scratch);
-    let first_batch = search_lanes(nfa, &graph, &sources, &opts, &mut scratch);
+    let rev = nfa.reverse();
+    let spec = SourceSpec::Sources(sources);
+    let batch = |s: &mut EvalScratch| {
+        run_request(nfa, &rev, &graph, &spec, Direction::Forward, &opts, s).into_batch()
+    };
+    let first_batch = batch(&mut scratch);
     for run in 0..5 {
         let mut scratch = EvalScratch::new();
         let (res, term) = search_nodes(nfa, &graph, src, &opts, &mut scratch);
@@ -315,9 +324,8 @@ fn parallel_outputs_are_deterministic_across_runs() {
             "work counter drifted on run {run}"
         );
         assert_eq!(term, Termination::Complete);
-        let batch = search_lanes(nfa, &graph, &sources, &opts, &mut scratch);
         assert_eq!(
-            batch.per_source(),
+            batch(&mut scratch).per_source(),
             first_batch.per_source(),
             "batch output drifted on run {run}"
         );

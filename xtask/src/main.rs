@@ -16,14 +16,14 @@
 //!   ones in private modules that `#![warn(missing_docs)]` cannot see.
 //! * **Allocation-free hot path** — `vec![` and `Vec::new()` are
 //!   forbidden in the rpq-core hot-path modules (`product`, `pair`,
-//!   `batch`, `pairset`, `parallel`) outside tests: all working memory
+//!   `pairset`) outside tests: all working memory
 //!   must come from the `EvalScratch` arena so warm serving queries never
 //!   touch the allocator. Deliberate exceptions (result vectors,
 //!   non-pooled baseline arenas) carry an `// alloc-ok: <why>` comment on
 //!   the same line, which allowlists it.
 //! * **Lock-free worker loops** — `.lock()` is forbidden in the
-//!   rpq-core modules that hold worker bodies (`product`: the push/pull
-//!   level sweeps; `parallel`: the lane-wave workers) outside tests: a
+//!   rpq-core module that holds worker bodies (`product`: the push/pull
+//!   level sweeps) outside tests: a
 //!   blocking `Mutex` inside a per-level worker loop serializes the
 //!   fan-out and defeats the chunked/slab partitioning (coordination is
 //!   atomics + level barriers). Deliberate exceptions (e.g. a once-per-search pool
@@ -43,7 +43,11 @@
 //!
 //! `cargo run -p xtask -- surface` prints ROADMAP's tracked numbers per
 //! crate: non-test code lines (non-blank, non-comment lines before a
-//! file's `#[cfg(test)]` module) and `pub fn` count.
+//! file's `#[cfg(test)]` module) and `pub fn` count. `surface --check`
+//! compares them with the committed `xtask/surface.baseline` and fails if
+//! any crate's code lines or `pub fn` count grew past it — growth has to
+//! be admitted by re-blessing the file (`surface --bless`) in the same
+//! commit, where a reviewer sees it.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -53,7 +57,7 @@ fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     match args.next().as_deref() {
         Some("lint") => lint(),
-        Some("surface") => surface(),
+        Some("surface") => surface(args.next().as_deref()),
         cmd => {
             eprintln!("unknown task {cmd:?}; usage: cargo run -p xtask -- <lint|surface>");
             ExitCode::from(2)
@@ -73,17 +77,15 @@ const PANIC_TOKENS: &[&str] = &[".unwrap()", ".expect(", "panic!"];
 const NO_ALLOC_FILES: &[&str] = &[
     "crates/core/src/product.rs",
     "crates/core/src/pair.rs",
-    "crates/core/src/batch.rs",
     "crates/core/src/pairset.rs",
-    "crates/core/src/parallel.rs",
 ];
 /// Forbidden tokens for the no-alloc rule.
 const ALLOC_TOKENS: &[&str] = &["vec![", "Vec::new()"];
 /// Modules holding parallel worker bodies (the level sweeps of the product
-/// BFS, the lane-wave workers), where a blocking `Mutex` lock would
-/// serialize the fan-out: coordination there is atomics and level
-/// barriers, never a lock held inside a worker loop.
-const NO_LOCK_FILES: &[&str] = &["crates/core/src/product.rs", "crates/core/src/parallel.rs"];
+/// BFS), where a blocking `Mutex` lock would serialize the fan-out:
+/// coordination there is atomics and level barriers, never a lock held
+/// inside a worker loop.
+const NO_LOCK_FILES: &[&str] = &["crates/core/src/product.rs"];
 /// Forbidden tokens for the no-worker-lock rule.
 const LOCK_TOKENS: &[&str] = &[".lock()"];
 /// Marker that allowlists one line for the no-worker-lock rule. Checked
@@ -147,9 +149,17 @@ fn lint() -> ExitCode {
     ExitCode::FAILURE
 }
 
-/// Print, per crate under `crates/`, the non-test code lines and the
-/// `pub fn` count of its `src/` tree, then the totals.
-fn surface() -> ExitCode {
+/// Where `surface --check` finds the admitted numbers.
+const SURFACE_BASELINE: &str = "xtask/surface.baseline";
+
+/// One row of the surface table: (crate, non-test code lines, `pub fn`s).
+type SurfaceRow = (String, usize, usize);
+
+/// The surface report: per crate under `crates/`, the non-test code lines
+/// and the `pub fn` count of its `src/` tree, then the totals. Without a
+/// flag the table is printed; `--bless` writes it to [`SURFACE_BASELINE`];
+/// `--check` fails on any row that grew past the committed one.
+fn surface(flag: Option<&str>) -> ExitCode {
     let root = workspace_root();
     let Ok(entries) = fs::read_dir(root.join("crates")) else {
         eprintln!("xtask surface: no crates/ directory");
@@ -157,7 +167,7 @@ fn surface() -> ExitCode {
     };
     let mut crates: Vec<PathBuf> = entries.flatten().map(|e| e.path()).collect();
     crates.sort();
-    println!("{:<16} {:>10} {:>8}", "crate", "code lines", "pub fn");
+    let mut rows: Vec<SurfaceRow> = Vec::new();
     let (mut total_lines, mut total_fns) = (0usize, 0usize);
     for dir in crates.iter().filter(|d| d.join("src").is_dir()) {
         let (mut lines, mut fns) = (0usize, 0usize);
@@ -168,12 +178,75 @@ fn surface() -> ExitCode {
             fns += f;
         }
         let name = dir.file_name().unwrap_or_default().to_string_lossy();
-        println!("{name:<16} {lines:>10} {fns:>8}");
+        rows.push((name.into_owned(), lines, fns));
         total_lines += lines;
         total_fns += fns;
     }
-    println!("{:<16} {total_lines:>10} {total_fns:>8}", "total");
+    rows.push(("total".into(), total_lines, total_fns));
+    let mut table = format!("{:<16} {:>10} {:>8}\n", "crate", "code lines", "pub fn");
+    for (name, lines, fns) in &rows {
+        table += &format!("{name:<16} {lines:>10} {fns:>8}\n");
+    }
+
+    let baseline = root.join(SURFACE_BASELINE);
+    match flag {
+        None => print!("{table}"),
+        Some("--bless") => {
+            if let Err(e) = fs::write(&baseline, &table) {
+                eprintln!("xtask surface: cannot write {}: {e}", baseline.display());
+                return ExitCode::FAILURE;
+            }
+            println!("xtask surface: blessed {SURFACE_BASELINE}");
+        }
+        Some("--check") => {
+            let Ok(admitted) = fs::read_to_string(&baseline) else {
+                eprintln!("xtask surface: no {SURFACE_BASELINE}; run `surface --bless`");
+                return ExitCode::FAILURE;
+            };
+            let grown = surface_growth(&rows, &admitted);
+            if !grown.is_empty() {
+                for g in &grown {
+                    eprintln!("xtask surface: {g}");
+                }
+                eprintln!(
+                    "xtask surface: grew past {SURFACE_BASELINE}; shrink it back, or admit \
+                     the growth with `surface --bless` in this commit"
+                );
+                return ExitCode::FAILURE;
+            }
+            println!("xtask surface: within {SURFACE_BASELINE}");
+        }
+        Some(other) => {
+            eprintln!("unknown flag {other:?}; usage: surface [--check|--bless]");
+            return ExitCode::from(2);
+        }
+    }
     ExitCode::SUCCESS
+}
+
+/// The rows of `current` that exceed their row in the `admitted` table
+/// text (or have none), one message each. A row that shrank is fine.
+fn surface_growth(current: &[SurfaceRow], admitted: &str) -> Vec<String> {
+    let admitted_row = |name: &str| {
+        admitted.lines().find_map(|l| {
+            let mut cols = l.split_whitespace();
+            let found = cols.next() == Some(name);
+            let lines = cols.next()?.parse::<usize>().ok()?;
+            let fns = cols.next()?.parse::<usize>().ok()?;
+            found.then_some((lines, fns))
+        })
+    };
+    let mut grown = Vec::new();
+    for (name, lines, fns) in current {
+        match admitted_row(name) {
+            Some((l, f)) if *lines <= l && *fns <= f => {}
+            Some((l, f)) => grown.push(format!(
+                "{name}: {lines} code lines / {fns} pub fn, admitted {l} / {f}"
+            )),
+            None => grown.push(format!("{name}: not in the baseline")),
+        }
+    }
+    grown
 }
 
 /// (non-test code lines, `pub fn` count) of one source file: lines before
@@ -556,6 +629,23 @@ mod tests {
     fn surface_counts_code_before_the_test_module() {
         let src = "//! docs\n\npub fn a() {}\n    // note\n    pub fn b() {}\nfn c() {}\n#[cfg(test)]\nmod tests {\n    pub fn d() {}\n}\n";
         assert_eq!(surface_of(src), (3, 2));
+    }
+
+    #[test]
+    fn surface_check_flags_growth_and_new_crates_only() {
+        let admitted = "crate  code lines  pub fn\ncore  100  10\ngraph  50  5\ntotal  150  15\n";
+        let row = |n: &str, l, f| (n.to_string(), l, f);
+        let same = [
+            row("core", 100, 10),
+            row("graph", 40, 5),
+            row("total", 140, 15),
+        ];
+        assert!(
+            surface_growth(&same, admitted).is_empty(),
+            "shrinking passes"
+        );
+        let grown = [row("core", 101, 10), row("graph", 50, 6), row("new", 1, 0)];
+        assert_eq!(surface_growth(&grown, admitted).len(), 3);
     }
 
     fn lines(s: &str) -> Vec<String> {
