@@ -22,6 +22,8 @@
 //! the agreement suite (and any future scheduler, cache, or shard router)
 //! a single dispatch point.
 
+use std::sync::Arc;
+
 use rpq_automata::{parse_regex, Alphabet, Nfa, ParseError, Regex};
 use rpq_graph::{CsrGraph, Oid};
 
@@ -35,21 +37,33 @@ use crate::streaming::StreamingEval;
 
 /// A prepared path query: the regex, its Thompson NFA, and the alphabet it
 /// was parsed against — everything any [`Engine`] needs, compiled once.
+///
+/// The alphabet is an immutable snapshot behind an [`Arc`]: cloning a
+/// query never copies label names, and a front end that prepares many
+/// queries against one alphabet shares a single snapshot between them
+/// ([`Query::on_snapshot`]).
 #[derive(Clone, Debug)]
 pub struct Query {
     regex: Regex,
     nfa: Nfa,
-    alphabet: Alphabet,
+    alphabet: Arc<Alphabet>,
 }
 
 impl Query {
     /// Prepare `regex` (compiles the Thompson NFA, snapshots the alphabet).
     pub fn new(regex: Regex, alphabet: &Alphabet) -> Query {
+        Query::on_snapshot(regex, Arc::new(alphabet.clone()))
+    }
+
+    /// Prepare `regex` against an alphabet snapshot the caller already
+    /// shares — [`Query::new`] without the copy. `alphabet` must name
+    /// every symbol of `regex`.
+    pub fn on_snapshot(regex: Regex, alphabet: Arc<Alphabet>) -> Query {
         let nfa = Nfa::thompson(&regex);
         Query {
             regex,
             nfa,
-            alphabet: alphabet.clone(),
+            alphabet,
         }
     }
 
@@ -66,7 +80,7 @@ impl Query {
         Query {
             regex,
             nfa,
-            alphabet: alphabet.clone(),
+            alphabet: Arc::new(alphabet.clone()),
         }
     }
 

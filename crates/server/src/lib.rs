@@ -17,13 +17,21 @@
 //!   never blocked — compaction is copy-on-write, so a reader pinned to an
 //!   old epoch finishes undisturbed on the old base.
 //! * [`Server`] / [`Session`] / [`QueryHandle`] — the submission API. A
-//!   session pins an epoch; [`Session::submit`] runs the query on a worker
-//!   thread through the shared [`rpq_optimizer::PlannedEngine`] (one plan
-//!   memo and one `ScratchPool` across all workers), with per-query fetch
-//!   budgets, cooperative cancellation, and admission control
+//!   session pins an epoch; [`Session::submit`] queues the query on the
+//!   server's executor — a fixed set of parked threads, no thread per
+//!   query — where it runs through the shared
+//!   [`rpq_optimizer::PlannedEngine`] (one plan memo and one `ScratchPool`
+//!   for every thread that runs queries), with per-query fetch budgets,
+//!   cooperative cancellation, and admission control
 //!   ([`SubmitError::Rejected`] above [`ServerConfig::max_concurrent`]).
-//!   Queries enter as text via [`Session::submit_text`]
-//!   (`parse("a.(b+c)*")` → constraints → analyze → plan → eval).
+//!   An executor thread starts it whether or not its handle is ever
+//!   touched (woken for it at once; after 256 wakes that found their job
+//!   already claimed the executor takes half a millisecond off, and looks
+//!   when that is up); a [`QueryHandle::join`] that gets there first runs
+//!   it on the joining thread, so `submit(..).join()` on an idle server
+//!   costs what [`Session::run`] costs. Queries enter as text via
+//!   [`Session::submit_text`] (`parse("a.(b+c)*")` → constraints → analyze
+//!   → plan → eval).
 //! * [`Metrics`] — per-[`QueryClass`] latency percentiles (p50/p99 over a
 //!   sliding window), `edges_scanned`, termination and rejection counts,
 //!   parallel-evaluation telemetry (`threads_peak`, `steal_count`,
@@ -33,11 +41,13 @@
 //!   engine's discount a bounded step toward
 //!   [`Metrics::suggest_pull_discount`], never touching in-flight queries.
 //!
-//! Intra-query parallelism: the shared engine owns an
-//! [`rpq_core::WorkerPool`] sized by [`ServerConfig::parallelism`]; each
-//! query leases extra workers only when the planner's frontier estimate
-//! clears `rpq_core::PAR_LEVEL_THRESHOLD`, so small queries keep the
-//! sequential hot path.
+//! Threads: [`ServerConfig::parallelism`] sizes two things. Across
+//! queries, the executor starts `max(1, parallelism - 1)` threads — the
+//! thread that joins a handle is the other worker. Inside one query, the
+//! shared engine owns an [`rpq_core::WorkerPool`] of `parallelism - 1`
+//! permits; a query leases extra workers only when the planner's frontier
+//! estimate clears `rpq_core::PAR_LEVEL_THRESHOLD`, so small queries keep
+//! the sequential hot path.
 //!
 //! ## Example
 //!
@@ -76,6 +86,7 @@
 #![warn(missing_docs)]
 
 pub mod catalog;
+mod executor;
 pub mod metrics;
 pub mod session;
 
@@ -95,7 +106,7 @@ mod tests {
 
     use rpq_automata::Alphabet;
     use rpq_core::{eval_product_csr, EvalRequest, Query, SourceSpec, Termination};
-    use rpq_graph::{CompactionPolicy, DeltaGraph, EdgeDelta, InstanceBuilder, Oid};
+    use rpq_graph::{CompactionPolicy, DeltaGraph, EdgeDelta, Instance, InstanceBuilder, Oid};
 
     /// Exhaustive single-source answers over a pinned view, for soundness
     /// oracles.
@@ -104,7 +115,7 @@ mod tests {
     }
 
     /// A ring with a hub: n0 → n1 → … → n7 → n0 on `a`, hub edges on `b`.
-    fn workload() -> (Alphabet, Arc<Catalog>, Vec<Oid>) {
+    fn ring_with_hub() -> (Alphabet, Instance, Vec<Oid>) {
         let mut ab = Alphabet::new();
         let mut b = InstanceBuilder::new(&mut ab);
         for i in 0..8 {
@@ -113,6 +124,12 @@ mod tests {
         }
         let (inst, names) = b.finish();
         let nodes = (0..8).map(|i| names[format!("n{i}").as_str()]).collect();
+        (ab, inst, nodes)
+    }
+
+    /// [`ring_with_hub`] as a catalog.
+    fn workload() -> (Alphabet, Arc<Catalog>, Vec<Oid>) {
+        let (ab, inst, nodes) = ring_with_hub();
         (ab, Arc::new(Catalog::from_instance(&inst)), nodes)
     }
 
@@ -653,5 +670,358 @@ mod tests {
         assert_eq!(resp.bindings().unwrap(), [(ok, also_ok)]);
 
         assert_eq!(server.active_queries(), 0, "every admission slot came back");
+    }
+
+    // -----------------------------------------------------------------
+    // The hand-off: which thread runs a submitted query
+    // -----------------------------------------------------------------
+
+    use crate::executor::tests::hold_busy;
+    use rpq_core::{eval_oracle, EvalResponse};
+
+    /// Wait, without touching any handle, until `n` queries are recorded.
+    fn await_recorded(server: &Server, n: usize) {
+        while server.metrics().recorded() < n {
+            std::thread::yield_now();
+        }
+    }
+
+    /// `handle`'s response once an executor thread has produced it: the
+    /// join only collects.
+    fn join_after_finish(handle: QueryHandle) -> EvalResponse {
+        while !handle.is_finished() {
+            std::thread::yield_now();
+        }
+        handle.join()
+    }
+
+    fn two_thread_server(max_concurrent: usize) -> (Server, Vec<Oid>) {
+        let (ab, catalog, nodes) = workload();
+        let server = Server::new(catalog, ab).with_config(ServerConfig {
+            max_concurrent,
+            default_budget: None,
+            parallelism: 2,
+        });
+        (server, nodes)
+    }
+
+    #[test]
+    fn a_submitted_query_starts_without_its_handle() {
+        let (server, nodes) = two_thread_server(4);
+        let session = server.session();
+        let q = server.parse("a.a*").unwrap();
+        // submit, never join: it runs, and the handle says so
+        let kept = session.submit(&q, EvalRequest::source(nodes[0])).unwrap();
+        await_recorded(&server, 1);
+        while !kept.is_finished() {
+            std::thread::yield_now();
+        }
+        assert_eq!(server.active_queries(), 1, "unjoined: slot still held");
+
+        // drop unjoined while it cannot have started: the slot comes back
+        // at once, the query still runs
+        let held = hold_busy(server.executor());
+        let dropped = session.submit(&q, EvalRequest::source(nodes[1])).unwrap();
+        assert_eq!(server.active_queries(), 2);
+        drop(dropped);
+        assert_eq!(server.active_queries(), 1);
+        assert_eq!(server.executor().queued(), 1, "detached, still queued");
+        assert_eq!(server.metrics().recorded(), 1);
+        held.release();
+        await_recorded(&server, 2);
+        assert_eq!(server.metrics().class(QueryClass::Single).queries, 2);
+        assert_eq!(kept.join().nodes().unwrap().len(), 8);
+        assert_eq!(server.active_queries(), 0);
+    }
+
+    #[test]
+    fn who_runs_a_query_does_not_show_in_its_response() {
+        let (server, nodes) = two_thread_server(4);
+        let session = server.session();
+        let q = server.parse("a.a*").unwrap();
+        let crpq = server
+            .parse_crpq("ans(x, w) :- x -[b]-> y, y -[a*]-> z, z -[a]-> w")
+            .unwrap();
+        let some = || nodes[..3].to_vec();
+        let specs = [
+            SourceSpec::Source(nodes[0]),
+            SourceSpec::Sources(some()),
+            SourceSpec::Target(nodes[2]),
+            SourceSpec::Targets(some()),
+            SourceSpec::Pair {
+                source: nodes[0],
+                target: nodes[5],
+            },
+            SourceSpec::Matrix {
+                sources: some(),
+                targets: some(),
+            },
+            SourceSpec::Conjunctive {
+                sources: Some(some()),
+                targets: None,
+            },
+        ];
+        let same = |what: &str, a: &EvalResponse, b: &EvalResponse| {
+            assert_eq!(
+                format!("{:?}", a.answers),
+                format!("{:?}", b.answers),
+                "{what}"
+            );
+            assert_eq!(a.termination, b.termination, "{what}");
+            assert_eq!(a.stats, b.stats, "{what}");
+        };
+        // every shape through the path-query entry points, then a 3-atom
+        // CRPQ through the conjunctive ones
+        let mut cases: Vec<(EvalRequest, bool)> = specs
+            .into_iter()
+            .map(|spec| (EvalRequest::new(spec), false))
+            .collect();
+        let unrestricted = SourceSpec::Conjunctive {
+            sources: None,
+            targets: None,
+        };
+        cases.push((EvalRequest::new(unrestricted), true));
+        for (req, conjunctive) in &cases {
+            let what = format!("{:?} (crpq: {conjunctive})", req.spec);
+            let run = || match conjunctive {
+                true => session.run_crpq(&crpq, req),
+                false => session.run(&q, req),
+            };
+            let submit = || match conjunctive {
+                true => session.submit_crpq(&crpq, req.clone()).unwrap(),
+                false => session.submit(&q, req.clone()).unwrap(),
+            };
+            // plan memo and scratch pool warm: the counters below are the
+            // steady state's
+            run();
+            let on_caller = run();
+            let on_executor = join_after_finish(submit());
+            let held = hold_busy(server.executor());
+            let handle = submit();
+            assert_eq!(server.executor().queued(), 1, "{what}: nobody started it");
+            let on_joiner = handle.join();
+            held.release();
+            same(&what, &on_executor, &on_caller);
+            same(&what, &on_joiner, &on_caller);
+        }
+        assert_eq!(server.active_queries(), 0);
+    }
+
+    #[test]
+    fn controls_bind_on_a_joiner_run_query() {
+        let (ab, catalog, nodes) = workload();
+        let server = Server::new(catalog, ab).with_config(ServerConfig {
+            max_concurrent: 4,
+            default_budget: Some(3),
+            parallelism: 2,
+        });
+        let session = server.session();
+        let q = server.parse("(a+b)*").unwrap();
+        let full = full_answers(&q, session.snapshot(), nodes[0]);
+        let held = hold_busy(server.executor());
+
+        // cancelled before anyone started it: the joiner runs it, and the
+        // raised flag stops it before it scans an edge
+        let unbudgeted = EvalRequest::source(nodes[0]).with_budget(1_000_000);
+        let handle = session.submit(&q, unbudgeted).unwrap();
+        handle.cancel();
+        assert!(!handle.is_finished());
+        let resp = handle.join();
+        assert_eq!(resp.termination, Termination::Cancelled);
+        assert!(resp.nodes().unwrap().len() < full.len());
+        assert!(resp.nodes().unwrap().iter().all(|n| full.contains(n)));
+
+        // the server's default budget is stamped before the hand-off
+        let resp = session
+            .submit(&q, EvalRequest::source(nodes[0]))
+            .unwrap()
+            .join();
+        assert_eq!(resp.termination, Termination::BudgetExhausted);
+        assert!(resp.stats.edges_scanned <= 3);
+        assert!(resp.nodes().unwrap().iter().all(|n| full.contains(n)));
+        held.release();
+        let m = server.metrics().class(QueryClass::Single);
+        assert_eq!((m.cancelled, m.budget_exhausted), (1, 1));
+    }
+
+    #[test]
+    fn a_handle_outlives_its_server() {
+        let (server, nodes) = two_thread_server(4);
+        let q = server.parse("a.a*").unwrap();
+        let held = hold_busy(server.executor());
+        let session = server.session();
+        let queued = session.submit(&q, EvalRequest::source(nodes[3])).unwrap();
+        let metrics = server.metrics().clone();
+        drop(session);
+        // `Server`'s drop waits for its executor threads, and they leave
+        // only once the queue is drained: release the blockers from
+        // another thread, after the drop has begun.
+        std::thread::scope(|s| {
+            s.spawn(|| held.release());
+            drop(server);
+        });
+        assert_eq!(metrics.recorded(), 1, "drained before drop returned");
+        assert!(queued.is_finished());
+        assert_eq!(queued.join().nodes().unwrap().len(), 8);
+    }
+
+    #[test]
+    fn a_panicking_query_poisons_nothing() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+
+        let (server, nodes) = two_thread_server(4);
+        let session = server.session();
+        let q = server.parse("a.a*").unwrap();
+        let boom = || {
+            session
+                .enqueue(
+                    QueryClass::Single,
+                    EvalRequest::source(nodes[0]),
+                    |_, _, _| panic!("boom"),
+                )
+                .unwrap()
+        };
+        fn reraised(join: impl FnOnce() -> EvalResponse) {
+            let payload = catch_unwind(AssertUnwindSafe(join)).expect_err("join re-raises");
+            let message = payload.downcast::<String>().expect("a formatted message");
+            assert!(message.starts_with("query worker panicked"), "{message}");
+        }
+
+        // an executor thread ran it
+        reraised(|| join_after_finish(boom()));
+        assert_eq!(server.active_queries(), 0);
+        // the joiner ran it
+        let held = hold_busy(server.executor());
+        reraised(|| boom().join());
+        assert_eq!(server.active_queries(), 0);
+        held.release();
+        // dropped unjoined: nobody hears of it, nothing breaks
+        drop(boom());
+
+        for i in 0..1_000 {
+            let resp = session
+                .submit(&q, EvalRequest::source(nodes[i % 8]))
+                .unwrap()
+                .join();
+            assert_eq!(resp.nodes().unwrap().len(), 8);
+        }
+        // the one executor thread is still there to run what nobody joins
+        let detached = session.submit(&q, EvalRequest::source(nodes[0])).unwrap();
+        await_recorded(&server, 1_001);
+        drop(detached);
+        assert_eq!(server.metrics().class(QueryClass::Single).complete, 1_001);
+        assert_eq!(server.active_queries(), 0);
+        assert_eq!(server.executor().queued(), 0);
+    }
+
+    /// Four clients hammer the hand-off with every handle life cycle, on a
+    /// server with no executor thread to spare (`parallelism: 1` → one
+    /// thread) and with one.
+    #[test]
+    fn handoff_stress_every_join_returns_the_oracle_answer() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        use std::sync::atomic::{AtomicUsize, Ordering};
+
+        const CLIENTS: u64 = 4;
+        const STEPS: usize = 2_000;
+        const CAP: usize = 4;
+        for parallelism in [1, 2] {
+            let (ab, inst, nodes) = ring_with_hub();
+            let server = Server::new(Arc::new(Catalog::from_instance(&inst)), ab).with_config(
+                ServerConfig {
+                    max_concurrent: CAP,
+                    default_budget: None,
+                    parallelism,
+                },
+            );
+            let q = server.parse("a.a.a*").unwrap();
+            let oracle: Vec<Vec<Oid>> = nodes
+                .iter()
+                .map(|&s| eval_oracle(q.nfa(), &inst, s, None))
+                .collect();
+            let admitted = AtomicUsize::new(0);
+            std::thread::scope(|scope| {
+                for client in 0..CLIENTS {
+                    let (server, q, nodes, oracle, admitted) =
+                        (&server, &q, &nodes, &oracle, &admitted);
+                    scope.spawn(move || {
+                        let session = server.session();
+                        let mut rng = StdRng::seed_from_u64(17 * parallelism as u64 + client);
+                        let submit = |rng: &mut StdRng| {
+                            let i = rng.random_range(0..nodes.len());
+                            match session.submit(q, EvalRequest::source(nodes[i])) {
+                                Ok(handle) => {
+                                    admitted.fetch_add(1, Ordering::Relaxed);
+                                    Some((i, handle))
+                                }
+                                Err(SubmitError::Rejected { active, cap }) => {
+                                    assert!(active >= cap && cap == CAP, "{active} of {cap}");
+                                    None
+                                }
+                                Err(e) => panic!("{e}"),
+                            }
+                        };
+                        let exact = |(i, handle): (usize, QueryHandle)| {
+                            let resp = handle.join();
+                            assert_eq!(resp.termination, Termination::Complete);
+                            assert_eq!(resp.nodes().unwrap(), &oracle[i][..]);
+                        };
+                        for _ in 0..STEPS {
+                            match rng.random_range(0..4u32) {
+                                0 => submit(&mut rng).into_iter().for_each(exact),
+                                1 => drop(submit(&mut rng)),
+                                2 => {
+                                    if let Some((i, handle)) = submit(&mut rng) {
+                                        handle.cancel();
+                                        let resp = handle.join();
+                                        let got = resp.nodes().unwrap();
+                                        match resp.termination {
+                                            Termination::Complete => {
+                                                assert_eq!(got, &oracle[i][..])
+                                            }
+                                            _ => assert!(got.iter().all(|n| oracle[i].contains(n))),
+                                        }
+                                    }
+                                }
+                                _ => {
+                                    let burst: Vec<_> =
+                                        (0..8).filter_map(|_| submit(&mut rng)).collect();
+                                    burst.into_iter().rev().for_each(exact);
+                                }
+                            }
+                        }
+                    });
+                }
+            });
+            assert_eq!(server.active_queries(), 0);
+            // the dropped handles' queries finish on their own
+            await_recorded(&server, admitted.load(Ordering::Relaxed));
+            assert_eq!(server.executor().queued(), 0);
+            assert_eq!(
+                server.metrics().recorded(),
+                admitted.load(Ordering::Relaxed)
+            );
+        }
+    }
+
+    /// A joiner's claim takes the job out of the queue: with no executor
+    /// thread free to drain it, the queue still never outgrows the
+    /// outstanding handles.
+    #[test]
+    fn claimed_queries_leave_the_queue() {
+        let (server, nodes) = two_thread_server(4);
+        let session = server.session();
+        let held = hold_busy(server.executor());
+        for i in 0..100_000 {
+            let handle = session
+                .submit_text("a.a", SourceSpec::Source(nodes[i % 8]))
+                .unwrap();
+            assert!(server.executor().queued() <= server.active_queries());
+            assert_eq!(handle.join().nodes().unwrap().len(), 1);
+            assert_eq!(server.executor().queued(), 0);
+        }
+        held.release();
+        assert_eq!(server.active_queries(), 0);
     }
 }

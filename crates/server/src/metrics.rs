@@ -1,11 +1,12 @@
 //! Per-query-class serving metrics: latency percentiles, work counters,
 //! termination outcomes, admission rejections.
 //!
-//! Every worker thread records into the shared [`Metrics`] after its
-//! evaluation finishes; [`Metrics::class`] folds a class's window into a
-//! [`ClassSnapshot`] on demand. Latencies are kept in a bounded sliding
-//! window per class (last [`LATENCY_WINDOW`] queries), so a long-lived
-//! server's percentiles track *recent* behavior and memory stays flat.
+//! Every thread that runs a query records into the shared [`Metrics`]
+//! after the evaluation finishes; [`Metrics::class`] folds a class's
+//! window into a [`ClassSnapshot`] on demand. Latencies are kept in a
+//! bounded sliding window per class (last [`LATENCY_WINDOW`] queries), so
+//! a long-lived server's percentiles track *recent* behavior and memory
+//! stays flat.
 //!
 //! The per-class `push_levels` / `pull_levels` sums are the calibration
 //! telemetry for the hybrid BFS's `PULL_SWEEP_DISCOUNT` (see the ROADMAP):
@@ -279,7 +280,7 @@ impl Metrics {
 
     /// Total queries recorded across every class.
     pub fn total_queries(&self) -> usize {
-        QueryClass::ALL.iter().map(|&c| self.class(c).queries).sum()
+        self.classes.iter().map(|c| c.lock().queries).sum()
     }
 
     /// Calibrate the hybrid BFS's pull-sweep pricing discount from the
@@ -298,12 +299,15 @@ impl Metrics {
     /// the result is clamped to `[1, 4 × default]` so one skewed window
     /// cannot push the switch into a degenerate regime.
     pub fn suggest_pull_discount(&self) -> usize {
+        // Two counters per class, read under its lock — not
+        // [`Metrics::class`], which sorts the latency window: this runs on
+        // the record path, where other recorders wait on that lock.
         let mut push = 0usize;
         let mut pull = 0usize;
-        for &c in QueryClass::ALL.iter() {
-            let s = self.class(c);
-            push += s.push_levels;
-            pull += s.pull_levels;
+        for class in &self.classes {
+            let agg = class.lock();
+            push += agg.push_levels;
+            pull += agg.pull_levels;
         }
         let total = push + pull;
         if total == 0 {
@@ -497,5 +501,35 @@ mod tests {
         );
         assert!(m2.suggest_pull_discount() < PULL_SWEEP_DISCOUNT);
         assert!(m2.suggest_pull_discount() >= 1);
+
+        // The suggestion is a function of the level sums alone. The values
+        // the window-folding implementation gave on this fixture:
+        assert_eq!(m.suggest_pull_discount(), PULL_SWEEP_DISCOUNT * 4);
+        let pull_heavy = (PULL_SWEEP_DISCOUNT as f64 * (0.25 / 0.9)).round() as usize;
+        assert_eq!(m2.suggest_pull_discount(), pull_heavy);
+        // a full latency window in every class, level-free: nothing moves
+        for class in QueryClass::ALL {
+            for i in 0..LATENCY_WINDOW + 1 {
+                m2.record(
+                    class,
+                    Duration::from_nanos(i as u64),
+                    &EvalStats::default(),
+                    Termination::Complete,
+                );
+            }
+        }
+        assert_eq!(m2.suggest_pull_discount(), pull_heavy);
+        assert_eq!(m2.total_queries(), 1 + 7 * (LATENCY_WINDOW + 1));
+        // and the sums span classes: 90 push, 90 pull
+        m2.record(
+            QueryClass::Matrix,
+            Duration::from_micros(1),
+            &EvalStats {
+                push_levels: 80,
+                ..EvalStats::default()
+            },
+            Termination::Complete,
+        );
+        assert_eq!(m2.suggest_pull_discount(), PULL_SWEEP_DISCOUNT / 2);
     }
 }

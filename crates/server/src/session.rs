@@ -2,11 +2,22 @@
 //! surface of the serving layer.
 //!
 //! A [`Session`] pins one [`Catalog`] epoch; every query it submits
-//! evaluates against that pinned snapshot on a worker thread, through the
-//! shared [`PlannedEngine`] (one plan memo, one `ScratchPool`, reused
-//! across all workers). [`Session::refresh`] re-pins to the latest
+//! evaluates against that pinned snapshot through the shared
+//! [`PlannedEngine`] (one plan memo, one `ScratchPool`, reused by every
+//! thread that runs a query). [`Session::refresh`] re-pins to the latest
 //! published epoch; the old snapshot lives on until its last handle
 //! finishes.
+//!
+//! A submitted query is a job on the server's executor (a fixed set of
+//! parked threads over one FIFO; `executor.rs`). It runs on whichever
+//! thread takes it first: an executor thread — so it starts whether or not
+//! anyone touches its handle (at most half a millisecond late, while the
+//! executor is off duty) — or the thread that calls
+//! [`QueryHandle::join`] while the job is still queued, which removes it
+//! from the queue and runs it in place. Either way it is the same closure,
+//! so `submit(..).join()` on an idle server costs what [`Session::run`]
+//! costs, and which thread ran a query is visible in no answer, no
+//! termination and no work counter.
 //!
 //! A query enters as **text** ([`Session::submit_text`]) or as a prebuilt
 //! [`Query`] + [`EvalRequest`] ([`Session::submit`]); either way it flows
@@ -21,7 +32,7 @@
 //! request — submitted or run synchronously — gets the server's default
 //! fetch budget unless it carries its own, so a runaway query terminates
 //! with [`rpq_core::Termination::BudgetExhausted`] instead of monopolizing
-//! a worker, and every submission gets a cancellation flag
+//! a thread, and every submission gets a cancellation flag
 //! ([`QueryHandle::cancel`]). The flag never chooses the algorithm: the
 //! same request through [`Session::run`] and through [`Session::submit`]
 //! runs the same searches and reports the same work counters.
@@ -30,18 +41,18 @@ use std::borrow::Cow;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Instant;
 
 use parking_lot::Mutex;
 
-use rpq_automata::{Alphabet, ParseError};
+use rpq_automata::{parse_regex, Alphabet, ParseError};
 use rpq_constraints::ConstraintSet;
 use rpq_core::{EvalRequest, EvalResponse, ProductEngine, Query, SourceSpec};
 use rpq_graph::{DeltaGraph, Epoch};
 use rpq_optimizer::{parse_crpq, Crpq, PlannedEngine, PlannerConfig};
 
 use crate::catalog::Catalog;
+use crate::executor::{Executor, Task};
 use crate::metrics::{Metrics, QueryClass};
 
 /// Serving knobs.
@@ -53,11 +64,14 @@ pub struct ServerConfig {
     /// Fetch budget stamped onto requests that do not carry their own
     /// (`None` = unlimited by default).
     pub default_budget: Option<usize>,
-    /// Intra-query parallelism ceiling: the engine's shared
-    /// [`rpq_core::WorkerPool`] holds `parallelism - 1` extra-worker
-    /// permits, leased per query by estimated frontier size. `1` keeps
-    /// every query on the fully sequential hot path. Defaults to the
-    /// machine's available parallelism.
+    /// How many threads the server may keep busy. It bounds two things
+    /// separately. *Across queries:* the executor starts
+    /// `max(1, parallelism - 1)` threads for submitted queries, the thread
+    /// that joins a handle being the other worker. *Inside one query:* the
+    /// engine's shared [`rpq_core::WorkerPool`] holds `parallelism - 1`
+    /// extra-worker permits, leased per query by estimated frontier size;
+    /// `1` keeps every query on the fully sequential hot path. Defaults to
+    /// the machine's available parallelism.
     pub parallelism: usize,
 }
 
@@ -120,10 +134,18 @@ pub struct Server {
     catalog: Arc<Catalog>,
     engine: Arc<PlannedEngine<ProductEngine>>,
     set: ConstraintSet,
-    alphabet: Mutex<Alphabet>,
+    alphabet: Mutex<Interned>,
     metrics: Arc<Metrics>,
     active: Arc<AtomicUsize>,
+    executor: Executor,
     config: ServerConfig,
+}
+
+/// The server's growing alphabet and the snapshot parsed queries share.
+struct Interned {
+    live: Alphabet,
+    /// `live` as of the last [`Server::parse`] that found it grown.
+    snapshot: Arc<Alphabet>,
 }
 
 /// How often the background calibration pass considers a pull-discount
@@ -134,8 +156,8 @@ const CALIBRATE_EVERY: usize = 256;
 /// [`CALIBRATE_EVERY`] recorded queries move the engine's **live** pull
 /// discount a bounded step toward [`Metrics::suggest_pull_discount`].
 ///
-/// Runs on whichever worker thread just recorded a query — there is no
-/// sleeper thread. The step is at most a quarter of the gap (and at least
+/// Runs on whichever thread just recorded a query — there is no sleeper
+/// thread. The step is at most a quarter of the gap (and at least
 /// one unit), so a burst of unrepresentative queries cannot yank the knob;
 /// in-flight queries are untouched because the engine reads the discount
 /// once per request.
@@ -201,19 +223,24 @@ impl Server {
             catalog,
             engine: Arc::new(engine),
             set,
-            alphabet: Mutex::new(alphabet),
+            alphabet: Mutex::new(Interned {
+                snapshot: Arc::new(alphabet.clone()),
+                live: alphabet,
+            }),
             metrics: Arc::new(Metrics::new()),
             active: Arc::new(AtomicUsize::new(0)),
+            executor: Executor::new(config.parallelism),
             config,
         }
     }
 
-    /// Replace the serving knobs. Rebuilds the shared planner so its
-    /// worker pool and scratch pool match `config.parallelism` (call this
-    /// before serving traffic — the old engine's plan memo is discarded).
+    /// Replace the serving knobs. Rebuilds the shared planner and the
+    /// executor so their worker pool, scratch pool and threads match
+    /// `config.parallelism` (call this before serving traffic — the old
+    /// engine's plan memo is discarded).
     pub fn with_config(mut self, config: ServerConfig) -> Server {
         if config.parallelism != self.config.parallelism {
-            let alphabet = self.alphabet.lock().clone();
+            let alphabet = self.alphabet.lock().live.clone();
             self.engine = Arc::new(
                 PlannedEngine::new(ProductEngine, self.set.clone(), alphabet).with_config(
                     PlannerConfig {
@@ -222,6 +249,7 @@ impl Server {
                     },
                 ),
             );
+            self.executor = Executor::new(config.parallelism);
         }
         self.config = config;
         self
@@ -247,7 +275,7 @@ impl Server {
     }
 
     /// The shared planner (plan memo + scratch pool, shared by every
-    /// worker thread).
+    /// thread that runs a query).
     pub fn engine(&self) -> &Arc<PlannedEngine<ProductEngine>> {
         &self.engine
     }
@@ -262,13 +290,25 @@ impl Server {
         self.active.load(Ordering::SeqCst)
     }
 
+    #[cfg(test)]
+    pub(crate) fn executor(&self) -> &Executor {
+        &self.executor
+    }
+
     /// Parse query text against the server's shared alphabet (labels are
     /// interned on first sight). This is the text front end: the returned
     /// [`Query`] flows through constraints → analyze → plan → eval when
-    /// submitted.
+    /// submitted. Queries share one alphabet snapshot until interning
+    /// grows the alphabet.
     pub fn parse(&self, text: &str) -> Result<Query, ParseError> {
         let mut ab = self.alphabet.lock();
-        Query::parse(&mut ab, text)
+        let regex = parse_regex(&mut ab.live, text)?;
+        if ab.snapshot.len() != ab.live.len() {
+            ab.snapshot = Arc::new(ab.live.clone());
+        }
+        let snapshot = ab.snapshot.clone();
+        drop(ab);
+        Ok(Query::on_snapshot(regex, snapshot))
     }
 
     /// Parse conjunctive query text (`ans(x,z) :- x -[r*]-> y, …`) against
@@ -276,8 +316,7 @@ impl Server {
     /// (atom bodies included). [`Session::submit_text`] routes here
     /// automatically when the text contains `:-`.
     pub fn parse_crpq(&self, text: &str) -> Result<Crpq, ParseError> {
-        let mut ab = self.alphabet.lock();
-        parse_crpq(&mut ab, text)
+        parse_crpq(&mut self.alphabet.lock().live, text)
     }
 
     /// Open a session pinned to the latest published epoch.
@@ -325,20 +364,16 @@ impl Session<'_> {
     /// Take an admission slot, or reject synchronously at the cap.
     fn admit(&self) -> Result<AdmissionSlot, SubmitError> {
         let cap = self.server.config.max_concurrent;
-        let active = &self.server.active;
-        if active
-            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| {
-                (n < cap).then_some(n + 1)
-            })
-            .is_err()
-        {
+        let slots = &self.server.active;
+        // The occupancy reported is the one that refused the slot, not a
+        // later reading another client's join may already have lowered.
+        if let Err(active) = slots.fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| {
+            (n < cap).then_some(n + 1)
+        }) {
             self.server.metrics.record_rejected();
-            return Err(SubmitError::Rejected {
-                active: active.load(Ordering::SeqCst),
-                cap,
-            });
+            return Err(SubmitError::Rejected { active, cap });
         }
-        Ok(AdmissionSlot(active.clone()))
+        Ok(AdmissionSlot(slots.clone()))
     }
 
     /// The budget `req` runs under: its own, else the server's default.
@@ -375,24 +410,28 @@ impl Session<'_> {
         (req, cancel)
     }
 
-    /// Submit a parsed query. Returns a [`QueryHandle`] whose worker is
-    /// already running, or rejects synchronously (admission).
-    pub fn submit(&self, query: &Query, req: EvalRequest) -> Result<QueryHandle, SubmitError> {
+    /// Admit `req` and put its evaluation on the executor: the one way a
+    /// submitted query comes to run. `call` gets the shared engine, the
+    /// pinned snapshot and the request with its controls stamped.
+    pub(crate) fn enqueue(
+        &self,
+        class: QueryClass,
+        req: EvalRequest,
+        call: impl FnOnce(&PlannedEngine<ProductEngine>, &DeltaGraph, &EvalRequest) -> EvalResponse
+            + Send
+            + 'static,
+    ) -> Result<QueryHandle, SubmitError> {
         let slot = self.admit()?;
         let (req, cancel) = self.controls(req);
-        let class = QueryClass::of(&req.spec);
         let snapshot = self.snapshot.clone();
         let epoch = snapshot.epoch();
         let engine = self.server.engine.clone();
         let metrics = self.server.metrics.clone();
-        let query = query.clone();
-        let join = std::thread::spawn(move || {
-            evaluate(&engine, &metrics, class, || {
-                engine.run_view(&query, &*snapshot, &req)
-            })
-        });
+        let task = self.server.executor.submit(Box::new(move || {
+            evaluate(&engine, &metrics, class, || call(&engine, &snapshot, &req))
+        }));
         Ok(QueryHandle {
-            join,
+            task,
             cancel,
             class,
             epoch,
@@ -400,34 +439,39 @@ impl Session<'_> {
         })
     }
 
+    fn enqueue_query(&self, query: Query, req: EvalRequest) -> Result<QueryHandle, SubmitError> {
+        self.enqueue(QueryClass::of(&req.spec), req, move |engine, graph, req| {
+            engine.run_view(&query, graph, req)
+        })
+    }
+
+    fn enqueue_crpq(&self, crpq: Crpq, req: EvalRequest) -> Result<QueryHandle, SubmitError> {
+        self.enqueue(QueryClass::Conjunctive, req, move |engine, graph, req| {
+            engine.run_crpq(&crpq, graph, req)
+        })
+    }
+
+    /// Submit a parsed query, or reject synchronously (admission). The
+    /// returned [`QueryHandle`]'s query is queued on the server's
+    /// executor: a parked executor thread has been woken for it — or, if
+    /// the executor is taking its half millisecond off after 256 wakes
+    /// that found their job already claimed, looks when that is up — so it
+    /// starts whether or not the handle is ever touched. A
+    /// [`QueryHandle::join`] that arrives before any executor thread has
+    /// taken it runs it on the joining thread instead.
+    pub fn submit(&self, query: &Query, req: EvalRequest) -> Result<QueryHandle, SubmitError> {
+        self.enqueue_query(query.clone(), req)
+    }
+
     /// Submit a conjunctive query: same admission, budget, cancellation,
-    /// and metrics seams as [`Session::submit`], but the worker runs the
-    /// cost-based join planner and semijoin executor
+    /// hand-off and metrics seams as [`Session::submit`], but the job runs
+    /// the cost-based join planner and semijoin executor
     /// ([`PlannedEngine::run_crpq`]). The request's [`SourceSpec`]
     /// restricts the *head* variables (source forms the first, target
     /// forms the second, pair/matrix both); accounted under
     /// [`QueryClass::Conjunctive`] with per-atom telemetry in the metrics.
     pub fn submit_crpq(&self, crpq: &Crpq, req: EvalRequest) -> Result<QueryHandle, SubmitError> {
-        let slot = self.admit()?;
-        let (req, cancel) = self.controls(req);
-        let snapshot = self.snapshot.clone();
-        let epoch = snapshot.epoch();
-        let engine = self.server.engine.clone();
-        let metrics = self.server.metrics.clone();
-        let crpq = crpq.clone();
-        let class = QueryClass::Conjunctive;
-        let join = std::thread::spawn(move || {
-            evaluate(&engine, &metrics, class, || {
-                engine.run_crpq(&crpq, &*snapshot, &req)
-            })
-        });
-        Ok(QueryHandle {
-            join,
-            cancel,
-            class,
-            epoch,
-            _slot: slot,
-        })
+        self.enqueue_crpq(crpq.clone(), req)
     }
 
     /// Submit query text: parse against the shared alphabet, then submit
@@ -437,14 +481,14 @@ impl Session<'_> {
     pub fn submit_text(&self, text: &str, spec: SourceSpec) -> Result<QueryHandle, SubmitError> {
         if text.contains(":-") {
             let crpq = self.server.parse_crpq(text)?;
-            return self.submit_crpq(&crpq, EvalRequest::new(spec));
+            return self.enqueue_crpq(crpq, EvalRequest::new(spec));
         }
         let query = self.server.parse(text)?;
-        self.submit(&query, EvalRequest::new(spec))
+        self.enqueue_query(query, EvalRequest::new(spec))
     }
 
     /// Evaluate a conjunctive query synchronously on the caller's thread
-    /// (no admission slot or worker; the default budget applies, and the
+    /// (no admission slot, no hand-off; the default budget applies, and the
     /// run is recorded in the metrics under [`QueryClass::Conjunctive`]).
     pub fn run_crpq(&self, crpq: &Crpq, req: &EvalRequest) -> EvalResponse {
         let req = self.budgeted(req);
@@ -455,9 +499,8 @@ impl Session<'_> {
     }
 
     /// Evaluate synchronously on the caller's thread against the pinned
-    /// snapshot (no admission slot, no worker thread; the default budget
-    /// applies, and the run is recorded in the metrics). The low-latency
-    /// path for point queries.
+    /// snapshot (no admission slot, no hand-off; the default budget
+    /// applies, and the run is recorded in the metrics).
     pub fn run(&self, query: &Query, req: &EvalRequest) -> EvalResponse {
         let req = self.budgeted(req);
         let (engine, metrics) = (&self.server.engine, &self.server.metrics);
@@ -467,11 +510,11 @@ impl Session<'_> {
     }
 }
 
-/// A running (or finished) submitted query. Holds its admission slot until
-/// joined or dropped; dropping without joining detaches the worker (it
-/// still finishes and records metrics).
+/// A queued, running or finished submitted query. Holds its admission
+/// slot until joined or dropped; dropping without joining detaches the
+/// query (an executor thread still runs it and records metrics).
 pub struct QueryHandle {
-    join: JoinHandle<EvalResponse>,
+    task: Task,
     cancel: Arc<AtomicBool>,
     class: QueryClass,
     epoch: Epoch,
@@ -489,16 +532,17 @@ impl fmt::Debug for QueryHandle {
 }
 
 impl QueryHandle {
-    /// Raise the cooperative cancellation flag. The worker stops at its
-    /// next BFS level boundary and returns the sound subset collected so
-    /// far with [`rpq_core::Termination::Cancelled`].
+    /// Raise the cooperative cancellation flag. The search stops at its
+    /// next BFS level boundary (at once, if it has not started) and
+    /// returns the sound subset collected so far with
+    /// [`rpq_core::Termination::Cancelled`].
     pub fn cancel(&self) {
         self.cancel.store(true, Ordering::Relaxed);
     }
 
-    /// Has the worker finished (successfully or not)?
+    /// Has the query finished (successfully or not)?
     pub fn is_finished(&self) -> bool {
-        self.join.is_finished()
+        self.task.is_finished()
     }
 
     /// The metrics class this query is accounted under.
@@ -511,8 +555,14 @@ impl QueryHandle {
         self.epoch
     }
 
-    /// Block until the worker finishes and take its response.
+    /// Take the query's response: run it on this thread if no executor
+    /// thread has started it yet, else block until the one that did
+    /// finishes.
+    ///
+    /// # Panics
+    /// With "query worker panicked" if the evaluation panicked, whichever
+    /// thread ran it. The admission slot is released all the same.
     pub fn join(self) -> EvalResponse {
-        self.join.join().expect("query worker panicked")
+        self.task.join()
     }
 }

@@ -32,6 +32,10 @@
 //!   forbidden in `crates/server/src` outside `#[cfg(test)]` items. The
 //!   server coordinates with locks, atomics, and joins; a sleep in the
 //!   serving path is a latency bug (or a hidden race being papered over).
+//! * **One place starts serving threads** — `thread::spawn` and
+//!   `thread::Builder` are forbidden in `crates/server/src` outside
+//!   `executor.rs` and `#[cfg(test)]` items: a submitted query runs on an
+//!   executor thread or on its joiner, never on a thread of its own.
 //!
 //! The scanner blanks comments and string/char literals before matching,
 //! so prose like "never unwrap() here" or a format string containing
@@ -97,6 +101,12 @@ const NO_SLEEP_DIRS: &[&str] = &["crates/server/src"];
 /// the `std::thread::sleep(..)` path form and a `use`d `thread::sleep`;
 /// `sleep(` alone would false-positive on unrelated identifiers.
 const SLEEP_TOKENS: &[&str] = &["thread::sleep", "sleep_ms"];
+/// Forbidden tokens for the no-spawn rule: the free function, and the
+/// builder by path or by import (`.spawn(` alone would flag scoped
+/// spawns, which are joined where they start and stay legal).
+const SPAWN_TOKENS: &[&str] = &["thread::spawn", "thread::Builder", "Builder::spawn"];
+/// The one file of [`NO_SLEEP_DIRS`] that may start threads.
+const SPAWN_FILE: &str = "executor.rs";
 /// Marker that allowlists one line for the no-alloc rule. Checked on the
 /// *original* line text, because the marker lives in a comment.
 const ALLOC_OK: &str = "alloc-ok:";
@@ -130,6 +140,7 @@ fn lint() -> ExitCode {
     for dir in NO_SLEEP_DIRS {
         for file in rust_files(&root.join(dir)) {
             scan_file(&file, &mut violations, check_no_sleeps);
+            scan_file(&file, &mut violations, check_no_spawns);
         }
     }
     if violations.is_empty() {
@@ -309,103 +320,86 @@ fn scan_file(file: &Path, violations: &mut Vec<Violation>, rule: Rule) {
     rule(file, &original, &cleaned, &mask, violations);
 }
 
-fn check_no_panics(
-    file: &Path,
-    original: &[String],
-    cleaned: &[String],
-    mask: &[bool],
-    violations: &mut Vec<Violation>,
-) {
-    for (i, line) in cleaned.iter().enumerate() {
-        if mask[i] {
-            continue;
-        }
-        for tok in PANIC_TOKENS {
-            if line.contains(tok) {
+/// A rule that forbids tokens: flags every non-test line of the cleaned
+/// source that contains one of `tokens`, unless its original text carries
+/// the `allow` marker.
+struct TokenRule {
+    name: &'static str,
+    tokens: &'static [&'static str],
+    allow: Option<&'static str>,
+}
+
+impl TokenRule {
+    fn check(
+        &self,
+        file: &Path,
+        original: &[String],
+        cleaned: &[String],
+        mask: &[bool],
+        violations: &mut Vec<Violation>,
+    ) {
+        for (i, line) in cleaned.iter().enumerate() {
+            if mask[i] || self.allow.is_some_and(|ok| original[i].contains(ok)) {
+                continue;
+            }
+            if self.tokens.iter().any(|tok| line.contains(tok)) {
                 violations.push(Violation {
                     file: file.to_path_buf(),
                     line: i + 1,
-                    rule: "no-panic",
+                    rule: self.name,
                     text: original[i].clone(),
                 });
-                break;
             }
         }
     }
 }
 
-fn check_no_hot_path_allocs(
-    file: &Path,
-    original: &[String],
-    cleaned: &[String],
-    mask: &[bool],
-    violations: &mut Vec<Violation>,
-) {
-    for (i, line) in cleaned.iter().enumerate() {
-        if mask[i] || original[i].contains(ALLOC_OK) {
-            continue;
+/// Declare a [`Rule`] function that applies a [`TokenRule`].
+macro_rules! token_rule {
+    ($check:ident, $name:literal, $tokens:expr, $allow:expr) => {
+        fn $check(
+            file: &Path,
+            original: &[String],
+            cleaned: &[String],
+            mask: &[bool],
+            violations: &mut Vec<Violation>,
+        ) {
+            let rule = TokenRule {
+                name: $name,
+                tokens: $tokens,
+                allow: $allow,
+            };
+            rule.check(file, original, cleaned, mask, violations);
         }
-        for tok in ALLOC_TOKENS {
-            if line.contains(tok) {
-                violations.push(Violation {
-                    file: file.to_path_buf(),
-                    line: i + 1,
-                    rule: "hot-path-alloc",
-                    text: original[i].clone(),
-                });
-                break;
-            }
-        }
-    }
+    };
 }
 
-fn check_no_worker_locks(
-    file: &Path,
-    original: &[String],
-    cleaned: &[String],
-    mask: &[bool],
-    violations: &mut Vec<Violation>,
-) {
-    for (i, line) in cleaned.iter().enumerate() {
-        if mask[i] || original[i].contains(LOCK_OK) {
-            continue;
-        }
-        for tok in LOCK_TOKENS {
-            if line.contains(tok) {
-                violations.push(Violation {
-                    file: file.to_path_buf(),
-                    line: i + 1,
-                    rule: "worker-lock",
-                    text: original[i].clone(),
-                });
-                break;
-            }
-        }
-    }
-}
+token_rule!(check_no_panics, "no-panic", PANIC_TOKENS, None);
+token_rule!(
+    check_no_hot_path_allocs,
+    "hot-path-alloc",
+    ALLOC_TOKENS,
+    Some(ALLOC_OK)
+);
+token_rule!(
+    check_no_worker_locks,
+    "worker-lock",
+    LOCK_TOKENS,
+    Some(LOCK_OK)
+);
+token_rule!(check_no_sleeps, "no-sleep", SLEEP_TOKENS, None);
+token_rule!(check_spawns, "no-spawn", SPAWN_TOKENS, None);
 
-fn check_no_sleeps(
+/// The no-spawn rule: [`SPAWN_FILE`] is exempt.
+fn check_no_spawns(
     file: &Path,
     original: &[String],
     cleaned: &[String],
     mask: &[bool],
     violations: &mut Vec<Violation>,
 ) {
-    for (i, line) in cleaned.iter().enumerate() {
-        if mask[i] {
-            continue;
-        }
-        for tok in SLEEP_TOKENS {
-            if line.contains(tok) {
-                violations.push(Violation {
-                    file: file.to_path_buf(),
-                    line: i + 1,
-                    rule: "no-sleep",
-                    text: original[i].clone(),
-                });
-                break;
-            }
-        }
+    if file.file_name().is_none_or(|name| name != SPAWN_FILE) {
+        check_spawns(file, original, cleaned, mask, violations);
     }
 }
 
@@ -729,6 +723,22 @@ mod tests {
         assert_eq!(v.len(), 1, "only the non-test sleep is flagged");
         assert_eq!(v[0].line, 2);
         assert_eq!(v[0].rule, "no-sleep");
+    }
+
+    #[test]
+    fn spawns_are_flagged_outside_the_executor_and_tests() {
+        let src = "use std::thread::Builder;\nfn submit() {\n  let h = std::thread::spawn(job);\n  std::thread::scope(|s| { s.spawn(job); });\n}\n#[cfg(test)]\nmod tests {\n  fn t() { std::thread::spawn(job); }\n}\n";
+        let original: Vec<String> = src.lines().map(str::to_string).collect();
+        let c = lines(src);
+        let m = test_mask(&c);
+        let mut v = Vec::new();
+        check_no_spawns(Path::new("src/session.rs"), &original, &c, &m, &mut v);
+        let flagged: Vec<usize> = v.iter().map(|v| v.line).collect();
+        assert_eq!(flagged, [1, 3], "not the scoped spawn, not the test's");
+        assert!(v.iter().all(|v| v.rule == "no-spawn"));
+        // the executor is where serving threads start
+        check_no_spawns(Path::new("src/executor.rs"), &original, &c, &m, &mut v);
+        assert_eq!(v.len(), 2);
     }
 
     #[test]
