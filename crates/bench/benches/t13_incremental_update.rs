@@ -5,13 +5,15 @@
 //! architecture paid per mutation (in practice the gap is orders of
 //! magnitude — the overlay does `O(batch)` sorted-log patches, the rebuild
 //! re-sorts all `O(V + E)` rows), the overlay must answer queries exactly
-//! like the rebuild, and the `PlannedEngine` must report a plan-cache
-//! *hit* across the delta epoch (and a miss after `compact()` installs a
-//! fresh lineage). The assertions run at registration time, so `--test`
-//! mode (the CI bench smoke) enforces the acceptance criteria without
-//! paying measurement time; the measured series compare overlay
-//! apply+revert against the full rebuild, and evaluation over the overlay
-//! against evaluation over the rebuilt CSR.
+//! like the rebuild, the `PlannedEngine` must report a plan-cache *hit*
+//! across the delta epoch and another across `compact()` (a fold keeps the
+//! lineage and every statistic), and folding the batch into the base must
+//! be ≥ 3× cheaper than `CsrGraph::from` over the same edges — the rebuild
+//! compaction used to be. The assertions run at registration time, so
+//! `--test` mode (the CI bench smoke) enforces the acceptance criteria
+//! without paying measurement time; the measured series compare overlay
+//! apply+revert and the fold against the full rebuild, and evaluation over
+//! the overlay against evaluation over the rebuilt CSR.
 
 use std::hint::black_box;
 use std::time::{Duration, Instant};
@@ -85,7 +87,8 @@ fn bench(c: &mut Criterion) {
         assert_eq!(over.answers, full.answers, "overlay evaluation diverged");
 
         // Acceptance 3: the plan memo survives the delta epoch (hit) and
-        // dies at compaction (fresh lineage -> miss).
+        // the compaction that folds it in (same lineage, same statistics
+        // -> hit).
         let planned = PlannedEngine::unconstrained(ProductEngine, w.alphabet.clone());
         dg.apply_delta(&inverse);
         planned.plan(&query, &dg);
@@ -97,12 +100,35 @@ fn bench(c: &mut Criterion) {
             (1, 0),
             "PlannedEngine must report a plan-cache hit across the delta epoch"
         );
+        let overlaid = dg.clone();
         dg.compact();
-        planned.plan(&query, &dg);
+        let res = planned.eval_view(&query, &dg, w.source);
         assert_eq!(
-            planned.plan_cache_misses(),
-            2,
-            "compaction must invalidate the memoized plan"
+            (res.stats.plan_cache_hits, res.stats.plan_cache_misses),
+            (1, 0),
+            "PlannedEngine must report a plan-cache hit across compact()"
+        );
+        assert_eq!(planned.plan_cache_misses(), 1);
+        assert_eq!(res.answers, full.answers, "folded evaluation diverged");
+
+        // Acceptance 4: folding the batch into the base is ≥ 3× cheaper
+        // than the rebuild over the same edges (rebuild's median against
+        // the fold's minimum, as in acceptance 1). Each sample builds and
+        // drops one base on either side; the fold's also clones the
+        // overlaid graph first, which copies its 24-entry log.
+        let fold = sample_ns(9, || {
+            let mut d = overlaid.clone();
+            d.compact();
+            black_box(d);
+        });
+        let rebuild = sample_ns(9, || {
+            black_box(CsrGraph::from(black_box(&mirror)));
+        });
+        let (fold_ns, rebuild_ns) = (fold[0], rebuild[rebuild.len() / 2]);
+        assert!(
+            rebuild_ns >= 3 * fold_ns.max(1),
+            "folding the batch must be ≥3x cheaper than rebuilding the \
+             same edges at {nodes} nodes: fold {fold_ns}ns vs rebuild {rebuild_ns}ns"
         );
 
         // Measured series. The eval series runs over a live (uncompacted)
@@ -128,6 +154,17 @@ fn bench(c: &mut Criterion) {
             BenchmarkId::new("snapshot_full_rebuild", nodes),
             &nodes,
             |b, _| b.iter(|| black_box(CsrGraph::from(black_box(&w.instance))).num_edges()),
+        );
+        group.bench_with_input(
+            BenchmarkId::new("compact_small_overlay", nodes),
+            &nodes,
+            |b, _| {
+                b.iter(|| {
+                    let mut d = overlaid.clone();
+                    d.compact();
+                    black_box(d.num_edges())
+                })
+            },
         );
         group.bench_with_input(
             BenchmarkId::new("eval_over_delta", nodes),

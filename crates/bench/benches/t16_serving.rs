@@ -15,8 +15,8 @@
 //!   overrides the default.
 //! * **Pinned readers never observe a compaction** — a session pinned
 //!   before writer churn that trips the compaction policy keeps its
-//!   epoch, its base lineage, and its bit-identical answers, while the
-//!   freshly pinned snapshot has moved to a new lineage.
+//!   epoch, its base arena, and its bit-identical answers, while the
+//!   freshly pinned snapshot reads a new base on the same lineage.
 //!
 //! Measured series: end-to-end throughput of `readers` concurrent
 //! sessions submitting through the shared planner while the writer
@@ -121,7 +121,7 @@ fn bench(c: &mut Criterion) {
     }
 
     // Acceptance 3: a reader pinned before policy-triggered compactions
-    // keeps its epoch, lineage, and answers.
+    // keeps its epoch, base arena, and answers.
     {
         let w = incremental_workload(512, 16);
         let catalog = Arc::new(
@@ -159,7 +159,7 @@ fn bench(c: &mut Criterion) {
                 .session()
                 .snapshot()
                 .shares_base_with(pinned.snapshot()),
-            "a fresh pin must be on the post-compaction lineage"
+            "a fresh pin must read the post-compaction base"
         );
     }
 

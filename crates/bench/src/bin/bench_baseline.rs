@@ -11,9 +11,10 @@
 //!   direction-skewed workload;
 //! * **T13 incremental update** — absorbing a small edge batch through the
 //!   `DeltaGraph` overlay against the full `CsrGraph` rebuild, plus
-//!   evaluation over the live overlay (asserting the overlay is ≥ 5×
-//!   cheaper and that the `PlannedEngine` plan memo survives the delta
-//!   epoch);
+//!   evaluation over the live overlay and the fold that compacts it
+//!   (asserting the overlay is ≥ 5× and the fold ≥ 3× cheaper than the
+//!   rebuild, and that the `PlannedEngine` plan memo survives the delta
+//!   epoch and the compaction);
 //! * **T14 static analysis** — the `PlannedEngine`'s statically-empty
 //!   fast path against the plain product engine on an
 //!   alphabet-unsatisfiable query (asserting the planned side reports
@@ -224,9 +225,10 @@ fn main() {
     // T13 incremental-update series: absorbing a small edge batch through
     // the DeltaGraph overlay vs the full CsrGraph rebuild, plus evaluation
     // over the live overlay. The assertions mirror the t13 bench's
-    // acceptance criteria (overlay >= 5x cheaper; plan-cache hit across
-    // the delta epoch), so a snapshot or memo regression fails this job
-    // rather than shifting the baseline.
+    // acceptance criteria (overlay >= 5x and fold >= 3x cheaper than the
+    // rebuild; plan-cache hits across the delta epoch and across
+    // compact()), so a snapshot or memo regression fails this job rather
+    // than shifting the baseline.
     let mut t13_points: Vec<SeriesPoint> = Vec::new();
     for &nodes in &[1024usize, 4096] {
         let w = incremental_workload(nodes, 16);
@@ -288,6 +290,52 @@ fn main() {
             median_ns: t,
             edges_scanned: stats.edges_scanned,
         });
+
+        // Folding the batch into the base (what a compacting commit pays)
+        // against `CsrGraph::from` over the same edges — the rebuild
+        // compaction used to be. Each fold starts from a clone of the
+        // overlaid graph (its 24-entry log); the gate reads the rebuild's
+        // median against the fold's minimum, as above.
+        let mut mutated = w.instance.clone();
+        for &(f, l, t) in &w.delta.dels {
+            mutated.remove_edge(f, l, t);
+        }
+        for &(f, l, t) in &w.delta.adds {
+            mutated.add_edge(f, l, t);
+        }
+        let (rebuild_ns, _) = measure(repeats, || {
+            std::hint::black_box(CsrGraph::from(&mutated));
+            EvalStats::default()
+        });
+        let mut fold_min = u128::MAX;
+        let (fold_ns, _) = measure(repeats, || {
+            let start = Instant::now();
+            let mut d = dg.clone();
+            d.compact();
+            std::hint::black_box(d);
+            fold_min = fold_min.min(start.elapsed().as_nanos());
+            EvalStats::default()
+        });
+        t13_points.push(SeriesPoint {
+            name: "compact_small_overlay",
+            n: nodes,
+            median_ns: fold_ns,
+            edges_scanned: dg.num_edges(),
+        });
+        assert!(
+            rebuild_ns >= 3 * fold_min.max(1),
+            "folding the batch must be >= 3x cheaper than rebuilding the same \
+             edges (fold {fold_min}ns vs rebuild {rebuild_ns}ns at {nodes} nodes)"
+        );
+
+        // plan memo survives the compaction
+        dg.compact();
+        let res = planned.eval_view(&query, &dg, w.source);
+        assert_eq!(
+            (res.stats.plan_cache_hits, res.stats.plan_cache_misses),
+            (1, 0),
+            "PlannedEngine must report a plan-cache hit across compact()"
+        );
     }
 
     // T14 static-analysis series: the statically-empty fast path vs the

@@ -343,6 +343,144 @@ impl CsrGraph {
     }
 }
 
+/// One overlay-log entry handed to [`CsrGraph::fold`]: `(row, label,
+/// endpoint, add)` — the row `row` of one orientation gains (`add`) or
+/// loses (tombstone, `!add`) the entry `(label, endpoint)`. A log is sorted
+/// by `(row, label, endpoint)`, the order of the arena itself.
+pub(crate) type RowPatch = (Oid, Symbol, Oid, bool);
+
+impl CsrGraph {
+    /// `self` with an overlay folded in, as `num_nodes` rows holding
+    /// `num_edges` edges: `out_log` patches the out-arena, `in_log` (the
+    /// same edges keyed by target) the in-arena, so the reverse CSR is
+    /// merged like the forward one and never re-derived by transposition.
+    /// Equals `CsrGraph::from` over the resulting edge set, array for
+    /// array. `stats` are the caller's statistics for that edge set and
+    /// are stored as given.
+    ///
+    /// Panics when a log is not strictly ascending, names a row
+    /// `>= num_nodes`, adds an entry the base row holds, or tombstones one
+    /// it does not — each would store a snapshot that is not the graph.
+    pub(crate) fn fold(
+        &self,
+        num_nodes: usize,
+        num_edges: usize,
+        out_log: &[RowPatch],
+        in_log: &[RowPatch],
+        stats: LabelStats,
+    ) -> CsrGraph {
+        let (out_offsets, out_labels, out_targets) = fold_arena(
+            (&self.out_offsets, &self.out_labels, &self.out_targets),
+            num_nodes,
+            num_edges,
+            out_log,
+        );
+        let (in_offsets, in_labels, in_sources) = fold_arena(
+            (&self.in_offsets, &self.in_labels, &self.in_sources),
+            num_nodes,
+            num_edges,
+            in_log,
+        );
+        CsrGraph {
+            out_offsets,
+            out_labels,
+            out_targets,
+            in_offsets,
+            in_labels,
+            in_sources,
+            stats,
+        }
+    }
+
+    /// Statistics recounted from the out-arena — the from-scratch
+    /// reference [`crate::DeltaGraph::compact`] checks its incrementally
+    /// maintained counters against in debug builds.
+    pub(crate) fn recount_stats(&self) -> LabelStats {
+        let mut stats = LabelStats::default();
+        for row in self.out_offsets.windows(2) {
+            let labels = &self.out_labels[row[0]..row[1]];
+            for (i, &l) in labels.iter().enumerate() {
+                stats.note_added(l, i == 0 || labels[i - 1] != l);
+            }
+        }
+        stats
+    }
+}
+
+/// One orientation of [`CsrGraph::fold`]: the `(offsets, labels,
+/// endpoints)` arena `base` with `log` merged in, each array allocated
+/// once at its final size and written front to back. Everything between
+/// two patches — the rest of a touched row, any number of untouched rows —
+/// is one `extend` per array.
+fn fold_arena(
+    base: (&[usize], &[Symbol], &[Oid]),
+    num_nodes: usize,
+    num_edges: usize,
+    log: &[RowPatch],
+) -> (Vec<usize>, Vec<Symbol>, Vec<Oid>) {
+    let (base_offsets, base_labels, base_endpoints) = base;
+    assert!(
+        log.windows(2)
+            .all(|w| (w[0].0, w[0].1, w[0].2) < (w[1].0, w[1].1, w[1].2)),
+        "overlay log must be strictly ascending by (row, label, endpoint)"
+    );
+    assert!(
+        log.last().is_none_or(|p| p.0.index() < num_nodes) && base_offsets.len() <= num_nodes + 1,
+        "a fold drops no row and patches none past the last"
+    );
+
+    // A row starts where it did, shifted by the adds minus the tombstones
+    // of the rows before it: one constant per span of untouched rows. Rows
+    // past the old base start where the base ends.
+    let mut offsets = Vec::with_capacity(num_nodes + 1);
+    let mut extend_offsets = |len: usize, shift: isize| {
+        let known = base_offsets.len();
+        let span = &base_offsets[offsets.len().min(known)..len.min(known)];
+        offsets.extend(span.iter().map(|&o| o.wrapping_add_signed(shift)));
+        offsets.resize(len, base_labels.len().wrapping_add_signed(shift));
+    };
+    let mut shift = 0;
+    for row in log.chunk_by(|p, q| p.0 == q.0) {
+        extend_offsets(row[0].0.index() + 1, shift);
+        shift += row.iter().map(|p| if p.3 { 1 } else { -1 }).sum::<isize>();
+    }
+    extend_offsets(num_nodes + 1, shift);
+
+    let mut labels = Vec::with_capacity(num_edges);
+    let mut endpoints = Vec::with_capacity(num_edges);
+    let mut next = 0; // the first base entry not yet merged
+    for &(row, label, endpoint, add) in log {
+        // the patch's place: inside its own row, past what is merged
+        let (start, end) = match base_offsets.get(row.index()..row.index() + 2) {
+            Some(bounds) => (bounds[0], bounds[1]),
+            None => (base_labels.len(), base_labels.len()),
+        };
+        let mut at = next.max(start);
+        while at < end && (base_labels[at], base_endpoints[at]) < (label, endpoint) {
+            at += 1;
+        }
+        labels.extend_from_slice(&base_labels[next..at]);
+        endpoints.extend_from_slice(&base_endpoints[next..at]);
+        next = at;
+        let in_base = at < end && (base_labels[at], base_endpoints[at]) == (label, endpoint);
+        if add {
+            assert!(!in_base, "add log must be disjoint from the base");
+            labels.push(label);
+            endpoints.push(endpoint);
+        } else {
+            assert!(in_base, "tombstone must name a base edge");
+            next += 1;
+        }
+    }
+    labels.extend_from_slice(&base_labels[next..]);
+    endpoints.extend_from_slice(&base_endpoints[next..]);
+    assert!(
+        labels.len() == num_edges && offsets[num_nodes] == num_edges,
+        "folded arena must hold every edge"
+    );
+    (offsets, labels, endpoints)
+}
+
 /// Iterator over `(label, targets)` groups of one row — see
 /// [`CsrGraph::out_groups`].
 pub struct LabelGroups<'a> {
@@ -596,6 +734,152 @@ mod tests {
         let csr = CsrGraph::from(&inst);
         assert_eq!(csr.stats().edge_count(a), 3);
         assert_eq!(csr.stats().source_count(a), 2);
+    }
+
+    type Edge = (Oid, Symbol, Oid);
+
+    /// Fold `dels`/`adds` (and `extra_nodes` new rows) into `inst`'s
+    /// snapshot, and check the result against the rebuild of the mirrored
+    /// instance — every array of both orientations, and the statistics.
+    fn fold_matches_rebuild(inst: &Instance, extra_nodes: usize, dels: &[Edge], adds: &[Edge]) {
+        let mut mirror = inst.clone();
+        for _ in 0..extra_nodes {
+            mirror.add_node();
+        }
+        let (mut out_log, mut in_log): (Vec<RowPatch>, Vec<RowPatch>) = (Vec::new(), Vec::new());
+        for (edges, add) in [(dels, false), (adds, true)] {
+            for &(f, l, t) in edges {
+                let took = if add {
+                    mirror.add_edge(f, l, t)
+                } else {
+                    mirror.remove_edge(f, l, t)
+                };
+                assert!(took, "test delta must be effective: {f:?} {l:?} {t:?}");
+                out_log.push((f, l, t, add));
+                in_log.push((t, l, f, add));
+            }
+        }
+        out_log.sort_unstable();
+        in_log.sort_unstable();
+        let folded = CsrGraph::from(inst).fold(
+            mirror.num_nodes(),
+            mirror.num_edges(),
+            &out_log,
+            &in_log,
+            mirror.stats().clone(),
+        );
+        assert_eq!(folded, CsrGraph::from(&mirror));
+        assert!(folded.stats().agrees_with(&folded.recount_stats()));
+    }
+
+    /// Five nodes; node 1's row is `[(a,0) (a,2) (b,1) (b,3)]`, node 2 has
+    /// no out-edge, node 4 no edge at all.
+    fn rows() -> (Symbol, Symbol, Symbol, Instance) {
+        let mut ab = Alphabet::new();
+        let (a, b, c) = (ab.intern("a"), ab.intern("b"), ab.intern("c"));
+        let mut inst = Instance::new();
+        for _ in 0..5 {
+            inst.add_node();
+        }
+        for (f, l, t) in [
+            (0, a, 1),
+            (1, a, 0),
+            (1, a, 2),
+            (1, b, 1),
+            (1, b, 3),
+            (3, b, 0),
+        ] {
+            inst.add_edge(Oid(f), l, Oid(t));
+        }
+        (a, b, c, inst)
+    }
+
+    #[test]
+    fn fold_drops_tombstones_anywhere_in_a_row() {
+        let (a, b, _, inst) = rows();
+        let row: [Edge; 4] = [
+            (Oid(1), a, Oid(0)),
+            (Oid(1), a, Oid(2)),
+            (Oid(1), b, Oid(1)),
+            (Oid(1), b, Oid(3)),
+        ];
+        for e in row {
+            fold_matches_rebuild(&inst, 0, &[e], &[]); // start, middle, end
+        }
+        fold_matches_rebuild(&inst, 0, &[row[0], row[3]], &[]);
+        // the whole row; then the first and the last non-empty row
+        fold_matches_rebuild(&inst, 0, &row, &[]);
+        fold_matches_rebuild(&inst, 0, &[(Oid(0), a, Oid(1)), (Oid(3), b, Oid(0))], &[]);
+    }
+
+    #[test]
+    fn fold_inserts_adds_before_and_after_every_base_entry() {
+        let (a, b, c, inst) = rows();
+        // every gap of node 1's row but the one before its first entry
+        let gaps: [Edge; 5] = [
+            (Oid(1), a, Oid(1)), // between (a,0) and (a,2)
+            (Oid(1), a, Oid(4)), // after the last a, before the first b
+            (Oid(1), b, Oid(0)), // before the first b
+            (Oid(1), b, Oid(2)), // between (b,1) and (b,3)
+            (Oid(1), c, Oid(0)), // after the last entry, a label new to the base
+        ];
+        for e in gaps {
+            fold_matches_rebuild(&inst, 0, &[], &[e]);
+        }
+        fold_matches_rebuild(&inst, 0, &[], &gaps);
+        // before the first entry of a row: (a,0) precedes row 3's (b,0)
+        fold_matches_rebuild(&inst, 0, &[], &[(Oid(3), a, Oid(0))]);
+        // an add right where a tombstone fell, and adjacent touched rows
+        fold_matches_rebuild(
+            &inst,
+            0,
+            &[(Oid(1), a, Oid(2)), (Oid(0), a, Oid(1))],
+            &[
+                (Oid(1), a, Oid(3)),
+                (Oid(0), a, Oid(0)),
+                (Oid(2), b, Oid(2)),
+            ],
+        );
+    }
+
+    #[test]
+    fn fold_fills_empty_rows_and_rows_past_the_old_base() {
+        let (a, b, _, inst) = rows();
+        // node 2 has no out-row, node 4 neither out- nor in-row
+        fold_matches_rebuild(&inst, 0, &[], &[(Oid(2), a, Oid(4))]);
+        fold_matches_rebuild(&inst, 0, &[], &[(Oid(4), b, Oid(4)), (Oid(4), a, Oid(0))]);
+        // new nodes 5, 6, 7: 5 stays empty, 6 and 7 take edges both ways
+        fold_matches_rebuild(&inst, 3, &[], &[]);
+        fold_matches_rebuild(
+            &inst,
+            3,
+            &[(Oid(1), b, Oid(3))],
+            &[
+                (Oid(6), a, Oid(1)),
+                (Oid(1), a, Oid(7)),
+                (Oid(7), b, Oid(6)),
+            ],
+        );
+        // a base with no row at all
+        fold_matches_rebuild(&Instance::new(), 2, &[], &[(Oid(1), a, Oid(0))]);
+    }
+
+    #[test]
+    #[should_panic(expected = "add log must be disjoint from the base")]
+    fn fold_refuses_an_add_the_base_already_holds() {
+        let (a, _, _, inst) = rows();
+        let csr = CsrGraph::from(&inst);
+        let stats = csr.stats().clone();
+        csr.fold(5, 7, &[(Oid(0), a, Oid(1), true)], &[], stats);
+    }
+
+    #[test]
+    #[should_panic(expected = "tombstone must name a base edge")]
+    fn fold_refuses_a_tombstone_for_no_base_edge() {
+        let (a, _, _, inst) = rows();
+        let csr = CsrGraph::from(&inst);
+        let stats = csr.stats().clone();
+        csr.fold(5, 5, &[(Oid(0), a, Oid(2), false)], &[], stats);
     }
 
     #[test]

@@ -18,18 +18,20 @@
 //! incrementally on every mutation, with a debug-build equivalence check
 //! against a recount at [`DeltaGraph::compact`] time.
 //!
-//! [`DeltaGraph::compact`] folds the logs into a fresh base CSR and starts
-//! a new [`Epoch`] lineage: plans memoized against the old base are
-//! invalidated (fresh base = fresh fingerprint), while small-delta epochs
-//! *within* one lineage let `rpq_optimizer::PlannedEngine` reuse compiled
-//! plans (see its epoch-aware memo).
+//! [`DeltaGraph::compact`] folds the logs into a new base CSR by one
+//! sorted merge per orientation ([`CsrGraph`]'s arenas are copied once,
+//! with the touched rows patched on the way — no [`Instance`] is rebuilt)
+//! and **keeps the [`Epoch`] lineage**: a fold reorganises storage, it
+//! changes no edge, count or statistic, so plans that
+//! `rpq_optimizer::PlannedEngine` memoized before it (see its epoch-aware
+//! memo) are served as exact hits after it.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use rpq_automata::Symbol;
 
-use crate::csr::{CsrGraph, LabelStats};
+use crate::csr::{CsrGraph, LabelStats, RowPatch};
 use crate::instance::{Instance, Oid};
 use crate::source::{GraphSource, NodeId};
 use crate::view::{EdgeDelta, Epoch, GraphView, OverlayEdges, ViewEdges, ViewGroups};
@@ -102,11 +104,11 @@ impl LabelLog {
 
 /// When should a writer fold a [`DeltaGraph`]'s overlay into a fresh base?
 ///
-/// Compaction trades a one-off `O(V + E)` rebuild (plus plan-memo
-/// invalidation in `rpq-optimizer`, since a fresh base is a fresh lineage)
-/// against the per-read cost of overlay merges. The policy triggers on
-/// either of two measured signals, gated by a minimum log size so tiny
-/// graphs don't thrash:
+/// Compaction trades one sequential copy of the base arenas (`O(V + E)` at
+/// memory speed, see [`DeltaGraph::compact`]; it keeps the epoch lineage,
+/// so no plan is lost to it) against the per-read cost of overlay merges.
+/// The policy triggers on either of two measured signals, gated by a
+/// minimum log size so tiny graphs don't thrash:
 ///
 /// * **log/base edge ratio** — total log length (adds + tombstones) as a
 ///   fraction of base edges ([`DeltaGraph::log_len`]);
@@ -229,8 +231,8 @@ impl DeltaGraph {
         &self.stats
     }
 
-    /// Snapshot identity: the base lineage id plus the number of mutation
-    /// calls absorbed since the base was installed.
+    /// Snapshot identity: the lineage id drawn when this graph was created
+    /// plus the number of steps (mutation calls, batches, folds) since.
     pub fn epoch(&self) -> Epoch {
         Epoch {
             base: self.base_epoch,
@@ -303,7 +305,7 @@ impl DeltaGraph {
     }
 
     /// Compact if [`DeltaGraph::should_compact`] says so; returns whether a
-    /// compaction (and hence a lineage restart) happened.
+    /// compaction happened.
     pub fn maybe_compact(&mut self, policy: &CompactionPolicy) -> bool {
         if self.should_compact(policy) {
             self.compact();
@@ -437,13 +439,14 @@ impl DeltaGraph {
     /// Add `Ref(from, label, to)`. Returns true if the edge was new (it was
     /// neither live in the base nor in the add log); resurrecting a
     /// tombstoned base edge removes the tombstone rather than growing the
-    /// add log. Each call is one epoch step.
+    /// add log. An endpoint that is no node is a miss (`false`), as it is
+    /// for [`DeltaGraph::delete_edge`] and on the read side. Each call is
+    /// one epoch step.
     pub fn add_edge(&mut self, from: Oid, label: Symbol, to: Oid) -> bool {
-        assert!(
-            from.index() < self.num_nodes() && to.index() < self.num_nodes(),
-            "edge endpoints must be existing nodes"
-        );
         self.version += 1;
+        if from.index() >= self.num_nodes() || to.index() >= self.num_nodes() {
+            return false;
+        }
         let in_base = self.base_out(from, label).binary_search(&to).is_ok();
         let grew = if in_base {
             // live already, or tombstoned (then resurrect)
@@ -515,46 +518,59 @@ impl DeltaGraph {
         })
     }
 
-    /// Fold the overlay into a fresh base CSR (the `O(V + E)` pass the
-    /// overlay defers), clear the logs, and start a **new epoch lineage**:
-    /// plans memoized against the old base are invalidated. In debug
-    /// builds, asserts the incrementally maintained [`LabelStats`] agree
-    /// with the rebuilt base's recount.
+    /// One orientation's logs as [`CsrGraph::fold`] takes them: every add
+    /// and tombstone of every label, sorted by `(row, label, endpoint)`.
+    fn patches(&self, reverse: bool) -> Vec<RowPatch> {
+        let mut log = Vec::with_capacity(self.log_len());
+        for (logs, add) in [(&self.dels, false), (&self.adds, true)] {
+            for (slot, l) in logs.iter().enumerate() {
+                let pairs = if reverse { &l.rev } else { &l.fwd };
+                let label = Symbol::from_index(slot);
+                log.extend(pairs.iter().map(|&(row, end)| (row, label, end, add)));
+            }
+        }
+        log.sort_unstable();
+        log
+    }
+
+    /// Fold the overlay into a new base CSR and clear the logs. The base
+    /// arenas are merged with the logs in one sequential pass per
+    /// orientation (`CsrGraph::fold`): a copy of `V + E` words with the
+    /// touched rows patched on the way, whatever the size of the log. The
+    /// fold **keeps the epoch lineage** and steps `version` by one — edges,
+    /// counts and statistics are what they were, so plans memoized before
+    /// the fold stay valid after it. With nothing to fold (empty logs, no
+    /// new node) it does nothing at all. In debug builds, asserts the
+    /// incrementally maintained [`LabelStats`] agree with a recount of the
+    /// new base.
     ///
-    /// Compaction is **copy-on-write**: the rebuilt base is installed as a
+    /// Compaction is **copy-on-write**: the new base is installed as a
     /// fresh `Arc`, so `DeltaGraph` clones taken before the call (pinned
     /// reader snapshots) keep the old base arena alive and finish their
     /// traversals undisturbed — no reader is ever blocked or invalidated by
     /// a writer-side compaction.
     pub fn compact(&mut self) {
-        let n = self.num_nodes();
-        let mut inst = Instance::new();
-        for _ in 0..n {
-            inst.add_node();
+        if self.log_len() == 0 && self.extra_nodes == 0 {
+            return;
         }
-        // out_groups yields labels and targets ascending, so every
-        // add_edge below appends at its row's end — O(E) overall.
-        for v in self.nodes() {
-            for (l, ts) in self.out_groups(v) {
-                for t in ts {
-                    inst.add_edge(v, l, t);
-                }
-            }
-        }
-        let base = CsrGraph::from(&inst);
+        let base = self.base.fold(
+            self.num_nodes(),
+            self.edges,
+            &self.patches(false),
+            &self.patches(true),
+            self.stats.clone(),
+        );
         debug_assert!(
-            self.stats.agrees_with(base.stats()),
+            self.stats.agrees_with(&base.recount_stats()),
             "incremental LabelStats diverged from compaction recount:\n{:?}\nvs\n{:?}",
             self.stats,
-            base.stats()
+            base.recount_stats()
         );
         self.base = Arc::new(base);
         self.adds.clear();
         self.dels.clear();
         self.extra_nodes = 0;
-        self.edges = self.base.num_edges();
-        self.base_epoch = fresh_base_epoch();
-        self.version = 0;
+        self.version += 1;
     }
 }
 
@@ -752,7 +768,7 @@ mod tests {
     }
 
     #[test]
-    fn compact_preserves_the_view_and_restarts_the_lineage() {
+    fn compact_preserves_the_view_and_keeps_the_lineage() {
         let (ab, inst) = sample();
         let mut dg = DeltaGraph::from_instance(&inst);
         let a = ab.get("a").unwrap();
@@ -764,13 +780,54 @@ mod tests {
         assert!(dg.log_len() > 0);
 
         let edges_before: Vec<_> = dg.edges().collect();
+        let folded_at = dg.epoch();
         dg.compact();
         assert_eq!(dg.log_len(), 0);
-        assert_ne!(dg.epoch().base, before.base, "compaction = fresh lineage");
-        assert_eq!(dg.epoch().version, 0);
+        assert_eq!(dg.epoch().base, before.base, "a fold keeps the lineage");
+        assert_eq!(dg.epoch().version, folded_at.version + 1, "one step");
         let edges_after: Vec<_> = dg.edges().collect();
         assert_eq!(edges_before, edges_after);
         assert_eq!(dg.num_edges(), dg.base().num_edges());
+    }
+
+    #[test]
+    fn compact_with_nothing_to_fold_is_a_no_op() {
+        let (ab, inst) = sample();
+        let mut dg = DeltaGraph::from_instance(&inst);
+        let a = ab.get("a").unwrap();
+        let pinned = dg.clone();
+        dg.compact();
+        assert!(dg.shares_base_with(&pinned), "no copy of the base");
+        assert_eq!(dg.epoch(), pinned.epoch(), "no epoch step");
+
+        // a log that cancelled itself out is nothing to fold either
+        assert!(dg.add_edge(Oid(1), a, Oid(2)));
+        assert!(dg.delete_edge(Oid(1), a, Oid(2)));
+        let epoch = dg.epoch();
+        dg.compact();
+        assert!(dg.shares_base_with(&pinned));
+        assert_eq!(dg.epoch(), epoch);
+
+        // a new node with no edge is: the base must grow a row for it
+        let fresh = dg.add_node();
+        dg.compact();
+        assert!(!dg.shares_base_with(&pinned));
+        assert_eq!(dg.base().num_nodes(), fresh.index() + 1);
+    }
+
+    #[test]
+    fn mutations_naming_no_node_are_misses() {
+        let (ab, inst) = sample();
+        let mut dg = DeltaGraph::from_instance(&inst);
+        let a = ab.get("a").unwrap();
+        let n = dg.num_nodes() as u32;
+        let before: Vec<_> = dg.edges().collect();
+        for (f, t) in [(Oid(n), Oid(0)), (Oid(0), Oid(n)), (Oid(u32::MAX), Oid(0))] {
+            assert!(!dg.add_edge(f, a, t), "{f:?} -> {t:?}");
+            assert!(!dg.delete_edge(f, a, t), "{f:?} -> {t:?}");
+        }
+        assert_eq!(dg.log_len(), 0);
+        assert_eq!(dg.edges().collect::<Vec<_>>(), before);
     }
 
     #[test]

@@ -19,7 +19,8 @@
 //! * [`DeltaGraph`] — the incremental snapshot: an immutable base
 //!   [`CsrGraph`] plus per-label sorted add/tombstone logs, absorbing
 //!   [`EdgeDelta`] batches in `O(batch)` instead of the `O(V + E)` rebuild,
-//!   with [`DeltaGraph::compact`] folding the overlay into a fresh base.
+//!   with [`DeltaGraph::compact`] folding the overlay into a fresh base by
+//!   one sorted merge per orientation, on the same [`Epoch`] lineage.
 //! * [`GraphSource`] — the lazy, possibly-infinite view (Remark 2.1) under
 //!   which evaluators may only expand nodes they have reached; implemented
 //!   by [`Instance`], [`CsrGraph`], [`DeltaGraph`], and by synthetic

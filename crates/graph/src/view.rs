@@ -18,10 +18,11 @@
 //!   minus tombstones, plus the add log) that still knows its exact length
 //!   up front, so the engines' `edges_scanned` accounting is unchanged.
 //! * [`Epoch`] — snapshot identity: a `base` lineage id (0 for standalone
-//!   [`crate::CsrGraph`]s, a process-unique id per [`crate::DeltaGraph`]
-//!   base) and a `version` bumped per mutation batch. The optimizer's plan
-//!   memo uses the lineage to reuse compiled plans across small-delta
-//!   epochs and to invalidate them when `compact()` installs a fresh base.
+//!   [`crate::CsrGraph`]s, a process-unique id drawn when a
+//!   [`crate::DeltaGraph`] is created) and a `version` stepped by every
+//!   mutation batch and every `compact()`. The optimizer's plan memo uses
+//!   the lineage to reuse compiled plans across small-delta epochs; a
+//!   compaction stays on the lineage, so it costs the memo nothing.
 //!
 //! [`EdgeDelta`] is the batched mutation format shared by
 //! [`crate::DeltaGraph::apply_delta`] and the `rpq-distributed` runners'
@@ -33,18 +34,24 @@ use crate::csr::{CsrGraph, LabelStats};
 use crate::delta::DeltaGroups;
 use crate::instance::Oid;
 
-/// Snapshot identity for plan caching: which base lineage a view belongs
-/// to, and how many mutation batches it has absorbed since that base.
+/// Snapshot identity for plan caching: which logical history a view
+/// belongs to, and how many steps into it the view is.
 ///
 /// A standalone [`CsrGraph`] is [`Epoch::STATIC`] (`base == 0`): it has no
-/// lineage, so plan reuse for it requires an exact statistics match. Every
-/// [`crate::DeltaGraph`] base (fresh or compacted) takes a process-unique
-/// nonzero `base`, and `version` counts mutation batches on top of it.
+/// lineage, so plan reuse for it requires an exact statistics match. A
+/// [`crate::DeltaGraph`] draws a process-unique nonzero `base` when it is
+/// created and keeps it for life — clones share it, and so does the graph
+/// after [`crate::DeltaGraph::compact`], which reorganises storage without
+/// changing the history. `version` counts the steps: one per mutation call
+/// or batch, one per compaction, so two snapshots of one lineage that
+/// differ in content or in physical base never share an `Epoch`. (Which
+/// base *arena* a snapshot reads is a separate question, answered by
+/// [`crate::DeltaGraph::shares_base_with`].)
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub struct Epoch {
-    /// Lineage id of the underlying base snapshot (0 = no lineage).
+    /// Lineage id: which `DeltaGraph` history (0 = no lineage).
     pub base: u64,
-    /// Mutation batches absorbed since the base was installed.
+    /// Steps (mutation batches and compactions) since the lineage began.
     pub version: u64,
 }
 

@@ -26,16 +26,21 @@
 //!
 //! The memo key carries the snapshot's [`rpq_graph::Epoch`] lineage. For a
 //! mutating [`rpq_graph::DeltaGraph`], a small edge batch changes the
-//! statistics fingerprint but *not* the base lineage — instead of
+//! statistics fingerprint but *not* the lineage — instead of
 //! recompiling, the planner re-derives the two entry costs from the
 //! current statistics and **reuses** the memoized plan whenever the
 //! direction decision is unchanged and neither cost drifted past the
 //! decisiveness factor (any cached plan for the same query is *sound* —
 //! statistics only rank candidates — so drift-reuse trades at most
 //! optimality, never correctness, and the drift bound caps even that).
-//! `compact()` installs a fresh base lineage, which invalidates the memo
-//! for that graph — exactly the rebuild-time recompilation the overlay
-//! deferred. Hits and misses are counted on the engine
+//! `compact()` is invisible to the memo: a fold keeps the lineage and
+//! changes no node count, edge count or statistic, so the key of the
+//! snapshot after it *is* the key of the snapshot before it and every
+//! plan is an exact hit. Drift is always measured against the plan's own
+//! plan-time costs, never against the last fold, so there is nothing for a
+//! compaction to reset: a decisive drift or a first edge on a pruned label
+//! recompiles whether or not a fold came in between. Hits and misses are
+//! counted on the engine
 //! ([`PlannedEngine::plan_cache_hits`]) and stamped into every
 //! [`rpq_core::EvalStats`] this engine produces, together with the chosen
 //! [`Direction`] — the observability seam of the cost-calibration work.
@@ -138,9 +143,10 @@ pub struct Plan {
 /// Memo key: the snapshot's epoch lineage plus node/edge counts and a hash
 /// of the per-label statistics, so snapshots that merely *coincide* in
 /// size do not share plans (direction and rewrite ranking both come from
-/// the statistics). Lineage 0 (standalone `CsrGraph`s) only ever matches
-/// exactly; nonzero lineages additionally allow the drift-bounded reuse
-/// described in the module docs.
+/// the statistics). None of the four moves when a `DeltaGraph` compacts.
+/// Lineage 0 (standalone `CsrGraph`s) only ever matches exactly; nonzero
+/// lineages additionally allow the drift-bounded reuse described in the
+/// module docs.
 type MemoKey = (u64, usize, usize, u64);
 
 fn memo_key<G: GraphView>(graph: &G) -> MemoKey {
@@ -419,7 +425,7 @@ impl<E> PlannedEngine<E> {
                     return (e.plan.clone(), true);
                 }
                 if key.0 != 0 {
-                    // Same base lineage, different epoch: reuse the plan if
+                    // Same lineage, different statistics: reuse the plan if
                     // the label-stat drift stays under the decisiveness
                     // threshold (see the module docs).
                     if let Some(e) = entries
@@ -1117,10 +1123,10 @@ mod tests {
     }
 
     #[test]
-    fn small_delta_epochs_reuse_the_plan_and_compaction_invalidates() {
+    fn small_delta_epochs_and_compaction_reuse_the_plan() {
         // A delta lineage: plan once, absorb a small batch (stats drift
         // under the decisiveness factor) -> the memo serves the same plan.
-        // compact() starts a fresh lineage -> the memo misses and rebuilds.
+        // compact() keeps the lineage and every statistic -> an exact hit.
         let mut ab = Alphabet::new();
         let mut b = InstanceBuilder::new(&mut ab);
         for i in 0..32 {
@@ -1153,47 +1159,62 @@ mod tests {
         assert_eq!(res.stats.plan_cache_hits, 1);
         assert_eq!(res.stats.plan_direction, Some(p1.direction));
 
-        // compaction = fresh base lineage = invalidation
-        let misses_before = planned.plan_cache_misses();
+        // compaction = same lineage, same statistics = memo hit
+        let (misses_before, hits_before) = (planned.plan_cache_misses(), planned.plan_cache_hits());
+        let before = dg.epoch();
         dg.compact();
+        assert_eq!(dg.epoch().base, before.base);
+        assert!(dg.epoch().version > before.version);
         let p3 = planned.plan(&query, &dg);
         assert!(
-            !Arc::ptr_eq(&p1, &p3),
-            "compaction must invalidate the lineage's plans"
+            Arc::ptr_eq(&p1, &p3),
+            "compaction must not cost the lineage its plans"
         );
-        assert_eq!(planned.plan_cache_misses(), misses_before + 1);
+        assert_eq!(planned.plan_cache_misses(), misses_before);
+        assert_eq!(planned.plan_cache_hits(), hits_before + 1);
+        let res = planned.eval_view(&query, &dg, Oid(0));
+        assert_eq!(
+            (res.stats.plan_cache_hits, res.stats.plan_cache_misses),
+            (1, 0)
+        );
     }
 
     #[test]
     fn decisive_drift_recompiles_the_plan() {
         // Start backward-skewed (one cold exit), then add enough cold
         // edges to erase the skew: the direction decision flips, so the
-        // memoized plan must NOT be reused despite the same lineage.
-        let mut ab = Alphabet::new();
-        let mut b = InstanceBuilder::new(&mut ab);
-        for i in 0..16 {
-            b.edge("s", "hot", &format!("m{i}"));
-        }
-        b.edge("m0", "cold", "t");
-        let (inst, names) = b.finish();
-        let mut dg = DeltaGraph::from_instance(&inst);
-        let planned = PlannedEngine::unconstrained(ProductEngine, ab.clone());
-        let query = {
-            let mut ab2 = ab.clone();
-            Query::parse(&mut ab2, "hot.cold").unwrap()
-        };
-        let p1 = planned.plan(&query, &dg);
-        assert_eq!(p1.direction, Direction::Backward);
+        // memoized plan must NOT be reused despite the same lineage —
+        // whether or not a compaction folded the new edges in first.
+        for fold in [false, true] {
+            let mut ab = Alphabet::new();
+            let mut b = InstanceBuilder::new(&mut ab);
+            for i in 0..16 {
+                b.edge("s", "hot", &format!("m{i}"));
+            }
+            b.edge("m0", "cold", "t");
+            let (inst, names) = b.finish();
+            let mut dg = DeltaGraph::from_instance(&inst);
+            let planned = PlannedEngine::unconstrained(ProductEngine, ab.clone());
+            let query = {
+                let mut ab2 = ab.clone();
+                Query::parse(&mut ab2, "hot.cold").unwrap()
+            };
+            let p1 = planned.plan(&query, &dg);
+            assert_eq!(p1.direction, Direction::Backward);
 
-        let cold = ab.get("cold").unwrap();
-        let t = names["t"];
-        for i in 1..16 {
-            let m = names[format!("m{i}").as_str()];
-            assert!(dg.add_edge(m, cold, t));
+            let cold = ab.get("cold").unwrap();
+            let t = names["t"];
+            for i in 1..16 {
+                let m = names[format!("m{i}").as_str()];
+                assert!(dg.add_edge(m, cold, t));
+            }
+            if fold {
+                dg.compact();
+            }
+            let p2 = planned.plan(&query, &dg);
+            assert!(!Arc::ptr_eq(&p1, &p2), "decisive drift must recompile");
+            assert_ne!(p2.direction, Direction::Backward);
         }
-        let p2 = planned.plan(&query, &dg);
-        assert!(!Arc::ptr_eq(&p1, &p2), "decisive drift must recompile");
-        assert_ne!(p2.direction, Direction::Backward);
     }
 
     #[test]
@@ -1308,39 +1329,45 @@ mod tests {
     fn first_edge_on_a_pruned_label_forces_a_replan() {
         // Pruning is stats-dependent: a plan that erased `ghost` is
         // unsound the moment a delta adds the first ghost edge, even
-        // though the cost drift is far under the decisiveness factor.
-        let mut ab = Alphabet::new();
-        let mut b = InstanceBuilder::new(&mut ab);
-        for i in 0..32 {
-            b.edge("s", "a", &format!("m{i}"));
+        // though the cost drift is far under the decisiveness factor —
+        // and a compaction that folds the ghost edge in changes nothing.
+        for fold in [false, true] {
+            let mut ab = Alphabet::new();
+            let mut b = InstanceBuilder::new(&mut ab);
+            for i in 0..32 {
+                b.edge("s", "a", &format!("m{i}"));
+            }
+            let (inst, names) = b.finish();
+            let ghost = ab.intern("ghost");
+            let mut dg = DeltaGraph::from_instance(&inst);
+            let planned = PlannedEngine::unconstrained(ProductEngine, ab.clone());
+            let query = {
+                let mut ab2 = ab.clone();
+                Query::parse(&mut ab2, "a + ghost").unwrap()
+            };
+            let s = names["s"];
+
+            let p1 = planned.plan(&query, &dg);
+            assert_eq!(p1.facts.pruned_symbols, vec![ghost]);
+            assert_eq!(planned.eval_view(&query, &dg, s).answers.len(), 32);
+
+            // one ghost edge among 32: cost drift alone would reuse the plan
+            assert!(dg.add_edge(s, ghost, names["m0"]));
+            if fold {
+                dg.compact();
+            }
+            let p2 = planned.plan(&query, &dg);
+            assert!(
+                !Arc::ptr_eq(&p1, &p2),
+                "the pruned-label guard must force a rebuild"
+            );
+            assert!(p2.facts.pruned_symbols.is_empty());
+            // and the rebuilt plan answers the ghost path
+            assert_eq!(planned.eval_view(&query, &dg, s).answers.len(), 32);
+            let mut ab3 = ab.clone();
+            let ghost_only = Query::parse(&mut ab3, "ghost").unwrap();
+            assert_eq!(planned.eval_view(&ghost_only, &dg, s).answers.len(), 1);
         }
-        let (inst, names) = b.finish();
-        let ghost = ab.intern("ghost");
-        let mut dg = DeltaGraph::from_instance(&inst);
-        let planned = PlannedEngine::unconstrained(ProductEngine, ab.clone());
-        let query = {
-            let mut ab2 = ab.clone();
-            Query::parse(&mut ab2, "a + ghost").unwrap()
-        };
-        let s = names["s"];
-
-        let p1 = planned.plan(&query, &dg);
-        assert_eq!(p1.facts.pruned_symbols, vec![ghost]);
-        assert_eq!(planned.eval_view(&query, &dg, s).answers.len(), 32);
-
-        // one ghost edge among 32: cost drift alone would reuse the plan
-        assert!(dg.add_edge(s, ghost, names["m0"]));
-        let p2 = planned.plan(&query, &dg);
-        assert!(
-            !Arc::ptr_eq(&p1, &p2),
-            "the pruned-label guard must force a rebuild"
-        );
-        assert!(p2.facts.pruned_symbols.is_empty());
-        // and the rebuilt plan answers the ghost path
-        assert_eq!(planned.eval_view(&query, &dg, s).answers.len(), 32);
-        let mut ab3 = ab.clone();
-        let ghost_only = Query::parse(&mut ab3, "ghost").unwrap();
-        assert_eq!(planned.eval_view(&ghost_only, &dg, s).answers.len(), 1);
     }
 
     #[test]

@@ -24,10 +24,13 @@
 //! The publish-time clone is copy-on-write in the load-bearing dimension:
 //! [`DeltaGraph`] holds its base CSR behind an `Arc`, so cloning copies
 //! only the overlay logs (`O(log_len)`), never the `O(V + E)` base.
-//! [`DeltaGraph::compact`] on the master installs a *fresh* base Arc with
-//! a fresh [`Epoch`] lineage — snapshots published earlier keep the old
-//! base alive until their last reader drops, which is exactly the
-//! epoch-pinning contract the planner's memo keys on.
+//! [`DeltaGraph::compact`] on the master installs a *fresh* base Arc —
+//! one sequential merge of the logs into a copy of the base arenas, under
+//! the master lock — and stays on the same [`Epoch`] lineage, one
+//! `version` further: snapshots published earlier keep the old base alive
+//! until their last reader drops, no two published snapshots share an
+//! `Epoch`, and the planner's memo, which keys on the lineage and the
+//! statistics, serves its plans across the fold.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -50,7 +53,7 @@ pub struct Commit {
     /// Mutations that actually took effect (duplicates and misses skipped).
     pub applied: usize,
     /// Did the compaction policy fire, folding the overlay into a fresh
-    /// base lineage?
+    /// base arena (same lineage, see [`DeltaGraph::compact`])?
     pub compacted: bool,
 }
 
@@ -95,7 +98,7 @@ impl Catalog {
     }
 
     /// Replace the compaction policy (e.g. [`CompactionPolicy::NEVER`] to
-    /// pin the lineage for a test).
+    /// keep one base arena for a test).
     pub fn with_policy(mut self, policy: CompactionPolicy) -> Catalog {
         self.policy = policy;
         self
@@ -238,9 +241,71 @@ mod tests {
         let fresh = catalog.pin();
         assert!(
             !fresh.shares_base_with(&pinned),
-            "compaction must have installed a fresh base lineage"
+            "compaction must have installed a fresh base arena"
         );
+        assert_eq!(fresh.epoch().base, epoch0.base, "on the same lineage");
         let _ = (n0, n1);
+    }
+
+    #[test]
+    fn every_commit_publishes_its_own_epoch_across_compactions() {
+        // Compaction keeps the lineage, so `version` alone must tell the
+        // published snapshots apart — `pin_at` depends on it.
+        let (ab, catalog, _, _) = seed();
+        let catalog = catalog.with_policy(CompactionPolicy {
+            min_log_len: 2,
+            max_log_ratio: 0.0,
+            ..CompactionPolicy::default()
+        });
+        let a = ab.get("a").unwrap();
+        let mut epochs = vec![catalog.epoch()];
+        for round in 0..6u32 {
+            let mut d = EdgeDelta::new();
+            d.add(Oid(round % 8), a, Oid((round + 3) % 8));
+            let c = catalog.commit(&d);
+            assert_eq!(c.compacted, round % 2 == 1, "every second commit folds");
+            assert!(c.epoch.version > epochs[epochs.len() - 1].version);
+            assert_eq!(c.epoch.base, epochs[0].base);
+            assert_eq!(
+                catalog.pin_at(c.epoch).unwrap().num_edges(),
+                9 + round as usize
+            );
+            epochs.push(c.epoch);
+        }
+        // an earlier, pre-compaction epoch is still the snapshot it was
+        assert_eq!(catalog.pin_at(epochs[1]).unwrap().num_edges(), 9);
+    }
+
+    #[test]
+    fn a_delta_naming_no_node_is_a_miss_not_a_poisoned_catalog() {
+        let (ab, catalog, n0, n1) = seed();
+        let a = ab.get("a").unwrap();
+        let mut d = EdgeDelta::new();
+        d.del(n0, a, n1); // valid: the ring edge n0 -> n1
+        d.del(Oid(1000), a, n0); // source out of range
+        d.add(n0, a, n0); // valid, applied before the bad ones
+        d.add(Oid(1000), a, n1); // source out of range
+        d.add(n1, a, Oid(1000)); // target out of range
+        d.add(Oid(u32::MAX), a, Oid(u32::MAX));
+        d.add(n1, a, n0); // valid, applied after the bad ones
+        let c = catalog.commit(&d);
+        assert_eq!(c.applied, 3, "exactly the valid mutations");
+
+        let snap = catalog.pin();
+        assert_eq!(snap.epoch(), c.epoch);
+        let mut expected: Vec<_> = (0..8u32)
+            .map(|i| (Oid(i), a, Oid((i + 1) % 8)))
+            .filter(|&e| e != (n0, a, n1))
+            .chain([(n0, a, n0), (n1, a, n0)])
+            .collect();
+        expected.sort_unstable();
+        assert_eq!(snap.edges().collect::<Vec<_>>(), expected);
+
+        // the master lock was not poisoned: the write path still works
+        let mut d = EdgeDelta::new();
+        d.add(n0, a, n1);
+        assert_eq!(catalog.commit(&d).applied, 1);
+        assert_eq!(catalog.commits(), 2);
     }
 
     #[test]

@@ -561,6 +561,69 @@ mod tests {
         assert_eq!(again.nodes().unwrap(), baseline.nodes().unwrap());
     }
 
+    #[test]
+    fn plans_are_served_across_a_compacting_commit() {
+        // A fold reorganises storage; it must not cost the server a plan.
+        // The commit that trips the policy swaps one a-edge of `noise` for
+        // another, so no statistic moves and the join-plan memo (exact
+        // keys only) can hit as well as the path-plan memo.
+        let mut ab = Alphabet::new();
+        let mut b = InstanceBuilder::new(&mut ab);
+        for i in 0..4 {
+            b.edge(&format!("s{i}"), "a", &format!("m{i}"));
+            b.edge(&format!("m{i}"), "b", &format!("t{i}"));
+        }
+        b.edge("t0", "c", "end");
+        b.edge("noise", "a", "noise2");
+        let (inst, names) = b.finish();
+        let a = ab.get("a").unwrap();
+        let catalog = Catalog::from_instance(&inst).with_policy(CompactionPolicy {
+            min_log_len: 2,
+            max_log_ratio: 0.0,
+            ..CompactionPolicy::default()
+        });
+        let server = Server::new(Arc::new(catalog), ab);
+        let mut session = server.session();
+        let path = ("a.b*.c", SourceSpec::Source(names["s0"]));
+        let crpq = (
+            "ans(x, w) :- x -[a]-> y, y -[b*]-> z, z -[c]-> w",
+            SourceSpec::Conjunctive {
+                sources: None,
+                targets: None,
+            },
+        );
+        let run = |session: &Session| {
+            [&path, &crpq].map(|(text, spec)| {
+                let resp = session.submit_text(text, spec.clone()).unwrap().join();
+                assert_eq!(resp.termination, Termination::Complete);
+                resp
+            })
+        };
+
+        let cold = run(&session);
+        assert!(cold.iter().all(|r| r.stats.plan_cache_misses > 0));
+
+        let mut d = EdgeDelta::new();
+        d.del(names["noise"], a, names["noise2"]);
+        d.add(names["noise"], a, names["end"]);
+        let before = session.epoch();
+        let commit = server.catalog().commit(&d);
+        assert!(commit.compacted, "the policy must fire on this commit");
+        session.refresh();
+        assert_eq!(session.epoch(), commit.epoch);
+        assert_eq!(session.epoch().base, before.base);
+        let old = server.session_at(before).unwrap();
+        assert!(!session.snapshot().shares_base_with(old.snapshot()));
+
+        let warm = run(&session);
+        for (cold, warm) in cold.iter().zip(&warm) {
+            assert_eq!(warm.stats.plan_cache_misses, 0, "a fold costs no plan");
+            assert!(warm.stats.plan_cache_hits > 0);
+            assert_eq!(warm.nodes(), cold.nodes());
+            assert_eq!(warm.bindings(), cold.bindings());
+        }
+    }
+
     /// An oid that is no object of the snapshot is not an error and not a
     /// panic: it seeds no search and is dropped from target and bound
     /// sets, its item answers empty, valid items answer exactly, the

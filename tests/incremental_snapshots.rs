@@ -4,7 +4,10 @@
 //! `Instance` — structurally (rows, transpose, statistics) and through the
 //! evaluation paths (product BFS, quotient-DFA, and `PlannedEngine`-wrapped
 //! evaluation with the epoch-aware plan memo) — both before and after
-//! `compact()` folds the overlay into a fresh base.
+//! `compact()` folds the overlay into a new base. The `Instance` rebuild
+//! is also the oracle the fold itself is compared with, row for row in
+//! both orientations (`the_fold_equals_the_rebuild`): this file is the
+//! only place that round trip still exists.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -132,10 +135,12 @@ proptest! {
             assert_eval_equal(&dg, &rebuilt, &ab, &query, s);
         }
 
-        // compaction folds the overlay: same answers, fresh lineage
-        let lineage = dg.epoch().base;
+        // compaction folds the overlay: same answers, same lineage, one
+        // step further (none when the three batches left nothing to fold)
+        let (before, folds) = (dg.epoch(), dg.log_len() > 0);
         dg.compact();
-        prop_assert!(dg.epoch().base != lineage);
+        prop_assert_eq!(dg.epoch().base, before.base);
+        prop_assert_eq!(dg.epoch().version, before.version + u64::from(folds));
         assert_structurally_equal(&dg, &mirror, &syms);
         for s in rebuilt.nodes() {
             assert_eval_equal(&dg, &rebuilt, &ab, &query, s);
@@ -161,11 +166,187 @@ proptest! {
     }
 }
 
+/// A `DeltaGraph` and the `Instance` it must equal, mutated in lockstep:
+/// every mutation goes to both and must report the same effect.
+struct Lockstep {
+    dg: DeltaGraph,
+    mirror: Instance,
+}
+
+impl Lockstep {
+    fn live(&self, f: Oid, l: Symbol, t: Oid) -> bool {
+        let live = self.mirror.out_edges(f).binary_search(&(l, t)).is_ok();
+        assert_eq!(self.dg.has_edge(f, l, t), live);
+        live
+    }
+
+    fn add(&mut self, f: Oid, l: Symbol, t: Oid) {
+        assert_eq!(self.dg.add_edge(f, l, t), self.mirror.add_edge(f, l, t));
+    }
+
+    fn del(&mut self, f: Oid, l: Symbol, t: Oid) {
+        assert_eq!(
+            self.dg.delete_edge(f, l, t),
+            self.mirror.remove_edge(f, l, t)
+        );
+    }
+
+    /// Delete the edge if it is live, add it if not: always takes effect.
+    fn toggle(&mut self, f: Oid, l: Symbol, t: Oid) {
+        if self.live(f, l, t) {
+            self.del(f, l, t);
+        } else {
+            self.add(f, l, t);
+        }
+    }
+
+    fn add_node(&mut self) -> Oid {
+        let v = self.dg.add_node();
+        assert_eq!(v, self.mirror.add_node());
+        v
+    }
+
+    /// `compact()`, then everything the fold promises: the new base equals
+    /// the rebuild row for row in both orientations, nothing a reader can
+    /// see moved, and the lineage is kept.
+    fn fold_and_check(&mut self) {
+        let before = self.dg.clone();
+        let edges_before: Vec<_> = before.edges().collect();
+        let folds = before.log_len() > 0 || before.num_nodes() > before.base().num_nodes();
+        self.dg.compact();
+
+        let (dg, rebuilt) = (&self.dg, CsrGraph::from(&self.mirror));
+        assert_eq!(dg.log_len(), 0);
+        assert_eq!(dg.base().num_nodes(), rebuilt.num_nodes());
+        assert_eq!(dg.base().num_edges(), rebuilt.num_edges());
+        assert_eq!(dg.num_edges(), rebuilt.num_edges());
+        for v in rebuilt.nodes() {
+            let (out, rev): (Vec<_>, Vec<_>) = (
+                dg.base().out_pairs(v).collect(),
+                dg.base().rev_pairs(v).collect(),
+            );
+            assert_eq!(out, rebuilt.out_pairs(v).collect::<Vec<_>>(), "out {v:?}");
+            assert_eq!(rev, rebuilt.rev_pairs(v).collect::<Vec<_>>(), "in {v:?}");
+        }
+        assert!(dg.stats().agrees_with(rebuilt.stats()));
+        assert!(dg.base().stats().agrees_with(rebuilt.stats()));
+        assert_eq!(dg.edges().collect::<Vec<_>>(), edges_before);
+
+        assert_eq!(dg.epoch().base, before.epoch().base);
+        assert_eq!(
+            dg.epoch().version,
+            before.epoch().version + u64::from(folds)
+        );
+        assert_eq!(dg.shares_base_with(&before), !folds);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(300))]
+
+    /// The fold against the rebuild it replaced, under every shape of
+    /// overlay we could think of: three rounds of mutations, each closed
+    /// by a `compact()`. Round 0 touches a few rows between long untouched
+    /// spans (`churn-mixed`'s regime), round 1 at least half of all rows
+    /// (the default policy's, a log a quarter of the base), round 2 again
+    /// a few, on a base that is itself the product of two folds.
+    #[test]
+    fn the_fold_equals_the_rebuild(seed in 0u64..1_000_000) {
+        let ab = Alphabet::from_names(["a", "b", "c", "d"]);
+        let syms: Vec<Symbol> = ab.symbols().collect();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let nodes = rng.random_range(1..24usize);
+        let edges = rng.random_range(0..=3 * nodes);
+        // the base never sees `c` and `d`
+        let (mirror, _) = random_graph(&mut rng, nodes, edges, &syms[..2]);
+        let mut ls = Lockstep { dg: DeltaGraph::from_instance(&mirror), mirror };
+
+        for round in 0..3 {
+            // a reader's snapshot from before the round
+            let pinned = ls.dg.clone();
+            let (pinned_epoch, pinned_edges) = (pinned.epoch(), pinned.edges().collect::<Vec<_>>());
+            let node = |rng: &mut StdRng, ls: &Lockstep| Oid(rng.random_range(0..ls.dg.num_nodes()) as u32);
+            let label = |rng: &mut StdRng| syms[rng.random_range(0..syms.len())];
+
+            if round == 1 {
+                // one effective mutation on two rows of every three; the
+                // log is empty, so each is one log entry
+                let n = ls.dg.num_nodes();
+                for v in (0..n).filter(|v| v % 3 != 2) {
+                    let (l, t) = (label(&mut rng), node(&mut rng, &ls));
+                    ls.toggle(Oid(v as u32), l, t);
+                }
+                prop_assert_eq!(ls.dg.log_len(), n - n / 3);
+                prop_assert!(2 * ls.dg.log_len() >= n);
+            }
+            for _ in 0..rng.random_range(0..6) {
+                let (u, v, l) = (node(&mut rng, &ls), node(&mut rng, &ls), label(&mut rng));
+                let last = Oid(ls.dg.num_nodes() as u32 - 1);
+                let some_edge = ls.mirror.edges().nth(rng.random_range(0..64));
+                match rng.random_range(0..9) {
+                    // a new node that stays without edges
+                    0 => { ls.add_node(); }
+                    // a new node with edges out, in and onto itself
+                    1 => {
+                        let w = ls.add_node();
+                        ls.add(w, l, u);
+                        ls.add(v, l, w);
+                        ls.add(w, syms[3], w);
+                    }
+                    // a label the base never saw
+                    2 => ls.add(u, syms[2 + rng.random_range(0..2)], v),
+                    // tombstone an edge, then resurrect it
+                    3 => if let Some((f, l, t)) = some_edge {
+                        ls.del(f, l, t);
+                        ls.add(f, l, t);
+                    },
+                    // add an edge, then delete it (unless it was live)
+                    4 => if !ls.live(u, l, v) {
+                        ls.add(u, l, v);
+                        ls.del(u, l, v);
+                    },
+                    // empty a row entirely: out-row of u, in-row of v
+                    5 => {
+                        for (l, t) in ls.mirror.out_edges(u).to_vec() {
+                            ls.del(u, l, t);
+                        }
+                        let into_v: Vec<_> = ls.mirror.edges().filter(|e| e.2 == v).collect();
+                        for (f, l, _) in into_v {
+                            ls.del(f, l, v);
+                        }
+                    }
+                    // the first and the last row, in both orientations
+                    6 => {
+                        ls.toggle(Oid(0), l, u);
+                        ls.toggle(last, l, v);
+                        ls.toggle(u, l, Oid(0));
+                        ls.toggle(v, l, last);
+                    }
+                    // adjacent rows
+                    7 => {
+                        let next = Oid((u.0 + 1).min(last.0));
+                        ls.toggle(u, l, v);
+                        ls.toggle(next, l, v);
+                        ls.toggle(v, l, next);
+                    }
+                    _ => ls.toggle(u, l, v),
+                }
+            }
+            assert_structurally_equal(&ls.dg, &ls.mirror, &syms);
+            ls.fold_and_check();
+            assert_structurally_equal(&ls.dg, &ls.mirror, &syms);
+            // the reader still holds the snapshot it pinned
+            prop_assert_eq!(pinned.epoch(), pinned_epoch);
+            prop_assert_eq!(pinned.edges().collect::<Vec<_>>(), pinned_edges);
+        }
+    }
+}
+
 /// The plan-memo acceptance test of the incremental-snapshots issue: plans
-/// survive small-delta epochs (cache *hits*, no recompilation) and die at
-/// compaction (fresh lineage).
+/// survive small-delta epochs (cache *hits*, no recompilation) and survive
+/// compaction, which keeps the lineage and every statistic (an exact hit).
 #[test]
-fn plan_memo_hits_across_delta_epochs_and_invalidates_on_compaction() {
+fn plan_memo_hits_across_delta_epochs_and_compaction() {
     let mut ab = Alphabet::new();
     let mut b = rpq::graph::InstanceBuilder::new(&mut ab);
     for i in 0..64 {
@@ -200,10 +381,18 @@ fn plan_memo_hits_across_delta_epochs_and_invalidates_on_compaction() {
     assert_eq!(planned.plan_cache_hits(), 3);
     assert_eq!(planned.plan_cache_misses(), 1);
 
-    // compaction starts a fresh lineage: the next evaluation recompiles
+    // compaction keeps the lineage: the next evaluation hits the memo
+    let before = dg.epoch();
     dg.compact();
+    assert_eq!(dg.epoch().base, before.base);
+    assert!(dg.epoch().version > before.version);
     let after = planned.eval_view(&query, &dg, names["s"]);
-    assert_eq!(after.stats.plan_cache_misses, 1);
-    assert_eq!(planned.plan_cache_misses(), 2);
+    assert_eq!(
+        (after.stats.plan_cache_hits, after.stats.plan_cache_misses),
+        (1, 0),
+        "a fold must not cost the plan"
+    );
+    assert_eq!(planned.plan_cache_hits(), 4);
+    assert_eq!(planned.plan_cache_misses(), 1);
     assert_eq!(after.answers, first.answers);
 }
