@@ -14,7 +14,7 @@ use std::time::Duration;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rpq_automata::{parse_regex, Alphabet, Regex};
 use rpq_constraints::ConstraintSet;
-use rpq_optimizer::{rewrite_with_views, ViewSearchConfig};
+use rpq_optimizer::rewrite_with_views;
 
 /// `k` caches `li = (ai.bi)*` and the union query of their tails.
 fn view_workload(k: usize) -> (Alphabet, ConstraintSet, Regex) {
@@ -40,7 +40,7 @@ fn bench(c: &mut Criterion) {
         let (ab, set, q) = view_workload(k);
         // sanity + series print (once per size)
         {
-            let rs = rewrite_with_views(&set, &q, &ab, &ViewSearchConfig::default());
+            let rs = rewrite_with_views(&set, &q, &ab);
             let total = rs
                 .iter()
                 .filter(|r| r.kind == rpq_optimizer::ViewKind::Total)
@@ -56,9 +56,7 @@ fn bench(c: &mut Criterion) {
             assert!(!rs.is_empty());
         }
         group.bench_with_input(BenchmarkId::new("caches", k), &k, |b, _| {
-            b.iter(|| {
-                black_box(rewrite_with_views(&set, &q, &ab, &ViewSearchConfig::default()).len())
-            })
+            b.iter(|| black_box(rewrite_with_views(&set, &q, &ab).len()))
         });
     }
 
@@ -69,9 +67,7 @@ fn bench(c: &mut Criterion) {
         let tail: Vec<String> = (0..reps).map(|i| format!("c{i}")).collect();
         let q = parse_regex(&mut ab, &format!("a.(b.a)*.{}", tail.join("."))).unwrap();
         group.bench_with_input(BenchmarkId::new("tail_len", reps), &reps, |b, _| {
-            b.iter(|| {
-                black_box(rewrite_with_views(&set, &q, &ab, &ViewSearchConfig::default()).len())
-            })
+            b.iter(|| black_box(rewrite_with_views(&set, &q, &ab).len()))
         });
     }
     group.finish();

@@ -13,8 +13,7 @@ use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rpq_bench::direction_workload;
-use rpq_core::ProductEngine;
-use rpq_core::{eval_to, search_pair, EvalScratch, Query, SearchOpts};
+use rpq_core::{search_pair, Engine, EvalRequest, EvalScratch, ProductEngine, Query, SearchOpts};
 use rpq_graph::CsrGraph;
 use rpq_optimizer::{Direction, PlannedEngine};
 
@@ -39,7 +38,9 @@ fn bench(c: &mut Criterion) {
             Direction::Backward,
             "planner must choose backward at fanout {fanout}: {plan:?}"
         );
-        let chosen = planned.eval_pair(&query, &graph, w.source, w.target);
+        let pair = EvalRequest::pair(w.source, w.target);
+        let to_target = EvalRequest::target(w.target);
+        let chosen = planned.run_view(&query, &graph, &pair);
         let forced = search_pair(
             query.nfa(),
             &query.nfa().reverse(),
@@ -51,7 +52,7 @@ fn bench(c: &mut Criterion) {
             &mut EvalScratch::new(),
         )
         .0;
-        assert!(chosen.reachable && forced.reachable);
+        assert!(chosen.reachable() == Some(true) && forced.reachable);
         assert!(
             chosen.stats.edges_scanned * 10 < forced.stats.edges_scanned,
             "planned backward must scan 10x fewer edges at fanout {fanout}: {} vs {}",
@@ -59,8 +60,8 @@ fn bench(c: &mut Criterion) {
             forced.stats.edges_scanned
         );
         // the target-bound scenario rides the same reverse adjacency
-        let to = eval_to(&query, &graph, w.target);
-        assert_eq!(to.answers, vec![w.source]);
+        let to = ProductEngine.run(&query, &graph, &to_target);
+        assert_eq!(to.nodes(), Some(&[w.source][..]));
 
         group.bench_with_input(
             BenchmarkId::new("pair_forced_forward", fanout),
@@ -87,20 +88,14 @@ fn bench(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("pair_planned_backward", fanout),
             &fanout,
-            |b, _| {
-                b.iter(|| {
-                    black_box(
-                        planned
-                            .eval_pair(&query, &graph, w.source, w.target)
-                            .reachable,
-                    )
-                })
-            },
+            |b, _| b.iter(|| black_box(planned.run_view(&query, &graph, &pair).reachable())),
         );
         group.bench_with_input(
             BenchmarkId::new("target_bound_backward", fanout),
             &fanout,
-            |b, _| b.iter(|| black_box(eval_to(&query, &graph, w.target).answers.len())),
+            |b, _| {
+                b.iter(|| black_box(ProductEngine.run(&query, &graph, &to_target).stats.answers))
+            },
         );
     }
     group.finish();

@@ -20,7 +20,7 @@ use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rpq_bench::incremental_workload;
-use rpq_core::{eval_product_csr, ProductEngine, Query};
+use rpq_core::{eval_product_csr, EvalRequest, ProductEngine, Query};
 use rpq_graph::{CsrGraph, DeltaGraph};
 use rpq_optimizer::PlannedEngine;
 
@@ -94,7 +94,7 @@ fn bench(c: &mut Criterion) {
         planned.plan(&query, &dg);
         assert_eq!(planned.plan_cache_misses(), 1);
         dg.apply_delta(&w.delta);
-        let res = planned.eval_view(&query, &dg, w.source);
+        let res = planned.run_view(&query, &dg, &EvalRequest::source(w.source));
         assert_eq!(
             (res.stats.plan_cache_hits, res.stats.plan_cache_misses),
             (1, 0),
@@ -102,14 +102,18 @@ fn bench(c: &mut Criterion) {
         );
         let overlaid = dg.clone();
         dg.compact();
-        let res = planned.eval_view(&query, &dg, w.source);
+        let res = planned.run_view(&query, &dg, &EvalRequest::source(w.source));
         assert_eq!(
             (res.stats.plan_cache_hits, res.stats.plan_cache_misses),
             (1, 0),
             "PlannedEngine must report a plan-cache hit across compact()"
         );
         assert_eq!(planned.plan_cache_misses(), 1);
-        assert_eq!(res.answers, full.answers, "folded evaluation diverged");
+        assert_eq!(
+            res.nodes(),
+            Some(&full.answers[..]),
+            "folded evaluation diverged"
+        );
 
         // Acceptance 4: folding the batch into the base is ≥ 3× cheaper
         // than the rebuild over the same edges (rebuild's median against

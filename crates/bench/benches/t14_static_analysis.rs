@@ -24,7 +24,7 @@ use std::time::Duration;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rpq_automata::parse_regex;
 use rpq_bench::{distributed_workload, skewed_workload};
-use rpq_core::{Engine, ProductEngine, Query};
+use rpq_core::{Engine, EvalRequest, ProductEngine, Query};
 use rpq_graph::CsrGraph;
 use rpq_optimizer::PlannedEngine;
 
@@ -62,7 +62,7 @@ fn bench(c: &mut Criterion) {
             "statically empty query must not touch the graph at depth {depth}"
         );
         assert!(res.stats.symbols_pruned >= 1, "ghost must be pruned");
-        let batch = planned.eval_batch(&ghost_query, &graph, &[w.source]);
+        let batch = planned.run(&ghost_query, &graph, &EvalRequest::sources(vec![w.source]));
         assert_eq!(
             (batch.stats.edges_scanned, batch.stats.pairs_visited),
             (0, 0),

@@ -16,8 +16,8 @@ use std::time::Duration;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rpq_bench::{eval_workload, multi_source_workload, skewed_workload};
 use rpq_core::{
-    eval_product_csr, eval_product_scan, DerivativeEngine, Engine, ProductEngine, Query,
-    QuotientDfaEngine,
+    eval_product_csr, eval_product_scan, DerivativeEngine, Engine, EvalRequest, ProductEngine,
+    Query, QuotientDfaEngine,
 };
 use rpq_datalog::engine::{eval_naive, eval_seminaive};
 use rpq_datalog::translate::{load_csr, translate_quotient};
@@ -146,7 +146,9 @@ fn bench(c: &mut Criterion) {
         let query = Query::new(w.query.clone(), &w.alphabet);
         let graph = CsrGraph::from(&w.instance);
 
-        let batch = ProductEngine.eval_batch(&query, &graph, &w.sources);
+        let all_sources = EvalRequest::sources(w.sources.clone());
+        let resp = ProductEngine.run(&query, &graph, &all_sources);
+        let batch = resp.batch().expect("batch payload");
         let mut loop_edges = 0usize;
         for (i, &s) in w.sources.iter().enumerate() {
             let single = ProductEngine.eval(&query, &graph, s);
@@ -158,7 +160,7 @@ fn bench(c: &mut Criterion) {
             );
         }
         assert_eq!(
-            batch.stats.edges_scanned, loop_edges,
+            resp.stats.edges_scanned, loop_edges,
             "a Sources request is the per-source loop at N={nsrc}"
         );
 
@@ -180,7 +182,7 @@ fn bench(c: &mut Criterion) {
             &nsrc,
             |b, _| {
                 let engine = PartitionedBatchEngine::new(4);
-                b.iter(|| black_box(engine.eval_batch(&query, &graph, &w.sources).stats.answers))
+                b.iter(|| black_box(engine.run(&query, &graph, &all_sources).stats.answers))
             },
         );
     }

@@ -129,8 +129,8 @@ fn bench(c: &mut Criterion) {
     }
 
     // --- multi-source seeding: one fixpoint answers the whole batch --------
-    // Semi-naive with every source in the round-0 delta (the batched
-    // `eval_batch` strategy) vs one fixpoint per source; the shared chain
+    // Semi-naive with every source in the round-0 delta (the engine's
+    // `Sources` strategy) vs one fixpoint per source; the shared chain
     // rules fire once per derived tuple either way, but the loop re-derives
     // the overlap of the N reachable sets N times.
     for &nsrc in &[8usize, 32] {

@@ -191,59 +191,6 @@ pub fn pull_workload(hubs: usize) -> PullWorkload {
     }
 }
 
-/// A multi-target funnel workload (T15): `n_targets` exit nodes hang off
-/// the tail of a shared `cold` spine (plus hot-label noise edges *into*
-/// the spine, keeping the reverse-adjacency label skew). The query `cold*`
-/// asked backward from each exit walks the same spine, so a `Targets`
-/// request — one backward search per target — pays
-/// `O(n_targets × depth)` edge scans.
-pub struct MultiTargetWorkload {
-    /// Shared alphabet.
-    pub alphabet: Alphabet,
-    /// The instance (build form; snapshot with `CsrGraph::from`).
-    pub instance: Instance,
-    /// The batch of evaluation targets (the exit nodes).
-    pub targets: Vec<Oid>,
-    /// The spine query `cold*`.
-    pub query: Regex,
-}
-
-/// Build the multi-target funnel: a spine of `depth` cold edges whose tail
-/// fans into `n_targets` exits, `hot_fanout` hot noise edges into each
-/// spine node from a shared pool.
-pub fn multi_target_workload(
-    depth: usize,
-    hot_fanout: usize,
-    n_targets: usize,
-) -> MultiTargetWorkload {
-    let mut alphabet = Alphabet::new();
-    let cold = alphabet.intern("cold");
-    let hot = alphabet.intern("hot");
-    let mut instance = Instance::new();
-    let spine: Vec<Oid> = (0..=depth).map(|_| instance.add_node()).collect();
-    let pool: Vec<Oid> = (0..hot_fanout).map(|_| instance.add_node()).collect();
-    let targets: Vec<Oid> = (0..n_targets).map(|_| instance.add_node()).collect();
-    for i in 0..depth {
-        instance.add_edge(spine[i], cold, spine[i + 1]);
-        for &noise in &pool {
-            instance.add_edge(noise, hot, spine[i]);
-        }
-    }
-    for &exit in &targets {
-        instance.add_edge(spine[depth], cold, exit);
-        for &noise in &pool {
-            instance.add_edge(noise, hot, exit);
-        }
-    }
-    let query = parse_regex(&mut alphabet, "cold*").unwrap();
-    MultiTargetWorkload {
-        alphabet,
-        instance,
-        targets,
-        query,
-    }
-}
-
 /// A direction-skewed pair workload (T12): the chain query
 /// `hot.hot.cold` from `source` to `target` over a graph whose *first*
 /// label group is plentiful (`source` fans out `fanout` hot edges, each
@@ -555,22 +502,6 @@ mod tests {
             hybrid.stats.edges_scanned,
             sparse.stats.edges_scanned
         );
-    }
-
-    #[test]
-    fn multi_target_workload_shape() {
-        let w = multi_target_workload(16, 8, 12);
-        let csr = rpq_graph::CsrGraph::from(&w.instance);
-        let cold = w.alphabet.get("cold").unwrap();
-        let hot = w.alphabet.get("hot").unwrap();
-        assert_eq!(csr.stats().edge_count(cold), 16 + 12);
-        assert_eq!(csr.stats().edge_count(hot), (16 + 12) * 8);
-        assert_eq!(w.targets.len(), 12);
-        // every exit reaches back to the whole spine under cold*
-        let nfa = rpq_automata::Nfa::thompson(&w.query);
-        let query = rpq_core::Query::with_nfa(w.query.clone(), nfa, &w.alphabet);
-        let res = rpq_core::eval_to(&query, &csr, w.targets[0]);
-        assert_eq!(res.answers.len(), 16 + 2, "spine + exit itself");
     }
 
     #[test]

@@ -11,44 +11,39 @@
 
 use rpq_graph::Oid;
 
-use crate::stats::EvalStats;
-
-/// Result of a batched evaluation over a source set.
+/// Answers of a batched evaluation over a source set.
 ///
-/// Always carries the union `⋃ᵢ p(oᵢ, I)` and the *aggregated*
-/// [`EvalStats`] (per-source counters are merged, not discarded — see
-/// [`EvalStats::merge`]). Engines that partition by source also report the
-/// per-source answer sets; union-only engines (e.g. semi-naive Datalog
-/// seeded with every source at once) report `per_source() == None`.
+/// Always carries the union `⋃ᵢ p(oᵢ, I)`. Engines that partition by
+/// source also report the per-source answer sets; union-only engines (e.g.
+/// semi-naive Datalog seeded with every source at once) report
+/// `per_source() == None`. The batch's work counters — per-source counters
+/// merged, not discarded, see [`crate::EvalStats::merge`] — are the
+/// enclosing [`crate::EvalResponse::stats`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BatchResult {
     per_source: Option<Vec<Vec<Oid>>>,
     union: Vec<Oid>,
-    /// Aggregated work counters for the whole batch.
-    pub stats: EvalStats,
 }
 
 impl BatchResult {
     /// Build from per-source answer sets (each sorted); computes the union.
-    pub fn from_per_source(per_source: Vec<Vec<Oid>>, stats: EvalStats) -> BatchResult {
+    pub fn from_per_source(per_source: Vec<Vec<Oid>>) -> BatchResult {
         let mut union: Vec<Oid> = per_source.iter().flatten().copied().collect();
         union.sort_unstable();
         union.dedup();
         BatchResult {
             per_source: Some(per_source),
             union,
-            stats,
         }
     }
 
     /// Build from a union-only computation (`union` need not be sorted).
-    pub fn union_only(mut union: Vec<Oid>, stats: EvalStats) -> BatchResult {
+    pub fn union_only(mut union: Vec<Oid>) -> BatchResult {
         union.sort_unstable();
         union.dedup();
         BatchResult {
             per_source: None,
             union,
-            stats,
         }
     }
 
@@ -95,8 +90,6 @@ pub struct MatrixResult {
     targets: Vec<Oid>,
     words_per_row: usize,
     bits: Vec<u64>,
-    /// Aggregated work counters (`answers` counts set matrix cells).
-    pub stats: EvalStats,
 }
 
 impl MatrixResult {
@@ -111,7 +104,6 @@ impl MatrixResult {
             targets,
             words_per_row,
             bits,
-            stats: EvalStats::default(),
         }
     }
 
@@ -162,7 +154,6 @@ impl MatrixResult {
                 }
             }
         }
-        full.stats = self.stats;
         full
     }
 }
@@ -176,9 +167,8 @@ mod tests {
     use rpq_graph::{CsrGraph, InstanceBuilder};
 
     fn batch(query: &Query, csr: &CsrGraph, sources: &[Oid]) -> BatchResult {
-        ProductEngine
-            .run(query, csr, &EvalRequest::sources(sources.to_vec()))
-            .into_batch()
+        let resp = ProductEngine.run(query, csr, &EvalRequest::sources(sources.to_vec()));
+        resp.batch().expect("batch payload").clone()
     }
 
     fn diamond() -> (Alphabet, CsrGraph, Vec<Oid>) {

@@ -12,6 +12,9 @@
 //! fn eval(&self, query: &Query, graph: &CsrGraph, source: Oid) -> EvalResult
 //! ```
 //!
+//! and every other question shape to one more, [`Engine::run`] over an
+//! [`EvalRequest`].
+//!
 //! [`Query`] packages the three forms engines consume (the regex, its
 //! Thompson NFA, and the alphabet) so one prepared query drives every
 //! engine; [`rpq_graph::CsrGraph`] is the immutable label-indexed snapshot
@@ -27,7 +30,6 @@ use std::sync::Arc;
 use rpq_automata::{parse_regex, Alphabet, Nfa, ParseError, Regex};
 use rpq_graph::{CsrGraph, Oid};
 
-use crate::batch::BatchResult;
 use crate::product::{eval_product_csr, EvalResult, SearchOpts};
 use crate::quotient::{eval_derivative_csr, eval_quotient_dfa_csr};
 use crate::request::{run_default, run_request, EvalRequest, EvalResponse};
@@ -129,54 +131,15 @@ pub trait Engine {
     /// requests route through the engine's own [`Engine::eval`] strategy,
     /// every other shape — and any request with a budget or cancellation
     /// flag, which only the product BFS can honor — through
-    /// [`run_request`]. Engines with set-at-a-time strategies override
-    /// this for the request arms they specialize and fall back to
-    /// [`run_default`] for the rest; the legacy per-shape methods below
-    /// are thin wrappers over `run`, making it the single dispatch point
-    /// (and the server's wire-level entry).
+    /// [`run_request`]. Engines with set-at-a-time strategies — the
+    /// all-sources-seeded semi-naive Datalog fixpoint, the partitioned
+    /// threaded driver in `rpq-distributed` — override this for the
+    /// request arms they specialize and fall back to [`run_default`] for
+    /// the rest. It is the single dispatch point (and the server's
+    /// wire-level entry): a caller with many sources, a target, a pair or
+    /// a matrix builds the request.
     fn run(&self, query: &Query, graph: &CsrGraph, req: &EvalRequest) -> EvalResponse {
         run_default(self, query, graph, req)
-    }
-
-    /// Evaluate `query` from every source in `sources` over `graph`.
-    ///
-    /// Thin wrapper over [`Engine::run`] with [`crate::SourceSpec::Sources`]; the
-    /// default dispatch loops over [`Engine::eval`] and merges the
-    /// per-source [`EvalStats`] (so no work counter is discarded), while
-    /// set-at-a-time engines — the all-sources-seeded semi-naive Datalog
-    /// fixpoint, the partitioned threaded driver in `rpq-distributed` —
-    /// specialize the arm in their `run`. Union-only strategies report
-    /// `per_source() == None`; all strategies agree on
-    /// [`BatchResult::union`].
-    fn eval_batch(&self, query: &Query, graph: &CsrGraph, sources: &[Oid]) -> BatchResult {
-        self.run(query, graph, &EvalRequest::sources(sources.to_vec()))
-            .into_batch()
-    }
-
-    /// Target-bound evaluation `{o | target ∈ p(o, I)}`.
-    ///
-    /// Thin wrapper over [`Engine::run`] with [`crate::SourceSpec::Target`]; the
-    /// default dispatch runs the shared backward product BFS (reversed NFA
-    /// over the reverse adjacency, [`run_request`]) —
-    /// correct for every engine because set-semantics answers are
-    /// direction-independent. Engines with planner state specialize the
-    /// arm in their `run` (e.g. `PlannedEngine` reuses its plan's cached
-    /// reversed automaton and stamps cache counters).
-    fn eval_to(&self, query: &Query, graph: &CsrGraph, target: Oid) -> EvalResult {
-        self.run(query, graph, &EvalRequest::target(target))
-            .into_eval_result()
-    }
-
-    /// Evaluate the target-bound question for every target in `targets` —
-    /// the multi-*target* mirror of [`Engine::eval_batch`].
-    ///
-    /// Thin wrapper over [`Engine::run`] with [`crate::SourceSpec::Targets`]; the
-    /// default dispatch loops the backward BFS per target and merges the
-    /// per-target [`EvalStats`] (`per_source()` of the result is aligned
-    /// with `targets`).
-    fn eval_to_batch(&self, query: &Query, graph: &CsrGraph, targets: &[Oid]) -> BatchResult {
-        self.run(query, graph, &EvalRequest::targets(targets.to_vec()))
-            .into_batch()
     }
 }
 

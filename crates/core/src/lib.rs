@@ -9,16 +9,19 @@
 //! paper discusses, plus the Section 2.4 extensions, all behind one
 //! calling convention:
 //!
-//! * [`Engine`] — the unified trait: `eval(&self, &Query, &CsrGraph, Oid)`
-//!   over the label-indexed [`rpq_graph::CsrGraph`] snapshot, with shared
+//! * [`Engine`] — the unified trait, three methods: `name`, the
+//!   strategy's own `p(o, I)` — `eval(&self, &Query, &CsrGraph, Oid)` over
+//!   the label-indexed [`rpq_graph::CsrGraph`] snapshot, with shared
 //!   [`EvalStats`] work counters ([`Query`] packages regex + NFA +
-//!   alphabet once);
-//! * [`request`] — the unified request/response convention:
-//!   [`Engine::run`] dispatches an [`EvalRequest`] (any question shape —
-//!   single source, batch, target-bound, pair, N×M matrix, binding set —
-//!   plus uniform budget/cancellation controls) to an [`EvalResponse`];
-//!   [`run_request`] is the one executor that maps a request shape to a
-//!   product kernel (its rustdoc is the decision table);
+//!   alphabet once) — and `run`;
+//! * [`request`] — the request/response convention, the one way to ask
+//!   any other question: [`Engine::run`] dispatches an [`EvalRequest`]
+//!   (any question shape — single source, batch, target-bound, pair, N×M
+//!   matrix, binding set — plus uniform budget/cancellation controls) to
+//!   an [`EvalResponse`], whose `stats` is the only place a response's
+//!   work is reported; [`run_request`] is the one executor that maps a
+//!   request shape to a product kernel (its rustdoc is the decision
+//!   table);
 //! * [`product`] — the "more economical" product-automaton BFS (PTIME
 //!   combined complexity, NLOGSPACE data complexity), frontier-based and
 //!   label-indexed: **one** level-synchronous driver, direction-optimizing
@@ -33,10 +36,10 @@
 //!   `rpq-optimizer`'s join planner composes) and [`run_request`] (any
 //!   [`SourceSpec`]; per-seed sets and the N×M matrix are one
 //!   [`search_nodes`] per seed, reported as [`BatchResult`] /
-//!   [`MatrixResult`]); [`eval_product_csr`], [`eval_pair`] and
-//!   [`eval_to`] are their default-option one-liners, and
-//!   `rpq-optimizer`'s `PlannedEngine` picks directions and options from
-//!   per-label statistics;
+//!   [`MatrixResult`]); [`eval_product_csr`] is the default-option
+//!   one-liner for the paper's `p(o, I)`, and `rpq-optimizer`'s
+//!   `PlannedEngine` picks directions and options from per-label
+//!   statistics;
 //! * [`parallel`] — intra-query parallelism: the [`WorkerPool`] governor
 //!   and the fan-out constants (the driver fans out single BFS levels
 //!   itself);
@@ -97,16 +100,14 @@ pub use engine::{
     StreamingEngine,
 };
 pub use oracle::eval_oracle;
-pub use pair::{eval_pair, eval_to, search_pair, PairResult};
+pub use pair::{search_pair, PairResult};
 pub use pairset::{search_pairs, seed_candidates, PairSetResult};
 pub use parallel::{WorkerLease, WorkerPool, PAR_LEVEL_THRESHOLD};
 pub use product::{
     eval_product, eval_product_csr, eval_product_scan, search_nodes, EvalResult, FrontierMode,
     SearchOpts, PULL_SWEEP_DISCOUNT,
 };
-pub use quotient::{
-    eval_derivative, eval_derivative_csr, eval_quotient_dfa, eval_quotient_dfa_csr,
-};
+pub use quotient::{eval_derivative_csr, eval_quotient_dfa_csr};
 pub use request::{
     live_oids, run_default, run_request, Answers, EvalControl, EvalRequest, EvalResponse,
     SourceSpec, Termination,

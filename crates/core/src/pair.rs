@@ -17,14 +17,13 @@
 //!
 //! Which end wins is data-dependent (first- vs last-label selectivity);
 //! `rpq_optimizer::PlannedEngine` chooses from [`rpq_graph::LabelStats`]
-//! (bench `t12_direction_choice`). [`eval_pair`] and [`eval_to`] are the
-//! `Query`-level entry points.
+//! (bench `t12_direction_choice`). At the `Query` level the question is
+//! [`crate::EvalRequest::pair`].
 
 use rpq_automata::Nfa;
 use rpq_graph::{GraphView, Oid};
 
-use crate::engine::Query;
-use crate::product::{product_search, search_nodes, EvalResult, SearchOpts};
+use crate::product::{product_search, SearchOpts};
 use crate::request::Termination;
 use crate::scratch::EvalScratch;
 use crate::stats::{Direction, EvalStats};
@@ -41,7 +40,7 @@ pub struct PairResult {
 /// The pair answer shape: is `target ∈ p(source, I)`? `reversed` must be
 /// `nfa.reverse()`. `direction` selects the end the early-exit search
 /// starts from (see the module docs) and overrides `opts.reverse_adj`; the
-/// rest of `opts` is read as by [`search_nodes`].
+/// rest of `opts` is read as by [`crate::search_nodes`].
 ///
 /// A `reachable == true` verdict is definitive — even if the budget
 /// tripped right after the hit, the termination is reported
@@ -76,43 +75,6 @@ pub fn search_pair<G: GraphView>(
         stats,
     };
     (pair, term)
-}
-
-/// `Query`-level pair entry point: is `target ∈ p(source, I)`? Forward
-/// early exit; use `rpq_optimizer::PlannedEngine` to pick the direction
-/// from label statistics instead.
-pub fn eval_pair<G: GraphView>(query: &Query, graph: &G, source: Oid, target: Oid) -> PairResult {
-    let nfa = query.nfa();
-    search_pair(
-        nfa,
-        &nfa.reverse(),
-        graph,
-        source,
-        target,
-        Direction::Forward,
-        &SearchOpts::default(),
-        &mut EvalScratch::new(),
-    )
-    .0
-}
-
-/// `Query`-level target-bound entry point: `{o | target ∈ p(o, I)}` by the
-/// backward product BFS — the reversed automaton over the reverse
-/// adjacency, so work is proportional to edges matching the query's
-/// *last* label groups first (bench `t12_direction_choice`).
-pub fn eval_to<G: GraphView>(query: &Query, graph: &G, target: Oid) -> EvalResult {
-    let opts = SearchOpts {
-        reverse_adj: true,
-        ..SearchOpts::default()
-    };
-    search_nodes(
-        &query.nfa().reverse(),
-        graph,
-        target,
-        &opts,
-        &mut EvalScratch::new(),
-    )
-    .0
 }
 
 #[cfg(test)]
@@ -167,23 +129,12 @@ mod tests {
     #[test]
     fn epsilon_pair_is_reflexive_only() {
         let (mut ab, csr) = fig2ish();
-        let q = Query::parse(&mut ab, "()").unwrap();
+        let nfa = Nfa::thompson(&parse_regex(&mut ab, "()").unwrap());
         for s in csr.nodes() {
             for t in csr.nodes() {
-                assert_eq!(eval_pair(&q, &csr, s, t).reachable, s == t);
+                let fwd = pair(&nfa, &csr, s, t, Direction::Forward);
+                assert_eq!(fwd.reachable, s == t);
             }
-        }
-    }
-
-    #[test]
-    fn query_level_entry_points() {
-        let (mut ab, csr) = fig2ish();
-        let q = Query::parse(&mut ab, "a.b*").unwrap();
-        let o1 = Oid(0);
-        let fwd = eval_product_csr(q.nfa(), &csr, o1);
-        for &t in &fwd.answers {
-            assert!(eval_pair(&q, &csr, o1, t).reachable);
-            assert!(eval_to(&q, &csr, t).answers.contains(&o1));
         }
     }
 }

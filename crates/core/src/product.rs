@@ -97,13 +97,12 @@ use crate::stats::EvalStats;
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub enum FrontierMode {
     /// Choose push or pull per level from measured costs (the default),
-    /// pricing the dense sweep with the calibrated
-    /// [`PULL_SWEEP_DISCOUNT`].
+    /// pricing the dense sweep with [`PULL_SWEEP_DISCOUNT`].
     #[default]
     Hybrid,
     /// [`FrontierMode::Hybrid`] with an explicit pull-sweep discount
-    /// divisor — the `rpq_optimizer::PlannerConfig::pull_sweep_discount`
-    /// knob threaded down to the level pricer. Built with
+    /// divisor in place of [`PULL_SWEEP_DISCOUNT`] — how a test or a
+    /// measurement re-prices the switch for one request. Built with
     /// [`FrontierMode::hybrid_with_discount`].
     HybridTuned {
         /// Divisor for the dense sweep's O(|Q|·|V|) mark-table price
@@ -130,7 +129,7 @@ impl FrontierMode {
     }
 
     /// The pull-sweep discount divisor this mode prices dense sweeps with
-    /// (the calibrated [`PULL_SWEEP_DISCOUNT`] unless tuned).
+    /// ([`PULL_SWEEP_DISCOUNT`] unless tuned).
     pub fn pull_discount(self) -> usize {
         match self {
             FrontierMode::HybridTuned { pull_discount } => pull_discount.max(1),
@@ -143,13 +142,12 @@ impl FrontierMode {
 /// edge probes when pricing a level: a contiguous `u32` read is far cheaper
 /// than a label-group probe, but not free.
 ///
-/// The default is *calibrated* against the per-class `push_levels` /
-/// `pull_levels` telemetry the server's `Metrics` aggregate (see
-/// `rpq_server::Metrics::suggest_pull_discount`): on the T15 saturating
-/// workloads a divisor of 16 makes the switch fire on every
-/// mostly-reached level while never pricing a sparse early level as
-/// dense. Tune per deployment via
-/// `rpq_optimizer::PlannerConfig::pull_sweep_discount`.
+/// The value was fitted on the T15 saturating workloads: a divisor of 16
+/// makes the switch fire on every mostly-reached level while never pricing
+/// a sparse early level as dense. It is what every request in the default
+/// [`FrontierMode::Hybrid`] is priced with; the per-class `push_levels` /
+/// `pull_levels` sums the server's `Metrics` aggregate say how often the
+/// switch fires on real traffic.
 pub const PULL_SWEEP_DISCOUNT: usize = 16;
 
 /// Result of an evaluation: sorted answers plus work counters.

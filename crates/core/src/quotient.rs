@@ -17,12 +17,10 @@
 //!   derivatives with ACI-normalized regexes, exactly the paper's
 //!   presentation of the set `P` of "still-left" subqueries.
 //!
-//! Both walk the label-indexed [`CsrGraph`] by *label group*
-//! ([`CsrGraph::out_groups`]): the quotient `q/l` — a subset step or a
+//! Both walk the label-indexed [`rpq_graph::CsrGraph`] by *label group*
+//! ([`GraphView::out_groups`]): the quotient `q/l` — a subset step or a
 //! derivative plus a memo probe — is computed once per distinct label
 //! leaving the node, then applied to the whole contiguous target slice.
-//! ([`eval_quotient_dfa`] / [`eval_derivative`] are compatibility wrappers
-//! that snapshot an [`Instance`] first.)
 //!
 //! Both agree with [`crate::product::eval_product`] on every input (tested,
 //! and property-tested in the workspace integration suite); the benches
@@ -32,7 +30,7 @@ use std::collections::HashMap;
 
 use rpq_automata::derivative::derivative;
 use rpq_automata::{Nfa, Regex, StateId, Symbol};
-use rpq_graph::{CsrGraph, GraphView, Instance, Oid};
+use rpq_graph::{GraphView, Oid};
 
 use crate::product::{finish_eval, EvalResult};
 use crate::stats::EvalStats;
@@ -142,12 +140,6 @@ pub fn eval_quotient_dfa_csr<G: GraphView>(nfa: &Nfa, graph: &G, source: Oid) ->
     finish_eval(&answer, interner.len(), stats)
 }
 
-/// Compatibility wrapper over [`eval_quotient_dfa_csr`]: snapshots the
-/// instance first. Build the [`CsrGraph`] once when evaluating many queries.
-pub fn eval_quotient_dfa(nfa: &Nfa, instance: &Instance, source: Oid) -> EvalResult {
-    eval_quotient_dfa_csr(nfa, &CsrGraph::from(instance), source)
-}
-
 /// Evaluate with *syntactic* quotients: memoized Brzozowski derivatives of
 /// the (normalized) query regex — the faithful rendering of the paper's
 /// `still-left_q` bookkeeping.
@@ -212,18 +204,12 @@ pub fn eval_derivative_csr<G: GraphView>(query: &Regex, graph: &G, source: Oid) 
     finish_eval(&answer, classes.len(), stats)
 }
 
-/// Compatibility wrapper over [`eval_derivative_csr`]: snapshots the
-/// instance first. Build the [`CsrGraph`] once when evaluating many queries.
-pub fn eval_derivative(query: &Regex, instance: &Instance, source: Oid) -> EvalResult {
-    eval_derivative_csr(query, &CsrGraph::from(instance), source)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::product::eval_product;
     use rpq_automata::{parse_regex, Alphabet};
-    use rpq_graph::InstanceBuilder;
+    use rpq_graph::{CsrGraph, Instance, InstanceBuilder};
 
     fn setup(edges: &[(&str, &str, &str)], query: &str, src: &str) -> (Regex, Nfa, Instance, Oid) {
         let mut ab = Alphabet::new();
@@ -263,8 +249,8 @@ mod tests {
         for q in queries {
             let (r, nfa, inst, s) = setup(GRAPH, q, "s");
             let p = eval_product(&nfa, &inst, s);
-            let qd = eval_quotient_dfa(&nfa, &inst, s);
-            let dv = eval_derivative(&r, &inst, s);
+            let qd = eval_quotient_dfa_csr(&nfa, &CsrGraph::from(&inst), s);
+            let dv = eval_derivative_csr(&r, &CsrGraph::from(&inst), s);
             assert_eq!(p.answers, qd.answers, "product vs quotient on {q}");
             assert_eq!(p.answers, dv.answers, "product vs derivative on {q}");
         }
@@ -273,7 +259,7 @@ mod tests {
     #[test]
     fn quotient_classes_bounded_by_dfa_size() {
         let (_, nfa, inst, s) = setup(GRAPH, "(a+b)*.c", "s");
-        let res = eval_quotient_dfa(&nfa, &inst, s);
+        let res = eval_quotient_dfa_csr(&nfa, &CsrGraph::from(&inst), s);
         // (a+b)*c has a small DFA; class count must be small
         assert!(res.stats.classes_materialized <= 4);
 
@@ -291,7 +277,7 @@ mod tests {
         dirty.add_transition(dirty.start(), a, d1);
         dirty.add_transition(d1, a, d2);
         assert!(dirty.num_states() > nfa.num_states());
-        let dirty_res = eval_quotient_dfa(&dirty, &inst, s);
+        let dirty_res = eval_quotient_dfa_csr(&dirty, &CsrGraph::from(&inst), s);
         assert_eq!(dirty_res.answers, res.answers);
         assert!(
             dirty_res.stats.classes_materialized <= res.stats.classes_materialized,
@@ -304,7 +290,7 @@ mod tests {
     #[test]
     fn derivative_classes_match_closure() {
         let (r, _, inst, s) = setup(GRAPH, "(a.b)*", "s");
-        let res = eval_derivative(&r, &inst, s);
+        let res = eval_derivative_csr(&r, &CsrGraph::from(&inst), s);
         // classes: (ab)*, b(ab)*, ∅  (only those reachable via graph labels)
         assert!(res.stats.classes_materialized <= 3);
         // (a.b)* from s reaches s (ε) and y (via a.b: s→x→y)
@@ -316,28 +302,10 @@ mod tests {
     fn dead_quotients_prune_search() {
         // from s, label c leads nowhere under query a.b — quotient ∅
         let (_, nfa, inst, s) = setup(GRAPH, "a.b", "s");
-        let res = eval_quotient_dfa(&nfa, &inst, s);
+        let res = eval_quotient_dfa_csr(&nfa, &CsrGraph::from(&inst), s);
         let y = inst.node_by_name("y").unwrap();
         assert_eq!(res.answers, vec![y]);
         // pruning keeps visited pairs below the full product
         assert!(res.stats.pairs_visited <= inst.num_nodes() * 3);
-    }
-
-    #[test]
-    fn csr_entry_points_match_wrappers() {
-        for q in ["a.b*", "(a+b+c)*", "a.(b.b)*.c"] {
-            let (r, nfa, inst, s) = setup(GRAPH, q, "s");
-            let csr = rpq_graph::CsrGraph::from(&inst);
-            assert_eq!(
-                eval_quotient_dfa(&nfa, &inst, s).answers,
-                eval_quotient_dfa_csr(&nfa, &csr, s).answers,
-                "{q}"
-            );
-            assert_eq!(
-                eval_derivative(&r, &inst, s).answers,
-                eval_derivative_csr(&r, &csr, s).answers,
-                "{q}"
-            );
-        }
     }
 }

@@ -1,14 +1,15 @@
-//! The unified request/response calling convention — one entry point for
-//! every evaluation shape.
+//! The request/response calling convention — one entry point for every
+//! evaluation shape.
 //!
-//! Historically each question had its own `Engine` method: `eval` (one
-//! source), `eval_batch` (many sources), `eval_to` (one target),
-//! `eval_to_batch` (many targets), plus the free-function pair scenario.
-//! [`EvalRequest`] collapses them: a [`SourceSpec`] names the question, and
-//! optional *execution controls* — a fetch budget on `edges_scanned`, a
-//! cooperative cancellation flag, a [`FrontierMode`] and a direction hint —
-//! ride along uniformly. [`Engine::run`] is the single dispatch point; the
-//! legacy methods are thin wrappers over it, and `rpq-server` uses the
+//! An [`EvalRequest`] is a question plus how to run it: a [`SourceSpec`]
+//! names the question (one source, many sources, one target, many targets,
+//! a pair, an N×M matrix, a binding set), and optional *execution
+//! controls* — a fetch budget on `edges_scanned`, a cooperative
+//! cancellation flag, a [`FrontierMode`] and a direction hint — ride along
+//! uniformly. [`Engine::run`] answers it with an [`EvalResponse`]: the
+//! payload shaped like the question, the work counters, and how the run
+//! ended. It is the only way to ask an engine anything but its own
+//! single-source `p(o, I)` ([`Engine::eval`]), and `rpq-server` uses the
 //! request form as its wire-level query type.
 //!
 //! ## Soundness under early termination
@@ -87,20 +88,18 @@ impl Termination {
     }
 }
 
-/// Which reachability question a request asks — the axis that used to pick
-/// an `Engine` method.
+/// Which reachability question a request asks.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SourceSpec {
-    /// `p(source, I)` — the paper's question (legacy `eval`).
+    /// `p(source, I)` — the paper's question.
     Source(Oid),
-    /// `p(oᵢ, I)` for every source, per-source answers (legacy
-    /// `eval_batch`).
+    /// `p(oᵢ, I)` for every source, per-source answers.
     Sources(Vec<Oid>),
-    /// `{o | target ∈ p(o, I)}` (legacy `eval_to`).
+    /// `{o | target ∈ p(o, I)}`.
     Target(Oid),
-    /// The target-bound question for every target (legacy `eval_to_batch`).
+    /// The target-bound question for every target, per-target answers.
     Targets(Vec<Oid>),
-    /// `target ∈ p(source, I)?` (legacy pair scenario).
+    /// `target ∈ p(source, I)?`
     Pair {
         /// Path start.
         source: Oid,
@@ -199,22 +198,22 @@ impl EvalRequest {
         EvalRequest::new(spec)
     }
 
-    /// Single-source request (legacy `eval`).
+    /// Single-source request.
     pub fn source(source: Oid) -> EvalRequest {
         EvalRequest::with_spec(SourceSpec::Source(source))
     }
 
-    /// Multi-source request (legacy `eval_batch`).
+    /// Multi-source request.
     pub fn sources(sources: Vec<Oid>) -> EvalRequest {
         EvalRequest::with_spec(SourceSpec::Sources(sources))
     }
 
-    /// Single-target request (legacy `eval_to`).
+    /// Single-target request.
     pub fn target(target: Oid) -> EvalRequest {
         EvalRequest::with_spec(SourceSpec::Target(target))
     }
 
-    /// Multi-target request (legacy `eval_to_batch`).
+    /// Multi-target request.
     pub fn targets(targets: Vec<Oid>) -> EvalRequest {
         EvalRequest::with_spec(SourceSpec::Targets(targets))
     }
@@ -277,7 +276,7 @@ impl EvalRequest {
 
 /// The answer payload of an [`EvalResponse`], shaped by the request's
 /// [`SourceSpec`].
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Answers {
     /// Sorted answer set (`Source` / `Target` requests).
     Nodes(Vec<Oid>),
@@ -298,7 +297,9 @@ pub enum Answers {
 pub struct EvalResponse {
     /// The answer payload.
     pub answers: Answers,
-    /// Aggregated work counters (mirrors the payload's stats).
+    /// Aggregated work counters — the one place a response's work is
+    /// reported (`answers` counts the payload: nodes, union size, set
+    /// matrix cells, bindings, or 1 for a reachable pair).
     pub stats: EvalStats,
     /// Exact ([`Termination::Complete`]) or sound-subset termination.
     pub termination: Termination,
@@ -317,15 +318,17 @@ impl EvalResponse {
                 stats,
             }),
             SourceSpec::Sources(os) | SourceSpec::Targets(os) => EvalResponse::from_batch(
-                BatchResult::from_per_source(vec![Vec::new(); os.len()], stats),
+                BatchResult::from_per_source(vec![Vec::new(); os.len()]),
+                stats,
             ),
             SourceSpec::Pair { .. } => EvalResponse::from_pair(PairResult {
                 reachable: false,
                 stats,
             }),
-            SourceSpec::Matrix { sources, targets } => {
-                EvalResponse::from_matrix(MatrixResult::new(sources.clone(), targets.clone()))
-            }
+            SourceSpec::Matrix { sources, targets } => EvalResponse::from_matrix(
+                MatrixResult::new(sources.clone(), targets.clone()),
+                stats,
+            ),
             SourceSpec::Conjunctive { .. } => {
                 EvalResponse::from_pairset(PairSetResult::empty(stats, Termination::Complete))
             }
@@ -335,16 +338,16 @@ impl EvalResponse {
     /// Wrap a node-set result (complete).
     pub fn from_nodes(result: EvalResult) -> EvalResponse {
         EvalResponse {
-            stats: result.stats.clone(),
+            stats: result.stats,
             answers: Answers::Nodes(result.answers),
             termination: Termination::Complete,
         }
     }
 
-    /// Wrap a batched result (complete).
-    pub fn from_batch(batch: BatchResult) -> EvalResponse {
+    /// Wrap batched answers and the batch's aggregated counters (complete).
+    pub fn from_batch(batch: BatchResult, stats: EvalStats) -> EvalResponse {
         EvalResponse {
-            stats: batch.stats.clone(),
+            stats,
             answers: Answers::Batch(batch),
             termination: Termination::Complete,
         }
@@ -353,16 +356,17 @@ impl EvalResponse {
     /// Wrap a pair result (complete).
     pub fn from_pair(pair: PairResult) -> EvalResponse {
         EvalResponse {
-            stats: pair.stats.clone(),
+            stats: pair.stats,
             answers: Answers::Reachable(pair.reachable),
             termination: Termination::Complete,
         }
     }
 
-    /// Wrap a matrix result (complete).
-    pub fn from_matrix(matrix: MatrixResult) -> EvalResponse {
+    /// Wrap a matrix and the counters of the searches that filled it
+    /// (complete).
+    pub fn from_matrix(matrix: MatrixResult, stats: EvalStats) -> EvalResponse {
         EvalResponse {
-            stats: matrix.stats.clone(),
+            stats,
             answers: Answers::Matrix(matrix),
             termination: Termination::Complete,
         }
@@ -423,16 +427,15 @@ impl EvalResponse {
         }
     }
 
-    /// Collapse into the legacy single-set form: node payloads directly,
-    /// batch payloads as their union, anything else as an empty set.
+    /// Collapse into a single answer set: node payloads directly, batch
+    /// payloads as their union, binding sets as their distinct right-hand
+    /// endpoints, anything else as an empty set.
     pub fn into_eval_result(self) -> EvalResult {
         let stats = self.stats;
         let answers = match self.answers {
             Answers::Nodes(ns) => ns,
             Answers::Batch(b) => b.union().to_vec(),
             Answers::Bindings(bs) => {
-                // The distinct right-hand endpoints — the "reachable set"
-                // reading of a binding set.
                 let mut ts: Vec<Oid> = bs.into_iter().map(|(_, t)| t).collect();
                 ts.sort_unstable();
                 ts.dedup();
@@ -441,28 +444,6 @@ impl EvalResponse {
             Answers::Reachable(_) | Answers::Matrix(_) => Vec::new(),
         };
         EvalResult { answers, stats }
-    }
-
-    /// Collapse into the legacy batch form: batch payloads directly, node
-    /// payloads as a union-only batch, anything else as an empty batch.
-    pub fn into_batch(self) -> BatchResult {
-        match self.answers {
-            Answers::Batch(b) => b,
-            Answers::Nodes(ns) => BatchResult::union_only(ns, self.stats),
-            Answers::Reachable(_) | Answers::Matrix(_) | Answers::Bindings(_) => {
-                BatchResult::union_only(Vec::new(), self.stats)
-            }
-        }
-    }
-
-    /// Collapse into the legacy pair form (`reachable == false` for
-    /// non-pair payloads).
-    pub fn into_pair(self) -> PairResult {
-        let reachable = matches!(self.answers, Answers::Reachable(true));
-        PairResult {
-            reachable,
-            stats: self.stats,
-        }
     }
 }
 
@@ -498,7 +479,7 @@ pub fn run_default<E: Engine + ?Sized>(
                 stats.merge(&r.stats);
                 per.push(r.answers);
             }
-            EvalResponse::from_batch(BatchResult::from_per_source(per, stats))
+            EvalResponse::from_batch(BatchResult::from_per_source(per), stats)
         }
         spec => {
             let opts = SearchOpts {
@@ -641,8 +622,8 @@ pub fn run_request<G: GraphView>(
                 },
             );
             stats.answers = matrix.reachable_count();
-            matrix.stats = stats;
-            EvalResponse::from_matrix(matrix.spread_over(sources, targets, nv)).terminated(term)
+            EvalResponse::from_matrix(matrix.spread_over(sources, targets, nv), stats)
+                .terminated(term)
         }
         SourceSpec::Conjunctive { sources, targets } => {
             let live_sources = sources.as_deref().map(|os| live_oids(os, nv));
@@ -676,8 +657,8 @@ fn per_seed<G: GraphView>(
     let (stats, term) = search_nodes_each(nfa, graph, &live, opts, scratch, |_, answers| {
         per.push(answers)
     });
-    let result = BatchResult::from_per_source(per, stats);
-    EvalResponse::from_batch(result.aligned_to(seeds, nv)).terminated(term)
+    let result = BatchResult::from_per_source(per);
+    EvalResponse::from_batch(result.aligned_to(seeds, nv), stats).terminated(term)
 }
 
 #[cfg(test)]
@@ -710,42 +691,44 @@ mod tests {
         ]
     }
 
+    /// Every shape a non-planning engine answers, over `all` and the pair
+    /// / single ends `s`, `t`.
+    fn shapes(all: &[Oid], s: Oid, t: Oid) -> Vec<EvalRequest> {
+        vec![
+            EvalRequest::source(s),
+            EvalRequest::sources(all.to_vec()),
+            EvalRequest::target(t),
+            EvalRequest::targets(all.to_vec()),
+            EvalRequest::pair(s, t),
+            EvalRequest::matrix(all.to_vec(), all.to_vec()),
+            EvalRequest::conjunctive(Some(all.to_vec()), None),
+        ]
+    }
+
     #[test]
-    fn run_agrees_with_every_legacy_entry_point() {
+    fn every_core_engine_answers_every_shape_like_the_product_engine() {
         let (mut ab, csr) = fig2ish();
         let all: Vec<Oid> = csr.nodes().collect();
         for qs in ["a.b*", "(a+b)*", "b.b", "()", "[]"] {
             let q = Query::parse(&mut ab, qs).unwrap();
-            for e in engines() {
-                let s = Oid(0);
-                let t = Oid(2);
-                let single = e.run(&q, &csr, &EvalRequest::source(s));
-                assert_eq!(single.termination, Termination::Complete);
-                assert_eq!(single.nodes().unwrap(), e.eval(&q, &csr, s).answers, "{qs}");
-
-                let batch = e.run(&q, &csr, &EvalRequest::sources(all.clone()));
+            for req in shapes(&all, Oid(0), Oid(2)) {
+                let want = ProductEngine.run(&q, &csr, &req);
+                for e in engines() {
+                    let got = e.run(&q, &csr, &req);
+                    let ctx = format!("{qs} {} {:?}", e.name(), req.spec);
+                    assert_eq!(got.termination, Termination::Complete, "{ctx}");
+                    assert_eq!(got.answers, want.answers, "{ctx}");
+                    assert_eq!(got.stats.answers, want.stats.answers, "{ctx}");
+                }
+            }
+            // and the product engine's `run` is its `eval`, per source
+            let per = ProductEngine.run(&q, &csr, &EvalRequest::sources(all.clone()));
+            let per = per.batch().unwrap().per_source().unwrap();
+            for (i, &s) in all.iter().enumerate() {
                 assert_eq!(
-                    batch.batch().unwrap().union(),
-                    e.eval_batch(&q, &csr, &all).union(),
-                    "{qs} {}",
-                    e.name()
-                );
-
-                let to = e.run(&q, &csr, &EvalRequest::target(t));
-                assert_eq!(to.nodes().unwrap(), e.eval_to(&q, &csr, t).answers);
-
-                let to_batch = e.run(&q, &csr, &EvalRequest::targets(all.clone()));
-                assert_eq!(
-                    to_batch.batch().unwrap().union(),
-                    e.eval_to_batch(&q, &csr, &all).union()
-                );
-
-                let pair = e.run(&q, &csr, &EvalRequest::pair(s, t));
-                assert_eq!(
-                    pair.reachable().unwrap(),
-                    e.eval(&q, &csr, s).answers.contains(&t),
-                    "{qs} {}",
-                    e.name()
+                    per[i],
+                    ProductEngine.eval(&q, &csr, s).answers,
+                    "{qs} {s:?}"
                 );
             }
         }
@@ -874,14 +857,12 @@ mod tests {
     }
 
     #[test]
-    fn response_conversions_are_total() {
+    fn a_node_response_collapses_to_its_answer_set() {
         let (mut ab, csr) = fig2ish();
         let q = Query::parse(&mut ab, "a.b*").unwrap();
         let r = ProductEngine.run(&q, &csr, &EvalRequest::source(Oid(0)));
-        let as_batch = r.clone().into_batch();
-        assert_eq!(as_batch.union(), r.nodes().unwrap());
         let as_eval = r.clone().into_eval_result();
         assert_eq!(as_eval.answers, r.nodes().unwrap());
-        assert!(!r.into_pair().reachable);
+        assert_eq!(as_eval.stats, r.stats);
     }
 }

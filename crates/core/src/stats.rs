@@ -60,8 +60,7 @@ pub struct EvalStats {
     /// evaluation (0 for unplanned engines).
     pub plan_cache_misses: usize,
     /// The traversal direction the planner chose, when a planner ran
-    /// (`None` for unplanned engines). Together with the cache counters,
-    /// this is the observability seam the cost-calibration work reads.
+    /// (`None` for unplanned engines).
     pub plan_direction: Option<Direction>,
     /// Distinct query symbols erased by the planner's alphabet restriction
     /// (zero edges with that label in the snapshot). 0 for unplanned
@@ -93,8 +92,7 @@ pub struct EvalStats {
     /// nonzero only when the direction-optimizing switch fired (or pull was
     /// forced).
     pub pull_levels: usize,
-    /// Largest per-level frontier, in (state, node) pairs — the signal the
-    /// planner will calibrate the push/pull switch threshold from.
+    /// Largest per-level frontier, in (state, node) pairs.
     pub frontier_peak: usize,
     /// Evaluations served from a warm `ScratchPool` buffer whose capacity
     /// already covered this query's |Q|·|V| shape (no fresh allocation on
@@ -124,9 +122,9 @@ impl EvalStats {
         self.pairs_visited + self.edges_scanned
     }
 
-    /// Accumulate `other` into `self` — the aggregation used by
-    /// `BatchResult` (and the default `Engine::eval_batch` loop), so work
-    /// counters from per-source calls are no longer discarded. All counters
+    /// Accumulate `other` into `self` — the aggregation behind every
+    /// per-seed loop (`Sources` / `Targets` / `Matrix` requests), so work
+    /// counters from per-source calls are not discarded. All counters
     /// sum; for per-source batches `answers` is therefore the *total*
     /// across sources (with multiplicity), not the union size, and
     /// `classes_materialized` counts classes touched per constituent run

@@ -105,7 +105,7 @@ impl Engine for DatalogSeminaiveEngine {
                     answers: answers.len(),
                     ..EvalStats::default()
                 };
-                return EvalResponse::from_batch(BatchResult::union_only(answers, stats));
+                return EvalResponse::from_batch(BatchResult::union_only(answers), stats);
             }
         }
         run_default(self, query, graph, req)
@@ -193,7 +193,9 @@ mod tests {
         let sources = [names["o1"], names["o4"]];
         for qs in ["a.b*", "(a+b)*", "b"] {
             let query = Query::parse(&mut ab, qs).unwrap();
-            let batch = DatalogSeminaiveEngine.eval_batch(&query, &csr, &sources);
+            let resp =
+                DatalogSeminaiveEngine.run(&query, &csr, &EvalRequest::sources(sources.to_vec()));
+            let batch = resp.batch().expect("batch payload");
             assert!(batch.per_source().is_none(), "union-only strategy");
             let mut expected: Vec<Oid> = sources
                 .iter()

@@ -5,8 +5,8 @@
 //! the sources are partitioned into contiguous chunks, each worker thread
 //! answers its chunk as one `Sources` / `Targets` request
 //! ([`rpq_core::run_request`]) against the shared immutable [`CsrGraph`]
-//! snapshot, and the per-chunk [`BatchResult`]s are stitched back together
-//! in source order. Results are ferried back over
+//! snapshot, and the per-chunk answers are stitched back together in
+//! source order. Results are ferried back over
 //! the vendored crossbeam channels, so the driver composes with the same
 //! plumbing as the protocol runners.
 //!
@@ -27,10 +27,11 @@ use rpq_graph::{CsrGraph, Oid};
 
 /// Batched multi-source evaluation partitioned across worker threads.
 ///
-/// `eval` delegates to the single-source product BFS; `eval_batch` fans the
-/// source set out over `workers` threads, each answering its chunk of
-/// sources over the (shared, immutable) snapshot; `eval_to_batch` does the
-/// same with chunks of *targets* (reversed NFA, reverse adjacency). Every worker draws its arenas from a shared
+/// `eval` delegates to the single-source product BFS; a `Sources` request
+/// fans the source set out over `workers` threads, each answering its
+/// chunk of sources over the (shared, immutable) snapshot; a `Targets`
+/// request does the same with chunks of *targets* (reversed NFA, reverse
+/// adjacency). Every worker draws its arenas from a shared
 /// [`ScratchPool`], so steady-state batches allocate no frontier memory.
 #[derive(Clone, Debug)]
 pub struct PartitionedBatchEngine {
@@ -55,10 +56,10 @@ impl PartitionedBatchEngine {
     }
 
     /// Fan `items` out over the workers, run `kernel` on each chunk with a
-    /// pooled scratch, and stitch the per-chunk results back in order.
-    fn run_partitioned<K>(&self, items: &[Oid], kernel: K) -> BatchResult
+    /// pooled scratch, and stitch the per-chunk responses back in order.
+    fn run_partitioned<K>(&self, items: &[Oid], kernel: K) -> EvalResponse
     where
-        K: Fn(&[Oid], &mut rpq_core::EvalScratch) -> BatchResult + Sync,
+        K: Fn(&[Oid], &mut rpq_core::EvalScratch) -> EvalResponse + Sync,
     {
         let workers = self.workers.max(1);
         if items.is_empty() || workers == 1 {
@@ -68,7 +69,7 @@ impl PartitionedBatchEngine {
         // Contiguous chunks, one per worker (last workers may be idle when
         // there are fewer items than threads).
         let chunk_len = items.len().div_ceil(workers);
-        let (tx, rx) = unbounded::<(usize, BatchResult)>();
+        let (tx, rx) = unbounded::<(usize, EvalResponse)>();
         let (pool, kernel) = (&self.pool, &kernel);
         thread::scope(|scope| {
             for (idx, chunk) in items.chunks(chunk_len).enumerate() {
@@ -82,7 +83,7 @@ impl PartitionedBatchEngine {
         });
         drop(tx);
 
-        let mut chunks: Vec<Option<BatchResult>> = Vec::new();
+        let mut chunks: Vec<Option<EvalResponse>> = Vec::new();
         for (idx, res) in rx.iter() {
             if chunks.len() <= idx {
                 chunks.resize(idx + 1, None);
@@ -96,19 +97,15 @@ impl PartitionedBatchEngine {
             let chunk = chunk.expect("every chunk reports");
             stats.merge(&chunk.stats);
             classes_max = classes_max.max(chunk.stats.classes_materialized);
-            per_source.extend(
-                chunk
-                    .per_source()
-                    .expect("batch kernel partitions")
-                    .to_vec(),
-            );
+            let batch = chunk.batch().expect("chunk requests are batch-shaped");
+            per_source.extend_from_slice(batch.per_source().expect("batch kernel partitions"));
         }
         // Summing distinct-states-touched across chunks would count the
         // same NFA state once per worker; report the max instead — a lower
         // bound on the batch-wide distinct count, on the same scale as the
         // single-threaded kernel's number.
         stats.classes_materialized = classes_max;
-        BatchResult::from_per_source(per_source, stats)
+        EvalResponse::from_batch(BatchResult::from_per_source(per_source), stats)
     }
 }
 
@@ -141,12 +138,12 @@ impl Engine for PartitionedBatchEngine {
         };
         let (nfa, reversed) = (query.nfa(), query.nfa().reverse());
         let opts = SearchOpts::default();
-        EvalResponse::from_batch(self.run_partitioned(items, |chunk, scratch| {
+        self.run_partitioned(items, |chunk, scratch| {
             let spec = chunk_spec(chunk.to_vec());
             // no pair arm here, so the pair direction is never read
             let dir = Direction::Forward;
-            run_request(nfa, &reversed, graph, &spec, dir, &opts, scratch).into_batch()
-        }))
+            run_request(nfa, &reversed, graph, &spec, dir, &opts, scratch)
+        })
     }
 }
 
@@ -170,8 +167,8 @@ mod tests {
             let query = Query::parse(&mut ab, qs).unwrap();
             for workers in [1usize, 3, 8, 64] {
                 let engine = PartitionedBatchEngine::new(workers);
-                let batch = engine.eval_batch(&query, &csr, &sources);
-                let per = batch.per_source().unwrap();
+                let resp = engine.run(&query, &csr, &EvalRequest::sources(sources.clone()));
+                let per = resp.batch().unwrap().per_source().unwrap();
                 assert_eq!(per.len(), sources.len());
                 for (i, &s) in sources.iter().enumerate() {
                     let single = ProductEngine.eval(&query, &csr, s);
@@ -189,7 +186,8 @@ mod tests {
         let (inst, _) = web_graph(&mut rng, 10, 2, &labels);
         let csr = CsrGraph::from(&inst);
         let query = Query::parse(&mut ab, "l0*").unwrap();
-        let batch = PartitionedBatchEngine::default().eval_batch(&query, &csr, &[]);
-        assert!(batch.union().is_empty());
+        let resp =
+            PartitionedBatchEngine::default().run(&query, &csr, &EvalRequest::sources(vec![]));
+        assert!(resp.batch().unwrap().union().is_empty());
     }
 }

@@ -7,7 +7,7 @@
 use rpq_automata::{Alphabet, Nfa, Regex};
 use rpq_constraints::general::Budget;
 use rpq_constraints::ConstraintSet;
-use rpq_core::{eval_product_csr, Engine, ProductEngine, Query};
+use rpq_core::{eval_product_csr, Engine, EvalRequest, ProductEngine, Query};
 use rpq_distributed::{
     run_threaded_csr, run_threaded_csr_with_rewrite, Delivery, PartitionedBatchEngine, Simulator,
     SimulatorEngine, ThreadedEngine,
@@ -110,11 +110,12 @@ fn analysis_facts_flow_through_the_distributed_wrappers() {
     // worker thread spawns: no edges scanned across the whole fan-out.
     let ghost = Query::parse(&mut ab, "a.ghost").unwrap();
     let sources: Vec<Oid> = graph.nodes().collect();
-    let batch = planned.eval_batch(&ghost, &graph, &sources);
+    let resp = planned.run(&ghost, &graph, &EvalRequest::sources(sources.clone()));
+    let batch = resp.batch().expect("batch payload");
     assert_eq!(batch.per_source().unwrap().len(), sources.len());
     assert!(batch.union().is_empty());
-    assert_eq!(batch.stats.edges_scanned, 0);
-    assert_eq!(batch.stats.symbols_pruned, 1);
+    assert_eq!(resp.stats.edges_scanned, 0);
+    assert_eq!(resp.stats.symbols_pruned, 1);
 }
 
 #[test]
@@ -124,9 +125,15 @@ fn partitioned_batch_workers_share_one_plan() {
     let query = Query::parse(&mut ab, "(a.b)*").unwrap();
     let planned = PlannedEngine::new(PartitionedBatchEngine::new(4), set, ab.clone());
 
-    // every node is a source: the fan-out re-uses the single memoized plan
+    // every node is a source: plan once, then the inner engine's batch
+    // strategy fans the planned query out — every worker shares the single
+    // memoized plan
     let sources: Vec<Oid> = graph.nodes().collect();
-    let batch = planned.eval_batch(&query, &graph, &sources);
+    let plan = planned.plan(&query, &graph);
+    let resp = planned
+        .inner()
+        .run(&plan.query, &graph, &EvalRequest::sources(sources.clone()));
+    let batch = resp.batch().expect("batch payload");
     assert_eq!(
         planned.plans_cached(),
         1,

@@ -63,6 +63,4 @@ pub use join::{
 pub use planned::{Direction, Plan, PlannedEngine, PlannerConfig};
 pub use planner::{optimize, optimize_with_stats, Optimized, RewriteCache};
 pub use rewrites::{candidates, Candidate, RewriteRule};
-pub use views::{
-    cache_defs, rewrite_with_views, CacheDef, ViewKind, ViewRewriting, ViewSearchConfig,
-};
+pub use views::{cache_defs, rewrite_with_views, CacheDef, ViewKind, ViewRewriting};

@@ -15,8 +15,8 @@
 //!    cost (edges matching its *last*) — the *how*: [`Direction::Backward`]
 //!    when the last group is decisively rarer, [`Direction::Forward`] when
 //!    the first is, [`Direction::Bidirectional`] ("no decisive end"; a
-//!    pair search then starts from the source) when neither end dominates;
-//!    the decisiveness factor is a [`PlannerConfig`] knob (default 2×);
+//!    pair search then starts from the source) when neither end dominates
+//!    (decisively: by a factor of two);
 //! 3. memoizes the whole [`Plan`] behind a `parking_lot::Mutex`, so
 //!    repeated queries skip both the rewrite search and recompilation, and
 //!    one engine instance can be shared across threads (the threaded
@@ -43,17 +43,19 @@
 //! counted on the engine
 //! ([`PlannedEngine::plan_cache_hits`]) and stamped into every
 //! [`rpq_core::EvalStats`] this engine produces, together with the chosen
-//! [`Direction`] — the observability seam of the cost-calibration work.
+//! [`Direction`].
 //!
-//! Through the [`Engine`] trait ([`Engine::eval`] / [`Engine::eval_batch`])
-//! the planner affects only *what* the inner engine runs — set-semantics
-//! answers are direction-independent, so the wrapper provably returns the
-//! inner engine's answer set. The direction choice pays off on the
-//! scenarios the reverse CSR opens: [`PlannedEngine::eval_to`]
-//! (target-bound) and [`PlannedEngine::eval_pair`] ((source, target)
-//! reachability — bench `t12_direction_choice`); [`PlannedEngine::eval_view`]
-//! evaluates over any [`GraphView`] (e.g. a delta overlay) with the same
-//! memo.
+//! # Two entry points
+//!
+//! [`PlannedEngine::run_view`] ([`Engine::run`] on a `CsrGraph`) answers
+//! any [`EvalRequest`] over any [`GraphView`] (e.g. a delta overlay) with
+//! the product BFS under the plan — where the direction choice pays off on
+//! the scenarios the reverse CSR opens, target-bound and (source, target)
+//! requests (bench `t12_direction_choice`). [`Engine::eval`] composes the
+//! planner with the *inner* engine's own strategy: it affects only *what*
+//! the inner engine runs — set-semantics answers are
+//! direction-independent, so the wrapper provably returns the inner
+//! engine's answer set.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -65,9 +67,9 @@ use rpq_automata::{Alphabet, Nfa, Regex, StateId, Symbol};
 use rpq_constraints::general::Budget;
 use rpq_constraints::ConstraintSet;
 use rpq_core::{
-    live_oids, run_request, Answers, BatchResult, Engine, EvalRequest, EvalResponse, EvalResult,
-    EvalStats, FrontierMode, PairResult, Query, ScratchPool, SearchOpts, SourceSpec, WorkerLease,
-    WorkerPool, PAR_LEVEL_THRESHOLD, PULL_SWEEP_DISCOUNT,
+    live_oids, run_request, Engine, EvalRequest, EvalResponse, EvalResult, EvalStats, Query,
+    ScratchPool, SearchOpts, SourceSpec, WorkerLease, WorkerPool, PAR_LEVEL_THRESHOLD,
+    PULL_SWEEP_DISCOUNT,
 };
 use rpq_graph::{CsrGraph, GraphView, LabelStats, Oid};
 
@@ -77,43 +79,21 @@ use crate::planner::optimize_with_stats;
 
 pub use rpq_core::Direction;
 
-/// Tunable planning thresholds.
+/// The planner's one setting.
 #[derive(Copy, Clone, Debug, PartialEq)]
 pub struct PlannerConfig {
-    /// Multiplicative decisiveness factor (≥ 1.0). One end of a query must
-    /// be at least this factor cheaper than the other to win the direction
-    /// choice outright; the same factor bounds how far the entry costs may
-    /// drift before an epoch-reused plan is recompiled. The historical
-    /// hardcoded value was 2×, kept as the default pending calibration
-    /// against measured `edges_scanned` (see the ROADMAP item).
-    pub decisiveness: f64,
-    /// Pull-sweep pricing discount for the hybrid product BFS (≥ 1): one
-    /// pull sweep over `|Q|·|V|` candidate pairs is priced at
-    /// `|Q|·|V| / pull_sweep_discount` edge scans when deciding per level
-    /// between push and pull. Larger values switch to pull earlier. The
-    /// default is the calibrated [`PULL_SWEEP_DISCOUNT`]; live deployments
-    /// can re-derive it from per-class `push_levels` / `pull_levels`
-    /// telemetry (`rpq_server::Metrics::suggest_pull_discount`). Requests
-    /// that leave their frontier mode at the default hybrid get this value
-    /// via [`FrontierMode::hybrid_with_discount`]; explicit request modes
-    /// win.
-    pub pull_sweep_discount: usize,
     /// Intra-query degree-of-parallelism ceiling (≥ 1): the engine's
     /// [`WorkerPool`] holds `parallelism − 1` extra-worker permits shared
     /// by every concurrent query, and [`PlannedEngine::decide_dop`] asks
     /// for up to this many threads when a query's estimated frontier work
     /// clears [`PAR_LEVEL_THRESHOLD`]. The default 1 keeps every query on
-    /// the caller's thread — the pre-parallelism behavior, bit for bit.
+    /// the caller's thread.
     pub parallelism: usize,
 }
 
 impl Default for PlannerConfig {
     fn default() -> Self {
-        PlannerConfig {
-            decisiveness: 2.0,
-            pull_sweep_discount: PULL_SWEEP_DISCOUNT,
-            parallelism: 1,
-        }
+        PlannerConfig { parallelism: 1 }
     }
 }
 
@@ -189,6 +169,23 @@ type CrpqMemoEntry = (MemoKey, Arc<JoinPlan>);
 /// set of live snapshots in any realistic deployment is far below it.
 const MAX_MEMOIZED_SNAPSHOTS: usize = 8;
 
+/// Bound on distinct queries either plan memo retains. The key is
+/// client-supplied text (`rpq-server`'s `Session::submit_text`), and each
+/// entry keeps a compiled [`Plan`] — two NFAs and an alphabet copy — so an
+/// unbounded map grows for as long as a server is sent new texts. On
+/// reaching the bound the map is dropped whole; plans are rebuilt when
+/// their query comes back, as with the per-query eviction above.
+const MAX_MEMOIZED_QUERIES: usize = 4096;
+
+/// The memo's entry list for `query`, dropping the map first if `query`
+/// would be distinct query number [`MAX_MEMOIZED_QUERIES`] + 1.
+fn memo_slot<K: std::hash::Hash + Eq, V>(memo: &mut HashMap<K, Vec<V>>, query: K) -> &mut Vec<V> {
+    if memo.len() >= MAX_MEMOIZED_QUERIES && !memo.contains_key(&query) {
+        memo.clear();
+    }
+    memo.entry(query).or_default()
+}
+
 /// An [`Engine`] wrapper that plans before it evaluates: constraint
 /// rewriting (*what*), direction choice (*how*), and a shared, thread-safe
 /// compiled-plan memo with epoch-aware reuse. See the module docs.
@@ -196,7 +193,6 @@ pub struct PlannedEngine<E> {
     inner: E,
     set: ConstraintSet,
     alphabet: Alphabet,
-    budget: Budget,
     config: PlannerConfig,
     memo: Mutex<HashMap<Regex, Vec<MemoEntry>>>,
     crpq_memo: Mutex<HashMap<CrpqSig, Vec<CrpqMemoEntry>>>,
@@ -204,21 +200,17 @@ pub struct PlannedEngine<E> {
     misses: AtomicUsize,
     scratch: ScratchPool,
     workers: WorkerPool,
-    /// Live pull-sweep discount: initialized from the config, re-tunable
-    /// at runtime (`set_pull_discount`) from serving telemetry without
-    /// touching in-flight queries — each request reads it once at start.
-    live_discount: AtomicUsize,
 }
 
 impl<E> PlannedEngine<E> {
     /// Plan over `set` (the constraints holding at this site) with the
-    /// default validation [`Budget`] and [`PlannerConfig`].
+    /// default [`PlannerConfig`]; rewrite candidates are validated under
+    /// the default [`Budget`].
     pub fn new(inner: E, set: ConstraintSet, alphabet: Alphabet) -> PlannedEngine<E> {
         PlannedEngine {
             inner,
             set,
             alphabet,
-            budget: Budget::default(),
             config: PlannerConfig::default(),
             memo: Mutex::new(HashMap::new()),
             crpq_memo: Mutex::new(HashMap::new()),
@@ -226,7 +218,6 @@ impl<E> PlannedEngine<E> {
             misses: AtomicUsize::new(0),
             scratch: ScratchPool::new(),
             workers: WorkerPool::new(1),
-            live_discount: AtomicUsize::new(PULL_SWEEP_DISCOUNT),
         }
     }
 
@@ -236,22 +227,10 @@ impl<E> PlannedEngine<E> {
         PlannedEngine::new(inner, ConstraintSet::default(), alphabet)
     }
 
-    /// Replace the candidate-validation budget.
-    pub fn with_budget(mut self, budget: Budget) -> PlannedEngine<E> {
-        self.budget = budget;
-        self
-    }
-
-    /// Replace the planning thresholds.
+    /// Replace the parallelism ceiling.
     pub fn with_config(mut self, config: PlannerConfig) -> PlannedEngine<E> {
-        assert!(config.decisiveness >= 1.0, "decisiveness must be ≥ 1.0");
-        assert!(
-            config.pull_sweep_discount >= 1,
-            "pull_sweep_discount must be ≥ 1"
-        );
         assert!(config.parallelism >= 1, "parallelism must be ≥ 1");
         self.config = config;
-        self.live_discount = AtomicUsize::new(config.pull_sweep_discount);
         self.workers = WorkerPool::new(config.parallelism);
         if config.parallelism > 1 {
             // Parallel levels check out one arena per extra worker on top
@@ -264,31 +243,11 @@ impl<E> PlannedEngine<E> {
         self
     }
 
-    /// The frontier mode a request effectively runs under: an explicit
-    /// request mode wins; the default hybrid picks up the configured
-    /// pull-sweep discount.
-    fn effective_mode(&self, requested: FrontierMode) -> FrontierMode {
-        match requested {
-            FrontierMode::Hybrid => {
-                FrontierMode::hybrid_with_discount(self.live_discount.load(Ordering::Relaxed))
-            }
-            other => other,
-        }
-    }
-
-    /// The pull-sweep discount currently applied to default-hybrid
-    /// requests (the live, possibly re-tuned value — the config holds the
-    /// starting point).
+    /// The pull-sweep discount a request in the default
+    /// [`rpq_core::FrontierMode::Hybrid`] is priced with:
+    /// [`PULL_SWEEP_DISCOUNT`].
     pub fn pull_discount(&self) -> usize {
-        self.live_discount.load(Ordering::Relaxed)
-    }
-
-    /// Re-tune the live pull-sweep discount (clamped to ≥ 1). In-flight
-    /// queries are unaffected — the discount is read once per request when
-    /// its frontier mode resolves; only queries planned after this call
-    /// see the new pricing.
-    pub fn set_pull_discount(&self, discount: usize) {
-        self.live_discount.store(discount.max(1), Ordering::Relaxed);
+        PULL_SWEEP_DISCOUNT
     }
 
     /// The shared intra-query worker-permit pool (sized by
@@ -326,7 +285,7 @@ impl<E> PlannedEngine<E> {
         }
     }
 
-    /// The active planning thresholds.
+    /// The active configuration.
     pub fn config(&self) -> &PlannerConfig {
         &self.config
     }
@@ -402,9 +361,9 @@ impl<E> PlannedEngine<E> {
         }
         let f = Self::group_cost(&plan.query.nfa().first_symbols(), stats);
         let b = Self::group_cost(&plan.reversed.first_symbols(), stats);
-        choose_direction(f, b, &self.config) == plan.direction
-            && within_factor(plan.forward_cost, f, self.config.decisiveness)
-            && within_factor(plan.backward_cost, b, self.config.decisiveness)
+        choose_direction(f, b) == plan.direction
+            && within_factor(plan.forward_cost, f)
+            && within_factor(plan.backward_cost, b)
     }
 
     /// The memoized plan plus whether it was served from the memo (`true`)
@@ -441,7 +400,7 @@ impl<E> PlannedEngine<E> {
         // Planning runs unlocked: a concurrent duplicate costs one extra
         // rewrite search, and insertion is idempotent (same winner).
         let stats = graph.stats();
-        let opt = optimize_with_stats(&self.set, q, alphabet, &self.budget, stats);
+        let opt = optimize_with_stats(&self.set, q, alphabet, &Budget::default(), stats);
         // Static analysis: certify the rewrite winner against the
         // constraint closure (reverting it if certification fails),
         // erase zero-edge symbols, trim, and classify the language.
@@ -453,7 +412,7 @@ impl<E> PlannedEngine<E> {
         // last symbols of the query = first symbols of its reversal, which
         // is already compiled — so both cost inputs come for free here
         let backward_cost = Self::group_cost(&reversed.first_symbols(), stats);
-        let direction = choose_direction(forward_cost, backward_cost, &self.config);
+        let direction = choose_direction(forward_cost, backward_cost);
         let plan = Arc::new(Plan {
             query,
             reversed,
@@ -465,7 +424,7 @@ impl<E> PlannedEngine<E> {
         });
         self.misses.fetch_add(1, Ordering::Relaxed);
         let mut memo = self.memo.lock();
-        let entries = memo.entry(q.clone()).or_default();
+        let entries = memo_slot(&mut memo, q.clone());
         if !entries.iter().any(|e| e.key == key) {
             if entries.len() >= MAX_MEMOIZED_SNAPSHOTS {
                 // Evict the oldest retired snapshot to bound memory; plans
@@ -508,7 +467,7 @@ impl<E> PlannedEngine<E> {
         pair_direction: Direction,
         opts: &SearchOpts<'_>,
     ) -> EvalResponse {
-        let resp = if plan.facts.statically_empty {
+        let mut resp = if plan.facts.statically_empty {
             EvalResponse::empty_for(spec)
         } else {
             run_request(
@@ -521,63 +480,7 @@ impl<E> PlannedEngine<E> {
                 &mut self.scratch.checkout(),
             )
         };
-        self.stamped(resp, plan, hit)
-    }
-
-    /// The legacy per-shape entry points: plan, then answer `spec`
-    /// sequentially in the default [`FrontierMode::Hybrid`], depth-capped
-    /// when the planned language is finite, by the planned direction.
-    fn eval_spec<G: GraphView>(&self, query: &Query, graph: &G, spec: SourceSpec) -> EvalResponse {
-        let (plan, hit) = self.plan_status(query.regex(), query.alphabet(), graph);
-        let opts = sequential(&plan);
-        self.execute(&plan, hit, graph, &spec, plan.direction, &opts)
-    }
-
-    /// Evaluate `query` from `source` over **any** [`GraphView`] (e.g. a
-    /// `rpq_graph::DeltaGraph` absorbing writes) with the epoch-aware plan
-    /// memo: the planned (rewritten) query runs through the generic
-    /// product BFS. The wrapped engine's strategy applies on the `Engine`
-    /// trait's `CsrGraph` entry points; views always use the product
-    /// search, which computes the same answer set.
-    pub fn eval_view<G: GraphView>(&self, query: &Query, graph: &G, source: Oid) -> EvalResult {
-        self.eval_spec(query, graph, SourceSpec::Source(source))
-            .into_eval_result()
-    }
-
-    /// Target-bound evaluation `{o | target ∈ p(o, I)}` over any
-    /// [`GraphView`]: rewrite, then run the backward product BFS over the
-    /// reverse adjacency, reusing the plan's cached reversed NFA.
-    pub fn eval_to<G: GraphView>(&self, query: &Query, graph: &G, target: Oid) -> EvalResult {
-        self.eval_spec(query, graph, SourceSpec::Target(target))
-            .into_eval_result()
-    }
-
-    /// Pair reachability `target ∈ p(source, I)?` by the planned
-    /// direction: early exit from the source, or from the target when the
-    /// last label group is decisively rarer. Generic over any
-    /// [`GraphView`].
-    pub fn eval_pair<G: GraphView>(
-        &self,
-        query: &Query,
-        graph: &G,
-        source: Oid,
-        target: Oid,
-    ) -> PairResult {
-        self.eval_spec(query, graph, SourceSpec::Pair { source, target })
-            .into_pair()
-    }
-
-    /// Stamp plan observability into a response — both the aggregated
-    /// response counters and the payload's embedded stats, so legacy
-    /// conversions ([`EvalResponse::into_batch`] etc.) carry the plan
-    /// fields too.
-    fn stamped(&self, mut resp: EvalResponse, plan: &Plan, hit: bool) -> EvalResponse {
         self.stamp(&mut resp.stats, plan, hit);
-        match &mut resp.answers {
-            Answers::Batch(b) => self.stamp(&mut b.stats, plan, hit),
-            Answers::Matrix(m) => self.stamp(&mut m.stats, plan, hit),
-            Answers::Nodes(_) | Answers::Reachable(_) | Answers::Bindings(_) => {}
-        }
         resp
     }
 
@@ -592,10 +495,10 @@ impl<E> PlannedEngine<E> {
     ///
     /// Finite-language plans cap the product BFS depth at the longest
     /// accepted word — the cap *composes* with a fetch budget (whichever
-    /// binds first ends the search). An explicit
-    /// request frontier mode wins over the configured pull-sweep
-    /// discount; the pair arm honors the request's direction hint over
-    /// the planned direction when one is given.
+    /// binds first ends the search). The search runs in the request's
+    /// frontier mode (the default hybrid prices pull sweeps with
+    /// [`PULL_SWEEP_DISCOUNT`]); the pair arm honors the request's
+    /// direction hint over the planned direction when one is given.
     ///
     /// [`Engine::run`] on a `CsrGraph` delegates here.
     pub fn run_view<G: GraphView>(
@@ -608,7 +511,7 @@ impl<E> PlannedEngine<E> {
         let lease = (!plan.facts.statically_empty)
             .then(|| self.workers.lease(self.decide_dop(&plan, graph)));
         let opts = SearchOpts {
-            mode: self.effective_mode(req.frontier_mode),
+            mode: req.frontier_mode,
             control: req.control(),
             dop: lease.as_ref().map_or(1, WorkerLease::dop),
             pool: Some(&self.scratch),
@@ -653,7 +556,7 @@ impl<E> PlannedEngine<E> {
         ));
         self.misses.fetch_add(1, Ordering::Relaxed);
         let mut memo = self.crpq_memo.lock();
-        let entries = memo.entry(sig).or_default();
+        let entries = memo_slot(&mut memo, sig);
         if !entries.iter().any(|(k, _)| *k == key) {
             if entries.len() >= MAX_MEMOIZED_SNAPSHOTS {
                 entries.remove(0);
@@ -666,13 +569,13 @@ impl<E> PlannedEngine<E> {
     /// Evaluate a conjunctive query end-to-end over any [`GraphView`]:
     /// memoized join planning ([`PlannedEngine::crpq_plan`]), then the
     /// semijoin-propagating executor ([`crate::join::execute_join`]) under the
-    /// request's budget/cancellation controls and effective frontier mode.
+    /// request's budget/cancellation controls and frontier mode.
     ///
     /// The request's [`SourceSpec`] restricts the *head* variables: source
     /// forms bind the first head variable, target forms the second,
     /// pair/matrix forms both, and [`SourceSpec::Conjunctive`] maps
     /// directly; each side's `None` leaves that head variable free. The
-    /// response carries [`Answers::Bindings`] with per-atom
+    /// response carries [`rpq_core::Answers::Bindings`] with per-atom
     /// `stats.atoms` telemetry in execution order, and plan-memo
     /// hit/miss counters stamped like every other planned evaluation.
     pub fn run_crpq<G: GraphView>(
@@ -696,7 +599,6 @@ impl<E> PlannedEngine<E> {
             heads.sources.is_some(),
             heads.targets.is_some(),
         );
-        let mode = self.effective_mode(req.frontier_mode);
         // CRPQ DoP: atoms scan whole label classes, so the graph's total
         // edge mass is the frontier-size proxy; small graphs stay on the
         // sequential executor.
@@ -713,7 +615,7 @@ impl<E> PlannedEngine<E> {
             &plan.order,
             graph,
             heads,
-            mode,
+            req.frontier_mode,
             &req.control(),
             lease.dop(),
             &self.scratch,
@@ -735,30 +637,32 @@ fn sequential(plan: &Plan) -> SearchOpts<'static> {
     }
 }
 
+/// Multiplicative decisiveness factor: one end of a query must be at least
+/// this much cheaper than the other to win the direction choice outright,
+/// and the same factor bounds how far an entry cost may drift before an
+/// epoch-reused plan is recompiled.
+const DECISIVENESS: f64 = 2.0;
+
 /// Pick the direction from the two entry-cost estimates: a decisive
-/// (≥ `config.decisiveness`×) win on either end takes that end; otherwise
+/// (≥ [`DECISIVENESS`]×) win on either end takes that end; otherwise
 /// neither does. Equal costs (including the all-zero degenerate case) stay
 /// bidirectional.
-fn choose_direction(
-    forward_cost: usize,
-    backward_cost: usize,
-    config: &PlannerConfig,
-) -> Direction {
+fn choose_direction(forward_cost: usize, backward_cost: usize) -> Direction {
     let (f, b) = (forward_cost as f64, backward_cost as f64);
     if forward_cost == backward_cost {
         Direction::Bidirectional
-    } else if b * config.decisiveness <= f {
+    } else if b * DECISIVENESS <= f {
         Direction::Backward
-    } else if f * config.decisiveness <= b {
+    } else if f * DECISIVENESS <= b {
         Direction::Forward
     } else {
         Direction::Bidirectional
     }
 }
 
-/// Is each cost within factor `t` of the other?
-fn within_factor(a: usize, b: usize, t: f64) -> bool {
-    (a as f64) <= (b as f64) * t && (b as f64) <= (a as f64) * t
+/// Is each cost within [`DECISIVENESS`]× of the other?
+fn within_factor(a: usize, b: usize) -> bool {
+    (a as f64) <= (b as f64) * DECISIVENESS && (b as f64) <= (a as f64) * DECISIVENESS
 }
 
 impl<E: Engine> Engine for PlannedEngine<E> {
@@ -795,45 +699,13 @@ impl<E: Engine> Engine for PlannedEngine<E> {
         self.stamp(&mut res.stats, &plan, hit);
         res
     }
-
-    /// One plan serves the whole batch: the rewrite and compilation happen
-    /// once before the fan-out, so e.g. `PartitionedBatchEngine` workers
-    /// all share the planned query.
-    fn eval_batch(&self, query: &Query, graph: &CsrGraph, sources: &[Oid]) -> BatchResult {
-        let (plan, hit) = self.plan_status(query.regex(), query.alphabet(), graph);
-        if plan.facts.statically_empty {
-            let mut stats = EvalStats::default();
-            self.stamp(&mut stats, &plan, hit);
-            return BatchResult::from_per_source(vec![Vec::new(); sources.len()], stats);
-        }
-        // The inner engine's batch strategy runs the planned query;
-        // `run_view` is the entry point that also applies the depth cap.
-        let mut res = self.inner.eval_batch(&plan.query, graph, sources);
-        self.stamp(&mut res.stats, &plan, hit);
-        res
-    }
-
-    /// Target-bound evaluation via the plan's cached reversed automaton
-    /// (the inherent [`PlannedEngine::eval_to`], exposed through the
-    /// trait).
-    fn eval_to(&self, query: &Query, graph: &CsrGraph, target: Oid) -> EvalResult {
-        PlannedEngine::eval_to(self, query, graph, target)
-    }
-
-    /// One plan serves the whole multi-target batch, sequentially in the
-    /// default hybrid mode: one backward search per target with the plan's
-    /// cached reversed automaton, depth-capped for finite languages.
-    fn eval_to_batch(&self, query: &Query, graph: &CsrGraph, targets: &[Oid]) -> BatchResult {
-        self.eval_spec(query, graph, SourceSpec::Targets(targets.to_vec()))
-            .into_batch()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use rpq_automata::parse_regex;
-    use rpq_core::{EvalScratch, ProductEngine, Termination};
+    use rpq_core::{Answers, EvalScratch, FrontierMode, ProductEngine, Termination};
     use rpq_graph::{DeltaGraph, Instance, InstanceBuilder};
 
     /// The shared T5 cached workload (`rpq_bench::distributed_workload`):
@@ -964,7 +836,7 @@ mod tests {
         assert!(plan.backward_cost < plan.forward_cost);
 
         let (s, t) = (names["s"], names["t"]);
-        let planned_pair = planned.eval_pair(&query, &graph, s, t);
+        let planned_pair = planned.run_view(&query, &graph, &EvalRequest::pair(s, t));
         let forced_forward = rpq_core::search_pair(
             query.nfa(),
             &query.nfa().reverse(),
@@ -976,7 +848,7 @@ mod tests {
             &mut EvalScratch::new(),
         )
         .0;
-        assert!(planned_pair.reachable && forced_forward.reachable);
+        assert!(planned_pair.reachable().unwrap() && forced_forward.reachable);
         assert_eq!(planned_pair.stats.plan_direction, Some(Direction::Backward));
         assert!(
             planned_pair.stats.edges_scanned * 10 < forced_forward.stats.edges_scanned,
@@ -986,8 +858,8 @@ mod tests {
         );
 
         // the target-bound scenario uses the same rare entry
-        let to = planned.eval_to(&query, &graph, t);
-        assert_eq!(to.answers, vec![s]);
+        let to = planned.run_view(&query, &graph, &EvalRequest::target(t));
+        assert_eq!(to.nodes().unwrap(), [s]);
     }
 
     #[test]
@@ -1018,36 +890,6 @@ mod tests {
         let query = Query::parse(&mut ab, "a.a").unwrap();
         assert_eq!(
             planned.plan(&query, &graph).direction,
-            Direction::Bidirectional
-        );
-    }
-
-    #[test]
-    fn decisiveness_is_configurable() {
-        // 64 hot entry edges vs 1 cold exit edge: backward wins at the
-        // default 2x threshold, but a planner demanding a 1000x margin
-        // stays bidirectional — the threshold is a real knob now.
-        let mut ab = Alphabet::new();
-        let mut b = InstanceBuilder::new(&mut ab);
-        for i in 0..64 {
-            b.edge("s", "hot", &format!("m{i}"));
-        }
-        b.edge("m0", "cold", "t");
-        let (inst, _) = b.finish();
-        let graph = CsrGraph::from(&inst);
-        let query = {
-            let mut ab2 = ab.clone();
-            Query::parse(&mut ab2, "hot.cold").unwrap()
-        };
-        let default = PlannedEngine::unconstrained(ProductEngine, ab.clone());
-        assert_eq!(default.plan(&query, &graph).direction, Direction::Backward);
-        let strict =
-            PlannedEngine::unconstrained(ProductEngine, ab.clone()).with_config(PlannerConfig {
-                decisiveness: 1000.0,
-                ..PlannerConfig::default()
-            });
-        assert_eq!(
-            strict.plan(&query, &graph).direction,
             Direction::Bidirectional
         );
     }
@@ -1155,7 +997,7 @@ mod tests {
         assert_eq!(planned.plan_cache_hits(), 1);
 
         // evaluation over the delta view reports the hit
-        let res = planned.eval_view(&query, &dg, Oid(0));
+        let res = planned.run_view(&query, &dg, &EvalRequest::source(Oid(0)));
         assert_eq!(res.stats.plan_cache_hits, 1);
         assert_eq!(res.stats.plan_direction, Some(p1.direction));
 
@@ -1172,7 +1014,7 @@ mod tests {
         );
         assert_eq!(planned.plan_cache_misses(), misses_before);
         assert_eq!(planned.plan_cache_hits(), hits_before + 1);
-        let res = planned.eval_view(&query, &dg, Oid(0));
+        let res = planned.run_view(&query, &dg, &EvalRequest::source(Oid(0)));
         assert_eq!(
             (res.stats.plan_cache_hits, res.stats.plan_cache_misses),
             (1, 0)
@@ -1218,26 +1060,6 @@ mod tests {
     }
 
     #[test]
-    fn eval_to_batch_mirrors_per_target_loop() {
-        let (mut ab, set, inst, v0) = cached_workload(4);
-        let graph = CsrGraph::from(&inst);
-        let planned = PlannedEngine::new(ProductEngine, set, ab.clone());
-        let query = Query::parse(&mut ab, "(a.b)*").unwrap();
-        let targets: Vec<Oid> = graph.nodes().take(6).collect();
-        let batch = Engine::eval_to_batch(&planned, &query, &graph, &targets);
-        let per = batch.per_source().unwrap();
-        for (i, &t) in targets.iter().enumerate() {
-            assert_eq!(per[i], planned.eval_to(&query, &graph, t).answers, "{t:?}");
-        }
-        // one plan for the whole batch
-        assert_eq!(
-            batch.stats.plan_cache_hits + batch.stats.plan_cache_misses,
-            1
-        );
-        let _ = v0;
-    }
-
-    #[test]
     fn one_planned_engine_shared_across_threads() {
         let (mut ab, set, inst, v0) = cached_workload(5);
         let graph = CsrGraph::from(&inst);
@@ -1260,7 +1082,8 @@ mod tests {
     fn statically_empty_queries_answer_without_touching_the_graph() {
         // "ghost" is interned but has zero edges: every word of
         // a.ghost.a mentions it, so the restricted language is empty and
-        // every entry point must answer without scanning anything.
+        // both entry points must answer without scanning anything
+        // (`run_view` shape by shape: the test after next).
         let mut ab = Alphabet::new();
         let mut b = InstanceBuilder::new(&mut ab);
         b.edge("x", "a", "y");
@@ -1278,21 +1101,10 @@ mod tests {
         assert_eq!(res.stats.symbols_pruned, 1);
         assert!(res.stats.finite_language);
 
-        let view = planned.eval_view(&query, &graph, x);
-        assert!(view.answers.is_empty() && view.stats.edges_scanned == 0);
-        let to = planned.eval_to(&query, &graph, y);
-        assert!(to.answers.is_empty() && to.stats.edges_scanned == 0);
-        let pair = planned.eval_pair(&query, &graph, x, x);
-        assert!(!pair.reachable && pair.stats.edges_scanned == 0);
-
-        let batch = Engine::eval_batch(&planned, &query, &graph, &[x, y]);
-        assert_eq!(batch.per_source().unwrap().len(), 2);
-        assert!(batch.union().is_empty() && batch.stats.edges_scanned == 0);
-        let tob = Engine::eval_to_batch(&planned, &query, &graph, &[x, y]);
-        assert_eq!(tob.per_source().unwrap().len(), 2);
-        assert!(tob.union().is_empty() && tob.stats.edges_scanned == 0);
-
-        // one plan built, five memo hits — emptiness is decided per plan
+        // `Engine::run` takes the same exit, and the plan is built once —
+        // emptiness is decided per plan
+        let pair = planned.run(&query, &graph, &EvalRequest::pair(x, y));
+        assert!(!pair.reachable().unwrap() && pair.stats.edges_scanned == 0);
         assert_eq!(planned.plan_cache_misses(), 1);
     }
 
@@ -1320,9 +1132,9 @@ mod tests {
         assert_eq!(fast.answers, plain.answers);
         assert!(fast.stats.finite_language);
         assert!(!plain.stats.finite_language);
-        let to = planned.eval_to(&query, &graph, s);
-        let plain_to = ProductEngine.eval_to(&query, &graph, s);
-        assert_eq!(to.answers, plain_to.answers);
+        let to = planned.run_view(&query, &graph, &EvalRequest::target(s));
+        let plain_to = ProductEngine.run(&query, &graph, &EvalRequest::target(s));
+        assert_eq!(to.nodes(), plain_to.nodes());
     }
 
     #[test]
@@ -1349,7 +1161,8 @@ mod tests {
 
             let p1 = planned.plan(&query, &dg);
             assert_eq!(p1.facts.pruned_symbols, vec![ghost]);
-            assert_eq!(planned.eval_view(&query, &dg, s).answers.len(), 32);
+            let from_s = EvalRequest::source(s);
+            assert_eq!(planned.run_view(&query, &dg, &from_s).stats.answers, 32);
 
             // one ghost edge among 32: cost drift alone would reuse the plan
             assert!(dg.add_edge(s, ghost, names["m0"]));
@@ -1363,71 +1176,196 @@ mod tests {
             );
             assert!(p2.facts.pruned_symbols.is_empty());
             // and the rebuilt plan answers the ghost path
-            assert_eq!(planned.eval_view(&query, &dg, s).answers.len(), 32);
+            assert_eq!(planned.run_view(&query, &dg, &from_s).stats.answers, 32);
             let mut ab3 = ab.clone();
             let ghost_only = Query::parse(&mut ab3, "ghost").unwrap();
-            assert_eq!(planned.eval_view(&ghost_only, &dg, s).answers.len(), 1);
+            assert_eq!(planned.run_view(&ghost_only, &dg, &from_s).stats.answers, 1);
+        }
+    }
+
+    /// Every [`SourceSpec`] shape over `seeds` (all-pairs forms left out:
+    /// on the web graph they are the whole closure), then the three ways a
+    /// request steers the search: a budget, a frontier mode, a direction.
+    fn every_shape(seeds: &[Oid]) -> Vec<EvalRequest> {
+        let (s, t) = (seeds[0], seeds[seeds.len() - 1]);
+        vec![
+            EvalRequest::source(s),
+            EvalRequest::sources(seeds.to_vec()),
+            EvalRequest::target(t),
+            EvalRequest::targets(seeds.to_vec()),
+            EvalRequest::pair(s, t),
+            EvalRequest::matrix(seeds.to_vec(), seeds.to_vec()),
+            EvalRequest::conjunctive(Some(seeds.to_vec()), None),
+            EvalRequest::conjunctive(None, Some(seeds.to_vec())),
+            EvalRequest::conjunctive(Some(seeds.to_vec()), Some(seeds.to_vec())),
+            EvalRequest::sources(seeds.to_vec()).with_budget(50),
+            EvalRequest::source(s).with_frontier_mode(FrontierMode::ForcedSparse),
+            EvalRequest::pair(s, t).with_direction(Direction::Backward),
+        ]
+    }
+
+    /// `run_view` is [`run_request`] on the planned automata with the
+    /// options its rustdoc promises, plus the plan stamp: same payload,
+    /// same termination, same counters (all but `steal_count`, which
+    /// depends on how the workers of a parallel level were scheduled).
+    fn assert_run_view_is_run_request<G: GraphView>(
+        planned: &PlannedEngine<ProductEngine>,
+        query: &Query,
+        graph: &G,
+        seeds: &[Oid],
+    ) {
+        let plan = planned.plan(query, graph);
+        assert!(!plan.facts.statically_empty);
+        for req in every_shape(seeds) {
+            // the first run sizes the pooled arenas; compare warm with warm
+            planned.run_view(query, graph, &req);
+            let got = planned.run_view(query, graph, &req);
+            let mut want = {
+                let lease = planned.workers.lease(planned.decide_dop(&plan, graph));
+                let opts = SearchOpts {
+                    mode: req.frontier_mode,
+                    control: req.control(),
+                    depth_cap: plan.facts.max_word_len,
+                    dop: lease.dop(),
+                    pool: Some(&planned.scratch),
+                    ..SearchOpts::default()
+                };
+                run_request(
+                    plan.query.nfa(),
+                    &plan.reversed,
+                    graph,
+                    &req.spec,
+                    req.direction.unwrap_or(plan.direction),
+                    &opts,
+                    &mut planned.scratch.checkout(),
+                )
+            };
+            let ctx = format!("{:?} dop {}", req, planned.config.parallelism);
+            assert_eq!(got.termination, want.termination, "{ctx}");
+            assert_eq!(got.answers, want.answers, "{ctx}");
+            // exactly one plan probe per request, stamped once
+            assert_eq!(
+                (got.stats.plan_cache_hits, got.stats.plan_cache_misses),
+                (1, 0)
+            );
+            planned.stamp(&mut want.stats, &plan, true);
+            let (mut got, mut want) = (got.stats, want.stats);
+            (got.steal_count, want.steal_count) = (0, 0);
+            assert_eq!(got, want, "{ctx}");
         }
     }
 
     #[test]
-    fn run_view_agrees_with_legacy_entry_points_on_a_delta_view() {
+    fn run_view_is_run_request_under_the_plan_on_every_shape_view_and_dop() {
+        // The cached workload: a certified rewrite to a finite language, so
+        // the depth cap is in play. The web graph: a closure whose edge
+        // mass clears `PAR_LEVEL_THRESHOLD`, so at parallelism 2 workers
+        // are leased.
         let (mut ab, set, inst, v0) = cached_workload(4);
-        let mut dg = DeltaGraph::from_instance(&inst);
-        let a = ab.get("a").unwrap();
-        assert!(dg.add_edge(v0, a, v0)); // a small overlay epoch on top
-        let planned = PlannedEngine::new(ProductEngine, set, ab.clone());
-        let query = Query::parse(&mut ab, "(a.b)*").unwrap();
-        let all: Vec<Oid> = (0..dg.num_nodes()).map(|i| Oid(i as u32)).collect();
-        let t = all[all.len() / 2];
+        let cached = Query::parse(&mut ab, "(a.b)*").unwrap();
+        let web = rpq_bench::eval_workload(13, 5_000);
+        let broad = Query::new(web.queries[3].1.clone(), &web.alphabet);
+        let web_seeds: Vec<Oid> = (0..6).map(|i| Oid(i * 700)).collect();
+        for parallelism in [1, 2] {
+            let config = PlannerConfig { parallelism };
+            let planned =
+                PlannedEngine::new(ProductEngine, set.clone(), ab.clone()).with_config(config);
+            let graph = CsrGraph::from(&inst);
+            let mut dg = DeltaGraph::from_instance(&inst);
+            assert!(dg.add_edge(v0, ab.get("a").unwrap(), v0)); // a live overlay
+            let seeds: Vec<Oid> = graph.nodes().collect();
+            assert_run_view_is_run_request(&planned, &cached, &graph, &seeds);
+            assert_run_view_is_run_request(&planned, &cached, &dg, &seeds);
+            assert!(planned.plan(&cached, &graph).facts.max_word_len.is_some());
 
-        let single = planned.run_view(&query, &dg, &EvalRequest::source(v0));
-        assert_eq!(single.termination, Termination::Complete);
-        assert_eq!(
-            single.nodes().unwrap(),
-            planned.eval_view(&query, &dg, v0).answers
-        );
-        // exactly one plan probe per request, stamped into the response
-        assert_eq!(
-            single.stats.plan_cache_hits + single.stats.plan_cache_misses,
-            1
-        );
-
-        let to = planned.run_view(&query, &dg, &EvalRequest::target(t));
-        assert_eq!(to.nodes().unwrap(), planned.eval_to(&query, &dg, t).answers);
-
-        let batch = planned.run_view(&query, &dg, &EvalRequest::sources(all.clone()));
-        let per = batch.batch().unwrap().per_source().unwrap();
-        for (i, &s) in all.iter().enumerate() {
-            assert_eq!(per[i], planned.eval_view(&query, &dg, s).answers, "{s:?}");
-        }
-        assert_eq!(
-            batch.batch().unwrap().stats.plan_cache_hits
-                + batch.batch().unwrap().stats.plan_cache_misses,
-            1,
-            "payload stats carry the plan stamp too"
-        );
-
-        let to_batch = planned.run_view(&query, &dg, &EvalRequest::targets(all.clone()));
-        let per = to_batch.batch().unwrap().per_source().unwrap();
-        for (i, &tt) in all.iter().enumerate() {
-            assert_eq!(per[i], planned.eval_to(&query, &dg, tt).answers, "{tt:?}");
-        }
-
-        let pair = planned.run_view(&query, &dg, &EvalRequest::pair(v0, t));
-        assert_eq!(
-            pair.reachable().unwrap(),
-            planned.eval_pair(&query, &dg, v0, t).reachable
-        );
-
-        let m = planned.run_view(&query, &dg, &EvalRequest::matrix(all.clone(), all.clone()));
-        let m = m.matrix().unwrap();
-        for (i, &s) in all.iter().enumerate() {
-            let fwd = planned.eval_view(&query, &dg, s).answers;
-            for (j, &tt) in all.iter().enumerate() {
-                assert_eq!(m.reachable(i, j), fwd.contains(&tt), "{s:?}->{tt:?}");
+            // a batch is its per-item requests, item by item
+            let all = planned.run_view(&cached, &dg, &EvalRequest::targets(seeds.clone()));
+            let per = all.batch().unwrap().per_source().unwrap();
+            for (i, &t) in seeds.iter().enumerate() {
+                let one = planned.run_view(&cached, &dg, &EvalRequest::target(t));
+                assert_eq!(per[i], one.nodes().unwrap(), "{t:?}");
             }
+
+            let planned = PlannedEngine::unconstrained(ProductEngine, web.alphabet.clone())
+                .with_config(config);
+            let graph = CsrGraph::from(&web.instance);
+            let mut dg = DeltaGraph::from_instance(&web.instance);
+            let l0 = web.alphabet.get("l0").unwrap();
+            assert!(dg.add_edge(Oid(0), l0, Oid(4_999)));
+            assert_eq!(
+                planned.decide_dop(&planned.plan(&broad, &graph), &graph),
+                parallelism
+            );
+            assert_run_view_is_run_request(&planned, &broad, &graph, &web_seeds);
+            assert_run_view_is_run_request(&planned, &broad, &dg, &web_seeds);
         }
+    }
+
+    #[test]
+    fn plan_memos_are_bounded_in_distinct_queries() {
+        // Distinct texts: the 13-letter words over {a, b}, one per number.
+        let mut ab = Alphabet::new();
+        let mut b = InstanceBuilder::new(&mut ab);
+        for (from, label, to) in [
+            ("x", "a", "y"),
+            ("x", "b", "x"),
+            ("y", "a", "x"),
+            ("y", "b", "y"),
+        ] {
+            b.edge(from, label, to);
+        }
+        let (inst, names) = b.finish();
+        let graph = CsrGraph::from(&inst);
+        let planned = PlannedEngine::unconstrained(ProductEngine, ab.clone());
+        let text = |i: usize| {
+            let letters: Vec<&str> = (0..13)
+                .map(|bit| if i >> bit & 1 == 0 { "a" } else { "b" })
+                .collect();
+            letters.join(".")
+        };
+        let word = |i: usize| Query::parse(&mut ab.clone(), &text(i)).unwrap();
+        let req = EvalRequest::source(names["x"]);
+        for i in 0..=MAX_MEMOIZED_QUERIES {
+            let query = word(i);
+            let got = planned.run_view(&query, &graph, &req);
+            let want = ProductEngine.run(&query, &graph, &req);
+            assert_eq!(got.nodes(), want.nodes(), "query {i}");
+            assert!(planned.plans_cached() <= MAX_MEMOIZED_QUERIES);
+        }
+        assert_eq!(planned.plan_cache_misses(), MAX_MEMOIZED_QUERIES + 1);
+        assert_eq!(planned.plans_cached(), 1, "the bound dropped the map");
+
+        // An evicted text sent again is one miss, then hits like any other.
+        let again = planned.run_view(&word(0), &graph, &req);
+        assert_eq!(
+            again.nodes(),
+            ProductEngine.run(&word(0), &graph, &req).nodes()
+        );
+        assert_eq!(
+            (again.stats.plan_cache_hits, again.stats.plan_cache_misses),
+            (0, 1)
+        );
+        let warm = planned.run_view(&word(0), &graph, &req);
+        assert_eq!(
+            (warm.stats.plan_cache_hits, warm.stats.plan_cache_misses),
+            (1, 0)
+        );
+
+        // The join-plan memo shares the bound and the policy.
+        use crate::join::parse_crpq;
+        let crpq = |i: usize| {
+            parse_crpq(
+                &mut ab.clone(),
+                &format!("ans(x, y) :- x -[{}]-> y", text(i)),
+            )
+            .unwrap()
+        };
+        for i in 0..=MAX_MEMOIZED_QUERIES {
+            planned.crpq_plan(&crpq(i), &graph, false, false);
+        }
+        assert_eq!(planned.crpq_memo.lock().len(), 1);
+        assert!(!planned.crpq_plan(&crpq(0), &graph, false, false).1);
+        assert!(planned.crpq_plan(&crpq(0), &graph, false, false).1);
     }
 
     #[test]
@@ -1436,7 +1374,8 @@ mod tests {
         let graph = CsrGraph::from(&inst);
         let planned = PlannedEngine::new(ProductEngine, set, ab.clone());
         let query = Query::parse(&mut ab, "(a.b)*").unwrap();
-        let full = planned.eval_view(&query, &graph, v0).answers;
+        let full = planned.run_view(&query, &graph, &EvalRequest::source(v0));
+        let full = full.nodes().unwrap();
         for budget in [0usize, 1, 3, 7, 100_000] {
             let req = EvalRequest::source(v0).with_budget(budget);
             let resp = planned.run_view(&query, &graph, &req);
@@ -1449,7 +1388,7 @@ mod tests {
                 assert!(full.contains(n), "budgeted answer must be sound");
             }
             if resp.termination == Termination::Complete {
-                assert_eq!(resp.nodes().unwrap(), &full[..]);
+                assert_eq!(resp.nodes().unwrap(), full);
             }
             assert!(
                 resp.stats.plan_direction.is_some(),

@@ -80,12 +80,7 @@ fn optimize_scored(
     let mut cands: Vec<Candidate> = candidates(set, q, alphabet, budget);
 
     // Section 5 view covers (total and partial), already verified.
-    for v in crate::views::rewrite_with_views(
-        set,
-        q,
-        alphabet,
-        &crate::views::ViewSearchConfig::default(),
-    ) {
+    for v in crate::views::rewrite_with_views(set, q, alphabet) {
         cands.push(Candidate {
             query: v.query,
             rule: RewriteRule::ViewCover,

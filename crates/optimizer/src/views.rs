@@ -112,40 +112,22 @@ pub struct ViewRewriting {
     pub cost: StaticCost,
 }
 
-/// Budgets for [`rewrite_with_views`].
-#[derive(Clone, Debug)]
-pub struct ViewSearchConfig {
-    /// Consider at most this many caches (subsets enumerate 2^k).
-    pub max_caches: usize,
-    /// Give up on a tail whose intermediate DFA exceeds this many states.
-    pub max_dfa_states: usize,
-    /// Greedy tail shrinking: max word length / word count to try.
-    pub tail_word_len: usize,
-    /// Greedy tail shrinking: cap on enumerated words.
-    pub tail_word_cap: usize,
-    /// Verification budget for the implication engine.
-    pub verify_budget: Budget,
-}
-
-impl Default for ViewSearchConfig {
-    fn default() -> Self {
-        ViewSearchConfig {
-            max_caches: 4,
-            max_dfa_states: 2_000,
-            tail_word_len: 10,
-            tail_word_cap: 12,
-            verify_budget: Budget::default(),
-        }
-    }
-}
+/// Consider at most this many caches (subsets enumerate 2^k).
+const MAX_CACHES: usize = 4;
+/// Give up on a tail whose intermediate DFA exceeds this many states.
+const MAX_DFA_STATES: usize = 2_000;
+/// Greedy tail shrinking: max word length to try.
+const TAIL_WORD_LEN: usize = 10;
+/// Greedy tail shrinking: cap on enumerated words.
+const TAIL_WORD_CAP: usize = 12;
 
 /// The universal left quotient `{w | ∀u ∈ L(r): u·w ∈ L(q)}` as a regex,
 /// or `None` when it is empty or exceeds the state budget. This is the
 /// maximal tail with `r·t ⊆ q`.
-fn universal_tail(q: &Regex, r: &Regex, sigma: usize, cfg: &ViewSearchConfig) -> Option<Regex> {
+fn universal_tail(q: &Regex, r: &Regex, sigma: usize) -> Option<Regex> {
     // ∁( ∃-quotient of ∁q by r ): complement, quotient, complement.
     let dq = Dfa::from_nfa(&Nfa::thompson(q), sigma);
-    if dq.num_states() > cfg.max_dfa_states {
+    if dq.num_states() > MAX_DFA_STATES {
         return None;
     }
     let ncomp = dq.complement().to_nfa();
@@ -157,7 +139,7 @@ fn universal_tail(q: &Regex, r: &Regex, sigma: usize, cfg: &ViewSearchConfig) ->
         ex.add_eps(ex.start(), s + off);
     }
     let dex = Dfa::from_nfa(&ex, sigma);
-    if dex.num_states() > cfg.max_dfa_states {
+    if dex.num_states() > MAX_DFA_STATES {
         return None;
     }
     let tail_nfa = dex.complement().to_nfa().trim();
@@ -175,11 +157,11 @@ fn universal_tail(q: &Regex, r: &Regex, sigma: usize, cfg: &ViewSearchConfig) ->
 /// Shrink a tail: greedily try finite unions of its shortest words, then
 /// the algebraic simplifier on the full expression; keep the smallest
 /// expression `t'` with `r·t' ≡ r·t`.
-fn shrink_tail(tail: &Regex, r: &Regex, cfg: &ViewSearchConfig) -> Regex {
+fn shrink_tail(tail: &Regex, r: &Regex) -> Regex {
     let covered = r.clone().then(tail.clone());
     let nfa = Nfa::thompson(tail);
     let mut words: Vec<Vec<Symbol>> = Vec::new();
-    for w in nfa.enumerate_words(cfg.tail_word_len, cfg.tail_word_cap) {
+    for w in nfa.enumerate_words(TAIL_WORD_LEN, TAIL_WORD_CAP) {
         words.push(w);
         let t = Regex::from_finite_language(words.clone());
         if regex_equivalent(&r.clone().then(t.clone()), &covered) {
@@ -195,14 +177,14 @@ fn shrink_tail(tail: &Regex, r: &Regex, cfg: &ViewSearchConfig) -> Regex {
 }
 
 /// Search for view-based rewritings of `q` under `set`. Results are
-/// verified and sorted by static cost (best first).
+/// verified (under the default [`Budget`]) and sorted by static cost (best
+/// first).
 pub fn rewrite_with_views(
     set: &ConstraintSet,
     q: &Regex,
     alphabet: &Alphabet,
-    cfg: &ViewSearchConfig,
 ) -> Vec<ViewRewriting> {
-    let caches: Vec<CacheDef> = cache_defs(set).into_iter().take(cfg.max_caches).collect();
+    let caches: Vec<CacheDef> = cache_defs(set).into_iter().take(MAX_CACHES).collect();
     if caches.is_empty() {
         return Vec::new();
     }
@@ -216,10 +198,10 @@ pub fn rewrite_with_views(
     }
     let mut usable: Vec<Usable> = Vec::new();
     for c in &caches {
-        let Some(t) = universal_tail(q, &c.body, sigma, cfg) else {
+        let Some(t) = universal_tail(q, &c.body, sigma) else {
             continue;
         };
-        let tail = shrink_tail(&t, &c.body, cfg);
+        let tail = shrink_tail(&t, &c.body);
         let covered = c.body.clone().then(tail.clone());
         usable.push(Usable {
             label: c.label,
@@ -232,6 +214,7 @@ pub fn rewrite_with_views(
     }
 
     let prover = Prover::new(set, ProverConfig::default());
+    let verify_budget = Budget::default();
     let mut out: Vec<ViewRewriting> = Vec::new();
     // Enumerate nonempty subsets (the "Boolean combinations").
     for mask in 1u32..(1u32 << usable.len()) {
@@ -246,7 +229,7 @@ pub fn rewrite_with_views(
         // Remainder: q ∖ cover, as an automaton difference.
         let dq = Dfa::from_nfa(&Nfa::thompson(q), sigma);
         let dc = Dfa::from_nfa(&Nfa::thompson(&cover), sigma);
-        if dq.num_states() > cfg.max_dfa_states || dc.num_states() > cfg.max_dfa_states {
+        if dq.num_states() > MAX_DFA_STATES || dc.num_states() > MAX_DFA_STATES {
             continue;
         }
         let diff = Dfa::product(&dq, &dc, |x, y| x && !y);
@@ -278,7 +261,7 @@ pub fn rewrite_with_views(
         let proof = if prover.prove_constraint(&claim).is_some() {
             "axiomatic"
         } else {
-            match check(set, &claim, &cfg.verify_budget) {
+            match check(set, &claim, &verify_budget) {
                 Verdict::Implied { method } => method,
                 _ => continue,
             }
@@ -322,7 +305,7 @@ mod tests {
     fn total_cover_reproduces_example3() {
         // X3: q = a(ba)*c, cache l = (ab)*: total rewriting l·a·c.
         let (ab, set, q) = setup(&["l = (a.b)*"], "a.(b.a)*.c");
-        let rewritings = rewrite_with_views(&set, &q, &ab, &ViewSearchConfig::default());
+        let rewritings = rewrite_with_views(&set, &q, &ab);
         assert!(!rewritings.is_empty());
         let best = &rewritings[0];
         assert_eq!(best.kind, ViewKind::Total);
@@ -340,7 +323,7 @@ mod tests {
     fn partial_cover_leaves_cache_free_remainder() {
         // Cache covers only the (ab)*-headed part; the d-arm remains plain.
         let (ab, set, q) = setup(&["l = (a.b)*"], "a.(b.a)*.c + d.e");
-        let rewritings = rewrite_with_views(&set, &q, &ab, &ViewSearchConfig::default());
+        let rewritings = rewrite_with_views(&set, &q, &ab);
         assert!(!rewritings.is_empty());
         let best = &rewritings[0];
         assert_eq!(best.kind, ViewKind::Partial);
@@ -356,7 +339,7 @@ mod tests {
     #[test]
     fn two_caches_combine() {
         let (ab, set, q) = setup(&["l1 = (a.b)*", "l2 = (c.d)*"], "a.(b.a)*.x + c.(d.c)*.y");
-        let rewritings = rewrite_with_views(&set, &q, &ab, &ViewSearchConfig::default());
+        let rewritings = rewrite_with_views(&set, &q, &ab);
         let both = rewritings
             .iter()
             .find(|r| r.uses.len() == 2)
@@ -371,7 +354,7 @@ mod tests {
     fn no_usable_cache_returns_empty() {
         // The cache body shares no structure with the query.
         let (ab, set, q) = setup(&["l = (a.b)*"], "z.z");
-        let rewritings = rewrite_with_views(&set, &q, &ab, &ViewSearchConfig::default());
+        let rewritings = rewrite_with_views(&set, &q, &ab);
         assert!(rewritings.is_empty());
     }
 
@@ -379,7 +362,7 @@ mod tests {
     fn rewritings_cache_labels_in_head_position_only() {
         let (ab, set, q) = setup(&["l = (a.b)*"], "a.(b.a)*.c + d.e");
         let l = ab.get("l").unwrap();
-        for r in rewrite_with_views(&set, &q, &ab, &ViewSearchConfig::default()) {
+        for r in rewrite_with_views(&set, &q, &ab) {
             // every occurrence of l must be the first factor of a union arm
             fn l_only_at_head(r: &Regex, l: Symbol, at_head: bool) -> bool {
                 match r {
@@ -405,7 +388,7 @@ mod tests {
     fn verified_never_trusted_by_construction() {
         // All returned rewritings pass the implication engine again.
         let (ab, set, q) = setup(&["l = (a.b)*"], "a.(b.a)*.c");
-        for r in rewrite_with_views(&set, &q, &ab, &ViewSearchConfig::default()) {
+        for r in rewrite_with_views(&set, &q, &ab) {
             let claim = PathConstraint::equality(q.clone(), r.query.clone());
             assert!(check(&set, &claim, &Budget::default()).is_implied());
         }
@@ -414,7 +397,7 @@ mod tests {
     #[test]
     fn sorted_by_cost() {
         let (ab, set, q) = setup(&["l1 = (a.b)*", "l2 = (c.d)*"], "a.(b.a)*.x + c.(d.c)*.y");
-        let rs = rewrite_with_views(&set, &q, &ab, &ViewSearchConfig::default());
+        let rs = rewrite_with_views(&set, &q, &ab);
         for pair in rs.windows(2) {
             assert!(pair[0].cost.score() <= pair[1].cost.score());
         }

@@ -35,11 +35,8 @@
 //! * [`Metrics`] — per-[`QueryClass`] latency percentiles (p50/p99 over a
 //!   sliding window), `edges_scanned`, termination and rejection counts,
 //!   parallel-evaluation telemetry (`threads_peak`, `steal_count`,
-//!   `parallel_levels`, scratch-pool alloc/reuse counters), plus the
-//!   push/pull level telemetry that drives the **live** pull-discount
-//!   calibration: every 256 recorded queries the record path nudges the
-//!   engine's discount a bounded step toward
-//!   [`Metrics::suggest_pull_discount`], never touching in-flight queries.
+//!   `parallel_levels`, scratch-pool alloc/reuse counters), and the
+//!   push/pull level counts of the hybrid BFS.
 //!
 //! Threads: [`ServerConfig::parallelism`] sizes two things. Across
 //! queries, the executor starts `max(1, parallelism - 1)` threads — the
@@ -463,46 +460,6 @@ mod tests {
             },
         );
         assert!(matches!(err, Err(SubmitError::Parse(_))), "{err:?}");
-    }
-
-    #[test]
-    fn calibration_nudges_the_live_pull_discount_boundedly() {
-        let (ab, catalog, nodes) = workload();
-        let server = Server::new(catalog, ab);
-        let session = server.session();
-        let q = server.parse("(a+b)*").unwrap();
-        // A broad recursive query on a tiny graph runs push-only, so the
-        // suggestion moves away from the static default.
-        for _ in 0..4 {
-            session.run(&q, &EvalRequest::source(nodes[0]));
-        }
-        let before = server.engine().pull_discount();
-        let target = server.metrics().suggest_pull_discount();
-        server.calibrate();
-        let after = server.engine().pull_discount();
-        if target == before {
-            assert_eq!(after, before);
-        } else {
-            // bounded step: moved toward the suggestion, but by at most a
-            // quarter of the gap (or the minimum one unit)
-            let gap = target.abs_diff(before);
-            let step = after.abs_diff(before);
-            assert!(
-                step >= 1 && step <= (gap / 4).max(1),
-                "{before}->{after} vs {target}"
-            );
-            assert!(
-                (target > before && after > before) || (target < before && after < before),
-                "moved the wrong way: {before}->{after} vs {target}"
-            );
-        }
-        // convergence: repeated steps reach the suggestion exactly
-        for _ in 0..64 {
-            server.calibrate();
-        }
-        assert_eq!(server.engine().pull_discount(), target);
-        // the suggestion itself stays in the documented clamp
-        assert!(target >= 1);
     }
 
     #[test]

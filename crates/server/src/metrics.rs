@@ -8,11 +8,10 @@
 //! a long-lived server's percentiles track *recent* behavior and memory
 //! stays flat.
 //!
-//! The per-class `push_levels` / `pull_levels` sums are the calibration
-//! telemetry for the hybrid BFS's `PULL_SWEEP_DISCOUNT` (see the ROADMAP):
-//! aggregated across a real workload they say how often the
-//! direction-optimizing switch fires per class, which is the denominator
-//! the discount constant should be fit against.
+//! The per-class `push_levels` / `pull_levels` sums say how often the
+//! hybrid BFS's direction-optimizing switch fires per class on a real
+//! workload — what `rpq_core::PULL_SWEEP_DISCOUNT` would be re-fitted
+//! against.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -20,7 +19,7 @@ use std::time::Duration;
 
 use parking_lot::Mutex;
 
-use rpq_core::{EvalStats, SourceSpec, Termination, PULL_SWEEP_DISCOUNT};
+use rpq_core::{EvalStats, SourceSpec, Termination};
 
 /// Sliding-window size for per-class latency percentiles.
 pub const LATENCY_WINDOW: usize = 4096;
@@ -124,9 +123,9 @@ pub struct ClassSnapshot {
     pub edges_scanned: usize,
     /// Total answers produced.
     pub answers: usize,
-    /// Total sparse *push* BFS levels (PULL_SWEEP_DISCOUNT telemetry).
+    /// Total sparse *push* BFS levels.
     pub push_levels: usize,
-    /// Total dense *pull* BFS levels (PULL_SWEEP_DISCOUNT telemetry).
+    /// Total dense *pull* BFS levels.
     pub pull_levels: usize,
     /// Runs that explored everything.
     pub complete: usize,
@@ -161,8 +160,7 @@ pub struct ClassSnapshot {
 pub struct Metrics {
     classes: [Mutex<ClassAgg>; 7],
     rejected: AtomicUsize,
-    /// Lifetime queries recorded, readable without taking a class lock
-    /// (the calibration pass keys its cadence off this).
+    /// Lifetime queries recorded, readable without taking a class lock.
     recorded: AtomicUsize,
     /// Latest observed [`rpq_core::ScratchPool`] arena-allocation count
     /// (engine-global; refreshed at each record point).
@@ -281,44 +279,6 @@ impl Metrics {
     /// Total queries recorded across every class.
     pub fn total_queries(&self) -> usize {
         self.classes.iter().map(|c| c.lock().queries).sum()
-    }
-
-    /// Calibrate the hybrid BFS's pull-sweep pricing discount from the
-    /// aggregated `push_levels` / `pull_levels` telemetry (feed the result
-    /// into `rpq_optimizer::PlannerConfig::pull_sweep_discount`).
-    ///
-    /// The hybrid search prices one dense pull sweep at
-    /// `|Q|·|V| / discount` edge scans; the discount therefore controls
-    /// how deep into a search the switch fires. On BFS-shaped workloads
-    /// the dense tail is roughly the deepest quarter of levels, so the
-    /// calibration steers the *observed* pull fraction toward 1/4: a
-    /// workload whose switch fires too rarely gets a larger discount
-    /// (sweeps priced cheaper, switch fires earlier), one that over-pulls
-    /// gets a smaller one. With no recorded levels the compiled-in
-    /// [`rpq_core::PULL_SWEEP_DISCOUNT`] default is returned unchanged;
-    /// the result is clamped to `[1, 4 × default]` so one skewed window
-    /// cannot push the switch into a degenerate regime.
-    pub fn suggest_pull_discount(&self) -> usize {
-        // Two counters per class, read under its lock — not
-        // [`Metrics::class`], which sorts the latency window: this runs on
-        // the record path, where other recorders wait on that lock.
-        let mut push = 0usize;
-        let mut pull = 0usize;
-        for class in &self.classes {
-            let agg = class.lock();
-            push += agg.push_levels;
-            pull += agg.pull_levels;
-        }
-        let total = push + pull;
-        if total == 0 {
-            return PULL_SWEEP_DISCOUNT;
-        }
-        const TARGET_PULL_FRACTION: f64 = 0.25;
-        // At least one virtual pull level keeps the ratio finite when the
-        // switch never fired in the window.
-        let observed = (pull.max(1)) as f64 / total as f64;
-        let scaled = (PULL_SWEEP_DISCOUNT as f64 * (TARGET_PULL_FRACTION / observed)).round();
-        (scaled as usize).clamp(1, PULL_SWEEP_DISCOUNT * 4)
     }
 }
 
@@ -462,74 +422,5 @@ mod tests {
         let snap = m.class(QueryClass::Conjunctive);
         assert_eq!(snap.atoms_evaluated, 2);
         assert_eq!(snap.atom_edges_scanned, 30);
-    }
-
-    #[test]
-    fn pull_discount_suggestion_tracks_the_level_mix() {
-        let m = Metrics::new();
-        assert_eq!(
-            m.suggest_pull_discount(),
-            PULL_SWEEP_DISCOUNT,
-            "no data keeps the compiled-in default"
-        );
-        // All-push workload: the switch never fires, so the suggestion
-        // rises (pull sweeps priced cheaper) up to the clamp.
-        for _ in 0..10 {
-            m.record(
-                QueryClass::Single,
-                Duration::from_micros(1),
-                &EvalStats {
-                    push_levels: 100,
-                    ..EvalStats::default()
-                },
-                Termination::Complete,
-            );
-        }
-        assert!(m.suggest_pull_discount() > PULL_SWEEP_DISCOUNT);
-        assert!(m.suggest_pull_discount() <= PULL_SWEEP_DISCOUNT * 4);
-        // Pull-heavy workload: the suggestion drops below the default.
-        let m2 = Metrics::new();
-        m2.record(
-            QueryClass::Single,
-            Duration::from_micros(1),
-            &EvalStats {
-                push_levels: 10,
-                pull_levels: 90,
-                ..EvalStats::default()
-            },
-            Termination::Complete,
-        );
-        assert!(m2.suggest_pull_discount() < PULL_SWEEP_DISCOUNT);
-        assert!(m2.suggest_pull_discount() >= 1);
-
-        // The suggestion is a function of the level sums alone. The values
-        // the window-folding implementation gave on this fixture:
-        assert_eq!(m.suggest_pull_discount(), PULL_SWEEP_DISCOUNT * 4);
-        let pull_heavy = (PULL_SWEEP_DISCOUNT as f64 * (0.25 / 0.9)).round() as usize;
-        assert_eq!(m2.suggest_pull_discount(), pull_heavy);
-        // a full latency window in every class, level-free: nothing moves
-        for class in QueryClass::ALL {
-            for i in 0..LATENCY_WINDOW + 1 {
-                m2.record(
-                    class,
-                    Duration::from_nanos(i as u64),
-                    &EvalStats::default(),
-                    Termination::Complete,
-                );
-            }
-        }
-        assert_eq!(m2.suggest_pull_discount(), pull_heavy);
-        assert_eq!(m2.total_queries(), 1 + 7 * (LATENCY_WINDOW + 1));
-        // and the sums span classes: 90 push, 90 pull
-        m2.record(
-            QueryClass::Matrix,
-            Duration::from_micros(1),
-            &EvalStats {
-                push_levels: 80,
-                ..EvalStats::default()
-            },
-            Termination::Complete,
-        );
-        assert_eq!(m2.suggest_pull_discount(), PULL_SWEEP_DISCOUNT / 2);
     }
 }

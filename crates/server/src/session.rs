@@ -148,31 +148,9 @@ struct Interned {
     snapshot: Arc<Alphabet>,
 }
 
-/// How often the background calibration pass considers a pull-discount
-/// step, in recorded queries.
-const CALIBRATE_EVERY: usize = 256;
-
-/// Piggy-backed calibration: refresh the scratch-pool telemetry, and every
-/// [`CALIBRATE_EVERY`] recorded queries move the engine's **live** pull
-/// discount a bounded step toward [`Metrics::suggest_pull_discount`].
-///
-/// Runs on whichever thread just recorded a query — there is no sleeper
-/// thread. The step is at most a quarter of the gap (and at least
-/// one unit), so a burst of unrepresentative queries cannot yank the knob;
-/// in-flight queries are untouched because the engine reads the discount
-/// once per request.
-fn maybe_calibrate(engine: &PlannedEngine<ProductEngine>, metrics: &Metrics) {
-    let pool = engine.scratch_pool();
-    metrics.observe_scratch(pool.allocs(), pool.reuses());
-    if !metrics.recorded().is_multiple_of(CALIBRATE_EVERY) {
-        return;
-    }
-    calibrate_step(engine, metrics);
-}
-
 /// The one evaluation step every entry point shares: time `call` against
-/// the shared engine, record it under `class`, and give the piggy-backed
-/// calibration its turn.
+/// the shared engine, record it under `class`, and refresh the scratch-pool
+/// telemetry.
 fn evaluate(
     engine: &PlannedEngine<ProductEngine>,
     metrics: &Metrics,
@@ -182,21 +160,9 @@ fn evaluate(
     let start = Instant::now();
     let resp = call();
     metrics.record(class, start.elapsed(), &resp.stats, resp.termination);
-    maybe_calibrate(engine, metrics);
+    let pool = engine.scratch_pool();
+    metrics.observe_scratch(pool.allocs(), pool.reuses());
     resp
-}
-
-/// One bounded pull-discount step (the [`maybe_calibrate`] payload,
-/// callable unconditionally from [`Server::calibrate`]).
-fn calibrate_step(engine: &PlannedEngine<ProductEngine>, metrics: &Metrics) {
-    let current = engine.pull_discount() as isize;
-    let target = metrics.suggest_pull_discount() as isize;
-    let gap = target - current;
-    if gap == 0 {
-        return;
-    }
-    let step = if gap / 4 == 0 { gap.signum() } else { gap / 4 };
-    engine.set_pull_discount((current + step).max(1) as usize);
 }
 
 impl Server {
@@ -216,7 +182,6 @@ impl Server {
         let engine = PlannedEngine::new(ProductEngine, set.clone(), alphabet.clone()).with_config(
             PlannerConfig {
                 parallelism: config.parallelism.max(1),
-                ..PlannerConfig::default()
             },
         );
         Server {
@@ -245,7 +210,6 @@ impl Server {
                 PlannedEngine::new(ProductEngine, self.set.clone(), alphabet).with_config(
                     PlannerConfig {
                         parallelism: config.parallelism.max(1),
-                        ..PlannerConfig::default()
                     },
                 ),
             );
@@ -253,15 +217,6 @@ impl Server {
         }
         self.config = config;
         self
-    }
-
-    /// Force one bounded calibration step (the same move the background
-    /// pass makes every `CALIBRATE_EVERY` (256) recorded queries): nudge the
-    /// engine's live pull discount a quarter of the way toward
-    /// [`Metrics::suggest_pull_discount`]. Never touches in-flight
-    /// queries.
-    pub fn calibrate(&self) {
-        calibrate_step(&self.engine, &self.metrics);
     }
 
     /// The active configuration.

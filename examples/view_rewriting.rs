@@ -9,7 +9,7 @@
 use rpq::automata::{parse_regex, Alphabet, Regex};
 use rpq::constraints::ConstraintSet;
 use rpq::distributed::{run_and_check, Delivery, Simulator};
-use rpq::optimizer::{cache_defs, rewrite_with_views, ViewKind, ViewSearchConfig};
+use rpq::optimizer::{cache_defs, rewrite_with_views, ViewKind};
 
 fn main() {
     // Two caches at the source site: l1 materializes (a.b)*, l2 does (c.d)*.
@@ -23,7 +23,7 @@ fn main() {
     // --- a total cover: both arms come from caches -------------------------
     let q = parse_regex(&mut ab, "a.(b.a)*.x + c.(d.c)*.y").unwrap();
     println!("\ntarget: {}", q.display(&ab));
-    for r in rewrite_with_views(&set, &q, &ab, &ViewSearchConfig::default()) {
+    for r in rewrite_with_views(&set, &q, &ab) {
         println!(
             "  candidate: {:<24} kind={:?} uses={:?} proof={} score={}",
             format!("{}", r.query.display(&ab)),
@@ -37,7 +37,7 @@ fn main() {
     // --- a partial cover: one arm stays cache-free -------------------------
     let q2 = parse_regex(&mut ab, "a.(b.a)*.x + z.z").unwrap();
     println!("\ntarget: {}  (the z.z arm has no cache)", q2.display(&ab));
-    let rs = rewrite_with_views(&set, &q2, &ab, &ViewSearchConfig::default());
+    let rs = rewrite_with_views(&set, &q2, &ab);
     let best = rs.first().expect("a partial cover");
     assert_eq!(best.kind, ViewKind::Partial);
     println!("  best: {}  (partial cover)", best.query.display(&ab));
@@ -70,7 +70,7 @@ fn main() {
     assert!(site_set.holds_at(&inst, v0), "cache constraint must hold");
 
     let q3 = parse_regex(&mut ab, "(a.b)*.x").unwrap();
-    let rewriting = rewrite_with_views(&site_set, &q3, &ab, &ViewSearchConfig::default())
+    let rewriting = rewrite_with_views(&site_set, &q3, &ab)
         .into_iter()
         .next()
         .expect("view rewriting for (a.b)*.x");

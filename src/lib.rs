@@ -29,14 +29,15 @@
 //! source)` with shared [`core::EvalStats`] — so evaluation work is
 //! proportional to *matching* edges, not outdegree × automaton fanout.
 //!
-//! **Migration note:** the historical free functions
-//! ([`core::eval_product`], [`core::eval_quotient_dfa`],
-//! [`core::eval_derivative`], `datalog::translate::load_instance`,
-//! `distributed::Simulator::new`, `distributed::run_threaded`) still
-//! accept an `Instance` and now snapshot it internally per call. They stay
-//! correct, but when evaluating several queries over one graph, build the
+//! [`core::Engine::eval`] is the strategy's own `p(o, I)`; every other
+//! question — many sources, a target, a pair, a matrix, a binding set,
+//! with or without a budget — is a [`core::EvalRequest`] handed to
+//! [`core::Engine::run`]. ([`core::eval_product`],
+//! `datalog::translate::load_instance`, `distributed::Simulator::new` and
+//! `distributed::run_threaded` accept an `Instance` and snapshot it per
+//! call; when evaluating several queries over one graph, build the
 //! [`graph::CsrGraph`] once and use the `Engine` trait or the `*_csr`
-//! entry points.
+//! entry points.)
 //!
 //! ## Quickstart
 //!

@@ -17,7 +17,7 @@ use rpq::constraints::general::{check, Budget, Verdict};
 use rpq::constraints::implication::word_implies_word;
 use rpq::constraints::{ConstraintSet, PathConstraint};
 use rpq::distributed::{run_and_check, Delivery, Simulator};
-use rpq::optimizer::{rewrite_with_views, ViewSearchConfig};
+use rpq::optimizer::rewrite_with_views;
 
 fn random_word(rng: &mut StdRng, syms: &[Symbol], max_len: usize) -> Vec<Symbol> {
     (0..rng.random_range(1..=max_len))
@@ -111,7 +111,7 @@ fn view_rewriting_preserves_distributed_answers_and_saves_messages() {
     assert!(set.holds_at(&inst, v0), "workload must satisfy the cache");
 
     let q = parse_regex(&mut ab, "(a.b)*.c").unwrap();
-    let rewritings = rewrite_with_views(&set, &q, &ab, &ViewSearchConfig::default());
+    let rewritings = rewrite_with_views(&set, &q, &ab);
     assert!(!rewritings.is_empty(), "expected a view rewriting");
     let best = rewritings[0].query.clone();
 

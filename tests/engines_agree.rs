@@ -12,9 +12,9 @@ use rand::SeedableRng;
 use rpq::automata::random::{random_regex, RegexGenConfig};
 use rpq::automata::{Alphabet, Nfa, Regex, Symbol};
 use rpq::core::{
-    eval_derivative, eval_oracle, eval_product, eval_quotient_dfa, search_nodes, DerivativeEngine,
-    Engine, EvalScratch, OracleEngine, ProductEngine, Query, QuotientDfaEngine, SearchOpts,
-    StreamingEngine,
+    eval_derivative_csr, eval_oracle, eval_product, eval_quotient_dfa_csr, search_nodes, Answers,
+    DerivativeEngine, Engine, EvalRequest, EvalScratch, OracleEngine, ProductEngine, Query,
+    QuotientDfaEngine, SearchOpts, SourceSpec, StreamingEngine, Termination,
 };
 use rpq::datalog::engine::{eval_naive, eval_seminaive};
 use rpq::datalog::translate::{load_instance, translate_quotient, translate_states};
@@ -47,8 +47,9 @@ proptest! {
         let nfa = Nfa::thompson(&q);
 
         let product = eval_product(&nfa, &inst, src).answers;
-        let quotient = eval_quotient_dfa(&nfa, &inst, src).answers;
-        let derivative = eval_derivative(&q, &inst, src).answers;
+        let csr = CsrGraph::from(&inst);
+        let quotient = eval_quotient_dfa_csr(&nfa, &csr, src).answers;
+        let derivative = eval_derivative_csr(&q, &csr, src).answers;
         prop_assert_eq!(&product, &quotient, "product vs quotient");
         prop_assert_eq!(&product, &derivative, "product vs derivative");
 
@@ -164,13 +165,14 @@ fn figure2_query_answers_o2_o3_via_all_engines() {
     expected.sort();
 
     assert_eq!(eval_product(&nfa, &inst, o1).answers, expected, "product");
+    let csr = CsrGraph::from(&inst);
     assert_eq!(
-        eval_quotient_dfa(&nfa, &inst, o1).answers,
+        eval_quotient_dfa_csr(&nfa, &csr, o1).answers,
         expected,
         "quotient dfa"
     );
     assert_eq!(
-        eval_derivative(&q, &inst, o1).answers,
+        eval_derivative_csr(&q, &csr, o1).answers,
         expected,
         "derivative"
     );
@@ -278,10 +280,73 @@ fn threaded_engine_agrees_through_the_trait() {
     }
 }
 
-/// Engines with a real `eval_batch` override (the product request
-/// executor, multi-seeded semi-naive Datalog, the partitioned threaded
-/// driver) plus representatives of the default loop-over-`eval` path. Batched and default paths must agree with the per-source map /
-/// union of `eval`.
+/// All twelve `Engine` impls of the workspace: the nine above, the
+/// threaded runner, the partitioned batch driver and the planner.
+fn twelve_engines(ab: &Alphabet) -> Vec<Box<dyn Engine>> {
+    let mut engines = nine_engines();
+    engines.push(Box::new(ThreadedEngine));
+    engines.push(Box::new(rpq::distributed::PartitionedBatchEngine::new(3)));
+    engines.push(Box::new(rpq::optimizer::PlannedEngine::unconstrained(
+        ProductEngine,
+        ab.clone(),
+    )));
+    engines
+}
+
+/// One calling convention: every engine answers every request shape
+/// through `run` exactly like `ProductEngine::run` — payload for payload
+/// (a union-only batch strategy is held to the union; the bounded oracle,
+/// where its own enumeration answers, to a subset).
+#[test]
+fn all_twelve_engines_answer_every_request_shape_like_the_product_engine() {
+    for seed in [5u64, 23, 77, 4242] {
+        let (ab, inst, src, q) = random_setup(seed, 6, 12);
+        let graph = CsrGraph::from(&inst);
+        let query = Query::new(q, &ab);
+        let all: Vec<Oid> = graph.nodes().collect();
+        let t = all[all.len() - 1];
+        let shapes = [
+            EvalRequest::source(src),
+            EvalRequest::sources(all.clone()),
+            EvalRequest::target(t),
+            EvalRequest::targets(all.clone()),
+            EvalRequest::pair(src, t),
+            EvalRequest::matrix(all.clone(), all.clone()),
+            EvalRequest::conjunctive(Some(all.clone()), None),
+            EvalRequest::conjunctive(None, None),
+        ];
+        let engines = twelve_engines(&ab);
+        assert_eq!(engines.len(), 12);
+        for req in &shapes {
+            let want = ProductEngine.run(&query, &graph, req);
+            for engine in &engines {
+                let got = engine.run(&query, &graph, req);
+                let ctx = format!("{} on {:?} (seed {seed})", engine.name(), req.spec);
+                assert_eq!(got.termination, Termination::Complete, "{ctx}");
+                let own_strategy =
+                    matches!(req.spec, SourceSpec::Source(_) | SourceSpec::Sources(_));
+                if engine.name() == "oracle" && own_strategy {
+                    let (got, want) = (got.into_eval_result(), want.clone().into_eval_result());
+                    for o in &got.answers {
+                        assert!(want.answers.binary_search(o).is_ok(), "{ctx}");
+                    }
+                    continue;
+                }
+                match (&got.answers, &want.answers) {
+                    (Answers::Batch(g), Answers::Batch(w)) if g.per_source().is_none() => {
+                        assert_eq!(g.union(), w.union(), "{ctx}")
+                    }
+                    (g, w) => assert_eq!(g, w, "{ctx}"),
+                }
+            }
+        }
+    }
+}
+
+/// Engines with a real `Sources` strategy (the product request executor,
+/// multi-seeded semi-naive Datalog, the partitioned threaded driver) plus
+/// representatives of the default loop-over-`eval` path. Batched and
+/// default paths must agree with the per-source map / union of `eval`.
 fn batch_engines() -> Vec<Box<dyn Engine>> {
     vec![
         // real overrides
@@ -301,11 +366,11 @@ fn batch_engines() -> Vec<Box<dyn Engine>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// `eval_batch` over a random source set equals the per-source map of
-    /// `eval` (for partitioning engines) and the union of `eval` (for all
-    /// engines), with stats aggregated rather than discarded.
+    /// A `Sources` request over a random source set equals the per-source
+    /// map of `eval` (for partitioning engines) and the union of `eval`
+    /// (for all engines), with stats aggregated rather than discarded.
     #[test]
-    fn eval_batch_agrees_with_per_source_eval(seed in 0u64..10_000) {
+    fn sources_request_agrees_with_per_source_eval(seed in 0u64..10_000) {
         let (ab, inst, _, q) = random_setup(seed, 6, 12);
         let graph = CsrGraph::from(&inst);
         let query = Query::new(q, &ab);
@@ -316,7 +381,8 @@ proptest! {
             .map(Oid)
             .collect();
         for engine in batch_engines() {
-            let batch = engine.eval_batch(&query, &graph, &sources);
+            let resp = engine.run(&query, &graph, &EvalRequest::sources(sources.clone()));
+            let batch = resp.batch().expect("batch payload");
             let singles: Vec<Vec<Oid>> = sources
                 .iter()
                 .map(|&s| engine.eval(&query, &graph, s).answers)
@@ -324,7 +390,7 @@ proptest! {
             if let Some(per) = batch.per_source() {
                 prop_assert_eq!(per, &singles[..], "{} per-source map", engine.name());
                 prop_assert_eq!(
-                    batch.stats.answers,
+                    resp.stats.answers,
                     singles.iter().map(Vec::len).sum::<usize>(),
                     "{} aggregates answer counts",
                     engine.name()
@@ -350,7 +416,6 @@ proptest! {
     /// inner engine.
     #[test]
     fn directions_agree_on_random_inputs(seed in 0u64..10_000) {
-        use rpq::core::{eval_pair, eval_to, QuotientDfaEngine};
         use rpq::optimizer::PlannedEngine;
 
         let (ab, inst, _, q) = random_setup(seed, 6, 12);
@@ -381,11 +446,12 @@ proptest! {
         }
 
         for t in graph.nodes() {
-            let backward = eval_to(&query, &graph, t).answers;
+            let to_t = EvalRequest::target(t);
+            let backward = ProductEngine.run(&query, &graph, &to_t).into_eval_result().answers;
             prop_assert_eq!(
-                &planned_product.eval_to(&query, &graph, t).answers,
-                &backward,
-                "planned eval_to at {:?}", t
+                planned_product.run_view(&query, &graph, &to_t).nodes(),
+                Some(&backward[..]),
+                "planned target request at {:?}", t
             );
             for s in graph.nodes() {
                 let fwd_says = forward[s.index()].binary_search(&t).is_ok();
@@ -394,19 +460,20 @@ proptest! {
                     fwd_says,
                     "transpose semantics {:?}->{:?}", s, t
                 );
+                let pair = EvalRequest::pair(s, t);
                 prop_assert_eq!(
-                    eval_pair(&query, &graph, s, t).reachable,
-                    fwd_says,
-                    "eval_pair {:?}->{:?}", s, t
+                    ProductEngine.run(&query, &graph, &pair).reachable(),
+                    Some(fwd_says),
+                    "pair request {:?}->{:?}", s, t
                 );
                 prop_assert_eq!(
-                    planned_product.eval_pair(&query, &graph, s, t).reachable,
-                    fwd_says,
+                    planned_product.run_view(&query, &graph, &pair).reachable(),
+                    Some(fwd_says),
                     "planned(product) pair {:?}->{:?}", s, t
                 );
                 prop_assert_eq!(
-                    planned_quotient.eval_pair(&query, &graph, s, t).reachable,
-                    fwd_says,
+                    planned_quotient.run_view(&query, &graph, &pair).reachable(),
+                    Some(fwd_says),
                     "planned(quotient) pair {:?}->{:?}", s, t
                 );
             }
@@ -428,7 +495,7 @@ proptest! {
     /// must appear.
     #[test]
     fn analyzed_queries_answer_like_unanalyzed_originals(seed in 0u64..10_000) {
-        use rpq::core::{eval_product_csr, eval_to};
+        use rpq::core::eval_product_csr;
         use rpq::graph::DeltaGraph;
         use rpq::optimizer::PlannedEngine;
 
@@ -457,11 +524,10 @@ proptest! {
         }
         // backward on the snapshot
         for t in graph.nodes() {
-            prop_assert_eq!(
-                planned.eval_to(&query, &graph, t).answers,
-                eval_to(&query, &graph, t).answers,
-                "backward at {:?}", t
-            );
+            let to_t = EvalRequest::target(t);
+            let got = planned.run_view(&query, &graph, &to_t);
+            let want = ProductEngine.run(&query, &graph, &to_t);
+            prop_assert_eq!(got.nodes(), want.nodes(), "backward at {:?}", t);
         }
 
         // post-delta epoch: new edges, including the first one on the
@@ -476,12 +542,12 @@ proptest! {
         let rev = nfa.reverse();
         for &s in &nodes {
             prop_assert_eq!(
-                planned.eval_view(&query, &dg, s).answers,
+                planned.run_view(&query, &dg, &EvalRequest::source(s)).into_eval_result().answers,
                 eval_product_csr(&nfa, &dg, s).answers,
                 "delta forward at {:?}", s
             );
             prop_assert_eq!(
-                planned.eval_to(&query, &dg, s).answers,
+                planned.run_view(&query, &dg, &EvalRequest::target(s)).into_eval_result().answers,
                 search_nodes(&rev, &dg, s, &SearchOpts { reverse_adj: true, ..SearchOpts::default() }, &mut EvalScratch::new()).0.answers,
                 "delta backward at {:?}", s
             );
@@ -548,14 +614,15 @@ fn batched_product_is_the_per_source_loop_on_shared_prefix_graphs() {
         .collect();
     let query = Query::parse(&mut ab, "c*").unwrap();
 
-    let batch = ProductEngine.eval_batch(&query, &graph, &sources);
+    let resp = ProductEngine.run(&query, &graph, &EvalRequest::sources(sources.clone()));
+    let batch = resp.batch().expect("batch payload");
     let mut loop_edges = 0usize;
     for (i, &s) in sources.iter().enumerate() {
         let single = ProductEngine.eval(&query, &graph, s);
         loop_edges += single.stats.edges_scanned;
         assert_eq!(batch.per_source().unwrap()[i], single.answers);
     }
-    assert_eq!(batch.stats.edges_scanned, loop_edges);
+    assert_eq!(resp.stats.edges_scanned, loop_edges);
 }
 
 #[test]

@@ -22,9 +22,9 @@ use rand::SeedableRng;
 use rpq::automata::random::{random_regex, RegexGenConfig};
 use rpq::automata::{Alphabet, Nfa, Regex, Symbol};
 use rpq::core::{
-    eval_product_csr, eval_to, search_nodes, Answers, DerivativeEngine, Engine, EvalControl,
-    EvalRequest, EvalResponse, EvalScratch, EvalStats, FrontierMode, OracleEngine, ProductEngine,
-    Query, QuotientDfaEngine, ScratchPool, SearchOpts, SourceSpec, StreamingEngine, Termination,
+    eval_product_csr, search_nodes, Answers, DerivativeEngine, Engine, EvalControl, EvalRequest,
+    EvalResponse, EvalScratch, EvalStats, FrontierMode, OracleEngine, ProductEngine, Query,
+    QuotientDfaEngine, ScratchPool, SearchOpts, SourceSpec, StreamingEngine, Termination,
 };
 use rpq::datalog::{DatalogMagicEngine, DatalogNaiveEngine, DatalogSeminaiveEngine};
 use rpq::distributed::{PartitionedBatchEngine, SimulatorEngine};
@@ -163,15 +163,18 @@ proptest! {
             }
         }
 
-        // backward, all three modes, against the unpooled eval_to
-        for t in graph.nodes() {
+        // backward, all three modes, against the forward sets and the
+        // engine's own target-bound request
+        let nodes: Vec<Oid> = graph.nodes().collect();
+        for &t in &nodes {
             let back = modes_backward(&rev, &graph, t);
-            prop_assert_eq!(&back, &eval_to(&query, &graph, t).answers, "backward {:?}", t);
+            prop_assert_eq!(&back, &sources_reaching(nfa, &graph, &nodes, t), "backward {:?}", t);
+            let to = ProductEngine.run(&query, &graph, &EvalRequest::target(t));
+            prop_assert_eq!(Some(&back[..]), to.nodes(), "target request {:?}", t);
         }
 
         // post-delta epoch: mutate the view, modes must track the overlay
         let mut dg = DeltaGraph::from_instance(&inst);
-        let nodes: Vec<Oid> = graph.nodes().collect();
         let syms: Vec<Symbol> = ab.symbols().collect();
         dg.add_edge(nodes[seed as usize % nodes.len()], syms[0], nodes[0]);
         dg.add_edge(nodes[0], syms[seed as usize % syms.len()], nodes[nodes.len() - 1]);
@@ -179,9 +182,19 @@ proptest! {
             let fwd = modes_forward(nfa, &dg, s);
             prop_assert_eq!(&fwd, &eval_product_csr(nfa, &dg, s).answers, "delta fwd {:?}", s);
             let back = modes_backward(&rev, &dg, s);
-            prop_assert_eq!(&back, &eval_to(&query, &dg, s).answers, "delta bwd {:?}", s);
+            prop_assert_eq!(&back, &sources_reaching(nfa, &dg, &nodes, s), "delta bwd {:?}", s);
         }
     }
+}
+
+/// `{o | target ∈ p(o, I)}` read off the forward answer sets — the
+/// direction-independent reference for the backward searches.
+fn sources_reaching<G: GraphView>(nfa: &Nfa, graph: &G, nodes: &[Oid], target: Oid) -> Vec<Oid> {
+    let reaches = |s: &Oid| {
+        let forward = eval_product_csr(nfa, graph, *s).answers;
+        forward.binary_search(&target).is_ok()
+    };
+    nodes.iter().copied().filter(reaches).collect()
 }
 
 /// Pooled scratch reuse across interleaved query shapes: a warm
@@ -247,16 +260,18 @@ fn serving_engines_reuse_their_pools() {
 
     let batch = PartitionedBatchEngine::new(2);
     let sources: Vec<Oid> = graph.nodes().take(10).collect();
-    let b1 = batch.eval_batch(&query, &graph, &sources);
-    let b2 = batch.eval_batch(&query, &graph, &sources);
-    assert_eq!(b1.per_source(), b2.per_source());
+    let from_all = EvalRequest::sources(sources.clone());
+    let b1 = batch.run(&query, &graph, &from_all);
+    let b2 = batch.run(&query, &graph, &from_all);
+    assert_eq!(b1.batch(), b2.batch());
     assert!(
         batch.scratch_pool().reuses() > 0,
         "partitioned pool never warmed"
     );
-    let t1 = batch.eval_to_batch(&query, &graph, &sources);
-    let t2 = batch.eval_to_batch(&query, &graph, &sources);
-    assert_eq!(t1.per_source(), t2.per_source());
+    let to_all = EvalRequest::targets(sources);
+    let t1 = batch.run(&query, &graph, &to_all);
+    let t2 = batch.run(&query, &graph, &to_all);
+    assert_eq!(t1.batch(), t2.batch());
 }
 
 /// What a request observably did: its answers, how it ended, and the work
@@ -365,10 +380,7 @@ fn an_unraised_control_changes_nothing() {
         let csr = CsrGraph::from(&inst);
         let shapes = all_shapes(csr.num_nodes(), &entries);
         for dop in [1usize, 2] {
-            let config = PlannerConfig {
-                parallelism: dop,
-                ..PlannerConfig::default()
-            };
+            let config = PlannerConfig { parallelism: dop };
             let planned =
                 PlannedEngine::unconstrained(ProductEngine, ab.clone()).with_config(config);
             let server = Server::new(Arc::new(Catalog::from_instance(&inst)), ab.clone())

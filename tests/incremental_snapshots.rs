@@ -15,7 +15,10 @@ use rand::{Rng as _, SeedableRng};
 
 use rpq::automata::random::{random_regex, RegexGenConfig};
 use rpq::automata::{Alphabet, Symbol};
-use rpq::core::{eval_product_csr, eval_quotient_dfa_csr, ProductEngine, Query};
+use rpq::core::{
+    eval_product_csr, eval_quotient_dfa_csr, search_nodes, EvalRequest, EvalScratch, ProductEngine,
+    Query, SearchOpts,
+};
 use rpq::graph::generators::random_graph;
 use rpq::graph::{CsrGraph, DeltaGraph, EdgeDelta, Instance, Oid};
 use rpq::optimizer::PlannedEngine;
@@ -107,9 +110,9 @@ fn assert_eval_equal(dg: &DeltaGraph, rebuilt: &CsrGraph, ab: &Alphabet, query: 
     );
     let planned = PlannedEngine::unconstrained(ProductEngine, ab.clone());
     assert_eq!(
-        planned.eval_view(query, dg, s).answers,
-        expected,
-        "planned eval_view over delta"
+        planned.run_view(query, dg, &EvalRequest::source(s)).nodes(),
+        Some(&expected[..]),
+        "planned request over delta"
     );
 }
 
@@ -158,10 +161,12 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed ^ 0xbac);
         let cfg = RegexGenConfig::new(syms.clone());
         let query = Query::new(random_regex(&mut rng, &cfg), &ab);
+        let reversed = query.nfa().reverse();
+        let backward = SearchOpts { reverse_adj: true, ..SearchOpts::default() };
         for t in rebuilt.nodes() {
-            let over = rpq::core::eval_to(&query, &dg, t).answers;
-            let full = rpq::core::eval_to(&query, &rebuilt, t).answers;
-            prop_assert_eq!(over, full, "backward from {:?}", t);
+            let over = search_nodes(&reversed, &dg, t, &backward, &mut EvalScratch::new()).0;
+            let full = search_nodes(&reversed, &rebuilt, t, &backward, &mut EvalScratch::new()).0;
+            prop_assert_eq!(over.answers, full.answers, "backward from {:?}", t);
         }
     }
 }
@@ -363,7 +368,7 @@ fn plan_memo_hits_across_delta_epochs_and_compaction() {
     let hot = ab.get("hot").unwrap();
 
     // first evaluation compiles the plan
-    let first = planned.eval_view(&query, &dg, names["s"]);
+    let first = planned.run_view(&query, &dg, &EvalRequest::source(names["s"]));
     assert_eq!(first.stats.plan_cache_misses, 1);
 
     // three small delta epochs: every one reuses the plan
@@ -371,7 +376,7 @@ fn plan_memo_hits_across_delta_epochs_and_compaction() {
         let mut delta = EdgeDelta::new();
         delta.add(names[format!("m{i}").as_str()], hot, names["t"]);
         assert_eq!(dg.apply_delta(&delta), 1);
-        let res = planned.eval_view(&query, &dg, names["s"]);
+        let res = planned.run_view(&query, &dg, &EvalRequest::source(names["s"]));
         assert_eq!(
             (res.stats.plan_cache_hits, res.stats.plan_cache_misses),
             (1, 0),
@@ -386,7 +391,7 @@ fn plan_memo_hits_across_delta_epochs_and_compaction() {
     dg.compact();
     assert_eq!(dg.epoch().base, before.base);
     assert!(dg.epoch().version > before.version);
-    let after = planned.eval_view(&query, &dg, names["s"]);
+    let after = planned.run_view(&query, &dg, &EvalRequest::source(names["s"]));
     assert_eq!(
         (after.stats.plan_cache_hits, after.stats.plan_cache_misses),
         (1, 0),

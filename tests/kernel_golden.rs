@@ -375,10 +375,8 @@ fn sweep_controls(
 }
 
 fn planned(ab: &Alphabet, dop: usize) -> PlannedEngine<ProductEngine> {
-    PlannedEngine::unconstrained(ProductEngine, ab.clone()).with_config(PlannerConfig {
-        parallelism: dop,
-        ..PlannerConfig::default()
-    })
+    PlannedEngine::unconstrained(ProductEngine, ab.clone())
+        .with_config(PlannerConfig { parallelism: dop })
 }
 
 /// `PlannedEngine::run_view` over one graph. Where workers can be granted

@@ -131,7 +131,7 @@ proptest! {
             let sources: Vec<Oid> = (0..graph.num_nodes() as u32).map(Oid).collect();
             let targets: Vec<Oid> = (0..graph.num_nodes() as u32).step_by(7).map(Oid).collect();
             let per_seed = |spec: SourceSpec, opts: &SearchOpts<'_>, s: &mut EvalScratch| {
-                run_request(nfa, rev, graph, &spec, Direction::Forward, opts, s).into_batch()
+                run_request(nfa, rev, graph, &spec, Direction::Forward, opts, s)
             };
             let fwd = SearchOpts::default();
             let bwd = SearchOpts { reverse_adj: true, ..fwd };
@@ -146,10 +146,10 @@ proptest! {
                 let fwd = SearchOpts { dop, pool: Some(pool), ..fwd };
                 let bwd = SearchOpts { dop, pool: Some(pool), ..bwd };
                 let b = per_seed(SourceSpec::Sources(sources.clone()), &fwd, &mut scratch);
-                prop_assert_eq!(b.per_source(), batch.per_source(), "batch dop={}", dop);
+                prop_assert_eq!(b.batch(), batch.batch(), "batch dop={}", dop);
                 prop_assert_eq!(b.stats.edges_scanned, batch.stats.edges_scanned);
                 let t = per_seed(SourceSpec::Targets(targets.clone()), &fwd, &mut scratch);
-                prop_assert_eq!(t.per_source(), to_batch.per_source(), "to-batch dop={}", dop);
+                prop_assert_eq!(t.batch(), to_batch.batch(), "to-batch dop={}", dop);
                 let f = search_pairs(nfa, graph, &sources, None, &fwd, &mut scratch);
                 prop_assert_eq!(&f.pairs, &from.pairs, "pairs-from dop={}", dop);
                 let t = search_pairs(rev, graph, &targets, None, &bwd, &mut scratch);
@@ -311,9 +311,8 @@ fn parallel_outputs_are_deterministic_across_runs() {
     let (first, _) = search_nodes(nfa, &graph, src, &opts, &mut scratch);
     let rev = nfa.reverse();
     let spec = SourceSpec::Sources(sources);
-    let batch = |s: &mut EvalScratch| {
-        run_request(nfa, &rev, &graph, &spec, Direction::Forward, &opts, s).into_batch()
-    };
+    let batch =
+        |s: &mut EvalScratch| run_request(nfa, &rev, &graph, &spec, Direction::Forward, &opts, s);
     let first_batch = batch(&mut scratch);
     for run in 0..5 {
         let mut scratch = EvalScratch::new();
@@ -325,8 +324,8 @@ fn parallel_outputs_are_deterministic_across_runs() {
         );
         assert_eq!(term, Termination::Complete);
         assert_eq!(
-            batch(&mut scratch).per_source(),
-            first_batch.per_source(),
+            batch(&mut scratch).batch(),
+            first_batch.batch(),
             "batch output drifted on run {run}"
         );
     }

@@ -49,9 +49,10 @@
 //! crate: non-test code lines (non-blank, non-comment lines before a
 //! file's `#[cfg(test)]` module) and `pub fn` count. `surface --check`
 //! compares them with the committed `xtask/surface.baseline` and fails if
-//! any crate's code lines or `pub fn` count grew past it — growth has to
-//! be admitted by re-blessing the file (`surface --bless`) in the same
-//! commit, where a reviewer sees it.
+//! any crate's code lines or `pub fn` count differs from it, in either
+//! direction: growth has to be admitted, and a reduction recorded, by
+//! re-blessing the file (`surface --bless`) in the same commit, where a
+//! reviewer sees it — so the committed numbers are always the tree's.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -169,7 +170,7 @@ type SurfaceRow = (String, usize, usize);
 /// The surface report: per crate under `crates/`, the non-test code lines
 /// and the `pub fn` count of its `src/` tree, then the totals. Without a
 /// flag the table is printed; `--bless` writes it to [`SURFACE_BASELINE`];
-/// `--check` fails on any row that grew past the committed one.
+/// `--check` fails on any row that differs from the committed one.
 fn surface(flag: Option<&str>) -> ExitCode {
     let root = workspace_root();
     let Ok(entries) = fs::read_dir(root.join("crates")) else {
@@ -214,18 +215,18 @@ fn surface(flag: Option<&str>) -> ExitCode {
                 eprintln!("xtask surface: no {SURFACE_BASELINE}; run `surface --bless`");
                 return ExitCode::FAILURE;
             };
-            let grown = surface_growth(&rows, &admitted);
-            if !grown.is_empty() {
-                for g in &grown {
-                    eprintln!("xtask surface: {g}");
+            let drifted = surface_drift(&rows, &admitted);
+            if !drifted.is_empty() {
+                for d in &drifted {
+                    eprintln!("xtask surface: {d}");
                 }
                 eprintln!(
-                    "xtask surface: grew past {SURFACE_BASELINE}; shrink it back, or admit \
-                     the growth with `surface --bless` in this commit"
+                    "xtask surface: differs from {SURFACE_BASELINE}; undo the change, or \
+                     record it with `surface --bless` in this commit"
                 );
                 return ExitCode::FAILURE;
             }
-            println!("xtask surface: within {SURFACE_BASELINE}");
+            println!("xtask surface: equals {SURFACE_BASELINE}");
         }
         Some(other) => {
             eprintln!("unknown flag {other:?}; usage: surface [--check|--bless]");
@@ -235,29 +236,36 @@ fn surface(flag: Option<&str>) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// The rows of `current` that exceed their row in the `admitted` table
-/// text (or have none), one message each. A row that shrank is fine.
-fn surface_growth(current: &[SurfaceRow], admitted: &str) -> Vec<String> {
-    let admitted_row = |name: &str| {
-        admitted.lines().find_map(|l| {
+/// Where `current` and the `admitted` table text disagree, one message
+/// per row: a row that grew, a row that shrank, a crate the baseline does
+/// not list, a baseline row whose crate is gone.
+fn surface_drift(current: &[SurfaceRow], admitted: &str) -> Vec<String> {
+    let admitted: Vec<SurfaceRow> = admitted
+        .lines()
+        .filter_map(|l| {
             let mut cols = l.split_whitespace();
-            let found = cols.next() == Some(name);
-            let lines = cols.next()?.parse::<usize>().ok()?;
-            let fns = cols.next()?.parse::<usize>().ok()?;
-            found.then_some((lines, fns))
+            let name = cols.next()?.to_string();
+            let lines = cols.next()?.parse().ok()?;
+            let fns = cols.next()?.parse().ok()?;
+            Some((name, lines, fns))
         })
-    };
-    let mut grown = Vec::new();
+        .collect();
+    let mut drifted = Vec::new();
     for (name, lines, fns) in current {
-        match admitted_row(name) {
-            Some((l, f)) if *lines <= l && *fns <= f => {}
-            Some((l, f)) => grown.push(format!(
-                "{name}: {lines} code lines / {fns} pub fn, admitted {l} / {f}"
+        match admitted.iter().find(|(n, ..)| n == name) {
+            Some((_, l, f)) if (lines, fns) == (l, f) => {}
+            Some((_, l, f)) => drifted.push(format!(
+                "{name}: {lines} code lines / {fns} pub fn, baseline {l} / {f}"
             )),
-            None => grown.push(format!("{name}: not in the baseline")),
+            None => drifted.push(format!("{name}: not in the baseline")),
         }
     }
-    grown
+    for (name, ..) in &admitted {
+        if !current.iter().any(|(n, ..)| n == name) {
+            drifted.push(format!("{name}: in the baseline, not in the tree"));
+        }
+    }
+    drifted
 }
 
 /// (non-test code lines, `pub fn` count) of one source file: lines before
@@ -626,20 +634,33 @@ mod tests {
     }
 
     #[test]
-    fn surface_check_flags_growth_and_new_crates_only() {
+    fn surface_check_flags_any_drift_from_the_baseline() {
         let admitted = "crate  code lines  pub fn\ncore  100  10\ngraph  50  5\ntotal  150  15\n";
         let row = |n: &str, l, f| (n.to_string(), l, f);
         let same = [
             row("core", 100, 10),
+            row("graph", 50, 5),
+            row("total", 150, 15),
+        ];
+        assert!(surface_drift(&same, admitted).is_empty());
+        let grown = [row("core", 101, 10), row("graph", 50, 6), row("new", 1, 0)];
+        assert_eq!(
+            surface_drift(&grown, admitted).len(),
+            4,
+            "and `total` is gone"
+        );
+        let shrunk = [
+            row("core", 100, 10),
             row("graph", 40, 5),
             row("total", 140, 15),
         ];
-        assert!(
-            surface_growth(&same, admitted).is_empty(),
-            "shrinking passes"
+        assert_eq!(
+            surface_drift(&shrunk, admitted).len(),
+            2,
+            "a smaller row needs its bless too"
         );
-        let grown = [row("core", 101, 10), row("graph", 50, 6), row("new", 1, 0)];
-        assert_eq!(surface_growth(&grown, admitted).len(), 3);
+        let removed = [row("core", 100, 10), row("total", 150, 15)];
+        assert_eq!(surface_drift(&removed, admitted).len(), 1);
     }
 
     fn lines(s: &str) -> Vec<String> {
