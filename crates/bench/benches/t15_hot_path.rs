@@ -1,5 +1,5 @@
 //! T15 — the serving hot path: direction-optimizing hybrid product BFS and
-//! zero-allocation scratch reuse. Two claims, asserted at registration
+//! zero-allocation scratch reuse. Three claims, asserted at registration
 //! time so `--test` mode (the CI bench smoke) enforces the acceptance
 //! criteria without paying measurement time:
 //!
@@ -8,6 +8,14 @@
 //!   and on the complete-digraph pull workload it runs at least one pull
 //!   level and scans *strictly* fewer edges (the sparse sweep re-scans all
 //!   `hubs²` edges at the saturated level to discover nothing).
+//! * **The switch is paid for where it can fire** — `rows_resolved`
+//!   counts label-index lookups per (state, labeled transition), pricing
+//!   and the pull bound's reverse rows included. A closure local to a
+//!   region a hundredth of the graph never nears the sweep floor: it
+//!   resolves exactly one row per (reached pair, labeled transition) and
+//!   no reverse row, at any degree of parallelism. The saturating
+//!   workload still pushes its first level and pulls its second, and pays
+//!   one price and one reverse row per hub for it.
 //! * **Warm scratch allocates nothing** — a second evaluation through a
 //!   [`ScratchPool`] reports `scratch_reused > 0` (its tables already
 //!   cover `|Q|·|V|`) and returns identical answers; the measured series
@@ -73,15 +81,23 @@ fn bench(c: &mut Criterion) {
         let hybrid = search_nodes(&nfa, &graph, w.source, &SearchOpts::default(), &mut scratch).0;
         assert_eq!(sparse.answers, hybrid.answers, "pull workload diverged");
         assert!(
-            hybrid.stats.pull_levels >= 1,
-            "hybrid never pulled at {hubs} hubs"
-        );
-        assert!(
             hybrid.stats.edges_scanned < sparse.stats.edges_scanned,
             "hybrid {} must strictly beat sparse {} at {hubs} hubs",
             hybrid.stats.edges_scanned,
             sparse.stats.edges_scanned
         );
+        // The fan is pushed (one row, never priced: the root's degree is
+        // below the sweep floor); the saturated level is priced (a row per
+        // hub), found dearer than the floor, and only then is the pull
+        // bound settled (a reverse row per hub) — and the level pulled.
+        assert_eq!(
+            (hybrid.stats.push_levels, hybrid.stats.pull_levels),
+            (1, 1),
+            "hybrid switched on other levels at {hubs} hubs"
+        );
+        assert_eq!(hybrid.stats.edges_scanned, hubs);
+        assert_eq!(hybrid.stats.rows_resolved, 1 + 2 * hubs);
+        assert_eq!(sparse.stats.rows_resolved, 1 + hubs);
 
         group.bench_with_input(BenchmarkId::new("pull_hybrid", hubs), &hubs, |b, _| {
             let mut scratch = EvalScratch::new();
@@ -117,6 +133,52 @@ fn bench(c: &mut Criterion) {
                 )
             })
         });
+    }
+
+    // Acceptance 1c: a closure that stays inside one region of a graph a
+    // hundred times its reach pays nothing for the direction optimizer or
+    // for the right to fan out: one row per (reached pair, labeled
+    // transition) — the closure `(a+b)*` moves by two symbols from one
+    // state, reached once at every node — and no reverse row.
+    {
+        let mut alphabet = rpq_automata::Alphabet::new();
+        let (a, b) = (alphabet.intern("a"), alphabet.intern("b"));
+        let (regions, size) = (100u32, 64u32);
+        let mut instance = rpq_graph::Instance::new();
+        for _ in 0..regions * size {
+            instance.add_node();
+        }
+        for r in 0..regions {
+            let node = |j: u32| rpq_graph::Oid(r * size + j % size);
+            for j in 0..size {
+                instance.add_edge(node(j), a, node(j * 5 + 1));
+                instance.add_edge(node(j), b, node(j * 11 + 3));
+            }
+        }
+        let graph = CsrGraph::from(&instance);
+        let query = rpq_automata::parse_regex(&mut alphabet, "(a+b)*").unwrap();
+        let nfa = Nfa::thompson(&query);
+        let pool = ScratchPool::new();
+        for dop in [1, 2] {
+            let opts = SearchOpts {
+                dop,
+                pool: Some(&pool),
+                ..SearchOpts::default()
+            };
+            let seed = rpq_graph::Oid(17 * size);
+            let local = search_nodes(&nfa, &graph, seed, &opts, &mut EvalScratch::new()).0;
+            assert_eq!(
+                local.answers.len(),
+                size as usize,
+                "the region is connected"
+            );
+            assert_eq!(
+                local.stats.rows_resolved,
+                2 * local.answers.len(),
+                "a region-local closure resolved a row twice (dop {dop})"
+            );
+            assert_eq!(local.stats.pull_levels, 0);
+        }
     }
 
     // Acceptance 2: warm pooled evaluation reports scratch reuse with

@@ -149,31 +149,16 @@ pub fn search_pairs<G: GraphView>(
 /// leaving the start state's ε-closure can bind anything, and the rest are
 /// pruned before the forward kernel runs.
 pub fn seed_candidates<G: GraphView>(nfa: &Nfa, graph: &G, scratch: &mut EvalScratch) -> Vec<Oid> {
-    // ε-closure of the start state, via the scratch worklist (no
-    // allocation on warm scratches).
-    let nq = nfa.num_states();
-    scratch.begin(nq.max(1), 0);
-    let gen = scratch.generation();
-    scratch.worklist.clear();
-    let start = nfa.start();
-    scratch.state_marks[start as usize] = gen;
-    scratch.worklist.push((start, 0));
-    let mut accepts_epsilon = nfa.is_accepting(start);
+    // The symbols leaving the start state's ε-closure, read off the mask
+    // tables (no allocation on warm scratches).
+    scratch.begin(nfa, 0);
+    let masks = &scratch.masks;
+    let start = masks.closure_of(nfa.start());
+    let accepts_epsilon = start.iter().zip(&masks.accepting).any(|(s, a)| s & a != 0);
     let mut first_syms: Vec<Symbol> = Vec::new(); // alloc-ok: tiny per-query symbol set
-    let mut i = 0;
-    while i < scratch.worklist.len() {
-        let (q, _) = scratch.worklist[i];
-        i += 1;
-        for &(sym, _) in nfa.transitions(q) {
-            first_syms.push(sym);
-        }
-        for &q2 in nfa.eps_transitions(q) {
-            if scratch.state_marks[q2 as usize] != gen {
-                scratch.state_marks[q2 as usize] = gen;
-                accepts_epsilon |= nfa.is_accepting(q2);
-                scratch.worklist.push((q2, 0));
-            }
-        }
+    for (word, &states) in start.iter().enumerate() {
+        let groups = masks.groups_of(word).iter();
+        first_syms.extend(groups.filter(|g| g.sources & states != 0).map(|g| g.sym));
     }
     first_syms.sort_unstable();
     first_syms.dedup();

@@ -6,15 +6,24 @@
 //! p and the instance I). The resulting algorithm has polynomial-time
 //! combined data and query complexity and nlogspace data complexity."
 //!
-//! We track individual NFA states rather than state *sets*: a breadth-first
-//! search over reachable pairs `(q, v)` of automaton state × graph node,
-//! processed level by level (ε-moves stay within a level, since they consume
-//! no edge). A node `v` is an answer as soon as some reachable pair `(q, v)`
-//! has `q` accepting. The pair space is `O(|Q| · |V|)` — the NLOGSPACE/NC
-//! bound's certificate.
+//! We carry the state *set*, as the paper says: the search keeps, per graph
+//! node, the set of automaton states reached there as a bit mask (one cell
+//! per node and per [`crate::scratch`] mask word), and its frontier is a
+//! list of `(node, newly reached states)` entries, processed level by
+//! level. ε-moves never show up in the search: they are folded into
+//! ε-closed successor masks when the automaton's mask tables are compiled
+//! (once per search, into retained buffers), so following an edge marks
+//! every state it leads to — ε-successors included — with one
+//! load/or/store. A node `v` is an answer as soon as its newly reached
+//! states meet the accepting mask. The pair space is still `O(|Q| · |V|)`
+//! — the NLOGSPACE/NC bound's certificate — and every counter keeps
+//! counting it: `pairs_visited` is the number of set bits over all
+//! entries, `edges_scanned` a row's length once per `(state, labeled
+//! transition)` that follows it, even where several states of one entry
+//! share the one physical walk.
 //!
 //! [`search_nodes`] is the entry point (and [`eval_product_csr`] its
-//! default-options one-liner): it steps pairs through the label-indexed
+//! default-options one-liner): it steps entries through the label-indexed
 //! snapshot (`graph.out(v, sym)` is a contiguous slice of exactly the
 //! matching edges), so per-pair work is proportional to *matching* edges
 //! rather than `outdegree × fanout`. [`eval_product`] is a thin
@@ -26,13 +35,16 @@
 //!
 //! The paper's procedure is *one* algorithm, and so is this module: one
 //! level loop, one push-sweep body and one pull-sweep body, over the one
-//! `(state, node)` mark table of an [`EvalScratch`]. What a search varies
-//! in — direction, depth cap, per-level strategy, budget and cancellation,
-//! degree of parallelism — is a field of [`SearchOpts`], not a sibling
-//! function: backward search is `reverse_adj` with the reversed automaton,
-//! "bounded" is `depth_cap`, "uncontrolled" is
-//! [`EvalControl::UNLIMITED`], and sequential is `dop == 1` (a level that
-//! does not fan out runs its sweep inline on the calling thread).
+//! node-major mask table of an [`EvalScratch`]. An automaton wider than a
+//! mask word takes several cells per node and several `(word, bits)` runs
+//! per successor mask *in the same loop* — there is no second kernel and no
+//! width-specialised copy. What a search varies in — direction, depth cap,
+//! per-level strategy, budget and cancellation, degree of parallelism — is
+//! a field of [`SearchOpts`], not a sibling function: backward search is
+//! `reverse_adj` with the reversed automaton, "bounded" is `depth_cap`,
+//! "uncontrolled" is [`EvalControl::UNLIMITED`], and sequential is
+//! `dop == 1` (a level that does not fan out runs its sweep inline on the
+//! calling thread).
 //!
 //! # Direction-optimizing expansion
 //!
@@ -41,56 +53,85 @@
 //! (Beamer-style direction-optimizing BFS, selected per level by
 //! [`FrontierMode`]):
 //!
-//! * **push** (sparse): for each frontier pair `(q, v)` and transition
-//!   `(sym, q2)`, scan the matching adjacency row — cost is exactly the sum
-//!   of the frontier's row lengths;
-//! * **pull** (dense): for each *unreached* pair `(q2, v2)`, merge-join the
-//!   candidate node's opposite-direction label groups against the reversed
-//!   transition table and probe the dense frontier bitmap, stopping at the
-//!   first hit — cost is bounded by one probe per (edge, matching reverse
-//!   transition), independent of frontier fan-out.
+//! * **push** (sparse): for each frontier entry and each symbol its states
+//!   move on, resolve the matching adjacency row *once* and walk it — as
+//!   the slice it is on a CSR row — marking the ε-closed successor mask at
+//!   every target; cost is exactly the sum of the frontier's row lengths;
+//! * **pull** (dense): for each node with states a labeled transition
+//!   could still reach, walk the node's opposite-direction label groups
+//!   once and, for each such state, probe the *mark table itself* at the
+//!   edge's other end, stopping at that state's first hit — an unreached
+//!   pair's reached predecessor can only be on the current frontier, since
+//!   every earlier level was expanded in full. The sweep only reads the
+//!   table (what it finds is marked at the level barrier), and its cost is
+//!   bounded by one probe per (edge, matching reverse transition),
+//!   independent of frontier fan-out.
 //!
 //! Both strategies produce the identical next level (level k = pairs first
 //! reached spelling k letters), so [`FrontierMode::Hybrid`] compares the
 //! *exact* push cost (row lengths from the label index — no edge is
 //! scanned to price a level) against a sound, monotonically shrinking pull
-//! bound: it starts at Σ over labeled transitions of the label's edge
-//! count and is debited by each newly reached pair's matching in-edge
-//! count — a pull sweep only probes edges entering *unreached* pairs, so
-//! the remainder always upper-bounds the probes. The chosen sweep's actual
-//! scans never exceed the push price of the same level, hence hybrid never
-//! scans more edges than forced sparse, and strictly fewer whenever a
-//! high-fanout level re-scans rows whose targets are mostly reached (bench
-//! `t15_hot_path`). All working memory comes from an [`EvalScratch`] arena
-//! (generation-stamped marks, reusable frontiers) so repeated queries
-//! allocate nothing after warm-up — see [`crate::scratch`].
+//! bound: Σ over labeled transitions of the label's edge count, less each
+//! reached pair's matching in-edge count — a pull sweep only probes edges
+//! entering *unreached* pairs, so the remainder always upper-bounds the
+//! probes. The switch is paid for **only on levels where it can fire**.
+//! Whatever the bound, a pull costs at least its sweep of the table,
+//! `|Q|·|V| / pull_discount`; so the level is first bounded from above
+//! without resolving a row — `degree × transitions per symbol`, summed
+//! over its entries ([`GraphView::degree_bound`]) — and the pull bound
+//! from below the same way (a reached pair is owed at most its node's
+//! in-degree times the transitions entering its word). Only a level whose
+//! upper bound exceeds the floor plus that lower bound is priced exactly,
+//! and only if the exact price exceeds the floor too is the pull bound
+//! brought up to date, from the log of reached entries the search keeps
+//! ([`EvalScratch`]'s `reached`; the frontier is its tail). A search that
+//! never nears the floor — any search local to a region much smaller than
+//! the graph — resolves each row exactly once and never looks at a reverse
+//! row; a search that does switches on exactly the levels an eager bound
+//! would. (Why a pre-filter and not resolved rows kept with the entry: a
+//! row borrowed from the view cannot live in the arena, which outlives the
+//! view, and a detached row handle would have to be taught to every
+//! [`GraphView`]; the degree is one load the sweep is about to make
+//! anyway.) The chosen sweep's actual scans never exceed the push price of
+//! the same level, hence hybrid never scans more edges than forced sparse,
+//! and strictly fewer whenever a high-fanout level re-scans rows whose
+//! targets are mostly reached (bench `t15_hot_path`). All working memory
+//! comes from an [`EvalScratch`] arena (generation-stamped cells, reusable
+//! frontiers) so repeated queries allocate nothing after warm-up — see
+//! [`crate::scratch`].
 //!
 //! # Fanned-out levels
 //!
-//! Every level is a pure expansion step whose inputs (the ε-closed
-//! frontier, the mark table, the label index) are fixed for the duration
-//! of the sweep, so a level whose priced cost clears
-//! [`PAR_LEVEL_THRESHOLD`] can fan out across `std::thread::scope`
-//! workers without changing any observable semantics. **Push** levels
-//! chunk the frontier: workers claim fixed-size chunks from a shared
-//! cursor, claim newly reached pairs with one atomic `swap` on the mark
-//! table, and append them to per-worker buffers that the driver
-//! concatenates at the level barrier. **Pull** levels partition the node
-//! range into contiguous slabs, so each `(state, node)` candidate is owned
-//! by exactly one worker and the probe loop runs contention-free against
-//! the read-only densified frontier; per-worker pull-bound debits are
-//! summed at the barrier, keeping the shrinking bound exact. Budgets stay
-//! sound through one shared spent counter (row reservations for push,
+//! Every level is a pure expansion step whose inputs (the frontier, the
+//! mask tables, the label index) are fixed for the duration of the sweep,
+//! so a level whose priced cost clears [`PAR_LEVEL_THRESHOLD`] can fan out
+//! across `std::thread::scope` workers without changing any observable
+//! semantics (the same degree bound spares a cheap level its price; the
+//! extra workers' arenas are checked out of the pool at the first level
+//! that does fan out). **Push** levels chunk the frontier: workers claim
+//! fixed-size chunks from a shared cursor, claim newly reached states with
+//! one compare-exchange on the target's cell — of two workers marking
+//! overlapping masks exactly one wins each bit — and append what they won
+//! to per-worker buffers that the driver concatenates at the level
+//! barrier. How a node's new states are split into entries then depends on
+//! who won what; the *set* of pairs does not, and every counter is a sum
+//! over pairs. **Pull** levels partition the node range into contiguous
+//! slabs, so each candidate node is owned by exactly one worker and the
+//! probe loop runs contention-free against a table nobody writes. Budgets
+//! stay sound through one shared spent counter (row reservations for push,
 //! small returned leases for pull — see the sweeps).
 
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 use rpq_automata::{Nfa, StateId, Symbol};
-use rpq_graph::{CsrGraph, FrontierArena, GraphView, Instance, Oid};
+use rpq_graph::{CsrGraph, GraphView, Instance, Oid, ViewEdges};
 
 use crate::parallel::{BUDGET_LEASE, PAR_LEVEL_THRESHOLD, PULL_SLAB, PUSH_CHUNK};
 use crate::request::{EvalControl, Termination};
-use crate::scratch::{EvalScratch, PooledScratch, ScratchPool};
+use crate::scratch::{
+    states_of, word_bit, Cells, Entry, EvalScratch, LevelOut, MaskTables, PooledScratch,
+    ScratchPool,
+};
 use crate::stats::EvalStats;
 
 /// How the product BFS expands each level.
@@ -139,7 +180,7 @@ impl FrontierMode {
 }
 
 /// Divisor discounting the pull sweep's O(|Q|·|V|) mark-table reads against
-/// edge probes when pricing a level: a contiguous `u32` read is far cheaper
+/// edge probes when pricing a level: a contiguous cell read is far cheaper
 /// than a label-group probe, but not free.
 ///
 /// The value was fitted on the T15 saturating workloads: a divisor of 16
@@ -241,50 +282,127 @@ impl SearchOpts<'_> {
     }
 }
 
-/// The shrinking upper bound on a pull sweep's probes: starts at Σ over
-/// labeled transitions of the label's edge count and is debited by each
-/// newly reached pair's [`pair_pull_probes`] — a pull level only probes
-/// edges entering *unreached* pairs, so `remaining` always dominates its
-/// actual scans.
-pub(crate) struct PullBound {
-    /// Tracking enabled — any mode that may run a pull sweep.
-    pub(crate) active: bool,
-    /// Probes remaining over unreached pairs.
-    pub(crate) remaining: usize,
+/// The row a push step from `v` by `sym` walks: `v`'s out-edges, or its
+/// in-edges when the search runs over the reverse adjacency.
+#[inline]
+fn push_row<G: GraphView>(graph: &G, reverse_adj: bool, v: Oid, sym: Symbol) -> ViewEdges<'_> {
+    if reverse_adj {
+        graph.rev(v, sym)
+    } else {
+        graph.out(v, sym)
+    }
+}
+
+/// What pushing `frontier` would scan, exactly: its row lengths, read off
+/// the label index (no edge is scanned), each once per `(state, labeled
+/// transition)` that would follow it. Returns the lookups made, counted
+/// the same way, and the price.
+fn push_price<G: GraphView>(
+    graph: &G,
+    reverse_adj: bool,
+    masks: &MaskTables,
+    frontier: &[Entry],
+    merged: &mut Vec<(u32, u32)>,
+) -> (usize, usize) {
+    let (mut rows, mut cost) = (0usize, 0usize);
+    for e in frontier {
+        for group in masks.groups_of(e.word as usize) {
+            let hit = e.bits & group.sources;
+            if hit != 0 {
+                let (mult, _) = masks.successors(group, hit, merged);
+                let row = push_row(graph, reverse_adj, e.node, group.sym);
+                rows += mult;
+                cost = cost.saturating_add(row.len() * mult);
+            }
+        }
+    }
+    (rows, cost)
+}
+
+/// The shrinking upper bound on a pull sweep's probes: Σ over labeled
+/// transitions of the label's edge count, less — for each pair reached —
+/// one per (incoming edge under the expansion adjacency, matching reverse
+/// transition). A pull level only probes edges entering *unreached* pairs,
+/// so the remainder always dominates its actual scans.
+///
+/// Kept lazily, in two tiers, from the log of reached entries: the exact
+/// debit costs a reverse-row lookup per (reached pair, entering
+/// transition), so it is paid ([`PullBound::settle`]) only at a level whose
+/// decision can depend on it. Most levels that get as far as asking are
+/// turned away by [`PullBound::at_least`]: a pair's debit is at most its
+/// node's in-degree times the transitions entering its word, which bounds
+/// the remainder from below without resolving a row.
+#[derive(Default)]
+struct PullBound {
+    /// `remaining` has been seeded from the label statistics.
+    seeded: bool,
+    /// Probes remaining, `reached[..debited]` debited exactly.
+    remaining: usize,
+    /// How many entries of `EvalScratch::reached` are debited exactly.
+    debited: usize,
+    /// At most this much is owed for `reached[debited..bounded]`.
+    owed_at_most: usize,
+    bounded: usize,
 }
 
 impl PullBound {
-    #[inline]
-    pub(crate) fn debit(&mut self, probes: usize) {
-        if self.active {
-            self.remaining = self.remaining.saturating_sub(probes);
+    fn seed<G: GraphView>(&mut self, nfa: &Nfa, graph: &G, scratch: &mut EvalScratch) {
+        scratch.masks.build_pull_side(nfa);
+        if !self.seeded {
+            self.seeded = true;
+            let gstats = graph.stats();
+            for q in 0..nfa.num_states() {
+                for &(sym, _) in nfa.transitions(q as StateId) {
+                    self.remaining = self.remaining.saturating_add(gstats.edge_count(sym));
+                }
+            }
         }
     }
-}
 
-/// The probes a pull sweep would spend on the unreached pair `(q, v)`: one
-/// per (incoming edge under the expansion adjacency, matching reverse
-/// transition). Priced from label-index row lengths — no edge is scanned.
-#[inline]
-pub(crate) fn pair_pull_probes<G: GraphView>(
-    graph: &G,
-    reverse_adj: bool,
-    rev_trans: &[(Symbol, StateId)],
-    rev_trans_off: &[usize],
-    q: StateId,
-    v: Oid,
-) -> usize {
-    let (lo, hi) = (rev_trans_off[q as usize], rev_trans_off[q as usize + 1]);
-    let mut probes = 0usize;
-    for &(sym, _) in &rev_trans[lo..hi] {
-        let row = if reverse_adj {
-            graph.out(v, sym)
-        } else {
-            graph.rev(v, sym)
-        };
-        probes += row.len();
+    /// A lower bound on the exact remainder, from degrees alone.
+    fn at_least<G: GraphView>(
+        &mut self,
+        nfa: &Nfa,
+        graph: &G,
+        reverse_adj: bool,
+        scratch: &mut EvalScratch,
+    ) -> usize {
+        self.seed(nfa, graph, scratch);
+        for e in &scratch.reached[self.bounded..] {
+            let degree = graph.degree_bound(e.node, !reverse_adj);
+            let owed = degree * scratch.masks.entering_word[e.word as usize];
+            self.owed_at_most = self.owed_at_most.saturating_add(owed);
+        }
+        self.bounded = scratch.reached.len();
+        self.remaining.saturating_sub(self.owed_at_most)
     }
-    probes
+
+    /// The exact remainder: debit every entry reached since the last call,
+    /// priced from label-index row lengths — no edge is scanned.
+    fn settle<G: GraphView>(
+        &mut self,
+        nfa: &Nfa,
+        graph: &G,
+        reverse_adj: bool,
+        scratch: &mut EvalScratch,
+        stats: &mut EvalStats,
+    ) -> usize {
+        self.seed(nfa, graph, scratch);
+        for e in &scratch.reached[self.debited..] {
+            for q in states_of(e.word as usize, e.bits) {
+                for &(sym, _) in scratch.masks.entering(q) {
+                    // the in-edges under the expansion adjacency: the
+                    // *opposite* orientation of the push step
+                    let row = push_row(graph, !reverse_adj, e.node, sym);
+                    stats.rows_resolved += 1;
+                    self.remaining = self.remaining.saturating_sub(row.len());
+                }
+            }
+        }
+        self.debited = scratch.reached.len();
+        (self.bounded, self.owed_at_most) = (self.debited, 0);
+        self.remaining
+    }
 }
 
 /// Per-worker accumulators, summed at each level barrier. Keeping these
@@ -294,8 +412,10 @@ pub(crate) fn pair_pull_probes<G: GraphView>(
 struct WorkerOut {
     /// Edges scanned / probes performed by this worker.
     edges: usize,
-    /// Pull-bound debits owed for pairs this worker newly reached.
-    debits: usize,
+    /// Row lookups made, per (state, labeled transition).
+    rows: usize,
+    /// Pairs this worker newly reached: the set bits of its entries.
+    pairs: usize,
     /// Cursor claims made after the worker had already processed its
     /// static fair share — the work-stealing telemetry.
     steals: usize,
@@ -304,7 +424,8 @@ struct WorkerOut {
 impl WorkerOut {
     fn absorb(&mut self, other: WorkerOut) {
         self.edges += other.edges;
-        self.debits += other.debits;
+        self.rows += other.rows;
+        self.pairs += other.pairs;
         self.steals += other.steals;
     }
 }
@@ -312,18 +433,12 @@ impl WorkerOut {
 /// Everything one level sweep reads, borrowed immutably for its duration
 /// (and shared by the workers of a fanned-out level).
 struct LevelCtx<'a, G> {
-    nfa: &'a Nfa,
     graph: &'a G,
     reverse_adj: bool,
-    nq: usize,
     nv: usize,
-    gen: u32,
-    bound_active: bool,
-    seen: &'a [AtomicU32],
-    rev_trans: &'a [(Symbol, StateId)],
-    rev_trans_off: &'a [usize],
-    frontier: &'a [(StateId, Oid)],
-    dense: &'a FrontierArena,
+    cells: Cells<'a>,
+    masks: &'a MaskTables,
+    frontier: &'a [Entry],
     /// Shared claim cursor (frontier index for push, node index for pull).
     cursor: &'a AtomicUsize,
     /// Budget spent so far, cumulative across levels (reservations).
@@ -337,24 +452,6 @@ struct LevelCtx<'a, G> {
 }
 
 impl<G: GraphView> LevelCtx<'_, G> {
-    /// Mark `(q, v)` reached this generation; `true` when this call was
-    /// the first to reach it. A level running inline (`SHARED == false`)
-    /// owns the table, so a relaxed load-then-store — two plain moves —
-    /// suffices; workers of a fanned-out level race on push targets and
-    /// claim with one `swap` (first marker wins).
-    #[inline]
-    fn mark<const SHARED: bool>(&self, q: StateId, v: Oid) -> bool {
-        let cell = &self.seen[q as usize * self.nv + v.index()];
-        if SHARED {
-            cell.swap(self.gen, Ordering::Relaxed) != self.gen
-        } else if cell.load(Ordering::Relaxed) != self.gen {
-            cell.store(self.gen, Ordering::Relaxed);
-            true
-        } else {
-            false
-        }
-    }
-
     /// Claim the next `chunk` of `total` items. An inline level takes the
     /// whole range as its one claim, in order; workers draw from the
     /// shared cursor (claims past the static fair share count as steals —
@@ -387,149 +484,172 @@ impl<G: GraphView> LevelCtx<'_, G> {
         *claimed += end - start;
         Some((start, end))
     }
-
-    #[inline]
-    fn pull_probes(&self, q: StateId, v: Oid) -> usize {
-        pair_pull_probes(
-            self.graph,
-            self.reverse_adj,
-            self.rev_trans,
-            self.rev_trans_off,
-            q,
-            v,
-        )
-    }
 }
 
-/// Sparse *push* expansion of (a claimed part of) one ε-closed level: scan
-/// each frontier pair's matching adjacency rows and mark/enqueue unseen
-/// targets into `next`.
+/// Sparse *push* expansion of (a claimed part of) one level: for each
+/// frontier entry and each symbol its states move on, resolve the matching
+/// adjacency row once, walk it, and mark the ε-closed successor mask at
+/// every target, collecting the newly reached states into `next`. The row
+/// counts once per `(state, labeled transition)` following it — the
+/// product-graph quantity — however many states share the walk.
 ///
-/// With a budget, each row's exact length is reserved against the shared
-/// spent counter *before* it is scanned, so reservations never exceed the
+/// With a budget, that whole count is reserved against the shared spent
+/// counter *before* the row is walked, so reservations never exceed the
 /// budget and `edges_scanned <= budget` always; the first failed
 /// reservation raises `tripped` (the level is then partially expanded and
 /// the driver abandons the search).
 fn push_sweep<G: GraphView, const SHARED: bool>(
     ctx: &LevelCtx<'_, G>,
-    next: &mut Vec<(StateId, Oid)>,
+    next: &mut LevelOut,
 ) -> WorkerOut {
     let mut out = WorkerOut::default();
     let mut claimed = 0usize;
+    let LevelOut {
+        entries, merged, ..
+    } = next;
     while let Some((start, end)) =
         ctx.claim::<SHARED>(ctx.frontier.len(), PUSH_CHUNK, &mut claimed, &mut out)
     {
-        for &(q, v) in &ctx.frontier[start..end] {
-            for &(sym, q2) in ctx.nfa.transitions(q) {
-                let targets = if ctx.reverse_adj {
-                    ctx.graph.rev(v, sym)
-                } else {
-                    ctx.graph.out(v, sym)
-                };
+        for e in &ctx.frontier[start..end] {
+            for group in ctx.masks.groups_of(e.word as usize) {
+                let hit = e.bits & group.sources;
+                if hit == 0 {
+                    continue;
+                }
+                let (mult, succ) = ctx.masks.successors(group, hit, merged);
+                let targets = push_row(ctx.graph, ctx.reverse_adj, e.node, group.sym);
+                out.rows += mult;
+                let cost = targets.len() * mult;
                 if let Some(b) = ctx.budget {
-                    let row = targets.len();
                     let reserved =
                         ctx.spent
                             .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |s| {
-                                (s + row <= b).then_some(s + row)
+                                (s + cost <= b).then_some(s + cost)
                             });
                     if reserved.is_err() {
                         ctx.tripped.store(true, Ordering::Relaxed);
                         return out;
                     }
                 }
-                out.edges += targets.len();
-                for v2 in targets {
-                    if ctx.mark::<SHARED>(q2, v2) {
-                        next.push((q2, v2));
-                        if ctx.bound_active {
-                            out.debits += ctx.pull_probes(q2, v2);
+                out.edges += cost;
+                targets.for_each(|v2| {
+                    for &(word, bits) in succ {
+                        let new = ctx.cells.mark::<SHARED>(v2.index(), word as usize, bits);
+                        if new != 0 {
+                            out.pairs += new.count_ones() as usize;
+                            entries.push(Entry {
+                                node: v2,
+                                word,
+                                bits: new,
+                            });
                         }
                     }
-                }
+                });
             }
         }
     }
     out
 }
 
-/// Dense *pull* expansion of (a claimed node slab of) one ε-closed level:
-/// for every unreached pair `(q2, v2)`, merge-join the candidate's
-/// opposite-direction label groups against the reversed transition table
-/// and probe the densified frontier, stopping at the first hit. Produces
-/// exactly the next level [`push_sweep`] would; `edges` counts probed
-/// endpoints only. Slab ownership means no two workers ever race on a
-/// candidate, so the mark never needs a read-modify-write.
+/// Dense *pull* expansion of (a claimed node slab of) one level: for every
+/// node with states a labeled transition could still reach, walk the
+/// node's opposite-direction label groups once; for each such state,
+/// merge-join the group's symbol against the state's entering transitions
+/// and probe the mark table at the edge's other end, stopping at the
+/// state's first hit (a reached predecessor of an unreached pair is on the
+/// current frontier — every earlier level was expanded in full). Produces
+/// exactly the next level [`push_sweep`] would — the ε-closure of the hit
+/// states, less what the node already holds; `edges` counts probed
+/// endpoints only, per state as if each had its own walk. The sweep writes
+/// no cell (the driver marks what it found at the level barrier), so the
+/// table it probes is the level's input for every worker, and slab
+/// ownership means no two workers ever produce the same node.
 ///
 /// With a budget, probes are drawn in leases of [`BUDGET_LEASE`] against
 /// the shared spent counter and the unspent remainder is returned, so the
 /// counter equals the probes actually performed.
 fn pull_sweep<G: GraphView, const SHARED: bool>(
     ctx: &LevelCtx<'_, G>,
-    next: &mut Vec<(StateId, Oid)>,
+    next: &mut LevelOut,
 ) -> WorkerOut {
     let mut out = WorkerOut::default();
-    let (nq, nv) = (ctx.nq, ctx.nv);
+    let (masks, cells) = (ctx.masks, ctx.cells);
+    let LevelOut {
+        entries,
+        merged,
+        pending,
+    } = next;
     let mut claimed = 0usize;
     // Probes pre-paid against the shared budget but not yet performed.
     let mut lease = 0usize;
     'slabs: while let Some((start, end)) =
-        ctx.claim::<SHARED>(nv, PULL_SLAB, &mut claimed, &mut out)
+        ctx.claim::<SHARED>(ctx.nv, PULL_SLAB, &mut claimed, &mut out)
     {
-        for q2 in 0..nq {
-            let (lo, hi) = (ctx.rev_trans_off[q2], ctx.rev_trans_off[q2 + 1]);
-            if lo == hi {
-                continue; // no labeled transition enters q2
+        for vi in start..end {
+            pending.clear();
+            pending.extend((0..masks.words).map(|w| masks.pull_targets[w] & !cells.reached(vi, w)));
+            if pending.iter().all(|&p| p == 0) {
+                continue;
             }
-            let seg = &ctx.rev_trans[lo..hi];
-            for vi in start..end {
-                if ctx.seen[q2 * nv + vi].load(Ordering::Relaxed) == ctx.gen {
-                    continue;
-                }
-                let candidate = Oid(vi as u32);
-                // The candidate's in-edges under the expansion adjacency —
-                // the *opposite* orientation of the push step.
-                let groups = if ctx.reverse_adj {
-                    ctx.graph.out_groups(candidate)
-                } else {
-                    ctx.graph.rev_groups(candidate)
-                };
-                let mut si = 0usize;
-                'probe: for (sym, edges) in groups {
-                    while si < seg.len() && seg[si].0 < sym {
-                        si += 1;
-                    }
-                    if si == seg.len() {
-                        break;
-                    }
-                    let mut sj = si;
-                    while sj < seg.len() && seg[sj].0 == sym {
-                        sj += 1;
-                    }
-                    if sj == si {
-                        continue;
-                    }
-                    for u in edges {
-                        for &(_, qsrc) in &seg[si..sj] {
-                            if let Some(b) = ctx.budget {
-                                if lease == 0 {
-                                    lease = acquire_lease(ctx.spent, b);
+            let candidate = Oid(vi as u32);
+            // The candidate's in-edges under the expansion adjacency — the
+            // *opposite* orientation of the push step.
+            let groups = if ctx.reverse_adj {
+                ctx.graph.out_groups(candidate)
+            } else {
+                ctx.graph.rev_groups(candidate)
+            };
+            merged.clear();
+            for (sym, edges) in groups {
+                // Can a later (larger) symbol still reach a pending state?
+                let mut open = false;
+                for (w, waiting) in pending.iter_mut().enumerate() {
+                    for q2 in states_of(w, *waiting) {
+                        let seg = masks.entering(q2);
+                        let lo = seg.partition_point(|&(s, _)| s < sym);
+                        let on_sym = seg[lo..].iter().take_while(|&&(s, _)| s == sym).count();
+                        let mut hit = false;
+                        'probe: for u in edges.clone() {
+                            for &(_, qsrc) in &seg[lo..lo + on_sym] {
+                                if let Some(b) = ctx.budget {
                                     if lease == 0 {
-                                        ctx.tripped.store(true, Ordering::Relaxed);
-                                        break 'slabs;
+                                        lease = acquire_lease(ctx.spent, b);
+                                        if lease == 0 {
+                                            ctx.tripped.store(true, Ordering::Relaxed);
+                                            break 'slabs;
+                                        }
                                     }
+                                    lease -= 1;
                                 }
-                                lease -= 1;
-                            }
-                            out.edges += 1;
-                            if ctx.dense.state(qsrc as usize).contains(u.index()) {
-                                ctx.seen[q2 * nv + vi].store(ctx.gen, Ordering::Relaxed);
-                                next.push((q2 as StateId, candidate));
-                                out.debits += ctx.pull_probes(q2 as StateId, candidate);
-                                break 'probe;
+                                out.edges += 1;
+                                let (sw, sbit) = word_bit(qsrc);
+                                if cells.reached(u.index(), sw) & sbit != 0 {
+                                    hit = true;
+                                    break 'probe;
+                                }
                             }
                         }
+                        if hit {
+                            *waiting &= !word_bit(q2).1;
+                            masks.closure_into(q2, merged);
+                        } else {
+                            open |= lo + on_sym < seg.len();
+                        }
                     }
+                }
+                if !open {
+                    break;
+                }
+            }
+            for &(word, bits) in merged.iter() {
+                let new = bits & !cells.reached(vi, word as usize);
+                if new != 0 {
+                    out.pairs += new.count_ones() as usize;
+                    entries.push(Entry {
+                        node: candidate,
+                        word,
+                        bits: new,
+                    });
                 }
             }
         }
@@ -561,7 +681,7 @@ fn run_level<G: GraphView>(
     pull: bool,
     threads: usize,
     worker_scratch: &mut [PooledScratch<'_>],
-    own_next: &mut Vec<(StateId, Oid)>,
+    own_next: &mut LevelOut,
 ) -> WorkerOut {
     if threads <= 1 {
         return if pull {
@@ -593,57 +713,28 @@ fn run_level<G: GraphView>(
     out
 }
 
-/// First reach of `(q, v)` on the driver's own thread (seeding and
-/// ε-closure): mark it, append it to the current frontier, and debit the
-/// pull bound — the pair stops being a pull candidate.
-#[inline]
-fn reach<G: GraphView>(
-    graph: &G,
-    reverse_adj: bool,
-    nv: usize,
-    q: StateId,
-    v: Oid,
-    bound: &mut PullBound,
-    scratch: &mut EvalScratch,
-) {
-    let gen = scratch.generation();
-    let cell = &scratch.seen[q as usize * nv + v.index()];
-    if cell.load(Ordering::Relaxed) == gen {
-        return;
-    }
-    cell.store(gen, Ordering::Relaxed);
-    scratch.frontier.push((q, v));
-    if bound.active {
-        bound.debit(pair_pull_probes(
-            graph,
-            reverse_adj,
-            &scratch.rev_trans,
-            &scratch.rev_trans_off,
-            q,
-            v,
-        ));
-    }
-}
-
 /// **The** level-synchronous product BFS (Section 2.2) — the one loop
 /// behind every entry point, generic over any
 /// [`GraphView`] (the immutable CSR snapshot or the delta overlay).
 ///
-/// Each level runs: ε-closure (ε-moves consume no edge, so their targets
-/// stay in the level) → answer pass (with `stop_at`, return as soon as
-/// that node is an answer; the answer list is then partial and pair
-/// callers consume only the flag) → depth-cap check → pricing → one push
-/// or pull sweep → swap. Sequential evaluation is simply `dop == 1`: a
-/// level fans out across up to `dop` threads only when its priced cost
-/// clears [`PAR_LEVEL_THRESHOLD`], and otherwise runs the same sweep body
-/// inline — so a sequential search checks out no worker arena, enters no
-/// `thread::scope`, and marks with plain loads and stores. Both sweeps
-/// produce the *set* of pairs first reached at the next level, so pricing
-/// sees identical inputs and `edges_scanned` is identical at every `dop`
-/// (only the unobserved frontier order varies).
+/// Each level runs: answer pass (with `stop_at`, return as soon as that
+/// node is an answer; the answer list is then partial and pair callers
+/// consume only the flag) → depth-cap check → pricing, as far as a
+/// decision can depend on it → one push or pull sweep → barrier, where the
+/// level just produced is appended to the log of reached entries and
+/// becomes the frontier. ε-moves consume no edge and no step of this loop:
+/// the successor masks the sweeps mark are ε-closed. Sequential evaluation
+/// is simply `dop == 1`: a level fans out across up to `dop` threads only
+/// when its priced cost clears [`PAR_LEVEL_THRESHOLD`], and otherwise runs
+/// the same sweep body inline — so a search none of whose levels does
+/// checks out no worker arena, enters no `thread::scope`, and marks with
+/// plain loads and stores. Both sweeps produce the *set* of pairs first
+/// reached at the next level, so pricing sees identical inputs and every
+/// counter is identical at every `dop` (only the unobserved split of a
+/// node's states into entries, and their order, varies).
 ///
 /// Cancellation is checked once per level; the budget is enforced before
-/// every row scan / probe inside the sweeps, so `edges_scanned <= budget`.
+/// every row walk / probe inside the sweeps, so `edges_scanned <= budget`.
 /// Answers collected before an early termination are a sound subset (a
 /// node is only reported once an accepting pair is actually reached).
 pub(crate) fn product_search<G: GraphView>(
@@ -659,7 +750,7 @@ pub(crate) fn product_search<G: GraphView>(
     debug_assert!(seed.index() < nv.max(1), "seed must be a graph node");
     let (reverse_adj, mode) = (opts.reverse_adj, opts.mode);
     let dop = opts.effective_dop();
-    let covered = scratch.begin(nq, nv);
+    let covered = scratch.begin(nfa, nv);
     let mut stats = EvalStats {
         scratch_reused: usize::from(covered),
         threads_used: usize::from(dop > 1),
@@ -668,81 +759,59 @@ pub(crate) fn product_search<G: GraphView>(
     let gen = scratch.generation();
     let mut found = false;
     let mut termination = Termination::Complete;
-    let mut classes = 0usize;
 
-    // Pull machinery: the reversed transition table, plus the shrinking
-    // probe bound — each graph edge labeled `sym` is tested at most once
-    // per reverse transition carrying `sym` *and only while its target
-    // pair is unreached*, so the bound starts at Σ over labeled
-    // transitions of edge_count(label) and is debited as pairs are
-    // reached. The O(|Q|·|V|) unreached-candidate sweep is priced
-    // separately (discounted: contiguous mark reads, not edge probes).
-    let mut bound = PullBound {
-        active: mode != FrontierMode::ForcedSparse,
-        remaining: 0,
-    };
+    // What a pull costs at the very least: its sweep over the mark table
+    // (discounted: contiguous cell reads, not edge probes). The probes on
+    // top of it are `bound`'s business.
+    let hybrid = matches!(
+        mode,
+        FrontierMode::Hybrid | FrontierMode::HybridTuned { .. }
+    );
     let sweep_cost = (nq * nv) / mode.pull_discount();
-    if bound.active {
-        scratch.build_rev_trans(nfa);
-        let gstats = graph.stats();
-        for q in 0..nq {
-            for &(sym, _) in nfa.transitions(q as StateId) {
-                bound.remaining = bound.remaining.saturating_add(gstats.edge_count(sym));
-            }
-        }
-    }
+    let mut bound = PullBound::default();
 
-    // Per-worker arenas, checked out once per search: their `next`
-    // buffers receive a fanned-out level's newly reached pairs.
-    let mut workers: Vec<PooledScratch<'_>> = match opts.pool {
-        Some(pool) if dop > 1 => (1..dop).map(|_| pool.checkout()).collect(), // alloc-ok: one checkout vec per parallel search
-        _ => Vec::new(), // alloc-ok: empty, never allocates
-    };
-    for w in workers.iter_mut() {
-        w.next.clear();
-    }
+    // Per-worker arenas, checked out at the first level that fans out:
+    // their `next` buffers receive such a level's newly reached entries.
+    let mut workers: Vec<PooledScratch<'_>> = Vec::new(); // alloc-ok: empty until a level fans out
+
     // Budget state shared by the sweeps, cumulative across levels.
     let spent = AtomicUsize::new(0);
     let tripped = AtomicBool::new(false);
 
+    // Level 0: the ε-closure of the start state, at the seed.
+    let mut level_pairs = 0usize;
     if nv > 0 {
-        reach(
-            graph,
-            reverse_adj,
-            nv,
-            nfa.start(),
-            seed,
-            &mut bound,
-            scratch,
-        );
+        for (word, &bits) in scratch.masks.closure_of(nfa.start()).iter().enumerate() {
+            let new = scratch.cells().mark::<false>(seed.index(), word, bits);
+            if new != 0 {
+                level_pairs += new.count_ones() as usize;
+                scratch.reached.push(Entry {
+                    node: seed,
+                    word: word as u32,
+                    bits: new,
+                });
+            }
+        }
     }
 
+    let mut level_start = 0usize;
     let mut depth = 0usize;
-    'bfs: while !scratch.frontier.is_empty() {
+    'bfs: while level_start < scratch.reached.len() {
         if opts.control.cancelled() {
             termination = Termination::Cancelled;
             break 'bfs;
         }
-        let mut i = 0;
-        while i < scratch.frontier.len() {
-            let (q, v) = scratch.frontier[i];
-            i += 1;
-            for &q2 in nfa.eps_transitions(q) {
-                reach(graph, reverse_adj, nv, q2, v, &mut bound, scratch);
-            }
-        }
-        stats.frontier_peak = stats.frontier_peak.max(scratch.frontier.len());
+        stats.frontier_peak = stats.frontier_peak.max(level_pairs);
 
-        for &(q, v) in &scratch.frontier {
-            stats.pairs_visited += 1;
-            if scratch.state_marks[q as usize] != gen {
-                scratch.state_marks[q as usize] = gen;
-                classes += 1;
-            }
-            if nfa.is_accepting(q) && scratch.answer_marks[v.index()] != gen {
-                scratch.answer_marks[v.index()] = gen;
-                scratch.answers.push(v);
-                if stop_at == Some(v) {
+        for e in &scratch.reached[level_start..] {
+            stats.pairs_visited += e.bits.count_ones() as usize;
+            scratch.touched[e.word as usize] |= e.bits;
+            if e.bits & scratch.masks.accepting[e.word as usize] != 0
+                && scratch.answer_marks[e.node.index()] != gen
+            {
+                scratch.answer_marks[e.node.index()] = gen;
+                scratch.answers.push(e.node);
+                if stop_at == Some(e.node) {
                     found = true;
                     break 'bfs;
                 }
@@ -756,35 +825,61 @@ pub(crate) fn product_search<G: GraphView>(
             break 'bfs;
         }
 
-        // Price the level. Push costs exactly its frontier's row lengths
-        // (read off the label index — no edge is scanned); pull's probes
-        // are bounded by the remaining unreached mass. Both sweeps produce
-        // the same level, so taking the cheaper keeps hybrid ≤
-        // forced-sparse everywhere. A sequential search in a forced mode
-        // needs no price at all.
-        let hybrid = matches!(
-            mode,
-            FrontierMode::Hybrid | FrontierMode::HybridTuned { .. }
-        );
-        let mut push_cost = 0usize;
-        if hybrid || dop > 1 {
-            for &(q, v) in &scratch.frontier {
-                for &(sym, _) in nfa.transitions(q) {
-                    let row = if reverse_adj {
-                        graph.rev(v, sym)
-                    } else {
-                        graph.out(v, sym)
-                    };
-                    push_cost = push_cost.saturating_add(row.len());
-                }
+        // Price the level, as far as a decision depends on the price. Two
+        // do: a hybrid level pulls when `pull_cost < push_cost`, and a
+        // level fans out when its cost reaches `PAR_LEVEL_THRESHOLD`. An
+        // entry scans at most its node's degree times the transitions its
+        // word has on any one symbol, and a pull costs at least its sweep
+        // plus what the degrees say is left of the bound; a level those
+        // two settle is never priced. The others are priced exactly (read
+        // off the label index — no edge is scanned), and the pull bound is
+        // brought up to date only where it is then read. Both sweeps
+        // produce the same level, so taking the cheaper keeps hybrid ≤
+        // forced-sparse everywhere.
+        let fan_out_floor = if dop > 1 {
+            PAR_LEVEL_THRESHOLD
+        } else {
+            usize::MAX
+        };
+        let (mut push_cost, mut pull_cost) = (0usize, sweep_cost);
+        let mut use_pull = mode == FrontierMode::ForcedDense;
+        if use_pull {
+            if dop > 1 {
+                pull_cost = pull_cost.saturating_add(bound.settle(
+                    nfa,
+                    graph,
+                    reverse_adj,
+                    scratch,
+                    &mut stats,
+                ));
+            }
+        } else if hybrid || dop > 1 {
+            let mut at_most = 0usize;
+            for e in &scratch.reached[level_start..] {
+                let degree = graph.degree_bound(e.node, reverse_adj);
+                at_most = at_most.saturating_add(degree * scratch.masks.fan[e.word as usize]);
+            }
+            let pull_may_win = hybrid
+                && at_most > sweep_cost
+                && at_most - sweep_cost > bound.at_least(nfa, graph, reverse_adj, scratch);
+            if pull_may_win || at_most >= fan_out_floor {
+                let frontier = &scratch.reached[level_start..];
+                let merged = &mut scratch.next.merged;
+                let (rows, cost) = push_price(graph, reverse_adj, &scratch.masks, frontier, merged);
+                stats.rows_resolved += rows;
+                push_cost = cost;
+            }
+            if pull_may_win && push_cost > sweep_cost {
+                pull_cost = pull_cost.saturating_add(bound.settle(
+                    nfa,
+                    graph,
+                    reverse_adj,
+                    scratch,
+                    &mut stats,
+                ));
+                use_pull = pull_cost < push_cost;
             }
         }
-        let pull_cost = sweep_cost.saturating_add(bound.remaining);
-        let use_pull = match mode {
-            FrontierMode::ForcedSparse => false,
-            FrontierMode::ForcedDense => true,
-            FrontierMode::Hybrid | FrontierMode::HybridTuned { .. } => pull_cost < push_cost,
-        };
         let level_cost = if use_pull { pull_cost } else { push_cost };
         let threads = if dop > 1 && level_cost >= PAR_LEVEL_THRESHOLD {
             dop
@@ -794,37 +889,37 @@ pub(crate) fn product_search<G: GraphView>(
         if threads > 1 {
             stats.parallel_levels += 1;
             stats.threads_used = stats.threads_used.max(threads);
+            if let (true, Some(pool)) = (workers.is_empty(), opts.pool) {
+                workers.extend((1..dop).map(|_| pool.checkout()));
+                for w in workers.iter_mut() {
+                    w.next.entries.clear();
+                }
+            }
         }
         if use_pull {
             stats.pull_levels += 1;
-            // Densify the frontier for O(1) membership probes; read-only
-            // for the duration of the sweep.
-            for &(q, v) in &scratch.frontier {
-                scratch.dense.state_mut(q as usize).insert(v.index());
-            }
+            scratch.masks.build_pull_side(nfa);
         } else {
             stats.push_levels += 1;
         }
 
         let cursor = AtomicUsize::new(0);
-        let claimable = if use_pull { nv } else { scratch.frontier.len() };
+        let claimable = if use_pull {
+            nv
+        } else {
+            scratch.reached.len() - level_start
+        };
         let out = {
-            // Disjoint field borrows: the sweep reads the frontier, marks
-            // and transition tables while `next` (and the worker arenas)
-            // collect the produced level.
+            // Disjoint field borrows: the sweep reads the frontier, cells
+            // and mask tables while `next` (and the worker arenas) collect
+            // the produced level.
             let ctx = LevelCtx {
-                nfa,
                 graph,
                 reverse_adj,
-                nq,
                 nv,
-                gen,
-                bound_active: bound.active,
-                seen: &scratch.seen,
-                rev_trans: &scratch.rev_trans,
-                rev_trans_off: &scratch.rev_trans_off,
-                frontier: &scratch.frontier,
-                dense: &scratch.dense,
+                cells: Cells::new(&scratch.table, scratch.masks.words, gen),
+                masks: &scratch.masks,
+                frontier: &scratch.reached[level_start..],
                 cursor: &cursor,
                 spent: &spent,
                 tripped: &tripped,
@@ -834,40 +929,55 @@ pub(crate) fn product_search<G: GraphView>(
             run_level(&ctx, use_pull, threads, &mut workers, &mut scratch.next)
         };
         stats.edges_scanned += out.edges;
+        stats.rows_resolved += out.rows;
         stats.steal_count += out.steals;
-        bound.debit(out.debits);
-        if use_pull {
-            // Leave the dense arena clean for the next level / search
-            // (O(1) per untouched state thanks to the maintained counts).
-            scratch.dense.clear();
-        }
 
         if tripped.load(Ordering::Relaxed) {
             // The level is partially expanded; everything already answered
             // stays sound, the rest of the search is abandoned.
             termination = Termination::BudgetExhausted;
-            scratch.next.clear();
-            for w in workers.iter_mut() {
-                w.next.clear();
-            }
             break 'bfs;
         }
 
         // Level barrier: the next frontier is the concatenation of the
-        // per-worker buffers.
+        // per-worker buffers, appended to the log. A pull sweep left the
+        // marking of what it found to us.
+        level_start = scratch.reached.len();
+        scratch.reached.append(&mut scratch.next.entries);
         for w in workers.iter_mut() {
-            scratch.next.append(&mut w.next);
+            scratch.reached.append(&mut w.next.entries);
         }
-        std::mem::swap(&mut scratch.frontier, &mut scratch.next);
-        scratch.next.clear();
+        if use_pull {
+            let cells = scratch.cells();
+            for e in &scratch.reached[level_start..] {
+                cells.mark::<false>(e.node.index(), e.word as usize, e.bits);
+            }
+        }
+        level_pairs = out.pairs;
         depth += 1;
     }
 
-    // Answers were collected sparsely during the BFS — sort instead of
-    // sweeping all |V| nodes.
-    scratch.answers.sort_unstable();
+    // Answers were collected sparsely during the BFS, in discovery order —
+    // never sweep all |V| nodes for them. Where they are dense between the
+    // smallest and the largest (a search local to a region), reading that
+    // span of the answer marks yields them in order for less than a sort.
+    let lo = scratch.answers.iter().map(|a| a.index()).min().unwrap_or(0);
+    let hi = scratch.answers.iter().map(|a| a.index()).max().unwrap_or(0);
+    if hi - lo < 4 * scratch.answers.len() {
+        scratch.answers.clear();
+        let span = scratch.answer_marks[lo..=hi].iter().zip(lo..);
+        scratch
+            .answers
+            .extend(span.filter(|(&m, _)| m == gen).map(|(_, v)| Oid(v as u32)));
+    } else {
+        scratch.answers.sort_unstable();
+    }
     stats.answers = scratch.answers.len();
-    stats.classes_materialized = classes;
+    stats.classes_materialized = scratch
+        .touched
+        .iter()
+        .map(|t| t.count_ones() as usize)
+        .sum();
     let answers = std::mem::take(&mut scratch.answers);
     (EvalResult { answers, stats }, found, termination)
 }

@@ -1,22 +1,33 @@
-//! Reusable evaluation scratch: generation-stamped mark tables, frontier
-//! buffers, and a checkout pool — the zero-allocation backbone of the
-//! serving hot path.
+//! Reusable evaluation scratch: the node-major state-mask table, the
+//! per-automaton mask tables, frontier buffers, and a checkout pool — the
+//! zero-allocation backbone of the serving hot path.
 //!
-//! Every product-BFS entry point needs an O(|Q|·|V|) `seen` table, an
-//! O(|V|) answer table, and a handful of frontier buffers. Allocating and
-//! zeroing them per query dominates small queries on the million-query
-//! serving workload, so this module factors all of it into one
-//! [`EvalScratch`] arena that is
+//! The product BFS "carries along the set of states" (§2.2) per object, and
+//! the arena stores it that way: **one cell per node holding the set of
+//! automaton states reached there**, as a bit mask. A cell is one `u64` —
+//! the mark generation in the high half, 32 state bits (`WORD_STATES`) in the
+//! low half — and an automaton wider than one word uses
+//! `⌈|Q| / WORD_STATES⌉` consecutive cells per node, so the table is
+//! `|V| · 8 B` per word whatever `|Q|` is, an edge marks all its successor
+//! states with one load/or/store, and the states of one node share a cache
+//! line. Allocating and zeroing that table per query would dominate small
+//! queries, so one [`EvalScratch`] arena is
 //!
-//! * **generation-stamped** — the mark tables store a `u32` generation
-//!   instead of a `bool`, so "reset everything" is one counter bump
-//!   (`EvalScratch::begin`) rather than an `O(|Q|·|V|)` `fill(false)`;
+//! * **generation-stamped** — a cell whose high half is not the current
+//!   generation holds nothing, so "reset everything" is one counter bump
+//!   (`EvalScratch::begin`) rather than an `O(|V|)` fill;
 //! * **capacity-retaining** — buffers only ever grow, so a warm scratch
 //!   serves any query whose `(|Q|, |V|)` shape fits without touching the
-//!   allocator;
+//!   allocator, and cells written under another geometry are just stale
+//!   generations;
 //! * **poolable** — a [`ScratchPool`] hands out warm arenas across threads
 //!   (`rpq_optimizer::PlannedEngine` and the distributed batch engine both
 //!   keep one), returning them on drop of the [`PooledScratch`] guard.
+//!
+//! What the search needs to know about the automaton — ε-closed successor
+//! masks, transitions grouped by symbol, the accepting mask — is compiled
+//! into `MaskTables` by `EvalScratch::begin`, into buffers the arena
+//! keeps, so it costs no allocation per search either.
 //!
 //! The `EvalStats::scratch_reused` counter reports, per evaluation, whether
 //! the arena's capacity already covered the query shape (1) or had to grow
@@ -24,11 +35,11 @@
 //! claim, asserted by bench `t15_hot_path`.
 
 use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use parking_lot::Mutex;
 use rpq_automata::{Nfa, StateId, Symbol};
-use rpq_graph::{FrontierArena, Oid};
+use rpq_graph::Oid;
 
 /// Default upper bound on arenas parked in a [`ScratchPool`]; checkouts
 /// beyond the bound under contention allocate fresh arenas that are dropped
@@ -38,128 +49,331 @@ use rpq_graph::{FrontierArena, Oid};
 /// is a cold alloc).
 const MAX_POOLED: usize = 8;
 
-/// Reusable per-evaluation working memory for the product BFS (every
-/// answer shape runs on the one driver). See the module docs for the
-/// design; obtain one with
-/// [`EvalScratch::new`] or from a [`ScratchPool`].
-#[derive(Debug, Default)]
-pub struct EvalScratch {
-    /// Current mark generation; a mark-table cell is "set" iff it equals
-    /// this. Bumped once per `EvalScratch::begin`.
+/// Automaton states per mask word: the low half of a cell.
+pub(crate) const WORD_STATES: usize = 32;
+
+/// Mask words per node for an automaton of `nq` states.
+fn words_for(nq: usize) -> usize {
+    nq.div_ceil(WORD_STATES).max(1)
+}
+
+/// The mask word and bit of state `q`.
+#[inline]
+pub(crate) fn word_bit(q: StateId) -> (usize, u32) {
+    (q as usize / WORD_STATES, 1 << (q as usize % WORD_STATES))
+}
+
+/// The states of `bits`, a mask of word `word`, ascending.
+pub(crate) fn states_of(word: usize, mut bits: u32) -> impl Iterator<Item = StateId> {
+    std::iter::from_fn(move || {
+        (bits != 0).then(|| {
+            let b = bits.trailing_zeros();
+            bits &= bits - 1;
+            (word * WORD_STATES) as StateId + b
+        })
+    })
+}
+
+/// OR `bits` of mask word `word` into the sparse mask `list[from..]`.
+fn or_into(list: &mut Vec<(u32, u32)>, from: usize, word: u32, bits: u32) {
+    match list[from..].iter_mut().find(|(w, _)| *w == word) {
+        Some((_, have)) => *have |= bits,
+        None => list.push((word, bits)),
+    }
+}
+
+/// OR a mask given word by word into the sparse mask `list[from..]`.
+fn or_words_into(mask: &[u32], list: &mut Vec<(u32, u32)>, from: usize) {
+    for (word, &bits) in mask.iter().enumerate() {
+        if bits != 0 {
+            or_into(list, from, word as u32, bits);
+        }
+    }
+}
+
+/// One frontier entry: the states of mask word `word` *newly* reached at
+/// `node`. A level may hold several entries for one node (disjoint bits);
+/// its pairs are the set bits of its entries.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub(crate) struct Entry {
+    pub(crate) node: Oid,
+    pub(crate) word: u32,
+    pub(crate) bits: u32,
+}
+
+/// The mark table as one search sees it: `words` cells per node, set iff
+/// stamped with `gen`.
+#[derive(Copy, Clone)]
+pub(crate) struct Cells<'a> {
+    cells: &'a [AtomicU64],
+    words: usize,
     gen: u32,
-    /// The one (state, node) mark table, indexed `q * nv + v` with the
-    /// *current* query's `nv` (stale marks from other geometries are just
-    /// stale generations). Atomic so the workers of a fanned-out BFS level
-    /// can claim pairs with one `swap(gen)`; a level running inline uses
-    /// relaxed loads and stores, which compile to plain moves.
-    pub(crate) seen: Vec<AtomicU32>,
-    /// Per-node answer marks (generation-stamped).
-    pub(crate) answer_marks: Vec<u32>,
-    /// Per-state touched marks (generation-stamped) — feeds
-    /// `classes_materialized`.
-    pub(crate) state_marks: Vec<u32>,
-    /// Sparse frontier of the current BFS level.
-    pub(crate) frontier: Vec<(StateId, Oid)>,
-    /// Sparse frontier of the next BFS level.
-    pub(crate) next: Vec<(StateId, Oid)>,
-    /// Answers collected sparsely during the BFS (sorted at finish), so no
-    /// O(|V|) sweep is needed to produce the result.
-    pub(crate) answers: Vec<Oid>,
-    /// Dense per-state node sets: the pull step's frontier bitmap.
-    pub(crate) dense: FrontierArena,
-    /// Reversed-NFA transition table for the pull step, flattened: segment
-    /// `rev_trans_off[q2]..rev_trans_off[q2 + 1]` lists the `(symbol,
-    /// source-state)` pairs with a `source --symbol--> q2` transition,
-    /// sorted by symbol for the merge-join against a node's label groups.
+}
+
+impl<'a> Cells<'a> {
+    /// `table` read as `words` cells per node, under generation `gen`.
+    pub(crate) fn new(table: &'a [AtomicU64], words: usize, gen: u32) -> Cells<'a> {
+        Cells {
+            cells: table,
+            words,
+            gen,
+        }
+    }
+
+    /// The states of mask word `word` reached at node `v` so far.
+    #[inline]
+    pub(crate) fn reached(&self, v: usize, word: usize) -> u32 {
+        self.unpack(self.cells[v * self.words + word].load(Ordering::Relaxed))
+    }
+
+    #[inline]
+    fn unpack(&self, cell: u64) -> u32 {
+        if (cell >> 32) as u32 == self.gen {
+            cell as u32
+        } else {
+            0
+        }
+    }
+
+    /// What marking `bits` makes of a cell that holds `old`: the cell to
+    /// publish and the bits it newly reaches — `None` when it reaches
+    /// nothing new, and the cell is left alone.
+    #[inline]
+    fn marked(&self, old: u64, bits: u32) -> Option<(u64, u32)> {
+        let have = self.unpack(old);
+        let new = bits & !have;
+        (new != 0).then(|| (u64::from(self.gen) << 32 | u64::from(have | bits), new))
+    }
+
+    /// Mark `bits` of mask word `word` reached at `v`; returns the bits
+    /// this call was the first to reach. A level running inline
+    /// (`SHARED == false`) owns the table, so a relaxed load, an `or` and a
+    /// store — plain moves — suffice. Workers of a fanned-out level race
+    /// on push targets: they publish [`Cells::marked`] of what they loaded
+    /// with a compare-exchange and start over from the cell's new content
+    /// when it fails (`fetch_update`), so of two callers marking
+    /// overlapping masks exactly one wins each bit, and a mask that adds
+    /// nothing costs a load and no write at all. `Relaxed` throughout: a
+    /// cell publishes no other memory (what was reached is handed over in
+    /// the callers' own buffers, at the level barrier).
+    #[inline]
+    pub(crate) fn mark<const SHARED: bool>(&self, v: usize, word: usize, bits: u32) -> u32 {
+        let cell = &self.cells[v * self.words + word];
+        let mut won = 0;
+        if SHARED {
+            let _ = cell.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |old| {
+                let (stamped, new) = self.marked(old, bits).unzip();
+                won = new.unwrap_or(0);
+                stamped
+            });
+        } else if let Some((stamped, new)) = self.marked(cell.load(Ordering::Relaxed), bits) {
+            cell.store(stamped, Ordering::Relaxed);
+            won = new;
+        }
+        won
+    }
+}
+
+/// The labeled transitions leaving the states of one mask word on one
+/// symbol — what a frontier entry expands by: one row lookup and one walk
+/// per group, whatever number of the entry's states take part.
+#[derive(Copy, Clone, Debug)]
+pub(crate) struct Group {
+    pub(crate) sym: Symbol,
+    /// The states of the word with a transition on `sym`.
+    pub(crate) sources: u32,
+    /// Index of the first of the group's arms (one per source, ascending).
+    arms: usize,
+}
+
+/// One source state's share of a [`Group`].
+#[derive(Copy, Clone, Debug)]
+struct Arm {
+    /// Transitions of the source on the group's symbol.
+    mult: usize,
+    /// Range of `MaskTables::succ` holding the ε-closure of their targets.
+    succ: (usize, usize),
+}
+
+/// What the product search reads of the automaton, compiled once per
+/// search into retained buffers: ε-moves become ε-closed successor masks
+/// here, so the search itself never follows one.
+#[derive(Debug, Default)]
+pub(crate) struct MaskTables {
+    /// Mask words per node.
+    pub(crate) words: usize,
+    /// ε-closure of every state (itself included), `words` words each.
+    closure: Vec<u32>,
+    /// The accepting states, per word.
+    pub(crate) accepting: Vec<u32>,
+    /// Every [`Group`], sorted by (source word, symbol).
+    groups: Vec<Group>,
+    /// Word `w`'s groups are `groups[group_off[w]..group_off[w + 1]]`.
+    group_off: Vec<usize>,
+    arms: Vec<Arm>,
+    /// Sparse masks: `(word, bits)` runs addressed by [`Arm::succ`].
+    succ: Vec<(u32, u32)>,
+    /// Per source word, the most transitions its states have on any one
+    /// symbol: an entry of that word scans at most `fan` times the edges
+    /// at its node.
+    pub(crate) fan: Vec<usize>,
+    /// Reversed transition table for the pull sweep and the pull bound,
+    /// flattened: segment `rev_trans_off[q2]..rev_trans_off[q2 + 1]` lists
+    /// the `(symbol, source-state)` pairs with a `source --symbol--> q2`
+    /// transition, sorted by symbol. Built by
+    /// [`MaskTables::build_pull_side`], on first need.
     pub(crate) rev_trans: Vec<(Symbol, StateId)>,
     /// Segment offsets into `rev_trans`, length `nq + 1`.
     pub(crate) rev_trans_off: Vec<usize>,
-    /// Cursor buffer for the counting-sort build of `rev_trans`.
+    /// The states some labeled transition enters, per word: the only ones
+    /// a pull sweep can reach.
+    pub(crate) pull_targets: Vec<u32>,
+    /// How many labeled transitions enter the states of each word: a pair
+    /// of that word is entered by at most so many per in-edge of its node.
+    pub(crate) entering_word: Vec<usize>,
+    pull_side_built: bool,
+    /// Build buffers: transitions as `(word, symbol, source, target)`, the
+    /// ε-closure stack, the counting-sort cursors of `rev_trans`.
+    sorted: Vec<(usize, Symbol, StateId, StateId)>,
+    stack: Vec<StateId>,
     rev_cursor: Vec<usize>,
-    /// ε-closure worklist of [`crate::seed_candidates`].
-    pub(crate) worklist: Vec<(StateId, usize)>,
-    /// Capacity of the mark tables and the dense arena.
-    cap_nq: usize,
-    /// Capacity of the mark tables and the dense arena.
-    cap_nv: usize,
 }
 
-impl EvalScratch {
-    /// An empty arena; the first `EvalScratch::begin` sizes it.
-    pub fn new() -> EvalScratch {
-        EvalScratch::default()
-    }
+impl MaskTables {
+    fn build(&mut self, nfa: &Nfa) {
+        let nq = nfa.num_states();
+        let words = words_for(nq);
+        self.words = words;
+        self.pull_side_built = false;
 
-    /// Does the capacity already cover a `(states, nodes)` query shape?
-    /// When true, `EvalScratch::begin` for that shape performs no
-    /// allocation.
-    pub fn covers(&self, nq: usize, nv: usize) -> bool {
-        nq <= self.cap_nq && nv <= self.cap_nv
-    }
-
-    /// The current mark generation (valid between `begin` and the next
-    /// `begin`).
-    #[inline]
-    pub(crate) fn generation(&self) -> u32 {
-        self.gen
-    }
-
-    /// Start a fresh search over a `(nq, nv)` shape: grow the buffers if
-    /// needed, invalidate all marks by bumping the
-    /// generation, and clear the sparse buffers. Returns `true` when the
-    /// existing capacity already covered the shape — i.e. this call touched
-    /// no allocator (the `scratch_reused` signal).
-    pub(crate) fn begin(&mut self, nq: usize, nv: usize) -> bool {
-        let covered = self.covers(nq, nv);
-        if !covered {
-            self.grow(nq, nv);
-        }
-        self.bump_gen();
-        self.frontier.clear();
-        self.next.clear();
-        self.answers.clear();
-        // The dense arena is cleared after each pull level, so this is an
-        // O(states) no-op unless a search was abandoned mid-way.
-        self.dense.clear();
-        covered
-    }
-
-    fn grow(&mut self, nq: usize, nv: usize) {
-        let new_nq = nq.max(self.cap_nq);
-        let new_nv = nv.max(self.cap_nv);
-        // Fresh tables start at generation 0 with all marks 0: never "set",
-        // because the generation is bumped to >= 1 before any use.
-        self.seen.clear();
-        self.seen.resize_with(new_nq * new_nv, || AtomicU32::new(0));
-        self.answer_marks.clear();
-        self.answer_marks.resize(new_nv, 0);
-        self.state_marks.clear();
-        self.state_marks.resize(new_nq, 0);
-        self.dense = FrontierArena::new(new_nq, new_nv);
-        self.gen = 0;
-        self.cap_nq = new_nq;
-        self.cap_nv = new_nv;
-    }
-
-    fn bump_gen(&mut self) {
-        if self.gen == u32::MAX {
-            // Generation wrap (once per 2^32 - 1 evaluations): zero every
-            // mark so stale cells cannot collide with the restarted counter.
-            for cell in &mut self.seen {
-                *cell.get_mut() = 0;
+        self.closure.clear();
+        self.closure.resize(nq * words, 0);
+        self.accepting.clear();
+        self.accepting.resize(words, 0);
+        self.sorted.clear();
+        for q in 0..nq as StateId {
+            let (w, bit) = word_bit(q);
+            let row = q as usize * words;
+            self.closure[row + w] |= bit;
+            self.stack.clear();
+            self.stack.push(q);
+            while let Some(s) = self.stack.pop() {
+                for &t in nfa.eps_transitions(s) {
+                    let (tw, tbit) = word_bit(t);
+                    if self.closure[row + tw] & tbit == 0 {
+                        self.closure[row + tw] |= tbit;
+                        self.stack.push(t);
+                    }
+                }
             }
-            self.answer_marks.fill(0);
-            self.state_marks.fill(0);
-            self.gen = 0;
+            if nfa.is_accepting(q) {
+                self.accepting[w] |= bit;
+            }
+            for &(sym, q2) in nfa.transitions(q) {
+                self.sorted.push((w, sym, q, q2));
+            }
         }
-        self.gen += 1;
+        self.sorted.sort_unstable();
+
+        self.groups.clear();
+        self.arms.clear();
+        self.succ.clear();
+        self.fan.clear();
+        self.fan.resize(words, 0);
+        self.group_off.clear();
+        self.group_off.resize(words + 1, 0);
+        let mut i = 0;
+        while i < self.sorted.len() {
+            let (w, sym, ..) = self.sorted[i];
+            let mut group = Group {
+                sym,
+                sources: 0,
+                arms: self.arms.len(),
+            };
+            let mut fan = 0;
+            while i < self.sorted.len() && (self.sorted[i].0, self.sorted[i].1) == (w, sym) {
+                let q = self.sorted[i].2;
+                let from = self.succ.len();
+                let mut mult = 0;
+                while i < self.sorted.len() && self.sorted[i].2 == q && self.sorted[i].1 == sym {
+                    let row = self.sorted[i].3 as usize * words;
+                    or_words_into(&self.closure[row..row + words], &mut self.succ, from);
+                    mult += 1;
+                    i += 1;
+                }
+                group.sources |= word_bit(q).1;
+                self.arms.push(Arm {
+                    mult,
+                    succ: (from, self.succ.len()),
+                });
+                fan += mult;
+            }
+            self.groups.push(group);
+            self.group_off[w + 1] = self.groups.len();
+            self.fan[w] = self.fan[w].max(fan);
+        }
+        for w in 0..words {
+            self.group_off[w + 1] = self.group_off[w + 1].max(self.group_off[w]);
+        }
     }
 
-    /// Build the reversed transition table for `nfa` into
-    /// `rev_trans`/`rev_trans_off` (counting sort, then an in-place
-    /// per-segment sort by symbol). Allocation-free once the buffers are
-    /// warm.
-    pub(crate) fn build_rev_trans(&mut self, nfa: &Nfa) {
+    /// The ε-closure of `q`, per word.
+    pub(crate) fn closure_of(&self, q: StateId) -> &[u32] {
+        let row = q as usize * self.words;
+        &self.closure[row..row + self.words]
+    }
+
+    /// OR the ε-closure of `q` into the sparse mask `list`.
+    pub(crate) fn closure_into(&self, q: StateId, list: &mut Vec<(u32, u32)>) {
+        or_words_into(self.closure_of(q), list, 0);
+    }
+
+    /// The groups an entry of mask word `word` can expand by.
+    #[inline]
+    pub(crate) fn groups_of(&self, word: usize) -> &[Group] {
+        &self.groups[self.group_off[word]..self.group_off[word + 1]]
+    }
+
+    /// What the states `hit` (a non-empty subset of `group.sources`) reach
+    /// by the group's symbol: how many transitions they take — the factor
+    /// a row's length counts with — and the ε-closed successor mask, as
+    /// `(word, bits)` runs. One state's mask is read in place; several are
+    /// OR-ed into `merged`.
+    #[inline]
+    pub(crate) fn successors<'a>(
+        &'a self,
+        group: &Group,
+        hit: u32,
+        merged: &'a mut Vec<(u32, u32)>,
+    ) -> (usize, &'a [(u32, u32)]) {
+        let arm_of = |bit: u32| {
+            let arm = &self.arms[group.arms + (group.sources & (bit - 1)).count_ones() as usize];
+            (arm.mult, &self.succ[arm.succ.0..arm.succ.1])
+        };
+        if hit & (hit - 1) == 0 {
+            return arm_of(hit);
+        }
+        merged.clear();
+        let (mut mult, mut rest) = (0, hit);
+        while rest != 0 {
+            let (m, succ) = arm_of(rest & rest.wrapping_neg());
+            mult += m;
+            for &(w, bits) in succ {
+                or_into(merged, 0, w, bits);
+            }
+            rest &= rest - 1;
+        }
+        (mult, &merged[..])
+    }
+
+    /// Build the reversed transition table and `pull_targets` for `nfa`
+    /// (counting sort, then an in-place per-segment sort by symbol), unless
+    /// this search has already. Allocation-free once the buffers are warm.
+    pub(crate) fn build_pull_side(&mut self, nfa: &Nfa) {
+        if self.pull_side_built {
+            return;
+        }
+        self.pull_side_built = true;
         let nq = nfa.num_states();
         self.rev_trans_off.clear();
         self.rev_trans_off.resize(nq + 1, 0);
@@ -183,10 +397,141 @@ impl EvalScratch {
                 self.rev_cursor[q2 as usize] += 1;
             }
         }
+        self.pull_targets.clear();
+        self.pull_targets.resize(self.words, 0);
+        self.entering_word.clear();
+        self.entering_word.resize(self.words, 0);
         for q2 in 0..nq {
             let (lo, hi) = (self.rev_trans_off[q2], self.rev_trans_off[q2 + 1]);
             self.rev_trans[lo..hi].sort_unstable_by_key(|&(sym, _)| sym);
+            if lo != hi {
+                let (w, bit) = word_bit(q2 as StateId);
+                self.pull_targets[w] |= bit;
+                self.entering_word[w] += hi - lo;
+            }
         }
+    }
+
+    /// The transitions entering `q2`, as `(symbol, source)` sorted by
+    /// symbol (after [`MaskTables::build_pull_side`]).
+    #[inline]
+    pub(crate) fn entering(&self, q2: StateId) -> &[(Symbol, StateId)] {
+        &self.rev_trans[self.rev_trans_off[q2 as usize]..self.rev_trans_off[q2 as usize + 1]]
+    }
+}
+
+/// What one thread collects during a level sweep, with the sweep's
+/// working buffers. The driver's is `EvalScratch::next`; each extra worker
+/// of a fanned-out level fills its own arena's.
+#[derive(Debug, Default)]
+pub(crate) struct LevelOut {
+    /// Entries of the next level, in discovery order.
+    pub(crate) entries: Vec<Entry>,
+    /// A successor mask OR-ed from several states (see
+    /// [`MaskTables::successors`]), or the closure of a pull candidate's
+    /// hit states.
+    pub(crate) merged: Vec<(u32, u32)>,
+    /// The states of a pull candidate still waiting for a hit, per word.
+    pub(crate) pending: Vec<u32>,
+}
+
+/// Reusable per-evaluation working memory for the product BFS (every
+/// answer shape runs on the one driver). See the module docs for the
+/// design; obtain one with
+/// [`EvalScratch::new`] or from a [`ScratchPool`].
+#[derive(Debug, Default)]
+pub struct EvalScratch {
+    /// Current mark generation; a cell is "set" iff stamped with it.
+    /// Bumped once per `EvalScratch::begin`.
+    gen: u32,
+    /// The one mark table, node-major: node `v`'s reached-state mask is
+    /// the `words` cells from `v * words` with the *current* query's
+    /// `words` (cells written under another geometry are just stale
+    /// generations). Atomic so that the workers of a fanned-out level can
+    /// mark with a compare-exchange; see [`Cells::mark`].
+    pub(crate) table: Vec<AtomicU64>,
+    /// Per-node answer marks (generation-stamped).
+    pub(crate) answer_marks: Vec<u32>,
+    /// The current automaton's mask tables.
+    pub(crate) masks: MaskTables,
+    /// Every entry reached by the current search, level after level; the
+    /// current frontier is its tail. Kept whole so that the pull bound can
+    /// be brought up to date from it when — and only when — a level needs
+    /// it.
+    pub(crate) reached: Vec<Entry>,
+    /// The next level, as the driver's own thread collects it.
+    pub(crate) next: LevelOut,
+    /// Answers collected sparsely during the BFS (sorted at finish), so no
+    /// O(|V|) sweep is needed to produce the result.
+    pub(crate) answers: Vec<Oid>,
+    /// States seen on any frontier, per word — feeds
+    /// `classes_materialized`.
+    pub(crate) touched: Vec<u32>,
+}
+
+impl EvalScratch {
+    /// An empty arena; the first `EvalScratch::begin` sizes it.
+    pub fn new() -> EvalScratch {
+        EvalScratch::default()
+    }
+
+    /// Does the capacity already cover a `(states, nodes)` query shape?
+    /// When true, `EvalScratch::begin` for that shape does not grow the
+    /// mark tables.
+    pub fn covers(&self, nq: usize, nv: usize) -> bool {
+        words_for(nq) * nv <= self.table.len() && nv <= self.answer_marks.len()
+    }
+
+    /// The current mark generation (valid between `begin` and the next
+    /// `begin`).
+    #[inline]
+    pub(crate) fn generation(&self) -> u32 {
+        self.gen
+    }
+
+    /// The mark table under the current generation and geometry.
+    #[inline]
+    pub(crate) fn cells(&self) -> Cells<'_> {
+        Cells::new(&self.table, self.masks.words, self.gen)
+    }
+
+    /// Start a fresh search of `nfa` over `nv` nodes: grow the mark tables
+    /// if needed, invalidate all marks by bumping the generation, compile
+    /// the automaton's [`MaskTables`], and clear the sparse buffers.
+    /// Returns `true` when the existing capacity already covered the shape
+    /// (the `scratch_reused` signal).
+    pub(crate) fn begin(&mut self, nfa: &Nfa, nv: usize) -> bool {
+        let words = words_for(nfa.num_states());
+        let covered = self.covers(nfa.num_states(), nv);
+        if !covered {
+            // Grown cells start at generation 0 and old ones keep theirs:
+            // neither is ever "set", because the generation only moves up.
+            let cells = (words * nv).max(self.table.len());
+            self.table.resize_with(cells, || AtomicU64::new(0));
+            let marks = nv.max(self.answer_marks.len());
+            self.answer_marks.resize(marks, 0);
+        }
+        self.bump_gen();
+        self.masks.build(nfa);
+        self.reached.clear();
+        self.next.entries.clear();
+        self.answers.clear();
+        self.touched.clear();
+        self.touched.resize(words, 0);
+        covered
+    }
+
+    fn bump_gen(&mut self) {
+        if self.gen == u32::MAX {
+            // Generation wrap (once per 2^32 - 1 evaluations): zero every
+            // mark so stale cells cannot collide with the restarted counter.
+            for cell in &mut self.table {
+                *cell.get_mut() = 0;
+            }
+            self.answer_marks.fill(0);
+            self.gen = 0;
+        }
+        self.gen += 1;
     }
 }
 
@@ -308,40 +653,91 @@ impl Drop for PooledScratch<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rpq_automata::{parse_regex, Alphabet};
+    use std::sync::Barrier;
+
+    /// An automaton of exactly `states` states: the word `a^(states - 1)`.
+    fn chain(states: usize) -> Nfa {
+        Nfa::from_word(&vec![Symbol::from_index(0); states - 1])
+    }
 
     #[test]
     fn begin_reports_reuse_only_when_capacity_covers() {
         let mut s = EvalScratch::new();
-        assert!(!s.begin(3, 10), "cold scratch must grow");
-        assert!(s.begin(3, 10), "warm scratch with the same shape reuses");
-        assert!(s.begin(2, 4), "smaller shapes fit in retained capacity");
-        assert!(!s.begin(5, 10), "more states than capacity must grow");
-        assert!(s.begin(5, 10));
-        assert!(s.covers(4, 10) && !s.covers(6, 10));
+        assert!(!s.begin(&chain(3), 10), "cold scratch must grow");
+        assert!(
+            s.begin(&chain(3), 10),
+            "warm scratch with the same shape reuses"
+        );
+        assert!(
+            s.begin(&chain(2), 4),
+            "smaller shapes fit in retained capacity"
+        );
+        assert!(
+            s.begin(&chain(WORD_STATES), 10),
+            "states of one word share the cells"
+        );
+        assert!(
+            !s.begin(&chain(WORD_STATES + 1), 10),
+            "a second mask word must grow"
+        );
+        assert!(s.begin(&chain(2 * WORD_STATES), 10));
+        assert!(s.covers(64, 10) && !s.covers(65, 10) && !s.covers(1, 11));
     }
 
     #[test]
     fn generations_invalidate_marks_without_clearing() {
         let mut s = EvalScratch::new();
-        s.begin(2, 8);
-        let g = s.generation();
-        *s.seen[3].get_mut() = g;
-        s.begin(2, 8);
-        let mark = *s.seen[3].get_mut();
-        assert_ne!(mark, s.generation(), "old marks are stale, not set");
+        s.begin(&chain(2), 8);
+        assert_eq!(s.cells().mark::<false>(3, 0, 0b11), 0b11);
+        assert_eq!(s.cells().mark::<false>(3, 0, 0b11), 0, "already reached");
+        assert_eq!(s.cells().reached(3, 0), 0b11);
+        s.begin(&chain(2), 8);
+        assert_eq!(s.cells().reached(3, 0), 0, "old marks are stale, not set");
+        assert_eq!(s.cells().mark::<true>(3, 0, 0b10), 0b10);
+        assert_eq!(s.cells().reached(3, 0), 0b10, "a stale mask is dropped");
+    }
+
+    /// The one step both marks publish, on every kind of cell: a cell of
+    /// another generation holds nothing, the published cell carries the
+    /// current generation and the union, the bits won are exactly the new
+    /// ones, and a mark that wins nothing publishes nothing.
+    #[test]
+    fn a_marked_cell_is_the_union_under_the_current_generation() {
+        let table = [];
+        let cells = Cells::new(&table, 1, 7);
+        let masks = [0u32, 1, 0b0110, 0x8000_0001, u32::MAX];
+        for old_gen in [0u32, 6, 7, 8, u32::MAX] {
+            for old_mask in masks {
+                for bits in masks {
+                    let old = u64::from(old_gen) << 32 | u64::from(old_mask);
+                    let have = if old_gen == 7 { old_mask } else { 0 };
+                    match cells.marked(old, bits) {
+                        None => assert_eq!(bits & !have, 0),
+                        Some((stamped, won)) => {
+                            assert_eq!(won, bits & !have);
+                            assert_ne!(won, 0);
+                            assert_eq!(stamped, 7 << 32 | u64::from(have | bits));
+                            assert_eq!(cells.unpack(stamped), have | bits);
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]
     fn generation_wrap_rezeros_marks() {
         let mut s = EvalScratch::new();
-        s.begin(1, 4);
+        s.begin(&chain(1), 4);
         s.gen = u32::MAX - 1;
         s.bump_gen();
-        let g = s.generation();
-        *s.seen[0].get_mut() = g;
+        assert_eq!(s.cells().mark::<false>(0, 0, 1), 1);
+        s.answer_marks[0] = s.generation();
         s.bump_gen(); // wraps: marks zeroed, gen restarts at 1
         assert_eq!(s.generation(), 1);
-        assert_eq!(*s.seen[0].get_mut(), 0);
+        assert_eq!(*s.table[0].get_mut(), 0);
+        assert_eq!(s.answer_marks[0], 0);
     }
 
     #[test]
@@ -349,7 +745,7 @@ mod tests {
         let pool = ScratchPool::new();
         {
             let mut a = pool.checkout();
-            a.begin(4, 16);
+            a.begin(&chain(4), 16);
         }
         assert_eq!(pool.allocs(), 1);
         assert_eq!(pool.idle(), 1);
@@ -360,25 +756,272 @@ mod tests {
         assert_eq!(pool.reuses(), 1);
     }
 
+    /// A union of `branches` words of `len` letters over `a`, `b`, `c`:
+    /// `2 + branches · (len − 1)` states, so several mask words when large.
+    fn wide(branches: usize, len: usize) -> Nfa {
+        let mut ab = Alphabet::from_names(["a", "b", "c"]);
+        // branch i spells i in base 3: the words are distinct
+        let text: Vec<String> = (0..branches)
+            .map(|i| {
+                let word: Vec<&str> = (0..len as u32)
+                    .map(|j| ["a", "b", "c"][i / 3usize.pow(j) % 3])
+                    .collect();
+                word.join(".")
+            })
+            .collect();
+        let nfa = Nfa::thompson(&parse_regex(&mut ab, &text.join("+")).unwrap());
+        assert_eq!(nfa.num_states(), 2 + branches * (len - 1));
+        nfa
+    }
+
+    fn suite() -> Vec<Nfa> {
+        let mut ab = Alphabet::from_names(["a", "b", "c"]);
+        let mut out: Vec<Nfa> = ["()", "a*", "(a+b).c", "(a.b+c)*.a", "(a*.a)*.(a+b)*"]
+            .iter()
+            .map(|q| Nfa::thompson(&parse_regex(&mut ab, q).unwrap()))
+            .collect();
+        out.push(wide(24, 5)); // 98 states: four words
+        out.push(Nfa::star(&wide(16, 4))); // ε-moves across words
+        out
+    }
+
     #[test]
     fn rev_trans_segments_are_sorted_by_symbol() {
-        use rpq_automata::{parse_regex, Alphabet};
-        let mut ab = Alphabet::new();
-        let r = parse_regex(&mut ab, "(a+b).c").unwrap();
-        let nfa = Nfa::thompson(&r);
+        for nfa in suite() {
+            let mut s = EvalScratch::new();
+            s.begin(&nfa, 0);
+            s.masks.build_pull_side(&nfa);
+            let nq = nfa.num_states();
+            assert_eq!(s.masks.rev_trans_off.len(), nq + 1);
+            let total: usize = (0..nq).map(|q| nfa.transitions(q as StateId).len()).sum();
+            assert_eq!(s.masks.rev_trans.len(), total);
+            // every segment sorted by symbol, every entry mirrors a real
+            // forward transition, and exactly the entered states are pull
+            // targets
+            for q2 in 0..nq as StateId {
+                let seg = s.masks.entering(q2);
+                assert!(seg.windows(2).all(|w| w[0].0 <= w[1].0), "segment sorted");
+                for &(sym, q) in seg {
+                    assert!(nfa.transitions(q).contains(&(sym, q2)));
+                }
+                let (w, bit) = word_bit(q2);
+                assert_eq!(s.masks.pull_targets[w] & bit != 0, !seg.is_empty());
+            }
+            assert_eq!(s.masks.entering_word.iter().sum::<usize>(), total);
+        }
+    }
+
+    fn states(words: impl Iterator<Item = (u32, u32)>) -> Vec<StateId> {
+        let mut out: Vec<StateId> = words
+            .flat_map(|(w, bits)| states_of(w as usize, bits))
+            .collect();
+        out.sort_unstable();
+        out
+    }
+
+    /// The mask tables are the subset simulation: for every set of states
+    /// of one word and every symbol, `successors` is `Nfa::step` and its
+    /// factor the number of transitions taken.
+    #[test]
+    fn mask_tables_are_the_subset_simulation() {
+        for nfa in suite() {
+            let mut s = EvalScratch::new();
+            s.begin(&nfa, 0);
+            let t = &s.masks;
+            let nq = nfa.num_states();
+            assert_eq!(t.words, nq.div_ceil(WORD_STATES));
+            let start = t.closure_of(nfa.start()).iter().copied();
+            assert_eq!(states((0..).zip(start)), nfa.start_set());
+            let accepting = t.accepting.iter().copied();
+            assert_eq!(states((0..).zip(accepting)), nfa.accepting_states());
+            for q in 0..nq as StateId {
+                let closure = t.closure_of(q).iter().copied();
+                assert_eq!(states((0..).zip(closure)), nfa.eps_closure(&[q]));
+            }
+            let mut merged = Vec::new();
+            for w in 0..t.words {
+                let in_word = |q: &StateId| *q as usize / WORD_STATES == w;
+                let mut seen_syms = Vec::new();
+                let mut fan = 0;
+                for g in t.groups_of(w) {
+                    assert!(!seen_syms.contains(&g.sym), "one group per symbol");
+                    seen_syms.push(g.sym);
+                    let sources: Vec<StateId> = states_of(w, g.sources).collect();
+                    let takes =
+                        |q: StateId| nfa.transitions(q).iter().filter(|t| t.0 == g.sym).count();
+                    assert!(sources.iter().all(|&q| takes(q) > 0));
+                    fan = fan.max(sources.iter().map(|&q| takes(q)).sum());
+                    // every single source, every pair, and all of them
+                    let mut subsets: Vec<Vec<StateId>> = sources.iter().map(|&q| vec![q]).collect();
+                    for (i, &p) in sources.iter().enumerate() {
+                        subsets.extend(sources[i + 1..].iter().map(|&q| vec![p, q]));
+                    }
+                    subsets.push(sources.clone());
+                    for set in subsets {
+                        let hit = set.iter().fold(0, |m, &q| m | word_bit(q).1);
+                        let (mult, succ) = t.successors(g, hit, &mut merged);
+                        assert_eq!(mult, set.iter().map(|&q| takes(q)).sum::<usize>());
+                        assert_eq!(states(succ.iter().copied()), nfa.step(&set, g.sym));
+                    }
+                }
+                assert_eq!(t.fan[w], fan);
+                // no transition of the word is left out of its groups
+                for q in (0..nq as StateId).filter(in_word) {
+                    for &(sym, _) in nfa.transitions(q) {
+                        let g = t.groups_of(w).iter().find(|g| g.sym == sym);
+                        assert!(g.is_some_and(|g| g.sources & word_bit(q).1 != 0));
+                    }
+                }
+            }
+        }
+    }
+
+    /// One arena through everything that once left stale marks behind
+    /// (PR 15's bug, on the new cell): a regrow between searches, a smaller
+    /// then a larger `|V|`, one mask word then three (so the same cells are
+    /// read under another geometry), and the generation wrap — each
+    /// followed by searches whose answers and counters match a fresh
+    /// arena's, in every mode, inline and fanned out.
+    #[test]
+    fn one_arena_survives_regrow_reshape_and_generation_wrap() {
+        use crate::product::{search_nodes, FrontierMode, SearchOpts};
+        use rpq_graph::{CsrGraph, Instance};
+
+        let syms: Vec<Symbol> = (0..3).map(Symbol::from_index).collect();
+        let web = |n: u32| {
+            let mut inst = Instance::new();
+            for _ in 0..n {
+                inst.add_node();
+            }
+            for i in 0..n {
+                inst.add_edge(Oid(i), syms[0], Oid((i * 7 + 1) % n));
+                inst.add_edge(Oid(i), syms[1], Oid((i * 13 + 5) % n));
+                if i % 3 == 0 {
+                    inst.add_edge(Oid(i), syms[2], Oid((i * 31 + 2) % n));
+                }
+            }
+            CsrGraph::from(&inst)
+        };
+        let (small, large) = (web(60), web(1500));
+        let one_word = Nfa::star(&wide(3, 3)); // 9 states
+        let three_words = Nfa::star(&wide(24, 4)); // 75 states
+
+        let pool = ScratchPool::new();
+        let mut arena = EvalScratch::new();
+        let check = |arena: &mut EvalScratch, nfa: &Nfa, graph: &CsrGraph, step: &str| {
+            let mut fanned_out = false;
+            for mode in [
+                FrontierMode::Hybrid,
+                FrontierMode::ForcedSparse,
+                FrontierMode::ForcedDense,
+                FrontierMode::hybrid_with_discount(64),
+            ] {
+                for dop in [1, 2] {
+                    let opts = SearchOpts {
+                        mode,
+                        dop,
+                        pool: Some(&pool),
+                        ..SearchOpts::default()
+                    };
+                    let fresh = search_nodes(nfa, graph, Oid(1), &opts, &mut EvalScratch::new()).0;
+                    let mut reused = search_nodes(nfa, graph, Oid(1), &opts, arena).0;
+                    assert!(!fresh.answers.is_empty());
+                    reused.stats.scratch_reused = fresh.stats.scratch_reused;
+                    reused.stats.steal_count = fresh.stats.steal_count;
+                    assert_eq!(reused, fresh, "{step}, {mode:?}, dop {dop}");
+                    fanned_out |= fresh.stats.parallel_levels > 0;
+                }
+            }
+            fanned_out
+        };
+        check(&mut arena, &one_word, &small, "cold");
+        check(&mut arena, &one_word, &large, "regrown to a larger |V|");
+        check(&mut arena, &one_word, &small, "back on the smaller |V|");
+        check(
+            &mut arena,
+            &three_words,
+            &small,
+            "three words where one was",
+        );
+        let fanned_out = check(
+            &mut arena,
+            &three_words,
+            &large,
+            "regrown under three words",
+        );
+        assert!(fanned_out, "the wide closure must exercise the shared mark");
+        check(&mut arena, &one_word, &large, "one word where three were");
+        // Eight searches per step: the wrap falls inside the next one.
+        arena.gen = u32::MAX - 3;
+        check(
+            &mut arena,
+            &three_words,
+            &large,
+            "across the generation wrap",
+        );
+        assert!(arena.generation() < 8, "the generation wrapped");
+        check(&mut arena, &one_word, &small, "after the wrap");
+    }
+
+    /// The fanned-out mark, hammered: threads claim overlapping
+    /// `(node, mask)` sets on one table at once. Every bit is won by
+    /// exactly one caller, and the table ends up holding the union.
+    ///
+    /// Every thread walks the cells in the same order, a nibble of its mask
+    /// per pass, released together by a barrier before each pass. (How often
+    /// two threads really meet on a cell is the scheduler's business; what
+    /// each publishes when they do is pinned without threads, by
+    /// `a_marked_cell_is_the_union_under_the_current_generation`.)
+    #[test]
+    fn concurrent_marks_hand_every_bit_to_exactly_one_caller() {
+        const NODES: usize = 4099;
+        const WORDS: usize = 3;
+        const PASSES: [u32; 4] = [0x1111_1111, 0x2222_2222, 0x4444_4444, 0x8888_8888];
         let mut s = EvalScratch::new();
-        s.build_rev_trans(&nfa);
-        let nq = nfa.num_states();
-        assert_eq!(s.rev_trans_off.len(), nq + 1);
-        let total: usize = (0..nq).map(|q| nfa.transitions(q as StateId).len()).sum();
-        assert_eq!(s.rev_trans.len(), total);
-        // every segment sorted by symbol, and every entry mirrors a real
-        // forward transition
-        for q2 in 0..nq {
-            let seg = &s.rev_trans[s.rev_trans_off[q2]..s.rev_trans_off[q2 + 1]];
-            assert!(seg.windows(2).all(|w| w[0].0 <= w[1].0), "segment sorted");
-            for &(sym, q) in seg {
-                assert!(nfa.transitions(q).contains(&(sym, q2 as StateId)));
+        for (round, threads) in [2usize, 3, 4, 4].into_iter().enumerate() {
+            // Three words per node; earlier rounds leave stale marks behind.
+            s.begin(&chain(WORDS * WORD_STATES), NODES);
+            let cells = s.cells();
+            // What thread t claims at a cell overlaps what its neighbours do.
+            let wanted = |t: usize, v: usize, w: usize| -> u32 {
+                let x = (v * 31 + w * 7 + round) as u32;
+                (0x0f0f_3c3c_u32.rotate_left(x % 32) | 1 << (t % 32))
+                    & !(1 << ((x + t as u32 * 5) % 32))
+            };
+            let release = Barrier::new(threads);
+            let won: Vec<Vec<u32>> = std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..threads)
+                    .map(|t| {
+                        let (release, wanted) = (&release, &wanted);
+                        scope.spawn(move || {
+                            let mut mine = vec![0u32; NODES * WORDS];
+                            for pass in PASSES {
+                                release.wait();
+                                for (i, mine) in mine.iter_mut().enumerate() {
+                                    let (v, w) = (i / WORDS, i % WORDS);
+                                    let claim = wanted(t, v, w) & pass;
+                                    *mine |= cells.mark::<true>(v, w, claim);
+                                    // claimed again, it wins nothing
+                                    assert_eq!(cells.mark::<true>(v, w, claim), 0);
+                                }
+                            }
+                            mine
+                        })
+                    })
+                    .collect();
+                handles.into_iter().map(|h| h.join().unwrap()).collect()
+            });
+            for i in 0..NODES * WORDS {
+                let (v, w) = (i / WORDS, i % WORDS);
+                let (mut union, mut expected) = (0u32, 0u32);
+                for (t, mine) in won.iter().enumerate() {
+                    assert_eq!(mine[i] & !wanted(t, v, w), 0, "won a bit never claimed");
+                    assert_eq!(union & mine[i], 0, "bit won twice at ({v}, {w})");
+                    union |= mine[i];
+                    expected |= wanted(t, v, w);
+                }
+                assert_eq!(union, expected, "a claimed bit was won by nobody");
+                assert_eq!(cells.reached(v, w), expected);
             }
         }
     }

@@ -94,6 +94,14 @@ pub struct EvalStats {
     pub pull_levels: usize,
     /// Largest per-level frontier, in (state, node) pairs.
     pub frontier_peak: usize,
+    /// Label-index row lookups the product search asked of the snapshot,
+    /// forward and reverse, pricing passes included — counted, like
+    /// `edges_scanned`, per (state, labeled transition): states of one
+    /// frontier entry that share a symbol share the one physical lookup
+    /// and each count it, so the figure does not depend on how a level's
+    /// pairs were grouped into entries. A search that resolves every row
+    /// once reports one per (reached pair, labeled transition).
+    pub rows_resolved: usize,
     /// Evaluations served from a warm `ScratchPool` buffer whose capacity
     /// already covered this query's |Q|·|V| shape (no fresh allocation on
     /// the hot path).
@@ -152,6 +160,7 @@ impl EvalStats {
         self.push_levels += other.push_levels;
         self.pull_levels += other.pull_levels;
         self.frontier_peak = self.frontier_peak.max(other.frontier_peak);
+        self.rows_resolved += other.rows_resolved;
         self.scratch_reused += other.scratch_reused;
         // Parallelism telemetry: the thread count is a high-water mark
         // (constituent runs share one pool), steals and parallel levels sum

@@ -177,6 +177,11 @@ impl LabelStats {
     }
 }
 
+/// Longest label run [`CsrGraph::out`] / [`CsrGraph::rev`] bound by
+/// scanning; a longer run's end is found by a search over the rest of the
+/// row.
+const SHORT_RUN: usize = 8;
+
 /// An immutable, label-indexed snapshot of a finite graph: forward and
 /// reverse CSR adjacency with per-node rows sorted by `(Symbol, Oid)`, plus
 /// per-label statistics. See the module docs for the layout rationale.
@@ -260,9 +265,30 @@ impl CsrGraph {
     ) -> &'a [Oid] {
         let (start, end) = (offsets[v.index()], offsets[v.index() + 1]);
         let row = &labels[start..end];
-        let lo = row.partition_point(|&l| l < label);
-        let hi = row.partition_point(|&l| l <= label);
-        &endpoints[start + lo..start + hi]
+        // Rows are sorted by `(label, endpoint)`: one search finds where the
+        // run starts, and the run is bounded from there. A short row (the
+        // common case: "objects are small") is searched by scanning, whose
+        // branches predict where a binary search's do not. In a long row
+        // the start is found by binary search and the run bounded by
+        // scanning while it is short, by a search over the rest of the row
+        // once it is not (a hub's run must stay logarithmic).
+        let lo = if row.len() <= SHORT_RUN {
+            row.iter().take_while(|&&l| l < label).count()
+        } else {
+            row.partition_point(|&l| l < label)
+        };
+        let rest = &row[lo..];
+        let scanned = rest
+            .iter()
+            .take(SHORT_RUN)
+            .take_while(|&&l| l == label)
+            .count();
+        let run = if scanned < SHORT_RUN {
+            scanned
+        } else {
+            SHORT_RUN + rest[SHORT_RUN..].partition_point(|&l| l == label)
+        };
+        &endpoints[start + lo..start + lo + run]
     }
 
     /// All out-edges of `v` as `(label, target)` pairs, sorted by
@@ -656,6 +682,66 @@ mod tests {
                     .collect();
                 scanned.sort_unstable();
                 assert_eq!(csr.out(v, sym), &scanned[..], "{v:?} {sym:?}");
+            }
+        }
+    }
+
+    /// The one-search row lookup at its corners: an empty row, a row of one
+    /// label, hits on the first and the last label of a row, runs on both
+    /// sides of `SHORT_RUN`, and a hub whose run is bounded by search.
+    #[test]
+    fn row_lookup_bounds_every_run_from_its_start() {
+        // Interned in row order; no edge carries `c`.
+        let mut ab = Alphabet::from_names(["a", "b", "c", "d"]);
+        let mut b = InstanceBuilder::new(&mut ab);
+        b.edge("one", "b", "x");
+        for i in 0..SHORT_RUN - 1 {
+            b.edge("mix", "a", &format!("a{i}"));
+        }
+        for i in 0..SHORT_RUN {
+            b.edge("mix", "b", &format!("b{i}"));
+        }
+        for i in 0..SHORT_RUN + 1 {
+            b.edge("mix", "d", &format!("d{i}"));
+        }
+        for i in 0..50_000 {
+            b.edge("hub", "b", &format!("h{i}"));
+        }
+        b.edge("hub", "a", "x");
+        b.edge("hub", "d", "x");
+        let (inst, names) = b.finish();
+        let csr = CsrGraph::from(&inst);
+        let sym = |n: &str| ab.get(n).unwrap();
+        let absent = sym("c");
+        let len = |node: &str, label: Symbol| csr.out(names[node], label).len();
+
+        // `x` has no out-edge at all; `one` has one label.
+        for l in [sym("a"), sym("b"), sym("d"), absent] {
+            assert!(csr.out(names["x"], l).is_empty());
+        }
+        assert_eq!(csr.out(names["one"], sym("b")), &[names["x"]]);
+        assert_eq!(len("one", sym("a")), 0, "before the only label");
+        assert_eq!(len("one", sym("d")), 0, "after the only label");
+        // First label, a middle one, the last, and one between two runs.
+        assert_eq!(len("mix", sym("a")), SHORT_RUN - 1);
+        assert_eq!(len("mix", sym("b")), SHORT_RUN);
+        assert_eq!(len("mix", sym("d")), SHORT_RUN + 1);
+        assert_eq!(len("mix", absent), 0);
+        assert_eq!(len("hub", sym("a")), 1);
+        assert_eq!(len("hub", sym("b")), 50_000);
+        assert_eq!(len("hub", sym("d")), 1);
+        // Every run is the filtered scan of its row, in both orientations.
+        for v in csr.nodes() {
+            for l in [sym("a"), sym("b"), sym("d"), absent] {
+                let scan = |pairs: Vec<(Symbol, Oid)>| -> Vec<Oid> {
+                    pairs
+                        .into_iter()
+                        .filter(|&(pl, _)| pl == l)
+                        .map(|(_, t)| t)
+                        .collect()
+                };
+                assert_eq!(csr.out(v, l), &scan(csr.out_pairs(v).collect())[..]);
+                assert_eq!(csr.rev(v, l), &scan(csr.rev_pairs(v).collect())[..]);
             }
         }
     }

@@ -170,6 +170,9 @@ pub struct DeltaGraph {
     stats: LabelStats,
     /// Effective edge count (base − tombstones + adds).
     edges: usize,
+    /// Entries in the add logs, over all labels: what a node's degree can
+    /// exceed its base row by ([`GraphView::degree_bound`]).
+    added: usize,
     base_epoch: u64,
     version: u64,
 }
@@ -192,6 +195,7 @@ impl DeltaGraph {
             extra_nodes: 0,
             stats,
             edges,
+            added: 0,
             base_epoch: fresh_base_epoch(),
             version: 0,
         }
@@ -357,6 +361,7 @@ impl DeltaGraph {
 
     /// The targets of `v`'s edges labeled `label`, ascending — the base row
     /// with tombstones skipped, merged with the add log.
+    #[inline]
     pub fn out(&self, v: Oid, label: Symbol) -> ViewEdges<'_> {
         let base = self.base_out(v, label);
         let dels = Self::log(&self.dels, label).map_or(&[][..], |l| LabelLog::range(&l.fwd, v));
@@ -375,6 +380,7 @@ impl DeltaGraph {
     /// The sources of edges labeled `label` arriving at `v`, ascending —
     /// the transpose of [`DeltaGraph::out`], served from the reverse log
     /// orientation.
+    #[inline]
     pub fn rev(&self, v: Oid, label: Symbol) -> ViewEdges<'_> {
         let base = self.base_rev(v, label);
         let dels = Self::log(&self.dels, label).map_or(&[][..], |l| LabelLog::range(&l.rev, v));
@@ -457,6 +463,7 @@ impl DeltaGraph {
             if inserted {
                 self.stats.note_added(label, !had_label);
                 self.edges += 1;
+                self.added += 1;
             }
             return inserted;
         };
@@ -482,6 +489,7 @@ impl DeltaGraph {
         } else {
             false
         };
+        self.added -= usize::from(removed);
         let removed = removed
             || (self.base_out(from, label).binary_search(&to).is_ok()
                 && Self::log_mut(&mut self.dels, label).insert(from, to));
@@ -569,6 +577,7 @@ impl DeltaGraph {
         self.base = Arc::new(base);
         self.adds.clear();
         self.dels.clear();
+        self.added = 0;
         self.extra_nodes = 0;
         self.version += 1;
     }
@@ -597,6 +606,15 @@ impl GraphView for DeltaGraph {
 
     fn rev(&self, v: Oid, label: Symbol) -> ViewEdges<'_> {
         DeltaGraph::rev(self, v, label)
+    }
+
+    fn degree_bound(&self, v: Oid, reverse: bool) -> usize {
+        let base = if v.index() < self.base.num_nodes() {
+            self.base.degree_bound(v, reverse)
+        } else {
+            0
+        };
+        base + self.added
     }
 
     fn out_groups(&self, v: Oid) -> ViewGroups<'_> {
@@ -671,6 +689,44 @@ mod tests {
 
     fn collect(edges: ViewEdges<'_>) -> Vec<Oid> {
         edges.collect()
+    }
+
+    /// `degree_bound` never undercounts, whatever the overlay holds, and is
+    /// exact wherever there is no add log to allow for.
+    #[test]
+    fn degree_bound_dominates_the_degree_through_every_mutation() {
+        let (ab, inst) = sample();
+        let (a, b) = (ab.get("a").unwrap(), ab.get("b").unwrap());
+        let mut dg = DeltaGraph::from_instance(&inst);
+        let check = |dg: &DeltaGraph, exact: bool| {
+            for v in dg.nodes() {
+                for reverse in [false, true] {
+                    let groups = if reverse {
+                        dg.rev_groups(v)
+                    } else {
+                        dg.out_groups(v)
+                    };
+                    let degree: usize = groups.map(|(_, es)| es.len()).sum();
+                    let bound = dg.degree_bound(v, reverse);
+                    assert!(bound >= degree, "{v:?} reverse={reverse}");
+                    assert!(!exact || bound == degree, "{v:?} reverse={reverse}");
+                }
+            }
+        };
+        check(&dg, true);
+        let fresh = dg.add_node();
+        dg.add_edge(Oid(0), a, fresh);
+        dg.add_edge(fresh, b, Oid(1));
+        dg.add_edge(Oid(2), a, Oid(2));
+        check(&dg, false);
+        // a tombstone only loosens the bound; dropping an add tightens it
+        dg.delete_edge(Oid(0), a, Oid(1));
+        dg.delete_edge(Oid(2), a, Oid(2));
+        dg.add_edge(Oid(0), a, Oid(1));
+        check(&dg, false);
+        assert_eq!(dg.added, 2);
+        dg.compact();
+        check(&dg, true);
     }
 
     #[test]

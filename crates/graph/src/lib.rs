@@ -25,15 +25,11 @@
 //!   which evaluators may only expand nodes they have reached; implemented
 //!   by [`Instance`], [`CsrGraph`], [`DeltaGraph`], and by synthetic
 //!   infinite graphs ([`InfiniteTree`], [`InfiniteComb`], [`LassoLine`]).
-//! * [`bitset`] — dense per-state node sets ([`NodeBitset`],
-//!   [`FrontierArena`]): the densified frontier of the product BFS's pull
-//!   levels in `rpq-core`.
 //! * [`generators`] — seeded workloads, including the exact Figure 2 graph
 //!   and the cached-site generator for the Section 3.2 experiments.
 
 #![warn(missing_docs)]
 
-pub mod bitset;
 pub mod csr;
 pub mod delta;
 pub mod generators;
@@ -41,7 +37,6 @@ pub mod instance;
 pub mod source;
 pub mod view;
 
-pub use bitset::{FrontierArena, NodeBitset};
 pub use csr::{CsrGraph, LabelStats};
 pub use delta::{CompactionPolicy, DeltaGraph};
 pub use instance::{Instance, InstanceBuilder, Oid};

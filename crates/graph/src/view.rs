@@ -155,6 +155,16 @@ impl Iterator for ViewEdges<'_> {
     fn size_hint(&self) -> (usize, Option<usize>) {
         (self.len(), Some(self.len()))
     }
+
+    /// Internal iteration (`for_each`, `sum`, …) picks the arm once: a CSR
+    /// row is then walked as the slice it is, not through a `match` per
+    /// element.
+    fn fold<B, F: FnMut(B, Oid) -> B>(self, init: B, f: F) -> B {
+        match self {
+            ViewEdges::Slice(s) => s.iter().copied().fold(init, f),
+            ViewEdges::Overlay(o) => o.fold(init, f),
+        }
+    }
 }
 
 impl ExactSizeIterator for ViewEdges<'_> {}
@@ -272,6 +282,13 @@ pub trait GraphView: Sync {
     /// transpose of [`GraphView::out`]), ascending.
     fn rev(&self, v: Oid, label: Symbol) -> ViewEdges<'_>;
 
+    /// An upper bound, in O(1), on the edges leaving `v` over all labels
+    /// (entering it, with `reverse`). Exact on a [`CsrGraph`]; an overlay
+    /// adds its whole add log to the base row, which is sound and free. It
+    /// lets a caller rule out that a set of rows is long without resolving
+    /// one of them.
+    fn degree_bound(&self, v: Oid, reverse: bool) -> usize;
+
     /// `v`'s out-row grouped by label: each distinct label once, with its
     /// targets — the label-dependent-work-once-per-label contract of
     /// [`CsrGraph::out_groups`], over any view.
@@ -308,6 +325,14 @@ impl GraphView for CsrGraph {
 
     fn rev(&self, v: Oid, label: Symbol) -> ViewEdges<'_> {
         ViewEdges::Slice(CsrGraph::rev(self, v, label))
+    }
+
+    fn degree_bound(&self, v: Oid, reverse: bool) -> usize {
+        if reverse {
+            self.indegree(v)
+        } else {
+            self.outdegree(v)
+        }
     }
 
     fn out_groups(&self, v: Oid) -> ViewGroups<'_> {

@@ -6,14 +6,20 @@
 //! `execute_join_parallel` — over seeded graphs (flat CSR snapshots and
 //! post-delta `DeltaGraph` overlays), and the answers hash, `termination`,
 //! `edges_scanned`, `pairs_visited`, `push_levels`, `pull_levels`,
-//! `frontier_peak`, `threads_used` and `parallel_levels` of each run are
-//! compared with `tests/fixtures/kernel_golden.txt`. Only the
-//! scheduling-dependent `steal_count` (and pool-dependent `scratch_reused`)
-//! are left out.
+//! `frontier_peak`, `threads_used`, `parallel_levels` and `rows_resolved`
+//! of each run are compared with `tests/fixtures/kernel_golden.txt`. Only
+//! the scheduling-dependent `steal_count` (and pool-dependent
+//! `scratch_reused`) are left out.
 //!
 //! A kernel refactor that moves any counter on any request fails here.
 //! Regenerate (only when a counter is *meant* to move) with
-//! `KERNEL_GOLDEN_BLESS=1 cargo test --test kernel_golden`.
+//! `KERNEL_GOLDEN_BLESS=1 cargo test --test kernel_golden`. A bless cannot
+//! hide a regression: it compares the new lines with the committed ones
+//! first and refuses to write if an answers hash changed on a run no budget
+//! stopped, or if `edges_scanned`, `pairs_visited` or a level count *rose*
+//! anywhere but on a tripped budget (whose tripping row depends on the
+//! order within a level) or an early-exit pair; otherwise it prints how
+//! many lines moved, per column and per kind of line, and writes.
 //!
 //! One rule is checked on the generated lines themselves, fixture or no
 //! fixture: a control that never binds changes nothing, so wherever a key
@@ -160,7 +166,7 @@ fn term_char(t: Termination) -> char {
 
 fn record(hash: u64, term: Termination, s: &EvalStats) -> String {
     format!(
-        "{hash:016x},{},{},{},{},{},{},{},{}",
+        "{hash:016x},{},{},{},{},{},{},{},{},{}",
         term_char(term),
         s.edges_scanned,
         s.pairs_visited,
@@ -168,9 +174,24 @@ fn record(hash: u64, term: Termination, s: &EvalStats) -> String {
         s.pull_levels,
         s.frontier_peak,
         s.threads_used,
-        s.parallel_levels
+        s.parallel_levels,
+        s.rows_resolved
     )
 }
+
+/// The counters of a record, in the order [`record`] writes them after the
+/// answers hash and the termination. The first four must not rise.
+const COLUMNS: [&str; 8] = [
+    "edges_scanned",
+    "pairs_visited",
+    "push_levels",
+    "pull_levels",
+    "frontier_peak",
+    "threads_used",
+    "parallel_levels",
+    "rows_resolved",
+];
+const MUST_NOT_RISE: usize = 4;
 
 fn record_response(resp: &EvalResponse) -> String {
     record(hash_answers(&resp.answers), resp.termination, &resp.stats)
@@ -641,6 +662,143 @@ fn split_line(line: &str) -> (&str, &str, &str) {
     (key, control, &line[tag..])
 }
 
+/// The four modes' records of one fixture line (`*:` stands for all four).
+fn mode_records(recs: &str) -> Vec<&str> {
+    match recs.trim_start().strip_prefix("*:") {
+        Some(all) => vec![all; MODES.len()],
+        None => recs
+            .split_whitespace()
+            .map(|r| r.split_once(':').expect("a mode tag").1)
+            .collect(),
+    }
+}
+
+/// What kind of line a record belongs to, for the bless rules: `tripped`
+/// (a budget stopped either side), `pair` (an early-exit pair), `plain`.
+fn kind_of(key: &str, old: &[&str], new: &[&str]) -> &'static str {
+    if old[1] == "B" || new[1] == "B" {
+        "tripped"
+    } else if key.ends_with(" pair") || key.ends_with(" pair-self") {
+        "pair"
+    } else {
+        "plain"
+    }
+}
+
+/// Compare a regenerated fixture with the committed one, line by line and
+/// mode by mode (see the module docs for the rules). `Ok` is the summary
+/// of what moved, `Err` the lines that forbid the bless.
+fn bless_report(committed: &str, regenerated: &str) -> Result<String, String> {
+    use std::collections::BTreeMap;
+    let old_lines: BTreeMap<(&str, &str), &str> = committed
+        .lines()
+        .map(|l| {
+            let (key, control, recs) = split_line(l);
+            ((key, control), recs)
+        })
+        .collect();
+    let mut moved: BTreeMap<(&str, &str), usize> = BTreeMap::new();
+    let mut refusals: Vec<String> = Vec::new();
+    let (mut fresh, mut same) = (0usize, 0usize);
+    for line in regenerated.lines() {
+        let (key, control, recs) = split_line(line);
+        let Some(old_recs) = old_lines.get(&(key, control)) else {
+            fresh += 1;
+            continue;
+        };
+        let mut line_moved: Vec<(&str, &str)> = Vec::new();
+        for (old, new) in mode_records(old_recs).into_iter().zip(mode_records(recs)) {
+            if old == "fanned-out" || new == "fanned-out" {
+                continue;
+            }
+            let (old, new): (Vec<&str>, Vec<&str>) =
+                (old.split(',').collect(), new.split(',').collect());
+            let kind = kind_of(key, &old, &new);
+            if old[0] != new[0] {
+                line_moved.push(("answers", kind));
+                if kind != "tripped" {
+                    refusals.push(format!("{key} {control}: answers hash changed"));
+                }
+            }
+            if old[1] != new[1] {
+                line_moved.push(("termination", kind));
+            }
+            // A fixture from before a column existed has nothing to compare.
+            for (i, (o, n)) in old[2..].iter().zip(&new[2..]).enumerate() {
+                let (o, n): (u64, u64) = (o.parse().expect("count"), n.parse().expect("count"));
+                if o != n {
+                    line_moved.push((COLUMNS[i], kind));
+                    if n > o && i < MUST_NOT_RISE && kind == "plain" {
+                        refusals.push(format!("{key} {control}: {} rose {o} -> {n}", COLUMNS[i]));
+                    }
+                }
+            }
+        }
+        line_moved.sort_unstable();
+        line_moved.dedup();
+        same += usize::from(line_moved.is_empty());
+        for m in line_moved {
+            *moved.entry(m).or_default() += 1;
+        }
+    }
+    if !refusals.is_empty() {
+        refusals.truncate(20);
+        return Err(refusals.join("\n"));
+    }
+    let mut summary = format!(
+        "kernel_golden bless: {} lines, {same} unchanged, {fresh} new; lines moved per column and kind:",
+        regenerated.lines().count()
+    );
+    for ((column, kind), lines) in moved {
+        let _ = write!(summary, "\n  {column:<16} {kind:<8} {lines}");
+    }
+    Ok(summary)
+}
+
+#[test]
+fn bless_refuses_regressions_and_counts_what_moved() {
+    let old = "k [q] source none *:aa,C,10,5,2,0,3,0,0\n\
+               k [q] source b50 S:aa,B,5,3,1,0,3,0,0 D:aa,C,9,5,2,0,3,0,0 H:aa,B,5,3,1,0,3,0,0 T:aa,B,5,3,1,0,3,0,0\n\
+               k [q] pair none *:bb,C,10,4,2,0,3,0,0\n";
+    // A new column alone moves nothing; a tripped budget and an early-exit
+    // pair may move; a plain line may only go down.
+    let fine = "k [q] source none *:aa,C,10,5,2,0,3,0,0,7\n\
+                k [q] source b50 S:cc,B,4,4,1,0,3,0,0,2 D:aa,C,9,5,2,0,3,0,0,9 H:aa,B,5,3,1,0,3,0,0,2 T:aa,B,5,3,1,0,3,0,0,2\n\
+                k [q] pair none *:bb,C,10,5,2,0,3,0,0,7\n\
+                k [q] target none *:dd,C,1,1,1,0,1,0,0,1\n";
+    let summary = bless_report(old, fine).expect("nothing here is a regression");
+    assert!(summary.contains("4 lines, 1 unchanged, 1 new"), "{summary}");
+    assert!(summary.contains("pairs_visited    pair     1"), "{summary}");
+    assert!(summary.contains("answers          tripped  1"), "{summary}");
+    for (bad, why) in [
+        (
+            "k [q] source none *:aa,C,11,5,2,0,3,0,0,7\n",
+            "edges_scanned rose 10 -> 11",
+        ),
+        (
+            "k [q] source none *:aa,C,10,5,3,0,3,0,0,7\n",
+            "push_levels rose 2 -> 3",
+        ),
+        (
+            "k [q] source none *:ab,C,10,5,2,0,3,0,0,7\n",
+            "answers hash changed",
+        ),
+        (
+            "k [q] pair none *:bc,C,10,4,2,0,3,0,0,7\n",
+            "answers hash changed",
+        ),
+        (
+            "k [q] source b50 *:aa,C,10,5,2,0,3,0,0,7\n",
+            "edges_scanned rose 9 -> 10",
+        ),
+    ] {
+        let refusal = bless_report(old, bad).expect_err(why);
+        assert!(refusal.contains(why), "{refusal}");
+    }
+    // fewer edges on a plain line is what an optimisation looks like
+    assert!(bless_report(old, "k [q] source none *:aa,C,9,5,2,0,3,0,0,7\n").is_ok());
+}
+
 #[test]
 fn kernel_counters_match_the_golden_fixture() {
     let got = generate();
@@ -657,6 +815,12 @@ fn kernel_counters_match_the_golden_fixture() {
         }
     }
     if std::env::var_os("KERNEL_GOLDEN_BLESS").is_some() {
+        if let Ok(committed) = std::fs::read_to_string(FIXTURE) {
+            match bless_report(&committed, &got) {
+                Ok(summary) => eprintln!("{summary}"),
+                Err(refusal) => panic!("bless refused, fixture left as it was:\n{refusal}"),
+            }
+        }
         std::fs::create_dir_all(std::path::Path::new(FIXTURE).parent().unwrap()).unwrap();
         std::fs::write(FIXTURE, &got).unwrap();
         return;

@@ -1,0 +1,332 @@
+//! The node-major state-mask table at every width.
+//!
+//! The product BFS keeps one cell of 32 state bits per node and mask word,
+//! and an automaton wider than a word uses several cells per node *in the
+//! same loop*. Nothing the serving benchmark issues has more than five
+//! states, so the word boundaries are covered here: automata of 1, 31, 32,
+//! 33, 63, 64, 65 and 130 states — unions of words, every state on an
+//! accepting path, so the width survives `trim` — answer every request
+//! shape like the definitional oracle, in every frontier mode, at every
+//! degree of parallelism, on a CSR snapshot and on a post-delta
+//! `DeltaGraph`; and their Kleene closures (ε-moves from every word's end
+//! back to the start, so closures span mask words) answer like the
+//! scan-and-filter baseline.
+
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+
+use rpq::automata::{Alphabet, Nfa, Symbol};
+use rpq::core::{
+    eval_oracle, eval_product_scan, run_request, Answers, Direction, EvalScratch, FrontierMode,
+    ScratchPool, SearchOpts, SourceSpec, Termination,
+};
+use rpq::graph::generators::random_graph;
+use rpq::graph::{CsrGraph, DeltaGraph, GraphView, Instance, Oid};
+
+const WIDTHS: [usize; 8] = [1, 31, 32, 33, 63, 64, 65, 130];
+
+const MODES: [FrontierMode; 4] = [
+    FrontierMode::ForcedSparse,
+    FrontierMode::ForcedDense,
+    FrontierMode::Hybrid,
+    FrontierMode::HybridTuned { pull_discount: 64 },
+];
+
+/// Longest word of a [`word_union`].
+const WORD_LEN: usize = 4;
+
+/// An automaton of exactly `states` states accepting a union of words of
+/// up to [`WORD_LEN`] letters: a start, one accepting end, and a chain of
+/// fresh interior states per word. Letters come from a fixed recurrence, so
+/// branches differ and share prefixes only by accident.
+fn word_union(states: usize, syms: &[Symbol]) -> Nfa {
+    if states == 1 {
+        return Nfa::epsilon();
+    }
+    let mut nfa = Nfa::empty();
+    let end = nfa.add_state(true);
+    let mut interior = states - 2;
+    let mut x = states as u64;
+    let mut letter = || {
+        x = x
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        syms[(x >> 33) as usize % syms.len()]
+    };
+    loop {
+        // a word of k letters spends k - 1 interior states
+        let spend = interior.min(WORD_LEN - 1);
+        let mut at = nfa.start();
+        for _ in 0..spend {
+            let next = nfa.add_state(false);
+            nfa.add_transition(at, letter(), next);
+            at = next;
+        }
+        nfa.add_transition(at, letter(), end);
+        interior -= spend;
+        if interior == 0 {
+            break;
+        }
+    }
+    assert_eq!(nfa.num_states(), states);
+    assert_eq!(nfa.trim().num_states(), states, "every state is useful");
+    nfa
+}
+
+fn setup() -> (Vec<Symbol>, Instance, DeltaGraph) {
+    let ab = Alphabet::from_names(["a", "b", "c"]);
+    let syms: Vec<Symbol> = ab.symbols().collect();
+    let mut rng = StdRng::seed_from_u64(2_1);
+    let (inst, _) = random_graph(&mut rng, 26, 90, &syms);
+    // The post-delta epoch: adds (one onto a new node) and tombstones.
+    let mut delta = DeltaGraph::from_instance(&inst);
+    let fresh = delta.add_node();
+    delta.add_edge(Oid(3), syms[0], fresh);
+    delta.add_edge(fresh, syms[1], Oid(7));
+    delta.add_edge(Oid(0), syms[2], Oid(11));
+    let doomed: Vec<(Oid, Symbol, Oid)> = delta.edges().step_by(13).take(5).collect();
+    for (f, l, t) in doomed {
+        delta.delete_edge(f, l, t);
+    }
+    (syms, inst, delta)
+}
+
+/// The post-delta graph as an `Instance`, for the oracle.
+fn materialize(delta: &DeltaGraph) -> Instance {
+    let mut inst = Instance::new();
+    for _ in 0..delta.num_nodes() {
+        inst.add_node();
+    }
+    for (f, l, t) in delta.edges() {
+        inst.add_edge(f, l, t);
+    }
+    inst
+}
+
+fn shapes(n: usize) -> Vec<SourceSpec> {
+    let pick = |count: usize, stride: usize, off: usize| -> Vec<Oid> {
+        (0..count)
+            .map(|i| Oid(((i * stride + off) % n) as u32))
+            .collect()
+    };
+    vec![
+        SourceSpec::Source(Oid(0)),
+        SourceSpec::Target(Oid((n / 2) as u32)),
+        SourceSpec::Sources(pick(7, 5, 1)),
+        SourceSpec::Targets(pick(6, 7, 2)),
+        SourceSpec::Pair {
+            source: Oid(0),
+            target: Oid((n / 3) as u32),
+        },
+        SourceSpec::Pair {
+            source: Oid(2),
+            target: Oid(2),
+        },
+        SourceSpec::Matrix {
+            sources: pick(5, 3, 0),
+            targets: pick(4, 11, 4),
+        },
+        SourceSpec::Conjunctive {
+            sources: Some(pick(6, 5, 3)),
+            targets: None,
+        },
+        SourceSpec::Conjunctive {
+            sources: None,
+            targets: Some(pick(6, 7, 1)),
+        },
+        SourceSpec::Conjunctive {
+            sources: Some(pick(5, 3, 2)),
+            targets: Some(pick(9, 2, 0)),
+        },
+        SourceSpec::Conjunctive {
+            sources: None,
+            targets: None,
+        },
+    ]
+}
+
+/// What `spec` must answer, given `p(s, I)` for every node `s`.
+fn expected(spec: &SourceSpec, all: &[Vec<Oid>]) -> Answers {
+    let reaches = |s: Oid, t: Oid| all[s.index()].binary_search(&t).is_ok();
+    let nodes = || (0..all.len() as u32).map(Oid);
+    let into = |t: Oid| -> Vec<Oid> { nodes().filter(|&s| reaches(s, t)).collect() };
+    let pairs = |ss: &[Oid], ts: Option<&[Oid]>| -> Vec<(Oid, Oid)> {
+        let mut out: Vec<(Oid, Oid)> = ss
+            .iter()
+            .flat_map(|&s| all[s.index()].iter().map(move |&t| (s, t)))
+            .filter(|(_, t)| ts.is_none_or(|ts| ts.contains(t)))
+            .collect();
+        out.sort_unstable();
+        out.dedup();
+        out
+    };
+    let everyone: Vec<Oid> = nodes().collect();
+    match spec {
+        SourceSpec::Source(s) => Answers::Nodes(all[s.index()].clone()),
+        SourceSpec::Target(t) => Answers::Nodes(into(*t)),
+        SourceSpec::Sources(ss) => Answers::Batch(rpq::core::BatchResult::from_per_source(
+            ss.iter().map(|s| all[s.index()].clone()).collect(),
+        )),
+        SourceSpec::Targets(ts) => Answers::Batch(rpq::core::BatchResult::from_per_source(
+            ts.iter().map(|&t| into(t)).collect(),
+        )),
+        SourceSpec::Pair { source, target } => Answers::Reachable(reaches(*source, *target)),
+        SourceSpec::Matrix { sources, targets } => {
+            let mut m = rpq::core::MatrixResult::new(sources.clone(), targets.clone());
+            for (i, &s) in sources.iter().enumerate() {
+                for (j, &t) in targets.iter().enumerate() {
+                    if reaches(s, t) {
+                        m.set(i, j);
+                    }
+                }
+            }
+            Answers::Matrix(m)
+        }
+        SourceSpec::Conjunctive { sources, targets } => Answers::Bindings(pairs(
+            sources.as_deref().unwrap_or(&everyone),
+            targets.as_deref(),
+        )),
+    }
+}
+
+/// Every shape × mode × dop over `graph` answers `expected`.
+fn check_all_shapes<G: GraphView>(nfa: &Nfa, graph: &G, all: &[Vec<Oid>], what: &str) {
+    let reversed = nfa.reverse();
+    let pool = ScratchPool::with_capacity(8);
+    // One arena for the whole sweep: widths and shapes interleave on it.
+    let mut scratch = EvalScratch::new();
+    for spec in shapes(graph.num_nodes()) {
+        let want = expected(&spec, all);
+        for mode in MODES {
+            for dop in [1usize, 2, 4] {
+                // Only a pair question has an end to start from.
+                let ends: &[Direction] = match spec {
+                    SourceSpec::Pair { .. } => &[Direction::Forward, Direction::Backward],
+                    _ => &[Direction::Forward],
+                };
+                for &direction in ends {
+                    let opts = SearchOpts {
+                        mode,
+                        dop,
+                        pool: Some(&pool),
+                        ..SearchOpts::default()
+                    };
+                    let got =
+                        run_request(nfa, &reversed, graph, &spec, direction, &opts, &mut scratch);
+                    assert_eq!(got.termination, Termination::Complete);
+                    assert_eq!(
+                        got.answers,
+                        want,
+                        "{what}: {} states, {spec:?}, {mode:?}, dop {dop}, pairs {direction:?}",
+                        nfa.num_states()
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// `nfa` answers every shape like `reference` — `p(s, I)` by some other
+/// means — on the CSR snapshot and on the post-delta overlay.
+fn check_both_graphs(nfa: &Nfa, reference: impl Fn(&Instance, Oid) -> Vec<Oid>) {
+    let (_, inst, delta) = setup();
+    let after = materialize(&delta);
+    let all = |graph: &Instance| -> Vec<Vec<Oid>> {
+        graph.nodes().map(|s| reference(graph, s)).collect()
+    };
+    check_all_shapes(nfa, &CsrGraph::from(&inst), &all(&inst), "csr");
+    check_all_shapes(nfa, &delta, &all(&after), "post-delta");
+}
+
+#[test]
+fn every_width_answers_every_shape_like_the_oracle() {
+    let (syms, ..) = setup();
+    for states in WIDTHS {
+        let nfa = word_union(states, &syms);
+        check_both_graphs(&nfa, |graph, s| eval_oracle(&nfa, graph, s, Some(WORD_LEN)));
+    }
+}
+
+/// The Kleene closure of each union: one more state (the widths become 2,
+/// 32, 33, 34, 64, 65, 66, 131), ε-moves from the shared end back to the
+/// start, an infinite language — so the search runs many levels deep with
+/// every word's states live at once.
+#[test]
+fn closures_of_every_width_answer_like_the_scan_baseline() {
+    let (syms, ..) = setup();
+    for states in WIDTHS {
+        let nfa = Nfa::star(&word_union(states, &syms));
+        assert_eq!(nfa.trim().num_states(), states + 1);
+        check_both_graphs(&nfa, |graph, s| eval_product_scan(&nfa, graph, s).answers);
+    }
+}
+
+/// Wide automata on a graph big enough that levels fan out: workers race
+/// on cells of several mask words, and split a node's new states between
+/// them as they win them. Answers equal the scan baseline's, and every
+/// counter equals the sequential run's — a sum over pairs does not care
+/// who won which.
+#[test]
+fn wide_automata_fan_out_to_the_same_counters() {
+    let ab = Alphabet::from_names(["a", "b", "c"]);
+    let syms: Vec<Symbol> = ab.symbols().collect();
+    let mut rng = StdRng::seed_from_u64(33);
+    let (inst, _) = random_graph(&mut rng, 2500, 20_000, &syms);
+    let csr = CsrGraph::from(&inst);
+    let pool = ScratchPool::with_capacity(8);
+    for states in [33usize, 130] {
+        let nfa = Nfa::star(&word_union(states, &syms));
+        let want = eval_product_scan(&nfa, &inst, Oid(0)).answers;
+        for mode in MODES {
+            let run = |dop: usize| {
+                let opts = SearchOpts {
+                    mode,
+                    dop,
+                    pool: Some(&pool),
+                    ..SearchOpts::default()
+                };
+                let spec = SourceSpec::Source(Oid(0));
+                let mut scratch = EvalScratch::new();
+                let resp = run_request(
+                    &nfa,
+                    &nfa.reverse(),
+                    &csr,
+                    &spec,
+                    Direction::Forward,
+                    &opts,
+                    &mut scratch,
+                );
+                assert_eq!(
+                    resp.answers,
+                    Answers::Nodes(want.clone()),
+                    "{mode:?} dop {dop}"
+                );
+                resp.stats
+            };
+            let counters = |s: &rpq::core::EvalStats| {
+                [
+                    s.rows_resolved,
+                    s.edges_scanned,
+                    s.pairs_visited,
+                    s.push_levels,
+                    s.pull_levels,
+                    s.frontier_peak,
+                    s.classes_materialized,
+                ]
+            };
+            let (seq, two, four) = (run(1), run(2), run(4));
+            assert!(
+                two.parallel_levels > 0,
+                "{states} states {mode:?}: never fanned out"
+            );
+            assert_eq!(counters(&two), counters(&four), "{states} states {mode:?}");
+            // A level that may fan out is priced; sequentially it need not be.
+            assert!(seq.rows_resolved <= two.rows_resolved);
+            assert_eq!(
+                counters(&seq)[1..],
+                counters(&two)[1..],
+                "{states} states {mode:?}"
+            );
+        }
+    }
+}
