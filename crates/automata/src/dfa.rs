@@ -6,8 +6,22 @@
 //! and keeps the product constructions simple. The paper notes that building
 //! the deterministic (quotient) automaton "may be exponential in p"
 //! (Section 2.2) — the benches in `rpq-bench` measure exactly that effect.
+//!
+//! ## The sparse step and the numbering it keeps
+//!
+//! [`Dfa::from_nfa`] computes a successor only for the symbols some member
+//! of the subset state has a transition on; every other column of the row
+//! is the one dead sink (the empty subset), so a three-step query under a
+//! forty-label alphabet pays for three steps, not forty. **The state
+//! numbering is that of the dense construction** — subset states are
+//! numbered in order of first sight, scanning states in id order and, per
+//! state, symbols `0..sigma` in order, the sink included (it gets its id
+//! the first time some state has no move on some symbol). Two
+//! determinizations of one NFA at different `sigma` agree on the relative
+//! order of the non-sink states; only the sink's id can differ.
 
 use std::collections::HashMap;
+use std::rc::Rc;
 
 use crate::alphabet::Symbol;
 use crate::nfa::{strongly_connected_components, Nfa, StateId};
@@ -31,31 +45,67 @@ impl Dfa {
     /// subset-state universe (every dead state a set drags along splits
     /// otherwise-equal sets). Determinizing the trimmed automaton yields a
     /// DFA over the same language with never more states.
+    ///
+    /// A subset state is stepped only on the symbols one of its members
+    /// has a transition on; every other column of its row is the dead sink
+    /// (see the module docs for the numbering this keeps).
     pub fn from_nfa(nfa: &Nfa, sigma: usize) -> Dfa {
         let nfa = &nfa.trim();
-        let mut states: Vec<Vec<StateId>> = Vec::new();
-        let mut index: HashMap<Vec<StateId>, StateId> = HashMap::new();
+        // Subset states are interned once: the index and the worklist
+        // share one allocation per set.
+        let mut states: Vec<Rc<[StateId]>> = Vec::new();
+        let mut index: HashMap<Rc<[StateId]>, StateId> = HashMap::new();
         let mut accept: Vec<bool> = Vec::new();
         let mut trans: Vec<StateId> = Vec::new();
+        let mut sink: Option<StateId> = None;
 
-        let start_set = nfa.start_set();
-        states.push(start_set.clone());
-        index.insert(start_set, 0);
-        accept.push(nfa.set_accepts(&states[0]));
+        let start_set: Rc<[StateId]> = nfa.start_set().into();
+        accept.push(nfa.set_accepts(&start_set));
+        index.insert(start_set.clone(), 0);
+        states.push(start_set);
 
+        let mut moves: Vec<(Symbol, StateId)> = Vec::new();
+        let mut targets: Vec<StateId> = Vec::new();
         let mut i = 0usize;
         while i < states.len() {
             let set = states[i].clone();
+            moves.clear();
+            for &s in set.iter() {
+                moves.extend(
+                    nfa.transitions(s)
+                        .iter()
+                        .filter(|(sym, _)| sym.index() < sigma),
+                );
+            }
+            moves.sort_unstable();
+            let mut rest = moves.as_slice();
             for sym in 0..sigma {
-                let stepped = nfa.step(&set, Symbol::from_index(sym));
-                let id = match index.get(&stepped) {
-                    Some(&id) => id,
-                    None => {
+                let here = rest.iter().take_while(|(s, _)| s.index() == sym).count();
+                let id = if here == 0 {
+                    // No member moves on `sym`: the one dead sink, numbered
+                    // when first needed (the empty set is never stepped —
+                    // its row is all sink, by this same branch).
+                    *sink.get_or_insert_with(|| {
                         let id = states.len() as StateId;
-                        index.insert(stepped.clone(), id);
-                        accept.push(nfa.set_accepts(&stepped));
-                        states.push(stepped);
+                        accept.push(false);
+                        states.push(Rc::from([]));
                         id
+                    })
+                } else {
+                    targets.clear();
+                    targets.extend(rest[..here].iter().map(|&(_, t)| t));
+                    rest = &rest[here..];
+                    let stepped = nfa.eps_closure(&targets);
+                    match index.get(stepped.as_slice()) {
+                        Some(&id) => id,
+                        None => {
+                            let id = states.len() as StateId;
+                            accept.push(nfa.set_accepts(&stepped));
+                            let stepped: Rc<[StateId]> = stepped.into();
+                            index.insert(stepped.clone(), id);
+                            states.push(stepped);
+                            id
+                        }
                     }
                 };
                 trans.push(id);
@@ -223,9 +273,22 @@ impl Dfa {
 
     /// Moore partition-refinement minimization (restricted to reachable
     /// states). O(n²·σ) worst case; robust and plenty fast for our sizes.
+    ///
+    /// A column on which every reachable state has the same successor (the
+    /// all-sink columns of a narrow query under a wide alphabet) cannot
+    /// split a class, so signatures are taken over the other columns only.
     pub fn minimize(&self) -> Dfa {
         let n = self.num_states();
         let reach = self.reachable();
+        let splitting: Vec<usize> = (0..self.sigma)
+            .filter(|&sym| {
+                let mut targets = (0..n)
+                    .filter(|&s| reach[s])
+                    .map(|s| self.trans[s * self.sigma + sym]);
+                let first = targets.next();
+                targets.any(|t| Some(t) != first)
+            })
+            .collect();
         // initial partition: {accepting, rejecting} over reachable states
         let mut class: Vec<u32> = (0..n).map(|s| if self.accept[s] { 1 } else { 0 }).collect();
         let mut num_classes = 2u32;
@@ -238,9 +301,9 @@ impl Dfa {
                 if !reach[s] {
                     continue;
                 }
-                let mut sig = Vec::with_capacity(self.sigma + 1);
+                let mut sig = Vec::with_capacity(splitting.len() + 1);
                 sig.push(class[s]);
-                for sym in 0..self.sigma {
+                for &sym in &splitting {
                     sig.push(class[self.trans[s * self.sigma + sym] as usize]);
                 }
                 let id = *sig_index.entry(sig).or_insert_with(|| {
@@ -466,8 +529,18 @@ impl Dfa {
         }
     }
 
-    /// Convert back to an NFA (for uniform downstream APIs).
+    /// Convert back to an NFA (for uniform downstream APIs): state `s`
+    /// keeps its id (the NFA's start is moved, not renumbered). Transitions
+    /// into a dead state — rejecting, every symbol a self-loop: the sink of
+    /// [`Dfa::from_nfa`] — are left out; no word through them is accepted,
+    /// and under a wide alphabet they are most of the table.
     pub fn to_nfa(&self) -> Nfa {
+        let dead: Vec<bool> = (0..self.num_states())
+            .map(|s| {
+                let row = &self.trans[s * self.sigma..(s + 1) * self.sigma];
+                !self.accept[s] && row.iter().all(|&t| t as usize == s)
+            })
+            .collect();
         let mut n = Nfa::empty();
         // state 0 of the NFA is its start; map DFA state s -> s (+1 if start ≠ 0)
         // Simplest: add all states fresh and set start afterwards.
@@ -480,7 +553,9 @@ impl Dfa {
         for s in 0..self.num_states() {
             for sym in 0..self.sigma {
                 let t = self.trans[s * self.sigma + sym];
-                n.add_transition(ids[s], Symbol::from_index(sym), ids[t as usize]);
+                if !dead[t as usize] {
+                    n.add_transition(ids[s], Symbol::from_index(sym), ids[t as usize]);
+                }
             }
         }
         n.set_start(ids[self.start as usize]);
@@ -620,6 +695,54 @@ mod tests {
     }
 
     #[test]
+    fn to_nfa_leaves_the_dead_sink_unwired_and_the_language_alone() {
+        let mut ab = Alphabet::new();
+        for name in ["a", "b", "c", "d", "e"] {
+            ab.intern(name);
+        }
+        let d = dfa(&mut ab, "a.(a+b)*.b");
+        let n = d.to_nfa();
+        assert_eq!(n.num_states(), d.num_states(), "ids are kept");
+        // c, d, e lead nowhere but the sink: no transition mentions them
+        assert_eq!(n.symbols().len(), 2);
+        assert!(crate::ops::equivalent(
+            &n,
+            &Nfa::thompson(&parse_regex(&mut ab, "a.(a+b)*.b").unwrap())
+        )
+        .is_ok());
+        // the complement's sink accepts: it is not dead and stays wired
+        let c = d.complement().to_nfa();
+        assert_eq!(c.symbols().len(), 5);
+        assert!(c.accepts(&word(&mut ab, "ce")) && !c.accepts(&word(&mut ab, "ab")));
+        // ∅: the start state itself is the dead state
+        let empty = dfa(&mut ab, "[]").to_nfa();
+        assert!(empty.is_empty_lang());
+    }
+
+    #[test]
+    fn minimize_ignores_columns_that_cannot_split() {
+        // The same language under σ = 2 and σ = 40: the 38 all-sink
+        // columns change neither the classes nor their order.
+        let mut ab = Alphabet::new();
+        ab.intern("a");
+        ab.intern("b");
+        let r = parse_regex(&mut ab, "a.a* + a.a*.b.(a+b)* + a.b").unwrap();
+        let narrow = Dfa::from_nfa(&Nfa::thompson(&r), 2).minimize();
+        let wide = Dfa::from_nfa(&Nfa::thompson(&r), 40).minimize();
+        assert_eq!(narrow.num_states(), wide.num_states());
+        assert_eq!(wide.num_states(), wide.minimize_hopcroft().num_states());
+        assert_eq!(
+            narrow.accept, wide.accept,
+            "class order is σ-independent here"
+        );
+        for s in 0..narrow.num_states() {
+            for sym in 0..2 {
+                assert_eq!(narrow.trans[s * 2 + sym], wide.trans[s * 40 + sym]);
+            }
+        }
+    }
+
+    #[test]
     fn shortest_accepted_empty_language() {
         let mut ab = Alphabet::new();
         ab.intern("a");
@@ -627,6 +750,146 @@ mod tests {
         assert!(d.shortest_accepted().is_none());
         assert!(d.is_empty_lang());
     }
+    /// The textbook subset construction: every subset state stepped on
+    /// every symbol of `0..sigma`. The definition [`Dfa::from_nfa`] is
+    /// compared with, field by field.
+    fn from_nfa_dense(nfa: &Nfa, sigma: usize) -> Dfa {
+        let nfa = &nfa.trim();
+        let mut states: Vec<Vec<StateId>> = vec![nfa.start_set()];
+        let mut index: HashMap<Vec<StateId>, StateId> = HashMap::new();
+        index.insert(states[0].clone(), 0);
+        let mut accept = vec![nfa.set_accepts(&states[0])];
+        let mut trans: Vec<StateId> = Vec::new();
+        let mut i = 0usize;
+        while i < states.len() {
+            let set = states[i].clone();
+            for sym in 0..sigma {
+                let stepped = nfa.step(&set, Symbol::from_index(sym));
+                let id = match index.get(&stepped) {
+                    Some(&id) => id,
+                    None => {
+                        let id = states.len() as StateId;
+                        index.insert(stepped.clone(), id);
+                        accept.push(nfa.set_accepts(&stepped));
+                        states.push(stepped);
+                        id
+                    }
+                };
+                trans.push(id);
+            }
+            i += 1;
+        }
+        Dfa {
+            sigma,
+            start: 0,
+            accept,
+            trans,
+        }
+    }
+
+    /// A random NFA over `used` of the `sigma` symbols: ε-cycles, states
+    /// nothing reaches and states that reach nothing included.
+    fn random_nfa(rng: &mut rand::rngs::StdRng, states: usize, used: &[usize]) -> Nfa {
+        use rand::Rng;
+        let mut n = Nfa::empty();
+        for _ in 1..states {
+            let accepting = rng.random_range(0..4) == 0;
+            n.add_state(accepting);
+        }
+        let any = |rng: &mut rand::rngs::StdRng| rng.random_range(0..states) as StateId;
+        for _ in 0..states * 2 {
+            let (from, to) = (any(rng), any(rng));
+            let sym = used[rng.random_range(0..used.len())];
+            n.add_transition(from, Symbol::from_index(sym), to);
+        }
+        for _ in 0..states / 2 {
+            let (from, to) = (any(rng), any(rng));
+            n.add_eps(from, to);
+            if rng.random_range(0..3) == 0 {
+                n.add_eps(to, from); // an ε-cycle
+            }
+        }
+        n
+    }
+
+    #[test]
+    fn sparse_subset_construction_is_the_dense_one_state_for_state() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x5BA25E);
+        let (mut cases, mut with_sink, mut without_sink) = (0, 0, 0);
+        for &sigma in &[1usize, 3, 13, 40] {
+            for round in 0..60 {
+                // Every other round leaves symbols of `0..sigma` unused.
+                let used: Vec<usize> = if round % 2 == 0 {
+                    (0..sigma).collect()
+                } else {
+                    (0..sigma).filter(|s| s % 3 != 1).collect()
+                };
+                let used = if used.is_empty() { vec![0] } else { used };
+                let states = rng.random_range(1..=9);
+                let nfa = random_nfa(&mut rng, states, &used);
+                let sparse = Dfa::from_nfa(&nfa, sigma);
+                let dense = from_nfa_dense(&nfa, sigma);
+                assert_eq!(sparse.num_states(), dense.num_states(), "{nfa:?}");
+                assert_eq!(sparse.start, dense.start);
+                assert_eq!(sparse.accept, dense.accept, "{nfa:?}");
+                assert_eq!(sparse.trans, dense.trans, "{nfa:?}");
+                // complement ∘ complement is the identity
+                let back = sparse.complement().complement();
+                assert_eq!(
+                    (back.accept, back.trans),
+                    (sparse.accept.clone(), sparse.trans.clone())
+                );
+                // and membership agrees with the NFA on enumerated words
+                let mut words: Vec<Vec<Symbol>> = vec![Vec::new()];
+                for len in 0..3 {
+                    let longest: Vec<Vec<Symbol>> =
+                        words.iter().filter(|w| w.len() == len).cloned().collect();
+                    for w in longest {
+                        for sym in 0..sigma.min(4) {
+                            let mut next = w.clone();
+                            next.push(Symbol::from_index(sym));
+                            words.push(next);
+                        }
+                    }
+                }
+                for w in &words {
+                    assert_eq!(sparse.accepts(w), nfa.accepts(w), "{w:?} on {nfa:?}");
+                    assert_eq!(sparse.complement().accepts(w), !nfa.accepts(w));
+                }
+                let dead = (0..sparse.num_states()).any(|s| {
+                    !sparse.accept[s]
+                        && (0..sigma).all(|a| sparse.trans[s * sigma + a] == s as StateId)
+                });
+                if dead {
+                    with_sink += 1;
+                } else {
+                    without_sink += 1;
+                }
+                cases += 1;
+            }
+        }
+        assert_eq!(cases, 240);
+        assert!(
+            with_sink > 0 && without_sink > 0,
+            "{with_sink} / {without_sink}"
+        );
+    }
+
+    #[test]
+    fn symbols_beyond_sigma_are_not_stepped() {
+        // The dense loop never looked at a symbol ≥ sigma; neither may the
+        // sparse one (an undersized sigma drops words, it does not panic).
+        let mut n = Nfa::empty();
+        let t = n.add_state(true);
+        n.add_transition(n.start(), Symbol::from_index(0), t);
+        n.add_transition(n.start(), Symbol::from_index(5), t);
+        let d = Dfa::from_nfa(&n, 2);
+        let dense = from_nfa_dense(&n, 2);
+        assert_eq!((d.accept, d.trans), (dense.accept, dense.trans));
+    }
+
     #[test]
     fn hopcroft_agrees_with_moore_on_basics() {
         let mut ab = Alphabet::new();

@@ -558,32 +558,37 @@ impl Nfa {
     /// States of `self` reachable from its start by some word in `L(filter)`.
     /// Used by the constraint saturation procedures: "the set of states q
     /// such that some y ∈ L(Q) leads from the start to q".
+    ///
+    /// A walk of the product `self × filter`; visited pairs are one bit
+    /// each of a `|Q| · |Q_f|` table (both automata are tens of states on
+    /// the planner's path, where this runs once per cache and cold plan).
     pub fn reachable_via(&self, filter: &Nfa) -> Vec<StateId> {
-        let mut seen: std::collections::HashSet<(StateId, StateId)> =
-            std::collections::HashSet::new();
-        let mut queue: VecDeque<(StateId, StateId)> = VecDeque::new();
-        let start = (self.start, filter.start);
-        seen.insert(start);
-        queue.push_back(start);
+        let width = filter.num_states();
+        let mut seen = vec![0u64; (self.num_states() * width).div_ceil(64)];
+        let mut stack: Vec<(StateId, StateId)> = Vec::new();
+        let mut visit = |stack: &mut Vec<(StateId, StateId)>, s: StateId, f: StateId| {
+            let bit = s as usize * width + f as usize;
+            if seen[bit / 64] & (1 << (bit % 64)) == 0 {
+                seen[bit / 64] |= 1 << (bit % 64);
+                stack.push((s, f));
+            }
+        };
+        visit(&mut stack, self.start, filter.start);
         let mut hits = vec![false; self.num_states()];
-        while let Some((s, f)) = queue.pop_front() {
+        while let Some((s, f)) = stack.pop() {
             if filter.accept[f as usize] {
                 hits[s as usize] = true;
             }
             for &t in &self.eps[s as usize] {
-                if seen.insert((t, f)) {
-                    queue.push_back((t, f));
-                }
+                visit(&mut stack, t, f);
             }
             for &t in &filter.eps[f as usize] {
-                if seen.insert((s, t)) {
-                    queue.push_back((s, t));
-                }
+                visit(&mut stack, s, t);
             }
             for &(sym, ts) in &self.trans[s as usize] {
                 for &(sym2, tf) in &filter.trans[f as usize] {
-                    if sym == sym2 && seen.insert((ts, tf)) {
-                        queue.push_back((ts, tf));
+                    if sym == sym2 {
+                        visit(&mut stack, ts, tf);
                     }
                 }
             }
@@ -627,7 +632,14 @@ impl Nfa {
     /// finite-language queries: no answer can lie deeper than the longest
     /// word the automaton accepts.
     pub fn longest_accepted_len(&self) -> Option<usize> {
-        let t = self.trim();
+        self.trim().longest_accepted_len_trimmed()
+    }
+
+    /// [`Nfa::longest_accepted_len`] for an automaton that already is
+    /// [`Nfa::trim`]med — the caller's contract; a planner that keeps the
+    /// trimmed form asks without paying for the trim again.
+    pub fn longest_accepted_len_trimmed(&self) -> Option<usize> {
+        let t = self;
         if !t.accept.iter().any(|&a| a) {
             return None; // empty language: no word to bound
         }
@@ -1081,6 +1093,82 @@ mod tests {
         let set = n.eps_closure(&hits);
         let after = n.step(&set, c);
         assert!(n.set_accepts(&after));
+    }
+
+    /// The result vector by its definition: `s` is hit iff some word of
+    /// `L(filter)` (up to a length that covers these automata) leads from
+    /// the start to a set containing `s`.
+    fn reachable_via_by_words(n: &Nfa, filter: &Nfa) -> Vec<StateId> {
+        let mut hits = vec![false; n.num_states()];
+        for w in filter.enumerate_words(6, 4096) {
+            let mut set = n.start_set();
+            for &sym in &w {
+                set = n.step(&set, sym);
+            }
+            for s in set {
+                hits[s as usize] = true;
+            }
+        }
+        (0..n.num_states() as StateId)
+            .filter(|&s| hits[s as usize])
+            .collect()
+    }
+
+    #[test]
+    fn reachable_via_survives_eps_cycles_on_both_sides() {
+        let mut ab = Alphabet::new();
+        let (a, b) = (ab.intern("a"), ab.intern("b"));
+        // self: 0 ⇄ε 1 -a→ 2 ⇄ε 3 -b→ 4, with 2 -a→ 2
+        let mut n = Nfa::empty();
+        for _ in 0..4 {
+            n.add_state(false);
+        }
+        n.set_accepting(4, true);
+        n.add_eps(0, 1);
+        n.add_eps(1, 0);
+        n.add_transition(1, a, 2);
+        n.add_transition(2, a, 2);
+        n.add_eps(2, 3);
+        n.add_eps(3, 2);
+        n.add_transition(3, b, 4);
+        // filter: a.a* with an ε-cycle between its two a-states
+        let mut f = Nfa::empty();
+        let f1 = f.add_state(true);
+        let f2 = f.add_state(false);
+        f.add_transition(f.start(), a, f1);
+        f.add_eps(f1, f2);
+        f.add_eps(f2, f1);
+        f.add_transition(f2, a, f1);
+        assert_eq!(n.reachable_via(&f), vec![2, 3]);
+        assert_eq!(n.reachable_via(&f), reachable_via_by_words(&n, &f));
+        // and against the definition on Thompson automata with stars
+        for (q, r) in [
+            ("(a.b)*.a", "(a.b)*"),
+            ("a*.b*", "a.a + b"),
+            ("(a+b)*", "()"),
+        ] {
+            let n = Nfa::thompson(&re(&mut ab, q));
+            let f = Nfa::thompson(&re(&mut ab, r));
+            assert_eq!(
+                n.reachable_via(&f),
+                reachable_via_by_words(&n, &f),
+                "{q} via {r}"
+            );
+        }
+    }
+
+    #[test]
+    fn reachable_via_an_empty_filter_hits_nothing() {
+        let mut ab = Alphabet::new();
+        let n = Nfa::thompson(&re(&mut ab, "a.b*"));
+        // L(filter) = ∅: no word, no hit — not even the start.
+        assert!(n.reachable_via(&Nfa::empty()).is_empty());
+        assert!(n.reachable_via(&Nfa::thompson(&Regex::Empty)).is_empty());
+        // L(filter) = {ε}: the ε-closure of the start.
+        assert_eq!(n.reachable_via(&Nfa::epsilon()), n.start_set());
+        // a filter word the automaton cannot read
+        let z = Nfa::thompson(&re(&mut ab, "z"));
+        assert!(n.reachable_via(&z).is_empty());
     }
 
     #[test]

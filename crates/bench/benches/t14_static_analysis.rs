@@ -1,4 +1,4 @@
-//! T14 — static query analysis (plan-time facts payoff). Three claims,
+//! T14 — static query analysis (plan-time facts payoff). Four claims,
 //! asserted at registration time so `--test` mode (the CI bench smoke)
 //! enforces the acceptance criteria without paying measurement time:
 //!
@@ -15,18 +15,27 @@
 //!   plan time (`rewrites_certified == 1`), and the certified plan's
 //!   answers match the plain engine's.
 //!
+//! * **Compile once** — on the `plan-cold` shapes of `bench_e2e` a cold
+//!   plan builds one Thompson automaton of its query and runs at most one
+//!   subset construction of it (`Optimized::thompson_builds` /
+//!   `determinizations`), and none at all for a word no cache body
+//!   prefixes.
+//!
 //! The measured series compare the planned engine (analysis amortized via
-//! the plan memo) against the plain product engine on all three shapes.
+//! the plan memo) against the plain product engine on all three shapes;
+//! `cold_plan/{uncached, cached, union_tail}` is the cold planner alone —
+//! one pass over each class of `plan-cold` text against an empty memo.
 
 use std::hint::black_box;
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rpq_automata::parse_regex;
-use rpq_bench::{distributed_workload, skewed_workload};
+use rpq_bench::{cold_plan_workload, distributed_workload, skewed_workload};
+use rpq_constraints::general::Budget;
 use rpq_core::{Engine, EvalRequest, ProductEngine, Query};
 use rpq_graph::CsrGraph;
-use rpq_optimizer::PlannedEngine;
+use rpq_optimizer::{optimize_with_stats, PlannedEngine};
 
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("t14_static_analysis");
@@ -185,6 +194,51 @@ fn bench(c: &mut Criterion) {
                 })
             },
         );
+    }
+
+    // The cold planner in isolation (`optimizer.plan_us` of `bench_e2e`'s
+    // `plan-cold`): a new engine per pass, so every plan misses the memo.
+    let w = cold_plan_workload();
+    let graph = CsrGraph::from(&w.instance);
+    for (name, texts) in [
+        ("uncached", &w.uncached),
+        ("cached", &w.cached),
+        ("union_tail", &w.union_tail),
+    ] {
+        // Acceptance 4: a cold plan compiles its query once. One Thompson
+        // automaton serves the cost models and every rewrite family; the
+        // subset construction runs at most once, and not at all for a word
+        // no cache body prefixes (the view search is gated out and a word
+        // is its own minimal-DFA regex).
+        for q in texts.iter() {
+            let opt = optimize_with_stats(
+                &w.constraints,
+                q,
+                &w.alphabet,
+                &Budget::default(),
+                graph.stats(),
+            );
+            assert_eq!(opt.thompson_builds, 1, "{name}: {q:?}");
+            assert_eq!(
+                opt.determinizations,
+                usize::from(name != "uncached"),
+                "{name}: {q:?}"
+            );
+            assert_eq!(opt.improved(), name == "cached", "{name}: {q:?}");
+        }
+        let queries: Vec<Query> = texts
+            .iter()
+            .map(|q| Query::new(q.clone(), &w.alphabet))
+            .collect();
+        group.bench_function(BenchmarkId::new("cold_plan", name), |b| {
+            b.iter(|| {
+                let engine =
+                    PlannedEngine::new(ProductEngine, w.constraints.clone(), w.alphabet.clone());
+                for q in &queries {
+                    black_box(engine.plan(q, &graph));
+                }
+            })
+        });
     }
 
     group.finish();

@@ -402,6 +402,76 @@ pub fn distributed_workload(depth: usize) -> DistributedWorkload {
     }
 }
 
+/// The `plan-cold` shape of `bench_e2e` as a microbench input (T14's
+/// `cold_plan` series): its 13-label alphabet, its constraint shape
+/// `{c0 = f0.f1, c1 = f2.f3, c2 ⊆ f1.f2}` and its 396 texts, split by what
+/// a cold plan of each has to do.
+pub struct ColdPlanWorkload {
+    /// `f0..f5`, `c0..c2`, `r`, `p`, `q`, `t`.
+    pub alphabet: Alphabet,
+    /// A graph on which every `f` and `c` label has edges and the three
+    /// constraints hold at every node.
+    pub instance: Instance,
+    /// Two word caches and one inclusion.
+    pub constraints: ConstraintSet,
+    /// The 204 `x.y.z` words no cache body prefixes: nothing to find.
+    pub uncached: Vec<Regex>,
+    /// The 22 texts headed by `f0.f1` or `f2.f3`: a certified rewrite.
+    pub cached: Vec<Regex>,
+    /// The 170 `x.y.(z+w)` texts no cache body prefixes: not a word, so
+    /// the simplifier has to look.
+    pub union_tail: Vec<Regex>,
+}
+
+/// Build the T14 cold-plan workload.
+pub fn cold_plan_workload() -> ColdPlanWorkload {
+    let mut names: Vec<String> = (0..6).map(|i| format!("f{i}")).collect();
+    names.extend((0..3).map(|i| format!("c{i}")));
+    names.extend(["r", "p", "q", "t"].map(String::from));
+    let mut alphabet = Alphabet::from_names(names.iter());
+    let constraints =
+        ConstraintSet::parse(&mut alphabet, ["c0 = f0.f1", "c1 = f2.f3", "c2 <= f1.f2"]).unwrap();
+    let sym = |name: String| alphabet.get(&name).expect("interned above");
+    let f: Vec<Symbol> = (0..6).map(|i| sym(format!("f{i}"))).collect();
+    // Six functional labels on a ring of 16 nodes (label i advances by
+    // i + 1), and the three compositions the constraints describe.
+    const RING: u32 = 16;
+    let mut instance = Instance::new();
+    let nodes: Vec<Oid> = (0..RING).map(|_| instance.add_node()).collect();
+    let hop = |from: u32, by: usize| nodes[((from + by as u32) % RING) as usize];
+    for v in 0..RING {
+        for (i, &label) in f.iter().enumerate() {
+            instance.add_edge(nodes[v as usize], label, hop(v, i + 1));
+        }
+        for (ci, (x, y)) in [(0usize, 1usize), (2, 3), (1, 2)].into_iter().enumerate() {
+            instance.add_edge(nodes[v as usize], sym(format!("c{ci}")), hop(v, x + y + 2));
+        }
+    }
+    let (mut uncached, mut cached, mut union_tail) = (Vec::new(), Vec::new(), Vec::new());
+    for x in 0..6 {
+        for y in 0..6 {
+            let hit = (x, y) == (0, 1) || (x, y) == (2, 3);
+            let head = Regex::sym(f[x]).then(Regex::sym(f[y]));
+            for &z in &f {
+                let q = head.clone().then(Regex::sym(z));
+                if hit { &mut cached } else { &mut uncached }.push(q);
+            }
+            for (z, w) in [(0, 4), (1, 5), (2, 4), (3, 5), (4, 5)] {
+                let q = head.clone().then(Regex::sym(f[z]).or(Regex::sym(f[w])));
+                if hit { &mut cached } else { &mut union_tail }.push(q);
+            }
+        }
+    }
+    ColdPlanWorkload {
+        alphabet,
+        instance,
+        constraints,
+        uncached,
+        cached,
+        union_tail,
+    }
+}
+
 /// A join-order-skewed conjunctive workload (T17). `n_src` source nodes
 /// each fan out on `hot` across `spread` hub nodes, but only hub 0
 /// continues on `rare` to a single sink. For the CRPQ
@@ -554,6 +624,21 @@ mod tests {
         // hot fan-out plus the single rare bottleneck edge
         assert_eq!(w.instance.num_edges(), 33);
         assert!(w.text.contains(":-"));
+    }
+
+    #[test]
+    fn cold_plan_workload_shape() {
+        let w = cold_plan_workload();
+        assert_eq!(w.alphabet.len(), 13);
+        assert_eq!(
+            (w.uncached.len(), w.cached.len(), w.union_tail.len()),
+            (204, 22, 170)
+        );
+        assert!(w.uncached.iter().all(|q| q.as_word().is_some()));
+        assert!(w.union_tail.iter().all(|q| q.as_word().is_none()));
+        for v in w.instance.nodes() {
+            assert!(w.constraints.holds_at(&w.instance, v));
+        }
     }
 
     #[test]

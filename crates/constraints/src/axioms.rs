@@ -43,6 +43,8 @@
 use std::collections::HashSet;
 use std::fmt::Write as _;
 
+use std::sync::Arc;
+
 use rpq_automata::ops;
 use rpq_automata::simplify::simplify;
 use rpq_automata::{Alphabet, Regex};
@@ -330,8 +332,8 @@ fn union_arms(p: &Regex) -> Option<Vec<Regex>> {
 /// The proof-search engine for a fixed constraint set.
 pub struct Prover<'a> {
     /// Directed axioms `(l, r)` meaning `l ⊆ r`, from the constraint set
-    /// (equalities contribute both directions).
-    pub axioms: Vec<(Regex, Regex)>,
+    /// (equalities contribute both directions), simplified once per set.
+    pub axioms: Arc<[(Regex, Regex)]>,
     cfg: ProverConfig,
     _set: &'a ConstraintSet,
 }
@@ -339,14 +341,8 @@ pub struct Prover<'a> {
 impl<'a> Prover<'a> {
     /// Build a prover over `set` with the given budgets.
     pub fn new(set: &'a ConstraintSet, cfg: ProverConfig) -> Prover<'a> {
-        let mut axioms = Vec::new();
-        for c in set.iter() {
-            for (l, r) in c.as_inclusions() {
-                axioms.push((simplify(&l), simplify(&r)));
-            }
-        }
         Prover {
-            axioms,
+            axioms: set.axioms(),
             cfg,
             _set: set,
         }

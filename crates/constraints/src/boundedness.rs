@@ -300,7 +300,30 @@ pub fn bounded_under_path_constraints(
     if p_nfa.is_finite_lang() {
         return GeneralBoundedness::AlreadyFinite;
     }
+    bounded_beyond_finite(
+        set,
+        p,
+        &p_nfa,
+        alphabet,
+        budget,
+        max_candidate_len,
+        word_cap,
+    )
+}
 
+/// Steps 2 and 3 of [`bounded_under_path_constraints`] for a caller that
+/// holds `p`'s automaton and already knows `L(p)` to be infinite (the
+/// planner compiles both once per query): never
+/// [`GeneralBoundedness::AlreadyFinite`].
+pub fn bounded_beyond_finite(
+    set: &ConstraintSet,
+    p: &Regex,
+    p_nfa: &Nfa,
+    alphabet: &Alphabet,
+    budget: &crate::general::Budget,
+    max_candidate_len: usize,
+    word_cap: usize,
+) -> GeneralBoundedness {
     // Exact fragment: Theorem 4.10.
     if set.all_word_equalities() && !set.is_empty() {
         match decide_boundedness(set, p, alphabet) {

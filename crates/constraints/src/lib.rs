@@ -48,7 +48,8 @@ pub mod types;
 pub use armstrong::{suggested_radius, ArmstrongSphere};
 pub use axioms::{prove_constraint, prove_inclusion, Derivation, Prover, ProverConfig, Rule};
 pub use boundedness::{
-    bounded_under_path_constraints, decide_boundedness, Boundedness, GeneralBoundedness,
+    bounded_beyond_finite, bounded_under_path_constraints, decide_boundedness, Boundedness,
+    GeneralBoundedness,
 };
 pub use canonical::{lemma44_instance, CanonicalInstance};
 pub use deterministic::{
@@ -61,4 +62,4 @@ pub use implication::{
     word_implies_constraint, word_implies_path, word_implies_word, WordImplication,
 };
 pub use rewrite::{rewrite_closure_nfa, rewrite_to_nfa, rewrite_to_word_nfa, RewriteSystem};
-pub use types::{parse_constraint, ConstraintKind, ConstraintSet, PathConstraint};
+pub use types::{parse_constraint, CacheDef, ConstraintKind, ConstraintSet, PathConstraint};

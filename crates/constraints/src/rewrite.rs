@@ -18,7 +18,7 @@
 
 use rpq_automata::{Alphabet, Nfa, Regex, StateId, Symbol};
 
-use crate::types::{ConstraintSet, PathConstraint};
+use crate::types::{ClosureRhs, ConstraintSet, PathConstraint};
 
 /// A word-level prefix rewrite system extracted from a constraint set.
 #[derive(Clone, Debug, Default)]
@@ -290,31 +290,24 @@ pub fn rewrite_closure_nfa(set: &ConstraintSet, target: &Nfa) -> RewriteToAutoma
     // Embed each rule's lhs as a reading fragment out of the root, and
     // split the rules by rhs shape: single-word rhs saturates by ε-wiring,
     // everything else goes through the universal construction.
-    let mut word_rules: Vec<(Vec<StateId>, Vec<Symbol>)> = Vec::new();
-    let mut regex_rules: Vec<(Vec<StateId>, Nfa, Nfa)> = Vec::new();
-    for c in set.iter() {
-        for (lhs, rhs) in c.as_inclusions() {
-            let lhs_nfa = Nfa::thompson(&lhs);
-            let frag = nfa.add_nfa(&lhs_nfa);
-            nfa.add_eps(root, lhs_nfa.start() + frag);
-            let mut exits = Vec::new();
-            for s in 0..lhs_nfa.num_states() as StateId {
-                if lhs_nfa.is_accepting(s) {
-                    nfa.set_accepting(s + frag, false);
-                    exits.push(s + frag);
-                }
+    let mut word_rules: Vec<(Vec<StateId>, &[Symbol])> = Vec::new();
+    let mut regex_rules: Vec<(Vec<StateId>, &Nfa, &Nfa)> = Vec::new();
+    for rule in set.closure_rules() {
+        let frag = nfa.add_nfa(&rule.lhs);
+        nfa.add_eps(root, rule.lhs.start() + frag);
+        let mut exits = Vec::new();
+        for s in 0..rule.lhs.num_states() as StateId {
+            if rule.lhs.is_accepting(s) {
+                nfa.set_accepting(s + frag, false);
+                exits.push(s + frag);
             }
-            if let Some(word) = rhs.as_word() {
-                word_rules.push((exits, word));
-            } else {
-                let rhs_nfa = Nfa::thompson(&rhs).trim();
-                if rhs_nfa.is_empty_lang() {
-                    // `P ⊆ ∅` pins answers(P) to ∅ on satisfying
-                    // instances; certifying nothing through it is sound.
-                    continue;
-                }
-                regex_rules.push((exits, lhs_nfa, rhs_nfa));
-            }
+        }
+        match &rule.rhs {
+            ClosureRhs::Word(word) => word_rules.push((exits, word)),
+            ClosureRhs::Regex(rhs_nfa) => regex_rules.push((exits, &rule.lhs, rhs_nfa)),
+            // `P ⊆ ∅` pins answers(P) to ∅ on satisfying instances;
+            // certifying nothing through it is sound.
+            ClosureRhs::Empty => {}
         }
     }
 

@@ -8,8 +8,9 @@
 //! (avoiding the degenerate "emptiness constraints" the paper excludes).
 
 use std::fmt;
+use std::sync::{Arc, OnceLock};
 
-use rpq_automata::{parse_regex, Alphabet, Nfa, ParseError, Regex, Symbol};
+use rpq_automata::{parse_regex, simplify, Alphabet, Nfa, ParseError, Regex, Symbol};
 use rpq_core::eval_product;
 use rpq_graph::{Instance, Oid};
 
@@ -160,11 +161,63 @@ fn find_op(src: &str) -> Option<(usize, usize, ConstraintKind)> {
     None
 }
 
+/// A cache definition `label = body`: an equality of the set with a
+/// single label on one side and, on the other, a body that is not itself a
+/// label or `ε` (the cache link of Section 3.2: "the answer to query q at
+/// site o could be saved and accessed from o by links labeled l_q"). This
+/// is the one definition of "a cache" the optimizer's rewrite families
+/// share; see [`ConstraintSet::caches`].
+#[derive(Clone, Debug)]
+pub struct CacheDef {
+    /// The cache link label.
+    pub label: Symbol,
+    /// The cached query.
+    pub body: Regex,
+    /// Thompson automaton of `body`.
+    pub nfa: Nfa,
+    /// Is `L(body)` empty? (Every tail is then vacuously safe.)
+    pub empty: bool,
+}
+
+/// The right-hand side of a [`ClosureRule`], by how
+/// [`crate::rewrite_closure_nfa`] wires it.
+#[derive(Clone, Debug)]
+pub(crate) enum ClosureRhs {
+    /// A single word: ε-wired by word saturation.
+    Word(Vec<Symbol>),
+    /// A trimmed automaton of a non-empty language: universal wiring.
+    Regex(Nfa),
+    /// `∅`: nothing is certified through the rule.
+    Empty,
+}
+
+/// One directed inclusion `lhs ⊆ rhs` of the set (an equality gives two),
+/// compiled for [`crate::rewrite_closure_nfa`].
+#[derive(Clone, Debug)]
+pub(crate) struct ClosureRule {
+    /// Thompson automaton of the left-hand side.
+    pub(crate) lhs: Nfa,
+    pub(crate) rhs: ClosureRhs,
+}
+
+/// What depends on the constraints alone, each part compiled on first use
+/// and dropped by [`ConstraintSet::add`]. Clones of a set share the parts
+/// already compiled, so a planner that keeps its set pays once per engine.
+#[derive(Clone, Debug, Default)]
+struct Compiled {
+    /// `(all word constraints, all word equalities)`.
+    word_classes: OnceLock<(bool, bool)>,
+    caches: OnceLock<Arc<[CacheDef]>>,
+    axioms: OnceLock<Arc<[(Regex, Regex)]>>,
+    closure_rules: OnceLock<Arc<[ClosureRule]>>,
+}
+
 /// A finite set `E` of path constraints with the normalizations of
 /// Section 4.2 applied.
 #[derive(Clone, Debug, Default)]
 pub struct ConstraintSet {
     constraints: Vec<PathConstraint>,
+    compiled: Compiled,
 }
 
 impl ConstraintSet {
@@ -217,6 +270,7 @@ impl ConstraintSet {
         if !self.constraints.contains(&c) {
             self.constraints.push(c);
         }
+        self.compiled = Compiled::default();
     }
 
     /// The constraints.
@@ -234,18 +288,96 @@ impl ConstraintSet {
         self.constraints.is_empty()
     }
 
+    fn word_classes(&self) -> (bool, bool) {
+        *self.compiled.word_classes.get_or_init(|| {
+            let words = self
+                .constraints
+                .iter()
+                .all(PathConstraint::is_word_constraint);
+            let equalities = self
+                .constraints
+                .iter()
+                .all(|c| c.kind == ConstraintKind::Equality);
+            (words, words && equalities)
+        })
+    }
+
     /// Are *all* constraints word constraints (the Theorem 4.3 class)?
     pub fn all_word_constraints(&self) -> bool {
-        self.constraints
-            .iter()
-            .all(PathConstraint::is_word_constraint)
+        self.word_classes().0
     }
 
     /// Are all constraints word *equalities* (the Section 4.3 class)?
     pub fn all_word_equalities(&self) -> bool {
-        self.constraints
-            .iter()
-            .all(|c| c.is_word_constraint() && c.kind == ConstraintKind::Equality)
+        self.word_classes().1
+    }
+
+    /// The cache definitions of the set — equalities with a single label
+    /// on one side and a body longer than a label on the other — in
+    /// constraint order, the `label = body` reading before `body = label`.
+    pub fn caches(&self) -> &[CacheDef] {
+        self.compiled.caches.get_or_init(|| {
+            let mut out = Vec::new();
+            for c in &self.constraints {
+                if c.kind != ConstraintKind::Equality {
+                    continue;
+                }
+                for (label_side, body) in [(&c.lhs, &c.rhs), (&c.rhs, &c.lhs)] {
+                    let Some(&[label]) = label_side.as_word().as_deref() else {
+                        continue;
+                    };
+                    if body.as_word().is_some_and(|w| w.len() <= 1) {
+                        continue; // a genuine cache: single label = larger query
+                    }
+                    let nfa = Nfa::thompson(body);
+                    out.push(CacheDef {
+                        label,
+                        body: body.clone(),
+                        empty: nfa.is_empty_lang(),
+                        nfa,
+                    });
+                }
+            }
+            out.into()
+        })
+    }
+
+    /// The directed axioms `l ⊆ r` of the set with both sides simplified
+    /// (an equality gives two) — what [`crate::Prover`] searches over.
+    pub(crate) fn axioms(&self) -> Arc<[(Regex, Regex)]> {
+        let axioms = self.compiled.axioms.get_or_init(|| {
+            self.constraints
+                .iter()
+                .flat_map(PathConstraint::as_inclusions)
+                .map(|(l, r)| (simplify(&l), simplify(&r)))
+                .collect()
+        });
+        Arc::clone(axioms)
+    }
+
+    /// The directed inclusions of the set as automata, in the order
+    /// [`crate::rewrite_closure_nfa`] embeds them.
+    pub(crate) fn closure_rules(&self) -> &[ClosureRule] {
+        self.compiled.closure_rules.get_or_init(|| {
+            self.constraints
+                .iter()
+                .flat_map(PathConstraint::as_inclusions)
+                .map(|(lhs, rhs)| ClosureRule {
+                    lhs: Nfa::thompson(&lhs),
+                    rhs: match rhs.as_word() {
+                        Some(word) => ClosureRhs::Word(word),
+                        None => {
+                            let nfa = Nfa::thompson(&rhs).trim();
+                            if nfa.is_empty_lang() {
+                                ClosureRhs::Empty
+                            } else {
+                                ClosureRhs::Regex(nfa)
+                            }
+                        }
+                    },
+                })
+                .collect()
+        })
     }
 
     /// All symbols mentioned by any constraint.
@@ -340,6 +472,63 @@ mod tests {
         assert!(eqs.all_word_equalities());
         let paths = ConstraintSet::parse(&mut ab, ["a* <= b"]).unwrap();
         assert!(!paths.all_word_constraints());
+    }
+
+    #[test]
+    fn caches_are_label_equals_larger_body() {
+        let mut ab = Alphabet::new();
+        let set = ConstraintSet::parse(
+            &mut ab,
+            [
+                "l = (a.b)*",
+                "c.d = m",
+                "x <= y",
+                "k = a",
+                "e = ()",
+                "n = []",
+                "p <= a.b",
+            ],
+        )
+        .unwrap();
+        let found: Vec<(&str, String)> = set
+            .caches()
+            .iter()
+            .map(|c| (ab.name(c.label), c.body.display(&ab).to_string()))
+            .collect();
+        assert_eq!(
+            found,
+            [
+                ("l", "(a.b)*".to_string()),
+                ("m", "c.d".to_string()),
+                ("n", "[]".to_string())
+            ],
+            "inclusions, label = label and label = ε are not caches"
+        );
+        assert_eq!(
+            set.caches().iter().map(|c| c.empty).collect::<Vec<_>>(),
+            [false, false, true]
+        );
+        let c = ab.get("c").unwrap();
+        let d = ab.get("d").unwrap();
+        assert!(set.caches()[1].nfa.accepts(&[c, d]));
+    }
+
+    #[test]
+    fn add_drops_what_was_compiled() {
+        let mut ab = Alphabet::new();
+        let mut set = ConstraintSet::parse(&mut ab, ["a.b = b.a"]).unwrap();
+        assert!(set.all_word_equalities());
+        assert!(set.caches().is_empty());
+        assert_eq!(set.axioms().len(), 2);
+        assert_eq!(set.closure_rules().len(), 2);
+        let shared = set.clone();
+        set.add(parse_constraint(&mut ab, "l = (a.b)*").unwrap());
+        assert!(!set.all_word_equalities() && !set.all_word_constraints());
+        assert_eq!(set.caches().len(), 1);
+        assert_eq!(set.axioms().len(), 4);
+        assert_eq!(set.closure_rules().len(), 4);
+        // the clone taken before the `add` still answers for the old set
+        assert!(shared.all_word_equalities() && shared.caches().is_empty());
     }
 
     #[test]

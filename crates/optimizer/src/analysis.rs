@@ -36,6 +36,8 @@ use rpq_automata::{Nfa, Regex, Symbol};
 use rpq_constraints::{rewrite_closure_nfa, ConstraintSet};
 use rpq_graph::LabelStats;
 
+use crate::compiled::CompiledQuery;
+
 /// Facts derived statically from one query over one snapshot's label
 /// statistics. Attached to every plan; see the module docs for the four
 /// analyses that populate it.
@@ -90,10 +92,13 @@ pub struct Analysis {
 /// rewrite can be rejected (costing only optimality), but an invalid one
 /// is never certified.
 pub fn certify_rewrite(set: &ConstraintSet, original: &Regex, candidate: &Regex) -> bool {
-    let q = Nfa::thompson(original);
-    let r = Nfa::thompson(candidate);
-    included_antichain(&q, &rewrite_closure_nfa(set, &r).nfa).is_ok()
-        && included_antichain(&r, &rewrite_closure_nfa(set, &q).nfa).is_ok()
+    certify_automata(set, &Nfa::thompson(original), &Nfa::thompson(candidate))
+}
+
+/// [`certify_rewrite`] over the two Thompson automata.
+fn certify_automata(set: &ConstraintSet, q: &Nfa, r: &Nfa) -> bool {
+    included_antichain(q, &rewrite_closure_nfa(set, r).nfa).is_ok()
+        && included_antichain(r, &rewrite_closure_nfa(set, q).nfa).is_ok()
 }
 
 /// Replace every symbol of `q` that has zero edges under `stats` with `∅`
@@ -136,37 +141,59 @@ pub fn analyze(
     winner: Regex,
     stats: &LabelStats,
 ) -> Analysis {
+    let input = CompiledQuery::new(original, 0);
+    if winner == *original {
+        analyze_compiled(set, &input, None, stats)
+    } else {
+        analyze_compiled(set, &input, Some(&CompiledQuery::owned(winner, 0)), stats)
+    }
+}
+
+/// [`analyze`] over compiled queries: `winner` is `None` when the input
+/// won the rewrite search. What the search already built of either query
+/// (automaton, trimmed form, depth cap) is read, not rebuilt.
+pub(crate) fn analyze_compiled(
+    set: &ConstraintSet,
+    original: &CompiledQuery<'_>,
+    winner: Option<&CompiledQuery<'_>>,
+    stats: &LabelStats,
+) -> Analysis {
     let t0 = Instant::now();
     let mut facts = AnalysisFacts::default();
-    let mut chosen = winner;
-    if chosen != *original {
-        if certify_rewrite(set, original, &chosen) {
+    let mut chosen = original;
+    if let Some(winner) = winner {
+        if certify_automata(set, original.nfa(), winner.nfa()) {
             facts.rewrites_certified = 1;
+            chosen = winner;
         } else {
             facts.rewrites_rejected = 1;
-            chosen = original.clone();
         }
     }
-    let (restricted, pruned) = restrict_to_live_symbols(&chosen, stats);
+    let (restricted, pruned) = restrict_to_live_symbols(chosen.regex(), stats);
     facts.pruned_symbols = pruned;
-    let full = Nfa::thompson(&restricted);
-    let trimmed = full.trim();
-    // Count savings against the *unanalyzed* automaton: symbol erasure
-    // simplifies the regex structurally (the smart constructors fold `∅`
-    // away), so the states it removes never reach `full` — rebuilding the
+    // Nothing pruned: the restricted query *is* the chosen one, compiled
+    // already. Otherwise symbol erasure simplified the regex structurally
+    // (the smart constructors fold `∅` away), so the states it removes
+    // never reach the restricted automaton — counting savings against the
     // chosen query's Thompson NFA is what makes the reduction visible.
-    let unanalyzed_states = if facts.pruned_symbols.is_empty() {
-        full.num_states()
+    let erased;
+    let planned = if facts.pruned_symbols.is_empty() {
+        chosen
     } else {
-        Nfa::thompson(&chosen).num_states()
+        erased = CompiledQuery::owned(restricted, 0);
+        &erased
     };
-    facts.states_trimmed = unanalyzed_states.saturating_sub(trimmed.num_states());
-    facts.statically_empty = trimmed.is_empty_lang();
-    facts.max_word_len = trimmed.longest_accepted_len();
-    facts.finite_language = facts.statically_empty || facts.max_word_len.is_some();
+    let trimmed = planned.trimmed().clone();
+    facts.states_trimmed = chosen
+        .nfa()
+        .num_states()
+        .saturating_sub(trimmed.num_states());
+    facts.statically_empty = planned.is_empty();
+    facts.max_word_len = planned.longest_accepted_len();
+    facts.finite_language = planned.is_finite();
     facts.analysis_ns = t0.elapsed().as_nanos() as u64;
     Analysis {
-        regex: restricted,
+        regex: planned.regex().clone(),
         nfa: trimmed,
         facts,
     }

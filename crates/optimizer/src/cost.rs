@@ -21,6 +21,8 @@ use rpq_core::eval_product_csr;
 use rpq_graph::{CsrGraph, LabelStats, Oid};
 use serde::{Deserialize, Serialize};
 
+use crate::compiled::CompiledQuery;
+
 /// Static cost of a query.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct StaticCost {
@@ -36,11 +38,15 @@ pub struct StaticCost {
 impl StaticCost {
     /// Compute the static cost of `q`.
     pub fn of(q: &Regex) -> StaticCost {
-        let nfa = Nfa::thompson(q);
+        StaticCost::of_compiled(&CompiledQuery::new(q, 0))
+    }
+
+    /// The static cost of a query the planner has compiled.
+    pub(crate) fn of_compiled(q: &CompiledQuery<'_>) -> StaticCost {
         StaticCost {
-            states: nfa.num_states(),
-            ast_size: q.size(),
-            recursive: !nfa.is_finite_lang(),
+            states: q.nfa().num_states(),
+            ast_size: q.regex().size(),
+            recursive: !q.is_finite(),
         }
     }
 
@@ -62,15 +68,20 @@ impl StaticCost {
 /// exactly the case cached rewrites (`l_q = q`) exploit, since the cache
 /// label is typically rare.
 pub fn estimated_cost(q: &Regex, stats: &LabelStats) -> usize {
-    let nfa = Nfa::thompson(q);
+    estimated_cost_compiled(&CompiledQuery::new(q, 0), stats)
+}
+
+/// [`estimated_cost`] of a query the planner has compiled.
+pub(crate) fn estimated_cost_compiled(q: &CompiledQuery<'_>, stats: &LabelStats) -> usize {
+    let nfa = q.nfa();
     let mut per_sweep = 0usize;
     for s in 0..nfa.num_states() as u32 {
         for &(sym, _) in nfa.transitions(s) {
             per_sweep += stats.edge_count(sym);
         }
     }
-    let revisit = if nfa.is_finite_lang() { 1 } else { 4 };
-    per_sweep * revisit + q.size()
+    let revisit = if q.is_finite() { 1 } else { 4 };
+    per_sweep * revisit + q.regex().size()
 }
 
 /// Measured cost: evaluation work counters on a concrete snapshot.

@@ -29,6 +29,34 @@
 //!   variables), and the budget-sound executor over `rpq_core`'s
 //!   set-valued pair kernels.
 //!
+//! ## A cold plan is one pass over compiled artefacts
+//!
+//! Planning a text the memo has not seen is the server's whole time to
+//! first answer, so nothing in it is compiled twice:
+//!
+//! * **per constraint set** (inside
+//!   [`ConstraintSet`](rpq_constraints::ConstraintSet), on first use,
+//!   shared by clones, dropped by `add`): the cache list with each body's
+//!   automaton and emptiness, the prover's simplified axioms, the
+//!   word-constraint classification, and the rule automata the
+//!   certification closure embeds. A [`PlannedEngine`] keeps its set, so it
+//!   pays these once per engine;
+//! * **per query** (a crate-private `CompiledQuery`, lazily, each at most
+//!   once): the Thompson automaton, its trimmed form, finiteness and the
+//!   depth cap, the complete DFA over the plan's alphabet, and per cache
+//!   the probe `q ∩ r·Σ*`. Both cost models, the three candidate
+//!   families, the view search and — for whichever query wins — the static
+//!   analysis read that one value ([`Optimized::thompson_builds`] and
+//!   [`Optimized::determinizations`] count what was built);
+//! * **the gate**: a cache whose body `r` has a word but leads to no state
+//!   of `q` prefixes no word of `q`; its existential quotient has no start
+//!   state and its universal tail is empty, so neither cache family looks
+//!   at it again — and a query that is a single word is its own
+//!   minimal-DFA regex, so the simplifier does not determinize it either.
+//!
+//! No validation is skipped on the way: every candidate still passes
+//! `check` or the prover, and every winner [`certify_rewrite`].
+//!
 //! ## Example (the paper's Example 2)
 //!
 //! ```
@@ -47,6 +75,7 @@
 #![warn(missing_docs)]
 
 pub mod analysis;
+mod compiled;
 pub mod cost;
 pub mod join;
 pub mod planned;

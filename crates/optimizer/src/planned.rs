@@ -8,8 +8,11 @@
 //! magnitude cheaper than the expensive end. [`PlannedEngine`] wraps any
 //! [`Engine`] and, per query × snapshot:
 //!
-//! 1. runs the constraint rewrite ([`optimize_with_stats`]) against the
-//!    snapshot's [`rpq_graph::LabelStats`] — the Section 3.2 *what*;
+//! 1. runs the constraint rewrite against the snapshot's
+//!    [`rpq_graph::LabelStats`] — the Section 3.2 *what* — and the static
+//!    analysis of its winner, as one pass over one compilation of each
+//!    query (the search of [`crate::optimize_with_stats`], then
+//!    [`crate::analyze`]; see the crate docs);
 //! 2. compiles the winner once ([`Query`]) and estimates the forward cost
 //!    (edges matching the query's *first* label group) and the backward
 //!    cost (edges matching its *last*) — the *how*: [`Direction::Backward`]
@@ -73,9 +76,9 @@ use rpq_core::{
 };
 use rpq_graph::{CsrGraph, GraphView, LabelStats, Oid};
 
-use crate::analysis::{analyze, AnalysisFacts};
+use crate::analysis::AnalysisFacts;
 use crate::join::{execute_join_parallel, plan_join, Crpq, HeadBindings, JoinPlan};
-use crate::planner::optimize_with_stats;
+use crate::planner::optimize_and_analyze;
 
 pub use rpq_core::Direction;
 
@@ -400,11 +403,11 @@ impl<E> PlannedEngine<E> {
         // Planning runs unlocked: a concurrent duplicate costs one extra
         // rewrite search, and insertion is idempotent (same winner).
         let stats = graph.stats();
-        let opt = optimize_with_stats(&self.set, q, alphabet, &Budget::default(), stats);
-        // Static analysis: certify the rewrite winner against the
-        // constraint closure (reverting it if certification fails),
-        // erase zero-edge symbols, trim, and classify the language.
-        let analysis = analyze(&self.set, q, opt.query, stats);
+        // One pass: the rewrite search, then static analysis of its
+        // winner — certify it against the constraint closure (reverting
+        // it if certification fails), erase zero-edge symbols, trim, and
+        // classify the language.
+        let analysis = optimize_and_analyze(&self.set, q, alphabet, &Budget::default(), stats);
         let improved = analysis.facts.rewrites_certified > 0;
         let query = Query::with_nfa(analysis.regex, analysis.nfa, alphabet);
         let reversed = query.nfa().reverse();

@@ -6,6 +6,15 @@
 //! static cost model, return the winner with its provenance. A memoizing
 //! [`RewriteCache`] packages the optimizer as the per-site hook expected by
 //! `rpq_distributed::Simulator::with_rewrite`.
+//!
+//! One call is one pass: the input is compiled once (`CompiledQuery`:
+//! Thompson automaton, trimmed form, finiteness, complete DFA, the
+//! cache-prefix probe — each lazily, at most once) and that one value is
+//! what both cost models, the three candidate families and the view search
+//! read. Every candidate is compiled once too, for its score, and the
+//! winner's compilation is what the static analysis goes on with, so the
+//! planned engine's cold plan certifies, trims and classifies without
+//! building the winner's automaton again.
 
 use std::collections::HashMap;
 
@@ -16,8 +25,11 @@ use rpq_constraints::general::Budget;
 use rpq_constraints::ConstraintSet;
 use rpq_graph::LabelStats;
 
-use crate::cost::{estimated_cost, StaticCost};
-use crate::rewrites::{candidates, Candidate, RewriteRule};
+use crate::analysis::{analyze_compiled, Analysis};
+use crate::compiled::CompiledQuery;
+use crate::cost::{estimated_cost_compiled, StaticCost};
+use crate::rewrites::{candidates_compiled, Candidate, RewriteRule};
+use crate::views::views_compiled;
 
 /// The outcome of optimizing one query.
 #[derive(Clone, Debug)]
@@ -32,6 +44,14 @@ pub struct Optimized {
     pub applied: Option<RewriteRule>,
     /// All candidates considered (diagnostics).
     pub considered: usize,
+    /// Thompson automata built for the input query by this call — one
+    /// serves the cost models, every candidate family and the view search.
+    pub thompson_builds: usize,
+    /// Subset constructions of the input query run by this call: at most
+    /// one, and none when no cache body prefixes a word of the query and
+    /// the query is a single word (nothing for the view search or the
+    /// simplifier to look at).
+    pub determinizations: usize,
 }
 
 impl Optimized {
@@ -43,22 +63,23 @@ impl Optimized {
 
 /// Optimize `q` under `set`: cheapest validated equivalent by static cost.
 ///
-/// Besides the whole-query candidates of [`candidates`], union queries are
+/// Besides the whole-query candidates of [`crate::candidates`], union queries are
 /// also rewritten *arm-wise* — the conclusion's "partial use of cached
 /// queries rather than using them to fully answer the given query": each
 /// union arm is optimized independently and the recombined union is kept
 /// when it wins. Arm rewrites are equivalences under `E`, so their union
 /// is too (no extra validation round needed).
 pub fn optimize(set: &ConstraintSet, q: &Regex, alphabet: &Alphabet, budget: &Budget) -> Optimized {
-    optimize_scored(set, q, alphabet, budget, &|r| StaticCost::of(r).score())
+    let input = CompiledQuery::new(q, alphabet.len());
+    optimize_scored(set, &input, alphabet, budget, &static_score).0
 }
 
 /// Like [`optimize`], but rank candidates by the *data-aware* estimated
-/// cost ([`estimated_cost`]) computed from the per-label statistics of a
-/// `rpq_graph::CsrGraph` snapshot, instead of the static shape score. Two
-/// equivalents that the static model cannot separate (same automaton size)
-/// rank correctly when the data is label-skewed — e.g. a cache substitution
-/// whose cache label is rare wins by exactly its selectivity.
+/// cost ([`crate::estimated_cost`]) computed from the per-label statistics
+/// of a `rpq_graph::CsrGraph` snapshot, instead of the static shape score.
+/// Two equivalents that the static model cannot separate (same automaton
+/// size) rank correctly when the data is label-skewed — e.g. a cache
+/// substitution whose cache label is rare wins by exactly its selectivity.
 pub fn optimize_with_stats(
     set: &ConstraintSet,
     q: &Regex,
@@ -66,21 +87,51 @@ pub fn optimize_with_stats(
     budget: &Budget,
     stats: &LabelStats,
 ) -> Optimized {
-    optimize_scored(set, q, alphabet, budget, &|r| estimated_cost(r, stats))
+    let input = CompiledQuery::new(q, alphabet.len());
+    optimize_scored(set, &input, alphabet, budget, &|c| {
+        estimated_cost_compiled(c, stats)
+    })
+    .0
 }
 
-fn optimize_scored(
+/// The planned engine's cold plan: [`optimize_with_stats`] and
+/// [`crate::analyze`] as one pass — the input's compilation serves the
+/// rewrite search and then either side of the certification, the winner's
+/// serves its score and then the trim and the depth cap.
+pub(crate) fn optimize_and_analyze(
     set: &ConstraintSet,
     q: &Regex,
     alphabet: &Alphabet,
     budget: &Budget,
-    score: &dyn Fn(&Regex) -> usize,
-) -> Optimized {
-    let before = StaticCost::of(q);
-    let mut cands: Vec<Candidate> = candidates(set, q, alphabet, budget);
+    stats: &LabelStats,
+) -> Analysis {
+    let input = CompiledQuery::new(q, alphabet.len());
+    let (_, winner) = optimize_scored(set, &input, alphabet, budget, &|c| {
+        estimated_cost_compiled(c, stats)
+    });
+    analyze_compiled(set, &input, winner.as_ref(), stats)
+}
+
+fn static_score(q: &CompiledQuery<'_>) -> usize {
+    StaticCost::of_compiled(q).score()
+}
+
+/// The winner of the rewrite search over `input`, and — when a candidate
+/// beat the input — that candidate's compilation.
+fn optimize_scored(
+    set: &ConstraintSet,
+    input: &CompiledQuery<'_>,
+    alphabet: &Alphabet,
+    budget: &Budget,
+    score: &dyn Fn(&CompiledQuery<'_>) -> usize,
+) -> (Optimized, Option<CompiledQuery<'static>>) {
+    let q = input.regex();
+    let sigma = alphabet.len();
+    let before = StaticCost::of_compiled(input);
+    let mut cands: Vec<Candidate> = candidates_compiled(set, input, alphabet, budget);
 
     // Section 5 view covers (total and partial), already verified.
-    for v in crate::views::rewrite_with_views(set, q, alphabet) {
+    for v in views_compiled(set, input) {
         cands.push(Candidate {
             query: v.query,
             rule: RewriteRule::ViewCover,
@@ -93,11 +144,12 @@ fn optimize_scored(
         let mut rewritten = Vec::with_capacity(arms.len());
         let mut any = false;
         for arm in arms {
-            let arm_cands = candidates(set, arm, alphabet, budget);
-            let arm_score = score(arm);
+            let arm = CompiledQuery::new(arm, sigma);
+            let arm_cands = candidates_compiled(set, &arm, alphabet, budget);
+            let arm_score = score(&arm);
             let best_arm = arm_cands
                 .into_iter()
-                .map(|c| (score(&c.query), c))
+                .map(|c| (score(&CompiledQuery::new(&c.query, sigma)), c))
                 .filter(|(s, _)| *s < arm_score)
                 .min_by_key(|(s, _)| *s);
             match best_arm {
@@ -105,43 +157,47 @@ fn optimize_scored(
                     rewritten.push(c.query);
                     any = true;
                 }
-                None => rewritten.push(arm.clone()),
+                None => rewritten.push(arm.regex().clone()),
             }
         }
         if any {
             cands.push(Candidate {
                 query: Regex::union(rewritten),
-                rule: crate::rewrites::RewriteRule::CacheSubstitution,
+                rule: RewriteRule::CacheSubstitution,
                 proof: "arm-wise (equivalence of arms under E)",
             });
         }
     }
 
     let considered = cands.len();
-    let input_score = score(q);
-    let mut best: Option<(usize, Candidate)> = None;
+    let input_score = score(input);
+    let mut best: Option<(usize, RewriteRule, CompiledQuery<'static>)> = None;
     for c in cands {
-        let s = score(&c.query);
-        if s < input_score && best.as_ref().is_none_or(|(b, _)| s < *b) {
-            best = Some((s, c));
+        let compiled = CompiledQuery::owned(c.query, sigma);
+        let s = score(&compiled);
+        if s < input_score && best.as_ref().is_none_or(|(b, _, _)| s < *b) {
+            best = Some((s, c.rule, compiled));
         }
     }
-    match best {
-        Some((_, c)) => Optimized {
-            after: StaticCost::of(&c.query),
-            query: c.query,
-            before,
-            applied: Some(c.rule),
-            considered,
-        },
-        None => Optimized {
-            query: q.clone(),
-            after: before.clone(),
-            before,
-            applied: None,
-            considered,
-        },
-    }
+    let (query, after, applied, winner) = match best {
+        Some((_, rule, winner)) => (
+            winner.regex().clone(),
+            StaticCost::of_compiled(&winner),
+            Some(rule),
+            Some(winner),
+        ),
+        None => (q.clone(), before.clone(), None, None),
+    };
+    let optimized = Optimized {
+        query,
+        before,
+        after,
+        applied,
+        considered,
+        thompson_builds: input.thompson_builds(),
+        determinizations: input.determinizations(),
+    };
+    (optimized, winner)
 }
 
 /// A memoizing per-site rewrite hook for the distributed runners: every
@@ -209,6 +265,7 @@ impl<'a> RewriteCache<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cost::estimated_cost;
     use rpq_automata::ops::regex_equivalent;
     use rpq_automata::parse_regex;
 

@@ -16,13 +16,27 @@
 //! Every candidate is *validated* before being offered: either by pure
 //! language equivalence, or by constraint implication through
 //! [`rpq_constraints::general::check`] — never by construction alone.
+//!
+//! ## One pass over compiled artefacts
+//!
+//! The families read the query through one `CompiledQuery` (its Thompson
+//! automaton, finiteness and complete DFA, each built at most once per
+//! plan) and the constraints through what the [`ConstraintSet`] compiled
+//! once per set ([`ConstraintSet::caches`]: each cache body with its
+//! automaton). Family 2 starts from the probe `q ∩ r·Σ*` — the states of
+//! `q` some word of the body `r` leads to; no such state, no quotient, and
+//! the same probe gates the view search of [`crate::views`]. Family 3
+//! skips a query that is a single word: the minimal-DFA regex of a word is
+//! that word, so there is nothing smaller to offer.
 
 use rpq_automata::elim::nfa_to_regex;
-use rpq_automata::ops::regex_equivalent;
-use rpq_automata::{Dfa, Nfa, Regex};
+use rpq_automata::ops::{equivalent, included_antichain};
+use rpq_automata::{Alphabet, Nfa, Regex};
 use rpq_constraints::general::{check, Budget, Verdict};
-use rpq_constraints::types::{ConstraintKind, PathConstraint};
+use rpq_constraints::types::PathConstraint;
 use rpq_constraints::{decide_boundedness, Boundedness, ConstraintSet};
+
+use crate::compiled::CompiledQuery;
 
 /// A validated rewrite candidate.
 #[derive(Clone, Debug)]
@@ -56,9 +70,25 @@ pub enum RewriteRule {
 pub fn candidates(
     set: &ConstraintSet,
     q: &Regex,
-    alphabet: &rpq_automata::Alphabet,
+    alphabet: &Alphabet,
     budget: &Budget,
 ) -> Vec<Candidate> {
+    candidates_compiled(
+        set,
+        &CompiledQuery::new(q, alphabet.len()),
+        alphabet,
+        budget,
+    )
+}
+
+/// [`candidates`] over a query the planner has compiled.
+pub(crate) fn candidates_compiled(
+    set: &ConstraintSet,
+    cq: &CompiledQuery<'_>,
+    alphabet: &Alphabet,
+    budget: &Budget,
+) -> Vec<Candidate> {
+    let q = cq.regex();
     let mut out = Vec::new();
 
     // 1. boundedness reduction (word equalities only)
@@ -77,10 +107,11 @@ pub fn candidates(
 
     // 1b. boundedness under full path constraints (the open-problem
     // semi-decision): only when the word-equality fast path above does not
-    // apply and the set actually has constraints to exploit.
-    if !set.is_empty() && !set.all_word_equalities() {
+    // apply, the set actually has constraints to exploit, and the language
+    // is not finite already.
+    if !set.is_empty() && !set.all_word_equalities() && !cq.is_finite() {
         if let rpq_constraints::GeneralBoundedness::Bounded { equivalent, proof } =
-            rpq_constraints::bounded_under_path_constraints(set, q, alphabet, budget, 4, 24)
+            rpq_constraints::bounded_beyond_finite(set, q, cq.nfa(), alphabet, budget, 4, 24)
         {
             out.push(Candidate {
                 query: equivalent,
@@ -91,80 +122,63 @@ pub fn candidates(
     }
 
     // 2. cached-query substitution: equalities l = r with l a single label
-    for c in set.iter() {
-        if c.kind != ConstraintKind::Equality {
+    for (cache, starts) in set.caches().iter().zip(cq.cache_hits(set)) {
+        // tail t = ∃-quotient of q by r; candidate = l · t
+        if starts.is_empty() {
             continue;
         }
-        for (label_side, body_side) in [(&c.lhs, &c.rhs), (&c.rhs, &c.lhs)] {
-            let Some(word) = label_side.as_word() else {
+        let (q_nfa, body) = (cq.nfa(), &cache.body);
+        let mut quot = Nfa::empty();
+        let off = quot.add_nfa(q_nfa);
+        for &s in starts {
+            quot.add_eps(quot.start(), s + off);
+        }
+        // Prefer a *small finite* tail: greedily accumulate the
+        // quotient's shortest words until `r · t ≡ q` (this recovers the
+        // paper's `l·a·c` from `a(ba)*c`); fall back to the full
+        // quotient expression.
+        let mut tail: Option<Regex> = None;
+        let mut words: Vec<Vec<rpq_automata::Symbol>> = Vec::new();
+        for w in quot.enumerate_words(12, 16) {
+            // only tails that stay inside q are usable: r·w ⊆ q
+            let extension = Nfa::thompson(&body.clone().then(Regex::word(&w)));
+            if included_antichain(&extension, q_nfa).is_err() {
                 continue;
-            };
-            if word.len() != 1 || body_side.as_word().is_some_and(|w| w.len() <= 1) {
-                continue; // want a genuine cache: single label = larger query
             }
-            // tail t = ∃-quotient of q by r; candidate = l · t
-            let q_nfa = Nfa::thompson(q);
-            let r_nfa = Nfa::thompson(body_side);
-            let starts = q_nfa.reachable_via(&r_nfa);
-            if starts.is_empty() {
-                continue;
+            words.push(w);
+            let t = Regex::from_finite_language(words.clone());
+            if equivalent(q_nfa, &Nfa::thompson(&body.clone().then(t.clone()))).is_ok() {
+                tail = Some(t);
+                break;
             }
-            let mut quot = Nfa::empty();
-            let off = quot.add_nfa(&q_nfa);
-            for s in starts {
-                quot.add_eps(quot.start(), s + off);
+        }
+        if tail.is_none() {
+            let t = nfa_to_regex(&quot);
+            if t != Regex::Empty
+                && equivalent(q_nfa, &Nfa::thompson(&body.clone().then(t.clone()))).is_ok()
+            {
+                tail = Some(t);
             }
-            // Prefer a *small finite* tail: greedily accumulate the
-            // quotient's shortest words until `r · t ≡ q` (this recovers the
-            // paper's `l·a·c` from `a(ba)*c`); fall back to the full
-            // quotient expression.
-            let mut tail: Option<Regex> = None;
-            let mut words: Vec<Vec<rpq_automata::Symbol>> = Vec::new();
-            for w in quot.enumerate_words(12, 16) {
-                // only tails that stay inside q are usable: r·w ⊆ q
-                let extension = body_side.clone().then(Regex::word(&w));
-                if !rpq_automata::ops::regex_included(&extension, q) {
-                    continue;
-                }
-                words.push(w);
-                let t = Regex::from_finite_language(words.clone());
-                if regex_equivalent(q, &body_side.clone().then(t.clone())) {
-                    tail = Some(t);
-                    break;
-                }
-            }
-            if tail.is_none() {
-                let t = nfa_to_regex(&quot);
-                if t != Regex::Empty && regex_equivalent(q, &body_side.clone().then(t.clone())) {
-                    tail = Some(t);
-                }
-            }
-            let Some(tail) = tail else { continue };
-            let candidate = label_side.clone().then(tail);
-            // validate E ⊨ q = candidate through the implication engine
-            let claim = PathConstraint::equality(q.clone(), candidate.clone());
-            if let Verdict::Implied { method } = check(set, &claim, budget) {
-                out.push(Candidate {
-                    query: candidate,
-                    rule: RewriteRule::CacheSubstitution,
-                    proof: method,
-                });
-            }
+        }
+        let Some(tail) = tail else { continue };
+        let candidate = Regex::sym(cache.label).then(tail);
+        // validate E ⊨ q = candidate through the implication engine
+        let claim = PathConstraint::equality(q.clone(), candidate.clone());
+        if let Verdict::Implied { method } = check(set, &claim, budget) {
+            out.push(Candidate {
+                query: candidate,
+                rule: RewriteRule::CacheSubstitution,
+                proof: method,
+            });
         }
     }
 
-    // 3. algebraic simplification via minimal DFA → regex
-    {
-        let sigma = {
-            let mut max = 0usize;
-            for s in q.symbols() {
-                max = max.max(s.index() + 1);
-            }
-            max.max(1)
-        };
-        let minimal = Dfa::from_nfa(&Nfa::thompson(q), sigma).minimize();
-        let simplified = nfa_to_regex(&minimal.to_nfa());
-        if simplified.size() < q.size() && regex_equivalent(q, &simplified) {
+    // 3. algebraic simplification via minimal DFA → regex (a single word
+    // is its own minimal-DFA regex: nothing to offer)
+    if q.as_word().is_none() {
+        let simplified = nfa_to_regex(&cq.dfa().minimize().to_nfa());
+        if simplified.size() < q.size() && equivalent(cq.nfa(), &Nfa::thompson(&simplified)).is_ok()
+        {
             out.push(Candidate {
                 query: simplified,
                 rule: RewriteRule::Simplification,
@@ -179,7 +193,8 @@ pub fn candidates(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rpq_automata::{parse_regex, Alphabet};
+    use rpq_automata::ops::regex_equivalent;
+    use rpq_automata::parse_regex;
 
     fn setup(lines: &[&str], query: &str) -> (Alphabet, ConstraintSet, Regex) {
         let mut ab = Alphabet::new();

@@ -45,47 +45,38 @@
 //! algebraic simplifier). Every emitted rewriting is *verified* through
 //! the implication engines (never trusted by construction), following the
 //! crate's policy.
+//!
+//! ## What is compiled once, and what the gate proves
+//!
+//! The query's complete DFA is one artefact of the plan's `CompiledQuery`
+//! (shared with the simplifier of [`crate::rewrites`], and by every cache
+//! and subset mask here); the cache list, each body's automaton and the
+//! prover's axioms come compiled with the [`ConstraintSet`]. Before any
+//! complement is taken, each cache is asked the one question both cache
+//! families share — which states of `q` does some word of `r` lead to
+//! (`q ∩ r·Σ*`)? If none and `L(r) ≠ ∅`, some `u ∈ L(r)` prefixes no word
+//! of `q`, so no `w` has `u·w ∈ L(q)`: the universal tail is empty and the
+//! cache could not have been used. The gate drops exactly those caches; a
+//! body with an empty language passes it (its tail is vacuously `Σ*`).
 
 use rpq_automata::elim::nfa_to_regex;
-use rpq_automata::ops::{regex_equivalent, regex_included};
+use rpq_automata::ops::{equivalent, regex_included};
 use rpq_automata::simplify::{simplify_deep, SimplifyConfig};
-use rpq_automata::{Alphabet, Dfa, Nfa, Regex, Symbol};
+use rpq_automata::{Alphabet, Dfa, Nfa, Regex, StateId, Symbol};
 use rpq_constraints::axioms::{Prover, ProverConfig};
 use rpq_constraints::general::{check, Budget, Verdict};
-use rpq_constraints::types::{ConstraintKind, PathConstraint};
+use rpq_constraints::types::PathConstraint;
 use rpq_constraints::ConstraintSet;
 
+pub use rpq_constraints::CacheDef;
+
+use crate::compiled::CompiledQuery;
 use crate::cost::StaticCost;
 
-/// A cache definition `label = body` extracted from the constraint set.
-#[derive(Clone, Debug)]
-pub struct CacheDef {
-    /// The cache link label.
-    pub label: Symbol,
-    /// The cached query.
-    pub body: Regex,
-}
-
-/// Extract cache definitions: equalities with a single-label side and a
-/// non-trivial body.
-pub fn cache_defs(set: &ConstraintSet) -> Vec<CacheDef> {
-    let mut out = Vec::new();
-    for c in set.iter() {
-        if c.kind != ConstraintKind::Equality {
-            continue;
-        }
-        for (label_side, body_side) in [(&c.lhs, &c.rhs), (&c.rhs, &c.lhs)] {
-            if let Some(word) = label_side.as_word() {
-                if word.len() == 1 && body_side.as_word().is_none_or(|w| w.len() > 1) {
-                    out.push(CacheDef {
-                        label: word[0],
-                        body: body_side.clone(),
-                    });
-                }
-            }
-        }
-    }
-    out
+/// The cache definitions of `set`: equalities with a single-label side and
+/// a non-trivial body ([`ConstraintSet::caches`], compiled once per set).
+pub fn cache_defs(set: &ConstraintSet) -> &[CacheDef] {
+    set.caches()
 }
 
 /// How much of the target the rewriting answers from caches.
@@ -123,22 +114,26 @@ const TAIL_WORD_CAP: usize = 12;
 
 /// The universal left quotient `{w | ∀u ∈ L(r): u·w ∈ L(q)}` as a regex,
 /// or `None` when it is empty or exceeds the state budget. This is the
-/// maximal tail with `r·t ⊆ q`.
-fn universal_tail(q: &Regex, r: &Regex, sigma: usize) -> Option<Regex> {
+/// maximal tail with `r·t ⊆ q`. `hits` is the cache's entry of
+/// [`CompiledQuery::cache_hits`].
+fn universal_tail(cq: &CompiledQuery<'_>, cache: &CacheDef, hits: &[StateId]) -> Option<Regex> {
+    // The gate: no word of r can even be read in q, and r has a word.
+    if hits.is_empty() && !cache.empty {
+        return None;
+    }
     // ∁( ∃-quotient of ∁q by r ): complement, quotient, complement.
-    let dq = Dfa::from_nfa(&Nfa::thompson(q), sigma);
+    let dq = cq.dfa();
     if dq.num_states() > MAX_DFA_STATES {
         return None;
     }
     let ncomp = dq.complement().to_nfa();
-    let r_nfa = Nfa::thompson(r);
-    let starts = ncomp.reachable_via(&r_nfa);
+    let starts = ncomp.reachable_via(&cache.nfa);
     let mut ex = Nfa::empty();
     let off = ex.add_nfa(&ncomp);
     for s in starts {
         ex.add_eps(ex.start(), s + off);
     }
-    let dex = Dfa::from_nfa(&ex, sigma);
+    let dex = Dfa::from_nfa(&ex, dq.sigma());
     if dex.num_states() > MAX_DFA_STATES {
         return None;
     }
@@ -148,7 +143,7 @@ fn universal_tail(q: &Regex, r: &Regex, sigma: usize) -> Option<Regex> {
     }
     let tail = nfa_to_regex(&tail_nfa);
     debug_assert!(
-        regex_included(&r.clone().then(tail.clone()), q),
+        regex_included(&cache.body.clone().then(tail.clone()), cq.regex()),
         "universal tail must satisfy r·t ⊆ q"
     );
     Some(tail)
@@ -158,13 +153,13 @@ fn universal_tail(q: &Regex, r: &Regex, sigma: usize) -> Option<Regex> {
 /// the algebraic simplifier on the full expression; keep the smallest
 /// expression `t'` with `r·t' ≡ r·t`.
 fn shrink_tail(tail: &Regex, r: &Regex) -> Regex {
-    let covered = r.clone().then(tail.clone());
+    let covered = Nfa::thompson(&r.clone().then(tail.clone()));
     let nfa = Nfa::thompson(tail);
     let mut words: Vec<Vec<Symbol>> = Vec::new();
     for w in nfa.enumerate_words(TAIL_WORD_LEN, TAIL_WORD_CAP) {
         words.push(w);
         let t = Regex::from_finite_language(words.clone());
-        if regex_equivalent(&r.clone().then(t.clone()), &covered) {
+        if equivalent(&Nfa::thompson(&r.clone().then(t.clone())), &covered).is_ok() {
             return t;
         }
     }
@@ -184,11 +179,15 @@ pub fn rewrite_with_views(
     q: &Regex,
     alphabet: &Alphabet,
 ) -> Vec<ViewRewriting> {
-    let caches: Vec<CacheDef> = cache_defs(set).into_iter().take(MAX_CACHES).collect();
-    if caches.is_empty() {
+    views_compiled(set, &CompiledQuery::new(q, alphabet.len()))
+}
+
+/// [`rewrite_with_views`] over a query the planner has compiled.
+pub(crate) fn views_compiled(set: &ConstraintSet, cq: &CompiledQuery<'_>) -> Vec<ViewRewriting> {
+    if set.caches().is_empty() {
         return Vec::new();
     }
-    let sigma = alphabet.len().max(1);
+    let q = cq.regex();
 
     // Per-cache maximal tails (shrunk) and covered languages.
     struct Usable {
@@ -197,8 +196,8 @@ pub fn rewrite_with_views(
         covered: Regex,
     }
     let mut usable: Vec<Usable> = Vec::new();
-    for c in &caches {
-        let Some(t) = universal_tail(q, &c.body, sigma) else {
+    for (c, hits) in set.caches().iter().zip(cq.cache_hits(set)).take(MAX_CACHES) {
+        let Some(t) = universal_tail(cq, c, hits) else {
             continue;
         };
         let tail = shrink_tail(&t, &c.body);
@@ -227,12 +226,12 @@ pub fn rewrite_with_views(
 
         let cover = Regex::union(members.iter().map(|u| u.covered.clone()).collect());
         // Remainder: q ∖ cover, as an automaton difference.
-        let dq = Dfa::from_nfa(&Nfa::thompson(q), sigma);
-        let dc = Dfa::from_nfa(&Nfa::thompson(&cover), sigma);
+        let dq = cq.dfa();
+        let dc = Dfa::from_nfa(&Nfa::thompson(&cover), dq.sigma());
         if dq.num_states() > MAX_DFA_STATES || dc.num_states() > MAX_DFA_STATES {
             continue;
         }
-        let diff = Dfa::product(&dq, &dc, |x, y| x && !y);
+        let diff = Dfa::product(dq, &dc, |x, y| x && !y);
         let rem_nfa = diff.to_nfa().trim();
         let (kind, rem) = if rem_nfa.is_empty_lang() {
             (ViewKind::Total, Regex::Empty)
@@ -283,6 +282,7 @@ pub fn rewrite_with_views(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rpq_automata::ops::regex_equivalent;
     use rpq_automata::parse_regex;
 
     fn setup(lines: &[&str], query: &str) -> (Alphabet, ConstraintSet, Regex) {
@@ -392,6 +392,107 @@ mod tests {
             let claim = PathConstraint::equality(q.clone(), r.query.clone());
             assert!(check(&set, &claim, &Budget::default()).is_implied());
         }
+    }
+
+    /// `universal_tail` without the gate — the definition the gated one is
+    /// compared with: both complements, whatever the query starts with.
+    fn ungated_universal_tail(q: &Regex, r: &Regex, sigma: usize) -> Option<Regex> {
+        let dq = Dfa::from_nfa(&Nfa::thompson(q), sigma);
+        if dq.num_states() > MAX_DFA_STATES {
+            return None;
+        }
+        let ncomp = dq.complement().to_nfa();
+        let starts = ncomp.reachable_via(&Nfa::thompson(r));
+        let mut ex = Nfa::empty();
+        let off = ex.add_nfa(&ncomp);
+        for s in starts {
+            ex.add_eps(ex.start(), s + off);
+        }
+        let dex = Dfa::from_nfa(&ex, sigma);
+        if dex.num_states() > MAX_DFA_STATES {
+            return None;
+        }
+        let tail_nfa = dex.complement().to_nfa().trim();
+        if tail_nfa.is_empty_lang() {
+            return None;
+        }
+        Some(nfa_to_regex(&tail_nfa))
+    }
+
+    #[test]
+    fn the_gate_drops_only_caches_that_have_no_tail() {
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        use rpq_automata::random::{random_regex, RegexGenConfig};
+        let shapes: [(&str, &[&str]); 4] = [
+            ("word", &["l0 = a.b", "l1 = c.d.a"]),
+            ("union", &["l0 = a.b + c", "l1 = (a+b).d"]),
+            ("star", &["l0 = (a.b)*.c", "l1 = c.d*"]),
+            ("empty", &["l0 = []", "l1 = a.b"]),
+        ];
+        let heads = ["a.b", "c", "c.d", "a.d", "(a.b)*.c", "c.d.a"];
+        for (i, (shape, lines)) in shapes.iter().enumerate() {
+            let mut ab = Alphabet::from_names(["a", "b", "c", "d"]);
+            let set = ConstraintSet::parse(&mut ab, lines.iter().copied()).unwrap();
+            let z = ab.intern("z");
+            let mut syms: Vec<Symbol> = "abcd"
+                .chars()
+                .map(|c| ab.get(&c.to_string()).unwrap())
+                .collect();
+            syms.push(z);
+            let mut cfg = RegexGenConfig::new(syms);
+            cfg.max_depth = 3;
+            let mut rng = StdRng::seed_from_u64(0x6A7E + i as u64);
+            let (mut dropped, mut kept) = (0, 0);
+            for k in 0..40 {
+                let mut q = random_regex(&mut rng, &cfg);
+                if k % 2 == 1 {
+                    q = parse_regex(&mut ab, heads[k / 2 % heads.len()])
+                        .unwrap()
+                        .then(q);
+                }
+                let cq = CompiledQuery::new(&q, ab.len());
+                for (cache, hits) in set.caches().iter().zip(cq.cache_hits(&set)) {
+                    let reference = ungated_universal_tail(&q, &cache.body, ab.len());
+                    assert_eq!(
+                        universal_tail(&cq, cache, hits),
+                        reference,
+                        "{shape}: {} with body {}",
+                        q.display(&ab),
+                        cache.body.display(&ab)
+                    );
+                    if hits.is_empty() && !cache.empty {
+                        dropped += 1;
+                        assert!(
+                            reference.is_none(),
+                            "{shape}: the gate dropped a usable cache"
+                        );
+                        // and the ∃-quotient of `rewrites` has no start state
+                        let q_nfa = Nfa::thompson(&q);
+                        assert!(q_nfa.reachable_via(&Nfa::thompson(&cache.body)).is_empty());
+                    } else {
+                        kept += 1;
+                    }
+                }
+            }
+            assert!(
+                dropped > 0 && kept > 0,
+                "{shape}: {dropped} dropped, {kept} kept"
+            );
+        }
+    }
+
+    #[test]
+    fn an_empty_cache_body_passes_the_gate() {
+        // L(r) = ∅ makes every tail vacuously safe: the probe finds no
+        // state, and the cache must still reach the search (which then
+        // verifies, and ranks, whatever it builds from `Σ*`).
+        let (ab, set, q) = setup(&["l = []"], "a.b");
+        let cq = CompiledQuery::new(&q, ab.len());
+        let hits = &cq.cache_hits(&set)[0];
+        assert!(hits.is_empty() && set.caches()[0].empty);
+        let tail = universal_tail(&cq, &set.caches()[0], hits).expect("Σ* is a tail");
+        assert!(regex_included(&Regex::word(&q.as_word().unwrap()), &tail));
     }
 
     #[test]

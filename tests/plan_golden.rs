@@ -1,0 +1,359 @@
+//! Golden cold plans: what the planner decides, pinned before it moves.
+//!
+//! One line per `(constraint set, query)`: the rewrite winner of
+//! `optimize_with_stats`, the rule that produced it, how many candidates
+//! were considered, and what `analyze` made of the winner (the planned
+//! regex, pruned symbols, certification verdict, depth cap, NFA states).
+//! Four corpora:
+//!
+//! * `bench` / `bench-perm` — the 396 `plan-cold` shapes of `bench_e2e`
+//!   (every `x.y.z` and `x.y.(z+w)` over six roles) under its constraint
+//!   shape `{c0 = a.b, c1 = c.d, c2 ⊆ b.c}` and its 13-label alphabet,
+//!   once with the roles in label order and once permuted;
+//! * `paper-*` — Examples 1–3 of the paper;
+//! * `tests-*` — the constraint sets of `optimizer_integration.rs` and
+//!   `constraints_soundness.rs`;
+//! * `rand-*` — seeded random regexes against word / union / star cache
+//!   sets, among them a cache whose body is `∅` and queries over a symbol
+//!   interned after every constraint symbol.
+//!
+//! A planner refactor that changes any winner, count or fact fails here.
+//! Regenerate (only when a plan is *meant* to move) with
+//! `PLAN_GOLDEN_BLESS=1 cargo test --test plan_golden`; the bless compares
+//! with the committed fixture first and refuses to write if a winner
+//! changed to a query that `certify_rewrite` rejects.
+
+use std::collections::HashMap;
+use std::fmt::Write as _;
+
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+
+use rpq::automata::random::{random_regex, RegexGenConfig};
+use rpq::automata::{parse_regex, Alphabet, Regex, Symbol};
+use rpq::constraints::general::Budget;
+use rpq::constraints::ConstraintSet;
+use rpq::graph::{Instance, LabelStats};
+use rpq::optimizer::{analyze, optimize_with_stats};
+
+const FIXTURE: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/fixtures/plan_golden.txt"
+);
+
+/// Edges per label, by symbol index: skewed, so the estimated cost ranks
+/// equivalents the static score cannot separate.
+const EDGE_COUNTS: [usize; 8] = [3, 1, 4, 1, 5, 9, 2, 6];
+
+/// Label statistics over `alphabet`: `EDGE_COUNTS` by index, or `uniform`
+/// edges for every label; labels named `ghost…` get no edge at all.
+fn stats_for(alphabet: &Alphabet, uniform: Option<usize>) -> LabelStats {
+    let mut inst = Instance::new();
+    let nodes: Vec<_> = (0..10).map(|_| inst.add_node()).collect();
+    for sym in alphabet.symbols() {
+        if alphabet.name(sym).starts_with("ghost") {
+            continue;
+        }
+        let n = uniform.unwrap_or(EDGE_COUNTS[sym.index() % EDGE_COUNTS.len()]);
+        for i in 0..n {
+            inst.add_edge(nodes[0], sym, nodes[i % nodes.len()]);
+        }
+    }
+    inst.stats().clone()
+}
+
+fn render(q: &Regex, ab: &Alphabet) -> String {
+    q.display(ab).to_string()
+}
+
+/// One golden line: `case | query => winner | facts`.
+fn plan_line(
+    case: &str,
+    set: &ConstraintSet,
+    ab: &Alphabet,
+    stats: &LabelStats,
+    q: &Regex,
+) -> String {
+    let opt = optimize_with_stats(set, q, ab, &Budget::default(), stats);
+    let analysis = analyze(set, q, opt.query.clone(), stats);
+    let f = &analysis.facts;
+    let pruned: Vec<&str> = f.pruned_symbols.iter().map(|&s| ab.name(s)).collect();
+    format!(
+        "{case} | {} => {} | applied={} considered={} planned={} pruned=[{}] cert={} rej={} maxlen={} states={}",
+        render(q, ab),
+        render(&opt.query, ab),
+        opt.applied.map_or("-".to_string(), |r| format!("{r:?}")),
+        opt.considered,
+        render(&analysis.regex, ab),
+        pruned.join(","),
+        f.rewrites_certified,
+        f.rewrites_rejected,
+        f.max_word_len.map_or("-".to_string(), |n| n.to_string()),
+        analysis.nfa.num_states(),
+    )
+}
+
+/// The `plan-cold` schedule of `bench_e2e/src/sched.rs`, with `roles[i]`
+/// the `f` label playing role `a + i`.
+fn bench_corpus(out: &mut String, case: &str, roles: [usize; 6]) {
+    let mut names: Vec<String> = (0..6).map(|i| format!("f{i}")).collect();
+    names.extend((0..3).map(|i| format!("c{i}")));
+    names.extend(["r", "p", "q", "t"].map(String::from));
+    let mut ab = Alphabet::from_names(names.iter());
+    let f = |role: usize| format!("f{}", roles[role]);
+    let set = ConstraintSet::parse(
+        &mut ab,
+        [
+            format!("c0 = {}.{}", f(0), f(1)),
+            format!("c1 = {}.{}", f(2), f(3)),
+            format!("c2 <= {}.{}", f(1), f(2)),
+        ],
+    )
+    .unwrap();
+    assert_eq!(ab.len(), 13, "the benchmark's world alphabet");
+    // The navigation region gives every f and c label one edge per node.
+    let stats = stats_for(&ab, Some(8));
+    let arms = [(0, 4), (1, 5), (2, 4), (3, 5), (4, 5)];
+    for x in 0..6 {
+        for y in 0..6 {
+            let mut texts: Vec<String> = (0..6)
+                .map(|z| format!("{}.{}.{}", f(x), f(y), f(z)))
+                .collect();
+            texts.extend(
+                arms.iter()
+                    .map(|&(z, w)| format!("{}.{}.({}+{})", f(x), f(y), f(z), f(w))),
+            );
+            for text in texts {
+                let q = parse_regex(&mut ab, &text).unwrap();
+                writeln!(out, "{}", plan_line(case, &set, &ab, &stats, &q)).unwrap();
+            }
+        }
+    }
+}
+
+/// Fixed `(constraint lines, queries)` cases: the paper's examples and the
+/// sets the integration tests plan under. `ghost` has no edge.
+const FIXED: [(&str, &[&str], &[&str]); 12] = [
+    (
+        "paper-ex1",
+        &["(a+b+d+l)*.l = ()"],
+        &["(l.a + l.b)*.d", "(a+b).d", "l.a.d", "l*.a"],
+    ),
+    (
+        "paper-ex2-incl",
+        &["l.l <= l"],
+        &["l*", "l.l*", "l.l.l", "(l.l)*"],
+    ),
+    (
+        "paper-ex2-eq",
+        &["l.l = l"],
+        &["l*", "l.l*", "l.l.l", "l* + ghost"],
+    ),
+    (
+        "paper-ex3",
+        &["l = (a.b)*"],
+        &[
+            "a.(b.a)*.c",
+            "(a.b)*",
+            "a.(b.a)*.b",
+            "(a.b)*.a",
+            "a.(b.a)*.c + d.e",
+            "z.z",
+            "a.(b.a)*.ghost + c",
+        ],
+    ),
+    (
+        "tests-cites",
+        &["cites.cites = cites"],
+        &["cites*", "cites.cites*", "cites.cites.cites"],
+    ),
+    (
+        "tests-two-caches",
+        &["l1 = (a.b)*", "l2 = (c.d)*"],
+        &["a.(b.a)*.x + c.(d.c)*.y", "a.(b.a)*.x", "(c.d)*.c"],
+    ),
+    (
+        "tests-mixed",
+        &["l = (a.b)*", "m.m = m"],
+        &["a.(b.a)*.c", "m*", "m.m.a"],
+    ),
+    ("tests-idem", &["a.a = a"], &["a*", "(a+b)*", "a.a.a + b"]),
+    ("tests-cube", &["a.a.a = ()"], &["a*", "a.a.a.a", "(a.a)*"]),
+    (
+        "tests-absorb",
+        &["b.a = a", "b.b = b"],
+        &["b*.a", "b.b.a", "b*"],
+    ),
+    (
+        "tests-union-body",
+        &["a = b + c"],
+        &["a.x", "b.x", "(b+c).x", "b.x + c.x"],
+    ),
+    (
+        "tests-path-incl",
+        &["a* <= a + ()"],
+        &["a*", "a.a*", "a.a.a"],
+    ),
+];
+
+fn fixed_corpus(out: &mut String) {
+    for (case, lines, queries) in FIXED {
+        let mut ab = Alphabet::new();
+        let set = ConstraintSet::parse(&mut ab, lines.iter().copied()).unwrap();
+        let qs: Vec<Regex> = queries
+            .iter()
+            .map(|t| parse_regex(&mut ab, t).unwrap())
+            .collect();
+        let stats = stats_for(&ab, None);
+        for q in &qs {
+            writeln!(out, "{}", plan_line(case, &set, &ab, &stats, q)).unwrap();
+        }
+    }
+}
+
+/// Cache-shaped sets for the random corpus; the base labels `a b c d` are
+/// interned first, `z` after every constraint symbol.
+const RANDOM_SETS: [(&str, &[&str]); 8] = [
+    ("rand-word", &["l0 = a.b", "l1 = c.d", "l2 <= b.c"]),
+    ("rand-word3", &["l0 = a.b.c", "l1 = a.a", "b.b <= b"]),
+    ("rand-union", &["l0 = a.b + c", "l1 = (a+b).d"]),
+    ("rand-star", &["l0 = (a.b)*", "l1 = c.d*"]),
+    ("rand-star-word", &["l0 = a*.b", "l1 = b.c", "d.d <= d"]),
+    ("rand-empty-body", &["l0 = []", "l1 = a.b"]),
+    ("rand-eps-body", &["l0 = () + a.b", "l1 = a"]),
+    ("rand-flipped", &["a.b = l0", "(c+d).a = l1"]),
+];
+const RANDOM_QUERIES_PER_SET: usize = 30;
+
+fn random_corpus(out: &mut String) {
+    for (i, (case, lines)) in RANDOM_SETS.iter().enumerate() {
+        let mut ab = Alphabet::from_names(["a", "b", "c", "d"]);
+        let set = ConstraintSet::parse(&mut ab, lines.iter().copied()).unwrap();
+        let z = ab.intern("z");
+        assert!(set.symbols().iter().all(|s| s.index() < z.index()));
+        let stats = stats_for(&ab, None);
+        let base: Vec<Symbol> = "abcd"
+            .chars()
+            .map(|c| ab.get(&c.to_string()).unwrap())
+            .collect();
+        let mut with_z = base.clone();
+        with_z.push(z);
+        let mut rng = StdRng::seed_from_u64(0x901DE + i as u64);
+        for k in 0..RANDOM_QUERIES_PER_SET {
+            let mut cfg = RegexGenConfig::new(if k % 3 == 2 {
+                with_z.clone()
+            } else {
+                base.clone()
+            });
+            // A `∅` body makes every tail `Σ*`: keep those queries small.
+            cfg.max_depth = if case.contains("empty") { 2 } else { 3 };
+            cfg.star_weight = 15;
+            let mut q = random_regex(&mut rng, &cfg);
+            if k % 3 == 1 {
+                // Head the query with words of a cache body so that the
+                // cache families have something to find.
+                let heads = [
+                    "a.b", "c.d", "a.b.c", "b.c", "a.a", "(a+b).d", "c + a.b", "a.a*.b",
+                ];
+                let head = parse_regex(&mut ab, heads[k / 3 % heads.len()]).unwrap();
+                q = head.then(q);
+            }
+            writeln!(out, "{}", plan_line(case, &set, &ab, &stats, &q)).unwrap();
+        }
+    }
+}
+
+fn generate() -> String {
+    let mut out = String::new();
+    bench_corpus(&mut out, "bench", [0, 1, 2, 3, 4, 5]);
+    bench_corpus(&mut out, "bench-perm", [3, 0, 5, 1, 4, 2]);
+    fixed_corpus(&mut out);
+    random_corpus(&mut out);
+    out
+}
+
+/// `(case | query, winner, rej)` of a golden line.
+fn split_line(line: &str) -> (&str, &str, &str) {
+    let (key, rest) = line.split_once(" => ").expect("`=>` in a golden line");
+    let (winner, facts) = rest.split_once(" | ").expect("facts in a golden line");
+    let rej = facts
+        .split(' ')
+        .find_map(|f| f.strip_prefix("rej="))
+        .expect("`rej=` in a golden line");
+    (key, winner, rej)
+}
+
+/// What a bless would change, or why it must not: a winner that moved to a
+/// query certification rejects is a planner bug, not a new golden.
+fn bless_report(old: &str, new: &str) -> Result<String, String> {
+    let committed: HashMap<&str, (&str, &str)> = old
+        .lines()
+        .map(split_line)
+        .map(|(key, winner, rej)| (key, (winner, rej)))
+        .collect();
+    let (mut moved, mut fresh) = (0usize, 0usize);
+    for line in new.lines() {
+        let (key, winner, rej) = split_line(line);
+        match committed.get(key) {
+            None => fresh += 1,
+            Some(&(was, _)) if was != winner => {
+                moved += 1;
+                if rej != "0" {
+                    return Err(format!(
+                        "winner moved to a query `certify_rewrite` rejects:\n  {line}\n  was {was}"
+                    ));
+                }
+            }
+            Some(_) => {}
+        }
+    }
+    Ok(format!(
+        "{} lines ({} committed): {moved} winners moved, {fresh} new keys",
+        new.lines().count(),
+        old.lines().count()
+    ))
+}
+
+#[test]
+fn bless_refuses_a_winner_certification_rejects() {
+    let old = "c | a.b => l | applied=CacheSubstitution considered=1 planned=l pruned=[] cert=1 rej=0 maxlen=1 states=2\n";
+    let bad = "c | a.b => m | applied=CacheSubstitution considered=1 planned=a.b pruned=[] cert=0 rej=1 maxlen=2 states=3\n";
+    let ok = "c | a.b => m | applied=CacheSubstitution considered=1 planned=m pruned=[] cert=1 rej=0 maxlen=1 states=2\n";
+    assert!(bless_report(old, bad).unwrap_err().contains("rejects"));
+    assert!(bless_report(old, ok).unwrap().contains("1 winners moved"));
+    assert!(bless_report(old, old).unwrap().contains("0 winners moved"));
+}
+
+#[test]
+fn cold_plans_match_the_golden_fixture() {
+    let got = generate();
+    if std::env::var_os("PLAN_GOLDEN_BLESS").is_some() {
+        if let Ok(committed) = std::fs::read_to_string(FIXTURE) {
+            match bless_report(&committed, &got) {
+                Ok(summary) => eprintln!("{summary}"),
+                Err(refusal) => panic!("bless refused, fixture left as it was:\n{refusal}"),
+            }
+        }
+        std::fs::create_dir_all(std::path::Path::new(FIXTURE).parent().unwrap()).unwrap();
+        std::fs::write(FIXTURE, &got).unwrap();
+        return;
+    }
+    let want = std::fs::read_to_string(FIXTURE).expect("tests/fixtures/plan_golden.txt");
+    let (got_lines, want_lines): (Vec<&str>, Vec<&str>) =
+        (got.lines().collect(), want.lines().collect());
+    let diffs: Vec<String> = got_lines
+        .iter()
+        .zip(&want_lines)
+        .enumerate()
+        .filter(|(_, (g, w))| g != w)
+        .map(|(i, (g, w))| format!("line {}:\n  want {w}\n  got  {g}", i + 1))
+        .collect();
+    assert!(
+        diffs.is_empty() && got_lines.len() == want_lines.len(),
+        "{} of {} golden lines differ (got {} lines); first few:\n{}",
+        diffs.len(),
+        want_lines.len(),
+        got_lines.len(),
+        diffs[..diffs.len().min(8)].join("\n")
+    );
+}
