@@ -455,11 +455,19 @@ impl Nfa {
     /// direction planning: a forward product search pays for edges matching
     /// the first symbols, a backward search for edges matching the last.
     pub fn first_symbols(&self) -> Vec<Symbol> {
-        let t = self.trim();
-        let mut out: Vec<Symbol> = t
-            .eps_closure(&[t.start])
+        self.trim().entry_symbols()
+    }
+
+    /// The labels on transitions out of the ε-closure of the start state,
+    /// sorted and deduplicated: [`Nfa::first_symbols`] of an automaton
+    /// that is trim already ([`Nfa::trim`], or [`Nfa::reverse`] of one),
+    /// without trimming it again. On any other automaton a superset — a
+    /// label that leads nowhere is counted too.
+    pub fn entry_symbols(&self) -> Vec<Symbol> {
+        let mut out: Vec<Symbol> = self
+            .eps_closure(&[self.start])
             .iter()
-            .flat_map(|&q| t.trans[q as usize].iter().map(|&(sym, _)| sym))
+            .flat_map(|&q| self.trans[q as usize].iter().map(|&(sym, _)| sym))
             .collect();
         out.sort_unstable();
         out.dedup();

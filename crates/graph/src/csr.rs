@@ -10,8 +10,7 @@
 //!
 //! # Layout
 //!
-//! We use **per-node rows sorted by `(Symbol, Oid)`** over one contiguous
-//! CSR arena (`offsets` / `labels` / `targets`), with label lookup by binary
+//! We use **per-node rows sorted by `(Symbol, Oid)`**, with label lookup by
 //! search within the row, rather than a per-label CSR (one full offset array
 //! per label). Rationale:
 //!
@@ -28,11 +27,21 @@
 //!   distributed sites use to compute one transition per distinct label
 //!   instead of one per edge.
 //!
+//! The rows of one orientation are stored in **blocks of 64 consecutive
+//! nodes**, one allocation each (row offsets, then each row's labels and
+//! endpoints side by side), behind a table of shared pointers. A snapshot
+//! that differs from another in a few rows — the base a
+//! [`crate::DeltaGraph`] folds its overlay into — shares every block it did
+//! not change, so a compaction costs the blocks it touches and a clone costs
+//! the table.
+//!
 //! A **reverse** CSR (in-edges, same layout) supports backward traversal —
 //! single-target evaluation, provenance walks, and the sink side of future
 //! bidirectional searches. Per-label degree/frequency statistics
 //! ([`LabelStats`]) are collected during the build and feed the optimizer's
 //! cost model.
+
+use std::sync::Arc;
 
 use rpq_automata::Symbol;
 use serde::{Deserialize, Serialize};
@@ -50,11 +59,32 @@ use crate::source::{GraphSource, NodeId};
 /// Statistics are maintained **incrementally**: [`Instance`] and
 /// [`crate::DeltaGraph`] update them on every `add_edge`/delete, and
 /// [`CsrGraph::from`] copies them from the instance rather than recounting
-/// (debug builds assert the incremental counters against a recount).
+/// (debug builds assert the incremental counters against a recount). So is
+/// their [`LabelStats::fingerprint`], which a planner reads on every
+/// request.
 #[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LabelStats {
     edge_counts: Vec<usize>,
     source_counts: Vec<usize>,
+    /// Wrapping sum of [`label_mix`] over every label slot.
+    fingerprint: u64,
+}
+
+/// One label's share of [`LabelStats::fingerprint`]: a 64-bit mix of
+/// `(label, edges, sources)`, and nothing for a label that counts nothing —
+/// so a slot kept for a label that is gone weighs what no slot does.
+fn label_mix(label: usize, edges: usize, sources: usize) -> u64 {
+    if edges == 0 && sources == 0 {
+        return 0;
+    }
+    let mut x = (label as u64 + 1)
+        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        .wrapping_add((edges as u64).wrapping_mul(0xD6E8_FEB8_6659_FD93))
+        .wrapping_add((sources as u64).wrapping_mul(0xCA5A_8263_9512_1157));
+    // splitmix64's finalizer
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^ (x >> 31)
 }
 
 impl LabelStats {
@@ -103,18 +133,50 @@ impl LabelStats {
             .map(|(i, &c)| (Symbol::from_index(i), c))
     }
 
+    /// A 64-bit digest of the per-label counts, kept up to date by every
+    /// mutation (reading it is a field load): statistics that
+    /// [`LabelStats::agrees_with`] each other share it, whatever order their
+    /// edges arrived in, and statistics that differ share it only by a
+    /// 64-bit collision. The optimizer's plan memo keys on it.
+    pub fn fingerprint(&self) -> u64 {
+        self.fingerprint
+    }
+
+    /// [`LabelStats::fingerprint`] from scratch — what the incrementally
+    /// kept value is checked against in debug builds, wherever the counts
+    /// are checked against a recount.
+    pub(crate) fn fingerprint_recomputed(&self) -> u64 {
+        (0..self.num_labels()).fold(0, |sum, i| {
+            sum.wrapping_add(label_mix(i, self.edge_counts[i], self.source_counts[i]))
+        })
+    }
+
+    /// Set `label`'s counts (its slot exists), moving the fingerprint from
+    /// the old pair to the new.
+    fn set_counts(&mut self, label: Symbol, edges: usize, sources: usize) {
+        let i = label.index();
+        self.fingerprint = self
+            .fingerprint
+            .wrapping_sub(label_mix(i, self.edge_counts[i], self.source_counts[i]))
+            .wrapping_add(label_mix(i, edges, sources));
+        self.edge_counts[i] = edges;
+        self.source_counts[i] = sources;
+    }
+
     /// Record one new `label` edge; `new_source` says its source had no
     /// `label` edge before. The incremental counterpart of the build-time
     /// count, used by `Instance::add_edge` and `DeltaGraph::add_edge`.
     pub(crate) fn note_added(&mut self, label: Symbol, new_source: bool) {
-        if self.edge_counts.len() <= label.index() {
-            self.edge_counts.resize(label.index() + 1, 0);
-            self.source_counts.resize(label.index() + 1, 0);
+        let i = label.index();
+        if self.edge_counts.len() <= i {
+            self.edge_counts.resize(i + 1, 0);
+            self.source_counts.resize(i + 1, 0);
         }
-        self.edge_counts[label.index()] += 1;
-        if new_source {
-            self.source_counts[label.index()] += 1;
-        }
+        self.set_counts(
+            label,
+            self.edge_counts[i] + 1,
+            self.source_counts[i] + usize::from(new_source),
+        );
     }
 
     /// Record one removed `label` edge; `last_of_source` says its source
@@ -123,13 +185,13 @@ impl LabelStats {
     /// encodings without `normalize()` — the debug-build recount assert
     /// in `CsrGraph::from` still flags genuine maintenance bugs).
     pub(crate) fn note_removed(&mut self, label: Symbol, last_of_source: bool) {
-        if let Some(c) = self.edge_counts.get_mut(label.index()) {
-            *c = c.saturating_sub(1);
-        }
-        if last_of_source {
-            if let Some(c) = self.source_counts.get_mut(label.index()) {
-                *c = c.saturating_sub(1);
-            }
+        let i = label.index();
+        if i < self.edge_counts.len() {
+            self.set_counts(
+                label,
+                self.edge_counts[i].saturating_sub(1),
+                self.source_counts[i].saturating_sub(usize::from(last_of_source)),
+            );
         }
     }
 
@@ -182,34 +244,176 @@ impl LabelStats {
 /// row.
 const SHORT_RUN: usize = 8;
 
+/// Rows per [`RowBlock`] — the unit snapshots share and a fold rebuilds.
+const BLOCK_ROWS: usize = 64;
+
+/// Words of a block's offset table: where each row starts, and where the
+/// last one ends.
+const HEADER: usize = BLOCK_ROWS + 1;
+
+/// The rows of [`BLOCK_ROWS`] consecutive nodes in one orientation, in
+/// **one allocation** that every snapshot holding these rows unchanged
+/// shares.
+///
+/// All words are `u32`s typed [`Oid`], so a row's endpoints are handed out
+/// as the `&[Oid]` they are stored as. First the [`HEADER`]: block-local
+/// row offsets, counted in entries (`words[0] == 0`; a row past the graph's
+/// last node is empty). Then the rows in order, each as its labels (a
+/// [`Symbol`] index per entry) followed by its endpoints — sorted by
+/// `(label, endpoint)` — so a row is one contiguous run of
+/// `2 · (words[r + 1] − words[r])` words.
+#[derive(Clone, Debug, PartialEq, Eq)]
+struct RowBlock(Arc<[Oid]>);
+
+impl RowBlock {
+    /// Where the row of node `v` (one of this block's) starts and ends, in
+    /// entries, and the words of all rows. A block that is no block holds
+    /// no row.
+    #[inline]
+    fn bounds(&self, v: usize) -> (usize, usize, &[Oid]) {
+        let Some((header, rows)) = self.0.split_first_chunk::<HEADER>() else {
+            return (0, 0, &[]);
+        };
+        let r = v % BLOCK_ROWS;
+        (header[r].index(), header[r + 1].index(), rows)
+    }
+
+    /// The labels and the endpoints of node `v`'s row.
+    #[inline]
+    fn row(&self, v: usize) -> (&[Oid], &[Oid]) {
+        let (start, end, rows) = self.bounds(v);
+        (&rows[2 * start..start + end], &rows[start + end..2 * end])
+    }
+
+    /// Entries in node `v`'s row.
+    #[inline]
+    fn degree(&self, v: usize) -> usize {
+        let (start, end, _) = self.bounds(v);
+        end - start
+    }
+
+    /// Entries over all rows of the block.
+    fn num_entries(&self) -> usize {
+        self.0.get(BLOCK_ROWS).map_or(0, |end| end.index())
+    }
+}
+
+/// The word a [`RowBlock`] stores for `label`.
+#[inline]
+fn label_word(label: Symbol) -> Oid {
+    Oid(label.index() as u32)
+}
+
+/// Assembles [`RowBlock`]s row by row through one reused buffer.
+struct BlockBuilder {
+    words: Vec<Oid>,
+    rows: usize,
+}
+
+impl BlockBuilder {
+    fn new() -> BlockBuilder {
+        BlockBuilder {
+            words: vec![Oid(0); HEADER],
+            rows: 0,
+        }
+    }
+
+    /// Append the next row, given sorted by `(label, endpoint)`.
+    fn push_pairs(&mut self, row: &[(Symbol, Oid)]) {
+        let end = self.words[self.rows].index() + row.len();
+        assert!(
+            self.rows < BLOCK_ROWS && end <= u32::MAX as usize,
+            "a block holds {BLOCK_ROWS} rows and fewer than 2^32 entries"
+        );
+        self.words.extend(row.iter().map(|&(l, _)| label_word(l)));
+        self.words.extend(row.iter().map(|&(_, t)| t));
+        self.rows += 1;
+        self.words[self.rows] = Oid(end as u32);
+    }
+
+    /// Append `block`'s rows `rows` (block-local; the next in line here) as
+    /// they stand — one copy for all of them.
+    fn push_rows_of(&mut self, block: &RowBlock, rows: std::ops::Range<usize>) {
+        let Some((header, words)) = block.0.split_first_chunk::<HEADER>() else {
+            return self.pad_to(rows.end);
+        };
+        let (from, to) = (header[rows.start].index(), header[rows.end].index());
+        let end = self.words[self.rows].index();
+        assert!(
+            self.rows == rows.start && end + (to - from) <= u32::MAX as usize,
+            "rows come in order and a block holds fewer than 2^32 entries"
+        );
+        self.words.extend_from_slice(&words[2 * from..2 * to]);
+        for r in rows.start..rows.end {
+            self.words[r + 1] = Oid((end + header[r + 1].index() - from) as u32);
+        }
+        self.rows = rows.end;
+    }
+
+    /// Leave the rows before `row` (block-local) that are not appended yet
+    /// empty.
+    fn pad_to(&mut self, row: usize) {
+        let end = self.words[self.rows];
+        self.words[self.rows + 1..=row].fill(end);
+        self.rows = row;
+    }
+
+    /// One orientation's table over `n` nodes: `push_row` appends the row of
+    /// the node it is given, and is given every node in order.
+    fn table(&mut self, n: usize, mut push_row: impl FnMut(&mut Self, usize)) -> Vec<RowBlock> {
+        let block = |first: usize| {
+            (first..n.min(first + BLOCK_ROWS)).for_each(|v| push_row(self, v));
+            self.finish()
+        };
+        (0..n).step_by(BLOCK_ROWS).map(block).collect()
+    }
+
+    /// The block of the rows appended since the last call; the rows it was
+    /// not given are empty.
+    fn finish(&mut self) -> RowBlock {
+        self.pad_to(BLOCK_ROWS);
+        let block = RowBlock(Arc::from(&self.words[..]));
+        self.words.truncate(HEADER);
+        self.rows = 0;
+        block
+    }
+}
+
 /// An immutable, label-indexed snapshot of a finite graph: forward and
 /// reverse CSR adjacency with per-node rows sorted by `(Symbol, Oid)`, plus
 /// per-label statistics. See the module docs for the layout rationale.
 ///
 /// Build one with [`CsrGraph::from`]; evaluate against it through the
-/// `rpq_core::Engine` trait or the `*_csr` entry points.
+/// `rpq_core::Engine` trait or the `*_csr` entry points. Cloning one copies
+/// a table of block pointers, not the rows.
 #[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CsrGraph {
-    /// `out_offsets[v]..out_offsets[v+1]` indexes v's row in the arenas.
-    out_offsets: Vec<usize>,
-    out_labels: Vec<Symbol>,
-    out_targets: Vec<Oid>,
-    /// Reverse adjacency: `in_sources` holds the *sources* of edges into v.
-    in_offsets: Vec<usize>,
-    in_labels: Vec<Symbol>,
-    in_sources: Vec<Oid>,
+    num_nodes: usize,
+    num_edges: usize,
+    /// Out-rows: block `b` holds nodes `b · BLOCK_ROWS ..`, endpoints are
+    /// edge targets.
+    out: Vec<RowBlock>,
+    /// Reverse adjacency, same shape: endpoints are the *sources* of the
+    /// edges into a node.
+    rev: Vec<RowBlock>,
     stats: LabelStats,
+}
+
+/// `v`'s row in one orientation: its labels and its endpoints.
+#[inline]
+fn row_of(blocks: &[RowBlock], v: Oid) -> (&[Oid], &[Oid]) {
+    blocks[v.index() / BLOCK_ROWS].row(v.index())
 }
 
 impl CsrGraph {
     /// Number of nodes.
     pub fn num_nodes(&self) -> usize {
-        self.out_offsets.len().saturating_sub(1)
+        self.num_nodes
     }
 
     /// Number of edges.
     pub fn num_edges(&self) -> usize {
-        self.out_targets.len()
+        self.num_edges
     }
 
     /// Iterate over all nodes.
@@ -218,13 +422,15 @@ impl CsrGraph {
     }
 
     /// Outdegree of `v`.
+    #[inline]
     pub fn outdegree(&self, v: Oid) -> usize {
-        self.out_offsets[v.index() + 1] - self.out_offsets[v.index()]
+        self.out[v.index() / BLOCK_ROWS].degree(v.index())
     }
 
     /// Indegree of `v`.
+    #[inline]
     pub fn indegree(&self, v: Oid) -> usize {
-        self.in_offsets[v.index() + 1] - self.in_offsets[v.index()]
+        self.rev[v.index() / BLOCK_ROWS].degree(v.index())
     }
 
     /// Per-label statistics collected at build time.
@@ -234,92 +440,38 @@ impl CsrGraph {
 
     /// The targets of `v`'s edges labeled `label` — a contiguous slice, so
     /// the per-(state, node) step costs only the matching edges.
+    #[inline]
     pub fn out(&self, v: Oid, label: Symbol) -> &[Oid] {
-        Self::labeled_range(
-            &self.out_labels,
-            &self.out_targets,
-            &self.out_offsets,
-            v,
-            label,
-        )
+        let (labels, targets) = row_of(&self.out, v);
+        labeled_range(labels, targets, label)
     }
 
     /// The *sources* of edges labeled `label` arriving at `v` (the reverse
     /// adjacency — the transpose of [`CsrGraph::out`]).
+    #[inline]
     pub fn rev(&self, v: Oid, label: Symbol) -> &[Oid] {
-        Self::labeled_range(
-            &self.in_labels,
-            &self.in_sources,
-            &self.in_offsets,
-            v,
-            label,
-        )
-    }
-
-    fn labeled_range<'a>(
-        labels: &[Symbol],
-        endpoints: &'a [Oid],
-        offsets: &[usize],
-        v: Oid,
-        label: Symbol,
-    ) -> &'a [Oid] {
-        let (start, end) = (offsets[v.index()], offsets[v.index() + 1]);
-        let row = &labels[start..end];
-        // Rows are sorted by `(label, endpoint)`: one search finds where the
-        // run starts, and the run is bounded from there. A short row (the
-        // common case: "objects are small") is searched by scanning, whose
-        // branches predict where a binary search's do not. In a long row
-        // the start is found by binary search and the run bounded by
-        // scanning while it is short, by a search over the rest of the row
-        // once it is not (a hub's run must stay logarithmic).
-        let lo = if row.len() <= SHORT_RUN {
-            row.iter().take_while(|&&l| l < label).count()
-        } else {
-            row.partition_point(|&l| l < label)
-        };
-        let rest = &row[lo..];
-        let scanned = rest
-            .iter()
-            .take(SHORT_RUN)
-            .take_while(|&&l| l == label)
-            .count();
-        let run = if scanned < SHORT_RUN {
-            scanned
-        } else {
-            SHORT_RUN + rest[SHORT_RUN..].partition_point(|&l| l == label)
-        };
-        &endpoints[start + lo..start + lo + run]
+        let (labels, sources) = row_of(&self.rev, v);
+        labeled_range(labels, sources, label)
     }
 
     /// All out-edges of `v` as `(label, target)` pairs, sorted by
     /// `(Symbol, Oid)`.
     pub fn out_pairs(&self, v: Oid) -> impl Iterator<Item = (Symbol, Oid)> + '_ {
-        let (start, end) = (self.out_offsets[v.index()], self.out_offsets[v.index() + 1]);
-        self.out_labels[start..end]
-            .iter()
-            .zip(&self.out_targets[start..end])
-            .map(|(&l, &t)| (l, t))
+        pairs(row_of(&self.out, v))
     }
 
     /// All in-edges of `v` as `(label, source)` pairs, sorted by
     /// `(Symbol, Oid)`.
     pub fn rev_pairs(&self, v: Oid) -> impl Iterator<Item = (Symbol, Oid)> + '_ {
-        let (start, end) = (self.in_offsets[v.index()], self.in_offsets[v.index() + 1]);
-        self.in_labels[start..end]
-            .iter()
-            .zip(&self.in_sources[start..end])
-            .map(|(&l, &t)| (l, t))
+        pairs(row_of(&self.rev, v))
     }
 
     /// `v`'s out-row grouped by label: yields `(label, targets)` once per
     /// distinct label. Lets callers pay label-dependent work (a quotient, a
     /// derivative, a memo lookup) once per *label* instead of once per edge.
     pub fn out_groups(&self, v: Oid) -> LabelGroups<'_> {
-        let (start, end) = (self.out_offsets[v.index()], self.out_offsets[v.index() + 1]);
-        LabelGroups {
-            labels: &self.out_labels[start..end],
-            endpoints: &self.out_targets[start..end],
-        }
+        let (labels, endpoints) = row_of(&self.out, v);
+        LabelGroups { labels, endpoints }
     }
 
     /// `v`'s *in*-row grouped by label: yields `(label, sources)` once per
@@ -327,11 +479,8 @@ impl CsrGraph {
     /// the dense *pull* step of the hybrid product BFS to probe all labels
     /// arriving at a candidate node in one sorted walk.
     pub fn rev_groups(&self, v: Oid) -> LabelGroups<'_> {
-        let (start, end) = (self.in_offsets[v.index()], self.in_offsets[v.index() + 1]);
-        LabelGroups {
-            labels: &self.in_labels[start..end],
-            endpoints: &self.in_sources[start..end],
-        }
+        let (labels, endpoints) = row_of(&self.rev, v);
+        LabelGroups { labels, endpoints }
     }
 
     /// Iterate over all edges as `(source, label, target)` triples.
@@ -367,22 +516,84 @@ impl CsrGraph {
         cur.sort_unstable();
         cur
     }
+
+    /// The index of the row block that stores `v`'s rows. The rows of one
+    /// block are stored together, shared between snapshots together, and
+    /// rebuilt by a fold together ([`crate::DeltaGraph::compact`]).
+    pub fn block_of(v: Oid) -> usize {
+        v.index() / BLOCK_ROWS
+    }
+
+    /// For every row block of one orientation (the in-rows with `reverse`),
+    /// in [`CsrGraph::block_of`] order: does `self` read it from the very
+    /// allocation `other` does?
+    pub fn blocks_shared_with(&self, other: &CsrGraph, reverse: bool) -> Vec<bool> {
+        let (mine, theirs) = if reverse {
+            (&self.rev, &other.rev)
+        } else {
+            (&self.out, &other.out)
+        };
+        let same = |(b, block): (usize, &RowBlock)| {
+            theirs.get(b).is_some_and(|t| Arc::ptr_eq(&block.0, &t.0))
+        };
+        mine.iter().enumerate().map(same).collect()
+    }
+}
+
+/// The run of `label` in a row sorted by `(label, endpoint)`.
+fn labeled_range<'a>(labels: &[Oid], endpoints: &'a [Oid], label: Symbol) -> &'a [Oid] {
+    let label = label_word(label);
+    // One search finds where the run starts, and the run is bounded from
+    // there. A short row (the common case: "objects are small") is searched
+    // by scanning, whose branches predict where a binary search's do not.
+    // In a long row the start is found by binary search and the run bounded
+    // by scanning while it is short, by a search over the rest of the row
+    // once it is not (a hub's run must stay logarithmic).
+    let lo = if labels.len() <= SHORT_RUN {
+        labels.iter().take_while(|&&l| l < label).count()
+    } else {
+        labels.partition_point(|&l| l < label)
+    };
+    let rest = &labels[lo..];
+    let scanned = rest
+        .iter()
+        .take(SHORT_RUN)
+        .take_while(|&&l| l == label)
+        .count();
+    let run = if scanned < SHORT_RUN {
+        scanned
+    } else {
+        SHORT_RUN + rest[SHORT_RUN..].partition_point(|&l| l == label)
+    };
+    &endpoints[lo..lo + run]
+}
+
+/// A row as `(label, endpoint)` pairs.
+fn pairs<'a>(
+    (labels, endpoints): (&'a [Oid], &'a [Oid]),
+) -> impl Iterator<Item = (Symbol, Oid)> + 'a {
+    labels
+        .iter()
+        .zip(endpoints)
+        .map(|(&l, &t)| (Symbol::from_index(l.index()), t))
 }
 
 /// One overlay-log entry handed to [`CsrGraph::fold`]: `(row, label,
 /// endpoint, add)` — the row `row` of one orientation gains (`add`) or
 /// loses (tombstone, `!add`) the entry `(label, endpoint)`. A log is sorted
-/// by `(row, label, endpoint)`, the order of the arena itself.
+/// by `(row, label, endpoint)`, the order of the rows themselves.
 pub(crate) type RowPatch = (Oid, Symbol, Oid, bool);
 
 impl CsrGraph {
     /// `self` with an overlay folded in, as `num_nodes` rows holding
-    /// `num_edges` edges: `out_log` patches the out-arena, `in_log` (the
-    /// same edges keyed by target) the in-arena, so the reverse CSR is
-    /// merged like the forward one and never re-derived by transposition.
-    /// Equals `CsrGraph::from` over the resulting edge set, array for
-    /// array. `stats` are the caller's statistics for that edge set and
-    /// are stored as given.
+    /// `num_edges` edges, and the number of row blocks built for it:
+    /// `out_log` patches the out-rows, `in_log` (the same edges keyed by
+    /// target) the in-rows, so the reverse CSR is merged like the forward
+    /// one and never re-derived by transposition. Only a block that holds a
+    /// patched row, or rows past the old last block, is built; every other
+    /// is the base's, shared. Equals `CsrGraph::from` over the resulting
+    /// edge set, block for block. `stats` are the caller's statistics for
+    /// that edge set and are stored as given.
     ///
     /// Panics when a log is not strictly ascending, names a row
     /// `>= num_nodes`, adds an entry the base row holds, or tombstones one
@@ -394,123 +605,127 @@ impl CsrGraph {
         out_log: &[RowPatch],
         in_log: &[RowPatch],
         stats: LabelStats,
-    ) -> CsrGraph {
-        let (out_offsets, out_labels, out_targets) = fold_arena(
-            (&self.out_offsets, &self.out_labels, &self.out_targets),
+    ) -> (CsrGraph, usize) {
+        assert!(self.num_nodes <= num_nodes, "a fold drops no row");
+        let (out, out_built) =
+            fold_blocks(&self.out, self.num_edges, num_nodes, num_edges, out_log);
+        let (rev, rev_built) = fold_blocks(&self.rev, self.num_edges, num_nodes, num_edges, in_log);
+        let folded = CsrGraph {
             num_nodes,
             num_edges,
-            out_log,
-        );
-        let (in_offsets, in_labels, in_sources) = fold_arena(
-            (&self.in_offsets, &self.in_labels, &self.in_sources),
-            num_nodes,
-            num_edges,
-            in_log,
-        );
-        CsrGraph {
-            out_offsets,
-            out_labels,
-            out_targets,
-            in_offsets,
-            in_labels,
-            in_sources,
+            out,
+            rev,
             stats,
-        }
+        };
+        (folded, out_built + rev_built)
     }
 
-    /// Statistics recounted from the out-arena — the from-scratch
+    /// Statistics recounted from the out-rows — the from-scratch
     /// reference [`crate::DeltaGraph::compact`] checks its incrementally
     /// maintained counters against in debug builds.
     pub(crate) fn recount_stats(&self) -> LabelStats {
         let mut stats = LabelStats::default();
-        for row in self.out_offsets.windows(2) {
-            let labels = &self.out_labels[row[0]..row[1]];
-            for (i, &l) in labels.iter().enumerate() {
-                stats.note_added(l, i == 0 || labels[i - 1] != l);
+        for v in self.nodes() {
+            let mut prev = None;
+            for (l, _) in self.out_pairs(v) {
+                stats.note_added(l, prev != Some(l));
+                prev = Some(l);
             }
         }
         stats
     }
 }
 
-/// One orientation of [`CsrGraph::fold`]: the `(offsets, labels,
-/// endpoints)` arena `base` with `log` merged in, each array allocated
-/// once at its final size and written front to back. Everything between
-/// two patches — the rest of a touched row, any number of untouched rows —
-/// is one `extend` per array.
-fn fold_arena(
-    base: (&[usize], &[Symbol], &[Oid]),
+/// One orientation of [`CsrGraph::fold`]: the block table `base` (holding
+/// `base_edges` entries) with `log` merged in, over `num_nodes` rows, and
+/// how many of its blocks were built rather than shared. The work is
+/// proportional to the blocks built, plus one pointer copy per block
+/// shared.
+fn fold_blocks(
+    base: &[RowBlock],
+    base_edges: usize,
     num_nodes: usize,
     num_edges: usize,
     log: &[RowPatch],
-) -> (Vec<usize>, Vec<Symbol>, Vec<Oid>) {
-    let (base_offsets, base_labels, base_endpoints) = base;
+) -> (Vec<RowBlock>, usize) {
     assert!(
         log.windows(2)
             .all(|w| (w[0].0, w[0].1, w[0].2) < (w[1].0, w[1].1, w[1].2)),
         "overlay log must be strictly ascending by (row, label, endpoint)"
     );
     assert!(
-        log.last().is_none_or(|p| p.0.index() < num_nodes) && base_offsets.len() <= num_nodes + 1,
-        "a fold drops no row and patches none past the last"
+        log.last().is_none_or(|p| p.0.index() < num_nodes),
+        "a fold patches no row past the last"
     );
-
-    // A row starts where it did, shifted by the adds minus the tombstones
-    // of the rows before it: one constant per span of untouched rows. Rows
-    // past the old base start where the base ends.
-    let mut offsets = Vec::with_capacity(num_nodes + 1);
-    let mut extend_offsets = |len: usize, shift: isize| {
-        let known = base_offsets.len();
-        let span = &base_offsets[offsets.len().min(known)..len.min(known)];
-        offsets.extend(span.iter().map(|&o| o.wrapping_add_signed(shift)));
-        offsets.resize(len, base_labels.len().wrapping_add_signed(shift));
+    let num_blocks = num_nodes.div_ceil(BLOCK_ROWS);
+    let mut builder = BlockBuilder::new();
+    // What the base holds of a block past its last: nothing.
+    let empty = builder.finish();
+    let mut blocks: Vec<RowBlock> = Vec::with_capacity(num_blocks);
+    // Blocks up to `until` that no patch names: the base's, shared.
+    let carry_over = |blocks: &mut Vec<RowBlock>, until: usize| {
+        let held = base.len();
+        blocks.extend_from_slice(&base[blocks.len().min(held)..until.min(held)]);
+        blocks.resize(until, empty.clone());
     };
-    let mut shift = 0;
-    for row in log.chunk_by(|p, q| p.0 == q.0) {
-        extend_offsets(row[0].0.index() + 1, shift);
-        shift += row.iter().map(|p| if p.3 { 1 } else { -1 }).sum::<isize>();
-    }
-    extend_offsets(num_nodes + 1, shift);
 
-    let mut labels = Vec::with_capacity(num_edges);
-    let mut endpoints = Vec::with_capacity(num_edges);
-    let mut next = 0; // the first base entry not yet merged
-    for &(row, label, endpoint, add) in log {
-        // the patch's place: inside its own row, past what is merged
-        let (start, end) = match base_offsets.get(row.index()..row.index() + 2) {
-            Some(bounds) => (bounds[0], bounds[1]),
-            None => (base_labels.len(), base_labels.len()),
-        };
-        let mut at = next.max(start);
-        while at < end && (base_labels[at], base_endpoints[at]) < (label, endpoint) {
-            at += 1;
+    let mut built = num_blocks.saturating_sub(base.len());
+    let mut edges = base_edges;
+    let mut merged: Vec<(Symbol, Oid)> = Vec::new();
+    for patches in log.chunk_by(|p, q| CsrGraph::block_of(p.0) == CsrGraph::block_of(q.0)) {
+        let b = CsrGraph::block_of(patches[0].0);
+        carry_over(&mut blocks, b);
+        let old = base.get(b).unwrap_or(&empty);
+        built += usize::from(b < base.len());
+        // Row by patched row; what lies between two of them is the old
+        // block's, copied in one piece.
+        for row_patches in patches.chunk_by(|p, q| p.0 == q.0) {
+            let row = row_patches[0].0.index();
+            builder.push_rows_of(old, builder.rows..row % BLOCK_ROWS);
+            merge_row(old.row(row), row_patches, &mut merged);
+            builder.push_pairs(&merged);
         }
-        labels.extend_from_slice(&base_labels[next..at]);
-        endpoints.extend_from_slice(&base_endpoints[next..at]);
-        next = at;
-        let in_base = at < end && (base_labels[at], base_endpoints[at]) == (label, endpoint);
+        builder.push_rows_of(old, builder.rows..BLOCK_ROWS);
+        let block = builder.finish();
+        edges = edges + block.num_entries() - old.num_entries();
+        blocks.push(block);
+    }
+    carry_over(&mut blocks, num_blocks);
+    assert!(edges == num_edges, "folded rows must hold every edge");
+    (blocks, built)
+}
+
+/// `merged` := the base row `(labels, endpoints)` with `patches` (all of
+/// this row, ascending) applied.
+fn merge_row(
+    (labels, endpoints): (&[Oid], &[Oid]),
+    patches: &[RowPatch],
+    merged: &mut Vec<(Symbol, Oid)>,
+) {
+    let mut base = pairs((labels, endpoints)).peekable();
+    merged.clear();
+    for &(_, label, endpoint, add) in patches {
+        let patch = (label, endpoint);
+        while let Some(entry) = base.next_if(|&entry| entry < patch) {
+            merged.push(entry);
+        }
+        let in_base = base.peek() == Some(&patch);
         if add {
             assert!(!in_base, "add log must be disjoint from the base");
-            labels.push(label);
-            endpoints.push(endpoint);
+            merged.push(patch);
         } else {
             assert!(in_base, "tombstone must name a base edge");
-            next += 1;
+            base.next();
         }
     }
-    labels.extend_from_slice(&base_labels[next..]);
-    endpoints.extend_from_slice(&base_endpoints[next..]);
-    assert!(
-        labels.len() == num_edges && offsets[num_nodes] == num_edges,
-        "folded arena must hold every edge"
-    );
-    (offsets, labels, endpoints)
+    merged.extend(base);
 }
 
 /// Iterator over `(label, targets)` groups of one row — see
 /// [`CsrGraph::out_groups`].
 pub struct LabelGroups<'a> {
-    labels: &'a [Symbol],
+    /// The row's labels as a [`RowBlock`] stores them.
+    labels: &'a [Oid],
     endpoints: &'a [Oid],
 }
 
@@ -523,7 +738,7 @@ impl<'a> Iterator for LabelGroups<'a> {
         let (group, rest) = self.endpoints.split_at(len);
         self.labels = &self.labels[len..];
         self.endpoints = rest;
-        Some((label, group))
+        Some((Symbol::from_index(label.index()), group))
     }
 }
 
@@ -548,6 +763,7 @@ impl From<&Instance> for CsrGraph {
                 )),
                 "incremental LabelStats diverged from recount"
             );
+            debug_assert_eq!(stats.fingerprint(), stats.fingerprint_recomputed());
             stats
         } else {
             LabelStats::recount(instance.nodes().map(|v| instance.out_edges(v)))
@@ -556,13 +772,11 @@ impl From<&Instance> for CsrGraph {
         // Forward: Instance rows are maintained sorted by (Symbol, Oid);
         // re-sort defensively (e.g. instances deserialized from older
         // encodings), which is O(1) on already-sorted rows.
-        let mut out_offsets = Vec::with_capacity(n + 1);
-        let mut out_labels = Vec::with_capacity(m);
-        let mut out_targets = Vec::with_capacity(m);
+        let mut builder = BlockBuilder::new();
         let mut scratch: Vec<(Symbol, Oid)> = Vec::new();
-        out_offsets.push(0);
-        for v in instance.nodes() {
-            let row = instance.out_edges(v);
+        let mut indegree = vec![0usize; n];
+        let out = builder.table(n, |builder, v| {
+            let row = instance.out_edges(Oid(v as u32));
             let row: &[(Symbol, Oid)] = if row.is_sorted() {
                 row
             } else {
@@ -571,60 +785,41 @@ impl From<&Instance> for CsrGraph {
                 scratch.sort_unstable();
                 &scratch
             };
-            for &(l, t) in row {
-                out_labels.push(l);
-                out_targets.push(t);
+            builder.push_pairs(row);
+            for &(_, t) in row {
+                indegree[t.index()] += 1;
             }
-            out_offsets.push(out_labels.len());
-        }
+        });
 
-        // Reverse: counting-sort the transposed edges straight into the
-        // arenas (no per-node buckets), then sort each row in place by
-        // (Symbol, Oid) through one reused scratch buffer.
-        let mut in_offsets = vec![0usize; n + 1];
-        for &t in &out_targets {
-            in_offsets[t.index() + 1] += 1;
+        // Reverse: counting-sort the transposed edges into one scratch
+        // array (no per-node buckets) — a row's cursor starts where the row
+        // does and ends where it does — sort each row in place by
+        // (Symbol, Oid), and cut the blocks from it.
+        let mut cursor = indegree;
+        let mut num_edges = 0;
+        for c in &mut cursor {
+            num_edges += std::mem::replace(c, num_edges);
         }
-        for i in 0..n {
-            in_offsets[i + 1] += in_offsets[i];
-        }
-        let mut in_labels = vec![Symbol::from_index(0); m];
-        let mut in_sources = vec![Oid(0); m];
-        let mut cursor = in_offsets.clone();
+        let mut transposed = vec![(Symbol::from_index(0), Oid(0)); num_edges];
         for v in instance.nodes() {
-            let (start, end) = (out_offsets[v.index()], out_offsets[v.index() + 1]);
-            for i in start..end {
-                let slot = cursor[out_targets[i].index()];
-                cursor[out_targets[i].index()] += 1;
-                in_labels[slot] = out_labels[i];
-                in_sources[slot] = v;
+            for &(l, t) in instance.out_edges(v) {
+                transposed[cursor[t.index()]] = (l, v);
+                cursor[t.index()] += 1;
             }
         }
-        for v in 0..n {
-            let (start, end) = (in_offsets[v], in_offsets[v + 1]);
-            if end - start > 1 {
-                scratch.clear();
-                scratch.extend(
-                    in_labels[start..end]
-                        .iter()
-                        .copied()
-                        .zip(in_sources[start..end].iter().copied()),
-                );
-                scratch.sort_unstable();
-                for (i, &(l, s)) in scratch.iter().enumerate() {
-                    in_labels[start + i] = l;
-                    in_sources[start + i] = s;
-                }
-            }
-        }
+        let mut start = 0;
+        let rev = builder.table(n, |builder, v| {
+            let row = &mut transposed[start..cursor[v]];
+            start = cursor[v];
+            row.sort_unstable();
+            builder.push_pairs(row);
+        });
 
         CsrGraph {
-            out_offsets,
-            out_labels,
-            out_targets,
-            in_offsets,
-            in_labels,
-            in_sources,
+            num_nodes: n,
+            num_edges,
+            out,
+            rev,
             stats,
         }
     }
@@ -822,11 +1017,51 @@ mod tests {
         assert_eq!(csr.stats().source_count(a), 2);
     }
 
+    #[test]
+    fn fingerprint_follows_the_counts_not_their_history() {
+        let (a, b, c) = (
+            Symbol::from_index(0),
+            Symbol::from_index(1),
+            Symbol::from_index(2),
+        );
+        let build = |notes: &[(Symbol, bool)]| {
+            let mut stats = LabelStats::default();
+            for &(l, new_source) in notes {
+                stats.note_added(l, new_source);
+                assert_eq!(stats.fingerprint(), stats.fingerprint_recomputed());
+            }
+            stats
+        };
+        let one = build(&[(a, true), (a, false), (b, true)]);
+        let other = build(&[(b, true), (a, true), (a, false)]);
+        assert_eq!(one.fingerprint(), other.fingerprint());
+        assert_ne!(one.fingerprint(), LabelStats::default().fingerprint());
+        // the same edges over more sources are other statistics
+        let spread = build(&[(a, true), (a, true), (b, true)]);
+        assert_ne!(one.fingerprint(), spread.fingerprint());
+        // a label that came and went leaves a slot and no trace
+        let mut visited = one.clone();
+        visited.note_added(c, true);
+        assert_ne!(one.fingerprint(), visited.fingerprint());
+        visited.note_removed(c, true);
+        assert_eq!(visited.num_labels(), 3);
+        assert!(visited.agrees_with(&one));
+        assert_eq!(visited.fingerprint(), one.fingerprint());
+        assert_eq!(visited.fingerprint(), visited.fingerprint_recomputed());
+        // a removal the counters never saw the edge of changes nothing
+        visited.note_removed(Symbol::from_index(7), true);
+        assert_eq!(visited.fingerprint(), one.fingerprint());
+    }
+
     type Edge = (Oid, Symbol, Oid);
 
     /// Fold `dels`/`adds` (and `extra_nodes` new rows) into `inst`'s
-    /// snapshot, and check the result against the rebuild of the mirrored
-    /// instance — every array of both orientations, and the statistics.
+    /// snapshot, and check everything a fold promises: the result is the
+    /// rebuild of the mirrored instance block for block in both
+    /// orientations, with its statistics; a block is the base's own
+    /// allocation exactly when it holds no patched row and the base had it,
+    /// and the count returned is the number of the others; the base — a
+    /// reader's snapshot from before the fold — is what it was.
     fn fold_matches_rebuild(inst: &Instance, extra_nodes: usize, dels: &[Edge], adds: &[Edge]) {
         let mut mirror = inst.clone();
         for _ in 0..extra_nodes {
@@ -847,7 +1082,8 @@ mod tests {
         }
         out_log.sort_unstable();
         in_log.sort_unstable();
-        let folded = CsrGraph::from(inst).fold(
+        let base = CsrGraph::from(inst);
+        let (folded, built) = base.fold(
             mirror.num_nodes(),
             mirror.num_edges(),
             &out_log,
@@ -856,7 +1092,54 @@ mod tests {
         );
         assert_eq!(folded, CsrGraph::from(&mirror));
         assert!(folded.stats().agrees_with(&folded.recount_stats()));
+        assert_eq!(
+            base,
+            CsrGraph::from(inst),
+            "the base is not the fold's to touch"
+        );
+
+        let mut expect_built = 0;
+        for (log, reverse) in [(&out_log, false), (&in_log, true)] {
+            let shared = folded.blocks_shared_with(&base, reverse);
+            assert_eq!(shared.len(), mirror.num_nodes().div_ceil(BLOCK_ROWS));
+            for (b, &shared) in shared.iter().enumerate() {
+                let patched = log.iter().any(|p| CsrGraph::block_of(p.0) == b);
+                let in_base = b < inst.num_nodes().div_ceil(BLOCK_ROWS);
+                assert_eq!(shared, in_base && !patched, "block {b}, reverse {reverse}");
+                expect_built += usize::from(!shared);
+            }
+        }
+        assert_eq!(built, expect_built);
     }
+
+    /// `3 · BLOCK_ROWS + 8` nodes in a ring of `a` edges with a `b` chord
+    /// from every fourth node: three full blocks and a short one, every
+    /// row non-empty in both orientations.
+    fn wide() -> (Symbol, Symbol, Instance) {
+        let mut ab = Alphabet::new();
+        let (a, b) = (ab.intern("a"), ab.intern("b"));
+        let n = 3 * BLOCK_ROWS as u32 + 8;
+        let mut inst = Instance::new();
+        for _ in 0..n {
+            inst.add_node();
+        }
+        for v in 0..n {
+            inst.add_edge(Oid(v), a, Oid((v + 1) % n));
+            if v % 4 == 0 {
+                inst.add_edge(Oid(v), b, Oid((v * 7 + 3) % n));
+            }
+        }
+        (a, b, inst)
+    }
+
+    /// The first and the last row of block 1, and the rows either side of
+    /// it.
+    const BOUNDARY: [u32; 4] = [
+        BLOCK_ROWS as u32 - 1,
+        BLOCK_ROWS as u32,
+        2 * BLOCK_ROWS as u32 - 1,
+        2 * BLOCK_ROWS as u32,
+    ];
 
     /// Five nodes; node 1's row is `[(a,0) (a,2) (b,1) (b,3)]`, node 2 has
     /// no out-edge, node 4 no edge at all.
@@ -896,6 +1179,44 @@ mod tests {
         // the whole row; then the first and the last non-empty row
         fold_matches_rebuild(&inst, 0, &row, &[]);
         fold_matches_rebuild(&inst, 0, &[(Oid(0), a, Oid(1)), (Oid(3), b, Oid(0))], &[]);
+
+        // the first and the last row of a block, one at a time (one block
+        // rebuilt each way, or two where the edge crosses a boundary), then
+        // the rows on both sides of both boundaries at once
+        let (a, _, wide) = wide();
+        let ring = |v: u32| (Oid(v), a, Oid(v + 1));
+        for v in BOUNDARY {
+            fold_matches_rebuild(&wide, 0, &[ring(v)], &[]);
+        }
+        fold_matches_rebuild(&wide, 0, &BOUNDARY.map(ring), &[]);
+    }
+
+    #[test]
+    fn fold_leaves_a_block_without_an_edge_and_fills_it_again() {
+        // Block 1 holds one edge in either orientation, block 2 the last
+        // node only.
+        let mut ab = Alphabet::new();
+        let a = ab.intern("a");
+        let (lone, last) = (BLOCK_ROWS as u32 + 6, 2 * BLOCK_ROWS as u32);
+        let mut inst = Instance::new();
+        for _ in 0..=last {
+            inst.add_node();
+        }
+        let edges = [
+            (Oid(0), a, Oid(1)),
+            (Oid(lone), a, Oid(lone + 1)),
+            (Oid(last), a, Oid(0)),
+        ];
+        for (f, l, t) in edges {
+            inst.add_edge(f, l, t);
+        }
+        fold_matches_rebuild(&inst, 0, &[edges[1]], &[]);
+        let mut emptied = inst.clone();
+        emptied.remove_edge(Oid(lone), a, Oid(lone + 1));
+        assert_eq!(CsrGraph::from(&emptied).out[1].num_entries(), 0);
+        fold_matches_rebuild(&emptied, 0, &[], &[edges[1]]);
+        // and a graph with no edge left at all
+        fold_matches_rebuild(&inst, 0, &edges, &[]);
     }
 
     #[test]
@@ -926,6 +1247,26 @@ mod tests {
                 (Oid(2), b, Oid(2)),
             ],
         );
+
+        // into the first and the last row of a block, and into the two rows
+        // a boundary separates, from a row far away and from each other
+        let (a, b, wide) = wide();
+        for v in BOUNDARY {
+            fold_matches_rebuild(&wide, 0, &[], &[(Oid(v), b, Oid(1))]);
+            fold_matches_rebuild(&wide, 0, &[], &[(Oid(1), b, Oid(v))]);
+        }
+        let [before, first, last, after] = BOUNDARY.map(Oid);
+        fold_matches_rebuild(
+            &wide,
+            0,
+            &[(first, a, Oid(first.0 + 1))],
+            &[
+                (before, b, first),
+                (first, b, before),
+                (last, b, after),
+                (after, a, last),
+            ],
+        );
     }
 
     #[test]
@@ -948,24 +1289,61 @@ mod tests {
         );
         // a base with no row at all
         fold_matches_rebuild(&Instance::new(), 2, &[], &[(Oid(1), a, Oid(0))]);
+
+        // new nodes in the short last block: it is shared while none of
+        // them takes an edge, rebuilt once one does
+        let (a, b, wide) = wide();
+        let n = wide.num_nodes() as u32;
+        fold_matches_rebuild(&wide, 5, &[], &[]);
+        fold_matches_rebuild(&wide, 5, &[], &[(Oid(n + 4), b, Oid(0))]);
+        // a new node that opens a block of its own, with and without an
+        // edge, and new nodes that open two
+        let room = BLOCK_ROWS - wide.num_nodes() % BLOCK_ROWS;
+        let opener = Oid(n + room as u32);
+        fold_matches_rebuild(&wide, room + 1, &[], &[]);
+        fold_matches_rebuild(
+            &wide,
+            room + 1,
+            &[(Oid(n - 1), a, Oid(0))],
+            &[(Oid(n - 1), a, opener), (opener, a, Oid(0))],
+        );
+        fold_matches_rebuild(
+            &wide,
+            room + BLOCK_ROWS + 1,
+            &[],
+            &[(opener, b, Oid(opener.0 + BLOCK_ROWS as u32))],
+        );
+        // a base that ends on a block boundary
+        let mut full = Instance::new();
+        for _ in 0..BLOCK_ROWS {
+            full.add_node();
+        }
+        full.add_edge(Oid(0), a, Oid(BLOCK_ROWS as u32 - 1));
+        fold_matches_rebuild(&full, 1, &[], &[(Oid(BLOCK_ROWS as u32), a, Oid(0))]);
     }
 
     #[test]
     #[should_panic(expected = "add log must be disjoint from the base")]
     fn fold_refuses_an_add_the_base_already_holds() {
-        let (a, _, _, inst) = rows();
+        let (a, _, inst) = wide();
         let csr = CsrGraph::from(&inst);
         let stats = csr.stats().clone();
-        csr.fold(5, 7, &[(Oid(0), a, Oid(1), true)], &[], stats);
+        let (n, m) = (csr.num_nodes(), csr.num_edges());
+        let last_of_block = Oid(BLOCK_ROWS as u32 - 1);
+        let held = (last_of_block, a, Oid(BLOCK_ROWS as u32), true);
+        csr.fold(n, m + 1, &[held], &[], stats);
     }
 
     #[test]
     #[should_panic(expected = "tombstone must name a base edge")]
     fn fold_refuses_a_tombstone_for_no_base_edge() {
-        let (a, _, _, inst) = rows();
+        let (a, _, inst) = wide();
         let csr = CsrGraph::from(&inst);
         let stats = csr.stats().clone();
-        csr.fold(5, 5, &[(Oid(0), a, Oid(2), false)], &[], stats);
+        let (n, m) = (csr.num_nodes(), csr.num_edges());
+        let first_of_block = Oid(BLOCK_ROWS as u32);
+        let absent = (first_of_block, a, Oid(BLOCK_ROWS as u32 - 1), false);
+        csr.fold(n, m - 1, &[absent], &[], stats);
     }
 
     #[test]

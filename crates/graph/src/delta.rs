@@ -19,9 +19,10 @@
 //! against a recount at [`DeltaGraph::compact`] time.
 //!
 //! [`DeltaGraph::compact`] folds the logs into a new base CSR by one
-//! sorted merge per orientation ([`CsrGraph`]'s arenas are copied once,
-//! with the touched rows patched on the way — no [`Instance`] is rebuilt)
-//! and **keeps the [`Epoch`] lineage**: a fold reorganises storage, it
+//! sorted merge per orientation ([`CsrGraph`]'s row blocks that hold a
+//! touched row are rebuilt, every other is shared with the old base — no
+//! [`Instance`] is rebuilt, no untouched row copied) and **keeps the
+//! [`Epoch`] lineage**: a fold reorganises storage, it
 //! changes no edge, count or statistic, so plans that
 //! `rpq_optimizer::PlannedEngine` memoized before it (see its epoch-aware
 //! memo) are served as exact hits after it.
@@ -104,9 +105,10 @@ impl LabelLog {
 
 /// When should a writer fold a [`DeltaGraph`]'s overlay into a fresh base?
 ///
-/// Compaction trades one sequential copy of the base arenas (`O(V + E)` at
-/// memory speed, see [`DeltaGraph::compact`]; it keeps the epoch lineage,
-/// so no plan is lost to it) against the per-read cost of overlay merges.
+/// Compaction trades a rebuild of the row blocks the overlay touches
+/// (`O(touched blocks)`, plus one pointer copy per block of the base, see
+/// [`DeltaGraph::compact`]; it keeps the epoch lineage, so no plan is lost
+/// to it) against the per-read cost of overlay merges.
 /// The policy triggers on either of two measured signals, gated by a
 /// minimum log size so tiny graphs don't thrash:
 ///
@@ -308,15 +310,10 @@ impl DeltaGraph {
         rows > policy.max_overlay_row_fraction * self.num_nodes().max(1) as f64
     }
 
-    /// Compact if [`DeltaGraph::should_compact`] says so; returns whether a
-    /// compaction happened.
-    pub fn maybe_compact(&mut self, policy: &CompactionPolicy) -> bool {
-        if self.should_compact(policy) {
-            self.compact();
-            true
-        } else {
-            false
-        }
+    /// Compact if [`DeltaGraph::should_compact`] says so; returns what
+    /// [`DeltaGraph::compact`] did if a compaction happened.
+    pub fn maybe_compact(&mut self, policy: &CompactionPolicy) -> Option<usize> {
+        self.should_compact(policy).then(|| self.compact())
     }
 
     /// Iterate over all nodes.
@@ -541,27 +538,30 @@ impl DeltaGraph {
         log
     }
 
-    /// Fold the overlay into a new base CSR and clear the logs. The base
-    /// arenas are merged with the logs in one sequential pass per
-    /// orientation (`CsrGraph::fold`): a copy of `V + E` words with the
-    /// touched rows patched on the way, whatever the size of the log. The
+    /// Fold the overlay into a new base CSR and clear the logs; returns the
+    /// number of row blocks built for it, over both orientations. The logs
+    /// are merged into the base in one pass per orientation
+    /// (`CsrGraph::fold`) that rebuilds the blocks holding a touched row,
+    /// opens blocks for new nodes past the old last one, and shares every
+    /// other block with the old base: `O(touched blocks)` of copying plus
+    /// one pointer per block, whatever the size of the graph. The
     /// fold **keeps the epoch lineage** and steps `version` by one — edges,
     /// counts and statistics are what they were, so plans memoized before
     /// the fold stay valid after it. With nothing to fold (empty logs, no
-    /// new node) it does nothing at all. In debug builds, asserts the
-    /// incrementally maintained [`LabelStats`] agree with a recount of the
-    /// new base.
+    /// new node) it does nothing at all and returns 0. In debug builds,
+    /// asserts the incrementally maintained [`LabelStats`] agree with a
+    /// recount of the new base.
     ///
     /// Compaction is **copy-on-write**: the new base is installed as a
     /// fresh `Arc`, so `DeltaGraph` clones taken before the call (pinned
-    /// reader snapshots) keep the old base arena alive and finish their
+    /// reader snapshots) keep the old base's blocks alive and finish their
     /// traversals undisturbed — no reader is ever blocked or invalidated by
     /// a writer-side compaction.
-    pub fn compact(&mut self) {
+    pub fn compact(&mut self) -> usize {
         if self.log_len() == 0 && self.extra_nodes == 0 {
-            return;
+            return 0;
         }
-        let base = self.base.fold(
+        let (base, blocks_built) = self.base.fold(
             self.num_nodes(),
             self.edges,
             &self.patches(false),
@@ -574,12 +574,17 @@ impl DeltaGraph {
             self.stats,
             base.recount_stats()
         );
+        debug_assert_eq!(
+            self.stats.fingerprint(),
+            self.stats.fingerprint_recomputed()
+        );
         self.base = Arc::new(base);
         self.adds.clear();
         self.dels.clear();
         self.added = 0;
         self.extra_nodes = 0;
         self.version += 1;
+        blocks_built
     }
 }
 
@@ -962,9 +967,9 @@ mod tests {
         assert!(dg.overlay_rows() > 1);
         assert!(dg.should_compact(&rows_only));
 
-        assert!(dg.maybe_compact(&ratio_only));
+        assert_eq!(dg.maybe_compact(&ratio_only), Some(2), "one block each way");
         assert_eq!(dg.log_len(), 0);
-        assert!(!dg.maybe_compact(&ratio_only), "nothing left to fold");
+        assert_eq!(dg.maybe_compact(&ratio_only), None, "nothing left to fold");
     }
 
     #[test]

@@ -319,14 +319,17 @@ impl GraphView for CsrGraph {
         Epoch::STATIC
     }
 
+    #[inline]
     fn out(&self, v: Oid, label: Symbol) -> ViewEdges<'_> {
         ViewEdges::Slice(CsrGraph::out(self, v, label))
     }
 
+    #[inline]
     fn rev(&self, v: Oid, label: Symbol) -> ViewEdges<'_> {
         ViewEdges::Slice(CsrGraph::rev(self, v, label))
     }
 
+    #[inline]
     fn degree_bound(&self, v: Oid, reverse: bool) -> usize {
         if reverse {
             self.indegree(v)

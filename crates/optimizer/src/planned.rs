@@ -36,6 +36,12 @@
 //! decisiveness factor (any cached plan for the same query is *sound* —
 //! statistics only rank candidates — so drift-reuse trades at most
 //! optimality, never correctness, and the drift bound caps even that).
+//! The two label groups the costs are summed over are kept with the plan,
+//! so the check is a comparison of label counts — no automaton is built —
+//! and a check that passes enters the plan under the key it passed for:
+//! every later read at those statistics is an exact hit, and a new epoch
+//! costs each query one check ([`PlannedEngine::plan_drift_checks`]),
+//! made in full against the plan's own plan-time costs.
 //! `compact()` is invisible to the memo: a fold keeps the lineage and
 //! changes no node count, edge count or statistic, so the key of the
 //! snapshot after it *is* the key of the snapshot before it and every
@@ -114,7 +120,14 @@ pub struct Plan {
     pub improved: bool,
     /// The planned direction for pair/target-bound evaluation.
     pub direction: Direction,
-    /// Estimated forward entry cost: edges matching the first label group.
+    /// The first label group: the symbols a word of the query can begin
+    /// with (sorted), read off the trimmed automaton once, with the plan.
+    pub first_symbols: Vec<Symbol>,
+    /// The last label group: the symbols a word of the query can end with
+    /// (sorted).
+    pub last_symbols: Vec<Symbol>,
+    /// Estimated forward entry cost: edges matching the first label group
+    /// under the statistics the plan was built on.
     pub forward_cost: usize,
     /// Estimated backward entry cost: edges matching the last label group.
     pub backward_cost: usize,
@@ -123,13 +136,14 @@ pub struct Plan {
     pub facts: AnalysisFacts,
 }
 
-/// Memo key: the snapshot's epoch lineage plus node/edge counts and a hash
-/// of the per-label statistics, so snapshots that merely *coincide* in
-/// size do not share plans (direction and rewrite ranking both come from
-/// the statistics). None of the four moves when a `DeltaGraph` compacts.
-/// Lineage 0 (standalone `CsrGraph`s) only ever matches exactly; nonzero
-/// lineages additionally allow the drift-bounded reuse described in the
-/// module docs.
+/// Memo key: the snapshot's epoch lineage plus node/edge counts and the
+/// fingerprint of the per-label statistics (which the statistics keep up
+/// to date themselves, so a key is four loads), so snapshots that merely
+/// *coincide* in size do not share plans (direction and rewrite ranking
+/// both come from the statistics). None of the four moves when a
+/// `DeltaGraph` compacts. Lineage 0 (standalone `CsrGraph`s) only ever
+/// matches exactly; nonzero lineages additionally allow the drift-bounded
+/// reuse described in the module docs.
 type MemoKey = (u64, usize, usize, u64);
 
 fn memo_key<G: GraphView>(graph: &G) -> MemoKey {
@@ -137,17 +151,8 @@ fn memo_key<G: GraphView>(graph: &G) -> MemoKey {
         graph.epoch().base,
         graph.num_nodes(),
         graph.num_edges(),
-        stats_fingerprint(graph.stats()),
+        graph.stats().fingerprint(),
     )
-}
-
-fn stats_fingerprint(stats: &LabelStats) -> u64 {
-    use std::hash::{Hash, Hasher};
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    for (sym, edges) in stats.iter() {
-        (sym.index(), edges, stats.source_count(sym)).hash(&mut h);
-    }
-    h.finish()
 }
 
 struct MemoEntry {
@@ -166,11 +171,29 @@ type CrpqMemoEntry = (MemoKey, Arc<JoinPlan>);
 
 /// Bound on distinct snapshots the plan memo retains **per query**: a
 /// long-lived engine over a mutating graph sees a fresh [`MemoKey`] per
-/// rebuild (or per out-of-drift delta epoch), and each retired snapshot's
-/// plan is dead weight — without a bound the memo grows with snapshots ×
-/// queries. The oldest entry is evicted once the bound is hit; the working
-/// set of live snapshots in any realistic deployment is far below it.
+/// rebuild or delta epoch (one entry each: the plan built for it, or the
+/// older plan a drift check found still good for it), and each retired
+/// snapshot's entry is dead weight — without a bound the memo grows with
+/// snapshots × queries. The oldest entry is evicted once the bound is hit;
+/// the working set of live snapshots in any realistic deployment is far
+/// below it.
 const MAX_MEMOIZED_SNAPSHOTS: usize = 8;
+
+/// Enter `plan` under `key` in one query's entry list, unless the key is
+/// there already; the oldest entry makes room (a plan for it is rebuilt,
+/// or validated again, if that snapshot comes back).
+fn remember(entries: &mut Vec<MemoEntry>, key: MemoKey, plan: &Arc<Plan>) {
+    if entries.iter().any(|e| e.key == key) {
+        return;
+    }
+    if entries.len() >= MAX_MEMOIZED_SNAPSHOTS {
+        entries.remove(0);
+    }
+    entries.push(MemoEntry {
+        key,
+        plan: plan.clone(),
+    });
+}
 
 /// Bound on distinct queries either plan memo retains. The key is
 /// client-supplied text (`rpq-server`'s `Session::submit_text`), and each
@@ -201,6 +224,7 @@ pub struct PlannedEngine<E> {
     crpq_memo: Mutex<HashMap<CrpqSig, Vec<CrpqMemoEntry>>>,
     hits: AtomicUsize,
     misses: AtomicUsize,
+    drift_checks: AtomicUsize,
     scratch: ScratchPool,
     workers: WorkerPool,
 }
@@ -219,6 +243,7 @@ impl<E> PlannedEngine<E> {
             crpq_memo: Mutex::new(HashMap::new()),
             hits: AtomicUsize::new(0),
             misses: AtomicUsize::new(0),
+            drift_checks: AtomicUsize::new(0),
             scratch: ScratchPool::new(),
             workers: WorkerPool::new(1),
         }
@@ -307,7 +332,8 @@ impl<E> PlannedEngine<E> {
         &self.scratch
     }
 
-    /// Number of distinct (query, snapshot) plans memoized.
+    /// Number of (query, snapshot) pairs the memo can serve without a
+    /// check: one per plan built, one per snapshot a drift check passed for.
     pub fn plans_cached(&self) -> usize {
         self.memo.lock().values().map(Vec::len).sum()
     }
@@ -321,6 +347,14 @@ impl<E> PlannedEngine<E> {
     /// Plans built from scratch so far (rewrite search + compilation).
     pub fn plan_cache_misses(&self) -> usize {
         self.misses.load(Ordering::Relaxed)
+    }
+
+    /// Drift comparisons run so far: a memoized plan held against
+    /// statistics it had not been served under (the pruned-symbol,
+    /// direction and decisiveness checks of the module docs). One that
+    /// passes is remembered, so reads at one epoch of one query cost one.
+    pub fn plan_drift_checks(&self) -> usize {
+        self.drift_checks.load(Ordering::Relaxed)
     }
 
     /// The plan for `query` over `graph` (memoized): rewrite winner,
@@ -354,6 +388,7 @@ impl<E> PlannedEngine<E> {
     /// that introduces the first edge on a pruned label forces a rebuild,
     /// unlike cost drift, which only risks optimality.
     fn drift_within(&self, plan: &Plan, stats: &LabelStats) -> bool {
+        self.drift_checks.fetch_add(1, Ordering::Relaxed);
         if plan
             .facts
             .pruned_symbols
@@ -362,8 +397,8 @@ impl<E> PlannedEngine<E> {
         {
             return false;
         }
-        let f = Self::group_cost(&plan.query.nfa().first_symbols(), stats);
-        let b = Self::group_cost(&plan.reversed.first_symbols(), stats);
+        let f = Self::group_cost(&plan.first_symbols, stats);
+        let b = Self::group_cost(&plan.last_symbols, stats);
         choose_direction(f, b) == plan.direction
             && within_factor(plan.forward_cost, f)
             && within_factor(plan.backward_cost, b)
@@ -380,22 +415,29 @@ impl<E> PlannedEngine<E> {
         let key = memo_key(graph);
         // Memo probe by reference — the query is cloned only on a miss.
         {
-            let memo = self.memo.lock();
-            if let Some(entries) = memo.get(q) {
+            let mut memo = self.memo.lock();
+            if let Some(entries) = memo.get_mut(q) {
                 if let Some(e) = entries.iter().find(|e| e.key == key) {
                     self.hits.fetch_add(1, Ordering::Relaxed);
                     return (e.plan.clone(), true);
                 }
                 if key.0 != 0 {
-                    // Same lineage, different statistics: reuse the plan if
+                    // Same lineage, different statistics: reuse a plan if
                     // the label-stat drift stays under the decisiveness
-                    // threshold (see the module docs).
-                    if let Some(e) = entries
-                        .iter()
-                        .find(|e| e.key.0 == key.0 && self.drift_within(&e.plan, graph.stats()))
-                    {
+                    // threshold (see the module docs) — each plan of the
+                    // lineage held against these statistics once, however
+                    // many keys it is entered under — and enter it under
+                    // this key too, so the check is made once per
+                    // statistics.
+                    let reusable = entries.iter().enumerate().find(|&(i, e)| {
+                        e.key.0 == key.0
+                            && !entries[..i].iter().any(|d| Arc::ptr_eq(&d.plan, &e.plan))
+                            && self.drift_within(&e.plan, graph.stats())
+                    });
+                    if let Some(plan) = reusable.map(|(_, e)| e.plan.clone()) {
+                        remember(entries, key, &plan);
                         self.hits.fetch_add(1, Ordering::Relaxed);
-                        return (e.plan.clone(), true);
+                        return (plan, true);
                     }
                 }
             }
@@ -411,34 +453,27 @@ impl<E> PlannedEngine<E> {
         let improved = analysis.facts.rewrites_certified > 0;
         let query = Query::with_nfa(analysis.regex, analysis.nfa, alphabet);
         let reversed = query.nfa().reverse();
-        let forward_cost = Self::group_cost(&query.nfa().first_symbols(), stats);
-        // last symbols of the query = first symbols of its reversal, which
-        // is already compiled — so both cost inputs come for free here
-        let backward_cost = Self::group_cost(&reversed.first_symbols(), stats);
+        // The analysis trimmed the automaton, and the reversal of a trim
+        // automaton is trim: both label groups are read off as they stand.
+        let first_symbols = query.nfa().entry_symbols();
+        let last_symbols = reversed.entry_symbols();
+        let forward_cost = Self::group_cost(&first_symbols, stats);
+        let backward_cost = Self::group_cost(&last_symbols, stats);
         let direction = choose_direction(forward_cost, backward_cost);
         let plan = Arc::new(Plan {
             query,
             reversed,
             improved,
             direction,
+            first_symbols,
+            last_symbols,
             forward_cost,
             backward_cost,
             facts: analysis.facts,
         });
         self.misses.fetch_add(1, Ordering::Relaxed);
         let mut memo = self.memo.lock();
-        let entries = memo_slot(&mut memo, q.clone());
-        if !entries.iter().any(|e| e.key == key) {
-            if entries.len() >= MAX_MEMOIZED_SNAPSHOTS {
-                // Evict the oldest retired snapshot to bound memory; plans
-                // for it will simply be rebuilt if that graph comes back.
-                entries.remove(0);
-            }
-            entries.push(MemoEntry {
-                key,
-                plan: plan.clone(),
-            });
-        }
+        remember(memo_slot(&mut memo, q.clone()), key, &plan);
         (plan, false)
     }
 
@@ -992,17 +1027,32 @@ mod tests {
         // one extra hot edge: a ~3% drift — same plan must be served
         let hot = ab.get("hot").unwrap();
         assert!(dg.add_edge(Oid(0), hot, Oid(2)));
+        assert_eq!(planned.plan_drift_checks(), 0, "exact hits check nothing");
         let p2 = planned.plan(&query, &dg);
         assert!(
             Arc::ptr_eq(&p1, &p2),
             "small-delta epoch must reuse the memoized plan"
         );
         assert_eq!(planned.plan_cache_hits(), 1);
+        assert_eq!(planned.plan_drift_checks(), 1);
 
-        // evaluation over the delta view reports the hit
-        let res = planned.run_view(&query, &dg, &EvalRequest::source(Oid(0)));
-        assert_eq!(res.stats.plan_cache_hits, 1);
-        assert_eq!(res.stats.plan_direction, Some(p1.direction));
+        // evaluation over the delta view reports the hit, and every further
+        // read at this epoch is an exact one: the check that passed is
+        // remembered under the key it passed for
+        for _ in 0..5 {
+            let res = planned.run_view(&query, &dg, &EvalRequest::source(Oid(0)));
+            assert_eq!(res.stats.plan_cache_hits, 1);
+            assert_eq!(res.stats.plan_direction, Some(p1.direction));
+            assert!(Arc::ptr_eq(&p1, &planned.plan(&query, &dg)));
+        }
+        assert_eq!(planned.plan_drift_checks(), 1, "one check per epoch");
+        assert_eq!(planned.plans_cached(), 2, "the plan, under both keys");
+        // a second epoch is a second check, against the plan's own costs
+        assert!(dg.add_edge(Oid(2), hot, Oid(0)));
+        assert!(Arc::ptr_eq(&p1, &planned.plan(&query, &dg)));
+        assert!(Arc::ptr_eq(&p1, &planned.plan(&query, &dg)));
+        assert_eq!(planned.plan_drift_checks(), 2);
+        assert_eq!(planned.plan_cache_misses(), 1);
 
         // compaction = same lineage, same statistics = memo hit
         let (misses_before, hits_before) = (planned.plan_cache_misses(), planned.plan_cache_hits());
@@ -1017,6 +1067,7 @@ mod tests {
         );
         assert_eq!(planned.plan_cache_misses(), misses_before);
         assert_eq!(planned.plan_cache_hits(), hits_before + 1);
+        assert_eq!(planned.plan_drift_checks(), 2, "a fold moves no key");
         let res = planned.run_view(&query, &dg, &EvalRequest::source(Oid(0)));
         assert_eq!(
             (res.stats.plan_cache_hits, res.stats.plan_cache_misses),
@@ -1029,8 +1080,11 @@ mod tests {
         // Start backward-skewed (one cold exit), then add enough cold
         // edges to erase the skew: the direction decision flips, so the
         // memoized plan must NOT be reused despite the same lineage —
-        // whether or not a compaction folded the new edges in first.
-        for fold in [false, true] {
+        // whether or not a compaction folded the new edges in first, and
+        // whether or not an earlier epoch's drift check was remembered
+        // (what a check vouched for is its own statistics, not the next).
+        for (fold, validated_first) in [(false, false), (true, false), (false, true), (true, true)]
+        {
             let mut ab = Alphabet::new();
             let mut b = InstanceBuilder::new(&mut ab);
             for i in 0..16 {
@@ -1049,6 +1103,13 @@ mod tests {
 
             let cold = ab.get("cold").unwrap();
             let t = names["t"];
+            if validated_first {
+                // epoch 2: one more hot edge is within the drift bound
+                assert!(dg.add_edge(names["m1"], ab.get("hot").unwrap(), names["m2"]));
+                assert!(Arc::ptr_eq(&p1, &planned.plan(&query, &dg)));
+                assert_eq!(planned.plan_drift_checks(), 1);
+                assert_eq!(planned.plans_cached(), 2);
+            }
             for i in 1..16 {
                 let m = names[format!("m{i}").as_str()];
                 assert!(dg.add_edge(m, cold, t));
@@ -1059,6 +1120,13 @@ mod tests {
             let p2 = planned.plan(&query, &dg);
             assert!(!Arc::ptr_eq(&p1, &p2), "decisive drift must recompile");
             assert_ne!(p2.direction, Direction::Backward);
+            // the plan was held against the new statistics once, under
+            // however many keys it was entered
+            assert_eq!(
+                planned.plan_drift_checks(),
+                1 + usize::from(validated_first)
+            );
+            assert_eq!(planned.plan_cache_misses(), 2);
         }
     }
 
@@ -1145,8 +1213,10 @@ mod tests {
         // Pruning is stats-dependent: a plan that erased `ghost` is
         // unsound the moment a delta adds the first ghost edge, even
         // though the cost drift is far under the decisiveness factor —
-        // and a compaction that folds the ghost edge in changes nothing.
-        for fold in [false, true] {
+        // and a compaction that folds the ghost edge in changes nothing,
+        // nor does a drift check an earlier epoch passed.
+        for (fold, validated_first) in [(false, false), (true, false), (false, true), (true, true)]
+        {
             let mut ab = Alphabet::new();
             let mut b = InstanceBuilder::new(&mut ab);
             for i in 0..32 {
@@ -1167,6 +1237,14 @@ mod tests {
             let from_s = EvalRequest::source(s);
             assert_eq!(planned.run_view(&query, &dg, &from_s).stats.answers, 32);
 
+            if validated_first {
+                // epoch 2: one more `a` edge, no ghost yet — the plan holds
+                let a = ab.get("a").unwrap();
+                assert!(dg.add_edge(names["m0"], a, names["m1"]));
+                assert!(Arc::ptr_eq(&p1, &planned.plan(&query, &dg)));
+                assert!(Arc::ptr_eq(&p1, &planned.plan(&query, &dg)));
+                assert_eq!(planned.plan_drift_checks(), 1);
+            }
             // one ghost edge among 32: cost drift alone would reuse the plan
             assert!(dg.add_edge(s, ghost, names["m0"]));
             if fold {

@@ -25,8 +25,8 @@
 //! [`DeltaGraph`] holds its base CSR behind an `Arc`, so cloning copies
 //! only the overlay logs (`O(log_len)`), never the `O(V + E)` base.
 //! [`DeltaGraph::compact`] on the master installs a *fresh* base Arc —
-//! one sequential merge of the logs into a copy of the base arenas, under
-//! the master lock — and stays on the same [`Epoch`] lineage, one
+//! the row blocks the logs touch rebuilt, every other shared with the old
+//! base, under the master lock — and stays on the same [`Epoch`] lineage, one
 //! `version` further: snapshots published earlier keep the old base alive
 //! until their last reader drops, no two published snapshots share an
 //! `Epoch`, and the planner's memo, which keys on the lineage and the
@@ -55,6 +55,10 @@ pub struct Commit {
     /// Did the compaction policy fire, folding the overlay into a fresh
     /// base arena (same lineage, see [`DeltaGraph::compact`])?
     pub compacted: bool,
+    /// Row blocks that fold built, over both orientations — what the
+    /// compaction cost; every other block of the new base is the old
+    /// one's. 0 when the policy did not fire.
+    pub blocks_rebuilt: usize,
 }
 
 /// The epoch-pinned snapshot store: one writer, any number of readers.
@@ -71,6 +75,13 @@ pub struct Catalog {
     retention: usize,
     commits: AtomicUsize,
     compactions: AtomicUsize,
+}
+
+/// Take the oldest epochs out of the ring until it holds `keep`; the caller
+/// drops them once the ring's lock is released.
+fn evict_down_to(retained: &mut VecDeque<Arc<DeltaGraph>>, keep: usize) -> Vec<Arc<DeltaGraph>> {
+    let excess = retained.len().saturating_sub(keep);
+    retained.drain(..excess).collect()
 }
 
 impl Catalog {
@@ -118,11 +129,8 @@ impl Catalog {
     pub fn with_retention(mut self, retention: usize) -> Catalog {
         assert!(retention >= 1, "retention must be ≥ 1");
         self.retention = retention;
-        let mut retained = self.retained.lock();
-        while retained.len() > retention {
-            retained.pop_front();
-        }
-        drop(retained);
+        let evicted = evict_down_to(&mut self.retained.lock(), retention);
+        drop(evicted);
         self
     }
 
@@ -161,7 +169,7 @@ impl Catalog {
     pub fn commit(&self, delta: &EdgeDelta) -> Commit {
         let mut master = self.master.lock();
         let applied = master.apply_delta(delta);
-        let compacted = master.maybe_compact(&self.policy);
+        let folded = master.maybe_compact(&self.policy);
         let snapshot = Arc::new(master.clone());
         let epoch = snapshot.epoch();
         // Publish while still holding the master lock so concurrent
@@ -169,18 +177,24 @@ impl Catalog {
         *self.published.write() = snapshot.clone();
         drop(master);
         self.commits.fetch_add(1, Ordering::Relaxed);
-        if compacted {
+        if folded.is_some() {
             self.compactions.fetch_add(1, Ordering::Relaxed);
         }
-        let mut retained = self.retained.lock();
-        while retained.len() >= self.retention {
-            retained.pop_front();
-        }
-        retained.push_back(snapshot);
+        // A snapshot's teardown (its logs, and the base blocks it was the
+        // last to hold) is no business of a `pin_at`: the lock covers the
+        // ring, the evicted epochs drop after it.
+        let evicted = {
+            let mut retained = self.retained.lock();
+            let evicted = evict_down_to(&mut retained, self.retention - 1);
+            retained.push_back(snapshot);
+            evicted
+        };
+        drop(evicted);
         Commit {
             epoch,
             applied,
-            compacted,
+            compacted: folded.is_some(),
+            blocks_rebuilt: folded.unwrap_or(0),
         }
     }
 
@@ -264,6 +278,8 @@ mod tests {
             d.add(Oid(round % 8), a, Oid((round + 3) % 8));
             let c = catalog.commit(&d);
             assert_eq!(c.compacted, round % 2 == 1, "every second commit folds");
+            // eight nodes are one row block each way
+            assert_eq!(c.blocks_rebuilt, if c.compacted { 2 } else { 0 });
             assert!(c.epoch.version > epochs[epochs.len() - 1].version);
             assert_eq!(c.epoch.base, epochs[0].base);
             assert_eq!(

@@ -20,7 +20,7 @@ use rpq::core::{
     Query, SearchOpts,
 };
 use rpq::graph::generators::random_graph;
-use rpq::graph::{CsrGraph, DeltaGraph, EdgeDelta, Instance, Oid};
+use rpq::graph::{CsrGraph, DeltaGraph, EdgeDelta, Instance, Oid, ViewEdges};
 use rpq::optimizer::PlannedEngine;
 
 /// Drive `batches` random mutation batches through a `DeltaGraph` while
@@ -211,16 +211,55 @@ impl Lockstep {
         v
     }
 
+    /// The first and the last row of the row block that holds `v`'s.
+    fn block_ends(&self, v: Oid) -> (Oid, Oid) {
+        let same = |w: &u32| CsrGraph::block_of(Oid(*w)) == CsrGraph::block_of(v);
+        let n = self.dg.num_nodes() as u32;
+        let first = (0..=v.0).rev().take_while(same).last().unwrap_or(v.0);
+        let last = (v.0..n).take_while(same).last().unwrap_or(v.0);
+        (Oid(first), Oid(last))
+    }
+
     /// `compact()`, then everything the fold promises: the new base equals
-    /// the rebuild row for row in both orientations, nothing a reader can
-    /// see moved, and the lineage is kept.
-    fn fold_and_check(&mut self) {
+    /// the rebuild row for row in both orientations, it shares with the old base exactly the blocks the overlay named no row
+    /// of, nothing a reader can see moved, and the lineage is kept.
+    fn fold_and_check(&mut self, syms: &[Symbol]) {
         let before = self.dg.clone();
         let edges_before: Vec<_> = before.edges().collect();
         let folds = before.log_len() > 0 || before.num_nodes() > before.base().num_nodes();
-        self.dg.compact();
+        let built = self.dg.compact();
 
         let (dg, rebuilt) = (&self.dg, CsrGraph::from(&self.mirror));
+        let mut expect_built = 0;
+        for reverse in [false, true] {
+            // a row the overlay patches is a row it answers by a merge
+            let patched: Vec<usize> = before
+                .nodes()
+                .filter(|&v| {
+                    syms.iter().any(|&l| {
+                        let row = if reverse {
+                            before.rev(v, l)
+                        } else {
+                            before.out(v, l)
+                        };
+                        matches!(row, ViewEdges::Overlay(_))
+                    })
+                })
+                .map(CsrGraph::block_of)
+                .collect();
+            let old_blocks = before
+                .base()
+                .blocks_shared_with(before.base(), reverse)
+                .len();
+            let shared = dg.base().blocks_shared_with(before.base(), reverse);
+            for (b, &shared) in shared.iter().enumerate() {
+                // with nothing to fold the base is not replaced at all
+                let kept = !folds || (b < old_blocks && !patched.contains(&b));
+                assert_eq!(shared, kept, "block {b}, reverse {reverse}");
+                expect_built += usize::from(!shared);
+            }
+        }
+        assert_eq!(built, expect_built);
         assert_eq!(dg.log_len(), 0);
         assert_eq!(dg.base().num_nodes(), rebuilt.num_nodes());
         assert_eq!(dg.base().num_edges(), rebuilt.num_edges());
@@ -260,7 +299,8 @@ proptest! {
         let ab = Alphabet::from_names(["a", "b", "c", "d"]);
         let syms: Vec<Symbol> = ab.symbols().collect();
         let mut rng = StdRng::seed_from_u64(seed);
-        let nodes = rng.random_range(1..24usize);
+        // a base smaller than one row block, or one of up to four
+        let nodes = if rng.random_bool(0.3) { rng.random_range(1..24usize) } else { rng.random_range(24..200usize) };
         let edges = rng.random_range(0..=3 * nodes);
         // the base never sees `c` and `d`
         let (mirror, _) = random_graph(&mut rng, nodes, edges, &syms[..2]);
@@ -288,7 +328,7 @@ proptest! {
                 let (u, v, l) = (node(&mut rng, &ls), node(&mut rng, &ls), label(&mut rng));
                 let last = Oid(ls.dg.num_nodes() as u32 - 1);
                 let some_edge = ls.mirror.edges().nth(rng.random_range(0..64));
-                match rng.random_range(0..9) {
+                match rng.random_range(0..13) {
                     // a new node that stays without edges
                     0 => { ls.add_node(); }
                     // a new node with edges out, in and onto itself
@@ -334,11 +374,47 @@ proptest! {
                         ls.toggle(next, l, v);
                         ls.toggle(v, l, next);
                     }
+                    // the first and the last row of a block, both ways
+                    8 => {
+                        let (first, end) = ls.block_ends(u);
+                        ls.toggle(first, l, v);
+                        ls.toggle(end, l, v);
+                        ls.toggle(v, l, first);
+                        ls.toggle(v, l, end);
+                    }
+                    // the two rows a block boundary separates
+                    9 => {
+                        let end = ls.block_ends(u).1;
+                        let next = Oid((end.0 + 1).min(last.0));
+                        ls.toggle(end, l, next);
+                        ls.toggle(next, l, end);
+                    }
+                    // new nodes up to the one that opens a new block, which
+                    // takes an edge every other time
+                    10 => {
+                        let mut w = ls.add_node();
+                        while ls.dg.num_nodes() < 400 && ls.block_ends(w).0 != w {
+                            w = ls.add_node();
+                        }
+                        if rng.random_bool(0.5) {
+                            ls.add(w, l, u);
+                            ls.add(v, l, w);
+                        }
+                    }
+                    // a block left without an out-edge: every row of it emptied
+                    11 => {
+                        let (first, end) = ls.block_ends(u);
+                        for w in first.0..=end.0 {
+                            for (l, t) in ls.mirror.out_edges(Oid(w)).to_vec() {
+                                ls.del(Oid(w), l, t);
+                            }
+                        }
+                    }
                     _ => ls.toggle(u, l, v),
                 }
             }
             assert_structurally_equal(&ls.dg, &ls.mirror, &syms);
-            ls.fold_and_check();
+            ls.fold_and_check(&syms);
             assert_structurally_equal(&ls.dg, &ls.mirror, &syms);
             // the reader still holds the snapshot it pinned
             prop_assert_eq!(pinned.epoch(), pinned_epoch);
