@@ -13,7 +13,7 @@
 //!   and the pull bound's reverse rows included. A closure local to a
 //!   region a hundredth of the graph never nears the sweep floor: it
 //!   resolves exactly one row per (reached pair, labeled transition) and
-//!   no reverse row, at any degree of parallelism. The saturating
+//!   no reverse row. The saturating
 //!   workload still pushes its first level and pulls its second, and pays
 //!   one price and one reverse row per hub for it.
 //! * **Warm scratch allocates nothing** — a second evaluation through a
@@ -136,10 +136,10 @@ fn bench(c: &mut Criterion) {
     }
 
     // Acceptance 1c: a closure that stays inside one region of a graph a
-    // hundred times its reach pays nothing for the direction optimizer or
-    // for the right to fan out: one row per (reached pair, labeled
-    // transition) — the closure `(a+b)*` moves by two symbols from one
-    // state, reached once at every node — and no reverse row.
+    // hundred times its reach pays nothing for the direction optimizer:
+    // one row per (reached pair, labeled transition) — the closure
+    // `(a+b)*` moves by two symbols from one state, reached once at every
+    // node — and no reverse row.
     {
         let mut alphabet = rpq_automata::Alphabet::new();
         let (a, b) = (alphabet.intern("a"), alphabet.intern("b"));
@@ -158,27 +158,20 @@ fn bench(c: &mut Criterion) {
         let graph = CsrGraph::from(&instance);
         let query = rpq_automata::parse_regex(&mut alphabet, "(a+b)*").unwrap();
         let nfa = Nfa::thompson(&query);
-        let pool = ScratchPool::new();
-        for dop in [1, 2] {
-            let opts = SearchOpts {
-                dop,
-                pool: Some(&pool),
-                ..SearchOpts::default()
-            };
-            let seed = rpq_graph::Oid(17 * size);
-            let local = search_nodes(&nfa, &graph, seed, &opts, &mut EvalScratch::new()).0;
-            assert_eq!(
-                local.answers.len(),
-                size as usize,
-                "the region is connected"
-            );
-            assert_eq!(
-                local.stats.rows_resolved,
-                2 * local.answers.len(),
-                "a region-local closure resolved a row twice (dop {dop})"
-            );
-            assert_eq!(local.stats.pull_levels, 0);
-        }
+        let seed = rpq_graph::Oid(17 * size);
+        let opts = SearchOpts::default();
+        let local = search_nodes(&nfa, &graph, seed, &opts, &mut EvalScratch::new()).0;
+        assert_eq!(
+            local.answers.len(),
+            size as usize,
+            "the region is connected"
+        );
+        assert_eq!(
+            local.stats.rows_resolved,
+            2 * local.answers.len(),
+            "a region-local closure resolved a row twice"
+        );
+        assert_eq!(local.stats.pull_levels, 0);
     }
 
     // Acceptance 2: warm pooled evaluation reports scratch reuse with

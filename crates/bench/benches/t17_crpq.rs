@@ -1,6 +1,6 @@
 //! T17 — conjunctive RPQs: the cost-based join planner and semijoin
 //! propagation against static orders and the naive independent-atom
-//! evaluator. Three claims, asserted at registration time so `--test`
+//! evaluator. Four claims, asserted at registration time so `--test`
 //! mode (the CI bench smoke) enforces the acceptance criteria without
 //! paying measurement time:
 //!
@@ -17,12 +17,19 @@
 //!   submitted through [`rpq_server::Session::submit_text`] comes back
 //!   under [`rpq_server::QueryClass::Conjunctive`] with per-atom
 //!   telemetry and the exact binding set.
+//! * **A join allocates per step, not per row** — the worst static order
+//!   of the skew workload builds a first relation of 4 096 rows; a warm
+//!   `execute_join` asks the allocator for fewer than one buffer per 16 of
+//!   them (counted by this binary's `#[global_allocator]`: 54; a `Vec`
+//!   per row, as before PR 25, took 5 676).
 //!
 //! Measured series: planned-order vs worst-static-order `execute_join`
 //! wall time over growing hot fan-outs; the per-atom edge split is
 //! printed after each size.
 
+use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -35,7 +42,74 @@ use rpq_optimizer::{
 };
 use rpq_server::{Catalog, QueryClass, Server};
 
+/// The system allocator, counting every buffer handed out — each
+/// allocation and each reallocation — for the allocation gate.
+struct Counting;
+
+static BUFFERS: AtomicUsize = AtomicUsize::new(0);
+
+// SAFETY: every method hands its arguments, unchanged, to `System` and
+// returns what `System` returns, so each keeps `System`'s guarantees; the
+// counter is a statistic and publishes no memory.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        BUFFERS.fetch_add(1, Ordering::Relaxed);
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        BUFFERS.fetch_add(1, Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
 fn bench(c: &mut Criterion) {
+    // Acceptance 4 first, while this is the only thread that allocates: a
+    // warm join builds a relation of thousands of rows from a handful of
+    // buffers.
+    {
+        let w = crpq_workload(256, 16);
+        let mut ab = w.alphabet.clone();
+        let crpq = parse_crpq(&mut ab, w.text).expect("workload text parses");
+        let graph = CsrGraph::from(&w.instance);
+        let mut scratch = EvalScratch::new();
+        let mut run = || {
+            execute_join(
+                &crpq,
+                &[0, 1], // the hot atom first, unbound: every hot edge a row
+                &graph,
+                HeadBindings::default(),
+                FrontierMode::Hybrid,
+                &EvalControl::UNLIMITED,
+                &mut scratch,
+            )
+        };
+        black_box(run());
+        let before = BUFFERS.load(Ordering::Relaxed);
+        let res = run();
+        let buffers = BUFFERS.load(Ordering::Relaxed) - before;
+        assert_eq!(res.pairs.len(), w.answers);
+        // The first atom's bindings are the first relation's rows.
+        let rows = res.stats.atoms[0].bindings;
+        assert!(
+            rows >= 1_000,
+            "the gate needs a big relation, got {rows} rows"
+        );
+        println!("t17 join allocations: {buffers} buffers for {rows} rows");
+        assert!(
+            buffers * 16 < rows,
+            "execute_join asked for {buffers} buffers to build {rows} rows — a \
+             join step must allocate per step, not per row"
+        );
+    }
+
     let mut group = c.benchmark_group("t17_crpq");
     group.sample_size(10);
     group.measurement_time(Duration::from_millis(900));

@@ -25,9 +25,9 @@
 //! * [`product`] — the "more economical" product-automaton BFS (PTIME
 //!   combined complexity, NLOGSPACE data complexity), frontier-based and
 //!   label-indexed: **one** level-synchronous driver, direction-optimizing
-//!   per level, in which sequential evaluation is `dop == 1`, steered by
-//!   one [`SearchOpts`] (direction, depth cap, frontier mode, budget and
-//!   cancellation, degree of parallelism);
+//!   per level and run on the caller's thread, steered by one
+//!   [`SearchOpts`] (direction, depth cap, frontier mode, budget and
+//!   cancellation);
 //! * four entry points over that machinery, one per *answer shape*:
 //!   [`search_nodes`] (a node set — `p(o, I)` forward, `{o | t ∈ p(o, I)}`
 //!   backward), [`search_pair`] (one verdict: early exit from the source
@@ -40,9 +40,9 @@
 //!   one-liner for the paper's `p(o, I)`, and `rpq-optimizer`'s
 //!   `PlannedEngine` picks directions and options from per-label
 //!   statistics;
-//! * [`parallel`] — intra-query parallelism: the [`WorkerPool`] governor
-//!   and the fan-out constants (the driver fans out single BFS levels
-//!   itself);
+//! * [`parallel`] — names left over from intra-query parallelism, inert
+//!   since PR 25 and kept only until the end-to-end benchmark stops
+//!   naming them;
 //! * [`QuotientDfaEngine`] / [`eval_quotient_dfa_csr`] — explicit quotients
 //!   as lazily determinized state sets (the possibly-exponential
 //!   construction the paper warns about);

@@ -66,9 +66,8 @@ pub fn search_pair<G: GraphView>(
         reverse_adj,
         ..*opts
     };
-    let (res, found, term) = product_search(auto, graph, seed, Some(stop_at), &opts, scratch);
+    let (mut stats, found, term) = product_search(auto, graph, seed, Some(stop_at), &opts, scratch);
     let term = if found { Termination::Complete } else { term };
-    let mut stats = res.stats;
     stats.answers = usize::from(found);
     let pair = PairResult {
         reachable: found,

@@ -103,9 +103,9 @@ fn finish_pairs(
 /// Each seed runs its own search in `opts.mode` under `opts.control`, with
 /// whatever the shared budget has left, stopping at the first non-complete
 /// termination; seeds not yet explored contribute no bindings — still a
-/// sound subset. The loop is sequential (its budget contract is
-/// order-dependent) and uncapped: `opts.dop` and `opts.depth_cap` are not
-/// read.
+/// sound subset. The loop is uncapped: `opts.depth_cap` is not read.
+/// Each seed's answers are read where the search left them, in the arena;
+/// only the bindings they make are copied.
 pub fn search_pairs<G: GraphView>(
     nfa: &Nfa,
     graph: &G,
@@ -128,7 +128,6 @@ pub fn search_pairs<G: GraphView>(
     });
     let per_seed = SearchOpts {
         depth_cap: None,
-        dop: 1,
         ..*opts
     };
     let mut pairs: Vec<(Oid, Oid)> = Vec::new(); // alloc-ok: result value

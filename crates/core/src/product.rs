@@ -31,7 +31,7 @@
 //! [`eval_product_scan`] preserves the original scan-and-filter loop as the
 //! measurable baseline (bench `t1_eval_scaling`, skewed workload).
 //!
-//! # One driver
+//! # One driver, one thread
 //!
 //! The paper's procedure is *one* algorithm, and so is this module: one
 //! level loop, one push-sweep body and one pull-sweep body, over the one
@@ -39,12 +39,18 @@
 //! mask word takes several cells per node and several `(word, bits)` runs
 //! per successor mask *in the same loop* — there is no second kernel and no
 //! width-specialised copy. What a search varies in — direction, depth cap,
-//! per-level strategy, budget and cancellation, degree of parallelism — is
-//! a field of [`SearchOpts`], not a sibling function: backward search is
-//! `reverse_adj` with the reversed automaton, "bounded" is `depth_cap`,
-//! "uncontrolled" is [`EvalControl::UNLIMITED`], and sequential is
-//! `dop == 1` (a level that does not fan out runs its sweep inline on the
-//! calling thread).
+//! per-level strategy, budget and cancellation — is a field of
+//! [`SearchOpts`], not a sibling function: backward search is
+//! `reverse_adj` with the reversed automaton, "bounded" is `depth_cap`, and
+//! "uncontrolled" is [`EvalControl::UNLIMITED`].
+//!
+//! Every level runs on the calling thread: on the two vCPUs this system is
+//! measured on, two busy threads do not add up to more than one, and a
+//! level fanned out across workers lost 28–43 % latency at twice the CPU.
+//! Concurrency lives across queries, on the server's executor. So a level
+//! is priced only where the push/pull decision can depend on the price, a
+//! cell is marked with a plain load and store, and the budget is one
+//! counter, checked before every row walk and probe.
 //!
 //! # Direction-optimizing expansion
 //!
@@ -97,41 +103,14 @@
 //! and strictly fewer whenever a high-fanout level re-scans rows whose
 //! targets are mostly reached (bench `t15_hot_path`). All working memory
 //! comes from an [`EvalScratch`] arena (generation-stamped cells, reusable
-//! frontiers) so repeated queries allocate nothing after warm-up — see
-//! [`crate::scratch`].
-//!
-//! # Fanned-out levels
-//!
-//! Every level is a pure expansion step whose inputs (the frontier, the
-//! mask tables, the label index) are fixed for the duration of the sweep,
-//! so a level whose priced cost clears [`PAR_LEVEL_THRESHOLD`] can fan out
-//! across `std::thread::scope` workers without changing any observable
-//! semantics (the same degree bound spares a cheap level its price; the
-//! extra workers' arenas are checked out of the pool at the first level
-//! that does fan out). **Push** levels chunk the frontier: workers claim
-//! fixed-size chunks from a shared cursor, claim newly reached states with
-//! one compare-exchange on the target's cell — of two workers marking
-//! overlapping masks exactly one wins each bit — and append what they won
-//! to per-worker buffers that the driver concatenates at the level
-//! barrier. How a node's new states are split into entries then depends on
-//! who won what; the *set* of pairs does not, and every counter is a sum
-//! over pairs. **Pull** levels partition the node range into contiguous
-//! slabs, so each candidate node is owned by exactly one worker and the
-//! probe loop runs contention-free against a table nobody writes. Budgets
-//! stay sound through one shared spent counter (row reservations for push,
-//! small returned leases for pull — see the sweeps).
-
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+//! frontiers, the answer buffer) so repeated queries allocate nothing after
+//! warm-up — see [`crate::scratch`].
 
 use rpq_automata::{Nfa, StateId, Symbol};
 use rpq_graph::{CsrGraph, GraphView, Instance, Oid, ViewEdges};
 
-use crate::parallel::{BUDGET_LEASE, PAR_LEVEL_THRESHOLD, PULL_SLAB, PUSH_CHUNK};
 use crate::request::{EvalControl, Termination};
-use crate::scratch::{
-    states_of, word_bit, Cells, Entry, EvalScratch, LevelOut, MaskTables, PooledScratch,
-    ScratchPool,
-};
+use crate::scratch::{states_of, word_bit, Cells, Entry, EvalScratch, LevelOut, MaskTables};
 use crate::stats::EvalStats;
 
 /// How the product BFS expands each level.
@@ -224,10 +203,10 @@ pub(crate) fn finish_eval(
 /// [`search_nodes`], [`crate::search_pair`], [`crate::search_pairs`] and
 /// [`crate::run_request`]. `SearchOpts::default()` is the paper's plain
 /// evaluation: forward, uncapped, [`FrontierMode::Hybrid`],
-/// [`EvalControl::UNLIMITED`], sequential.
+/// [`EvalControl::UNLIMITED`].
 ///
 /// Each entry point documents the fields it does not read.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct SearchOpts<'a> {
     /// Traverse [`GraphView::rev`] instead of [`GraphView::out`]. The
     /// automaton is taken as given, so backward callers pass the
@@ -244,42 +223,6 @@ pub struct SearchOpts<'a> {
     pub mode: FrontierMode,
     /// `edges_scanned` budget and cancellation flag.
     pub control: EvalControl<'a>,
-    /// Degree of parallelism granted to this search (from a
-    /// [`crate::WorkerPool`] lease); `<= 1` is sequential.
-    pub dop: usize,
-    /// Where the `dop - 1` extra workers draw their arenas. Without a pool
-    /// the search is sequential whatever `dop` says.
-    pub pool: Option<&'a ScratchPool>,
-}
-
-impl Default for SearchOpts<'_> {
-    fn default() -> Self {
-        SearchOpts {
-            reverse_adj: false,
-            depth_cap: None,
-            mode: FrontierMode::Hybrid,
-            control: EvalControl::UNLIMITED,
-            dop: 1,
-            pool: None,
-        }
-    }
-}
-
-impl SearchOpts<'_> {
-    /// The same options, without the granted workers.
-    pub(crate) fn sequential(self) -> Self {
-        SearchOpts { dop: 1, ..self }
-    }
-
-    /// The degree of parallelism the search can actually use (see
-    /// [`SearchOpts::pool`]).
-    pub(crate) fn effective_dop(&self) -> usize {
-        if self.pool.is_some() {
-            self.dop.max(1)
-        } else {
-            1
-        }
-    }
 }
 
 /// The row a push step from `v` by `sym` walks: `v`'s out-edges, or its
@@ -318,7 +261,6 @@ fn push_price<G: GraphView>(
     }
     (rows, cost)
 }
-
 /// The shrinking upper bound on a pull sweep's probes: Σ over labeled
 /// transitions of the label's edge count, less — for each pair reached —
 /// one per (incoming edge under the expansion adjacency, matching reverse
@@ -405,311 +347,172 @@ impl PullBound {
     }
 }
 
-/// Per-worker accumulators, summed at each level barrier. Keeping these
-/// local (one shared-counter touch per *level*, not per edge) is what
-/// makes the barrier merge exact without contending on every probe.
+/// What one level sweep did.
 #[derive(Default)]
-struct WorkerOut {
-    /// Edges scanned / probes performed by this worker.
+struct LevelWork {
+    /// Edges scanned / probes performed.
     edges: usize,
     /// Row lookups made, per (state, labeled transition).
     rows: usize,
-    /// Pairs this worker newly reached: the set bits of its entries.
+    /// Pairs newly reached: the set bits of the entries produced.
     pairs: usize,
-    /// Cursor claims made after the worker had already processed its
-    /// static fair share — the work-stealing telemetry.
-    steals: usize,
+    /// The budget stopped the sweep part-way: the level is partially
+    /// expanded.
+    tripped: bool,
 }
 
-impl WorkerOut {
-    fn absorb(&mut self, other: WorkerOut) {
-        self.edges += other.edges;
-        self.rows += other.rows;
-        self.pairs += other.pairs;
-        self.steals += other.steals;
-    }
-}
-
-/// Everything one level sweep reads, borrowed immutably for its duration
-/// (and shared by the workers of a fanned-out level).
-struct LevelCtx<'a, G> {
+/// Everything one level sweep reads, borrowed for its duration.
+struct Level<'a, G> {
     graph: &'a G,
     reverse_adj: bool,
-    nv: usize,
-    cells: Cells<'a>,
     masks: &'a MaskTables,
     frontier: &'a [Entry],
-    /// Shared claim cursor (frontier index for push, node index for pull).
-    cursor: &'a AtomicUsize,
-    /// Budget spent so far, cumulative across levels (reservations).
-    spent: &'a AtomicUsize,
-    /// Raised by the first worker that cannot reserve budget.
-    tripped: &'a AtomicBool,
-    budget: Option<usize>,
-    /// Static fair share of claimable items per worker, for steal
-    /// accounting.
-    fair: usize,
+    /// Edges the budget has left for this level (`None`: unlimited).
+    left: Option<usize>,
 }
 
-impl<G: GraphView> LevelCtx<'_, G> {
-    /// Claim the next `chunk` of `total` items. An inline level takes the
-    /// whole range as its one claim, in order; workers draw from the
-    /// shared cursor (claims past the static fair share count as steals —
-    /// the rebalancing a work-stealing deque buys, without one) and stop
-    /// once any of them has tripped the budget.
-    #[inline]
-    fn claim<const SHARED: bool>(
-        &self,
-        total: usize,
-        chunk: usize,
-        claimed: &mut usize,
-        out: &mut WorkerOut,
-    ) -> Option<(usize, usize)> {
-        if !SHARED {
-            let first = *claimed == 0 && total > 0;
-            *claimed = total;
-            return first.then_some((0, total));
-        }
-        if self.tripped.load(Ordering::Relaxed) {
-            return None;
-        }
-        let start = self.cursor.fetch_add(chunk, Ordering::Relaxed);
-        if start >= total {
-            return None;
-        }
-        if *claimed >= self.fair {
-            out.steals += 1;
-        }
-        let end = (start + chunk).min(total);
-        *claimed += end - start;
-        Some((start, end))
-    }
-}
-
-/// Sparse *push* expansion of (a claimed part of) one level: for each
-/// frontier entry and each symbol its states move on, resolve the matching
-/// adjacency row once, walk it, and mark the ε-closed successor mask at
-/// every target, collecting the newly reached states into `next`. The row
-/// counts once per `(state, labeled transition)` following it — the
-/// product-graph quantity — however many states share the walk.
+/// Sparse *push* expansion of one level: for each frontier entry and each
+/// symbol its states move on, resolve the matching adjacency row once,
+/// walk it, and mark the ε-closed successor mask at every target,
+/// collecting the newly reached states into `next`. The row counts once
+/// per `(state, labeled transition)` following it — the product-graph
+/// quantity — however many states share the walk.
 ///
-/// With a budget, that whole count is reserved against the shared spent
-/// counter *before* the row is walked, so reservations never exceed the
-/// budget and `edges_scanned <= budget` always; the first failed
-/// reservation raises `tripped` (the level is then partially expanded and
-/// the driver abandons the search).
-fn push_sweep<G: GraphView, const SHARED: bool>(
-    ctx: &LevelCtx<'_, G>,
+/// With a budget, that whole count is checked against what is left
+/// *before* the row is walked, so `edges_scanned <= budget` always; a row
+/// that does not fit stops the sweep (the level is then partially
+/// expanded and the driver abandons the search).
+fn push_sweep<G: GraphView>(
+    level: &Level<'_, G>,
+    cells: &mut Cells<'_>,
     next: &mut LevelOut,
-) -> WorkerOut {
-    let mut out = WorkerOut::default();
-    let mut claimed = 0usize;
+) -> LevelWork {
+    let mut out = LevelWork::default();
     let LevelOut {
         entries, merged, ..
     } = next;
-    while let Some((start, end)) =
-        ctx.claim::<SHARED>(ctx.frontier.len(), PUSH_CHUNK, &mut claimed, &mut out)
-    {
-        for e in &ctx.frontier[start..end] {
-            for group in ctx.masks.groups_of(e.word as usize) {
-                let hit = e.bits & group.sources;
-                if hit == 0 {
-                    continue;
-                }
-                let (mult, succ) = ctx.masks.successors(group, hit, merged);
-                let targets = push_row(ctx.graph, ctx.reverse_adj, e.node, group.sym);
-                out.rows += mult;
-                let cost = targets.len() * mult;
-                if let Some(b) = ctx.budget {
-                    let reserved =
-                        ctx.spent
-                            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |s| {
-                                (s + cost <= b).then_some(s + cost)
-                            });
-                    if reserved.is_err() {
-                        ctx.tripped.store(true, Ordering::Relaxed);
-                        return out;
-                    }
-                }
-                out.edges += cost;
-                targets.for_each(|v2| {
-                    for &(word, bits) in succ {
-                        let new = ctx.cells.mark::<SHARED>(v2.index(), word as usize, bits);
-                        if new != 0 {
-                            out.pairs += new.count_ones() as usize;
-                            entries.push(Entry {
-                                node: v2,
-                                word,
-                                bits: new,
-                            });
-                        }
-                    }
-                });
+    for e in level.frontier {
+        for group in level.masks.groups_of(e.word as usize) {
+            let hit = e.bits & group.sources;
+            if hit == 0 {
+                continue;
             }
+            let (mult, succ) = level.masks.successors(group, hit, merged);
+            let targets = push_row(level.graph, level.reverse_adj, e.node, group.sym);
+            out.rows += mult;
+            let cost = targets.len() * mult;
+            if level.left.is_some_and(|left| out.edges + cost > left) {
+                out.tripped = true;
+                return out;
+            }
+            out.edges += cost;
+            targets.for_each(|v2| {
+                for &(word, bits) in succ {
+                    let new = cells.mark(v2.index(), word as usize, bits);
+                    if new != 0 {
+                        out.pairs += new.count_ones() as usize;
+                        entries.push(Entry {
+                            node: v2,
+                            word,
+                            bits: new,
+                        });
+                    }
+                }
+            });
         }
     }
     out
 }
 
-/// Dense *pull* expansion of (a claimed node slab of) one level: for every
-/// node with states a labeled transition could still reach, walk the
-/// node's opposite-direction label groups once; for each such state,
-/// merge-join the group's symbol against the state's entering transitions
-/// and probe the mark table at the edge's other end, stopping at the
-/// state's first hit (a reached predecessor of an unreached pair is on the
-/// current frontier — every earlier level was expanded in full). Produces
-/// exactly the next level [`push_sweep`] would — the ε-closure of the hit
-/// states, less what the node already holds; `edges` counts probed
-/// endpoints only, per state as if each had its own walk. The sweep writes
-/// no cell (the driver marks what it found at the level barrier), so the
-/// table it probes is the level's input for every worker, and slab
-/// ownership means no two workers ever produce the same node.
+/// Dense *pull* expansion of one level: for every node with states a
+/// labeled transition could still reach, walk the node's
+/// opposite-direction label groups once; for each such state, merge-join
+/// the group's symbol against the state's entering transitions and probe
+/// the mark table at the edge's other end, stopping at the state's first
+/// hit (a reached predecessor of an unreached pair is on the current
+/// frontier — every earlier level was expanded in full). Produces exactly
+/// the next level [`push_sweep`] would — the ε-closure of the hit states,
+/// less what the node already holds; `edges` counts probed endpoints only,
+/// per state as if each had its own walk. The sweep writes no cell (the
+/// driver marks what it found at the level barrier), so every probe reads
+/// the level's input.
 ///
-/// With a budget, probes are drawn in leases of [`BUDGET_LEASE`] against
-/// the shared spent counter and the unspent remainder is returned, so the
-/// counter equals the probes actually performed.
-fn pull_sweep<G: GraphView, const SHARED: bool>(
-    ctx: &LevelCtx<'_, G>,
+/// With a budget, every probe is checked against what is left before it
+/// is made, so the count equals the probes actually performed.
+fn pull_sweep<G: GraphView>(
+    level: &Level<'_, G>,
+    cells: &Cells<'_>,
     next: &mut LevelOut,
-) -> WorkerOut {
-    let mut out = WorkerOut::default();
-    let (masks, cells) = (ctx.masks, ctx.cells);
+) -> LevelWork {
+    let mut out = LevelWork::default();
+    let masks = level.masks;
     let LevelOut {
         entries,
         merged,
         pending,
     } = next;
-    let mut claimed = 0usize;
-    // Probes pre-paid against the shared budget but not yet performed.
-    let mut lease = 0usize;
-    'slabs: while let Some((start, end)) =
-        ctx.claim::<SHARED>(ctx.nv, PULL_SLAB, &mut claimed, &mut out)
-    {
-        for vi in start..end {
-            pending.clear();
-            pending.extend((0..masks.words).map(|w| masks.pull_targets[w] & !cells.reached(vi, w)));
-            if pending.iter().all(|&p| p == 0) {
-                continue;
-            }
-            let candidate = Oid(vi as u32);
-            // The candidate's in-edges under the expansion adjacency — the
-            // *opposite* orientation of the push step.
-            let groups = if ctx.reverse_adj {
-                ctx.graph.out_groups(candidate)
-            } else {
-                ctx.graph.rev_groups(candidate)
-            };
-            merged.clear();
-            for (sym, edges) in groups {
-                // Can a later (larger) symbol still reach a pending state?
-                let mut open = false;
-                for (w, waiting) in pending.iter_mut().enumerate() {
-                    for q2 in states_of(w, *waiting) {
-                        let seg = masks.entering(q2);
-                        let lo = seg.partition_point(|&(s, _)| s < sym);
-                        let on_sym = seg[lo..].iter().take_while(|&&(s, _)| s == sym).count();
-                        let mut hit = false;
-                        'probe: for u in edges.clone() {
-                            for &(_, qsrc) in &seg[lo..lo + on_sym] {
-                                if let Some(b) = ctx.budget {
-                                    if lease == 0 {
-                                        lease = acquire_lease(ctx.spent, b);
-                                        if lease == 0 {
-                                            ctx.tripped.store(true, Ordering::Relaxed);
-                                            break 'slabs;
-                                        }
-                                    }
-                                    lease -= 1;
-                                }
-                                out.edges += 1;
-                                let (sw, sbit) = word_bit(qsrc);
-                                if cells.reached(u.index(), sw) & sbit != 0 {
-                                    hit = true;
-                                    break 'probe;
-                                }
+    for vi in 0..level.graph.num_nodes() {
+        pending.clear();
+        pending.extend((0..masks.words).map(|w| masks.pull_targets[w] & !cells.reached(vi, w)));
+        if pending.iter().all(|&p| p == 0) {
+            continue;
+        }
+        let candidate = Oid(vi as u32);
+        // The candidate's in-edges under the expansion adjacency — the
+        // *opposite* orientation of the push step.
+        let groups = if level.reverse_adj {
+            level.graph.out_groups(candidate)
+        } else {
+            level.graph.rev_groups(candidate)
+        };
+        merged.clear();
+        for (sym, edges) in groups {
+            // Can a later (larger) symbol still reach a pending state?
+            let mut open = false;
+            for (w, waiting) in pending.iter_mut().enumerate() {
+                for q2 in states_of(w, *waiting) {
+                    let seg = masks.entering(q2);
+                    let lo = seg.partition_point(|&(s, _)| s < sym);
+                    let on_sym = seg[lo..].iter().take_while(|&&(s, _)| s == sym).count();
+                    let mut hit = false;
+                    'probe: for u in edges.clone() {
+                        for &(_, qsrc) in &seg[lo..lo + on_sym] {
+                            if level.left.is_some_and(|left| out.edges >= left) {
+                                out.tripped = true;
+                                return out;
+                            }
+                            out.edges += 1;
+                            let (sw, sbit) = word_bit(qsrc);
+                            if cells.reached(u.index(), sw) & sbit != 0 {
+                                hit = true;
+                                break 'probe;
                             }
                         }
-                        if hit {
-                            *waiting &= !word_bit(q2).1;
-                            masks.closure_into(q2, merged);
-                        } else {
-                            open |= lo + on_sym < seg.len();
-                        }
+                    }
+                    if hit {
+                        *waiting &= !word_bit(q2).1;
+                        masks.closure_into(q2, merged);
+                    } else {
+                        open |= lo + on_sym < seg.len();
                     }
                 }
-                if !open {
-                    break;
-                }
             }
-            for &(word, bits) in merged.iter() {
-                let new = bits & !cells.reached(vi, word as usize);
-                if new != 0 {
-                    out.pairs += new.count_ones() as usize;
-                    entries.push(Entry {
-                        node: candidate,
-                        word,
-                        bits: new,
-                    });
-                }
+            if !open {
+                break;
             }
         }
-    }
-    if lease > 0 {
-        ctx.spent.fetch_sub(lease, Ordering::Relaxed);
-    }
-    out
-}
-
-/// Draw up to [`BUDGET_LEASE`] probes from the shared budget; 0 when the
-/// budget is exhausted.
-fn acquire_lease(spent: &AtomicUsize, budget: usize) -> usize {
-    match spent.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |s| {
-        (s < budget).then(|| (s + BUDGET_LEASE).min(budget))
-    }) {
-        Ok(prev) => (prev + BUDGET_LEASE).min(budget) - prev,
-        Err(_) => 0,
-    }
-}
-
-/// Run one level sweep with `threads` workers. `threads == 1` runs the
-/// sweep inline on the calling thread — same body, no spawn, no shared
-/// read-modify-writes; otherwise the extra workers collect into the
-/// `next` buffers of `worker_scratch`, which the driver concatenates at
-/// the level barrier.
-fn run_level<G: GraphView>(
-    ctx: &LevelCtx<'_, G>,
-    pull: bool,
-    threads: usize,
-    worker_scratch: &mut [PooledScratch<'_>],
-    own_next: &mut LevelOut,
-) -> WorkerOut {
-    if threads <= 1 {
-        return if pull {
-            pull_sweep::<G, false>(ctx, own_next)
-        } else {
-            push_sweep::<G, false>(ctx, own_next)
-        };
-    }
-    let worker = if pull {
-        pull_sweep::<G, true>
-    } else {
-        push_sweep::<G, true>
-    };
-    let mut out = WorkerOut::default();
-    let extras = &mut worker_scratch[..threads - 1];
-    std::thread::scope(|s| {
-        let mut handles = Vec::with_capacity(extras.len()); // alloc-ok: one tiny vec per parallel level, not per edge
-        for w in extras.iter_mut() {
-            handles.push(s.spawn(move || worker(ctx, &mut w.next)));
-        }
-        out.absorb(worker(ctx, own_next));
-        for h in handles {
-            match h.join() {
-                Ok(part) => out.absorb(part),
-                Err(payload) => std::panic::resume_unwind(payload),
+        for &(word, bits) in merged.iter() {
+            let new = bits & !cells.reached(vi, word as usize);
+            if new != 0 {
+                out.pairs += new.count_ones() as usize;
+                entries.push(Entry {
+                    node: candidate,
+                    word,
+                    bits: new,
+                });
             }
         }
-    });
+    }
     out
 }
 
@@ -719,24 +522,19 @@ fn run_level<G: GraphView>(
 ///
 /// Each level runs: answer pass (with `stop_at`, return as soon as that
 /// node is an answer; the answer list is then partial and pair callers
-/// consume only the flag) → depth-cap check → pricing, as far as a
-/// decision can depend on it → one push or pull sweep → barrier, where the
-/// level just produced is appended to the log of reached entries and
-/// becomes the frontier. ε-moves consume no edge and no step of this loop:
-/// the successor masks the sweeps mark are ε-closed. Sequential evaluation
-/// is simply `dop == 1`: a level fans out across up to `dop` threads only
-/// when its priced cost clears [`PAR_LEVEL_THRESHOLD`], and otherwise runs
-/// the same sweep body inline — so a search none of whose levels does
-/// checks out no worker arena, enters no `thread::scope`, and marks with
-/// plain loads and stores. Both sweeps produce the *set* of pairs first
-/// reached at the next level, so pricing sees identical inputs and every
-/// counter is identical at every `dop` (only the unobserved split of a
-/// node's states into entries, and their order, varies).
+/// consume only the flag) → depth-cap check → pricing, as far as the
+/// push/pull decision can depend on it → one push or pull sweep → barrier,
+/// where the level just produced is appended to the log of reached
+/// entries and becomes the frontier. ε-moves consume no edge and no step
+/// of this loop: the successor masks the sweeps mark are ε-closed.
 ///
 /// Cancellation is checked once per level; the budget is enforced before
 /// every row walk / probe inside the sweeps, so `edges_scanned <= budget`.
 /// Answers collected before an early termination are a sound subset (a
 /// node is only reported once an accepting pair is actually reached).
+///
+/// The answers stay in `scratch.answers`, sorted; the returned counters
+/// are the search's, with `answers` their count.
 pub(crate) fn product_search<G: GraphView>(
     nfa: &Nfa,
     graph: &G,
@@ -744,19 +542,17 @@ pub(crate) fn product_search<G: GraphView>(
     stop_at: Option<Oid>,
     opts: &SearchOpts<'_>,
     scratch: &mut EvalScratch,
-) -> (EvalResult, bool, Termination) {
+) -> (EvalStats, bool, Termination) {
     let nq = nfa.num_states();
     let nv = graph.num_nodes();
     debug_assert!(seed.index() < nv.max(1), "seed must be a graph node");
     let (reverse_adj, mode) = (opts.reverse_adj, opts.mode);
-    let dop = opts.effective_dop();
     let covered = scratch.begin(nfa, nv);
     let mut stats = EvalStats {
         scratch_reused: usize::from(covered),
-        threads_used: usize::from(dop > 1),
         ..EvalStats::default()
     };
-    let gen = scratch.generation();
+    let (gen, words) = (scratch.generation(), scratch.masks.words);
     let mut found = false;
     let mut termination = Termination::Complete;
 
@@ -770,19 +566,12 @@ pub(crate) fn product_search<G: GraphView>(
     let sweep_cost = (nq * nv) / mode.pull_discount();
     let mut bound = PullBound::default();
 
-    // Per-worker arenas, checked out at the first level that fans out:
-    // their `next` buffers receive such a level's newly reached entries.
-    let mut workers: Vec<PooledScratch<'_>> = Vec::new(); // alloc-ok: empty until a level fans out
-
-    // Budget state shared by the sweeps, cumulative across levels.
-    let spent = AtomicUsize::new(0);
-    let tripped = AtomicBool::new(false);
-
     // Level 0: the ε-closure of the start state, at the seed.
     let mut level_pairs = 0usize;
     if nv > 0 {
+        let mut cells = Cells::new(&mut scratch.table, words, gen);
         for (word, &bits) in scratch.masks.closure_of(nfa.start()).iter().enumerate() {
-            let new = scratch.cells().mark::<false>(seed.index(), word, bits);
+            let new = cells.mark(seed.index(), word, bits);
             if new != 0 {
                 level_pairs += new.count_ones() as usize;
                 scratch.reached.push(Entry {
@@ -825,9 +614,8 @@ pub(crate) fn product_search<G: GraphView>(
             break 'bfs;
         }
 
-        // Price the level, as far as a decision depends on the price. Two
-        // do: a hybrid level pulls when `pull_cost < push_cost`, and a
-        // level fans out when its cost reaches `PAR_LEVEL_THRESHOLD`. An
+        // Price the level, as far as the decision depends on the price: a
+        // hybrid level pulls when the pull costs less than the push. An
         // entry scans at most its node's degree times the transitions its
         // word has on any one symbol, and a pull costs at least its sweep
         // plus what the degrees say is left of the bound; a level those
@@ -836,63 +624,24 @@ pub(crate) fn product_search<G: GraphView>(
         // brought up to date only where it is then read. Both sweeps
         // produce the same level, so taking the cheaper keeps hybrid ≤
         // forced-sparse everywhere.
-        let fan_out_floor = if dop > 1 {
-            PAR_LEVEL_THRESHOLD
-        } else {
-            usize::MAX
-        };
-        let (mut push_cost, mut pull_cost) = (0usize, sweep_cost);
         let mut use_pull = mode == FrontierMode::ForcedDense;
-        if use_pull {
-            if dop > 1 {
-                pull_cost = pull_cost.saturating_add(bound.settle(
-                    nfa,
-                    graph,
-                    reverse_adj,
-                    scratch,
-                    &mut stats,
-                ));
-            }
-        } else if hybrid || dop > 1 {
+        if hybrid {
             let mut at_most = 0usize;
             for e in &scratch.reached[level_start..] {
                 let degree = graph.degree_bound(e.node, reverse_adj);
                 at_most = at_most.saturating_add(degree * scratch.masks.fan[e.word as usize]);
             }
-            let pull_may_win = hybrid
-                && at_most > sweep_cost
-                && at_most - sweep_cost > bound.at_least(nfa, graph, reverse_adj, scratch);
-            if pull_may_win || at_most >= fan_out_floor {
+            if at_most > sweep_cost
+                && at_most - sweep_cost > bound.at_least(nfa, graph, reverse_adj, scratch)
+            {
                 let frontier = &scratch.reached[level_start..];
                 let merged = &mut scratch.next.merged;
-                let (rows, cost) = push_price(graph, reverse_adj, &scratch.masks, frontier, merged);
+                let (rows, push_cost) =
+                    push_price(graph, reverse_adj, &scratch.masks, frontier, merged);
                 stats.rows_resolved += rows;
-                push_cost = cost;
-            }
-            if pull_may_win && push_cost > sweep_cost {
-                pull_cost = pull_cost.saturating_add(bound.settle(
-                    nfa,
-                    graph,
-                    reverse_adj,
-                    scratch,
-                    &mut stats,
-                ));
-                use_pull = pull_cost < push_cost;
-            }
-        }
-        let level_cost = if use_pull { pull_cost } else { push_cost };
-        let threads = if dop > 1 && level_cost >= PAR_LEVEL_THRESHOLD {
-            dop
-        } else {
-            1
-        };
-        if threads > 1 {
-            stats.parallel_levels += 1;
-            stats.threads_used = stats.threads_used.max(threads);
-            if let (true, Some(pool)) = (workers.is_empty(), opts.pool) {
-                workers.extend((1..dop).map(|_| pool.checkout()));
-                for w in workers.iter_mut() {
-                    w.next.entries.clear();
+                if push_cost > sweep_cost {
+                    let probes = bound.settle(nfa, graph, reverse_adj, scratch, &mut stats);
+                    use_pull = sweep_cost.saturating_add(probes) < push_cost;
                 }
             }
         }
@@ -903,57 +652,46 @@ pub(crate) fn product_search<G: GraphView>(
             stats.push_levels += 1;
         }
 
-        let cursor = AtomicUsize::new(0);
-        let claimable = if use_pull {
-            nv
+        // Disjoint field borrows: the sweep reads the frontier and the
+        // mask tables while the cells and `next` take the produced level.
+        let level = Level {
+            graph,
+            reverse_adj,
+            masks: &scratch.masks,
+            frontier: &scratch.reached[level_start..],
+            left: opts
+                .control
+                .budget
+                .map(|b| b.saturating_sub(stats.edges_scanned)),
+        };
+        let mut cells = Cells::new(&mut scratch.table, words, gen);
+        let work = if use_pull {
+            pull_sweep(&level, &cells, &mut scratch.next)
         } else {
-            scratch.reached.len() - level_start
+            push_sweep(&level, &mut cells, &mut scratch.next)
         };
-        let out = {
-            // Disjoint field borrows: the sweep reads the frontier, cells
-            // and mask tables while `next` (and the worker arenas) collect
-            // the produced level.
-            let ctx = LevelCtx {
-                graph,
-                reverse_adj,
-                nv,
-                cells: Cells::new(&scratch.table, scratch.masks.words, gen),
-                masks: &scratch.masks,
-                frontier: &scratch.reached[level_start..],
-                cursor: &cursor,
-                spent: &spent,
-                tripped: &tripped,
-                budget: opts.control.budget,
-                fair: claimable.div_ceil(threads),
-            };
-            run_level(&ctx, use_pull, threads, &mut workers, &mut scratch.next)
-        };
-        stats.edges_scanned += out.edges;
-        stats.rows_resolved += out.rows;
-        stats.steal_count += out.steals;
+        stats.edges_scanned += work.edges;
+        stats.rows_resolved += work.rows;
 
-        if tripped.load(Ordering::Relaxed) {
+        if work.tripped {
             // The level is partially expanded; everything already answered
             // stays sound, the rest of the search is abandoned.
             termination = Termination::BudgetExhausted;
             break 'bfs;
         }
 
-        // Level barrier: the next frontier is the concatenation of the
-        // per-worker buffers, appended to the log. A pull sweep left the
-        // marking of what it found to us.
+        // Level barrier: the next level is appended to the log and becomes
+        // the frontier. A pull sweep left the marking of what it found to
+        // us.
         level_start = scratch.reached.len();
         scratch.reached.append(&mut scratch.next.entries);
-        for w in workers.iter_mut() {
-            scratch.reached.append(&mut w.next.entries);
-        }
         if use_pull {
-            let cells = scratch.cells();
+            let mut cells = Cells::new(&mut scratch.table, words, gen);
             for e in &scratch.reached[level_start..] {
-                cells.mark::<false>(e.node.index(), e.word as usize, e.bits);
+                cells.mark(e.node.index(), e.word as usize, e.bits);
             }
         }
-        level_pairs = out.pairs;
+        level_pairs = work.pairs;
         depth += 1;
     }
 
@@ -978,8 +716,7 @@ pub(crate) fn product_search<G: GraphView>(
         .iter()
         .map(|t| t.count_ones() as usize)
         .sum();
-    let answers = std::mem::take(&mut scratch.answers);
-    (EvalResult { answers, stats }, found, termination)
+    (stats, found, termination)
 }
 
 /// The node-set answer shape: evaluate `L(nfa)` from `seed` — `p(seed, I)`
@@ -991,7 +728,8 @@ pub(crate) fn product_search<G: GraphView>(
 /// All working memory comes from `scratch`, which is resized/invalidated
 /// here and can be reused across calls of any `(|Q|, |V|)` shape; a warm
 /// scratch whose capacity covers `|Q|·|V|` makes the whole evaluation
-/// allocation-free (reported via `stats.scratch_reused`).
+/// allocation-free but for the returned answer set, an exact-size copy of
+/// the arena's answer buffer (reported via `stats.scratch_reused`).
 /// `stats.edges_scanned` counts only the edges the label index delivered.
 pub fn search_nodes<G: GraphView>(
     nfa: &Nfa,
@@ -1000,24 +738,27 @@ pub fn search_nodes<G: GraphView>(
     opts: &SearchOpts<'_>,
     scratch: &mut EvalScratch,
 ) -> (EvalResult, Termination) {
-    let (res, _, term) = product_search(nfa, graph, seed, None, opts, scratch);
-    (res, term)
+    let (stats, _, term) = product_search(nfa, graph, seed, None, opts, scratch);
+    let answers = scratch.answers.to_vec();
+    (EvalResult { answers, stats }, term)
 }
 
-/// One [`search_nodes`] per seed under one shared control — the loop behind
-/// every multi-item request arm ([`crate::run_request`]) and
+/// One search per seed under one shared control — the loop behind every
+/// multi-item request arm ([`crate::run_request`]) and
 /// [`crate::search_pairs`]. Each seed's search gets
 /// whatever `opts.control.budget` has left after the seeds before it; the
 /// loop stops at the first non-complete termination, so seeds not yet
 /// explored report nothing — still a sound subset. `on_item` receives each
-/// explored seed's index and answer set, in order.
+/// explored seed's index and sorted answer set, in order; the set is lent
+/// from the arena's answer buffer, so a caller that keeps it copies it and
+/// one that only reads it allocates nothing.
 pub(crate) fn search_nodes_each<G: GraphView>(
     nfa: &Nfa,
     graph: &G,
     seeds: &[Oid],
     opts: &SearchOpts<'_>,
     scratch: &mut EvalScratch,
-    mut on_item: impl FnMut(usize, Vec<Oid>),
+    mut on_item: impl FnMut(usize, &[Oid]),
 ) -> (EvalStats, Termination) {
     let mut stats = EvalStats::default();
     for (i, &seed) in seeds.iter().enumerate() {
@@ -1029,9 +770,9 @@ pub(crate) fn search_nodes_each<G: GraphView>(
             },
             ..*opts
         };
-        let (res, term) = search_nodes(nfa, graph, seed, &item, scratch);
-        stats.merge(&res.stats);
-        on_item(i, res.answers);
+        let (seed_stats, _, term) = product_search(nfa, graph, seed, None, &item, scratch);
+        stats.merge(&seed_stats);
+        on_item(i, &scratch.answers);
         if !term.is_complete() {
             return (stats, term);
         }
@@ -1378,79 +1119,78 @@ mod tests {
     }
 
     #[test]
-    fn parallel_agrees_with_sequential_on_broad_closure() {
-        let (graph, src, nfa) = web(400);
-        let seq = eval_product_csr(&nfa, &graph, src);
-        for dop in [1, 2, 4] {
-            let pool = ScratchPool::new();
-            let opts = SearchOpts {
-                dop,
-                pool: Some(&pool),
-                ..SearchOpts::default()
-            };
-            let (res, term) = search_nodes(&nfa, &graph, src, &opts, &mut EvalScratch::new());
-            assert_eq!(term, Termination::Complete);
-            assert_eq!(res.answers, seq.answers, "dop={dop}");
-            assert_eq!(
-                res.stats.edges_scanned, seq.stats.edges_scanned,
-                "dop={dop}"
-            );
-        }
-    }
-
-    #[test]
-    fn parallel_budget_is_a_sound_subset() {
+    fn budget_is_a_sound_subset_in_every_mode() {
         let (graph, src, nfa) = web(200);
         let full = eval_product_csr(&nfa, &graph, src);
-        for budget in [0usize, 1, 17, 150, 100_000] {
-            let pool = ScratchPool::new();
-            let opts = SearchOpts {
-                control: EvalControl {
-                    budget: Some(budget),
-                    cancel: None,
-                },
-                dop: 4,
-                pool: Some(&pool),
-                ..SearchOpts::default()
-            };
-            let (res, term) = search_nodes(&nfa, &graph, src, &opts, &mut EvalScratch::new());
-            assert!(res.stats.edges_scanned <= budget, "budget={budget}");
-            for o in &res.answers {
-                assert!(full.answers.binary_search(o).is_ok(), "unsound answer");
+        for mode in [
+            FrontierMode::Hybrid,
+            FrontierMode::ForcedSparse,
+            FrontierMode::ForcedDense,
+        ] {
+            for budget in [0usize, 1, 17, 150, 100_000] {
+                let opts = SearchOpts {
+                    mode,
+                    control: EvalControl {
+                        budget: Some(budget),
+                        cancel: None,
+                    },
+                    ..SearchOpts::default()
+                };
+                let (res, term) = search_nodes(&nfa, &graph, src, &opts, &mut EvalScratch::new());
+                assert!(
+                    res.stats.edges_scanned <= budget,
+                    "{mode:?} budget={budget}"
+                );
+                for o in &res.answers {
+                    assert!(full.answers.binary_search(o).is_ok(), "unsound answer");
+                }
+                if term == Termination::Complete {
+                    assert_eq!(res.answers, full.answers);
+                }
             }
-            if term == Termination::Complete {
-                assert_eq!(res.answers, full.answers);
-            }
-            // the sequential search under the same budget also stays within it
-            let (seq, _) = search_nodes(
-                &nfa,
-                &graph,
-                src,
-                &opts.sequential(),
-                &mut EvalScratch::new(),
-            );
-            assert!(seq.stats.edges_scanned <= budget);
         }
     }
 
     #[test]
-    fn forced_modes_agree_in_parallel() {
+    fn forced_modes_agree_on_a_broad_closure() {
         let (graph, src, nfa) = web(150);
-        let seq = eval_product_csr(&nfa, &graph, src);
+        let hybrid = eval_product_csr(&nfa, &graph, src);
         for mode in [
             FrontierMode::ForcedSparse,
             FrontierMode::ForcedDense,
             FrontierMode::hybrid_with_discount(64),
         ] {
-            let pool = ScratchPool::new();
             let opts = SearchOpts {
                 mode,
-                dop: 3,
-                pool: Some(&pool),
                 ..SearchOpts::default()
             };
             let (res, _) = search_nodes(&nfa, &graph, src, &opts, &mut EvalScratch::new());
-            assert_eq!(res.answers, seq.answers, "{mode:?}");
+            assert_eq!(res.answers, hybrid.answers, "{mode:?}");
         }
+    }
+
+    /// The answer buffer stays in the arena: a search hands out an
+    /// exact-size copy, and a warm arena's next search does not regrow it.
+    #[test]
+    fn answers_leave_at_exact_size_and_the_buffer_stays() {
+        let (graph, src, nfa) = web(400);
+        let mut scratch = EvalScratch::new();
+        let first = search_nodes(&nfa, &graph, src, &SearchOpts::default(), &mut scratch).0;
+        assert!(first.answers.len() > 100);
+        assert_eq!(first.answers.capacity(), first.answers.len());
+        let kept = scratch.answers.capacity();
+        assert!(kept >= first.answers.len());
+        let again = search_nodes(&nfa, &graph, src, &SearchOpts::default(), &mut scratch).0;
+        assert_eq!(
+            again,
+            EvalResult {
+                stats: EvalStats {
+                    scratch_reused: 1,
+                    ..first.stats
+                },
+                ..first
+            }
+        );
+        assert_eq!(scratch.answers.capacity(), kept);
     }
 }

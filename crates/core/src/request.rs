@@ -522,10 +522,9 @@ pub fn live_oids(oids: &[Oid], num_nodes: usize) -> Cow<'_, [Oid]> {
 /// question starts from (a planner passes its direction decision, or the
 /// request's hint; an engine without one, `Bidirectional` — "no decisive
 /// end", which runs forward). The request's controls arrive as
-/// `opts.control`, its effective frontier mode as `opts.mode`, the plan's
-/// finite-language bound as `opts.depth_cap`, and the worker lease as
-/// `opts.dop` / `opts.pool`. `opts.reverse_adj` is not read — each arm
-/// sets its own direction.
+/// `opts.control`, its effective frontier mode as `opts.mode` and the
+/// plan's finite-language bound as `opts.depth_cap`. `opts.reverse_adj` is
+/// not read — each arm sets its own direction.
 ///
 /// This is the only place a [`SourceSpec`] is matched to a kernel, and
 /// nothing here asks whether a control is attached: a request with no
@@ -539,24 +538,25 @@ pub fn live_oids(oids: &[Oid], num_nodes: usize) -> Cow<'_, [Oid]> {
 ///
 /// # Decision table
 ///
-/// "Per-item loop" is one [`search_nodes`] per item, all sharing one
-/// remaining budget, stopping at the first non-complete item (unexplored
-/// items report empty sets — a sound subset).
+/// "Per-item loop" is one search per item, all sharing one remaining
+/// budget, stopping at the first non-complete item (unexplored items
+/// report empty sets — a sound subset). Each item's answers are read in
+/// the arena: the per-item arms copy them out at exact size, the matrix
+/// and binding-set loops copy nothing.
 ///
 /// | `spec` | kernel |
 /// |---|---|
-/// | `Source` | [`search_nodes`] forward — cap, mode, dop |
-/// | `Target` | [`search_nodes`] backward — cap, mode, dop |
-/// | `Sources` | per-item loop forward — cap, mode, dop |
-/// | `Targets` | per-item loop backward — cap, mode, dop |
-/// | `Pair` | [`search_pair`] early exit by `pair_direction` — mode; no cap, `dop = 1` |
-/// | `Matrix` | per-item loop forward over the rows — cap, mode, `dop = 1` |
-/// | `Conjunctive` | [`search_pairs`] per-seed loop: sources bound → forward (target set as `bound`), only targets bound → backward, neither → forward from [`seed_candidates`] — mode; no cap, `dop = 1` |
+/// | `Source` | [`search_nodes`] forward — cap, mode |
+/// | `Target` | [`search_nodes`] backward — cap, mode |
+/// | `Sources` | per-item loop forward — cap, mode |
+/// | `Targets` | per-item loop backward — cap, mode |
+/// | `Pair` | [`search_pair`] early exit by `pair_direction` — mode; no cap |
+/// | `Matrix` | per-item loop forward over the rows — cap, mode |
+/// | `Conjunctive` | [`search_pairs`] per-seed loop: sources bound → forward (target set as `bound`), only targets bound → backward, neither → forward from [`seed_candidates`] — mode; no cap |
 ///
 /// Deliberately not touched (each moves a served counter, so each is its
-/// own follow-up): the pair arm ignores the depth cap and runs at
-/// `dop = 1`; matrix rows and the binding-set loop run at `dop = 1`, the
-/// binding-set loop uncapped.
+/// own follow-up): the pair arm and the binding-set loop ignore the depth
+/// cap.
 pub fn run_request<G: GraphView>(
     nfa: &Nfa,
     reversed: &Nfa,
@@ -590,7 +590,7 @@ pub fn run_request<G: GraphView>(
         SourceSpec::Pair { source, target } => {
             let opts = SearchOpts {
                 depth_cap: None,
-                ..opts.sequential()
+                ..*opts
             };
             let (pair, term) = search_pair(
                 nfa,
@@ -607,20 +607,14 @@ pub fn run_request<G: GraphView>(
         SourceSpec::Matrix { sources, targets } => {
             let (rows, cols) = (live_oids(sources, nv), live_oids(targets, nv));
             let mut matrix = MatrixResult::new(rows.to_vec(), cols.to_vec());
-            let (mut stats, term) = search_nodes_each(
-                nfa,
-                graph,
-                &rows,
-                &forward.sequential(),
-                scratch,
-                |i, answers| {
+            let (mut stats, term) =
+                search_nodes_each(nfa, graph, &rows, &forward, scratch, |i, answers| {
                     for (j, t) in cols.iter().enumerate() {
                         if answers.binary_search(t).is_ok() {
                             matrix.set(i, j);
                         }
                     }
-                },
-            );
+                });
             stats.answers = matrix.reachable_count();
             EvalResponse::from_matrix(matrix.spread_over(sources, targets, nv), stats)
                 .terminated(term)
@@ -655,7 +649,7 @@ fn per_seed<G: GraphView>(
     let live = live_oids(seeds, nv);
     let mut per = Vec::with_capacity(live.len());
     let (stats, term) = search_nodes_each(nfa, graph, &live, opts, scratch, |_, answers| {
-        per.push(answers)
+        per.push(answers.to_vec())
     });
     let result = BatchResult::from_per_source(per);
     EvalResponse::from_batch(result.aligned_to(seeds, nv), stats).terminated(term)

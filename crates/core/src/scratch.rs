@@ -22,7 +22,8 @@
 //!   generations;
 //! * **poolable** — a [`ScratchPool`] hands out warm arenas across threads
 //!   (`rpq_optimizer::PlannedEngine` and the distributed batch engine both
-//!   keep one), returning them on drop of the [`PooledScratch`] guard.
+//!   keep one, one arena per query running), returning them on drop of the
+//!   [`PooledScratch`] guard.
 //!
 //! What the search needs to know about the automaton — ε-closed successor
 //! masks, transitions grouped by symbol, the accepting mask — is compiled
@@ -35,18 +36,16 @@
 //! claim, asserted by bench `t15_hot_path`.
 
 use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use parking_lot::Mutex;
 use rpq_automata::{Nfa, StateId, Symbol};
 use rpq_graph::Oid;
 
-/// Default upper bound on arenas parked in a [`ScratchPool`]; checkouts
-/// beyond the bound under contention allocate fresh arenas that are dropped
-/// on return. Engines configured for intra-query parallelism scale the
-/// bound up with [`ScratchPool::with_capacity`] — a pool smaller than
-/// `workers × concurrent queries` thrashes (every checkout past the bound
-/// is a cold alloc).
+/// Upper bound on arenas parked in a [`ScratchPool`]; checkouts beyond the
+/// bound under contention allocate fresh arenas that are dropped on return.
+/// A query holds one arena, so the bound is the number of queries that can
+/// run at once before a checkout goes cold.
 const MAX_POOLED: usize = 8;
 
 /// Automaton states per mask word: the low half of a cell.
@@ -103,16 +102,15 @@ pub(crate) struct Entry {
 
 /// The mark table as one search sees it: `words` cells per node, set iff
 /// stamped with `gen`.
-#[derive(Copy, Clone)]
 pub(crate) struct Cells<'a> {
-    cells: &'a [AtomicU64],
+    cells: &'a mut [u64],
     words: usize,
     gen: u32,
 }
 
 impl<'a> Cells<'a> {
     /// `table` read as `words` cells per node, under generation `gen`.
-    pub(crate) fn new(table: &'a [AtomicU64], words: usize, gen: u32) -> Cells<'a> {
+    pub(crate) fn new(table: &'a mut [u64], words: usize, gen: u32) -> Cells<'a> {
         Cells {
             cells: table,
             words,
@@ -123,7 +121,7 @@ impl<'a> Cells<'a> {
     /// The states of mask word `word` reached at node `v` so far.
     #[inline]
     pub(crate) fn reached(&self, v: usize, word: usize) -> u32 {
-        self.unpack(self.cells[v * self.words + word].load(Ordering::Relaxed))
+        self.unpack(self.cells[v * self.words + word])
     }
 
     #[inline]
@@ -136,7 +134,7 @@ impl<'a> Cells<'a> {
     }
 
     /// What marking `bits` makes of a cell that holds `old`: the cell to
-    /// publish and the bits it newly reaches — `None` when it reaches
+    /// store and the bits it newly reaches — `None` when it reaches
     /// nothing new, and the cell is left alone.
     #[inline]
     fn marked(&self, old: u64, bits: u32) -> Option<(u64, u32)> {
@@ -146,31 +144,18 @@ impl<'a> Cells<'a> {
     }
 
     /// Mark `bits` of mask word `word` reached at `v`; returns the bits
-    /// this call was the first to reach. A level running inline
-    /// (`SHARED == false`) owns the table, so a relaxed load, an `or` and a
-    /// store — plain moves — suffice. Workers of a fanned-out level race
-    /// on push targets: they publish [`Cells::marked`] of what they loaded
-    /// with a compare-exchange and start over from the cell's new content
-    /// when it fails (`fetch_update`), so of two callers marking
-    /// overlapping masks exactly one wins each bit, and a mask that adds
-    /// nothing costs a load and no write at all. `Relaxed` throughout: a
-    /// cell publishes no other memory (what was reached is handed over in
-    /// the callers' own buffers, at the level barrier).
+    /// this call was the first to reach. One load, an `or` and a store;
+    /// a mask that adds nothing costs the load and no write at all.
     #[inline]
-    pub(crate) fn mark<const SHARED: bool>(&self, v: usize, word: usize, bits: u32) -> u32 {
-        let cell = &self.cells[v * self.words + word];
-        let mut won = 0;
-        if SHARED {
-            let _ = cell.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |old| {
-                let (stamped, new) = self.marked(old, bits).unzip();
-                won = new.unwrap_or(0);
-                stamped
-            });
-        } else if let Some((stamped, new)) = self.marked(cell.load(Ordering::Relaxed), bits) {
-            cell.store(stamped, Ordering::Relaxed);
-            won = new;
+    pub(crate) fn mark(&mut self, v: usize, word: usize, bits: u32) -> u32 {
+        let i = v * self.words + word;
+        match self.marked(self.cells[i], bits) {
+            Some((stamped, new)) => {
+                self.cells[i] = stamped;
+                new
+            }
+            None => 0,
         }
-        won
     }
 }
 
@@ -420,9 +405,7 @@ impl MaskTables {
     }
 }
 
-/// What one thread collects during a level sweep, with the sweep's
-/// working buffers. The driver's is `EvalScratch::next`; each extra worker
-/// of a fanned-out level fills its own arena's.
+/// What a level sweep collects, with the sweep's working buffers.
 #[derive(Debug, Default)]
 pub(crate) struct LevelOut {
     /// Entries of the next level, in discovery order.
@@ -447,9 +430,8 @@ pub struct EvalScratch {
     /// The one mark table, node-major: node `v`'s reached-state mask is
     /// the `words` cells from `v * words` with the *current* query's
     /// `words` (cells written under another geometry are just stale
-    /// generations). Atomic so that the workers of a fanned-out level can
-    /// mark with a compare-exchange; see [`Cells::mark`].
-    pub(crate) table: Vec<AtomicU64>,
+    /// generations); see [`Cells`].
+    pub(crate) table: Vec<u64>,
     /// Per-node answer marks (generation-stamped).
     pub(crate) answer_marks: Vec<u32>,
     /// The current automaton's mask tables.
@@ -459,10 +441,12 @@ pub struct EvalScratch {
     /// be brought up to date from it when — and only when — a level needs
     /// it.
     pub(crate) reached: Vec<Entry>,
-    /// The next level, as the driver's own thread collects it.
+    /// The next level, as the sweep collects it.
     pub(crate) next: LevelOut,
     /// Answers collected sparsely during the BFS (sorted at finish), so no
-    /// O(|V|) sweep is needed to produce the result.
+    /// O(|V|) sweep is needed to produce the result. The buffer stays here
+    /// between searches: callers copy the answers out at exact size, or
+    /// read them in place.
     pub(crate) answers: Vec<Oid>,
     /// States seen on any frontier, per word — feeds
     /// `classes_materialized`.
@@ -490,9 +474,9 @@ impl EvalScratch {
     }
 
     /// The mark table under the current generation and geometry.
-    #[inline]
-    pub(crate) fn cells(&self) -> Cells<'_> {
-        Cells::new(&self.table, self.masks.words, self.gen)
+    #[cfg(test)]
+    fn cells(&mut self) -> Cells<'_> {
+        Cells::new(&mut self.table, self.masks.words, self.gen)
     }
 
     /// Start a fresh search of `nfa` over `nv` nodes: grow the mark tables
@@ -507,7 +491,7 @@ impl EvalScratch {
             // Grown cells start at generation 0 and old ones keep theirs:
             // neither is ever "set", because the generation only moves up.
             let cells = (words * nv).max(self.table.len());
-            self.table.resize_with(cells, || AtomicU64::new(0));
+            self.table.resize(cells, 0);
             let marks = nv.max(self.answer_marks.len());
             self.answer_marks.resize(marks, 0);
         }
@@ -525,9 +509,7 @@ impl EvalScratch {
         if self.gen == u32::MAX {
             // Generation wrap (once per 2^32 - 1 evaluations): zero every
             // mark so stale cells cannot collide with the restarted counter.
-            for cell in &mut self.table {
-                *cell.get_mut() = 0;
-            }
+            self.table.fill(0);
             self.answer_marks.fill(0);
             self.gen = 0;
         }
@@ -540,43 +522,17 @@ impl EvalScratch {
 /// an arena out per evaluation and return it on drop; after warm-up every
 /// checkout reuses retained capacity, so the BFS inner loops never touch
 /// the allocator.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct ScratchPool {
     pool: Mutex<Vec<EvalScratch>>,
-    max_pooled: usize,
     reuses: AtomicUsize,
     allocs: AtomicUsize,
 }
 
-impl Default for ScratchPool {
-    fn default() -> ScratchPool {
-        ScratchPool::with_capacity(MAX_POOLED)
-    }
-}
-
 impl ScratchPool {
-    /// An empty pool with the default parking bound.
+    /// An empty pool.
     pub fn new() -> ScratchPool {
         ScratchPool::default()
-    }
-
-    /// An empty pool that parks up to `capacity` warm arenas. Engines
-    /// running the frontier-parallel kernels size this as
-    /// `workers × expected concurrency` (never below the default bound):
-    /// every parallel worker checks out its own arena, so a pool sized for
-    /// sequential serving thrashes the moment big queries fan out.
-    pub fn with_capacity(capacity: usize) -> ScratchPool {
-        ScratchPool {
-            pool: Mutex::new(Vec::new()),
-            max_pooled: capacity.max(1),
-            reuses: AtomicUsize::new(0),
-            allocs: AtomicUsize::new(0),
-        }
-    }
-
-    /// The most arenas this pool will park.
-    pub fn capacity(&self) -> usize {
-        self.max_pooled
     }
 
     /// Check out an arena: a warm one if the pool has any, a fresh empty
@@ -616,7 +572,7 @@ impl ScratchPool {
 
     fn put(&self, scratch: EvalScratch) {
         let mut pool = self.pool.lock();
-        if pool.len() < self.max_pooled {
+        if pool.len() < MAX_POOLED {
             pool.push(scratch);
         }
     }
@@ -654,7 +610,6 @@ impl Drop for PooledScratch<'_> {
 mod tests {
     use super::*;
     use rpq_automata::{parse_regex, Alphabet};
-    use std::sync::Barrier;
 
     /// An automaton of exactly `states` states: the word `a^(states - 1)`.
     fn chain(states: usize) -> Nfa {
@@ -689,23 +644,23 @@ mod tests {
     fn generations_invalidate_marks_without_clearing() {
         let mut s = EvalScratch::new();
         s.begin(&chain(2), 8);
-        assert_eq!(s.cells().mark::<false>(3, 0, 0b11), 0b11);
-        assert_eq!(s.cells().mark::<false>(3, 0, 0b11), 0, "already reached");
+        assert_eq!(s.cells().mark(3, 0, 0b11), 0b11);
+        assert_eq!(s.cells().mark(3, 0, 0b11), 0, "already reached");
         assert_eq!(s.cells().reached(3, 0), 0b11);
         s.begin(&chain(2), 8);
         assert_eq!(s.cells().reached(3, 0), 0, "old marks are stale, not set");
-        assert_eq!(s.cells().mark::<true>(3, 0, 0b10), 0b10);
+        assert_eq!(s.cells().mark(3, 0, 0b10), 0b10);
         assert_eq!(s.cells().reached(3, 0), 0b10, "a stale mask is dropped");
     }
 
-    /// The one step both marks publish, on every kind of cell: a cell of
-    /// another generation holds nothing, the published cell carries the
+    /// The one step a mark stores, on every kind of cell: a cell of
+    /// another generation holds nothing, the stored cell carries the
     /// current generation and the union, the bits won are exactly the new
-    /// ones, and a mark that wins nothing publishes nothing.
+    /// ones, and a mark that wins nothing stores nothing.
     #[test]
     fn a_marked_cell_is_the_union_under_the_current_generation() {
-        let table = [];
-        let cells = Cells::new(&table, 1, 7);
+        let mut table = [];
+        let cells = Cells::new(&mut table, 1, 7);
         let masks = [0u32, 1, 0b0110, 0x8000_0001, u32::MAX];
         for old_gen in [0u32, 6, 7, 8, u32::MAX] {
             for old_mask in masks {
@@ -732,11 +687,11 @@ mod tests {
         s.begin(&chain(1), 4);
         s.gen = u32::MAX - 1;
         s.bump_gen();
-        assert_eq!(s.cells().mark::<false>(0, 0, 1), 1);
+        assert_eq!(s.cells().mark(0, 0, 1), 1);
         s.answer_marks[0] = s.generation();
         s.bump_gen(); // wraps: marks zeroed, gen restarts at 1
         assert_eq!(s.generation(), 1);
-        assert_eq!(*s.table[0].get_mut(), 0);
+        assert_eq!(s.table[0], 0);
         assert_eq!(s.answer_marks[0], 0);
     }
 
@@ -881,7 +836,7 @@ mod tests {
     /// then a larger `|V|`, one mask word then three (so the same cells are
     /// read under another geometry), and the generation wrap — each
     /// followed by searches whose answers and counters match a fresh
-    /// arena's, in every mode, inline and fanned out.
+    /// arena's, in every mode.
     #[test]
     fn one_arena_survives_regrow_reshape_and_generation_wrap() {
         use crate::product::{search_nodes, FrontierMode, SearchOpts};
@@ -906,33 +861,24 @@ mod tests {
         let one_word = Nfa::star(&wide(3, 3)); // 9 states
         let three_words = Nfa::star(&wide(24, 4)); // 75 states
 
-        let pool = ScratchPool::new();
         let mut arena = EvalScratch::new();
         let check = |arena: &mut EvalScratch, nfa: &Nfa, graph: &CsrGraph, step: &str| {
-            let mut fanned_out = false;
             for mode in [
                 FrontierMode::Hybrid,
                 FrontierMode::ForcedSparse,
                 FrontierMode::ForcedDense,
                 FrontierMode::hybrid_with_discount(64),
             ] {
-                for dop in [1, 2] {
-                    let opts = SearchOpts {
-                        mode,
-                        dop,
-                        pool: Some(&pool),
-                        ..SearchOpts::default()
-                    };
-                    let fresh = search_nodes(nfa, graph, Oid(1), &opts, &mut EvalScratch::new()).0;
-                    let mut reused = search_nodes(nfa, graph, Oid(1), &opts, arena).0;
-                    assert!(!fresh.answers.is_empty());
-                    reused.stats.scratch_reused = fresh.stats.scratch_reused;
-                    reused.stats.steal_count = fresh.stats.steal_count;
-                    assert_eq!(reused, fresh, "{step}, {mode:?}, dop {dop}");
-                    fanned_out |= fresh.stats.parallel_levels > 0;
-                }
+                let opts = SearchOpts {
+                    mode,
+                    ..SearchOpts::default()
+                };
+                let fresh = search_nodes(nfa, graph, Oid(1), &opts, &mut EvalScratch::new()).0;
+                let mut reused = search_nodes(nfa, graph, Oid(1), &opts, arena).0;
+                assert!(!fresh.answers.is_empty());
+                reused.stats.scratch_reused = fresh.stats.scratch_reused;
+                assert_eq!(reused, fresh, "{step}, {mode:?}");
             }
-            fanned_out
         };
         check(&mut arena, &one_word, &small, "cold");
         check(&mut arena, &one_word, &large, "regrown to a larger |V|");
@@ -943,86 +889,22 @@ mod tests {
             &small,
             "three words where one was",
         );
-        let fanned_out = check(
+        check(
             &mut arena,
             &three_words,
             &large,
             "regrown under three words",
         );
-        assert!(fanned_out, "the wide closure must exercise the shared mark");
         check(&mut arena, &one_word, &large, "one word where three were");
-        // Eight searches per step: the wrap falls inside the next one.
-        arena.gen = u32::MAX - 3;
+        // Four searches per step: the wrap falls inside the next one.
+        arena.gen = u32::MAX - 2;
         check(
             &mut arena,
             &three_words,
             &large,
             "across the generation wrap",
         );
-        assert!(arena.generation() < 8, "the generation wrapped");
+        assert!(arena.generation() < 4, "the generation wrapped");
         check(&mut arena, &one_word, &small, "after the wrap");
-    }
-
-    /// The fanned-out mark, hammered: threads claim overlapping
-    /// `(node, mask)` sets on one table at once. Every bit is won by
-    /// exactly one caller, and the table ends up holding the union.
-    ///
-    /// Every thread walks the cells in the same order, a nibble of its mask
-    /// per pass, released together by a barrier before each pass. (How often
-    /// two threads really meet on a cell is the scheduler's business; what
-    /// each publishes when they do is pinned without threads, by
-    /// `a_marked_cell_is_the_union_under_the_current_generation`.)
-    #[test]
-    fn concurrent_marks_hand_every_bit_to_exactly_one_caller() {
-        const NODES: usize = 4099;
-        const WORDS: usize = 3;
-        const PASSES: [u32; 4] = [0x1111_1111, 0x2222_2222, 0x4444_4444, 0x8888_8888];
-        let mut s = EvalScratch::new();
-        for (round, threads) in [2usize, 3, 4, 4].into_iter().enumerate() {
-            // Three words per node; earlier rounds leave stale marks behind.
-            s.begin(&chain(WORDS * WORD_STATES), NODES);
-            let cells = s.cells();
-            // What thread t claims at a cell overlaps what its neighbours do.
-            let wanted = |t: usize, v: usize, w: usize| -> u32 {
-                let x = (v * 31 + w * 7 + round) as u32;
-                (0x0f0f_3c3c_u32.rotate_left(x % 32) | 1 << (t % 32))
-                    & !(1 << ((x + t as u32 * 5) % 32))
-            };
-            let release = Barrier::new(threads);
-            let won: Vec<Vec<u32>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..threads)
-                    .map(|t| {
-                        let (release, wanted) = (&release, &wanted);
-                        scope.spawn(move || {
-                            let mut mine = vec![0u32; NODES * WORDS];
-                            for pass in PASSES {
-                                release.wait();
-                                for (i, mine) in mine.iter_mut().enumerate() {
-                                    let (v, w) = (i / WORDS, i % WORDS);
-                                    let claim = wanted(t, v, w) & pass;
-                                    *mine |= cells.mark::<true>(v, w, claim);
-                                    // claimed again, it wins nothing
-                                    assert_eq!(cells.mark::<true>(v, w, claim), 0);
-                                }
-                            }
-                            mine
-                        })
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join().unwrap()).collect()
-            });
-            for i in 0..NODES * WORDS {
-                let (v, w) = (i / WORDS, i % WORDS);
-                let (mut union, mut expected) = (0u32, 0u32);
-                for (t, mine) in won.iter().enumerate() {
-                    assert_eq!(mine[i] & !wanted(t, v, w), 0, "won a bit never claimed");
-                    assert_eq!(union & mine[i], 0, "bit won twice at ({v}, {w})");
-                    union |= mine[i];
-                    expected |= wanted(t, v, w);
-                }
-                assert_eq!(union, expected, "a claimed bit was won by nobody");
-                assert_eq!(cells.reached(v, w), expected);
-            }
-        }
     }
 }

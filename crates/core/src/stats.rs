@@ -106,18 +106,14 @@ pub struct EvalStats {
     /// already covered this query's |Q|·|V| shape (no fresh allocation on
     /// the hot path).
     pub scratch_reused: usize,
-    /// Peak number of OS threads a single evaluation engaged (1 for a
-    /// purely sequential run, 0 for engines that predate the parallel
-    /// kernels). Set by the frontier-parallel product search.
+    /// Inert since PR 25; deleted with ROADMAP 1(b). Every search runs on
+    /// its caller's thread; no engine sets this (always 0).
     pub threads_used: usize,
-    /// Frontier chunks (or pull slabs) a parallel worker
-    /// claimed *beyond* its fair share — the work-stealing signal: nonzero
-    /// means the static partition was skewed and the shared-cursor claims
-    /// rebalanced it.
+    /// Inert since PR 25; deleted with ROADMAP 1(b). No level fans out, so
+    /// nothing is stolen; always 0.
     pub steal_count: usize,
-    /// BFS levels expanded with more than one worker.
-    /// `parallel_levels = 0` with `threads_used <= 1` certifies the
-    /// sequential fast path ran — the zero-regression observable.
+    /// Inert since PR 25; deleted with ROADMAP 1(b). No level fans out;
+    /// always 0.
     pub parallel_levels: usize,
     /// Per-atom records for conjunctive evaluations, in execution order
     /// (see [`AtomStats`]). Empty for single-atom requests.
@@ -162,12 +158,6 @@ impl EvalStats {
         self.frontier_peak = self.frontier_peak.max(other.frontier_peak);
         self.rows_resolved += other.rows_resolved;
         self.scratch_reused += other.scratch_reused;
-        // Parallelism telemetry: the thread count is a high-water mark
-        // (constituent runs share one pool), steals and parallel levels sum
-        // like any work counter.
-        self.threads_used = self.threads_used.max(other.threads_used);
-        self.steal_count += other.steal_count;
-        self.parallel_levels += other.parallel_levels;
         // Per-atom records concatenate in merge order, preserving each
         // constituent's execution sequence.
         self.atoms.extend(other.atoms.iter().cloned());

@@ -30,8 +30,10 @@
 //! aggregates.
 //!
 //! [`execute_naive`] is the deliberately-unoptimized reference: every atom
-//! evaluated independently with both sides free, then hash-joined. Tests
-//! and the `t17_crpq` bench gate use it as the oracle and as the
+//! evaluated independently with both sides free, then hash-joined by a
+//! join of its own (a `Vec` per row — the executor's before PR 25), so
+//! that it checks the executor's row-major join instead of sharing it.
+//! Tests and the `t17_crpq` bench gate use it as the oracle and as the
 //! no-semijoin baseline.
 //!
 //! Join graphs of any shape are accepted (path, tree, cyclic); cyclic
@@ -39,6 +41,7 @@
 //! planner's cost model currently treats closing atoms like any other (see
 //! ROADMAP).
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 use rpq_automata::{parse_regex_embedded, Alphabet, ParseError};
@@ -373,15 +376,30 @@ pub fn plan_join(
 // Execution
 // ---------------------------------------------------------------------------
 
-/// An intermediate join relation: named columns over [`Oid`] rows.
-/// `None` means "no atom executed yet" (the neutral element of the join) —
-/// distinct from an executed-but-empty relation, which annihilates.
+/// An intermediate join relation: named columns over row-major [`Oid`]
+/// rows — one buffer, `vars.len()` oids a row, so a join step allocates per
+/// step, never per row. `None` in the executor means "no atom executed
+/// yet" (the neutral element of the join) — distinct from an
+/// executed-but-empty relation, which annihilates.
 struct Relation {
     vars: Vec<Var>,
-    rows: Vec<Vec<Oid>>,
+    /// Row after row, `vars.len()` oids each.
+    cells: Vec<Oid>,
+    /// Rows held: `cells.len() / vars.len()`, and — for a relation of no
+    /// column, which holds the empty row or nothing — 0 or 1.
+    len: usize,
 }
 
 impl Relation {
+    fn row(&self, i: usize) -> &[Oid] {
+        let arity = self.vars.len();
+        &self.cells[i * arity..(i + 1) * arity]
+    }
+
+    fn rows(&self) -> impl Iterator<Item = &[Oid]> {
+        (0..self.len).map(|i| self.row(i))
+    }
+
     fn col(&self, v: Var) -> Option<usize> {
         self.vars.iter().position(|&x| x == v)
     }
@@ -389,30 +407,33 @@ impl Relation {
     /// Distinct values of column `v`, sorted.
     fn distinct(&self, v: Var) -> Vec<Oid> {
         let c = self.col(v).expect("column present");
-        let mut out: Vec<Oid> = self.rows.iter().map(|r| r[c]).collect();
+        let mut out: Vec<Oid> = self.rows().map(|r| r[c]).collect();
         out.sort_unstable();
         out.dedup();
         out
     }
 
-    /// Project onto `keep` (dropping dead columns) and dedup rows.
+    /// Project onto `keep` (dropping dead columns) and dedup rows: the kept
+    /// columns are copied out once, and the row indices sorted by them.
     fn project(&mut self, keep: &[Var]) {
-        let cols: Vec<usize> = self
-            .vars
-            .iter()
-            .enumerate()
-            .filter(|(_, v)| keep.contains(v))
-            .map(|(i, _)| i)
+        let cols: Vec<usize> = (0..self.vars.len())
+            .filter(|&i| keep.contains(&self.vars[i]))
             .collect();
         if cols.len() == self.vars.len() {
             return;
         }
-        self.vars = cols.iter().map(|&i| self.vars[i]).collect();
-        for row in &mut self.rows {
-            *row = cols.iter().map(|&i| row[i]).collect();
+        let k = cols.len();
+        let mut kept = Vec::with_capacity(self.len * k);
+        for row in self.rows() {
+            kept.extend(cols.iter().map(|&c| row[c]));
         }
-        self.rows.sort_unstable();
-        self.rows.dedup();
+        let key = |i: usize| &kept[i * k..(i + 1) * k];
+        let mut order: Vec<usize> = (0..self.len).collect();
+        order.sort_unstable_by(|&a, &b| key(a).cmp(key(b)));
+        order.dedup_by(|a, b| key(*a) == key(*b));
+        self.cells = order.iter().flat_map(|&i| key(i)).copied().collect();
+        self.len = order.len();
+        self.vars = cols.iter().map(|&i| self.vars[i]).collect();
     }
 }
 
@@ -425,11 +446,53 @@ pub struct HeadBindings<'a> {
     pub targets: Option<&'a [Oid]>,
 }
 
+/// One head restriction, read once: `sorted` (deduplicated) for the
+/// residual filter's binary searches, `seeds` in request order with each
+/// oid's first occurrence only — an atom seeded by the head binding
+/// searches a repeated oid once, and a budget is spent on the seeds in the
+/// order they were asked.
+struct HeadSet<'a> {
+    sorted: Vec<Oid>,
+    seeds: Cow<'a, [Oid]>,
+}
+
+impl<'a> HeadSet<'a> {
+    fn new(oids: &'a [Oid]) -> HeadSet<'a> {
+        let mut sorted = oids.to_vec();
+        sorted.sort_unstable();
+        sorted.dedup();
+        if sorted.len() == oids.len() {
+            return HeadSet {
+                sorted,
+                seeds: Cow::Borrowed(oids),
+            };
+        }
+        let mut taken = vec![false; sorted.len()];
+        let seeds = oids
+            .iter()
+            .copied()
+            .filter(|o| {
+                sorted
+                    .binary_search(o)
+                    .is_ok_and(|i| !std::mem::replace(&mut taken[i], true))
+            })
+            .collect();
+        HeadSet {
+            sorted,
+            seeds: Cow::Owned(seeds),
+        }
+    }
+
+    fn contains(&self, o: &Oid) -> bool {
+        self.sorted.binary_search(o).is_ok()
+    }
+}
+
 /// Execute a CRPQ in the given atom `order` over `graph`, with semijoin
 /// propagation: each atom evaluates with its bound side restricted to the
 /// distinct values surviving the join so far (or to the request's head
-/// bindings before the first atom touches that variable), through
-/// [`rpq_core::search_pairs`].
+/// bindings — each oid once — before the first atom touches that
+/// variable), through [`rpq_core::search_pairs`].
 ///
 /// `control` threads one shared `edges_scanned` budget and cancellation
 /// flag through every atom. A truncated atom contributes a sound *subset*
@@ -448,68 +511,45 @@ pub fn execute_join<G: GraphView>(
     control: &EvalControl<'_>,
     scratch: &mut EvalScratch,
 ) -> PairSetResult {
-    let pool = ScratchPool::new();
-    execute_join_parallel(crpq, order, graph, heads, mode, control, 1, &pool, scratch)
-}
-
-/// [`execute_join`] with the request's worker grant: `dop` and `pool` (the
-/// engine's shared [`ScratchPool`]) ride into every atom's [`SearchOpts`].
-/// Semijoin propagation is inherently sequential between atoms — each
-/// atom's bound side comes from the previous join step — and inside an
-/// atom [`search_pairs`] runs its seeds one after the other at `dop = 1`
-/// (the shared budget's whatever-is-left contract is order-dependent), so
-/// the grant is carried but not spent: the result and every counter equal
-/// [`execute_join`]'s at any `dop` (spending it inside a seed's search is
-/// the follow-up listed on [`rpq_core::run_request`]).
-#[allow(clippy::too_many_arguments)]
-pub fn execute_join_parallel<G: GraphView>(
-    crpq: &Crpq,
-    order: &[usize],
-    graph: &G,
-    heads: HeadBindings<'_>,
-    mode: FrontierMode,
-    control: &EvalControl<'_>,
-    dop: usize,
-    pool: &ScratchPool,
-    scratch: &mut EvalScratch,
-) -> PairSetResult {
     assert_eq!(order.len(), crpq.atoms.len(), "order must cover every atom");
     let mut rel: Option<Relation> = None;
     let mut stats = EvalStats::default();
     let mut term = Termination::Complete;
+    let sources = heads.sources.map(HeadSet::new);
+    let targets = heads.targets.map(HeadSet::new);
 
     // Pre-bindings for head variables, consumed the first time the
     // variable joins the relation.
     let prebound = |v: Var| -> Option<&[Oid]> {
         if v == crpq.head.0 {
-            heads.sources
+            sources.as_ref().map(|h| &*h.seeds)
         } else if v == crpq.head.1 {
             // When both head positions name one variable, `sources` (the
             // arm above) wins; the executor filters `targets` at the end.
-            heads.targets
+            targets.as_ref().map(|h| &*h.seeds)
         } else {
             None
+        }
+    };
+    // Bound candidates for one side of an atom, if any: the relation
+    // column first (already join-restricted), else the request's head
+    // binding.
+    let bound_side = |rel: Option<&Relation>, v: Var| -> Option<Cow<'_, [Oid]>> {
+        match rel.filter(|r| r.col(v).is_some()) {
+            Some(r) => Some(Cow::Owned(r.distinct(v))),
+            None => prebound(v).map(Cow::Borrowed),
         }
     };
 
     for (pos, &ai) in order.iter().enumerate() {
         let atom = &crpq.atoms[ai];
         let (u, v) = (atom.src, atom.dst);
-
-        // Bound candidate sets for each side, if any: relation column
-        // first (already join-restricted), else the request's head
-        // binding.
-        let u_vals: Option<Vec<Oid>> = match rel.as_ref().and_then(|r| r.col(u)) {
-            Some(_) => Some(rel.as_ref().expect("relation present").distinct(u)),
-            None => prebound(u).map(|s| s.to_vec()),
-        };
-        let v_vals: Option<Vec<Oid>> = if u == v {
-            None // a self-loop atom binds one variable; evaluate via `u`
+        let u_vals = bound_side(rel.as_ref(), u);
+        // A self-loop atom binds one variable; it is evaluated via `u`.
+        let v_vals = if u == v {
+            None
         } else {
-            match rel.as_ref().and_then(|r| r.col(v)) {
-                Some(_) => Some(rel.as_ref().expect("relation present").distinct(v)),
-                None => prebound(v).map(|s| s.to_vec()),
-            }
+            bound_side(rel.as_ref(), v)
         };
 
         let per_atom = SearchOpts {
@@ -520,11 +560,9 @@ pub fn execute_join_parallel<G: GraphView>(
                     .map(|b| b.saturating_sub(stats.edges_scanned)),
                 cancel: control.cancel,
             },
-            dop,
-            pool: Some(pool),
             ..SearchOpts::default()
         };
-        let (res, dir) = eval_atom(
+        let (mut res, dir) = eval_atom(
             atom,
             graph,
             u_vals.as_deref(),
@@ -535,48 +573,44 @@ pub fn execute_join_parallel<G: GraphView>(
         if !res.termination.is_complete() && term.is_complete() {
             term = res.termination;
         }
-
         // Self-loop atoms keep only reflexive bindings.
-        let pairs: Vec<(Oid, Oid)> = if u == v {
-            res.pairs.iter().copied().filter(|(s, t)| s == t).collect()
-        } else {
-            res.pairs.clone()
-        };
+        if u == v {
+            res.pairs.retain(|(s, t)| s == t);
+        }
 
         stats.atoms.push(AtomStats {
             atom: ai,
             direction: Some(dir),
             edges_scanned: res.stats.edges_scanned,
-            bindings: pairs.len(),
+            bindings: res.pairs.len(),
         });
         let mut atom_stats = res.stats;
         atom_stats.atoms.clear();
         atom_stats.answers = 0;
         stats.merge(&atom_stats);
 
-        rel = Some(join_step(rel, &pairs, u, v));
-
+        let mut r = join_step(rel.take(), &res.pairs, u, v);
         // Keep the relation narrow: only head variables and variables of
         // still-unexecuted atoms stay live.
-        if let Some(r) = rel.as_mut() {
-            let mut live: Vec<Var> = vec![crpq.head.0, crpq.head.1];
-            for &later in &order[pos + 1..] {
-                live.extend(crpq.atom_vars(later));
+        let mut live: Vec<Var> = vec![crpq.head.0, crpq.head.1];
+        for &later in &order[pos + 1..] {
+            live.extend(crpq.atom_vars(later));
+        }
+        r.project(&live);
+        let annihilated = r.len == 0;
+        rel = Some(r);
+        if annihilated {
+            // No binding can satisfy the query. Record the skipped atoms
+            // and finish.
+            for &skipped in &order[pos + 1..] {
+                stats.atoms.push(AtomStats {
+                    atom: skipped,
+                    direction: None,
+                    edges_scanned: 0,
+                    bindings: 0,
+                });
             }
-            r.project(&live);
-            if r.rows.is_empty() {
-                // Annihilated: no binding can satisfy the query. Record
-                // the skipped atoms and finish.
-                for &skipped in &order[pos + 1..] {
-                    stats.atoms.push(AtomStats {
-                        atom: skipped,
-                        direction: None,
-                        edges_scanned: 0,
-                        bindings: 0,
-                    });
-                }
-                break;
-            }
+            break;
         }
     }
 
@@ -585,7 +619,7 @@ pub fn execute_join_parallel<G: GraphView>(
     // the atom binding it ran), in which case there are no rows anyway.
     let mut pairs: Vec<(Oid, Oid)> = match rel {
         Some(r) => match (r.col(crpq.head.0), r.col(crpq.head.1)) {
-            (Some(c0), Some(c1)) => r.rows.iter().map(|row| (row[c0], row[c1])).collect(),
+            (Some(c0), Some(c1)) => r.rows().map(|row| (row[c0], row[c1])).collect(),
             _ => Vec::new(),
         },
         None => Vec::new(),
@@ -593,10 +627,10 @@ pub fn execute_join_parallel<G: GraphView>(
     // Residual head filters (e.g. `ans(x, x)` with both sets given, or a
     // head restriction on a variable whose first atom bound it through the
     // relation instead).
-    if let Some(ss) = heads.sources {
+    if let Some(ss) = &sources {
         pairs.retain(|(s, _)| ss.contains(s));
     }
-    if let Some(ts) = heads.targets {
+    if let Some(ts) = &targets {
         pairs.retain(|(_, t)| ts.contains(t));
     }
     pairs.sort_unstable();
@@ -607,6 +641,24 @@ pub fn execute_join_parallel<G: GraphView>(
         stats,
         termination: term,
     }
+}
+
+/// Inert since PR 25; deleted with ROADMAP 1(b): [`execute_join`], with a
+/// worker grant nothing spends — `dop` and `pool` are ignored (every atom's
+/// searches run on the calling thread).
+#[allow(clippy::too_many_arguments)]
+pub fn execute_join_parallel<G: GraphView>(
+    crpq: &Crpq,
+    order: &[usize],
+    graph: &G,
+    heads: HeadBindings<'_>,
+    mode: FrontierMode,
+    control: &EvalControl<'_>,
+    _dop: usize,
+    _pool: &ScratchPool,
+    scratch: &mut EvalScratch,
+) -> PairSetResult {
+    execute_join(crpq, order, graph, heads, mode, control, scratch)
 }
 
 /// Evaluate one atom with the given bound sides through
@@ -652,126 +704,101 @@ fn eval_atom<G: GraphView>(
     }
 }
 
-/// One hash-join step: extend `rel` by the atom relation `pairs` over
-/// columns `u` (pair sources) and `v` (pair targets). Handles every
-/// overlap shape: both columns new (cross product against the neutral
-/// relation or a genuine disconnected join), one shared column (indexed
-/// extension), both shared (filter).
+/// One join step: extend `rel` by the atom relation `pairs` over columns
+/// `u` (pair sources) and `v` (pair targets). Handles every overlap shape:
+/// both columns new (cross product against the neutral relation or a
+/// genuine disconnected join), one shared column (each row extended from
+/// a range lookup into the pairs, sorted by that column), both shared
+/// (filter).
 fn join_step(rel: Option<Relation>, pairs: &[(Oid, Oid)], u: Var, v: Var) -> Relation {
     let self_loop = u == v;
-    let rel = match rel {
-        None => {
-            // First atom: the relation IS the atom's bindings.
-            let (vars, rows) = if self_loop {
-                (
-                    vec![u],
-                    pairs.iter().map(|&(s, _)| vec![s]).collect::<Vec<_>>(),
-                )
-            } else {
-                (
-                    vec![u, v],
-                    pairs.iter().map(|&(s, t)| vec![s, t]).collect::<Vec<_>>(),
-                )
-            };
-            let mut r = Relation { vars, rows };
-            r.rows.sort_unstable();
-            r.rows.dedup();
-            return r;
-        }
-        Some(r) => r,
+    let Some(rel) = rel else {
+        // First atom: the relation IS the atom's bindings.
+        let (vars, cells) = if self_loop {
+            let mut ss: Vec<Oid> = pairs.iter().map(|&(s, _)| s).collect();
+            ss.sort_unstable();
+            ss.dedup();
+            (vec![u], ss)
+        } else {
+            let mut ps = pairs.to_vec();
+            ps.sort_unstable();
+            ps.dedup();
+            (vec![u, v], ps.iter().flat_map(|&(s, t)| [s, t]).collect())
+        };
+        let len = cells.len() / vars.len();
+        return Relation { vars, cells, len };
     };
     let cu = rel.col(u);
     let cv = if self_loop { cu } else { rel.col(v) };
+    let mut vars = rel.vars.clone();
+    let mut cells = Vec::new();
     match (cu, cv) {
         (Some(cu), Some(cv)) => {
             // Both bound: the atom is a filter over existing columns.
-            let mut set: Vec<(Oid, Oid)> = pairs.to_vec();
+            let mut set = pairs.to_vec();
             set.sort_unstable();
-            let rows = rel
-                .rows
-                .into_iter()
-                .filter(|row| set.binary_search(&(row[cu], row[cv])).is_ok())
-                .collect();
-            Relation {
-                vars: rel.vars,
-                rows,
+            for row in rel.rows() {
+                if set.binary_search(&(row[cu], row[cv])).is_ok() {
+                    cells.extend_from_slice(row);
+                }
             }
         }
         (Some(cu), None) => {
             // Extend each row by the targets its `u` value reaches.
-            let mut by_src: HashMap<Oid, Vec<Oid>> = HashMap::new();
-            for &(s, t) in pairs {
-                by_src.entry(s).or_default().push(t);
-            }
-            let mut vars = rel.vars;
             vars.push(v);
-            let mut rows = Vec::new();
-            for row in rel.rows {
-                if let Some(ts) = by_src.get(&row[cu]) {
-                    for &t in ts {
-                        let mut r2 = row.clone();
-                        r2.push(t);
-                        rows.push(r2);
-                    }
-                }
-            }
-            Relation { vars, rows }
+            let mut by_src = pairs.to_vec();
+            by_src.sort_unstable();
+            extend_rows(&rel, cu, &by_src, &mut cells);
         }
         (None, Some(cv)) => {
-            let mut by_dst: HashMap<Oid, Vec<Oid>> = HashMap::new();
-            for &(s, t) in pairs {
-                by_dst.entry(t).or_default().push(s);
-            }
-            let mut vars = rel.vars;
+            // Extend each row by the sources reaching its `v` value.
             vars.push(u);
-            let mut rows = Vec::new();
-            for row in rel.rows {
-                if let Some(ss) = by_dst.get(&row[cv]) {
-                    for &s in ss {
-                        let mut r2 = row.clone();
-                        r2.push(s);
-                        rows.push(r2);
-                    }
-                }
-            }
-            Relation { vars, rows }
+            let mut by_dst: Vec<(Oid, Oid)> = pairs.iter().map(|&(s, t)| (t, s)).collect();
+            by_dst.sort_unstable();
+            extend_rows(&rel, cv, &by_dst, &mut cells);
         }
         (None, None) => {
             // Disconnected: cross product (the planner avoids this shape
             // when the join graph is connected).
-            let mut vars = rel.vars;
-            let mut rows = Vec::new();
-            if self_loop {
-                vars.push(u);
-                for row in &rel.rows {
-                    for &(s, _) in pairs {
-                        let mut r2 = row.clone();
-                        r2.push(s);
-                        rows.push(r2);
-                    }
-                }
-            } else {
-                vars.push(u);
+            vars.push(u);
+            if !self_loop {
                 vars.push(v);
-                for row in &rel.rows {
-                    for &(s, t) in pairs {
-                        let mut r2 = row.clone();
-                        r2.push(s);
-                        r2.push(t);
-                        rows.push(r2);
+            }
+            for row in rel.rows() {
+                for &(s, t) in pairs {
+                    cells.extend_from_slice(row);
+                    cells.push(s);
+                    if !self_loop {
+                        cells.push(t);
                     }
                 }
             }
-            Relation { vars, rows }
+        }
+    }
+    let len = cells.len() / vars.len();
+    Relation { vars, cells, len }
+}
+
+/// Append to `cells` every row of `rel` extended by each `b` with
+/// `(row[col], b)` in `by_key` (sorted): one range lookup per row.
+fn extend_rows(rel: &Relation, col: usize, by_key: &[(Oid, Oid)], cells: &mut Vec<Oid>) {
+    for row in rel.rows() {
+        let key = row[col];
+        let from = by_key.partition_point(|&(k, _)| k < key);
+        for &(_, b) in by_key[from..].iter().take_while(|&&(k, _)| k == key) {
+            cells.extend_from_slice(row);
+            cells.push(b);
         }
     }
 }
 
 /// The deliberately-unoptimized reference evaluation: every atom computed
 /// independently with both variables free (no semijoin propagation, no
-/// cost-based order — textual order), then joined. Used as the correctness
-/// oracle by tests and as the no-propagation baseline by the `t17_crpq`
-/// bench gate; returns the binding set plus the total edges scanned.
+/// cost-based order — textual order), then joined by the `oracle` module's own
+/// relation, which shares no code with [`execute_join`]'s. Used as the
+/// correctness oracle by tests and as the no-propagation baseline by the
+/// `t17_crpq` bench gate; returns the binding set plus the total edges
+/// scanned.
 pub fn execute_naive<G: GraphView>(
     crpq: &Crpq,
     graph: &G,
@@ -779,7 +806,7 @@ pub fn execute_naive<G: GraphView>(
 ) -> (Vec<(Oid, Oid)>, usize) {
     let mut scratch = EvalScratch::new();
     let mut edges = 0usize;
-    let mut rel: Option<Relation> = None;
+    let mut rel: Option<oracle::Relation> = None;
     for atom in &crpq.atoms {
         let seeds = seed_candidates(atom.query.nfa(), graph, &mut scratch);
         let opts = SearchOpts::default();
@@ -790,7 +817,7 @@ pub fn execute_naive<G: GraphView>(
         } else {
             res.pairs
         };
-        rel = Some(join_step(rel, &pairs, atom.src, atom.dst));
+        rel = Some(oracle::join_step(rel, &pairs, atom.src, atom.dst));
     }
     let mut pairs: Vec<(Oid, Oid)> = match rel {
         Some(r) => {
@@ -809,6 +836,149 @@ pub fn execute_naive<G: GraphView>(
     pairs.sort_unstable();
     pairs.dedup();
     (pairs, edges)
+}
+
+/// The oracle's join: a `Vec` per row and a hash map per step — the
+/// executor's own join until PR 25, kept as it was so that
+/// [`execute_naive`] checks [`execute_join`] with code it does not share.
+mod oracle {
+    use std::collections::HashMap;
+
+    use rpq_graph::Oid;
+
+    use super::Var;
+
+    /// An intermediate join relation: named columns over [`Oid`] rows.
+    pub(super) struct Relation {
+        pub(super) vars: Vec<Var>,
+        pub(super) rows: Vec<Vec<Oid>>,
+    }
+
+    impl Relation {
+        pub(super) fn col(&self, v: Var) -> Option<usize> {
+            self.vars.iter().position(|&x| x == v)
+        }
+    }
+
+    /// One hash-join step: extend `rel` by the atom relation `pairs` over
+    /// columns `u` (pair sources) and `v` (pair targets). Handles every
+    /// overlap shape: both columns new (cross product against the neutral
+    /// relation or a genuine disconnected join), one shared column (indexed
+    /// extension), both shared (filter).
+    pub(super) fn join_step(
+        rel: Option<Relation>,
+        pairs: &[(Oid, Oid)],
+        u: Var,
+        v: Var,
+    ) -> Relation {
+        let self_loop = u == v;
+        let rel = match rel {
+            None => {
+                // First atom: the relation IS the atom's bindings.
+                let (vars, rows) = if self_loop {
+                    (
+                        vec![u],
+                        pairs.iter().map(|&(s, _)| vec![s]).collect::<Vec<_>>(),
+                    )
+                } else {
+                    (
+                        vec![u, v],
+                        pairs.iter().map(|&(s, t)| vec![s, t]).collect::<Vec<_>>(),
+                    )
+                };
+                let mut r = Relation { vars, rows };
+                r.rows.sort_unstable();
+                r.rows.dedup();
+                return r;
+            }
+            Some(r) => r,
+        };
+        let cu = rel.col(u);
+        let cv = if self_loop { cu } else { rel.col(v) };
+        match (cu, cv) {
+            (Some(cu), Some(cv)) => {
+                // Both bound: the atom is a filter over existing columns.
+                let mut set: Vec<(Oid, Oid)> = pairs.to_vec();
+                set.sort_unstable();
+                let rows = rel
+                    .rows
+                    .into_iter()
+                    .filter(|row| set.binary_search(&(row[cu], row[cv])).is_ok())
+                    .collect();
+                Relation {
+                    vars: rel.vars,
+                    rows,
+                }
+            }
+            (Some(cu), None) => {
+                // Extend each row by the targets its `u` value reaches.
+                let mut by_src: HashMap<Oid, Vec<Oid>> = HashMap::new();
+                for &(s, t) in pairs {
+                    by_src.entry(s).or_default().push(t);
+                }
+                let mut vars = rel.vars;
+                vars.push(v);
+                let mut rows = Vec::new();
+                for row in rel.rows {
+                    if let Some(ts) = by_src.get(&row[cu]) {
+                        for &t in ts {
+                            let mut r2 = row.clone();
+                            r2.push(t);
+                            rows.push(r2);
+                        }
+                    }
+                }
+                Relation { vars, rows }
+            }
+            (None, Some(cv)) => {
+                let mut by_dst: HashMap<Oid, Vec<Oid>> = HashMap::new();
+                for &(s, t) in pairs {
+                    by_dst.entry(t).or_default().push(s);
+                }
+                let mut vars = rel.vars;
+                vars.push(u);
+                let mut rows = Vec::new();
+                for row in rel.rows {
+                    if let Some(ss) = by_dst.get(&row[cv]) {
+                        for &s in ss {
+                            let mut r2 = row.clone();
+                            r2.push(s);
+                            rows.push(r2);
+                        }
+                    }
+                }
+                Relation { vars, rows }
+            }
+            (None, None) => {
+                // Disconnected: cross product (the planner avoids this shape
+                // when the join graph is connected).
+                let mut vars = rel.vars;
+                let mut rows = Vec::new();
+                if self_loop {
+                    vars.push(u);
+                    for row in &rel.rows {
+                        for &(s, _) in pairs {
+                            let mut r2 = row.clone();
+                            r2.push(s);
+                            rows.push(r2);
+                        }
+                    }
+                } else {
+                    vars.push(u);
+                    vars.push(v);
+                    for row in &rel.rows {
+                        for &(s, t) in pairs {
+                            let mut r2 = row.clone();
+                            r2.push(s);
+                            r2.push(t);
+                            rows.push(r2);
+                        }
+                    }
+                }
+                Relation { vars, rows }
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -999,6 +1169,137 @@ mod tests {
             if res.termination.is_complete() {
                 assert_eq!(res.pairs, full, "complete run must be exact");
             }
+        }
+    }
+
+    /// A row set in a canonical form: sorted, each row once.
+    fn row_set(rows: impl Iterator<Item = Vec<Oid>>) -> Vec<Vec<Oid>> {
+        let mut rows: Vec<Vec<Oid>> = rows.collect();
+        rows.sort_unstable();
+        rows.dedup();
+        rows
+    }
+
+    /// Chains of 1–4 flat join steps over random relations bind exactly
+    /// what the oracle's `Vec`-per-row join binds, step after step: first
+    /// atoms, self-loop atoms, closing atoms with both ends bound, atoms
+    /// sharing one end, disconnected atoms (cross products), atoms that
+    /// empty the relation, and duplicate pairs — each shape checked on
+    /// hundreds of chains — and a projection of the result keeps the same
+    /// bindings on both sides.
+    #[test]
+    fn flat_join_steps_bind_like_the_oracle() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        const SHAPES: [&str; 7] = [
+            "first",
+            "self-loop",
+            "closing",
+            "one end",
+            "cross",
+            "emptied",
+            "dup pairs",
+        ];
+        let mut seen = [0usize; 7];
+        for seed in 0..3000u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (mut flat, mut naive): (Option<Relation>, Option<oracle::Relation>) = (None, None);
+            for _ in 0..rng.random_range(1..=4usize) {
+                let u = Var(rng.random_range(0..5));
+                let v = if rng.random_range(0..4) == 0 {
+                    u
+                } else {
+                    Var(rng.random_range(0..5))
+                };
+                let n = rng.random_range(0..10);
+                let mut oid = || Oid(rng.random_range(0..4));
+                let pairs: Vec<(Oid, Oid)> = (0..n).map(|_| (oid(), oid())).collect();
+                let shape = match flat.as_ref() {
+                    None => 0,
+                    Some(_) if u == v => 1,
+                    Some(r) => match (r.col(u).is_some(), r.col(v).is_some()) {
+                        (true, true) => 2,
+                        (false, false) => 4,
+                        _ => 3,
+                    },
+                };
+                seen[shape] += 1;
+                let mut distinct = pairs.clone();
+                distinct.sort_unstable();
+                distinct.dedup();
+                seen[6] += usize::from(distinct.len() < pairs.len());
+                let before = flat.as_ref().map_or(0, |r| r.len);
+
+                let f = join_step(flat.take(), &pairs, u, v);
+                let o = oracle::join_step(naive.take(), &pairs, u, v);
+                seen[5] += usize::from(before > 0 && f.len == 0);
+                assert_eq!(f.vars, o.vars, "seed {seed}");
+                assert_eq!(
+                    row_set(f.rows().map(<[Oid]>::to_vec)),
+                    row_set(o.rows.iter().cloned()),
+                    "seed {seed}: {:?} -[{pairs:?}]-> {:?}",
+                    u,
+                    v
+                );
+                (flat, naive) = (Some(f), Some(o));
+            }
+            let (mut f, o) = (flat.expect("one step"), naive.expect("one step"));
+            let keep: Vec<Var> = f
+                .vars
+                .iter()
+                .copied()
+                .filter(|_| rng.random_bool(0.5))
+                .collect();
+            let cols: Vec<usize> = (0..o.vars.len())
+                .filter(|&i| keep.contains(&o.vars[i]))
+                .collect();
+            f.project(&keep);
+            let projected = o
+                .rows
+                .iter()
+                .map(|row| cols.iter().map(|&c| row[c]).collect());
+            assert_eq!(
+                row_set(f.rows().map(<[Oid]>::to_vec)),
+                row_set(projected),
+                "seed {seed}: projected onto {keep:?}"
+            );
+        }
+        for (shape, n) in SHAPES.iter().zip(seen) {
+            assert!(n >= 200, "only {n} {shape} steps");
+        }
+    }
+
+    /// A head binding that names an oid twice searches it once: the request
+    /// scans exactly the edges of the deduplicated request and binds the
+    /// same pairs, whichever end the repeats are on.
+    #[test]
+    fn duplicated_head_bindings_scan_like_the_deduplicated_request() {
+        let (mut ab, csr, names) = chain_graph();
+        let (s, m1, t1, t2) = (names["s"], names["m1"], names["t1"], names["t2"]);
+        let q = parse_crpq(&mut ab, "ans(x, z) :- x -[a]-> y, y -[b]-> z").unwrap();
+        let run = |sources: Option<&[Oid]>, targets: Option<&[Oid]>| {
+            let heads = HeadBindings { sources, targets };
+            let (src, dst) = (sources.is_some(), targets.is_some());
+            let plan = plan_join(&q, csr.stats(), &PlannerConfig::default(), src, dst);
+            let mut scratch = EvalScratch::new();
+            let control = &EvalControl::UNLIMITED;
+            let mode = FrontierMode::Hybrid;
+            execute_join(&q, &plan.order, &csr, heads, mode, control, &mut scratch)
+        };
+        for (dup, once) in [
+            ((Some(&[s, m1, s, s][..]), None), (Some(&[s, m1][..]), None)),
+            ((None, Some(&[t2, t1, t2][..])), (None, Some(&[t2, t1][..]))),
+            (
+                (Some(&[s, s][..]), Some(&[t1, t1, t2][..])),
+                (Some(&[s][..]), Some(&[t1, t2][..])),
+            ),
+        ] {
+            let (dup, once) = (run(dup.0, dup.1), run(once.0, once.1));
+            assert!(!once.pairs.is_empty());
+            assert_eq!(dup.pairs, once.pairs);
+            assert_eq!(dup.stats.edges_scanned, once.stats.edges_scanned);
+            assert_eq!(dup.stats.atoms, once.stats.atoms);
         }
     }
 }

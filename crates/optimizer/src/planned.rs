@@ -72,31 +72,26 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use rpq_automata::{Alphabet, Nfa, Regex, StateId, Symbol};
+use rpq_automata::{Alphabet, Nfa, Regex, Symbol};
 use rpq_constraints::general::Budget;
 use rpq_constraints::ConstraintSet;
 use rpq_core::{
     live_oids, run_request, Engine, EvalRequest, EvalResponse, EvalResult, EvalStats, Query,
-    ScratchPool, SearchOpts, SourceSpec, WorkerLease, WorkerPool, PAR_LEVEL_THRESHOLD,
-    PULL_SWEEP_DISCOUNT,
+    ScratchPool, SearchOpts, SourceSpec, WorkerPool, PULL_SWEEP_DISCOUNT,
 };
 use rpq_graph::{CsrGraph, GraphView, LabelStats, Oid};
 
 use crate::analysis::AnalysisFacts;
-use crate::join::{execute_join_parallel, plan_join, Crpq, HeadBindings, JoinPlan};
+use crate::join::{execute_join, plan_join, Crpq, HeadBindings, JoinPlan};
 use crate::planner::optimize_and_analyze;
 
 pub use rpq_core::Direction;
 
-/// The planner's one setting.
+/// The planner's configuration: no setting is left that changes a plan.
 #[derive(Copy, Clone, Debug, PartialEq)]
 pub struct PlannerConfig {
-    /// Intra-query degree-of-parallelism ceiling (≥ 1): the engine's
-    /// [`WorkerPool`] holds `parallelism − 1` extra-worker permits shared
-    /// by every concurrent query, and [`PlannedEngine::decide_dop`] asks
-    /// for up to this many threads when a query's estimated frontier work
-    /// clears [`PAR_LEVEL_THRESHOLD`]. The default 1 keeps every query on
-    /// the caller's thread.
+    /// Inert since PR 25; deleted with ROADMAP 1(b). Every query runs on
+    /// the thread that asks it, whatever this says.
     pub parallelism: usize,
 }
 
@@ -226,7 +221,6 @@ pub struct PlannedEngine<E> {
     misses: AtomicUsize,
     drift_checks: AtomicUsize,
     scratch: ScratchPool,
-    workers: WorkerPool,
 }
 
 impl<E> PlannedEngine<E> {
@@ -245,7 +239,6 @@ impl<E> PlannedEngine<E> {
             misses: AtomicUsize::new(0),
             drift_checks: AtomicUsize::new(0),
             scratch: ScratchPool::new(),
-            workers: WorkerPool::new(1),
         }
     }
 
@@ -255,19 +248,9 @@ impl<E> PlannedEngine<E> {
         PlannedEngine::new(inner, ConstraintSet::default(), alphabet)
     }
 
-    /// Replace the parallelism ceiling.
+    /// Replace the configuration.
     pub fn with_config(mut self, config: PlannerConfig) -> PlannedEngine<E> {
-        assert!(config.parallelism >= 1, "parallelism must be ≥ 1");
         self.config = config;
-        self.workers = WorkerPool::new(config.parallelism);
-        if config.parallelism > 1 {
-            // Parallel levels check out one arena per extra worker on top
-            // of the per-query arena; an undersized pool would thrash.
-            let wanted = config.parallelism * 2;
-            if self.scratch.capacity() < wanted {
-                self.scratch = ScratchPool::with_capacity(wanted);
-            }
-        }
         self
     }
 
@@ -278,39 +261,10 @@ impl<E> PlannedEngine<E> {
         PULL_SWEEP_DISCOUNT
     }
 
-    /// The shared intra-query worker-permit pool (sized by
-    /// [`PlannerConfig::parallelism`]).
+    /// Inert since PR 25; deleted with ROADMAP 1(b). A pool whose leases
+    /// grant nothing; no query of this engine takes one.
     pub fn worker_pool(&self) -> &WorkerPool {
-        &self.workers
-    }
-
-    /// The degree of parallelism worth *asking* for on this planned query:
-    /// the configured ceiling when the estimated total frontier work — the
-    /// label-statistics edge mass reachable through the planned automaton's
-    /// transitions — clears [`PAR_LEVEL_THRESHOLD`], and 1 (sequential, the
-    /// zero-regression path) for everything smaller, for statically empty
-    /// plans, and for finite languages too short to build a big frontier.
-    /// The [`WorkerPool`] lease may still grant less under load.
-    pub fn decide_dop<G: GraphView>(&self, plan: &Plan, graph: &G) -> usize {
-        if self.workers.parallelism() <= 1 || plan.facts.statically_empty {
-            return 1;
-        }
-        if plan.facts.max_word_len.is_some_and(|cap| cap <= 2) {
-            return 1;
-        }
-        let stats = graph.stats();
-        let nfa = plan.query.nfa();
-        let mut est = 0usize;
-        for q in 0..nfa.num_states() {
-            for &(sym, _) in nfa.transitions(q as StateId) {
-                est = est.saturating_add(stats.edge_count(sym));
-            }
-        }
-        if est >= PAR_LEVEL_THRESHOLD {
-            self.workers.parallelism()
-        } else {
-            1
-        }
+        &WorkerPool
     }
 
     /// The active configuration.
@@ -324,7 +278,8 @@ impl<E> PlannedEngine<E> {
     }
 
     /// The evaluation scratch pool this engine's product-BFS entry points
-    /// draw working memory from: after warm-up, repeated queries of
+    /// draw working memory from, one arena per request: after warm-up,
+    /// repeated queries of
     /// covered `|Q|·|V|` shape allocate nothing (`ScratchPool::reuses`
     /// counts the warm checkouts; every evaluation also reports
     /// `stats.scratch_reused` when its buffers were capacity-covered).
@@ -525,11 +480,9 @@ impl<E> PlannedEngine<E> {
     /// The unified [`EvalRequest`] entry point over **any** [`GraphView`] —
     /// the form the serving layer drives: one plan probe per request
     /// (rewrite + direction + analysis, memoized per epoch lineage), the
-    /// statically-empty short-circuit, one worker-pool lease (the permits
-    /// granted cap every parallel level this request runs, and return to
-    /// the pool when the response is built), then
-    /// [`run_request`] — whose decision table says which kernel serves
-    /// each [`SourceSpec`] — and the plan stamp.
+    /// statically-empty short-circuit, then [`run_request`] on the calling
+    /// thread — whose decision table says which kernel serves each
+    /// [`SourceSpec`] — and the plan stamp.
     ///
     /// Finite-language plans cap the product BFS depth at the longest
     /// accepted word — the cap *composes* with a fetch budget (whichever
@@ -546,14 +499,10 @@ impl<E> PlannedEngine<E> {
         req: &EvalRequest,
     ) -> EvalResponse {
         let (plan, hit) = self.plan_status(query.regex(), query.alphabet(), graph);
-        let lease = (!plan.facts.statically_empty)
-            .then(|| self.workers.lease(self.decide_dop(&plan, graph)));
         let opts = SearchOpts {
             mode: req.frontier_mode,
             control: req.control(),
-            dop: lease.as_ref().map_or(1, WorkerLease::dop),
-            pool: Some(&self.scratch),
-            ..sequential(&plan)
+            ..capped(&plan)
         };
         let direction = req.direction.unwrap_or(plan.direction);
         self.execute(&plan, hit, graph, &req.spec, direction, &opts)
@@ -637,27 +586,14 @@ impl<E> PlannedEngine<E> {
             heads.sources.is_some(),
             heads.targets.is_some(),
         );
-        // CRPQ DoP: atoms scan whole label classes, so the graph's total
-        // edge mass is the frontier-size proxy; small graphs stay on the
-        // sequential executor.
-        let target_dop =
-            if self.workers.parallelism() > 1 && graph.num_edges() >= PAR_LEVEL_THRESHOLD {
-                self.workers.parallelism()
-            } else {
-                1
-            };
-        let lease = self.workers.lease(target_dop);
-        let mut scratch = self.scratch.checkout();
-        let res = execute_join_parallel(
+        let res = execute_join(
             crpq,
             &plan.order,
             graph,
             heads,
             req.frontier_mode,
             &req.control(),
-            lease.dop(),
-            &self.scratch,
-            &mut scratch,
+            &mut self.scratch.checkout(),
         );
         let mut resp = EvalResponse::from_pairset(res);
         resp.stats.plan_cache_hits += usize::from(hit);
@@ -666,9 +602,9 @@ impl<E> PlannedEngine<E> {
     }
 }
 
-/// Sequential default-hybrid search options carrying `plan`'s
-/// finite-language depth cap.
-fn sequential(plan: &Plan) -> SearchOpts<'static> {
+/// Default-hybrid search options carrying `plan`'s finite-language depth
+/// cap.
+fn capped(plan: &Plan) -> SearchOpts<'static> {
     SearchOpts {
         depth_cap: plan.facts.max_word_len,
         ..SearchOpts::default()
@@ -728,7 +664,7 @@ impl<E: Engine> Engine for PlannedEngine<E> {
         // inner engine might pick.
         if plan.facts.statically_empty || plan.facts.max_word_len.is_some() {
             let spec = SourceSpec::Source(source);
-            let opts = sequential(&plan);
+            let opts = capped(&plan);
             return self
                 .execute(&plan, hit, graph, &spec, plan.direction, &opts)
                 .into_eval_result();
@@ -1287,8 +1223,7 @@ mod tests {
 
     /// `run_view` is [`run_request`] on the planned automata with the
     /// options its rustdoc promises, plus the plan stamp: same payload,
-    /// same termination, same counters (all but `steal_count`, which
-    /// depends on how the workers of a parallel level were scheduled).
+    /// same termination, same counters — and no level fanned out.
     fn assert_run_view_is_run_request<G: GraphView>(
         planned: &PlannedEngine<ProductEngine>,
         query: &Query,
@@ -1302,13 +1237,10 @@ mod tests {
             planned.run_view(query, graph, &req);
             let got = planned.run_view(query, graph, &req);
             let mut want = {
-                let lease = planned.workers.lease(planned.decide_dop(&plan, graph));
                 let opts = SearchOpts {
                     mode: req.frontier_mode,
                     control: req.control(),
                     depth_cap: plan.facts.max_word_len,
-                    dop: lease.dop(),
-                    pool: Some(&planned.scratch),
                     ..SearchOpts::default()
                 };
                 run_request(
@@ -1321,7 +1253,7 @@ mod tests {
                     &mut planned.scratch.checkout(),
                 )
             };
-            let ctx = format!("{:?} dop {}", req, planned.config.parallelism);
+            let ctx = format!("{:?} parallelism {}", req, planned.config.parallelism);
             assert_eq!(got.termination, want.termination, "{ctx}");
             assert_eq!(got.answers, want.answers, "{ctx}");
             // exactly one plan probe per request, stamped once
@@ -1330,18 +1262,18 @@ mod tests {
                 (1, 0)
             );
             planned.stamp(&mut want.stats, &plan, true);
-            let (mut got, mut want) = (got.stats, want.stats);
-            (got.steal_count, want.steal_count) = (0, 0);
-            assert_eq!(got, want, "{ctx}");
+            assert_eq!(got.stats, want.stats, "{ctx}");
+            let st = &got.stats;
+            assert_eq!((st.parallel_levels, st.threads_used), (0, 0), "{ctx}");
         }
     }
 
     #[test]
-    fn run_view_is_run_request_under_the_plan_on_every_shape_view_and_dop() {
+    fn run_view_is_run_request_under_the_plan_on_every_shape_and_view() {
         // The cached workload: a certified rewrite to a finite language, so
         // the depth cap is in play. The web graph: a closure whose edge
-        // mass clears `PAR_LEVEL_THRESHOLD`, so at parallelism 2 workers
-        // are leased.
+        // mass once leased workers at parallelism 2 — which is inert now:
+        // every configuration runs the same searches on the caller's thread.
         let (mut ab, set, inst, v0) = cached_workload(4);
         let cached = Query::parse(&mut ab, "(a.b)*").unwrap();
         let web = rpq_bench::eval_workload(13, 5_000);
@@ -1373,10 +1305,6 @@ mod tests {
             let mut dg = DeltaGraph::from_instance(&web.instance);
             let l0 = web.alphabet.get("l0").unwrap();
             assert!(dg.add_edge(Oid(0), l0, Oid(4_999)));
-            assert_eq!(
-                planned.decide_dop(&planned.plan(&broad, &graph), &graph),
-                parallelism
-            );
             assert_run_view_is_run_request(&planned, &broad, &graph, &web_seeds);
             assert_run_view_is_run_request(&planned, &broad, &dg, &web_seeds);
         }

@@ -166,8 +166,7 @@ pub(crate) struct Executor {
 
 impl Executor {
     /// An executor for a server of the given `parallelism`: the joining
-    /// caller counts as one worker (the convention of
-    /// [`rpq_core::WorkerPool`]), so `parallelism - 1` threads are
+    /// caller counts as one worker, so `parallelism - 1` threads are
     /// started, and at least one — a submission nobody joins must still
     /// run.
     pub(crate) fn new(parallelism: usize) -> Executor {

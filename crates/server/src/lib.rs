@@ -34,17 +34,13 @@
 //!   → plan → eval).
 //! * [`Metrics`] — per-[`QueryClass`] latency percentiles (p50/p99 over a
 //!   sliding window), `edges_scanned`, termination and rejection counts,
-//!   parallel-evaluation telemetry (`threads_peak`, `steal_count`,
-//!   `parallel_levels`, scratch-pool alloc/reuse counters), and the
-//!   push/pull level counts of the hybrid BFS.
+//!   scratch-pool alloc/reuse counters, and the push/pull level counts of
+//!   the hybrid BFS.
 //!
-//! Threads: [`ServerConfig::parallelism`] sizes two things. Across
-//! queries, the executor starts `max(1, parallelism - 1)` threads — the
-//! thread that joins a handle is the other worker. Inside one query, the
-//! shared engine owns an [`rpq_core::WorkerPool`] of `parallelism - 1`
-//! permits; a query leases extra workers only when the planner's frontier
-//! estimate clears `rpq_core::PAR_LEVEL_THRESHOLD`, so small queries keep
-//! the sequential hot path.
+//! Threads: [`ServerConfig::parallelism`] sizes the executor, which starts
+//! `max(1, parallelism - 1)` threads — the thread that joins a handle is
+//! the other worker. Concurrency is across queries: each query runs every
+//! BFS level on the one thread that runs it.
 //!
 //! ## Example
 //!
@@ -463,24 +459,26 @@ mod tests {
     }
 
     #[test]
-    fn metrics_expose_parallel_and_scratch_telemetry() {
+    fn metrics_expose_scratch_telemetry_and_no_query_fans_out() {
         let (ab, catalog, nodes) = workload();
         let server = Server::new(catalog, ab).with_config(ServerConfig {
             parallelism: 4,
             ..ServerConfig::default()
         });
-        assert_eq!(server.engine().worker_pool().parallelism(), 4);
         let session = server.session();
         let q = server.parse("a.a*").unwrap();
         let resp = session.run(&q, &EvalRequest::source(nodes[0]));
         assert!(resp.termination.is_complete());
         let snap = server.metrics().class(QueryClass::Single);
         assert_eq!(snap.queries, 1);
-        // this graph is far below PAR_LEVEL_THRESHOLD: the DoP decision
-        // must keep it sequential (no extra threads, no parallel levels)
-        assert!(snap.threads_peak <= 1, "{}", snap.threads_peak);
-        assert_eq!(snap.parallel_levels, 0);
-        assert_eq!(snap.steal_count, 0);
+        // however many threads the server may keep busy, a query takes no
+        // lease and runs every level on its own thread
+        assert_eq!(server.engine().worker_pool().lease(4).dop(), 1);
+        let st = &resp.stats;
+        assert_eq!(
+            (st.parallel_levels, st.threads_used, st.steal_count),
+            (0, 0, 0)
+        );
         // the record path refreshed the scratch-pool counters
         assert_eq!(server.metrics().recorded(), 1);
         assert!(server.metrics().scratch_allocs() + server.metrics().scratch_reuses() >= 1);

@@ -108,9 +108,6 @@ struct ClassAgg {
     cancelled: usize,
     atoms_evaluated: usize,
     atom_edges_scanned: usize,
-    threads_peak: usize,
-    steal_count: usize,
-    parallel_levels: usize,
     latencies_ns: VecDeque<u64>,
 }
 
@@ -140,14 +137,6 @@ pub struct ClassSnapshot {
     /// Edges scanned attributable to individual conjunctive atoms (the sum
     /// of per-atom `edges_scanned`; join-order telemetry).
     pub atom_edges_scanned: usize,
-    /// Most OS threads any single query of this class engaged (1 =
-    /// everything ran sequentially; 0 = no query reported the counter).
-    pub threads_peak: usize,
-    /// Total chunk/slab claims beyond workers' static fair shares — the
-    /// intra-query work-stealing telemetry, summed across queries.
-    pub steal_count: usize,
-    /// Total BFS levels expanded with more than one worker thread.
-    pub parallel_levels: usize,
     /// Median latency over the sliding window, nanoseconds (0 when empty).
     pub p50_latency_ns: u64,
     /// 99th-percentile latency over the sliding window, nanoseconds.
@@ -198,9 +187,6 @@ impl Metrics {
         agg.answers += stats.answers;
         agg.push_levels += stats.push_levels;
         agg.pull_levels += stats.pull_levels;
-        agg.threads_peak = agg.threads_peak.max(stats.threads_used);
-        agg.steal_count += stats.steal_count;
-        agg.parallel_levels += stats.parallel_levels;
         agg.atoms_evaluated += stats.atoms.len();
         agg.atom_edges_scanned += stats.atoms.iter().map(|a| a.edges_scanned).sum::<usize>();
         match termination {
@@ -242,9 +228,6 @@ impl Metrics {
             cancelled: agg.cancelled,
             atoms_evaluated: agg.atoms_evaluated,
             atom_edges_scanned: agg.atom_edges_scanned,
-            threads_peak: agg.threads_peak,
-            steal_count: agg.steal_count,
-            parallel_levels: agg.parallel_levels,
             p50_latency_ns: percentile(&window, 0.50),
             p99_latency_ns: percentile(&window, 0.99),
         }

@@ -49,7 +49,7 @@ use rpq_automata::{parse_regex, Alphabet, ParseError};
 use rpq_constraints::ConstraintSet;
 use rpq_core::{EvalRequest, EvalResponse, ProductEngine, Query, SourceSpec};
 use rpq_graph::{DeltaGraph, Epoch};
-use rpq_optimizer::{parse_crpq, Crpq, PlannedEngine, PlannerConfig};
+use rpq_optimizer::{parse_crpq, Crpq, PlannedEngine};
 
 use crate::catalog::Catalog;
 use crate::executor::{Executor, Task};
@@ -64,14 +64,10 @@ pub struct ServerConfig {
     /// Fetch budget stamped onto requests that do not carry their own
     /// (`None` = unlimited by default).
     pub default_budget: Option<usize>,
-    /// How many threads the server may keep busy. It bounds two things
-    /// separately. *Across queries:* the executor starts
+    /// How many threads the server may keep busy: the executor starts
     /// `max(1, parallelism - 1)` threads for submitted queries, the thread
-    /// that joins a handle being the other worker. *Inside one query:* the
-    /// engine's shared [`rpq_core::WorkerPool`] holds `parallelism - 1`
-    /// extra-worker permits, leased per query by estimated frontier size;
-    /// `1` keeps every query on the fully sequential hot path. Defaults to
-    /// the machine's available parallelism.
+    /// that joins a handle being the other worker. A query itself runs on
+    /// one thread. Defaults to the machine's available parallelism.
     pub parallelism: usize,
 }
 
@@ -133,7 +129,6 @@ impl Drop for AdmissionSlot {
 pub struct Server {
     catalog: Arc<Catalog>,
     engine: Arc<PlannedEngine<ProductEngine>>,
-    set: ConstraintSet,
     alphabet: Mutex<Interned>,
     metrics: Arc<Metrics>,
     active: Arc<AtomicUsize>,
@@ -179,15 +174,10 @@ impl Server {
         alphabet: Alphabet,
     ) -> Server {
         let config = ServerConfig::default();
-        let engine = PlannedEngine::new(ProductEngine, set.clone(), alphabet.clone()).with_config(
-            PlannerConfig {
-                parallelism: config.parallelism.max(1),
-            },
-        );
+        let engine = PlannedEngine::new(ProductEngine, set, alphabet.clone());
         Server {
             catalog,
             engine: Arc::new(engine),
-            set,
             alphabet: Mutex::new(Interned {
                 snapshot: Arc::new(alphabet.clone()),
                 live: alphabet,
@@ -199,20 +189,10 @@ impl Server {
         }
     }
 
-    /// Replace the serving knobs. Rebuilds the shared planner and the
-    /// executor so their worker pool, scratch pool and threads match
-    /// `config.parallelism` (call this before serving traffic — the old
-    /// engine's plan memo is discarded).
+    /// Replace the serving knobs. Rebuilds the executor so its threads
+    /// match `config.parallelism` (call this before serving traffic).
     pub fn with_config(mut self, config: ServerConfig) -> Server {
         if config.parallelism != self.config.parallelism {
-            let alphabet = self.alphabet.lock().live.clone();
-            self.engine = Arc::new(
-                PlannedEngine::new(ProductEngine, self.set.clone(), alphabet).with_config(
-                    PlannerConfig {
-                        parallelism: config.parallelism.max(1),
-                    },
-                ),
-            );
             self.executor = Executor::new(config.parallelism);
         }
         self.config = config;

@@ -30,9 +30,7 @@ use rpq::datalog::{DatalogMagicEngine, DatalogNaiveEngine, DatalogSeminaiveEngin
 use rpq::distributed::{PartitionedBatchEngine, SimulatorEngine};
 use rpq::graph::generators::random_graph;
 use rpq::graph::{CsrGraph, DeltaGraph, GraphView, Instance, Oid};
-use rpq::optimizer::{
-    execute_join_parallel, parse_crpq, plan_join, HeadBindings, PlannedEngine, PlannerConfig,
-};
+use rpq::optimizer::{execute_join, parse_crpq, plan_join, HeadBindings, PlannedEngine};
 use rpq::server::{Catalog, Server, ServerConfig};
 
 const MODES: [FrontierMode; 4] = [
@@ -368,113 +366,104 @@ const NEVER_BINDS: usize = usize::MAX >> 2;
 
 /// An unraised cancellation flag changes nothing, and neither does a
 /// budget that never binds: on graphs where seeds share suffixes, every
-/// request shape × frontier mode × granted parallelism returns the same
-/// answers, `Complete`, and the same work counters with and without the
-/// control — through `PlannedEngine::run_view`, `ProductEngine::run`,
-/// `execute_join_parallel`, and `Session::run` against
-/// `Session::submit(..).join()` (which attaches a flag to everything).
+/// request shape × frontier mode returns the same answers, `Complete`, and
+/// the same work counters with and without the control — through
+/// `PlannedEngine::run_view`, `ProductEngine::run`, `execute_join`, and
+/// `Session::run` against `Session::submit(..).join()` (which attaches a
+/// flag to everything).
 #[test]
 fn an_unraised_control_changes_nothing() {
     for seed in [3u64, 17] {
         let (ab, inst, entries) = funnel_setup(seed);
         let csr = CsrGraph::from(&inst);
         let shapes = all_shapes(csr.num_nodes(), &entries);
-        for dop in [1usize, 2] {
-            let config = PlannerConfig { parallelism: dop };
-            let planned =
-                PlannedEngine::unconstrained(ProductEngine, ab.clone()).with_config(config);
-            let server = Server::new(Arc::new(Catalog::from_instance(&inst)), ab.clone())
-                .with_config(ServerConfig {
-                    max_concurrent: 4,
-                    default_budget: None,
-                    parallelism: dop,
-                });
-            let session = server.session();
-            for qs in ["a*", "(a+b)*.c", "a.(a+b).(b+c)", "(a.b+c)*", "(a+b+c)*"] {
-                let query = Query::parse(&mut ab.clone(), qs).unwrap();
-                for (spec, mode) in shapes.iter().flat_map(|s| MODES.map(|m| (s, m))) {
-                    let free = EvalRequest::new(spec.clone()).with_frontier_mode(mode);
-                    let flagged = free.clone().with_cancel(Arc::new(AtomicBool::new(false)));
-                    let budgeted = free.clone().with_budget(NEVER_BINDS);
-                    let what = format!("seed {seed} dop {dop} [{qs}] {spec:?} {mode:?}");
-                    let runners: [(&str, Runner<'_>); 3] = [
-                        ("planned", &|r| planned.run_view(&query, &csr, r)),
-                        ("product", &|r| ProductEngine.run(&query, &csr, r)),
-                        ("session", &|r| session.run(&query, r)),
-                    ];
-                    for (name, run) in runners {
-                        let base = response_outcome(&run(&free));
-                        assert_eq!(base.1, Termination::Complete, "{name} {what}");
-                        assert_eq!(response_outcome(&run(&flagged)), base, "{name} flag {what}");
-                        assert_eq!(
-                            response_outcome(&run(&budgeted)),
-                            base,
-                            "{name} budget {what}"
-                        );
-                    }
-                    let submitted = session.submit(&query, free.clone()).unwrap().join();
+        let planned = PlannedEngine::unconstrained(ProductEngine, ab.clone());
+        let server = Server::new(Arc::new(Catalog::from_instance(&inst)), ab.clone()).with_config(
+            ServerConfig {
+                max_concurrent: 4,
+                default_budget: None,
+                parallelism: 2,
+            },
+        );
+        let session = server.session();
+        for qs in ["a*", "(a+b)*.c", "a.(a+b).(b+c)", "(a.b+c)*", "(a+b+c)*"] {
+            let query = Query::parse(&mut ab.clone(), qs).unwrap();
+            for (spec, mode) in shapes.iter().flat_map(|s| MODES.map(|m| (s, m))) {
+                let free = EvalRequest::new(spec.clone()).with_frontier_mode(mode);
+                let flagged = free.clone().with_cancel(Arc::new(AtomicBool::new(false)));
+                let budgeted = free.clone().with_budget(NEVER_BINDS);
+                let what = format!("seed {seed} [{qs}] {spec:?} {mode:?}");
+                let runners: [(&str, Runner<'_>); 3] = [
+                    ("planned", &|r| planned.run_view(&query, &csr, r)),
+                    ("product", &|r| ProductEngine.run(&query, &csr, r)),
+                    ("session", &|r| session.run(&query, r)),
+                ];
+                for (name, run) in runners {
+                    let base = response_outcome(&run(&free));
+                    assert_eq!(base.1, Termination::Complete, "{name} {what}");
+                    assert_eq!(response_outcome(&run(&flagged)), base, "{name} flag {what}");
                     assert_eq!(
-                        response_outcome(&submitted),
-                        response_outcome(&session.run(&query, &free)),
-                        "submit vs run {what}"
-                    );
-                }
-            }
-
-            // The join executor takes its controls and its dop directly.
-            let few: Vec<Oid> = entries.iter().copied().take(5).collect();
-            let heads = [
-                HeadBindings::default(),
-                HeadBindings {
-                    sources: Some(&entries),
-                    targets: None,
-                },
-                HeadBindings {
-                    sources: Some(&few),
-                    targets: Some(&few),
-                },
-            ];
-            for text in [
-                "ans(x, z) :- x -[a+b]-> y, y -[(a+b)*]-> z",
-                "ans(x, w) :- x -[(a+b)*]-> y, y -[c]-> z, z -[a+b]-> w",
-            ] {
-                let crpq = parse_crpq(&mut ab.clone(), text).unwrap();
-                for (head, mode) in heads.iter().flat_map(|h| MODES.map(|m| (h, m))) {
-                    let (src, dst) = (head.sources.is_some(), head.targets.is_some());
-                    let order = plan_join(&crpq, csr.stats(), &config, src, dst).order;
-                    let run = |control: EvalControl<'_>| {
-                        let pool = ScratchPool::new();
-                        let res = execute_join_parallel(
-                            &crpq,
-                            &order,
-                            &csr,
-                            *head,
-                            mode,
-                            &control,
-                            dop,
-                            &pool,
-                            &mut EvalScratch::new(),
-                        );
-                        outcome(format!("{:?}", res.pairs), res.termination, &res.stats)
-                    };
-                    let base = run(EvalControl::UNLIMITED);
-                    assert_eq!(base.1, Termination::Complete);
-                    let flag = AtomicBool::new(false);
-                    let flagged = EvalControl {
-                        budget: None,
-                        cancel: Some(&flag),
-                    };
-                    let budgeted = EvalControl {
-                        budget: Some(NEVER_BINDS),
-                        cancel: None,
-                    };
-                    assert_eq!(run(flagged), base, "join flag [{text}] {mode:?} dop {dop}");
-                    assert_eq!(
-                        run(budgeted),
+                        response_outcome(&run(&budgeted)),
                         base,
-                        "join budget [{text}] {mode:?} dop {dop}"
+                        "{name} budget {what}"
                     );
                 }
+                let submitted = session.submit(&query, free.clone()).unwrap().join();
+                assert_eq!(
+                    response_outcome(&submitted),
+                    response_outcome(&session.run(&query, &free)),
+                    "submit vs run {what}"
+                );
+            }
+        }
+
+        // The join executor takes its controls directly.
+        let few: Vec<Oid> = entries.iter().copied().take(5).collect();
+        let heads = [
+            HeadBindings::default(),
+            HeadBindings {
+                sources: Some(&entries),
+                targets: None,
+            },
+            HeadBindings {
+                sources: Some(&few),
+                targets: Some(&few),
+            },
+        ];
+        for text in [
+            "ans(x, z) :- x -[a+b]-> y, y -[(a+b)*]-> z",
+            "ans(x, w) :- x -[(a+b)*]-> y, y -[c]-> z, z -[a+b]-> w",
+        ] {
+            let crpq = parse_crpq(&mut ab.clone(), text).unwrap();
+            for (head, mode) in heads.iter().flat_map(|h| MODES.map(|m| (h, m))) {
+                let (src, dst) = (head.sources.is_some(), head.targets.is_some());
+                let config = planned.config();
+                let order = plan_join(&crpq, csr.stats(), config, src, dst).order;
+                let run = |control: EvalControl<'_>| {
+                    let res = execute_join(
+                        &crpq,
+                        &order,
+                        &csr,
+                        *head,
+                        mode,
+                        &control,
+                        &mut EvalScratch::new(),
+                    );
+                    outcome(format!("{:?}", res.pairs), res.termination, &res.stats)
+                };
+                let base = run(EvalControl::UNLIMITED);
+                assert_eq!(base.1, Termination::Complete);
+                let flag = AtomicBool::new(false);
+                let flagged = EvalControl {
+                    budget: None,
+                    cancel: Some(&flag),
+                };
+                let budgeted = EvalControl {
+                    budget: Some(NEVER_BINDS),
+                    cancel: None,
+                };
+                assert_eq!(run(flagged), base, "join flag [{text}] {mode:?}");
+                assert_eq!(run(budgeted), base, "join budget [{text}] {mode:?}");
             }
         }
     }

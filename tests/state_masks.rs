@@ -6,19 +6,25 @@
 //! states, so the word boundaries are covered here: automata of 1, 31, 32,
 //! 33, 63, 64, 65 and 130 states — unions of words, every state on an
 //! accepting path, so the width survives `trim` — answer every request
-//! shape like the definitional oracle, in every frontier mode, at every
-//! degree of parallelism, on a CSR snapshot and on a post-delta
-//! `DeltaGraph`; and their Kleene closures (ε-moves from every word's end
-//! back to the start, so closures span mask words) answer like the
-//! scan-and-filter baseline.
+//! shape like the definitional oracle, in every frontier mode, on a CSR
+//! snapshot and on a post-delta `DeltaGraph`; and their Kleene closures
+//! (ε-moves from every word's end back to the start, so closures span mask
+//! words) answer like the scan-and-filter baseline.
+//!
+//! One arena serves search after search, so the table is also checked
+//! across them: any sequence of searches — automaton size, graph size,
+//! frontier mode and direction varying from one to the next — may share
+//! one arena and answer like a fresh one.
 
+use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use rpq::automata::random::{random_regex, RegexGenConfig};
 use rpq::automata::{Alphabet, Nfa, Symbol};
 use rpq::core::{
-    eval_oracle, eval_product_scan, run_request, Answers, Direction, EvalScratch, FrontierMode,
-    ScratchPool, SearchOpts, SourceSpec, Termination,
+    eval_oracle, eval_product_scan, run_request, search_nodes, Answers, Direction, EvalScratch,
+    FrontierMode, Query, SearchOpts, SourceSpec, Termination,
 };
 use rpq::graph::generators::random_graph;
 use rpq::graph::{CsrGraph, DeltaGraph, GraphView, Instance, Oid};
@@ -189,38 +195,32 @@ fn expected(spec: &SourceSpec, all: &[Vec<Oid>]) -> Answers {
     }
 }
 
-/// Every shape × mode × dop over `graph` answers `expected`.
+/// Every shape × mode over `graph` answers `expected`.
 fn check_all_shapes<G: GraphView>(nfa: &Nfa, graph: &G, all: &[Vec<Oid>], what: &str) {
     let reversed = nfa.reverse();
-    let pool = ScratchPool::with_capacity(8);
     // One arena for the whole sweep: widths and shapes interleave on it.
     let mut scratch = EvalScratch::new();
     for spec in shapes(graph.num_nodes()) {
         let want = expected(&spec, all);
         for mode in MODES {
-            for dop in [1usize, 2, 4] {
-                // Only a pair question has an end to start from.
-                let ends: &[Direction] = match spec {
-                    SourceSpec::Pair { .. } => &[Direction::Forward, Direction::Backward],
-                    _ => &[Direction::Forward],
+            // Only a pair question has an end to start from.
+            let ends: &[Direction] = match spec {
+                SourceSpec::Pair { .. } => &[Direction::Forward, Direction::Backward],
+                _ => &[Direction::Forward],
+            };
+            for &direction in ends {
+                let opts = SearchOpts {
+                    mode,
+                    ..SearchOpts::default()
                 };
-                for &direction in ends {
-                    let opts = SearchOpts {
-                        mode,
-                        dop,
-                        pool: Some(&pool),
-                        ..SearchOpts::default()
-                    };
-                    let got =
-                        run_request(nfa, &reversed, graph, &spec, direction, &opts, &mut scratch);
-                    assert_eq!(got.termination, Termination::Complete);
-                    assert_eq!(
-                        got.answers,
-                        want,
-                        "{what}: {} states, {spec:?}, {mode:?}, dop {dop}, pairs {direction:?}",
-                        nfa.num_states()
-                    );
-                }
+                let got = run_request(nfa, &reversed, graph, &spec, direction, &opts, &mut scratch);
+                assert_eq!(got.termination, Termination::Complete);
+                assert_eq!(
+                    got.answers,
+                    want,
+                    "{what}: {} states, {spec:?}, {mode:?}, pairs {direction:?}",
+                    nfa.num_states()
+                );
             }
         }
     }
@@ -261,11 +261,11 @@ fn closures_of_every_width_answer_like_the_scan_baseline() {
     }
 }
 
-/// Wide automata on a graph big enough that levels fan out: workers race
-/// on cells of several mask words, and split a node's new states between
-/// them as they win them. Answers equal the scan baseline's, and every
-/// counter equals the sequential run's — a sum over pairs does not care
-/// who won which.
+/// Wide automata on a graph big enough for wide levels: their states fan
+/// out across two and five mask words, and a level marks cells of every
+/// word. Answers equal the scan baseline's in every mode, a warm arena
+/// reports every counter a fresh one does, and the hybrid never scans more
+/// than forced-sparse.
 #[test]
 fn wide_automata_fan_out_to_the_same_counters() {
     let ab = Alphabet::from_names(["a", "b", "c"]);
@@ -273,20 +273,18 @@ fn wide_automata_fan_out_to_the_same_counters() {
     let mut rng = StdRng::seed_from_u64(33);
     let (inst, _) = random_graph(&mut rng, 2500, 20_000, &syms);
     let csr = CsrGraph::from(&inst);
-    let pool = ScratchPool::with_capacity(8);
+    let mut warm = EvalScratch::new();
     for states in [33usize, 130] {
         let nfa = Nfa::star(&word_union(states, &syms));
         let want = eval_product_scan(&nfa, &inst, Oid(0)).answers;
+        let mut sparse_edges = None;
         for mode in MODES {
-            let run = |dop: usize| {
-                let opts = SearchOpts {
-                    mode,
-                    dop,
-                    pool: Some(&pool),
-                    ..SearchOpts::default()
-                };
-                let spec = SourceSpec::Source(Oid(0));
-                let mut scratch = EvalScratch::new();
+            let opts = SearchOpts {
+                mode,
+                ..SearchOpts::default()
+            };
+            let spec = SourceSpec::Source(Oid(0));
+            let run = |scratch: &mut EvalScratch| {
                 let resp = run_request(
                     &nfa,
                     &nfa.reverse(),
@@ -294,39 +292,129 @@ fn wide_automata_fan_out_to_the_same_counters() {
                     &spec,
                     Direction::Forward,
                     &opts,
-                    &mut scratch,
+                    scratch,
                 );
-                assert_eq!(
-                    resp.answers,
-                    Answers::Nodes(want.clone()),
-                    "{mode:?} dop {dop}"
-                );
+                assert_eq!(resp.answers, Answers::Nodes(want.clone()), "{mode:?}");
                 resp.stats
             };
-            let counters = |s: &rpq::core::EvalStats| {
-                [
-                    s.rows_resolved,
-                    s.edges_scanned,
-                    s.pairs_visited,
-                    s.push_levels,
-                    s.pull_levels,
-                    s.frontier_peak,
-                    s.classes_materialized,
-                ]
-            };
-            let (seq, two, four) = (run(1), run(2), run(4));
-            assert!(
-                two.parallel_levels > 0,
-                "{states} states {mode:?}: never fanned out"
-            );
-            assert_eq!(counters(&two), counters(&four), "{states} states {mode:?}");
-            // A level that may fan out is priced; sequentially it need not be.
-            assert!(seq.rows_resolved <= two.rows_resolved);
+            let fresh = run(&mut EvalScratch::new());
+            let mut reused = run(&mut warm);
+            reused.scratch_reused = fresh.scratch_reused;
+            assert_eq!(reused, fresh, "{states} states {mode:?}");
+            assert_eq!(fresh.parallel_levels, 0);
+            match mode {
+                FrontierMode::ForcedSparse => sparse_edges = Some(fresh.edges_scanned),
+                FrontierMode::Hybrid => {
+                    assert!(
+                        fresh.edges_scanned <= sparse_edges.unwrap(),
+                        "{states} states"
+                    )
+                }
+                _ => {}
+            }
+        }
+    }
+}
+
+/// One arena across searches of different automaton sizes: small-|Q|
+/// (twice, so the marks carry two generations) → larger-|Q| (the arena
+/// regrows) → the first query again. The arena has exactly one mark table,
+/// regrown with the rest, so the last search must see no stale mark:
+/// answers and `edges_scanned` equal a fresh-arena run. (With a second,
+/// separately grown table, as parallel searches once had, the restarted
+/// generation counter collided with old stamps and the last search
+/// returned 0 of 400 answers.)
+#[test]
+fn marks_survive_a_regrow_between_searches() {
+    let mut ab = Alphabet::from_names(["a", "b", "c"]);
+    let syms: Vec<Symbol> = ab.symbols().collect();
+    let n = 400u32;
+    let mut inst = Instance::new();
+    for _ in 0..n {
+        inst.add_node();
+    }
+    for i in 0..n {
+        inst.add_edge(Oid(i), syms[0], Oid((i * 7 + 1) % n));
+        inst.add_edge(Oid(i), syms[1], Oid((i * 13 + 5) % n));
+        if i % 3 == 0 {
+            inst.add_edge(Oid(i), syms[2], Oid((i * 31 + 2) % n));
+        }
+    }
+    let graph = CsrGraph::from(&inst);
+    let small = Query::parse(&mut ab, "(a+b+c)*").unwrap();
+    let large = Query::parse(&mut ab, "(a.b.c.a.b.c+a+b+c)*").unwrap();
+    assert!(large.nfa().num_states() > small.nfa().num_states());
+
+    let opts = SearchOpts::default();
+    let fresh = search_nodes(small.nfa(), &graph, Oid(0), &opts, &mut EvalScratch::new()).0;
+    assert_eq!(fresh.answers.len(), 400);
+
+    let mut arena = EvalScratch::new();
+    for (step, query) in [&small, &small, &large, &small].into_iter().enumerate() {
+        let (res, term) = search_nodes(query.nfa(), &graph, Oid(0), &opts, &mut arena);
+        assert_eq!(term, Termination::Complete);
+        assert_eq!(res.answers, fresh.answers, "answers at step {step}");
+        if std::ptr::eq(query, &small) {
             assert_eq!(
-                counters(&seq)[1..],
-                counters(&two)[1..],
-                "{states} states {mode:?}"
+                res.stats.edges_scanned, fresh.stats.edges_scanned,
+                "edges_scanned at step {step}"
             );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The general form of the regression above: any sequence of searches
+    /// — automaton size, graph size, frontier mode and direction all
+    /// varying from one to the next — may share one arena. Each answer set
+    /// equals a fresh-arena run and contains the definitional oracle's
+    /// (equals it where the oracle's word bound is authoritative).
+    #[test]
+    fn any_search_sequence_may_share_one_arena(seed in 0u64..10_000) {
+        use rand::Rng;
+        let ab = Alphabet::from_names(["a", "b", "c"]);
+        let syms: Vec<Symbol> = ab.symbols().collect();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut arena = EvalScratch::new();
+        for step in 0..10 {
+            let nodes = rng.random_range(3..9usize);
+            let (inst, _) = random_graph(&mut rng, nodes, nodes * 2, &syms);
+            let graph = CsrGraph::from(&inst);
+            let cfg = RegexGenConfig {
+                max_depth: rng.random_range(1..5usize),
+                ..RegexGenConfig::new(syms.clone())
+            };
+            let nfa = Query::new(random_regex(&mut rng, &cfg), &ab).nfa().clone();
+            let seed_node = Oid(rng.random_range(0..nodes) as u32);
+            let backward = rng.random_range(0..2) == 1;
+            let opts = SearchOpts {
+                reverse_adj: backward,
+                mode: MODES[rng.random_range(0..MODES.len())],
+                ..SearchOpts::default()
+            };
+            let auto = if backward { nfa.reverse() } else { nfa.clone() };
+            let shared = search_nodes(&auto, &graph, seed_node, &opts, &mut arena).0;
+            let fresh = search_nodes(&auto, &graph, seed_node, &opts, &mut EvalScratch::new()).0;
+            prop_assert_eq!(&shared.answers, &fresh.answers, "step {} {:?}", step, opts);
+            prop_assert_eq!(shared.stats.edges_scanned, fresh.stats.edges_scanned);
+
+            // p(o, I) by definition; backward, every o whose set holds the seed
+            let oracle: Vec<Oid> = if backward {
+                graph
+                    .nodes()
+                    .filter(|&o| eval_oracle(&nfa, &inst, o, Some(8)).contains(&seed_node))
+                    .collect()
+            } else {
+                eval_oracle(&nfa, &inst, seed_node, Some(8))
+            };
+            for o in &oracle {
+                prop_assert!(shared.answers.binary_search(o).is_ok(), "step {} lost {:?}", step, o);
+            }
+            if nfa.num_states() * nodes <= 8 {
+                prop_assert_eq!(&shared.answers, &oracle, "step {}", step);
+            }
         }
     }
 }

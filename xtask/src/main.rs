@@ -21,13 +21,6 @@
 //!   touch the allocator. Deliberate exceptions (result vectors,
 //!   non-pooled baseline arenas) carry an `// alloc-ok: <why>` comment on
 //!   the same line, which allowlists it.
-//! * **Lock-free worker loops** — `.lock()` is forbidden in the
-//!   rpq-core module that holds worker bodies (`product`: the push/pull
-//!   level sweeps) outside tests: a
-//!   blocking `Mutex` inside a per-level worker loop serializes the
-//!   fan-out and defeats the chunked/slab partitioning (coordination is
-//!   atomics + level barriers). Deliberate exceptions (e.g. a once-per-search pool
-//!   checkout) carry a `// lock-ok: <why>` comment on the same line.
 //! * **No blocking sleeps in the serving layer** — `thread::sleep` is
 //!   forbidden in `crates/server/src` outside `#[cfg(test)]` items. The
 //!   server coordinates with locks, atomics, and joins; a sleep in the
@@ -86,16 +79,6 @@ const NO_ALLOC_FILES: &[&str] = &[
 ];
 /// Forbidden tokens for the no-alloc rule.
 const ALLOC_TOKENS: &[&str] = &["vec![", "Vec::new()"];
-/// Modules holding parallel worker bodies (the level sweeps of the product
-/// BFS), where a blocking `Mutex` lock would serialize the fan-out:
-/// coordination there is atomics and level barriers, never a lock held
-/// inside a worker loop.
-const NO_LOCK_FILES: &[&str] = &["crates/core/src/product.rs"];
-/// Forbidden tokens for the no-worker-lock rule.
-const LOCK_TOKENS: &[&str] = &[".lock()"];
-/// Marker that allowlists one line for the no-worker-lock rule. Checked
-/// on the *original* line text, because the marker lives in a comment.
-const LOCK_OK: &str = "lock-ok:";
 /// Crates whose non-test sources must never block on a timer.
 const NO_SLEEP_DIRS: &[&str] = &["crates/server/src"];
 /// Forbidden tokens for the no-sleep rule. `thread::sleep` catches both
@@ -134,9 +117,6 @@ fn lint() -> ExitCode {
     }
     for file in NO_ALLOC_FILES {
         scan_file(&root.join(file), &mut violations, check_no_hot_path_allocs);
-    }
-    for file in NO_LOCK_FILES {
-        scan_file(&root.join(file), &mut violations, check_no_worker_locks);
     }
     for dir in NO_SLEEP_DIRS {
         for file in rust_files(&root.join(dir)) {
@@ -388,12 +368,6 @@ token_rule!(
     "hot-path-alloc",
     ALLOC_TOKENS,
     Some(ALLOC_OK)
-);
-token_rule!(
-    check_no_worker_locks,
-    "worker-lock",
-    LOCK_TOKENS,
-    Some(LOCK_OK)
 );
 token_rule!(check_no_sleeps, "no-sleep", SLEEP_TOKENS, None);
 token_rule!(check_spawns, "no-spawn", SPAWN_TOKENS, None);
@@ -708,24 +682,6 @@ mod tests {
         assert_eq!(v.len(), 1, "only the untagged non-test alloc is flagged");
         assert_eq!(v[0].line, 3);
         assert_eq!(v[0].rule, "hot-path-alloc");
-    }
-
-    #[test]
-    fn worker_lock_is_flagged_unless_allowlisted() {
-        let src = "fn fan_out() {\n  let s = pool.inner.lock(); // lock-ok: once per search\n  let t = shared.lock();\n}\n#[cfg(test)]\nmod tests {\n  fn t() { let u = m.lock(); }\n}\n";
-        let c = lines(src);
-        let m = test_mask(&c);
-        let mut v = Vec::new();
-        check_no_worker_locks(
-            Path::new("x.rs"),
-            &src.lines().map(str::to_string).collect::<Vec<_>>(),
-            &c,
-            &m,
-            &mut v,
-        );
-        assert_eq!(v.len(), 1, "only the untagged non-test lock is flagged");
-        assert_eq!(v[0].line, 3);
-        assert_eq!(v[0].rule, "worker-lock");
     }
 
     #[test]
