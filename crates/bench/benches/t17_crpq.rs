@@ -35,7 +35,7 @@ use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rpq_bench::crpq_workload;
-use rpq_core::{EvalControl, EvalScratch, FrontierMode, Termination};
+use rpq_core::{EvalControl, EvalScratch, Termination};
 use rpq_graph::CsrGraph;
 use rpq_optimizer::{
     execute_join, execute_naive, parse_crpq, plan_join, Direction, HeadBindings, PlannerConfig,
@@ -86,7 +86,6 @@ fn bench(c: &mut Criterion) {
                 &[0, 1], // the hot atom first, unbound: every hot edge a row
                 &graph,
                 HeadBindings::default(),
-                FrontierMode::Hybrid,
                 &EvalControl::UNLIMITED,
                 &mut scratch,
             )
@@ -144,7 +143,6 @@ fn bench(c: &mut Criterion) {
                 order,
                 &graph,
                 HeadBindings::default(),
-                FrontierMode::Hybrid,
                 &EvalControl::UNLIMITED,
                 &mut scratch,
             )
@@ -192,7 +190,6 @@ fn bench(c: &mut Criterion) {
             &plan.order,
             &graph,
             HeadBindings::default(),
-            FrontierMode::Hybrid,
             &EvalControl::UNLIMITED,
             &mut scratch,
         );
@@ -260,7 +257,6 @@ fn bench(c: &mut Criterion) {
                         order,
                         &graph,
                         HeadBindings::default(),
-                        FrontierMode::Hybrid,
                         &EvalControl::UNLIMITED,
                         &mut scratch,
                     );
@@ -275,7 +271,6 @@ fn bench(c: &mut Criterion) {
             &plan.order,
             &graph,
             HeadBindings::default(),
-            FrontierMode::Hybrid,
             &EvalControl::UNLIMITED,
             &mut scratch,
         );

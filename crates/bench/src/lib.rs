@@ -146,51 +146,6 @@ pub fn multi_source_workload(
     }
 }
 
-/// A high-fanout pull workload (T15): one source fanning into a complete
-/// digraph of `hubs` nodes on a single label, queried with `h*`. After the
-/// first BFS level every hub pair is reached, so the sparse push sweep
-/// re-scans all `hubs²` edges to discover nothing, while the
-/// direction-optimizing hybrid's shrinking pull bound collapses to ~0 and
-/// the pull sweep probes almost nothing — the shape where
-/// `FrontierMode::Hybrid` must scan *strictly* fewer edges than
-/// `FrontierMode::ForcedSparse`.
-pub struct PullWorkload {
-    /// Shared alphabet.
-    pub alphabet: Alphabet,
-    /// The instance (build form; snapshot with `CsrGraph::from`).
-    pub instance: Instance,
-    /// Evaluation source (the fan root).
-    pub source: Oid,
-    /// The saturating query `h*`.
-    pub query: Regex,
-}
-
-/// Build the T15 pull workload over a complete digraph of `hubs` nodes.
-pub fn pull_workload(hubs: usize) -> PullWorkload {
-    let mut alphabet = Alphabet::new();
-    let h = alphabet.intern("h");
-    let mut instance = Instance::new();
-    let source = instance.add_node();
-    let hub_ids: Vec<Oid> = (0..hubs).map(|_| instance.add_node()).collect();
-    for &hub in &hub_ids {
-        instance.add_edge(source, h, hub);
-    }
-    for &a in &hub_ids {
-        for &b in &hub_ids {
-            if a != b {
-                instance.add_edge(a, h, b);
-            }
-        }
-    }
-    let query = parse_regex(&mut alphabet, "h*").unwrap();
-    PullWorkload {
-        alphabet,
-        instance,
-        source,
-        query,
-    }
-}
-
 /// A direction-skewed pair workload (T12): the chain query
 /// `hot.hot.cold` from `source` to `target` over a graph whose *first*
 /// label group is plentiful (`source` fans out `fanout` hot edges, each
@@ -541,37 +496,6 @@ mod tests {
         assert_eq!(csr.stats().edge_count(hot), 16 * 32);
         assert_eq!(csr.stats().edge_count(cold), 16);
         assert_eq!(csr.stats().hottest(), Some(hot));
-    }
-
-    #[test]
-    fn pull_workload_triggers_the_pull_sweep() {
-        use rpq_core::{search_nodes, EvalScratch, FrontierMode, SearchOpts};
-        let w = pull_workload(24);
-        assert_eq!(w.instance.num_edges(), 24 + 24 * 23);
-        let csr = rpq_graph::CsrGraph::from(&w.instance);
-        let nfa = rpq_automata::Nfa::thompson(&w.query);
-        let mut scratch = EvalScratch::new();
-        let sparse = search_nodes(
-            &nfa,
-            &csr,
-            w.source,
-            &SearchOpts {
-                mode: FrontierMode::ForcedSparse,
-                ..SearchOpts::default()
-            },
-            &mut scratch,
-        )
-        .0;
-        let hybrid = search_nodes(&nfa, &csr, w.source, &SearchOpts::default(), &mut scratch).0;
-        assert_eq!(sparse.answers, hybrid.answers);
-        assert_eq!(sparse.answers.len(), 25, "h* saturates the digraph");
-        assert!(hybrid.stats.pull_levels >= 1, "hybrid never pulled");
-        assert!(
-            hybrid.stats.edges_scanned < sparse.stats.edges_scanned,
-            "hybrid {} must beat sparse {}",
-            hybrid.stats.edges_scanned,
-            sparse.stats.edges_scanned
-        );
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! reproductions, the distributed runners, all-pairs materialization).
 //! [`crate::run_request`] answers a `Sources` / `Targets` / `Matrix`
 //! request with one product search per seed — every seed gets the depth
-//! cap, frontier mode and budget/cancellation protocol of the one
-//! product-BFS driver — and reports the per-seed sets
+//! cap and budget/cancellation protocol of the one product-BFS driver —
+//! and reports the per-seed sets
 //! as a [`BatchResult`] or a bit-packed [`MatrixResult`], both aligned
 //! with the request.
 

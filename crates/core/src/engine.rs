@@ -124,8 +124,7 @@ pub trait Engine {
 
     /// The unified entry point: dispatch an [`EvalRequest`] — any question
     /// shape ([`crate::SourceSpec`]) plus uniform execution controls (budget,
-    /// cancellation, frontier mode, direction hint) — to an
-    /// [`EvalResponse`].
+    /// cancellation, direction hint) — to an [`EvalResponse`].
     ///
     /// The default implementation is [`run_default`]: source-bound
     /// requests route through the engine's own [`Engine::eval`] strategy,
@@ -157,12 +156,11 @@ impl Engine for ProductEngine {
     }
 
     /// Every request shape straight through [`run_request`] with a fresh
-    /// arena, sequentially, in the request's frontier mode and under its
-    /// controls. There is no plan, so no depth cap, and the direction hint
-    /// is not read: pairs run forward.
+    /// arena, sequentially, under the request's controls. There is no
+    /// plan, so no depth cap, and the direction hint is not read: pairs run
+    /// forward.
     fn run(&self, query: &Query, graph: &CsrGraph, req: &EvalRequest) -> EvalResponse {
         let opts = SearchOpts {
-            mode: req.frontier_mode,
             control: req.control(),
             ..SearchOpts::default()
         };

@@ -24,10 +24,9 @@
 //!   table);
 //! * [`product`] — the "more economical" product-automaton BFS (PTIME
 //!   combined complexity, NLOGSPACE data complexity), frontier-based and
-//!   label-indexed: **one** level-synchronous driver, direction-optimizing
-//!   per level and run on the caller's thread, steered by one
-//!   [`SearchOpts`] (direction, depth cap, frontier mode, budget and
-//!   cancellation);
+//!   label-indexed: **one** level-synchronous driver, one push sweep per
+//!   level, run on the caller's thread and steered by one [`SearchOpts`]
+//!   (direction, depth cap, budget and cancellation);
 //! * four entry points over that machinery, one per *answer shape*:
 //!   [`search_nodes`] (a node set — `p(o, I)` forward, `{o | t ∈ p(o, I)}`
 //!   backward), [`search_pair`] (one verdict: early exit from the source
@@ -40,9 +39,9 @@
 //!   one-liner for the paper's `p(o, I)`, and `rpq-optimizer`'s
 //!   `PlannedEngine` picks directions and options from per-label
 //!   statistics;
-//! * [`parallel`] — names left over from intra-query parallelism, inert
-//!   since PR 25 and kept only until the end-to-end benchmark stops
-//!   naming them;
+//! * [`parallel`] — names left over from intra-query parallelism and from
+//!   the pull half of the frontier, inert and kept only until the
+//!   end-to-end benchmark stops naming them;
 //! * [`QuotientDfaEngine`] / [`eval_quotient_dfa_csr`] — explicit quotients
 //!   as lazily determinized state sets (the possibly-exponential
 //!   construction the paper warns about);
@@ -102,10 +101,9 @@ pub use engine::{
 pub use oracle::eval_oracle;
 pub use pair::{search_pair, PairResult};
 pub use pairset::{search_pairs, seed_candidates, PairSetResult};
-pub use parallel::{WorkerLease, WorkerPool, PAR_LEVEL_THRESHOLD};
+pub use parallel::{FrontierMode, WorkerLease, WorkerPool, PAR_LEVEL_THRESHOLD};
 pub use product::{
-    eval_product, eval_product_csr, eval_product_scan, search_nodes, EvalResult, FrontierMode,
-    SearchOpts, PULL_SWEEP_DISCOUNT,
+    eval_product, eval_product_csr, eval_product_scan, search_nodes, EvalResult, SearchOpts,
 };
 pub use quotient::{eval_derivative_csr, eval_quotient_dfa_csr};
 pub use request::{

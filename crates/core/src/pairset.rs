@@ -100,8 +100,8 @@ fn finish_pairs(
 /// are sources; with `opts.reverse_adj` and the *reversed* automaton
 /// ([`Nfa::reverse`]), seeds are targets and `bound` restricts sources.
 ///
-/// Each seed runs its own search in `opts.mode` under `opts.control`, with
-/// whatever the shared budget has left, stopping at the first non-complete
+/// Each seed runs its own search under `opts.control`, with whatever the
+/// shared budget has left, stopping at the first non-complete
 /// termination; seeds not yet explored contribute no bindings — still a
 /// sound subset. The loop is uncapped: `opts.depth_cap` is not read.
 /// Each seed's answers are read where the search left them, in the arena;

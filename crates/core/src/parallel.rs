@@ -1,13 +1,16 @@
-//! Names left over from intra-query parallelism, inert since PR 25.
+//! Names left over from intra-query parallelism and from the pull half of
+//! the hybrid frontier, all of them inert.
 //!
 //! Every BFS level runs on the query's own thread: on the two vCPUs this
 //! repository is measured on, two busy threads do not add up to more than
 //! one, and a fanned-out level lost 28–43 % latency at twice the CPU
 //! (ROADMAP 5(c)). Concurrency lives across queries, on the server's
-//! executor. The items below keep their signatures only so that the
-//! end-to-end benchmark (`bench_e2e/`, which a PR claiming a gain may not
-//! edit) still compiles; nothing in the served stack reads them. Each is
-//! deleted with ROADMAP 1(b).
+//! executor. And every level is one push sweep: no level is priced, so
+//! there is no mode to choose and no discount to price a pull with. The
+//! items below keep their signatures only so that the end-to-end benchmark
+//! (`bench_e2e/`, which a change claiming a gain may not edit) still
+//! compiles; nothing in the served stack reads them. Each is deleted with
+//! ROADMAP 1(b).
 
 use std::marker::PhantomData;
 
@@ -43,5 +46,19 @@ impl WorkerLease<'_> {
     /// Inert since PR 25; deleted with ROADMAP 1(b). Always 1.
     pub fn dop(&self) -> usize {
         1
+    }
+}
+
+/// Inert, like the rest of this module; deleted with ROADMAP 1(b). Every
+/// level is one push sweep, so there is no frontier mode to choose; the one
+/// value stands for the one way a level runs.
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
+pub struct FrontierMode;
+
+impl FrontierMode {
+    /// Inert; deleted with ROADMAP 1(b). No level is priced, so the
+    /// discount is ignored.
+    pub fn hybrid_with_discount(_pull_discount: usize) -> FrontierMode {
+        FrontierMode
     }
 }

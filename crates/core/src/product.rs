@@ -31,144 +31,50 @@
 //! [`eval_product_scan`] preserves the original scan-and-filter loop as the
 //! measurable baseline (bench `t1_eval_scaling`, skewed workload).
 //!
-//! # One driver, one thread
+//! # One driver, one thread, one sweep
 //!
 //! The paper's procedure is *one* algorithm, and so is this module: one
-//! level loop, one push-sweep body and one pull-sweep body, over the one
-//! node-major mask table of an [`EvalScratch`]. An automaton wider than a
-//! mask word takes several cells per node and several `(word, bits)` runs
-//! per successor mask *in the same loop* — there is no second kernel and no
-//! width-specialised copy. What a search varies in — direction, depth cap,
-//! per-level strategy, budget and cancellation — is a field of
-//! [`SearchOpts`], not a sibling function: backward search is
+//! level loop and one sweep body, over the one node-major mask table of an
+//! [`EvalScratch`]. An automaton wider than a mask word takes several cells
+//! per node and several `(word, bits)` runs per successor mask *in the same
+//! loop* — there is no second kernel and no width-specialised copy. What a
+//! search varies in — direction, depth cap, budget and cancellation — is a
+//! field of [`SearchOpts`], not a sibling function: backward search is
 //! `reverse_adj` with the reversed automaton, "bounded" is `depth_cap`, and
 //! "uncontrolled" is [`EvalControl::UNLIMITED`].
 //!
 //! Every level runs on the calling thread: on the two vCPUs this system is
 //! measured on, two busy threads do not add up to more than one, and a
 //! level fanned out across workers lost 28–43 % latency at twice the CPU.
-//! Concurrency lives across queries, on the server's executor. So a level
-//! is priced only where the push/pull decision can depend on the price, a
-//! cell is marked with a plain load and store, and the budget is one
-//! counter, checked before every row walk and probe.
+//! Concurrency lives across queries, on the server's executor. So a cell is
+//! marked with a plain load and store, and the budget is one counter,
+//! checked before every row walk.
 //!
-//! # Direction-optimizing expansion
+//! Every level is expanded the same way, by a *push* sweep: for each
+//! frontier entry and each symbol its states move on, resolve the matching
+//! adjacency row *once* and walk it — as the slice it is on a CSR row —
+//! marking the ε-closed successor mask at every target. A level costs
+//! exactly the sum of its frontier's row lengths, and nothing is priced
+//! before it runs: a per-level choice of a dense *pull* sweep (Beamer's
+//! direction-optimizing BFS) fires only where a level re-scans rows whose
+//! targets are nearly all reached, which no served workload does, and
+//! pricing every level to find out costs more than it saves.
 //!
-//! The paper fixes the *pair space*; how each BFS level sweeps it is ours
-//! to optimize. Every level is expanded one of two ways
-//! (Beamer-style direction-optimizing BFS, selected per level by
-//! [`FrontierMode`]):
-//!
-//! * **push** (sparse): for each frontier entry and each symbol its states
-//!   move on, resolve the matching adjacency row *once* and walk it — as
-//!   the slice it is on a CSR row — marking the ε-closed successor mask at
-//!   every target; cost is exactly the sum of the frontier's row lengths;
-//! * **pull** (dense): for each node with states a labeled transition
-//!   could still reach, walk the node's opposite-direction label groups
-//!   once and, for each such state, probe the *mark table itself* at the
-//!   edge's other end, stopping at that state's first hit — an unreached
-//!   pair's reached predecessor can only be on the current frontier, since
-//!   every earlier level was expanded in full. The sweep only reads the
-//!   table (what it finds is marked at the level barrier), and its cost is
-//!   bounded by one probe per (edge, matching reverse transition),
-//!   independent of frontier fan-out.
-//!
-//! Both strategies produce the identical next level (level k = pairs first
-//! reached spelling k letters), so [`FrontierMode::Hybrid`] compares the
-//! *exact* push cost (row lengths from the label index — no edge is
-//! scanned to price a level) against a sound, monotonically shrinking pull
-//! bound: Σ over labeled transitions of the label's edge count, less each
-//! reached pair's matching in-edge count — a pull sweep only probes edges
-//! entering *unreached* pairs, so the remainder always upper-bounds the
-//! probes. The switch is paid for **only on levels where it can fire**.
-//! Whatever the bound, a pull costs at least its sweep of the table,
-//! `|Q|·|V| / pull_discount`; so the level is first bounded from above
-//! without resolving a row — `degree × transitions per symbol`, summed
-//! over its entries ([`GraphView::degree_bound`]) — and the pull bound
-//! from below the same way (a reached pair is owed at most its node's
-//! in-degree times the transitions entering its word). Only a level whose
-//! upper bound exceeds the floor plus that lower bound is priced exactly,
-//! and only if the exact price exceeds the floor too is the pull bound
-//! brought up to date, from the log of reached entries the search keeps
-//! ([`EvalScratch`]'s `reached`; the frontier is its tail). A search that
-//! never nears the floor — any search local to a region much smaller than
-//! the graph — resolves each row exactly once and never looks at a reverse
-//! row; a search that does switches on exactly the levels an eager bound
-//! would. (Why a pre-filter and not resolved rows kept with the entry: a
-//! row borrowed from the view cannot live in the arena, which outlives the
-//! view, and a detached row handle would have to be taught to every
-//! [`GraphView`]; the degree is one load the sweep is about to make
-//! anyway.) The chosen sweep's actual scans never exceed the push price of
-//! the same level, hence hybrid never scans more edges than forced sparse,
-//! and strictly fewer whenever a high-fanout level re-scans rows whose
-//! targets are mostly reached (bench `t15_hot_path`). All working memory
-//! comes from an [`EvalScratch`] arena (generation-stamped cells, reusable
-//! frontiers, the answer buffer) so repeated queries allocate nothing after
-//! warm-up — see [`crate::scratch`].
+//! The one contract the loop keeps is the **level invariant**: level `k`
+//! holds exactly the pairs first reached by spelling `k` letters. A depth
+//! cap relies on it, and so does anything that reads the log of reached
+//! entries after a search ([`EvalScratch`]'s `reached`, kept in level
+//! order; the frontier is its tail). All working memory comes from an
+//! [`EvalScratch`] arena (generation-stamped cells, reusable frontiers, the
+//! answer buffer) so repeated queries allocate nothing after warm-up — see
+//! [`crate::scratch`].
 
 use rpq_automata::{Nfa, StateId, Symbol};
 use rpq_graph::{CsrGraph, GraphView, Instance, Oid, ViewEdges};
 
 use crate::request::{EvalControl, Termination};
-use crate::scratch::{states_of, word_bit, Cells, Entry, EvalScratch, LevelOut, MaskTables};
+use crate::scratch::{Cells, Entry, EvalScratch, LevelOut, MaskTables};
 use crate::stats::EvalStats;
-
-/// How the product BFS expands each level.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub enum FrontierMode {
-    /// Choose push or pull per level from measured costs (the default),
-    /// pricing the dense sweep with [`PULL_SWEEP_DISCOUNT`].
-    #[default]
-    Hybrid,
-    /// [`FrontierMode::Hybrid`] with an explicit pull-sweep discount
-    /// divisor in place of [`PULL_SWEEP_DISCOUNT`] — how a test or a
-    /// measurement re-prices the switch for one request. Built with
-    /// [`FrontierMode::hybrid_with_discount`].
-    HybridTuned {
-        /// Divisor for the dense sweep's O(|Q|·|V|) mark-table price
-        /// (clamped to ≥ 1); larger values make pull sweeps fire earlier.
-        pull_discount: usize,
-    },
-    /// Always sparse push expansion — the pre-optimization behavior, kept
-    /// as the baseline the hybrid is asserted against (bench
-    /// `t15_hot_path`).
-    ForcedSparse,
-    /// Always dense pull expansion — exercised by tests to pin that both
-    /// sweeps answer identically.
-    ForcedDense,
-}
-
-impl FrontierMode {
-    /// Hybrid expansion with an explicit pull-sweep discount divisor.
-    /// `hybrid_with_discount(PULL_SWEEP_DISCOUNT)` prices levels exactly
-    /// like [`FrontierMode::Hybrid`].
-    pub fn hybrid_with_discount(pull_discount: usize) -> FrontierMode {
-        FrontierMode::HybridTuned {
-            pull_discount: pull_discount.max(1),
-        }
-    }
-
-    /// The pull-sweep discount divisor this mode prices dense sweeps with
-    /// ([`PULL_SWEEP_DISCOUNT`] unless tuned).
-    pub fn pull_discount(self) -> usize {
-        match self {
-            FrontierMode::HybridTuned { pull_discount } => pull_discount.max(1),
-            _ => PULL_SWEEP_DISCOUNT,
-        }
-    }
-}
-
-/// Divisor discounting the pull sweep's O(|Q|·|V|) mark-table reads against
-/// edge probes when pricing a level: a contiguous cell read is far cheaper
-/// than a label-group probe, but not free.
-///
-/// The value was fitted on the T15 saturating workloads: a divisor of 16
-/// makes the switch fire on every mostly-reached level while never pricing
-/// a sparse early level as dense. It is what every request in the default
-/// [`FrontierMode::Hybrid`] is priced with; the per-class `push_levels` /
-/// `pull_levels` sums the server's `Metrics` aggregate say how often the
-/// switch fires on real traffic.
-pub const PULL_SWEEP_DISCOUNT: usize = 16;
 
 /// Result of an evaluation: sorted answers plus work counters.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -202,8 +108,7 @@ pub(crate) fn finish_eval(
 /// level-synchronous driver behind the four answer-shape entry points,
 /// [`search_nodes`], [`crate::search_pair`], [`crate::search_pairs`] and
 /// [`crate::run_request`]. `SearchOpts::default()` is the paper's plain
-/// evaluation: forward, uncapped, [`FrontierMode::Hybrid`],
-/// [`EvalControl::UNLIMITED`].
+/// evaluation: forward, uncapped, [`EvalControl::UNLIMITED`].
 ///
 /// Each entry point documents the fields it does not read.
 #[derive(Clone, Copy, Debug, Default)]
@@ -219,8 +124,6 @@ pub struct SearchOpts<'a> {
     /// ([`Nfa::longest_accepted_len`]) loses no answer — the planner's
     /// finite-language fast path.
     pub depth_cap: Option<usize>,
-    /// Per-level push/pull strategy.
-    pub mode: FrontierMode,
     /// `edges_scanned` budget and cancellation flag.
     pub control: EvalControl<'a>,
 }
@@ -236,121 +139,10 @@ fn push_row<G: GraphView>(graph: &G, reverse_adj: bool, v: Oid, sym: Symbol) -> 
     }
 }
 
-/// What pushing `frontier` would scan, exactly: its row lengths, read off
-/// the label index (no edge is scanned), each once per `(state, labeled
-/// transition)` that would follow it. Returns the lookups made, counted
-/// the same way, and the price.
-fn push_price<G: GraphView>(
-    graph: &G,
-    reverse_adj: bool,
-    masks: &MaskTables,
-    frontier: &[Entry],
-    merged: &mut Vec<(u32, u32)>,
-) -> (usize, usize) {
-    let (mut rows, mut cost) = (0usize, 0usize);
-    for e in frontier {
-        for group in masks.groups_of(e.word as usize) {
-            let hit = e.bits & group.sources;
-            if hit != 0 {
-                let (mult, _) = masks.successors(group, hit, merged);
-                let row = push_row(graph, reverse_adj, e.node, group.sym);
-                rows += mult;
-                cost = cost.saturating_add(row.len() * mult);
-            }
-        }
-    }
-    (rows, cost)
-}
-/// The shrinking upper bound on a pull sweep's probes: Σ over labeled
-/// transitions of the label's edge count, less — for each pair reached —
-/// one per (incoming edge under the expansion adjacency, matching reverse
-/// transition). A pull level only probes edges entering *unreached* pairs,
-/// so the remainder always dominates its actual scans.
-///
-/// Kept lazily, in two tiers, from the log of reached entries: the exact
-/// debit costs a reverse-row lookup per (reached pair, entering
-/// transition), so it is paid ([`PullBound::settle`]) only at a level whose
-/// decision can depend on it. Most levels that get as far as asking are
-/// turned away by [`PullBound::at_least`]: a pair's debit is at most its
-/// node's in-degree times the transitions entering its word, which bounds
-/// the remainder from below without resolving a row.
-#[derive(Default)]
-struct PullBound {
-    /// `remaining` has been seeded from the label statistics.
-    seeded: bool,
-    /// Probes remaining, `reached[..debited]` debited exactly.
-    remaining: usize,
-    /// How many entries of `EvalScratch::reached` are debited exactly.
-    debited: usize,
-    /// At most this much is owed for `reached[debited..bounded]`.
-    owed_at_most: usize,
-    bounded: usize,
-}
-
-impl PullBound {
-    fn seed<G: GraphView>(&mut self, nfa: &Nfa, graph: &G, scratch: &mut EvalScratch) {
-        scratch.masks.build_pull_side(nfa);
-        if !self.seeded {
-            self.seeded = true;
-            let gstats = graph.stats();
-            for q in 0..nfa.num_states() {
-                for &(sym, _) in nfa.transitions(q as StateId) {
-                    self.remaining = self.remaining.saturating_add(gstats.edge_count(sym));
-                }
-            }
-        }
-    }
-
-    /// A lower bound on the exact remainder, from degrees alone.
-    fn at_least<G: GraphView>(
-        &mut self,
-        nfa: &Nfa,
-        graph: &G,
-        reverse_adj: bool,
-        scratch: &mut EvalScratch,
-    ) -> usize {
-        self.seed(nfa, graph, scratch);
-        for e in &scratch.reached[self.bounded..] {
-            let degree = graph.degree_bound(e.node, !reverse_adj);
-            let owed = degree * scratch.masks.entering_word[e.word as usize];
-            self.owed_at_most = self.owed_at_most.saturating_add(owed);
-        }
-        self.bounded = scratch.reached.len();
-        self.remaining.saturating_sub(self.owed_at_most)
-    }
-
-    /// The exact remainder: debit every entry reached since the last call,
-    /// priced from label-index row lengths — no edge is scanned.
-    fn settle<G: GraphView>(
-        &mut self,
-        nfa: &Nfa,
-        graph: &G,
-        reverse_adj: bool,
-        scratch: &mut EvalScratch,
-        stats: &mut EvalStats,
-    ) -> usize {
-        self.seed(nfa, graph, scratch);
-        for e in &scratch.reached[self.debited..] {
-            for q in states_of(e.word as usize, e.bits) {
-                for &(sym, _) in scratch.masks.entering(q) {
-                    // the in-edges under the expansion adjacency: the
-                    // *opposite* orientation of the push step
-                    let row = push_row(graph, !reverse_adj, e.node, sym);
-                    stats.rows_resolved += 1;
-                    self.remaining = self.remaining.saturating_sub(row.len());
-                }
-            }
-        }
-        self.debited = scratch.reached.len();
-        (self.bounded, self.owed_at_most) = (self.debited, 0);
-        self.remaining
-    }
-}
-
 /// What one level sweep did.
 #[derive(Default)]
 struct LevelWork {
-    /// Edges scanned / probes performed.
+    /// Edges scanned.
     edges: usize,
     /// Row lookups made, per (state, labeled transition).
     rows: usize,
@@ -371,12 +163,12 @@ struct Level<'a, G> {
     left: Option<usize>,
 }
 
-/// Sparse *push* expansion of one level: for each frontier entry and each
-/// symbol its states move on, resolve the matching adjacency row once,
-/// walk it, and mark the ε-closed successor mask at every target,
-/// collecting the newly reached states into `next`. The row counts once
-/// per `(state, labeled transition)` following it — the product-graph
-/// quantity — however many states share the walk.
+/// *Push* expansion of one level: for each frontier entry and each symbol
+/// its states move on, resolve the matching adjacency row once, walk it,
+/// and mark the ε-closed successor mask at every target, collecting the
+/// newly reached states into `next`. The row counts once per `(state,
+/// labeled transition)` following it — the product-graph quantity —
+/// however many states share the walk.
 ///
 /// With a budget, that whole count is checked against what is left
 /// *before* the row is walked, so `edges_scanned <= budget` always; a row
@@ -388,9 +180,7 @@ fn push_sweep<G: GraphView>(
     next: &mut LevelOut,
 ) -> LevelWork {
     let mut out = LevelWork::default();
-    let LevelOut {
-        entries, merged, ..
-    } = next;
+    let LevelOut { entries, merged } = next;
     for e in level.frontier {
         for group in level.masks.groups_of(e.word as usize) {
             let hit = e.bits & group.sources;
@@ -424,112 +214,19 @@ fn push_sweep<G: GraphView>(
     out
 }
 
-/// Dense *pull* expansion of one level: for every node with states a
-/// labeled transition could still reach, walk the node's
-/// opposite-direction label groups once; for each such state, merge-join
-/// the group's symbol against the state's entering transitions and probe
-/// the mark table at the edge's other end, stopping at the state's first
-/// hit (a reached predecessor of an unreached pair is on the current
-/// frontier — every earlier level was expanded in full). Produces exactly
-/// the next level [`push_sweep`] would — the ε-closure of the hit states,
-/// less what the node already holds; `edges` counts probed endpoints only,
-/// per state as if each had its own walk. The sweep writes no cell (the
-/// driver marks what it found at the level barrier), so every probe reads
-/// the level's input.
-///
-/// With a budget, every probe is checked against what is left before it
-/// is made, so the count equals the probes actually performed.
-fn pull_sweep<G: GraphView>(
-    level: &Level<'_, G>,
-    cells: &Cells<'_>,
-    next: &mut LevelOut,
-) -> LevelWork {
-    let mut out = LevelWork::default();
-    let masks = level.masks;
-    let LevelOut {
-        entries,
-        merged,
-        pending,
-    } = next;
-    for vi in 0..level.graph.num_nodes() {
-        pending.clear();
-        pending.extend((0..masks.words).map(|w| masks.pull_targets[w] & !cells.reached(vi, w)));
-        if pending.iter().all(|&p| p == 0) {
-            continue;
-        }
-        let candidate = Oid(vi as u32);
-        // The candidate's in-edges under the expansion adjacency — the
-        // *opposite* orientation of the push step.
-        let groups = if level.reverse_adj {
-            level.graph.out_groups(candidate)
-        } else {
-            level.graph.rev_groups(candidate)
-        };
-        merged.clear();
-        for (sym, edges) in groups {
-            // Can a later (larger) symbol still reach a pending state?
-            let mut open = false;
-            for (w, waiting) in pending.iter_mut().enumerate() {
-                for q2 in states_of(w, *waiting) {
-                    let seg = masks.entering(q2);
-                    let lo = seg.partition_point(|&(s, _)| s < sym);
-                    let on_sym = seg[lo..].iter().take_while(|&&(s, _)| s == sym).count();
-                    let mut hit = false;
-                    'probe: for u in edges.clone() {
-                        for &(_, qsrc) in &seg[lo..lo + on_sym] {
-                            if level.left.is_some_and(|left| out.edges >= left) {
-                                out.tripped = true;
-                                return out;
-                            }
-                            out.edges += 1;
-                            let (sw, sbit) = word_bit(qsrc);
-                            if cells.reached(u.index(), sw) & sbit != 0 {
-                                hit = true;
-                                break 'probe;
-                            }
-                        }
-                    }
-                    if hit {
-                        *waiting &= !word_bit(q2).1;
-                        masks.closure_into(q2, merged);
-                    } else {
-                        open |= lo + on_sym < seg.len();
-                    }
-                }
-            }
-            if !open {
-                break;
-            }
-        }
-        for &(word, bits) in merged.iter() {
-            let new = bits & !cells.reached(vi, word as usize);
-            if new != 0 {
-                out.pairs += new.count_ones() as usize;
-                entries.push(Entry {
-                    node: candidate,
-                    word,
-                    bits: new,
-                });
-            }
-        }
-    }
-    out
-}
-
 /// **The** level-synchronous product BFS (Section 2.2) — the one loop
 /// behind every entry point, generic over any
 /// [`GraphView`] (the immutable CSR snapshot or the delta overlay).
 ///
 /// Each level runs: answer pass (with `stop_at`, return as soon as that
 /// node is an answer; the answer list is then partial and pair callers
-/// consume only the flag) → depth-cap check → pricing, as far as the
-/// push/pull decision can depend on it → one push or pull sweep → barrier,
+/// consume only the flag) → depth-cap check → one push sweep → barrier,
 /// where the level just produced is appended to the log of reached
 /// entries and becomes the frontier. ε-moves consume no edge and no step
-/// of this loop: the successor masks the sweeps mark are ε-closed.
+/// of this loop: the successor masks the sweep marks are ε-closed.
 ///
 /// Cancellation is checked once per level; the budget is enforced before
-/// every row walk / probe inside the sweeps, so `edges_scanned <= budget`.
+/// every row walk inside the sweep, so `edges_scanned <= budget`.
 /// Answers collected before an early termination are a sound subset (a
 /// node is only reported once an accepting pair is actually reached).
 ///
@@ -543,10 +240,8 @@ pub(crate) fn product_search<G: GraphView>(
     opts: &SearchOpts<'_>,
     scratch: &mut EvalScratch,
 ) -> (EvalStats, bool, Termination) {
-    let nq = nfa.num_states();
     let nv = graph.num_nodes();
     debug_assert!(seed.index() < nv.max(1), "seed must be a graph node");
-    let (reverse_adj, mode) = (opts.reverse_adj, opts.mode);
     let covered = scratch.begin(nfa, nv);
     let mut stats = EvalStats {
         scratch_reused: usize::from(covered),
@@ -555,16 +250,6 @@ pub(crate) fn product_search<G: GraphView>(
     let (gen, words) = (scratch.generation(), scratch.masks.words);
     let mut found = false;
     let mut termination = Termination::Complete;
-
-    // What a pull costs at the very least: its sweep over the mark table
-    // (discounted: contiguous cell reads, not edge probes). The probes on
-    // top of it are `bound`'s business.
-    let hybrid = matches!(
-        mode,
-        FrontierMode::Hybrid | FrontierMode::HybridTuned { .. }
-    );
-    let sweep_cost = (nq * nv) / mode.pull_discount();
-    let mut bound = PullBound::default();
 
     // Level 0: the ε-closure of the start state, at the seed.
     let mut level_pairs = 0usize;
@@ -613,50 +298,13 @@ pub(crate) fn product_search<G: GraphView>(
         if opts.depth_cap.is_some_and(|cap| depth >= cap) {
             break 'bfs;
         }
-
-        // Price the level, as far as the decision depends on the price: a
-        // hybrid level pulls when the pull costs less than the push. An
-        // entry scans at most its node's degree times the transitions its
-        // word has on any one symbol, and a pull costs at least its sweep
-        // plus what the degrees say is left of the bound; a level those
-        // two settle is never priced. The others are priced exactly (read
-        // off the label index — no edge is scanned), and the pull bound is
-        // brought up to date only where it is then read. Both sweeps
-        // produce the same level, so taking the cheaper keeps hybrid ≤
-        // forced-sparse everywhere.
-        let mut use_pull = mode == FrontierMode::ForcedDense;
-        if hybrid {
-            let mut at_most = 0usize;
-            for e in &scratch.reached[level_start..] {
-                let degree = graph.degree_bound(e.node, reverse_adj);
-                at_most = at_most.saturating_add(degree * scratch.masks.fan[e.word as usize]);
-            }
-            if at_most > sweep_cost
-                && at_most - sweep_cost > bound.at_least(nfa, graph, reverse_adj, scratch)
-            {
-                let frontier = &scratch.reached[level_start..];
-                let merged = &mut scratch.next.merged;
-                let (rows, push_cost) =
-                    push_price(graph, reverse_adj, &scratch.masks, frontier, merged);
-                stats.rows_resolved += rows;
-                if push_cost > sweep_cost {
-                    let probes = bound.settle(nfa, graph, reverse_adj, scratch, &mut stats);
-                    use_pull = sweep_cost.saturating_add(probes) < push_cost;
-                }
-            }
-        }
-        if use_pull {
-            stats.pull_levels += 1;
-            scratch.masks.build_pull_side(nfa);
-        } else {
-            stats.push_levels += 1;
-        }
+        stats.push_levels += 1;
 
         // Disjoint field borrows: the sweep reads the frontier and the
         // mask tables while the cells and `next` take the produced level.
         let level = Level {
             graph,
-            reverse_adj,
+            reverse_adj: opts.reverse_adj,
             masks: &scratch.masks,
             frontier: &scratch.reached[level_start..],
             left: opts
@@ -665,11 +313,7 @@ pub(crate) fn product_search<G: GraphView>(
                 .map(|b| b.saturating_sub(stats.edges_scanned)),
         };
         let mut cells = Cells::new(&mut scratch.table, words, gen);
-        let work = if use_pull {
-            pull_sweep(&level, &cells, &mut scratch.next)
-        } else {
-            push_sweep(&level, &mut cells, &mut scratch.next)
-        };
+        let work = push_sweep(&level, &mut cells, &mut scratch.next);
         stats.edges_scanned += work.edges;
         stats.rows_resolved += work.rows;
 
@@ -681,16 +325,9 @@ pub(crate) fn product_search<G: GraphView>(
         }
 
         // Level barrier: the next level is appended to the log and becomes
-        // the frontier. A pull sweep left the marking of what it found to
-        // us.
+        // the frontier.
         level_start = scratch.reached.len();
         scratch.reached.append(&mut scratch.next.entries);
-        if use_pull {
-            let mut cells = Cells::new(&mut scratch.table, words, gen);
-            for e in &scratch.reached[level_start..] {
-                cells.mark(e.node.index(), e.word as usize, e.bits);
-            }
-        }
         level_pairs = work.pairs;
         depth += 1;
     }
@@ -1119,53 +756,25 @@ mod tests {
     }
 
     #[test]
-    fn budget_is_a_sound_subset_in_every_mode() {
+    fn budget_is_a_sound_subset() {
         let (graph, src, nfa) = web(200);
         let full = eval_product_csr(&nfa, &graph, src);
-        for mode in [
-            FrontierMode::Hybrid,
-            FrontierMode::ForcedSparse,
-            FrontierMode::ForcedDense,
-        ] {
-            for budget in [0usize, 1, 17, 150, 100_000] {
-                let opts = SearchOpts {
-                    mode,
-                    control: EvalControl {
-                        budget: Some(budget),
-                        cancel: None,
-                    },
-                    ..SearchOpts::default()
-                };
-                let (res, term) = search_nodes(&nfa, &graph, src, &opts, &mut EvalScratch::new());
-                assert!(
-                    res.stats.edges_scanned <= budget,
-                    "{mode:?} budget={budget}"
-                );
-                for o in &res.answers {
-                    assert!(full.answers.binary_search(o).is_ok(), "unsound answer");
-                }
-                if term == Termination::Complete {
-                    assert_eq!(res.answers, full.answers);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn forced_modes_agree_on_a_broad_closure() {
-        let (graph, src, nfa) = web(150);
-        let hybrid = eval_product_csr(&nfa, &graph, src);
-        for mode in [
-            FrontierMode::ForcedSparse,
-            FrontierMode::ForcedDense,
-            FrontierMode::hybrid_with_discount(64),
-        ] {
+        for budget in [0usize, 1, 17, 150, 100_000] {
             let opts = SearchOpts {
-                mode,
+                control: EvalControl {
+                    budget: Some(budget),
+                    cancel: None,
+                },
                 ..SearchOpts::default()
             };
-            let (res, _) = search_nodes(&nfa, &graph, src, &opts, &mut EvalScratch::new());
-            assert_eq!(res.answers, hybrid.answers, "{mode:?}");
+            let (res, term) = search_nodes(&nfa, &graph, src, &opts, &mut EvalScratch::new());
+            assert!(res.stats.edges_scanned <= budget, "budget={budget}");
+            for o in &res.answers {
+                assert!(full.answers.binary_search(o).is_ok(), "unsound answer");
+            }
+            if term == Termination::Complete {
+                assert_eq!(res.answers, full.answers);
+            }
         }
     }
 

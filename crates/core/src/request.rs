@@ -5,10 +5,10 @@
 //! names the question (one source, many sources, one target, many targets,
 //! a pair, an N×M matrix, a binding set), and optional *execution
 //! controls* — a fetch budget on `edges_scanned`, a cooperative
-//! cancellation flag, a [`FrontierMode`] and a direction hint — ride along
-//! uniformly. [`Engine::run`] answers it with an [`EvalResponse`]: the
-//! payload shaped like the question, the work counters, and how the run
-//! ended. It is the only way to ask an engine anything but its own
+//! cancellation flag and a direction hint — ride along uniformly.
+//! [`Engine::run`] answers it with an [`EvalResponse`]: the payload shaped
+//! like the question, the work counters, and how the run ended. It is the
+//! only way to ask an engine anything but its own
 //! single-source `p(o, I)` ([`Engine::eval`]), and `rpq-server` uses the
 //! request form as its wire-level query type.
 //!
@@ -36,7 +36,7 @@ use crate::batch::{BatchResult, MatrixResult};
 use crate::engine::{Engine, Query};
 use crate::pair::{search_pair, PairResult};
 use crate::pairset::{search_pairs, seed_candidates, PairSetResult};
-use crate::product::{search_nodes, search_nodes_each, EvalResult, FrontierMode, SearchOpts};
+use crate::product::{search_nodes, search_nodes_each, EvalResult, SearchOpts};
 use crate::scratch::EvalScratch;
 use crate::stats::{Direction, EvalStats};
 
@@ -163,9 +163,8 @@ impl SourceSpec {
 /// execution controls. Built with the constructors and `with_*` builders;
 /// dispatched by [`Engine::run`].
 ///
-/// The direction and frontier-mode fields are *hints*: engines with their
-/// own strategy (or a planner) may override them; [`run_request`] honors
-/// `frontier_mode` directly.
+/// The direction field is a *hint*: engines with their own strategy (or a
+/// planner) may override it.
 #[derive(Clone, Debug)]
 pub struct EvalRequest {
     /// The question being asked.
@@ -175,8 +174,6 @@ pub struct EvalRequest {
     pub direction: Option<Direction>,
     /// Fetch budget: hard cap on `edges_scanned` (`None` = unlimited).
     pub budget: Option<usize>,
-    /// Per-level expansion strategy for the product BFS paths.
-    pub frontier_mode: FrontierMode,
     /// Cooperative cancellation flag, shared with the submitting thread.
     pub cancel: Option<Arc<AtomicBool>>,
 }
@@ -189,7 +186,6 @@ impl EvalRequest {
             spec,
             direction: None,
             budget: None,
-            frontier_mode: FrontierMode::default(),
             cancel: None,
         }
     }
@@ -243,12 +239,6 @@ impl EvalRequest {
     /// Attach a cancellation flag (shared with the submitting thread).
     pub fn with_cancel(mut self, cancel: Arc<AtomicBool>) -> EvalRequest {
         self.cancel = Some(cancel);
-        self
-    }
-
-    /// Force a per-level expansion strategy.
-    pub fn with_frontier_mode(mut self, mode: FrontierMode) -> EvalRequest {
-        self.frontier_mode = mode;
         self
     }
 
@@ -483,7 +473,6 @@ pub fn run_default<E: Engine + ?Sized>(
         }
         spec => {
             let opts = SearchOpts {
-                mode: req.frontier_mode,
                 control: req.control(),
                 ..SearchOpts::default()
             };
@@ -522,9 +511,9 @@ pub fn live_oids(oids: &[Oid], num_nodes: usize) -> Cow<'_, [Oid]> {
 /// question starts from (a planner passes its direction decision, or the
 /// request's hint; an engine without one, `Bidirectional` — "no decisive
 /// end", which runs forward). The request's controls arrive as
-/// `opts.control`, its effective frontier mode as `opts.mode` and the
-/// plan's finite-language bound as `opts.depth_cap`. `opts.reverse_adj` is
-/// not read — each arm sets its own direction.
+/// `opts.control` and the plan's finite-language bound as
+/// `opts.depth_cap`. `opts.reverse_adj` is not read — each arm sets its
+/// own direction.
 ///
 /// This is the only place a [`SourceSpec`] is matched to a kernel, and
 /// nothing here asks whether a control is attached: a request with no
@@ -544,15 +533,18 @@ pub fn live_oids(oids: &[Oid], num_nodes: usize) -> Cow<'_, [Oid]> {
 /// the arena: the per-item arms copy them out at exact size, the matrix
 /// and binding-set loops copy nothing.
 ///
+/// Every kernel runs the same level loop, one push sweep per level, so the
+/// table's only option column is the depth cap.
+///
 /// | `spec` | kernel |
 /// |---|---|
-/// | `Source` | [`search_nodes`] forward — cap, mode |
-/// | `Target` | [`search_nodes`] backward — cap, mode |
-/// | `Sources` | per-item loop forward — cap, mode |
-/// | `Targets` | per-item loop backward — cap, mode |
-/// | `Pair` | [`search_pair`] early exit by `pair_direction` — mode; no cap |
-/// | `Matrix` | per-item loop forward over the rows — cap, mode |
-/// | `Conjunctive` | [`search_pairs`] per-seed loop: sources bound → forward (target set as `bound`), only targets bound → backward, neither → forward from [`seed_candidates`] — mode; no cap |
+/// | `Source` | [`search_nodes`] forward — cap |
+/// | `Target` | [`search_nodes`] backward — cap |
+/// | `Sources` | per-item loop forward — cap |
+/// | `Targets` | per-item loop backward — cap |
+/// | `Pair` | [`search_pair`] early exit by `pair_direction` — no cap |
+/// | `Matrix` | per-item loop forward over the rows — cap |
+/// | `Conjunctive` | [`search_pairs`] per-seed loop: sources bound → forward (target set as `bound`), only targets bound → backward, neither → forward from [`seed_candidates`] — no cap |
 ///
 /// Deliberately not touched (each moves a served counter, so each is its
 /// own follow-up): the pair arm and the binding-set loop ignore the depth

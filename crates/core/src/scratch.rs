@@ -58,19 +58,8 @@ fn words_for(nq: usize) -> usize {
 
 /// The mask word and bit of state `q`.
 #[inline]
-pub(crate) fn word_bit(q: StateId) -> (usize, u32) {
+fn word_bit(q: StateId) -> (usize, u32) {
     (q as usize / WORD_STATES, 1 << (q as usize % WORD_STATES))
-}
-
-/// The states of `bits`, a mask of word `word`, ascending.
-pub(crate) fn states_of(word: usize, mut bits: u32) -> impl Iterator<Item = StateId> {
-    std::iter::from_fn(move || {
-        (bits != 0).then(|| {
-            let b = bits.trailing_zeros();
-            bits &= bits - 1;
-            (word * WORD_STATES) as StateId + b
-        })
-    })
 }
 
 /// OR `bits` of mask word `word` into the sparse mask `list[from..]`.
@@ -119,8 +108,8 @@ impl<'a> Cells<'a> {
     }
 
     /// The states of mask word `word` reached at node `v` so far.
-    #[inline]
-    pub(crate) fn reached(&self, v: usize, word: usize) -> u32 {
+    #[cfg(test)]
+    fn reached(&self, v: usize, word: usize) -> u32 {
         self.unpack(self.cells[v * self.words + word])
     }
 
@@ -198,30 +187,10 @@ pub(crate) struct MaskTables {
     arms: Vec<Arm>,
     /// Sparse masks: `(word, bits)` runs addressed by [`Arm::succ`].
     succ: Vec<(u32, u32)>,
-    /// Per source word, the most transitions its states have on any one
-    /// symbol: an entry of that word scans at most `fan` times the edges
-    /// at its node.
-    pub(crate) fan: Vec<usize>,
-    /// Reversed transition table for the pull sweep and the pull bound,
-    /// flattened: segment `rev_trans_off[q2]..rev_trans_off[q2 + 1]` lists
-    /// the `(symbol, source-state)` pairs with a `source --symbol--> q2`
-    /// transition, sorted by symbol. Built by
-    /// [`MaskTables::build_pull_side`], on first need.
-    pub(crate) rev_trans: Vec<(Symbol, StateId)>,
-    /// Segment offsets into `rev_trans`, length `nq + 1`.
-    pub(crate) rev_trans_off: Vec<usize>,
-    /// The states some labeled transition enters, per word: the only ones
-    /// a pull sweep can reach.
-    pub(crate) pull_targets: Vec<u32>,
-    /// How many labeled transitions enter the states of each word: a pair
-    /// of that word is entered by at most so many per in-edge of its node.
-    pub(crate) entering_word: Vec<usize>,
-    pull_side_built: bool,
-    /// Build buffers: transitions as `(word, symbol, source, target)`, the
-    /// ε-closure stack, the counting-sort cursors of `rev_trans`.
+    /// Build buffers: transitions as `(word, symbol, source, target)` and
+    /// the ε-closure stack.
     sorted: Vec<(usize, Symbol, StateId, StateId)>,
     stack: Vec<StateId>,
-    rev_cursor: Vec<usize>,
 }
 
 impl MaskTables {
@@ -229,7 +198,6 @@ impl MaskTables {
         let nq = nfa.num_states();
         let words = words_for(nq);
         self.words = words;
-        self.pull_side_built = false;
 
         self.closure.clear();
         self.closure.resize(nq * words, 0);
@@ -263,8 +231,6 @@ impl MaskTables {
         self.groups.clear();
         self.arms.clear();
         self.succ.clear();
-        self.fan.clear();
-        self.fan.resize(words, 0);
         self.group_off.clear();
         self.group_off.resize(words + 1, 0);
         let mut i = 0;
@@ -275,7 +241,6 @@ impl MaskTables {
                 sources: 0,
                 arms: self.arms.len(),
             };
-            let mut fan = 0;
             while i < self.sorted.len() && (self.sorted[i].0, self.sorted[i].1) == (w, sym) {
                 let q = self.sorted[i].2;
                 let from = self.succ.len();
@@ -291,11 +256,9 @@ impl MaskTables {
                     mult,
                     succ: (from, self.succ.len()),
                 });
-                fan += mult;
             }
             self.groups.push(group);
             self.group_off[w + 1] = self.groups.len();
-            self.fan[w] = self.fan[w].max(fan);
         }
         for w in 0..words {
             self.group_off[w + 1] = self.group_off[w + 1].max(self.group_off[w]);
@@ -306,11 +269,6 @@ impl MaskTables {
     pub(crate) fn closure_of(&self, q: StateId) -> &[u32] {
         let row = q as usize * self.words;
         &self.closure[row..row + self.words]
-    }
-
-    /// OR the ε-closure of `q` into the sparse mask `list`.
-    pub(crate) fn closure_into(&self, q: StateId, list: &mut Vec<(u32, u32)>) {
-        or_words_into(self.closure_of(q), list, 0);
     }
 
     /// The groups an entry of mask word `word` can expand by.
@@ -350,59 +308,6 @@ impl MaskTables {
         }
         (mult, &merged[..])
     }
-
-    /// Build the reversed transition table and `pull_targets` for `nfa`
-    /// (counting sort, then an in-place per-segment sort by symbol), unless
-    /// this search has already. Allocation-free once the buffers are warm.
-    pub(crate) fn build_pull_side(&mut self, nfa: &Nfa) {
-        if self.pull_side_built {
-            return;
-        }
-        self.pull_side_built = true;
-        let nq = nfa.num_states();
-        self.rev_trans_off.clear();
-        self.rev_trans_off.resize(nq + 1, 0);
-        for q in 0..nq {
-            for &(_, q2) in nfa.transitions(q as StateId) {
-                self.rev_trans_off[q2 as usize + 1] += 1;
-            }
-        }
-        for i in 0..nq {
-            self.rev_trans_off[i + 1] += self.rev_trans_off[i];
-        }
-        self.rev_trans.clear();
-        self.rev_trans
-            .resize(self.rev_trans_off[nq], (Symbol::from_index(0), 0));
-        self.rev_cursor.clear();
-        self.rev_cursor.extend_from_slice(&self.rev_trans_off[..nq]);
-        for q in 0..nq {
-            for &(sym, q2) in nfa.transitions(q as StateId) {
-                let slot = self.rev_cursor[q2 as usize];
-                self.rev_trans[slot] = (sym, q as StateId);
-                self.rev_cursor[q2 as usize] += 1;
-            }
-        }
-        self.pull_targets.clear();
-        self.pull_targets.resize(self.words, 0);
-        self.entering_word.clear();
-        self.entering_word.resize(self.words, 0);
-        for q2 in 0..nq {
-            let (lo, hi) = (self.rev_trans_off[q2], self.rev_trans_off[q2 + 1]);
-            self.rev_trans[lo..hi].sort_unstable_by_key(|&(sym, _)| sym);
-            if lo != hi {
-                let (w, bit) = word_bit(q2 as StateId);
-                self.pull_targets[w] |= bit;
-                self.entering_word[w] += hi - lo;
-            }
-        }
-    }
-
-    /// The transitions entering `q2`, as `(symbol, source)` sorted by
-    /// symbol (after [`MaskTables::build_pull_side`]).
-    #[inline]
-    pub(crate) fn entering(&self, q2: StateId) -> &[(Symbol, StateId)] {
-        &self.rev_trans[self.rev_trans_off[q2 as usize]..self.rev_trans_off[q2 as usize + 1]]
-    }
 }
 
 /// What a level sweep collects, with the sweep's working buffers.
@@ -411,11 +316,8 @@ pub(crate) struct LevelOut {
     /// Entries of the next level, in discovery order.
     pub(crate) entries: Vec<Entry>,
     /// A successor mask OR-ed from several states (see
-    /// [`MaskTables::successors`]), or the closure of a pull candidate's
-    /// hit states.
+    /// [`MaskTables::successors`]).
     pub(crate) merged: Vec<(u32, u32)>,
-    /// The states of a pull candidate still waiting for a hit, per word.
-    pub(crate) pending: Vec<u32>,
 }
 
 /// Reusable per-evaluation working memory for the product BFS (every
@@ -437,9 +339,11 @@ pub struct EvalScratch {
     /// The current automaton's mask tables.
     pub(crate) masks: MaskTables,
     /// Every entry reached by the current search, level after level; the
-    /// current frontier is its tail. Kept whole so that the pull bound can
-    /// be brought up to date from it when — and only when — a level needs
-    /// it.
+    /// current frontier is its tail. Kept whole, in level order, because it
+    /// is the search's own record of *when* each pair was first reached:
+    /// one shortest witness per answer can be rebuilt from it after the
+    /// search, backwards through reverse rows, with nothing added to the
+    /// level loop.
     pub(crate) reached: Vec<Entry>,
     /// The next level, as the sweep collects it.
     pub(crate) next: LevelOut,
@@ -740,30 +644,15 @@ mod tests {
         out
     }
 
-    #[test]
-    fn rev_trans_segments_are_sorted_by_symbol() {
-        for nfa in suite() {
-            let mut s = EvalScratch::new();
-            s.begin(&nfa, 0);
-            s.masks.build_pull_side(&nfa);
-            let nq = nfa.num_states();
-            assert_eq!(s.masks.rev_trans_off.len(), nq + 1);
-            let total: usize = (0..nq).map(|q| nfa.transitions(q as StateId).len()).sum();
-            assert_eq!(s.masks.rev_trans.len(), total);
-            // every segment sorted by symbol, every entry mirrors a real
-            // forward transition, and exactly the entered states are pull
-            // targets
-            for q2 in 0..nq as StateId {
-                let seg = s.masks.entering(q2);
-                assert!(seg.windows(2).all(|w| w[0].0 <= w[1].0), "segment sorted");
-                for &(sym, q) in seg {
-                    assert!(nfa.transitions(q).contains(&(sym, q2)));
-                }
-                let (w, bit) = word_bit(q2);
-                assert_eq!(s.masks.pull_targets[w] & bit != 0, !seg.is_empty());
-            }
-            assert_eq!(s.masks.entering_word.iter().sum::<usize>(), total);
-        }
+    /// The states of `bits`, a mask of word `word`, ascending.
+    fn states_of(word: usize, mut bits: u32) -> impl Iterator<Item = StateId> {
+        std::iter::from_fn(move || {
+            (bits != 0).then(|| {
+                let b = bits.trailing_zeros();
+                bits &= bits - 1;
+                (word * WORD_STATES) as StateId + b
+            })
+        })
     }
 
     fn states(words: impl Iterator<Item = (u32, u32)>) -> Vec<StateId> {
@@ -797,7 +686,6 @@ mod tests {
             for w in 0..t.words {
                 let in_word = |q: &StateId| *q as usize / WORD_STATES == w;
                 let mut seen_syms = Vec::new();
-                let mut fan = 0;
                 for g in t.groups_of(w) {
                     assert!(!seen_syms.contains(&g.sym), "one group per symbol");
                     seen_syms.push(g.sym);
@@ -805,7 +693,6 @@ mod tests {
                     let takes =
                         |q: StateId| nfa.transitions(q).iter().filter(|t| t.0 == g.sym).count();
                     assert!(sources.iter().all(|&q| takes(q) > 0));
-                    fan = fan.max(sources.iter().map(|&q| takes(q)).sum());
                     // every single source, every pair, and all of them
                     let mut subsets: Vec<Vec<StateId>> = sources.iter().map(|&q| vec![q]).collect();
                     for (i, &p) in sources.iter().enumerate() {
@@ -819,7 +706,6 @@ mod tests {
                         assert_eq!(states(succ.iter().copied()), nfa.step(&set, g.sym));
                     }
                 }
-                assert_eq!(t.fan[w], fan);
                 // no transition of the word is left out of its groups
                 for q in (0..nq as StateId).filter(in_word) {
                     for &(sym, _) in nfa.transitions(q) {
@@ -836,10 +722,10 @@ mod tests {
     /// then a larger `|V|`, one mask word then three (so the same cells are
     /// read under another geometry), and the generation wrap — each
     /// followed by searches whose answers and counters match a fresh
-    /// arena's, in every mode.
+    /// arena's.
     #[test]
     fn one_arena_survives_regrow_reshape_and_generation_wrap() {
-        use crate::product::{search_nodes, FrontierMode, SearchOpts};
+        use crate::product::{search_nodes, SearchOpts};
         use rpq_graph::{CsrGraph, Instance};
 
         let syms: Vec<Symbol> = (0..3).map(Symbol::from_index).collect();
@@ -863,22 +749,12 @@ mod tests {
 
         let mut arena = EvalScratch::new();
         let check = |arena: &mut EvalScratch, nfa: &Nfa, graph: &CsrGraph, step: &str| {
-            for mode in [
-                FrontierMode::Hybrid,
-                FrontierMode::ForcedSparse,
-                FrontierMode::ForcedDense,
-                FrontierMode::hybrid_with_discount(64),
-            ] {
-                let opts = SearchOpts {
-                    mode,
-                    ..SearchOpts::default()
-                };
-                let fresh = search_nodes(nfa, graph, Oid(1), &opts, &mut EvalScratch::new()).0;
-                let mut reused = search_nodes(nfa, graph, Oid(1), &opts, arena).0;
-                assert!(!fresh.answers.is_empty());
-                reused.stats.scratch_reused = fresh.stats.scratch_reused;
-                assert_eq!(reused, fresh, "{step}, {mode:?}");
-            }
+            let opts = SearchOpts::default();
+            let fresh = search_nodes(nfa, graph, Oid(1), &opts, &mut EvalScratch::new()).0;
+            let mut reused = search_nodes(nfa, graph, Oid(1), &opts, arena).0;
+            assert!(!fresh.answers.is_empty());
+            reused.stats.scratch_reused = fresh.stats.scratch_reused;
+            assert_eq!(reused, fresh, "{step}");
         };
         check(&mut arena, &one_word, &small, "cold");
         check(&mut arena, &one_word, &large, "regrown to a larger |V|");
@@ -896,15 +772,17 @@ mod tests {
             "regrown under three words",
         );
         check(&mut arena, &one_word, &large, "one word where three were");
-        // Four searches per step: the wrap falls inside the next one.
-        arena.gen = u32::MAX - 2;
+        // One arena search per step: the next stamps the last generation,
+        // the one after it wraps.
+        arena.gen = u32::MAX - 1;
+        check(&mut arena, &three_words, &large, "at the last generation");
         check(
             &mut arena,
             &three_words,
             &large,
             "across the generation wrap",
         );
-        assert!(arena.generation() < 4, "the generation wrapped");
+        assert_eq!(arena.generation(), 1, "the generation wrapped");
         check(&mut arena, &one_word, &small, "after the wrap");
     }
 }

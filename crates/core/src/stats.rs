@@ -85,17 +85,16 @@ pub struct EvalStats {
     /// (amortized to zero on plan-memo hits, which re-report the plan-time
     /// figure).
     pub analysis_ns: u64,
-    /// BFS levels the hybrid product search expanded in sparse *push* mode
-    /// (0 for non-product engines).
+    /// BFS levels the product search expanded, each by one *push* sweep (0
+    /// for non-product engines).
     pub push_levels: usize,
-    /// BFS levels the hybrid product search expanded in dense *pull* mode —
-    /// nonzero only when the direction-optimizing switch fired (or pull was
-    /// forced).
+    /// Inert; deleted with ROADMAP 1(b). No level is expanded by a pull
+    /// sweep, so no engine sets this (always 0).
     pub pull_levels: usize,
     /// Largest per-level frontier, in (state, node) pairs.
     pub frontier_peak: usize,
     /// Label-index row lookups the product search asked of the snapshot,
-    /// forward and reverse, pricing passes included — counted, like
+    /// in whichever adjacency it walks — counted, like
     /// `edges_scanned`, per (state, labeled transition): states of one
     /// frontier entry that share a symbol share the one physical lookup
     /// and each count it, so the figure does not depend on how a level's
@@ -154,7 +153,6 @@ impl EvalStats {
         // Hot-path telemetry: level and reuse counters sum like any work
         // counter; the frontier peak is a high-water mark, so it maxes.
         self.push_levels += other.push_levels;
-        self.pull_levels += other.pull_levels;
         self.frontier_peak = self.frontier_peak.max(other.frontier_peak);
         self.rows_resolved += other.rows_resolved;
         self.scratch_reused += other.scratch_reused;

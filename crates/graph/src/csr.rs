@@ -474,15 +474,6 @@ impl CsrGraph {
         LabelGroups { labels, endpoints }
     }
 
-    /// `v`'s *in*-row grouped by label: yields `(label, sources)` once per
-    /// distinct label — the transpose of [`CsrGraph::out_groups`], used by
-    /// the dense *pull* step of the hybrid product BFS to probe all labels
-    /// arriving at a candidate node in one sorted walk.
-    pub fn rev_groups(&self, v: Oid) -> LabelGroups<'_> {
-        let (labels, endpoints) = row_of(&self.rev, v);
-        LabelGroups { labels, endpoints }
-    }
-
     /// Iterate over all edges as `(source, label, target)` triples.
     pub fn edges(&self) -> impl Iterator<Item = (Oid, Symbol, Oid)> + '_ {
         self.nodes()

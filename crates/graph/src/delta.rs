@@ -172,9 +172,6 @@ pub struct DeltaGraph {
     stats: LabelStats,
     /// Effective edge count (base − tombstones + adds).
     edges: usize,
-    /// Entries in the add logs, over all labels: what a node's degree can
-    /// exceed its base row by ([`GraphView::degree_bound`]).
-    added: usize,
     base_epoch: u64,
     version: u64,
 }
@@ -197,7 +194,6 @@ impl DeltaGraph {
             extra_nodes: 0,
             stats,
             edges,
-            added: 0,
             base_epoch: fresh_base_epoch(),
             version: 0,
         }
@@ -404,21 +400,6 @@ impl DeltaGraph {
             v,
             next_label: 0,
             num_labels: self.num_label_slots(),
-            reverse: false,
-        })
-    }
-
-    /// `v`'s *in*-row grouped by label — the transpose of
-    /// [`DeltaGraph::out_groups`], served from the reverse log orientation
-    /// via one [`DeltaGraph::rev`] probe per label slot. Feeds the dense
-    /// pull step of the hybrid product BFS over mutated snapshots.
-    pub fn rev_groups(&self, v: Oid) -> ViewGroups<'_> {
-        ViewGroups::Delta(DeltaGroups {
-            graph: self,
-            v,
-            next_label: 0,
-            num_labels: self.num_label_slots(),
-            reverse: true,
         })
     }
 
@@ -460,7 +441,6 @@ impl DeltaGraph {
             if inserted {
                 self.stats.note_added(label, !had_label);
                 self.edges += 1;
-                self.added += 1;
             }
             return inserted;
         };
@@ -486,7 +466,6 @@ impl DeltaGraph {
         } else {
             false
         };
-        self.added -= usize::from(removed);
         let removed = removed
             || (self.base_out(from, label).binary_search(&to).is_ok()
                 && Self::log_mut(&mut self.dels, label).insert(from, to));
@@ -581,7 +560,6 @@ impl DeltaGraph {
         self.base = Arc::new(base);
         self.adds.clear();
         self.dels.clear();
-        self.added = 0;
         self.extra_nodes = 0;
         self.version += 1;
         blocks_built
@@ -613,21 +591,8 @@ impl GraphView for DeltaGraph {
         DeltaGraph::rev(self, v, label)
     }
 
-    fn degree_bound(&self, v: Oid, reverse: bool) -> usize {
-        let base = if v.index() < self.base.num_nodes() {
-            self.base.degree_bound(v, reverse)
-        } else {
-            0
-        };
-        base + self.added
-    }
-
     fn out_groups(&self, v: Oid) -> ViewGroups<'_> {
         DeltaGraph::out_groups(self, v)
-    }
-
-    fn rev_groups(&self, v: Oid) -> ViewGroups<'_> {
-        DeltaGraph::rev_groups(self, v)
     }
 }
 
@@ -641,16 +606,14 @@ impl GraphSource for DeltaGraph {
     }
 }
 
-/// Iterator behind [`DeltaGraph::out_groups`] / [`DeltaGraph::rev_groups`]:
-/// walks label slots in ascending order, yielding each label whose overlay
-/// row segment (in the requested orientation) is non-empty.
+/// Iterator behind [`DeltaGraph::out_groups`]: walks label slots in
+/// ascending order, yielding each label whose overlay out-row segment is
+/// non-empty.
 pub struct DeltaGroups<'a> {
     graph: &'a DeltaGraph,
     v: Oid,
     next_label: usize,
     num_labels: usize,
-    /// False = out-row (targets), true = in-row (sources).
-    reverse: bool,
 }
 
 impl<'a> Iterator for DeltaGroups<'a> {
@@ -660,11 +623,7 @@ impl<'a> Iterator for DeltaGroups<'a> {
         while self.next_label < self.num_labels {
             let label = Symbol::from_index(self.next_label);
             self.next_label += 1;
-            let edges = if self.reverse {
-                self.graph.rev(self.v, label)
-            } else {
-                self.graph.out(self.v, label)
-            };
+            let edges = self.graph.out(self.v, label);
             if !edges.is_empty() {
                 return Some((label, edges));
             }
@@ -694,44 +653,6 @@ mod tests {
 
     fn collect(edges: ViewEdges<'_>) -> Vec<Oid> {
         edges.collect()
-    }
-
-    /// `degree_bound` never undercounts, whatever the overlay holds, and is
-    /// exact wherever there is no add log to allow for.
-    #[test]
-    fn degree_bound_dominates_the_degree_through_every_mutation() {
-        let (ab, inst) = sample();
-        let (a, b) = (ab.get("a").unwrap(), ab.get("b").unwrap());
-        let mut dg = DeltaGraph::from_instance(&inst);
-        let check = |dg: &DeltaGraph, exact: bool| {
-            for v in dg.nodes() {
-                for reverse in [false, true] {
-                    let groups = if reverse {
-                        dg.rev_groups(v)
-                    } else {
-                        dg.out_groups(v)
-                    };
-                    let degree: usize = groups.map(|(_, es)| es.len()).sum();
-                    let bound = dg.degree_bound(v, reverse);
-                    assert!(bound >= degree, "{v:?} reverse={reverse}");
-                    assert!(!exact || bound == degree, "{v:?} reverse={reverse}");
-                }
-            }
-        };
-        check(&dg, true);
-        let fresh = dg.add_node();
-        dg.add_edge(Oid(0), a, fresh);
-        dg.add_edge(fresh, b, Oid(1));
-        dg.add_edge(Oid(2), a, Oid(2));
-        check(&dg, false);
-        // a tombstone only loosens the bound; dropping an add tightens it
-        dg.delete_edge(Oid(0), a, Oid(1));
-        dg.delete_edge(Oid(2), a, Oid(2));
-        dg.add_edge(Oid(0), a, Oid(1));
-        check(&dg, false);
-        assert_eq!(dg.added, 2);
-        dg.compact();
-        check(&dg, true);
     }
 
     #[test]
@@ -796,20 +717,6 @@ mod tests {
         assert_eq!(groups.len(), 2);
         assert_eq!(groups[0], (a, vec![Oid(2)]));
         assert_eq!(groups[1], (b, vec![Oid(1), Oid(2)]));
-    }
-
-    #[test]
-    fn rev_groups_partition_the_transposed_overlay_row() {
-        let (ab, inst) = sample();
-        let mut dg = DeltaGraph::from_instance(&inst);
-        let a = ab.get("a").unwrap();
-        let b = ab.get("b").unwrap();
-        let (s, x, y) = (Oid(0), Oid(1), Oid(2));
-        dg.delete_edge(s, a, x);
-        dg.add_edge(y, a, x);
-        let groups: Vec<(Symbol, Vec<Oid>)> =
-            dg.rev_groups(x).map(|(l, ss)| (l, ss.collect())).collect();
-        assert_eq!(groups, vec![(a, vec![y]), (b, vec![s, y])]);
     }
 
     #[test]

@@ -282,24 +282,10 @@ pub trait GraphView: Sync {
     /// transpose of [`GraphView::out`]), ascending.
     fn rev(&self, v: Oid, label: Symbol) -> ViewEdges<'_>;
 
-    /// An upper bound, in O(1), on the edges leaving `v` over all labels
-    /// (entering it, with `reverse`). Exact on a [`CsrGraph`]; an overlay
-    /// adds its whole add log to the base row, which is sound and free. It
-    /// lets a caller rule out that a set of rows is long without resolving
-    /// one of them.
-    fn degree_bound(&self, v: Oid, reverse: bool) -> usize;
-
     /// `v`'s out-row grouped by label: each distinct label once, with its
     /// targets — the label-dependent-work-once-per-label contract of
     /// [`CsrGraph::out_groups`], over any view.
     fn out_groups(&self, v: Oid) -> ViewGroups<'_>;
-
-    /// `v`'s *in*-row grouped by label: each distinct label once, with the
-    /// sources of its incoming edges — the transpose of
-    /// [`GraphView::out_groups`]. The dense pull step of the hybrid product
-    /// BFS walks this row for every unreached candidate node, so both
-    /// snapshot forms must serve it without materializing.
-    fn rev_groups(&self, v: Oid) -> ViewGroups<'_>;
 }
 
 impl GraphView for CsrGraph {
@@ -329,21 +315,8 @@ impl GraphView for CsrGraph {
         ViewEdges::Slice(CsrGraph::rev(self, v, label))
     }
 
-    #[inline]
-    fn degree_bound(&self, v: Oid, reverse: bool) -> usize {
-        if reverse {
-            self.indegree(v)
-        } else {
-            self.outdegree(v)
-        }
-    }
-
     fn out_groups(&self, v: Oid) -> ViewGroups<'_> {
         ViewGroups::Csr(CsrGraph::out_groups(self, v))
-    }
-
-    fn rev_groups(&self, v: Oid) -> ViewGroups<'_> {
-        ViewGroups::Csr(CsrGraph::rev_groups(self, v))
     }
 }
 

@@ -507,7 +507,6 @@ pub fn execute_join<G: GraphView>(
     order: &[usize],
     graph: &G,
     heads: HeadBindings<'_>,
-    mode: FrontierMode,
     control: &EvalControl<'_>,
     scratch: &mut EvalScratch,
 ) -> PairSetResult {
@@ -553,7 +552,6 @@ pub fn execute_join<G: GraphView>(
         };
 
         let per_atom = SearchOpts {
-            mode,
             control: EvalControl {
                 budget: control
                     .budget
@@ -643,22 +641,23 @@ pub fn execute_join<G: GraphView>(
     }
 }
 
-/// Inert since PR 25; deleted with ROADMAP 1(b): [`execute_join`], with a
-/// worker grant nothing spends — `dop` and `pool` are ignored (every atom's
-/// searches run on the calling thread).
+/// Inert; deleted with ROADMAP 1(b): [`execute_join`], with a worker grant
+/// nothing spends and a frontier mode nothing reads — `mode`, `dop` and
+/// `pool` are ignored (every atom's searches run on the calling thread,
+/// one push sweep per level).
 #[allow(clippy::too_many_arguments)]
 pub fn execute_join_parallel<G: GraphView>(
     crpq: &Crpq,
     order: &[usize],
     graph: &G,
     heads: HeadBindings<'_>,
-    mode: FrontierMode,
+    _mode: FrontierMode,
     control: &EvalControl<'_>,
     _dop: usize,
     _pool: &ScratchPool,
     scratch: &mut EvalScratch,
 ) -> PairSetResult {
-    execute_join(crpq, order, graph, heads, mode, control, scratch)
+    execute_join(crpq, order, graph, heads, control, scratch)
 }
 
 /// Evaluate one atom with the given bound sides through
@@ -1048,7 +1047,6 @@ mod tests {
             &plan.order,
             &csr,
             HeadBindings::default(),
-            FrontierMode::Hybrid,
             &EvalControl::UNLIMITED,
             &mut scratch,
         );
@@ -1086,7 +1084,6 @@ mod tests {
                     &order,
                     &csr,
                     HeadBindings::default(),
-                    FrontierMode::Hybrid,
                     &EvalControl::UNLIMITED,
                     &mut scratch,
                 );
@@ -1112,7 +1109,6 @@ mod tests {
                 sources: Some(&sources),
                 targets: None,
             },
-            FrontierMode::Hybrid,
             &EvalControl::UNLIMITED,
             &mut scratch,
         );
@@ -1158,7 +1154,6 @@ mod tests {
                 &plan.order,
                 &csr,
                 HeadBindings::default(),
-                FrontierMode::Hybrid,
                 &control,
                 &mut scratch,
             );
@@ -1284,8 +1279,7 @@ mod tests {
             let plan = plan_join(&q, csr.stats(), &PlannerConfig::default(), src, dst);
             let mut scratch = EvalScratch::new();
             let control = &EvalControl::UNLIMITED;
-            let mode = FrontierMode::Hybrid;
-            execute_join(&q, &plan.order, &csr, heads, mode, control, &mut scratch)
+            execute_join(&q, &plan.order, &csr, heads, control, &mut scratch)
         };
         for (dup, once) in [
             ((Some(&[s, m1, s, s][..]), None), (Some(&[s, m1][..]), None)),

@@ -77,7 +77,7 @@ use rpq_constraints::general::Budget;
 use rpq_constraints::ConstraintSet;
 use rpq_core::{
     live_oids, run_request, Engine, EvalRequest, EvalResponse, EvalResult, EvalStats, Query,
-    ScratchPool, SearchOpts, SourceSpec, WorkerPool, PULL_SWEEP_DISCOUNT,
+    ScratchPool, SearchOpts, SourceSpec, WorkerPool,
 };
 use rpq_graph::{CsrGraph, GraphView, LabelStats, Oid};
 
@@ -254,11 +254,10 @@ impl<E> PlannedEngine<E> {
         self
     }
 
-    /// The pull-sweep discount a request in the default
-    /// [`rpq_core::FrontierMode::Hybrid`] is priced with:
-    /// [`PULL_SWEEP_DISCOUNT`].
+    /// Inert; deleted with ROADMAP 1(b). No level is priced, so nothing is
+    /// discounted; always 1.
     pub fn pull_discount(&self) -> usize {
-        PULL_SWEEP_DISCOUNT
+        1
     }
 
     /// Inert since PR 25; deleted with ROADMAP 1(b). A pool whose leases
@@ -486,9 +485,7 @@ impl<E> PlannedEngine<E> {
     ///
     /// Finite-language plans cap the product BFS depth at the longest
     /// accepted word — the cap *composes* with a fetch budget (whichever
-    /// binds first ends the search). The search runs in the request's
-    /// frontier mode (the default hybrid prices pull sweeps with
-    /// [`PULL_SWEEP_DISCOUNT`]); the pair arm honors the request's
+    /// binds first ends the search). The pair arm honors the request's
     /// direction hint over the planned direction when one is given.
     ///
     /// [`Engine::run`] on a `CsrGraph` delegates here.
@@ -500,7 +497,6 @@ impl<E> PlannedEngine<E> {
     ) -> EvalResponse {
         let (plan, hit) = self.plan_status(query.regex(), query.alphabet(), graph);
         let opts = SearchOpts {
-            mode: req.frontier_mode,
             control: req.control(),
             ..capped(&plan)
         };
@@ -556,7 +552,7 @@ impl<E> PlannedEngine<E> {
     /// Evaluate a conjunctive query end-to-end over any [`GraphView`]:
     /// memoized join planning ([`PlannedEngine::crpq_plan`]), then the
     /// semijoin-propagating executor ([`crate::join::execute_join`]) under the
-    /// request's budget/cancellation controls and frontier mode.
+    /// request's budget/cancellation controls.
     ///
     /// The request's [`SourceSpec`] restricts the *head* variables: source
     /// forms bind the first head variable, target forms the second,
@@ -591,7 +587,6 @@ impl<E> PlannedEngine<E> {
             &plan.order,
             graph,
             heads,
-            req.frontier_mode,
             &req.control(),
             &mut self.scratch.checkout(),
         );
@@ -602,8 +597,7 @@ impl<E> PlannedEngine<E> {
     }
 }
 
-/// Default-hybrid search options carrying `plan`'s finite-language depth
-/// cap.
+/// Default search options carrying `plan`'s finite-language depth cap.
 fn capped(plan: &Plan) -> SearchOpts<'static> {
     SearchOpts {
         depth_cap: plan.facts.max_word_len,
@@ -679,7 +673,7 @@ impl<E: Engine> Engine for PlannedEngine<E> {
 mod tests {
     use super::*;
     use rpq_automata::parse_regex;
-    use rpq_core::{Answers, EvalScratch, FrontierMode, ProductEngine, Termination};
+    use rpq_core::{Answers, EvalScratch, ProductEngine, Termination};
     use rpq_graph::{DeltaGraph, Instance, InstanceBuilder};
 
     /// The shared T5 cached workload (`rpq_bench::distributed_workload`):
@@ -1201,8 +1195,8 @@ mod tests {
     }
 
     /// Every [`SourceSpec`] shape over `seeds` (all-pairs forms left out:
-    /// on the web graph they are the whole closure), then the three ways a
-    /// request steers the search: a budget, a frontier mode, a direction.
+    /// on the web graph they are the whole closure), then the two ways a
+    /// request steers the search: a budget and a direction.
     fn every_shape(seeds: &[Oid]) -> Vec<EvalRequest> {
         let (s, t) = (seeds[0], seeds[seeds.len() - 1]);
         vec![
@@ -1216,7 +1210,6 @@ mod tests {
             EvalRequest::conjunctive(None, Some(seeds.to_vec())),
             EvalRequest::conjunctive(Some(seeds.to_vec()), Some(seeds.to_vec())),
             EvalRequest::sources(seeds.to_vec()).with_budget(50),
-            EvalRequest::source(s).with_frontier_mode(FrontierMode::ForcedSparse),
             EvalRequest::pair(s, t).with_direction(Direction::Backward),
         ]
     }
@@ -1238,7 +1231,6 @@ mod tests {
             let got = planned.run_view(query, graph, &req);
             let mut want = {
                 let opts = SearchOpts {
-                    mode: req.frontier_mode,
                     control: req.control(),
                     depth_cap: plan.facts.max_word_len,
                     ..SearchOpts::default()

@@ -34,8 +34,8 @@
 //!   → plan → eval).
 //! * [`Metrics`] — per-[`QueryClass`] latency percentiles (p50/p99 over a
 //!   sliding window), `edges_scanned`, termination and rejection counts,
-//!   scratch-pool alloc/reuse counters, and the push/pull level counts of
-//!   the hybrid BFS.
+//!   scratch-pool alloc/reuse counters, and the BFS levels each class
+//!   expanded.
 //!
 //! Threads: [`ServerConfig::parallelism`] sizes the executor, which starts
 //! `max(1, parallelism - 1)` threads — the thread that joins a handle is

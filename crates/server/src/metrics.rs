@@ -8,10 +8,9 @@
 //! a long-lived server's percentiles track *recent* behavior and memory
 //! stays flat.
 //!
-//! The per-class `push_levels` / `pull_levels` sums say how often the
-//! hybrid BFS's direction-optimizing switch fires per class on a real
-//! workload — what `rpq_core::PULL_SWEEP_DISCOUNT` would be re-fitted
-//! against.
+//! The per-class `push_levels` sum is the BFS levels a class expanded —
+//! one push sweep each — so with `queries` it gives the class's average
+//! search depth.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -102,7 +101,6 @@ struct ClassAgg {
     edges_scanned: usize,
     answers: usize,
     push_levels: usize,
-    pull_levels: usize,
     complete: usize,
     budget_exhausted: usize,
     cancelled: usize,
@@ -120,10 +118,8 @@ pub struct ClassSnapshot {
     pub edges_scanned: usize,
     /// Total answers produced.
     pub answers: usize,
-    /// Total sparse *push* BFS levels.
+    /// Total BFS levels, each one push sweep.
     pub push_levels: usize,
-    /// Total dense *pull* BFS levels.
-    pub pull_levels: usize,
     /// Runs that explored everything.
     pub complete: usize,
     /// Runs stopped by the fetch budget.
@@ -186,7 +182,6 @@ impl Metrics {
         agg.edges_scanned += stats.edges_scanned;
         agg.answers += stats.answers;
         agg.push_levels += stats.push_levels;
-        agg.pull_levels += stats.pull_levels;
         agg.atoms_evaluated += stats.atoms.len();
         agg.atom_edges_scanned += stats.atoms.iter().map(|a| a.edges_scanned).sum::<usize>();
         match termination {
@@ -222,7 +217,6 @@ impl Metrics {
             edges_scanned: agg.edges_scanned,
             answers: agg.answers,
             push_levels: agg.push_levels,
-            pull_levels: agg.pull_levels,
             complete: agg.complete,
             budget_exhausted: agg.budget_exhausted,
             cancelled: agg.cancelled,
@@ -274,7 +268,6 @@ mod tests {
             edges_scanned: edges,
             answers: 1,
             push_levels: 2,
-            pull_levels: 1,
             ..EvalStats::default()
         }
     }

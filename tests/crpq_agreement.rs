@@ -17,7 +17,7 @@ use std::sync::Arc;
 
 use rpq::automata::random::{random_regex, RegexGenConfig};
 use rpq::automata::{Alphabet, Symbol};
-use rpq::core::{EvalControl, EvalScratch, FrontierMode, Query};
+use rpq::core::{EvalControl, EvalScratch, Query};
 use rpq::graph::generators::random_graph;
 use rpq::graph::{CsrGraph, DeltaGraph, GraphView, Instance, Oid};
 use rpq::optimizer::{
@@ -88,7 +88,6 @@ fn assert_agreement<G: GraphView + Sync>(
             &order,
             graph,
             heads,
-            FrontierMode::Hybrid,
             &EvalControl::UNLIMITED,
             &mut scratch,
         );
@@ -158,7 +157,7 @@ proptest! {
             let control = EvalControl { budget: Some(budget), cancel: None };
             let res = execute_join(
                 &crpq, &plan.order, &graph, HeadBindings::default(),
-                FrontierMode::Hybrid, &control, &mut scratch,
+                &control, &mut scratch,
             );
             prop_assert!(res.stats.edges_scanned <= budget, "budget {}", budget);
             for p in &res.pairs {
@@ -174,7 +173,7 @@ proptest! {
         let control = EvalControl { budget: None, cancel: Some(&cancelled) };
         let res = execute_join(
             &crpq, &plan.order, &graph, HeadBindings::default(),
-            FrontierMode::Hybrid, &control, &mut scratch,
+            &control, &mut scratch,
         );
         prop_assert!(!res.termination.is_complete());
         for p in &res.pairs {

@@ -1,10 +1,8 @@
-//! Hot-path agreement: the direction-optimizing hybrid product BFS is an
-//! *optimization*, never a semantics change. Forced-sparse (classic
-//! push-only frontier), forced-dense (bitset level with pull steps), and
-//! the hybrid switch rule must return identical answer sets — forward and
-//! backward, on the immutable `CsrGraph` snapshot and on a post-delta
-//! `DeltaGraph` epoch — and must agree with every evaluation engine of
-//! Section 2. The pooled [`rpq::core::EvalScratch`] reuse is also pinned
+//! Hot-path agreement: the label-indexed product BFS, one push sweep per
+//! level, is an *optimization*, never a semantics change. Its answer sets —
+//! forward and backward, on the immutable `CsrGraph` snapshot and on a
+//! post-delta `DeltaGraph` epoch — must agree with every evaluation engine
+//! of Section 2. The pooled [`rpq::core::EvalScratch`] reuse is also pinned
 //! here: warm evaluations report `scratch_reused` and allocate no frontier
 //! memory, across interleaved queries of different `|Q|·|V|` shapes. And a
 //! control that never binds is not a semantics change either: every request
@@ -23,8 +21,8 @@ use rpq::automata::random::{random_regex, RegexGenConfig};
 use rpq::automata::{Alphabet, Nfa, Regex, Symbol};
 use rpq::core::{
     eval_product_csr, search_nodes, Answers, DerivativeEngine, Engine, EvalControl, EvalRequest,
-    EvalResponse, EvalScratch, EvalStats, FrontierMode, OracleEngine, ProductEngine, Query,
-    QuotientDfaEngine, ScratchPool, SearchOpts, SourceSpec, StreamingEngine, Termination,
+    EvalResponse, EvalScratch, EvalStats, OracleEngine, ProductEngine, Query, QuotientDfaEngine,
+    ScratchPool, SearchOpts, SourceSpec, StreamingEngine, Termination,
 };
 use rpq::datalog::{DatalogMagicEngine, DatalogNaiveEngine, DatalogSeminaiveEngine};
 use rpq::distributed::{PartitionedBatchEngine, SimulatorEngine};
@@ -32,15 +30,6 @@ use rpq::graph::generators::random_graph;
 use rpq::graph::{CsrGraph, DeltaGraph, GraphView, Instance, Oid};
 use rpq::optimizer::{execute_join, parse_crpq, plan_join, HeadBindings, PlannedEngine};
 use rpq::server::{Catalog, Server, ServerConfig};
-
-const MODES: [FrontierMode; 4] = [
-    FrontierMode::ForcedSparse,
-    FrontierMode::ForcedDense,
-    FrontierMode::Hybrid,
-    // An aggressive tuned discount switches to pull much earlier than the
-    // default — answers must be unaffected.
-    FrontierMode::HybridTuned { pull_discount: 64 },
-];
 
 fn random_setup(seed: u64, nodes: usize, edges: usize) -> (Alphabet, Instance, Oid, Regex) {
     let ab = Alphabet::from_names(["a", "b", "c"]);
@@ -70,86 +59,42 @@ fn nine_engines() -> Vec<Box<dyn Engine>> {
     ]
 }
 
-/// Run all three frontier modes from `source` over `graph` (forward) and
-/// assert they agree pairwise; returns the (shared) answer set and the
-/// per-mode edge scans, with the hybrid-never-scans-more invariant checked
-/// against forced-sparse.
-fn modes_forward<G: GraphView>(nfa: &Nfa, graph: &G, source: Oid) -> Vec<Oid> {
-    let mut answers: Option<Vec<Oid>> = None;
-    let mut sparse_edges = 0usize;
-    for mode in MODES {
-        let mut scratch = EvalScratch::new();
-        let res = search_nodes(
-            nfa,
-            graph,
-            source,
-            &SearchOpts {
-                mode,
-                ..SearchOpts::default()
-            },
-            &mut scratch,
-        )
-        .0;
-        match mode {
-            FrontierMode::ForcedSparse => sparse_edges = res.stats.edges_scanned,
-            FrontierMode::Hybrid => assert!(
-                res.stats.edges_scanned <= sparse_edges,
-                "hybrid scanned {} > forced-sparse {} from {source:?}",
-                res.stats.edges_scanned,
-                sparse_edges
-            ),
-            FrontierMode::ForcedDense | FrontierMode::HybridTuned { .. } => {}
-        }
-        match &answers {
-            None => answers = Some(res.answers),
-            Some(a) => assert_eq!(a, &res.answers, "{mode:?} diverges from {source:?}"),
-        }
-    }
-    answers.unwrap_or_default()
+/// `p(source, I)` by the product search over `graph`, in a fresh arena.
+fn forward<G: GraphView>(nfa: &Nfa, graph: &G, source: Oid) -> Vec<Oid> {
+    let opts = SearchOpts::default();
+    search_nodes(nfa, graph, source, &opts, &mut EvalScratch::new())
+        .0
+        .answers
 }
 
-/// The backward counterpart of [`modes_forward`] (already-reversed NFA).
-fn modes_backward<G: GraphView>(reversed: &Nfa, graph: &G, target: Oid) -> Vec<Oid> {
-    let mut answers: Option<Vec<Oid>> = None;
-    for mode in MODES {
-        let mut scratch = EvalScratch::new();
-        let res = search_nodes(
-            reversed,
-            graph,
-            target,
-            &SearchOpts {
-                reverse_adj: true,
-                mode,
-                ..SearchOpts::default()
-            },
-            &mut scratch,
-        )
-        .0;
-        match &answers {
-            None => answers = Some(res.answers),
-            Some(a) => assert_eq!(a, &res.answers, "{mode:?} diverges to {target:?}"),
-        }
-    }
-    answers.unwrap_or_default()
+/// `{o | target ∈ p(o, I)}` by the backward product search (`reversed` is
+/// the already-reversed NFA).
+fn backward<G: GraphView>(reversed: &Nfa, graph: &G, target: Oid) -> Vec<Oid> {
+    let opts = SearchOpts {
+        reverse_adj: true,
+        ..SearchOpts::default()
+    };
+    search_nodes(reversed, graph, target, &opts, &mut EvalScratch::new())
+        .0
+        .answers
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Forced-sparse, forced-dense, and hybrid product searches answer
-    /// identically — forward and backward, and against all nine engines —
-    /// on the `CsrGraph` snapshot *and* on a post-delta `DeltaGraph`
-    /// epoch. The hybrid run never scans more edges than forced-sparse.
+    /// The product search answers like all nine engines forward, and its
+    /// backward form like the transposed forward sets — on the `CsrGraph`
+    /// snapshot *and* on a post-delta `DeltaGraph` epoch.
     #[test]
-    fn frontier_modes_agree_with_all_engines(seed in 0u64..10_000) {
+    fn the_product_search_agrees_with_all_engines(seed in 0u64..10_000) {
         let (ab, inst, src, q) = random_setup(seed, 6, 12);
         let graph = CsrGraph::from(&inst);
         let query = Query::new(q.clone(), &ab);
         let nfa = query.nfa();
         let rev = nfa.reverse();
 
-        // forward, all three modes, anchored on the nine-engine set
-        let expected = modes_forward(nfa, &graph, src);
+        // forward, anchored on the nine-engine set
+        let expected = forward(nfa, &graph, src);
         for engine in nine_engines() {
             let got = engine.eval(&query, &graph, src).answers;
             if engine.name() == "oracle" {
@@ -157,29 +102,30 @@ proptest! {
                     prop_assert!(expected.binary_search(o).is_ok(), "oracle non-answer");
                 }
             } else {
-                prop_assert_eq!(&got, &expected, "{} vs frontier modes", engine.name());
+                prop_assert_eq!(&got, &expected, "{} vs the product search", engine.name());
             }
         }
 
-        // backward, all three modes, against the forward sets and the
-        // engine's own target-bound request
+        // backward, against the forward sets and the engine's own
+        // target-bound request
         let nodes: Vec<Oid> = graph.nodes().collect();
         for &t in &nodes {
-            let back = modes_backward(&rev, &graph, t);
+            let back = backward(&rev, &graph, t);
             prop_assert_eq!(&back, &sources_reaching(nfa, &graph, &nodes, t), "backward {:?}", t);
             let to = ProductEngine.run(&query, &graph, &EvalRequest::target(t));
             prop_assert_eq!(Some(&back[..]), to.nodes(), "target request {:?}", t);
         }
 
-        // post-delta epoch: mutate the view, modes must track the overlay
+        // post-delta epoch: mutate the view, both directions track the
+        // overlay
         let mut dg = DeltaGraph::from_instance(&inst);
         let syms: Vec<Symbol> = ab.symbols().collect();
         dg.add_edge(nodes[seed as usize % nodes.len()], syms[0], nodes[0]);
         dg.add_edge(nodes[0], syms[seed as usize % syms.len()], nodes[nodes.len() - 1]);
         for &s in &nodes {
-            let fwd = modes_forward(nfa, &dg, s);
+            let fwd = forward(nfa, &dg, s);
             prop_assert_eq!(&fwd, &eval_product_csr(nfa, &dg, s).answers, "delta fwd {:?}", s);
-            let back = modes_backward(&rev, &dg, s);
+            let back = backward(&rev, &dg, s);
             prop_assert_eq!(&back, &sources_reaching(nfa, &dg, &nodes, s), "delta bwd {:?}", s);
         }
     }
@@ -284,8 +230,8 @@ fn outcome(answers: String, termination: Termination, s: &EvalStats) -> Outcome 
         s.edges_scanned,
         s.pairs_visited,
         s.push_levels,
-        s.pull_levels,
         s.frontier_peak,
+        s.rows_resolved,
     ];
     (answers, termination, counters)
 }
@@ -366,7 +312,7 @@ const NEVER_BINDS: usize = usize::MAX >> 2;
 
 /// An unraised cancellation flag changes nothing, and neither does a
 /// budget that never binds: on graphs where seeds share suffixes, every
-/// request shape × frontier mode returns the same answers, `Complete`, and
+/// request shape returns the same answers, `Complete`, and
 /// the same work counters with and without the control — through
 /// `PlannedEngine::run_view`, `ProductEngine::run`, `execute_join`, and
 /// `Session::run` against `Session::submit(..).join()` (which attaches a
@@ -388,11 +334,11 @@ fn an_unraised_control_changes_nothing() {
         let session = server.session();
         for qs in ["a*", "(a+b)*.c", "a.(a+b).(b+c)", "(a.b+c)*", "(a+b+c)*"] {
             let query = Query::parse(&mut ab.clone(), qs).unwrap();
-            for (spec, mode) in shapes.iter().flat_map(|s| MODES.map(|m| (s, m))) {
-                let free = EvalRequest::new(spec.clone()).with_frontier_mode(mode);
+            for spec in &shapes {
+                let free = EvalRequest::new(spec.clone());
                 let flagged = free.clone().with_cancel(Arc::new(AtomicBool::new(false)));
                 let budgeted = free.clone().with_budget(NEVER_BINDS);
-                let what = format!("seed {seed} [{qs}] {spec:?} {mode:?}");
+                let what = format!("seed {seed} [{qs}] {spec:?}");
                 let runners: [(&str, Runner<'_>); 3] = [
                     ("planned", &|r| planned.run_view(&query, &csr, r)),
                     ("product", &|r| ProductEngine.run(&query, &csr, r)),
@@ -435,7 +381,7 @@ fn an_unraised_control_changes_nothing() {
             "ans(x, w) :- x -[(a+b)*]-> y, y -[c]-> z, z -[a+b]-> w",
         ] {
             let crpq = parse_crpq(&mut ab.clone(), text).unwrap();
-            for (head, mode) in heads.iter().flat_map(|h| MODES.map(|m| (h, m))) {
+            for head in &heads {
                 let (src, dst) = (head.sources.is_some(), head.targets.is_some());
                 let config = planned.config();
                 let order = plan_join(&crpq, csr.stats(), config, src, dst).order;
@@ -445,7 +391,6 @@ fn an_unraised_control_changes_nothing() {
                         &order,
                         &csr,
                         *head,
-                        mode,
                         &control,
                         &mut EvalScratch::new(),
                     );
@@ -462,8 +407,8 @@ fn an_unraised_control_changes_nothing() {
                     budget: Some(NEVER_BINDS),
                     cancel: None,
                 };
-                assert_eq!(run(flagged), base, "join flag [{text}] {mode:?}");
-                assert_eq!(run(budgeted), base, "join budget [{text}] {mode:?}");
+                assert_eq!(run(flagged), base, "join flag [{text}]");
+                assert_eq!(run(budgeted), base, "join budget [{text}]");
             }
         }
     }

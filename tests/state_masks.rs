@@ -6,15 +6,14 @@
 //! states, so the word boundaries are covered here: automata of 1, 31, 32,
 //! 33, 63, 64, 65 and 130 states — unions of words, every state on an
 //! accepting path, so the width survives `trim` — answer every request
-//! shape like the definitional oracle, in every frontier mode, on a CSR
-//! snapshot and on a post-delta `DeltaGraph`; and their Kleene closures
+//! shape like the definitional oracle, on a CSR snapshot and on a post-delta `DeltaGraph`; and their Kleene closures
 //! (ε-moves from every word's end back to the start, so closures span mask
 //! words) answer like the scan-and-filter baseline.
 //!
 //! One arena serves search after search, so the table is also checked
-//! across them: any sequence of searches — automaton size, graph size,
-//! frontier mode and direction varying from one to the next — may share
-//! one arena and answer like a fresh one.
+//! across them: any sequence of searches — automaton size, graph size and
+//! direction varying from one to the next — may share one arena and
+//! answer like a fresh one.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -24,19 +23,12 @@ use rpq::automata::random::{random_regex, RegexGenConfig};
 use rpq::automata::{Alphabet, Nfa, Symbol};
 use rpq::core::{
     eval_oracle, eval_product_scan, run_request, search_nodes, Answers, Direction, EvalScratch,
-    FrontierMode, Query, SearchOpts, SourceSpec, Termination,
+    Query, SearchOpts, SourceSpec, Termination,
 };
 use rpq::graph::generators::random_graph;
 use rpq::graph::{CsrGraph, DeltaGraph, GraphView, Instance, Oid};
 
 const WIDTHS: [usize; 8] = [1, 31, 32, 33, 63, 64, 65, 130];
-
-const MODES: [FrontierMode; 4] = [
-    FrontierMode::ForcedSparse,
-    FrontierMode::ForcedDense,
-    FrontierMode::Hybrid,
-    FrontierMode::HybridTuned { pull_discount: 64 },
-];
 
 /// Longest word of a [`word_union`].
 const WORD_LEN: usize = 4;
@@ -195,33 +187,28 @@ fn expected(spec: &SourceSpec, all: &[Vec<Oid>]) -> Answers {
     }
 }
 
-/// Every shape × mode over `graph` answers `expected`.
+/// Every shape over `graph` answers `expected`.
 fn check_all_shapes<G: GraphView>(nfa: &Nfa, graph: &G, all: &[Vec<Oid>], what: &str) {
     let reversed = nfa.reverse();
     // One arena for the whole sweep: widths and shapes interleave on it.
     let mut scratch = EvalScratch::new();
+    let opts = SearchOpts::default();
     for spec in shapes(graph.num_nodes()) {
         let want = expected(&spec, all);
-        for mode in MODES {
-            // Only a pair question has an end to start from.
-            let ends: &[Direction] = match spec {
-                SourceSpec::Pair { .. } => &[Direction::Forward, Direction::Backward],
-                _ => &[Direction::Forward],
-            };
-            for &direction in ends {
-                let opts = SearchOpts {
-                    mode,
-                    ..SearchOpts::default()
-                };
-                let got = run_request(nfa, &reversed, graph, &spec, direction, &opts, &mut scratch);
-                assert_eq!(got.termination, Termination::Complete);
-                assert_eq!(
-                    got.answers,
-                    want,
-                    "{what}: {} states, {spec:?}, {mode:?}, pairs {direction:?}",
-                    nfa.num_states()
-                );
-            }
+        // Only a pair question has an end to start from.
+        let ends: &[Direction] = match spec {
+            SourceSpec::Pair { .. } => &[Direction::Forward, Direction::Backward],
+            _ => &[Direction::Forward],
+        };
+        for &direction in ends {
+            let got = run_request(nfa, &reversed, graph, &spec, direction, &opts, &mut scratch);
+            assert_eq!(got.termination, Termination::Complete);
+            assert_eq!(
+                got.answers,
+                want,
+                "{what}: {} states, {spec:?}, pairs {direction:?}",
+                nfa.num_states()
+            );
         }
     }
 }
@@ -263,9 +250,8 @@ fn closures_of_every_width_answer_like_the_scan_baseline() {
 
 /// Wide automata on a graph big enough for wide levels: their states fan
 /// out across two and five mask words, and a level marks cells of every
-/// word. Answers equal the scan baseline's in every mode, a warm arena
-/// reports every counter a fresh one does, and the hybrid never scans more
-/// than forced-sparse.
+/// word. Answers equal the scan baseline's, and a warm arena reports
+/// every counter a fresh one does.
 #[test]
 fn wide_automata_fan_out_to_the_same_counters() {
     let ab = Alphabet::from_names(["a", "b", "c"]);
@@ -277,42 +263,29 @@ fn wide_automata_fan_out_to_the_same_counters() {
     for states in [33usize, 130] {
         let nfa = Nfa::star(&word_union(states, &syms));
         let want = eval_product_scan(&nfa, &inst, Oid(0)).answers;
-        let mut sparse_edges = None;
-        for mode in MODES {
-            let opts = SearchOpts {
-                mode,
-                ..SearchOpts::default()
-            };
-            let spec = SourceSpec::Source(Oid(0));
-            let run = |scratch: &mut EvalScratch| {
-                let resp = run_request(
-                    &nfa,
-                    &nfa.reverse(),
-                    &csr,
-                    &spec,
-                    Direction::Forward,
-                    &opts,
-                    scratch,
-                );
-                assert_eq!(resp.answers, Answers::Nodes(want.clone()), "{mode:?}");
-                resp.stats
-            };
-            let fresh = run(&mut EvalScratch::new());
-            let mut reused = run(&mut warm);
-            reused.scratch_reused = fresh.scratch_reused;
-            assert_eq!(reused, fresh, "{states} states {mode:?}");
-            assert_eq!(fresh.parallel_levels, 0);
-            match mode {
-                FrontierMode::ForcedSparse => sparse_edges = Some(fresh.edges_scanned),
-                FrontierMode::Hybrid => {
-                    assert!(
-                        fresh.edges_scanned <= sparse_edges.unwrap(),
-                        "{states} states"
-                    )
-                }
-                _ => {}
-            }
-        }
+        let spec = SourceSpec::Source(Oid(0));
+        let run = |scratch: &mut EvalScratch| {
+            let resp = run_request(
+                &nfa,
+                &nfa.reverse(),
+                &csr,
+                &spec,
+                Direction::Forward,
+                &SearchOpts::default(),
+                scratch,
+            );
+            assert_eq!(
+                resp.answers,
+                Answers::Nodes(want.clone()),
+                "{states} states"
+            );
+            resp.stats
+        };
+        let fresh = run(&mut EvalScratch::new());
+        let mut reused = run(&mut warm);
+        reused.scratch_reused = fresh.scratch_reused;
+        assert_eq!(reused, fresh, "{states} states");
+        assert_eq!(fresh.parallel_levels, 0);
     }
 }
 
@@ -367,8 +340,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// The general form of the regression above: any sequence of searches
-    /// — automaton size, graph size, frontier mode and direction all
-    /// varying from one to the next — may share one arena. Each answer set
+    /// — automaton size, graph size and direction all varying from one to
+    /// the next — may share one arena. Each answer set
     /// equals a fresh-arena run and contains the definitional oracle's
     /// (equals it where the oracle's word bound is authoritative).
     #[test]
@@ -391,7 +364,6 @@ proptest! {
             let backward = rng.random_range(0..2) == 1;
             let opts = SearchOpts {
                 reverse_adj: backward,
-                mode: MODES[rng.random_range(0..MODES.len())],
                 ..SearchOpts::default()
             };
             let auto = if backward { nfa.reverse() } else { nfa.clone() };

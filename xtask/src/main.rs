@@ -40,7 +40,11 @@
 //!
 //! `cargo run -p xtask -- surface` prints ROADMAP's tracked numbers per
 //! crate: non-test code lines (non-blank, non-comment lines before a
-//! file's `#[cfg(test)]` module) and `pub fn` count. `surface --check`
+//! file's `#[cfg(test)]` module) and `pub fn` count, then the workspace
+//! total and the `served` row — the sum over `rpq-server` and every `rpq-*`
+//! crate it depends on, read from the crates' `Cargo.toml` files (normal
+//! dependencies, transitively), so the line between the served stack and
+//! the reproduction is a number in the same table. `surface --check`
 //! compares them with the committed `xtask/surface.baseline` and fails if
 //! any crate's code lines or `pub fn` count differs from it, in either
 //! direction: growth has to be admitted, and a reduction recorded, by
@@ -147,10 +151,14 @@ const SURFACE_BASELINE: &str = "xtask/surface.baseline";
 /// One row of the surface table: (crate, non-test code lines, `pub fn`s).
 type SurfaceRow = (String, usize, usize);
 
+/// The package whose dependency closure is the `served` row.
+const SERVED_ROOT: &str = "rpq-server";
+
 /// The surface report: per crate under `crates/`, the non-test code lines
-/// and the `pub fn` count of its `src/` tree, then the totals. Without a
-/// flag the table is printed; `--bless` writes it to [`SURFACE_BASELINE`];
-/// `--check` fails on any row that differs from the committed one.
+/// and the `pub fn` count of its `src/` tree, then the totals and the
+/// served stack. Without a flag the table is printed; `--bless` writes it
+/// to [`SURFACE_BASELINE`]; `--check` fails on any row that differs from
+/// the committed one.
 fn surface(flag: Option<&str>) -> ExitCode {
     let root = workspace_root();
     let Ok(entries) = fs::read_dir(root.join("crates")) else {
@@ -160,6 +168,7 @@ fn surface(flag: Option<&str>) -> ExitCode {
     let mut crates: Vec<PathBuf> = entries.flatten().map(|e| e.path()).collect();
     crates.sort();
     let mut rows: Vec<SurfaceRow> = Vec::new();
+    let mut manifests: Vec<(String, Vec<String>)> = Vec::new();
     let (mut total_lines, mut total_fns) = (0usize, 0usize);
     for dir in crates.iter().filter(|d| d.join("src").is_dir()) {
         let (mut lines, mut fns) = (0usize, 0usize);
@@ -171,10 +180,19 @@ fn surface(flag: Option<&str>) -> ExitCode {
         }
         let name = dir.file_name().unwrap_or_default().to_string_lossy();
         rows.push((name.into_owned(), lines, fns));
+        let manifest = fs::read_to_string(dir.join("Cargo.toml")).unwrap_or_default();
+        manifests.push(manifest_deps(&manifest));
         total_lines += lines;
         total_fns += fns;
     }
+    let served = dependency_closure(&manifests, SERVED_ROOT);
+    let served_row = rows
+        .iter()
+        .zip(&manifests)
+        .filter(|(_, (package, _))| served.contains(package))
+        .fold((0, 0), |(l, f), ((_, lines, fns), _)| (l + lines, f + fns));
     rows.push(("total".into(), total_lines, total_fns));
+    rows.push(("served".into(), served_row.0, served_row.1));
     let mut table = format!("{:<16} {:>10} {:>8}\n", "crate", "code lines", "pub fn");
     for (name, lines, fns) in &rows {
         table += &format!("{name:<16} {lines:>10} {fns:>8}\n");
@@ -246,6 +264,41 @@ fn surface_drift(current: &[SurfaceRow], admitted: &str) -> Vec<String> {
         }
     }
     drifted
+}
+
+/// A crate manifest's package name and the `rpq-*` crates of its
+/// `[dependencies]` table (dev-dependencies are not part of what it
+/// serves).
+fn manifest_deps(toml: &str) -> (String, Vec<String>) {
+    let (mut name, mut deps, mut section) = (String::new(), Vec::new(), "");
+    for line in toml.lines().map(str::trim) {
+        if line.starts_with('[') {
+            section = line;
+        } else if section == "[package]" && line.starts_with("name") {
+            name = line.split('"').nth(1).unwrap_or_default().to_string();
+        } else if section == "[dependencies]" && line.starts_with("rpq-") {
+            let end = line.find(['.', '=', ' ']).unwrap_or(line.len());
+            deps.push(line[..end].to_string());
+        }
+    }
+    (name, deps)
+}
+
+/// `root` and every package it depends on, transitively, over the
+/// `(package, dependencies)` pairs of [`manifest_deps`].
+fn dependency_closure(manifests: &[(String, Vec<String>)], root: &str) -> Vec<String> {
+    let mut closure = vec![root.to_string()];
+    let mut i = 0;
+    while i < closure.len() {
+        let deps = manifests.iter().find(|(p, _)| *p == closure[i]);
+        for dep in deps.map_or(&[][..], |(_, d)| d) {
+            if !closure.contains(dep) {
+                closure.push(dep.clone());
+            }
+        }
+        i += 1;
+    }
+    closure
 }
 
 /// (non-test code lines, `pub fn` count) of one source file: lines before
@@ -635,6 +688,52 @@ mod tests {
         );
         let removed = [row("core", 100, 10), row("total", 150, 15)];
         assert_eq!(surface_drift(&removed, admitted).len(), 1);
+    }
+
+    /// The served row sums the server's normal `rpq-*` dependencies,
+    /// transitively, and nothing reached only through dev-dependencies.
+    #[test]
+    fn served_is_the_servers_dependency_closure() {
+        let manifest = |name: &str, deps: &[&str], dev: &[&str]| {
+            let mut toml = format!("[package]\nname = \"{name}\"\n\n[lib]\nname = \"x\"\n");
+            toml += "\n[dependencies]\n";
+            for d in deps {
+                toml += &format!("{d}.workspace = true\nrand.workspace = true\n");
+            }
+            toml += "\n[dev-dependencies]\n";
+            for d in dev {
+                toml += &format!("{d} = {{ path = \"../x\" }}\n");
+            }
+            manifest_deps(&toml)
+        };
+        let parsed = manifest("rpq-server", &["rpq-core", "rpq-optimizer"], &["rpq-bench"]);
+        assert_eq!(parsed.0, "rpq-server");
+        assert_eq!(parsed.1, ["rpq-core", "rpq-optimizer"]);
+        let manifests = [
+            parsed,
+            manifest("rpq-core", &["rpq-graph"], &[]),
+            manifest(
+                "rpq-optimizer",
+                &["rpq-core", "rpq-constraints"],
+                &["rpq-bench"],
+            ),
+            manifest("rpq-constraints", &["rpq-graph"], &[]),
+            manifest("rpq-graph", &[], &[]),
+            manifest("rpq-bench", &["rpq-server", "rpq-datalog"], &[]),
+            manifest("rpq-datalog", &["rpq-core"], &[]),
+        ];
+        let mut served = dependency_closure(&manifests, "rpq-server");
+        served.sort();
+        assert_eq!(
+            served,
+            [
+                "rpq-constraints",
+                "rpq-core",
+                "rpq-graph",
+                "rpq-optimizer",
+                "rpq-server"
+            ]
+        );
     }
 
     fn lines(s: &str) -> Vec<String> {
