@@ -82,12 +82,6 @@ impl Alphabet {
         Symbol(i)
     }
 
-    /// Intern every character of `s` as a one-character label, in order.
-    /// Used by the two-level "general path query" machinery of Section 2.4.
-    pub fn intern_chars(&mut self, s: &str) -> Vec<Symbol> {
-        s.chars().map(|c| self.intern(&c.to_string())).collect()
-    }
-
     /// Look up a name without interning.
     pub fn get(&self, name: &str) -> Option<Symbol> {
         self.index.get(name).map(|&i| Symbol(i))
@@ -157,16 +151,6 @@ mod tests {
         let ab = Alphabet::from_names(["x", "y", "z"]);
         let idx: Vec<usize> = ab.symbols().map(|s| s.index()).collect();
         assert_eq!(idx, vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn intern_chars_interns_each_character() {
-        let mut ab = Alphabet::new();
-        let w = ab.intern_chars("aba");
-        assert_eq!(w.len(), 3);
-        assert_eq!(w[0], w[2]);
-        assert_ne!(w[0], w[1]);
-        assert_eq!(ab.name(w[1]), "b");
     }
 
     #[test]

@@ -7,12 +7,12 @@
 //! syntactic side, finiteness holds modulo the ACI axioms of union — which is
 //! exactly the normal form maintained by the smart constructors in
 //! [`crate::regex`]. [`DerivativeClosure`] materializes `P` and doubles as a
-//! DFA constructed without going through an NFA.
+//! DFA constructed without going through an NFA: a word is accepted iff the
+//! class it reaches ([`DerivativeClosure::class_of`]) is nullable.
 
 use std::collections::HashMap;
 
 use crate::alphabet::{Alphabet, Symbol};
-use crate::dfa::Dfa;
 use crate::regex::Regex;
 
 /// The Brzozowski derivative (quotient) `∂_s r` with `L(∂_s r) = L(r)/s`.
@@ -152,25 +152,6 @@ impl DerivativeClosure {
         Some(cur)
     }
 
-    /// View the closure as a complete DFA over `sigma` symbols; symbols not
-    /// in the closure's set go to a dead state.
-    pub fn to_dfa(&self, sigma: usize) -> Dfa {
-        // Build via an NFA to reuse the subset construction's completion.
-        let mut nfa = crate::nfa::Nfa::empty();
-        let mut ids = Vec::with_capacity(self.len());
-        ids.push(nfa.start());
-        nfa.set_accepting(nfa.start(), self.nullable[0]);
-        for c in 1..self.len() {
-            ids.push(nfa.add_state(self.nullable[c]));
-        }
-        for (c, row) in self.trans.iter().enumerate() {
-            for (k, &target) in row.iter().enumerate() {
-                nfa.add_transition(ids[c], self.symbols[k], ids[target]);
-            }
-        }
-        Dfa::from_nfa(&nfa, sigma)
-    }
-
     /// Render all classes (debugging / the Datalog translation's rule names).
     pub fn render(&self, alphabet: &Alphabet) -> Vec<String> {
         self.classes
@@ -277,18 +258,18 @@ mod tests {
     }
 
     #[test]
-    fn closure_to_dfa_preserves_language() {
+    fn closure_acceptance_is_the_nullable_class() {
         let (ab, r) = setup("a.(b+c)*.a");
         let syms: Vec<Symbol> = ab.symbols().collect();
         let cl = DerivativeClosure::compute(&r, &syms, 1000).unwrap();
-        let dfa = cl.to_dfa(ab.len());
+        let accepts = |w: &[Symbol]| cl.nullable[cl.class_of(w).unwrap()];
         let nfa = Nfa::thompson(&r);
         for w in nfa.enumerate_words(5, 200) {
-            assert!(dfa.accepts(&w));
+            assert!(accepts(&w));
         }
         let a = ab.get("a").unwrap();
-        assert!(!dfa.accepts(&[a]));
-        assert!(dfa.accepts(&[a, a]));
+        assert!(!accepts(&[a]));
+        assert!(accepts(&[a, a]));
     }
 
     #[test]

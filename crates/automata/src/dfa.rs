@@ -18,7 +18,16 @@
 //! state, symbols `0..sigma` in order, the sink included (it gets its id
 //! the first time some state has no move on some symbol). Two
 //! determinizations of one NFA at different `sigma` agree on the relative
-//! order of the non-sink states; only the sink's id can differ.
+//! order of the non-sink states; only the sink's id can differ. The
+//! dense construction is kept in the tests as the reference the sparse one
+//! is held against, state for state.
+//!
+//! ## Minimization
+//!
+//! [`Dfa::minimize`] is Moore's partition refinement, the one minimizer.
+//! It is held against the definition of a minimal DFA on random regexes
+//! (every state reachable, every two states distinguishable), and against
+//! Brzozowski's double reversal in `tests/growth_and_simplify.rs`.
 
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -347,148 +356,6 @@ impl Dfa {
         }
     }
 
-    /// Hopcroft's partition-refinement minimization — `O(n·σ·log n)` against
-    /// [`Dfa::minimize`]'s `O(n²·σ)` Moore refinement. Both produce the
-    /// (unique) minimal DFA; the ablation in bench
-    /// `t11_det_axioms_simplify` compares them on subset-blowup families,
-    /// and the property suite asserts they agree state-for-state in count.
-    pub fn minimize_hopcroft(&self) -> Dfa {
-        let n = self.num_states();
-        let sigma = self.sigma;
-        let reach = self.reachable();
-        // Compact the reachable subautomaton to indices 0..m.
-        let mut idx = vec![usize::MAX; n];
-        let mut states: Vec<usize> = Vec::new();
-        for s in 0..n {
-            if reach[s] {
-                idx[s] = states.len();
-                states.push(s);
-            }
-        }
-        let m = states.len();
-        // Inverse transition lists per symbol (successors of reachable
-        // states are reachable, so idx is total here).
-        let mut inv: Vec<Vec<Vec<u32>>> = vec![vec![Vec::new(); m]; sigma];
-        for (i, &s) in states.iter().enumerate() {
-            for sym in 0..sigma {
-                let t = idx[self.trans[s * sigma + sym] as usize];
-                inv[sym][t].push(i as u32);
-            }
-        }
-
-        // Initial partition {accepting, rejecting}, empties dropped.
-        let mut blocks: Vec<Vec<u32>> = Vec::new();
-        let mut block_of: Vec<usize> = vec![0; m];
-        {
-            let (mut acc, mut rej) = (Vec::new(), Vec::new());
-            for (i, &s) in states.iter().enumerate() {
-                if self.accept[s] {
-                    acc.push(i as u32);
-                } else {
-                    rej.push(i as u32);
-                }
-            }
-            for part in [acc, rej] {
-                if !part.is_empty() {
-                    let b = blocks.len();
-                    for &s in &part {
-                        block_of[s as usize] = b;
-                    }
-                    blocks.push(part);
-                }
-            }
-        }
-
-        use std::collections::VecDeque;
-        let mut work: VecDeque<(usize, usize)> = VecDeque::new();
-        let mut in_work: std::collections::HashSet<(usize, usize)> =
-            std::collections::HashSet::new();
-        // Seed with the smaller initial block on every symbol (both is also
-        // correct; the smaller one is the classic optimization).
-        let seed = (0..blocks.len())
-            .min_by_key(|&b| blocks[b].len())
-            .into_iter();
-        for b in seed {
-            for sym in 0..sigma {
-                work.push_back((b, sym));
-                in_work.insert((b, sym));
-            }
-        }
-
-        let mut marked: Vec<bool> = vec![false; m];
-        while let Some((a_idx, sym)) = work.pop_front() {
-            in_work.remove(&(a_idx, sym));
-            // X = sym-preimage of the splitter block (current contents).
-            let mut touched: Vec<usize> = Vec::new();
-            let mut x: Vec<u32> = Vec::new();
-            for &t in &blocks[a_idx] {
-                for &s in &inv[sym][t as usize] {
-                    if !marked[s as usize] {
-                        marked[s as usize] = true;
-                        x.push(s);
-                        let b = block_of[s as usize];
-                        if !touched.contains(&b) {
-                            touched.push(b);
-                        }
-                    }
-                }
-            }
-            for b in touched {
-                let total = blocks[b].len();
-                let hits = blocks[b].iter().filter(|&&s| marked[s as usize]).count();
-                if hits == 0 || hits == total {
-                    continue; // no split
-                }
-                // Split: keep unmarked in b, move marked to a new block.
-                let (stay, move_out): (Vec<u32>, Vec<u32>) =
-                    blocks[b].iter().partition(|&&s| !marked[s as usize]);
-                let nb = blocks.len();
-                for &s in &move_out {
-                    block_of[s as usize] = nb;
-                }
-                blocks[b] = stay;
-                blocks.push(move_out);
-                for sym2 in 0..sigma {
-                    if in_work.contains(&(b, sym2)) {
-                        // the splitter must cover both halves
-                        work.push_back((nb, sym2));
-                        in_work.insert((nb, sym2));
-                    } else {
-                        let smaller = if blocks[b].len() <= blocks[nb].len() {
-                            b
-                        } else {
-                            nb
-                        };
-                        work.push_back((smaller, sym2));
-                        in_work.insert((smaller, sym2));
-                    }
-                }
-            }
-            for &s in &x {
-                marked[s as usize] = false;
-            }
-        }
-
-        // Quotient automaton.
-        let k = blocks.len();
-        let mut accept = vec![false; k];
-        let mut trans = vec![0 as StateId; k * sigma];
-        for (b, members) in blocks.iter().enumerate() {
-            let rep = members[0] as usize;
-            accept[b] = self.accept[states[rep]];
-            for sym in 0..sigma {
-                let t = idx[self.trans[states[rep] * sigma + sym] as usize];
-                trans[b * sigma + sym] = block_of[t] as StateId;
-            }
-        }
-        Dfa {
-            sigma,
-            start: block_of[idx[self.start as usize]] as StateId,
-            accept,
-            trans,
-        }
-    }
-
     /// Product DFA combining acceptance with `op(a_accepts, b_accepts)`.
     /// Both inputs must share `sigma`.
     pub fn product<F>(a: &Dfa, b: &Dfa, op: F) -> Dfa
@@ -730,7 +597,7 @@ mod tests {
         let narrow = Dfa::from_nfa(&Nfa::thompson(&r), 2).minimize();
         let wide = Dfa::from_nfa(&Nfa::thompson(&r), 40).minimize();
         assert_eq!(narrow.num_states(), wide.num_states());
-        assert_eq!(wide.num_states(), wide.minimize_hopcroft().num_states());
+        assert_eq!(wide.num_states(), wide.minimize().num_states());
         assert_eq!(
             narrow.accept, wide.accept,
             "class order is σ-independent here"
@@ -890,29 +757,13 @@ mod tests {
         assert_eq!((d.accept, d.trans), (dense.accept, dense.trans));
     }
 
+    /// [`Dfa::minimize`] against the definition of a minimal DFA: the
+    /// language is kept, every state is reachable, and no two states accept
+    /// the same language from there (the automaton started at one is not
+    /// equivalent to the automaton started at the other).
     #[test]
-    fn hopcroft_agrees_with_moore_on_basics() {
-        let mut ab = Alphabet::new();
-        ab.intern("a");
-        ab.intern("b");
-        for src in ["a.(b+a)*", "(a+b)*.a", "a.b + a.c", "()", "[]", "a*.b*"] {
-            let mut ab2 = ab.clone();
-            ab2.intern("c");
-            let d = dfa(&mut ab2, src);
-            let moore = d.minimize();
-            let hop = d.minimize_hopcroft();
-            assert_eq!(
-                moore.num_states(),
-                hop.num_states(),
-                "state counts differ on {src}"
-            );
-            assert!(crate::ops::equivalent(&moore.to_nfa(), &hop.to_nfa()).is_ok());
-            assert!(crate::ops::equivalent(&d.to_nfa(), &hop.to_nfa()).is_ok());
-        }
-    }
-
-    #[test]
-    fn hopcroft_agrees_with_moore_on_random_regexes() {
+    fn minimize_is_minimal_on_random_regexes() {
+        use crate::ops::equivalent;
         use crate::random::{random_regex, RegexGenConfig};
         use rand::rngs::StdRng;
         use rand::SeedableRng;
@@ -920,27 +771,27 @@ mod tests {
         let syms = vec![ab.intern("a"), ab.intern("b"), ab.intern("c")];
         let cfg = RegexGenConfig::new(syms);
         let mut rng = StdRng::seed_from_u64(0x40B);
+        let mut merged = 0;
         for _ in 0..120 {
             let r = random_regex(&mut rng, &cfg);
             let d = Dfa::from_nfa(&Nfa::thompson(&r), 3);
-            let moore = d.minimize();
-            let hop = d.minimize_hopcroft();
-            assert_eq!(moore.num_states(), hop.num_states(), "{r:?}");
-            assert!(
-                crate::ops::equivalent(&d.to_nfa(), &hop.to_nfa()).is_ok(),
-                "{r:?}"
-            );
+            let m = d.minimize();
+            assert!(equivalent(&d.to_nfa(), &m.to_nfa()).is_ok(), "{r:?}");
+            assert!(m.reachable().iter().all(|&reached| reached), "{r:?}");
+            let from = |s: usize| {
+                Dfa {
+                    start: s as StateId,
+                    ..m.clone()
+                }
+                .to_nfa()
+            };
+            for s in 0..m.num_states() {
+                for t in s + 1..m.num_states() {
+                    assert!(equivalent(&from(s), &from(t)).is_err(), "{s} ~ {t}: {r:?}");
+                }
+            }
+            merged += usize::from(m.num_states() < d.num_states());
         }
-    }
-
-    #[test]
-    fn hopcroft_is_idempotent() {
-        let mut ab = Alphabet::new();
-        ab.intern("a");
-        ab.intern("b");
-        let d = dfa(&mut ab, "(a+b)*.a.(a+b).(a+b)");
-        let once = d.minimize_hopcroft();
-        let twice = once.minimize_hopcroft();
-        assert_eq!(once.num_states(), twice.num_states());
+        assert!(merged > 0, "no case had states to merge");
     }
 }

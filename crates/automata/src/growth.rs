@@ -180,15 +180,10 @@ pub fn classify_dfa(dfa: &Dfa) -> Growth {
     Growth::Polynomial { degree: best - 1 }
 }
 
-/// Classify the growth of `L(nfa)`; `sigma` as in [`Dfa::from_nfa`].
-pub fn classify_nfa(nfa: &Nfa, sigma: usize) -> Growth {
-    classify_dfa(&Dfa::from_nfa(nfa, sigma))
-}
-
 /// Classify the growth of `L(r)`.
 pub fn classify_regex(r: &Regex) -> Growth {
     let sigma = r.symbols().iter().map(|s| s.index() + 1).max().unwrap_or(1);
-    classify_nfa(&Nfa::thompson(r), sigma)
+    classify_dfa(&Dfa::from_nfa(&Nfa::thompson(r), sigma))
 }
 
 /// Reachable-and-coreachable mask ("live" states): exactly the states that

@@ -19,10 +19,23 @@
 //!   and the finite closure of repeated quotients ([`DerivativeClosure`]).
 //! * [`Nfa`] / [`Dfa`] — Thompson construction, subset construction,
 //!   minimization, products, reversal, trimming, finiteness.
-//! * [`ops`] — inclusion and equivalence (naive, antichain, Hopcroft–Karp).
+//! * [`ops`] — inclusion and equivalence.
 //! * [`charpat`] — character-level label patterns for general path queries
 //!   (Section 2.4).
 //! * [`random`] — seeded generators for reproducible workloads.
+//!
+//! ## One algorithm per question
+//!
+//! Each question the planner asks has one implementation; a second,
+//! independent route to the same answer lives only in the tests it is held
+//! against.
+//!
+//! | question | algorithm | held against |
+//! |---|---|---|
+//! | regex → NFA | Thompson, [`Nfa::thompson`] | derivatives and the quotient closure (`tests/properties.rs`, `four_representations_agree`) |
+//! | NFA → DFA | sparse subset construction, [`Dfa::from_nfa`] | the dense textbook construction, state for state (`dfa.rs`) |
+//! | minimal DFA | Moore refinement, [`Dfa::minimize`] | the definition — every state reachable, every two distinguishable (`dfa.rs`) — and Brzozowski's double reversal (`minimization_algorithms_agree`) |
+//! | inclusion, equivalence | antichain search, [`ops::included_antichain`] / [`ops::equivalent`] | determinize-and-product, [`ops::included_naive`], both ways (`decision_procedures_agree`) |
 //!
 //! ## Example
 //!
@@ -47,7 +60,6 @@ pub mod charpat;
 pub mod derivative;
 pub mod dfa;
 pub mod elim;
-pub mod glushkov;
 pub mod growth;
 pub mod nfa;
 pub mod ops;
@@ -60,9 +72,8 @@ pub use alphabet::{Alphabet, Symbol};
 pub use derivative::{derivative, word_derivative, DerivativeClosure};
 pub use dfa::Dfa;
 pub use elim::nfa_to_regex;
-pub use glushkov::glushkov;
 pub use growth::{classify_regex, Growth};
 pub use nfa::{Nfa, StateId};
 pub use parser::{parse_regex, parse_regex_embedded, parse_word, ParseError};
 pub use regex::Regex;
-pub use simplify::{simplify, simplify_deep, simplify_with, SimplifyConfig};
+pub use simplify::{simplify, simplify_deep};

@@ -447,21 +447,13 @@ impl Nfa {
         out
     }
 
-    /// The symbols that can begin an accepted word: labels on transitions
-    /// out of the ε-closure of the start state, restricted to the trimmed
-    /// (useful-state) automaton. Sorted and deduplicated.
-    ///
-    /// Together with [`Nfa::last_symbols`] this is the cost input for
-    /// direction planning: a forward product search pays for edges matching
-    /// the first symbols, a backward search for edges matching the last.
-    pub fn first_symbols(&self) -> Vec<Symbol> {
-        self.trim().entry_symbols()
-    }
-
     /// The labels on transitions out of the ε-closure of the start state,
-    /// sorted and deduplicated: [`Nfa::first_symbols`] of an automaton
-    /// that is trim already ([`Nfa::trim`], or [`Nfa::reverse`] of one),
-    /// without trimming it again. On any other automaton a superset — a
+    /// sorted and deduplicated. On an automaton that is trim
+    /// ([`Nfa::trim`], or [`Nfa::reverse`] of one) these are exactly the
+    /// symbols an accepted word can begin with — the cost input for
+    /// direction planning: a forward product search pays for edges matching
+    /// the first symbols, a backward search (over the reversed automaton)
+    /// for edges matching the last. On any other automaton a superset — a
     /// label that leads nowhere is counted too.
     pub fn entry_symbols(&self) -> Vec<Symbol> {
         let mut out: Vec<Symbol> = self
@@ -472,14 +464,6 @@ impl Nfa {
         out.sort_unstable();
         out.dedup();
         out
-    }
-
-    /// The symbols that can end an accepted word — the first symbols of
-    /// the reversed language, which is exactly the entry set the backward
-    /// engines pay for ([`Nfa::reverse`] over the reverse adjacency).
-    /// Sorted and deduplicated.
-    pub fn last_symbols(&self) -> Vec<Symbol> {
-        self.reverse().first_symbols()
     }
 
     /// Union of two automata (fresh start with ε-edges to both).
@@ -606,32 +590,31 @@ impl Nfa {
             .collect()
     }
 
-    /// True iff the language is finite: the trimmed automaton has no cycle
-    /// (ε edges included).
+    /// True iff the language is finite: no symbol edge of the trimmed
+    /// automaton lies on a cycle.
     pub fn is_finite_lang(&self) -> bool {
-        let t = self.trim();
-        // DFS cycle detection, but cycles of pure ε edges do not pump words.
-        // We still treat ε-cycles as harmless only if no symbol edge lies on
-        // a cycle; detect cycles on the graph where symbol edges count and
-        // ε edges are contracted via SCC: a language is infinite iff some
-        // SCC (over all edges) contains a symbol-labeled edge.
-        let n = t.num_states();
-        let scc = strongly_connected_components(n, |s, f| {
-            for &e in &t.eps[s] {
+        self.trim().pumpless_components().is_some()
+    }
+
+    /// The strongly connected components of the automaton (over ε and
+    /// symbol edges alike), or `None` when a symbol edge lies inside one.
+    /// Cycles of pure ε edges pump no word, so on a trim automaton `None`
+    /// is exactly "the language is infinite".
+    fn pumpless_components(&self) -> Option<Vec<usize>> {
+        let scc = strongly_connected_components(self.num_states(), |s, f| {
+            for &e in &self.eps[s] {
                 f(e as usize);
             }
-            for &(_, e) in &t.trans[s] {
+            for &(_, e) in &self.trans[s] {
                 f(e as usize);
             }
         });
-        for s in 0..n {
-            for &(_, e) in &t.trans[s] {
-                if scc[s] == scc[e as usize] {
-                    return false;
-                }
-            }
-        }
-        true
+        let pumps = (0..self.num_states()).any(|s| {
+            self.trans[s]
+                .iter()
+                .any(|&(_, e)| scc[s] == scc[e as usize])
+        });
+        (!pumps).then_some(scc)
     }
 
     /// Length of the longest accepted word: `Some(len)` when the language
@@ -651,22 +634,8 @@ impl Nfa {
         if !t.accept.iter().any(|&a| a) {
             return None; // empty language: no word to bound
         }
-        let n = t.num_states();
-        let scc = strongly_connected_components(n, |s, f| {
-            for &e in &t.eps[s] {
-                f(e as usize);
-            }
-            for &(_, e) in &t.trans[s] {
-                f(e as usize);
-            }
-        });
-        for s in 0..n {
-            for &(_, e) in &t.trans[s] {
-                if scc[s] == scc[e as usize] {
-                    return None; // a pumpable symbol cycle: infinite language
-                }
-            }
-        }
+        // a pumpable symbol cycle: infinite language
+        let scc = t.pumpless_components()?;
         let ncomp = scc.iter().map(|&c| c + 1).max().unwrap_or(0);
         // Tarjan numbers components in reverse topological order: every
         // cross-component edge u→v has scc[v] < scc[u], so one sweep over
@@ -730,8 +699,6 @@ impl Nfa {
             return out;
         }
         let mut layer: Vec<(Vec<Symbol>, Vec<StateId>)> = vec![(Vec::new(), start)];
-        let mut seen_sets: std::collections::HashMap<Vec<StateId>, usize> =
-            std::collections::HashMap::new();
         for len in 0..=max_len {
             for (word, set) in &layer {
                 if self.set_accepts(set) {
@@ -759,10 +726,6 @@ impl Nfa {
                     if stepped.is_empty() {
                         continue;
                     }
-                    // Avoid re-expanding a set we have already expanded at
-                    // the same or smaller depth unless it can still yield new
-                    // words (different prefix). Words differ, so keep; but
-                    // bound blow-up by capping the frontier.
                     let mut w = word.clone();
                     w.push(sym);
                     next.push((w, stepped));
@@ -773,7 +736,6 @@ impl Nfa {
             if next.len() > frontier_cap {
                 next.truncate(frontier_cap);
             }
-            seen_sets.clear();
             layer = next;
             if layer.is_empty() {
                 break;
@@ -958,29 +920,23 @@ mod tests {
     }
 
     #[test]
-    fn first_and_last_symbols() {
+    fn entry_symbols_of_trim_automata() {
         let mut ab = Alphabet::new();
-        let n = Nfa::thompson(&re(&mut ab, "a.(b+c)*.d"));
+        let n = Nfa::thompson(&re(&mut ab, "a.(b+c)*.d")).trim();
         let a = ab.get("a").unwrap();
         let b = ab.get("b").unwrap();
         let c = ab.get("c").unwrap();
         let d = ab.get("d").unwrap();
-        assert_eq!(n.first_symbols(), vec![a]);
-        assert_eq!(n.last_symbols(), vec![d]);
+        assert_eq!(n.entry_symbols(), vec![a]);
+        assert_eq!(n.reverse().entry_symbols(), vec![d]);
         // stars make both ends porous
-        let star = Nfa::thompson(&re(&mut ab, "(a+b)*.c"));
-        let mut firsts = star.first_symbols();
-        firsts.sort_unstable();
-        assert_eq!(firsts, vec![a, b, c]);
-        assert_eq!(star.last_symbols(), vec![c]);
-        // dead branches contribute nothing
+        let star = Nfa::thompson(&re(&mut ab, "(a+b)*.c")).trim();
+        assert_eq!(star.entry_symbols(), vec![a, b, c]);
+        assert_eq!(star.reverse().entry_symbols(), vec![c]);
+        // dead branches contribute nothing once trimmed
         let dead = Nfa::thompson(&re(&mut ab, "a + b.[]"));
-        assert_eq!(dead.first_symbols(), vec![a]);
-        assert_eq!(dead.last_symbols(), vec![a]);
-        // the reverse automaton swaps the two sets
-        let rev = n.reverse();
-        assert_eq!(rev.first_symbols(), vec![d]);
-        assert_eq!(rev.last_symbols(), vec![a]);
+        assert_eq!(dead.trim().entry_symbols(), vec![a]);
+        assert_eq!(dead.trim().reverse().entry_symbols(), vec![a]);
     }
 
     #[test]

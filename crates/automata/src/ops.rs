@@ -2,20 +2,21 @@
 //!
 //! Regular-expression equivalence is PSPACE-complete (the paper cites this
 //! via \[15\] when bounding Theorem 4.3(ii)), so every algorithm here is
-//! worst-case exponential; they differ enormously in practice:
+//! worst-case exponential. One algorithm answers each question:
 //!
-//! * [`included_naive`] — determinize both sides, test `A ∩ ¬B = ∅`.
 //! * [`included_antichain`] — on-the-fly product of NFA states of `A` with
-//!   subset-states of `B`, pruned by the antichain subsumption order.
-//! * [`equivalent_hopcroft_karp`] — union-find bisimulation over lazily
-//!   determinized subset pairs.
+//!   subset-states of `B`, pruned by the antichain subsumption order; the
+//!   planner's and Theorem 4.3(ii)'s inclusion test.
+//! * [`equivalent`] — the antichain inclusion both ways.
 //!
-//! Bench `t7_regex_ops` compares them (an ablation the paper's complexity
-//! remarks predict: the antichain/HK methods win as expressions grow).
+//! [`included_naive`] — determinize both sides, test `A ∩ ¬B = ∅` — is the
+//! reference they are held against: `decision_procedures_agree` and
+//! `inclusion_deciders_agree_with_derived_sigma` in `tests/properties.rs`
+//! compare the verdicts on random pairs, both ways.
 
 use std::collections::{HashMap, VecDeque};
 
-use crate::alphabet::{Alphabet, Symbol};
+use crate::alphabet::Symbol;
 use crate::dfa::Dfa;
 use crate::nfa::{Nfa, StateId};
 use crate::regex::Regex;
@@ -161,96 +162,6 @@ fn is_subset(small: &[StateId], big: &[StateId]) -> bool {
     true
 }
 
-/// Hopcroft–Karp style equivalence on two NFAs, via lazily determinized
-/// subset states and a union-find "merge and verify" loop.
-pub fn equivalent_hopcroft_karp(a: &Nfa, b: &Nfa, sigma: usize) -> Result<(), Vec<Symbol>> {
-    // Union-find over interned subset states from both sides.
-    #[derive(Default)]
-    struct Interner {
-        map: HashMap<(bool, Vec<StateId>), usize>,
-        accept: Vec<bool>,
-    }
-    impl Interner {
-        fn get(&mut self, side_b: bool, set: Vec<StateId>, accepts: bool) -> usize {
-            let key = (side_b, set);
-            if let Some(&i) = self.map.get(&key) {
-                return i;
-            }
-            let i = self.accept.len();
-            self.accept.push(accepts);
-            self.map.insert(key, i);
-            i
-        }
-    }
-    struct Uf {
-        parent: Vec<usize>,
-    }
-    impl Uf {
-        fn find(&mut self, mut x: usize) -> usize {
-            while self.parent[x] != x {
-                self.parent[x] = self.parent[self.parent[x]];
-                x = self.parent[x];
-            }
-            x
-        }
-        fn union(&mut self, x: usize, y: usize) -> bool {
-            let (rx, ry) = (self.find(x), self.find(y));
-            if rx == ry {
-                return false;
-            }
-            self.parent[rx] = ry;
-            true
-        }
-        fn ensure(&mut self, n: usize) {
-            while self.parent.len() < n {
-                self.parent.push(self.parent.len());
-            }
-        }
-    }
-
-    let mut interner = Interner::default();
-    let mut uf = Uf { parent: Vec::new() };
-
-    let sa = a.start_set();
-    let sb = b.start_set();
-    let ia = interner.get(false, sa.clone(), a.set_accepts(&sa));
-    let ib = interner.get(true, sb.clone(), b.set_accepts(&sb));
-    uf.ensure(interner.accept.len());
-
-    let mut queue: VecDeque<(Vec<StateId>, Vec<StateId>, Vec<Symbol>)> = VecDeque::new();
-    if interner.accept[ia] != interner.accept[ib] {
-        return Err(Vec::new());
-    }
-    uf.union(ia, ib);
-    queue.push_back((sa, sb, Vec::new()));
-
-    while let Some((xa, xb, word)) = queue.pop_front() {
-        for sym in 0..sigma {
-            let sym = Symbol::from_index(sym);
-            let na = a.step(&xa, sym);
-            let nb = b.step(&xb, sym);
-            let acc_a = a.set_accepts(&na);
-            let acc_b = b.set_accepts(&nb);
-            let ja = interner.get(false, na.clone(), acc_a);
-            let jb = interner.get(true, nb.clone(), acc_b);
-            uf.ensure(interner.accept.len());
-            if acc_a != acc_b {
-                let mut w = word.clone();
-                w.push(sym);
-                return Err(w);
-            }
-            let (ra, rb) = (uf.find(ja), uf.find(jb));
-            if ra != rb {
-                uf.union(ra, rb);
-                let mut w = word.clone();
-                w.push(sym);
-                queue.push_back((na, nb, w));
-            }
-        }
-    }
-    Ok(())
-}
-
 /// Language equivalence via two antichain inclusion checks; returns a word in
 /// the symmetric difference on failure.
 pub fn equivalent(a: &Nfa, b: &Nfa) -> Result<(), Vec<Symbol>> {
@@ -266,15 +177,6 @@ pub fn regex_included(p: &Regex, q: &Regex) -> bool {
 /// Regex-level convenience: `L(p) = L(q)`?
 pub fn regex_equivalent(p: &Regex, q: &Regex) -> bool {
     equivalent(&Nfa::thompson(p), &Nfa::thompson(q)).is_ok()
-}
-
-/// Regex-level counterexample: a word in `L(p) Δ L(q)` if the languages
-/// differ, rendered against `alphabet`.
-pub fn regex_difference_witness(p: &Regex, q: &Regex, alphabet: &Alphabet) -> Option<String> {
-    match equivalent(&Nfa::thompson(p), &Nfa::thompson(q)) {
-        Ok(()) => None,
-        Err(w) => Some(alphabet.render_word(&w)),
-    }
 }
 
 #[cfg(test)]
@@ -338,8 +240,9 @@ mod tests {
             let (np, nq) = pair(&mut ab, p, q);
             assert!(equivalent(&np, &nq).is_ok(), "{p} = {q}");
             assert!(
-                equivalent_hopcroft_karp(&np, &nq, ab.len()).is_ok(),
-                "{p} = {q} (HK)"
+                included_naive(&np, &nq, ab.len()).is_ok()
+                    && included_naive(&nq, &np, ab.len()).is_ok(),
+                "{p} = {q} (naive)"
             );
         }
     }
@@ -352,20 +255,22 @@ mod tests {
         let (np, nq) = pair(&mut ab, "a*", "b*");
         let w = equivalent(&np, &nq).unwrap_err();
         assert!(np.accepts(&w) != nq.accepts(&w));
-        let w2 = equivalent_hopcroft_karp(&np, &nq, ab.len()).unwrap_err();
-        assert!(np.accepts(&w2) != nq.accepts(&w2));
+        let w2 = included_naive(&np, &nq, ab.len()).unwrap_err();
+        assert!(np.accepts(&w2) && !nq.accepts(&w2));
     }
 
     #[test]
-    fn hk_counterexample_on_subtle_pair() {
+    fn equivalence_counterexample_on_subtle_pair() {
         let mut ab = Alphabet::new();
         ab.intern("a");
         ab.intern("b");
-        // differ only on the word b.a.b
         let (np, nq) = pair(&mut ab, "(a+b)*", "(a+b)* "); // identical
-        assert!(equivalent_hopcroft_karp(&np, &nq, ab.len()).is_ok());
+        assert!(equivalent(&np, &nq).is_ok());
+        // neither language includes the other
         let (np, nq) = pair(&mut ab, "(a+b)*.a.(a+b)", "(a+b)*.a.(a+b).(a+b)");
-        let w = equivalent_hopcroft_karp(&np, &nq, ab.len()).unwrap_err();
+        let w = equivalent(&np, &nq).unwrap_err();
+        assert!(np.accepts(&w) != nq.accepts(&w));
+        let w = equivalent(&nq, &np).unwrap_err();
         assert!(np.accepts(&w) != nq.accepts(&w));
     }
 
@@ -379,8 +284,8 @@ mod tests {
         let r = parse_regex(&mut ab, "a.c").unwrap();
         assert!(regex_included(&r, &p));
         assert!(!regex_included(&p, &r));
-        let witness = regex_difference_witness(&p, &r, &ab).unwrap();
-        assert!(witness.contains('b'));
+        let witness = equivalent(&Nfa::thompson(&p), &Nfa::thompson(&r)).unwrap_err();
+        assert!(ab.render_word(&witness).contains('b'));
     }
 
     #[test]

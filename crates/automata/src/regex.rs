@@ -10,7 +10,6 @@
 //! classical "similarity" quotient (associativity, commutativity, idempotence
 //! of `+`).
 
-use std::cmp::Ordering;
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
@@ -170,19 +169,6 @@ impl Regex {
         }
     }
 
-    /// Star height (max nesting depth of Kleene stars). A query is
-    /// *nonrecursive* in the paper's sense iff its language is finite; star
-    /// height 0 is a sufficient syntactic condition.
-    pub fn star_height(&self) -> usize {
-        match self {
-            Regex::Empty | Regex::Epsilon | Regex::Symbol(_) => 0,
-            Regex::Concat(parts) | Regex::Union(parts) => {
-                parts.iter().map(Regex::star_height).max().unwrap_or(0)
-            }
-            Regex::Star(r) => 1 + r.star_height(),
-        }
-    }
-
     /// All symbols occurring in the expression, sorted and deduplicated.
     pub fn symbols(&self) -> Vec<Symbol> {
         fn walk(r: &Regex, out: &mut Vec<Symbol>) {
@@ -286,15 +272,6 @@ impl Regex {
             regex: self,
             alphabet,
         }
-    }
-}
-
-/// Total order on regexes used to canonicalize unions; any fixed order works.
-impl Regex {
-    /// Compare by (size, structure); exposed for deterministic iteration in
-    /// downstream crates.
-    pub fn canonical_cmp(&self, other: &Regex) -> Ordering {
-        self.size().cmp(&other.size()).then_with(|| self.cmp(other))
     }
 }
 
@@ -492,15 +469,6 @@ mod tests {
             .then(Regex::sym(a).star());
         let s = format!("{}", r.display(&ab));
         assert_eq!(s, "a.(()+b).a*");
-    }
-
-    #[test]
-    fn star_height_counts_nesting() {
-        let (_, a, b, _) = ab3();
-        assert_eq!(Regex::sym(a).star_height(), 0);
-        assert_eq!(Regex::sym(a).star().star_height(), 1);
-        let r = Regex::sym(a).star().then(Regex::sym(b)).star();
-        assert_eq!(r.star_height(), 2);
     }
 
     #[test]

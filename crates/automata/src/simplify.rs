@@ -5,15 +5,23 @@
 //! rewrite rules "of practical use in simplifying path queries" are a goal of
 //! the constraint machinery. This module provides the constraint-free layer:
 //! a terminating, shrinking-only rewriter built from sound identities of the
-//! algebra of regular events, plus an optional "deep" mode that round-trips
-//! through the minimal DFA and keeps whichever expression is smaller.
+//! algebra of regular events, plus a "deep" mode that round-trips through
+//! the minimal DFA and keeps whichever expression is smaller.
+//!
+//! There are two entry points and no settings. [`simplify`] applies the
+//! syntactic rules below: the constraint prover and the constraint parser
+//! normalize with it. [`simplify_deep`] adds semantic union pruning (an
+//! inclusion test per pair of arms, on unions of total size at most 64)
+//! and the minimal-DFA → state-elimination route: the optimizer's view
+//! search normalizes rewrite candidates with it before costing them. Both
+//! rewrite bottom-up to a fixpoint of at most 8 passes.
 //!
 //! Every rule is an equivalence of regular expressions — no rule depends on
-//! constraints — so `L(simplify(r)) = L(r)` unconditionally (property-tested
-//! against [`crate::ops::regex_equivalent`]). The optimizer uses this to
-//! normalize rewrite candidates before costing them; smaller expressions
-//! also directly shrink the quotient sets shipped by the distributed
-//! protocol.
+//! constraints — so `L(simplify(r)) = L(r)` unconditionally. Both entry
+//! points are held against [`crate::ops::regex_equivalent`] on random
+//! regexes (`never_grows_and_stays_equivalent_on_random_inputs`,
+//! `deep_route_verified_on_random_inputs`). Smaller expressions also
+//! directly shrink the quotient sets shipped by the distributed protocol.
 //!
 //! Identities applied (beyond the smart-constructor normal form):
 //!
@@ -31,58 +39,26 @@ use crate::nfa::Nfa;
 use crate::ops;
 use crate::regex::Regex;
 
-/// Budget knobs for [`simplify_with`] / [`simplify_deep`].
-#[derive(Clone, Debug)]
-pub struct SimplifyConfig {
-    /// Max AST size for which semantic (inclusion-based) union pruning runs.
-    pub semantic_size_limit: usize,
-    /// Max fixpoint passes (each pass is a full bottom-up rewrite).
-    pub max_passes: usize,
-    /// Whether [`simplify_deep`] may try the minimal-DFA → regex route.
-    pub try_automaton_route: bool,
-}
+/// Unions of at most this total AST size are pruned by inclusion, and
+/// [`simplify_deep`] tries the minimal-DFA route on expressions of at most
+/// this size.
+const SEMANTIC_SIZE_LIMIT: usize = 64;
 
-impl Default for SimplifyConfig {
-    fn default() -> Self {
-        SimplifyConfig {
-            semantic_size_limit: 64,
-            max_passes: 8,
-            try_automaton_route: true,
-        }
-    }
-}
+/// Max fixpoint passes (each pass is a full bottom-up rewrite).
+const MAX_PASSES: usize = 8;
 
 /// Simplify with the cheap syntactic rules only; linear-ish and allocation
 /// light. Guaranteed: `L(out) = L(r)` and `out.size() <= r.size()`.
 pub fn simplify(r: &Regex) -> Regex {
-    let cfg = SimplifyConfig {
-        semantic_size_limit: 0,
-        try_automaton_route: false,
-        ..SimplifyConfig::default()
-    };
-    simplify_with(r, &cfg)
+    fixpoint(r, 0)
 }
 
-/// Simplify with syntactic rules plus size-budgeted semantic union pruning.
-pub fn simplify_with(r: &Regex, cfg: &SimplifyConfig) -> Regex {
-    let mut cur = r.clone();
-    for _ in 0..cfg.max_passes {
-        let next = pass(&cur, cfg);
-        if next == cur {
-            break;
-        }
-        debug_assert!(next.size() <= cur.size(), "simplify must not grow");
-        cur = next;
-    }
-    cur
-}
-
-/// Full pipeline: syntactic + semantic rules, then (optionally) the minimal
-/// DFA → state-elimination route; returns whichever equivalent expression is
+/// Full pipeline: syntactic + semantic rules, then the minimal DFA →
+/// state-elimination route; returns whichever equivalent expression is
 /// smallest. This is the entry point the optimizer uses.
-pub fn simplify_deep(r: &Regex, cfg: &SimplifyConfig) -> Regex {
-    let syntactic = simplify_with(r, cfg);
-    if !cfg.try_automaton_route || syntactic.size() > cfg.semantic_size_limit {
+pub fn simplify_deep(r: &Regex) -> Regex {
+    let syntactic = fixpoint(r, SEMANTIC_SIZE_LIMIT);
+    if syntactic.size() > SEMANTIC_SIZE_LIMIT {
         return syntactic;
     }
     let sigma = syntactic
@@ -92,7 +68,10 @@ pub fn simplify_deep(r: &Regex, cfg: &SimplifyConfig) -> Regex {
         .max()
         .unwrap_or(1);
     let dfa = crate::dfa::Dfa::from_nfa(&Nfa::thompson(&syntactic), sigma).minimize();
-    let via_dfa = simplify_with(&crate::elim::nfa_to_regex(&dfa.to_nfa()), cfg);
+    let via_dfa = fixpoint(
+        &crate::elim::nfa_to_regex(&dfa.to_nfa()),
+        SEMANTIC_SIZE_LIMIT,
+    );
     if via_dfa.size() < syntactic.size() && ops::regex_equivalent(&via_dfa, &syntactic) {
         via_dfa
     } else {
@@ -100,19 +79,34 @@ pub fn simplify_deep(r: &Regex, cfg: &SimplifyConfig) -> Regex {
     }
 }
 
+/// Rewrite passes until nothing changes (at most [`MAX_PASSES`]); unions
+/// of total size at most `semantic_limit` are also pruned by inclusion.
+fn fixpoint(r: &Regex, semantic_limit: usize) -> Regex {
+    let mut cur = r.clone();
+    for _ in 0..MAX_PASSES {
+        let next = pass(&cur, semantic_limit);
+        if next == cur {
+            break;
+        }
+        debug_assert!(next.size() <= cur.size(), "simplify must not grow");
+        cur = next;
+    }
+    cur
+}
+
 /// One bottom-up rewrite pass.
-fn pass(r: &Regex, cfg: &SimplifyConfig) -> Regex {
+fn pass(r: &Regex, semantic_limit: usize) -> Regex {
     match r {
         Regex::Empty | Regex::Epsilon | Regex::Symbol(_) => r.clone(),
         Regex::Concat(parts) => {
-            let parts: Vec<Regex> = parts.iter().map(|p| pass(p, cfg)).collect();
+            let parts: Vec<Regex> = parts.iter().map(|p| pass(p, semantic_limit)).collect();
             rewrite_concat(parts)
         }
         Regex::Union(parts) => {
-            let parts: Vec<Regex> = parts.iter().map(|p| pass(p, cfg)).collect();
-            rewrite_union(parts, cfg)
+            let parts: Vec<Regex> = parts.iter().map(|p| pass(p, semantic_limit)).collect();
+            rewrite_union(parts, semantic_limit)
         }
-        Regex::Star(inner) => rewrite_star(pass(inner, cfg)),
+        Regex::Star(inner) => rewrite_star(pass(inner, semantic_limit)),
     }
 }
 
@@ -132,8 +126,9 @@ fn rewrite_concat(parts: Vec<Regex>) -> Regex {
 }
 
 /// Union-level rules: plus-to-star, star absorption, ε-absorption into a
-/// nullable arm, and (budgeted) semantic subsumption.
-fn rewrite_union(mut parts: Vec<Regex>, cfg: &SimplifyConfig) -> Regex {
+/// nullable arm, and semantic subsumption on unions of total size at most
+/// `semantic_limit`.
+fn rewrite_union(mut parts: Vec<Regex>, semantic_limit: usize) -> Regex {
     // ε + r·r* → r*  (and the mirrored ε + r*·r → r*). Scan while a rewrite
     // applies; each application strictly shrinks total size.
     if parts.contains(&Regex::Epsilon) {
@@ -177,7 +172,7 @@ fn rewrite_union(mut parts: Vec<Regex>, cfg: &SimplifyConfig) -> Regex {
 
     // Budgeted semantic subsumption: drop arm i when L(i) ⊆ L(j), i ≠ j.
     let total: usize = parts.iter().map(Regex::size).sum();
-    if parts.len() > 1 && total <= cfg.semantic_size_limit {
+    if parts.len() > 1 && total <= semantic_limit {
         let mut keep = vec![true; parts.len()];
         for i in 0..parts.len() {
             if !keep[i] {
@@ -271,7 +266,7 @@ mod tests {
     fn simp(src: &str) -> String {
         let mut ab = Alphabet::new();
         let r = parse_regex(&mut ab, src).unwrap();
-        let s = simplify_deep(&r, &SimplifyConfig::default());
+        let s = simplify_deep(&r);
         assert!(
             ops::regex_equivalent(&r, &s),
             "unsound simplification of {src}"
@@ -340,14 +335,15 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0xA1B2);
         for _ in 0..200 {
             let r = random_regex(&mut rng, &cfg);
-            let s = simplify_with(&r, &SimplifyConfig::default());
-            assert!(s.size() <= r.size(), "{r:?} grew to {s:?}");
-            assert!(
-                ops::regex_equivalent(&r, &s),
-                "unsound: {} vs {}",
-                r.display(&ab),
-                s.display(&ab)
-            );
+            for s in [simplify(&r), simplify_deep(&r)] {
+                assert!(s.size() <= r.size(), "{r:?} grew to {s:?}");
+                assert!(
+                    ops::regex_equivalent(&r, &s),
+                    "unsound: {} vs {}",
+                    r.display(&ab),
+                    s.display(&ab)
+                );
+            }
         }
     }
 
@@ -360,7 +356,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0xC0FFEE);
         for _ in 0..60 {
             let r = random_regex(&mut rng, &cfg);
-            let s = simplify_deep(&r, &SimplifyConfig::default());
+            let s = simplify_deep(&r);
             assert!(ops::regex_equivalent(&r, &s));
         }
     }

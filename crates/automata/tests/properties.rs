@@ -8,8 +8,7 @@ use rand::SeedableRng;
 use rpq_automata::derivative::{accepts as re_accepts, derivative};
 use rpq_automata::elim::nfa_to_regex;
 use rpq_automata::ops::{
-    equivalent, equivalent_hopcroft_karp, included_antichain, included_naive, regex_included,
-    union_sigma,
+    equivalent, included_antichain, included_naive, regex_included, union_sigma,
 };
 use rpq_automata::random::{random_regex, sample_word, RegexGenConfig};
 use rpq_automata::{Alphabet, DerivativeClosure, Dfa, Nfa, Regex, Symbol};
@@ -62,27 +61,21 @@ proptest! {
         }
     }
 
-    /// Thompson NFA, Glushkov NFA, subset DFA, minimized DFA, and the
-    /// derivative closure DFA all accept the same words.
+    /// Thompson NFA, subset DFA, minimized DFA, and the derivative
+    /// closure (a word is accepted iff the class it reaches is nullable)
+    /// all accept the same words.
     #[test]
-    fn five_representations_agree(seed in 0u64..100_000) {
+    fn four_representations_agree(seed in 0u64..100_000) {
         let (ab, s, r) = gen(seed);
         let nfa = Nfa::thompson(&r);
-        let glu = rpq_automata::glushkov(&r);
         let dfa = Dfa::from_nfa(&nfa, ab.len());
         let min = dfa.minimize();
         let closure = DerivativeClosure::compute(&r, &s, 10_000).unwrap();
-        let cdfa = closure.to_dfa(ab.len());
         for w in words_up_to(&s, 4) {
             let expect = nfa.accepts(&w);
-            prop_assert_eq!(glu.accepts(&w), expect);
             prop_assert_eq!(dfa.accepts(&w), expect);
             prop_assert_eq!(min.accepts(&w), expect);
-            prop_assert_eq!(cdfa.accepts(&w), expect);
-        }
-        // Glushkov is ε-free with positions+1 states
-        for st in 0..glu.num_states() as u32 {
-            prop_assert!(glu.eps_transitions(st).is_empty());
+            prop_assert_eq!(closure.nullable[closure.class_of(&w).unwrap()], expect);
         }
     }
 
@@ -96,7 +89,8 @@ proptest! {
         prop_assert_eq!(dfa.count_words_by_length(6), min.count_words_by_length(6));
     }
 
-    /// The three inclusion/equivalence algorithms agree pairwise.
+    /// The antichain inclusion and equivalence agree with the naive
+    /// determinize-and-product inclusion, run both ways.
     #[test]
     fn decision_procedures_agree(seed in 0u64..100_000) {
         let (ab, s, _) = gen(seed);
@@ -109,8 +103,8 @@ proptest! {
         let inc_anti = included_antichain(&np, &nq).is_ok();
         prop_assert_eq!(inc_naive, inc_anti);
         let eq_anti = equivalent(&np, &nq).is_ok();
-        let eq_hk = equivalent_hopcroft_karp(&np, &nq, ab.len()).is_ok();
-        prop_assert_eq!(eq_anti, eq_hk);
+        let eq_naive = inc_naive && included_naive(&nq, &np, ab.len()).is_ok();
+        prop_assert_eq!(eq_anti, eq_naive);
         // consistency: equal ⇒ included both ways
         if eq_anti {
             prop_assert!(inc_anti);

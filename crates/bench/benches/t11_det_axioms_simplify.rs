@@ -6,8 +6,10 @@
 //! * the axiomatic prover on the paper's worked examples vs the budgeted
 //!   Theorem 4.2 saturation engine — the prover's goal-directed search is
 //!   the fast path the optimizer relies on;
-//! * the algebraic simplifier: shallow vs deep mode on seeded random
-//!   regexes, with the size-reduction series printed.
+//! * the algebraic simplifier: syntactic vs deep mode on seeded random
+//!   regexes, with the size-reduction series printed;
+//! * Moore minimization on the subset-blowup family, where determinization
+//!   produces ~2^k states.
 
 use std::hint::black_box;
 use std::time::Duration;
@@ -16,7 +18,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rpq_automata::random::{random_regex, RegexGenConfig};
-use rpq_automata::simplify::{simplify_deep, simplify_with, SimplifyConfig};
+use rpq_automata::simplify::{simplify, simplify_deep};
 use rpq_automata::{parse_regex, Alphabet};
 use rpq_bench::word_system;
 use rpq_constraints::axioms::{Prover, ProverConfig};
@@ -139,53 +141,33 @@ fn bench(c: &mut Criterion) {
     let inputs: Vec<_> = (0..64).map(|_| random_regex(&mut rng, &cfg)).collect();
     {
         let before: usize = inputs.iter().map(|r| r.size()).sum();
-        let shallow: usize = inputs
-            .iter()
-            .map(|r| simplify_with(r, &SimplifyConfig::default()).size())
-            .sum();
-        let deep: usize = inputs
-            .iter()
-            .map(|r| simplify_deep(r, &SimplifyConfig::default()).size())
-            .sum();
-        eprintln!("t11 simplify: total size {before} → shallow {shallow} → deep {deep}");
+        let syntactic: usize = inputs.iter().map(|r| simplify(r).size()).sum();
+        let deep: usize = inputs.iter().map(|r| simplify_deep(r).size()).sum();
+        eprintln!("t11 simplify: total size {before} → syntactic {syntactic} → deep {deep}");
     }
-    group.bench_function("simplify_shallow", |b| {
-        b.iter(|| {
-            let total: usize = inputs
-                .iter()
-                .map(|r| simplify_with(r, &SimplifyConfig::default()).size())
-                .sum();
-            black_box(total)
-        })
+    group.bench_function("simplify_syntactic", |b| {
+        b.iter(|| black_box(inputs.iter().map(|r| simplify(r).size()).sum::<usize>()))
     });
     group.bench_function("simplify_deep", |b| {
         b.iter(|| {
-            let total: usize = inputs
-                .iter()
-                .map(|r| simplify_deep(r, &SimplifyConfig::default()).size())
-                .sum();
-            black_box(total)
+            black_box(
+                inputs
+                    .iter()
+                    .map(|r| simplify_deep(r).size())
+                    .sum::<usize>(),
+            )
         })
     });
 
-    // --- DFA minimization: Moore (O(n²σ)) vs Hopcroft (O(nσ log n)) --------
-    // The subset-blowup family (a+b)*a(a+b)^k makes determinization produce
-    // ~2^k states — where the asymptotic difference shows.
+    // --- DFA minimization on the subset-blowup family ----------------------
+    // (a+b)*a(a+b)^k makes determinization produce ~2^k states.
     for &k in &[6usize, 9, 12] {
         let mut ab = Alphabet::new();
         let src = format!("(a+b)*.a{}", ".(a+b)".repeat(k));
         let r = parse_regex(&mut ab, &src).unwrap();
         let dfa = rpq_automata::Dfa::from_nfa(&rpq_automata::Nfa::thompson(&r), 2);
-        {
-            let m = dfa.minimize();
-            let h = dfa.minimize_hopcroft();
-            assert_eq!(m.num_states(), h.num_states());
-        }
         group.bench_with_input(BenchmarkId::new("minimize_moore", k), &k, |b, _| {
             b.iter(|| black_box(dfa.minimize().num_states()))
-        });
-        group.bench_with_input(BenchmarkId::new("minimize_hopcroft", k), &k, |b, _| {
-            b.iter(|| black_box(dfa.minimize_hopcroft().num_states()))
         });
     }
 

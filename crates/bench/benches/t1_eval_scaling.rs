@@ -16,8 +16,8 @@ use std::time::Duration;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rpq_bench::{eval_workload, multi_source_workload, skewed_workload};
 use rpq_core::{
-    eval_product_csr, eval_product_scan, DerivativeEngine, Engine, EvalRequest, ProductEngine,
-    Query, QuotientDfaEngine,
+    eval_product_scan, DerivativeEngine, Engine, EvalRequest, ProductEngine, Query,
+    QuotientDfaEngine,
 };
 use rpq_datalog::engine::{eval_naive, eval_seminaive};
 use rpq_datalog::translate::{load_csr, translate_quotient};
@@ -41,12 +41,6 @@ fn bench(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("product_nfa", nodes), &nodes, |b, _| {
             b.iter(|| black_box(ProductEngine.eval(&query, &graph, w.source).answers.len()))
         });
-        let glu = rpq_automata::glushkov(regex);
-        group.bench_with_input(
-            BenchmarkId::new("product_glushkov", nodes),
-            &nodes,
-            |b, _| b.iter(|| black_box(eval_product_csr(&glu, &graph, w.source).answers.len())),
-        );
         group.bench_with_input(BenchmarkId::new("product_scan", nodes), &nodes, |b, _| {
             b.iter(|| {
                 black_box(

@@ -138,11 +138,6 @@ impl RewriteSystem {
         None
     }
 
-    /// Maximum left-hand-side length (bounds the saturation chain states).
-    pub fn max_lhs_len(&self) -> usize {
-        self.rules.iter().map(|(l, _)| l.len()).max().unwrap_or(0)
-    }
-
     /// Total length of all left-hand sides (the paper's `N` ingredient for
     /// the K-sphere radius: the `RewriteTo` NFA has at most
     /// `|target| + Σ|lhs| + 1` states).

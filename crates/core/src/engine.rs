@@ -124,7 +124,7 @@ pub trait Engine {
 
     /// The unified entry point: dispatch an [`EvalRequest`] — any question
     /// shape ([`crate::SourceSpec`]) plus uniform execution controls (budget,
-    /// cancellation, direction hint) — to an [`EvalResponse`].
+    /// cancellation) — to an [`EvalResponse`].
     ///
     /// The default implementation is [`run_default`]: source-bound
     /// requests route through the engine's own [`Engine::eval`] strategy,
@@ -157,8 +157,7 @@ impl Engine for ProductEngine {
 
     /// Every request shape straight through [`run_request`] with a fresh
     /// arena, sequentially, under the request's controls. There is no
-    /// plan, so no depth cap, and the direction hint is not read: pairs run
-    /// forward.
+    /// plan, so no depth cap and no direction decision: pairs run forward.
     fn run(&self, query: &Query, graph: &CsrGraph, req: &EvalRequest) -> EvalResponse {
         let opts = SearchOpts {
             control: req.control(),

@@ -59,22 +59,6 @@ impl PairSetResult {
             termination,
         }
     }
-
-    /// The distinct left-hand (source) endpoints, sorted.
-    pub fn distinct_sources(&self) -> Vec<Oid> {
-        let mut out: Vec<Oid> = self.pairs.iter().map(|&(s, _)| s).collect(); // alloc-ok: result value
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
-
-    /// The distinct right-hand (target) endpoints, sorted.
-    pub fn distinct_targets(&self) -> Vec<Oid> {
-        let mut out: Vec<Oid> = self.pairs.iter().map(|&(_, t)| t).collect(); // alloc-ok: result value
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
 }
 
 /// Finalize a binding list: lexicographic order, dedup (duplicate seeds

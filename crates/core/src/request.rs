@@ -4,8 +4,8 @@
 //! An [`EvalRequest`] is a question plus how to run it: a [`SourceSpec`]
 //! names the question (one source, many sources, one target, many targets,
 //! a pair, an N×M matrix, a binding set), and optional *execution
-//! controls* — a fetch budget on `edges_scanned`, a cooperative
-//! cancellation flag and a direction hint — ride along uniformly.
+//! controls* — a fetch budget on `edges_scanned` and a cooperative
+//! cancellation flag — ride along uniformly.
 //! [`Engine::run`] answers it with an [`EvalResponse`]: the payload shaped
 //! like the question, the work counters, and how the run ended. It is the
 //! only way to ask an engine anything but its own
@@ -161,17 +161,13 @@ impl SourceSpec {
 
 /// One evaluation request: the question ([`SourceSpec`]) plus uniform
 /// execution controls. Built with the constructors and `with_*` builders;
-/// dispatched by [`Engine::run`].
-///
-/// The direction field is a *hint*: engines with their own strategy (or a
-/// planner) may override it.
+/// dispatched by [`Engine::run`]. Which end a search starts from is the
+/// engine's decision (a planner's, from label statistics), not the
+/// request's.
 #[derive(Clone, Debug)]
 pub struct EvalRequest {
     /// The question being asked.
     pub spec: SourceSpec,
-    /// Traversal-direction hint for planning engines (`None` = let the
-    /// engine decide).
-    pub direction: Option<Direction>,
     /// Fetch budget: hard cap on `edges_scanned` (`None` = unlimited).
     pub budget: Option<usize>,
     /// Cooperative cancellation flag, shared with the submitting thread.
@@ -179,12 +175,11 @@ pub struct EvalRequest {
 }
 
 impl EvalRequest {
-    /// An uncontrolled request asking `spec`, with default hints. The
-    /// shape-specific constructors below are shorthand over this.
+    /// An uncontrolled request asking `spec`. The shape-specific
+    /// constructors below are shorthand over this.
     pub fn new(spec: SourceSpec) -> EvalRequest {
         EvalRequest {
             spec,
-            direction: None,
             budget: None,
             cancel: None,
         }
@@ -239,12 +234,6 @@ impl EvalRequest {
     /// Attach a cancellation flag (shared with the submitting thread).
     pub fn with_cancel(mut self, cancel: Arc<AtomicBool>) -> EvalRequest {
         self.cancel = Some(cancel);
-        self
-    }
-
-    /// Hint a traversal direction to planning engines.
-    pub fn with_direction(mut self, direction: Direction) -> EvalRequest {
-        self.direction = Some(direction);
         self
     }
 
@@ -508,11 +497,10 @@ pub fn live_oids(oids: &[Oid], num_nodes: usize) -> Cow<'_, [Oid]> {
 /// The one request executor: answer `spec` over `graph` with the product
 /// BFS, as `opts` directs. `nfa` is the (planned) query automaton and
 /// `reversed` its [`Nfa::reverse`]; `pair_direction` is the end a pair
-/// question starts from (a planner passes its direction decision, or the
-/// request's hint; an engine without one, `Bidirectional` — "no decisive
-/// end", which runs forward). The request's controls arrive as
-/// `opts.control` and the plan's finite-language bound as
-/// `opts.depth_cap`. `opts.reverse_adj` is not read — each arm sets its
+/// question starts from (a planner passes its direction decision; an
+/// engine without one, `Bidirectional` — "no decisive end", which runs
+/// forward). The request's controls arrive as `opts.control` and the
+/// plan's finite-language bound as `opts.depth_cap`. `opts.reverse_adj` is not read — each arm sets its
 /// own direction.
 ///
 /// This is the only place a [`SourceSpec`] is matched to a kernel, and

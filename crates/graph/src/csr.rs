@@ -103,17 +103,6 @@ impl LabelStats {
         self.source_counts.get(label.index()).copied().unwrap_or(0)
     }
 
-    /// Average outgoing fanout of `label` among nodes that have it (0.0 for
-    /// labels never seen).
-    pub fn avg_fanout(&self, label: Symbol) -> f64 {
-        let sources = self.source_count(label);
-        if sources == 0 {
-            0.0
-        } else {
-            self.edge_count(label) as f64 / sources as f64
-        }
-    }
-
     /// The most frequent label, if any edge exists.
     pub fn hottest(&self) -> Option<Symbol> {
         self.edge_counts
@@ -958,7 +947,6 @@ mod tests {
         assert_eq!(csr.stats().edge_count(b), 3);
         assert_eq!(csr.stats().source_count(a), 2); // s, y
         assert_eq!(csr.stats().source_count(b), 3); // s, x, y
-        assert!(csr.stats().avg_fanout(a) > csr.stats().avg_fanout(b));
         let total: usize = csr.stats().iter().map(|(_, c)| c).sum();
         assert_eq!(total, csr.num_edges());
     }

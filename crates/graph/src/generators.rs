@@ -122,55 +122,6 @@ pub fn web_graph(
     (inst, Oid(0))
 }
 
-/// A rooted site tree of the kind the paper's examples browse
-/// (`CS-Department DB-group … Classes cs345`): `fanout^depth` leaves, each
-/// internal edge labeled from `labels` cyclically, plus optional `up` edges
-/// back to the root (the "Stanford-CS-Main" style constraint Σ*·home = ε
-/// holds when `home_edges` is true).
-pub fn site_tree(
-    alphabet: &mut Alphabet,
-    depth: usize,
-    fanout: usize,
-    home_edges: bool,
-) -> (Instance, Oid, Vec<Symbol>) {
-    let labels: Vec<Symbol> = (0..fanout)
-        .map(|i| alphabet.intern(&format!("sec{i}")))
-        .collect();
-    let home = alphabet.intern("home");
-    let mut inst = Instance::new();
-    let root = inst.add_named_node("root");
-    let mut frontier = vec![root];
-    for _ in 0..depth {
-        let mut next = Vec::with_capacity(frontier.len() * fanout);
-        for &node in &frontier {
-            for &l in &labels {
-                let child = inst.add_node();
-                inst.add_edge(node, l, child);
-                if home_edges {
-                    inst.add_edge(child, home, root);
-                }
-                next.push(child);
-            }
-        }
-        frontier = next;
-    }
-    let mut all = labels;
-    all.push(home);
-    (inst, root, all)
-}
-
-/// A simple directed cycle of length `n`, all edges labeled `label`.
-pub fn cycle_graph(n: usize, label: Symbol) -> (Instance, Oid) {
-    let mut inst = Instance::new();
-    for _ in 0..n {
-        inst.add_node();
-    }
-    for i in 0..n {
-        inst.add_edge(Oid(i as u32), label, Oid(((i + 1) % n) as u32));
-    }
-    (inst, Oid(0))
-}
-
 /// A "site with cache" workload for the Section 3.2 experiments.
 ///
 /// Builds a web-like graph, evaluates the *cached query* `q_cache` at the
@@ -258,36 +209,6 @@ mod tests {
         let e1: Vec<_> = i1.edges().collect();
         let e2: Vec<_> = i2.edges().collect();
         assert_eq!(e1, e2);
-    }
-
-    #[test]
-    fn site_tree_home_edges_return_to_root() {
-        let mut ab = Alphabet::new();
-        let (inst, root, labels) = site_tree(&mut ab, 2, 2, true);
-        let home = *labels.last().unwrap();
-        // every non-root node has a home edge to root
-        for o in inst.nodes() {
-            if o != root && inst.outdegree(o) > 0 {
-                assert!(inst
-                    .out_edges(o)
-                    .iter()
-                    .any(|&(l, t)| l == home && t == root));
-            }
-        }
-        // 1 + 2 + 4 nodes
-        assert_eq!(inst.num_nodes(), 7);
-    }
-
-    #[test]
-    fn cycle_wraps() {
-        let mut ab = Alphabet::new();
-        let a = ab.intern("a");
-        let (inst, src) = cycle_graph(5, a);
-        let mut cur = vec![src];
-        for _ in 0..5 {
-            cur = inst.word_targets(cur[0], &[a]);
-        }
-        assert_eq!(cur, vec![src]);
     }
 
     #[test]

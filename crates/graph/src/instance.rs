@@ -242,25 +242,6 @@ impl Instance {
         out
     }
 
-    /// BFS distance (in edges) from `o` to every node; `usize::MAX` when
-    /// unreachable. The paper's "distance" and "K-sphere" notions use this.
-    pub fn distances_from(&self, o: Oid) -> Vec<usize> {
-        let mut dist = vec![usize::MAX; self.num_nodes()];
-        let mut queue = std::collections::VecDeque::new();
-        dist[o.index()] = 0;
-        queue.push_back(o);
-        while let Some(x) = queue.pop_front() {
-            let d = dist[x.index()];
-            for &(_, t) in self.out_edges(x) {
-                if dist[t.index()] == usize::MAX {
-                    dist[t.index()] = d + 1;
-                    queue.push_back(t);
-                }
-            }
-        }
-        dist
-    }
-
     /// Follow a word from `o`, collecting every endpoint (set semantics).
     /// This is a reference implementation of `w(o, I)` for a single word.
     /// Dedup uses a seen-bitmap (reset between letters), so each step is
@@ -439,16 +420,10 @@ mod tests {
     }
 
     #[test]
-    fn reachability_and_distance() {
+    fn reachability() {
         let (_, inst, s) = chain();
         let r = inst.reachable_from(s);
         assert_eq!(r.len(), 3);
-        let d = inst.distances_from(s);
-        assert_eq!(d[s.index()], 0);
-        let x = inst.node_by_name("x").unwrap();
-        let y = inst.node_by_name("y").unwrap();
-        assert_eq!(d[x.index()], 1);
-        assert_eq!(d[y.index()], 2);
     }
 
     #[test]

@@ -150,9 +150,11 @@ fn memo_key<G: GraphView>(graph: &G) -> MemoKey {
     )
 }
 
-struct MemoEntry {
+/// One snapshot-keyed entry in a plan memo: a query [`Plan`], or a CRPQ
+/// [`JoinPlan`].
+struct MemoEntry<P> {
     key: MemoKey,
-    plan: Arc<Plan>,
+    plan: Arc<P>,
 }
 
 /// CRPQ join-plan memo key: the query's canonical [`Crpq::signature`] plus
@@ -160,9 +162,6 @@ struct MemoEntry {
 /// flip both the starting atom and every direction downstream, so bound
 /// and free requests plan separately).
 type CrpqSig = (String, bool, bool);
-
-/// One snapshot-keyed entry in the CRPQ join-plan memo.
-type CrpqMemoEntry = (MemoKey, Arc<JoinPlan>);
 
 /// Bound on distinct snapshots the plan memo retains **per query**: a
 /// long-lived engine over a mutating graph sees a fresh [`MemoKey`] per
@@ -177,7 +176,7 @@ const MAX_MEMOIZED_SNAPSHOTS: usize = 8;
 /// Enter `plan` under `key` in one query's entry list, unless the key is
 /// there already; the oldest entry makes room (a plan for it is rebuilt,
 /// or validated again, if that snapshot comes back).
-fn remember(entries: &mut Vec<MemoEntry>, key: MemoKey, plan: &Arc<Plan>) {
+fn remember<P>(entries: &mut Vec<MemoEntry<P>>, key: MemoKey, plan: &Arc<P>) {
     if entries.iter().any(|e| e.key == key) {
         return;
     }
@@ -215,8 +214,8 @@ pub struct PlannedEngine<E> {
     set: ConstraintSet,
     alphabet: Alphabet,
     config: PlannerConfig,
-    memo: Mutex<HashMap<Regex, Vec<MemoEntry>>>,
-    crpq_memo: Mutex<HashMap<CrpqSig, Vec<CrpqMemoEntry>>>,
+    memo: Mutex<HashMap<Regex, Vec<MemoEntry<Plan>>>>,
+    crpq_memo: Mutex<HashMap<CrpqSig, Vec<MemoEntry<JoinPlan>>>>,
     hits: AtomicUsize,
     misses: AtomicUsize,
     drift_checks: AtomicUsize,
@@ -449,14 +448,14 @@ impl<E> PlannedEngine<E> {
     /// Answer `spec` under `plan`: statically empty plans answer without
     /// touching the graph (zero edges scanned, no arena checked out);
     /// everything else is one [`run_request`] over the planned automata
-    /// with a pooled arena. Plan observability is stamped either way.
+    /// with a pooled arena, pairs searched from the planned direction's
+    /// end. Plan observability is stamped either way.
     fn execute<G: GraphView>(
         &self,
         plan: &Plan,
         hit: bool,
         graph: &G,
         spec: &SourceSpec,
-        pair_direction: Direction,
         opts: &SearchOpts<'_>,
     ) -> EvalResponse {
         let mut resp = if plan.facts.statically_empty {
@@ -467,7 +466,7 @@ impl<E> PlannedEngine<E> {
                 &plan.reversed,
                 graph,
                 spec,
-                pair_direction,
+                plan.direction,
                 opts,
                 &mut self.scratch.checkout(),
             )
@@ -485,8 +484,8 @@ impl<E> PlannedEngine<E> {
     ///
     /// Finite-language plans cap the product BFS depth at the longest
     /// accepted word — the cap *composes* with a fetch budget (whichever
-    /// binds first ends the search). The pair arm honors the request's
-    /// direction hint over the planned direction when one is given.
+    /// binds first ends the search). A pair is searched from the planned
+    /// direction's end.
     ///
     /// [`Engine::run`] on a `CsrGraph` delegates here.
     pub fn run_view<G: GraphView>(
@@ -500,8 +499,7 @@ impl<E> PlannedEngine<E> {
             control: req.control(),
             ..capped(&plan)
         };
-        let direction = req.direction.unwrap_or(plan.direction);
-        self.execute(&plan, hit, graph, &req.spec, direction, &opts)
+        self.execute(&plan, hit, graph, &req.spec, &opts)
     }
 
     /// The memoized join plan for a conjunctive query over `graph`, plus
@@ -524,9 +522,9 @@ impl<E> PlannedEngine<E> {
         {
             let memo = self.crpq_memo.lock();
             if let Some(entries) = memo.get(&sig) {
-                if let Some((_, plan)) = entries.iter().find(|(k, _)| *k == key) {
+                if let Some(e) = entries.iter().find(|e| e.key == key) {
                     self.hits.fetch_add(1, Ordering::Relaxed);
-                    return (plan.clone(), true);
+                    return (e.plan.clone(), true);
                 }
             }
         }
@@ -539,13 +537,7 @@ impl<E> PlannedEngine<E> {
         ));
         self.misses.fetch_add(1, Ordering::Relaxed);
         let mut memo = self.crpq_memo.lock();
-        let entries = memo_slot(&mut memo, sig);
-        if !entries.iter().any(|(k, _)| *k == key) {
-            if entries.len() >= MAX_MEMOIZED_SNAPSHOTS {
-                entries.remove(0);
-            }
-            entries.push((key, plan.clone()));
-        }
+        remember(memo_slot(&mut memo, sig), key, &plan);
         (plan, false)
     }
 
@@ -660,7 +652,7 @@ impl<E: Engine> Engine for PlannedEngine<E> {
             let spec = SourceSpec::Source(source);
             let opts = capped(&plan);
             return self
-                .execute(&plan, hit, graph, &spec, plan.direction, &opts)
+                .execute(&plan, hit, graph, &spec, &opts)
                 .into_eval_result();
         }
         let mut res = self.inner.eval(&plan.query, graph, source);
@@ -1195,8 +1187,8 @@ mod tests {
     }
 
     /// Every [`SourceSpec`] shape over `seeds` (all-pairs forms left out:
-    /// on the web graph they are the whole closure), then the two ways a
-    /// request steers the search: a budget and a direction.
+    /// on the web graph they are the whole closure), then one under a
+    /// budget.
     fn every_shape(seeds: &[Oid]) -> Vec<EvalRequest> {
         let (s, t) = (seeds[0], seeds[seeds.len() - 1]);
         vec![
@@ -1210,7 +1202,6 @@ mod tests {
             EvalRequest::conjunctive(None, Some(seeds.to_vec())),
             EvalRequest::conjunctive(Some(seeds.to_vec()), Some(seeds.to_vec())),
             EvalRequest::sources(seeds.to_vec()).with_budget(50),
-            EvalRequest::pair(s, t).with_direction(Direction::Backward),
         ]
     }
 
@@ -1240,7 +1231,7 @@ mod tests {
                     &plan.reversed,
                     graph,
                     &req.spec,
-                    req.direction.unwrap_or(plan.direction),
+                    plan.direction,
                     &opts,
                     &mut planned.scratch.checkout(),
                 )

@@ -61,7 +61,7 @@
 
 use rpq_automata::elim::nfa_to_regex;
 use rpq_automata::ops::{equivalent, regex_included};
-use rpq_automata::simplify::{simplify_deep, SimplifyConfig};
+use rpq_automata::simplify::simplify_deep;
 use rpq_automata::{Alphabet, Dfa, Nfa, Regex, StateId, Symbol};
 use rpq_constraints::axioms::{Prover, ProverConfig};
 use rpq_constraints::general::{check, Budget, Verdict};
@@ -163,7 +163,7 @@ fn shrink_tail(tail: &Regex, r: &Regex) -> Regex {
             return t;
         }
     }
-    let simplified = simplify_deep(tail, &SimplifyConfig::default());
+    let simplified = simplify_deep(tail);
     if simplified.size() < tail.size() {
         simplified
     } else {
@@ -236,10 +236,7 @@ pub(crate) fn views_compiled(set: &ConstraintSet, cq: &CompiledQuery<'_>) -> Vec
         let (kind, rem) = if rem_nfa.is_empty_lang() {
             (ViewKind::Total, Regex::Empty)
         } else {
-            (
-                ViewKind::Partial,
-                simplify_deep(&nfa_to_regex(&rem_nfa), &SimplifyConfig::default()),
-            )
+            (ViewKind::Partial, simplify_deep(&nfa_to_regex(&rem_nfa)))
         };
 
         let mut arms: Vec<Regex> = members

@@ -376,13 +376,6 @@ mod tests {
             served.stats.edges_scanned,
             forward.stats.edges_scanned
         );
-        // the request's hint wins over the plan
-        let hinted = session
-            .submit(&q, pair().with_direction(Direction::Forward))
-            .unwrap()
-            .join();
-        assert_eq!(hinted.reachable(), Some(true));
-        assert_eq!(hinted.stats.edges_scanned, forward.stats.edges_scanned);
         // a budget below the backward scan binds on the backward search
         let budget = served.stats.edges_scanned - 1;
         let starved = session

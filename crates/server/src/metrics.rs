@@ -252,11 +252,6 @@ impl Metrics {
     pub fn scratch_reuses(&self) -> usize {
         self.scratch_reuses.load(Ordering::Relaxed)
     }
-
-    /// Total queries recorded across every class.
-    pub fn total_queries(&self) -> usize {
-        self.classes.iter().map(|c| c.lock().queries).sum()
-    }
 }
 
 #[cfg(test)]
@@ -303,7 +298,6 @@ mod tests {
         assert!(s.p99_latency_ns >= s.p50_latency_ns);
         assert_eq!(m.class(QueryClass::Pair).cancelled, 1);
         assert_eq!(m.class(QueryClass::Matrix), ClassSnapshot::default());
-        assert_eq!(m.total_queries(), 3);
     }
 
     #[test]

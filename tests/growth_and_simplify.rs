@@ -1,7 +1,8 @@
 //! Language-level invariants of the analysis substrate: growth
 //! classification is a *language* property (invariant under simplification
-//! and minimization), the simplifier is idempotent and sound, and the
-//! finite class agrees exactly with automaton finiteness and enumeration.
+//! and minimization), the simplifier is idempotent and sound, Moore
+//! minimization agrees with Brzozowski's double reversal, and the finite
+//! class agrees exactly with automaton finiteness and enumeration.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -9,8 +10,8 @@ use rand::SeedableRng;
 
 use rpq::automata::growth::{classify_dfa, classify_regex, Growth};
 use rpq::automata::random::{random_regex, RegexGenConfig};
-use rpq::automata::simplify::{simplify, simplify_deep, SimplifyConfig};
-use rpq::automata::{Alphabet, Dfa, Nfa};
+use rpq::automata::simplify::{simplify, simplify_deep};
+use rpq::automata::{Alphabet, Dfa, Nfa, Symbol};
 
 fn gen(seed: u64) -> (Alphabet, rpq::automata::Regex) {
     let mut ab = Alphabet::new();
@@ -30,7 +31,7 @@ proptest! {
         let g1 = classify_regex(&r);
         let g2 = classify_regex(&simplify(&r));
         prop_assert_eq!(&g1, &g2, "simplify changed the growth class");
-        let g3 = classify_regex(&simplify_deep(&r, &SimplifyConfig::default()));
+        let g3 = classify_regex(&simplify_deep(&r));
         prop_assert_eq!(&g1, &g3, "simplify_deep changed the growth class");
     }
 
@@ -40,9 +41,7 @@ proptest! {
         let dfa = Dfa::from_nfa(&Nfa::thompson(&r), 3);
         let g1 = classify_dfa(&dfa);
         let g2 = classify_dfa(&dfa.minimize());
-        let g3 = classify_dfa(&dfa.minimize_hopcroft());
         prop_assert_eq!(&g1, &g2);
-        prop_assert_eq!(&g1, &g3);
     }
 
     #[test]
@@ -76,14 +75,26 @@ proptest! {
         prop_assert_eq!(&once, &twice);
     }
 
+    /// Moore refinement against Brzozowski's double reversal: determinizing
+    /// the reverse of a reachable deterministic automaton yields the minimal
+    /// one, so `det(rev(det(rev(A))))` is minimal with no refinement at all.
+    /// `Nfa::reverse` enters through a fresh start state, which only the
+    /// start subset holds: when a nonempty word leads back to the minimal
+    /// DFA's start, the subset it reaches is the start's without the fresh
+    /// state, and the construction keeps the two apart — one state more
+    /// than Moore's (the empty language's single dead state is such a case).
     #[test]
     fn minimization_algorithms_agree(seed in 0u64..50_000) {
         let (_, r) = gen(seed);
-        let dfa = Dfa::from_nfa(&Nfa::thompson(&r), 3);
-        let moore = dfa.minimize();
-        let hop = dfa.minimize_hopcroft();
-        prop_assert_eq!(moore.num_states(), hop.num_states());
-        prop_assert!(rpq::automata::ops::equivalent(&moore.to_nfa(), &hop.to_nfa()).is_ok());
+        let nfa = Nfa::thompson(&r);
+        let moore = Dfa::from_nfa(&nfa, 3).minimize();
+        let half = Dfa::from_nfa(&nfa.reverse(), 3).to_nfa();
+        let brzozowski = Dfa::from_nfa(&half.reverse(), 3);
+        let reentered = (0..moore.num_states() as u32).any(|s| {
+            (0..3).any(|a| moore.next(s, Symbol::from_index(a)) == moore.start())
+        });
+        prop_assert_eq!(moore.num_states() + usize::from(reentered), brzozowski.num_states());
+        prop_assert!(rpq::automata::ops::equivalent(&moore.to_nfa(), &brzozowski.to_nfa()).is_ok());
     }
 }
 
