@@ -21,7 +21,6 @@ use rpq_core::{
 };
 use rpq_datalog::engine::{eval_naive, eval_seminaive};
 use rpq_datalog::translate::{load_csr, translate_quotient};
-use rpq_distributed::PartitionedBatchEngine;
 use rpq_graph::CsrGraph;
 
 fn bench(c: &mut Criterion) {
@@ -133,8 +132,7 @@ fn bench(c: &mut Criterion) {
     // Multi-source series: N sources funnel into one shared spine
     // (skew graph with `hot_fanout` noise edges per node). A `Sources`
     // request is one product BFS per source, so it must answer — and scan
-    // — exactly like the hand-written loop; the partitioned driver spreads
-    // the same searches over worker threads.
+    // — exactly like the hand-written loop.
     for &nsrc in &[16usize, 64] {
         let w = multi_source_workload(64, 32, nsrc);
         let query = Query::new(w.query.clone(), &w.alphabet);
@@ -169,14 +167,6 @@ fn bench(c: &mut Criterion) {
                     }
                     black_box(total)
                 })
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("multi_batch_partitioned", nsrc),
-            &nsrc,
-            |b, _| {
-                let engine = PartitionedBatchEngine::new(4);
-                b.iter(|| black_box(engine.run(&query, &graph, &all_sources).stats.answers))
             },
         );
     }

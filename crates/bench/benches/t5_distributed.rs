@@ -10,9 +10,10 @@ use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rpq_bench::distributed_workload;
-use rpq_constraints::general::Budget;
+use rpq_core::ProductEngine;
 use rpq_distributed::{Delivery, Simulator};
-use rpq_optimizer::RewriteCache;
+use rpq_graph::CsrGraph;
+use rpq_optimizer::PlannedEngine;
 
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("t5_distributed");
@@ -22,17 +23,19 @@ fn bench(c: &mut Criterion) {
 
     for &depth in &[10usize, 40, 120] {
         let w = distributed_workload(depth);
+        let graph = CsrGraph::from(&w.instance);
 
         // print the message-count series once (the paper-shaped result)
         {
             let plain =
                 Simulator::new(&w.instance, &w.alphabet, Delivery::Fifo).run(w.source, &w.query);
-            let cache = RewriteCache::new(&w.constraints, &w.alphabet, Budget::default());
+            let planned =
+                PlannedEngine::new(ProductEngine, w.constraints.clone(), w.alphabet.clone());
             let src = w.source.0;
             let optimized = Simulator::new(&w.instance, &w.alphabet, Delivery::Fifo)
-                .with_rewrite(move |site, q| {
+                .with_rewrite(|site, q| {
                     if site == src {
-                        cache.rewrite(q)
+                        planned.rewrite(q, &graph)
                     } else {
                         q.clone()
                     }
@@ -56,12 +59,13 @@ fn bench(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("optimized", depth), &depth, |b, _| {
             b.iter(|| {
-                let cache = RewriteCache::new(&w.constraints, &w.alphabet, Budget::default());
+                let planned =
+                    PlannedEngine::new(ProductEngine, w.constraints.clone(), w.alphabet.clone());
                 let src = w.source.0;
                 let mut sim = Simulator::new(&w.instance, &w.alphabet, Delivery::Fifo)
-                    .with_rewrite(move |site, q| {
+                    .with_rewrite(|site, q| {
                         if site == src {
-                            cache.rewrite(q)
+                            planned.rewrite(q, &graph)
                         } else {
                             q.clone()
                         }

@@ -1,7 +1,7 @@
 //! Shared workloads for the experiment harness.
 //!
-//! Every experiment in `EXPERIMENTS.md` (T1–T7) draws its inputs from here
-//! so that `cargo bench` and the `paper-figures` binary agree on what is
+//! Every bench target (`benches/t*.rs`) draws its inputs from here so
+//! that `cargo bench` and the `paper-figures` binary agree on what is
 //! being measured. All generation is seeded — rerunning reproduces the same
 //! graphs, queries, and constraint systems.
 

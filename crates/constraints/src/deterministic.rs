@@ -41,11 +41,8 @@
 //! counterexample (it is deterministic, satisfies `E`, defines `u₀`, and
 //! violates `u₀ ⊆ v₀`).
 //!
-//! Both directions of the soundness/completeness argument are summarized
-//! in `DESIGN.md` (the Section 5 extensions table, row
-//! `rpq-constraints::deterministic`); the property suite cross-checks
-//! against Theorem 4.3's general procedure (`E ⊨ c` implies `E ⊨_det c`,
-//! never the reverse).
+//! `tests/deterministic_vs_general.rs` cross-checks against Theorem 4.3's
+//! general procedure (`E ⊨ c` implies `E ⊨_det c`, never the reverse).
 
 use std::collections::HashMap;
 

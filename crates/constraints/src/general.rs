@@ -13,10 +13,16 @@
 //!   `L(P)·(Q ⧵⧵ S)` for every inclusion `P ⊆ Q` of `E`, where
 //!   `Q ⧵⧵ S = {w | ∀y ∈ L(Q): y·w ∈ S}` is the *universal* left residual
 //!   (complementation + existential quotient). If eventually
-//!   `L(p) ⊆ S`, then `E ⊨ p ⊆ q` (soundness argument in `DESIGN.md`;
-//!   for word constraints this specializes to Lemma 4.4, which is also
-//!   complete — those inputs are routed to the exact Theorem 4.3
-//!   procedures).
+//!   `L(p) ⊆ S`, then `E ⊨ p ⊆ q` (for word constraints this specializes
+//!   to Lemma 4.4, which is also complete — those inputs are routed to the
+//!   exact Theorem 4.3 procedures). Soundness, by induction on the round
+//!   a word enters `S`: every `w ∈ S` has `w(o, I) ⊆ q(o, I)` for every
+//!   `(o, I)` with `I ⊨ E` at `o`. Words of `S₀ = L(q)` do by definition.
+//!   A word added as `x·z` with `x ∈ L(P)`, `z ∈ Q ⧵⧵ S` reaches `o'`
+//!   through some `o₁ ∈ x(o, I) ⊆ P(o, I) ⊆ Q(o, I)`, so `o₁ ∈ y(o, I)`
+//!   for some `y ∈ L(Q)` and `o' ∈ (y·z)(o, I)`; `y·z` is in the earlier
+//!   `S` by the residual's definition, hence `o' ∈ q(o, I)`. Then
+//!   `L(p) ⊆ S` gives `p(o, I) = ⋃_{w ∈ L(p)} w(o, I) ⊆ q(o, I)`.
 //! * [`Verdict::Refuted`] — a finite instance `(o, I)` with `I ⊨ E` but
 //!   `p(o, I) ⊄ q(o, I)`, found by a chase-style counterexample search
 //!   seeded with words of `L(p)` (with `μ`-style vertex merging to curb

@@ -130,11 +130,10 @@ pub trait Engine {
     /// requests route through the engine's own [`Engine::eval`] strategy,
     /// every other shape — and any request with a budget or cancellation
     /// flag, which only the product BFS can honor — through
-    /// [`run_request`]. Engines with set-at-a-time strategies — the
-    /// all-sources-seeded semi-naive Datalog fixpoint, the partitioned
-    /// threaded driver in `rpq-distributed` — override this for the
-    /// request arms they specialize and fall back to [`run_default`] for
-    /// the rest. It is the single dispatch point (and the server's
+    /// [`run_request`]. An engine with a set-at-a-time strategy — the
+    /// all-sources-seeded semi-naive Datalog fixpoint — overrides this for
+    /// the request arms it specializes and falls back to [`run_default`]
+    /// for the rest. It is the single dispatch point (and the server's
     /// wire-level entry): a caller with many sources, a target, a pair or
     /// a matrix builds the request.
     fn run(&self, query: &Query, graph: &CsrGraph, req: &EvalRequest) -> EvalResponse {

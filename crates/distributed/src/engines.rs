@@ -1,8 +1,8 @@
-//! The distributed evaluation strategies behind the unified
+//! The distributed evaluation strategy behind the unified
 //! [`rpq_core::Engine`] calling convention.
 //!
-//! Both engines shard the [`CsrGraph`] snapshot across per-object sites
-//! (each site holds its sorted out-row) and run the Section 3.1
+//! The engine shards the [`CsrGraph`] snapshot across per-object sites
+//! (each site holds its sorted out-row) and runs the Section 3.1
 //! subquery/answer/done/akn protocol to quiescence.
 //!
 //! [`EvalStats`] mapping: `pairs_visited` = subquery tasks registered
@@ -15,7 +15,6 @@ use rpq_core::{Engine, EvalResult, EvalStats, Query};
 use rpq_graph::{CsrGraph, Oid};
 
 use crate::sim::{Delivery, Simulator};
-use crate::threaded::run_threaded_csr;
 
 /// The deterministic event-driven simulator as an [`Engine`].
 #[derive(Clone, Debug)]
@@ -53,31 +52,6 @@ impl Engine for SimulatorEngine {
     }
 }
 
-/// The genuinely concurrent runner (one OS thread per site) as an
-/// [`Engine`]. Message totals vary run to run under true asynchrony; the
-/// answer set does not.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ThreadedEngine;
-
-impl Engine for ThreadedEngine {
-    fn name(&self) -> &'static str {
-        "distributed-threaded"
-    }
-
-    fn eval(&self, query: &Query, graph: &CsrGraph, source: Oid) -> EvalResult {
-        let run = run_threaded_csr(graph, source, query.regex());
-        let stats = EvalStats {
-            edges_scanned: run.messages,
-            answers: run.answers.len(),
-            ..EvalStats::default()
-        };
-        EvalResult {
-            answers: run.answers,
-            stats,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -86,7 +60,7 @@ mod tests {
     use rpq_graph::generators::fig2_graph;
 
     #[test]
-    fn distributed_engines_agree_with_product_through_the_trait() {
+    fn simulator_engine_agrees_with_product_through_the_trait() {
         let mut ab = Alphabet::new();
         let (inst, _, o1) = fig2_graph(&mut ab);
         let csr = CsrGraph::from(&inst);
@@ -95,8 +69,6 @@ mod tests {
             let expected = ProductEngine.eval(&query, &csr, o1).answers;
             let sim = SimulatorEngine::default().eval(&query, &csr, o1);
             assert_eq!(sim.answers, expected, "simulator on {qs}");
-            let thr = ThreadedEngine.eval(&query, &csr, o1);
-            assert_eq!(thr.answers, expected, "threaded on {qs}");
             assert!(sim.stats.edges_scanned >= 1);
         }
     }

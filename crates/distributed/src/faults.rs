@@ -21,22 +21,17 @@
 //!   `answer`). Answers still all arrive by quiescence in the simulator,
 //!   but a real initiator that stops listening at `done` would lose them.
 //!
-//! The tests pin down each behavior with seeds, and
-//! `EXPERIMENTS.md` records the sweep: the paper's reliability assumption
-//! is load-bearing exactly where its termination-detection argument uses
-//! "when it has received the ack … and the done" (Section 3.1).
-
-use std::collections::BinaryHeap;
-
-use rand::prelude::*;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+//! The tests pin down each behavior with seeds, and `tests/fault_golden.rs`
+//! pins every report of a sweep over drop and duplicate rates, kinds and
+//! seeds: the paper's reliability assumption is load-bearing exactly where
+//! its termination-detection argument uses "when it has received the ack
+//! … and the done" (Section 3.1).
 
 use rpq_automata::{Alphabet, Nfa, Regex};
 use rpq_graph::{Instance, Oid};
 
-use crate::message::{Message, MessageKind, SiteId};
-use crate::site::{no_rewrite, Site};
+use crate::message::MessageKind;
+use crate::sim::{Delivery, Simulator, TraceEvent};
 
 /// Which messages the fault injector may affect.
 #[derive(Clone, Debug, Default)]
@@ -66,15 +61,18 @@ pub struct FaultReport {
     pub last_answer_time: Option<u64>,
     /// Termination was declared while answers were still in flight.
     pub premature_termination: bool,
-    /// Messages dropped / duplicated by the injector.
+    /// Messages dropped by the injector.
     pub dropped: usize,
     /// Messages duplicated by the injector.
     pub duplicated: usize,
+    /// Every delivery, in delivery order (a duplicate's copies both).
+    pub trace: Vec<TraceEvent>,
 }
 
-/// Run `query` from `source` under a fault plan. Unlike
-/// [`crate::sim::Simulator::run`], this never panics on protocol-level
-/// anomalies — they are what the report is for.
+/// Run `query` from `source` under a fault plan: the simulator's event
+/// loop with FIFO latency, the plan applied at every send. Unlike
+/// [`Simulator::run`], this never panics on protocol-level anomalies —
+/// they are what the report is for.
 pub fn run_with_faults(
     instance: &Instance,
     alphabet: &Alphabet,
@@ -82,112 +80,34 @@ pub fn run_with_faults(
     query: &Regex,
     plan: &FaultPlan,
 ) -> FaultReport {
-    let _ = alphabet; // parity with the other runners; faults don't re-encode
-    let mut sites: Vec<Site> = instance
-        .nodes()
-        .map(|o| {
-            Site::new(
-                o.0,
-                instance
-                    .out_edges(o)
-                    .iter()
-                    .map(|&(l, t)| (l, t.0))
-                    .collect(),
-            )
-        })
-        .collect();
-    let client = instance.num_nodes() as SiteId;
-    sites.push(Site::new(client, Vec::new()));
-
-    let mut rng = StdRng::seed_from_u64(plan.seed);
-    let mut heap: BinaryHeap<std::cmp::Reverse<(u64, u64)>> = BinaryHeap::new();
-    let mut payloads: Vec<Message> = Vec::new();
-    let mut seq = 0u64;
-    let mut dropped = 0usize;
-    let mut duplicated = 0usize;
-
-    let affected =
-        |m: &Message, plan: &FaultPlan| -> bool { plan.only_kind.is_none_or(|k| m.kind() == k) };
-
-    let initial = sites[client as usize].initiate(source.0, query.clone());
-    let mut send = |msg: Message,
-                    now: u64,
-                    heap: &mut BinaryHeap<std::cmp::Reverse<(u64, u64)>>,
-                    payloads: &mut Vec<Message>,
-                    rng: &mut StdRng,
-                    dropped: &mut usize,
-                    duplicated: &mut usize| {
-        let can_fault = affected(&msg, plan);
-        if can_fault && rng.random_range(0..100) < plan.drop_percent {
-            *dropped += 1;
-            return;
-        }
-        let copies = if can_fault && rng.random_range(0..100) < plan.duplicate_percent {
-            *duplicated += 1;
-            2
-        } else {
-            1
-        };
-        for c in 0..copies {
-            seq += 1;
-            payloads.push(msg.clone());
-            heap.push(std::cmp::Reverse((now + 1 + c, seq)));
-            // seq doubles as the payload index because pushes are in order
-            debug_assert_eq!(seq as usize, payloads.len());
-        }
+    let mut sim = Simulator::new(instance, alphabet, Delivery::Fifo);
+    let client = sim.client;
+    let traffic = sim.run_to_quiescence(source, query, Some(plan));
+    let (answers, terminated) = sim.outcome(client);
+    let delivered_to_client = |kind: MessageKind| {
+        traffic
+            .trace
+            .iter()
+            .filter(move |e| e.message.kind() == kind && e.message.receiver() == client)
+            .map(|e| e.time)
     };
-    send(
-        initial,
-        0,
-        &mut heap,
-        &mut payloads,
-        &mut rng,
-        &mut dropped,
-        &mut duplicated,
-    );
-
-    let mut root_done_time: Option<u64> = None;
-    let mut last_answer_time: Option<u64> = None;
-    while let Some(std::cmp::Reverse((time, seq_idx))) = heap.pop() {
-        let msg = payloads[seq_idx as usize - 1].clone();
-        if matches!(msg.kind(), MessageKind::Answer) && msg.receiver() == client {
-            last_answer_time = Some(time);
-        }
-        let receiver = msg.receiver() as usize;
-        let produced = sites[receiver].handle(msg, &no_rewrite);
-        if sites[client as usize].root_done && root_done_time.is_none() {
-            root_done_time = Some(time);
-        }
-        for m in produced {
-            send(
-                m,
-                time,
-                &mut heap,
-                &mut payloads,
-                &mut rng,
-                &mut dropped,
-                &mut duplicated,
-            );
-        }
-    }
-
-    let client_site = &sites[client as usize];
-    let mut answers: Vec<Oid> = client_site.answers.iter().map(|&s| Oid(s)).collect();
-    answers.sort();
+    // every `done` the client receives answers its one subquery, the root
+    let root_done_time = delivered_to_client(MessageKind::Done).next();
+    let last_answer_time = delivered_to_client(MessageKind::Answer).next_back();
     let centralized = rpq_core::eval_product(&Nfa::thompson(query), instance, source).answers;
-    let premature = match (root_done_time, last_answer_time) {
-        (Some(d), Some(a)) => d < a,
-        _ => false,
-    };
     FaultReport {
         answers_complete: answers == centralized,
         answers,
-        terminated: client_site.root_done,
+        terminated,
         root_done_time,
         last_answer_time,
-        premature_termination: premature,
-        dropped,
-        duplicated,
+        premature_termination: matches!(
+            (root_done_time, last_answer_time),
+            (Some(d), Some(a)) if d < a
+        ),
+        dropped: traffic.dropped,
+        duplicated: traffic.duplicated,
+        trace: traffic.trace,
     }
 }
 

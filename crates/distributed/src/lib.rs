@@ -8,36 +8,31 @@
 //!
 //! * [`message`] — the four message forms and a byte codec;
 //! * [`site`] — the per-site state machine (dedup, quotienting, completion);
-//! * [`sim`] — a deterministic seeded event simulator with full tracing
-//!   (regenerates the Figure 3 run), message/byte accounting, and the
+//! * [`sim`] — a deterministic seeded event simulator, the one network
+//!   loop every run of the protocol goes through: full tracing
+//!   (regenerates the Figure 3 run), message/byte accounting, one client
+//!   or many ([`run_concurrent`]), an optional fault plan, and the
 //!   correctness checks (answers = centralized `p(o, I)`, termination
-//!   detected exactly at quiescence);
-//! * [`threaded`] — the same state machines on real threads over crossbeam
-//!   channels, with [`ThreadedNetwork`] keeping the shards alive across
-//!   runs so edge batches are absorbed in place;
-//! * [`engines`] — both runners behind the unified `rpq_core::Engine`
-//!   calling convention, sites sharded from any `rpq_graph::GraphView`
-//!   snapshot (CSR or delta overlay), absorbing `rpq_graph::EdgeDelta`
-//!   batches via `apply_delta` without a reshard;
-//! * [`batch`] — the threaded multi-source driver: sources partitioned
-//!   across worker threads, each answering its chunk over the shared
-//!   immutable snapshot;
+//!   detected exactly at quiescence); sites are sharded from any
+//!   `rpq_graph::GraphView` snapshot (CSR or delta overlay) and absorb
+//!   `rpq_graph::EdgeDelta` batches via `apply_delta` without a reshard;
+//! * [`engines`] — the simulator behind the unified `rpq_core::Engine`
+//!   calling convention;
 //! * [`decomposition`] — the ship-query-once-per-site baseline of the
 //!   related work (\[30\]), for protocol comparisons;
 //! * [`carrying`] — the Section 5 variant where agents carry accumulated
 //!   traversal knowledge and skip known-duplicate spawns;
-//! * [`faults`] — drop/duplication injection showing exactly where the
-//!   paper's reliability assumption is load-bearing.
+//! * [`faults`] — drop/duplication injection (the simulator's loop under a
+//!   [`FaultPlan`]) showing exactly where the paper's reliability
+//!   assumption is load-bearing.
 //!
 //! Constraint-based optimization (Section 3.2) plugs in as a per-site
-//! rewrite hook: [`sim::Simulator::with_rewrite`] for the simulator,
-//! [`threaded::run_threaded_csr_with_rewrite`] for the concurrent runner
-//! (the hook must be `Sync` — one `rpq-optimizer` `RewriteCache` or
-//! `PlannedEngine` instance serves every site thread).
+//! rewrite hook, [`sim::Simulator::with_rewrite`]; the memoized hook is
+//! one `rpq-optimizer` `PlannedEngine`:
+//! `sim.with_rewrite(|_site, q| planned.rewrite(q, &graph))`.
 
 #![warn(missing_docs)]
 
-pub mod batch;
 pub mod carrying;
 pub mod decomposition;
 pub mod engines;
@@ -45,14 +40,12 @@ pub mod faults;
 pub mod message;
 pub mod sim;
 pub mod site;
-pub mod threaded;
 
-pub use batch::PartitionedBatchEngine;
 pub use carrying::{run_carrying, CarryingRunResult};
 pub use decomposition::{
     run_decomposition, run_decomposition_checked, DecompositionResult, Partition,
 };
-pub use engines::{SimulatorEngine, ThreadedEngine};
+pub use engines::SimulatorEngine;
 pub use faults::{run_with_faults, FaultPlan, FaultReport};
 pub use message::{Message, MessageKind, Mid, SiteId};
 pub use sim::{
@@ -60,7 +53,3 @@ pub use sim::{
     QueryOutcome, RunResult, Simulator,
 };
 pub use site::Site;
-pub use threaded::{
-    run_threaded, run_threaded_csr, run_threaded_csr_with_rewrite, SyncRewriteHook,
-    ThreadedNetwork, ThreadedRunResult,
-};

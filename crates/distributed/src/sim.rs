@@ -1,11 +1,15 @@
 //! Deterministic event-driven network simulator.
 //!
-//! Delivers messages between [`Site`]s with configurable (seeded) latency,
-//! records a full trace (regenerating the Figure 3 run), accounts messages
-//! and bytes, and checks the two correctness properties the paper claims:
-//! the distributed answers equal the centralized `p(o, I)`, and the
-//! protocol *detects its own termination* — the initiator's `done(m₀)`
-//! arrives exactly when the network quiesces.
+//! One event loop drives every run of the Section 3.1 protocol: a single
+//! query ([`Simulator::run`]), many queries over one network
+//! ([`run_concurrent`]), and a run under a fault plan
+//! ([`crate::run_with_faults`]). It delivers messages between [`Site`]s
+//! with configurable (seeded) latency, records a full trace (regenerating
+//! the Figure 3 run), accounts messages and bytes, passes every subquery
+//! through the rewrite hook, and checks the two correctness properties the
+//! paper claims: the distributed answers equal the centralized `p(o, I)`,
+//! and the protocol *detects its own termination* — the initiator's
+//! `done(m₀)` arrives exactly when the network quiesces.
 
 use std::collections::BinaryHeap;
 
@@ -16,6 +20,7 @@ use rand::SeedableRng;
 use rpq_automata::{Alphabet, Regex};
 use rpq_graph::{CsrGraph, EdgeDelta, GraphView, Instance, Oid};
 
+use crate::faults::FaultPlan;
 use crate::message::{codec, Message, MessageKind, SiteId};
 use crate::site::{no_rewrite, Site};
 
@@ -66,7 +71,7 @@ impl MessageStats {
 }
 
 /// One delivered message, with its virtual delivery time.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct TraceEvent {
     /// Virtual delivery time.
     pub time: u64,
@@ -171,7 +176,20 @@ impl<'a> Simulator<'a> {
     /// batch introducing new nodes requires rebuilding the network.
     /// Returns the number of mutations that took effect.
     pub fn apply_delta(&mut self, delta: &EdgeDelta) -> usize {
-        crate::site::apply_delta_to_sites(&mut self.sites, delta, self.client)
+        let known = |o: Oid| o.0 < self.client;
+        let mut applied = 0;
+        for &(s, l, t) in &delta.dels {
+            assert!(known(s) && known(t), "unknown site");
+            applied += self.sites[s.index()].apply_delta(&[], &[(l, t.0)]);
+        }
+        for &(s, l, t) in &delta.adds {
+            assert!(known(s) && known(t), "unknown site");
+            applied += self.sites[s.index()].apply_delta(&[(l, t.0)], &[]);
+        }
+        for site in &mut self.sites {
+            site.reset_protocol();
+        }
+        applied
     }
 
     /// Install a per-site subquery rewriting hook (constraint optimization).
@@ -186,66 +204,12 @@ impl<'a> Simulator<'a> {
     /// Run `query` from `source`, asked by the client site. Panics if the
     /// protocol fails to detect termination by quiescence (a protocol bug).
     pub fn run(&mut self, source: Oid, query: &Regex) -> RunResult {
-        let mut rng = match self.delivery {
-            Delivery::Fifo => None,
-            Delivery::Random { seed, .. } => Some(StdRng::seed_from_u64(seed)),
-        };
-        let mut stats = MessageStats::default();
-        let mut trace: Vec<TraceEvent> = Vec::new();
-        let mut messages: Vec<Message> = Vec::new();
-        let mut heap: BinaryHeap<QueueEntry> = BinaryHeap::new();
-        let mut seq = 0u64;
-
-        let initial = self.sites[self.client as usize].initiate(source.0, query.clone());
-        let delivery = self.delivery.clone();
-        let alphabet = self.alphabet;
-        let mut send = |msg: Message,
-                        now: u64,
-                        heap: &mut BinaryHeap<QueueEntry>,
-                        messages: &mut Vec<Message>,
-                        stats: &mut MessageStats,
-                        rng: &mut Option<StdRng>| {
-            let latency = match (&delivery, rng) {
-                (Delivery::Fifo, _) => 1,
-                (Delivery::Random { max_latency, .. }, Some(r)) => r.random_range(1..=*max_latency),
-                _ => 1,
-            };
-            stats.record(msg.kind(), codec::encode(&msg, alphabet).len());
-            seq += 1;
-            messages.push(msg);
-            heap.push(QueueEntry {
-                time: now + latency,
-                seq,
-                message_idx: messages.len() - 1,
-            });
-        };
-
-        send(initial, 0, &mut heap, &mut messages, &mut stats, &mut rng);
-
-        while let Some(QueueEntry {
-            time, message_idx, ..
-        }) = heap.pop()
-        {
-            let msg = messages[message_idx].clone();
-            trace.push(TraceEvent {
-                time,
-                message: msg.clone(),
-            });
-            let receiver = msg.receiver() as usize;
-            let produced = self.sites[receiver].handle(msg, &self.rewrite);
-            for m in produced {
-                send(m, time, &mut heap, &mut messages, &mut stats, &mut rng);
-            }
-        }
-
-        let client_site = &self.sites[self.client as usize];
-        let termination_detected = client_site.root_done;
+        let traffic = self.run_to_quiescence(source, query, None);
+        let (answers, termination_detected) = self.outcome(self.client);
         assert!(
             termination_detected,
             "protocol failed to detect termination at quiescence"
         );
-        let mut answers: Vec<Oid> = client_site.answers.iter().map(|&s| Oid(s)).collect();
-        answers.sort();
         let tasks_registered = self
             .sites
             .iter()
@@ -255,10 +219,135 @@ impl<'a> Simulator<'a> {
         RunResult {
             answers,
             termination_detected,
-            stats,
-            trace,
+            stats: traffic.stats,
+            trace: traffic.trace,
             tasks_registered,
         }
+    }
+
+    /// The client initiates `query` at `source`, and the network runs
+    /// until no message is in flight. Nothing is asserted: under a fault
+    /// plan a hung or premature run is the observation.
+    pub(crate) fn run_to_quiescence(
+        &mut self,
+        source: Oid,
+        query: &Regex,
+        faults: Option<&FaultPlan>,
+    ) -> Traffic {
+        let initial = self.sites[self.client as usize].initiate(source.0, query.clone());
+        self.deliver(vec![initial], faults)
+    }
+
+    /// A client site's sorted answers and whether its root `done` arrived.
+    pub(crate) fn outcome(&self, client: SiteId) -> (Vec<Oid>, bool) {
+        let site = &self.sites[client as usize];
+        let mut answers: Vec<Oid> = site.answers.iter().map(|&s| Oid(s)).collect();
+        answers.sort();
+        (answers, site.root_done)
+    }
+
+    /// The event loop every run of the Section 3.1 protocol goes through:
+    /// send `initial` at time 0, then deliver the earliest pending message
+    /// to its receiver (through the rewrite hook) and send what it
+    /// produces, until nothing is in flight.
+    fn deliver(&mut self, initial: Vec<Message>, faults: Option<&FaultPlan>) -> Traffic {
+        let mut wire = Wire {
+            alphabet: self.alphabet,
+            latency: match self.delivery {
+                Delivery::Fifo => None,
+                Delivery::Random { seed, max_latency } => {
+                    Some((StdRng::seed_from_u64(seed), max_latency))
+                }
+            },
+            faults: faults.map(|plan| (plan, StdRng::seed_from_u64(plan.seed))),
+            heap: BinaryHeap::new(),
+            messages: Vec::new(),
+            seq: 0,
+            traffic: Traffic::default(),
+        };
+        for msg in initial {
+            wire.send(msg, 0);
+        }
+        while let Some(QueueEntry {
+            time, message_idx, ..
+        }) = wire.heap.pop()
+        {
+            let msg = wire.messages[message_idx].clone();
+            wire.traffic.trace.push(TraceEvent {
+                time,
+                message: msg.clone(),
+            });
+            let receiver = msg.receiver() as usize;
+            for m in self.sites[receiver].handle(msg, &self.rewrite) {
+                wire.send(m, time);
+            }
+        }
+        wire.traffic
+    }
+}
+
+/// What one pass of the event loop delivered.
+#[derive(Default)]
+pub(crate) struct Traffic {
+    /// Accounting of every delivered message (each copy of a duplicate).
+    pub(crate) stats: MessageStats,
+    /// Every delivery, in delivery order.
+    pub(crate) trace: Vec<TraceEvent>,
+    /// Messages the fault plan dropped.
+    pub(crate) dropped: usize,
+    /// Messages the fault plan delivered twice.
+    pub(crate) duplicated: usize,
+}
+
+/// The in-flight half of the event loop: the min-heap of pending
+/// deliveries and everything a send draws from or counts into.
+struct Wire<'a, 'p> {
+    alphabet: &'a Alphabet,
+    /// `Delivery::Random`'s generator and maximum latency.
+    latency: Option<(StdRng, u64)>,
+    faults: Option<(&'p FaultPlan, StdRng)>,
+    heap: BinaryHeap<QueueEntry>,
+    messages: Vec<Message>,
+    seq: u64,
+    traffic: Traffic,
+}
+
+impl Wire<'_, '_> {
+    /// Send `msg` at time `now`. Its latency is drawn first; then, under a
+    /// fault plan and for the kinds it affects, whether to drop it and,
+    /// if not, whether to deliver a second copy one tick after the first.
+    fn send(&mut self, msg: Message, now: u64) {
+        let latency = match &mut self.latency {
+            Some((rng, max_latency)) => rng.random_range(1..=*max_latency),
+            None => 1,
+        };
+        if let Some((plan, rng)) = &mut self.faults {
+            if plan.only_kind.is_none_or(|k| msg.kind() == k) {
+                if rng.random_range(0..100) < plan.drop_percent {
+                    self.traffic.dropped += 1;
+                    return;
+                }
+                if rng.random_range(0..100) < plan.duplicate_percent {
+                    self.traffic.duplicated += 1;
+                    self.enqueue(msg.clone(), now + latency);
+                    self.enqueue(msg, now + latency + 1);
+                    return;
+                }
+            }
+        }
+        self.enqueue(msg, now + latency);
+    }
+
+    fn enqueue(&mut self, msg: Message, time: u64) {
+        let bytes = codec::encode(&msg, self.alphabet).len();
+        self.traffic.stats.record(msg.kind(), bytes);
+        self.seq += 1;
+        self.messages.push(msg);
+        self.heap.push(QueueEntry {
+            time,
+            seq: self.seq,
+            message_idx: self.messages.len() - 1,
+        });
     }
 }
 
@@ -297,72 +386,36 @@ pub fn run_concurrent(
     queries: &[(Oid, Regex)],
     delivery: Delivery,
 ) -> ConcurrentRunResult {
-    let graph = CsrGraph::from(instance);
-    let mut sites: Vec<Site> = graph.nodes().map(|o| Site::from_csr(&graph, o)).collect();
-    let first_client = instance.num_nodes() as SiteId;
-    for i in 0..queries.len() {
-        sites.push(Site::new(first_client + i as SiteId, Vec::new()));
+    let mut sim = Simulator::new(instance, alphabet, delivery);
+    let first_client = sim.client;
+    let clients: Vec<SiteId> = (0..queries.len() as SiteId)
+        .map(|i| first_client + i)
+        .collect();
+    for &client in clients.iter().skip(1) {
+        sim.sites.push(Site::new(client, Vec::new()));
     }
-
-    let mut rng = match delivery {
-        Delivery::Fifo => None,
-        Delivery::Random { seed, .. } => Some(StdRng::seed_from_u64(seed)),
-    };
-    let mut stats = MessageStats::default();
-    let mut messages: Vec<Message> = Vec::new();
-    let mut heap: BinaryHeap<QueueEntry> = BinaryHeap::new();
-    let mut seq = 0u64;
-    let mut send = |msg: Message,
-                    now: u64,
-                    heap: &mut BinaryHeap<QueueEntry>,
-                    messages: &mut Vec<Message>,
-                    stats: &mut MessageStats,
-                    rng: &mut Option<StdRng>| {
-        let latency = match (&delivery, rng) {
-            (Delivery::Fifo, _) => 1,
-            (Delivery::Random { max_latency, .. }, Some(r)) => r.random_range(1..=*max_latency),
-            _ => 1,
-        };
-        stats.record(msg.kind(), codec::encode(&msg, alphabet).len());
-        seq += 1;
-        messages.push(msg);
-        heap.push(QueueEntry {
-            time: now + latency,
-            seq,
-            message_idx: messages.len() - 1,
-        });
-    };
-
-    for (i, (source, query)) in queries.iter().enumerate() {
-        let client = (first_client + i as SiteId) as usize;
-        let initial = sites[client].initiate(source.0, query.clone());
-        send(initial, 0, &mut heap, &mut messages, &mut stats, &mut rng);
-    }
-
-    while let Some(QueueEntry {
-        time, message_idx, ..
-    }) = heap.pop()
-    {
-        let msg = messages[message_idx].clone();
-        let receiver = msg.receiver() as usize;
-        let produced = sites[receiver].handle(msg, &no_rewrite);
-        for m in produced {
-            send(m, time, &mut heap, &mut messages, &mut stats, &mut rng);
-        }
-    }
-
-    let outcomes = (0..queries.len())
-        .map(|i| {
-            let client = &sites[first_client as usize + i];
-            let mut answers: Vec<Oid> = client.answers.iter().map(|&s| Oid(s)).collect();
-            answers.sort();
+    let initial = clients
+        .iter()
+        .zip(queries)
+        .map(|(&client, (source, query))| {
+            sim.sites[client as usize].initiate(source.0, query.clone())
+        })
+        .collect();
+    let traffic = sim.deliver(initial, None);
+    let outcomes = clients
+        .iter()
+        .map(|&client| {
+            let (answers, termination_detected) = sim.outcome(client);
             QueryOutcome {
                 answers,
-                termination_detected: client.root_done,
+                termination_detected,
             }
         })
         .collect();
-    ConcurrentRunResult { outcomes, stats }
+    ConcurrentRunResult {
+        outcomes,
+        stats: traffic.stats,
+    }
 }
 
 /// Render a trace in the style of Figure 3.

@@ -25,7 +25,7 @@ use std::collections::HashMap;
 
 use rpq_automata::derivative::derivative;
 use rpq_automata::{Regex, Symbol};
-use rpq_graph::{CsrGraph, EdgeDelta, GraphView, Oid};
+use rpq_graph::{GraphView, Oid};
 
 use crate::message::{Message, Mid, SiteId};
 
@@ -80,13 +80,6 @@ impl Site {
         }
     }
 
-    /// A site holding node `o`'s shard of a [`CsrGraph`] snapshot.
-    pub fn from_csr(graph: &CsrGraph, o: Oid) -> Site {
-        // rows are already sorted by (Symbol, Oid), so this is the shard
-        let edges = graph.out_pairs(o).map(|(l, t)| (l, t.0)).collect();
-        Site::new(o.0, edges)
-    }
-
     /// A site holding node `o`'s shard of **any** [`GraphView`] snapshot —
     /// e.g. a `rpq_graph::DeltaGraph` overlay, so a network can be stood up
     /// without first compacting to a CSR. Groups arrive label-ascending
@@ -100,13 +93,13 @@ impl Site {
     }
 
     /// Absorb an edge batch into this site's shard **in place** — the
-    /// site-local half of the runners' `apply_delta` (no resharding, no
+    /// site-local half of `Simulator::apply_delta` (no resharding, no
     /// row rebuild: sorted-row inserts and removals only). Returns the
     /// number of mutations that took effect.
     ///
     /// Protocol state (registered tasks, answers) refers to the *old*
     /// graph; callers that reuse the network for further queries should
-    /// also call [`Site::reset_protocol`], as the runners' `apply_delta`
+    /// also call [`Site::reset_protocol`], as `Simulator::apply_delta`
     /// does.
     pub fn apply_delta(&mut self, adds: &[(Symbol, SiteId)], dels: &[(Symbol, SiteId)]) -> usize {
         let mut applied = 0;
@@ -319,40 +312,6 @@ impl Site {
     pub fn all_finished(&self) -> bool {
         self.tasks.values().all(|t| t.finished)
     }
-}
-
-/// Apply an [`EdgeDelta`] across a network's sites **without a reshard**:
-/// each mutation is dispatched to its source's shard ([`Site::apply_delta`],
-/// dels first, then adds), and every site's protocol state is reset (the
-/// subquery dedup tables refer to the pre-delta graph). Endpoints must be
-/// existing object sites (`id < num_object_sites`) — a batch introducing
-/// new nodes requires rebuilding the network. Shared by the simulator's
-/// and the threaded runner's `apply_delta`. Returns the number of
-/// mutations that took effect.
-pub(crate) fn apply_delta_to_sites(
-    sites: &mut [Site],
-    delta: &EdgeDelta,
-    num_object_sites: u32,
-) -> usize {
-    let mut applied = 0;
-    for &(s, l, t) in &delta.dels {
-        assert!(
-            s.0 < num_object_sites && t.0 < num_object_sites,
-            "unknown site"
-        );
-        applied += sites[s.index()].apply_delta(&[], &[(l, t.0)]);
-    }
-    for &(s, l, t) in &delta.adds {
-        assert!(
-            s.0 < num_object_sites && t.0 < num_object_sites,
-            "unknown site"
-        );
-        applied += sites[s.index()].apply_delta(&[(l, t.0)], &[]);
-    }
-    for site in sites {
-        site.reset_protocol();
-    }
-    applied
 }
 
 /// The identity rewrite hook (no local optimization).

@@ -1,19 +1,14 @@
-//! The distributed runners accepting the optimizer's thread-safe machinery:
-//! one memoizing `RewriteCache` shared as the per-site hook by the
-//! deterministic simulator *and* every thread of the concurrent runner, and
-//! a `PlannedEngine` wrapping the simulator, the threaded runner, and the
-//! partitioned batch driver through the unified `Engine` trait.
+//! The distributed simulator accepting the optimizer's machinery: one
+//! `PlannedEngine` as the memoized per-site rewrite hook, and a
+//! `PlannedEngine` wrapping the simulator through the unified `Engine`
+//! trait.
 
 use rpq_automata::{Alphabet, Nfa, Regex};
-use rpq_constraints::general::Budget;
 use rpq_constraints::ConstraintSet;
 use rpq_core::{eval_product_csr, Engine, EvalRequest, ProductEngine, Query};
-use rpq_distributed::{
-    run_threaded_csr, run_threaded_csr_with_rewrite, Delivery, PartitionedBatchEngine, Simulator,
-    SimulatorEngine, ThreadedEngine,
-};
+use rpq_distributed::{Delivery, Simulator, SimulatorEngine};
 use rpq_graph::{CsrGraph, Instance, Oid};
-use rpq_optimizer::{PlannedEngine, RewriteCache};
+use rpq_optimizer::PlannedEngine;
 
 /// The shared T5 cached workload (`rpq_bench::distributed_workload`): an
 /// a·b backbone with trap branches, the cache label `l` wired from `v0`
@@ -25,20 +20,21 @@ fn cached_workload(depth: usize) -> (Alphabet, ConstraintSet, Instance, Oid) {
 }
 
 #[test]
-fn one_rewrite_cache_serves_simulator_and_threaded_runner() {
+fn one_planned_engine_serves_every_simulator_run() {
     let (mut ab, set, inst, v0) = cached_workload(6);
     let graph = CsrGraph::from(&inst);
     let query = rpq_automata::parse_regex(&mut ab, "(a.b)*").unwrap();
     let expected = eval_product_csr(&Nfa::thompson(&query), &graph, v0).answers;
 
-    let cache = RewriteCache::new(&set, &ab, Budget::default()).with_stats(graph.stats().clone());
+    let planned = PlannedEngine::new(ProductEngine, set, ab.clone());
+    let hook = |_site, q: &Regex| planned.rewrite(q, &graph);
 
-    // Deterministic simulator: the memoized hook must preserve answers and
-    // reduce protocol traffic versus the unoptimized run.
+    // The memoized hook must preserve answers and reduce protocol traffic
+    // versus the unoptimized run.
     let plain = Simulator::from_csr(&graph, &ab, Delivery::Fifo).run(v0, &query);
-    let mut sim = Simulator::from_csr(&graph, &ab, Delivery::Fifo)
-        .with_rewrite(|_site, q: &Regex| cache.rewrite(q));
-    let optimized = sim.run(v0, &query);
+    let optimized = Simulator::from_csr(&graph, &ab, Delivery::Fifo)
+        .with_rewrite(hook)
+        .run(v0, &query);
     assert_eq!(optimized.answers, expected);
     assert!(
         optimized.stats.total() < plain.stats.total(),
@@ -46,55 +42,42 @@ fn one_rewrite_cache_serves_simulator_and_threaded_runner() {
         optimized.stats.total(),
         plain.stats.total()
     );
-    assert!(!cache.is_empty(), "sites hit the shared cache");
-    let after_sim = cache.len();
+    let plans = planned.plans_cached();
+    assert!(plans > 0, "sites hit the shared memo");
 
-    // Threaded runner: *the same cache instance* is the hook for every
-    // site thread — this is what the Mutex-backed memo buys.
-    let threaded =
-        run_threaded_csr_with_rewrite(&graph, v0, &query, &|_site, q: &Regex| cache.rewrite(q));
-    assert_eq!(threaded.answers, expected);
+    // A second network, under random delivery, rides the same memo.
+    let delivery = Delivery::Random {
+        seed: 7,
+        max_latency: 5,
+    };
+    let again = Simulator::from_csr(&graph, &ab, delivery)
+        .with_rewrite(hook)
+        .run(v0, &query);
+    assert_eq!(again.answers, expected);
     assert_eq!(
-        cache.len(),
-        after_sim,
-        "the threaded run re-used the memo entries the simulator populated"
+        planned.plans_cached(),
+        plans,
+        "the second run re-used the plans the first populated"
     );
-
-    // hook-free runner still agrees
-    assert_eq!(run_threaded_csr(&graph, v0, &query).answers, expected);
 }
 
 #[test]
-fn planned_engine_wraps_all_distributed_runners() {
+fn planned_engine_wraps_the_simulator() {
     let (mut ab, set, inst, v0) = cached_workload(5);
     let graph = CsrGraph::from(&inst);
     let query = Query::parse(&mut ab, "(a.b)*").unwrap();
     let expected = ProductEngine.eval(&query, &graph, v0).answers;
 
-    let engines: Vec<Box<dyn Engine>> = vec![
-        Box::new(PlannedEngine::new(
-            SimulatorEngine::default(),
-            set.clone(),
-            ab.clone(),
-        )),
-        Box::new(PlannedEngine::new(ThreadedEngine, set.clone(), ab.clone())),
-        Box::new(PlannedEngine::new(
-            PartitionedBatchEngine::new(3),
-            set.clone(),
-            ab.clone(),
-        )),
-    ];
-    for engine in &engines {
-        let got = engine.eval(&query, &graph, v0);
-        assert_eq!(got.answers, expected, "planned({})", engine.name());
-    }
+    let planned = PlannedEngine::new(SimulatorEngine::default(), set, ab.clone());
+    let got = planned.eval(&query, &graph, v0);
+    assert_eq!(got.answers, expected, "planned({})", planned.name());
 }
 
 #[test]
-fn analysis_facts_flow_through_the_distributed_wrappers() {
+fn analysis_facts_flow_through_the_distributed_wrapper() {
     let (mut ab, set, inst, v0) = cached_workload(4);
     let graph = CsrGraph::from(&inst);
-    let planned = PlannedEngine::new(PartitionedBatchEngine::new(2), set, ab.clone());
+    let planned = PlannedEngine::new(SimulatorEngine::default(), set, ab.clone());
     let query = Query::parse(&mut ab, "(a.b)*").unwrap();
 
     // The cache substitution fires, certifies against the constraint
@@ -107,7 +90,7 @@ fn analysis_facts_flow_through_the_distributed_wrappers() {
     assert!(res.stats.analysis_ns > 0);
 
     // A query forced through a zero-edge label short-circuits before any
-    // worker thread spawns: no edges scanned across the whole fan-out.
+    // site runs: no edges scanned for any source.
     let ghost = Query::parse(&mut ab, "a.ghost").unwrap();
     let sources: Vec<Oid> = graph.nodes().collect();
     let resp = planned.run(&ghost, &graph, &EvalRequest::sources(sources.clone()));
@@ -116,45 +99,4 @@ fn analysis_facts_flow_through_the_distributed_wrappers() {
     assert!(batch.union().is_empty());
     assert_eq!(resp.stats.edges_scanned, 0);
     assert_eq!(resp.stats.symbols_pruned, 1);
-}
-
-#[test]
-fn partitioned_batch_workers_share_one_plan() {
-    let (mut ab, set, inst, v0) = cached_workload(5);
-    let graph = CsrGraph::from(&inst);
-    let query = Query::parse(&mut ab, "(a.b)*").unwrap();
-    let planned = PlannedEngine::new(PartitionedBatchEngine::new(4), set, ab.clone());
-
-    // every node is a source: plan once, then the inner engine's batch
-    // strategy fans the planned query out — every worker shares the single
-    // memoized plan
-    let sources: Vec<Oid> = graph.nodes().collect();
-    let plan = planned.plan(&query, &graph);
-    let resp = planned
-        .inner()
-        .run(&plan.query, &graph, &EvalRequest::sources(sources.clone()));
-    let batch = resp.batch().expect("batch payload");
-    assert_eq!(
-        planned.plans_cached(),
-        1,
-        "one rewrite + compile served all {} workers",
-        4
-    );
-    let per = batch
-        .per_source()
-        .expect("partitioned engine reports per-source");
-    assert_eq!(
-        per[v0.index()],
-        ProductEngine.eval(&query, &graph, v0).answers
-    );
-    for (i, &s) in sources.iter().enumerate() {
-        // spot-check against the unwrapped engine on the rewritten query's
-        // equivalence guarantee: answers must match the *original* query
-        // wherever the constraints hold (they hold at v0; elsewhere the
-        // plain product engine on the original query is the oracle only if
-        // the rewrite did not change semantics at that source, so compare
-        // against the planned single-source path instead).
-        let single = planned.eval(&query, &graph, s);
-        assert_eq!(per[i], single.answers, "source {i}");
-    }
 }

@@ -90,6 +90,6 @@ pub use join::{
     HeadBindings, JoinPlan, Var,
 };
 pub use planned::{Direction, Plan, PlannedEngine, PlannerConfig};
-pub use planner::{optimize, optimize_with_stats, Optimized, RewriteCache};
+pub use planner::{optimize, optimize_with_stats, Optimized};
 pub use rewrites::{candidates, Candidate, RewriteRule};
 pub use views::{cache_defs, rewrite_with_views, CacheDef, ViewKind, ViewRewriting};

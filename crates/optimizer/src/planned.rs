@@ -22,8 +22,9 @@
 //!    (decisively: by a factor of two);
 //! 3. memoizes the whole [`Plan`] behind a `parking_lot::Mutex`, so
 //!    repeated queries skip both the rewrite search and recompilation, and
-//!    one engine instance can be shared across threads (the threaded
-//!    distributed runner, `PartitionedBatchEngine` workers).
+//!    one engine instance can be shared across threads (the server's
+//!    sessions) and serve as the distributed simulator's per-site rewrite
+//!    hook ([`PlannedEngine::rewrite`]).
 //!
 //! # Epoch-aware plan reuse
 //!

@@ -3,9 +3,9 @@
 //! "The query processor at each site may use the path constraints holding
 //! at the site to replace the query to be executed by a simpler query."
 //! [`optimize`] ties the pieces together: generate candidates, rank by the
-//! static cost model, return the winner with its provenance. A memoizing
-//! [`RewriteCache`] packages the optimizer as the per-site hook expected by
-//! `rpq_distributed::Simulator::with_rewrite`.
+//! static cost model, return the winner with its provenance. The memoized
+//! form — the per-site hook of `rpq_distributed::Simulator::with_rewrite`
+//! — is [`crate::PlannedEngine::rewrite`].
 //!
 //! One call is one pass: the input is compiled once (`CompiledQuery`:
 //! Thompson automaton, trimmed form, finiteness, complete DFA, the
@@ -15,10 +15,6 @@
 //! winner's compilation is what the static analysis goes on with, so the
 //! planned engine's cold plan certifies, trims and classifies without
 //! building the winner's automaton again.
-
-use std::collections::HashMap;
-
-use parking_lot::Mutex;
 
 use rpq_automata::{Alphabet, Regex};
 use rpq_constraints::general::Budget;
@@ -200,68 +196,6 @@ fn optimize_scored(
     (optimized, winner)
 }
 
-/// A memoizing per-site rewrite hook for the distributed runners: every
-/// site shares `set` (or use one cache per site set). Interior mutability
-/// because the runners' hook is `Fn`; the memo sits behind a
-/// `parking_lot::Mutex`, so the cache is `Send + Sync` and one instance can
-/// back the *threaded* runner and the `PartitionedBatchEngine` workers,
-/// not just the single-threaded simulator. The lock is held only around
-/// memo probes/inserts — the optimization itself runs unlocked (a race
-/// costs at most one duplicate optimization of the same query; both
-/// results are identical, insertion is idempotent).
-pub struct RewriteCache<'a> {
-    set: &'a ConstraintSet,
-    alphabet: &'a Alphabet,
-    budget: Budget,
-    stats: Option<LabelStats>,
-    memo: Mutex<HashMap<Regex, Regex>>,
-}
-
-impl<'a> RewriteCache<'a> {
-    /// Create a cache for the given constraint set.
-    pub fn new(set: &'a ConstraintSet, alphabet: &'a Alphabet, budget: Budget) -> Self {
-        RewriteCache {
-            set,
-            alphabet,
-            budget,
-            stats: None,
-            memo: Mutex::new(HashMap::new()),
-        }
-    }
-
-    /// Rank rewrites with per-label statistics (from a `CsrGraph`
-    /// snapshot) instead of the static shape score.
-    pub fn with_stats(mut self, stats: LabelStats) -> Self {
-        self.stats = Some(stats);
-        self
-    }
-
-    /// The rewrite for `q` (memoized).
-    pub fn rewrite(&self, q: &Regex) -> Regex {
-        if let Some(r) = self.memo.lock().get(q) {
-            return r.clone();
-        }
-        let out = match &self.stats {
-            Some(stats) => {
-                optimize_with_stats(self.set, q, self.alphabet, &self.budget, stats).query
-            }
-            None => optimize(self.set, q, self.alphabet, &self.budget).query,
-        };
-        self.memo.lock().insert(q.clone(), out.clone());
-        out
-    }
-
-    /// Number of distinct queries optimized.
-    pub fn len(&self) -> usize {
-        self.memo.lock().len()
-    }
-
-    /// Is the memo empty?
-    pub fn is_empty(&self) -> bool {
-        self.memo.lock().is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -346,41 +280,5 @@ mod tests {
             estimated_cost(&opt.query, &stats) < estimated_cost(&q, &stats),
             "stats-aware winner must be estimated cheaper"
         );
-    }
-
-    #[test]
-    fn rewrite_cache_memoizes() {
-        let (ab, set, q) = setup(&["l.l = l"], "l*");
-        let cache = RewriteCache::new(&set, &ab, Budget::default());
-        let r1 = cache.rewrite(&q);
-        let r2 = cache.rewrite(&q);
-        assert_eq!(r1, r2);
-        assert_eq!(cache.len(), 1);
-        assert!(!cache.is_empty());
-    }
-
-    /// Compile-time: the cache must be shareable across the threaded
-    /// distributed runner and the partitioned batch workers.
-    #[test]
-    fn rewrite_cache_is_send_and_sync() {
-        fn assert_send_sync<T: Send + Sync>() {}
-        assert_send_sync::<RewriteCache<'_>>();
-    }
-
-    #[test]
-    fn one_cache_shared_across_threads() {
-        let (ab, set, q) = setup(&["l.l = l"], "l*");
-        let cache = RewriteCache::new(&set, &ab, Budget::default());
-        let expected = cache.rewrite(&q);
-        std::thread::scope(|scope| {
-            for _ in 0..4 {
-                scope.spawn(|| {
-                    for _ in 0..8 {
-                        assert_eq!(cache.rewrite(&q), expected);
-                    }
-                });
-            }
-        });
-        assert_eq!(cache.len(), 1, "all threads hit the one memo entry");
     }
 }

@@ -17,7 +17,7 @@
 //!            ▼                          ▼
 //!   published: RwLock<Arc<DeltaGraph>> ───► pin() ─► Arc<DeltaGraph>
 //!            │                                        (epoch e₇)
-//!            ▼ retained ring (≤ retention, default MAX_RETAINED_EPOCHS)
+//!            ▼ retained ring (≤ MAX_RETAINED_EPOCHS)
 //!   [e₄] [e₅] [e₆] [e₇]  ───► pin_at(e₅) for time travel
 //! ```
 //!
@@ -40,8 +40,7 @@ use parking_lot::{Mutex, RwLock};
 
 use rpq_graph::{CompactionPolicy, CsrGraph, DeltaGraph, EdgeDelta, Epoch, Instance};
 
-/// Default for how many published epochs [`Catalog::pin_at`] can still
-/// reach ([`Catalog::with_retention`] overrides it per catalog). Older
+/// How many published epochs [`Catalog::pin_at`] can still reach. Older
 /// snapshots stay alive only while some reader holds their Arc.
 pub const MAX_RETAINED_EPOCHS: usize = 8;
 
@@ -71,17 +70,8 @@ pub struct Catalog {
     /// Recent epochs for [`Catalog::pin_at`], newest last.
     retained: Mutex<VecDeque<Arc<DeltaGraph>>>,
     policy: CompactionPolicy,
-    /// Ring capacity for [`Catalog::pin_at`] time travel.
-    retention: usize,
     commits: AtomicUsize,
     compactions: AtomicUsize,
-}
-
-/// Take the oldest epochs out of the ring until it holds `keep`; the caller
-/// drops them once the ring's lock is released.
-fn evict_down_to(retained: &mut VecDeque<Arc<DeltaGraph>>, keep: usize) -> Vec<Arc<DeltaGraph>> {
-    let excess = retained.len().saturating_sub(keep);
-    retained.drain(..excess).collect()
 }
 
 impl Catalog {
@@ -97,7 +87,6 @@ impl Catalog {
             published: RwLock::new(published),
             retained: Mutex::new(retained),
             policy: CompactionPolicy::default(),
-            retention: MAX_RETAINED_EPOCHS,
             commits: AtomicUsize::new(0),
             compactions: AtomicUsize::new(0),
         }
@@ -118,25 +107,6 @@ impl Catalog {
     /// The active compaction policy.
     pub fn policy(&self) -> &CompactionPolicy {
         &self.policy
-    }
-
-    /// Replace the time-travel ring capacity (how many published epochs
-    /// [`Catalog::pin_at`] can reach; default [`MAX_RETAINED_EPOCHS`]).
-    /// Must be ≥ 1 — the latest epoch is always reachable. Shrinking below
-    /// the current ring occupancy evicts the oldest epochs immediately;
-    /// readers already pinned to them are unaffected (their Arcs keep the
-    /// snapshots alive).
-    pub fn with_retention(mut self, retention: usize) -> Catalog {
-        assert!(retention >= 1, "retention must be ≥ 1");
-        self.retention = retention;
-        let evicted = evict_down_to(&mut self.retained.lock(), retention);
-        drop(evicted);
-        self
-    }
-
-    /// The time-travel ring capacity.
-    pub fn retention(&self) -> usize {
-        self.retention
     }
 
     /// Pin the latest published snapshot. The returned Arc stays valid —
@@ -185,7 +155,8 @@ impl Catalog {
         // ring, the evicted epochs drop after it.
         let evicted = {
             let mut retained = self.retained.lock();
-            let evicted = evict_down_to(&mut retained, self.retention - 1);
+            let excess = retained.len().saturating_sub(MAX_RETAINED_EPOCHS - 1);
+            let evicted: Vec<Arc<DeltaGraph>> = retained.drain(..excess).collect();
             retained.push_back(snapshot);
             evicted
         };
@@ -329,7 +300,8 @@ mod tests {
         let (ab, catalog, n0, _) = seed();
         let catalog = catalog.with_policy(CompactionPolicy::NEVER);
         let a = ab.get("a").unwrap();
-        let mut epochs = vec![catalog.epoch()];
+        let pinned = catalog.pin();
+        let mut epochs = vec![pinned.epoch()];
         for i in 0..MAX_RETAINED_EPOCHS + 3 {
             let mut d = EdgeDelta::new();
             d.add(n0, a, Oid((i % 8) as u32));
@@ -340,59 +312,14 @@ mod tests {
         let newest = *epochs.last().unwrap();
         assert_eq!(catalog.pin_at(newest).unwrap().epoch(), newest);
         assert!(catalog.pin_at(epochs[0]).is_none(), "evicted from the ring");
+        // the evicted seed epoch is gone from the ring, but the held pin
+        // still serves it
+        assert_eq!(pinned.epoch(), epochs[0]);
         let reachable = epochs
             .iter()
             .filter(|&&e| catalog.pin_at(e).is_some())
             .count();
         assert_eq!(reachable, MAX_RETAINED_EPOCHS);
-    }
-
-    #[test]
-    fn retention_is_configurable_and_shrinking_evicts_but_never_disturbs_pins() {
-        let (ab, catalog, n0, _) = seed();
-        let catalog = catalog
-            .with_policy(CompactionPolicy::NEVER)
-            .with_retention(3);
-        assert_eq!(catalog.retention(), 3);
-        let a = ab.get("a").unwrap();
-        let pinned = catalog.pin();
-        let e0 = pinned.epoch();
-        let mut epochs = vec![e0];
-        for i in 0..6 {
-            let mut d = EdgeDelta::new();
-            d.add(n0, a, Oid(i as u32 % 8));
-            d.del(n0, a, Oid(i as u32 % 8));
-            epochs.push(catalog.commit(&d).epoch);
-        }
-        // exactly the 3 newest epochs are reachable
-        let reachable: Vec<_> = epochs
-            .iter()
-            .filter(|&&e| catalog.pin_at(e).is_some())
-            .collect();
-        assert_eq!(
-            reachable,
-            epochs.iter().rev().take(3).rev().collect::<Vec<_>>()
-        );
-        // the evicted seed epoch is gone from the ring, but the held pin
-        // still serves it
-        assert!(catalog.pin_at(e0).is_none());
-        assert_eq!(pinned.epoch(), e0);
-
-        // retention 1: only the latest epoch ever survives
-        let (ab, catalog, n0, _) = seed();
-        let catalog = catalog
-            .with_policy(CompactionPolicy::NEVER)
-            .with_retention(1);
-        let a = ab.get("a").unwrap();
-        let mut d = EdgeDelta::new();
-        d.add(n0, a, n0);
-        let c = catalog.commit(&d);
-        assert_eq!(catalog.pin_at(c.epoch).unwrap().epoch(), c.epoch);
-        let mut d = EdgeDelta::new();
-        d.del(n0, a, n0);
-        let c2 = catalog.commit(&d);
-        assert!(catalog.pin_at(c.epoch).is_none());
-        assert_eq!(catalog.pin_at(c2.epoch).unwrap().epoch(), c2.epoch);
     }
 
     #[test]

@@ -9,9 +9,10 @@
 use rpq::automata::{parse_regex, Alphabet, Nfa};
 use rpq::constraints::general::Budget;
 use rpq::constraints::ConstraintSet;
+use rpq::core::ProductEngine;
 use rpq::distributed::{Delivery, Simulator};
-use rpq::graph::Instance;
-use rpq::optimizer::{optimize, RewriteCache};
+use rpq::graph::{CsrGraph, Instance};
+use rpq::optimizer::{optimize, PlannedEngine};
 
 fn main() {
     let mut ab = Alphabet::new();
@@ -85,12 +86,13 @@ fn main() {
     let mut plain = Simulator::new(&inst, &ab, Delivery::Fifo);
     let before = plain.run(src, &q);
 
-    let cache = RewriteCache::new(&e, &ab, Budget::default());
+    let planned = PlannedEngine::new(ProductEngine, e.clone(), ab.clone());
+    let graph = CsrGraph::from(&inst);
     let src_site = src.0;
-    let hook = move |site, incoming: &rpq::automata::Regex| {
+    let hook = |site, incoming: &rpq::automata::Regex| {
         // the constraint holds at the source site only
         if site == src_site {
-            cache.rewrite(incoming)
+            planned.rewrite(incoming, &graph)
         } else {
             incoming.clone()
         }

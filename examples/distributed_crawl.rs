@@ -1,6 +1,6 @@
 //! The distributed evaluation scenario of Section 3.1, reproducing the
 //! Figure 2 graph and a Figure-3-style message trace, then scaling up to a
-//! synthetic web graph and cross-checking the threaded runner.
+//! synthetic web graph checked against the centralized evaluation.
 //!
 //! ```sh
 //! cargo run --example distributed_crawl
@@ -9,7 +9,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rpq::automata::{parse_regex, Alphabet};
-use rpq::distributed::{render_trace, run_and_check, run_threaded, Delivery, Simulator};
+use rpq::distributed::{render_trace, run_and_check, Delivery, Simulator};
 use rpq::graph::generators::{fig2_graph, web_graph};
 
 fn main() {
@@ -80,13 +80,5 @@ fn main() {
         r.answers.len(),
         r.stats.total(),
         r.tasks_registered
-    );
-
-    // --- the genuinely concurrent runner agrees ---------------------------
-    let threaded = run_threaded(&web, src, &q2);
-    assert_eq!(threaded.answers, r.answers);
-    println!(
-        "threaded runner (one OS thread per site): {} messages, same answers ✓",
-        threaded.messages
     );
 }

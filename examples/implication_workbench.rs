@@ -54,7 +54,7 @@ fn main() {
     let literal = parse_constraint(&mut ab1, "(l.a + l.b)*.d = (a+b).d").unwrap();
     match check(&e_x1, &literal, &budget) {
         Verdict::Refuted(Refutation::Instance(w)) => println!(
-            "  X1 literal claim REFUTED by a {}-node witness instance (see DESIGN.md)",
+            "  X1 literal claim REFUTED by a {}-node witness instance (see tests/paper_examples.rs)",
             w.instance.num_nodes()
         ),
         other => println!("  X1 literal: {other:?}"),

@@ -15,7 +15,7 @@
 //! | [`core`] | §2.2–2.4 | the unified [`core::Engine`] trait and the evaluation engines, streaming evaluation, general path queries (`μ`) |
 //! | [`datalog`] | §2.3, §1 | Datalog engine + linear-monadic translations, QSQ, magic sets, `Engine`-trait adapters |
 //! | [`constraints`] | §4, §5 | rewrite systems, Theorems 4.2/4.3/4.10, Armstrong instances, the sound axiomatization, the deterministic special case |
-//! | [`distributed`] | §3.1, §5 | the subquery/answer/done/akn protocol, simulator, threaded runner (sites hold CSR shards), carrying agents, decomposition baseline, fault injection |
+//! | [`distributed`] | §3.1, §5 | the subquery/answer/done/akn protocol, one event-driven simulator (sites hold CSR shards; one client or many; optional fault plan), carrying agents, decomposition baseline |
 //! | [`optimizer`] | §3.2, §5 | constraint-based rewriting, static + label-statistics cost models, per-site hooks, cached-view combination search |
 //! | [`server`] | — | the concurrent serving layer: epoch-pinned snapshot catalog, sessions with budgets/cancellation, admission control, per-class metrics |
 //!
@@ -33,11 +33,10 @@
 //! question — many sources, a target, a pair, a matrix, a binding set,
 //! with or without a budget — is a [`core::EvalRequest`] handed to
 //! [`core::Engine::run`]. ([`core::eval_product`],
-//! `datalog::translate::load_instance`, `distributed::Simulator::new` and
-//! `distributed::run_threaded` accept an `Instance` and snapshot it per
-//! call; when evaluating several queries over one graph, build the
-//! [`graph::CsrGraph`] once and use the `Engine` trait or the `*_csr`
-//! entry points.)
+//! `datalog::translate::load_instance` and `distributed::Simulator::new`
+//! accept an `Instance` and snapshot it per call; when evaluating several
+//! queries over one graph, build the [`graph::CsrGraph`] once and use the
+//! `Engine` trait or the `*_csr` entry points.)
 //!
 //! ## Quickstart
 //!
@@ -70,7 +69,7 @@
 //!
 //! See `examples/` for runnable scenarios and `rpq-bench` for the
 //! experiment harness regenerating every figure and worked example of the
-//! paper (documented in `EXPERIMENTS.md`).
+//! paper (`tests/paper_examples.rs` pins each one).
 
 pub use rpq_automata as automata;
 pub use rpq_constraints as constraints;

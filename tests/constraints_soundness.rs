@@ -234,7 +234,8 @@ fn unbounded_queries_really_pump() {
 #[test]
 fn example1_refutation_is_stable() {
     // The Example 1 literal claim must be refuted with a verified witness
-    // (documented discrepancy; see DESIGN.md / EXPERIMENTS.md).
+    // (documented discrepancy; `tests/paper_examples.rs` pins the paper's
+    // sound direction).
     let mut ab = Alphabet::new();
     let set = ConstraintSet::parse(&mut ab, ["(a+b+d+l)*.l = ()"]).unwrap();
     let claim = rpq::constraints::parse_constraint(&mut ab, "(l.a + l.b)*.d = (a+b).d").unwrap();

@@ -19,7 +19,7 @@ use rpq::core::{
 use rpq::datalog::engine::{eval_naive, eval_seminaive};
 use rpq::datalog::translate::{load_instance, translate_quotient, translate_states};
 use rpq::datalog::{DatalogMagicEngine, DatalogNaiveEngine, DatalogSeminaiveEngine};
-use rpq::distributed::{SimulatorEngine, ThreadedEngine};
+use rpq::distributed::SimulatorEngine;
 use rpq::graph::generators::random_graph;
 use rpq::graph::{CsrGraph, Instance, Oid};
 
@@ -147,11 +147,11 @@ proptest! {
 /// the facade docs (`a.b*` asked at `o1`) evaluate to exactly `{o2, o3}`
 /// through every engine the workspace re-exports — centralized product /
 /// quotient-DFA / derivative, both Datalog translations, the definitional
-/// oracle, the streaming evaluator, the deterministic distributed
-/// simulator, and the threaded runner.
+/// oracle, the streaming evaluator, and the deterministic distributed
+/// simulator.
 #[test]
 fn figure2_query_answers_o2_o3_via_all_engines() {
-    use rpq::distributed::{run_threaded, Delivery, Simulator};
+    use rpq::distributed::{Delivery, Simulator};
     use rpq::graph::generators::fig2_graph;
 
     let mut ab = Alphabet::new();
@@ -211,15 +211,11 @@ fn figure2_query_answers_o2_o3_via_all_engines() {
 
     let sim = Simulator::new(&inst, &ab, Delivery::Fifo).run(o1, &q);
     assert_eq!(sim.answers, expected, "distributed simulator");
-
-    let threaded = run_threaded(&inst, o1, &q);
-    assert_eq!(threaded.answers, expected, "threaded runner");
 }
 
 /// The nine evaluation paths behind the unified `Engine` trait: product,
 /// quotient-DFA, derivative, oracle, streaming, Datalog naive/semi-naive/
-/// magic, and the distributed simulator. (The threaded runner joins below
-/// on a smaller graph — one OS thread per node caps its test size.)
+/// magic, and the distributed simulator.
 fn nine_engines() -> Vec<Box<dyn Engine>> {
     vec![
         Box::new(ProductEngine),
@@ -266,26 +262,10 @@ fn engine_trait_agreement_on_larger_random_graphs() {
     }
 }
 
-/// The threaded runner (the ninth-plus path) through the trait, on a size
-/// where one-thread-per-site is reasonable.
-#[test]
-fn threaded_engine_agrees_through_the_trait() {
-    for seed in [7u64, 42] {
-        let (ab, inst, src, q) = random_setup(seed, 20, 60);
-        let graph = CsrGraph::from(&inst);
-        let query = Query::new(q, &ab);
-        let expected = ProductEngine.eval(&query, &graph, src).answers;
-        let got = ThreadedEngine.eval(&query, &graph, src);
-        assert_eq!(got.answers, expected, "threaded on seed {seed}");
-    }
-}
-
-/// All twelve `Engine` impls of the workspace: the nine above, the
-/// threaded runner, the partitioned batch driver and the planner.
-fn twelve_engines(ab: &Alphabet) -> Vec<Box<dyn Engine>> {
+/// All ten `Engine` impls of the workspace: the nine above and the
+/// planner.
+fn ten_engines(ab: &Alphabet) -> Vec<Box<dyn Engine>> {
     let mut engines = nine_engines();
-    engines.push(Box::new(ThreadedEngine));
-    engines.push(Box::new(rpq::distributed::PartitionedBatchEngine::new(3)));
     engines.push(Box::new(rpq::optimizer::PlannedEngine::unconstrained(
         ProductEngine,
         ab.clone(),
@@ -298,7 +278,7 @@ fn twelve_engines(ab: &Alphabet) -> Vec<Box<dyn Engine>> {
 /// (a union-only batch strategy is held to the union; the bounded oracle,
 /// where its own enumeration answers, to a subset).
 #[test]
-fn all_twelve_engines_answer_every_request_shape_like_the_product_engine() {
+fn all_ten_engines_answer_every_request_shape_like_the_product_engine() {
     for seed in [5u64, 23, 77, 4242] {
         let (ab, inst, src, q) = random_setup(seed, 6, 12);
         let graph = CsrGraph::from(&inst);
@@ -315,8 +295,8 @@ fn all_twelve_engines_answer_every_request_shape_like_the_product_engine() {
             EvalRequest::conjunctive(Some(all.clone()), None),
             EvalRequest::conjunctive(None, None),
         ];
-        let engines = twelve_engines(&ab);
-        assert_eq!(engines.len(), 12);
+        let engines = ten_engines(&ab);
+        assert_eq!(engines.len(), 10);
         for req in &shapes {
             let want = ProductEngine.run(&query, &graph, req);
             for engine in &engines {
@@ -344,7 +324,7 @@ fn all_twelve_engines_answer_every_request_shape_like_the_product_engine() {
 }
 
 /// Engines with a real `Sources` strategy (the product request executor,
-/// multi-seeded semi-naive Datalog, the partitioned threaded driver) plus
+/// multi-seeded semi-naive Datalog) plus
 /// representatives of the default loop-over-`eval` path. Batched and
 /// default paths must agree with the per-source map / union of `eval`.
 fn batch_engines() -> Vec<Box<dyn Engine>> {
@@ -353,7 +333,6 @@ fn batch_engines() -> Vec<Box<dyn Engine>> {
         Box::new(ProductEngine),
         Box::new(QuotientDfaEngine),
         Box::new(DatalogSeminaiveEngine),
-        Box::new(rpq::distributed::PartitionedBatchEngine::new(3)),
         // default-impl paths
         Box::new(DerivativeEngine),
         Box::new(StreamingEngine::default()),
@@ -367,7 +346,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// A `Sources` request over a random source set equals the per-source
-    /// map of `eval` (for partitioning engines) and the union of `eval`
+    /// map of `eval` (for engines that report one) and the union of `eval`
     /// (for all engines), with stats aggregated rather than discarded.
     #[test]
     fn sources_request_agrees_with_per_source_eval(seed in 0u64..10_000) {
@@ -556,7 +535,7 @@ proptest! {
 }
 
 /// `PlannedEngine` wrapped around representatives of every evaluation
-/// family (centralized, Datalog, distributed, partitioned batch) returns
+/// family (centralized, Datalog, distributed) returns
 /// exactly the inner engine's answer set — no constraints, so the rewrite
 /// is an identity and any divergence would be a planner bug.
 #[test]
@@ -587,7 +566,6 @@ fn planned_wrapper_never_changes_answers() {
         check!(DerivativeEngine);
         check!(DatalogSeminaiveEngine);
         check!(SimulatorEngine::default());
-        check!(rpq::distributed::PartitionedBatchEngine::new(3));
     }
 }
 

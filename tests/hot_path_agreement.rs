@@ -25,7 +25,7 @@ use rpq::core::{
     ScratchPool, SearchOpts, SourceSpec, StreamingEngine, Termination,
 };
 use rpq::datalog::{DatalogMagicEngine, DatalogNaiveEngine, DatalogSeminaiveEngine};
-use rpq::distributed::{PartitionedBatchEngine, SimulatorEngine};
+use rpq::distributed::SimulatorEngine;
 use rpq::graph::generators::random_graph;
 use rpq::graph::{CsrGraph, DeltaGraph, GraphView, Instance, Oid};
 use rpq::optimizer::{execute_join, parse_crpq, plan_join, HeadBindings, PlannedEngine};
@@ -182,9 +182,9 @@ fn scratch_pool_reuse_across_interleaved_shapes() {
     assert_eq!(pool.idle(), 1);
 }
 
-/// The serving engines' built-in pools warm up: repeated queries through a
-/// `PlannedEngine` and a `PartitionedBatchEngine` hit the pool after the
-/// first evaluation, with answers unchanged.
+/// The serving engine's built-in pool warms up: repeated queries through a
+/// `PlannedEngine` hit the pool after the first evaluation, single-source
+/// and batched alike, with answers unchanged.
 #[test]
 fn serving_engines_reuse_their_pools() {
     let (ab, inst, src, q) = random_setup(7, 40, 160);
@@ -202,20 +202,20 @@ fn serving_engines_reuse_their_pools() {
         "planned pool never warmed"
     );
 
-    let batch = PartitionedBatchEngine::new(2);
+    let warm = planned.scratch_pool().reuses();
     let sources: Vec<Oid> = graph.nodes().take(10).collect();
     let from_all = EvalRequest::sources(sources.clone());
-    let b1 = batch.run(&query, &graph, &from_all);
-    let b2 = batch.run(&query, &graph, &from_all);
+    let b1 = planned.run(&query, &graph, &from_all);
+    let b2 = planned.run(&query, &graph, &from_all);
     assert_eq!(b1.batch(), b2.batch());
-    assert!(
-        batch.scratch_pool().reuses() > 0,
-        "partitioned pool never warmed"
-    );
     let to_all = EvalRequest::targets(sources);
-    let t1 = batch.run(&query, &graph, &to_all);
-    let t2 = batch.run(&query, &graph, &to_all);
+    let t1 = planned.run(&query, &graph, &to_all);
+    let t2 = planned.run(&query, &graph, &to_all);
     assert_eq!(t1.batch(), t2.batch());
+    assert!(
+        planned.scratch_pool().reuses() > warm,
+        "batched requests never drew from the pool"
+    );
 }
 
 /// What a request observably did: its answers, how it ended, and the work

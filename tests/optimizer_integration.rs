@@ -8,11 +8,11 @@ use rand::SeedableRng;
 use rpq::automata::{parse_regex, Alphabet, Nfa};
 use rpq::constraints::general::Budget;
 use rpq::constraints::ConstraintSet;
-use rpq::core::eval_product;
+use rpq::core::{eval_product, ProductEngine};
 use rpq::distributed::{Delivery, Simulator};
 use rpq::graph::generators::cached_site;
-use rpq::graph::{Instance, Oid};
-use rpq::optimizer::{optimize, RewriteCache};
+use rpq::graph::{CsrGraph, Instance, Oid};
+use rpq::optimizer::{optimize, PlannedEngine};
 
 /// Build an instance where `l = (a.b)*` holds at the source.
 fn cached_instance(seed: u64, n: usize) -> (Alphabet, Instance, Oid) {
@@ -89,11 +89,12 @@ fn distributed_cache_rewrite_saves_messages() {
 
     let plain = Simulator::new(&inst, &ab, Delivery::Fifo).run(src, &q);
 
-    let cache = RewriteCache::new(&set, &ab, Budget::default());
+    let planned = PlannedEngine::new(ProductEngine, set, ab.clone());
+    let graph = CsrGraph::from(&inst);
     let src_id = src.0;
-    let hook = move |site, incoming: &rpq::automata::Regex| {
+    let hook = |site, incoming: &rpq::automata::Regex| {
         if site == src_id {
-            cache.rewrite(incoming)
+            planned.rewrite(incoming, &graph)
         } else {
             incoming.clone()
         }

@@ -1,6 +1,6 @@
-//! End-to-end reproduction of every figure and worked example in the paper
-//! (the per-experiment index of DESIGN.md): F1–F5 and X1–X3. Each test is
-//! the assertion-backed version of what `paper-figures` prints.
+//! End-to-end reproduction of every figure and worked example in the paper:
+//! F1–F5 and X1–X3. Each test is the assertion-backed version of what
+//! `paper-figures` prints.
 
 use rpq::automata::{parse_regex, Alphabet, Nfa, Symbol};
 use rpq::constraints::general::{check, Budget, Refutation, Verdict};
