@@ -1,4 +1,4 @@
-//! T14 — static query analysis (plan-time facts payoff). Four claims,
+//! T14 — static query analysis (plan-time facts payoff). Five claims,
 //! asserted at registration time so `--test` mode (the CI bench smoke)
 //! enforces the acceptance criteria without paying measurement time:
 //!
@@ -20,6 +20,14 @@
 //!   subset construction of it (`Optimized::thompson_builds` /
 //!   `determinizations`), and none at all for a word no cache body
 //!   prefixes.
+//! * **Prove once** — on the same shapes a rewritten cold plan decides its
+//!   one claim once (`Optimized::claims_proved == 1`: the view search
+//!   takes over the cache family's proof of the identical candidate),
+//!   builds two `RewriteTo` closures (`closure_builds == 2`), and its
+//!   certification runs both inclusion tests against them without
+//!   building any (`Analysis::certify_closure_builds == 0`,
+//!   `certify_inclusions == 2`); a text no cache prefixes decides nothing
+//!   and builds nothing.
 //!
 //! The measured series compare the planned engine (analysis amortized via
 //! the plan memo) against the plain product engine on all three shapes;
@@ -35,7 +43,7 @@ use rpq_bench::{cold_plan_workload, distributed_workload, skewed_workload};
 use rpq_constraints::general::Budget;
 use rpq_core::{Engine, EvalRequest, ProductEngine, Query};
 use rpq_graph::CsrGraph;
-use rpq_optimizer::{optimize_with_stats, PlannedEngine};
+use rpq_optimizer::{optimize_and_analyze, PlannedEngine};
 
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("t14_static_analysis");
@@ -210,8 +218,11 @@ fn bench(c: &mut Criterion) {
         // subset construction runs at most once, and not at all for a word
         // no cache body prefixes (the view search is gated out and a word
         // is its own minimal-DFA regex).
+        //
+        // Acceptance 5: a cold plan proves its claim once and builds each
+        // closure once — certification reads the two `check` built.
         for q in texts.iter() {
-            let opt = optimize_with_stats(
+            let (opt, analysis) = optimize_and_analyze(
                 &w.constraints,
                 q,
                 &w.alphabet,
@@ -225,6 +236,17 @@ fn bench(c: &mut Criterion) {
                 "{name}: {q:?}"
             );
             assert_eq!(opt.improved(), name == "cached", "{name}: {q:?}");
+            let work = (
+                opt.claims_proved,
+                opt.closure_builds,
+                analysis.certify_closure_builds,
+                analysis.certify_inclusions,
+            );
+            match name {
+                "cached" => assert_eq!(work, (1, 2, 0, 2), "{name}: {q:?}"),
+                "uncached" => assert_eq!(work, (0, 0, 0, 0), "{name}: {q:?}"),
+                _ => {}
+            }
         }
         let queries: Vec<Query> = texts
             .iter()

@@ -39,7 +39,8 @@ use rpq_automata::ops::included_antichain;
 use rpq_automata::{Dfa, Nfa, Regex, Symbol};
 use rpq_graph::{Instance, Oid};
 
-use crate::implication::{word_implies_constraint, WordImplication};
+use crate::implication::{word_implies_constraint_in, WordImplication};
+use crate::rewrite::Closures;
 use crate::types::{ConstraintKind, ConstraintSet, PathConstraint};
 
 /// A verified counterexample instance.
@@ -123,9 +124,17 @@ impl Default for Budget {
 
 /// Check `E ⊨ c` for arbitrary path constraints.
 pub fn check(set: &ConstraintSet, c: &PathConstraint, budget: &Budget) -> Verdict {
+    check_with(&Closures::new(set), c, budget)
+}
+
+/// [`check`] under the set of `closures`, reading the `RewriteTo` closures
+/// of the exact word route from that memo: a planner that certifies the
+/// same claim afterwards finds both closures built.
+pub fn check_with(closures: &Closures<'_>, c: &PathConstraint, budget: &Budget) -> Verdict {
+    let set = closures.set();
     // Exact route for word-constraint sets (Theorem 4.3).
     if set.all_word_constraints() {
-        return match word_implies_constraint(set, c) {
+        return match word_implies_constraint_in(closures, c) {
             WordImplication::Implied => Verdict::Implied {
                 method: "word-exact",
             },

@@ -8,12 +8,29 @@
 //!   (Lemmas 4.6 + 4.7), an ordinary regular-language inclusion.
 //!
 //! Both the antichain-based and the naive fully-determinizing inclusion
-//! checks are exposed; bench `t3_path_implication` compares them.
+//! checks are exposed; bench `t3_path_implication` compares them over the
+//! same automaton.
+//!
+//! ## Why the certification closure decides part (ii) exactly
+//!
+//! Part (ii) reads `RewriteTo(q)` off [`rewrite_closure_nfa`], the closure
+//! the optimizer also certifies rewrites against, through a [`Closures`]
+//! memo, so a plan that decides `E ⊨ p = q` and then certifies it builds
+//! each of the two closures once. On an all-word set the closure *is*
+//! `RewriteTo(q)`: every rule `u → v` embeds `u` as a fragment read out of
+//! the root and ε-wires its exit to every state the root reaches by reading
+//! `v` — the word saturation of Lemma 4.5, with the last `u`-edge replaced
+//! by an ε-edge behind it — and no rule has a regex side, so the universal
+//! wiring never runs. The saturation is run to its fixpoint, so the closure
+//! accepts `pre*(L(q))`, which is `RewriteTo(q)` by Lemma 4.7 and the set
+//! of words `u` with `E ⊨ u ⊆ q` by Lemma 4.4 (with the `u ⊆ ε` completion
+//! both constructions see in the set). The property test
+//! `closure_is_rewrite_to_on_word_sets` holds the two constructions equal.
 
-use rpq_automata::ops::{included_antichain, included_naive};
+use rpq_automata::ops::included_naive;
 use rpq_automata::{Nfa, Regex, Symbol};
 
-use crate::rewrite::{rewrite_to_nfa, rewrite_to_word_nfa, RewriteSystem};
+use crate::rewrite::{rewrite_closure_nfa, rewrite_to_word_nfa, Closures, RewriteSystem};
 use crate::types::{ConstraintKind, ConstraintSet, PathConstraint};
 
 /// Outcome of a word-constraint implication check. `Refuted` carries a word
@@ -46,28 +63,32 @@ pub fn word_implies_word_eq(set: &ConstraintSet, u: &[Symbol], v: &[Symbol]) -> 
 }
 
 /// Theorem 4.3(ii): does `E ⊨ p ⊆ q`? Decided as `L(p) ⊆ RewriteTo(q)`
-/// using the antichain inclusion algorithm.
+/// using the antichain inclusion algorithm, with `RewriteTo(q)` read off
+/// the certification closure (exact on word sets; see the module docs).
 ///
 /// **Precondition:** `E` must contain only word constraints (checked;
 /// panics otherwise — route general constraints through
 /// [`crate::general::check`]).
 pub fn word_implies_path(set: &ConstraintSet, p: &Regex, q: &Regex) -> WordImplication {
+    word_implies_path_in(&Closures::new(set), p, q)
+}
+
+/// [`word_implies_path`] against the closures of a plan's memo.
+fn word_implies_path_in(closures: &Closures<'_>, p: &Regex, q: &Regex) -> WordImplication {
     assert!(
-        set.all_word_constraints(),
+        closures.set().all_word_constraints(),
         "word_implies_path requires a word-constraint set"
     );
-    let rules = RewriteSystem::from_constraints(set);
-    let target = Nfa::thompson(q);
-    let rewrite = rewrite_to_nfa(&target, &rules);
-    match included_antichain(&Nfa::thompson(p), &rewrite.nfa) {
+    match closures.includes(&Nfa::thompson(p), q) {
         Ok(()) => WordImplication::Implied,
         Err(w) => WordImplication::Refuted(w),
     }
 }
 
 /// The same decision through full determinization (the textbook PSPACE
-/// procedure); exists for the bench ablation and cross-checking.
-/// `sigma` must cover every symbol of `p`, `q`, and `E`.
+/// procedure) over the same closure automaton; exists for the bench
+/// ablation and cross-checking. `sigma` must cover every symbol of `p`,
+/// `q`, and `E`.
 pub fn word_implies_path_naive(
     set: &ConstraintSet,
     p: &Regex,
@@ -75,9 +96,7 @@ pub fn word_implies_path_naive(
     sigma: usize,
 ) -> WordImplication {
     assert!(set.all_word_constraints());
-    let rules = RewriteSystem::from_constraints(set);
-    let target = Nfa::thompson(q);
-    let rewrite = rewrite_to_nfa(&target, &rules);
+    let rewrite = rewrite_closure_nfa(set, &Nfa::thompson(q));
     match included_naive(&Nfa::thompson(p), &rewrite.nfa, sigma) {
         Ok(()) => WordImplication::Implied,
         Err(w) => WordImplication::Refuted(w),
@@ -87,10 +106,19 @@ pub fn word_implies_path_naive(
 /// Full path-constraint check against a word-constraint set: inclusion or
 /// equality (two inclusions).
 pub fn word_implies_constraint(set: &ConstraintSet, c: &PathConstraint) -> WordImplication {
+    word_implies_constraint_in(&Closures::new(set), c)
+}
+
+/// [`word_implies_constraint`] against the closures of a plan's memo: an
+/// equality builds the closures of both sides, at most once each.
+pub(crate) fn word_implies_constraint_in(
+    closures: &Closures<'_>,
+    c: &PathConstraint,
+) -> WordImplication {
     match c.kind {
-        ConstraintKind::Inclusion => word_implies_path(set, &c.lhs, &c.rhs),
-        ConstraintKind::Equality => match word_implies_path(set, &c.lhs, &c.rhs) {
-            WordImplication::Implied => word_implies_path(set, &c.rhs, &c.lhs),
+        ConstraintKind::Inclusion => word_implies_path_in(closures, &c.lhs, &c.rhs),
+        ConstraintKind::Equality => match word_implies_path_in(closures, &c.lhs, &c.rhs) {
+            WordImplication::Implied => word_implies_path_in(closures, &c.rhs, &c.lhs),
             refuted => refuted,
         },
     }

@@ -57,9 +57,11 @@ pub use deterministic::{
     DetWitness,
 };
 pub use fo2::{bounded_countermodel, constraint_sentence, refutation_sentence, Fo2};
-pub use general::{check, Budget, Refutation, Verdict, Witness};
+pub use general::{check, check_with, Budget, Refutation, Verdict, Witness};
 pub use implication::{
     word_implies_constraint, word_implies_path, word_implies_word, WordImplication,
 };
-pub use rewrite::{rewrite_closure_nfa, rewrite_to_nfa, rewrite_to_word_nfa, RewriteSystem};
+pub use rewrite::{
+    rewrite_closure_nfa, rewrite_to_nfa, rewrite_to_word_nfa, Closures, RewriteSystem,
+};
 pub use types::{parse_constraint, CacheDef, ConstraintKind, ConstraintSet, PathConstraint};

@@ -15,7 +15,16 @@
 //! state `t`, connect the chain's last transition to `t`. The construction
 //! is polynomial and yields exactly `pre*(L(p))` under prefix rewriting —
 //! the same language as the paper's PDA argument.
+//!
+//! [`rewrite_closure_nfa`] generalizes the saturation to regex-sided rules.
+//! On a set of word constraints it wires each rule exactly as
+//! [`rewrite_to_nfa`] does (ε-edges from the left-hand side's exits instead
+//! of a last labelled edge), so it accepts `RewriteTo(p)` itself; the
+//! implication deciders read it through the plan-scoped memo [`Closures`].
 
+use std::cell::{Cell, RefCell};
+
+use rpq_automata::ops::included_antichain;
 use rpq_automata::{Alphabet, Nfa, Regex, StateId, Symbol};
 
 use crate::types::{ClosureRhs, ConstraintSet, PathConstraint};
@@ -270,8 +279,6 @@ pub fn rewrite_to_word_nfa(v: &[Symbol], rules: &RewriteSystem) -> RewriteToAuto
 /// — exactly the right polarity for certification, which must never
 /// accept an unsound rewrite.
 pub fn rewrite_closure_nfa(set: &ConstraintSet, target: &Nfa) -> RewriteToAutomaton {
-    use rpq_automata::ops::included_antichain;
-
     /// Universal-wiring rounds before giving up on a fixpoint (each round
     /// may add a fresh `K` sub-automaton, so unlike the ε-only word
     /// saturation this loop has no natural termination guarantee).
@@ -360,6 +367,67 @@ pub fn rewrite_closure_nfa(set: &ConstraintSet, target: &Nfa) -> RewriteToAutoma
         nfa,
         rounds,
         added_edges,
+    }
+}
+
+/// [`rewrite_closure_nfa`] of one set, memoized by target regex for the
+/// length of one plan, with the inclusion tests run against it: a
+/// rewritten plan decides its claim through `check` and certifies its
+/// winner against the closures of the same two regexes, and this is where
+/// the second reader finds what the first one built.
+///
+/// Nothing outlives the memo: it borrows its set, is made by whoever plans
+/// and is dropped with the plan, so no key is ever client text. It counts
+/// its work ([`Closures::builds`], [`Closures::inclusions`]) so a caller
+/// can tell what a step read from it and what it built.
+#[derive(Debug)]
+pub struct Closures<'s> {
+    set: &'s ConstraintSet,
+    built: RefCell<Vec<(Regex, Nfa)>>,
+    inclusions: Cell<usize>,
+}
+
+impl<'s> Closures<'s> {
+    /// An empty memo over `set`.
+    pub fn new(set: &'s ConstraintSet) -> Closures<'s> {
+        Closures {
+            set,
+            built: RefCell::new(Vec::new()),
+            inclusions: Cell::new(0),
+        }
+    }
+
+    /// The constraint set the closures are taken under.
+    pub fn set(&self) -> &'s ConstraintSet {
+        self.set
+    }
+
+    /// Antichain inclusion `L(lhs) ⊆ L(closure(target))`, where the closure
+    /// is [`rewrite_closure_nfa`] of `target`'s Thompson automaton, built
+    /// on the first test against this regex. `Err` carries a word of
+    /// `L(lhs)` the closure rejects.
+    pub fn includes(&self, lhs: &Nfa, target: &Regex) -> Result<(), Vec<Symbol>> {
+        self.inclusions.set(self.inclusions.get() + 1);
+        let mut built = self.built.borrow_mut();
+        let i = match built.iter().position(|(t, _)| t == target) {
+            Some(i) => i,
+            None => {
+                let closure = rewrite_closure_nfa(self.set, &Nfa::thompson(target)).nfa;
+                built.push((target.clone(), closure));
+                built.len() - 1
+            }
+        };
+        included_antichain(lhs, &built[i].1)
+    }
+
+    /// How many closures this memo has built.
+    pub fn builds(&self) -> usize {
+        self.built.borrow().len()
+    }
+
+    /// How many inclusion tests ran against its closures.
+    pub fn inclusions(&self) -> usize {
+        self.inclusions.get()
     }
 }
 

@@ -6,12 +6,13 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use rpq_automata::ops::included_antichain;
+use rpq_automata::ops::{equivalent, included_antichain};
 use rpq_automata::random::{random_regex, RegexGenConfig};
 use rpq_automata::{Alphabet, Nfa, Regex, Symbol};
 use rpq_constraints::armstrong::shortest_lex_accepted;
+use rpq_constraints::implication::{word_implies_path, word_implies_path_naive};
 use rpq_constraints::rewrite::{
-    rewrite_closure_nfa, rewrite_to_word_nfa, rewrites_to, RewriteSystem,
+    rewrite_closure_nfa, rewrite_to_nfa, rewrite_to_word_nfa, rewrites_to, RewriteSystem,
 };
 use rpq_constraints::{
     suggested_radius, ArmstrongSphere, ConstraintKind, ConstraintSet, PathConstraint,
@@ -233,6 +234,83 @@ proptest! {
                 r
             );
         }
+    }
+}
+
+/// A random set of word constraints over `syms`, with every shape the two
+/// `RewriteTo` constructions must treat alike: inclusions and equalities,
+/// `ε` on either side (a `u ⊆ ε` gets its `ε ⊆ u` completion from the
+/// set), and rules repeated under another constraint (`u = v` beside
+/// `u ⊆ v` or `v ⊆ u`), which `RewriteSystem` keeps once and the closure's
+/// compiled rules keep twice.
+fn rand_word_set(rng: &mut StdRng, syms: &[Symbol]) -> ConstraintSet {
+    let mut cs: Vec<PathConstraint> = Vec::new();
+    for _ in 0..rng.random_range(1..=4usize) {
+        let (u, v) = (rand_word(rng, syms, 3), rand_word(rng, syms, 3));
+        let kind = if rng.random_range(0..2) == 0 {
+            ConstraintKind::Inclusion
+        } else {
+            ConstraintKind::Equality
+        };
+        cs.push(PathConstraint {
+            lhs: Regex::word(&u),
+            rhs: Regex::word(&v),
+            kind,
+        });
+        if rng.random_range(0..4) == 0 {
+            // the same rule again, from another constraint
+            let (l, r) = if kind == ConstraintKind::Equality && rng.random_range(0..2) == 0 {
+                (v, u)
+            } else {
+                (u, v)
+            };
+            cs.push(PathConstraint::inclusion(Regex::word(&l), Regex::word(&r)));
+        }
+    }
+    ConstraintSet::from_constraints(cs)
+}
+
+proptest! {
+    /// On a set of word constraints the certification closure *is*
+    /// `RewriteTo` (Lemmas 4.4, 4.5, 4.7): `rewrite_closure_nfa` and the
+    /// word saturation `rewrite_to_nfa` accept one language for any regular
+    /// target, so the exact word route of `check` may decide
+    /// `L(p) ⊆ RewriteTo(q)` against the closure the optimizer certifies
+    /// with. `word_implies_path` (antichain) and `word_implies_path_naive`
+    /// (subset construction) must then agree on it.
+    #[test]
+    fn closure_is_rewrite_to_on_word_sets(seed in 0u64..100_000) {
+        let ab = Alphabet::from_names(["a", "b", "c"]);
+        let syms: Vec<Symbol> = ab.symbols().collect();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let set = rand_word_set(&mut rng, &syms);
+        prop_assert!(set.all_word_constraints());
+        let rules = RewriteSystem::from_constraints(&set);
+        let cfg = RegexGenConfig {
+            symbols: syms.clone(),
+            max_depth: 3,
+            star_weight: 20,
+            union_weight: 40,
+            fanout: 3,
+        };
+        let target = random_regex(&mut rng, &cfg);
+        let t = Nfa::thompson(&target);
+        let closure = rewrite_closure_nfa(&set, &t).nfa;
+        let rewrite_to = rewrite_to_nfa(&t, &rules).nfa;
+        prop_assert!(
+            equivalent(&closure, &rewrite_to).is_ok(),
+            "closure and RewriteTo differ: E={{{}}} target={:?}",
+            set.iter().map(|c| format!("{c:?}")).collect::<Vec<_>>().join(", "),
+            target
+        );
+        let p = random_regex(&mut rng, &cfg);
+        prop_assert_eq!(
+            word_implies_path(&set, &p, &target).is_implied(),
+            word_implies_path_naive(&set, &p, &target, ab.len()).is_implied(),
+            "p={:?} target={:?}",
+            p,
+            target
+        );
     }
 }
 

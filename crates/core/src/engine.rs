@@ -77,12 +77,13 @@ impl Query {
     /// (which read [`Query::nfa`]) see the same reduced language.
     ///
     /// Contract: `L(nfa)` must equal `L(regex)` — callers are responsible
-    /// for keeping the two forms in sync.
-    pub fn with_nfa(regex: Regex, nfa: Nfa, alphabet: &Alphabet) -> Query {
+    /// for keeping the two forms in sync. The alphabet is the snapshot the
+    /// caller's query was prepared against, shared, not copied.
+    pub fn with_nfa(regex: Regex, nfa: Nfa, alphabet: Arc<Alphabet>) -> Query {
         Query {
             regex,
             nfa,
-            alphabet: Arc::new(alphabet.clone()),
+            alphabet,
         }
     }
 
@@ -102,8 +103,9 @@ impl Query {
         &self.nfa
     }
 
-    /// The alphabet the query was prepared against.
-    pub fn alphabet(&self) -> &Alphabet {
+    /// The alphabet snapshot the query was prepared against (a planner
+    /// shares it with the plan it compiles).
+    pub fn alphabet(&self) -> &Arc<Alphabet> {
         &self.alphabet
     }
 }

@@ -10,7 +10,13 @@
 //!    the Lemma 4.5/4.7 construction) by two antichain inclusion tests.
 //!    A winner that cannot be certified `E ⊨ q = r` is rejected and the
 //!    original query is planned instead — candidate validation bugs can
-//!    cost optimality, never soundness.
+//!    cost optimality, never soundness. The two inclusion tests always
+//!    run; the two closures they read come from the plan's
+//!    [`rpq_constraints::Closures`] memo, where the rewrite search's
+//!    `check` of the same claim already built them when the set is all
+//!    words, so the planned engine's certification builds none
+//!    ([`Analysis::certify_closure_builds`]). [`analyze`] and
+//!    [`certify_rewrite`] start a fresh memo and build both.
 //! 2. **Alphabet restriction** — symbols with zero edges in the
 //!    snapshot's [`LabelStats`] cannot appear on any path, so every
 //!    occurrence is replaced by `∅` and the regex re-simplified. A query
@@ -31,9 +37,8 @@
 use std::collections::BTreeSet;
 use std::time::Instant;
 
-use rpq_automata::ops::included_antichain;
 use rpq_automata::{Nfa, Regex, Symbol};
-use rpq_constraints::{rewrite_closure_nfa, ConstraintSet};
+use rpq_constraints::{Closures, ConstraintSet};
 use rpq_graph::LabelStats;
 
 use crate::compiled::CompiledQuery;
@@ -80,6 +85,12 @@ pub struct Analysis {
     pub nfa: Nfa,
     /// The derived facts.
     pub facts: AnalysisFacts,
+    /// `RewriteTo` closures certification built; 0 when the plan's memo
+    /// held both already, or when the input won (nothing to certify).
+    pub certify_closure_builds: usize,
+    /// Inclusion tests certification ran: 2 for a certified winner, 1 or
+    /// 2 for a rejected one, 0 when the input won.
+    pub certify_inclusions: usize,
 }
 
 /// Certify `E ⊨ original = candidate` against the generalized rewrite
@@ -91,14 +102,22 @@ pub struct Analysis {
 /// closure under-approximates full path implication, so a genuinely valid
 /// rewrite can be rejected (costing only optimality), but an invalid one
 /// is never certified.
+///
+/// Both closures are built here; the planned engine certifies through
+/// [`crate::optimize_and_analyze`], which reads them from the memo its
+/// rewrite search filled.
 pub fn certify_rewrite(set: &ConstraintSet, original: &Regex, candidate: &Regex) -> bool {
-    certify_automata(set, &Nfa::thompson(original), &Nfa::thompson(candidate))
+    let (q, r) = (
+        CompiledQuery::new(original, 0),
+        CompiledQuery::new(candidate, 0),
+    );
+    certify(&Closures::new(set), &q, &r)
 }
 
-/// [`certify_rewrite`] over the two Thompson automata.
-fn certify_automata(set: &ConstraintSet, q: &Nfa, r: &Nfa) -> bool {
-    included_antichain(q, &rewrite_closure_nfa(set, r).nfa).is_ok()
-        && included_antichain(r, &rewrite_closure_nfa(set, q).nfa).is_ok()
+/// [`certify_rewrite`] over compiled queries and a plan's closures (the
+/// second inclusion runs only when the first passes).
+fn certify(closures: &Closures<'_>, q: &CompiledQuery<'_>, r: &CompiledQuery<'_>) -> bool {
+    closures.includes(q.nfa(), r.regex()).is_ok() && closures.includes(r.nfa(), q.regex()).is_ok()
 }
 
 /// Replace every symbol of `q` that has zero edges under `stats` with `∅`
@@ -142,18 +161,21 @@ pub fn analyze(
     stats: &LabelStats,
 ) -> Analysis {
     let input = CompiledQuery::new(original, 0);
+    let closures = Closures::new(set);
     if winner == *original {
-        analyze_compiled(set, &input, None, stats)
+        analyze_compiled(&closures, &input, None, stats)
     } else {
-        analyze_compiled(set, &input, Some(&CompiledQuery::owned(winner, 0)), stats)
+        let winner = CompiledQuery::owned(winner, 0);
+        analyze_compiled(&closures, &input, Some(&winner), stats)
     }
 }
 
-/// [`analyze`] over compiled queries: `winner` is `None` when the input
-/// won the rewrite search. What the search already built of either query
-/// (automaton, trimmed form, depth cap) is read, not rebuilt.
+/// [`analyze`] over compiled queries and the plan's closures: `winner` is
+/// `None` when the input won the rewrite search. What the search already
+/// built of either query (automaton, trimmed form, depth cap) and of the
+/// closures is read, not rebuilt.
 pub(crate) fn analyze_compiled(
-    set: &ConstraintSet,
+    closures: &Closures<'_>,
     original: &CompiledQuery<'_>,
     winner: Option<&CompiledQuery<'_>>,
     stats: &LabelStats,
@@ -161,14 +183,17 @@ pub(crate) fn analyze_compiled(
     let t0 = Instant::now();
     let mut facts = AnalysisFacts::default();
     let mut chosen = original;
+    let (builds, inclusions) = (closures.builds(), closures.inclusions());
     if let Some(winner) = winner {
-        if certify_automata(set, original.nfa(), winner.nfa()) {
+        if certify(closures, original, winner) {
             facts.rewrites_certified = 1;
             chosen = winner;
         } else {
             facts.rewrites_rejected = 1;
         }
     }
+    let certify_closure_builds = closures.builds() - builds;
+    let certify_inclusions = closures.inclusions() - inclusions;
     let (restricted, pruned) = restrict_to_live_symbols(chosen.regex(), stats);
     facts.pruned_symbols = pruned;
     // Nothing pruned: the restricted query *is* the chosen one, compiled
@@ -196,6 +221,8 @@ pub(crate) fn analyze_compiled(
         regex: planned.regex().clone(),
         nfa: trimmed,
         facts,
+        certify_closure_builds,
+        certify_inclusions,
     }
 }
 

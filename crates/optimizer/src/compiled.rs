@@ -8,12 +8,72 @@
 //! planner is one pass over these artefacts instead of one compilation per
 //! family. It is private to the crate: the public entry points build one
 //! and hand it down.
+//!
+//! [`PlanPass`] is the same idea for what a plan proves: the `RewriteTo`
+//! closures by target regex, which `check` builds and certification reads,
+//! and the count of claims put to the implication engines.
 
 use std::borrow::Cow;
-use std::cell::OnceCell;
+use std::cell::{Cell, OnceCell};
 
 use rpq_automata::{Dfa, Nfa, Regex, StateId};
-use rpq_constraints::ConstraintSet;
+use rpq_constraints::axioms::Prover;
+use rpq_constraints::general::{check_with, Budget, Verdict};
+use rpq_constraints::types::PathConstraint;
+use rpq_constraints::{Closures, ConstraintSet};
+
+/// One plan's proof state, made where the plan starts and dropped with it:
+/// the closure memo every `check` and the certification read, and how many
+/// claims `E ⊨ q = c` were decided.
+pub(crate) struct PlanPass<'s> {
+    closures: Closures<'s>,
+    claims: Cell<usize>,
+}
+
+impl<'s> PlanPass<'s> {
+    /// A pass over `set` that has built and decided nothing yet.
+    pub(crate) fn new(set: &'s ConstraintSet) -> Self {
+        PlanPass {
+            closures: Closures::new(set),
+            claims: Cell::new(0),
+        }
+    }
+
+    /// The constraints the plan is made under.
+    pub(crate) fn set(&self) -> &'s ConstraintSet {
+        self.closures.set()
+    }
+
+    /// The plan's closure memo.
+    pub(crate) fn closures(&self) -> &Closures<'s> {
+        &self.closures
+    }
+
+    /// Decide `claim`: the axiomatic `prover` first when one is given, the
+    /// implication engine (over the plan's closures) otherwise or when it
+    /// finds nothing. The method that proved it, or `None`; counted once
+    /// either way.
+    pub(crate) fn decide(
+        &self,
+        claim: &PathConstraint,
+        budget: &Budget,
+        prover: Option<&Prover<'_>>,
+    ) -> Option<&'static str> {
+        self.claims.set(self.claims.get() + 1);
+        if prover.is_some_and(|p| p.prove_constraint(claim).is_some()) {
+            return Some("axiomatic");
+        }
+        match check_with(&self.closures, claim, budget) {
+            Verdict::Implied { method } => Some(method),
+            _ => None,
+        }
+    }
+
+    /// Claims decided so far.
+    pub(crate) fn claims(&self) -> usize {
+        self.claims.get()
+    }
+}
 
 /// A regex with its compiled artefacts, each built at most once.
 pub(crate) struct CompiledQuery<'q> {

@@ -52,10 +52,21 @@
 //!   of `q` prefixes no word of `q`; its existential quotient has no start
 //!   state and its universal tail is empty, so neither cache family looks
 //!   at it again — and a query that is a single word is its own
-//!   minimal-DFA regex, so the simplifier does not determinize it either.
+//!   minimal-DFA regex, so the simplifier does not determinize it either;
+//! * **per plan** (a crate-private `PlanPass`, made by
+//!   [`optimize_and_analyze`] and dropped with the plan): closures by
+//!   target, proofs by claim. The `RewriteTo` closures `check` builds to
+//!   decide `E ⊨ q = c` ([`rpq_constraints::Closures`]) are the two the
+//!   winner's certification tests against, and a view rewriting equal to a
+//!   candidate a family proved takes over that proof instead of deciding
+//!   the same claim again ([`Optimized::claims_proved`],
+//!   [`Optimized::closure_builds`], [`Analysis::certify_closure_builds`]).
+//!   Nothing in it is keyed by client text or outlives the plan.
 //!
-//! No validation is skipped on the way: every candidate still passes
-//! `check` or the prover, and every winner [`certify_rewrite`].
+//! No validation is skipped on the way: every distinct candidate claim is
+//! still decided, by `check` or the prover, and every winner still passes
+//! both inclusion tests of [`certify_rewrite`] — against closures built
+//! once per plan, not once per reader.
 //!
 //! ## Example (the paper's Example 2)
 //!
@@ -90,6 +101,6 @@ pub use join::{
     HeadBindings, JoinPlan, Var,
 };
 pub use planned::{Direction, Plan, PlannedEngine, PlannerConfig};
-pub use planner::{optimize, optimize_with_stats, Optimized};
+pub use planner::{optimize, optimize_and_analyze, optimize_with_stats, Optimized};
 pub use rewrites::{candidates, Candidate, RewriteRule};
 pub use views::{cache_defs, rewrite_with_views, CacheDef, ViewKind, ViewRewriting};

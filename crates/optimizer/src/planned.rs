@@ -11,8 +11,8 @@
 //! 1. runs the constraint rewrite against the snapshot's
 //!    [`rpq_graph::LabelStats`] — the Section 3.2 *what* — and the static
 //!    analysis of its winner, as one pass over one compilation of each
-//!    query (the search of [`crate::optimize_with_stats`], then
-//!    [`crate::analyze`]; see the crate docs);
+//!    query and one closure per certified target
+//!    ([`crate::optimize_and_analyze`]; see the crate docs);
 //! 2. compiles the winner once ([`Query`]) and estimates the forward cost
 //!    (edges matching the query's *first* label group) and the backward
 //!    cost (edges matching its *last*) — the *how*: [`Direction::Backward`]
@@ -192,10 +192,11 @@ fn remember<P>(entries: &mut Vec<MemoEntry<P>>, key: MemoKey, plan: &Arc<P>) {
 
 /// Bound on distinct queries either plan memo retains. The key is
 /// client-supplied text (`rpq-server`'s `Session::submit_text`), and each
-/// entry keeps a compiled [`Plan`] — two NFAs and an alphabet copy — so an
-/// unbounded map grows for as long as a server is sent new texts. On
-/// reaching the bound the map is dropped whole; plans are rebuilt when
-/// their query comes back, as with the per-query eviction above.
+/// entry keeps a compiled [`Plan`] — two NFAs and a share of the query's
+/// alphabet snapshot — so an unbounded map grows for as long as a server
+/// is sent new texts. On reaching the bound the map is dropped whole;
+/// plans are rebuilt when their query comes back, as with the per-query
+/// eviction above.
 const MAX_MEMOIZED_QUERIES: usize = 4096;
 
 /// The memo's entry list for `query`, dropping the map first if `query`
@@ -213,7 +214,7 @@ fn memo_slot<K: std::hash::Hash + Eq, V>(memo: &mut HashMap<K, Vec<V>>, query: K
 pub struct PlannedEngine<E> {
     inner: E,
     set: ConstraintSet,
-    alphabet: Alphabet,
+    alphabet: Arc<Alphabet>,
     config: PlannerConfig,
     memo: Mutex<HashMap<Regex, Vec<MemoEntry<Plan>>>>,
     crpq_memo: Mutex<HashMap<CrpqSig, Vec<MemoEntry<JoinPlan>>>>,
@@ -231,7 +232,7 @@ impl<E> PlannedEngine<E> {
         PlannedEngine {
             inner,
             set,
-            alphabet,
+            alphabet: Arc::new(alphabet),
             config: PlannerConfig::default(),
             memo: Mutex::new(HashMap::new()),
             crpq_memo: Mutex::new(HashMap::new()),
@@ -363,7 +364,7 @@ impl<E> PlannedEngine<E> {
     fn plan_status<G: GraphView>(
         &self,
         q: &Regex,
-        alphabet: &Alphabet,
+        alphabet: &Arc<Alphabet>,
         graph: &G,
     ) -> (Arc<Plan>, bool) {
         let key = memo_key(graph);
@@ -403,9 +404,9 @@ impl<E> PlannedEngine<E> {
         // winner — certify it against the constraint closure (reverting
         // it if certification fails), erase zero-edge symbols, trim, and
         // classify the language.
-        let analysis = optimize_and_analyze(&self.set, q, alphabet, &Budget::default(), stats);
+        let (_, analysis) = optimize_and_analyze(&self.set, q, alphabet, &Budget::default(), stats);
         let improved = analysis.facts.rewrites_certified > 0;
-        let query = Query::with_nfa(analysis.regex, analysis.nfa, alphabet);
+        let query = Query::with_nfa(analysis.regex, analysis.nfa, Arc::clone(alphabet));
         let reversed = query.nfa().reverse();
         // The analysis trimmed the automaton, and the reversal of a trim
         // automaton is trim: both label groups are read off as they stand.

@@ -15,6 +15,14 @@
 //! winner's compilation is what the static analysis goes on with, so the
 //! planned engine's cold plan certifies, trims and classifies without
 //! building the winner's automaton again.
+//!
+//! One call is also one proof pass (`PlanPass`): every claim `E ⊨ q = c`
+//! is decided once — the view search takes over the proof of a family
+//! candidate with the same regex — and every `RewriteTo` closure the
+//! deciders build is kept by target, so the planned engine's certification
+//! of the winner reads the two closures `check` built for the same claim
+//! ([`Optimized::claims_proved`], [`Optimized::closure_builds`] and
+//! [`Analysis::certify_closure_builds`] count them).
 
 use rpq_automata::{Alphabet, Regex};
 use rpq_constraints::general::Budget;
@@ -22,7 +30,7 @@ use rpq_constraints::ConstraintSet;
 use rpq_graph::LabelStats;
 
 use crate::analysis::{analyze_compiled, Analysis};
-use crate::compiled::CompiledQuery;
+use crate::compiled::{CompiledQuery, PlanPass};
 use crate::cost::{estimated_cost_compiled, StaticCost};
 use crate::rewrites::{candidates_compiled, Candidate, RewriteRule};
 use crate::views::views_compiled;
@@ -48,6 +56,13 @@ pub struct Optimized {
     /// the query is a single word (nothing for the view search or the
     /// simplifier to look at).
     pub determinizations: usize,
+    /// Claims `E ⊨ q = c` this call put to the implication engines (`check`
+    /// or the axiomatic prover), proved or not. A view rewriting equal to a
+    /// candidate a family proved reuses that proof and is not counted.
+    pub claims_proved: usize,
+    /// `RewriteTo` closures the deciders built ([`rpq_constraints::Closures`]):
+    /// at most one per target regex, two for a claim `q = c` on a word set.
+    pub closure_builds: usize,
 }
 
 impl Optimized {
@@ -67,7 +82,7 @@ impl Optimized {
 /// is too (no extra validation round needed).
 pub fn optimize(set: &ConstraintSet, q: &Regex, alphabet: &Alphabet, budget: &Budget) -> Optimized {
     let input = CompiledQuery::new(q, alphabet.len());
-    optimize_scored(set, &input, alphabet, budget, &static_score).0
+    optimize_scored(&PlanPass::new(set), &input, alphabet, budget, &static_score).0
 }
 
 /// Like [`optimize`], but rank candidates by the *data-aware* estimated
@@ -84,7 +99,7 @@ pub fn optimize_with_stats(
     stats: &LabelStats,
 ) -> Optimized {
     let input = CompiledQuery::new(q, alphabet.len());
-    optimize_scored(set, &input, alphabet, budget, &|c| {
+    optimize_scored(&PlanPass::new(set), &input, alphabet, budget, &|c| {
         estimated_cost_compiled(c, stats)
     })
     .0
@@ -93,19 +108,22 @@ pub fn optimize_with_stats(
 /// The planned engine's cold plan: [`optimize_with_stats`] and
 /// [`crate::analyze`] as one pass — the input's compilation serves the
 /// rewrite search and then either side of the certification, the winner's
-/// serves its score and then the trim and the depth cap.
-pub(crate) fn optimize_and_analyze(
+/// serves its score and then the trim and the depth cap, and the closures
+/// the search's `check` built serve the certification.
+pub fn optimize_and_analyze(
     set: &ConstraintSet,
     q: &Regex,
     alphabet: &Alphabet,
     budget: &Budget,
     stats: &LabelStats,
-) -> Analysis {
+) -> (Optimized, Analysis) {
+    let pass = PlanPass::new(set);
     let input = CompiledQuery::new(q, alphabet.len());
-    let (_, winner) = optimize_scored(set, &input, alphabet, budget, &|c| {
+    let (optimized, winner) = optimize_scored(&pass, &input, alphabet, budget, &|c| {
         estimated_cost_compiled(c, stats)
     });
-    analyze_compiled(set, &input, winner.as_ref(), stats)
+    let analysis = analyze_compiled(pass.closures(), &input, winner.as_ref(), stats);
+    (optimized, analysis)
 }
 
 fn static_score(q: &CompiledQuery<'_>) -> usize {
@@ -115,7 +133,7 @@ fn static_score(q: &CompiledQuery<'_>) -> usize {
 /// The winner of the rewrite search over `input`, and — when a candidate
 /// beat the input — that candidate's compilation.
 fn optimize_scored(
-    set: &ConstraintSet,
+    pass: &PlanPass<'_>,
     input: &CompiledQuery<'_>,
     alphabet: &Alphabet,
     budget: &Budget,
@@ -124,10 +142,11 @@ fn optimize_scored(
     let q = input.regex();
     let sigma = alphabet.len();
     let before = StaticCost::of_compiled(input);
-    let mut cands: Vec<Candidate> = candidates_compiled(set, input, alphabet, budget);
+    let mut cands: Vec<Candidate> = candidates_compiled(pass, input, alphabet, budget);
 
-    // Section 5 view covers (total and partial), already verified.
-    for v in views_compiled(set, input) {
+    // Section 5 view covers (total and partial), verified — or proved
+    // already, as one of the candidates above.
+    for v in views_compiled(pass, input, &cands) {
         cands.push(Candidate {
             query: v.query,
             rule: RewriteRule::ViewCover,
@@ -141,7 +160,7 @@ fn optimize_scored(
         let mut any = false;
         for arm in arms {
             let arm = CompiledQuery::new(arm, sigma);
-            let arm_cands = candidates_compiled(set, &arm, alphabet, budget);
+            let arm_cands = candidates_compiled(pass, &arm, alphabet, budget);
             let arm_score = score(&arm);
             let best_arm = arm_cands
                 .into_iter()
@@ -192,6 +211,8 @@ fn optimize_scored(
         considered,
         thompson_builds: input.thompson_builds(),
         determinizations: input.determinizations(),
+        claims_proved: pass.claims(),
+        closure_builds: pass.closures().builds(),
     };
     (optimized, winner)
 }
@@ -231,6 +252,34 @@ mod tests {
             Some(crate::rewrites::RewriteRule::CacheSubstitution)
         );
         assert!(!opt.after.recursive, "cache hit removes recursion");
+    }
+
+    #[test]
+    fn a_rewritten_plan_proves_its_claim_once_and_builds_each_closure_once() {
+        // The view search finds the cache family's candidate again and
+        // takes over its proof. Under a word cache `check` decides the
+        // claim on the closures certification then reads; under Example
+        // 3's regex cache it proves by saturation, and certification
+        // builds the two closures itself.
+        for (lines, query, search_builds, certify_builds) in [
+            (["l = a.b"], "a.b.c", 2, 0),
+            (["l = (a.b)*"], "a.(b.a)*.c", 0, 2),
+        ] {
+            let (ab, set, q) = setup(&lines, query);
+            let mut inst = rpq_graph::Instance::new();
+            let o = inst.add_node();
+            for s in ab.symbols() {
+                inst.add_edge(o, s, o);
+            }
+            let (opt, analysis) =
+                optimize_and_analyze(&set, &q, &ab, &Budget::default(), inst.stats());
+            assert_eq!(opt.considered, 2, "{query}: family + view candidate");
+            assert_eq!(opt.claims_proved, 1, "{query}");
+            assert_eq!(opt.closure_builds, search_builds, "{query}");
+            assert_eq!(analysis.facts.rewrites_certified, 1, "{query}");
+            assert_eq!(analysis.certify_closure_builds, certify_builds, "{query}");
+            assert_eq!(analysis.certify_inclusions, 2, "{query}");
+        }
     }
 
     #[test]

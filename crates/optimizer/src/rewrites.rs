@@ -16,6 +16,10 @@
 //! Every candidate is *validated* before being offered: either by pure
 //! language equivalence, or by constraint implication through
 //! [`rpq_constraints::general::check`] — never by construction alone.
+//! Within a plan the check reads its `RewriteTo` closures from the plan's
+//! memo, so certifying the winner afterwards builds neither again, and the
+//! candidates are handed to the view search, which takes a proof over
+//! instead of deciding the same claim a second time.
 //!
 //! ## One pass over compiled artefacts
 //!
@@ -32,11 +36,11 @@
 use rpq_automata::elim::nfa_to_regex;
 use rpq_automata::ops::{equivalent, included_antichain};
 use rpq_automata::{Alphabet, Nfa, Regex};
-use rpq_constraints::general::{check, Budget, Verdict};
+use rpq_constraints::general::Budget;
 use rpq_constraints::types::PathConstraint;
 use rpq_constraints::{decide_boundedness, Boundedness, ConstraintSet};
 
-use crate::compiled::CompiledQuery;
+use crate::compiled::{CompiledQuery, PlanPass};
 
 /// A validated rewrite candidate.
 #[derive(Clone, Debug)]
@@ -74,20 +78,21 @@ pub fn candidates(
     budget: &Budget,
 ) -> Vec<Candidate> {
     candidates_compiled(
-        set,
+        &PlanPass::new(set),
         &CompiledQuery::new(q, alphabet.len()),
         alphabet,
         budget,
     )
 }
 
-/// [`candidates`] over a query the planner has compiled.
+/// [`candidates`] over a query the planner has compiled, within its pass.
 pub(crate) fn candidates_compiled(
-    set: &ConstraintSet,
+    pass: &PlanPass<'_>,
     cq: &CompiledQuery<'_>,
     alphabet: &Alphabet,
     budget: &Budget,
 ) -> Vec<Candidate> {
+    let set = pass.set();
     let q = cq.regex();
     let mut out = Vec::new();
 
@@ -164,7 +169,7 @@ pub(crate) fn candidates_compiled(
         let candidate = Regex::sym(cache.label).then(tail);
         // validate E ⊨ q = candidate through the implication engine
         let claim = PathConstraint::equality(q.clone(), candidate.clone());
-        if let Verdict::Implied { method } = check(set, &claim, budget) {
+        if let Some(method) = pass.decide(&claim, budget, None) {
             out.push(Candidate {
                 query: candidate,
                 rule: RewriteRule::CacheSubstitution,
@@ -195,6 +200,7 @@ mod tests {
     use super::*;
     use rpq_automata::ops::regex_equivalent;
     use rpq_automata::parse_regex;
+    use rpq_constraints::general::check;
 
     fn setup(lines: &[&str], query: &str) -> (Alphabet, ConstraintSet, Regex) {
         let mut ab = Alphabet::new();

@@ -44,7 +44,9 @@
 //! total. Tails are shrunk greedily (shortest words first, then the
 //! algebraic simplifier). Every emitted rewriting is *verified* through
 //! the implication engines (never trusted by construction), following the
-//! crate's policy.
+//! crate's policy. Within a plan, a rewriting whose regex equals a
+//! candidate the rewrite families already proved equivalent to `q` takes
+//! over that proof: the claim `E ⊨ q = c` is the same one, decided once.
 //!
 //! ## What is compiled once, and what the gate proves
 //!
@@ -64,14 +66,15 @@ use rpq_automata::ops::{equivalent, regex_included};
 use rpq_automata::simplify::simplify_deep;
 use rpq_automata::{Alphabet, Dfa, Nfa, Regex, StateId, Symbol};
 use rpq_constraints::axioms::{Prover, ProverConfig};
-use rpq_constraints::general::{check, Budget, Verdict};
+use rpq_constraints::general::Budget;
 use rpq_constraints::types::PathConstraint;
 use rpq_constraints::ConstraintSet;
 
 pub use rpq_constraints::CacheDef;
 
-use crate::compiled::CompiledQuery;
+use crate::compiled::{CompiledQuery, PlanPass};
 use crate::cost::StaticCost;
+use crate::rewrites::Candidate;
 
 /// The cache definitions of `set`: equalities with a single-label side and
 /// a non-trivial body ([`ConstraintSet::caches`], compiled once per set).
@@ -179,11 +182,22 @@ pub fn rewrite_with_views(
     q: &Regex,
     alphabet: &Alphabet,
 ) -> Vec<ViewRewriting> {
-    views_compiled(set, &CompiledQuery::new(q, alphabet.len()))
+    views_compiled(
+        &PlanPass::new(set),
+        &CompiledQuery::new(q, alphabet.len()),
+        &[],
+    )
 }
 
-/// [`rewrite_with_views`] over a query the planner has compiled.
-pub(crate) fn views_compiled(set: &ConstraintSet, cq: &CompiledQuery<'_>) -> Vec<ViewRewriting> {
+/// [`rewrite_with_views`] over a query the planner has compiled, within
+/// its pass. `proved` are the candidates the rewrite families validated
+/// for the same query: a rewriting equal to one of them reuses its proof.
+pub(crate) fn views_compiled(
+    pass: &PlanPass<'_>,
+    cq: &CompiledQuery<'_>,
+    proved: &[Candidate],
+) -> Vec<ViewRewriting> {
+    let set = pass.set();
     if set.caches().is_empty() {
         return Vec::new();
     }
@@ -251,15 +265,17 @@ pub(crate) fn views_compiled(set: &ConstraintSet, cq: &CompiledQuery<'_>) -> Vec
             continue;
         }
 
-        // Verify E ⊨ q = candidate: axiomatic prover first, implication
-        // engine as fallback. Never emit unverified rewritings.
-        let claim = PathConstraint::equality(q.clone(), candidate.clone());
-        let proof = if prover.prove_constraint(&claim).is_some() {
-            "axiomatic"
-        } else {
-            match check(set, &claim, &verify_budget) {
-                Verdict::Implied { method } => method,
-                _ => continue,
+        // Verify E ⊨ q = candidate: a family's proof of the same claim,
+        // else the axiomatic prover first and the implication engine as
+        // fallback. Never emit unverified rewritings.
+        let proof = match proved.iter().find(|c| c.query == candidate) {
+            Some(c) => c.proof,
+            None => {
+                let claim = PathConstraint::equality(q.clone(), candidate.clone());
+                match pass.decide(&claim, &verify_budget, Some(&prover)) {
+                    Some(method) => method,
+                    None => continue,
+                }
             }
         };
         out.push(ViewRewriting {
@@ -281,6 +297,7 @@ mod tests {
     use super::*;
     use rpq_automata::ops::regex_equivalent;
     use rpq_automata::parse_regex;
+    use rpq_constraints::general::check;
 
     fn setup(lines: &[&str], query: &str) -> (Alphabet, ConstraintSet, Regex) {
         let mut ab = Alphabet::new();
