@@ -22,18 +22,24 @@
 //! dense construction is kept in the tests as the reference the sparse one
 //! is held against, state for state.
 //!
+//! A subset state's id *is* its id in the construction's state-set arena
+//! (the crate docs): sets are interned in first-sight order, and the sink
+//! is the empty set, interned when first needed. [`Dfa::product`] interns
+//! its state pairs the same way.
+//!
 //! ## Minimization
 //!
 //! [`Dfa::minimize`] is Moore's partition refinement, the one minimizer.
-//! It is held against the definition of a minimal DFA on random regexes
-//! (every state reachable, every two states distinguishable), and against
-//! Brzozowski's double reversal in `tests/growth_and_simplify.rs`.
-
-use std::collections::HashMap;
-use std::rc::Rc;
+//! Each round interns every reachable state's signature row — its class,
+//! then its successors' classes on the columns that can split — into one
+//! arena, in state order, so a class id is the first-sight order of its
+//! row. It is held against the definition of a minimal DFA on random
+//! regexes (every state reachable, every two states distinguishable), and
+//! against Brzozowski's double reversal in `tests/growth_and_simplify.rs`.
 
 use crate::alphabet::Symbol;
 use crate::nfa::{strongly_connected_components, Nfa, StateId};
+use crate::sets::StateSets;
 
 /// A complete DFA over symbols `0..sigma`.
 #[derive(Clone, Debug)]
@@ -60,26 +66,21 @@ impl Dfa {
     /// (see the module docs for the numbering this keeps).
     pub fn from_nfa(nfa: &Nfa, sigma: usize) -> Dfa {
         let nfa = &nfa.trim();
-        // Subset states are interned once: the index and the worklist
-        // share one allocation per set.
-        let mut states: Vec<Rc<[StateId]>> = Vec::new();
-        let mut index: HashMap<Rc<[StateId]>, StateId> = HashMap::new();
+        // Subset state `i` is set `i` of the arena.
+        let mut sets = StateSets::new();
         let mut accept: Vec<bool> = Vec::new();
         let mut trans: Vec<StateId> = Vec::new();
         let mut sink: Option<StateId> = None;
 
-        let start_set: Rc<[StateId]> = nfa.start_set().into();
-        accept.push(nfa.set_accepts(&start_set));
-        index.insert(start_set.clone(), 0);
-        states.push(start_set);
+        let (start, _) = sets.close(nfa, &[nfa.start()]);
+        accept.push(nfa.set_accepts(sets.get(start)));
 
         let mut moves: Vec<(Symbol, StateId)> = Vec::new();
         let mut targets: Vec<StateId> = Vec::new();
-        let mut i = 0usize;
-        while i < states.len() {
-            let set = states[i].clone();
+        let mut i = 0;
+        while i < sets.len() {
             moves.clear();
-            for &s in set.iter() {
+            for &s in sets.get(i as StateId) {
                 moves.extend(
                     nfa.transitions(s)
                         .iter()
@@ -95,27 +96,18 @@ impl Dfa {
                     // when first needed (the empty set is never stepped —
                     // its row is all sink, by this same branch).
                     *sink.get_or_insert_with(|| {
-                        let id = states.len() as StateId;
                         accept.push(false);
-                        states.push(Rc::from([]));
-                        id
+                        sets.intern(&[]).0
                     })
                 } else {
                     targets.clear();
                     targets.extend(rest[..here].iter().map(|&(_, t)| t));
                     rest = &rest[here..];
-                    let stepped = nfa.eps_closure(&targets);
-                    match index.get(stepped.as_slice()) {
-                        Some(&id) => id,
-                        None => {
-                            let id = states.len() as StateId;
-                            accept.push(nfa.set_accepts(&stepped));
-                            let stepped: Rc<[StateId]> = stepped.into();
-                            index.insert(stepped.clone(), id);
-                            states.push(stepped);
-                            id
-                        }
+                    let (id, fresh) = sets.close(nfa, &targets);
+                    if fresh {
+                        accept.push(nfa.set_accepts(sets.get(id)));
                     }
+                    id
                 };
                 trans.push(id);
             }
@@ -300,37 +292,35 @@ impl Dfa {
             .collect();
         // initial partition: {accepting, rejecting} over reachable states
         let mut class: Vec<u32> = (0..n).map(|s| if self.accept[s] { 1 } else { 0 }).collect();
-        let mut num_classes = 2u32;
+        let mut next_class: Vec<u32> = vec![0; n];
+        let mut num_classes = 2;
+        // A round's signature rows — (class, class of successor per
+        // splitting symbol) — interned in state order: a row's id is its
+        // class in the next round.
+        let mut rows = StateSets::new();
+        let mut sig: Vec<u32> = Vec::with_capacity(splitting.len() + 1);
         loop {
-            // signature: (class, class of successor per symbol)
-            let mut sig_index: HashMap<Vec<u32>, u32> = HashMap::new();
-            let mut next_class: Vec<u32> = vec![0; n];
-            let mut next_num = 0u32;
+            rows.clear();
             for s in 0..n {
                 if !reach[s] {
                     continue;
                 }
-                let mut sig = Vec::with_capacity(splitting.len() + 1);
+                sig.clear();
                 sig.push(class[s]);
                 for &sym in &splitting {
                     sig.push(class[self.trans[s * self.sigma + sym] as usize]);
                 }
-                let id = *sig_index.entry(sig).or_insert_with(|| {
-                    let id = next_num;
-                    next_num += 1;
-                    id
-                });
-                next_class[s] = id;
+                next_class[s] = rows.intern(&sig).0;
             }
-            if next_num == num_classes {
-                class = next_class;
+            // only reachable states' classes are read from here on
+            std::mem::swap(&mut class, &mut next_class);
+            if rows.len() == num_classes {
                 break;
             }
-            num_classes = next_num;
-            class = next_class;
+            num_classes = rows.len();
         }
         // build quotient automaton
-        let m = num_classes as usize;
+        let m = num_classes;
         let mut accept = vec![false; m];
         let mut trans = vec![0 as StateId; m * self.sigma];
         let mut done = vec![false; m];
@@ -364,26 +354,23 @@ impl Dfa {
     {
         assert_eq!(a.sigma, b.sigma, "product requires equal alphabets");
         let sigma = a.sigma;
-        let mut index: HashMap<(StateId, StateId), StateId> = HashMap::new();
-        let mut order: Vec<(StateId, StateId)> = Vec::new();
+        // Product state `i` is pair `i` of the arena.
+        let mut pairs = StateSets::new();
         let mut accept = Vec::new();
         let mut trans: Vec<StateId> = Vec::new();
-        let start = (a.start, b.start);
-        index.insert(start, 0);
-        order.push(start);
+        pairs.intern(&[a.start, b.start]);
         accept.push(op(a.accept[a.start as usize], b.accept[b.start as usize]));
         let mut i = 0;
-        while i < order.len() {
-            let (sa, sb) = order[i];
+        while i < pairs.len() {
+            let pair = pairs.get(i as StateId);
+            let (sa, sb) = (pair[0] as usize, pair[1] as usize);
             for sym in 0..sigma {
-                let ta = a.trans[sa as usize * sigma + sym];
-                let tb = b.trans[sb as usize * sigma + sym];
-                let id = *index.entry((ta, tb)).or_insert_with(|| {
-                    let id = order.len() as StateId;
-                    order.push((ta, tb));
+                let ta = a.trans[sa * sigma + sym];
+                let tb = b.trans[sb * sigma + sym];
+                let (id, fresh) = pairs.intern(&[ta, tb]);
+                if fresh {
                     accept.push(op(a.accept[ta as usize], b.accept[tb as usize]));
-                    id
-                });
+                }
                 trans.push(id);
             }
             i += 1;
@@ -621,6 +608,7 @@ mod tests {
     /// every symbol of `0..sigma`. The definition [`Dfa::from_nfa`] is
     /// compared with, field by field.
     fn from_nfa_dense(nfa: &Nfa, sigma: usize) -> Dfa {
+        use std::collections::HashMap;
         let nfa = &nfa.trim();
         let mut states: Vec<Vec<StateId>> = vec![nfa.start_set()];
         let mut index: HashMap<Vec<StateId>, StateId> = HashMap::new();

@@ -6,9 +6,14 @@
 //! add fresh start/accept states, then eliminate the original states one at
 //! a time, updating `R_ij := R_ij + R_ik · R_kk* · R_kj`. Expressions are
 //! kept in the smart-constructor normal form; elimination order is by
-//! (in-degree × out-degree) to curb blow-up.
-
-use std::collections::HashMap;
+//! (in-degree × out-degree) to curb blow-up, ties broken by position in the
+//! list of states still alive.
+//!
+//! The edges live in a dense `(n + 2)²` matrix, `∅` for no edge. The order
+//! in which the contributions to one entry arrive cannot change the result:
+//! an entry only ever grows by [`Regex::or`], and [`Regex::union`] flattens,
+//! sorts and deduplicates its arms, so an entry is the same set of arms
+//! whatever order they were added in.
 
 use crate::nfa::Nfa;
 use crate::regex::Regex;
@@ -21,22 +26,16 @@ pub fn nfa_to_regex(nfa: &Nfa) -> Regex {
         return Regex::Empty;
     }
     // GNFA states: 0..n are the NFA's, n = fresh start, n+1 = fresh accept.
-    let start = n;
-    let accept = n + 1;
-    let mut edges: HashMap<(usize, usize), Regex> = HashMap::new();
-    let add = |edges: &mut HashMap<(usize, usize), Regex>, i: usize, j: usize, r: Regex| {
-        if r == Regex::Empty {
-            return;
-        }
-        match edges.get_mut(&(i, j)) {
-            Some(existing) => {
-                let prev = std::mem::replace(existing, Regex::Empty);
-                *existing = prev.or(r);
-            }
-            None => {
-                edges.insert((i, j), r);
-            }
-        }
+    let width = n + 2;
+    let (start, accept) = (n, n + 1);
+    // `edges[i * width + j]` is the expression on edge i → j.
+    let mut edges: Vec<Regex> = vec![Regex::Empty; width * width];
+    let add = |edges: &mut [Regex], i: usize, j: usize, r: Regex| {
+        let cell = &mut edges[i * width + j];
+        *cell = match std::mem::replace(cell, Regex::Empty) {
+            Regex::Empty => r,
+            prev => prev.or(r),
+        };
     };
 
     add(&mut edges, start, trimmed.start() as usize, Regex::Epsilon);
@@ -54,35 +53,41 @@ pub fn nfa_to_regex(nfa: &Nfa) -> Regex {
 
     // Eliminate internal states, cheapest (indeg × outdeg) first.
     let mut alive: Vec<usize> = (0..n).collect();
+    let mut degree = vec![(0usize, 0usize); width];
+    let mut incoming: Vec<(usize, Regex)> = Vec::new();
+    let mut outgoing: Vec<(usize, Regex)> = Vec::new();
     while !alive.is_empty() {
-        // pick the state minimizing in×out among alive
+        // (in, out) degree of every state, self-loops left out
+        degree.fill((0, 0));
+        for i in 0..width {
+            for j in 0..width {
+                if i != j && edges[i * width + j] != Regex::Empty {
+                    degree[i].1 += 1;
+                    degree[j].0 += 1;
+                }
+            }
+        }
+        // pick the state minimizing in×out among alive (the first on a tie)
         let (pos, &k) = alive
             .iter()
             .enumerate()
-            .min_by_key(|(_, &k)| {
-                let indeg = edges.keys().filter(|&&(i, j)| j == k && i != k).count();
-                let outdeg = edges.keys().filter(|&&(i, j)| i == k && j != k).count();
-                indeg * outdeg
-            })
+            .min_by_key(|(_, &k)| degree[k].0 * degree[k].1)
             .expect("alive non-empty");
         alive.swap_remove(pos);
 
-        let self_loop = edges.remove(&(k, k));
-        let loop_star = match self_loop {
-            Some(r) => r.star(),
-            None => Regex::Epsilon,
-        };
-        let incoming: Vec<(usize, Regex)> = edges
-            .iter()
-            .filter(|&(&(i, j), _)| j == k && i != k)
-            .map(|(&(i, _), r)| (i, r.clone()))
-            .collect();
-        let outgoing: Vec<(usize, Regex)> = edges
-            .iter()
-            .filter(|&(&(i, j), _)| i == k && j != k)
-            .map(|(&(_, j), r)| (j, r.clone()))
-            .collect();
-        edges.retain(|&(i, j), _| i != k && j != k);
+        let loop_star = std::mem::replace(&mut edges[k * width + k], Regex::Empty).star();
+        incoming.clear();
+        outgoing.clear();
+        for i in (0..width).filter(|&i| i != k) {
+            let r = std::mem::replace(&mut edges[i * width + k], Regex::Empty);
+            if r != Regex::Empty {
+                incoming.push((i, r));
+            }
+            let r = std::mem::replace(&mut edges[k * width + i], Regex::Empty);
+            if r != Regex::Empty {
+                outgoing.push((i, r));
+            }
+        }
         for (i, rin) in &incoming {
             for (j, rout) in &outgoing {
                 let through = rin.clone().then(loop_star.clone()).then(rout.clone());
@@ -91,7 +96,7 @@ pub fn nfa_to_regex(nfa: &Nfa) -> Regex {
         }
     }
 
-    edges.remove(&(start, accept)).unwrap_or(Regex::Empty)
+    std::mem::replace(&mut edges[start * width + accept], Regex::Empty)
 }
 
 #[cfg(test)]

@@ -37,6 +37,21 @@
 //! | minimal DFA | Moore refinement, [`Dfa::minimize`] | the definition — every state reachable, every two distinguishable (`dfa.rs`) — and Brzozowski's double reversal (`minimization_algorithms_agree`) |
 //! | inclusion, equivalence | antichain search, [`ops::included_antichain`] / [`ops::equivalent`] | determinize-and-product, [`ops::included_naive`], both ways (`decision_procedures_agree`) |
 //!
+//! ## One arena for sets of states
+//!
+//! Every construction above that names sets of states — the subset
+//! construction, the antichain search, Moore's signature rows, the state
+//! pairs of [`Dfa::product`], [`Nfa::enumerate_words`] and the `RewriteTo`
+//! saturation ([`Nfa::saturate`]) — keeps them in one crate-private arena
+//! per run (`sets.rs`). A set is interned once into one flat buffer and
+//! named by a dense id in order of first sight; the open-addressing index
+//! that finds it again compares the slices themselves and never decides
+//! equality by a hash. ε-closures and symbol steps are built in
+//! generation-stamped buffers the arena keeps. So a construction allocates
+//! a handful of growing buffers, not a vector per subset state, and numbers
+//! its states exactly as a per-set map would (the t14 bench's acceptance 6
+//! counts a cold plan's buffers).
+//!
 //! ## Example
 //!
 //! ```
@@ -66,6 +81,7 @@ pub mod ops;
 pub mod parser;
 pub mod random;
 pub mod regex;
+mod sets;
 pub mod simplify;
 
 pub use alphabet::{Alphabet, Symbol};

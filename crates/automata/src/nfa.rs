@@ -5,12 +5,18 @@
 //! far" (Section 2.2); [`Nfa::start_set`] / [`Nfa::step`] are exactly that
 //! operation. The builder API ([`Nfa::add_state`], [`Nfa::add_transition`],
 //! [`Nfa::add_eps`], [`Nfa::add_nfa`]) is public because the constraint crate
-//! constructs saturation automata (Lemmas 4.5/4.7) directly.
+//! constructs saturation automata (Lemmas 4.5/4.7) directly, and
+//! [`Nfa::saturate`] runs their fixpoint.
+//!
+//! [`Nfa::eps_closure`], [`Nfa::step`] and [`Nfa::start_set`] return fresh
+//! vectors, for callers that keep the sets; the constructions of this crate
+//! close and step sets in the state-set arena instead (the crate docs).
 
 use std::collections::VecDeque;
 
 use crate::alphabet::{Alphabet, Symbol};
 use crate::regex::Regex;
+use crate::sets::StateSets;
 
 /// Dense automaton state identifier.
 pub type StateId = u32;
@@ -209,26 +215,7 @@ impl Nfa {
     /// ε-closure of a set of states; input need not be sorted, output is a
     /// sorted, deduplicated canonical set.
     pub fn eps_closure(&self, states: &[StateId]) -> Vec<StateId> {
-        let mut seen = vec![false; self.num_states()];
-        let mut stack: Vec<StateId> = Vec::with_capacity(states.len());
-        for &s in states {
-            if !seen[s as usize] {
-                seen[s as usize] = true;
-                stack.push(s);
-            }
-        }
-        let mut out: Vec<StateId> = Vec::with_capacity(states.len());
-        while let Some(s) = stack.pop() {
-            out.push(s);
-            for &t in &self.eps[s as usize] {
-                if !seen[t as usize] {
-                    seen[t as usize] = true;
-                    stack.push(t);
-                }
-            }
-        }
-        out.sort_unstable();
-        out
+        StateSets::new().closure(self, states).to_vec()
     }
 
     /// The canonical start set (ε-closure of the start state). This is the
@@ -240,18 +227,7 @@ impl Nfa {
 
     /// One symbol step of the subset simulation (with ε-closure).
     pub fn step(&self, set: &[StateId], sym: Symbol) -> Vec<StateId> {
-        let mut moved: Vec<StateId> = Vec::new();
-        for &s in set {
-            for &(sy, t) in &self.trans[s as usize] {
-                if sy == sym {
-                    moved.push(t);
-                }
-            }
-        }
-        if moved.is_empty() {
-            return Vec::new();
-        }
-        self.eps_closure(&moved)
+        StateSets::new().step_slice(self, set, sym).to_vec()
     }
 
     /// Does the set contain an accepting state? (i.e. ε ∈ quotient.)
@@ -261,14 +237,34 @@ impl Nfa {
 
     /// Membership test for a word.
     pub fn accepts(&self, word: &[Symbol]) -> bool {
-        let mut set = self.start_set();
-        for &s in word {
-            set = self.step(&set, s);
-            if set.is_empty() {
-                return false;
+        self.set_accepts(StateSets::new().read_word(self, self.start, word))
+    }
+
+    /// A saturation run to its fixpoint, the construction of the
+    /// `RewriteTo` automata (the paper's Lemmas 4.5 and 4.7). A round reads
+    /// each `words[i]` from `from` (ε-moves folded in at every step) and
+    /// hands the states it reaches, sorted, to `wire(self, i, reached)`,
+    /// which may add edges and says whether it did. The first round in
+    /// which no call adds anything is the last; returns the number of
+    /// rounds. Every read of every round runs on one set of closure
+    /// buffers.
+    pub fn saturate<F>(&mut self, from: StateId, words: &[&[Symbol]], mut wire: F) -> usize
+    where
+        F: FnMut(&mut Nfa, usize, &[StateId]) -> bool,
+    {
+        let mut sets = StateSets::new();
+        let mut rounds = 0;
+        loop {
+            rounds += 1;
+            let mut changed = false;
+            for (i, word) in words.iter().enumerate() {
+                let reached = sets.read_word(self, from, word);
+                changed |= wire(self, i, reached);
+            }
+            if !changed {
+                return rounds;
             }
         }
-        self.set_accepts(&set)
     }
 
     // ----- language queries -----
@@ -337,7 +333,8 @@ impl Nfa {
         let n = self.num_states();
         // forward reachability
         let mut fwd = vec![false; n];
-        let mut stack = vec![self.start];
+        let mut stack = Vec::with_capacity(n);
+        stack.push(self.start);
         fwd[self.start as usize] = true;
         while let Some(s) = stack.pop() {
             for &t in &self.eps[s as usize] {
@@ -353,67 +350,74 @@ impl Nfa {
                 }
             }
         }
-        // backward from accepting, over reversed edges
-        let mut rev: Vec<Vec<StateId>> = vec![Vec::new(); n];
-        for s in 0..n {
-            for &t in &self.eps[s] {
-                rev[t as usize].push(s as StateId);
-            }
-            for &(_, t) in &self.trans[s] {
-                rev[t as usize].push(s as StateId);
-            }
+        // backward from accepting, over reversed edges: the predecessors of
+        // `t` are `preds[first[t]..first[t + 1]]`
+        let edges = || {
+            (0..n).flat_map(|s| {
+                let eps = self.eps[s].iter().map(move |&t| (s, t));
+                eps.chain(self.trans[s].iter().map(move |&(_, t)| (s, t)))
+            })
+        };
+        let mut first = vec![0u32; n + 1];
+        for (_, t) in edges() {
+            first[t as usize] += 1;
+        }
+        for t in 1..=n {
+            first[t] += first[t - 1];
+        }
+        // `first[t]` is now where `t`'s predecessors end; placing each one
+        // counts it back down to where they start
+        let mut preds = vec![0 as StateId; first[n] as usize];
+        for (s, t) in edges() {
+            first[t as usize] -= 1;
+            preds[first[t as usize] as usize] = s as StateId;
         }
         let mut bwd = vec![false; n];
-        let mut stack: Vec<StateId> = (0..n as StateId)
-            .filter(|&s| self.accept[s as usize])
-            .collect();
+        stack.extend((0..n as StateId).filter(|&s| self.accept[s as usize]));
         for &s in &stack {
             bwd[s as usize] = true;
         }
         while let Some(s) = stack.pop() {
-            for &p in &rev[s as usize] {
+            for &p in &preds[first[s as usize] as usize..first[s as usize + 1] as usize] {
                 if !bwd[p as usize] {
                     bwd[p as usize] = true;
                     stack.push(p);
                 }
             }
         }
-        let keep: Vec<bool> = (0..n).map(|s| fwd[s] && bwd[s]).collect();
-        if !keep[self.start as usize] {
+        // the states on some start → accept path, renumbered in order
+        let mut map = vec![StateId::MAX; n];
+        let mut kept = 0;
+        for s in (0..n).filter(|&s| fwd[s] && bwd[s]) {
+            map[s] = kept;
+            kept += 1;
+        }
+        if map[self.start as usize] == StateId::MAX {
             return Nfa::empty();
         }
-        let mut map = vec![StateId::MAX; n];
         let mut out = Nfa {
-            start: 0,
-            accept: Vec::new(),
-            trans: Vec::new(),
-            eps: Vec::new(),
+            start: map[self.start as usize],
+            accept: Vec::with_capacity(kept as usize),
+            trans: Vec::with_capacity(kept as usize),
+            eps: Vec::with_capacity(kept as usize),
         };
-        for s in 0..n {
-            if keep[s] {
-                map[s] = out.accept.len() as StateId;
-                out.accept.push(self.accept[s]);
-                out.trans.push(Vec::new());
-                out.eps.push(Vec::new());
-            }
+        for s in (0..n).filter(|&s| map[s] != StateId::MAX) {
+            out.accept.push(self.accept[s]);
+            out.trans.push(
+                self.trans[s]
+                    .iter()
+                    .filter(|&&(_, t)| map[t as usize] != StateId::MAX)
+                    .map(|&(sym, t)| (sym, map[t as usize]))
+                    .collect(),
+            );
+            out.eps.push(
+                self.eps[s]
+                    .iter()
+                    .filter(|&&t| map[t as usize] != StateId::MAX)
+                    .map(|&t| map[t as usize])
+                    .collect(),
+            );
         }
-        for s in 0..n {
-            if !keep[s] {
-                continue;
-            }
-            let ms = map[s] as usize;
-            for &(sym, t) in &self.trans[s] {
-                if keep[t as usize] {
-                    out.trans[ms].push((sym, map[t as usize]));
-                }
-            }
-            for &t in &self.eps[s] {
-                if keep[t as usize] {
-                    out.eps[ms].push(map[t as usize]);
-                }
-            }
-        }
-        out.start = map[self.start as usize];
         out
     }
 
@@ -456,8 +460,8 @@ impl Nfa {
     /// for edges matching the last. On any other automaton a superset — a
     /// label that leads nowhere is counted too.
     pub fn entry_symbols(&self) -> Vec<Symbol> {
-        let mut out: Vec<Symbol> = self
-            .eps_closure(&[self.start])
+        let mut out: Vec<Symbol> = StateSets::new()
+            .closure(self, &[self.start])
             .iter()
             .flat_map(|&q| self.trans[q as usize].iter().map(|&(sym, _)| sym))
             .collect();
@@ -692,17 +696,40 @@ impl Nfa {
     /// `max_len`, returning at most `cap` words. Deterministic order (length,
     /// then symbol indices). Mostly a testing and boundedness-construction
     /// aid; cost is exponential in `max_len` in the worst case.
+    ///
+    /// The search keeps one entry per word it extends — the entry it
+    /// extends, its last symbol and the interned state set it reaches — and
+    /// spells a word out only when it returns it.
     pub fn enumerate_words(&self, max_len: usize, cap: usize) -> Vec<Vec<Symbol>> {
-        let mut out = Vec::new();
-        let start = self.start_set();
-        if start.is_empty() {
-            return out;
+        struct Entry {
+            parent: usize,
+            sym: Symbol,
+            set: crate::sets::SetId,
         }
-        let mut layer: Vec<(Vec<Symbol>, Vec<StateId>)> = vec![(Vec::new(), start)];
+        let spell = |entries: &[Entry], mut e: usize, len: usize| {
+            let mut word = vec![entries[e].sym; len];
+            for slot in word.iter_mut().rev() {
+                *slot = entries[e].sym;
+                e = entries[e].parent;
+            }
+            word
+        };
+        // Frontier safety valve: a layer keeps its first `frontier_cap` words.
+        let frontier_cap = cap.saturating_mul(8).max(4096);
+        let mut out = Vec::new();
+        let mut sets = StateSets::new();
+        let (start, _) = sets.close(self, &[self.start]);
+        let mut entries = vec![Entry {
+            parent: usize::MAX,
+            sym: Symbol::from_index(0),
+            set: start,
+        }];
+        let mut syms: Vec<Symbol> = Vec::new();
+        let mut layer = 0..1;
         for len in 0..=max_len {
-            for (word, set) in &layer {
-                if self.set_accepts(set) {
-                    out.push(word.clone());
+            for e in layer.clone() {
+                if self.set_accepts(sets.get(entries[e].set)) {
+                    out.push(spell(&entries, e, len));
                     if out.len() >= cap {
                         return out;
                     }
@@ -711,32 +738,29 @@ impl Nfa {
             if len == max_len {
                 break;
             }
-            let mut next: Vec<(Vec<Symbol>, Vec<StateId>)> = Vec::new();
-            let mut next_syms: std::collections::BTreeSet<Symbol> =
-                std::collections::BTreeSet::new();
-            for (word, set) in &layer {
-                next_syms.clear();
-                for &s in set {
-                    for &(sym, _) in &self.trans[s as usize] {
-                        next_syms.insert(sym);
-                    }
+            let next = entries.len();
+            'layer: for e in layer {
+                let set = entries[e].set;
+                syms.clear();
+                for &s in sets.get(set) {
+                    syms.extend(self.trans[s as usize].iter().map(|&(sym, _)| sym));
                 }
-                for &sym in &next_syms {
-                    let stepped = self.step(set, sym);
-                    if stepped.is_empty() {
-                        continue;
+                syms.sort_unstable();
+                syms.dedup();
+                for &sym in &syms {
+                    if entries.len() - next == frontier_cap {
+                        break 'layer;
                     }
-                    let mut w = word.clone();
-                    w.push(sym);
-                    next.push((w, stepped));
+                    // never empty: some member moves on `sym`
+                    let (stepped, _) = sets.step(self, set, sym);
+                    entries.push(Entry {
+                        parent: e,
+                        sym,
+                        set: stepped,
+                    });
                 }
             }
-            // Frontier safety valve.
-            let frontier_cap = cap.saturating_mul(8).max(4096);
-            if next.len() > frontier_cap {
-                next.truncate(frontier_cap);
-            }
-            layer = next;
+            layer = next..entries.len();
             if layer.is_empty() {
                 break;
             }

@@ -9,17 +9,22 @@
 //!   planner's and Theorem 4.3(ii)'s inclusion test.
 //! * [`equivalent`] — the antichain inclusion both ways.
 //!
+//! The antichain search keeps each `B` subset-state once, interned in the
+//! search's state-set arena (the crate docs); a search node is a set id,
+//! and the antichain of an `A`-state a list of set ids. Interning decides
+//! nothing: a set is found again only when its slice is equal, and nodes
+//! are admitted, expanded and subsumed in breadth-first order.
+//!
 //! [`included_naive`] — determinize both sides, test `A ∩ ¬B = ∅` — is the
 //! reference they are held against: `decision_procedures_agree` and
 //! `inclusion_deciders_agree_with_derived_sigma` in `tests/properties.rs`
 //! compare the verdicts on random pairs, both ways.
 
-use std::collections::{HashMap, VecDeque};
-
 use crate::alphabet::Symbol;
 use crate::dfa::Dfa;
 use crate::nfa::{Nfa, StateId};
 use crate::regex::Regex;
+use crate::sets::{SetId, StateSets};
 
 /// Outcome of an inclusion check: either it holds, or a counterexample word
 /// in `L(a) \ L(b)` is produced.
@@ -58,55 +63,78 @@ pub fn included_naive(a: &Nfa, b: &Nfa, sigma: usize) -> InclusionResult {
 /// not. A pair `(q, S)` is *subsumed* by a visited `(q, S')` with `S' ⊆ S`:
 /// any word rejected from `S` is also rejected from `S'`, so exploring the
 /// superset cannot find new counterexamples.
+///
+/// The search is breadth-first over pairs in the order they are admitted,
+/// and the counterexample spells the path to the first witness it meets.
+/// Every subset-state is interned once in the search's arena; a pair is a
+/// node `(q, set id, parent, symbol)`, and `q`'s antichain is a list of set
+/// ids.
 pub fn included_antichain(a: &Nfa, b: &Nfa) -> InclusionResult {
-    // Work on ε-closed representations.
-    #[derive(Clone)]
+    /// One admitted pair, and the edge of `a` it was reached by.
     struct Node {
         q: StateId,
-        set: Vec<StateId>,
+        set: SetId,
         parent: usize,
         sym: Option<Symbol>,
     }
+    /// The end of an antichain's list.
+    const NIL: usize = usize::MAX;
 
-    let a_start = a.start_set();
-    let b_start = b.start_set();
-
+    let mut sets = StateSets::new();
     let mut nodes: Vec<Node> = Vec::new();
-    let mut queue: VecDeque<usize> = VecDeque::new();
-    // visited minimal sets per a-state
-    let mut antichain: HashMap<StateId, Vec<Vec<StateId>>> = HashMap::new();
+    // The antichain of `a`-state `q`: the minimal sets admitted with it, a
+    // list threaded through `links` (set id, next) from `head[q]`.
+    let mut head: Vec<usize> = vec![NIL; a.num_states()];
+    let mut links: Vec<(SetId, usize)> = Vec::new();
 
-    let push = |nodes: &mut Vec<Node>,
-                queue: &mut VecDeque<usize>,
-                antichain: &mut HashMap<StateId, Vec<Vec<StateId>>>,
-                node: Node|
-     -> Option<usize> {
-        let chain = antichain.entry(node.q).or_default();
-        // subsumed if an existing set is a subset of node.set
-        if chain.iter().any(|s| is_subset(s, &node.set)) {
-            return None;
+    // Admit `node` unless a set of its antichain is a subset of its set;
+    // drop the supersets it subsumes.
+    let mut push = |sets: &StateSets, nodes: &mut Vec<Node>, node: Node| {
+        let set = sets.get(node.set);
+        let q = node.q as usize;
+        let mut e = head[q];
+        while e != NIL {
+            let (id, next) = links[e];
+            if id == node.set || is_subset(sets.get(id), set) {
+                return;
+            }
+            e = next;
         }
-        chain.retain(|s| !is_subset(&node.set, s));
-        chain.push(node.set.clone());
+        let (mut prev, mut e) = (NIL, head[q]);
+        while e != NIL {
+            let (id, next) = links[e];
+            if is_subset(set, sets.get(id)) {
+                match prev {
+                    NIL => head[q] = next,
+                    p => links[p].1 = next,
+                }
+            } else {
+                prev = e;
+            }
+            e = next;
+        }
+        links.push((node.set, head[q]));
+        head[q] = links.len() - 1;
         nodes.push(node);
-        let id = nodes.len() - 1;
-        queue.push_back(id);
-        Some(id)
     };
 
-    for &q in &a_start {
+    let (b_start, _) = sets.close(b, &[b.start()]);
+    let (a_start, _) = sets.close(a, &[a.start()]);
+    for k in 0..sets.get(a_start).len() {
         let node = Node {
-            q,
-            set: b_start.clone(),
+            q: sets.get(a_start)[k],
+            set: b_start,
             parent: usize::MAX,
             sym: None,
         };
-        push(&mut nodes, &mut queue, &mut antichain, node);
+        push(&sets, &mut nodes, node);
     }
 
-    while let Some(i) = queue.pop_front() {
-        let (q, set) = (nodes[i].q, nodes[i].set.clone());
-        if a.is_accepting(q) && !b.set_accepts(&set) {
+    // The queue is the node list itself: nodes are admitted in BFS order.
+    let mut i = 0;
+    while i < nodes.len() {
+        let (q, set) = (nodes[i].q, nodes[i].set);
+        if a.is_accepting(q) && !b.set_accepts(sets.get(set)) {
             // reconstruct counterexample
             let mut word = Vec::new();
             let mut cur = i;
@@ -127,22 +155,23 @@ pub fn included_antichain(a: &Nfa, b: &Nfa) -> InclusionResult {
         for &qe in a.eps_transitions(q) {
             let node = Node {
                 q: qe,
-                set: set.clone(),
+                set,
                 parent: i,
                 sym: None,
             };
-            push(&mut nodes, &mut queue, &mut antichain, node);
+            push(&sets, &mut nodes, node);
         }
         for &(sym, qt) in a.transitions(q) {
-            let next_set = b.step(&set, sym);
+            let (next_set, _) = sets.step(b, set, sym);
             let node = Node {
                 q: qt,
                 set: next_set,
                 parent: i,
                 sym: Some(sym),
             };
-            push(&mut nodes, &mut queue, &mut antichain, node);
+            push(&sets, &mut nodes, node);
         }
+        i += 1;
     }
     Ok(())
 }

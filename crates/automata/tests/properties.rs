@@ -11,7 +11,7 @@ use rpq_automata::ops::{
     equivalent, included_antichain, included_naive, regex_included, union_sigma,
 };
 use rpq_automata::random::{random_regex, sample_word, RegexGenConfig};
-use rpq_automata::{Alphabet, DerivativeClosure, Dfa, Nfa, Regex, Symbol};
+use rpq_automata::{Alphabet, DerivativeClosure, Dfa, Nfa, Regex, StateId, Symbol};
 
 fn syms() -> (Alphabet, Vec<Symbol>) {
     let ab = Alphabet::from_names(["a", "b", "c"]);
@@ -42,6 +42,59 @@ fn words_up_to(syms: &[Symbol], n: usize) -> Vec<Vec<Symbol>> {
         layer = next;
     }
     all
+}
+
+/// `nfa` with three states no accepted word passes through, wired from the
+/// seed: one that reaches the automaton but is not reached, one reached but
+/// leading nowhere, and an accepting one nothing reaches.
+fn with_unused_states(mut nfa: Nfa, seed: u64) -> Nfa {
+    let n = nfa.num_states() as StateId;
+    let pick = |k: u64| (seed.wrapping_mul(0x9E37_79B9).wrapping_add(k) % u64::from(n)) as StateId;
+    let a = Symbol::from_index(seed as usize % 3);
+    let orphan = nfa.add_state(false);
+    nfa.add_transition(orphan, a, pick(1));
+    let dead_end = nfa.add_state(false);
+    nfa.add_transition(pick(2), a, dead_end);
+    let stranded = nfa.add_state(true);
+    nfa.add_eps(stranded, orphan);
+    nfa
+}
+
+/// Which states lie on a path from the start to an accepting state, by a
+/// fixpoint over every edge (no adjacency lists).
+fn useful_states(nfa: &Nfa) -> Vec<bool> {
+    let n = nfa.num_states();
+    let edges: Vec<(usize, usize)> = (0..n as StateId)
+        .flat_map(|s| {
+            let eps = nfa
+                .eps_transitions(s)
+                .iter()
+                .map(move |&t| (s as usize, t as usize));
+            eps.chain(
+                nfa.transitions(s)
+                    .iter()
+                    .map(move |&(_, t)| (s as usize, t as usize)),
+            )
+        })
+        .collect();
+    let mut fwd = vec![false; n];
+    fwd[nfa.start() as usize] = true;
+    let mut bwd: Vec<bool> = (0..n as StateId).map(|s| nfa.is_accepting(s)).collect();
+    let mut changed = true;
+    while changed {
+        changed = false;
+        for &(s, t) in &edges {
+            if fwd[s] && !fwd[t] {
+                fwd[t] = true;
+                changed = true;
+            }
+            if bwd[t] && !bwd[s] {
+                bwd[s] = true;
+                changed = true;
+            }
+        }
+    }
+    (0..n).map(|s| fwd[s] && bwd[s]).collect()
 }
 
 proptest! {
@@ -232,6 +285,80 @@ proptest! {
         let both = Nfa::intersection(&np, &nq);
         for w in words_up_to(&s, 4) {
             prop_assert_eq!(both.accepts(&w), np.accepts(&w) && nq.accepts(&w));
+        }
+    }
+
+    /// `enumerate_words` returns exactly the accepted words of length ≤ 4,
+    /// in (length, symbol) order — brute force over every word, membership
+    /// by derivatives — and a cap keeps the first `cap` of them.
+    #[test]
+    fn enumeration_is_the_filtered_brute_force(seed in 0u64..100_000) {
+        let (_, s, r) = gen(seed);
+        let nfa = with_unused_states(Nfa::thompson(&r), seed);
+        let expect: Vec<Vec<Symbol>> =
+            words_up_to(&s, 4).into_iter().filter(|w| re_accepts(&r, w)).collect();
+        prop_assert_eq!(&nfa.enumerate_words(4, usize::MAX), &expect);
+        let cap = expect.len() / 2 + 1;
+        let capped = nfa.enumerate_words(4, cap);
+        prop_assert_eq!(capped.as_slice(), &expect[..cap.min(expect.len())]);
+    }
+
+    /// The difference product `x && !y` of two determinized automata
+    /// accepts exactly the words the first regex accepts and the second
+    /// rejects.
+    #[test]
+    fn difference_product_is_membership(seed in 0u64..100_000) {
+        let (ab, s, _) = gen(seed);
+        let cfg = RegexGenConfig::new(s.clone());
+        let mut rng = StdRng::seed_from_u64(seed.wrapping_add(23));
+        let p = random_regex(&mut rng, &cfg);
+        let q = random_regex(&mut rng, &cfg);
+        let dp = Dfa::from_nfa(&Nfa::thompson(&p), ab.len());
+        let dq = Dfa::from_nfa(&Nfa::thompson(&q), ab.len());
+        let diff = Dfa::product(&dp, &dq, |x, y| x && !y);
+        for w in words_up_to(&s, 4) {
+            prop_assert_eq!(diff.accepts(&w), re_accepts(&p, &w) && !re_accepts(&q, &w));
+        }
+    }
+
+    /// A counterexample of the antichain inclusion is a word `a` accepts
+    /// and `b` rejects (membership by derivatives), no shorter than the
+    /// shortest one the naive product finds.
+    #[test]
+    fn antichain_counterexamples_separate(seed in 0u64..100_000) {
+        let (ab, s, _) = gen(seed);
+        let cfg = RegexGenConfig::new(s);
+        let mut rng = StdRng::seed_from_u64(seed.wrapping_add(61));
+        let p = random_regex(&mut rng, &cfg);
+        let q = random_regex(&mut rng, &cfg);
+        let (np, nq) = (Nfa::thompson(&p), Nfa::thompson(&q));
+        for (a, b, ra, rb) in [(&np, &nq, &p, &q), (&nq, &np, &q, &p)] {
+            if let Err(w) = included_antichain(a, b) {
+                prop_assert!(re_accepts(ra, &w) && !re_accepts(rb, &w), "{:?}", w);
+                let shortest = included_naive(a, b, ab.len()).unwrap_err();
+                prop_assert!(shortest.len() <= w.len());
+            }
+        }
+    }
+
+    /// `trim` keeps the language and exactly the useful states: those on
+    /// some path from the start to an accepting state, computed here by a
+    /// fixpoint over the untrimmed automaton.
+    #[test]
+    fn trim_keeps_the_language_and_the_useful_states(seed in 0u64..100_000) {
+        let (_, s, r) = gen(seed);
+        let nfa = with_unused_states(Nfa::thompson(&r), seed);
+        let trimmed = nfa.trim();
+        for w in words_up_to(&s, 4) {
+            prop_assert_eq!(trimmed.accepts(&w), re_accepts(&r, &w));
+        }
+        let useful = useful_states(&nfa);
+        let kept = useful.iter().filter(|&&u| u).count();
+        if useful[nfa.start() as usize] {
+            prop_assert_eq!(trimmed.num_states(), kept);
+            prop_assert!(useful_states(&trimmed).iter().all(|&u| u));
+        } else {
+            prop_assert!(trimmed.is_empty_lang() && trimmed.num_states() == 1);
         }
     }
 

@@ -1,4 +1,4 @@
-//! T14 — static query analysis (plan-time facts payoff). Five claims,
+//! T14 — static query analysis (plan-time facts payoff). Six claims,
 //! asserted at registration time so `--test` mode (the CI bench smoke)
 //! enforces the acceptance criteria without paying measurement time:
 //!
@@ -28,24 +28,161 @@
 //!   building any (`Analysis::certify_closure_builds == 0`,
 //!   `certify_inclusions == 2`); a text no cache prefixes decides nothing
 //!   and builds nothing.
+//! * **Allocate per artefact, not per subset** — on the same shapes a
+//!   warm `optimize_and_analyze` asks the allocator for at most
+//!   [`COLD_PLAN_BUFFERS`] buffers per text of each class (counted by this
+//!   binary's `#[global_allocator]`: 61 / 744–943 / 162–163). The subset
+//!   constructions, inclusion tests, Moore rounds and closure saturations
+//!   of a plan intern their state sets in one arena per construction; a
+//!   `Vec` per subset state, as before, took 65 / 1 461–1 842 / 224. And a
+//!   rewritten text's certifying inclusion test over the text repeated
+//!   [`REPEATS`] times — that many times the pairs — asks for at most
+//!   [`REPEAT_SLACK`] more buffers than over the text itself (12 → 33; a
+//!   `Vec` per pair took 41 → 701, and one cloned set per antichain node
+//!   16 → 130).
 //!
 //! The measured series compare the planned engine (analysis amortized via
 //! the plan memo) against the plain product engine on all three shapes;
 //! `cold_plan/{uncached, cached, union_tail}` is the cold planner alone —
 //! one pass over each class of `plan-cold` text against an empty memo.
 
+use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use rpq_automata::parse_regex;
+use rpq_automata::{parse_regex, Nfa, Regex};
 use rpq_bench::{cold_plan_workload, distributed_workload, skewed_workload};
 use rpq_constraints::general::Budget;
+use rpq_constraints::Closures;
 use rpq_core::{Engine, EvalRequest, ProductEngine, Query};
 use rpq_graph::CsrGraph;
 use rpq_optimizer::{optimize_and_analyze, PlannedEngine};
 
+/// The system allocator, counting every buffer handed out — each
+/// allocation and each reallocation — for the allocation gate.
+struct Counting;
+
+static BUFFERS: AtomicUsize = AtomicUsize::new(0);
+
+// SAFETY: every method hands its arguments, unchanged, to `System` and
+// returns what `System` returns, so each keeps `System`'s guarantees; the
+// counter is a statistic and publishes no memory.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        BUFFERS.fetch_add(1, Ordering::Relaxed);
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        BUFFERS.fetch_add(1, Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// Acceptance 6's bound on the buffers one warm `optimize_and_analyze`
+/// asks for, per class of `plan-cold` text.
+const COLD_PLAN_BUFFERS: [(&str, usize); 3] =
+    [("uncached", 72), ("cached", 1_100), ("union_tail", 180)];
+
+/// How many times acceptance 6 repeats a rewritten text to multiply the
+/// pairs its certifying inclusion test visits.
+const REPEATS: usize = 32;
+
+/// How many more buffers acceptance 6 lets the inclusion test over the
+/// repeated text ask for than the one over the text itself: the growth of
+/// its few buffers, never one per pair.
+const REPEAT_SLACK: usize = 48;
+
+/// Acceptance 6, run first, while this is the only thread that allocates:
+/// every text of each class is planned once to warm the set's compiled
+/// artefacts, then once more under the counter.
+fn cold_plan_allocation_gate() {
+    let w = cold_plan_workload();
+    let graph = CsrGraph::from(&w.instance);
+    let plan = |q| {
+        optimize_and_analyze(
+            &w.constraints,
+            q,
+            &w.alphabet,
+            &Budget::default(),
+            graph.stats(),
+        )
+    };
+    for (name, bound) in COLD_PLAN_BUFFERS {
+        let texts = match name {
+            "uncached" => &w.uncached,
+            "cached" => &w.cached,
+            _ => &w.union_tail,
+        };
+        for q in texts.iter() {
+            black_box(plan(q));
+        }
+        let counts: Vec<usize> = texts
+            .iter()
+            .map(|q| {
+                let before = BUFFERS.load(Ordering::Relaxed);
+                black_box(plan(q));
+                BUFFERS.load(Ordering::Relaxed) - before
+            })
+            .collect();
+        let (min, max) = (counts.iter().min().unwrap(), counts.iter().max().unwrap());
+        let mean = counts.iter().sum::<usize>() as f64 / counts.len() as f64;
+        println!(
+            "t14 cold-plan allocations, {name}: {min}–{max} buffers per plan \
+             (mean {mean:.1}, {} texts, bound {bound})",
+            counts.len()
+        );
+        assert!(
+            *max <= bound,
+            "a cold {name} plan asked for {max} buffers (bound {bound}) — subset \
+             states must be interned in the construction's arena, not allocated \
+             one by one"
+        );
+    }
+    // The certifying inclusion test of a rewritten text, `L(q) ⊆
+    // L(closure(r))`, against a closure already built, with `q` followed
+    // by `k - 1` more copies of itself on both sides (a rewrite applies to
+    // a prefix, so `q^k → r·q^(k-1)`): `k` times the pairs, the same arena.
+    let q = &w.cached[0];
+    let r = plan(q).0.query;
+    let closures = Closures::new(&w.constraints);
+    let buffers = |k: usize| {
+        let tail = vec![q.clone(); k - 1];
+        let q = Regex::concat([vec![q.clone()], tail.clone()].concat());
+        let r = Regex::concat([vec![r.clone()], tail].concat());
+        let nq = Nfa::thompson(&q);
+        assert!(
+            closures.includes(&nq, &r).is_ok(),
+            "{q:?} ⊆ {r:?} certifies"
+        );
+        let before = BUFFERS.load(Ordering::Relaxed);
+        black_box(closures.includes(&nq, &r).is_ok());
+        BUFFERS.load(Ordering::Relaxed) - before
+    };
+    let (once, repeated) = (buffers(1), buffers(REPEATS));
+    println!(
+        "t14 cold-plan allocations, certification: {once} buffers for one text, \
+         {repeated} for it {REPEATS} times over (slack {REPEAT_SLACK})"
+    );
+    assert!(
+        repeated <= once + REPEAT_SLACK,
+        "an inclusion test over {REPEATS} times the pairs asked for {repeated} \
+         buffers, {once} over one — an antichain node must carry a set id, not a set"
+    );
+}
+
 fn bench(c: &mut Criterion) {
+    cold_plan_allocation_gate();
+
     let mut group = c.benchmark_group("t14_static_analysis");
     group.sample_size(10);
     group.measurement_time(Duration::from_millis(900));

@@ -209,28 +209,22 @@ pub fn rewrite_to_nfa(target: &Nfa, rules: &RewriteSystem) -> RewriteToAutomaton
 
     // Saturate: for each rule, find all states reachable from the root by
     // reading the rule's rhs (a word), and wire the chain tail to them.
-    let mut rounds = 0usize;
+    let rhs: Vec<&[Symbol]> = rules.rules.iter().map(|(_, r)| r.as_slice()).collect();
     let mut added_edges = 0usize;
-    loop {
-        rounds += 1;
+    let rounds = nfa.saturate(root, &rhs, |nfa, i, targets| {
         let mut changed = false;
-        for (i, (_, rhs)) in rules.rules.iter().enumerate() {
-            let targets = reachable_by_word(&nfa, root, rhs);
-            for t in targets {
-                let added = match &tails[i] {
-                    Tail::Edge(state, sym) => nfa.add_transition(*state, *sym, t),
-                    Tail::Epsilon => nfa.add_eps(root, t),
-                };
-                if added {
-                    added_edges += 1;
-                    changed = true;
-                }
+        for &t in targets {
+            let added = match &tails[i] {
+                Tail::Edge(state, sym) => nfa.add_transition(*state, *sym, t),
+                Tail::Epsilon => nfa.add_eps(root, t),
+            };
+            if added {
+                added_edges += 1;
+                changed = true;
             }
         }
-        if !changed {
-            break;
-        }
-    }
+        changed
+    });
 
     RewriteToAutomaton {
         nfa,
@@ -260,7 +254,9 @@ pub fn rewrite_to_word_nfa(v: &[Symbol], rules: &RewriteSystem) -> RewriteToAuto
 ///   every `x ∈ L(P)`), so the exits are ε-wired to every state the root
 ///   reaches by reading `r` — the word saturation of [`rewrite_to_nfa`].
 ///   Only ε-edges over a fixed state set are added, so this runs to its
-///   exact fixpoint.
+///   exact fixpoint. It and [`rewrite_to_nfa`] run on [`Nfa::saturate`],
+///   which closes and steps every read of every round in one set of
+///   buffers.
 /// * **Multi-word `R`** — the constraint only promises an `R`-path
 ///   spelling *some* word of `L(R)`, so a continuation `w` is certified
 ///   after `L(P)` only when `y·w` is already certified for **every**
@@ -292,7 +288,8 @@ pub fn rewrite_closure_nfa(set: &ConstraintSet, target: &Nfa) -> RewriteToAutoma
     // Embed each rule's lhs as a reading fragment out of the root, and
     // split the rules by rhs shape: single-word rhs saturates by ε-wiring,
     // everything else goes through the universal construction.
-    let mut word_rules: Vec<(Vec<StateId>, &[Symbol])> = Vec::new();
+    let mut word_exits: Vec<Vec<StateId>> = Vec::new();
+    let mut word_rhs: Vec<&[Symbol]> = Vec::new();
     let mut regex_rules: Vec<(Vec<StateId>, &Nfa, &Nfa)> = Vec::new();
     for rule in set.closure_rules() {
         let frag = nfa.add_nfa(&rule.lhs);
@@ -305,7 +302,10 @@ pub fn rewrite_closure_nfa(set: &ConstraintSet, target: &Nfa) -> RewriteToAutoma
             }
         }
         match &rule.rhs {
-            ClosureRhs::Word(word) => word_rules.push((exits, word)),
+            ClosureRhs::Word(word) => {
+                word_exits.push(exits);
+                word_rhs.push(word);
+            }
             ClosureRhs::Regex(rhs_nfa) => regex_rules.push((exits, &rule.lhs, rhs_nfa)),
             // `P ⊆ ∅` pins answers(P) to ∅ on satisfying instances;
             // certifying nothing through it is sound.
@@ -318,23 +318,18 @@ pub fn rewrite_closure_nfa(set: &ConstraintSet, target: &Nfa) -> RewriteToAutoma
     let mut universal_rounds = 0usize;
     loop {
         // Word saturation to fixpoint over the current state set.
-        loop {
-            rounds += 1;
+        rounds += nfa.saturate(root, &word_rhs, |nfa, i, targets| {
             let mut changed = false;
-            for (exits, rhs) in &word_rules {
-                for t in reachable_by_word(&nfa, root, rhs) {
-                    for &e in exits {
-                        if e != t && nfa.add_eps(e, t) {
-                            added_edges += 1;
-                            changed = true;
-                        }
+            for &t in targets {
+                for &e in &word_exits[i] {
+                    if e != t && nfa.add_eps(e, t) {
+                        added_edges += 1;
+                        changed = true;
                     }
                 }
             }
-            if !changed {
-                break;
-            }
-        }
+            changed
+        });
         // Universal wiring for regex-sided rules (may add states).
         universal_rounds += 1;
         let mut changed = false;
@@ -533,19 +528,6 @@ fn universal_continuations(nfa: &Nfa, rhs: &Nfa) -> Option<Nfa> {
         }
     }
     Some(out)
-}
-
-/// All states reachable from `from` by reading exactly `word` (with ε-moves
-/// folded in at every step).
-fn reachable_by_word(nfa: &Nfa, from: StateId, word: &[Symbol]) -> Vec<StateId> {
-    let mut set = nfa.eps_closure(&[from]);
-    for &sym in word {
-        set = nfa.step(&set, sym);
-        if set.is_empty() {
-            return set;
-        }
-    }
-    set
 }
 
 /// Decide `u →*_E v` in polynomial time: membership of `u` in the saturated
