@@ -3,9 +3,10 @@
 //! * deterministic-instance implication (congruence closure) vs the general
 //!   Theorem 4.3(i) procedure (prefix-rewrite saturation) on the same word
 //!   systems — both PTIME, very different constants;
-//! * the axiomatic prover on the paper's worked examples vs the budgeted
-//!   Theorem 4.2 saturation engine — the prover's goal-directed search is
-//!   the fast path the optimizer relies on;
+//! * the axiomatic prover on the paper's worked examples vs the Theorem
+//!   4.2 engine, whose closure test is what the optimizer decides claims
+//!   with (the prover reproduces Section 5's future work and is off the
+//!   served path);
 //! * the algebraic simplifier: syntactic vs deep mode on seeded random
 //!   regexes, with the size-reduction series printed;
 //! * Moore minimization on the subset-blowup family, where determinization

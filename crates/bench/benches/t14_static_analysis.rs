@@ -27,7 +27,9 @@
 //!   certification runs both inclusion tests against them without
 //!   building any (`Analysis::certify_closure_builds == 0`,
 //!   `certify_inclusions == 2`); a text no cache prefixes decides nothing
-//!   and builds nothing.
+//!   and builds nothing. Example 3's text under its regex cache
+//!   `l = (a.b)*` certifies without a build too: every claim is decided by
+//!   the two inclusion tests certification runs.
 //! * **Allocate per artefact, not per subset** — on the same shapes a
 //!   warm `optimize_and_analyze` asks the allocator for at most
 //!   [`COLD_PLAN_BUFFERS`] buffers per text of each class (counted by this
@@ -52,12 +54,11 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use rpq_automata::{parse_regex, Nfa, Regex};
+use rpq_automata::{parse_regex, Alphabet, Nfa, Regex};
 use rpq_bench::{cold_plan_workload, distributed_workload, skewed_workload};
-use rpq_constraints::general::Budget;
-use rpq_constraints::Closures;
+use rpq_constraints::{Closures, ConstraintSet};
 use rpq_core::{Engine, EvalRequest, ProductEngine, Query};
-use rpq_graph::CsrGraph;
+use rpq_graph::{CsrGraph, Instance};
 use rpq_optimizer::{optimize_and_analyze, PlannedEngine};
 
 /// The system allocator, counting every buffer handed out — each
@@ -108,15 +109,7 @@ const REPEAT_SLACK: usize = 48;
 fn cold_plan_allocation_gate() {
     let w = cold_plan_workload();
     let graph = CsrGraph::from(&w.instance);
-    let plan = |q| {
-        optimize_and_analyze(
-            &w.constraints,
-            q,
-            &w.alphabet,
-            &Budget::default(),
-            graph.stats(),
-        )
-    };
+    let plan = |q| optimize_and_analyze(&w.constraints, q, &w.alphabet, graph.stats());
     for (name, bound) in COLD_PLAN_BUFFERS {
         let texts = match name {
             "uncached" => &w.uncached,
@@ -341,6 +334,31 @@ fn bench(c: &mut Criterion) {
         );
     }
 
+    // Acceptance 5 under a regex cache: Example 3's claim is decided by
+    // the inclusion tests certification runs, so certification builds no
+    // closure here either.
+    {
+        let mut ab = Alphabet::new();
+        let set = ConstraintSet::parse(&mut ab, ["l = (a.b)*"]).unwrap();
+        let q = parse_regex(&mut ab, "a.(b.a)*.c").unwrap();
+        let mut inst = Instance::new();
+        let o = inst.add_node();
+        for s in ab.symbols() {
+            inst.add_edge(o, s, o);
+        }
+        let (opt, analysis) = optimize_and_analyze(&set, &q, &ab, inst.stats());
+        assert!(opt.improved(), "Example 3 rewrites to l.a.c");
+        assert_eq!(
+            (
+                opt.claims_proved,
+                analysis.certify_closure_builds,
+                analysis.certify_inclusions
+            ),
+            (1, 0, 2),
+            "Example 3's regex cache"
+        );
+    }
+
     // The cold planner in isolation (`optimizer.plan_us` of `bench_e2e`'s
     // `plan-cold`): a new engine per pass, so every plan misses the memo.
     let w = cold_plan_workload();
@@ -357,15 +375,10 @@ fn bench(c: &mut Criterion) {
         // is its own minimal-DFA regex).
         //
         // Acceptance 5: a cold plan proves its claim once and builds each
-        // closure once — certification reads the two `check` built.
+        // closure once — certification reads the two its decision built.
         for q in texts.iter() {
-            let (opt, analysis) = optimize_and_analyze(
-                &w.constraints,
-                q,
-                &w.alphabet,
-                &Budget::default(),
-                graph.stats(),
-            );
+            let (opt, analysis) =
+                optimize_and_analyze(&w.constraints, q, &w.alphabet, graph.stats());
             assert_eq!(opt.thompson_builds, 1, "{name}: {q:?}");
             assert_eq!(
                 opt.determinizations,

@@ -1,6 +1,7 @@
 //! T6 — general path-constraint implication (Theorem 4.2: decidable in
-//! 2-EXPSPACE; our engine is budgeted with certified verdicts). Expected
-//! shape: the exact word route is fastest; regex-saturation proofs cost
+//! 2-EXPSPACE; our engine proves by the prefix-rewriting closure and
+//! refutes by a budgeted search, with certified verdicts). Expected shape:
+//! the exact word route is fastest; closure proofs under regex rules cost
 //! more; refutation search cost is dominated by the chase budget.
 
 use std::hint::black_box;
@@ -27,7 +28,7 @@ fn bench(c: &mut Criterion) {
         });
     }
 
-    // X3 — regex saturation proof (cache substitution)
+    // X3 — closure proof under a regex cache rule (cache substitution)
     {
         let mut ab = Alphabet::new();
         let set = ConstraintSet::parse(&mut ab, ["l = (a.b)*"]).unwrap();
@@ -47,7 +48,7 @@ fn bench(c: &mut Criterion) {
         });
     }
 
-    // saturation with growing cache bodies (proof cost growth)
+    // closure proofs with growing tails (proof cost growth)
     for &depth in &[1usize, 2, 3] {
         let mut ab = Alphabet::new();
         let body = "(a.b)*".to_string().to_string();

@@ -313,7 +313,7 @@ fn example3() {
         other => println!("unexpected: {other:?}"),
     }
     let q = parse_regex(&mut ab, "a.(b.a)*.c").unwrap();
-    let opt = rpq_optimizer::optimize(&set, &q, &ab, &Budget::default());
+    let opt = rpq_optimizer::optimize(&set, &q, &ab);
     println!(
         "optimizer: {} → {}   (rule {:?}; recursion removed: {})",
         q.display(&ab),

@@ -43,8 +43,6 @@
 use std::collections::HashSet;
 use std::fmt::Write as _;
 
-use std::sync::Arc;
-
 use rpq_automata::ops;
 use rpq_automata::simplify::simplify;
 use rpq_automata::{Alphabet, Regex};
@@ -332,8 +330,8 @@ fn union_arms(p: &Regex) -> Option<Vec<Regex>> {
 /// The proof-search engine for a fixed constraint set.
 pub struct Prover<'a> {
     /// Directed axioms `(l, r)` meaning `l ⊆ r`, from the constraint set
-    /// (equalities contribute both directions), simplified once per set.
-    pub axioms: Arc<[(Regex, Regex)]>,
+    /// (equalities contribute both directions), both sides simplified.
+    pub axioms: Vec<(Regex, Regex)>,
     cfg: ProverConfig,
     _set: &'a ConstraintSet,
 }
@@ -342,7 +340,11 @@ impl<'a> Prover<'a> {
     /// Build a prover over `set` with the given budgets.
     pub fn new(set: &'a ConstraintSet, cfg: ProverConfig) -> Prover<'a> {
         Prover {
-            axioms: set.axioms(),
+            axioms: set
+                .iter()
+                .flat_map(PathConstraint::as_inclusions)
+                .map(|(l, r)| (simplify(&l), simplify(&r)))
+                .collect(),
             cfg,
             _set: set,
         }
@@ -368,7 +370,7 @@ impl<'a> Prover<'a> {
     }
 
     /// Budgeted language inclusion (the `language` side condition).
-    pub fn lang_included(&self, p: &Regex, q: &Regex) -> bool {
+    fn lang_included(&self, p: &Regex, q: &Regex) -> bool {
         if p.size() + q.size() > self.cfg.lang_size_limit {
             return false;
         }

@@ -20,7 +20,8 @@ use rpq_core::eval_product;
 
 use crate::armstrong::{suggested_radius, ArmstrongError, ArmstrongSphere};
 use crate::implication::{word_implies_path, WordImplication};
-use crate::types::ConstraintSet;
+use crate::rewrite::Closures;
+use crate::types::{ConstraintSet, PathConstraint};
 
 /// Outcome of the boundedness decision.
 #[derive(Clone, Debug)]
@@ -278,12 +279,13 @@ pub enum GeneralBoundedness {
 /// 2. Word-equality sets → the exact Theorem 4.10 decision (complete on
 ///    that fragment: `Bounded` or `Unbounded`, never `Unknown`).
 /// 3. Otherwise, enumerate candidate finite equivalents `q_k = L(p) ∩ Σ^{≤k}`
-///    for growing `k` and certify `E ⊨ p = q_k` through the Theorem 4.2
-///    engine ([`crate::general::check`]) — sound, so a `Bounded` answer is
-///    trustworthy; failure within budget returns `Unknown`.
+///    for growing `k` and prove `E ⊨ p = q_k` by the closure test
+///    ([`Closures::implies`]) — sound, so a `Bounded` answer is
+///    trustworthy; no cut is refuted, and when none is proved the answer
+///    is `Unknown`.
 ///
 /// The candidate family `L(p) ∩ Σ^{≤k}` is complete *relative to the
-/// prover* whenever some finite subset of `L(p)` is equivalent to `p`
+/// closure* whenever some finite subset of `L(p)` is equivalent to `p`
 /// under `E` — which covers every example in the paper (a constraint that
 /// collapses `p` into fresh labels outside `L(p)` would need a richer
 /// candidate generator; the view-cover search in `rpq-optimizer` handles
@@ -292,7 +294,6 @@ pub fn bounded_under_path_constraints(
     set: &ConstraintSet,
     p: &Regex,
     alphabet: &Alphabet,
-    budget: &crate::general::Budget,
     max_candidate_len: usize,
     word_cap: usize,
 ) -> GeneralBoundedness {
@@ -301,11 +302,10 @@ pub fn bounded_under_path_constraints(
         return GeneralBoundedness::AlreadyFinite;
     }
     bounded_beyond_finite(
-        set,
+        &Closures::new(set),
         p,
         &p_nfa,
         alphabet,
-        budget,
         max_candidate_len,
         word_cap,
     )
@@ -314,16 +314,18 @@ pub fn bounded_under_path_constraints(
 /// Steps 2 and 3 of [`bounded_under_path_constraints`] for a caller that
 /// holds `p`'s automaton and already knows `L(p)` to be infinite (the
 /// planner compiles both once per query): never
-/// [`GeneralBoundedness::AlreadyFinite`].
+/// [`GeneralBoundedness::AlreadyFinite`]. The cuts are decided through
+/// `closures` — the planner passes its plan's memo — so `closure(p)` is
+/// built at most once for all of them.
 pub fn bounded_beyond_finite(
-    set: &ConstraintSet,
+    closures: &Closures<'_>,
     p: &Regex,
     p_nfa: &Nfa,
     alphabet: &Alphabet,
-    budget: &crate::general::Budget,
     max_candidate_len: usize,
     word_cap: usize,
 ) -> GeneralBoundedness {
+    let set = closures.set();
     // Exact fragment: Theorem 4.10.
     if set.all_word_equalities() && !set.is_empty() {
         match decide_boundedness(set, p, alphabet) {
@@ -340,7 +342,7 @@ pub fn bounded_beyond_finite(
 
     // Budgeted candidate search under full path constraints: test the
     // cumulative word set at every length boundary (per-word testing
-    // wastes prover calls; per-length keeps candidates canonical).
+    // wastes closure tests; per-length keeps candidates canonical).
     let all: Vec<Vec<Symbol>> = p_nfa.enumerate_words(max_candidate_len, word_cap);
     let mut frontiers: Vec<usize> = Vec::new();
     for i in 1..all.len() {
@@ -354,13 +356,11 @@ pub fn bounded_beyond_finite(
             continue;
         }
         let candidate = Regex::from_finite_language(all[..cut].to_vec());
-        let claim = crate::types::PathConstraint::equality(p.clone(), candidate.clone());
-        if let crate::general::Verdict::Implied { method } =
-            crate::general::check(set, &claim, budget)
-        {
+        let claim = PathConstraint::equality(p.clone(), candidate.clone());
+        if let Ok(proof) = closures.implies(&claim) {
             return GeneralBoundedness::Bounded {
                 equivalent: candidate,
-                proof: method,
+                proof,
             };
         }
     }
@@ -488,14 +488,7 @@ mod tests {
     fn general_boundedness_word_equality_fast_path() {
         // {ll = l}: l* collapses — routed through Theorem 4.10.
         let (ab, set, p) = setup(&["l.l = l"], "l*");
-        match bounded_under_path_constraints(
-            &set,
-            &p,
-            &ab,
-            &crate::general::Budget::default(),
-            4,
-            32,
-        ) {
+        match bounded_under_path_constraints(&set, &p, &ab, 4, 32) {
             GeneralBoundedness::Bounded { equivalent, proof } => {
                 assert_eq!(proof, "theorem-4.10");
                 assert!(equivalent.finite_language(8).is_some());
@@ -508,16 +501,9 @@ mod tests {
     fn general_boundedness_with_path_inclusions() {
         // A genuine PATH constraint (star on the left): a* ⊆ a + ε makes a*
         // bounded — outside Theorem 4.10's fragment, certified by the
-        // Theorem 4.2 saturation engine.
+        // closure test.
         let (ab, set, p) = setup(&["a* <= a + ()"], "a*");
-        match bounded_under_path_constraints(
-            &set,
-            &p,
-            &ab,
-            &crate::general::Budget::default(),
-            3,
-            16,
-        ) {
+        match bounded_under_path_constraints(&set, &p, &ab, 3, 16) {
             GeneralBoundedness::Bounded { equivalent, proof } => {
                 assert_ne!(proof, "theorem-4.10");
                 let words = equivalent.finite_language(8).expect("finite");
@@ -531,14 +517,7 @@ mod tests {
     fn general_boundedness_already_finite() {
         let (ab, set, p) = setup(&["a.a = a"], "a.b + b");
         assert!(matches!(
-            bounded_under_path_constraints(
-                &set,
-                &p,
-                &ab,
-                &crate::general::Budget::default(),
-                3,
-                16
-            ),
+            bounded_under_path_constraints(&set, &p, &ab, 3, 16),
             GeneralBoundedness::AlreadyFinite
         ));
     }
@@ -549,14 +528,7 @@ mod tests {
         // fragment (the set mixes an inclusion, so Theorem 4.10 is off).
         let (ab, set, p) = setup(&["c <= d"], "(a+b)*");
         assert!(matches!(
-            bounded_under_path_constraints(
-                &set,
-                &p,
-                &ab,
-                &crate::general::Budget::default(),
-                2,
-                12
-            ),
+            bounded_under_path_constraints(&set, &p, &ab, 2, 12),
             GeneralBoundedness::Unknown
         ));
     }
@@ -567,14 +539,7 @@ mod tests {
         // is false — it bounds nothing but stays infinite): use a system
         // that certifies Unbounded through the exact decision.
         let (ab, set, p) = setup(&["a.b = b.a"], "a*");
-        match bounded_under_path_constraints(
-            &set,
-            &p,
-            &ab,
-            &crate::general::Budget::default(),
-            3,
-            16,
-        ) {
+        match bounded_under_path_constraints(&set, &p, &ab, 3, 16) {
             GeneralBoundedness::Unbounded { pump } => assert!(!pump.is_empty() || pump.is_empty()),
             other => panic!("expected unbounded, got {other:?}"),
         }

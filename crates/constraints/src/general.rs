@@ -8,21 +8,19 @@
 //! hopeless in practice, so this engine returns one of three *certified*
 //! verdicts:
 //!
-//! * [`Verdict::Implied`] — proved by a **sound** fixpoint: prefix
-//!   rewriting generalized to regex rules. `S₀ = L(q)`; each round adds
-//!   `L(P)·(Q ⧵⧵ S)` for every inclusion `P ⊆ Q` of `E`, where
-//!   `Q ⧵⧵ S = {w | ∀y ∈ L(Q): y·w ∈ S}` is the *universal* left residual
-//!   (complementation + existential quotient). If eventually
-//!   `L(p) ⊆ S`, then `E ⊨ p ⊆ q` (for word constraints this specializes
-//!   to Lemma 4.4, which is also complete — those inputs are routed to the
-//!   exact Theorem 4.3 procedures). Soundness, by induction on the round
-//!   a word enters `S`: every `w ∈ S` has `w(o, I) ⊆ q(o, I)` for every
-//!   `(o, I)` with `I ⊨ E` at `o`. Words of `S₀ = L(q)` do by definition.
-//!   A word added as `x·z` with `x ∈ L(P)`, `z ∈ Q ⧵⧵ S` reaches `o'`
-//!   through some `o₁ ∈ x(o, I) ⊆ P(o, I) ⊆ Q(o, I)`, so `o₁ ∈ y(o, I)`
-//!   for some `y ∈ L(Q)` and `o' ∈ (y·z)(o, I)`; `y·z` is in the earlier
-//!   `S` by the residual's definition, hence `o' ∈ q(o, I)`. Then
-//!   `L(p) ⊆ S` gives `p(o, I) = ⋃_{w ∈ L(p)} w(o, I) ⊆ q(o, I)`.
+//! * [`Verdict::Implied`] — proved by the prefix-rewriting closure of
+//!   [`crate::rewrite::rewrite_closure_nfa`]: `L(p) ⊆ L(closure(q))` for
+//!   each inclusion `p ⊆ q` of the constraint ([`Closures::implies`], the
+//!   test the optimizer certifies rewrites with). Every word `w` of the
+//!   closure has `w(o, I) ⊆ q(o, I)` at every `(o, I)` with `I ⊨ E` at `o`:
+//!   the closure is the Lemma 4.7 pre*-saturation of `L(q)`, a word rule
+//!   `P ⊆ r` wired by right congruence, a regex rule `P ⊆ Q` only to the
+//!   continuations certified after *every* word of `Q`, and a rule
+//!   `P ⊆ ∅` to a state that accepts any continuation (no `x·w` with
+//!   `x ∈ L(P)` has an answer). Then `p(o, I) = ⋃_{w ∈ L(p)} w(o, I) ⊆
+//!   q(o, I)`. On word constraints the closure is `RewriteTo(q)` and the
+//!   test is Theorem 4.3's exact decision (`"word-exact"`); on regex
+//!   constraints it is sound but not complete (`"regex-saturation"`).
 //! * [`Verdict::Refuted`] — a finite instance `(o, I)` with `I ⊨ E` but
 //!   `p(o, I) ⊄ q(o, I)`, found by a chase-style counterexample search
 //!   seeded with words of `L(p)` (with `μ`-style vertex merging to curb
@@ -35,11 +33,9 @@ use rand::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use rpq_automata::ops::included_antichain;
-use rpq_automata::{Dfa, Nfa, Regex, Symbol};
+use rpq_automata::{Nfa, Regex, Symbol};
 use rpq_graph::{Instance, Oid};
 
-use crate::implication::{word_implies_constraint_in, WordImplication};
 use crate::rewrite::Closures;
 use crate::types::{ConstraintKind, ConstraintSet, PathConstraint};
 
@@ -68,7 +64,8 @@ pub enum Refutation {
 pub enum Verdict {
     /// `E ⊨ c`, with the name of the deciding method.
     Implied {
-        /// `"word-exact"` (Theorem 4.3) or `"regex-saturation"`.
+        /// `"word-exact"` (Theorem 4.3) or `"regex-saturation"` (the
+        /// regex-rule closure, sound only; see the module docs).
         method: &'static str,
     },
     /// `E ⊭ c`, with evidence.
@@ -89,13 +86,9 @@ impl Verdict {
     }
 }
 
-/// Budgets for the saturation and search phases.
+/// Budgets for the refuter's counterexample search.
 #[derive(Clone, Debug)]
 pub struct Budget {
-    /// Max saturation rounds of the regex-rule fixpoint.
-    pub saturation_rounds: usize,
-    /// Abort saturation if the working DFA exceeds this many states.
-    pub max_dfa_states: usize,
     /// How many seed words of `L(p)` to chase.
     pub chase_seeds: usize,
     /// Max seed word length.
@@ -111,8 +104,6 @@ pub struct Budget {
 impl Default for Budget {
     fn default() -> Self {
         Budget {
-            saturation_rounds: 6,
-            max_dfa_states: 4_000,
             chase_seeds: 24,
             seed_len: 8,
             repairs: 60,
@@ -122,123 +113,23 @@ impl Default for Budget {
     }
 }
 
-/// Check `E ⊨ c` for arbitrary path constraints.
+/// Check `E ⊨ c` for arbitrary path constraints: the closure test
+/// ([`Closures::implies`]) proves, and when it fails the refuter looks for
+/// a counterexample instance within `budget`.
 pub fn check(set: &ConstraintSet, c: &PathConstraint, budget: &Budget) -> Verdict {
-    check_with(&Closures::new(set), c, budget)
-}
-
-/// [`check`] under the set of `closures`, reading the `RewriteTo` closures
-/// of the exact word route from that memo: a planner that certifies the
-/// same claim afterwards finds both closures built.
-pub fn check_with(closures: &Closures<'_>, c: &PathConstraint, budget: &Budget) -> Verdict {
-    let set = closures.set();
-    // Exact route for word-constraint sets (Theorem 4.3).
-    if set.all_word_constraints() {
-        return match word_implies_constraint_in(closures, c) {
-            WordImplication::Implied => Verdict::Implied {
-                method: "word-exact",
-            },
-            WordImplication::Refuted(w) => {
-                // try to materialize an instance witness for explainability
-                match refute(set, c, budget) {
-                    Some(wit) => Verdict::Refuted(Refutation::Instance(wit)),
-                    None => Verdict::Refuted(Refutation::Word(w)),
-                }
-            }
-        };
-    }
-
-    // Sound prover on each inclusion of the constraint.
-    let mut all_proved = true;
-    for (p, q) in c.as_inclusions() {
-        if !prove_inclusion_by_saturation(set, &p, &q, budget) {
-            all_proved = false;
-            break;
-        }
-    }
-    if all_proved {
-        return Verdict::Implied {
-            method: "regex-saturation",
-        };
-    }
-
-    // Sound refuter.
+    let rejected = match Closures::new(set).implies(c) {
+        Ok(method) => return Verdict::Implied { method },
+        Err(word) => word,
+    };
     if let Some(w) = refute(set, c, budget) {
         return Verdict::Refuted(Refutation::Instance(w));
     }
-    Verdict::Unknown
-}
-
-/// Σ for the complement-based language algebra: everything mentioned.
-fn full_sigma(set: &ConstraintSet, c: &PathConstraint) -> usize {
-    let mut max = 0usize;
-    for s in set.symbols().into_iter().chain(c.symbols()) {
-        max = max.max(s.index() + 1);
+    if set.all_word_constraints() {
+        // exact on word sets (Lemma 4.6): the rejected word refutes
+        Verdict::Refuted(Refutation::Word(rejected))
+    } else {
+        Verdict::Unknown
     }
-    max.max(1)
-}
-
-/// Sound prover: regex-rule prefix rewriting with universal residuals.
-fn prove_inclusion_by_saturation(
-    set: &ConstraintSet,
-    p: &Regex,
-    q: &Regex,
-    budget: &Budget,
-) -> bool {
-    let sigma = full_sigma(set, &PathConstraint::inclusion(p.clone(), q.clone()));
-    let rules: Vec<(Regex, Regex)> = set.iter().flat_map(|c| c.as_inclusions()).collect();
-
-    // S as a minimized DFA.
-    let mut s_dfa = Dfa::from_nfa(&Nfa::thompson(q), sigma).minimize();
-    let p_nfa = Nfa::thompson(p);
-
-    for _ in 0..budget.saturation_rounds {
-        if included_antichain(&p_nfa, &s_dfa.to_nfa()).is_ok() {
-            return true;
-        }
-        let mut grew = false;
-        for (rp, rq) in &rules {
-            // R = Q ⧵⧵ S = ¬( quotient∃(Q, ¬S) )
-            let not_s = s_dfa.complement();
-            let quot = existential_quotient(&not_s.to_nfa(), &Nfa::thompson(rq));
-            let quot_dfa = Dfa::from_nfa(&quot, sigma);
-            if quot_dfa.num_states() > budget.max_dfa_states {
-                return false;
-            }
-            let residual = quot_dfa.complement();
-            if residual.is_empty_lang() {
-                continue;
-            }
-            // S' = S ∪ L(P)·R
-            let extension = Nfa::concat(&Nfa::thompson(rp), &residual.to_nfa());
-            // only grow if extension adds something
-            if included_antichain(&extension, &s_dfa.to_nfa()).is_ok() {
-                continue;
-            }
-            let unioned = Nfa::union(&s_dfa.to_nfa(), &extension);
-            let new_dfa = Dfa::from_nfa(&unioned, sigma).minimize();
-            if new_dfa.num_states() > budget.max_dfa_states {
-                return false;
-            }
-            s_dfa = new_dfa;
-            grew = true;
-        }
-        if !grew {
-            break;
-        }
-    }
-    included_antichain(&p_nfa, &s_dfa.to_nfa()).is_ok()
-}
-
-/// `{w | ∃y ∈ L(filter): y·w ∈ L(base)}` — the existential left quotient.
-fn existential_quotient(base: &Nfa, filter: &Nfa) -> Nfa {
-    let starts = base.reachable_via(filter);
-    let mut out = Nfa::empty();
-    let off = out.add_nfa(base);
-    for s in starts {
-        out.add_eps(out.start(), s + off);
-    }
-    out
 }
 
 /// Sound refuter: chase + merge + randomized search. Any returned witness
@@ -452,14 +343,8 @@ fn merge_by_signature(
     for (a, l, b) in inst.edges() {
         merged.add_edge(map[a.index()], l, map[b.index()]);
     }
-    // note: merged source is map[src]
-    let merged_src = map[src.index()];
-    if merged_src != Oid(0) {
-        // relabel so the source is vertex 0 for the caller's convenience:
-        // cheap to skip — callers use the returned instance with `src`
-        // looked up below; instead we just return as-is and fix src.
-    }
     // The caller expects the same `src` oid; rebuild with src first.
+    let merged_src = map[src.index()];
     if merged_src == Oid(0) {
         return merged;
     }
@@ -546,8 +431,8 @@ mod tests {
         let (mut ab, _) = setup(&[]);
         let set = ConstraintSet::new();
         let c = parse_constraint(&mut ab, "a.(b.a)* <= (a.b)*.a").unwrap();
-        // pure language inclusion: saturation round 0 suffices…
-        // (empty set is all-word-constraints, so the exact route applies)
+        // pure language inclusion (the empty set is all-word-constraints,
+        // so the exact route applies)
         let v = check(&set, &c, &Budget::default());
         assert!(v.is_implied());
     }
@@ -584,7 +469,6 @@ mod tests {
         let (mut ab, set) = setup(&["(a.b)* <= (b.a)*"]);
         let c = parse_constraint(&mut ab, "(a.a)* <= (b.b)*").unwrap();
         let tiny = Budget {
-            saturation_rounds: 0,
             chase_seeds: 0,
             random_tries: 0,
             ..Budget::default()

@@ -31,7 +31,7 @@ use rpq_automata::ops::included_naive;
 use rpq_automata::{Nfa, Regex, Symbol};
 
 use crate::rewrite::{rewrite_closure_nfa, rewrite_to_word_nfa, Closures, RewriteSystem};
-use crate::types::{ConstraintKind, ConstraintSet, PathConstraint};
+use crate::types::{ConstraintSet, PathConstraint};
 
 /// Outcome of a word-constraint implication check. `Refuted` carries a word
 /// `u ∈ L(p)` that does not rewrite into the target — by Lemma 4.4 /
@@ -70,16 +70,11 @@ pub fn word_implies_word_eq(set: &ConstraintSet, u: &[Symbol], v: &[Symbol]) -> 
 /// panics otherwise — route general constraints through
 /// [`crate::general::check`]).
 pub fn word_implies_path(set: &ConstraintSet, p: &Regex, q: &Regex) -> WordImplication {
-    word_implies_path_in(&Closures::new(set), p, q)
-}
-
-/// [`word_implies_path`] against the closures of a plan's memo.
-fn word_implies_path_in(closures: &Closures<'_>, p: &Regex, q: &Regex) -> WordImplication {
     assert!(
-        closures.set().all_word_constraints(),
+        set.all_word_constraints(),
         "word_implies_path requires a word-constraint set"
     );
-    match closures.includes(&Nfa::thompson(p), q) {
+    match Closures::new(set).includes(&Nfa::thompson(p), q) {
         Ok(()) => WordImplication::Implied,
         Err(w) => WordImplication::Refuted(w),
     }
@@ -106,21 +101,13 @@ pub fn word_implies_path_naive(
 /// Full path-constraint check against a word-constraint set: inclusion or
 /// equality (two inclusions).
 pub fn word_implies_constraint(set: &ConstraintSet, c: &PathConstraint) -> WordImplication {
-    word_implies_constraint_in(&Closures::new(set), c)
-}
-
-/// [`word_implies_constraint`] against the closures of a plan's memo: an
-/// equality builds the closures of both sides, at most once each.
-pub(crate) fn word_implies_constraint_in(
-    closures: &Closures<'_>,
-    c: &PathConstraint,
-) -> WordImplication {
-    match c.kind {
-        ConstraintKind::Inclusion => word_implies_path_in(closures, &c.lhs, &c.rhs),
-        ConstraintKind::Equality => match word_implies_path_in(closures, &c.lhs, &c.rhs) {
-            WordImplication::Implied => word_implies_path_in(closures, &c.rhs, &c.lhs),
-            refuted => refuted,
-        },
+    assert!(
+        set.all_word_constraints(),
+        "word_implies_constraint requires a word-constraint set"
+    );
+    match Closures::new(set).implies(c) {
+        Ok(_) => WordImplication::Implied,
+        Err(w) => WordImplication::Refuted(w),
     }
 }
 

@@ -27,7 +27,7 @@ use std::cell::{Cell, RefCell};
 use rpq_automata::ops::included_antichain;
 use rpq_automata::{Alphabet, Nfa, Regex, StateId, Symbol};
 
-use crate::types::{ClosureRhs, ConstraintSet, PathConstraint};
+use crate::types::{ClosureRhs, ConstraintKind, ConstraintSet, PathConstraint};
 
 /// A word-level prefix rewrite system extracted from a constraint set.
 #[derive(Clone, Debug, Default)]
@@ -174,6 +174,11 @@ pub struct RewriteToAutomaton {
     pub rounds: usize,
     /// Transitions added by saturation (diagnostic).
     pub added_edges: usize,
+    /// The accepting state the exits of the set's `P ⊆ ∅` rules lead to,
+    /// looping on every symbol of the set and the target; `None` when the
+    /// set has no such rule (and always for [`rewrite_to_nfa`]). Any word
+    /// may follow it, so a tester adds loops for its own symbols first.
+    pub universal: Option<StateId>,
 }
 
 /// Build `RewriteTo(p)` for a regular target by pre\*-saturation
@@ -230,6 +235,7 @@ pub fn rewrite_to_nfa(target: &Nfa, rules: &RewriteSystem) -> RewriteToAutomaton
         nfa,
         rounds,
         added_edges,
+        universal: None,
     }
 }
 
@@ -269,6 +275,13 @@ pub fn rewrite_to_word_nfa(v: &[Symbol], rules: &RewriteSystem) -> RewriteToAuto
 ///   saturation and re-derives `K` until nothing new is certified or a
 ///   round cap is hit; capping — like skipping a rule whose construction
 ///   exceeds its budget — loses only completeness, never soundness.
+/// * **`R = ∅`** — `answers(P) = ∅` at a satisfying site, so no `x·w` with
+///   `x ∈ L(P)` has an answer, and each is certified whatever the target:
+///   the exits are ε-wired to one accepting state
+///   ([`RewriteToAutomaton::universal`]) that loops on every symbol of the
+///   set and the target. [`Closures::includes`] adds loops for the symbols
+///   of the side it tests, so a continuation over a symbol the
+///   construction never saw is certified too.
 ///
 /// Completeness holds on the word-constraint fragment (Lemma 4.4); on
 /// general regular constraints the closure is a sound under-approximation
@@ -291,6 +304,7 @@ pub fn rewrite_closure_nfa(set: &ConstraintSet, target: &Nfa) -> RewriteToAutoma
     let mut word_exits: Vec<Vec<StateId>> = Vec::new();
     let mut word_rhs: Vec<&[Symbol]> = Vec::new();
     let mut regex_rules: Vec<(Vec<StateId>, &Nfa, &Nfa)> = Vec::new();
+    let mut universal: Option<StateId> = None;
     for rule in set.closure_rules() {
         let frag = nfa.add_nfa(&rule.lhs);
         nfa.add_eps(root, rule.lhs.start() + frag);
@@ -307,9 +321,17 @@ pub fn rewrite_closure_nfa(set: &ConstraintSet, target: &Nfa) -> RewriteToAutoma
                 word_rhs.push(word);
             }
             ClosureRhs::Regex(rhs_nfa) => regex_rules.push((exits, &rule.lhs, rhs_nfa)),
-            // `P ⊆ ∅` pins answers(P) to ∅ on satisfying instances;
-            // certifying nothing through it is sound.
-            ClosureRhs::Empty => {}
+            ClosureRhs::Empty => {
+                let u = *universal.get_or_insert_with(|| nfa.add_state(true));
+                for e in exits {
+                    nfa.add_eps(e, u);
+                }
+            }
+        }
+    }
+    if let Some(u) = universal {
+        for sym in set.symbols().into_iter().chain(target.symbols()) {
+            nfa.add_transition(u, sym, u);
         }
     }
 
@@ -362,14 +384,15 @@ pub fn rewrite_closure_nfa(set: &ConstraintSet, target: &Nfa) -> RewriteToAutoma
         nfa,
         rounds,
         added_edges,
+        universal,
     }
 }
 
 /// [`rewrite_closure_nfa`] of one set, memoized by target regex for the
 /// length of one plan, with the inclusion tests run against it: a
-/// rewritten plan decides its claim through `check` and certifies its
-/// winner against the closures of the same two regexes, and this is where
-/// the second reader finds what the first one built.
+/// rewritten plan decides its claim ([`Closures::implies`]) and certifies
+/// its winner against the closures of the same two regexes, and this is
+/// where the second reader finds what the first one built.
 ///
 /// Nothing outlives the memo: it borrows its set, is made by whoever plans
 /// and is dropped with the plan, so no key is ever client text. It counts
@@ -378,7 +401,7 @@ pub fn rewrite_closure_nfa(set: &ConstraintSet, target: &Nfa) -> RewriteToAutoma
 #[derive(Debug)]
 pub struct Closures<'s> {
     set: &'s ConstraintSet,
-    built: RefCell<Vec<(Regex, Nfa)>>,
+    built: RefCell<Vec<(Regex, RewriteToAutomaton)>>,
     inclusions: Cell<usize>,
 }
 
@@ -399,20 +422,47 @@ impl<'s> Closures<'s> {
 
     /// Antichain inclusion `L(lhs) ⊆ L(closure(target))`, where the closure
     /// is [`rewrite_closure_nfa`] of `target`'s Thompson automaton, built
-    /// on the first test against this regex. `Err` carries a word of
-    /// `L(lhs)` the closure rejects.
+    /// on the first test against this regex; its universal state, if it has
+    /// one, first learns to loop on `lhs`'s symbols. `Err` carries a word
+    /// of `L(lhs)` the closure rejects.
     pub fn includes(&self, lhs: &Nfa, target: &Regex) -> Result<(), Vec<Symbol>> {
         self.inclusions.set(self.inclusions.get() + 1);
         let mut built = self.built.borrow_mut();
         let i = match built.iter().position(|(t, _)| t == target) {
             Some(i) => i,
             None => {
-                let closure = rewrite_closure_nfa(self.set, &Nfa::thompson(target)).nfa;
+                let closure = rewrite_closure_nfa(self.set, &Nfa::thompson(target));
                 built.push((target.clone(), closure));
                 built.len() - 1
             }
         };
-        included_antichain(lhs, &built[i].1)
+        let closure = &mut built[i].1;
+        if let Some(u) = closure.universal {
+            for sym in lhs.symbols() {
+                closure.nfa.add_transition(u, sym, u);
+            }
+        }
+        included_antichain(lhs, &closure.nfa)
+    }
+
+    /// Decide `E ⊨ c` by the closures: `L(p) ⊆ L(closure(q))` for each
+    /// inclusion `p ⊆ q` of `c` — `lhs ⊆ rhs`, then `rhs ⊆ lhs` for an
+    /// equality, the two tests certification runs. `Ok` names the method:
+    /// `"word-exact"` on an all-word set, where the closure is `RewriteTo`
+    /// and the test is Theorem 4.3's exact decision, `"regex-saturation"`
+    /// otherwise, where it is sound but not complete. `Err` carries a word
+    /// of the failing left side the closure rejects: on an all-word set a
+    /// counterexample (Lemma 4.6).
+    pub fn implies(&self, c: &PathConstraint) -> Result<&'static str, Vec<Symbol>> {
+        self.includes(&Nfa::thompson(&c.lhs), &c.rhs)?;
+        if c.kind == ConstraintKind::Equality {
+            self.includes(&Nfa::thompson(&c.rhs), &c.lhs)?;
+        }
+        Ok(if self.set.all_word_constraints() {
+            "word-exact"
+        } else {
+            "regex-saturation"
+        })
     }
 
     /// How many closures this memo has built.
@@ -754,6 +804,32 @@ mod tests {
             rpq_automata::ops::included_antichain(&ax, &closure_bx.nfa).is_err(),
             "a.x ⊆ b.x is not implied by a ⊆ b*"
         );
+    }
+
+    #[test]
+    fn empty_rhs_rules_certify_every_continuation() {
+        // E = {l = ∅}: answers(l) = ∅ at every satisfying site, so no l·w
+        // has an answer and l·w ⊆ t holds for any target t — also for a
+        // symbol interned after every symbol of the set and the target,
+        // which the memo's universal state learns from the tested side.
+        let mut ab = Alphabet::new();
+        let set = ConstraintSet::parse(&mut ab, ["l = []"]).unwrap();
+        let target = parse_regex(&mut ab, "x + y").unwrap();
+        let closures = Closures::new(&set);
+        let lx = Nfa::thompson(&parse_regex(&mut ab, "l.x").unwrap());
+        assert!(closures.includes(&lx, &target).is_ok(), "l.x ⊆ x + y");
+        let (l, z) = (ab.get("l").unwrap(), ab.intern("z"));
+        let mut seen = set.symbols();
+        seen.extend(target.symbols());
+        assert!(seen.iter().all(|s| s.index() < z.index()));
+        let built = rewrite_closure_nfa(&set, &Nfa::thompson(&target));
+        assert!(!built.nfa.accepts(&[l, z]), "the construction never saw z");
+        let lz = Nfa::from_word(&[l, z]);
+        assert!(closures.includes(&lz, &target).is_ok(), "l.z ⊆ x + y");
+        // Nothing is certified *into* l: x ⊆ l.y does not follow.
+        let x = Nfa::thompson(&parse_regex(&mut ab, "x").unwrap());
+        let ly = parse_regex(&mut ab, "l.y").unwrap();
+        assert!(closures.includes(&x, &ly).is_err(), "x ⊆ l.y");
     }
 
     #[test]

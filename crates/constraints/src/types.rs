@@ -10,7 +10,7 @@
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
-use rpq_automata::{parse_regex, simplify, Alphabet, Nfa, ParseError, Regex, Symbol};
+use rpq_automata::{parse_regex, Alphabet, Nfa, ParseError, Regex, Symbol};
 use rpq_core::eval_product;
 use rpq_graph::{Instance, Oid};
 
@@ -187,7 +187,8 @@ pub(crate) enum ClosureRhs {
     Word(Vec<Symbol>),
     /// A trimmed automaton of a non-empty language: universal wiring.
     Regex(Nfa),
-    /// `∅`: nothing is certified through the rule.
+    /// `∅`: `answers(lhs) = ∅` at a satisfying site, so the exits lead to
+    /// the closure's universal state.
     Empty,
 }
 
@@ -208,7 +209,6 @@ struct Compiled {
     /// `(all word constraints, all word equalities)`.
     word_classes: OnceLock<(bool, bool)>,
     caches: OnceLock<Arc<[CacheDef]>>,
-    axioms: OnceLock<Arc<[(Regex, Regex)]>>,
     closure_rules: OnceLock<Arc<[ClosureRule]>>,
 }
 
@@ -340,19 +340,6 @@ impl ConstraintSet {
             }
             out.into()
         })
-    }
-
-    /// The directed axioms `l ⊆ r` of the set with both sides simplified
-    /// (an equality gives two) — what [`crate::Prover`] searches over.
-    pub(crate) fn axioms(&self) -> Arc<[(Regex, Regex)]> {
-        let axioms = self.compiled.axioms.get_or_init(|| {
-            self.constraints
-                .iter()
-                .flat_map(PathConstraint::as_inclusions)
-                .map(|(l, r)| (simplify(&l), simplify(&r)))
-                .collect()
-        });
-        Arc::clone(axioms)
     }
 
     /// The directed inclusions of the set as automata, in the order
@@ -519,13 +506,11 @@ mod tests {
         let mut set = ConstraintSet::parse(&mut ab, ["a.b = b.a"]).unwrap();
         assert!(set.all_word_equalities());
         assert!(set.caches().is_empty());
-        assert_eq!(set.axioms().len(), 2);
         assert_eq!(set.closure_rules().len(), 2);
         let shared = set.clone();
         set.add(parse_constraint(&mut ab, "l = (a.b)*").unwrap());
         assert!(!set.all_word_equalities() && !set.all_word_constraints());
         assert_eq!(set.caches().len(), 1);
-        assert_eq!(set.axioms().len(), 4);
         assert_eq!(set.closure_rules().len(), 4);
         // the clone taken before the `add` still answers for the old set
         assert!(shared.all_word_equalities() && shared.caches().is_empty());

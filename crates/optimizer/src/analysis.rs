@@ -13,8 +13,8 @@
 //!    cost optimality, never soundness. The two inclusion tests always
 //!    run; the two closures they read come from the plan's
 //!    [`rpq_constraints::Closures`] memo, where the rewrite search's
-//!    `check` of the same claim already built them when the set is all
-//!    words, so the planned engine's certification builds none
+//!    decision of the same claim — the same two tests — already built
+//!    them, so the planned engine's certification builds none
 //!    ([`Analysis::certify_closure_builds`]). [`analyze`] and
 //!    [`certify_rewrite`] start a fresh memo and build both.
 //! 2. **Alphabet restriction** — symbols with zero edges in the

@@ -10,20 +10,18 @@
 //! and hand it down.
 //!
 //! [`PlanPass`] is the same idea for what a plan proves: the `RewriteTo`
-//! closures by target regex, which `check` builds and certification reads,
-//! and the count of claims put to the implication engines.
+//! closures by target regex, which deciding a claim builds and
+//! certification reads, and the count of claims decided.
 
 use std::borrow::Cow;
 use std::cell::{Cell, OnceCell};
 
 use rpq_automata::{Dfa, Nfa, Regex, StateId};
-use rpq_constraints::axioms::Prover;
-use rpq_constraints::general::{check_with, Budget, Verdict};
 use rpq_constraints::types::PathConstraint;
 use rpq_constraints::{Closures, ConstraintSet};
 
 /// One plan's proof state, made where the plan starts and dropped with it:
-/// the closure memo every `check` and the certification read, and how many
+/// the closure memo every decision and the certification read, and how many
 /// claims `E ⊨ q = c` were decided.
 pub(crate) struct PlanPass<'s> {
     closures: Closures<'s>,
@@ -49,24 +47,13 @@ impl<'s> PlanPass<'s> {
         &self.closures
     }
 
-    /// Decide `claim`: the axiomatic `prover` first when one is given, the
-    /// implication engine (over the plan's closures) otherwise or when it
-    /// finds nothing. The method that proved it, or `None`; counted once
-    /// either way.
-    pub(crate) fn decide(
-        &self,
-        claim: &PathConstraint,
-        budget: &Budget,
-        prover: Option<&Prover<'_>>,
-    ) -> Option<&'static str> {
+    /// Decide `claim` by the plan's closures: the inclusion tests that
+    /// certification runs on a winner ([`Closures::implies`]), so a claim
+    /// decided here and then certified builds each closure once. The
+    /// method that proved it, or `None`; counted once either way.
+    pub(crate) fn decide(&self, claim: &PathConstraint) -> Option<&'static str> {
         self.claims.set(self.claims.get() + 1);
-        if prover.is_some_and(|p| p.prove_constraint(claim).is_some()) {
-            return Some("axiomatic");
-        }
-        match check_with(&self.closures, claim, budget) {
-            Verdict::Implied { method } => Some(method),
-            _ => None,
-        }
+        self.closures.implies(claim).ok()
     }
 
     /// Claims decided so far.

@@ -37,10 +37,9 @@
 //! * **per constraint set** (inside
 //!   [`ConstraintSet`](rpq_constraints::ConstraintSet), on first use,
 //!   shared by clones, dropped by `add`): the cache list with each body's
-//!   automaton and emptiness, the prover's simplified axioms, the
-//!   word-constraint classification, and the rule automata the
-//!   certification closure embeds. A [`PlannedEngine`] keeps its set, so it
-//!   pays these once per engine;
+//!   automaton and emptiness, the word-constraint classification, and the
+//!   rule automata the certification closure embeds. A [`PlannedEngine`]
+//!   keeps its set, so it pays these once per engine;
 //! * **per query** (a crate-private `CompiledQuery`, lazily, each at most
 //!   once): the Thompson automaton, its trimmed form, finiteness and the
 //!   depth cap, the complete DFA over the plan's alphabet, and per cache
@@ -55,16 +54,18 @@
 //!   minimal-DFA regex, so the simplifier does not determinize it either;
 //! * **per plan** (a crate-private `PlanPass`, made by
 //!   [`optimize_and_analyze`] and dropped with the plan): closures by
-//!   target, proofs by claim. The `RewriteTo` closures `check` builds to
-//!   decide `E ⊨ q = c` ([`rpq_constraints::Closures`]) are the two the
-//!   winner's certification tests against, and a view rewriting equal to a
+//!   target, proofs by claim. Every claim `E ⊨ q = c` is decided by the
+//!   two inclusion tests certification runs
+//!   ([`rpq_constraints::Closures::implies`]), so the `RewriteTo` closures
+//!   its decision builds are the two the winner's certification tests
+//!   against, and a view rewriting equal to a
 //!   candidate a family proved takes over that proof instead of deciding
 //!   the same claim again ([`Optimized::claims_proved`],
 //!   [`Optimized::closure_builds`], [`Analysis::certify_closure_builds`]).
 //!   Nothing in it is keyed by client text or outlives the plan.
 //!
 //! No validation is skipped on the way: every distinct candidate claim is
-//! still decided, by `check` or the prover, and every winner still passes
+//! still decided, by the closure test, and every winner still passes
 //! both inclusion tests of [`certify_rewrite`] — against closures built
 //! once per plan, not once per reader.
 //!
@@ -72,13 +73,13 @@
 //!
 //! ```
 //! use rpq_automata::{parse_regex, Alphabet};
-//! use rpq_constraints::{general::Budget, ConstraintSet};
+//! use rpq_constraints::ConstraintSet;
 //! use rpq_optimizer::optimize;
 //!
 //! let mut ab = Alphabet::new();
 //! let e = ConstraintSet::parse(&mut ab, ["l.l = l"]).unwrap();
 //! let q = parse_regex(&mut ab, "l*").unwrap();
-//! let opt = optimize(&e, &q, &ab, &Budget::default());
+//! let opt = optimize(&e, &q, &ab);
 //! assert!(opt.improved());
 //! assert!(!opt.after.recursive); // l* became l + ε
 //! ```

@@ -74,7 +74,6 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use rpq_automata::{Alphabet, Nfa, Regex, Symbol};
-use rpq_constraints::general::Budget;
 use rpq_constraints::ConstraintSet;
 use rpq_core::{
     live_oids, run_request, Engine, EvalRequest, EvalResponse, EvalResult, EvalStats, Query,
@@ -226,8 +225,8 @@ pub struct PlannedEngine<E> {
 
 impl<E> PlannedEngine<E> {
     /// Plan over `set` (the constraints holding at this site) with the
-    /// default [`PlannerConfig`]; rewrite candidates are validated under
-    /// the default [`Budget`].
+    /// default [`PlannerConfig`]; rewrite candidates are decided by the
+    /// plan's closure test.
     pub fn new(inner: E, set: ConstraintSet, alphabet: Alphabet) -> PlannedEngine<E> {
         PlannedEngine {
             inner,
@@ -404,7 +403,7 @@ impl<E> PlannedEngine<E> {
         // winner — certify it against the constraint closure (reverting
         // it if certification fails), erase zero-edge symbols, trim, and
         // classify the language.
-        let (_, analysis) = optimize_and_analyze(&self.set, q, alphabet, &Budget::default(), stats);
+        let (_, analysis) = optimize_and_analyze(&self.set, q, alphabet, stats);
         let improved = analysis.facts.rewrites_certified > 0;
         let query = Query::with_nfa(analysis.regex, analysis.nfa, Arc::clone(alphabet));
         let reversed = query.nfa().reverse();

@@ -17,10 +17,11 @@
 //! building the winner's automaton again.
 //!
 //! One call is also one proof pass (`PlanPass`): every claim `E ⊨ q = c`
-//! is decided once — the view search takes over the proof of a family
-//! candidate with the same regex — and every `RewriteTo` closure the
-//! deciders build is kept by target, so the planned engine's certification
-//! of the winner reads the two closures `check` built for the same claim
+//! is decided once, by the two inclusion tests certification runs — the
+//! view search takes over the proof of a family candidate with the same
+//! regex — and every `RewriteTo` closure those tests build is kept by
+//! target, so the planned engine's certification of the winner reads the
+//! two closures the decision of the same claim built
 //! ([`Optimized::claims_proved`], [`Optimized::closure_builds`] and
 //! [`Analysis::certify_closure_builds`] count them).
 
@@ -56,12 +57,13 @@ pub struct Optimized {
     /// the query is a single word (nothing for the view search or the
     /// simplifier to look at).
     pub determinizations: usize,
-    /// Claims `E ⊨ q = c` this call put to the implication engines (`check`
-    /// or the axiomatic prover), proved or not. A view rewriting equal to a
-    /// candidate a family proved reuses that proof and is not counted.
+    /// Claims `E ⊨ q = c` this call decided by the plan's closure test,
+    /// proved or not. A view rewriting equal to a candidate a family proved
+    /// reuses that proof and is not counted.
     pub claims_proved: usize,
-    /// `RewriteTo` closures the deciders built ([`rpq_constraints::Closures`]):
-    /// at most one per target regex, two for a claim `q = c` on a word set.
+    /// `RewriteTo` closures this call's decisions built
+    /// ([`rpq_constraints::Closures`]): at most one per target regex, two
+    /// for a proved claim `q = c`.
     pub closure_builds: usize,
 }
 
@@ -80,9 +82,9 @@ impl Optimized {
 /// union arm is optimized independently and the recombined union is kept
 /// when it wins. Arm rewrites are equivalences under `E`, so their union
 /// is too (no extra validation round needed).
-pub fn optimize(set: &ConstraintSet, q: &Regex, alphabet: &Alphabet, budget: &Budget) -> Optimized {
+pub fn optimize(set: &ConstraintSet, q: &Regex, alphabet: &Alphabet) -> Optimized {
     let input = CompiledQuery::new(q, alphabet.len());
-    optimize_scored(&PlanPass::new(set), &input, alphabet, budget, &static_score).0
+    optimize_scored(&PlanPass::new(set), &input, alphabet, &static_score).0
 }
 
 /// Like [`optimize`], but rank candidates by the *data-aware* estimated
@@ -91,15 +93,19 @@ pub fn optimize(set: &ConstraintSet, q: &Regex, alphabet: &Alphabet, budget: &Bu
 /// Two equivalents that the static model cannot separate (same automaton
 /// size) rank correctly when the data is label-skewed — e.g. a cache
 /// substitution whose cache label is rare wins by exactly its selectivity.
+///
+/// Nothing reads `_budget`: claims are decided by the closure test, which
+/// has none. The parameter stays while `bench_e2e` passes one (ROADMAP
+/// 1(b)).
 pub fn optimize_with_stats(
     set: &ConstraintSet,
     q: &Regex,
     alphabet: &Alphabet,
-    budget: &Budget,
+    _budget: &Budget,
     stats: &LabelStats,
 ) -> Optimized {
     let input = CompiledQuery::new(q, alphabet.len());
-    optimize_scored(&PlanPass::new(set), &input, alphabet, budget, &|c| {
+    optimize_scored(&PlanPass::new(set), &input, alphabet, &|c| {
         estimated_cost_compiled(c, stats)
     })
     .0
@@ -109,17 +115,16 @@ pub fn optimize_with_stats(
 /// [`crate::analyze`] as one pass — the input's compilation serves the
 /// rewrite search and then either side of the certification, the winner's
 /// serves its score and then the trim and the depth cap, and the closures
-/// the search's `check` built serve the certification.
+/// the search's decisions built serve the certification.
 pub fn optimize_and_analyze(
     set: &ConstraintSet,
     q: &Regex,
     alphabet: &Alphabet,
-    budget: &Budget,
     stats: &LabelStats,
 ) -> (Optimized, Analysis) {
     let pass = PlanPass::new(set);
     let input = CompiledQuery::new(q, alphabet.len());
-    let (optimized, winner) = optimize_scored(&pass, &input, alphabet, budget, &|c| {
+    let (optimized, winner) = optimize_scored(&pass, &input, alphabet, &|c| {
         estimated_cost_compiled(c, stats)
     });
     let analysis = analyze_compiled(pass.closures(), &input, winner.as_ref(), stats);
@@ -136,13 +141,12 @@ fn optimize_scored(
     pass: &PlanPass<'_>,
     input: &CompiledQuery<'_>,
     alphabet: &Alphabet,
-    budget: &Budget,
     score: &dyn Fn(&CompiledQuery<'_>) -> usize,
 ) -> (Optimized, Option<CompiledQuery<'static>>) {
     let q = input.regex();
     let sigma = alphabet.len();
     let before = StaticCost::of_compiled(input);
-    let mut cands: Vec<Candidate> = candidates_compiled(pass, input, alphabet, budget);
+    let mut cands: Vec<Candidate> = candidates_compiled(pass, input, alphabet);
 
     // Section 5 view covers (total and partial), verified — or proved
     // already, as one of the candidates above.
@@ -160,7 +164,7 @@ fn optimize_scored(
         let mut any = false;
         for arm in arms {
             let arm = CompiledQuery::new(arm, sigma);
-            let arm_cands = candidates_compiled(pass, &arm, alphabet, budget);
+            let arm_cands = candidates_compiled(pass, &arm, alphabet);
             let arm_score = score(&arm);
             let best_arm = arm_cands
                 .into_iter()
@@ -234,7 +238,7 @@ mod tests {
     #[test]
     fn example2_optimizes_to_nonrecursive() {
         let (ab, set, q) = setup(&["l.l = l"], "l*");
-        let opt = optimize(&set, &q, &ab, &Budget::default());
+        let opt = optimize(&set, &q, &ab);
         assert!(opt.improved());
         assert!(!opt.after.recursive);
         let mut ab2 = ab.clone();
@@ -245,7 +249,7 @@ mod tests {
     #[test]
     fn example3_optimizes_to_cache() {
         let (ab, set, q) = setup(&["l = (a.b)*"], "a.(b.a)*.c");
-        let opt = optimize(&set, &q, &ab, &Budget::default());
+        let opt = optimize(&set, &q, &ab);
         assert!(opt.improved(), "{opt:?}");
         assert_eq!(
             opt.applied,
@@ -257,13 +261,15 @@ mod tests {
     #[test]
     fn a_rewritten_plan_proves_its_claim_once_and_builds_each_closure_once() {
         // The view search finds the cache family's candidate again and
-        // takes over its proof. Under a word cache `check` decides the
-        // claim on the closures certification then reads; under Example
-        // 3's regex cache it proves by saturation, and certification
-        // builds the two closures itself.
+        // takes over its proof. The claim is decided by the inclusion
+        // tests certification runs, on the plan's memo, under a word cache
+        // and under Example 3's regex cache alike, so certification builds
+        // no closure. Example 3's query is infinite, so the search also
+        // builds the closures of the two general-boundedness cuts it tries
+        // (`a.c`, `a.c + a.b.a.c`) in the same memo.
         for (lines, query, search_builds, certify_builds) in [
             (["l = a.b"], "a.b.c", 2, 0),
-            (["l = (a.b)*"], "a.(b.a)*.c", 0, 2),
+            (["l = (a.b)*"], "a.(b.a)*.c", 4, 0),
         ] {
             let (ab, set, q) = setup(&lines, query);
             let mut inst = rpq_graph::Instance::new();
@@ -271,8 +277,7 @@ mod tests {
             for s in ab.symbols() {
                 inst.add_edge(o, s, o);
             }
-            let (opt, analysis) =
-                optimize_and_analyze(&set, &q, &ab, &Budget::default(), inst.stats());
+            let (opt, analysis) = optimize_and_analyze(&set, &q, &ab, inst.stats());
             assert_eq!(opt.considered, 2, "{query}: family + view candidate");
             assert_eq!(opt.claims_proved, 1, "{query}");
             assert_eq!(opt.closure_builds, search_builds, "{query}");
@@ -285,7 +290,7 @@ mod tests {
     #[test]
     fn no_improvement_returns_input() {
         let (ab, set, q) = setup(&[], "a.b");
-        let opt = optimize(&set, &q, &ab, &Budget::default());
+        let opt = optimize(&set, &q, &ab);
         assert!(!opt.improved());
         assert_eq!(opt.query, q);
     }
@@ -295,7 +300,7 @@ mod tests {
         // two caches: l1 = (a.b)*, l2 = (c.d)*; the query is a union of
         // tails of both — each arm substitutes its own cache.
         let (ab, set, q) = setup(&["l1 = (a.b)*", "l2 = (c.d)*"], "a.(b.a)*.x + c.(d.c)*.y");
-        let opt = optimize(&set, &q, &ab, &Budget::default());
+        let opt = optimize(&set, &q, &ab);
         assert!(opt.improved(), "{opt:?}");
         assert!(!opt.after.recursive, "both arms lose recursion: {opt:?}");
         let mut ab2 = ab.clone();

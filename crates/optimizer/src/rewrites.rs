@@ -14,12 +14,13 @@
 //!    elimination) when it is smaller.
 //!
 //! Every candidate is *validated* before being offered: either by pure
-//! language equivalence, or by constraint implication through
-//! [`rpq_constraints::general::check`] — never by construction alone.
-//! Within a plan the check reads its `RewriteTo` closures from the plan's
-//! memo, so certifying the winner afterwards builds neither again, and the
-//! candidates are handed to the view search, which takes a proof over
-//! instead of deciding the same claim a second time.
+//! language equivalence, or by constraint implication through the plan's
+//! closure test ([`rpq_constraints::Closures::implies`], the two inclusion
+//! tests certification runs) — never by construction alone. The test reads
+//! its `RewriteTo` closures from the plan's memo, so certifying the winner
+//! afterwards builds neither again, and the candidates are handed to the
+//! view search, which takes a proof over instead of deciding the same
+//! claim a second time.
 //!
 //! ## One pass over compiled artefacts
 //!
@@ -36,7 +37,6 @@
 use rpq_automata::elim::nfa_to_regex;
 use rpq_automata::ops::{equivalent, included_antichain};
 use rpq_automata::{Alphabet, Nfa, Regex};
-use rpq_constraints::general::Budget;
 use rpq_constraints::types::PathConstraint;
 use rpq_constraints::{decide_boundedness, Boundedness, ConstraintSet};
 
@@ -71,17 +71,11 @@ pub enum RewriteRule {
 }
 
 /// Generate validated candidates equivalent to `q` under `set`.
-pub fn candidates(
-    set: &ConstraintSet,
-    q: &Regex,
-    alphabet: &Alphabet,
-    budget: &Budget,
-) -> Vec<Candidate> {
+pub fn candidates(set: &ConstraintSet, q: &Regex, alphabet: &Alphabet) -> Vec<Candidate> {
     candidates_compiled(
         &PlanPass::new(set),
         &CompiledQuery::new(q, alphabet.len()),
         alphabet,
-        budget,
     )
 }
 
@@ -90,7 +84,6 @@ pub(crate) fn candidates_compiled(
     pass: &PlanPass<'_>,
     cq: &CompiledQuery<'_>,
     alphabet: &Alphabet,
-    budget: &Budget,
 ) -> Vec<Candidate> {
     let set = pass.set();
     let q = cq.regex();
@@ -116,7 +109,7 @@ pub(crate) fn candidates_compiled(
     // is not finite already.
     if !set.is_empty() && !set.all_word_equalities() && !cq.is_finite() {
         if let rpq_constraints::GeneralBoundedness::Bounded { equivalent, proof } =
-            rpq_constraints::bounded_beyond_finite(set, q, cq.nfa(), alphabet, budget, 4, 24)
+            rpq_constraints::bounded_beyond_finite(pass.closures(), q, cq.nfa(), alphabet, 4, 24)
         {
             out.push(Candidate {
                 query: equivalent,
@@ -167,9 +160,9 @@ pub(crate) fn candidates_compiled(
         }
         let Some(tail) = tail else { continue };
         let candidate = Regex::sym(cache.label).then(tail);
-        // validate E ⊨ q = candidate through the implication engine
+        // validate E ⊨ q = candidate by the plan's closure test
         let claim = PathConstraint::equality(q.clone(), candidate.clone());
-        if let Some(method) = pass.decide(&claim, budget, None) {
+        if let Some(method) = pass.decide(&claim) {
             out.push(Candidate {
                 query: candidate,
                 rule: RewriteRule::CacheSubstitution,
@@ -200,7 +193,7 @@ mod tests {
     use super::*;
     use rpq_automata::ops::regex_equivalent;
     use rpq_automata::parse_regex;
-    use rpq_constraints::general::check;
+    use rpq_constraints::general::{check, Budget};
 
     fn setup(lines: &[&str], query: &str) -> (Alphabet, ConstraintSet, Regex) {
         let mut ab = Alphabet::new();
@@ -213,7 +206,7 @@ mod tests {
     fn boundedness_candidate_for_example2_shape() {
         // {ll = l} ⊨ l* = l + ε (equality version of Example 2)
         let (ab, set, q) = setup(&["l.l = l"], "l*");
-        let cands = candidates(&set, &q, &ab, &Budget::default());
+        let cands = candidates(&set, &q, &ab);
         let bounded = cands
             .iter()
             .find(|c| c.rule == RewriteRule::Boundedness)
@@ -226,7 +219,7 @@ mod tests {
     fn cache_candidate_for_example3() {
         // {l = (ab)*} and q = a(ba)*c → l.a.c
         let (ab, set, q) = setup(&["l = (a.b)*"], "a.(b.a)*.c");
-        let cands = candidates(&set, &q, &ab, &Budget::default());
+        let cands = candidates(&set, &q, &ab);
         let cache = cands
             .iter()
             .find(|c| c.rule == RewriteRule::CacheSubstitution)
@@ -243,7 +236,7 @@ mod tests {
     #[test]
     fn simplification_candidate_shrinks() {
         let (ab, set, q) = setup(&[], "a.a* + a.a*.a.a* + a");
-        let cands = candidates(&set, &q, &ab, &Budget::default());
+        let cands = candidates(&set, &q, &ab);
         let simp = cands
             .iter()
             .find(|c| c.rule == RewriteRule::Simplification)
@@ -255,7 +248,7 @@ mod tests {
     #[test]
     fn no_candidates_without_opportunity() {
         let (ab, set, q) = setup(&[], "a.b");
-        let cands = candidates(&set, &q, &ab, &Budget::default());
+        let cands = candidates(&set, &q, &ab);
         // a.b is already minimal and there are no constraints
         assert!(cands.iter().all(|c| c.rule == RewriteRule::Simplification) || cands.is_empty());
     }
@@ -263,7 +256,7 @@ mod tests {
     #[test]
     fn all_candidates_are_equivalent_under_constraints() {
         let (ab, set, q) = setup(&["l = (a.b)*", "m.m = m"], "a.(b.a)*.c");
-        for c in candidates(&set, &q, &ab, &Budget::default()) {
+        for c in candidates(&set, &q, &ab) {
             let claim = PathConstraint::equality(q.clone(), c.query.clone());
             assert!(
                 check(&set, &claim, &Budget::default()).is_implied(),
@@ -278,7 +271,7 @@ mod tests {
         // The Example-2 shape, but outside Theorem 4.10's fragment —
         // handled by the open-problem semi-decision.
         let (ab, set, q) = setup(&["a* <= a + ()"], "a*");
-        let cands = candidates(&set, &q, &ab, &Budget::default());
+        let cands = candidates(&set, &q, &ab);
         let gb = cands
             .iter()
             .find(|c| c.rule == RewriteRule::GeneralBoundedness)

@@ -42,8 +42,8 @@
 //! difference and appended as a plain (cache-free) arm — this is the
 //! "partial use" refinement; when the remainder is empty the rewriting is
 //! total. Tails are shrunk greedily (shortest words first, then the
-//! algebraic simplifier). Every emitted rewriting is *verified* through
-//! the implication engines (never trusted by construction), following the
+//! algebraic simplifier). Every emitted rewriting is *verified* by
+//! the plan's closure test (never trusted by construction), following the
 //! crate's policy. Within a plan, a rewriting whose regex equals a
 //! candidate the rewrite families already proved equivalent to `q` takes
 //! over that proof: the claim `E ⊨ q = c` is the same one, decided once.
@@ -52,8 +52,8 @@
 //!
 //! The query's complete DFA is one artefact of the plan's `CompiledQuery`
 //! (shared with the simplifier of [`crate::rewrites`], and by every cache
-//! and subset mask here); the cache list, each body's automaton and the
-//! prover's axioms come compiled with the [`ConstraintSet`]. Before any
+//! and subset mask here); the cache list and each body's automaton come
+//! compiled with the [`ConstraintSet`]. Before any
 //! complement is taken, each cache is asked the one question both cache
 //! families share — which states of `q` does some word of `r` lead to
 //! (`q ∩ r·Σ*`)? If none and `L(r) ≠ ∅`, some `u ∈ L(r)` prefixes no word
@@ -65,8 +65,6 @@ use rpq_automata::elim::nfa_to_regex;
 use rpq_automata::ops::{equivalent, regex_included};
 use rpq_automata::simplify::simplify_deep;
 use rpq_automata::{Alphabet, Dfa, Nfa, Regex, StateId, Symbol};
-use rpq_constraints::axioms::{Prover, ProverConfig};
-use rpq_constraints::general::Budget;
 use rpq_constraints::types::PathConstraint;
 use rpq_constraints::ConstraintSet;
 
@@ -175,8 +173,8 @@ fn shrink_tail(tail: &Regex, r: &Regex) -> Regex {
 }
 
 /// Search for view-based rewritings of `q` under `set`. Results are
-/// verified (under the default [`Budget`]) and sorted by static cost (best
-/// first).
+/// verified by the closure test ([`rpq_constraints::Closures::implies`])
+/// and sorted by static cost (best first).
 pub fn rewrite_with_views(
     set: &ConstraintSet,
     q: &Regex,
@@ -226,8 +224,6 @@ pub(crate) fn views_compiled(
         return Vec::new();
     }
 
-    let prover = Prover::new(set, ProverConfig::default());
-    let verify_budget = Budget::default();
     let mut out: Vec<ViewRewriting> = Vec::new();
     // Enumerate nonempty subsets (the "Boolean combinations").
     for mask in 1u32..(1u32 << usable.len()) {
@@ -266,13 +262,12 @@ pub(crate) fn views_compiled(
         }
 
         // Verify E ⊨ q = candidate: a family's proof of the same claim,
-        // else the axiomatic prover first and the implication engine as
-        // fallback. Never emit unverified rewritings.
+        // else the plan's closure test. Never emit unverified rewritings.
         let proof = match proved.iter().find(|c| c.query == candidate) {
             Some(c) => c.proof,
             None => {
                 let claim = PathConstraint::equality(q.clone(), candidate.clone());
-                match pass.decide(&claim, &verify_budget, Some(&prover)) {
+                match pass.decide(&claim) {
                     Some(method) => method,
                     None => continue,
                 }
@@ -297,7 +292,7 @@ mod tests {
     use super::*;
     use rpq_automata::ops::regex_equivalent;
     use rpq_automata::parse_regex;
-    use rpq_constraints::general::check;
+    use rpq_constraints::general::{check, Budget};
 
     fn setup(lines: &[&str], query: &str) -> (Alphabet, ConstraintSet, Regex) {
         let mut ab = Alphabet::new();

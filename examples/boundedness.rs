@@ -54,14 +54,7 @@ fn main() {
     let mut ab = Alphabet::new();
     let set = ConstraintSet::parse(&mut ab, ["a* <= a + ()"]).unwrap();
     let p = parse_regex(&mut ab, "a*").unwrap();
-    match bounded_under_path_constraints(
-        &set,
-        &p,
-        &ab,
-        &rpq::constraints::general::Budget::default(),
-        4,
-        24,
-    ) {
+    match bounded_under_path_constraints(&set, &p, &ab, 4, 24) {
         GeneralBoundedness::Bounded { equivalent, proof } => println!(
             "E = {{a* ⊆ a + ε}}, p = a*:  BOUNDED, p ≡ {}  (certified by {proof})",
             equivalent.display(&ab)

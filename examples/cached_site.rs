@@ -7,7 +7,6 @@
 //! ```
 
 use rpq::automata::{parse_regex, Alphabet, Nfa};
-use rpq::constraints::general::Budget;
 use rpq::constraints::ConstraintSet;
 use rpq::core::ProductEngine;
 use rpq::distributed::{Delivery, Simulator};
@@ -62,7 +61,7 @@ fn main() {
     let e = ConstraintSet::parse(&mut ab, ["l = (a.b)*"]).unwrap();
     // Example 3's shape: a(ba)*b = (ab)⁺ = (ab)*·(ab) → l.a.b
     let q3 = parse_regex(&mut ab, "a.(b.a)*.b").unwrap();
-    let opt3 = optimize(&e, &q3, &ab, &Budget::default());
+    let opt3 = optimize(&e, &q3, &ab);
     println!(
         "query {} optimized to {} (rule {:?})",
         q3.display(&ab),
@@ -73,7 +72,7 @@ fn main() {
 
     // The full cache hit: the cached query itself becomes a single hop.
     let q = parse_regex(&mut ab, "(a.b)*").unwrap();
-    let opt = optimize(&e, &q, &ab, &Budget::default());
+    let opt = optimize(&e, &q, &ab);
     println!(
         "query {} optimized to {} (rule {:?})",
         q.display(&ab),

@@ -6,7 +6,6 @@
 //! ```
 
 use rpq::automata::{parse_regex, Alphabet};
-use rpq::constraints::general::Budget;
 use rpq::constraints::ConstraintSet;
 use rpq::core::{DerivativeEngine, Engine, ProductEngine, Query, QuotientDfaEngine};
 use rpq::datalog::translate::{run as run_datalog, translate_quotient};
@@ -75,7 +74,7 @@ fn main() {
     // the set reached by following it once: cites.cites = cites.
     let e = ConstraintSet::parse(&mut ab, ["cites.cites = cites"]).unwrap();
     let recursive = parse_regex(&mut ab, "cites*").unwrap();
-    let opt = optimize(&e, &recursive, &ab, &Budget::default());
+    let opt = optimize(&e, &recursive, &ab);
     println!(
         "under {{cites.cites = cites}}:  {}  ≡  {}   (recursion removed: {})",
         recursive.display(&ab),

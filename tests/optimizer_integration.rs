@@ -6,7 +6,6 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use rpq::automata::{parse_regex, Alphabet, Nfa};
-use rpq::constraints::general::Budget;
 use rpq::constraints::ConstraintSet;
 use rpq::core::{eval_product, ProductEngine};
 use rpq::distributed::{Delivery, Simulator};
@@ -44,7 +43,7 @@ fn optimized_queries_agree_on_cached_sites() {
         let set = ConstraintSet::parse(&mut ab, ["l = (a.b)*"]).unwrap();
         for qs in queries {
             let q = parse_regex(&mut ab, qs).unwrap();
-            let opt = optimize(&set, &q, &ab, &Budget::default());
+            let opt = optimize(&set, &q, &ab);
             let before = eval_product(&Nfa::thompson(&q), &inst, src).answers;
             let after = eval_product(&Nfa::thompson(&opt.query), &inst, src).answers;
             assert_eq!(before, after, "seed {seed} query {qs} → {:?}", opt.applied);
@@ -74,7 +73,7 @@ fn boundedness_rewrites_agree_on_conforming_data() {
     let eq_set = ConstraintSet::parse(&mut ab, ["cites.cites = cites"]).unwrap();
     assert!(eq_set.holds_at(&inst, nodes[0]));
     let q = parse_regex(&mut ab, "cites*").unwrap();
-    let opt = optimize(&eq_set, &q, &ab, &Budget::default());
+    let opt = optimize(&eq_set, &q, &ab);
     assert!(opt.improved());
     let before = eval_product(&Nfa::thompson(&q), &inst, nodes[0]).answers;
     let after = eval_product(&Nfa::thompson(&opt.query), &inst, nodes[0]).answers;

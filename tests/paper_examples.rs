@@ -207,7 +207,7 @@ fn x3_example3_cache_substitution() {
 
     // and the optimizer actually produces l.a.c
     let q = parse_regex(&mut ab, "a.(b.a)*.c").unwrap();
-    let opt = rpq::optimizer::optimize(&set, &q, &ab, &Budget::default());
+    let opt = rpq::optimizer::optimize(&set, &q, &ab);
     assert!(opt.improved());
     let lac = parse_regex(&mut ab, "l.a.c").unwrap();
     assert!(rpq::automata::ops::regex_equivalent(&opt.query, &lac));

@@ -29,6 +29,12 @@
 //!   `thread::Builder` are forbidden in `crates/server/src` outside
 //!   `executor.rs` and `#[cfg(test)]` items: a submitted query runs on an
 //!   executor thread or on its joiner, never on a thread of its own.
+//! * **One decider in the planner** — `Prover`, `axioms::`,
+//!   `general::check` and `refute` are forbidden in `crates/optimizer/src`
+//!   outside `#[cfg(test)]` items: the served planner decides every claim
+//!   `E ⊨ q = c` by the two closure inclusions certification runs
+//!   (`PlanPass::decide`), never by the axiomatic prover, by `check` or by
+//!   its refuter.
 //!
 //! The scanner blanks comments and string/char literals before matching,
 //! so prose like "never unwrap() here" or a format string containing
@@ -95,6 +101,11 @@ const SLEEP_TOKENS: &[&str] = &["thread::sleep", "sleep_ms"];
 const SPAWN_TOKENS: &[&str] = &["thread::spawn", "thread::Builder", "Builder::spawn"];
 /// The one file of [`NO_SLEEP_DIRS`] that may start threads.
 const SPAWN_FILE: &str = "executor.rs";
+/// Crate whose non-test sources may decide claims only by the closure test.
+const ONE_DECIDER_DIRS: &[&str] = &["crates/optimizer/src"];
+/// Forbidden tokens for the one-decider rule: the other deciders of
+/// `rpq-constraints`, by type, module path or function name.
+const DECIDER_TOKENS: &[&str] = &["Prover", "axioms::", "general::check", "refute"];
 /// Marker that allowlists one line for the no-alloc rule. Checked on the
 /// *original* line text, because the marker lives in a comment.
 const ALLOC_OK: &str = "alloc-ok:";
@@ -126,6 +137,11 @@ fn lint() -> ExitCode {
         for file in rust_files(&root.join(dir)) {
             scan_file(&file, &mut violations, check_no_sleeps);
             scan_file(&file, &mut violations, check_no_spawns);
+        }
+    }
+    for dir in ONE_DECIDER_DIRS {
+        for file in rust_files(&root.join(dir)) {
+            scan_file(&file, &mut violations, check_one_decider);
         }
     }
     if violations.is_empty() {
@@ -424,6 +440,7 @@ token_rule!(
 );
 token_rule!(check_no_sleeps, "no-sleep", SLEEP_TOKENS, None);
 token_rule!(check_spawns, "no-spawn", SPAWN_TOKENS, None);
+token_rule!(check_one_decider, "one-decider", DECIDER_TOKENS, None);
 
 /// The no-spawn rule: [`SPAWN_FILE`] is exempt.
 fn check_no_spawns(
@@ -815,6 +832,24 @@ mod tests {
         // the executor is where serving threads start
         check_no_spawns(Path::new("src/executor.rs"), &original, &c, &m, &mut v);
         assert_eq!(v.len(), 2);
+    }
+
+    #[test]
+    fn other_deciders_are_flagged_in_the_planner_outside_tests() {
+        let src = "use rpq_constraints::axioms::Prover;\nfn decide() {\n  general::check(&set, &c, &b);\n  let w = refute(&set, &c);\n  closures.implies(&c)\n}\n#[cfg(test)]\nmod tests {\n  use rpq_constraints::general::check;\n  fn t() { Prover::new(&set, cfg); }\n}\n";
+        let c = lines(src);
+        let m = test_mask(&c);
+        let mut v = Vec::new();
+        check_one_decider(
+            Path::new("x.rs"),
+            &src.lines().map(str::to_string).collect::<Vec<_>>(),
+            &c,
+            &m,
+            &mut v,
+        );
+        let flagged: Vec<usize> = v.iter().map(|v| v.line).collect();
+        assert_eq!(flagged, [1, 3, 4], "not the closure test, not the tests'");
+        assert!(v.iter().all(|v| v.rule == "one-decider"));
     }
 
     #[test]
