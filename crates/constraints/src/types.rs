@@ -165,8 +165,8 @@ fn find_op(src: &str) -> Option<(usize, usize, ConstraintKind)> {
 /// single label on one side and, on the other, a body that is not itself a
 /// label or `ε` (the cache link of Section 3.2: "the answer to query q at
 /// site o could be saved and accessed from o by links labeled l_q"). This
-/// is the one definition of "a cache" the optimizer's rewrite families
-/// share; see [`ConstraintSet::caches`].
+/// is the one definition of "a cache" the optimizer's view search reads;
+/// see [`ConstraintSet::caches`].
 #[derive(Clone, Debug)]
 pub struct CacheDef {
     /// The cache link label.

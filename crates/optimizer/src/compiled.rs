@@ -1,13 +1,12 @@
 //! One query, compiled once.
 //!
 //! A cold plan asks the same few questions of the same regex from every
-//! rewrite family, the cost models and the static analysis: its Thompson
-//! automaton, the trimmed form, whether (and how deep) the language is
-//! finite, the complete DFA, and which of the set's cache bodies prefix a
-//! word of it. [`CompiledQuery`] answers each at most once, lazily, so the
-//! planner is one pass over these artefacts instead of one compilation per
-//! family. It is private to the crate: the public entry points build one
-//! and hand it down.
+//! rewrite family, the view search, the cost models and the static
+//! analysis: its Thompson automaton, the trimmed form, whether (and how
+//! deep) the language is finite, and the complete DFA. [`CompiledQuery`]
+//! answers each at most once, lazily, so the planner is one pass over
+//! these artefacts instead of one compilation per family. It is private to
+//! the crate: the public entry points build one and hand it down.
 //!
 //! [`PlanPass`] is the same idea for what a plan proves: the `RewriteTo`
 //! closures by target regex, which deciding a claim builds and
@@ -16,7 +15,7 @@
 use std::borrow::Cow;
 use std::cell::{Cell, OnceCell};
 
-use rpq_automata::{Dfa, Nfa, Regex, StateId};
+use rpq_automata::{Dfa, Nfa, Regex};
 use rpq_constraints::types::PathConstraint;
 use rpq_constraints::{Closures, ConstraintSet};
 
@@ -71,7 +70,6 @@ pub(crate) struct CompiledQuery<'q> {
     trimmed: OnceCell<Nfa>,
     longest: OnceCell<Option<usize>>,
     dfa: OnceCell<Dfa>,
-    cache_hits: OnceCell<Vec<Vec<StateId>>>,
 }
 
 impl<'q> CompiledQuery<'q> {
@@ -95,7 +93,6 @@ impl<'q> CompiledQuery<'q> {
             trimmed: OnceCell::new(),
             longest: OnceCell::new(),
             dfa: OnceCell::new(),
-            cache_hits: OnceCell::new(),
         }
     }
 
@@ -141,20 +138,6 @@ impl<'q> CompiledQuery<'q> {
         self.dfa.get_or_init(|| {
             let own = self.regex.symbols().last().map_or(0, |s| s.index() + 1);
             Dfa::from_nfa(self.nfa(), self.min_sigma.max(own).max(1))
-        })
-    }
-
-    /// Per cache of `set` (index-aligned with [`ConstraintSet::caches`]):
-    /// the states of [`CompiledQuery::nfa`] that some word of the cache
-    /// body leads to — the product-reachability probe `q ∩ r·Σ*`, run once
-    /// for both cache families. An empty entry for a non-empty body is a
-    /// proof that the body prefixes no word of the query.
-    pub(crate) fn cache_hits(&self, set: &ConstraintSet) -> &[Vec<StateId>] {
-        self.cache_hits.get_or_init(|| {
-            set.caches()
-                .iter()
-                .map(|c| self.nfa().reachable_via(&c.nfa))
-                .collect()
         })
     }
 

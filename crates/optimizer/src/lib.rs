@@ -13,10 +13,12 @@
 //! * [`cost`] — static (automaton size + recursion penalty) and measured
 //!   cost models;
 //! * [`rewrites`] — candidate generation: Theorem 4.10 boundedness
-//!   reduction, Example-3-style cached-query substitution, and algebraic
+//!   reduction, boundedness under path constraints, and algebraic
 //!   simplification, each validated before being offered;
 //! * [`views`] — answering queries from cached views: the Section 5
-//!   Boolean-combination search with the partial-use refinement;
+//!   Boolean-combination search with the partial-use refinement, the only
+//!   code that substitutes a cache (Example 3's `l·a·c` is its one-cache
+//!   total cover);
 //! * [`planner`] — plan selection and the memoizing, thread-safe per-site
 //!   rewrite hook for the distributed runners;
 //! * [`planned`] — [`PlannedEngine`]: the optimizer as a first-class
@@ -42,15 +44,15 @@
 //!   keeps its set, so it pays these once per engine;
 //! * **per query** (a crate-private `CompiledQuery`, lazily, each at most
 //!   once): the Thompson automaton, its trimmed form, finiteness and the
-//!   depth cap, the complete DFA over the plan's alphabet, and per cache
-//!   the probe `q ∩ r·Σ*`. Both cost models, the three candidate
-//!   families, the view search and — for whichever query wins — the static
-//!   analysis read that one value ([`Optimized::thompson_builds`] and
-//!   [`Optimized::determinizations`] count what was built);
-//! * **the gate**: a cache whose body `r` has a word but leads to no state
-//!   of `q` prefixes no word of `q`; its existential quotient has no start
-//!   state and its universal tail is empty, so neither cache family looks
-//!   at it again — and a query that is a single word is its own
+//!   depth cap, and the complete DFA over the plan's alphabet. Both cost
+//!   models, the three candidate families, the view search and — for
+//!   whichever query wins — the static analysis read that one value
+//!   ([`Optimized::thompson_builds`] and [`Optimized::determinizations`]
+//!   count what was built);
+//! * **the gate**: the view search probes each cache once, `q ∩ r·Σ*`; a
+//!   cache whose body `r` has a word but leads to no state of `q` prefixes
+//!   no word of `q`, so its universal tail is empty and the search looks
+//!   at it no further — and a query that is a single word is its own
 //!   minimal-DFA regex, so the simplifier does not determinize it either;
 //! * **per plan** (a crate-private `PlanPass`, made by
 //!   [`optimize_and_analyze`] and dropped with the plan): closures by
@@ -58,9 +60,7 @@
 //!   two inclusion tests certification runs
 //!   ([`rpq_constraints::Closures::implies`]), so the `RewriteTo` closures
 //!   its decision builds are the two the winner's certification tests
-//!   against, and a view rewriting equal to a
-//!   candidate a family proved takes over that proof instead of deciding
-//!   the same claim again ([`Optimized::claims_proved`],
+//!   against ([`Optimized::claims_proved`],
 //!   [`Optimized::closure_builds`], [`Analysis::certify_closure_builds`]).
 //!   Nothing in it is keyed by client text or outlives the plan.
 //!
@@ -103,5 +103,5 @@ pub use join::{
 };
 pub use planned::{Direction, Plan, PlannedEngine, PlannerConfig};
 pub use planner::{optimize, optimize_and_analyze, optimize_with_stats, Optimized};
-pub use rewrites::{candidates, Candidate, RewriteRule};
-pub use views::{cache_defs, rewrite_with_views, CacheDef, ViewKind, ViewRewriting};
+pub use rewrites::{Candidate, RewriteRule};
+pub use views::{rewrite_with_views, CacheDef, ViewKind, ViewRewriting};

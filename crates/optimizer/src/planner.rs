@@ -8,20 +8,22 @@
 //! — is [`crate::PlannedEngine::rewrite`].
 //!
 //! One call is one pass: the input is compiled once (`CompiledQuery`:
-//! Thompson automaton, trimmed form, finiteness, complete DFA, the
-//! cache-prefix probe — each lazily, at most once) and that one value is
-//! what both cost models, the three candidate families and the view search
-//! read. Every candidate is compiled once too, for its score, and the
-//! winner's compilation is what the static analysis goes on with, so the
-//! planned engine's cold plan certifies, trims and classifies without
-//! building the winner's automaton again.
+//! Thompson automaton, trimmed form, finiteness, complete DFA — each
+//! lazily, at most once) and that one value is what both cost models, the
+//! three candidate families and the view search read. The view search is
+//! the only source of cache rewritings: a cover that answers the whole
+//! query from one cache is reported as [`RewriteRule::CacheSubstitution`]
+//! (the paper's Example 3), every other cover as
+//! [`RewriteRule::ViewCover`]. Every candidate is compiled once too, for
+//! its score, and the winner's compilation is what the static analysis
+//! goes on with, so the planned engine's cold plan certifies, trims and
+//! classifies without building the winner's automaton again.
 //!
 //! One call is also one proof pass (`PlanPass`): every claim `E ⊨ q = c`
-//! is decided once, by the two inclusion tests certification runs — the
-//! view search takes over the proof of a family candidate with the same
-//! regex — and every `RewriteTo` closure those tests build is kept by
-//! target, so the planned engine's certification of the winner reads the
-//! two closures the decision of the same claim built
+//! is decided once, by the two inclusion tests certification runs, and
+//! every `RewriteTo` closure those tests build is kept by target, so the
+//! planned engine's certification of the winner reads the two closures
+//! the decision of the same claim built
 //! ([`Optimized::claims_proved`], [`Optimized::closure_builds`] and
 //! [`Analysis::certify_closure_builds`] count them).
 
@@ -34,7 +36,7 @@ use crate::analysis::{analyze_compiled, Analysis};
 use crate::compiled::{CompiledQuery, PlanPass};
 use crate::cost::{estimated_cost_compiled, StaticCost};
 use crate::rewrites::{candidates_compiled, Candidate, RewriteRule};
-use crate::views::views_compiled;
+use crate::views::{views_compiled, ViewKind};
 
 /// The outcome of optimizing one query.
 #[derive(Clone, Debug)]
@@ -58,8 +60,7 @@ pub struct Optimized {
     /// simplifier to look at).
     pub determinizations: usize,
     /// Claims `E ⊨ q = c` this call decided by the plan's closure test,
-    /// proved or not. A view rewriting equal to a candidate a family proved
-    /// reuses that proof and is not counted.
+    /// proved or not.
     pub claims_proved: usize,
     /// `RewriteTo` closures this call's decisions built
     /// ([`rpq_constraints::Closures`]): at most one per target regex, two
@@ -76,12 +77,12 @@ impl Optimized {
 
 /// Optimize `q` under `set`: cheapest validated equivalent by static cost.
 ///
-/// Besides the whole-query candidates of [`crate::candidates`], union queries are
-/// also rewritten *arm-wise* — the conclusion's "partial use of cached
-/// queries rather than using them to fully answer the given query": each
-/// union arm is optimized independently and the recombined union is kept
-/// when it wins. Arm rewrites are equivalences under `E`, so their union
-/// is too (no extra validation round needed).
+/// Besides the whole-query candidates of the rewrite families and the view
+/// search (whose partial covers are the conclusion's "partial use of
+/// cached queries"), union queries are also rewritten *arm-wise*: each
+/// union arm is optimized independently by the rewrite families and the
+/// recombined union is kept when it wins. Arm rewrites are equivalences
+/// under `E`, so their union is too (no extra validation round needed).
 pub fn optimize(set: &ConstraintSet, q: &Regex, alphabet: &Alphabet) -> Optimized {
     let input = CompiledQuery::new(q, alphabet.len());
     optimize_scored(&PlanPass::new(set), &input, alphabet, &static_score).0
@@ -148,20 +149,26 @@ fn optimize_scored(
     let before = StaticCost::of_compiled(input);
     let mut cands: Vec<Candidate> = candidates_compiled(pass, input, alphabet);
 
-    // Section 5 view covers (total and partial), verified — or proved
-    // already, as one of the candidates above.
-    for v in views_compiled(pass, input, &cands) {
+    // Section 5 view covers (total and partial), verified; one cache
+    // answering the whole query is Example 3's substitution.
+    for v in views_compiled(pass, input) {
+        let rule = if v.kind == ViewKind::Total && v.uses.len() == 1 {
+            RewriteRule::CacheSubstitution
+        } else {
+            RewriteRule::ViewCover
+        };
         cands.push(Candidate {
             query: v.query,
-            rule: RewriteRule::ViewCover,
+            rule,
             proof: v.proof,
         });
     }
 
-    // union-arm decomposition (one level, non-recursive to bound cost)
+    // union-arm decomposition (one level, non-recursive to bound cost),
+    // reported under the rule of the first arm it rewrote
     if let Regex::Union(arms) = q {
         let mut rewritten = Vec::with_capacity(arms.len());
-        let mut any = false;
+        let mut first_rule = None;
         for arm in arms {
             let arm = CompiledQuery::new(arm, sigma);
             let arm_cands = candidates_compiled(pass, &arm, alphabet);
@@ -174,15 +181,15 @@ fn optimize_scored(
             match best_arm {
                 Some((_, c)) => {
                     rewritten.push(c.query);
-                    any = true;
+                    first_rule.get_or_insert(c.rule);
                 }
                 None => rewritten.push(arm.regex().clone()),
             }
         }
-        if any {
+        if let Some(rule) = first_rule {
             cands.push(Candidate {
                 query: Regex::union(rewritten),
-                rule: RewriteRule::CacheSubstitution,
+                rule,
                 proof: "arm-wise (equivalence of arms under E)",
             });
         }
@@ -259,12 +266,36 @@ mod tests {
     }
 
     #[test]
+    fn a_cache_prefixing_the_query_is_found_after_four_that_do_not() {
+        // Only the fifth cache prefixes the query: the cap on the caches
+        // the view search combines counts caches that have a tail.
+        let (ab, set, q) = setup(
+            &[
+                "l0 = x.y",
+                "l1 = y.z",
+                "l2 = z.x",
+                "l3 = x.x",
+                "l4 = (a.b)*",
+            ],
+            "a.(b.a)*.c",
+        );
+        let opt = optimize(&set, &q, &ab);
+        let mut ab2 = ab.clone();
+        let expect = parse_regex(&mut ab2, "l4.a.c").unwrap();
+        assert!(
+            regex_equivalent(&opt.query, &expect),
+            "got {}",
+            opt.query.display(&ab)
+        );
+        assert_eq!(opt.applied, Some(RewriteRule::CacheSubstitution));
+    }
+
+    #[test]
     fn a_rewritten_plan_proves_its_claim_once_and_builds_each_closure_once() {
-        // The view search finds the cache family's candidate again and
-        // takes over its proof. The claim is decided by the inclusion
-        // tests certification runs, on the plan's memo, under a word cache
-        // and under Example 3's regex cache alike, so certification builds
-        // no closure. Example 3's query is infinite, so the search also
+        // The view search decides the one claim, by the inclusion tests
+        // certification runs, on the plan's memo, under a word cache and
+        // under Example 3's regex cache alike, so certification builds no
+        // closure. Example 3's query is infinite, so the search also
         // builds the closures of the two general-boundedness cuts it tries
         // (`a.c`, `a.c + a.b.a.c`) in the same memo.
         for (lines, query, search_builds, certify_builds) in [
@@ -278,7 +309,7 @@ mod tests {
                 inst.add_edge(o, s, o);
             }
             let (opt, analysis) = optimize_and_analyze(&set, &q, &ab, inst.stats());
-            assert_eq!(opt.considered, 2, "{query}: family + view candidate");
+            assert_eq!(opt.considered, 1, "{query}: the view search's candidate");
             assert_eq!(opt.claims_proved, 1, "{query}");
             assert_eq!(opt.closure_builds, search_builds, "{query}");
             assert_eq!(analysis.facts.rewrites_certified, 1, "{query}");

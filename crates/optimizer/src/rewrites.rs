@@ -5,40 +5,35 @@
 //! 1. **Boundedness reduction** (Example 2, Theorem 4.10): under word
 //!    equalities, replace a recursive query with its certified finite
 //!    equivalent.
-//! 2. **Cached-query substitution** (Example 3): for a cache constraint
-//!    `l = r`, if `L(q) = L(r · t)` for some tail `t` (computed as the
-//!    existential quotient of `q` by `r`, converted back to a regex by
-//!    state elimination), propose `l · t`. The paper's
-//!    `a(ba)*c = (ab)*·(ac) → l·a·c` is exactly this shape.
+//! 2. **General boundedness**: under full path constraints, the budgeted
+//!    semi-decision for the problem the paper leaves open at the end of
+//!    Section 4.3 — a finite cut of the query whose equivalence the
+//!    plan's closures decide.
 //! 3. **Algebraic simplification**: the minimal-DFA regex (via state
 //!    elimination) when it is smaller.
+//!
+//! Cached-query substitution (Example 3: `a(ba)*c = (ab)*·(ac) → l·a·c`) is
+//! not a family here: it is the one-cache total cover of the Section 5 view
+//! search ([`crate::views`]), the only code that substitutes a cache.
 //!
 //! Every candidate is *validated* before being offered: either by pure
 //! language equivalence, or by constraint implication through the plan's
 //! closure test ([`rpq_constraints::Closures::implies`], the two inclusion
 //! tests certification runs) — never by construction alone. The test reads
 //! its `RewriteTo` closures from the plan's memo, so certifying the winner
-//! afterwards builds neither again, and the candidates are handed to the
-//! view search, which takes a proof over instead of deciding the same
-//! claim a second time.
+//! afterwards builds neither again.
 //!
 //! ## One pass over compiled artefacts
 //!
 //! The families read the query through one `CompiledQuery` (its Thompson
 //! automaton, finiteness and complete DFA, each built at most once per
-//! plan) and the constraints through what the [`ConstraintSet`] compiled
-//! once per set ([`ConstraintSet::caches`]: each cache body with its
-//! automaton). Family 2 starts from the probe `q ∩ r·Σ*` — the states of
-//! `q` some word of the body `r` leads to; no such state, no quotient, and
-//! the same probe gates the view search of [`crate::views`]. Family 3
-//! skips a query that is a single word: the minimal-DFA regex of a word is
-//! that word, so there is nothing smaller to offer.
+//! plan). Family 3 skips a query that is a single word: the minimal-DFA
+//! regex of a word is that word, so there is nothing smaller to offer.
 
 use rpq_automata::elim::nfa_to_regex;
-use rpq_automata::ops::{equivalent, included_antichain};
+use rpq_automata::ops::equivalent;
 use rpq_automata::{Alphabet, Nfa, Regex};
-use rpq_constraints::types::PathConstraint;
-use rpq_constraints::{decide_boundedness, Boundedness, ConstraintSet};
+use rpq_constraints::{decide_boundedness, Boundedness};
 
 use crate::compiled::{CompiledQuery, PlanPass};
 
@@ -58,28 +53,21 @@ pub struct Candidate {
 pub enum RewriteRule {
     /// Theorem 4.10 finite equivalent.
     Boundedness,
-    /// Cache-label substitution.
+    /// Cache-label substitution (Example 3): a view cover that answers the
+    /// whole query from one cache — see [`crate::views`].
     CacheSubstitution,
     /// Pure language-level simplification.
     Simplification,
-    /// Section 5 view cover (Boolean combination of caches, possibly with
-    /// a cache-free remainder arm) — see [`crate::views`].
+    /// Section 5 view cover (Boolean combination of several caches, or a
+    /// cache with a cache-free remainder arm) — see [`crate::views`].
     ViewCover,
     /// Boundedness under full path constraints — the budgeted semi-decision
     /// for the problem the paper leaves open at the end of Section 4.3.
     GeneralBoundedness,
 }
 
-/// Generate validated candidates equivalent to `q` under `set`.
-pub fn candidates(set: &ConstraintSet, q: &Regex, alphabet: &Alphabet) -> Vec<Candidate> {
-    candidates_compiled(
-        &PlanPass::new(set),
-        &CompiledQuery::new(q, alphabet.len()),
-        alphabet,
-    )
-}
-
-/// [`candidates`] over a query the planner has compiled, within its pass.
+/// Validated candidates equivalent to the query `cq` under the pass's
+/// constraints.
 pub(crate) fn candidates_compiled(
     pass: &PlanPass<'_>,
     cq: &CompiledQuery<'_>,
@@ -103,7 +91,7 @@ pub(crate) fn candidates_compiled(
         }
     }
 
-    // 1b. boundedness under full path constraints (the open-problem
+    // 2. boundedness under full path constraints (the open-problem
     // semi-decision): only when the word-equality fast path above does not
     // apply, the set actually has constraints to exploit, and the language
     // is not finite already.
@@ -115,58 +103,6 @@ pub(crate) fn candidates_compiled(
                 query: equivalent,
                 rule: RewriteRule::GeneralBoundedness,
                 proof,
-            });
-        }
-    }
-
-    // 2. cached-query substitution: equalities l = r with l a single label
-    for (cache, starts) in set.caches().iter().zip(cq.cache_hits(set)) {
-        // tail t = ∃-quotient of q by r; candidate = l · t
-        if starts.is_empty() {
-            continue;
-        }
-        let (q_nfa, body) = (cq.nfa(), &cache.body);
-        let mut quot = Nfa::empty();
-        let off = quot.add_nfa(q_nfa);
-        for &s in starts {
-            quot.add_eps(quot.start(), s + off);
-        }
-        // Prefer a *small finite* tail: greedily accumulate the
-        // quotient's shortest words until `r · t ≡ q` (this recovers the
-        // paper's `l·a·c` from `a(ba)*c`); fall back to the full
-        // quotient expression.
-        let mut tail: Option<Regex> = None;
-        let mut words: Vec<Vec<rpq_automata::Symbol>> = Vec::new();
-        for w in quot.enumerate_words(12, 16) {
-            // only tails that stay inside q are usable: r·w ⊆ q
-            let extension = Nfa::thompson(&body.clone().then(Regex::word(&w)));
-            if included_antichain(&extension, q_nfa).is_err() {
-                continue;
-            }
-            words.push(w);
-            let t = Regex::from_finite_language(words.clone());
-            if equivalent(q_nfa, &Nfa::thompson(&body.clone().then(t.clone()))).is_ok() {
-                tail = Some(t);
-                break;
-            }
-        }
-        if tail.is_none() {
-            let t = nfa_to_regex(&quot);
-            if t != Regex::Empty
-                && equivalent(q_nfa, &Nfa::thompson(&body.clone().then(t.clone()))).is_ok()
-            {
-                tail = Some(t);
-            }
-        }
-        let Some(tail) = tail else { continue };
-        let candidate = Regex::sym(cache.label).then(tail);
-        // validate E ⊨ q = candidate by the plan's closure test
-        let claim = PathConstraint::equality(q.clone(), candidate.clone());
-        if let Some(method) = pass.decide(&claim) {
-            out.push(Candidate {
-                query: candidate,
-                rule: RewriteRule::CacheSubstitution,
-                proof: method,
             });
         }
     }
@@ -194,6 +130,16 @@ mod tests {
     use rpq_automata::ops::regex_equivalent;
     use rpq_automata::parse_regex;
     use rpq_constraints::general::{check, Budget};
+    use rpq_constraints::types::PathConstraint;
+    use rpq_constraints::ConstraintSet;
+
+    fn candidates(set: &ConstraintSet, q: &Regex, alphabet: &Alphabet) -> Vec<Candidate> {
+        candidates_compiled(
+            &PlanPass::new(set),
+            &CompiledQuery::new(q, alphabet.len()),
+            alphabet,
+        )
+    }
 
     fn setup(lines: &[&str], query: &str) -> (Alphabet, ConstraintSet, Regex) {
         let mut ab = Alphabet::new();
@@ -213,24 +159,6 @@ mod tests {
             .expect("boundedness candidate");
         let expect = parse_regex(&mut ab.clone(), "l + ()").unwrap();
         assert!(regex_equivalent(&bounded.query, &expect));
-    }
-
-    #[test]
-    fn cache_candidate_for_example3() {
-        // {l = (ab)*} and q = a(ba)*c → l.a.c
-        let (ab, set, q) = setup(&["l = (a.b)*"], "a.(b.a)*.c");
-        let cands = candidates(&set, &q, &ab);
-        let cache = cands
-            .iter()
-            .find(|c| c.rule == RewriteRule::CacheSubstitution)
-            .expect("cache candidate");
-        // candidate must start with the cache label
-        let l = ab.get("l").unwrap();
-        match &cache.query {
-            Regex::Concat(parts) => assert_eq!(parts[0], Regex::sym(l)),
-            other => panic!("expected concatenation, got {other:?}"),
-        }
-        let _ = set;
     }
 
     #[test]

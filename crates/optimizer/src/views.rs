@@ -37,32 +37,50 @@
 //!
 //! For each cache `(l, r)`: the *maximal safe tail* is the universal left
 //! quotient `t = {w | ∀u ∈ L(r): u·w ∈ L(q)}` — the largest language with
-//! `r·t ⊆ q`. For each subset of caches (bounded), the covered part is
-//! `∪ rᵢ·tᵢ`; the *remainder* `q ∖ ∪ rᵢ·tᵢ` is computed as an automaton
-//! difference and appended as a plain (cache-free) arm — this is the
-//! "partial use" refinement; when the remainder is empty the rewriting is
-//! total. Tails are shrunk greedily (shortest words first, then the
-//! algebraic simplifier). Every emitted rewriting is *verified* by
-//! the plan's closure test (never trusted by construction), following the
-//! crate's policy. Within a plan, a rewriting whose regex equals a
-//! candidate the rewrite families already proved equivalent to `q` takes
-//! over that proof: the claim `E ⊨ q = c` is the same one, decided once.
+//! `r·t ⊆ q`. The first `MAX_CACHES` caches that have one are combined:
+//! for each non-empty subset, the covered part is `∪ rᵢ·tᵢ`; the
+//! *remainder* `q ∖ ∪ rᵢ·tᵢ` is computed as an automaton difference and
+//! appended as a plain (cache-free) arm — this is the "partial use"
+//! refinement; when the remainder is empty the rewriting is total. Tails
+//! are shrunk greedily (shortest words first, then the algebraic
+//! simplifier). Every emitted rewriting is *verified* by the plan's closure
+//! test (never trusted by construction), following the crate's policy.
+//!
+//! This search is the only code in the crate that substitutes a cache: the
+//! paper's Example 3 (`l = (ab)*` turns `a(ba)*c` into `l·a·c`) is its
+//! one-cache total cover, which the planner reports as
+//! [`crate::RewriteRule::CacheSubstitution`].
+//!
+//! ## Computing the tail
+//!
+//! The tail is first sought as the *existential* quotient `E = {w | ∃u ∈
+//! L(r): u·w ∈ L(q)}`: `q`'s Thompson automaton entered at the states some
+//! word of `r` leads to. `E` contains the universal tail whenever `r` has
+//! a word, so if also `r·E ⊆ q` (one inclusion test), `E` *is* the
+//! universal tail — and its regex, read off `q`'s own automaton, keeps
+//! `q`'s syntax, which the complement construction does not. Only when
+//! `r·E ⊈ q` — a body whose words `q` continues differently, as
+//! `r = a.b + c` under `q = a.b.x + c.y` — is the tail computed as the
+//! complement of the existential quotient of `∁q`, two determinizations
+//! bounded by `MAX_DFA_STATES`. The remainder of every subset is a
+//! difference with `q`'s complete DFA under the same bound, so a query
+//! whose DFA exceeds it gets no cache rewriting at all.
 //!
 //! ## What is compiled once, and what the gate proves
 //!
-//! The query's complete DFA is one artefact of the plan's `CompiledQuery`
-//! (shared with the simplifier of [`crate::rewrites`], and by every cache
-//! and subset mask here); the cache list and each body's automaton come
-//! compiled with the [`ConstraintSet`]. Before any
-//! complement is taken, each cache is asked the one question both cache
-//! families share — which states of `q` does some word of `r` lead to
-//! (`q ∩ r·Σ*`)? If none and `L(r) ≠ ∅`, some `u ∈ L(r)` prefixes no word
-//! of `q`, so no `w` has `u·w ∈ L(q)`: the universal tail is empty and the
-//! cache could not have been used. The gate drops exactly those caches; a
-//! body with an empty language passes it (its tail is vacuously `Σ*`).
+//! The query's Thompson automaton and complete DFA are artefacts of the
+//! plan's `CompiledQuery` (shared with the rewrite families of
+//! [`crate::rewrites`], and by every cache and subset mask here); the
+//! cache list and each body's automaton come compiled with the
+//! [`ConstraintSet`]. Before any tail is built, each cache is probed once
+//! for the states of `q` some word of `r` leads to (`q ∩ r·Σ*`). If none and
+//! `L(r) ≠ ∅`, some `u ∈ L(r)` prefixes no word of `q`, so no `w` has
+//! `u·w ∈ L(q)`: the universal tail is empty and the cache could not have
+//! been used. The gate drops exactly those caches; a body with an empty
+//! language passes it (its tail is vacuously `Σ*`).
 
 use rpq_automata::elim::nfa_to_regex;
-use rpq_automata::ops::{equivalent, regex_included};
+use rpq_automata::ops::{equivalent, included_antichain, regex_included};
 use rpq_automata::simplify::simplify_deep;
 use rpq_automata::{Alphabet, Dfa, Nfa, Regex, StateId, Symbol};
 use rpq_constraints::types::PathConstraint;
@@ -72,13 +90,6 @@ pub use rpq_constraints::CacheDef;
 
 use crate::compiled::{CompiledQuery, PlanPass};
 use crate::cost::StaticCost;
-use crate::rewrites::Candidate;
-
-/// The cache definitions of `set`: equalities with a single-label side and
-/// a non-trivial body ([`ConstraintSet::caches`], compiled once per set).
-pub fn cache_defs(set: &ConstraintSet) -> &[CacheDef] {
-    set.caches()
-}
 
 /// How much of the target the rewriting answers from caches.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -104,23 +115,44 @@ pub struct ViewRewriting {
     pub cost: StaticCost,
 }
 
-/// Consider at most this many caches (subsets enumerate 2^k).
+/// Use at most this many caches (subsets enumerate 2^k): the first ones,
+/// in set order, that have a tail.
 const MAX_CACHES: usize = 4;
 /// Give up on a tail whose intermediate DFA exceeds this many states.
 const MAX_DFA_STATES: usize = 2_000;
 /// Greedy tail shrinking: max word length to try.
-const TAIL_WORD_LEN: usize = 10;
+const TAIL_WORD_LEN: usize = 12;
 /// Greedy tail shrinking: cap on enumerated words.
-const TAIL_WORD_CAP: usize = 12;
+const TAIL_WORD_CAP: usize = 16;
 
 /// The universal left quotient `{w | ∀u ∈ L(r): u·w ∈ L(q)}` as a regex,
 /// or `None` when it is empty or exceeds the state budget. This is the
-/// maximal tail with `r·t ⊆ q`. `hits` is the cache's entry of
-/// [`CompiledQuery::cache_hits`].
+/// maximal tail with `r·t ⊆ q`. `hits` are the states of
+/// [`CompiledQuery::nfa`] some word of the body leads to (`q ∩ r·Σ*`).
+///
+/// It tries the existential quotient `E` first — `q`'s automaton entered
+/// at `hits` — which contains the universal tail whenever `r` has a word;
+/// if `r·E ⊆ q` as well, `E` is the universal tail, and its regex is read
+/// off `q`'s own automaton. Otherwise (a body whose words `q` continues
+/// differently, such as `a.b + c` under `a.b.x + c.y`) the tail is the
+/// complement of the existential quotient of `∁q`.
 fn universal_tail(cq: &CompiledQuery<'_>, cache: &CacheDef, hits: &[StateId]) -> Option<Regex> {
     // The gate: no word of r can even be read in q, and r has a word.
     if hits.is_empty() && !cache.empty {
         return None;
+    }
+    if !hits.is_empty() {
+        let mut quot = Nfa::empty();
+        let off = quot.add_nfa(cq.nfa());
+        for &s in hits {
+            quot.add_eps(quot.start(), s + off);
+        }
+        if included_antichain(&Nfa::concat(&cache.nfa, &quot), cq.nfa()).is_ok() {
+            return match nfa_to_regex(&quot) {
+                Regex::Empty => None,
+                tail => Some(tail),
+            };
+        }
     }
     // ∁( ∃-quotient of ∁q by r ): complement, quotient, complement.
     let dq = cq.dfa();
@@ -180,36 +212,29 @@ pub fn rewrite_with_views(
     q: &Regex,
     alphabet: &Alphabet,
 ) -> Vec<ViewRewriting> {
-    views_compiled(
-        &PlanPass::new(set),
-        &CompiledQuery::new(q, alphabet.len()),
-        &[],
-    )
+    views_compiled(&PlanPass::new(set), &CompiledQuery::new(q, alphabet.len()))
 }
 
 /// [`rewrite_with_views`] over a query the planner has compiled, within
-/// its pass. `proved` are the candidates the rewrite families validated
-/// for the same query: a rewriting equal to one of them reuses its proof.
-pub(crate) fn views_compiled(
-    pass: &PlanPass<'_>,
-    cq: &CompiledQuery<'_>,
-    proved: &[Candidate],
-) -> Vec<ViewRewriting> {
+/// its pass.
+pub(crate) fn views_compiled(pass: &PlanPass<'_>, cq: &CompiledQuery<'_>) -> Vec<ViewRewriting> {
     let set = pass.set();
-    if set.caches().is_empty() {
-        return Vec::new();
-    }
     let q = cq.regex();
 
-    // Per-cache maximal tails (shrunk) and covered languages.
+    // Per-cache maximal tails (shrunk) and covered languages, for the
+    // first `MAX_CACHES` caches that have a tail.
     struct Usable {
         label: Symbol,
         tail: Regex,
         covered: Regex,
     }
     let mut usable: Vec<Usable> = Vec::new();
-    for (c, hits) in set.caches().iter().zip(cq.cache_hits(set)).take(MAX_CACHES) {
-        let Some(t) = universal_tail(cq, c, hits) else {
+    for c in set.caches() {
+        if usable.len() == MAX_CACHES {
+            break;
+        }
+        let hits = cq.nfa().reachable_via(&c.nfa);
+        let Some(t) = universal_tail(cq, c, &hits) else {
             continue;
         };
         let tail = shrink_tail(&t, &c.body);
@@ -219,9 +244,6 @@ pub(crate) fn views_compiled(
             tail,
             covered,
         });
-    }
-    if usable.is_empty() {
-        return Vec::new();
     }
 
     let mut out: Vec<ViewRewriting> = Vec::new();
@@ -261,17 +283,11 @@ pub(crate) fn views_compiled(
             continue;
         }
 
-        // Verify E ⊨ q = candidate: a family's proof of the same claim,
-        // else the plan's closure test. Never emit unverified rewritings.
-        let proof = match proved.iter().find(|c| c.query == candidate) {
-            Some(c) => c.proof,
-            None => {
-                let claim = PathConstraint::equality(q.clone(), candidate.clone());
-                match pass.decide(&claim) {
-                    Some(method) => method,
-                    None => continue,
-                }
-            }
+        // Verify E ⊨ q = candidate by the plan's closure test. Never emit
+        // unverified rewritings.
+        let claim = PathConstraint::equality(q.clone(), candidate.clone());
+        let Some(proof) = pass.decide(&claim) else {
+            continue;
         };
         out.push(ViewRewriting {
             cost: StaticCost::of(&candidate),
@@ -290,8 +306,11 @@ pub(crate) fn views_compiled(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
     use rpq_automata::ops::regex_equivalent;
     use rpq_automata::parse_regex;
+    use rpq_automata::random::{random_regex, RegexGenConfig};
     use rpq_constraints::general::{check, Budget};
 
     fn setup(lines: &[&str], query: &str) -> (Alphabet, ConstraintSet, Regex) {
@@ -299,15 +318,6 @@ mod tests {
         let set = ConstraintSet::parse(&mut ab, lines.iter().copied()).unwrap();
         let q = parse_regex(&mut ab, query).unwrap();
         (ab, set, q)
-    }
-
-    #[test]
-    fn extracts_cache_definitions() {
-        let (ab, set, _) = setup(&["l = (a.b)*", "m = c.d", "x <= y"], "a");
-        let defs = cache_defs(&set);
-        assert_eq!(defs.len(), 2);
-        let l = ab.get("l").unwrap();
-        assert!(defs.iter().any(|d| d.label == l));
     }
 
     #[test]
@@ -428,29 +438,37 @@ mod tests {
         Some(nfa_to_regex(&tail_nfa))
     }
 
+    /// Cache sets by the shape of their bodies: words, unions, stars, an
+    /// `∅` body and bodies with `ε`.
+    const BODY_SHAPES: [(&str, &[&str]); 5] = [
+        ("word", &["l0 = a.b", "l1 = c.d.a"]),
+        ("union", &["l0 = a.b + c", "l1 = (a+b).d"]),
+        ("star", &["l0 = (a.b)*.c", "l1 = c.d*"]),
+        ("empty", &["l0 = []", "l1 = a.b"]),
+        ("eps", &["l0 = () + a.b", "l1 = c.(() + d)"]),
+    ];
+
+    /// A body shape's set over `a b c d`, with `z` interned after every
+    /// constraint symbol, and a random-regex configuration over all five.
+    fn shape_setup(lines: &[&str]) -> (Alphabet, ConstraintSet, RegexGenConfig) {
+        let mut ab = Alphabet::from_names(["a", "b", "c", "d"]);
+        let set = ConstraintSet::parse(&mut ab, lines.iter().copied()).unwrap();
+        let z = ab.intern("z");
+        let mut syms: Vec<Symbol> = "abcd"
+            .chars()
+            .map(|c| ab.get(&c.to_string()).unwrap())
+            .collect();
+        syms.push(z);
+        let mut cfg = RegexGenConfig::new(syms);
+        cfg.max_depth = 3;
+        (ab, set, cfg)
+    }
+
     #[test]
     fn the_gate_drops_only_caches_that_have_no_tail() {
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-        use rpq_automata::random::{random_regex, RegexGenConfig};
-        let shapes: [(&str, &[&str]); 4] = [
-            ("word", &["l0 = a.b", "l1 = c.d.a"]),
-            ("union", &["l0 = a.b + c", "l1 = (a+b).d"]),
-            ("star", &["l0 = (a.b)*.c", "l1 = c.d*"]),
-            ("empty", &["l0 = []", "l1 = a.b"]),
-        ];
         let heads = ["a.b", "c", "c.d", "a.d", "(a.b)*.c", "c.d.a"];
-        for (i, (shape, lines)) in shapes.iter().enumerate() {
-            let mut ab = Alphabet::from_names(["a", "b", "c", "d"]);
-            let set = ConstraintSet::parse(&mut ab, lines.iter().copied()).unwrap();
-            let z = ab.intern("z");
-            let mut syms: Vec<Symbol> = "abcd"
-                .chars()
-                .map(|c| ab.get(&c.to_string()).unwrap())
-                .collect();
-            syms.push(z);
-            let mut cfg = RegexGenConfig::new(syms);
-            cfg.max_depth = 3;
+        for (i, (shape, lines)) in BODY_SHAPES.iter().enumerate() {
+            let (mut ab, set, cfg) = shape_setup(lines);
             let mut rng = StdRng::seed_from_u64(0x6A7E + i as u64);
             let (mut dropped, mut kept) = (0, 0);
             for k in 0..40 {
@@ -461,14 +479,20 @@ mod tests {
                         .then(q);
                 }
                 let cq = CompiledQuery::new(&q, ab.len());
-                for (cache, hits) in set.caches().iter().zip(cq.cache_hits(&set)) {
+                for cache in set.caches() {
+                    let hits = cq.nfa().reachable_via(&cache.nfa);
                     let reference = ungated_universal_tail(&q, &cache.body, ab.len());
-                    assert_eq!(
-                        universal_tail(&cq, cache, hits),
-                        reference,
-                        "{shape}: {} with body {}",
+                    let tail = universal_tail(&cq, cache, &hits);
+                    assert!(
+                        match (&tail, &reference) {
+                            (Some(t), Some(r)) => regex_equivalent(t, r),
+                            (t, r) => t.is_none() && r.is_none(),
+                        },
+                        "{shape}: {} with body {}: {:?} vs {:?}",
                         q.display(&ab),
-                        cache.body.display(&ab)
+                        cache.body.display(&ab),
+                        tail.map(|t| t.display(&ab).to_string()),
+                        reference.map(|r| r.display(&ab).to_string()),
                     );
                     if hits.is_empty() && !cache.empty {
                         dropped += 1;
@@ -476,9 +500,6 @@ mod tests {
                             reference.is_none(),
                             "{shape}: the gate dropped a usable cache"
                         );
-                        // and the ∃-quotient of `rewrites` has no start state
-                        let q_nfa = Nfa::thompson(&q);
-                        assert!(q_nfa.reachable_via(&Nfa::thompson(&cache.body)).is_empty());
                     } else {
                         kept += 1;
                     }
@@ -492,15 +513,55 @@ mod tests {
     }
 
     #[test]
+    fn every_body_with_a_tail_is_substituted_whole() {
+        // What Example 3 asks of a cache, on any body and tail: for
+        // q = r·t with L(q) ≠ ∅, the search offers a total cover by that
+        // one cache, and certification accepts it.
+        let mut cases = 0;
+        for (i, (shape, lines)) in BODY_SHAPES.iter().enumerate() {
+            let (ab, set, cfg) = shape_setup(lines);
+            let mut rng = StdRng::seed_from_u64(0x5B57 + i as u64);
+            for cache in set.caches() {
+                for _ in 0..20 {
+                    let q = cache.body.clone().then(random_regex(&mut rng, &cfg));
+                    if CompiledQuery::new(&q, ab.len()).is_empty() {
+                        continue;
+                    }
+                    cases += 1;
+                    let rewritings = rewrite_with_views(&set, &q, &ab);
+                    let whole = rewritings
+                        .iter()
+                        .find(|r| r.kind == ViewKind::Total && r.uses == [cache.label])
+                        .unwrap_or_else(|| {
+                            panic!(
+                                "{shape}: no total cover of {} by {}",
+                                q.display(&ab),
+                                ab.name(cache.label)
+                            )
+                        });
+                    assert!(
+                        crate::certify_rewrite(&set, &q, &whole.query),
+                        "{shape}: {} => {}",
+                        q.display(&ab),
+                        whole.query.display(&ab)
+                    );
+                }
+            }
+        }
+        assert!(cases >= 160, "{cases} cases");
+    }
+
+    #[test]
     fn an_empty_cache_body_passes_the_gate() {
         // L(r) = ∅ makes every tail vacuously safe: the probe finds no
         // state, and the cache must still reach the search (which then
         // verifies, and ranks, whatever it builds from `Σ*`).
         let (ab, set, q) = setup(&["l = []"], "a.b");
         let cq = CompiledQuery::new(&q, ab.len());
-        let hits = &cq.cache_hits(&set)[0];
-        assert!(hits.is_empty() && set.caches()[0].empty);
-        let tail = universal_tail(&cq, &set.caches()[0], hits).expect("Σ* is a tail");
+        let cache = &set.caches()[0];
+        let hits = cq.nfa().reachable_via(&cache.nfa);
+        assert!(hits.is_empty() && cache.empty);
+        let tail = universal_tail(&cq, cache, &hits).expect("Σ* is a tail");
         assert!(regex_included(&Regex::word(&q.as_word().unwrap()), &tail));
     }
 

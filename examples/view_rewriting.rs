@@ -9,14 +9,14 @@
 use rpq::automata::{parse_regex, Alphabet, Regex};
 use rpq::constraints::ConstraintSet;
 use rpq::distributed::{run_and_check, Delivery, Simulator};
-use rpq::optimizer::{cache_defs, rewrite_with_views, ViewKind};
+use rpq::optimizer::{rewrite_with_views, ViewKind};
 
 fn main() {
     // Two caches at the source site: l1 materializes (a.b)*, l2 does (c.d)*.
     let mut ab = Alphabet::new();
     let set = ConstraintSet::parse(&mut ab, ["l1 = (a.b)*", "l2 = (c.d)*"]).unwrap();
     println!("caches found:");
-    for d in cache_defs(&set) {
+    for d in set.caches() {
         println!("  {} = {}", ab.name(d.label), d.body.display(&ab));
     }
 

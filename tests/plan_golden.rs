@@ -23,7 +23,7 @@
 //! with the committed fixture first and refuses to write if a winner
 //! changed to a query that `certify_rewrite` rejects.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
 
 use rand::rngs::StdRng;
@@ -272,46 +272,97 @@ fn generate() -> String {
     out
 }
 
-/// `(case | query, winner, rej)` of a golden line.
+/// `(case | query, winner, facts)` of a golden line.
 fn split_line(line: &str) -> (&str, &str, &str) {
     let (key, rest) = line.split_once(" => ").expect("`=>` in a golden line");
     let (winner, facts) = rest.split_once(" | ").expect("facts in a golden line");
-    let rej = facts
-        .split(' ')
-        .find_map(|f| f.strip_prefix("rej="))
-        .expect("`rej=` in a golden line");
-    (key, winner, rej)
+    (key, winner, facts)
+}
+
+/// The `name=value` facts of a golden line, in order; a token without `=`
+/// continues the value before it (a rendered regex may hold spaces).
+fn fields(facts: &str) -> Vec<(&str, String)> {
+    let mut out: Vec<(&str, String)> = Vec::new();
+    for token in facts.split(' ') {
+        match (token.split_once('='), out.last_mut()) {
+            (Some((name, value)), _) => out.push((name, value.to_string())),
+            (None, Some((_, value))) => {
+                value.push(' ');
+                value.push_str(token);
+            }
+            (None, None) => {}
+        }
+    }
+    out
 }
 
 /// What a bless would change, or why it must not: a winner that moved to a
-/// query certification rejects is a planner bug, not a new golden.
+/// query certification rejects is a planner bug, not a new golden. The
+/// report counts moved winners, relabelled rules, lines where only counts
+/// or facts changed (per fact) and new keys, and names every moved or
+/// relabelled line.
 fn bless_report(old: &str, new: &str) -> Result<String, String> {
     let committed: HashMap<&str, (&str, &str)> = old
         .lines()
         .map(split_line)
-        .map(|(key, winner, rej)| (key, (winner, rej)))
+        .map(|(key, winner, facts)| (key, (winner, facts)))
         .collect();
-    let (mut moved, mut fresh) = (0usize, 0usize);
+    let (mut moved, mut relabelled, mut fresh) = (Vec::new(), Vec::new(), 0usize);
+    let (mut facts_only, mut by_fact) = (0usize, BTreeMap::<&str, usize>::new());
     for line in new.lines() {
-        let (key, winner, rej) = split_line(line);
-        match committed.get(key) {
-            None => fresh += 1,
-            Some(&(was, _)) if was != winner => {
-                moved += 1;
-                if rej != "0" {
-                    return Err(format!(
-                        "winner moved to a query `certify_rewrite` rejects:\n  {line}\n  was {was}"
-                    ));
-                }
+        let (key, winner, facts) = split_line(line);
+        let Some(&(was, was_facts)) = committed.get(key) else {
+            fresh += 1;
+            continue;
+        };
+        let (now, before) = (fields(facts), fields(was_facts));
+        let changed: Vec<&str> = now
+            .iter()
+            .zip(&before)
+            .filter(|(n, b)| n != b)
+            .map(|(n, _)| n.0)
+            .collect();
+        if was != winner {
+            if now
+                .iter()
+                .any(|(name, value)| *name == "rej" && value != "0")
+            {
+                return Err(format!(
+                    "winner moved to a query `certify_rewrite` rejects:\n  {line}\n  was {was}"
+                ));
             }
-            Some(_) => {}
+            moved.push(format!(
+                "  moved {key}\n    was {was} | {was_facts}\n    now {winner} | {facts}"
+            ));
+        } else if changed.contains(&"applied") {
+            relabelled.push(format!(
+                "  relabelled {key} => {winner}\n    was {was_facts}\n    now {facts}"
+            ));
+        } else if !changed.is_empty() {
+            facts_only += 1;
+            for name in changed {
+                *by_fact.entry(name).or_default() += 1;
+            }
         }
     }
-    Ok(format!(
-        "{} lines ({} committed): {moved} winners moved, {fresh} new keys",
+    let by_fact: Vec<String> = by_fact
+        .iter()
+        .map(|(name, n)| format!("{name} on {n}"))
+        .collect();
+    let mut report = format!(
+        "{} lines ({} committed): {} winners moved, {} rules relabelled, \
+         {facts_only} lines with only counts or facts changed [{}], {fresh} new keys",
         new.lines().count(),
-        old.lines().count()
-    ))
+        old.lines().count(),
+        moved.len(),
+        relabelled.len(),
+        by_fact.join(", "),
+    );
+    for line in moved.iter().chain(&relabelled) {
+        report.push('\n');
+        report.push_str(line);
+    }
+    Ok(report)
 }
 
 #[test]
@@ -320,8 +371,49 @@ fn bless_refuses_a_winner_certification_rejects() {
     let bad = "c | a.b => m | applied=CacheSubstitution considered=1 planned=a.b pruned=[] cert=0 rej=1 maxlen=2 states=3\n";
     let ok = "c | a.b => m | applied=CacheSubstitution considered=1 planned=m pruned=[] cert=1 rej=0 maxlen=1 states=2\n";
     assert!(bless_report(old, bad).unwrap_err().contains("rejects"));
-    assert!(bless_report(old, ok).unwrap().contains("1 winners moved"));
-    assert!(bless_report(old, old).unwrap().contains("0 winners moved"));
+    let moved = bless_report(old, ok).unwrap();
+    assert!(
+        moved.contains("1 winners moved, 0 rules relabelled"),
+        "{moved}"
+    );
+    assert!(moved.contains("moved c | a.b"), "{moved}");
+    assert!(bless_report(old, old).unwrap().contains(
+        "0 winners moved, 0 rules relabelled, 0 lines with only counts or facts changed [], 0 new keys"
+    ));
+}
+
+#[test]
+fn bless_reports_what_moved_by_kind() {
+    let old = "\
+c | a.b => l | applied=CacheSubstitution considered=2 planned=l pruned=[] cert=1 rej=0 maxlen=1 states=2
+c | a.c + d => a.c + d | applied=- considered=0 planned=a.c + d pruned=[] cert=0 rej=0 maxlen=2 states=5
+c | x => y | applied=ViewCover considered=1 planned=y pruned=[] cert=1 rej=0 maxlen=1 states=2
+";
+    let new = "\
+c | a.b => l | applied=CacheSubstitution considered=1 planned=l pruned=[] cert=1 rej=0 maxlen=1 states=2
+c | a.c + d => a.c + d | applied=- considered=0 planned=a.c + d pruned=[] cert=0 rej=0 maxlen=2 states=5
+c | x => y | applied=CacheSubstitution considered=1 planned=y pruned=[] cert=1 rej=0 maxlen=1 states=2
+c | z => z | applied=- considered=0 planned=z pruned=[] cert=0 rej=0 maxlen=1 states=2
+";
+    let report = bless_report(old, new).unwrap();
+    assert!(
+        report.contains(
+            "0 winners moved, 1 rules relabelled, \
+             1 lines with only counts or facts changed [considered on 1], 1 new keys"
+        ),
+        "{report}"
+    );
+    assert!(report.contains("relabelled c | x => y"), "{report}");
+    assert!(!report.contains("c | a.b"), "{report}");
+    // a rendered regex with spaces is one fact
+    assert_eq!(
+        fields("applied=- planned=a.c + d rej=0"),
+        [
+            ("applied", "-".to_string()),
+            ("planned", "a.c + d".to_string()),
+            ("rej", "0".to_string())
+        ]
+    );
 }
 
 #[test]
