@@ -627,14 +627,7 @@ impl Nfa {
     /// finite-language queries: no answer can lie deeper than the longest
     /// word the automaton accepts.
     pub fn longest_accepted_len(&self) -> Option<usize> {
-        self.trim().longest_accepted_len_trimmed()
-    }
-
-    /// [`Nfa::longest_accepted_len`] for an automaton that already is
-    /// [`Nfa::trim`]med — the caller's contract; a planner that keeps the
-    /// trimmed form asks without paying for the trim again.
-    pub fn longest_accepted_len_trimmed(&self) -> Option<usize> {
-        let t = self;
+        let t = &self.trim();
         if !t.accept.iter().any(|&a| a) {
             return None; // empty language: no word to bound
         }

@@ -16,10 +16,11 @@
 //!   answers match the plain engine's.
 //!
 //! * **Compile once** — on the `plan-cold` shapes of `bench_e2e` a cold
-//!   plan builds one Thompson automaton of its query and runs at most one
-//!   subset construction of it (`Optimized::thompson_builds` /
-//!   `determinizations`), and none at all for a word no cache body
-//!   prefixes.
+//!   plan builds one Thompson automaton of its query, none of a candidate
+//!   it scores, and runs at most one subset construction of it
+//!   (`Optimized::thompson_builds` / `determinizations`), and none at all
+//!   for a word no cache body prefixes; the analysis trims no automaton
+//!   (`Analysis::trims`), for none of these queries has an `∅` subterm.
 //! * **Prove once** — on the same shapes a rewritten cold plan considers
 //!   one candidate and decides its one claim once (`Optimized::considered
 //!   == 1`, `claims_proved == 1`: the view search, the only code that
@@ -34,11 +35,13 @@
 //! * **Allocate per artefact, not per subset** — on the same shapes a
 //!   warm `optimize_and_analyze` asks the allocator for at most
 //!   [`COLD_PLAN_BUFFERS`] buffers per text of each class (counted by this
-//!   binary's `#[global_allocator]`: 60 / 565–700 / 161–162). The subset
+//!   binary's `#[global_allocator]`: 21 / 418–562 / 122–123). The subset
 //!   constructions, inclusion tests, Moore rounds and closure saturations
-//!   of a plan intern their state sets in one arena per construction; a
-//!   `Vec` per subset state, as before, took 65 / 1 461–1 842 / 224, and
-//!   a second cache rewriter beside the view search 61 / 744–943 / 162–163.
+//!   of a plan intern their state sets in one arena per construction, and
+//!   the facts a regex states are read off it; a Thompson automaton per
+//!   scored candidate and a trim per plan took 60 / 565–700 / 161–162, a
+//!   `Vec` per subset state 65 / 1 461–1 842 / 224, and a second cache
+//!   rewriter beside the view search 61 / 744–943 / 162–163.
 //!   And a
 //!   rewritten text's certifying inclusion test over the text repeated
 //!   [`REPEATS`] times — that many times the pairs — asks for at most
@@ -95,7 +98,7 @@ static ALLOCATOR: Counting = Counting;
 /// Acceptance 6's bound on the buffers one warm `optimize_and_analyze`
 /// asks for, per class of `plan-cold` text.
 const COLD_PLAN_BUFFERS: [(&str, usize); 3] =
-    [("uncached", 72), ("cached", 800), ("union_tail", 180)];
+    [("uncached", 25), ("cached", 642), ("union_tail", 137)];
 
 /// How many times acceptance 6 repeats a rewritten text to multiply the
 /// pairs its certifying inclusion test visits.
@@ -141,7 +144,7 @@ fn cold_plan_allocation_gate() {
             *max <= bound,
             "a cold {name} plan asked for {max} buffers (bound {bound}) — subset \
              states must be interned in the construction's arena, not allocated \
-             one by one"
+             one by one, and a regex's facts read off it, not off an automaton"
         );
     }
     // The certifying inclusion test of a rewritten text, `L(q) ⊆
@@ -372,10 +375,13 @@ fn bench(c: &mut Criterion) {
         ("union_tail", &w.union_tail),
     ] {
         // Acceptance 4: a cold plan compiles its query once. One Thompson
-        // automaton serves the cost models and every rewrite family; the
-        // subset construction runs at most once, and not at all for a word
-        // no cache body prefixes (the view search is gated out and a word
-        // is its own minimal-DFA regex).
+        // automaton, the query's, serves the view search's probe, every
+        // rewrite family and the plan; scoring a candidate builds none —
+        // the cost models read the regex, and `thompson_builds` counts the
+        // scored candidates' builds too. The automaton is trim as built, so
+        // the analysis trims nothing. The subset construction runs at most
+        // once, and not at all for a word no cache body prefixes (the view
+        // search is gated out and a word is its own minimal-DFA regex).
         //
         // Acceptance 5: a cold plan proves its claim once and builds each
         // closure once — certification reads the two its decision built.
@@ -384,6 +390,7 @@ fn bench(c: &mut Criterion) {
             let (opt, analysis) =
                 optimize_and_analyze(&w.constraints, q, &w.alphabet, graph.stats());
             assert_eq!(opt.thompson_builds, 1, "{name}: {q:?}");
+            assert_eq!(analysis.trims, 0, "{name}: {q:?}");
             assert_eq!(
                 opt.determinizations,
                 usize::from(name != "uncached"),

@@ -25,7 +25,7 @@
 //! the agreement suite (and any future scheduler, cache, or shard router)
 //! a single dispatch point.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use rpq_automata::{parse_regex, Alphabet, Nfa, ParseError, Regex};
 use rpq_graph::{CsrGraph, Oid};
@@ -38,21 +38,25 @@ use crate::stats::{Direction, EvalStats};
 use crate::streaming::StreamingEval;
 
 /// A prepared path query: the regex, its Thompson NFA, and the alphabet it
-/// was parsed against — everything any [`Engine`] needs, compiled once.
+/// was parsed against — everything any [`Engine`] needs, the NFA compiled
+/// at most once, on the first [`Query::nfa`].
 ///
-/// The alphabet is an immutable snapshot behind an [`Arc`]: cloning a
-/// query never copies label names, and a front end that prepares many
-/// queries against one alphabet shares a single snapshot between them
-/// ([`Query::on_snapshot`]).
+/// The NFA is built lazily because a planner runs the automaton it plans
+/// ([`Query::with_nfa`]), not the one of the text it was handed: a query
+/// that only keys a plan never builds one. The alphabet is an immutable
+/// snapshot behind an [`Arc`]: cloning a query never copies label names,
+/// and a front end that prepares many queries against one alphabet shares
+/// a single snapshot between them ([`Query::on_snapshot`]).
 #[derive(Clone, Debug)]
 pub struct Query {
     regex: Regex,
-    nfa: Nfa,
+    nfa: OnceLock<Nfa>,
     alphabet: Arc<Alphabet>,
 }
 
 impl Query {
-    /// Prepare `regex` (compiles the Thompson NFA, snapshots the alphabet).
+    /// Prepare `regex` (snapshots the alphabet; the Thompson NFA is built
+    /// on first use).
     pub fn new(regex: Regex, alphabet: &Alphabet) -> Query {
         Query::on_snapshot(regex, Arc::new(alphabet.clone()))
     }
@@ -61,10 +65,9 @@ impl Query {
     /// shares — [`Query::new`] without the copy. `alphabet` must name
     /// every symbol of `regex`.
     pub fn on_snapshot(regex: Regex, alphabet: Arc<Alphabet>) -> Query {
-        let nfa = Nfa::thompson(&regex);
         Query {
             regex,
-            nfa,
+            nfa: OnceLock::new(),
             alphabet,
         }
     }
@@ -82,7 +85,7 @@ impl Query {
     pub fn with_nfa(regex: Regex, nfa: Nfa, alphabet: Arc<Alphabet>) -> Query {
         Query {
             regex,
-            nfa,
+            nfa: OnceLock::from(nfa),
             alphabet,
         }
     }
@@ -98,9 +101,10 @@ impl Query {
         &self.regex
     }
 
-    /// The query as a Thompson NFA (automaton engines).
+    /// The query as a Thompson NFA (automaton engines), built on the
+    /// first call — or the automaton [`Query::with_nfa`] was given.
     pub fn nfa(&self) -> &Nfa {
-        &self.nfa
+        self.nfa.get_or_init(|| Nfa::thompson(&self.regex))
     }
 
     /// The alphabet snapshot the query was prepared against (a planner
@@ -338,6 +342,25 @@ mod tests {
             Query::new(q.regex().clone(), &ab).regex().size()
         );
         assert!(q.alphabet().get("a").is_some());
+    }
+
+    #[test]
+    fn a_query_builds_its_automaton_once_and_only_when_asked() {
+        let mut ab = Alphabet::new();
+        let q = Query::parse(&mut ab, "a.b*").unwrap();
+        let snap = Query::on_snapshot(q.regex().clone(), Arc::clone(q.alphabet()));
+        assert!(q.nfa.get().is_none() && snap.nfa.get().is_none());
+        // a clone of an unbuilt query copies no automaton
+        let copy = q.clone();
+        assert!(copy.nfa.get().is_none());
+        let built: *const Nfa = q.nfa();
+        assert!(std::ptr::eq(built, q.nfa()), "built once");
+        assert!(copy.nfa.get().is_none(), "the clone's cell is its own");
+        // the planner's automaton is kept, not rebuilt from the regex (a
+        // different language here, to tell the two apart)
+        let planned = Query::with_nfa(q.regex().clone(), Nfa::empty(), Arc::clone(q.alphabet()));
+        assert_eq!(planned.nfa().num_states(), 1);
+        assert!(planned.nfa().is_empty_lang());
     }
 
     #[test]

@@ -24,10 +24,13 @@
 //!    and is answered without touching the graph.
 //! 3. **NFA trimming** — states not on a start→accept path are dropped
 //!    before the plan's automata are built, shrinking every downstream
-//!    structure (frontiers, subset universes, reversals).
-//! 4. **Finite-language detection** — when the trimmed automaton accepts
-//!    a finite language, the longest accepted word bounds the product
-//!    BFS depth exactly ([`rpq_automata::Nfa::longest_accepted_len`]),
+//!    structure (frontiers, subset universes, reversals). A regex with no
+//!    `∅` subterm — every restricted query the smart constructors leave
+//!    non-empty — has a Thompson automaton that is trim as built, so
+//!    nothing is trimmed ([`Analysis::trims`]).
+//! 4. **Finite-language detection** — when the language is finite, the
+//!    longest accepted word bounds the product BFS depth exactly
+//!    ([`rpq_automata::Nfa::longest_accepted_len`], read off the regex),
 //!    enabling the bounded fast path.
 //!
 //! The resulting [`AnalysisFacts`] ride on the plan through the epoch
@@ -91,6 +94,16 @@ pub struct Analysis {
     /// Inclusion tests certification ran: 2 for a certified winner, 1 or
     /// 2 for a rejected one, 0 when the input won.
     pub certify_inclusions: usize,
+    /// Trims of `regex`'s Thompson automaton the analysis ran: 0 when no
+    /// subterm of `regex` denotes `∅`, for then the automaton is trim as
+    /// built.
+    pub trims: usize,
+    /// The labels that begin a word of `regex`: [`Nfa::entry_symbols`] of
+    /// `nfa`, read off the regex.
+    pub(crate) first_symbols: Vec<Symbol>,
+    /// The labels that end a word of `regex`: the entry symbols of `nfa`'s
+    /// reversal, read off the regex.
+    pub(crate) last_symbols: Vec<Symbol>,
 }
 
 /// Certify `E ⊨ original = candidate` against the generalized rewrite
@@ -161,37 +174,35 @@ pub fn analyze(
     stats: &LabelStats,
 ) -> Analysis {
     let input = CompiledQuery::new(original, 0);
-    let closures = Closures::new(set);
-    if winner == *original {
-        analyze_compiled(&closures, &input, None, stats)
-    } else {
-        let winner = CompiledQuery::owned(winner, 0);
-        analyze_compiled(&closures, &input, Some(&winner), stats)
-    }
+    let winner = (winner != *original).then(|| CompiledQuery::owned(winner, 0));
+    analyze_compiled(&Closures::new(set), input, winner, stats)
 }
 
 /// [`analyze`] over compiled queries and the plan's closures: `winner` is
 /// `None` when the input won the rewrite search. What the search already
-/// built of either query (automaton, trimmed form, depth cap) and of the
-/// closures is read, not rebuilt.
-pub(crate) fn analyze_compiled(
+/// built of either query (automaton, trimmed form) and of the closures is
+/// read, not rebuilt, and the planned query's automaton is moved into the
+/// [`Analysis`], not copied.
+pub(crate) fn analyze_compiled<'q>(
     closures: &Closures<'_>,
-    original: &CompiledQuery<'_>,
-    winner: Option<&CompiledQuery<'_>>,
+    original: CompiledQuery<'q>,
+    winner: Option<CompiledQuery<'q>>,
     stats: &LabelStats,
 ) -> Analysis {
     let t0 = Instant::now();
     let mut facts = AnalysisFacts::default();
-    let mut chosen = original;
     let (builds, inclusions) = (closures.builds(), closures.inclusions());
-    if let Some(winner) = winner {
-        if certify(closures, original, winner) {
+    let chosen = match winner {
+        Some(winner) if certify(closures, &original, &winner) => {
             facts.rewrites_certified = 1;
-            chosen = winner;
-        } else {
-            facts.rewrites_rejected = 1;
+            winner
         }
-    }
+        Some(_) => {
+            facts.rewrites_rejected = 1;
+            original
+        }
+        None => original,
+    };
     let certify_closure_builds = closures.builds() - builds;
     let certify_inclusions = closures.inclusions() - inclusions;
     let (restricted, pruned) = restrict_to_live_symbols(chosen.regex(), stats);
@@ -201,28 +212,29 @@ pub(crate) fn analyze_compiled(
     // (the smart constructors fold `∅` away), so the states it removes
     // never reach the restricted automaton — counting savings against the
     // chosen query's Thompson NFA is what makes the reduction visible.
-    let erased;
+    let chosen_states = chosen.states();
     let planned = if facts.pruned_symbols.is_empty() {
         chosen
     } else {
-        erased = CompiledQuery::owned(restricted, 0);
-        &erased
+        CompiledQuery::owned(restricted, 0)
     };
-    let trimmed = planned.trimmed().clone();
-    facts.states_trimmed = chosen
-        .nfa()
-        .num_states()
-        .saturating_sub(trimmed.num_states());
+    facts.states_trimmed = chosen_states.saturating_sub(planned.trimmed().num_states());
     facts.statically_empty = planned.is_empty();
     facts.max_word_len = planned.longest_accepted_len();
     facts.finite_language = planned.is_finite();
+    let (first_symbols, last_symbols) = planned.label_groups();
+    let trims = planned.trims();
+    let (regex, nfa) = planned.into_trimmed();
     facts.analysis_ns = t0.elapsed().as_nanos() as u64;
     Analysis {
-        regex: planned.regex().clone(),
-        nfa: trimmed,
+        regex,
+        nfa,
         facts,
         certify_closure_builds,
         certify_inclusions,
+        trims,
+        first_symbols,
+        last_symbols,
     }
 }
 

@@ -2,11 +2,16 @@
 //!
 //! A cold plan asks the same few questions of the same regex from every
 //! rewrite family, the view search, the cost models and the static
-//! analysis: its Thompson automaton, the trimmed form, whether (and how
-//! deep) the language is finite, and the complete DFA. [`CompiledQuery`]
-//! answers each at most once, lazily, so the planner is one pass over
-//! these artefacts instead of one compilation per family. It is private to
-//! the crate: the public entry points build one and hand it down.
+//! analysis. Most are facts of the regex — whether (and how deep) the
+//! language is finite, the size and label traffic of its Thompson
+//! automaton, the labels that begin and end a word — and
+//! [`CompiledQuery`] reads them off the tree when it is made
+//! ([`crate::shape`]), so scoring a candidate builds no automaton. The
+//! rest are artefacts: the Thompson automaton, its trimmed form (the
+//! automaton itself unless a subterm denotes `∅`) and the complete DFA,
+//! each built at most once, lazily, for a query the plan probes, tests or
+//! runs. It is private to the crate: the public entry points build one and
+//! hand it down.
 //!
 //! [`PlanPass`] is the same idea for what a plan proves: the `RewriteTo`
 //! closures by target regex, which deciding a claim builds and
@@ -15,9 +20,12 @@
 use std::borrow::Cow;
 use std::cell::{Cell, OnceCell};
 
-use rpq_automata::{Dfa, Nfa, Regex};
+use rpq_automata::{Dfa, Nfa, Regex, Symbol};
 use rpq_constraints::types::PathConstraint;
 use rpq_constraints::{Closures, ConstraintSet};
+use rpq_graph::LabelStats;
+
+use crate::shape::{label_mass, labels, Shape};
 
 /// One plan's proof state, made where the plan starts and dropped with it:
 /// the closure memo every decision and the certification read, and how many
@@ -61,20 +69,22 @@ impl<'s> PlanPass<'s> {
     }
 }
 
-/// A regex with its compiled artefacts, each built at most once.
+/// A regex with its compiled artefacts, each built at most once, and the
+/// facts its [`Shape`] reads off the tree without building any.
 pub(crate) struct CompiledQuery<'q> {
     regex: Cow<'q, Regex>,
+    shape: Shape,
     /// The caller's alphabet size; see [`CompiledQuery::dfa`].
     min_sigma: usize,
     nfa: OnceCell<Nfa>,
     trimmed: OnceCell<Nfa>,
-    longest: OnceCell<Option<usize>>,
     dfa: OnceCell<Dfa>,
 }
 
 impl<'q> CompiledQuery<'q> {
-    /// Compile `regex` (nothing is built yet) for plans over an alphabet
-    /// of `sigma` interned labels; 0 when no caller will ask for the DFA.
+    /// Compile `regex` (no automaton is built yet) for plans over an
+    /// alphabet of `sigma` interned labels; 0 when no caller will ask for
+    /// the DFA.
     pub(crate) fn new(regex: &'q Regex, sigma: usize) -> Self {
         Self::compile(Cow::Borrowed(regex), sigma)
     }
@@ -86,12 +96,15 @@ impl<'q> CompiledQuery<'q> {
     }
 
     fn compile(regex: Cow<'q, Regex>, sigma: usize) -> Self {
+        let shape = Shape::of(&regex);
+        #[cfg(debug_assertions)]
+        crate::shape::check(&regex, &shape);
         CompiledQuery {
             regex,
+            shape,
             min_sigma: sigma,
             nfa: OnceCell::new(),
             trimmed: OnceCell::new(),
-            longest: OnceCell::new(),
             dfa: OnceCell::new(),
         }
     }
@@ -106,29 +119,69 @@ impl<'q> CompiledQuery<'q> {
         self.nfa.get_or_init(|| Nfa::thompson(&self.regex))
     }
 
-    /// The Thompson automaton restricted to useful states.
+    /// The Thompson automaton restricted to useful states: the automaton
+    /// itself when no subterm denotes `∅` ([`Shape::is_trim`]).
     pub(crate) fn trimmed(&self) -> &Nfa {
+        if self.shape.is_trim() {
+            return self.nfa();
+        }
         self.trimmed.get_or_init(|| self.nfa().trim())
+    }
+
+    /// The regex and [`CompiledQuery::trimmed`], moved out of the
+    /// compilation.
+    pub(crate) fn into_trimmed(self) -> (Regex, Nfa) {
+        self.trimmed();
+        let built = if self.shape.is_trim() {
+            self.nfa
+        } else {
+            self.trimmed
+        };
+        let nfa = built.into_inner().expect("`trimmed` built it");
+        (self.regex.into_owned(), nfa)
+    }
+
+    /// The states of its Thompson automaton, built or not.
+    pub(crate) fn states(&self) -> usize {
+        self.shape.states()
     }
 
     /// Is the language empty?
     pub(crate) fn is_empty(&self) -> bool {
-        // `trim` answers a dead start state with the canonical ∅ automaton
-        let t = self.trimmed();
-        t.num_states() == 1 && !t.is_accepting(t.start())
+        self.shape.is_empty()
     }
 
     /// [`Nfa::longest_accepted_len`]: the exact depth cap of a finite,
     /// non-empty language.
     pub(crate) fn longest_accepted_len(&self) -> Option<usize> {
-        *self
-            .longest
-            .get_or_init(|| self.trimmed().longest_accepted_len_trimmed())
+        self.shape.longest_word()
     }
 
     /// Is the language finite?
     pub(crate) fn is_finite(&self) -> bool {
-        self.is_empty() || self.longest_accepted_len().is_some()
+        self.shape.is_finite()
+    }
+
+    /// The edges of `stats` on the Thompson automaton's labeled
+    /// transitions, summed: read off the label leaves, or — on a tree
+    /// outside the normal form, where two leaves can be one transition —
+    /// swept off the automaton.
+    pub(crate) fn label_mass(&self, stats: &LabelStats) -> usize {
+        if self.shape.distinct_leaves() {
+            return label_mass(&self.regex, stats);
+        }
+        let nfa = self.nfa();
+        (0..nfa.num_states() as u32)
+            .flat_map(|s| nfa.transitions(s))
+            .map(|&(sym, _)| stats.edge_count(sym))
+            .sum()
+    }
+
+    /// The labels that begin a word ([`Nfa::entry_symbols`] of
+    /// [`CompiledQuery::trimmed`]) and those that end one (of its
+    /// reversal), sorted and deduplicated.
+    pub(crate) fn label_groups(&self) -> (Vec<Symbol>, Vec<Symbol>) {
+        (labels(&self.regex, false), labels(&self.regex, true))
     }
 
     /// The complete DFA over the plan's alphabet — every interned label,
@@ -144,6 +197,12 @@ impl<'q> CompiledQuery<'q> {
     /// How many times the Thompson automaton was built (0 or 1).
     pub(crate) fn thompson_builds(&self) -> usize {
         usize::from(self.nfa.get().is_some())
+    }
+
+    /// How many times the automaton was trimmed (0 or 1): never when
+    /// it is trim as built.
+    pub(crate) fn trims(&self) -> usize {
+        usize::from(self.trimmed.get().is_some())
     }
 
     /// How many subset constructions of the query were run (0 or 1).

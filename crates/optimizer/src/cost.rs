@@ -23,10 +23,11 @@ use serde::{Deserialize, Serialize};
 
 use crate::compiled::CompiledQuery;
 
-/// Static cost of a query.
+/// Static cost of a query: facts of its regex, read without building an
+/// automaton.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct StaticCost {
-    /// NFA states (message/bookkeeping size driver).
+    /// States of its Thompson NFA (message/bookkeeping size driver).
     pub states: usize,
     /// AST size (wire size driver).
     pub ast_size: usize,
@@ -44,7 +45,7 @@ impl StaticCost {
     /// The static cost of a query the planner has compiled.
     pub(crate) fn of_compiled(q: &CompiledQuery<'_>) -> StaticCost {
         StaticCost {
-            states: q.nfa().num_states(),
+            states: q.states(),
             ast_size: q.regex().size(),
             recursive: !q.is_finite(),
         }
@@ -73,13 +74,7 @@ pub fn estimated_cost(q: &Regex, stats: &LabelStats) -> usize {
 
 /// [`estimated_cost`] of a query the planner has compiled.
 pub(crate) fn estimated_cost_compiled(q: &CompiledQuery<'_>, stats: &LabelStats) -> usize {
-    let nfa = q.nfa();
-    let mut per_sweep = 0usize;
-    for s in 0..nfa.num_states() as u32 {
-        for &(sym, _) in nfa.transitions(s) {
-            per_sweep += stats.edge_count(sym);
-        }
-    }
+    let per_sweep = q.label_mass(stats);
     let revisit = if q.is_finite() { 1 } else { 4 };
     per_sweep * revisit + q.regex().size()
 }

@@ -42,13 +42,17 @@
 //!   automaton and emptiness, the word-constraint classification, and the
 //!   rule automata the certification closure embeds. A [`PlannedEngine`]
 //!   keeps its set, so it pays these once per engine;
-//! * **per query** (a crate-private `CompiledQuery`, lazily, each at most
-//!   once): the Thompson automaton, its trimmed form, finiteness and the
-//!   depth cap, and the complete DFA over the plan's alphabet. Both cost
-//!   models, the three candidate families, the view search and — for
-//!   whichever query wins — the static analysis read that one value
-//!   ([`Optimized::thompson_builds`] and [`Optimized::determinizations`]
-//!   count what was built);
+//! * **per query** (a crate-private `CompiledQuery`): what the regex
+//!   states — emptiness, finiteness, the depth cap, its Thompson
+//!   automaton's size and label traffic, the labels that begin and end a
+//!   word — read off the tree in one walk, and lazily, each at most once,
+//!   the Thompson automaton, its trimmed form (the automaton itself when no
+//!   subterm is `∅`) and the complete DFA over the plan's alphabet. Both
+//!   cost models, the three candidate families, the view search and — for
+//!   whichever query wins — the static analysis read that one value, so
+//!   scoring a candidate builds no automaton
+//!   ([`Optimized::thompson_builds`], [`Optimized::determinizations`] and
+//!   [`Analysis::trims`] count what was built);
 //! * **the gate**: the view search probes each cache once, `q ∩ r·Σ*`; a
 //!   cache whose body `r` has a word but leads to no state of `q` prefixes
 //!   no word of `q`, so its universal tail is empty and the search looks
@@ -93,6 +97,7 @@ pub mod join;
 pub mod planned;
 pub mod planner;
 pub mod rewrites;
+mod shape;
 pub mod views;
 
 pub use analysis::{analyze, certify_rewrite, restrict_to_live_symbols, Analysis, AnalysisFacts};

@@ -116,7 +116,7 @@ pub struct Plan {
     /// The planned direction for pair/target-bound evaluation.
     pub direction: Direction,
     /// The first label group: the symbols a word of the query can begin
-    /// with (sorted), read off the trimmed automaton once, with the plan.
+    /// with (sorted), read off the planned regex once, with the plan.
     pub first_symbols: Vec<Symbol>,
     /// The last label group: the symbols a word of the query can end with
     /// (sorted).
@@ -407,20 +407,18 @@ impl<E> PlannedEngine<E> {
         let improved = analysis.facts.rewrites_certified > 0;
         let query = Query::with_nfa(analysis.regex, analysis.nfa, Arc::clone(alphabet));
         let reversed = query.nfa().reverse();
-        // The analysis trimmed the automaton, and the reversal of a trim
-        // automaton is trim: both label groups are read off as they stand.
-        let first_symbols = query.nfa().entry_symbols();
-        let last_symbols = reversed.entry_symbols();
-        let forward_cost = Self::group_cost(&first_symbols, stats);
-        let backward_cost = Self::group_cost(&last_symbols, stats);
+        // Both label groups are facts of the planned regex, read off it by
+        // the analysis.
+        let forward_cost = Self::group_cost(&analysis.first_symbols, stats);
+        let backward_cost = Self::group_cost(&analysis.last_symbols, stats);
         let direction = choose_direction(forward_cost, backward_cost);
         let plan = Arc::new(Plan {
             query,
             reversed,
             improved,
             direction,
-            first_symbols,
-            last_symbols,
+            first_symbols: analysis.first_symbols,
+            last_symbols: analysis.last_symbols,
             forward_cost,
             backward_cost,
             facts: analysis.facts,

@@ -8,16 +8,18 @@
 //! — is [`crate::PlannedEngine::rewrite`].
 //!
 //! One call is one pass: the input is compiled once (`CompiledQuery`:
-//! Thompson automaton, trimmed form, finiteness, complete DFA — each
-//! lazily, at most once) and that one value is what both cost models, the
-//! three candidate families and the view search read. The view search is
-//! the only source of cache rewritings: a cover that answers the whole
-//! query from one cache is reported as [`RewriteRule::CacheSubstitution`]
-//! (the paper's Example 3), every other cover as
-//! [`RewriteRule::ViewCover`]. Every candidate is compiled once too, for
-//! its score, and the winner's compilation is what the static analysis
-//! goes on with, so the planned engine's cold plan certifies, trims and
-//! classifies without building the winner's automaton again.
+//! the facts its regex states — finiteness, depth, automaton size, label
+//! mass — read off the tree, and the Thompson automaton, trimmed form and
+//! complete DFA each built lazily, at most once) and that one value is
+//! what both cost models, the three candidate families and the view
+//! search read. The view search is the only source of cache rewritings:
+//! a cover that answers the whole query from one cache is reported as
+//! [`RewriteRule::CacheSubstitution`] (the paper's Example 3), every other
+//! cover as [`RewriteRule::ViewCover`]. Every candidate is compiled once too, for
+//! its score — which reads the regex and builds no automaton — and the
+//! winner's compilation is what the static analysis goes on with, so the
+//! planned engine's cold plan builds the winner's automaton once, for
+//! certification and the plan it runs.
 //!
 //! One call is also one proof pass (`PlanPass`): every claim `E ⊨ q = c`
 //! is decided once, by the two inclusion tests certification runs, and
@@ -51,8 +53,10 @@ pub struct Optimized {
     pub applied: Option<RewriteRule>,
     /// All candidates considered (diagnostics).
     pub considered: usize,
-    /// Thompson automata built for the input query by this call — one
-    /// serves the cost models, every candidate family and the view search.
+    /// Thompson automata this call built: at most one of the input —
+    /// for the view search's probe, the candidate families and whichever
+    /// side of the certification needs it — and none of the candidates it
+    /// scored, since both cost models read the regex.
     pub thompson_builds: usize,
     /// Subset constructions of the input query run by this call: at most
     /// one, and none when no cache body prefixes a word of the query and
@@ -115,8 +119,9 @@ pub fn optimize_with_stats(
 /// The planned engine's cold plan: [`optimize_with_stats`] and
 /// [`crate::analyze`] as one pass — the input's compilation serves the
 /// rewrite search and then either side of the certification, the winner's
-/// serves its score and then the trim and the depth cap, and the closures
-/// the search's decisions built serve the certification.
+/// serves its score, the certification and then the plan (its automaton
+/// moves into the [`Analysis`]), and the closures the search's decisions
+/// built serve the certification.
 pub fn optimize_and_analyze(
     set: &ConstraintSet,
     q: &Regex,
@@ -128,7 +133,7 @@ pub fn optimize_and_analyze(
     let (optimized, winner) = optimize_scored(&pass, &input, alphabet, &|c| {
         estimated_cost_compiled(c, stats)
     });
-    let analysis = analyze_compiled(pass.closures(), &input, winner.as_ref(), stats);
+    let analysis = analyze_compiled(pass.closures(), input, winner, stats);
     (optimized, analysis)
 }
 
@@ -164,6 +169,13 @@ fn optimize_scored(
         });
     }
 
+    let mut scored_builds = 0;
+    let mut score_candidate = |c: &CompiledQuery<'_>| {
+        let s = score(c);
+        scored_builds += c.thompson_builds();
+        s
+    };
+
     // union-arm decomposition (one level, non-recursive to bound cost),
     // reported under the rule of the first arm it rewrote
     if let Regex::Union(arms) = q {
@@ -175,7 +187,7 @@ fn optimize_scored(
             let arm_score = score(&arm);
             let best_arm = arm_cands
                 .into_iter()
-                .map(|c| (score(&CompiledQuery::new(&c.query, sigma)), c))
+                .map(|c| (score_candidate(&CompiledQuery::new(&c.query, sigma)), c))
                 .filter(|(s, _)| *s < arm_score)
                 .min_by_key(|(s, _)| *s);
             match best_arm {
@@ -200,7 +212,7 @@ fn optimize_scored(
     let mut best: Option<(usize, RewriteRule, CompiledQuery<'static>)> = None;
     for c in cands {
         let compiled = CompiledQuery::owned(c.query, sigma);
-        let s = score(&compiled);
+        let s = score_candidate(&compiled);
         if s < input_score && best.as_ref().is_none_or(|(b, _, _)| s < *b) {
             best = Some((s, c.rule, compiled));
         }
@@ -220,7 +232,7 @@ fn optimize_scored(
         after,
         applied,
         considered,
-        thompson_builds: input.thompson_builds(),
+        thompson_builds: input.thompson_builds() + scored_builds,
         determinizations: input.determinizations(),
         claims_proved: pass.claims(),
         closure_builds: pass.closures().builds(),

@@ -25,9 +25,9 @@
 //!
 //! ## One pass over compiled artefacts
 //!
-//! The families read the query through one `CompiledQuery` (its Thompson
-//! automaton, finiteness and complete DFA, each built at most once per
-//! plan). Family 3 skips a query that is a single word: the minimal-DFA
+//! The families read the query through one `CompiledQuery` (its
+//! finiteness, read off the regex, and its Thompson automaton and complete
+//! DFA, each built at most once per plan). Family 3 skips a query that is a single word: the minimal-DFA
 //! regex of a word is that word, so there is nothing smaller to offer.
 
 use rpq_automata::elim::nfa_to_regex;
@@ -36,6 +36,7 @@ use rpq_automata::{Alphabet, Nfa, Regex};
 use rpq_constraints::{decide_boundedness, Boundedness};
 
 use crate::compiled::{CompiledQuery, PlanPass};
+use crate::shape::is_word;
 
 /// A validated rewrite candidate.
 #[derive(Clone, Debug)]
@@ -109,7 +110,7 @@ pub(crate) fn candidates_compiled(
 
     // 3. algebraic simplification via minimal DFA → regex (a single word
     // is its own minimal-DFA regex: nothing to offer)
-    if q.as_word().is_none() {
+    if !is_word(q) {
         let simplified = nfa_to_regex(&cq.dfa().minimize().to_nfa());
         if simplified.size() < q.size() && equivalent(cq.nfa(), &Nfa::thompson(&simplified)).is_ok()
         {

@@ -1,0 +1,384 @@
+//! What a query's regex says of itself, read without an automaton.
+//!
+//! A cold plan asks seven questions of every query it scores, analyses or
+//! runs: is the language empty, is it finite, how long is its longest word,
+//! how many states has its Thompson automaton, how much label traffic do
+//! that automaton's transitions carry ([`crate::estimated_cost`]), and
+//! which labels begin and which end a word (the planned engine's label
+//! groups). Each is a fact of the regex, so one walk over the tree answers
+//! it: [`Shape`] and [`labels`]. [`crate::compiled::CompiledQuery`] reads
+//! them from here and builds the Thompson automaton only for a query the
+//! plan goes on to run or test.
+//!
+//! The walk follows [`Nfa::thompson`](rpq_automata::Nfa::thompson) case
+//! for case, so the facts hold on any tree, not only on the smart
+//! constructors' normal form: a concatenation or union of no parts
+//! denotes `∅` there, as it does here. One fact needs the normal form: the
+//! automaton keeps one transition per `(state, label, state)`, so two equal
+//! label arms of one union (or of nested unions and one-part
+//! concatenations, which share their parent's endpoints) are one
+//! transition, not two. [`Shape::distinct_leaves`] says when every label
+//! leaf is its own transition; where it is not, the caller sweeps the
+//! automaton for the label mass instead.
+
+use rpq_automata::{Regex, Symbol};
+use rpq_graph::LabelStats;
+
+/// The words of a language, as far as the facts need them. The derived
+/// order is the one union takes the greatest of.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+enum Words {
+    /// No word.
+    None,
+    /// Finitely many, the longest this long.
+    UpTo(usize),
+    /// Infinitely many.
+    Unbounded,
+}
+
+impl Words {
+    fn then(self, next: Words) -> Words {
+        match (self, next) {
+            (Words::None, _) | (_, Words::None) => Words::None,
+            (Words::Unbounded, _) | (_, Words::Unbounded) => Words::Unbounded,
+            (Words::UpTo(a), Words::UpTo(b)) => Words::UpTo(a + b),
+        }
+    }
+
+    fn star(self) -> Words {
+        match self {
+            Words::None | Words::UpTo(0) => Words::UpTo(0),
+            _ => Words::Unbounded,
+        }
+    }
+}
+
+/// The facts one walk of a regex reads, each equal to the fact of its
+/// Thompson automaton it replaces.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Shape {
+    words: Words,
+    states: usize,
+    trim: bool,
+    distinct_leaves: bool,
+}
+
+impl Shape {
+    /// Walk `r` once.
+    pub(crate) fn of(r: &Regex) -> Shape {
+        let mut shape = Shape {
+            words: Words::None,
+            // the start and the exit
+            states: 2,
+            trim: true,
+            distinct_leaves: true,
+        };
+        shape.words = shape.walk(r);
+        shape
+    }
+
+    fn walk(&mut self, r: &Regex) -> Words {
+        let words = match r {
+            Regex::Empty => Words::None,
+            Regex::Epsilon => Words::UpTo(0),
+            Regex::Symbol(_) => Words::UpTo(1),
+            Regex::Concat(parts) => {
+                // a state between each two parts
+                self.states += parts.len().saturating_sub(1);
+                let unit = if parts.is_empty() {
+                    Words::None
+                } else {
+                    Words::UpTo(0)
+                };
+                parts.iter().fold(unit, |acc, p| acc.then(self.walk(p)))
+            }
+            Regex::Union(arms) => {
+                self.distinct_leaves &= arms_are_distinct(arms);
+                arms.iter()
+                    .fold(Words::None, |acc, a| acc.max(self.walk(a)))
+            }
+            Regex::Star(body) => {
+                // the hub and the body's exit
+                self.states += 2;
+                self.walk(body).star()
+            }
+        };
+        self.trim &= words != Words::None;
+        words
+    }
+
+    /// Is the language empty?
+    pub(crate) fn is_empty(&self) -> bool {
+        self.words == Words::None
+    }
+
+    /// Is the language finite (the empty language included)?
+    pub(crate) fn is_finite(&self) -> bool {
+        self.words != Words::Unbounded
+    }
+
+    /// The length of the longest word of a finite, non-empty language:
+    /// [`Nfa::longest_accepted_len`](rpq_automata::Nfa::longest_accepted_len).
+    pub(crate) fn longest_word(&self) -> Option<usize> {
+        match self.words {
+            Words::UpTo(n) => Some(n),
+            _ => None,
+        }
+    }
+
+    /// The states of [`Nfa::thompson`](rpq_automata::Nfa::thompson).
+    pub(crate) fn states(&self) -> usize {
+        self.states
+    }
+
+    /// No subterm denotes `∅`, so every state of the Thompson automaton
+    /// lies on a start → exit path: [`Nfa::trim`](rpq_automata::Nfa::trim)
+    /// would keep every state and every row, as they are.
+    pub(crate) fn is_trim(&self) -> bool {
+        self.trim
+    }
+
+    /// Every label leaf is a transition of its own in the Thompson
+    /// automaton, so [`label_mass`] equals the sweep over its transitions.
+    /// True on the smart constructors' normal form, where union arms are
+    /// sorted and distinct and never unions or one-part concatenations.
+    pub(crate) fn distinct_leaves(&self) -> bool {
+        self.distinct_leaves
+    }
+}
+
+/// Union arms that place no label twice between the union's endpoints:
+/// none shares those endpoints with its own arms (a union or a one-part
+/// concatenation), and the label arms strictly increase.
+fn arms_are_distinct(arms: &[Regex]) -> bool {
+    let mut last: Option<Symbol> = None;
+    arms.iter().all(|a| match a {
+        Regex::Union(_) => false,
+        Regex::Concat(parts) => parts.len() > 1,
+        Regex::Symbol(s) => last.replace(*s).is_none_or(|l| l < *s),
+        _ => true,
+    })
+}
+
+/// The edges of `stats` on every label leaf of `r`: the sum over the
+/// Thompson automaton's transitions when [`Shape::distinct_leaves`].
+pub(crate) fn label_mass(r: &Regex, stats: &LabelStats) -> usize {
+    let mut mass = 0;
+    each_leaf(r, &mut |s| mass += stats.edge_count(s));
+    mass
+}
+
+/// Call `f` on the label of every leaf of `r`, left to right.
+fn each_leaf(r: &Regex, f: &mut impl FnMut(Symbol)) {
+    match r {
+        Regex::Empty | Regex::Epsilon => {}
+        Regex::Symbol(s) => f(*s),
+        Regex::Concat(parts) | Regex::Union(parts) => parts.iter().for_each(|p| each_leaf(p, f)),
+        Regex::Star(body) => each_leaf(body, f),
+    }
+}
+
+/// Does `r` denote a single word? [`Regex::as_word`] without spelling it.
+pub(crate) fn is_word(r: &Regex) -> bool {
+    match r {
+        Regex::Epsilon | Regex::Symbol(_) => true,
+        Regex::Concat(parts) => parts.iter().all(is_word),
+        _ => false,
+    }
+}
+
+/// The labels that begin a word of `r` — or, with `last`, end one —
+/// sorted and deduplicated: [`Nfa::entry_symbols`](rpq_automata::Nfa::entry_symbols)
+/// of the trimmed Thompson automaton, and of its reversal.
+pub(crate) fn labels(r: &Regex, last: bool) -> Vec<Symbol> {
+    let mut out = Vec::new();
+    ends(r, last, &mut out);
+    out.sort_unstable();
+    out.dedup();
+    out
+}
+
+/// Push the labels that begin (`last`: end) a word of `r` onto `out`.
+/// `None` when `r` has no word — and then nothing is left pushed —
+/// otherwise whether it has the empty word.
+fn ends(r: &Regex, last: bool, out: &mut Vec<Symbol>) -> Option<bool> {
+    match r {
+        Regex::Empty => None,
+        Regex::Epsilon => Some(true),
+        Regex::Symbol(s) => {
+            out.push(*s);
+            Some(false)
+        }
+        Regex::Union(arms) => arms.iter().fold(None, |acc, a| match ends(a, last, out) {
+            None => acc,
+            Some(nullable) => Some(nullable || acc == Some(true)),
+        }),
+        Regex::Concat(parts) if parts.is_empty() => None,
+        Regex::Concat(parts) => {
+            let mark = out.len();
+            let mut nullable = true;
+            for i in 0..parts.len() {
+                let part = &parts[if last { parts.len() - 1 - i } else { i }];
+                let from = out.len();
+                // a part behind one without the empty word begins no word,
+                // but an empty part still empties the concatenation
+                let Some(part_nullable) = ends(part, last, out) else {
+                    out.truncate(mark);
+                    return None;
+                };
+                if !nullable {
+                    out.truncate(from);
+                }
+                nullable &= part_nullable;
+            }
+            Some(nullable)
+        }
+        Regex::Star(body) => {
+            ends(body, last, out);
+            Some(true)
+        }
+    }
+}
+
+/// Every fact of `shape` against the automaton it replaces — for the
+/// debug builds' cross-check and the property tests.
+#[cfg(any(test, debug_assertions))]
+pub(crate) fn check(r: &Regex, shape: &Shape) {
+    let nfa = rpq_automata::Nfa::thompson(r);
+    let trimmed = nfa.trim();
+    let (mut leaf_labels, mut swept) = (Vec::new(), Vec::new());
+    each_leaf(r, &mut |s| leaf_labels.push(s));
+    for s in 0..nfa.num_states() as u32 {
+        swept.extend(nfa.transitions(s).iter().map(|&(sym, _)| sym));
+    }
+    leaf_labels.sort_unstable();
+    swept.sort_unstable();
+    let kept = |s: u32| {
+        trimmed.is_accepting(s) == nfa.is_accepting(s)
+            && trimmed.transitions(s) == nfa.transitions(s)
+            && trimmed.eps_transitions(s) == nfa.eps_transitions(s)
+    };
+    let states = nfa.num_states();
+    let facts = [
+        ("states", shape.states() == states),
+        ("emptiness", shape.is_empty() == nfa.is_empty_lang()),
+        ("finiteness", shape.is_finite() == nfa.is_finite_lang()),
+        (
+            "longest word",
+            shape.longest_word() == nfa.longest_accepted_len(),
+        ),
+        ("first labels", labels(r, false) == trimmed.entry_symbols()),
+        (
+            "last labels",
+            labels(r, true) == trimmed.reverse().entry_symbols(),
+        ),
+        (
+            "label mass",
+            !shape.distinct_leaves() || leaf_labels == swept,
+        ),
+        ("single-word test", is_word(r) == r.as_word().is_some()),
+        (
+            "trim",
+            !shape.is_trim() || trimmed.num_states() == states && (0..states as u32).all(kept),
+        ),
+    ];
+    for (fact, holds) in facts {
+        assert!(holds, "the {fact} read off {r:?} is not its automaton's");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use rpq_automata::random::{random_regex, RegexGenConfig};
+    use rpq_automata::Alphabet;
+
+    /// A tree the smart constructors never make: duplicate and nested
+    /// union arms, `ε` and `∅` inside concatenations and stars, `Star(ε)`,
+    /// one-part and empty concatenations and unions.
+    fn raw_tree(rng: &mut StdRng, syms: &[Symbol], depth: usize) -> Regex {
+        let leaf = depth == 0 || rng.random_range(0..100) < 25;
+        if leaf {
+            return match rng.random_range(0..10) {
+                0 => Regex::Epsilon,
+                1 => Regex::Empty,
+                _ => Regex::Symbol(syms[rng.random_range(0..syms.len())]),
+            };
+        }
+        let k = rng.random_range(0..4);
+        let mut parts: Vec<Regex> = (0..k).map(|_| raw_tree(rng, syms, depth - 1)).collect();
+        if k > 0 && rng.random_range(0..4) == 0 {
+            // an arm twice
+            parts.push(parts[0].clone());
+        }
+        match rng.random_range(0..10) {
+            0..=2 => Regex::Star(Box::new(parts.pop().unwrap_or(Regex::Epsilon))),
+            3..=6 => Regex::Union(parts),
+            _ => Regex::Concat(parts),
+        }
+    }
+
+    #[test]
+    fn every_fact_read_off_the_regex_is_the_automatons() {
+        let mut ab = Alphabet::new();
+        let syms: Vec<Symbol> = ["a", "b", "c"].iter().map(|n| ab.intern(n)).collect();
+        let mut rng = StdRng::seed_from_u64(0x5a17e);
+        let mut cfg = RegexGenConfig::new(syms.clone());
+        let (mut normal, mut raw, mut fallbacks, mut untrimmed) = (0, 0, 0, 0);
+        for depth in 1..=5 {
+            cfg.max_depth = depth;
+            for _ in 0..400 {
+                let r = random_regex(&mut rng, &cfg);
+                let shape = Shape::of(&r);
+                assert!(shape.distinct_leaves(), "normal form: {r:?}");
+                check(&r, &shape);
+                normal += 1;
+            }
+            for _ in 0..400 {
+                let r = raw_tree(&mut rng, &syms, depth);
+                let shape = Shape::of(&r);
+                check(&r, &shape);
+                fallbacks += usize::from(!shape.distinct_leaves());
+                untrimmed += usize::from(!shape.is_trim());
+                raw += 1;
+            }
+        }
+        // the raw trees reach both fallbacks often
+        assert_eq!((normal, raw), (2000, 2000));
+        assert!(
+            fallbacks > 100 && untrimmed > 500,
+            "{fallbacks} {untrimmed}"
+        );
+    }
+
+    #[test]
+    fn the_hand_built_corner_cases() {
+        let mut ab = Alphabet::new();
+        let (a, b) = (ab.intern("a"), ab.intern("b"));
+        let (sa, sb) = (Regex::Symbol(a), Regex::Symbol(b));
+        let star = |r: Regex| Regex::Star(Box::new(r));
+        for r in [
+            star(Regex::Epsilon),
+            star(Regex::Empty),
+            star(Regex::Union(vec![Regex::Epsilon, Regex::Epsilon])),
+            star(Regex::Concat(vec![Regex::Epsilon, star(Regex::Epsilon)])),
+            Regex::Concat(vec![]),
+            Regex::Union(vec![]),
+            Regex::Concat(vec![sa.clone()]),
+            Regex::Concat(vec![sa.clone(), Regex::Epsilon, sb.clone()]),
+            Regex::Concat(vec![sa.clone(), Regex::Empty, star(sb.clone())]),
+            Regex::Union(vec![sb.clone(), sa.clone(), sb.clone()]),
+            Regex::Union(vec![sa.clone(), Regex::Union(vec![sa.clone(), sb.clone()])]),
+            Regex::Union(vec![sa.clone(), Regex::Concat(vec![sa.clone()])]),
+            Regex::Concat(vec![star(Regex::Epsilon), sa.clone(), Regex::Empty]),
+        ] {
+            check(&r, &Shape::of(&r));
+        }
+        let eps_star = Shape::of(&star(Regex::Epsilon));
+        assert_eq!(eps_star.longest_word(), Some(0), "ε* is {{ε}}, finite");
+        let dup = Shape::of(&Regex::Union(vec![sa.clone(), sa]));
+        assert!(!dup.distinct_leaves(), "a + a is one transition");
+    }
+}
