@@ -45,6 +45,7 @@ use rpq_constraints::{Closures, ConstraintSet};
 use rpq_graph::LabelStats;
 
 use crate::compiled::CompiledQuery;
+use crate::shape::any_leaf;
 
 /// Facts derived statically from one query over one snapshot's label
 /// statistics. Attached to every plan; see the module docs for the four
@@ -139,6 +140,9 @@ fn certify(closures: &Closures<'_>, q: &CompiledQuery<'_>, r: &CompiledQuery<'_>
 /// label with no edges matches no path, so dropping those words never
 /// loses an answer.
 pub fn restrict_to_live_symbols(q: &Regex, stats: &LabelStats) -> (Regex, Vec<Symbol>) {
+    if !any_leaf(q, |s| stats.edge_count(s) == 0) {
+        return (q.clone(), Vec::new());
+    }
     let dead: BTreeSet<Symbol> = q
         .symbols()
         .into_iter()
@@ -205,18 +209,19 @@ pub(crate) fn analyze_compiled<'q>(
     };
     let certify_closure_builds = closures.builds() - builds;
     let certify_inclusions = closures.inclusions() - inclusions;
-    let (restricted, pruned) = restrict_to_live_symbols(chosen.regex(), stats);
-    facts.pruned_symbols = pruned;
-    // Nothing pruned: the restricted query *is* the chosen one, compiled
-    // already. Otherwise symbol erasure simplified the regex structurally
-    // (the smart constructors fold `∅` away), so the states it removes
-    // never reach the restricted automaton — counting savings against the
-    // chosen query's Thompson NFA is what makes the reduction visible.
+    // No dead label (a walk over the leaves): the restricted query *is*
+    // the chosen one, compiled already. Otherwise symbol erasure
+    // simplified the regex structurally (the smart constructors fold `∅`
+    // away), so the states it removes never reach the restricted automaton
+    // — counting savings against the chosen query's Thompson NFA is what
+    // makes the reduction visible.
     let chosen_states = chosen.states();
-    let planned = if facts.pruned_symbols.is_empty() {
-        chosen
-    } else {
+    let planned = if any_leaf(chosen.regex(), |s| stats.edge_count(s) == 0) {
+        let (restricted, pruned) = restrict_to_live_symbols(chosen.regex(), stats);
+        facts.pruned_symbols = pruned;
         CompiledQuery::owned(restricted, 0)
+    } else {
+        chosen
     };
     facts.states_trimmed = chosen_states.saturating_sub(planned.trimmed().num_states());
     facts.statically_empty = planned.is_empty();

@@ -25,7 +25,7 @@ use rpq_constraints::types::PathConstraint;
 use rpq_constraints::{Closures, ConstraintSet};
 use rpq_graph::LabelStats;
 
-use crate::shape::{label_mass, labels, Shape};
+use crate::shape::{is_minimum, label_mass, labels, Shape};
 
 /// One plan's proof state, made where the plan starts and dropped with it:
 /// the closure memo every decision and the certification read, and how many
@@ -162,6 +162,17 @@ impl<'q> CompiledQuery<'q> {
         self.shape.is_finite()
     }
 
+    /// Does no subterm denote `∅` ([`Shape::is_trim`])?
+    pub(crate) fn is_trim(&self) -> bool {
+        self.shape.is_trim()
+    }
+
+    /// Is no regex of the language smaller than the query?
+    /// [`crate::shape::is_minimum`], read off the tree.
+    pub(crate) fn is_minimum(&self) -> bool {
+        is_minimum(&self.regex, &self.shape)
+    }
+
     /// The edges of `stats` on the Thompson automaton's labeled
     /// transitions, summed: read off the label leaves, or — on a tree
     /// outside the normal form, where two leaves can be one transition —
@@ -188,10 +199,14 @@ impl<'q> CompiledQuery<'q> {
     /// widened to the query's own symbols should the caller's alphabet be
     /// short of them — so complements range over all of `Σ*`.
     pub(crate) fn dfa(&self) -> &Dfa {
-        self.dfa.get_or_init(|| {
-            let own = self.regex.symbols().last().map_or(0, |s| s.index() + 1);
-            Dfa::from_nfa(self.nfa(), self.min_sigma.max(own).max(1))
-        })
+        self.dfa
+            .get_or_init(|| Dfa::from_nfa(self.nfa(), self.sigma()))
+    }
+
+    /// The alphabet size [`CompiledQuery::dfa`] is built over.
+    pub(crate) fn sigma(&self) -> usize {
+        let own = self.regex.symbols().last().map_or(0, |s| s.index() + 1);
+        self.min_sigma.max(own).max(1)
     }
 
     /// How many times the Thompson automaton was built (0 or 1).

@@ -56,8 +56,11 @@
 //! * **the gate**: the view search probes each cache once, `q ∩ r·Σ*`; a
 //!   cache whose body `r` has a word but leads to no state of `q` prefixes
 //!   no word of `q`, so its universal tail is empty and the search looks
-//!   at it no further — and a query that is a single word is its own
-//!   minimal-DFA regex, so the simplifier does not determinize it either;
+//!   at it no further. A body without the empty word that begins with no
+//!   label a word of `q` begins with is dropped on the regexes, before the
+//!   probe. A cover that is `q` itself leaves no remainder to compute, and
+//!   a finite query no smaller regex of its language can undercut — a
+//!   count read off the tree — is not determinized by the simplifier;
 //! * **per plan** (a crate-private `PlanPass`, made by
 //!   [`optimize_and_analyze`] and dropped with the plan): closures by
 //!   target, proofs by claim. Every claim `E ⊨ q = c` is decided by the

@@ -59,9 +59,10 @@ pub struct Optimized {
     /// scored, since both cost models read the regex.
     pub thompson_builds: usize,
     /// Subset constructions of the input query run by this call: at most
-    /// one, and none when no cache body prefixes a word of the query and
-    /// the query is a single word (nothing for the view search or the
-    /// simplifier to look at).
+    /// one, and none when the view search takes no remainder (no cache
+    /// body prefixes a word of the query, or each cover is the query
+    /// itself) and the simplifier has nothing to look for (no regex of
+    /// the query's finite language is smaller than the query).
     pub determinizations: usize,
     /// Claims `E ⊨ q = c` this call decided by the plan's closure test,
     /// proved or not.

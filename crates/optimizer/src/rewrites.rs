@@ -10,7 +10,8 @@
 //!    Section 4.3 — a finite cut of the query whose equivalence the
 //!    plan's closures decide.
 //! 3. **Algebraic simplification**: the minimal-DFA regex (via state
-//!    elimination) when it is smaller.
+//!    elimination) when it is smaller — sought only when a smaller regex
+//!    of the language can exist at all.
 //!
 //! Cached-query substitution (Example 3: `a(ba)*c = (ab)*·(ac) → l·a·c`) is
 //! not a family here: it is the one-cache total cover of the Section 5 view
@@ -27,8 +28,14 @@
 //!
 //! The families read the query through one `CompiledQuery` (its
 //! finiteness, read off the regex, and its Thompson automaton and complete
-//! DFA, each built at most once per plan). Family 3 skips a query that is a single word: the minimal-DFA
-//! regex of a word is that word, so there is nothing smaller to offer.
+//! DFA, each built at most once per plan). Family 3 first asks the regex
+//! whether any regex of its language could be smaller: for a finite
+//! language a count of the leaves, concatenations, unions and `ε`s every
+//! such regex needs bounds its size from below (`shape::is_minimum`), and
+//! a query that small — every word among them — has no smaller
+//! equivalent, so the subset construction, Moore minimization and state
+//! elimination would find nothing to offer and are not run. Debug builds
+//! run them anyway and assert that they find nothing smaller.
 
 use rpq_automata::elim::nfa_to_regex;
 use rpq_automata::ops::equivalent;
@@ -36,7 +43,6 @@ use rpq_automata::{Alphabet, Nfa, Regex};
 use rpq_constraints::{decide_boundedness, Boundedness};
 
 use crate::compiled::{CompiledQuery, PlanPass};
-use crate::shape::is_word;
 
 /// A validated rewrite candidate.
 #[derive(Clone, Debug)]
@@ -108,9 +114,13 @@ pub(crate) fn candidates_compiled(
         }
     }
 
-    // 3. algebraic simplification via minimal DFA → regex (a single word
-    // is its own minimal-DFA regex: nothing to offer)
-    if !is_word(q) {
+    // 3. algebraic simplification via minimal DFA → regex, offered only
+    // when smaller: nothing to look for when no regex of the language is
+    // smaller than the query (a finite language's count, `is_minimum`)
+    if cq.is_minimum() {
+        #[cfg(debug_assertions)]
+        crate::shape::check_minimum(q, cq.sigma());
+    } else {
         let simplified = nfa_to_regex(&cq.dfa().minimize().to_nfa());
         if simplified.size() < q.size() && equivalent(cq.nfa(), &Nfa::thompson(&simplified)).is_ok()
         {

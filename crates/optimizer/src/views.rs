@@ -62,9 +62,10 @@
 //! `r·E ⊈ q` — a body whose words `q` continues differently, as
 //! `r = a.b + c` under `q = a.b.x + c.y` — is the tail computed as the
 //! complement of the existential quotient of `∁q`, two determinizations
-//! bounded by `MAX_DFA_STATES`. The remainder of every subset is a
+//! bounded by `MAX_DFA_STATES`. The remainder of a subset whose cover
+//! `∪ rᵢ·tᵢ` is `q` itself, as a tree, is `∅`; every other remainder is a
 //! difference with `q`'s complete DFA under the same bound, so a query
-//! whose DFA exceeds it gets no cache rewriting at all.
+//! whose DFA exceeds it gets only the covers that are `q` itself.
 //!
 //! ## What is compiled once, and what the gate proves
 //!
@@ -77,7 +78,16 @@
 //! `L(r) ≠ ∅`, some `u ∈ L(r)` prefixes no word of `q`, so no `w` has
 //! `u·w ∈ L(q)`: the universal tail is empty and the cache could not have
 //! been used. The gate drops exactly those caches; a body with an empty
-//! language passes it (its tail is vacuously `Σ*`).
+//! language passes it (its tail is vacuously `Σ*`). When `q` has no `∅`
+//! subterm, so that every state of its automaton begins a word of `q`, a
+//! body without the empty word none of whose first labels begins a word
+//! of `q` is one the probe would find no state for: it is dropped on the
+//! regexes, and the probe is not run.
+//!
+//! `q`'s complete DFA is built only for a remainder that is not `∅` by
+//! construction: a query whose every cover is `q` itself (a body with one
+//! tail, `q = r·t` as a tree) is rewritten without it, whatever the size
+//! of its DFA against `MAX_DFA_STATES`.
 
 use rpq_automata::elim::nfa_to_regex;
 use rpq_automata::ops::{equivalent, included_antichain, regex_included};
@@ -90,6 +100,7 @@ pub use rpq_constraints::CacheDef;
 
 use crate::compiled::{CompiledQuery, PlanPass};
 use crate::cost::StaticCost;
+use crate::shape::labels;
 
 /// How much of the target the rewriting answers from caches.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -182,6 +193,20 @@ fn universal_tail(cq: &CompiledQuery<'_>, cache: &CacheDef, hits: &[StateId]) ->
     Some(tail)
 }
 
+/// The probe's pre-gate, read off the regexes, for a query whose
+/// automaton is trim and begins its words with `first`: a cache body with
+/// a word, but not the empty one, none of whose first labels is in
+/// `first`. Every state of a trim automaton begins a word of its language
+/// with the letters that reach it, so no word of the body leads to a state
+/// of `q`: the probe would find no hits, and the universal tail is empty.
+fn begins_apart(cache: &CacheDef, first: &[Symbol]) -> bool {
+    !cache.empty
+        && !cache.body.nullable()
+        && labels(&cache.body, false)
+            .iter()
+            .all(|s| first.binary_search(s).is_err())
+}
+
 /// Shrink a tail: greedily try finite unions of its shortest words, then
 /// the algebraic simplifier on the full expression; keep the smallest
 /// expression `t'` with `r·t' ≡ r·t`.
@@ -234,9 +259,14 @@ pub(crate) fn views_compiled(pass: &PlanPass<'_>, cq: &CompiledQuery<'_>) -> Vec
         covered: Regex,
     }
     let mut usable: Vec<Usable> = Vec::new();
+    // The labels that begin a word of `q`, when its automaton is trim.
+    let first = (!set.caches().is_empty() && cq.is_trim()).then(|| labels(q, false));
     for c in set.caches() {
         if usable.len() == MAX_CACHES {
             break;
+        }
+        if first.as_deref().is_some_and(|first| begins_apart(c, first)) {
+            continue;
         }
         let hits = cq.nfa().reachable_via(&c.nfa);
         let Some(t) = universal_tail(cq, c, &hits) else {
@@ -262,18 +292,25 @@ pub(crate) fn views_compiled(pass: &PlanPass<'_>, cq: &CompiledQuery<'_>) -> Vec
             .collect();
 
         let cover = Regex::union(members.iter().map(|u| u.covered.clone()).collect());
-        // Remainder: q ∖ cover, as an automaton difference.
-        let dq = cq.dfa();
-        let dc = Dfa::from_nfa(&Nfa::thompson(&cover), dq.sigma());
-        if dq.num_states() > MAX_DFA_STATES || dc.num_states() > MAX_DFA_STATES {
-            continue;
-        }
-        let diff = Dfa::product(dq, &dc, |x, y| x && !y);
-        let rem_nfa = diff.to_nfa().trim();
-        let (kind, rem) = if rem_nfa.is_empty_lang() {
+        // Remainder: q ∖ cover — nothing when the cover is `q` itself,
+        // otherwise an automaton difference.
+        let (kind, rem) = if cover == *q {
             (ViewKind::Total, Regex::Empty)
         } else {
-            (ViewKind::Partial, simplify_deep(&nfa_to_regex(&rem_nfa)))
+            let dq = cq.dfa();
+            if dq.num_states() > MAX_DFA_STATES {
+                continue;
+            }
+            let dc = Dfa::from_nfa(&Nfa::thompson(&cover), dq.sigma());
+            if dc.num_states() > MAX_DFA_STATES {
+                continue;
+            }
+            let rem_nfa = Dfa::product(dq, &dc, |x, y| x && !y).to_nfa().trim();
+            if rem_nfa.is_empty_lang() {
+                (ViewKind::Total, Regex::Empty)
+            } else {
+                (ViewKind::Partial, simplify_deep(&nfa_to_regex(&rem_nfa)))
+            }
         };
 
         let mut arms: Vec<Regex> = members
@@ -341,6 +378,28 @@ mod tests {
             "got {}",
             best.query.display(&ab)
         );
+    }
+
+    #[test]
+    fn a_cover_that_is_the_query_is_total_without_a_dfa() {
+        // l = a.b covers q = a.b.(c + d) as l.(c + d): the cover a.b.(c + d)
+        // is q itself, so the remainder is ∅ with no automaton difference.
+        let (ab, set, q) = setup(&["l = a.b"], "a.b.(c + d)");
+        let pass = PlanPass::new(&set);
+        let cq = CompiledQuery::new(&q, ab.len());
+        let rewritings = views_compiled(&pass, &cq);
+        assert_eq!(rewritings.len(), 1);
+        assert_eq!(rewritings[0].kind, ViewKind::Total);
+        let expect = parse_regex(&mut ab.clone(), "l.(c + d)").unwrap();
+        assert!(regex_equivalent(&rewritings[0].query, &expect));
+        assert_eq!(cq.determinizations(), 0);
+        // Example 3's cover (a.b)*.a.c is not a.(b.a)*.c as a tree: its
+        // remainder is the DFA difference, which is empty.
+        let (ab, set, q) = setup(&["l = (a.b)*"], "a.(b.a)*.c");
+        let cq = CompiledQuery::new(&q, ab.len());
+        let rewritings = views_compiled(&PlanPass::new(&set), &cq);
+        assert_eq!(rewritings[0].kind, ViewKind::Total);
+        assert_eq!(cq.determinizations(), 1);
     }
 
     #[test]
@@ -472,6 +531,7 @@ mod tests {
     #[test]
     fn the_gate_drops_only_caches_that_have_no_tail() {
         let heads = ["a.b", "c", "c.d", "a.d", "(a.b)*.c", "c.d.a"];
+        let mut pregated = 0;
         for (i, (shape, lines)) in BODY_SHAPES.iter().enumerate() {
             let (mut ab, set, cfg) = shape_setup(lines);
             let mut rng = StdRng::seed_from_u64(0x6A7E + i as u64);
@@ -484,8 +544,18 @@ mod tests {
                         .then(q);
                 }
                 let cq = CompiledQuery::new(&q, ab.len());
+                let first = labels(&q, false);
                 for cache in set.caches() {
                     let hits = cq.nfa().reachable_via(&cache.nfa);
+                    if cq.is_trim() && begins_apart(cache, &first) {
+                        pregated += 1;
+                        assert!(
+                            hits.is_empty(),
+                            "{shape}: the pre-gate dropped {} for {}, which the probe enters",
+                            cache.body.display(&ab),
+                            q.display(&ab)
+                        );
+                    }
                     let reference = ungated_universal_tail(&q, &cache.body, ab.len());
                     let tail = universal_tail(&cq, cache, &hits);
                     assert!(
@@ -515,6 +585,7 @@ mod tests {
                 "{shape}: {dropped} dropped, {kept} kept"
             );
         }
+        assert!(pregated > 50, "{pregated} caches pre-gated");
     }
 
     #[test]
