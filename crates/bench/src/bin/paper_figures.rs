@@ -15,7 +15,7 @@ use rpq_automata::{parse_regex, Alphabet, Nfa, Symbol};
 use rpq_constraints::general::{check, Budget, Refutation, Verdict};
 use rpq_constraints::{
     decide_boundedness, lemma44_instance, parse_constraint, suggested_radius, ArmstrongSphere,
-    Boundedness, ConstraintSet,
+    Boundedness, Closures, ConstraintSet,
 };
 use rpq_core::eval_product;
 use rpq_core::general::{translate, GeneralPathQuery};
@@ -295,7 +295,9 @@ fn example2() {
     // and Theorem 4.10 discovers the equivalent automatically
     let eq = ConstraintSet::parse(&mut ab, ["l.l = l"]).unwrap();
     let p = parse_regex(&mut ab, "l*").unwrap();
-    if let Ok(Boundedness::Bounded { equivalent, .. }) = decide_boundedness(&eq, &p, &ab) {
+    if let Ok(Boundedness::Bounded { equivalent, .. }) =
+        decide_boundedness(&Closures::new(&eq), &p, 64)
+    {
         println!(
             "Theorem 4.10 (with the equality version): l* ≡ {}   — certified nonrecursive",
             equivalent.display(&ab)

@@ -296,14 +296,23 @@ pub fn regex_pair(alphabet: &mut Alphabet, depth: usize) -> (Regex, Regex) {
     )
 }
 
-/// The T4 equality systems, ordered by expected sphere size.
-pub fn boundedness_systems() -> Vec<(&'static str, Vec<&'static str>, &'static str)> {
+/// The T4 equality systems: name, equalities, query, and whether the query
+/// is bounded under them (Theorem 4.10's verdict). The last two are sets
+/// whose K-sphere passes 200 000 nodes before it can decide.
+pub fn boundedness_systems() -> Vec<(&'static str, Vec<&'static str>, &'static str, bool)> {
     vec![
-        ("idempotent", vec!["a.a = a"], "a*"),
-        ("cycle3", vec!["a.a.a = ()"], "a*"),
-        ("commute", vec!["a.b = b.a"], "(a.b)*"),
-        ("absorb", vec!["b.a = a", "b.b = b"], "b*.a"),
-        ("mixed", vec!["a.b.a = b", "b.b = a.a"], "(a+b).(a+b)"),
+        ("idempotent", vec!["a.a = a"], "a*", true),
+        ("cycle3", vec!["a.a.a = ()"], "a*", true),
+        ("commute", vec!["a.b = b.a"], "(a.b)*", false),
+        ("absorb", vec!["b.a = a", "b.b = b"], "b*.a", true),
+        ("mixed", vec!["a.b.a = b", "b.b = a.a"], "(a+b).(a+b)", true),
+        ("caches", vec!["c0 = a.b", "c1 = c.d"], "a.b.e", true),
+        (
+            "commute3",
+            vec!["x.y = y.x", "x.z = z.x", "y.z = z.y"],
+            "x*",
+            false,
+        ),
     ]
 }
 

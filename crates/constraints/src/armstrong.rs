@@ -2,22 +2,166 @@
 //!
 //! Proposition 4.8: every finite set `E` of word *equalities* has a (usually
 //! infinite) Armstrong instance — vertices are the classes of the smallest
-//! right-congruence containing `E`, `o = ε̂`, and each `û` has one `a`-edge
-//! to `ûa` — satisfying exactly the word equalities implied by `E`.
+//! right-congruence `≈` containing `E`, `o = ε̂`, and each `û` has one
+//! `a`-edge to `ûa` — satisfying exactly the word equalities implied by `E`.
 //!
 //! Lemma 4.9 (Figure 5): there is a radius `K` such that outside the
 //! K-sphere every vertex has indegree 1 and no edge re-enters the sphere;
 //! all "interesting information" lives within radius `K = M + N`.
 //!
-//! [`ArmstrongSphere`] materializes the sphere to a chosen radius by BFS,
-//! canonicalizing classes with the `RewriteTo` automata (the relation
-//! `→*_E` is symmetric for equalities, so one membership test decides `≈`).
+//! ## The fold (this repository's construction, not the paper's)
+//!
+//! The instance is a finite deterministic automaton — the **fold** — with a
+//! free tree hung at every missing (node, label), and `Fold` builds it
+//! without the radius:
+//!
+//! 1. take the prefix tree of every side of `E` (one node per prefix);
+//! 2. merge the two ends of each equality `u = v`;
+//! 3. while some class has two `a`-edges, merge their targets (Stallings
+//!    folding, a worklist over a union-find);
+//! 4. number the classes breadth-first from the root, edges in symbol order.
+//!
+//! *Every merge is forced.* Each class holds prefixes that are `≈`-equal:
+//! step 2 merges `u ≈ v`, and step 3 merges `x·a` with `y·a` for `x ≈ y`,
+//! which a right-congruence must. *Nothing more is merged.* Run a word from
+//! the root of the fold, and off it into the tree hung where it falls off.
+//! The result is deterministic and complete, so "the same node" is a right
+//! congruence; the path of a side of `E` is the image of its prefix-tree
+//! path, so both sides of an equality end at one node. It therefore
+//! contains `≈`. Conversely, a word that reaches a fold node is `≈` to the
+//! prefixes merged there (by induction on its length and the first point),
+//! and two words in one tree node share its fold node and the letters
+//! below it; so it is `≈`, and the fold with its trees is the Armstrong
+//! instance. A word's class is the pair (the fold node
+//! where it leaves the fold, the rest of the word), and the fold has at
+//! most `1 + Σ|sides|` nodes. Because step 4 visits nodes in the order of
+//! their shortest-lex words and labels in order, the word that first
+//! reaches a node is the shortest-lex member of its class; a tree node's is
+//! that of the fold node above it followed by the letters down to it.
+//!
+//! [`ArmstrongSphere`] is the breadth-first ball of that instance to a
+//! chosen radius — the reproduction's view of Lemma 4.9 and Figure 5.
+//! Theorem 4.10's decision reads the fold directly
+//! ([`crate::boundedness`]).
 
 use rpq_automata::{Alphabet, Nfa, StateId, Symbol};
 use rpq_graph::{Instance, Oid};
 
-use crate::rewrite::{rewrite_to_word_nfa, RewriteSystem};
+use crate::rewrite::RewriteSystem;
 use crate::types::ConstraintSet;
+
+/// The finite part of the Armstrong instance (see the module docs). Node 0
+/// is `ε̂`; nodes are numbered in the order of their representatives.
+#[derive(Clone, Debug)]
+pub(crate) struct Fold {
+    /// `edges[n] = [(a, m), …]`, by symbol: the `a`-successors in the fold.
+    edges: Vec<Vec<(Symbol, usize)>>,
+    /// Shortest-lex member of each node's class.
+    reps: Vec<Vec<Symbol>>,
+}
+
+impl Fold {
+    /// The fold of `set`, or `None` unless every constraint is a word
+    /// equality.
+    pub(crate) fn new(set: &ConstraintSet) -> Option<Fold> {
+        if !set.all_word_equalities() {
+            return None;
+        }
+        // 1. the prefix tree of every side; `merge` starts with its ends
+        let mut out: Vec<Vec<(Symbol, usize)>> = vec![Vec::new()];
+        let mut merge = Vec::new();
+        for c in set.iter() {
+            let (u, v) = c.as_word_pair()?;
+            let [x, y] = [u, v].map(|w| {
+                w.iter().fold(0, |n, &a| match step(&out[n], a) {
+                    Some(m) => m,
+                    None => {
+                        let m = out.len();
+                        out[n].push((a, m));
+                        out.push(Vec::new());
+                        m
+                    }
+                })
+            });
+            merge.push((x, y));
+        }
+        // 2–3. merge, and merge the targets of two edges on one label
+        let mut parent: Vec<usize> = (0..out.len()).collect();
+        while let Some((x, y)) = merge.pop() {
+            let (x, y) = (find(&mut parent, x), find(&mut parent, y));
+            if x == y {
+                continue;
+            }
+            let (keep, gone) = if out[x].len() >= out[y].len() {
+                (x, y)
+            } else {
+                (y, x)
+            };
+            parent[gone] = keep;
+            for (a, t) in std::mem::take(&mut out[gone]) {
+                match step(&out[keep], a) {
+                    Some(u) => merge.push((t, u)),
+                    None => out[keep].push((a, t)),
+                }
+            }
+        }
+        // 4. number the classes breadth-first, labels in order
+        let root = find(&mut parent, 0);
+        let mut id = vec![usize::MAX; out.len()];
+        id[root] = 0;
+        let mut order = vec![root];
+        let mut fold = Fold {
+            edges: Vec::new(),
+            reps: vec![Vec::new()],
+        };
+        while let Some(&class) = order.get(fold.edges.len()) {
+            let mut row: Vec<(Symbol, usize)> = out[class]
+                .iter()
+                .map(|&(a, t)| (a, find(&mut parent, t)))
+                .collect();
+            row.sort_unstable();
+            for (a, t) in &mut row {
+                if id[*t] == usize::MAX {
+                    id[*t] = order.len();
+                    order.push(*t);
+                    let mut rep = fold.reps[fold.edges.len()].clone();
+                    rep.push(*a);
+                    fold.reps.push(rep);
+                }
+                *t = id[*t];
+            }
+            fold.edges.push(row);
+        }
+        Some(fold)
+    }
+
+    /// Number of nodes.
+    pub(crate) fn nodes(&self) -> usize {
+        self.reps.len()
+    }
+
+    /// The `a`-successor of node `n`, or `None` where a free tree hangs.
+    pub(crate) fn step(&self, n: usize, a: Symbol) -> Option<usize> {
+        step(&self.edges[n], a)
+    }
+
+    /// The shortest-lex member of node `n`'s class.
+    pub(crate) fn rep(&self, n: usize) -> &[Symbol] {
+        &self.reps[n]
+    }
+}
+
+fn step(row: &[(Symbol, usize)], a: Symbol) -> Option<usize> {
+    row.iter().find(|&&(b, _)| b == a).map(|&(_, m)| m)
+}
+
+fn find(parent: &mut [usize], mut x: usize) -> usize {
+    while parent[x] != x {
+        parent[x] = parent[parent[x]];
+        x = parent[x];
+    }
+    x
+}
 
 /// A finite truncation of the Armstrong instance.
 #[derive(Clone, Debug)]
@@ -29,8 +173,6 @@ pub struct ArmstrongSphere {
     pub depth: Vec<usize>,
     /// `edges[n] = [(a, m), …]`: the `a`-successor classes.
     pub edges: Vec<Vec<(Symbol, usize)>>,
-    /// Edges from radius-boundary nodes whose targets were not materialized.
-    pub exits: Vec<(usize, Symbol)>,
     /// The construction radius.
     pub radius: usize,
     /// Symbols the sphere was expanded over.
@@ -75,61 +217,55 @@ pub fn suggested_radius(set: &ConstraintSet) -> usize {
 }
 
 impl ArmstrongSphere {
-    /// Build the sphere of the Armstrong instance for `set` (word
-    /// equalities) over `symbols`, to the given `radius`, with a node
-    /// budget.
+    /// The ball of the given `radius` around `ε̂` in the Armstrong instance
+    /// of `set` (word equalities), expanded over `symbols` in their order:
+    /// a breadth-first walk of the fold and the free trees hung off it,
+    /// with a node budget (the trees grow as `|Σ|^radius`). Each node's
+    /// representative is the word that first reaches it, which is the
+    /// shortest-lex member of its class when `symbols` covers `E`'s.
     pub fn build(
         set: &ConstraintSet,
         symbols: &[Symbol],
         radius: usize,
         max_nodes: usize,
     ) -> Result<ArmstrongSphere, ArmstrongError> {
-        if !set.all_word_equalities() {
-            return Err(ArmstrongError::NotWordEqualities);
-        }
-        let rules = RewriteSystem::from_constraints(set);
-
-        // Classes are keyed by their *canonical representative* (shortest,
-        // lex-least member), computed from the class automaton pre*({w}):
-        // since all rules come from equalities, `→*` is symmetric, so
-        // L(pre*({w})) is exactly the ≈-class of w.
-        let canon_of = |w: &[Symbol]| -> Vec<Symbol> {
-            let auto = rewrite_to_word_nfa(w, &rules).nfa;
-            shortest_lex_accepted(&auto, symbols).unwrap_or_else(|| w.to_vec())
-        };
-
-        let mut reps: Vec<Vec<Symbol>> = vec![canon_of(&[])];
+        let fold = Fold::new(set).ok_or(ArmstrongError::NotWordEqualities)?;
+        // `at[n]`: sphere node `n`'s fold node (`None` in a tree);
+        // `id[f]`: fold node `f`'s sphere node, once reached
+        let mut at = vec![Some(0)];
+        let mut id = vec![None; fold.nodes()];
+        id[0] = Some(0);
+        let mut reps: Vec<Vec<Symbol>> = vec![Vec::new()];
         let mut depth: Vec<usize> = vec![0];
         let mut edges: Vec<Vec<(Symbol, usize)>> = vec![Vec::new()];
-        let mut exits: Vec<(usize, Symbol)> = Vec::new();
-        let mut index: std::collections::HashMap<Vec<Symbol>, usize> =
-            std::collections::HashMap::new();
-        index.insert(reps[0].clone(), 0);
 
         let mut frontier: Vec<usize> = vec![0];
         for d in 0..radius {
             let mut next_frontier = Vec::new();
             for &n in &frontier {
-                let rep = reps[n].clone();
                 for &a in symbols {
-                    let mut wa = rep.clone();
-                    wa.push(a);
-                    let canon = canon_of(&wa);
-                    match index.get(&canon) {
-                        Some(&m) => edges[n].push((a, m)),
+                    let f = at[n].and_then(|f| fold.step(f, a));
+                    let m = match f.and_then(|f| id[f]) {
+                        Some(m) => m,
                         None => {
                             if reps.len() >= max_nodes {
                                 return Err(ArmstrongError::TooLarge { nodes: reps.len() });
                             }
                             let m = reps.len();
-                            index.insert(canon.clone(), m);
-                            reps.push(canon);
+                            if let Some(f) = f {
+                                id[f] = Some(m);
+                            }
+                            let mut rep = reps[n].clone();
+                            rep.push(a);
+                            reps.push(rep);
                             depth.push(d + 1);
                             edges.push(Vec::new());
-                            edges[n].push((a, m));
+                            at.push(f);
                             next_frontier.push(m);
+                            m
                         }
-                    }
+                    };
+                    edges[n].push((a, m));
                 }
             }
             frontier = next_frontier;
@@ -137,17 +273,10 @@ impl ArmstrongSphere {
                 break;
             }
         }
-        // record exits: boundary nodes still need successors conceptually
-        for &n in &frontier {
-            for &a in symbols {
-                exits.push((n, a));
-            }
-        }
         Ok(ArmstrongSphere {
             reps,
             depth,
             edges,
-            exits,
             radius,
             symbols: symbols.to_vec(),
         })
@@ -159,7 +288,7 @@ impl ArmstrongSphere {
     }
 
     /// In-sphere indegrees.
-    pub fn indegrees(&self) -> Vec<usize> {
+    fn indegrees(&self) -> Vec<usize> {
         let mut deg = vec![0usize; self.num_nodes()];
         for row in &self.edges {
             for &(_, m) in row {
@@ -209,7 +338,7 @@ impl ArmstrongSphere {
     }
 
     /// Materialize as an [`Instance`] (named by representatives) with the
-    /// source `ε̂`; exits are dropped (callers add an `out` sink if needed).
+    /// source `ε̂`; edges past the radius are not materialized.
     pub fn to_instance(&self, alphabet: &Alphabet) -> (Instance, Oid) {
         let mut inst = Instance::new();
         for rep in &self.reps {
@@ -306,6 +435,27 @@ mod tests {
         let syms: Vec<Symbol> = ab.symbols().collect();
         let sphere = ArmstrongSphere::build(&set, &syms, radius, 100_000).unwrap();
         (ab, sphere)
+    }
+
+    #[test]
+    fn the_fold_is_small_where_the_sphere_is_not() {
+        // {ab = ba, aa = a}: ε, a, b and ab = ba; the commuting triple: the
+        // ten prefixes of its sides less the three equalities
+        for (lines, reps) in [
+            (&["a.b = b.a", "a.a = a"][..], &["()", "a", "b", "a.b"][..]),
+            (
+                &["x.y = y.x", "x.z = z.x", "y.z = z.y"][..],
+                &["()", "x", "y", "z", "x.y", "x.z", "y.z"][..],
+            ),
+        ] {
+            let mut ab = Alphabet::new();
+            let set = ConstraintSet::parse(&mut ab, lines.iter().copied()).unwrap();
+            let fold = Fold::new(&set).unwrap();
+            let got: Vec<String> = (0..fold.nodes())
+                .map(|n| ab.render_word(fold.rep(n)))
+                .collect();
+            assert_eq!(got, reps, "{lines:?}");
+        }
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //! | Lemma 4.4 (`→_E` sound & complete), Lemmas 4.5/4.7 (`RewriteTo` is regular) | [`rewrite`] |
 //! | Theorem 4.3(i) PTIME word implication, (ii) PSPACE path-by-word implication | [`implication`] |
 //! | Lemma 4.4's canonical instance (Figure 4) | [`canonical`] |
-//! | Proposition 4.8 Armstrong instance, Lemma 4.9 K-sphere (Figure 5) | [`armstrong`] |
-//! | Theorem 4.10 boundedness + effective nonrecursive equivalent | [`boundedness`] |
+//! | Proposition 4.8 Armstrong instance as a finite fold with free trees, Lemma 4.9 K-sphere (Figure 5) | [`armstrong`] |
+//! | Theorem 4.10 boundedness + effective nonrecursive equivalent, decided on the fold | [`boundedness`] |
 //! | Theorem 4.2 general implication (budgeted, certified verdicts) | [`general`] |
 //! | Section 5: sound axiomatization (future work, built here) | [`axioms`] |
 //! | Section 5: the ≤1-outgoing-edge-per-label special case | [`deterministic`] |

@@ -153,10 +153,11 @@ fn optimize_scored(
     let q = input.regex();
     let sigma = alphabet.len();
     let before = StaticCost::of_compiled(input);
-    let mut cands: Vec<Candidate> = candidates_compiled(pass, input, alphabet);
+    let mut cands: Vec<Candidate> = Vec::new();
 
     // Section 5 view covers (total and partial), verified; one cache
-    // answering the whole query is Example 3's substitution.
+    // answering the whole query is Example 3's substitution. They are
+    // listed first, so a family's candidate that only ties keeps it.
     for v in views_compiled(pass, input) {
         let rule = if v.kind == ViewKind::Total && v.uses.len() == 1 {
             RewriteRule::CacheSubstitution
@@ -169,6 +170,7 @@ fn optimize_scored(
             proof: v.proof,
         });
     }
+    cands.extend(candidates_compiled(pass, input));
 
     let mut scored_builds = 0;
     let mut score_candidate = |c: &CompiledQuery<'_>| {
@@ -184,7 +186,7 @@ fn optimize_scored(
         let mut first_rule = None;
         for arm in arms {
             let arm = CompiledQuery::new(arm, sigma);
-            let arm_cands = candidates_compiled(pass, &arm, alphabet);
+            let arm_cands = candidates_compiled(pass, &arm);
             let arm_score = score(&arm);
             let best_arm = arm_cands
                 .into_iter()
@@ -303,6 +305,16 @@ mod tests {
         assert_eq!(opt.applied, Some(RewriteRule::CacheSubstitution));
     }
 
+    /// An instance with one node and a loop on every label of `ab`.
+    fn loops(ab: &Alphabet) -> rpq_graph::Instance {
+        let mut inst = rpq_graph::Instance::new();
+        let o = inst.add_node();
+        for s in ab.symbols() {
+            inst.add_edge(o, s, o);
+        }
+        inst
+    }
+
     #[test]
     fn a_rewritten_plan_proves_its_claim_once_and_builds_each_closure_once() {
         // The view search decides the one claim, by the inclusion tests
@@ -310,25 +322,41 @@ mod tests {
         // under Example 3's regex cache alike, so certification builds no
         // closure. Example 3's query is infinite, so the search also
         // builds the closures of the two general-boundedness cuts it tries
-        // (`a.c`, `a.c + a.b.a.c`) in the same memo.
-        for (lines, query, search_builds, certify_builds) in [
-            (["l = a.b"], "a.b.c", 2, 0),
-            (["l = (a.b)*"], "a.(b.a)*.c", 4, 0),
+        // (`a.c`, `a.c + a.b.a.c`) in the same memo. `{l = a.b}` is a word
+        // equality, so family 1 offers its Theorem 4.10 equivalent too: the
+        // same `l.c`, certified on the same two closures, which ties and
+        // leaves the view search's candidate, listed first, the winner.
+        for (lines, query, considered, search_builds, certify_builds) in [
+            (["l = a.b"], "a.b.c", 2, 2, 0),
+            (["l = (a.b)*"], "a.(b.a)*.c", 1, 4, 0),
         ] {
             let (ab, set, q) = setup(&lines, query);
-            let mut inst = rpq_graph::Instance::new();
-            let o = inst.add_node();
-            for s in ab.symbols() {
-                inst.add_edge(o, s, o);
-            }
-            let (opt, analysis) = optimize_and_analyze(&set, &q, &ab, inst.stats());
-            assert_eq!(opt.considered, 1, "{query}: the view search's candidate");
+            let (opt, analysis) = optimize_and_analyze(&set, &q, &ab, loops(&ab).stats());
+            assert_eq!(opt.considered, considered, "{query}");
+            assert_eq!(opt.applied, Some(RewriteRule::CacheSubstitution), "{query}");
             assert_eq!(opt.claims_proved, 1, "{query}");
             assert_eq!(opt.closure_builds, search_builds, "{query}");
             assert_eq!(analysis.facts.rewrites_certified, 1, "{query}");
             assert_eq!(analysis.certify_closure_builds, certify_builds, "{query}");
             assert_eq!(analysis.certify_inclusions, 2, "{query}");
         }
+        let (mut ab, set, q) = setup(&["l = a.b"], "a.b.c");
+        let families = candidates_compiled(&PlanPass::new(&set), &CompiledQuery::new(&q, ab.len()));
+        let l_c = parse_regex(&mut ab, "l.c").unwrap();
+        assert_eq!(families.len(), 1, "{families:?}");
+        assert_eq!(families[0].rule, RewriteRule::Boundedness);
+        assert_eq!(families[0].query, l_c);
+    }
+
+    #[test]
+    fn a_boundedness_winner_is_certified_on_the_closures_its_decision_built() {
+        // Family 1 certifies `l* = l + ε` through the plan's closures, so
+        // certifying the winner builds none.
+        let (ab, set, q) = setup(&["l.l = l"], "l*");
+        let (opt, analysis) = optimize_and_analyze(&set, &q, &ab, loops(&ab).stats());
+        assert_eq!(opt.applied, Some(RewriteRule::Boundedness));
+        assert_eq!(analysis.facts.rewrites_certified, 1);
+        assert_eq!(analysis.certify_closure_builds, 0);
     }
 
     #[test]

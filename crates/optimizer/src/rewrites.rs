@@ -3,8 +3,10 @@
 //! Three families, matching the paper's optimization examples:
 //!
 //! 1. **Boundedness reduction** (Example 2, Theorem 4.10): under word
-//!    equalities, replace a recursive query with its certified finite
-//!    equivalent.
+//!    equalities, replace the query with its finite equivalent of at most
+//!    64 words — decided on the fold of the equalities (one product with
+//!    an automaton of at most `1 + Σ|sides|` states) and certified through
+//!    the plan's closures, like family 2.
 //! 2. **General boundedness**: under full path constraints, the budgeted
 //!    semi-decision for the problem the paper leaves open at the end of
 //!    Section 4.3 — a finite cut of the query whose equivalence the
@@ -39,7 +41,7 @@
 
 use rpq_automata::elim::nfa_to_regex;
 use rpq_automata::ops::equivalent;
-use rpq_automata::{Alphabet, Nfa, Regex};
+use rpq_automata::{Nfa, Regex};
 use rpq_constraints::{decide_boundedness, Boundedness};
 
 use crate::compiled::{CompiledQuery, PlanPass};
@@ -75,26 +77,21 @@ pub enum RewriteRule {
 
 /// Validated candidates equivalent to the query `cq` under the pass's
 /// constraints.
-pub(crate) fn candidates_compiled(
-    pass: &PlanPass<'_>,
-    cq: &CompiledQuery<'_>,
-    alphabet: &Alphabet,
-) -> Vec<Candidate> {
+pub(crate) fn candidates_compiled(pass: &PlanPass<'_>, cq: &CompiledQuery<'_>) -> Vec<Candidate> {
     let set = pass.set();
     let q = cq.regex();
     let mut out = Vec::new();
 
     // 1. boundedness reduction (word equalities only)
     if set.all_word_equalities() && !set.is_empty() {
-        if let Ok(Boundedness::Bounded { equivalent, words }) = decide_boundedness(set, q, alphabet)
+        if let Ok(Boundedness::Bounded { equivalent, .. }) =
+            decide_boundedness(pass.closures(), q, 64)
         {
-            if words.len() <= 64 {
-                out.push(Candidate {
-                    query: equivalent,
-                    rule: RewriteRule::Boundedness,
-                    proof: "theorem-4.10-certified",
-                });
-            }
+            out.push(Candidate {
+                query: equivalent,
+                rule: RewriteRule::Boundedness,
+                proof: "theorem-4.10-certified",
+            });
         }
     }
 
@@ -104,7 +101,7 @@ pub(crate) fn candidates_compiled(
     // is not finite already.
     if !set.is_empty() && !set.all_word_equalities() && !cq.is_finite() {
         if let rpq_constraints::GeneralBoundedness::Bounded { equivalent, proof } =
-            rpq_constraints::bounded_beyond_finite(pass.closures(), q, cq.nfa(), alphabet, 4, 24)
+            rpq_constraints::bounded_beyond_finite(pass.closures(), q, cq.nfa(), 4, 24)
         {
             out.push(Candidate {
                 query: equivalent,
@@ -139,17 +136,13 @@ pub(crate) fn candidates_compiled(
 mod tests {
     use super::*;
     use rpq_automata::ops::regex_equivalent;
-    use rpq_automata::parse_regex;
+    use rpq_automata::{parse_regex, Alphabet};
     use rpq_constraints::general::{check, Budget};
     use rpq_constraints::types::PathConstraint;
     use rpq_constraints::ConstraintSet;
 
     fn candidates(set: &ConstraintSet, q: &Regex, alphabet: &Alphabet) -> Vec<Candidate> {
-        candidates_compiled(
-            &PlanPass::new(set),
-            &CompiledQuery::new(q, alphabet.len()),
-            alphabet,
-        )
+        candidates_compiled(&PlanPass::new(set), &CompiledQuery::new(q, alphabet.len()))
     }
 
     fn setup(lines: &[&str], query: &str) -> (Alphabet, ConstraintSet, Regex) {

@@ -8,7 +8,7 @@
 
 use rpq::automata::{parse_regex, Alphabet};
 use rpq::constraints::{
-    bounded_under_path_constraints, decide_boundedness, suggested_radius, Boundedness,
+    bounded_under_path_constraints, decide_boundedness, suggested_radius, Boundedness, Closures,
     ConstraintSet, GeneralBoundedness,
 };
 
@@ -29,7 +29,7 @@ fn main() {
         println!("E = {lines:?}");
         println!("p = {}", p.display(&ab));
         println!("  Lemma 4.9 radius K = {}", suggested_radius(&set));
-        match decide_boundedness(&set, &p, &ab) {
+        match decide_boundedness(&Closures::new(&set), &p, 64) {
             Ok(Boundedness::Bounded { equivalent, words }) => {
                 println!(
                     "  BOUNDED:  E ⊨ p = {}   ({} words, certified both ways by Theorem 4.3)",
@@ -37,11 +37,8 @@ fn main() {
                     words.len()
                 );
             }
-            Ok(Boundedness::Unbounded { pump }) => {
-                println!(
-                    "  UNBOUNDED: tail {:?} can be pumped outside the K-sphere",
-                    ab.render_word(&pump)
-                );
+            Ok(Boundedness::Unbounded) => {
+                println!("  UNBOUNDED: L(p) reaches infinitely many classes past the fold");
             }
             Err(e) => println!("  error: {e}"),
         }
@@ -54,7 +51,7 @@ fn main() {
     let mut ab = Alphabet::new();
     let set = ConstraintSet::parse(&mut ab, ["a* <= a + ()"]).unwrap();
     let p = parse_regex(&mut ab, "a*").unwrap();
-    match bounded_under_path_constraints(&set, &p, &ab, 4, 24) {
+    match bounded_under_path_constraints(&set, &p, 4, 24) {
         GeneralBoundedness::Bounded { equivalent, proof } => println!(
             "E = {{a* ⊆ a + ε}}, p = a*:  BOUNDED, p ≡ {}  (certified by {proof})",
             equivalent.display(&ab)

@@ -17,9 +17,10 @@ use rand::{RngCore, SeedableRng};
 use rpq::automata::random::{random_regex, random_word, RegexGenConfig};
 use rpq::automata::{Alphabet, Nfa, Regex, Symbol};
 use rpq::constraints::general::{check, Budget, Refutation, Verdict};
+use rpq::constraints::implication::word_implies_word_eq;
 use rpq::constraints::{
     decide_boundedness, lemma44_instance, word_implies_path, word_implies_word, Boundedness,
-    ConstraintKind, ConstraintSet, PathConstraint, WordImplication,
+    Closures, ConstraintKind, ConstraintSet, PathConstraint, WordImplication,
 };
 use rpq::core::eval_product;
 use rpq::graph::generators::random_graph;
@@ -221,7 +222,7 @@ fn boundedness_results_are_certified_equivalences() {
         let mut ab = Alphabet::new();
         let set = ConstraintSet::parse(&mut ab, lines.iter().copied()).unwrap();
         let p = rpq::automata::parse_regex(&mut ab, query).unwrap();
-        match decide_boundedness(&set, &p, &ab).unwrap() {
+        match decide_boundedness(&Closures::new(&set), &p, 64).unwrap() {
             Boundedness::Bounded { equivalent, .. } => {
                 // semantic check on the materialized Armstrong sphere
                 let syms: Vec<Symbol> = ab.symbols().collect();
@@ -237,7 +238,7 @@ fn boundedness_results_are_certified_equivalences() {
                 let qa = eval_product(&Nfa::thompson(&equivalent), &inst, src).answers;
                 assert_eq!(pa, qa, "E={lines:?} p={query}");
             }
-            Boundedness::Unbounded { .. } => {
+            Boundedness::Unbounded => {
                 panic!("expected bounded for E={lines:?}, p={query}");
             }
         }
@@ -250,11 +251,20 @@ fn unbounded_queries_really_pump() {
     // Witness semantically: b^k answers are pairwise distinct classes.
     let mut ab = Alphabet::new();
     let set = ConstraintSet::parse(&mut ab, ["a.a = a"]).unwrap();
-    ab.intern("b");
+    let b = ab.intern("b");
     let p = rpq::automata::parse_regex(&mut ab, "(a+b)*").unwrap();
-    match decide_boundedness(&set, &p, &ab).unwrap() {
-        Boundedness::Unbounded { .. } => {}
+    match decide_boundedness(&Closures::new(&set), &p, 64).unwrap() {
+        Boundedness::Unbounded => {}
         other => panic!("expected unbounded: {other:?}"),
+    }
+    for i in 0..=6 {
+        for j in 0..=6 {
+            assert_eq!(
+                word_implies_word_eq(&set, &vec![b; i], &vec![b; j]),
+                i == j,
+                "b^{i} vs b^{j}"
+            );
+        }
     }
 }
 

@@ -6,7 +6,7 @@ use rpq::automata::{parse_regex, Alphabet, Nfa, Symbol};
 use rpq::constraints::general::{check, Budget, Refutation, Verdict};
 use rpq::constraints::{
     decide_boundedness, lemma44_instance, parse_constraint, suggested_radius, word_implies_path,
-    ArmstrongSphere, Boundedness, ConstraintSet,
+    ArmstrongSphere, Boundedness, Closures, ConstraintSet,
 };
 use rpq::core::eval_product;
 use rpq::core::general::{eval_general, eval_general_direct, translate, GeneralPathQuery};
@@ -188,7 +188,7 @@ fn x2_example2_l_star_collapses() {
 
     // and with the equality version, Theorem 4.10 finds it automatically
     let eq_set = ConstraintSet::parse(&mut ab, ["l.l = l"]).unwrap();
-    match decide_boundedness(&eq_set, &p, &ab).unwrap() {
+    match decide_boundedness(&Closures::new(&eq_set), &p, 64).unwrap() {
         Boundedness::Bounded { equivalent, .. } => {
             assert!(rpq::automata::ops::regex_equivalent(&equivalent, &q));
         }
