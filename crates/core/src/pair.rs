@@ -66,7 +66,8 @@ pub fn search_pair<G: GraphView>(
         reverse_adj,
         ..*opts
     };
-    let (mut stats, found, term) = product_search(auto, graph, seed, Some(stop_at), &opts, scratch);
+    scratch.compile(auto);
+    let (mut stats, found, term) = product_search(graph, seed, Some(stop_at), &opts, scratch);
     let term = if found { Termination::Complete } else { term };
     stats.answers = usize::from(found);
     let pair = PairResult {

@@ -134,9 +134,9 @@ pub fn search_pairs<G: GraphView>(
 pub fn seed_candidates<G: GraphView>(nfa: &Nfa, graph: &G, scratch: &mut EvalScratch) -> Vec<Oid> {
     // The symbols leaving the start state's ε-closure, read off the mask
     // tables (no allocation on warm scratches).
-    scratch.begin(nfa, 0);
+    scratch.compile(nfa);
     let masks = &scratch.masks;
-    let start = masks.closure_of(nfa.start());
+    let start = masks.start_closure();
     let accepts_epsilon = start.iter().zip(&masks.accepting).any(|(s, a)| s & a != 0);
     let mut first_syms: Vec<Symbol> = Vec::new(); // alloc-ok: tiny per-query symbol set
     for (word, &states) in start.iter().enumerate() {

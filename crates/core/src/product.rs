@@ -12,12 +12,15 @@
 //! list of `(node, newly reached states)` entries, processed level by
 //! level. ε-moves never show up in the search: they are folded into
 //! ε-closed successor masks when the automaton's mask tables are compiled
-//! (once per search, into retained buffers), so following an edge marks
+//! (once per request, into retained buffers), so following an edge marks
 //! every state it leads to — ε-successors included — with one
-//! load/or/store. A node `v` is an answer as soon as its newly reached
-//! states meet the accepting mask. The pair space is still `O(|Q| · |V|)`
-//! — the NLOGSPACE/NC bound's certificate — and every counter keeps
-//! counting it: `pairs_visited` is the number of set bits over all
+//! load/or/store. A node `v` is an answer when the states reached there
+//! meet the accepting mask, so the mask table *is* the answer set: the
+//! search keeps no other per-node array and runs no answer pass per
+//! level, and reads the answers off the table (or off its log of reached
+//! entries) once it is over. The pair space is still `O(|Q| · |V|)` — the
+//! NLOGSPACE/NC bound's certificate — and every counter keeps counting
+//! it: `pairs_visited` is the number of set bits over all answer-checked
 //! entries, `edges_scanned` a row's length once per `(state, labeled
 //! transition)` that follows it, even where several states of one entry
 //! share the one physical walk.
@@ -58,19 +61,23 @@
 //! before it runs: a per-level choice of a dense *pull* sweep (Beamer's
 //! direction-optimizing BFS) fires only where a level re-scans rows whose
 //! targets are nearly all reached, which no served workload does, and
-//! pricing every level to find out costs more than it saves.
+//! pricing every level to find out costs more than it saves. What a level
+//! does wait on is memory: the rows of a wide level are out of cache more
+//! often than not, so the sweep asks the graph to load the rows of the
+//! entries it is about to expand ([`GraphView::prefetch`]).
 //!
 //! The one contract the loop keeps is the **level invariant**: level `k`
 //! holds exactly the pairs first reached by spelling `k` letters. A depth
-//! cap relies on it, and so does anything that reads the log of reached
+//! cap relies on it, and so does everything read off the log of reached
 //! entries after a search ([`EvalScratch`]'s `reached`, kept in level
-//! order; the frontier is its tail). All working memory comes from an
-//! [`EvalScratch`] arena (generation-stamped cells, reusable frontiers, the
-//! answer buffer) so repeated queries allocate nothing after warm-up — see
-//! [`crate::scratch`].
+//! order with each level's start; the frontier is its tail): the
+//! counters, and the answers of a search stopped before its end. All
+//! working memory comes from an [`EvalScratch`] arena (generation-stamped
+//! cells, the log and its level starts, the answer buffer) so repeated
+//! queries allocate nothing after warm-up — see [`crate::scratch`].
 
 use rpq_automata::{Nfa, StateId, Symbol};
-use rpq_graph::{CsrGraph, GraphView, Instance, Oid, ViewEdges};
+use rpq_graph::{CsrGraph, GraphView, Instance, Oid, RowPart, ViewEdges};
 
 use crate::request::{EvalControl, Termination};
 use crate::scratch::{Cells, Entry, EvalScratch, LevelOut, MaskTables};
@@ -139,6 +146,15 @@ fn push_row<G: GraphView>(graph: &G, reverse_adj: bool, v: Oid, sym: Symbol) -> 
     }
 }
 
+/// How many frontier entries ahead of the one being expanded the sweep asks
+/// for a row's header ([`RowPart::Header`]): far enough for the load to
+/// land before the [`RowPart::Edges`] hint reads it.
+const HEADER_AHEAD: usize = 16;
+
+/// How many frontier entries ahead the sweep asks for a row's labels and
+/// endpoints ([`RowPart::Edges`]).
+const EDGES_AHEAD: usize = 8;
+
 /// What one level sweep did.
 #[derive(Default)]
 struct LevelWork {
@@ -146,8 +162,6 @@ struct LevelWork {
     edges: usize,
     /// Row lookups made, per (state, labeled transition).
     rows: usize,
-    /// Pairs newly reached: the set bits of the entries produced.
-    pairs: usize,
     /// The budget stopped the sweep part-way: the level is partially
     /// expanded.
     tripped: bool,
@@ -170,6 +184,11 @@ struct Level<'a, G> {
 /// labeled transition)` following it — the product-graph quantity —
 /// however many states share the walk.
 ///
+/// The rows the next entries walk are out of cache more often than not on
+/// a large graph, so the sweep asks the graph for them ahead of time
+/// ([`GraphView::prefetch`]): the row header [`HEADER_AHEAD`] entries
+/// ahead, the labels and endpoints [`EDGES_AHEAD`] entries ahead.
+///
 /// With a budget, that whole count is checked against what is left
 /// *before* the row is walked, so `edges_scanned <= budget` always; a row
 /// that does not fit stops the sweep (the level is then partially
@@ -181,14 +200,21 @@ fn push_sweep<G: GraphView>(
 ) -> LevelWork {
     let mut out = LevelWork::default();
     let LevelOut { entries, merged } = next;
-    for e in level.frontier {
+    let (graph, reverse, frontier) = (level.graph, level.reverse_adj, level.frontier);
+    for (i, e) in frontier.iter().enumerate() {
+        if let Some(ahead) = frontier.get(i + HEADER_AHEAD) {
+            graph.prefetch(ahead.node, reverse, RowPart::Header);
+        }
+        if let Some(ahead) = frontier.get(i + EDGES_AHEAD) {
+            graph.prefetch(ahead.node, reverse, RowPart::Edges);
+        }
         for group in level.masks.groups_of(e.word as usize) {
             let hit = e.bits & group.sources;
             if hit == 0 {
                 continue;
             }
             let (mult, succ) = level.masks.successors(group, hit, merged);
-            let targets = push_row(level.graph, level.reverse_adj, e.node, group.sym);
+            let targets = push_row(graph, reverse, e.node, group.sym);
             out.rows += mult;
             let cost = targets.len() * mult;
             if level.left.is_some_and(|left| out.edges + cost > left) {
@@ -196,11 +222,10 @@ fn push_sweep<G: GraphView>(
                 return out;
             }
             out.edges += cost;
-            targets.for_each(|v2| {
+            let mut visit = |v2: Oid| {
                 for &(word, bits) in succ {
                     let new = cells.mark(v2.index(), word as usize, bits);
                     if new != 0 {
-                        out.pairs += new.count_ones() as usize;
                         entries.push(Entry {
                             node: v2,
                             word,
@@ -208,7 +233,12 @@ fn push_sweep<G: GraphView>(
                         });
                     }
                 }
-            });
+            };
+            // A CSR row is walked here, as the slice it is.
+            match targets {
+                ViewEdges::Slice(row) => row.iter().for_each(|&v2| visit(v2)),
+                overlay => overlay.for_each(visit),
+            }
         }
     }
     out
@@ -216,24 +246,35 @@ fn push_sweep<G: GraphView>(
 
 /// **The** level-synchronous product BFS (Section 2.2) — the one loop
 /// behind every entry point, generic over any
-/// [`GraphView`] (the immutable CSR snapshot or the delta overlay).
+/// [`GraphView`] (the immutable CSR snapshot or the delta overlay). It runs
+/// the automaton the arena compiled last ([`EvalScratch::compile`]).
 ///
-/// Each level runs: answer pass (with `stop_at`, return as soon as that
-/// node is an answer; the answer list is then partial and pair callers
-/// consume only the flag) → depth-cap check → one push sweep → barrier,
-/// where the level just produced is appended to the log of reached
-/// entries and becomes the frontier. ε-moves consume no edge and no step
-/// of this loop: the successor masks the sweep marks are ε-closed.
+/// Each level runs: cancellation check → with `stop_at`, one look at that
+/// node's cells (is it an answer yet? then stop) → depth-cap check → one
+/// push sweep → barrier, where the level just produced is appended to the
+/// log of reached entries and becomes the frontier. ε-moves consume no
+/// edge and no step of this loop: the successor masks the sweep marks are
+/// ε-closed.
+///
+/// A level is *answer-checked* once it passes the cancellation check; the
+/// counters and answers are those of the answer-checked log, read off it
+/// after the loop ([`read_log`]): `pairs_visited` and `classes_materialized`
+/// count its pairs and states, and `frontier_peak` is its largest level. A
+/// `stop_at` hit cuts that log at the target's first accepting entry (its
+/// level still counts whole for `frontier_peak`). A search that ran to the
+/// end marked exactly the pairs of its log, so its answers are read off
+/// the table; one that was cancelled, exhausted its budget or stopped at
+/// `stop_at` has marked cells no answer check saw, and its answers are the
+/// accepting entries of the answer-checked log.
 ///
 /// Cancellation is checked once per level; the budget is enforced before
 /// every row walk inside the sweep, so `edges_scanned <= budget`.
-/// Answers collected before an early termination are a sound subset (a
-/// node is only reported once an accepting pair is actually reached).
+/// Answers of an early termination are a sound subset (a node is only
+/// reported once an accepting pair is actually reached).
 ///
 /// The answers stay in `scratch.answers`, sorted; the returned counters
 /// are the search's, with `answers` their count.
 pub(crate) fn product_search<G: GraphView>(
-    nfa: &Nfa,
     graph: &G,
     seed: Oid,
     stop_at: Option<Oid>,
@@ -242,23 +283,20 @@ pub(crate) fn product_search<G: GraphView>(
 ) -> (EvalStats, bool, Termination) {
     let nv = graph.num_nodes();
     debug_assert!(seed.index() < nv.max(1), "seed must be a graph node");
-    let covered = scratch.begin(nfa, nv);
+    let covered = scratch.reset(nv);
     let mut stats = EvalStats {
         scratch_reused: usize::from(covered),
         ..EvalStats::default()
     };
     let (gen, words) = (scratch.generation(), scratch.masks.words);
-    let mut found = false;
     let mut termination = Termination::Complete;
 
     // Level 0: the ε-closure of the start state, at the seed.
-    let mut level_pairs = 0usize;
     if nv > 0 {
         let mut cells = Cells::new(&mut scratch.table, words, gen);
-        for (word, &bits) in scratch.masks.closure_of(nfa.start()).iter().enumerate() {
+        for (word, &bits) in scratch.masks.start_closure().iter().enumerate() {
             let new = cells.mark(seed.index(), word, bits);
             if new != 0 {
-                level_pairs += new.count_ones() as usize;
                 scratch.reached.push(Entry {
                     node: seed,
                     word: word as u32,
@@ -268,35 +306,39 @@ pub(crate) fn product_search<G: GraphView>(
         }
     }
 
+    // The `stop_at` hit: one past the target's first accepting entry.
+    let mut hit = None;
     let mut level_start = 0usize;
     let mut depth = 0usize;
-    'bfs: while level_start < scratch.reached.len() {
+    while level_start < scratch.reached.len() {
         if opts.control.cancelled() {
+            // The level was never answer-checked: it leaves the log.
             termination = Termination::Cancelled;
-            break 'bfs;
+            scratch.reached.truncate(level_start);
+            break;
         }
-        stats.frontier_peak = stats.frontier_peak.max(level_pairs);
+        scratch.levels.push(level_start);
 
-        for e in &scratch.reached[level_start..] {
-            stats.pairs_visited += e.bits.count_ones() as usize;
-            scratch.touched[e.word as usize] |= e.bits;
-            if e.bits & scratch.masks.accepting[e.word as usize] != 0
-                && scratch.answer_marks[e.node.index()] != gen
-            {
-                scratch.answer_marks[e.node.index()] = gen;
-                scratch.answers.push(e.node);
-                if stop_at == Some(e.node) {
-                    found = true;
-                    break 'bfs;
-                }
+        // The levels before were checked without a hit, so if the target
+        // is an answer now, its first accepting entry is in this level.
+        if let Some(target) = stop_at.filter(|t| t.index() < nv) {
+            let accepting = &scratch.masks.accepting[..];
+            if Cells::new(&mut scratch.table, words, gen).accepts(target.index(), accepting) {
+                let level = &scratch.reached[level_start..];
+                let first = level
+                    .iter()
+                    .position(|e| e.node == target && e.bits & accepting[e.word as usize] != 0);
+                debug_assert!(first.is_some(), "an answer has an accepting entry");
+                hit = Some(level_start + first.map_or(level.len(), |i| i + 1));
+                break;
             }
         }
 
-        // At the cap no longer word can be accepted: the level was
-        // answer-checked above but is never expanded, so graph edges
-        // beyond the cap are not even scanned.
+        // At the cap no longer word can be accepted: the level is
+        // answer-checked but never expanded, so graph edges beyond the cap
+        // are not even scanned.
         if opts.depth_cap.is_some_and(|cap| depth >= cap) {
-            break 'bfs;
+            break;
         }
         stats.push_levels += 1;
 
@@ -318,34 +360,76 @@ pub(crate) fn product_search<G: GraphView>(
         stats.rows_resolved += work.rows;
 
         if work.tripped {
-            // The level is partially expanded; everything already answered
-            // stays sound, the rest of the search is abandoned.
+            // The level is partially expanded and never enters the log;
+            // the rest of the search is abandoned.
             termination = Termination::BudgetExhausted;
-            break 'bfs;
+            break;
         }
 
         // Level barrier: the next level is appended to the log and becomes
         // the frontier.
         level_start = scratch.reached.len();
         scratch.reached.append(&mut scratch.next.entries);
-        level_pairs = work.pairs;
         depth += 1;
     }
+    scratch.levels.push(scratch.reached.len());
 
-    // Answers were collected sparsely during the BFS, in discovery order —
-    // never sweep all |V| nodes for them. Where they are dense between the
-    // smallest and the largest (a search local to a region), reading that
-    // span of the answer marks yields them in order for less than a sort.
-    let lo = scratch.answers.iter().map(|a| a.index()).min().unwrap_or(0);
-    let hi = scratch.answers.iter().map(|a| a.index()).max().unwrap_or(0);
-    if hi - lo < 4 * scratch.answers.len() {
-        scratch.answers.clear();
-        let span = scratch.answer_marks[lo..=hi].iter().zip(lo..);
-        scratch
-            .answers
-            .extend(span.filter(|(&m, _)| m == gen).map(|(_, v)| Oid(v as u32)));
-    } else {
+    let checked = hit.unwrap_or(scratch.reached.len());
+    let table_is_log = termination.is_complete() && hit.is_none();
+    read_log(scratch, checked, table_is_log, &mut stats);
+    #[cfg(debug_assertions)]
+    check_answers(scratch, checked, table_is_log);
+    (stats, hit.is_some(), termination)
+}
+
+/// The counters and the answers of a finished search, read off its log of
+/// reached entries: the first `checked` of them were answer-checked, in
+/// the levels `scratch.levels` delimits. `pairs_visited` and the touched
+/// states are those of the checked entries, `frontier_peak` is the largest
+/// level among those checked (counted whole), and the answers go to
+/// `scratch.answers`, sorted.
+///
+/// When `table_is_log` — the search ran to the end, so every marked pair
+/// is in the log — and the answers lie dense between the smallest and the
+/// largest, the answers are read off that span of the mark table, in
+/// order; otherwise the checked log's accepting entries are sorted and
+/// deduplicated. Never all |V| nodes either way.
+fn read_log(scratch: &mut EvalScratch, checked: usize, table_is_log: bool, stats: &mut EvalStats) {
+    let accepting = &scratch.masks.accepting[..];
+    let (mut accepted, mut lo, mut hi) = (0usize, usize::MAX, 0usize);
+    for bounds in scratch.levels.windows(2) {
+        let level = &scratch.reached[bounds[0]..bounds[1]];
+        let (seen, unseen) = level.split_at(checked.clamp(bounds[0], bounds[1]) - bounds[0]);
+        let mut pairs = 0usize;
+        for e in seen {
+            pairs += e.bits.count_ones() as usize;
+            scratch.touched[e.word as usize] |= e.bits;
+            if e.bits & accepting[e.word as usize] != 0 {
+                accepted += 1;
+                lo = lo.min(e.node.index());
+                hi = hi.max(e.node.index());
+            }
+        }
+        stats.pairs_visited += pairs;
+        pairs += unseen
+            .iter()
+            .map(|e| e.bits.count_ones() as usize)
+            .sum::<usize>();
+        stats.frontier_peak = stats.frontier_peak.max(pairs);
+    }
+
+    scratch.answers.clear();
+    if accepted > 0 && table_is_log && hi - lo < 4 * accepted {
+        let gen = scratch.generation();
+        let cells = Cells::new(&mut scratch.table, scratch.masks.words, gen);
+        let span = (lo..=hi).filter(|&v| cells.accepts(v, accepting));
+        scratch.answers.extend(span.map(|v| Oid(v as u32)));
+    } else if accepted > 0 {
+        let log = scratch.reached[..checked].iter();
+        let nodes = log.filter(|e| e.bits & accepting[e.word as usize] != 0);
+        scratch.answers.extend(nodes.map(|e| e.node));
         scratch.answers.sort_unstable();
+        scratch.answers.dedup();
     }
     stats.answers = scratch.answers.len();
     stats.classes_materialized = scratch
@@ -353,7 +437,33 @@ pub(crate) fn product_search<G: GraphView>(
         .iter()
         .map(|t| t.count_ones() as usize)
         .sum();
-    (stats, found, termination)
+}
+
+/// Debug builds' cross-check of [`read_log`]: the answers are the sorted,
+/// deduplicated accepting entries of the checked log, and where the table
+/// was the log, a logged node's cells accept exactly when it is one of
+/// them (an unlogged node has no marked cell).
+#[cfg(debug_assertions)]
+fn check_answers(scratch: &mut EvalScratch, checked: usize, table_is_log: bool) {
+    let accepting = &scratch.masks.accepting[..];
+    let accepts = |e: &&Entry| e.bits & accepting[e.word as usize] != 0;
+    let mut from_log: Vec<Oid> = scratch.reached[..checked]
+        .iter()
+        .filter(accepts)
+        .map(|e| e.node)
+        .collect();
+    from_log.sort_unstable();
+    from_log.dedup();
+    debug_assert_eq!(scratch.answers, from_log, "answers vs. the checked log");
+    if table_is_log {
+        let gen = scratch.generation();
+        let cells = Cells::new(&mut scratch.table, scratch.masks.words, gen);
+        for e in &scratch.reached {
+            let answered = from_log.binary_search(&e.node).is_ok();
+            let v = e.node.index();
+            debug_assert_eq!(cells.accepts(v, accepting), answered, "{v}: table vs. log");
+        }
+    }
 }
 
 /// The node-set answer shape: evaluate `L(nfa)` from `seed` — `p(seed, I)`
@@ -375,7 +485,8 @@ pub fn search_nodes<G: GraphView>(
     opts: &SearchOpts<'_>,
     scratch: &mut EvalScratch,
 ) -> (EvalResult, Termination) {
-    let (stats, _, term) = product_search(nfa, graph, seed, None, opts, scratch);
+    scratch.compile(nfa);
+    let (stats, _, term) = product_search(graph, seed, None, opts, scratch);
     let answers = scratch.answers.to_vec();
     (EvalResult { answers, stats }, term)
 }
@@ -398,6 +509,7 @@ pub(crate) fn search_nodes_each<G: GraphView>(
     mut on_item: impl FnMut(usize, &[Oid]),
 ) -> (EvalStats, Termination) {
     let mut stats = EvalStats::default();
+    scratch.compile(nfa);
     for (i, &seed) in seeds.iter().enumerate() {
         let budget = opts.control.budget;
         let item = SearchOpts {
@@ -407,7 +519,7 @@ pub(crate) fn search_nodes_each<G: GraphView>(
             },
             ..*opts
         };
-        let (seed_stats, _, term) = product_search(nfa, graph, seed, None, &item, scratch);
+        let (seed_stats, _, term) = product_search(graph, seed, None, &item, scratch);
         stats.merge(&seed_stats);
         on_item(i, &scratch.answers);
         if !term.is_complete() {

@@ -15,7 +15,7 @@
 //!
 //! * **generation-stamped** — a cell whose high half is not the current
 //!   generation holds nothing, so "reset everything" is one counter bump
-//!   (`EvalScratch::begin`) rather than an `O(|V|)` fill;
+//!   (`EvalScratch::reset`) rather than an `O(|V|)` fill;
 //! * **capacity-retaining** — buffers only ever grow, so a warm scratch
 //!   serves any query whose `(|Q|, |V|)` shape fits without touching the
 //!   allocator, and cells written under another geometry are just stale
@@ -25,10 +25,17 @@
 //!   keep one, one arena per query running), returning them on drop of the
 //!   [`PooledScratch`] guard.
 //!
+//! The table is also the search's answer set: a node is an answer exactly
+//! when its cell meets the accepting mask, so the arena keeps no second
+//! per-node array for answers. The search reads them off the table once it
+//! is over (or, when it stopped part-way, off its log of reached entries).
+//!
 //! What the search needs to know about the automaton — ε-closed successor
 //! masks, transitions grouped by symbol, the accepting mask — is compiled
-//! into `MaskTables` by `EvalScratch::begin`, into buffers the arena
-//! keeps, so it costs no allocation per search either.
+//! into `MaskTables` by `EvalScratch::compile`, into buffers the arena
+//! keeps, once per request: a request that runs one search per seed
+//! compiles its automaton once and resets the marks per seed
+//! (`EvalScratch::reset`), so neither costs an allocation per search.
 //!
 //! The `EvalStats::scratch_reused` counter reports, per evaluation, whether
 //! the arena's capacity already covered the query shape (1) or had to grow
@@ -113,6 +120,16 @@ impl<'a> Cells<'a> {
         self.unpack(self.cells[v * self.words + word])
     }
 
+    /// Do the states reached at node `v` meet `accepting` (one mask per
+    /// word)? Then `v` is an answer of the search that marked them.
+    #[inline]
+    pub(crate) fn accepts(&self, v: usize, accepting: &[u32]) -> bool {
+        let row = &self.cells[v * self.words..(v + 1) * self.words];
+        row.iter()
+            .zip(accepting)
+            .any(|(&cell, &acc)| self.unpack(cell) & acc != 0)
+    }
+
     #[inline]
     fn unpack(&self, cell: u64) -> u32 {
         if (cell >> 32) as u32 == self.gen {
@@ -170,12 +187,14 @@ struct Arm {
 }
 
 /// What the product search reads of the automaton, compiled once per
-/// search into retained buffers: ε-moves become ε-closed successor masks
+/// request into retained buffers: ε-moves become ε-closed successor masks
 /// here, so the search itself never follows one.
 #[derive(Debug, Default)]
 pub(crate) struct MaskTables {
     /// Mask words per node.
     pub(crate) words: usize,
+    /// The automaton's start state.
+    start: StateId,
     /// ε-closure of every state (itself included), `words` words each.
     closure: Vec<u32>,
     /// The accepting states, per word.
@@ -198,6 +217,7 @@ impl MaskTables {
         let nq = nfa.num_states();
         let words = words_for(nq);
         self.words = words;
+        self.start = nfa.start();
 
         self.closure.clear();
         self.closure.resize(nq * words, 0);
@@ -271,6 +291,12 @@ impl MaskTables {
         &self.closure[row..row + self.words]
     }
 
+    /// The ε-closure of the start state, per word: what a search marks at
+    /// its seed.
+    pub(crate) fn start_closure(&self) -> &[u32] {
+        self.closure_of(self.start)
+    }
+
     /// The groups an entry of mask word `word` can expand by.
     #[inline]
     pub(crate) fn groups_of(&self, word: usize) -> &[Group] {
@@ -327,51 +353,55 @@ pub(crate) struct LevelOut {
 #[derive(Debug, Default)]
 pub struct EvalScratch {
     /// Current mark generation; a cell is "set" iff stamped with it.
-    /// Bumped once per `EvalScratch::begin`.
+    /// Bumped once per `EvalScratch::reset`; when it would wrap past
+    /// `u32::MAX`, the table is zeroed instead (once per 2^32 − 1
+    /// searches).
     gen: u32,
     /// The one mark table, node-major: node `v`'s reached-state mask is
     /// the `words` cells from `v * words` with the *current* query's
     /// `words` (cells written under another geometry are just stale
-    /// generations); see [`Cells`].
+    /// generations); see [`Cells`]. It is also the answer set of a search
+    /// that ran to the end: `v` is an answer iff its cells meet the
+    /// accepting mask ([`Cells::accepts`]).
     pub(crate) table: Vec<u64>,
-    /// Per-node answer marks (generation-stamped).
-    pub(crate) answer_marks: Vec<u32>,
     /// The current automaton's mask tables.
     pub(crate) masks: MaskTables,
     /// Every entry reached by the current search, level after level; the
     /// current frontier is its tail. Kept whole, in level order, because it
     /// is the search's own record of *when* each pair was first reached:
-    /// one shortest witness per answer can be rebuilt from it after the
-    /// search, backwards through reverse rows, with nothing added to the
-    /// level loop.
+    /// the counters and, for a search stopped part-way, the answers are
+    /// read off it after the search, and one shortest witness per answer
+    /// can be rebuilt from it backwards through reverse rows, with nothing
+    /// added to the level loop.
     pub(crate) reached: Vec<Entry>,
+    /// Where each level of `reached` starts, in level order.
+    pub(crate) levels: Vec<usize>,
     /// The next level, as the sweep collects it.
     pub(crate) next: LevelOut,
-    /// Answers collected sparsely during the BFS (sorted at finish), so no
-    /// O(|V|) sweep is needed to produce the result. The buffer stays here
-    /// between searches: callers copy the answers out at exact size, or
-    /// read them in place.
+    /// The sorted answers of the last search, read off the table or the
+    /// log when it ended. The buffer stays here between searches: callers
+    /// copy the answers out at exact size, or read them in place.
     pub(crate) answers: Vec<Oid>,
-    /// States seen on any frontier, per word — feeds
+    /// States seen on any answer-checked level, per word — feeds
     /// `classes_materialized`.
     pub(crate) touched: Vec<u32>,
 }
 
 impl EvalScratch {
-    /// An empty arena; the first `EvalScratch::begin` sizes it.
+    /// An empty arena; the first `EvalScratch::reset` sizes it.
     pub fn new() -> EvalScratch {
         EvalScratch::default()
     }
 
     /// Does the capacity already cover a `(states, nodes)` query shape?
-    /// When true, `EvalScratch::begin` for that shape does not grow the
-    /// mark tables.
+    /// When true, `EvalScratch::reset` for that shape does not grow the
+    /// mark table.
     pub fn covers(&self, nq: usize, nv: usize) -> bool {
-        words_for(nq) * nv <= self.table.len() && nv <= self.answer_marks.len()
+        words_for(nq) * nv <= self.table.len()
     }
 
-    /// The current mark generation (valid between `begin` and the next
-    /// `begin`).
+    /// The current mark generation (valid between `reset` and the next
+    /// `reset`).
     #[inline]
     pub(crate) fn generation(&self) -> u32 {
         self.gen
@@ -383,25 +413,28 @@ impl EvalScratch {
         Cells::new(&mut self.table, self.masks.words, self.gen)
     }
 
-    /// Start a fresh search of `nfa` over `nv` nodes: grow the mark tables
-    /// if needed, invalidate all marks by bumping the generation, compile
-    /// the automaton's [`MaskTables`], and clear the sparse buffers.
-    /// Returns `true` when the existing capacity already covered the shape
-    /// (the `scratch_reused` signal).
-    pub(crate) fn begin(&mut self, nfa: &Nfa, nv: usize) -> bool {
-        let words = words_for(nfa.num_states());
-        let covered = self.covers(nfa.num_states(), nv);
+    /// Compile `nfa`'s [`MaskTables`] for the searches that follow — once
+    /// per request, however many seeds it searches from.
+    pub(crate) fn compile(&mut self, nfa: &Nfa) {
+        self.masks.build(nfa);
+    }
+
+    /// Start a fresh search of the compiled automaton over `nv` nodes: grow
+    /// the mark table if needed, invalidate all marks by bumping the
+    /// generation, and clear the sparse buffers. Returns `true` when the
+    /// existing capacity already covered the shape (the `scratch_reused`
+    /// signal).
+    pub(crate) fn reset(&mut self, nv: usize) -> bool {
+        let words = self.masks.words;
+        let covered = words * nv <= self.table.len();
         if !covered {
             // Grown cells start at generation 0 and old ones keep theirs:
             // neither is ever "set", because the generation only moves up.
-            let cells = (words * nv).max(self.table.len());
-            self.table.resize(cells, 0);
-            let marks = nv.max(self.answer_marks.len());
-            self.answer_marks.resize(marks, 0);
+            self.table.resize(words * nv, 0);
         }
         self.bump_gen();
-        self.masks.build(nfa);
         self.reached.clear();
+        self.levels.clear();
         self.next.entries.clear();
         self.answers.clear();
         self.touched.clear();
@@ -414,7 +447,6 @@ impl EvalScratch {
             // Generation wrap (once per 2^32 - 1 evaluations): zero every
             // mark so stale cells cannot collide with the restarted counter.
             self.table.fill(0);
-            self.answer_marks.fill(0);
             self.gen = 0;
         }
         self.gen += 1;
@@ -520,38 +552,46 @@ mod tests {
         Nfa::from_word(&vec![Symbol::from_index(0); states - 1])
     }
 
+    /// Compile `nfa` and start a search over `nv` nodes, as a request's
+    /// first seed does.
+    fn begin(s: &mut EvalScratch, nfa: &Nfa, nv: usize) -> bool {
+        s.compile(nfa);
+        s.reset(nv)
+    }
+
     #[test]
     fn begin_reports_reuse_only_when_capacity_covers() {
         let mut s = EvalScratch::new();
-        assert!(!s.begin(&chain(3), 10), "cold scratch must grow");
+        assert!(!begin(&mut s, &chain(3), 10), "cold scratch must grow");
         assert!(
-            s.begin(&chain(3), 10),
+            begin(&mut s, &chain(3), 10),
             "warm scratch with the same shape reuses"
         );
         assert!(
-            s.begin(&chain(2), 4),
+            begin(&mut s, &chain(2), 4),
             "smaller shapes fit in retained capacity"
         );
         assert!(
-            s.begin(&chain(WORD_STATES), 10),
+            begin(&mut s, &chain(WORD_STATES), 10),
             "states of one word share the cells"
         );
         assert!(
-            !s.begin(&chain(WORD_STATES + 1), 10),
+            !begin(&mut s, &chain(WORD_STATES + 1), 10),
             "a second mask word must grow"
         );
-        assert!(s.begin(&chain(2 * WORD_STATES), 10));
-        assert!(s.covers(64, 10) && !s.covers(65, 10) && !s.covers(1, 11));
+        assert!(begin(&mut s, &chain(2 * WORD_STATES), 10));
+        assert!(s.covers(64, 10) && !s.covers(65, 10) && !s.covers(1, 21));
+        assert!(s.covers(1, 20), "one word per node fits twice the nodes");
     }
 
     #[test]
     fn generations_invalidate_marks_without_clearing() {
         let mut s = EvalScratch::new();
-        s.begin(&chain(2), 8);
+        begin(&mut s, &chain(2), 8);
         assert_eq!(s.cells().mark(3, 0, 0b11), 0b11);
         assert_eq!(s.cells().mark(3, 0, 0b11), 0, "already reached");
         assert_eq!(s.cells().reached(3, 0), 0b11);
-        s.begin(&chain(2), 8);
+        begin(&mut s, &chain(2), 8);
         assert_eq!(s.cells().reached(3, 0), 0, "old marks are stale, not set");
         assert_eq!(s.cells().mark(3, 0, 0b10), 0b10);
         assert_eq!(s.cells().reached(3, 0), 0b10, "a stale mask is dropped");
@@ -588,15 +628,13 @@ mod tests {
     #[test]
     fn generation_wrap_rezeros_marks() {
         let mut s = EvalScratch::new();
-        s.begin(&chain(1), 4);
+        begin(&mut s, &chain(1), 4);
         s.gen = u32::MAX - 1;
         s.bump_gen();
         assert_eq!(s.cells().mark(0, 0, 1), 1);
-        s.answer_marks[0] = s.generation();
         s.bump_gen(); // wraps: marks zeroed, gen restarts at 1
         assert_eq!(s.generation(), 1);
         assert_eq!(s.table[0], 0);
-        assert_eq!(s.answer_marks[0], 0);
     }
 
     #[test]
@@ -604,7 +642,7 @@ mod tests {
         let pool = ScratchPool::new();
         {
             let mut a = pool.checkout();
-            a.begin(&chain(4), 16);
+            begin(&mut a, &chain(4), 16);
         }
         assert_eq!(pool.allocs(), 1);
         assert_eq!(pool.idle(), 1);
@@ -670,7 +708,7 @@ mod tests {
     fn mask_tables_are_the_subset_simulation() {
         for nfa in suite() {
             let mut s = EvalScratch::new();
-            s.begin(&nfa, 0);
+            begin(&mut s, &nfa, 0);
             let t = &s.masks;
             let nq = nfa.num_states();
             assert_eq!(t.words, nq.div_ceil(WORD_STATES));

@@ -48,6 +48,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::instance::{Instance, Oid};
 use crate::source::{GraphSource, NodeId};
+use crate::view::RowPart;
 
 /// Per-label frequency statistics.
 ///
@@ -281,10 +282,42 @@ impl RowBlock {
         end - start
     }
 
+    /// Start loading `part` of node `v`'s row (one of this block's).
+    #[inline]
+    fn prefetch(&self, v: usize, part: RowPart) {
+        match part {
+            RowPart::Header => prefetch(self.0.as_ptr().wrapping_add(v % BLOCK_ROWS)),
+            RowPart::Edges => {
+                let (start, end, rows) = self.bounds(v);
+                if start < end {
+                    // the labels, then the endpoints
+                    prefetch(rows.as_ptr().wrapping_add(2 * start));
+                    prefetch(rows.as_ptr().wrapping_add(start + end));
+                }
+            }
+        }
+    }
+
     /// Entries over all rows of the block.
     fn num_entries(&self) -> usize {
         self.0.get(BLOCK_ROWS).map_or(0, |end| end.index())
     }
+}
+
+/// Ask the processor to load the cache line holding `p` for a read soon
+/// after. Only a hint: it reads nothing the program sees, and does nothing
+/// off x86-64.
+#[inline(always)]
+fn prefetch<T>(p: *const T) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: `_mm_prefetch` only hints the cache: it never faults, for any
+    // address, and neither reads nor writes memory the program observes.
+    // The SSE it needs is part of every x86-64 target.
+    unsafe {
+        std::arch::x86_64::_mm_prefetch::<{ std::arch::x86_64::_MM_HINT_T0 }>(p.cast::<i8>());
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = p;
 }
 
 /// The word a [`RowBlock`] stores for `label`.
@@ -441,6 +474,16 @@ impl CsrGraph {
     pub fn rev(&self, v: Oid, label: Symbol) -> &[Oid] {
         let (labels, sources) = row_of(&self.rev, v);
         labeled_range(labels, sources, label)
+    }
+
+    /// Start loading `part` of `v`'s out-row (in-row when `reverse`) —
+    /// [`crate::GraphView::prefetch`] on a snapshot.
+    #[inline]
+    pub(crate) fn prefetch_row(&self, v: Oid, reverse: bool, part: RowPart) {
+        let blocks = if reverse { &self.rev } else { &self.out };
+        if let Some(block) = blocks.get(v.index() / BLOCK_ROWS) {
+            block.prefetch(v.index(), part);
+        }
     }
 
     /// All out-edges of `v` as `(label, target)` pairs, sorted by

@@ -35,7 +35,7 @@ use rpq_automata::Symbol;
 use crate::csr::{CsrGraph, LabelStats, RowPatch};
 use crate::instance::{Instance, Oid};
 use crate::source::{GraphSource, NodeId};
-use crate::view::{EdgeDelta, Epoch, GraphView, OverlayEdges, ViewEdges, ViewGroups};
+use crate::view::{EdgeDelta, Epoch, GraphView, OverlayEdges, RowPart, ViewEdges, ViewGroups};
 
 /// Process-unique lineage ids for delta bases (0 is reserved for
 /// standalone [`CsrGraph`]s — see [`Epoch::STATIC`]).
@@ -593,6 +593,15 @@ impl GraphView for DeltaGraph {
 
     fn out_groups(&self, v: Oid) -> ViewGroups<'_> {
         DeltaGraph::out_groups(self, v)
+    }
+
+    /// Loads the base row; the overlay's logs are small and shared by
+    /// every row of a label.
+    #[inline]
+    fn prefetch(&self, v: Oid, reverse: bool, part: RowPart) {
+        if v.index() < self.base.num_nodes() {
+            self.base.prefetch_row(v, reverse, part);
+        }
     }
 }
 

@@ -41,4 +41,4 @@ pub use csr::{CsrGraph, LabelStats};
 pub use delta::{CompactionPolicy, DeltaGraph};
 pub use instance::{Instance, InstanceBuilder, Oid};
 pub use source::{GraphSource, InfiniteComb, InfiniteTree, LassoLine, NodeId};
-pub use view::{EdgeDelta, Epoch, GraphView, ViewEdges, ViewGroups};
+pub use view::{EdgeDelta, Epoch, GraphView, RowPart, ViewEdges, ViewGroups};

@@ -250,6 +250,15 @@ impl<'a> Iterator for ViewGroups<'a> {
     }
 }
 
+/// Which part of a row [`GraphView::prefetch`] loads.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub enum RowPart {
+    /// Where the row lies: its entry in the row offsets.
+    Header,
+    /// The row itself: its labels and its endpoints.
+    Edges,
+}
+
 /// The uniform read interface over graph snapshots: label-indexed forward
 /// and reverse adjacency, label groups, per-label statistics, and a
 /// snapshot [`Epoch`]. Implemented by the immutable [`CsrGraph`] and the
@@ -286,6 +295,15 @@ pub trait GraphView: Sync {
     /// targets — the label-dependent-work-once-per-label contract of
     /// [`CsrGraph::out_groups`], over any view.
     fn out_groups(&self, v: Oid) -> ViewGroups<'_>;
+
+    /// A hint that `v`'s row — its in-row when `reverse` — is walked soon:
+    /// start loading `part` of it into cache. A search that knows which
+    /// rows its next steps walk issues this ahead of them, the
+    /// [`RowPart::Header`] first, so that the [`RowPart::Edges`] hint can
+    /// read where the row lies without waiting. It changes nothing any
+    /// method returns; the default does nothing.
+    #[inline]
+    fn prefetch(&self, _v: Oid, _reverse: bool, _part: RowPart) {}
 }
 
 impl GraphView for CsrGraph {
@@ -317,6 +335,11 @@ impl GraphView for CsrGraph {
 
     fn out_groups(&self, v: Oid) -> ViewGroups<'_> {
         ViewGroups::Csr(CsrGraph::out_groups(self, v))
+    }
+
+    #[inline]
+    fn prefetch(&self, v: Oid, reverse: bool, part: RowPart) {
+        self.prefetch_row(v, reverse, part);
     }
 }
 

@@ -15,19 +15,37 @@
 //! backward (the reversed automaton over the reverse adjacency) against the
 //! oracle's inverse, and through the `Sources` / `Targets` / `Matrix` arms
 //! of `run_request`, the three that read the cap.
+//!
+//! The search reads its counters and answers off the log of the levels it
+//! answer-checked, and a search stopped part-way has marked cells that no
+//! level of that log holds: the level a tripped budget left half expanded,
+//! the level a cancellation stopped before its check, the rest of the
+//! level a `stop_at` hit cut. So the same definition of the levels is also
+//! held against every way a search stops early: a budget that trips inside
+//! a level, a cancellation raised while some level is swept, and a pair
+//! search that stops at its target. Its answers must be exactly the nodes
+//! with an accepting pair in the levels checked, and `pairs_visited` and
+//! `frontier_peak` the sums and the largest of those levels. (A search that
+//! read its answers off the table even when it did not complete fails
+//! here.)
+
+use std::collections::HashSet;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use rpq::automata::random::{random_regex, RegexGenConfig};
-use rpq::automata::{Alphabet, Nfa, Symbol};
+use rpq::automata::{Alphabet, Nfa, StateId, Symbol};
 use rpq::core::{
-    eval_oracle, run_request, search_nodes, Answers, BatchResult, Direction, EvalScratch,
-    MatrixResult, Query, SearchOpts, SourceSpec, Termination,
+    eval_oracle, run_request, search_nodes, search_pair, Answers, BatchResult, Direction,
+    EvalControl, EvalScratch, MatrixResult, Query, SearchOpts, SourceSpec, Termination,
 };
 use rpq::graph::generators::random_graph;
-use rpq::graph::{CsrGraph, DeltaGraph, GraphView, Instance, Oid};
+use rpq::graph::{
+    CsrGraph, DeltaGraph, Epoch, GraphView, Instance, LabelStats, Oid, ViewEdges, ViewGroups,
+};
 
 /// The caps checked: every depth a small query's answers can still grow at.
 const CAPS: std::ops::RangeInclusive<usize> = 0..=5;
@@ -175,4 +193,303 @@ proptest! {
 fn the_caps_cut_searches_short() {
     let cut: usize = (0..16).map(check_case).sum();
     assert!(cut >= 16, "only {cut} capped searches were cut short");
+}
+
+/// The levels of the search from `seed` by definition: level `k` holds
+/// every `(state, node)` pair first reached by spelling `k` letters (the
+/// start's ε-closure at the seed is level 0), and a level's cost is what
+/// its sweep scans — a row's length per pair and labeled transition that
+/// follows it.
+struct Levels {
+    pairs: Vec<Vec<(StateId, Oid)>>,
+    cost: Vec<usize>,
+}
+
+impl Levels {
+    fn of<G: GraphView>(nfa: &Nfa, graph: &G, seed: Oid) -> Levels {
+        let start = nfa.eps_closure(&[nfa.start()]);
+        let mut level: Vec<(StateId, Oid)> = start.into_iter().map(|q| (q, seed)).collect();
+        let mut seen: HashSet<(StateId, Oid)> = level.iter().copied().collect();
+        let mut out = Levels {
+            pairs: Vec::new(),
+            cost: Vec::new(),
+        };
+        while !level.is_empty() {
+            let (mut next, mut cost) = (Vec::new(), 0);
+            for &(q, v) in &level {
+                for &(sym, q1) in nfa.transitions(q) {
+                    let row: Vec<Oid> = graph.out(v, sym).collect();
+                    cost += row.len();
+                    for v2 in row {
+                        for q2 in nfa.eps_closure(&[q1]) {
+                            if seen.insert((q2, v2)) {
+                                next.push((q2, v2));
+                            }
+                        }
+                    }
+                }
+            }
+            out.pairs.push(level);
+            out.cost.push(cost);
+            level = next;
+        }
+        out
+    }
+
+    /// What a search that answer-checked the first `checked` levels
+    /// reports: its answers — the nodes with an accepting pair in those
+    /// levels, sorted — its `pairs_visited` and its `frontier_peak`.
+    fn through(&self, nfa: &Nfa, checked: usize) -> (Vec<Oid>, usize, usize) {
+        let levels = &self.pairs[..checked];
+        let mut answers: Vec<Oid> = levels
+            .iter()
+            .flatten()
+            .filter(|(q, _)| nfa.is_accepting(*q))
+            .map(|&(_, v)| v)
+            .collect();
+        answers.sort_unstable();
+        answers.dedup();
+        let pairs = levels.iter().map(Vec::len).sum();
+        let peak = levels.iter().map(Vec::len).max().unwrap_or(0);
+        (answers, pairs, peak)
+    }
+}
+
+/// A graph that raises `cancel` as its `after`-th row is looked up — a
+/// cancellation that arrives while some level is being swept — and counts
+/// the rows looked up.
+struct CancelAfter<'a, G> {
+    graph: &'a G,
+    rows: AtomicUsize,
+    after: usize,
+    cancel: &'a AtomicBool,
+}
+
+impl<'a, G: GraphView> CancelAfter<'a, G> {
+    fn new(graph: &'a G, after: usize, cancel: &'a AtomicBool) -> Self {
+        cancel.store(after == 0, Ordering::Relaxed);
+        CancelAfter {
+            graph,
+            rows: AtomicUsize::new(0),
+            after,
+            cancel,
+        }
+    }
+
+    fn tick(&self) {
+        if self.rows.fetch_add(1, Ordering::Relaxed) + 1 == self.after {
+            self.cancel.store(true, Ordering::Relaxed);
+        }
+    }
+}
+
+impl<G: GraphView> GraphView for CancelAfter<'_, G> {
+    fn num_nodes(&self) -> usize {
+        self.graph.num_nodes()
+    }
+    fn num_edges(&self) -> usize {
+        self.graph.num_edges()
+    }
+    fn stats(&self) -> &LabelStats {
+        self.graph.stats()
+    }
+    fn epoch(&self) -> Epoch {
+        self.graph.epoch()
+    }
+    fn out(&self, v: Oid, label: Symbol) -> ViewEdges<'_> {
+        self.tick();
+        self.graph.out(v, label)
+    }
+    fn rev(&self, v: Oid, label: Symbol) -> ViewEdges<'_> {
+        self.tick();
+        self.graph.rev(v, label)
+    }
+    fn out_groups(&self, v: Oid) -> ViewGroups<'_> {
+        self.graph.out_groups(v)
+    }
+}
+
+/// How often the early stops of one case cut where the table and the log
+/// disagree: a tripped level's successor, or a cancelled level, holding an
+/// answer the checked levels do not; a `stop_at` hit before the last pair
+/// of its level.
+#[derive(Default)]
+struct Cuts {
+    tripped: usize,
+    cancelled: usize,
+    mid_level_hits: usize,
+}
+
+impl Cuts {
+    fn add(self, other: Cuts) -> Cuts {
+        Cuts {
+            tripped: self.tripped + other.tripped,
+            cancelled: self.cancelled + other.cancelled,
+            mid_level_hits: self.mid_level_hits + other.mid_level_hits,
+        }
+    }
+}
+
+fn with_budget(budget: usize) -> SearchOpts<'static> {
+    SearchOpts {
+        control: EvalControl {
+            budget: Some(budget),
+            cancel: None,
+        },
+        ..SearchOpts::default()
+    }
+}
+
+/// Every early stop over one graph, from every node, against the levels.
+fn check_early_stops<G: GraphView>(nfa: &Nfa, graph: &G, rng: &mut StdRng, what: &str) -> Cuts {
+    let mut cuts = Cuts::default();
+    let mut scratch = EvalScratch::new();
+    for o in (0..graph.num_nodes() as u32).map(Oid) {
+        let levels = Levels::of(nfa, graph, o);
+        let depth = levels.pairs.len();
+        let expect = |checked: usize| levels.through(nfa, checked);
+        let report = |(res, term): (rpq::core::EvalResult, Termination)| {
+            let stats = (res.stats.pairs_visited, res.stats.frontier_peak);
+            (term, (res.answers, stats.0, stats.1))
+        };
+
+        // A budget that trips inside level `l`: everything before it fits.
+        let mut spent = 0;
+        for l in 0..depth {
+            let cost = levels.cost[l];
+            if cost > 0 {
+                let budget = spent + rng.random_range(0..cost);
+                let got = report(search_nodes(
+                    nfa,
+                    graph,
+                    o,
+                    &with_budget(budget),
+                    &mut scratch,
+                ));
+                let ctx = format!("{what}: node {o:?}, budget {budget} trips level {l}");
+                assert_eq!(got, (Termination::BudgetExhausted, expect(l + 1)), "{ctx}");
+                cuts.tripped += usize::from(l + 1 < depth && expect(l + 2).0 != expect(l + 1).0);
+            }
+            spent += cost;
+        }
+        let got = report(search_nodes(
+            nfa,
+            graph,
+            o,
+            &with_budget(spent),
+            &mut scratch,
+        ));
+        assert_eq!(got, (Termination::Complete, expect(depth)), "{what}: {o:?}");
+
+        // Rows looked up through each level: a search capped at depth `d`
+        // sweeps levels `0..d`.
+        let cancel = AtomicBool::new(false);
+        let rows_through: Vec<usize> = (0..=depth)
+            .map(|d| {
+                let counting = CancelAfter::new(graph, usize::MAX, &cancel);
+                let capped = SearchOpts {
+                    depth_cap: Some(d),
+                    ..SearchOpts::default()
+                };
+                search_nodes(nfa, &counting, o, &capped, &mut scratch);
+                counting.rows.into_inner()
+            })
+            .collect();
+        let total = rows_through[depth];
+        let after = rng.random_range(0..=total);
+        let cancelling = CancelAfter::new(graph, after, &cancel);
+        let opts = SearchOpts {
+            control: EvalControl {
+                budget: None,
+                cancel: Some(&cancel),
+            },
+            ..SearchOpts::default()
+        };
+        let got = report(search_nodes(nfa, &cancelling, o, &opts, &mut scratch));
+        // Raised in the sweep of level `l`, the flag stops level `l + 1`
+        // before its check; raised before the search, it stops level 0. A
+        // flag raised in the last level's sweep stops nothing.
+        let stopped = match after {
+            0 => 0,
+            _ => rows_through
+                .iter()
+                .position(|&rows| rows >= after)
+                .unwrap_or(depth),
+        };
+        let want = if stopped < depth {
+            cuts.cancelled += usize::from(expect(stopped + 1).0 != expect(stopped).0);
+            (Termination::Cancelled, expect(stopped))
+        } else {
+            (Termination::Complete, expect(depth))
+        };
+        let ctx = format!("{what}: node {o:?}, cancelled at row {after} of {total}");
+        assert_eq!(got, want, "{ctx}");
+
+        // `stop_at`: the search stops in the level of the target's first
+        // accepting pair, which counts whole for `frontier_peak`; its pairs
+        // count up to that entry.
+        let reversed = nfa.reverse();
+        for t in (0..graph.num_nodes() as u32).map(Oid) {
+            let (pair, term) = search_pair(
+                nfa,
+                &reversed,
+                graph,
+                o,
+                t,
+                Direction::Forward,
+                &SearchOpts::default(),
+                &mut scratch,
+            );
+            assert_eq!(term, Termination::Complete);
+            let first = levels
+                .pairs
+                .iter()
+                .position(|level| level.iter().any(|&(q, v)| v == t && nfa.is_accepting(q)));
+            let ctx = format!("{what}: pair {o:?} -> {t:?}");
+            assert_eq!(pair.reachable, first.is_some(), "{ctx}");
+            let (pairs, peak) = (pair.stats.pairs_visited, pair.stats.frontier_peak);
+            match first {
+                None => assert_eq!((pairs, peak), (expect(depth).1, expect(depth).2), "{ctx}"),
+                Some(l) => {
+                    let (before, through) = (expect(l).1, expect(l + 1).1);
+                    assert_eq!(peak, expect(l + 1).2, "{ctx}");
+                    assert!(before < pairs && pairs <= through, "{ctx}: {pairs} pairs");
+                    cuts.mid_level_hits += usize::from(pairs < through);
+                }
+            }
+        }
+    }
+    cuts
+}
+
+/// One case's early stops on both graphs.
+fn check_early_stops_case(seed: u64) -> Cuts {
+    let (inst, delta, nfa) = case(seed);
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
+    let csr = check_early_stops(&nfa, &CsrGraph::from(&inst), &mut rng, "csr");
+    csr.add(check_early_stops(&nfa, &delta, &mut rng, "post-delta"))
+}
+
+proptest! {
+    /// A search stopped by its budget, by cancellation or at its target
+    /// answers, and counts, exactly the levels it answer-checked.
+    #[test]
+    fn an_early_stop_answers_exactly_the_levels_it_checked(seed in 0u64..1_000_000) {
+        check_early_stops_case(seed);
+    }
+}
+
+/// The early-stop property cannot pass vacuously: on the first cases,
+/// budgets and cancellations stop searches where the unchecked level holds
+/// a new answer, and pair searches stop before the end of a level.
+#[test]
+fn early_stops_cut_where_table_and_log_disagree() {
+    let cuts = (0..16)
+        .map(check_early_stops_case)
+        .fold(Cuts::default(), Cuts::add);
+    let counts = (cuts.tripped, cuts.cancelled, cuts.mid_level_hits);
+    assert!(
+        counts.0 >= 64 && counts.1 >= 32 && counts.2 >= 32,
+        "{counts:?}"
+    );
 }

@@ -10,6 +10,11 @@
 //! (ε-moves from every word's end back to the start, so closures span mask
 //! words) answer like the scan-and-filter baseline.
 //!
+//! An answer is read off the table: a node answers when its cells meet the
+//! accepting mask in any word. Two automata pin that read across words: a
+//! node that first answers through its second word, a level after it was
+//! first reached, and a node that accepts in two words, answered once.
+//!
 //! One arena serves search after search, so the table is also checked
 //! across them: any sequence of searches — automaton size, graph size and
 //! direction varying from one to the next — may share one arena and
@@ -20,10 +25,10 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use rpq::automata::random::{random_regex, RegexGenConfig};
-use rpq::automata::{Alphabet, Nfa, Symbol};
+use rpq::automata::{Alphabet, Nfa, StateId, Symbol};
 use rpq::core::{
-    eval_oracle, eval_product_scan, run_request, search_nodes, Answers, Direction, EvalScratch,
-    Query, SearchOpts, SourceSpec, Termination,
+    eval_oracle, eval_product_scan, run_request, search_nodes, search_pair, Answers, BatchResult,
+    Direction, EvalControl, EvalScratch, Query, SearchOpts, SourceSpec, Termination,
 };
 use rpq::graph::generators::random_graph;
 use rpq::graph::{CsrGraph, DeltaGraph, GraphView, Instance, Oid};
@@ -389,4 +394,132 @@ proptest! {
             }
         }
     }
+}
+
+/// An automaton of `states` states whose `accepting` states accept and
+/// whose transitions are `moves`; the states nothing names pad the mask
+/// table out to `⌈states / 32⌉` words.
+fn padded(states: usize, accepting: &[StateId], moves: &[(StateId, Symbol, StateId)]) -> Nfa {
+    let mut nfa = Nfa::empty();
+    for q in 1..states as StateId {
+        nfa.add_state(accepting.contains(&q));
+    }
+    for &(from, sym, to) in moves {
+        nfa.add_transition(from, sym, to);
+    }
+    nfa
+}
+
+/// `s -a-> x` and a `b` loop at `x`, as a snapshot and as an overlay that
+/// adds the loop; `(s, x)` are nodes 0 and 1.
+fn loop_graphs(a: Symbol, b: Symbol) -> (CsrGraph, DeltaGraph) {
+    let mut inst = Instance::new();
+    let (s, x) = (inst.add_node(), inst.add_node());
+    inst.add_edge(s, a, x);
+    let mut delta = DeltaGraph::from_instance(&inst);
+    delta.add_edge(x, b, x);
+    inst.add_edge(x, b, x);
+    (CsrGraph::from(&inst), delta)
+}
+
+fn capped_at(cap: Option<usize>) -> SearchOpts<'static> {
+    SearchOpts {
+        depth_cap: cap,
+        ..SearchOpts::default()
+    }
+}
+
+/// `x` is first reached at level 1 in a state of word 0 that does not
+/// accept, and becomes an answer at level 2 through an accepting state of
+/// word 1. The answer is read off the second word of its cells, at the
+/// level it was reached there, and not before.
+#[test]
+fn a_node_becomes_an_answer_through_a_second_word_at_a_later_level() {
+    let (a, b) = (Symbol::from_index(0), Symbol::from_index(1));
+    let nfa = padded(41, &[40], &[(0, a, 1), (1, b, 40)]);
+    let (csr, delta) = loop_graphs(a, b);
+    later_in_word_1(&nfa, &csr, "csr");
+    later_in_word_1(&nfa, &delta, "post-delta");
+}
+
+fn later_in_word_1<G: GraphView>(nfa: &Nfa, graph: &G, what: &str) {
+    let (s, x) = (Oid(0), Oid(1));
+    let mut scratch = EvalScratch::new();
+    for (cap, want) in [(Some(1), vec![]), (Some(2), vec![x]), (None, vec![x])] {
+        let (res, term) = search_nodes(nfa, graph, s, &capped_at(cap), &mut scratch);
+        assert_eq!(term, Termination::Complete, "{what}");
+        assert_eq!(res.answers, want, "{what}: cap {cap:?}");
+        if cap.is_none() {
+            let stats = res.stats;
+            let counts = (stats.pairs_visited, stats.frontier_peak, stats.answers);
+            assert_eq!(counts, (3, 1, 1), "{what}: one pair a level");
+        }
+    }
+    let (pair, _) = search_pair(
+        nfa,
+        &nfa.reverse(),
+        graph,
+        s,
+        x,
+        Direction::Forward,
+        &SearchOpts::default(),
+        &mut scratch,
+    );
+    assert!(pair.reachable, "{what}");
+    assert_eq!(
+        pair.stats.pairs_visited, 3,
+        "{what}: the hit is the last pair"
+    );
+}
+
+/// `x` holds accepting states in word 0 and in word 1 at level 1, and
+/// another in word 1 at level 2: one answer, whether the answers are read
+/// off the table (the search ran to the end) or off the log (a budget
+/// stopped it after level 1 was checked).
+#[test]
+fn a_node_accepting_in_two_words_is_answered_once() {
+    let (a, b) = (Symbol::from_index(0), Symbol::from_index(1));
+    let nfa = padded(42, &[5, 40, 41], &[(0, a, 5), (0, a, 40), (5, b, 41)]);
+    let (csr, delta) = loop_graphs(a, b);
+    answered_once(&nfa, &csr, "csr");
+    answered_once(&nfa, &delta, "post-delta");
+}
+
+fn answered_once<G: GraphView>(nfa: &Nfa, graph: &G, what: &str) {
+    let x = Oid(1);
+    let mut scratch = EvalScratch::new();
+    let reversed = nfa.reverse();
+    let mut run = |spec: &SourceSpec, opts: &SearchOpts<'_>| {
+        let dir = Direction::Forward;
+        run_request(nfa, &reversed, graph, spec, dir, opts, &mut scratch)
+    };
+    let spec = SourceSpec::Source(Oid(0));
+    let full = run(&spec, &SearchOpts::default());
+    assert_eq!(full.termination, Termination::Complete);
+    assert_eq!(full.answers, Answers::Nodes(vec![x]), "{what}");
+    let counts = (full.stats.pairs_visited, full.stats.frontier_peak);
+    assert_eq!((counts, full.stats.answers), ((4, 2), 1), "{what}");
+
+    // Level 0 scans `s`'s `a` row once per `a` move (2), level 1 `x`'s `b`
+    // row (1): a budget of 2 stops level 1's sweep before its row.
+    let opts = SearchOpts {
+        control: EvalControl {
+            budget: Some(2),
+            cancel: None,
+        },
+        ..SearchOpts::default()
+    };
+    let cut = run(&spec, &opts);
+    assert_eq!(cut.termination, Termination::BudgetExhausted, "{what}");
+    assert_eq!(cut.answers, Answers::Nodes(vec![x]), "{what}");
+    assert_eq!(
+        (cut.stats.pairs_visited, cut.stats.answers),
+        (3, 1),
+        "{what}"
+    );
+
+    let sources = SourceSpec::Sources(vec![Oid(0), x]);
+    let both = run(&sources, &SearchOpts::default());
+    let per = BatchResult::from_per_source(vec![vec![x], vec![]]);
+    assert_eq!(both.answers, Answers::Batch(per), "{what}");
 }
