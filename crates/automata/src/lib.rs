@@ -15,14 +15,15 @@
 //! * [`Regex`] — normalized regular expressions with the paper's syntax
 //!   (union `+`, concatenation, Kleene `*`), parser ([`parse_regex`]) and
 //!   pretty-printer.
-//! * [`mod@derivative`] — Brzozowski derivatives (the paper's quotients `p/l`)
-//!   and the finite closure of repeated quotients ([`DerivativeClosure`]).
 //! * [`Nfa`] / [`Dfa`] — Thompson construction, subset construction,
 //!   minimization, products, reversal, trimming, finiteness.
 //! * [`ops`] — inclusion and equivalence.
-//! * [`charpat`] — character-level label patterns for general path queries
-//!   (Section 2.4).
 //! * [`random`] — seeded generators for reproducible workloads.
+//!
+//! The paper's quotients `p/l` as Brzozowski derivatives, Section 2.4's
+//! character-level label patterns and the growth classification of
+//! regular languages are no part of what is served; they live in
+//! `rpq_paper`.
 //!
 //! ## One algorithm per question
 //!
@@ -32,7 +33,7 @@
 //!
 //! | question | algorithm | held against |
 //! |---|---|---|
-//! | regex → NFA | Thompson, [`Nfa::thompson`] | derivatives and the quotient closure (`tests/properties.rs`, `four_representations_agree`) |
+//! | regex → NFA | Thompson, [`Nfa::thompson`] | `rpq_paper`'s derivatives and quotient closure (`tests/properties.rs`, `four_representations_agree`) |
 //! | NFA → DFA | sparse subset construction, [`Dfa::from_nfa`] | the dense textbook construction, state for state (`dfa.rs`) |
 //! | minimal DFA | Moore refinement, [`Dfa::minimize`] | the definition — every state reachable, every two distinguishable (`dfa.rs`) — and Brzozowski's double reversal (`minimization_algorithms_agree`) |
 //! | inclusion, equivalence | antichain search, [`ops::included_antichain`] / [`ops::equivalent`] | determinize-and-product, [`ops::included_naive`], both ways (`decision_procedures_agree`) |
@@ -71,11 +72,8 @@
 #![warn(missing_docs)]
 
 pub mod alphabet;
-pub mod charpat;
-pub mod derivative;
 pub mod dfa;
 pub mod elim;
-pub mod growth;
 pub mod nfa;
 pub mod ops;
 pub mod parser;
@@ -85,10 +83,8 @@ mod sets;
 pub mod simplify;
 
 pub use alphabet::{Alphabet, Symbol};
-pub use derivative::{derivative, word_derivative, DerivativeClosure};
 pub use dfa::Dfa;
 pub use elim::nfa_to_regex;
-pub use growth::{classify_regex, Growth};
 pub use nfa::{Nfa, StateId};
 pub use parser::{parse_regex, parse_regex_embedded, parse_word, ParseError};
 pub use regex::Regex;

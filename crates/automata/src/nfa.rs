@@ -14,7 +14,7 @@
 
 use std::collections::VecDeque;
 
-use crate::alphabet::{Alphabet, Symbol};
+use crate::alphabet::Symbol;
 use crate::regex::Regex;
 use crate::sets::StateSets;
 
@@ -760,30 +760,6 @@ impl Nfa {
         }
         out
     }
-
-    /// Graphviz rendering (for docs/examples).
-    pub fn dot(&self, alphabet: &Alphabet) -> String {
-        use std::fmt::Write as _;
-        let mut s = String::from("digraph nfa {\n  rankdir=LR;\n");
-        let _ = writeln!(s, "  start [shape=point];");
-        let _ = writeln!(s, "  start -> q{};", self.start);
-        for q in 0..self.num_states() {
-            let shape = if self.accept[q] {
-                "doublecircle"
-            } else {
-                "circle"
-            };
-            let _ = writeln!(s, "  q{q} [shape={shape}];");
-            for &(sym, t) in &self.trans[q] {
-                let _ = writeln!(s, "  q{q} -> q{t} [label=\"{}\"];", alphabet.name(sym));
-            }
-            for &t in &self.eps[q] {
-                let _ = writeln!(s, "  q{q} -> q{t} [label=\"ε\"];");
-            }
-        }
-        s.push_str("}\n");
-        s
-    }
 }
 
 /// Tarjan SCC over a graph given by a successor callback. Returns the
@@ -852,6 +828,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::alphabet::Alphabet;
     use crate::parser::parse_regex;
 
     fn re(ab: &mut Alphabet, s: &str) -> Regex {

@@ -6,7 +6,7 @@
 //! [`Regex::union`], [`Regex::star`]): concatenations and unions are
 //! flattened, the unit/annihilator laws for ε and ∅ are applied, and union
 //! arms are sorted and deduplicated. This normal form is what makes the
-//! Brzozowski-derivative closure (module [`mod@crate::derivative`]) finite — the
+//! Brzozowski-derivative closure (`rpq_paper::derivative`) finite — the
 //! classical "similarity" quotient (associativity, commutativity, idempotence
 //! of `+`).
 

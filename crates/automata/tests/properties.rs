@@ -5,13 +5,14 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use rpq_automata::derivative::{accepts as re_accepts, derivative};
 use rpq_automata::elim::nfa_to_regex;
 use rpq_automata::ops::{
     equivalent, included_antichain, included_naive, regex_included, union_sigma,
 };
 use rpq_automata::random::{random_regex, sample_word, RegexGenConfig};
-use rpq_automata::{Alphabet, DerivativeClosure, Dfa, Nfa, Regex, StateId, Symbol};
+use rpq_automata::{Alphabet, Dfa, Nfa, Regex, StateId, Symbol};
+use rpq_paper::derivative::{accepts as re_accepts, derivative};
+use rpq_paper::DerivativeClosure;
 
 fn syms() -> (Alphabet, Vec<Symbol>) {
     let ab = Alphabet::from_names(["a", "b", "c"]);

@@ -15,13 +15,11 @@ use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rpq_bench::{eval_workload, multi_source_workload, skewed_workload};
-use rpq_core::{
-    eval_product_scan, DerivativeEngine, Engine, EvalRequest, ProductEngine, Query,
-    QuotientDfaEngine,
-};
+use rpq_core::{eval_product_scan, Engine, EvalRequest, ProductEngine, Query};
 use rpq_datalog::engine::{eval_naive, eval_seminaive};
 use rpq_datalog::translate::{load_csr, translate_quotient};
 use rpq_graph::CsrGraph;
+use rpq_paper::{DerivativeEngine, QuotientDfaEngine};
 
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("t1_eval_scaling");

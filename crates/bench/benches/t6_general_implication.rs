@@ -2,14 +2,17 @@
 //! 2-EXPSPACE; our engine proves by the prefix-rewriting closure and
 //! refutes by a budgeted search, with certified verdicts). Expected shape:
 //! the exact word route is fastest; closure proofs under regex rules cost
-//! more; refutation search cost is dominated by the chase budget.
+//! more; refutation search cost is dominated by the chase budget. Each
+//! row's verdict is asserted at registration time — none is `Unknown` —
+//! so `--test` mode (the CI bench smoke) checks it without paying
+//! measurement time.
 
 use std::hint::black_box;
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rpq_automata::Alphabet;
-use rpq_constraints::general::{check, Budget};
+use rpq_constraints::general::{check, Budget, Verdict};
 use rpq_constraints::{parse_constraint, ConstraintSet};
 
 fn bench(c: &mut Criterion) {
@@ -23,6 +26,16 @@ fn bench(c: &mut Criterion) {
         let mut ab = Alphabet::new();
         let set = ConstraintSet::parse(&mut ab, ["l.l <= l"]).unwrap();
         let claim = parse_constraint(&mut ab, "l* = l + ()").unwrap();
+        let verdict = check(&set, &claim, &Budget::default());
+        assert!(
+            matches!(
+                verdict,
+                Verdict::Implied {
+                    method: "word-exact"
+                }
+            ),
+            "x2: {verdict:?}"
+        );
         group.bench_function(BenchmarkId::new("word_exact", "x2"), |b| {
             b.iter(|| black_box(check(&set, &claim, &Budget::default()).is_implied()))
         });
@@ -33,6 +46,8 @@ fn bench(c: &mut Criterion) {
         let mut ab = Alphabet::new();
         let set = ConstraintSet::parse(&mut ab, ["l = (a.b)*"]).unwrap();
         let claim = parse_constraint(&mut ab, "a.(b.a)*.c = l.a.c").unwrap();
+        let verdict = check(&set, &claim, &Budget::default());
+        assert!(verdict.is_implied(), "x3: {verdict:?}");
         group.bench_function(BenchmarkId::new("saturation_proof", "x3"), |b| {
             b.iter(|| black_box(check(&set, &claim, &Budget::default()).is_implied()))
         });
@@ -43,6 +58,8 @@ fn bench(c: &mut Criterion) {
         let mut ab = Alphabet::new();
         let set = ConstraintSet::parse(&mut ab, ["(a+b+d+l)*.l = ()"]).unwrap();
         let claim = parse_constraint(&mut ab, "(l.a + l.b)*.d = (a+b).d").unwrap();
+        let verdict = check(&set, &claim, &Budget::default());
+        assert!(verdict.is_refuted(), "x1: {verdict:?}");
         group.bench_function(BenchmarkId::new("refutation", "x1"), |b| {
             b.iter(|| black_box(check(&set, &claim, &Budget::default()).is_refuted()))
         });
@@ -58,6 +75,8 @@ fn bench(c: &mut Criterion) {
         }
         let set = ConstraintSet::parse(&mut ab, [format!("l = {body}")]).unwrap();
         let claim = parse_constraint(&mut ab, &format!("l.{tail} = (a.b)*.{tail}")).unwrap();
+        let verdict = check(&set, &claim, &Budget::default());
+        assert!(verdict.is_implied(), "proof_depth {depth}: {verdict:?}");
         group.bench_with_input(BenchmarkId::new("proof_depth", depth), &depth, |b, _| {
             b.iter(|| black_box(check(&set, &claim, &Budget::default()).is_implied()))
         });

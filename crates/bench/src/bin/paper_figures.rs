@@ -18,10 +18,10 @@ use rpq_constraints::{
     Boundedness, Closures, ConstraintSet,
 };
 use rpq_core::eval_product;
-use rpq_core::general::{translate, GeneralPathQuery};
 use rpq_distributed::{render_trace, Delivery, Simulator};
 use rpq_graph::generators::fig2_graph;
 use rpq_graph::InstanceBuilder;
+use rpq_paper::general::{translate, GeneralPathQuery};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -57,7 +57,7 @@ fn main() {
 }
 
 fn section5_axioms() {
-    use rpq_constraints::axioms::{Prover, ProverConfig};
+    use rpq_paper::axioms::{Prover, ProverConfig};
     header("S5a — Section 5 future work: a sound axiomatization, with derivations");
     let mut ab = Alphabet::new();
     let set = ConstraintSet::parse(&mut ab, ["l.l <= l"]).unwrap();
@@ -76,8 +76,8 @@ fn section5_axioms() {
 }
 
 fn section5_deterministic() {
-    use rpq_constraints::deterministic::det_implies_word;
     use rpq_constraints::implication::word_implies_word;
+    use rpq_paper::deterministic::det_implies_word;
     header("S5d — Section 5: instances with ≤1 outgoing edge per label");
     let mut ab = Alphabet::new();
     let set = ConstraintSet::parse(&mut ab, ["a <= c", "a.x <= c"]).unwrap();
@@ -129,7 +129,7 @@ fn fig1() {
         );
     }
     println!("\nμ(q) = {}", mu.mu_query.display(&mu.class_alphabet));
-    let answers = rpq_core::general::eval_general(&q, &inst, names["o"], &ab);
+    let answers = rpq_paper::general::eval_general(&q, &inst, names["o"], &ab);
     println!(
         "q(o, I) = μ(q)(o, μ(I)) = {:?}   (Proposition 2.2)",
         answers

@@ -13,9 +13,9 @@
 //! | Proposition 4.8 Armstrong instance as a finite fold with free trees, Lemma 4.9 K-sphere (Figure 5) | [`armstrong`] |
 //! | Theorem 4.10 boundedness + effective nonrecursive equivalent, decided on the fold | [`boundedness`] |
 //! | Theorem 4.2 general implication (budgeted, certified verdicts) | [`general`] |
-//! | Section 5: sound axiomatization (future work, built here) | [`axioms`] |
-//! | Section 5: the ≤1-outgoing-edge-per-label special case | [`deterministic`] |
-//! | Section 4's FO² connection (encoding + bounded countermodels) | [`fo2`] |
+//! | Section 5: sound axiomatization (future work, built here) | `rpq_paper::axioms` |
+//! | Section 5: the ≤1-outgoing-edge-per-label special case | `rpq_paper::deterministic` |
+//! | Section 4's FO² connection (encoding + bounded countermodels) | `rpq_paper::fo2` |
 //!
 //! ## Example: Example 2 of Section 3.2
 //!
@@ -35,28 +35,19 @@
 #![warn(missing_docs)]
 
 pub mod armstrong;
-pub mod axioms;
 pub mod boundedness;
 pub mod canonical;
-pub mod deterministic;
-pub mod fo2;
 pub mod general;
 pub mod implication;
 pub mod rewrite;
 pub mod types;
 
 pub use armstrong::{suggested_radius, ArmstrongSphere};
-pub use axioms::{prove_constraint, prove_inclusion, Derivation, Prover, ProverConfig, Rule};
 pub use boundedness::{
     bounded_beyond_finite, bounded_under_path_constraints, decide_boundedness, Boundedness,
     GeneralBoundedness,
 };
 pub use canonical::{lemma44_instance, CanonicalInstance};
-pub use deterministic::{
-    det_implies_constraint, det_implies_word, det_implies_word_eq, DetImplication, DetModel,
-    DetWitness,
-};
-pub use fo2::{bounded_countermodel, constraint_sentence, refutation_sentence, Fo2};
 pub use general::{check, Budget, Refutation, Verdict, Witness};
 pub use implication::{
     word_implies_constraint, word_implies_path, word_implies_word, WordImplication,

@@ -19,11 +19,12 @@
 //! Thompson NFA, and the alphabet) so one prepared query drives every
 //! engine; [`rpq_graph::CsrGraph`] is the immutable label-indexed snapshot
 //! they all traverse; [`crate::EvalStats`] makes their work comparable.
-//! Implementations in this crate: [`ProductEngine`], [`QuotientDfaEngine`],
-//! [`DerivativeEngine`], [`OracleEngine`], [`StreamingEngine`]. The
-//! `rpq-datalog` and `rpq-distributed` crates add their strategies, giving
-//! the agreement suite (and any future scheduler, cache, or shard router)
-//! a single dispatch point.
+//! Implementations in this crate: [`ProductEngine`] (the one the server
+//! runs) and [`OracleEngine`]. `rpq_paper` adds the explicit-quotient and
+//! streaming engines (`rpq_paper::{QuotientDfaEngine, DerivativeEngine,
+//! StreamingEngine}`), and the `rpq-datalog` and `rpq-distributed` crates
+//! add their strategies, giving the agreement suite (and any future
+//! scheduler, cache, or shard router) a single dispatch point.
 
 use std::sync::{Arc, OnceLock};
 
@@ -31,11 +32,9 @@ use rpq_automata::{parse_regex, Alphabet, Nfa, ParseError, Regex};
 use rpq_graph::{CsrGraph, Oid};
 
 use crate::product::{eval_product_csr, EvalResult, SearchOpts};
-use crate::quotient::{eval_derivative_csr, eval_quotient_dfa_csr};
 use crate::request::{run_default, run_request, EvalRequest, EvalResponse};
 use crate::scratch::EvalScratch;
 use crate::stats::{Direction, EvalStats};
-use crate::streaming::StreamingEval;
 
 /// A prepared path query: the regex, its Thompson NFA, and the alphabet it
 /// was parsed against — everything any [`Engine`] needs, the NFA compiled
@@ -180,36 +179,6 @@ impl Engine for ProductEngine {
     }
 }
 
-/// Explicit quotients as lazily determinized state sets
-/// ([`crate::eval_quotient_dfa_csr`]).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct QuotientDfaEngine;
-
-impl Engine for QuotientDfaEngine {
-    fn name(&self) -> &'static str {
-        "quotient-dfa"
-    }
-
-    fn eval(&self, query: &Query, graph: &CsrGraph, source: Oid) -> EvalResult {
-        eval_quotient_dfa_csr(query.nfa(), graph, source)
-    }
-}
-
-/// Syntactic quotients via Brzozowski derivatives
-/// ([`crate::eval_derivative_csr`]).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct DerivativeEngine;
-
-impl Engine for DerivativeEngine {
-    fn name(&self) -> &'static str {
-        "derivative"
-    }
-
-    fn eval(&self, query: &Query, graph: &CsrGraph, source: Oid) -> EvalResult {
-        eval_derivative_csr(query.regex(), graph, source)
-    }
-}
-
 /// The definitional word-enumeration oracle — exponential, for testing
 /// only. `max_word_len: None` uses the `|Q| · |V|` pumping bound.
 ///
@@ -252,44 +221,6 @@ impl Engine for OracleEngine {
     }
 }
 
-/// The pull-based streaming evaluator of Remark 2.1, run to completion
-/// under a node-expansion budget (the snapshot is finite, so a budget of at
-/// least `|Q| · |V|` always terminates).
-#[derive(Clone, Copy, Debug)]
-pub struct StreamingEngine {
-    /// Node-expansion budget (see [`StreamingEval`]).
-    pub budget: usize,
-}
-
-impl Default for StreamingEngine {
-    fn default() -> Self {
-        StreamingEngine { budget: usize::MAX }
-    }
-}
-
-impl Engine for StreamingEngine {
-    fn name(&self) -> &'static str {
-        "streaming"
-    }
-
-    fn eval(&self, query: &Query, graph: &CsrGraph, source: Oid) -> EvalResult {
-        let mut ev = StreamingEval::new(query.nfa(), graph, source.index() as u64, self.budget);
-        let mut answers: Vec<Oid> = ev
-            .collect_all()
-            .into_iter()
-            .map(|n| Oid(n as u32))
-            .collect();
-        answers.sort_unstable();
-        let stats = EvalStats {
-            pairs_visited: ev.pairs_discovered(),
-            edges_scanned: ev.edges_fetched(),
-            answers: answers.len(),
-            ..EvalStats::default()
-        };
-        EvalResult { answers, stats }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -309,12 +240,9 @@ mod tests {
     fn core_engines() -> Vec<Box<dyn Engine>> {
         vec![
             Box::new(ProductEngine),
-            Box::new(QuotientDfaEngine),
-            Box::new(DerivativeEngine),
             Box::new(OracleEngine {
                 max_word_len: Some(10),
             }),
-            Box::new(StreamingEngine::default()),
         ]
     }
 

@@ -5,9 +5,9 @@
 //!
 //! A path query `p` is a regular expression over edge labels; its answer
 //! `p(o, I)` is the set of objects reachable from `o` by a path spelling a
-//! word of `L(p)`. This crate implements every evaluation strategy the
-//! paper discusses, plus the Section 2.4 extensions, all behind one
-//! calling convention:
+//! word of `L(p)`. This crate implements the evaluation strategy the
+//! server runs — the Section 2.2 product search — and the definitional
+//! oracle it is checked against, behind one calling convention:
 //!
 //! * [`Engine`] — the unified trait, three methods: `name`, the
 //!   strategy's own `p(o, I)` — `eval(&self, &Query, &CsrGraph, Oid)` over
@@ -42,19 +42,14 @@
 //! * [`parallel`] — names left over from intra-query parallelism and from
 //!   the pull half of the frontier, inert and kept only until the
 //!   end-to-end benchmark stops naming them;
-//! * [`QuotientDfaEngine`] / [`eval_quotient_dfa_csr`] — explicit quotients
-//!   as lazily determinized state sets (the possibly-exponential
-//!   construction the paper warns about);
-//! * [`DerivativeEngine`] / [`eval_derivative_csr`] — syntactic quotients
-//!   via Brzozowski derivatives, the faithful rendering of recursion (✳);
 //! * [`OracleEngine`] / [`eval_oracle`] — definitional word-enumeration
-//!   oracle for testing;
-//! * [`StreamingEngine`] / [`StreamingEval`] — pull-based, budgeted
-//!   evaluation over possibly infinite [`rpq_graph::GraphSource`]s
-//!   ("eventually computable" queries, Remark 2.1);
-//! * [`general`] — general path queries with character-level label patterns
-//!   and the `μ` translation (Proposition 2.2, Example 2.1 / Figure 1);
-//! * [`content`] — content-based selection via `content=w` self-loops.
+//!   oracle for testing.
+//!
+//! The rest of the paper's evaluation strategies — explicit quotients
+//! (lazily determinized state sets and Brzozowski derivatives), Remark
+//! 2.1's streaming evaluation over infinite sources, and Section 2.4's
+//! general path queries and content-based selection — are no part of what
+//! is served and live in `rpq_paper`, behind the same [`Engine`] trait.
 //!
 //! ## Example
 //!
@@ -79,25 +74,18 @@
 #![warn(missing_docs)]
 
 pub mod batch;
-pub mod content;
 pub mod engine;
-pub mod general;
 pub mod oracle;
 pub mod pair;
 pub mod pairset;
 pub mod parallel;
 pub mod product;
-pub mod quotient;
 pub mod request;
 pub mod scratch;
 pub mod stats;
-pub mod streaming;
 
 pub use batch::{BatchResult, MatrixResult};
-pub use engine::{
-    DerivativeEngine, Engine, OracleEngine, ProductEngine, Query, QuotientDfaEngine,
-    StreamingEngine,
-};
+pub use engine::{Engine, OracleEngine, ProductEngine, Query};
 pub use oracle::eval_oracle;
 pub use pair::{search_pair, PairResult};
 pub use pairset::{search_pairs, seed_candidates, PairSetResult};
@@ -105,7 +93,6 @@ pub use parallel::{FrontierMode, WorkerLease, WorkerPool, PAR_LEVEL_THRESHOLD};
 pub use product::{
     eval_product, eval_product_csr, eval_product_scan, search_nodes, EvalResult, SearchOpts,
 };
-pub use quotient::{eval_derivative_csr, eval_quotient_dfa_csr};
 pub use request::{
     live_oids, run_default, run_request, Answers, EvalControl, EvalRequest, EvalResponse,
     SourceSpec, Termination,
@@ -113,4 +100,3 @@ pub use request::{
 pub use rpq_graph::CsrGraph;
 pub use scratch::{EvalScratch, PooledScratch, ScratchPool};
 pub use stats::{AtomStats, Direction, EvalStats};
-pub use streaming::{StreamStatus, StreamingEval};

@@ -15,8 +15,9 @@
 //! and monadic by construction (asserted in tests via the analyses of
 //! [`crate::ir`]).
 
-use rpq_automata::{Alphabet, DerivativeClosure, Nfa, Regex};
+use rpq_automata::{Alphabet, Nfa, Regex};
 use rpq_graph::{CsrGraph, Instance, Oid};
+use rpq_paper::DerivativeClosure;
 
 use crate::engine::{eval_seminaive, FixpointStats};
 use crate::ir::{Atom, PredId, Program, RuleBuilder, Term};
@@ -63,7 +64,7 @@ fn declare_base(program: &mut Program) -> (PredId, PredId, PredId) {
 pub fn translate_quotient(
     query: &Regex,
     alphabet: &Alphabet,
-) -> Result<TranslatedQuery, rpq_automata::derivative::ClosureOverflow> {
+) -> Result<TranslatedQuery, rpq_paper::derivative::ClosureOverflow> {
     let symbols: Vec<_> = alphabet.symbols().collect();
     let closure = DerivativeClosure::compute(query, &symbols, 1 << 16)?;
     let mut program = Program::default();

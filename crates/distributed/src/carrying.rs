@@ -24,9 +24,9 @@
 
 use std::collections::{HashMap, HashSet};
 
-use rpq_automata::derivative::derivative;
 use rpq_automata::{Alphabet, Regex};
 use rpq_graph::{Instance, Oid};
+use rpq_paper::derivative::derivative;
 
 use crate::message::{codec, Message, MessageKind, Mid, SiteId};
 use crate::sim::MessageStats;

@@ -23,9 +23,9 @@
 
 use std::collections::HashMap;
 
-use rpq_automata::derivative::derivative;
 use rpq_automata::{Regex, Symbol};
 use rpq_graph::{GraphView, Oid};
+use rpq_paper::derivative::derivative;
 
 use crate::message::{Message, Mid, SiteId};
 

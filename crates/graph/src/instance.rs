@@ -270,26 +270,6 @@ impl Instance {
         cur.sort();
         cur
     }
-
-    /// Graphviz rendering.
-    pub fn dot(&self, alphabet: &Alphabet) -> String {
-        use std::fmt::Write as _;
-        let mut s = String::from("digraph instance {\n  rankdir=LR;\n");
-        for o in self.nodes() {
-            let _ = writeln!(s, "  n{} [label=\"{}\"];", o.0, self.node_name(o));
-        }
-        for (a, l, b) in self.edges() {
-            let _ = writeln!(
-                s,
-                "  n{} -> n{} [label=\"{}\"];",
-                a.0,
-                b.0,
-                alphabet.name(l)
-            );
-        }
-        s.push_str("}\n");
-        s
-    }
 }
 
 /// A builder that accepts string triples, interning labels and node names.
@@ -457,14 +437,6 @@ mod tests {
         let mut i2 = Instance::new();
         let anon = i2.add_node();
         assert_eq!(i2.node_name(anon), "o0");
-    }
-
-    #[test]
-    fn dot_contains_labels() {
-        let (ab, inst, _) = chain();
-        let dot = inst.dot(&ab);
-        assert!(dot.contains("label=\"a\""));
-        assert!(dot.contains("label=\"s\""));
     }
 
     #[test]

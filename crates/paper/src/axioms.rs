@@ -37,7 +37,7 @@
 //! Every derivation the prover returns can be replayed ([`Derivation::verify`]
 //! re-checks each leaf's language side conditions), and the property suite
 //! cross-checks provable goals against the certified refuter of
-//! [`crate::general`]: a goal that is both provable and refutable would be a
+//! [`rpq_constraints::general`]: a goal that is both provable and refutable would be a
 //! soundness bug in one of the two engines.
 
 use std::collections::HashSet;
@@ -46,8 +46,7 @@ use std::fmt::Write as _;
 use rpq_automata::ops;
 use rpq_automata::simplify::simplify;
 use rpq_automata::{Alphabet, Regex};
-
-use crate::types::{ConstraintSet, PathConstraint};
+use rpq_constraints::types::{ConstraintSet, PathConstraint};
 
 /// Budget and behavior knobs for the proof search.
 ///
@@ -570,9 +569,9 @@ pub fn prove_constraint(set: &ConstraintSet, c: &PathConstraint) -> Option<Vec<D
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::general::{check, Budget, Verdict};
-    use crate::types::parse_constraint;
     use rpq_automata::{parse_regex, Alphabet};
+    use rpq_constraints::general::{check, Budget, Verdict};
+    use rpq_constraints::parse_constraint;
 
     fn setup(constraints: &[&str]) -> (Alphabet, ConstraintSet) {
         let mut ab = Alphabet::new();

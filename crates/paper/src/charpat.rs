@@ -5,8 +5,8 @@
 //! along a path. The paper's example uses grep-style patterns such as
 //! `[sS]ections?` and `content=(.)*SGML(.)*`. This module implements that
 //! character level: a small pattern AST, a grep-ish parser, and a matcher.
-//! The path level reuses the ordinary [`crate::regex::Regex`] machinery via
-//! the `μ` translation implemented in `rpq-core`.
+//! The path level reuses the ordinary [`rpq_automata::Regex`] machinery via
+//! the `μ` translation of [`crate::general`].
 
 use std::fmt;
 

@@ -6,14 +6,13 @@
 //! repeated quotients is what makes the Datalog translation finite. On the
 //! syntactic side, finiteness holds modulo the ACI axioms of union — which is
 //! exactly the normal form maintained by the smart constructors in
-//! [`crate::regex`]. [`DerivativeClosure`] materializes `P` and doubles as a
+//! [`rpq_automata::regex`]. [`DerivativeClosure`] materializes `P` and doubles as a
 //! DFA constructed without going through an NFA: a word is accepted iff the
 //! class it reaches ([`DerivativeClosure::class_of`]) is nullable.
 
 use std::collections::HashMap;
 
-use crate::alphabet::{Alphabet, Symbol};
-use crate::regex::Regex;
+use rpq_automata::{Alphabet, Regex, Symbol};
 
 /// The Brzozowski derivative (quotient) `∂_s r` with `L(∂_s r) = L(r)/s`.
 pub fn derivative(r: &Regex, s: Symbol) -> Regex {
@@ -164,9 +163,7 @@ impl DerivativeClosure {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::alphabet::Alphabet;
-    use crate::nfa::Nfa;
-    use crate::parser::parse_regex;
+    use rpq_automata::{parse_regex, Alphabet, Nfa};
 
     fn setup(src: &str) -> (Alphabet, Regex) {
         let mut ab = Alphabet::new();

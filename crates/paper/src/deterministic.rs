@@ -47,9 +47,8 @@
 use std::collections::HashMap;
 
 use rpq_automata::{Alphabet, Symbol};
+use rpq_constraints::types::{ConstraintKind, ConstraintSet, PathConstraint};
 use rpq_graph::{Instance, Oid};
-
-use crate::types::{ConstraintKind, ConstraintSet, PathConstraint};
 
 /// Outcome of a deterministic-implication check.
 #[derive(Clone, Debug)]
@@ -93,7 +92,7 @@ impl DetModel {
     ///
     /// **Precondition:** `set` contains only word constraints (panics
     /// otherwise — this is the same contract as
-    /// [`crate::implication::word_implies_path`]).
+    /// [`rpq_constraints::implication::word_implies_path`]).
     pub fn for_premise(set: &ConstraintSet, seed: &[Symbol]) -> DetModel {
         assert!(
             set.all_word_constraints(),
@@ -321,11 +320,11 @@ pub fn is_deterministic(instance: &Instance, _alphabet: &Alphabet) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::implication::{word_implies_word, word_implies_word_eq};
     use rand::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use rpq_automata::parse_word;
+    use rpq_constraints::implication::{word_implies_word, word_implies_word_eq};
 
     fn setup(constraints: &[&str]) -> (Alphabet, ConstraintSet) {
         let mut ab = Alphabet::new();

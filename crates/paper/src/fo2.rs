@@ -31,9 +31,8 @@
 //! procedure and the FO² view never disagree.
 
 use rpq_automata::Symbol;
+use rpq_constraints::types::{ConstraintKind, ConstraintSet, PathConstraint};
 use rpq_graph::{Instance, Oid};
-
-use crate::types::{ConstraintKind, ConstraintSet, PathConstraint};
 
 /// The two variables of FO².
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -174,7 +173,7 @@ pub fn constraint_sentence(c: &PathConstraint) -> Option<Fo2> {
 /// `E ⊨ u ⊆ v`: all of `E` holds, and some object witnesses `u ⊄ v`.
 ///
 /// Panics if `set` contains non-word constraints (same contract as
-/// [`crate::implication::word_implies_path`]).
+/// [`rpq_constraints::implication::word_implies_path`]).
 pub fn refutation_sentence(set: &ConstraintSet, u: &[Symbol], v: &[Symbol]) -> Fo2 {
     let mut parts: Vec<Fo2> = set
         .iter()
@@ -236,8 +235,8 @@ pub fn bounded_countermodel(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::implication::word_implies_word;
     use rpq_automata::{parse_word, Alphabet};
+    use rpq_constraints::implication::word_implies_word;
     use rpq_graph::InstanceBuilder;
 
     fn setup(lines: &[&str]) -> (Alphabet, ConstraintSet) {
@@ -282,8 +281,8 @@ mod tests {
         b.edge("o", "b", "p");
         let (inst, names) = b.finish();
         let o = names["o"];
-        let c_good = crate::parse_constraint(&mut ab, "a <= b").unwrap();
-        let c_bad = crate::parse_constraint(&mut ab, "a <= a.a").unwrap();
+        let c_good = rpq_constraints::parse_constraint(&mut ab, "a <= b").unwrap();
+        let c_bad = rpq_constraints::parse_constraint(&mut ab, "a <= a.a").unwrap();
         assert_eq!(
             constraint_sentence(&c_good)
                 .unwrap()
@@ -364,16 +363,16 @@ mod tests {
             // violation the FO² sentence must detect.
             if !word_implies_word(&set, &u, &v) {
                 let sentence = refutation_sentence(&set, &u, &v);
-                if let crate::general::Verdict::Refuted(crate::general::Refutation::Instance(w)) =
-                    crate::general::check(
-                        &set,
-                        &PathConstraint::inclusion(
-                            rpq_automata::Regex::word(&u),
-                            rpq_automata::Regex::word(&v),
-                        ),
-                        &crate::general::Budget::default(),
-                    )
-                {
+                if let rpq_constraints::general::Verdict::Refuted(
+                    rpq_constraints::general::Refutation::Instance(w),
+                ) = rpq_constraints::general::check(
+                    &set,
+                    &PathConstraint::inclusion(
+                        rpq_automata::Regex::word(&u),
+                        rpq_automata::Regex::word(&v),
+                    ),
+                    &rpq_constraints::general::Budget::default(),
+                ) {
                     assert!(
                         sentence.eval(&w.instance, w.source, None, None),
                         "trial {trial}: witness not recognized by the FO² sentence"

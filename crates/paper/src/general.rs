@@ -18,11 +18,11 @@
 
 use std::collections::HashMap;
 
-use rpq_automata::charpat::{parse_char_pattern, CharPattern, CompiledPattern};
 use rpq_automata::{parse_regex, Alphabet, Regex, Symbol};
+use rpq_core::eval_product;
 use rpq_graph::{Instance, Oid};
 
-use crate::product::eval_product;
+use crate::charpat::{parse_char_pattern, CharPattern, CompiledPattern};
 
 /// A path-level regular expression whose atoms are character patterns
 /// (indices into [`GeneralPathQuery::patterns`]).

@@ -15,14 +15,11 @@
 //!   number of cyclic components on a path through the condensation DAG;
 //! * **finite** when no live state lies on any cycle (`c = 0`).
 //!
-//! The optimizer uses this as a cost signal (a polynomial-growth query
-//! explores graphs far more selectively than an exponential one), and the
-//! boundedness bench reports it alongside Theorem 4.10's decision.
+//! Nothing on the served path reads it: the t11 bench times it, and
+//! `tests/growth_and_simplify.rs` holds it against word enumeration.
 
-use crate::alphabet::Symbol;
-use crate::dfa::Dfa;
-use crate::nfa::{strongly_connected_components, Nfa};
-use crate::regex::Regex;
+use rpq_automata::nfa::{strongly_connected_components, Nfa};
+use rpq_automata::{Dfa, Regex, Symbol};
 
 /// Growth class of the counting function `n ↦ |L ∩ Σⁿ|`.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -229,8 +226,7 @@ fn live_states(dfa: &Dfa) -> Vec<bool> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::alphabet::Alphabet;
-    use crate::parser::parse_regex;
+    use rpq_automata::{parse_regex, Alphabet};
 
     fn classify(src: &str) -> Growth {
         let mut ab = Alphabet::new();

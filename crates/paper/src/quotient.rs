@@ -22,18 +22,31 @@
 //! derivative plus a memo probe — is computed once per distinct label
 //! leaving the node, then applied to the whole contiguous target slice.
 //!
-//! Both agree with [`crate::product::eval_product`] on every input (tested,
+//! Both agree with [`rpq_core::eval_product`] on every input (tested,
 //! and property-tested in the workspace integration suite); the benches
 //! measure the constant-factor and blow-up differences.
 
 use std::collections::HashMap;
 
-use rpq_automata::derivative::derivative;
 use rpq_automata::{Nfa, Regex, StateId, Symbol};
+use rpq_core::{EvalResult, EvalStats};
 use rpq_graph::{GraphView, Oid};
 
-use crate::product::{finish_eval, EvalResult};
-use crate::stats::EvalStats;
+use crate::derivative::derivative;
+
+/// Shared finalization for both quotient variants: turn the answer bitmap
+/// into the sorted oid list and fill the derived counters in one place.
+fn finish_eval(answer: &[bool], classes_materialized: usize, mut stats: EvalStats) -> EvalResult {
+    let answers: Vec<Oid> = answer
+        .iter()
+        .enumerate()
+        .filter(|&(_, &a)| a)
+        .map(|(i, _)| Oid(i as u32))
+        .collect();
+    stats.answers = answers.len();
+    stats.classes_materialized = classes_materialized;
+    EvalResult { answers, stats }
+}
 
 /// Interner for quotient classes as canonical NFA state sets, with the
 /// per-(class, label) subset-step memo of the single-source search below.
@@ -207,8 +220,8 @@ pub fn eval_derivative_csr<G: GraphView>(query: &Regex, graph: &G, source: Oid) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::product::eval_product;
     use rpq_automata::{parse_regex, Alphabet};
+    use rpq_core::{eval_oracle, eval_product};
     use rpq_graph::{CsrGraph, Instance, InstanceBuilder};
 
     fn setup(edges: &[(&str, &str, &str)], query: &str, src: &str) -> (Regex, Nfa, Instance, Oid) {
@@ -253,6 +266,25 @@ mod tests {
             let dv = eval_derivative_csr(&r, &CsrGraph::from(&inst), s);
             assert_eq!(p.answers, qd.answers, "product vs quotient on {q}");
             assert_eq!(p.answers, dv.answers, "product vs derivative on {q}");
+        }
+    }
+
+    #[test]
+    fn oracle_matches_engines_on_small_graph() {
+        let mut ab = Alphabet::new();
+        let mut b = InstanceBuilder::new(&mut ab);
+        b.edge("s", "a", "x");
+        b.edge("x", "b", "s");
+        b.edge("x", "a", "y");
+        b.edge("y", "c", "z");
+        let (inst, names) = b.finish();
+        let (s, csr) = (names["s"], CsrGraph::from(&inst));
+        for q in ["a.(b.a)*", "(a.b)*.a.a.c", "a*.c", "(a+b+c)*"] {
+            let r = parse_regex(&mut ab, q).unwrap();
+            let nfa = Nfa::thompson(&r);
+            let oracle = eval_oracle(&nfa, &inst, s, Some(8));
+            assert_eq!(eval_quotient_dfa_csr(&nfa, &csr, s).answers, oracle, "{q}");
+            assert_eq!(eval_derivative_csr(&r, &csr, s).answers, oracle, "{q}");
         }
     }
 

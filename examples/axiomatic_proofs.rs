@@ -3,7 +3,7 @@
 //! Section 5 of the paper asks for "a sound and (if possible) complete
 //! axiomatization for path constraint implication … such an axiomatization
 //! may yield rewrite rules of practical use." This example runs the sound
-//! inference system of `rpq::constraints::axioms` on the paper's worked
+//! inference system of `rpq::paper::axioms` on the paper's worked
 //! examples and prints the proofs it finds.
 //!
 //! ```sh
@@ -11,8 +11,8 @@
 //! ```
 
 use rpq::automata::{parse_regex, Alphabet};
-use rpq::constraints::axioms::{Prover, ProverConfig};
 use rpq::constraints::ConstraintSet;
+use rpq::paper::axioms::{Prover, ProverConfig};
 
 fn main() {
     // --- Example 2 of Section 3.2: {ll ⊆ l} ⊨ l* = l + ε ------------------

@@ -7,9 +7,9 @@
 //! ```
 
 use rpq::automata::Alphabet;
-use rpq::core::content::{find_by_content, set_content};
-use rpq::core::general::{eval_general, eval_general_direct, translate, GeneralPathQuery};
 use rpq::graph::InstanceBuilder;
+use rpq::paper::content::{find_by_content, set_content};
+use rpq::paper::general::{eval_general, eval_general_direct, translate, GeneralPathQuery};
 
 fn main() {
     // --- the paper's two-level query ---------------------------------------

@@ -90,7 +90,7 @@ fn main() {
     // --- the FO² view (Section 4's logic connection) -----------------------
     // Word-constraint implication is expressible with two variables; the
     // encoder + bounded countermodel search cross-check the PTIME route.
-    use rpq::constraints::{bounded_countermodel, refutation_sentence};
+    use rpq::paper::{bounded_countermodel, refutation_sentence};
     println!("\n— the FO² connection (Section 4) —");
     let mut ab = Alphabet::new();
     let e = ConstraintSet::parse(&mut ab, ["a <= b"]).unwrap();

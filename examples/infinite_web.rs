@@ -8,8 +8,8 @@
 //! ```
 
 use rpq::automata::{parse_regex, Alphabet, Nfa};
-use rpq::core::{StreamStatus, StreamingEval};
 use rpq::graph::{InfiniteComb, InfiniteTree};
+use rpq::paper::{StreamStatus, StreamingEval};
 
 fn main() {
     let mut ab = Alphabet::new();

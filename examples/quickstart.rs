@@ -7,10 +7,11 @@
 
 use rpq::automata::{parse_regex, Alphabet};
 use rpq::constraints::ConstraintSet;
-use rpq::core::{DerivativeEngine, Engine, ProductEngine, Query, QuotientDfaEngine};
+use rpq::core::{Engine, ProductEngine, Query};
 use rpq::datalog::translate::{run as run_datalog, translate_quotient};
 use rpq::graph::{CsrGraph, InstanceBuilder};
 use rpq::optimizer::optimize;
+use rpq::paper::{DerivativeEngine, QuotientDfaEngine};
 
 fn main() {
     // --- a tiny "department web site" -------------------------------------

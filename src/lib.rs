@@ -10,14 +10,15 @@
 //!
 //! | Module | Paper | Contents |
 //! |---|---|---|
-//! | [`automata`] | §2.2, §4 | regexes, quotients/derivatives, NFA/DFA, inclusion & equivalence, growth classification, algebraic simplifier |
+//! | [`automata`] | §2.2, §4 | regexes, NFA/DFA, inclusion & equivalence, algebraic simplifier |
 //! | [`graph`] | §2.1 | the `Ref(source, label, destination)` data model: mutable [`graph::Instance`] builder, immutable label-indexed [`graph::CsrGraph`] query snapshot, generators, infinite sources |
-//! | [`core`] | §2.2–2.4 | the unified [`core::Engine`] trait and the evaluation engines, streaming evaluation, general path queries (`μ`) |
+//! | [`core`] | §2.2 | the unified [`core::Engine`] trait, the product search the server runs, the definitional oracle |
 //! | [`datalog`] | §2.3, §1 | Datalog engine + linear-monadic translations, QSQ, magic sets, `Engine`-trait adapters |
-//! | [`constraints`] | §4, §5 | rewrite systems, Theorems 4.2/4.3/4.10, Armstrong instances, the sound axiomatization, the deterministic special case |
+//! | [`constraints`] | §4 | rewrite systems, Theorems 4.2/4.3/4.10, Armstrong instances |
 //! | [`distributed`] | §3.1, §5 | the subquery/answer/done/akn protocol, one event-driven simulator (sites hold CSR shards; one client or many; optional fault plan), carrying agents, decomposition baseline |
 //! | [`optimizer`] | §3.2, §5 | constraint-based rewriting, static + label-statistics cost models, per-site hooks, cached-view combination search |
 //! | [`server`] | — | the concurrent serving layer: epoch-pinned snapshot catalog, sessions with budgets/cancellation, admission control, per-class metrics |
+//! | [`paper`] | §2.2–2.4, §4, §5 | what the server never runs: explicit quotients (derivatives, quotient engines), streaming evaluation, general path queries (`μ`), content selection, growth classification, the FO² encoding, the sound axiomatization, the deterministic special case |
 //!
 //! ## The two graph forms
 //!
@@ -78,4 +79,5 @@ pub use rpq_datalog as datalog;
 pub use rpq_distributed as distributed;
 pub use rpq_graph as graph;
 pub use rpq_optimizer as optimizer;
+pub use rpq_paper as paper;
 pub use rpq_server as server;

@@ -53,7 +53,7 @@ proptest! {
         let res = sim.run(src, &q);
         // the registered tasks are (site, quotient) pairs; quotients are
         // bounded by the derivative closure
-        let closure = rpq::automata::DerivativeClosure::compute(&q, &syms, 4096).unwrap();
+        let closure = rpq::paper::DerivativeClosure::compute(&q, &syms, 4096).unwrap();
         prop_assert!(res.tasks_registered <= closure.len() * inst.num_nodes());
     }
 }

@@ -12,9 +12,8 @@ use rand::SeedableRng;
 use rpq::automata::random::{random_regex, RegexGenConfig};
 use rpq::automata::{Alphabet, Nfa, Regex, Symbol};
 use rpq::core::{
-    eval_derivative_csr, eval_oracle, eval_product, eval_quotient_dfa_csr, search_nodes, Answers,
-    DerivativeEngine, Engine, EvalRequest, EvalScratch, OracleEngine, ProductEngine, Query,
-    QuotientDfaEngine, SearchOpts, SourceSpec, StreamingEngine, Termination,
+    eval_oracle, eval_product, search_nodes, Answers, Engine, EvalRequest, EvalScratch,
+    OracleEngine, ProductEngine, Query, SearchOpts, SourceSpec, Termination,
 };
 use rpq::datalog::engine::{eval_naive, eval_seminaive};
 use rpq::datalog::translate::{load_instance, translate_quotient, translate_states};
@@ -22,6 +21,10 @@ use rpq::datalog::{DatalogMagicEngine, DatalogNaiveEngine, DatalogSeminaiveEngin
 use rpq::distributed::SimulatorEngine;
 use rpq::graph::generators::random_graph;
 use rpq::graph::{CsrGraph, Instance, Oid};
+use rpq::paper::{
+    eval_derivative_csr, eval_quotient_dfa_csr, DerivativeEngine, QuotientDfaEngine,
+    StreamingEngine,
+};
 
 fn alphabet3() -> (Alphabet, Vec<Symbol>) {
     let ab = Alphabet::from_names(["a", "b", "c"]);
@@ -136,7 +139,7 @@ proptest! {
             layer = next;
         }
         for w in &words {
-            let by_derivative = rpq::automata::derivative::accepts(&q, w);
+            let by_derivative = rpq::paper::derivative::accepts(&q, w);
             prop_assert_eq!(by_derivative, nfa.accepts(w));
             prop_assert_eq!(by_derivative, dfa.accepts(w));
         }
@@ -200,7 +203,7 @@ fn figure2_query_answers_o2_o3_via_all_engines() {
     semi.sort();
     assert_eq!(semi, expected, "datalog seminaive");
 
-    let mut stream = rpq::core::StreamingEval::new(&nfa, &inst, o1.index() as u64, 10_000);
+    let mut stream = rpq::paper::StreamingEval::new(&nfa, &inst, o1.index() as u64, 10_000);
     let mut streamed: Vec<Oid> = stream
         .collect_all()
         .into_iter()
@@ -540,7 +543,6 @@ proptest! {
 /// is an identity and any divergence would be a planner bug.
 #[test]
 fn planned_wrapper_never_changes_answers() {
-    use rpq::core::QuotientDfaEngine;
     use rpq::optimizer::PlannedEngine;
 
     for seed in [2u64, 23, 404] {
@@ -609,20 +611,20 @@ fn streaming_agrees_with_product_on_finite_instances() {
         let (_, inst, src, q) = random_setup(seed, 8, 16);
         let nfa = Nfa::thompson(&q);
         let product = eval_product(&nfa, &inst, src).answers;
-        let mut stream = rpq::core::StreamingEval::new(&nfa, &inst, src.index() as u64, 1_000_000);
+        let mut stream = rpq::paper::StreamingEval::new(&nfa, &inst, src.index() as u64, 1_000_000);
         let streamed: Vec<Oid> = stream
             .collect_all()
             .into_iter()
             .map(|n| Oid(n as u32))
             .collect();
         assert_eq!(product, streamed, "seed {seed}");
-        assert_eq!(stream.status(), rpq::core::StreamStatus::Terminated);
+        assert_eq!(stream.status(), rpq::paper::StreamStatus::Terminated);
     }
 }
 
 #[test]
 fn general_queries_mu_equals_direct_on_random_instances() {
-    use rpq::core::general::{eval_general, eval_general_direct, GeneralPathQuery};
+    use rpq::paper::general::{eval_general, eval_general_direct, GeneralPathQuery};
     let queries = [
         r#""a*b" "c"?"#,
         r#"("a*b" + "ba*")*"#,

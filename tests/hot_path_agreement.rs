@@ -20,15 +20,16 @@ use rand::SeedableRng;
 use rpq::automata::random::{random_regex, RegexGenConfig};
 use rpq::automata::{Alphabet, Nfa, Regex, Symbol};
 use rpq::core::{
-    eval_product_csr, search_nodes, Answers, DerivativeEngine, Engine, EvalControl, EvalRequest,
-    EvalResponse, EvalScratch, EvalStats, OracleEngine, ProductEngine, Query, QuotientDfaEngine,
-    ScratchPool, SearchOpts, SourceSpec, StreamingEngine, Termination,
+    eval_product_csr, search_nodes, Answers, Engine, EvalControl, EvalRequest, EvalResponse,
+    EvalScratch, EvalStats, OracleEngine, ProductEngine, Query, ScratchPool, SearchOpts,
+    SourceSpec, Termination,
 };
 use rpq::datalog::{DatalogMagicEngine, DatalogNaiveEngine, DatalogSeminaiveEngine};
 use rpq::distributed::SimulatorEngine;
 use rpq::graph::generators::random_graph;
 use rpq::graph::{CsrGraph, DeltaGraph, GraphView, Instance, Oid};
 use rpq::optimizer::{execute_join, parse_crpq, plan_join, HeadBindings, PlannedEngine};
+use rpq::paper::{DerivativeEngine, QuotientDfaEngine, StreamingEngine};
 use rpq::server::{Catalog, Server, ServerConfig};
 
 fn random_setup(seed: u64, nodes: usize, edges: usize) -> (Alphabet, Instance, Oid, Regex) {

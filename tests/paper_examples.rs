@@ -9,10 +9,10 @@ use rpq::constraints::{
     ArmstrongSphere, Boundedness, Closures, ConstraintSet,
 };
 use rpq::core::eval_product;
-use rpq::core::general::{eval_general, eval_general_direct, translate, GeneralPathQuery};
 use rpq::distributed::{Delivery, MessageKind, Simulator};
 use rpq::graph::generators::fig2_graph;
 use rpq::graph::InstanceBuilder;
+use rpq::paper::general::{eval_general, eval_general_direct, translate, GeneralPathQuery};
 
 // ---------------------------------------------------------------- F1 ----
 

@@ -103,8 +103,9 @@ const SPAWN_TOKENS: &[&str] = &["thread::spawn", "thread::Builder", "Builder::sp
 const SPAWN_FILE: &str = "executor.rs";
 /// Crate whose non-test sources may decide claims only by the closure test.
 const ONE_DECIDER_DIRS: &[&str] = &["crates/optimizer/src"];
-/// Forbidden tokens for the one-decider rule: the other deciders of
-/// `rpq-constraints`, by type, module path or function name.
+/// Forbidden tokens for the one-decider rule: the other deciders —
+/// `rpq-paper`'s axiomatic prover, `rpq-constraints`' `check` and its
+/// refuter — by type, module path or function name.
 const DECIDER_TOKENS: &[&str] = &["Prover", "axioms::", "general::check", "refute"];
 /// Marker that allowlists one line for the no-alloc rule. Checked on the
 /// *original* line text, because the marker lives in a comment.
