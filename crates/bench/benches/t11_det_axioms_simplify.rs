@@ -22,11 +22,12 @@ use rpq_automata::random::{random_regex, RegexGenConfig};
 use rpq_automata::simplify::{simplify, simplify_deep};
 use rpq_automata::{parse_regex, Alphabet};
 use rpq_bench::word_system;
-use rpq_constraints::general::{check, Budget};
-use rpq_constraints::implication::word_implies_word;
+use rpq_constraints::general::Budget;
 use rpq_constraints::{parse_constraint, ConstraintSet};
 use rpq_paper::axioms::{Prover, ProverConfig};
 use rpq_paper::deterministic::det_implies_word;
+use rpq_paper::general_implication::check;
+use rpq_paper::implication::word_implies_word;
 
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("t11_det_axioms_simplify");

@@ -10,7 +10,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rpq_automata::random::random_word;
 use rpq_bench::word_system;
-use rpq_constraints::word_implies_word;
+use rpq_paper::word_implies_word;
 
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("t2_word_implication");

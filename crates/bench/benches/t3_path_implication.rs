@@ -2,17 +2,51 @@
 //! (Theorem 4.3(ii): PSPACE; the bound is tight since regex equivalence is
 //! already PSPACE-complete). Ablation: the antichain inclusion check versus
 //! full determinization. Expected shape: both grow with expression size;
-//! antichain dominates as the expressions grow. Each depth's verdicts are
-//! asserted at registration time, so `--test` mode (the CI bench smoke)
-//! checks them without paying measurement time.
+//! antichain dominates as the expressions grow. Two series: the regex
+//! depth under a fixed two-rule `E`, and `|E|` at a fixed depth. Every
+//! verdict is asserted at registration time, so `--test` mode (the CI
+//! bench smoke) checks them without paying measurement time.
 
 use std::hint::black_box;
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use rpq_automata::Nfa;
+use rpq_automata::{Alphabet, Nfa, Regex};
 use rpq_bench::{regex_pair, word_system};
-use rpq_constraints::implication::{word_implies_path, word_implies_path_naive, WordImplication};
+use rpq_constraints::ConstraintSet;
+use rpq_paper::implication::{word_implies_path, word_implies_path_naive, WordImplication};
+
+/// The two rules over the regexes' letters that every series decides under.
+const RULES: [&str; 2] = ["a.a <= a", "b.a = a.b"];
+
+/// The depth of the `|E|` series' `(p, q)` pair.
+const RULES_DEPTH: usize = 5;
+
+/// Theorem 4.3(ii)'s verdicts on `regex_pair`: `E ⊨ p ⊆ q`, since
+/// `L(p) ⊆ L(q)`; `E ⊭ q ⊆ p`, refuted by a word of `L(q)` outside `L(p)` —
+/// no rewrite under `E` reaches the prefix `(a.b)^d` from a word that lacks
+/// it. With `naive`, full determinization over `sigma` symbols must give
+/// both verdicts too.
+fn assert_verdicts(set: &ConstraintSet, p: &Regex, q: &Regex, sigma: usize, naive: bool, at: &str) {
+    assert!(word_implies_path(set, p, q).is_implied(), "{at}: E ⊨ p ⊆ q");
+    let WordImplication::Refuted(w) = word_implies_path(set, q, p) else {
+        panic!("{at}: E ⊨ q ⊆ p, expected a refutation");
+    };
+    assert!(
+        Nfa::thompson(q).accepts(&w) && !Nfa::thompson(p).accepts(&w),
+        "{at}: the witness is in L(q) \\ L(p)"
+    );
+    if naive {
+        assert!(
+            word_implies_path_naive(set, p, q, sigma).is_implied(),
+            "{at}: naive E ⊨ p ⊆ q"
+        );
+        assert!(
+            !word_implies_path_naive(set, q, p, sigma).is_implied(),
+            "{at}: naive E ⊭ q ⊆ p"
+        );
+    }
+}
 
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("t3_path_implication");
@@ -21,37 +55,11 @@ fn bench(c: &mut Criterion) {
     group.warm_up_time(Duration::from_millis(150));
 
     for &depth in &[2usize, 5, 8, 12] {
-        // constraints over the same alphabet as the regexes (a, b)
-        let (mut ab, _) = word_system(3, 2, 4, 3);
-        // reuse alphabet letters a/b by interning them now
-        ab.intern("a");
-        ab.intern("b");
-        let set = {
-            let lines = vec!["a.a <= a", "b.a = a.b"];
-            rpq_constraints::ConstraintSet::parse(&mut ab, lines).unwrap()
-        };
+        let mut ab = Alphabet::new();
+        let set = ConstraintSet::parse(&mut ab, RULES).unwrap();
         let (p, q) = regex_pair(&mut ab, depth);
         let sigma = ab.len();
-
-        // Acceptance (Theorem 4.3(ii)): E ⊨ p ⊆ q, since L(p) ⊆ L(q); E ⊭
-        // q ⊆ p, refuted by a word of L(q) outside L(p) — no rewrite under
-        // E reaches the prefix (a.b)^d from a word that lacks it. Where
-        // the ablation runs, full determinization gives both verdicts too.
-        assert!(
-            word_implies_path(&set, &p, &q).is_implied(),
-            "depth {depth}: E ⊨ p ⊆ q"
-        );
-        let WordImplication::Refuted(w) = word_implies_path(&set, &q, &p) else {
-            panic!("depth {depth}: E ⊨ q ⊆ p, expected a refutation");
-        };
-        assert!(
-            Nfa::thompson(&q).accepts(&w) && !Nfa::thompson(&p).accepts(&w),
-            "depth {depth}: the witness is in L(q) \\ L(p)"
-        );
-        if depth <= 8 {
-            assert!(word_implies_path_naive(&set, &p, &q, sigma).is_implied());
-            assert!(!word_implies_path_naive(&set, &q, &p, sigma).is_implied());
-        }
+        assert_verdicts(&set, &p, &q, sigma, depth <= 8, &format!("depth {depth}"));
 
         group.bench_with_input(BenchmarkId::new("antichain", depth), &depth, |b, _| {
             b.iter(|| black_box(word_implies_path(&set, &p, &q).is_implied()))
@@ -65,6 +73,30 @@ fn bench(c: &mut Criterion) {
                 },
             );
         }
+    }
+
+    // |E|: the two rules plus `word_system`'s n rules (|E| = 6, 17, 57: the
+    // set drops repeats). Those use only the `w*` symbols, which no word of
+    // p or q spells, so the verdicts are the two-rule ones while the
+    // closure automata grow with n.
+    for &n in &[4usize, 16, 64] {
+        let (mut ab, extra) = word_system(3, 2, n, 3);
+        let mut set = ConstraintSet::parse(&mut ab, RULES).unwrap();
+        for rule in extra.iter() {
+            set.add(rule.clone());
+        }
+        let (p, q) = regex_pair(&mut ab, RULES_DEPTH);
+        let sigma = ab.len();
+        assert_verdicts(&set, &p, &q, sigma, true, &format!("|E| = 2 + {n}"));
+
+        group.bench_with_input(BenchmarkId::new("antichain_rules", n), &n, |b, _| {
+            b.iter(|| black_box(word_implies_path(&set, &p, &q).is_implied()))
+        });
+        group.bench_with_input(
+            BenchmarkId::new("naive_determinize_rules", n),
+            &n,
+            |b, _| b.iter(|| black_box(word_implies_path_naive(&set, &p, &q, sigma).is_implied())),
+        );
     }
     group.finish();
 }

@@ -12,8 +12,9 @@ use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rpq_automata::Alphabet;
-use rpq_constraints::general::{check, Budget, Verdict};
+use rpq_constraints::general::Budget;
 use rpq_constraints::{parse_constraint, ConstraintSet};
+use rpq_paper::general_implication::{check, Verdict};
 
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("t6_general_implication");

@@ -12,16 +12,14 @@
 //! special case: the separation witness).
 
 use rpq_automata::{parse_regex, Alphabet, Nfa, Symbol};
-use rpq_constraints::general::{check, Budget, Refutation, Verdict};
-use rpq_constraints::{
-    decide_boundedness, lemma44_instance, parse_constraint, suggested_radius, ArmstrongSphere,
-    Boundedness, Closures, ConstraintSet,
-};
+use rpq_constraints::general::Budget;
+use rpq_constraints::{decide_boundedness, parse_constraint, Boundedness, Closures, ConstraintSet};
 use rpq_core::eval_product;
 use rpq_distributed::{render_trace, Delivery, Simulator};
 use rpq_graph::generators::fig2_graph;
 use rpq_graph::InstanceBuilder;
 use rpq_paper::general::{translate, GeneralPathQuery};
+use rpq_paper::{check, lemma44_instance, suggested_radius, ArmstrongSphere, Refutation, Verdict};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -76,8 +74,8 @@ fn section5_axioms() {
 }
 
 fn section5_deterministic() {
-    use rpq_constraints::implication::word_implies_word;
     use rpq_paper::deterministic::det_implies_word;
+    use rpq_paper::implication::word_implies_word;
     header("S5d — Section 5: instances with ≤1 outgoing edge per label");
     let mut ab = Alphabet::new();
     let set = ConstraintSet::parse(&mut ab, ["a <= c", "a.x <= c"]).unwrap();

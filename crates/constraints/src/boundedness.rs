@@ -36,7 +36,7 @@ use rpq_automata::{Nfa, Regex, StateId, Symbol};
 
 use crate::armstrong::Fold;
 use crate::rewrite::Closures;
-use crate::types::{ConstraintSet, PathConstraint};
+use crate::types::PathConstraint;
 
 /// Outcome of the boundedness decision.
 #[derive(Clone, Debug)]
@@ -199,44 +199,29 @@ pub enum GeneralBoundedness {
     Unknown,
 }
 
-/// Budgeted semi-decision of boundedness under arbitrary path constraints.
+/// Budgeted semi-decision of boundedness under arbitrary path constraints,
+/// for a caller that holds `p`'s automaton and already knows `L(p)` to be
+/// infinite (the planner compiles both once per query): never
+/// [`GeneralBoundedness::AlreadyFinite`].
 ///
 /// Strategy:
-/// 1. `L(p)` finite → [`GeneralBoundedness::AlreadyFinite`].
-/// 2. Word-equality sets → the exact Theorem 4.10 decision (complete on
+/// 1. Word-equality sets → the exact Theorem 4.10 decision (complete on
 ///    that fragment: `Bounded` or `Unbounded`, and `Unknown` only when the
 ///    equivalent has more than `word_cap` words).
-/// 3. Otherwise, enumerate candidate finite equivalents `q_k = L(p) ∩ Σ^{≤k}`
+/// 2. Otherwise, enumerate candidate finite equivalents `q_k = L(p) ∩ Σ^{≤k}`
 ///    for growing `k` and prove `E ⊨ p = q_k` by the closure test
 ///    ([`Closures::implies`]) — sound, so a `Bounded` answer is
 ///    trustworthy; no cut is refuted, and when none is proved the answer
 ///    is `Unknown`.
 ///
-/// The candidate family `L(p) ∩ Σ^{≤k}` is complete *relative to the
-/// closure* whenever some finite subset of `L(p)` is equivalent to `p`
-/// under `E` — which covers every example in the paper (a constraint that
-/// collapses `p` into fresh labels outside `L(p)` would need a richer
-/// candidate generator; the view-cover search in `rpq-optimizer` handles
-/// that separately for cache shapes).
-pub fn bounded_under_path_constraints(
-    set: &ConstraintSet,
-    p: &Regex,
-    max_candidate_len: usize,
-    word_cap: usize,
-) -> GeneralBoundedness {
-    let p_nfa = Nfa::thompson(p);
-    if p_nfa.is_finite_lang() {
-        return GeneralBoundedness::AlreadyFinite;
-    }
-    bounded_beyond_finite(&Closures::new(set), p, &p_nfa, max_candidate_len, word_cap)
-}
-
-/// Steps 2 and 3 of [`bounded_under_path_constraints`] for a caller that
-/// holds `p`'s automaton and already knows `L(p)` to be infinite (the
-/// planner compiles both once per query): never
-/// [`GeneralBoundedness::AlreadyFinite`]. The cuts are decided through
-/// `closures` — the planner passes its plan's memo — so `closure(p)` is
-/// built at most once for all of them.
+/// The cuts are decided through `closures` — the planner passes its plan's
+/// memo — so `closure(p)` is built at most once for all of them. The
+/// candidate family `L(p) ∩ Σ^{≤k}` is complete *relative to the closure*
+/// whenever some finite subset of `L(p)` is equivalent to `p` under `E` —
+/// which covers every example in the paper (a constraint that collapses `p`
+/// into fresh labels outside `L(p)` would need a richer candidate
+/// generator; the view-cover search in `rpq-optimizer` handles that
+/// separately for cache shapes).
 pub fn bounded_beyond_finite(
     closures: &Closures<'_>,
     p: &Regex,
@@ -289,6 +274,7 @@ pub fn bounded_beyond_finite(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::types::ConstraintSet;
     use rpq_automata::Alphabet;
 
     fn setup(lines: &[&str], query: &str) -> (Alphabet, ConstraintSet, Regex) {
@@ -412,65 +398,5 @@ mod tests {
             Boundedness::Bounded { words, .. } => assert!(words.is_empty()),
             other => panic!("expected bounded, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn general_boundedness_word_equality_fast_path() {
-        // {ll = l}: l* collapses — routed through Theorem 4.10.
-        let (_, set, p) = setup(&["l.l = l"], "l*");
-        match bounded_under_path_constraints(&set, &p, 4, 32) {
-            GeneralBoundedness::Bounded { equivalent, proof } => {
-                assert_eq!(proof, "theorem-4.10");
-                assert!(equivalent.finite_language(8).is_some());
-            }
-            other => panic!("expected bounded, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn general_boundedness_with_path_inclusions() {
-        // A genuine PATH constraint (star on the left): a* ⊆ a + ε makes a*
-        // bounded — outside Theorem 4.10's fragment, certified by the
-        // closure test.
-        let (_, set, p) = setup(&["a* <= a + ()"], "a*");
-        match bounded_under_path_constraints(&set, &p, 3, 16) {
-            GeneralBoundedness::Bounded { equivalent, proof } => {
-                assert_ne!(proof, "theorem-4.10");
-                let words = equivalent.finite_language(8).expect("finite");
-                assert!(words.len() <= 2, "{words:?}");
-            }
-            other => panic!("expected bounded, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn general_boundedness_already_finite() {
-        let (_, set, p) = setup(&["a.a = a"], "a.b + b");
-        assert!(matches!(
-            bounded_under_path_constraints(&set, &p, 3, 16),
-            GeneralBoundedness::AlreadyFinite
-        ));
-    }
-
-    #[test]
-    fn general_boundedness_unknown_when_actually_unbounded() {
-        // No constraint helps (a+b)*: honest Unknown outside the exact
-        // fragment (the set mixes an inclusion, so Theorem 4.10 is off).
-        let (_, set, p) = setup(&["c <= d"], "(a+b)*");
-        assert!(matches!(
-            bounded_under_path_constraints(&set, &p, 2, 12),
-            GeneralBoundedness::Unknown
-        ));
-    }
-
-    #[test]
-    fn general_boundedness_unbounded_via_theorem_410() {
-        // {ab = ba} bounds nothing about a*: the a^k stay distinct, and the
-        // exact decision certifies Unbounded.
-        let (_, set, p) = setup(&["a.b = b.a"], "a*");
-        assert!(matches!(
-            bounded_under_path_constraints(&set, &p, 3, 16),
-            GeneralBoundedness::Unbounded
-        ));
     }
 }

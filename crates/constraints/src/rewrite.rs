@@ -17,15 +17,16 @@
 //! the same language as the paper's PDA argument.
 //!
 //! [`rewrite_closure_nfa`] generalizes the saturation to regex-sided rules.
-//! On a set of word constraints it wires each rule exactly as
-//! [`rewrite_to_nfa`] does (ε-edges from the left-hand side's exits instead
-//! of a last labelled edge), so it accepts `RewriteTo(p)` itself; the
-//! implication deciders read it through the plan-scoped memo [`Closures`].
+//! On a set of word constraints it wires each rule exactly as the word
+//! saturation `rpq_paper::rewrite::rewrite_to_nfa` does (ε-edges from the
+//! left-hand side's exits instead of a last labelled edge), so it accepts
+//! `RewriteTo(p)` itself; the implication deciders read it through the
+//! plan-scoped memo [`Closures`].
 
 use std::cell::{Cell, RefCell};
 
 use rpq_automata::ops::included_antichain;
-use rpq_automata::{Alphabet, Nfa, Regex, StateId, Symbol};
+use rpq_automata::{Nfa, Regex, StateId, Symbol};
 
 use crate::types::{ClosureRhs, ConstraintKind, ConstraintSet, PathConstraint};
 
@@ -70,98 +71,6 @@ impl RewriteSystem {
         }
         RewriteSystem { rules }
     }
-
-    /// One-step successors of `w` under prefix rewriting (first-application
-    /// order, deduplicated). Allocates once per *distinct* successor; the
-    /// duplicate check is a hash probe, not a linear scan of the output.
-    pub fn step(&self, w: &[Symbol]) -> Vec<Vec<Symbol>> {
-        let mut out: Vec<Vec<Symbol>> = Vec::new();
-        let mut seen: std::collections::HashSet<Vec<Symbol>> = std::collections::HashSet::new();
-        for (lhs, rhs) in &self.rules {
-            if w.len() >= lhs.len() && &w[..lhs.len()] == lhs.as_slice() {
-                let mut next = Vec::with_capacity(rhs.len() + w.len() - lhs.len());
-                next.extend_from_slice(rhs);
-                next.extend_from_slice(&w[lhs.len()..]);
-                if seen.insert(next.clone()) {
-                    out.push(next);
-                }
-            }
-        }
-        out
-    }
-
-    /// BFS derivation `u →* v` with an explicit witness chain (a
-    /// *certificate* for the implication `E ⊨ u ⊆ v`). Bounded by
-    /// `max_visited` distinct words and by an intermediate-word length cap
-    /// (word-growing rules make the frontier explode otherwise) — use
-    /// [`rewrite_to_word_nfa`] for the unbounded decision (PTIME); this is
-    /// the explainability path.
-    pub fn derive(
-        &self,
-        u: &[Symbol],
-        v: &[Symbol],
-        max_visited: usize,
-    ) -> Option<Vec<Vec<Symbol>>> {
-        use std::collections::{HashMap, VecDeque};
-        if u == v {
-            return Some(vec![u.to_vec()]);
-        }
-        let max_rhs = self.rules.iter().map(|(_, r)| r.len()).max().unwrap_or(0);
-        let max_len = u.len().max(v.len()) + 4 * (max_rhs + 1) + 8;
-        let mut parent: HashMap<Vec<Symbol>, Vec<Symbol>> = HashMap::new();
-        let mut queue: VecDeque<Vec<Symbol>> = VecDeque::new();
-        queue.push_back(u.to_vec());
-        parent.insert(u.to_vec(), Vec::new()); // sentinel
-        let mut visited = 0usize;
-        while let Some(w) = queue.pop_front() {
-            visited += 1;
-            if visited > max_visited {
-                return None;
-            }
-            if w.len() > max_len {
-                continue;
-            }
-            for next in self.step(&w) {
-                if parent.contains_key(&next) {
-                    continue;
-                }
-                parent.insert(next.clone(), w.clone());
-                if next == v {
-                    // reconstruct chain
-                    let mut chain = vec![next.clone()];
-                    let mut cur = w.clone();
-                    loop {
-                        chain.push(cur.clone());
-                        let p = parent[&cur].clone();
-                        if p.is_empty() && cur == u {
-                            break;
-                        }
-                        cur = p;
-                    }
-                    chain.reverse();
-                    return Some(chain);
-                }
-                queue.push_back(next);
-            }
-        }
-        None
-    }
-
-    /// Total length of all left-hand sides (the paper's `N` ingredient for
-    /// the K-sphere radius: the `RewriteTo` NFA has at most
-    /// `|target| + Σ|lhs| + 1` states).
-    pub fn total_lhs_len(&self) -> usize {
-        self.rules.iter().map(|(l, _)| l.len()).sum()
-    }
-
-    /// Render the rules.
-    pub fn render(&self, alphabet: &Alphabet) -> String {
-        self.rules
-            .iter()
-            .map(|(l, r)| format!("{} -> {}", alphabet.render_word(l), alphabet.render_word(r)))
-            .collect::<Vec<_>>()
-            .join("\n")
-    }
 }
 
 /// The saturated automaton for `RewriteTo(target)` together with the
@@ -176,72 +85,9 @@ pub struct RewriteToAutomaton {
     pub added_edges: usize,
     /// The accepting state the exits of the set's `P ⊆ ∅` rules lead to,
     /// looping on every symbol of the set and the target; `None` when the
-    /// set has no such rule (and always for [`rewrite_to_nfa`]). Any word
+    /// set has no such rule (and always for the word saturation). Any word
     /// may follow it, so a tester adds loops for its own symbols first.
     pub universal: Option<StateId>,
-}
-
-/// Build `RewriteTo(p)` for a regular target by pre\*-saturation
-/// (Lemma 4.7). For a single word target use [`rewrite_to_word_nfa`].
-pub fn rewrite_to_nfa(target: &Nfa, rules: &RewriteSystem) -> RewriteToAutomaton {
-    // The saturation requires a single designated root out of which both the
-    // target language and the rule chains are read.
-    let mut nfa = Nfa::empty();
-    let off = nfa.add_nfa(target);
-    let root = nfa.start();
-    nfa.add_eps(root, target.start() + off);
-
-    // Per-rule chain states: root --x1--> c1 --x2--> ... --x_{m-1}--> c_{m-1};
-    // `tail[i]` is (state, last symbol) so saturation adds `state --xm--> t`.
-    enum Tail {
-        Edge(StateId, Symbol),
-        Epsilon, // lhs = ε: saturation adds ε-edges from root
-    }
-    let mut tails: Vec<Tail> = Vec::with_capacity(rules.rules.len());
-    for (lhs, _) in &rules.rules {
-        if lhs.is_empty() {
-            tails.push(Tail::Epsilon);
-            continue;
-        }
-        let mut cur = root;
-        for &sym in &lhs[..lhs.len() - 1] {
-            let next = nfa.add_state(false);
-            nfa.add_transition(cur, sym, next);
-            cur = next;
-        }
-        tails.push(Tail::Edge(cur, *lhs.last().expect("non-empty lhs")));
-    }
-
-    // Saturate: for each rule, find all states reachable from the root by
-    // reading the rule's rhs (a word), and wire the chain tail to them.
-    let rhs: Vec<&[Symbol]> = rules.rules.iter().map(|(_, r)| r.as_slice()).collect();
-    let mut added_edges = 0usize;
-    let rounds = nfa.saturate(root, &rhs, |nfa, i, targets| {
-        let mut changed = false;
-        for &t in targets {
-            let added = match &tails[i] {
-                Tail::Edge(state, sym) => nfa.add_transition(*state, *sym, t),
-                Tail::Epsilon => nfa.add_eps(root, t),
-            };
-            if added {
-                added_edges += 1;
-                changed = true;
-            }
-        }
-        changed
-    });
-
-    RewriteToAutomaton {
-        nfa,
-        rounds,
-        added_edges,
-        universal: None,
-    }
-}
-
-/// `RewriteTo(v)` for a single word `v` (Lemma 4.5).
-pub fn rewrite_to_word_nfa(v: &[Symbol], rules: &RewriteSystem) -> RewriteToAutomaton {
-    rewrite_to_nfa(&Nfa::from_word(v), rules)
 }
 
 /// Pre\*-saturation closure of `target` under the *full* constraint set —
@@ -258,11 +104,10 @@ pub fn rewrite_to_word_nfa(v: &[Symbol], rules: &RewriteSystem) -> RewriteToAuto
 /// * **Single-word `R = {r}`** — answer semantics are right-congruent
 ///   (`answers(P) ⊆ answers(r)` gives `answers(x·w) ⊆ answers(r·w)` for
 ///   every `x ∈ L(P)`), so the exits are ε-wired to every state the root
-///   reaches by reading `r` — the word saturation of [`rewrite_to_nfa`].
-///   Only ε-edges over a fixed state set are added, so this runs to its
-///   exact fixpoint. It and [`rewrite_to_nfa`] run on [`Nfa::saturate`],
-///   which closes and steps every read of every round in one set of
-///   buffers.
+///   reaches by reading `r` — the word saturation of Lemma 4.5. Only
+///   ε-edges over a fixed state set are added, so this runs to its exact
+///   fixpoint, on [`Nfa::saturate`], which closes and steps every read of
+///   every round in one set of buffers.
 /// * **Multi-word `R`** — the constraint only promises an `R`-path
 ///   spelling *some* word of `L(R)`, so a continuation `w` is certified
 ///   after `L(P)` only when `y·w` is already certified for **every**
@@ -580,161 +425,14 @@ fn universal_continuations(nfa: &Nfa, rhs: &Nfa) -> Option<Nfa> {
     Some(out)
 }
 
-/// Decide `u →*_E v` in polynomial time: membership of `u` in the saturated
-/// automaton for `RewriteTo(v)` (Theorem 4.3(i) via Lemmas 4.4 + 4.5).
-pub fn rewrites_to(rules: &RewriteSystem, u: &[Symbol], v: &[Symbol]) -> bool {
-    rewrite_to_word_nfa(v, rules).nfa.accepts(u)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rpq_automata::parse_regex;
+    use rpq_automata::{parse_regex, Alphabet};
 
     fn system(ab: &mut Alphabet, lines: &[&str]) -> RewriteSystem {
         let set = ConstraintSet::parse(ab, lines.iter().copied()).unwrap();
         RewriteSystem::from_constraints(&set)
-    }
-
-    fn w(ab: &mut Alphabet, s: &str) -> Vec<Symbol> {
-        s.chars().map(|c| ab.intern(&c.to_string())).collect()
-    }
-
-    #[test]
-    fn paper_motivating_example() {
-        // u1 ⊆ u2 and u2·u3 ⊆ u4 imply u1·u3·u5 ⊆ u4·u5 (Section 4 intro).
-        let mut ab = Alphabet::new();
-        let rs = system(&mut ab, &["u1 <= u2", "u2.u3 <= u4"]);
-        let u1 = ab.get("u1").unwrap();
-        let u3 = ab.get("u3").unwrap();
-        let u4 = ab.get("u4").unwrap();
-        let u5 = ab.intern("u5");
-        assert!(rewrites_to(&rs, &[u1, u3, u5], &[u4, u5]));
-        // and the intermediate step too
-        let u2 = ab.get("u2").unwrap();
-        assert!(rewrites_to(&rs, &[u1, u3, u5], &[u2, u3, u5]));
-        // but not the reverse
-        assert!(!rewrites_to(&rs, &[u4, u5], &[u1, u3, u5]));
-    }
-
-    #[test]
-    fn derivation_witness_matches_decision() {
-        let mut ab = Alphabet::new();
-        let rs = system(&mut ab, &["u1 <= u2", "u2.u3 <= u4"]);
-        let u1 = ab.get("u1").unwrap();
-        let u3 = ab.get("u3").unwrap();
-        let u4 = ab.get("u4").unwrap();
-        let u5 = ab.intern("u5");
-        let chain = rs.derive(&[u1, u3, u5], &[u4, u5], 10_000).unwrap();
-        assert_eq!(chain.len(), 3); // u1u3u5 → u2u3u5 → u4u5
-                                    // each step is a legal one-step rewrite
-        for pair in chain.windows(2) {
-            assert!(rs.step(&pair[0]).contains(&pair[1]));
-        }
-    }
-
-    #[test]
-    fn aa_to_a_rewrites_powers() {
-        // E = {aa ⊆ a}: aⁱ →* a for all i ≥ 1, but a ↛ aa.
-        let mut ab = Alphabet::new();
-        let rs = system(&mut ab, &["a.a <= a"]);
-        let a = ab.get("a").unwrap();
-        for i in 1..8 {
-            let u = vec![a; i];
-            assert!(rewrites_to(&rs, &u, &[a]), "a^{i} →* a");
-        }
-        assert!(!rewrites_to(&rs, &[a], &[a, a]));
-        // aa →* aa (reflexive)
-        assert!(rewrites_to(&rs, &[a, a], &[a, a]));
-    }
-
-    #[test]
-    fn equalities_rewrite_both_ways() {
-        let mut ab = Alphabet::new();
-        let rs = system(&mut ab, &["a.b = c"]);
-        let u_ab = w(&mut ab, "ab");
-        let u_c = w(&mut ab, "c");
-        assert!(rewrites_to(&rs, &u_ab, &u_c));
-        assert!(rewrites_to(&rs, &u_c, &u_ab));
-        // and right-congruence: abx ↔ cx
-        let u_abx = w(&mut ab, "abx");
-        let u_cx = w(&mut ab, "cx");
-        assert!(rewrites_to(&rs, &u_abx, &u_cx));
-        assert!(rewrites_to(&rs, &u_cx, &u_abx));
-    }
-
-    #[test]
-    fn epsilon_rules_work() {
-        // l = ε: every l·w ↔ w.
-        let mut ab = Alphabet::new();
-        let rs = system(&mut ab, &["l = ()"]);
-        let l = ab.get("l").unwrap();
-        let x = ab.intern("x");
-        assert!(rewrites_to(&rs, &[l, x], &[x]));
-        assert!(rewrites_to(&rs, &[x], &[l, x]));
-        assert!(rewrites_to(&rs, &[l, l, x], &[x]));
-        // prefix-only: x·l does not lose its l
-        assert!(!rewrites_to(&rs, &[x, l], &[x]));
-    }
-
-    #[test]
-    fn rewriting_is_prefix_only() {
-        let mut ab = Alphabet::new();
-        let rs = system(&mut ab, &["a <= b"]);
-        let a = ab.get("a").unwrap();
-        let b = ab.get("b").unwrap();
-        let x = ab.intern("x");
-        assert!(rewrites_to(&rs, &[a, x], &[b, x]));
-        // inner occurrence untouched
-        assert!(!rewrites_to(&rs, &[x, a], &[x, b]));
-    }
-
-    #[test]
-    fn rewrite_to_regular_target() {
-        // RewriteTo(l*) under ll ⊆ l: any lⁱ (i ≥ 0) plus nothing else.
-        let mut ab = Alphabet::new();
-        let rs = system(&mut ab, &["l.l <= l"]);
-        let l = ab.get("l").unwrap();
-        let m = ab.intern("m");
-        let target = Nfa::thompson(&parse_regex(&mut ab, "l + ()").unwrap());
-        let auto = rewrite_to_nfa(&target, &rs);
-        assert!(auto.nfa.accepts(&[]));
-        for i in 1..6 {
-            assert!(auto.nfa.accepts(&vec![l; i]), "l^{i}");
-        }
-        assert!(!auto.nfa.accepts(&[m]));
-        assert!(!auto.nfa.accepts(&[l, m]));
-    }
-
-    #[test]
-    fn saturation_terminates_and_reports() {
-        let mut ab = Alphabet::new();
-        let rs = system(&mut ab, &["a.a <= a", "b.a <= a.b", "a.b <= b.a"]);
-        let target = Nfa::from_word(&w(&mut ab, "a"));
-        let auto = rewrite_to_nfa(&target, &rs);
-        assert!(auto.rounds >= 1);
-        // a b? — ab →(ab→ba) ba →(ba→ab)… and aa→a chains
-        let u = w(&mut ab, "aaa");
-        assert!(auto.nfa.accepts(&u));
-    }
-
-    #[test]
-    fn general_closure_agrees_with_word_saturation_on_word_rules() {
-        let mut ab = Alphabet::new();
-        let set = ConstraintSet::parse(&mut ab, ["l.l <= l"]).unwrap();
-        let rs = RewriteSystem::from_constraints(&set);
-        let l = ab.get("l").unwrap();
-        let m = ab.intern("m");
-        let target = Nfa::thompson(&parse_regex(&mut ab, "l + ()").unwrap());
-        let word_auto = rewrite_to_nfa(&target, &rs);
-        let gen_auto = rewrite_closure_nfa(&set, &target);
-        for i in 0..6 {
-            let u = vec![l; i];
-            assert_eq!(word_auto.nfa.accepts(&u), gen_auto.nfa.accepts(&u), "l^{i}");
-            assert!(gen_auto.nfa.accepts(&u), "l^{i} →* l + ε");
-        }
-        assert!(!gen_auto.nfa.accepts(&[m]));
-        assert!(!gen_auto.nfa.accepts(&[l, m]));
     }
 
     #[test]
@@ -852,26 +550,6 @@ mod tests {
     }
 
     #[test]
-    fn empty_rule_set_is_identity() {
-        let mut ab = Alphabet::new();
-        let rs = RewriteSystem::default();
-        let u = w(&mut ab, "abc");
-        let v = w(&mut ab, "abc");
-        assert!(rewrites_to(&rs, &u, &v));
-        let v2 = w(&mut ab, "ab");
-        assert!(!rewrites_to(&rs, &u, &v2));
-    }
-
-    #[test]
-    fn step_applies_all_matching_rules() {
-        let mut ab = Alphabet::new();
-        let rs = system(&mut ab, &["a <= b", "a <= c", "a.x <= y"]);
-        let word = w(&mut ab, "ax");
-        let succ = rs.step(&word);
-        assert_eq!(succ.len(), 3); // bx, cx, y
-    }
-
-    #[test]
     fn from_constraints_dedups_repeated_rules() {
         let mut ab = Alphabet::new();
         // the equality contributes both directions; the inclusions repeat
@@ -885,15 +563,5 @@ mod tests {
         let set = ConstraintSet::parse(&mut ab, lines.iter().map(String::as_str)).unwrap();
         let rs = RewriteSystem::from_constraints(&set);
         assert_eq!(rs.rules.len(), 4);
-    }
-
-    #[test]
-    fn derive_respects_budget() {
-        let mut ab = Alphabet::new();
-        // growing system: a → aa (never reaches b)
-        let rs = system(&mut ab, &["a <= a.a"]);
-        let a = ab.get("a").unwrap();
-        let b = ab.intern("b");
-        assert!(rs.derive(&[a], &[b], 100).is_none());
     }
 }

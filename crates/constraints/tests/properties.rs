@@ -9,17 +9,16 @@ use rand::{Rng, SeedableRng};
 use rpq_automata::ops::{equivalent, included_antichain};
 use rpq_automata::random::{random_regex, RegexGenConfig};
 use rpq_automata::{Alphabet, Nfa, Regex, Symbol};
-use rpq_constraints::armstrong::shortest_lex_accepted;
-use rpq_constraints::implication::{word_implies_path, word_implies_path_naive};
-use rpq_constraints::rewrite::{
-    rewrite_closure_nfa, rewrite_to_nfa, rewrite_to_word_nfa, rewrites_to, RewriteSystem,
-};
+use rpq_constraints::rewrite::{rewrite_closure_nfa, RewriteSystem};
 use rpq_constraints::{
-    decide_boundedness, ArmstrongSphere, Boundedness, Closures, ConstraintKind, ConstraintSet,
-    PathConstraint,
+    decide_boundedness, Boundedness, Closures, ConstraintKind, ConstraintSet, PathConstraint,
 };
 use rpq_core::eval_product;
 use rpq_graph::generators::random_graph;
+use rpq_paper::armstrong::shortest_lex_accepted;
+use rpq_paper::implication::{word_implies_path, word_implies_path_naive};
+use rpq_paper::rewrite::{derive, rewrite_to_nfa, rewrite_to_word_nfa, rewrites_to, step};
+use rpq_paper::ArmstrongSphere;
 
 fn syms2() -> (Alphabet, Vec<Symbol>) {
     let ab = Alphabet::from_names(["a", "b"]);
@@ -72,7 +71,7 @@ proptest! {
         let u = rand_word(&mut rng, &syms, 4);
         let v = rand_word(&mut rng, &syms, 3);
         let by_auto = rewrites_to(&rs, &u, &v);
-        let by_bfs = rs.derive(&u, &v, 20_000).is_some();
+        let by_bfs = derive(&rs, &u, &v, 20_000).is_some();
         if by_bfs {
             prop_assert!(by_auto, "BFS derived but automaton rejected");
         }
@@ -93,8 +92,8 @@ proptest! {
         let u = rand_word(&mut rng, &syms, 3);
         prop_assert!(rewrites_to(&rs, &u, &u), "reflexivity");
         // transitivity via one-step successors
-        for mid in rs.step(&u).into_iter().take(3) {
-            for w in rs.step(&mid).into_iter().take(3) {
+        for mid in step(&rs, &u).into_iter().take(3) {
+            for w in step(&rs, &mid).into_iter().take(3) {
                 prop_assert!(rewrites_to(&rs, &u, &w), "transitivity");
             }
         }
@@ -109,7 +108,7 @@ proptest! {
         let rs = RewriteSystem::from_constraints(&set);
         let u = rand_word(&mut rng, &syms, 3);
         let suffix = rand_word(&mut rng, &syms, 2);
-        for v in rs.step(&u).into_iter().take(4) {
+        for v in step(&rs, &u).into_iter().take(4) {
             let mut uw = u.clone();
             uw.extend(suffix.iter().copied());
             let mut vw = v.clone();
@@ -149,7 +148,7 @@ proptest! {
         let w1 = rand_word(&mut rng, &syms, 2);
         let w2 = rand_word(&mut rng, &syms, 2);
         let target = Regex::word(&w1).or(Regex::word(&w2));
-        let auto = rpq_constraints::rewrite_to_nfa(&Nfa::thompson(&target), &rs);
+        let auto = rewrite_to_nfa(&Nfa::thompson(&target), &rs);
         let u = rand_word(&mut rng, &syms, 3);
         let direct = rewrites_to(&rs, &u, &w1) || rewrites_to(&rs, &u, &w2);
         prop_assert_eq!(auto.nfa.accepts(&u), direct);

@@ -47,7 +47,6 @@ use rpq_automata::Symbol;
 use serde::{Deserialize, Serialize};
 
 use crate::instance::{Instance, Oid};
-use crate::source::{GraphSource, NodeId};
 use crate::view::RowPart;
 
 /// Per-label frequency statistics.
@@ -845,16 +844,6 @@ impl From<&Instance> for CsrGraph {
             rev,
             stats,
         }
-    }
-}
-
-/// A `CsrGraph` is also a [`GraphSource`], so lazy/streaming evaluators run
-/// over it unchanged.
-impl GraphSource for CsrGraph {
-    fn out_edges(&self, node: NodeId) -> Vec<(Symbol, NodeId)> {
-        self.out_pairs(Oid(node as u32))
-            .map(|(l, t)| (l, t.0 as NodeId))
-            .collect()
     }
 }
 

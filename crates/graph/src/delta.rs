@@ -34,7 +34,6 @@ use rpq_automata::Symbol;
 
 use crate::csr::{CsrGraph, LabelStats, RowPatch};
 use crate::instance::{Instance, Oid};
-use crate::source::{GraphSource, NodeId};
 use crate::view::{EdgeDelta, Epoch, GraphView, OverlayEdges, RowPart, ViewEdges, ViewGroups};
 
 /// Process-unique lineage ids for delta bases (0 is reserved for
@@ -602,16 +601,6 @@ impl GraphView for DeltaGraph {
         if v.index() < self.base.num_nodes() {
             self.base.prefetch_row(v, reverse, part);
         }
-    }
-}
-
-/// A `DeltaGraph` is also a [`GraphSource`], so the streaming evaluator
-/// (Remark 2.1) pulls from the overlay unchanged.
-impl GraphSource for DeltaGraph {
-    fn out_edges(&self, node: NodeId) -> Vec<(Symbol, NodeId)> {
-        self.out_groups(Oid(node as u32))
-            .flat_map(|(l, ts)| ts.map(move |t| (l, t.0 as NodeId)))
-            .collect()
     }
 }
 

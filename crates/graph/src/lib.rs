@@ -5,8 +5,8 @@
 //! oid)`, i.e. a labeled directed graph in which every object has finite
 //! outdegree ("objects are small") but possibly unbounded indegree.
 //!
-//! * [`Instance`] — a finite labeled graph with adjacency storage, builders,
-//!   reachability/distance utilities and DOT export. This is the *mutable
+//! * [`Instance`] — a finite labeled graph with adjacency storage, builders
+//!   and reachability/distance utilities. This is the *mutable
 //!   build-time* form; its [`LabelStats`] are maintained incrementally on
 //!   every mutation.
 //! * [`CsrGraph`] — the immutable *query-time* form: label-indexed CSR
@@ -21,12 +21,12 @@
 //!   [`EdgeDelta`] batches in `O(batch)` instead of the `O(V + E)` rebuild,
 //!   with [`DeltaGraph::compact`] folding the overlay into a fresh base by
 //!   one sorted merge per orientation, on the same [`Epoch`] lineage.
-//! * [`GraphSource`] — the lazy, possibly-infinite view (Remark 2.1) under
-//!   which evaluators may only expand nodes they have reached; implemented
-//!   by [`Instance`], [`CsrGraph`], [`DeltaGraph`], and by synthetic
-//!   infinite graphs ([`InfiniteTree`], [`InfiniteComb`], [`LassoLine`]).
 //! * [`generators`] — seeded workloads, including the exact Figure 2 graph
 //!   and the cached-site generator for the Section 3.2 experiments.
+//!
+//! Remark 2.1's lazy, possibly-infinite sources are
+//! `rpq_paper::source::GraphSource` and its synthetic infinite graphs: the
+//! server never runs them.
 
 #![warn(missing_docs)]
 
@@ -34,11 +34,9 @@ pub mod csr;
 pub mod delta;
 pub mod generators;
 pub mod instance;
-pub mod source;
 pub mod view;
 
 pub use csr::{CsrGraph, LabelStats};
 pub use delta::{CompactionPolicy, DeltaGraph};
 pub use instance::{Instance, InstanceBuilder, Oid};
-pub use source::{GraphSource, InfiniteComb, InfiniteTree, LassoLine, NodeId};
 pub use view::{EdgeDelta, Epoch, GraphView, RowPart, ViewEdges, ViewGroups};

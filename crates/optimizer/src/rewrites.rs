@@ -137,9 +137,10 @@ mod tests {
     use super::*;
     use rpq_automata::ops::regex_equivalent;
     use rpq_automata::{parse_regex, Alphabet};
-    use rpq_constraints::general::{check, Budget};
+    use rpq_constraints::general::Budget;
     use rpq_constraints::types::PathConstraint;
     use rpq_constraints::ConstraintSet;
+    use rpq_paper::general_implication::check;
 
     fn candidates(set: &ConstraintSet, q: &Regex, alphabet: &Alphabet) -> Vec<Candidate> {
         candidates_compiled(&PlanPass::new(set), &CompiledQuery::new(q, alphabet.len()))

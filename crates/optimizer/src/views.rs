@@ -353,7 +353,8 @@ mod tests {
     use rpq_automata::ops::regex_equivalent;
     use rpq_automata::parse_regex;
     use rpq_automata::random::{random_regex, RegexGenConfig};
-    use rpq_constraints::general::{check, Budget};
+    use rpq_constraints::general::Budget;
+    use rpq_paper::general_implication::check;
 
     fn setup(lines: &[&str], query: &str) -> (Alphabet, ConstraintSet, Regex) {
         let mut ab = Alphabet::new();

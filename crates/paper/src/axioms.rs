@@ -37,7 +37,7 @@
 //! Every derivation the prover returns can be replayed ([`Derivation::verify`]
 //! re-checks each leaf's language side conditions), and the property suite
 //! cross-checks provable goals against the certified refuter of
-//! [`rpq_constraints::general`]: a goal that is both provable and refutable would be a
+//! [`crate::general_implication`]: a goal that is both provable and refutable would be a
 //! soundness bug in one of the two engines.
 
 use std::collections::HashSet;
@@ -569,8 +569,9 @@ pub fn prove_constraint(set: &ConstraintSet, c: &PathConstraint) -> Option<Vec<D
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::general_implication::{check, Verdict};
     use rpq_automata::{parse_regex, Alphabet};
-    use rpq_constraints::general::{check, Budget, Verdict};
+    use rpq_constraints::general::Budget;
     use rpq_constraints::parse_constraint;
 
     fn setup(constraints: &[&str]) -> (Alphabet, ConstraintSet) {

@@ -11,10 +11,10 @@
 //! `rpq-bench`'s `paper-figures f4` reprints it from this construction.
 
 use rpq_automata::{Alphabet, Symbol};
+use rpq_constraints::{ConstraintSet, RewriteSystem};
 use rpq_graph::{Instance, Oid};
 
-use crate::rewrite::{rewrite_to_word_nfa, RewriteSystem};
-use crate::types::ConstraintSet;
+use crate::rewrite::rewrite_to_word_nfa;
 
 /// The Lemma 4.4 instance with its class structure exposed.
 #[derive(Clone, Debug)]
@@ -177,60 +177,33 @@ pub fn lemma44_instance(
         .collect();
 
     // Build the instance: one vertex per class; for each word u (|u| < k)
-    // and symbol a, an a-edge from o_û to every member of obj(ûa).
+    // and symbol a, an a-edge from o_û to every member of obj(ûa). The
+    // enumeration is breadth-first with one child per symbol, so the child
+    // of word `i` by the `j`-th symbol is word `i·|symbols| + j + 1`.
     let mut instance = Instance::new();
     for rep in &class_reps {
         instance.add_named_node(&alphabet.render_word(rep));
     }
-    let class_of = |w: &[Symbol]| -> usize {
-        let pos = word_index(w, symbols, k);
-        class_of_word[pos]
-    };
-    for w in &words {
+    for (i, w) in words.iter().enumerate() {
         if w.len() >= k {
             continue;
         }
-        let from = Oid(class_of(w) as u32);
-        for &a in symbols {
-            let mut wa = w.clone();
-            wa.push(a);
-            let target_class = class_of(&wa);
+        let from = Oid(class_of_word[i] as u32);
+        for (j, &a) in symbols.iter().enumerate() {
+            let target_class = class_of_word[i * symbols.len() + j + 1];
             for &o in &obj[target_class] {
                 instance.add_edge(from, a, o);
             }
         }
     }
 
-    let source = Oid(class_of(&[]) as u32);
+    let source = Oid(eps_class as u32);
     Ok(CanonicalInstance {
         instance,
         source,
         class_reps,
         obj,
     })
-}
-
-/// Index of a word in the (length, lex-by-symbol-position) enumeration used
-/// by [`lemma44_instance`].
-fn word_index(w: &[Symbol], symbols: &[Symbol], _k: usize) -> usize {
-    let sigma = symbols.len();
-    // offset of the length-|w| block
-    let mut offset = 0usize;
-    let mut block = 1usize;
-    for _ in 0..w.len() {
-        offset += block;
-        block *= sigma;
-    }
-    // rank within the block
-    let mut rank = 0usize;
-    for &s in w {
-        let pos = symbols
-            .iter()
-            .position(|&t| t == s)
-            .expect("symbol in enumeration alphabet");
-        rank = rank * sigma + pos;
-    }
-    offset + rank
 }
 
 #[cfg(test)]

@@ -128,10 +128,9 @@ pub fn parse_char_pattern(src: &str) -> Result<CharPattern, String> {
                 self.chars.next();
                 arms.push(self.concat()?);
             }
-            Ok(if arms.len() == 1 {
-                arms.pop().expect("one arm")
-            } else {
-                CharPattern::Union(arms)
+            Ok(match <[CharPattern; 1]>::try_from(arms) {
+                Ok([arm]) => arm,
+                Err(arms) => CharPattern::Union(arms),
             })
         }
         fn concat(&mut self) -> Result<CharPattern, String> {
@@ -142,10 +141,10 @@ pub fn parse_char_pattern(src: &str) -> Result<CharPattern, String> {
                 }
                 parts.push(self.postfix()?);
             }
-            Ok(match parts.len() {
-                0 => CharPattern::Epsilon,
-                1 => parts.pop().expect("one part"),
-                _ => CharPattern::Concat(parts),
+            Ok(match <[CharPattern; 1]>::try_from(parts) {
+                Ok([part]) => part,
+                Err(parts) if parts.is_empty() => CharPattern::Epsilon,
+                Err(parts) => CharPattern::Concat(parts),
             })
         }
         fn postfix(&mut self) -> Result<CharPattern, String> {

@@ -92,7 +92,7 @@ impl DetModel {
     ///
     /// **Precondition:** `set` contains only word constraints (panics
     /// otherwise — this is the same contract as
-    /// [`rpq_constraints::implication::word_implies_path`]).
+    /// [`crate::implication::word_implies_path`]).
     pub fn for_premise(set: &ConstraintSet, seed: &[Symbol]) -> DetModel {
         assert!(
             set.all_word_constraints(),
@@ -215,9 +215,10 @@ impl DetModel {
     fn saturate(&mut self, set: &ConstraintSet) {
         let mut rules: Vec<(Vec<Symbol>, Vec<Symbol>)> = Vec::new();
         for c in set.iter() {
-            let (u, v) = c
-                .as_word_pair()
-                .expect("all_word_constraints checked in for_premise");
+            // every constraint is one: `for_premise` checked the set
+            let Some((u, v)) = c.as_word_pair() else {
+                continue;
+            };
             rules.push((u.clone(), v.clone()));
             if matches!(c.kind, ConstraintKind::Equality) {
                 rules.push((v, u));
@@ -291,16 +292,34 @@ pub fn det_implies_word_eq(set: &ConstraintSet, u: &[Symbol], v: &[Symbol]) -> D
 
 /// Decide `E ⊨_det c` for a word constraint `c`.
 ///
-/// **Precondition:** `set` and `c` are word constraints (panics otherwise).
-pub fn det_implies_constraint(set: &ConstraintSet, c: &PathConstraint) -> DetImplication {
-    let (u, v) = c
-        .as_word_pair()
-        .expect("det_implies_constraint requires a word conclusion");
-    match c.kind {
+/// [`NotWordConstraint`] unless `set` and `c` are word constraints.
+pub fn det_implies_constraint(
+    set: &ConstraintSet,
+    c: &PathConstraint,
+) -> Result<DetImplication, NotWordConstraint> {
+    if !set.all_word_constraints() {
+        return Err(NotWordConstraint);
+    }
+    let (u, v) = c.as_word_pair().ok_or(NotWordConstraint)?;
+    Ok(match c.kind {
         ConstraintKind::Inclusion => det_implies_word(set, &u, &v),
         ConstraintKind::Equality => det_implies_word_eq(set, &u, &v),
+    })
+}
+
+/// [`det_implies_constraint`] was given a premise or a conclusion that is
+/// not a word constraint; the deterministic case is decided for word
+/// constraints only.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub struct NotWordConstraint;
+
+impl std::fmt::Display for NotWordConstraint {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "deterministic implication requires word constraints")
     }
 }
+
+impl std::error::Error for NotWordConstraint {}
 
 /// Check that an instance is deterministic: at most one outgoing edge per
 /// (node, label). Exposed for tests and the workload generators.
@@ -320,11 +339,11 @@ pub fn is_deterministic(instance: &Instance, _alphabet: &Alphabet) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::implication::{word_implies_word, word_implies_word_eq};
     use rand::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use rpq_automata::parse_word;
-    use rpq_constraints::implication::{word_implies_word, word_implies_word_eq};
 
     fn setup(constraints: &[&str]) -> (Alphabet, ConstraintSet) {
         let mut ab = Alphabet::new();
@@ -349,6 +368,23 @@ mod tests {
             !word_implies_word(&set, &u, &v),
             "general implication must NOT hold — this is the separation"
         );
+    }
+
+    #[test]
+    fn constraints_that_are_not_words_are_an_error() {
+        let (mut ab, set) = setup(&["a <= c", "a.x <= c"]);
+        let word = rpq_constraints::parse_constraint(&mut ab, "a.x <= a").unwrap();
+        assert!(det_implies_constraint(&set, &word).unwrap().is_implied());
+        let star = rpq_constraints::parse_constraint(&mut ab, "a.x* <= a").unwrap();
+        assert!(matches!(
+            det_implies_constraint(&set, &star),
+            Err(NotWordConstraint)
+        ));
+        let (_, regex_set) = setup(&["a* <= c"]);
+        assert!(matches!(
+            det_implies_constraint(&regex_set, &word),
+            Err(NotWordConstraint)
+        ));
     }
 
     #[test]

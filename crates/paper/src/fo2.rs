@@ -98,38 +98,98 @@ impl Fo2 {
     }
 
     /// Evaluate on a finite instance with `o = source` under a partial
-    /// assignment of the two variables.
-    pub fn eval(&self, instance: &Instance, source: Oid, x: Option<Oid>, y: Option<Oid>) -> bool {
-        let resolve = |t: &Term| -> Oid {
+    /// assignment of the two variables. Connectives and quantifiers stop at
+    /// the first operand that settles them; a term that reads a variable
+    /// the assignment leaves unbound is [`Fo2Error::Unbound`].
+    pub fn eval(
+        &self,
+        instance: &Instance,
+        source: Oid,
+        x: Option<Oid>,
+        y: Option<Oid>,
+    ) -> Result<bool, Fo2Error> {
+        let resolve = |t: &Term| -> Result<Oid, Fo2Error> {
             match t {
-                Term::Source => source,
-                Term::Var(Var::X) => x.expect("x unbound"),
-                Term::Var(Var::Y) => y.expect("y unbound"),
+                Term::Source => Ok(source),
+                Term::Var(Var::X) => x.ok_or(Fo2Error::Unbound(Var::X)),
+                Term::Var(Var::Y) => y.ok_or(Fo2Error::Unbound(Var::Y)),
             }
         };
-        match self {
+        // `f` under `v := n`, the other variable as it is
+        let bound = |f: &Fo2, v: &Var, n: Oid| match v {
+            Var::X => f.eval(instance, source, Some(n), y),
+            Var::Y => f.eval(instance, source, x, Some(n)),
+        };
+        Ok(match self {
             Fo2::Edge(label, t1, t2) => {
-                let (a, b) = (resolve(t1), resolve(t2));
+                let (a, b) = (resolve(t1)?, resolve(t2)?);
                 instance
                     .out_edges(a)
                     .iter()
                     .any(|&(l, t)| l == *label && t == b)
             }
-            Fo2::Equal(t1, t2) => resolve(t1) == resolve(t2),
-            Fo2::Not(f) => !f.eval(instance, source, x, y),
-            Fo2::And(fs) => fs.iter().all(|f| f.eval(instance, source, x, y)),
-            Fo2::Or(fs) => fs.iter().any(|f| f.eval(instance, source, x, y)),
-            Fo2::Exists(v, f) => instance.nodes().any(|n| match v {
-                Var::X => f.eval(instance, source, Some(n), y),
-                Var::Y => f.eval(instance, source, x, Some(n)),
-            }),
-            Fo2::Forall(v, f) => instance.nodes().all(|n| match v {
-                Var::X => f.eval(instance, source, Some(n), y),
-                Var::Y => f.eval(instance, source, x, Some(n)),
-            }),
+            Fo2::Equal(t1, t2) => resolve(t1)? == resolve(t2)?,
+            Fo2::Not(f) => !f.eval(instance, source, x, y)?,
+            Fo2::And(fs) => {
+                for f in fs {
+                    if !f.eval(instance, source, x, y)? {
+                        return Ok(false);
+                    }
+                }
+                true
+            }
+            Fo2::Or(fs) => {
+                for f in fs {
+                    if f.eval(instance, source, x, y)? {
+                        return Ok(true);
+                    }
+                }
+                false
+            }
+            Fo2::Exists(v, f) => {
+                for n in instance.nodes() {
+                    if bound(f, v, n)? {
+                        return Ok(true);
+                    }
+                }
+                false
+            }
+            Fo2::Forall(v, f) => {
+                for n in instance.nodes() {
+                    if !bound(f, v, n)? {
+                        return Ok(false);
+                    }
+                }
+                true
+            }
+        })
+    }
+}
+
+/// Why an FO² sentence could not be built or evaluated.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub enum Fo2Error {
+    /// [`Fo2::eval`] met a term reading this variable, which the
+    /// assignment leaves unbound (a formula that is not a sentence, or one
+    /// that uses a variable outside the scope of its quantifier).
+    Unbound(Var),
+    /// A constraint of the set is not a word constraint; only word
+    /// constraints have an FO² sentence here.
+    NotWordConstraint,
+}
+
+impl std::fmt::Display for Fo2Error {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Fo2Error::Unbound(v) => write!(f, "FO² variable {v:?} is unbound"),
+            Fo2Error::NotWordConstraint => {
+                write!(f, "the FO² encoding requires a word-constraint set")
+            }
         }
     }
 }
+
+impl std::error::Error for Fo2Error {}
 
 /// `reach_w(v)`: "`v` is reachable from `o` by the word `w`", built with
 /// only two variables by swapping the working variable at every letter.
@@ -172,13 +232,18 @@ pub fn constraint_sentence(c: &PathConstraint) -> Option<Fo2> {
 /// The FO² sentence whose models are exactly the counterexamples to
 /// `E ⊨ u ⊆ v`: all of `E` holds, and some object witnesses `u ⊄ v`.
 ///
-/// Panics if `set` contains non-word constraints (same contract as
-/// [`rpq_constraints::implication::word_implies_path`]).
-pub fn refutation_sentence(set: &ConstraintSet, u: &[Symbol], v: &[Symbol]) -> Fo2 {
+/// [`Fo2Error::NotWordConstraint`] if `set` holds a constraint that is not
+/// a word constraint: the encoding covers word constraints only (as
+/// [`crate::implication::word_implies_path`] does).
+pub fn refutation_sentence(
+    set: &ConstraintSet,
+    u: &[Symbol],
+    v: &[Symbol],
+) -> Result<Fo2, Fo2Error> {
     let mut parts: Vec<Fo2> = set
         .iter()
-        .map(|c| constraint_sentence(c).expect("word-constraint set"))
-        .collect();
+        .map(|c| constraint_sentence(c).ok_or(Fo2Error::NotWordConstraint))
+        .collect::<Result<_, _>>()?;
     parts.push(Fo2::Exists(
         Var::X,
         Box::new(Fo2::And(vec![
@@ -186,7 +251,7 @@ pub fn refutation_sentence(set: &ConstraintSet, u: &[Symbol], v: &[Symbol]) -> F
             Fo2::Not(Box::new(reach(v, Var::X))),
         ])),
     ));
-    Fo2::And(parts)
+    Ok(Fo2::And(parts))
 }
 
 /// Bounded countermodel search: enumerate all instances with `≤ max_nodes`
@@ -200,8 +265,8 @@ pub fn bounded_countermodel(
     v: &[Symbol],
     labels: &[Symbol],
     max_nodes: usize,
-) -> Option<(Instance, Oid)> {
-    let sentence = refutation_sentence(set, u, v);
+) -> Result<Option<(Instance, Oid)>, Fo2Error> {
+    let sentence = refutation_sentence(set, u, v)?;
     for n in 1..=max_nodes {
         let slots: Vec<(usize, Symbol, usize)> = (0..n)
             .flat_map(|a| {
@@ -213,7 +278,7 @@ pub fn bounded_countermodel(
         let total = slots.len();
         if total > 20 {
             // 2^20 structures is the practical ceiling for a test net.
-            return None;
+            return Ok(None);
         }
         for mask in 0u32..(1u32 << total) {
             let mut instance = Instance::new();
@@ -224,19 +289,19 @@ pub fn bounded_countermodel(
                 }
             }
             let source = nodes[0];
-            if sentence.eval(&instance, source, None, None) {
-                return Some((instance, source));
+            if sentence.eval(&instance, source, None, None)? {
+                return Ok(Some((instance, source)));
             }
         }
     }
-    None
+    Ok(None)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::implication::word_implies_word;
     use rpq_automata::{parse_word, Alphabet};
-    use rpq_constraints::implication::word_implies_word;
     use rpq_graph::InstanceBuilder;
 
     fn setup(lines: &[&str]) -> (Alphabet, ConstraintSet) {
@@ -268,9 +333,9 @@ mod tests {
                 Fo2::Not(Box::new(Fo2::Equal(Term::Var(Var::X), Term::Source))),
             ])),
         );
-        assert!(f.eval(&inst, names["o"], None, None));
+        assert_eq!(f.eval(&inst, names["o"], None, None), Ok(true));
         // from q nothing is a·b-reachable
-        assert!(!f.eval(&inst, names["q"], None, None));
+        assert_eq!(f.eval(&inst, names["q"], None, None), Ok(false));
     }
 
     #[test]
@@ -287,16 +352,57 @@ mod tests {
             constraint_sentence(&c_good)
                 .unwrap()
                 .eval(&inst, o, None, None),
-            c_good.holds_at(&inst, o)
+            Ok(c_good.holds_at(&inst, o))
         );
         assert_eq!(
             constraint_sentence(&c_bad)
                 .unwrap()
                 .eval(&inst, o, None, None),
-            c_bad.holds_at(&inst, o)
+            Ok(c_bad.holds_at(&inst, o))
         );
         assert!(c_good.holds_at(&inst, o));
         assert!(!c_bad.holds_at(&inst, o));
+    }
+
+    #[test]
+    fn an_unbound_variable_is_an_error() {
+        let mut ab = Alphabet::new();
+        let mut b = InstanceBuilder::new(&mut ab);
+        b.edge("o", "a", "p");
+        let (inst, names) = b.finish();
+        let a = ab.get("a").unwrap();
+        let o = names["o"];
+        // `E_a(o, x)` with x free, then `E_a(y, o)` under ∃x with y free
+        let free_x = Fo2::Edge(a, Term::Source, Term::Var(Var::X));
+        assert_eq!(
+            free_x.eval(&inst, o, None, None),
+            Err(Fo2Error::Unbound(Var::X))
+        );
+        assert_eq!(free_x.eval(&inst, o, Some(names["p"]), None), Ok(true));
+        let free_y = Fo2::Exists(
+            Var::X,
+            Box::new(Fo2::Edge(a, Term::Var(Var::Y), Term::Var(Var::X))),
+        );
+        assert_eq!(
+            free_y.eval(&inst, o, None, None),
+            Err(Fo2Error::Unbound(Var::Y))
+        );
+    }
+
+    #[test]
+    fn a_regex_constraint_has_no_refutation_sentence() {
+        let (mut ab, set) = setup(&["a <= b", "a* <= b"]);
+        let u = parse_word(&mut ab, "b").unwrap();
+        let v = parse_word(&mut ab, "a").unwrap();
+        assert_eq!(
+            refutation_sentence(&set, &u, &v),
+            Err(Fo2Error::NotWordConstraint)
+        );
+        let labels: Vec<Symbol> = ab.symbols().collect();
+        assert_eq!(
+            bounded_countermodel(&set, &u, &v, &labels, 2).map(|m| m.is_some()),
+            Err(Fo2Error::NotWordConstraint)
+        );
     }
 
     #[test]
@@ -306,7 +412,9 @@ mod tests {
         let u = parse_word(&mut ab, "b").unwrap();
         let v = parse_word(&mut ab, "a").unwrap();
         let labels: Vec<Symbol> = ab.symbols().collect();
-        let (inst, o) = bounded_countermodel(&set, &u, &v, &labels, 2).expect("countermodel");
+        let (inst, o) = bounded_countermodel(&set, &u, &v, &labels, 2)
+            .unwrap()
+            .expect("countermodel");
         assert!(set.holds_at(&inst, o));
         assert!(!inst.word_targets(o, &u).is_empty());
         let bt = inst.word_targets(o, &u);
@@ -326,7 +434,9 @@ mod tests {
         let v = parse_word(&mut ab, "b.c").unwrap();
         let labels: Vec<Symbol> = ab.symbols().collect();
         assert!(word_implies_word(&set, &u, &v));
-        assert!(bounded_countermodel(&set, &u, &v, &labels, 2).is_none());
+        assert!(bounded_countermodel(&set, &u, &v, &labels, 2)
+            .unwrap()
+            .is_none());
     }
 
     #[test]
@@ -351,7 +461,7 @@ mod tests {
             let v = rand_word(&mut rng);
             // One direction is sound unconditionally: a found countermodel
             // refutes the implication.
-            if let Some((inst, o)) = bounded_countermodel(&set, &u, &v, &syms, 2) {
+            if let Some((inst, o)) = bounded_countermodel(&set, &u, &v, &syms, 2).unwrap() {
                 assert!(set.holds_at(&inst, o), "trial {trial}");
                 assert!(
                     !word_implies_word(&set, &u, &v),
@@ -362,10 +472,10 @@ mod tests {
             // refutes, the canonical machinery yields a small witness whose
             // violation the FO² sentence must detect.
             if !word_implies_word(&set, &u, &v) {
-                let sentence = refutation_sentence(&set, &u, &v);
-                if let rpq_constraints::general::Verdict::Refuted(
-                    rpq_constraints::general::Refutation::Instance(w),
-                ) = rpq_constraints::general::check(
+                let sentence = refutation_sentence(&set, &u, &v).unwrap();
+                if let crate::general_implication::Verdict::Refuted(
+                    crate::general_implication::Refutation::Instance(w),
+                ) = crate::general_implication::check(
                     &set,
                     &PathConstraint::inclusion(
                         rpq_automata::Regex::word(&u),
@@ -374,7 +484,7 @@ mod tests {
                     &rpq_constraints::general::Budget::default(),
                 ) {
                     assert!(
-                        sentence.eval(&w.instance, w.source, None, None),
+                        sentence.eval(&w.instance, w.source, None, None).unwrap(),
                         "trial {trial}: witness not recognized by the FO² sentence"
                     );
                 }

@@ -29,9 +29,10 @@
 
 use rpq_automata::ops::included_naive;
 use rpq_automata::{Nfa, Regex, Symbol};
+use rpq_constraints::rewrite::{rewrite_closure_nfa, Closures, RewriteSystem};
+use rpq_constraints::{ConstraintSet, PathConstraint};
 
-use crate::rewrite::{rewrite_closure_nfa, rewrite_to_word_nfa, Closures, RewriteSystem};
-use crate::types::{ConstraintSet, PathConstraint};
+use crate::rewrite::rewrite_to_word_nfa;
 
 /// Outcome of a word-constraint implication check. `Refuted` carries a word
 /// `u ∈ L(p)` that does not rewrite into the target — by Lemma 4.4 /
@@ -68,7 +69,7 @@ pub fn word_implies_word_eq(set: &ConstraintSet, u: &[Symbol], v: &[Symbol]) -> 
 ///
 /// **Precondition:** `E` must contain only word constraints (checked;
 /// panics otherwise — route general constraints through
-/// [`crate::general::check`]).
+/// [`crate::general_implication::check`]).
 pub fn word_implies_path(set: &ConstraintSet, p: &Regex, q: &Regex) -> WordImplication {
     assert!(
         set.all_word_constraints(),
@@ -114,8 +115,8 @@ pub fn word_implies_constraint(set: &ConstraintSet, c: &PathConstraint) -> WordI
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::parse_constraint;
     use rpq_automata::{parse_regex, parse_word, Alphabet};
+    use rpq_constraints::parse_constraint;
 
     fn set(ab: &mut Alphabet, lines: &[&str]) -> ConstraintSet {
         ConstraintSet::parse(ab, lines.iter().copied()).unwrap()

@@ -13,10 +13,17 @@
 //! |---|---|
 //! | Section 2.2 quotients `p/l` as Brzozowski derivatives, the finite closure of repeated quotients | [`mod@derivative`] |
 //! | Section 2.2 recursion (✳) with explicit quotients: lazily determinized state sets, syntactic derivatives | [`quotient`], [`QuotientDfaEngine`], [`DerivativeEngine`] |
-//! | Remark 2.1 "eventually computable" queries over possibly infinite sources | [`streaming`], [`StreamingEngine`] |
+//! | Remark 2.1 possibly infinite sources ([`GraphSource`]: finite instances, snapshots, synthetic infinite graphs) | [`source`] |
+//! | Remark 2.1 "eventually computable" queries over them | [`streaming`], [`StreamingEngine`] |
 //! | Section 2.4 general path queries: character-level label patterns, Proposition 2.2's `μ` (Example 2.1 / Figure 1) | [`charpat`], [`general`] |
 //! | end of Section 2.4: content-based selection via `content=w` self-loops | [`content`] |
 //! | growth classification of regular languages (finite, polynomial, exponential) | [`growth`] |
+//! | Lemmas 4.4/4.5 word saturation `RewriteTo`, with derivations | [`rewrite`] |
+//! | Theorem 4.3(i) PTIME word implication, (ii) PSPACE path-by-word implication (antichain and naive) | [`implication`] |
+//! | Lemma 4.4's canonical instance (Figure 4) | [`canonical`] |
+//! | Lemma 4.9 K-sphere of the Armstrong instance (Figure 5) | [`armstrong`] |
+//! | Theorem 4.2 general implication (budgeted, certified verdicts) | [`general_implication`] |
+//! | Boundedness under full path constraints (open in the paper; budgeted) | [`boundedness`] |
 //! | Section 4's FO² connection (encoding + bounded countermodels) | [`fo2`] |
 //! | Section 5: sound axiomatization (future work, built here) | [`axioms`] |
 //! | Section 5: the ≤1-outgoing-edge-per-label special case | [`deterministic`] |
@@ -47,7 +54,10 @@
 
 #![warn(missing_docs)]
 
+pub mod armstrong;
 pub mod axioms;
+pub mod boundedness;
+pub mod canonical;
 pub mod charpat;
 pub mod content;
 pub mod derivative;
@@ -55,18 +65,31 @@ pub mod deterministic;
 pub mod engine;
 pub mod fo2;
 pub mod general;
+pub mod general_implication;
 pub mod growth;
+pub mod implication;
 pub mod quotient;
+pub mod rewrite;
+pub mod source;
 pub mod streaming;
 
+pub use armstrong::{suggested_radius, ArmstrongSphere};
 pub use axioms::{prove_constraint, prove_inclusion, Derivation, Prover, ProverConfig, Rule};
+pub use boundedness::bounded_under_path_constraints;
+pub use canonical::{lemma44_instance, CanonicalInstance};
 pub use derivative::{derivative, word_derivative, DerivativeClosure};
 pub use deterministic::{
     det_implies_constraint, det_implies_word, det_implies_word_eq, DetImplication, DetModel,
-    DetWitness,
+    DetWitness, NotWordConstraint,
 };
 pub use engine::{DerivativeEngine, QuotientDfaEngine, StreamingEngine};
-pub use fo2::{bounded_countermodel, constraint_sentence, refutation_sentence, Fo2};
+pub use fo2::{bounded_countermodel, constraint_sentence, refutation_sentence, Fo2, Fo2Error};
+pub use general_implication::{check, Refutation, Verdict, Witness};
 pub use growth::{classify_regex, Growth};
+pub use implication::{
+    word_implies_constraint, word_implies_path, word_implies_word, WordImplication,
+};
 pub use quotient::{eval_derivative_csr, eval_quotient_dfa_csr};
+pub use rewrite::{rewrite_to_nfa, rewrite_to_word_nfa};
+pub use source::{GraphSource, InfiniteComb, InfiniteTree, LassoLine, NodeId};
 pub use streaming::{StreamStatus, StreamingEval};

@@ -11,8 +11,7 @@
 //! mode of [6, 7]. Node identities are opaque `u64`s chosen by the source.
 
 use rpq_automata::Symbol;
-
-use crate::instance::{Instance, Oid};
+use rpq_graph::{CsrGraph, Instance, Oid};
 
 /// Node identity in a (possibly infinite) graph source.
 pub type NodeId = u64;
@@ -39,6 +38,16 @@ impl GraphSource for Instance {
 
     fn node_label(&self, node: NodeId) -> String {
         self.node_name(Oid(node as u32))
+    }
+}
+
+/// A `CsrGraph` is also a [`GraphSource`], so lazy/streaming evaluators run
+/// over it unchanged.
+impl GraphSource for CsrGraph {
+    fn out_edges(&self, node: NodeId) -> Vec<(Symbol, NodeId)> {
+        self.out_pairs(Oid(node as u32))
+            .map(|(l, t)| (l, t.0 as NodeId))
+            .collect()
     }
 }
 

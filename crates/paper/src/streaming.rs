@@ -13,7 +13,8 @@
 use std::collections::{HashMap, HashSet, VecDeque};
 
 use rpq_automata::{Nfa, StateId};
-use rpq_graph::{GraphSource, NodeId};
+
+use crate::source::{GraphSource, NodeId};
 
 /// Why [`StreamingEval::next_answer`] returned `None`.
 ///
@@ -176,8 +177,8 @@ impl<'a, G: GraphSource> StreamingEval<'a, G> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::source::{InfiniteComb, InfiniteTree, LassoLine};
     use rpq_automata::{parse_regex, Alphabet};
-    use rpq_graph::{InfiniteComb, InfiniteTree, LassoLine};
 
     #[test]
     fn terminates_on_bounded_query_over_infinite_tree() {

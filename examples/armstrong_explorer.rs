@@ -7,8 +7,9 @@
 //! ```
 
 use rpq::automata::Alphabet;
-use rpq::constraints::implication::word_implies_word_eq;
-use rpq::constraints::{suggested_radius, ArmstrongSphere, ConstraintSet};
+use rpq::constraints::ConstraintSet;
+use rpq::paper::implication::word_implies_word_eq;
+use rpq::paper::{suggested_radius, ArmstrongSphere};
 
 fn main() {
     let systems: &[&[&str]] = &[

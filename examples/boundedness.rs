@@ -8,9 +8,9 @@
 
 use rpq::automata::{parse_regex, Alphabet};
 use rpq::constraints::{
-    bounded_under_path_constraints, decide_boundedness, suggested_radius, Boundedness, Closures,
-    ConstraintSet, GeneralBoundedness,
+    decide_boundedness, Boundedness, Closures, ConstraintSet, GeneralBoundedness,
 };
+use rpq::paper::{bounded_under_path_constraints, suggested_radius};
 
 fn main() {
     let cases: &[(&[&str], &str)] = &[

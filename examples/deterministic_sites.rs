@@ -8,9 +8,9 @@
 //! ```
 
 use rpq::automata::{parse_word, Alphabet};
-use rpq::constraints::implication::word_implies_word;
 use rpq::constraints::ConstraintSet;
 use rpq::paper::deterministic::{det_implies_word, DetImplication, DetModel};
+use rpq::paper::implication::word_implies_word;
 
 fn main() {
     // A site where both the page `a` and the page `a.x` are declared to be

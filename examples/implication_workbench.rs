@@ -8,9 +8,11 @@
 //! ```
 
 use rpq::automata::{parse_regex, parse_word, Alphabet};
-use rpq::constraints::general::{check, Budget, Refutation, Verdict};
+use rpq::constraints::general::Budget;
 use rpq::constraints::rewrite::RewriteSystem;
-use rpq::constraints::{parse_constraint, ConstraintSet, WordImplication};
+use rpq::constraints::{parse_constraint, ConstraintSet};
+use rpq::paper::rewrite::derive;
+use rpq::paper::{check, Refutation, Verdict, WordImplication};
 
 fn main() {
     // --- word constraints: PTIME with certificates --------------------------
@@ -20,7 +22,7 @@ fn main() {
     let u = parse_word(&mut ab, "u1.u3.u5").unwrap();
     let v = parse_word(&mut ab, "u4.u5").unwrap();
     println!("E = {{u1 ⊆ u2, u2.u3 ⊆ u4}}");
-    match rules.derive(&u, &v, 100_000) {
+    match derive(&rules, &u, &v, 100_000) {
         Some(chain) => {
             println!("E ⊨ u1.u3.u5 ⊆ u4.u5, derivation certificate:");
             for step in &chain {
@@ -36,7 +38,7 @@ fn main() {
     let q = parse_regex(&mut ab, "l + ()").unwrap();
     println!("\nE = {{l.l ⊆ l}}: is l* = l + ε implied?");
     for (x, y, name) in [(&p, &q, "l* ⊆ l+ε"), (&q, &p, "l+ε ⊆ l*")] {
-        match rpq::constraints::word_implies_path(&e2, x, y) {
+        match rpq::paper::word_implies_path(&e2, x, y) {
             WordImplication::Implied => println!("    {name}: IMPLIED"),
             WordImplication::Refuted(w) => {
                 println!("    {name}: refuted by {}", ab.render_word(&w))
@@ -97,12 +99,12 @@ fn main() {
     let u = parse_word(&mut ab, "b").unwrap();
     let v = parse_word(&mut ab, "a").unwrap();
     let labels: Vec<_> = ab.symbols().collect();
-    let sentence = refutation_sentence(&e, &u, &v);
+    let sentence = refutation_sentence(&e, &u, &v).unwrap();
     println!(
         "refutation sentence for {{a ⊆ b}} ⊨? b ⊆ a uses {} quantifiers (2 variables)",
         sentence.quantifier_count()
     );
-    match bounded_countermodel(&e, &u, &v, &labels, 2) {
+    match bounded_countermodel(&e, &u, &v, &labels, 2).unwrap() {
         Some((inst, _)) => println!(
             "FO² countermodel found: {} nodes / {} edges — the implication FAILS,\n\
              agreeing with the PTIME rewrite procedure",

@@ -8,7 +8,7 @@
 //! ```
 
 use rpq::automata::{parse_regex, Alphabet, Nfa};
-use rpq::graph::{InfiniteComb, InfiniteTree};
+use rpq::paper::{InfiniteComb, InfiniteTree};
 use rpq::paper::{StreamStatus, StreamingEval};
 
 fn main() {

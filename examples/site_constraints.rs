@@ -7,9 +7,10 @@
 //! ```
 
 use rpq::automata::{parse_regex, Alphabet, Nfa};
-use rpq::constraints::{parse_constraint, word_implies_constraint, ConstraintSet};
+use rpq::constraints::{parse_constraint, ConstraintSet};
 use rpq::core::eval_product;
 use rpq::graph::InstanceBuilder;
+use rpq::paper::word_implies_constraint;
 
 fn main() {
     let mut ab = Alphabet::new();

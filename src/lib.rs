@@ -11,14 +11,14 @@
 //! | Module | Paper | Contents |
 //! |---|---|---|
 //! | [`automata`] | §2.2, §4 | regexes, NFA/DFA, inclusion & equivalence, algebraic simplifier |
-//! | [`graph`] | §2.1 | the `Ref(source, label, destination)` data model: mutable [`graph::Instance`] builder, immutable label-indexed [`graph::CsrGraph`] query snapshot, generators, infinite sources |
+//! | [`graph`] | §2.1 | the `Ref(source, label, destination)` data model: mutable [`graph::Instance`] builder, immutable label-indexed [`graph::CsrGraph`] query snapshot, incremental [`graph::DeltaGraph`], generators |
 //! | [`core`] | §2.2 | the unified [`core::Engine`] trait, the product search the server runs, the definitional oracle |
 //! | [`datalog`] | §2.3, §1 | Datalog engine + linear-monadic translations, QSQ, magic sets, `Engine`-trait adapters |
-//! | [`constraints`] | §4 | rewrite systems, Theorems 4.2/4.3/4.10, Armstrong instances |
+//! | [`constraints`] | §4 | what the planner runs: path constraints, the closure test that decides and certifies rewrites (exact Theorem 4.3(ii) on word sets), Theorem 4.10 on the Armstrong fold |
 //! | [`distributed`] | §3.1, §5 | the subquery/answer/done/akn protocol, one event-driven simulator (sites hold CSR shards; one client or many; optional fault plan), carrying agents, decomposition baseline |
 //! | [`optimizer`] | §3.2, §5 | constraint-based rewriting, static + label-statistics cost models, per-site hooks, cached-view combination search |
 //! | [`server`] | — | the concurrent serving layer: epoch-pinned snapshot catalog, sessions with budgets/cancellation, admission control, per-class metrics |
-//! | [`paper`] | §2.2–2.4, §4, §5 | what the server never runs: explicit quotients (derivatives, quotient engines), streaming evaluation, general path queries (`μ`), content selection, growth classification, the FO² encoding, the sound axiomatization, the deterministic special case |
+//! | [`paper`] | §2.1–2.4, §4, §5 | what the server never runs: explicit quotients (derivatives, quotient engines), infinite sources and streaming evaluation, general path queries (`μ`), content selection, growth classification, the word saturation and Theorems 4.2/4.3 deciders, Lemma 4.4's canonical instance, Lemma 4.9's Armstrong sphere, the FO² encoding, the sound axiomatization, the deterministic special case |
 //!
 //! ## The two graph forms
 //!
@@ -45,7 +45,8 @@
 //! use rpq::automata::Alphabet;
 //! use rpq::graph::{CsrGraph, InstanceBuilder};
 //! use rpq::core::{Engine, ProductEngine, Query};
-//! use rpq::constraints::{implication::word_implies_path, ConstraintSet};
+//! use rpq::constraints::ConstraintSet;
+//! use rpq::paper::implication::word_implies_path;
 //! use rpq::automata::parse_regex;
 //!
 //! // Build the Figure 2 graph and run the Figure 3 query.

@@ -12,12 +12,13 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use rpq::automata::{parse_regex, Alphabet, Regex, Symbol};
-use rpq::constraints::general::{check, Budget, Verdict};
-use rpq::constraints::implication::word_implies_word;
+use rpq::constraints::general::Budget;
 use rpq::constraints::{ConstraintSet, PathConstraint};
 use rpq::distributed::{run_and_check, Delivery, Simulator};
 use rpq::optimizer::rewrite_with_views;
 use rpq::paper::axioms::{Prover, ProverConfig};
+use rpq::paper::implication::word_implies_word;
+use rpq::paper::{check, Verdict};
 
 fn random_word(rng: &mut StdRng, syms: &[Symbol], max_len: usize) -> Vec<Symbol> {
     (0..rng.random_range(1..=max_len))

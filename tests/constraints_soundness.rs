@@ -16,14 +16,17 @@ use rand::{RngCore, SeedableRng};
 
 use rpq::automata::random::{random_regex, random_word, RegexGenConfig};
 use rpq::automata::{Alphabet, Nfa, Regex, Symbol};
-use rpq::constraints::general::{check, Budget, Refutation, Verdict};
-use rpq::constraints::implication::word_implies_word_eq;
+use rpq::constraints::general::Budget;
 use rpq::constraints::{
-    decide_boundedness, lemma44_instance, word_implies_path, word_implies_word, Boundedness,
-    Closures, ConstraintKind, ConstraintSet, PathConstraint, WordImplication,
+    decide_boundedness, Boundedness, Closures, ConstraintKind, ConstraintSet, PathConstraint,
 };
 use rpq::core::eval_product;
 use rpq::graph::generators::random_graph;
+use rpq::paper::implication::word_implies_word_eq;
+use rpq::paper::{
+    check, lemma44_instance, word_implies_path, word_implies_word, Refutation, Verdict,
+    WordImplication,
+};
 
 fn word_set(rng: &mut StdRng, syms: &[Symbol], n_rules: usize) -> ConstraintSet {
     let mut cs = Vec::new();
@@ -226,10 +229,10 @@ fn boundedness_results_are_certified_equivalences() {
             Boundedness::Bounded { equivalent, .. } => {
                 // semantic check on the materialized Armstrong sphere
                 let syms: Vec<Symbol> = ab.symbols().collect();
-                let sphere = rpq::constraints::ArmstrongSphere::build(
+                let sphere = rpq::paper::ArmstrongSphere::build(
                     &set,
                     &syms,
-                    rpq::constraints::suggested_radius(&set) + 2,
+                    rpq::paper::suggested_radius(&set) + 2,
                     200_000,
                 )
                 .unwrap();

@@ -9,9 +9,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use rpq::automata::{Alphabet, Regex, Symbol};
-use rpq::constraints::implication::word_implies_word;
 use rpq::constraints::{ConstraintSet, PathConstraint};
 use rpq::paper::deterministic::{det_implies_word, is_deterministic, DetImplication};
+use rpq::paper::implication::word_implies_word;
 
 fn random_word(rng: &mut StdRng, syms: &[Symbol], max_len: usize) -> Vec<Symbol> {
     (0..rng.random_range(1..=max_len))

@@ -3,16 +3,19 @@
 //! `paper-figures` prints.
 
 use rpq::automata::{parse_regex, Alphabet, Nfa, Symbol};
-use rpq::constraints::general::{check, Budget, Refutation, Verdict};
+use rpq::constraints::general::Budget;
 use rpq::constraints::{
-    decide_boundedness, lemma44_instance, parse_constraint, suggested_radius, word_implies_path,
-    ArmstrongSphere, Boundedness, Closures, ConstraintSet,
+    decide_boundedness, parse_constraint, Boundedness, Closures, ConstraintSet,
 };
 use rpq::core::eval_product;
 use rpq::distributed::{Delivery, MessageKind, Simulator};
 use rpq::graph::generators::fig2_graph;
 use rpq::graph::InstanceBuilder;
 use rpq::paper::general::{eval_general, eval_general_direct, translate, GeneralPathQuery};
+use rpq::paper::{
+    check, lemma44_instance, suggested_radius, word_implies_path, ArmstrongSphere, Refutation,
+    Verdict,
+};
 
 // ---------------------------------------------------------------- F1 ----
 
@@ -147,9 +150,7 @@ fn fig5_armstrong_sphere_structure() {
     let u = [a, b, a];
     let v = [b];
     assert_eq!(sphere.class_of_word(&u), sphere.class_of_word(&v));
-    assert!(rpq::constraints::implication::word_implies_word_eq(
-        &set, &u, &v
-    ));
+    assert!(rpq::paper::implication::word_implies_word_eq(&set, &u, &v));
 }
 
 // ---------------------------------------------------------------- X1 ----

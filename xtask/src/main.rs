@@ -6,11 +6,13 @@
 //! Token-level source invariants that `clippy` is not configured to
 //! enforce here:
 //!
-//! * **No panicking escapes in the hot-path crates** — `.unwrap()`,
-//!   `.expect(` and `panic!` are forbidden in `crates/core/src` and
-//!   `crates/graph/src` outside `#[cfg(test)]` items. These two crates
-//!   sit under every evaluation; a malformed input must degrade, not
-//!   abort the process (`debug_assert!` is the sanctioned tripwire).
+//! * **No panicking escapes** — `.unwrap()`, `.expect(` and `panic!` are
+//!   forbidden in `crates/core/src`, `crates/graph/src` and
+//!   `crates/paper/src` outside `#[cfg(test)]` items. The first two crates
+//!   sit under every evaluation, and the third answers the paper's
+//!   questions from arbitrary constraint sets and queries; a malformed
+//!   input must degrade or return an error, not abort the process
+//!   (`debug_assert!` is the sanctioned tripwire).
 //! * **Documented planner surface** — every `pub fn` in
 //!   `crates/optimizer/src` must carry a `///` doc comment, including
 //!   ones in private modules that `#![warn(missing_docs)]` cannot see.
@@ -33,8 +35,9 @@
 //!   `general::check` and `refute` are forbidden in `crates/optimizer/src`
 //!   outside `#[cfg(test)]` items: the served planner decides every claim
 //!   `E ⊨ q = c` by the two closure inclusions certification runs
-//!   (`PlanPass::decide`), never by the axiomatic prover, by `check` or by
-//!   its refuter.
+//!   (`PlanPass::decide`), never by `rpq-paper`'s axiomatic prover, nor by
+//!   Theorem 4.2's `check` (`rpq_paper::general_implication`) or its
+//!   refuter.
 //!
 //! The scanner blanks comments and string/char literals before matching,
 //! so prose like "never unwrap() here" or a format string containing
@@ -74,7 +77,7 @@ fn main() -> ExitCode {
 }
 
 /// Crates whose non-test sources must not contain panicking escapes.
-const NO_PANIC_DIRS: &[&str] = &["crates/core/src", "crates/graph/src"];
+const NO_PANIC_DIRS: &[&str] = &["crates/core/src", "crates/graph/src", "crates/paper/src"];
 /// Crate whose `pub fn`s must all be documented.
 const DOC_DIRS: &[&str] = &["crates/optimizer/src"];
 /// Forbidden tokens for the no-panic rule.
@@ -103,8 +106,8 @@ const SPAWN_TOKENS: &[&str] = &["thread::spawn", "thread::Builder", "Builder::sp
 const SPAWN_FILE: &str = "executor.rs";
 /// Crate whose non-test sources may decide claims only by the closure test.
 const ONE_DECIDER_DIRS: &[&str] = &["crates/optimizer/src"];
-/// Forbidden tokens for the one-decider rule: the other deciders —
-/// `rpq-paper`'s axiomatic prover, `rpq-constraints`' `check` and its
+/// Forbidden tokens for the one-decider rule: the other deciders, all in
+/// `rpq-paper` — the axiomatic prover, Theorem 4.2's `check` and its
 /// refuter — by type, module path or function name.
 const DECIDER_TOKENS: &[&str] = &["Prover", "axioms::", "general::check", "refute"];
 /// Marker that allowlists one line for the no-alloc rule. Checked on the
