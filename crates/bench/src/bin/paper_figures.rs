@@ -88,7 +88,7 @@ fn section5_deterministic() {
     );
     println!(
         "  over deterministic instances:        {}",
-        det_implies_word(&set, &u, &v).is_implied()
+        det_implies_word(&set, &u, &v).unwrap().is_implied()
     );
     println!(
         "\nDeterminism contracts words sharing a singleton target — the paper's\n\

@@ -22,13 +22,54 @@
 //! left-hand side's exits instead of a last labelled edge), so it accepts
 //! `RewriteTo(p)` itself; the implication deciders read it through the
 //! plan-scoped memo [`Closures`].
+//!
+//! ## Only the usable rules are embedded
+//!
+//! A closure embeds only the rules some derivation into its target can
+//! use; the rest would add states and saturation rounds but no word. Let
+//! `S` start as the target's symbols. A rule whose right side is a single
+//! word becomes *usable* once that word is spelled over `S`, and then its
+//! left side's symbols join `S`. A rule whose right side is not a single
+//! word is always kept, and its left side's symbols join `S` at the start.
+//! The fixpoint is the set of rules [`rewrite_closure_nfa`] embeds.
+//!
+//! Nothing is lost, because every word a closure accepts has a derivation
+//! tree over `S` that uses only usable rules. Read such a tree from its
+//! leaves, the target's words, which are over `S`. A word-rule step
+//! `l·w → r·w` has its later word `r·w` over `S`, so `r` is spelled over
+//! `S`: the rule is usable, and `l·w` is over `S` too. A regex-rule step
+//! certifies `x·w` because every `y·w` with `y ∈ L(R)` is certified; those
+//! are over `S`, so `w` is, and `x` is over the left side's symbols, which
+//! joined `S`. An equality contributes both directions as separate rules,
+//! so `l = r` is read right to left (`r → l`) as soon as `l` is spelled
+//! over `S`, whether or not `r` is.
+//!
+//! A `P ⊆ ∅` rule breaks the argument: it certifies `x·w` for *every*
+//! continuation `w`, over any symbol, so a word rule whose right side
+//! begins with a word of `P` is usable whatever its other symbols are. `S`
+//! then starts from all of `E`'s symbols, every word rule's right side is
+//! spelled over it, and a set with such a rule keeps all its rules.
+//!
+//! Dropping a rule only ever removes words, so the filter is sound on any
+//! set. It is also exact: round by round the filtered and the full
+//! construction accept the same words, so they build the same universal
+//! continuations. Only the universal construction's pair and state budgets
+//! see the automaton rather than its language; where one binds, the two
+//! closures may differ, and each is sound.
+//!
+//! Embedding every rule was measured as waste in the planner's closure
+//! memo. Under rules over labels no query spells, a closure grew with
+//! `|E|`: 287 states at `|E| = 57` for a target that needs 24 (t3's
+//! `served_closure` series). A cold plan that substitutes a cache under
+//! `{c0 = f0.f1, c1 = f2.f3, c2 ⊆ f1.f2}` embedded all 5 directed rules
+//! where 2 are usable.
 
 use std::cell::{Cell, RefCell};
 
 use rpq_automata::ops::included_antichain;
 use rpq_automata::{Nfa, Regex, StateId, Symbol};
 
-use crate::types::{ClosureRhs, ConstraintKind, ConstraintSet, PathConstraint};
+use crate::types::{ClosureRhs, ClosureRule, ConstraintKind, ConstraintSet, PathConstraint};
 
 /// A word-level prefix rewrite system extracted from a constraint set.
 #[derive(Clone, Debug, Default)]
@@ -132,7 +173,58 @@ pub struct RewriteToAutomaton {
 /// general regular constraints the closure is a sound under-approximation
 /// — exactly the right polarity for certification, which must never
 /// accept an unsound rewrite.
+///
+/// Only the rules a derivation into `target` can use are embedded (see the
+/// module docs); the accepted language is the one all rules give unless a
+/// budget of the universal construction binds.
 pub fn rewrite_closure_nfa(set: &ConstraintSet, target: &Nfa) -> RewriteToAutomaton {
+    let rules = set.closure_rules();
+    saturate_rules(set, target, &usable_rules(rules, target))
+}
+
+/// Which of `rules` a derivation into `target` can use: all of them when
+/// one has an `∅` right side, otherwise the fixpoint of the module docs.
+fn usable_rules(rules: &[ClosureRule], target: &Nfa) -> Vec<bool> {
+    if rules.iter().any(|r| matches!(r.rhs, ClosureRhs::Empty)) {
+        return vec![true; rules.len()];
+    }
+    /// Put `s` in `S`, which `spelled` holds by symbol index.
+    fn spell(spelled: &mut Vec<bool>, s: Symbol) {
+        if spelled.len() <= s.index() {
+            spelled.resize(s.index() + 1, false);
+        }
+        spelled[s.index()] = true;
+    }
+    let mut spelled = Vec::new();
+    for state in 0..target.num_states() as StateId {
+        for &(s, _) in target.transitions(state) {
+            spell(&mut spelled, s);
+        }
+    }
+    let mut usable = vec![false; rules.len()];
+    loop {
+        let mut changed = false;
+        for (rule, used) in rules.iter().zip(usable.iter_mut()) {
+            let reached = match &rule.rhs {
+                ClosureRhs::Word(rhs) => rhs.iter().all(|s| spelled.get(s.index()) == Some(&true)),
+                _ => true,
+            };
+            if reached && !*used {
+                *used = true;
+                changed = true;
+                for &s in &rule.lhs_symbols {
+                    spell(&mut spelled, s);
+                }
+            }
+        }
+        if !changed {
+            return usable;
+        }
+    }
+}
+
+/// [`rewrite_closure_nfa`] over the rules of `set` that `keep` marks.
+fn saturate_rules(set: &ConstraintSet, target: &Nfa, keep: &[bool]) -> RewriteToAutomaton {
     /// Universal-wiring rounds before giving up on a fixpoint (each round
     /// may add a fresh `K` sub-automaton, so unlike the ε-only word
     /// saturation this loop has no natural termination guarantee).
@@ -150,7 +242,8 @@ pub fn rewrite_closure_nfa(set: &ConstraintSet, target: &Nfa) -> RewriteToAutoma
     let mut word_rhs: Vec<&[Symbol]> = Vec::new();
     let mut regex_rules: Vec<(Vec<StateId>, &Nfa, &Nfa)> = Vec::new();
     let mut universal: Option<StateId> = None;
-    for rule in set.closure_rules() {
+    let rules = set.closure_rules().iter().zip(keep);
+    for rule in rules.filter(|(_, &k)| k).map(|(rule, _)| rule) {
         let frag = nfa.add_nfa(&rule.lhs);
         nfa.add_eps(root, rule.lhs.start() + frag);
         let mut exits = Vec::new();
@@ -528,6 +621,100 @@ mod tests {
         let x = Nfa::thompson(&parse_regex(&mut ab, "x").unwrap());
         let ly = parse_regex(&mut ab, "l.y").unwrap();
         assert!(closures.includes(&x, &ly).is_err(), "x ⊆ l.y");
+    }
+
+    /// Do `x` and `y` accept the same words of length at most `len` over
+    /// `syms`? `Err` carries the first word they disagree on.
+    fn agree_upto(x: &Nfa, y: &Nfa, syms: &[Symbol], len: usize) -> Result<(), Vec<Symbol>> {
+        let mut stack = vec![(Vec::new(), x.start_set(), y.start_set())];
+        while let Some((word, sx, sy)) = stack.pop() {
+            if x.set_accepts(&sx) != y.set_accepts(&sy) {
+                return Err(word);
+            }
+            if word.len() == len || (sx.is_empty() && sy.is_empty()) {
+                continue;
+            }
+            for &sym in syms {
+                let mut next = word.clone();
+                next.push(sym);
+                stack.push((next, x.step(&sx, sym), y.step(&sy, sym)));
+            }
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn usable_rules_keep_the_closure_language() {
+        // Random sets over `a`…`e` mixing word rules, regex-sided rules and
+        // `P ⊆ ∅` rules, against random targets over two or three of the
+        // letters: the closure of the usable rules accepts exactly the
+        // words the closure of every rule accepts, up to length 6.
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        use rpq_automata::random::{random_regex, random_word, RegexGenConfig};
+
+        let ab = Alphabet::from_names(["a", "b", "c", "d", "e"]);
+        let syms: Vec<Symbol> = ab.symbols().collect();
+        let mut rng = StdRng::seed_from_u64(0x0517);
+        let (mut filtered, mut with_empty) = (0, 0);
+        for _ in 0..300 {
+            let mut lines = Vec::new();
+            for _ in 0..rng.random_range(1..=5) {
+                let len = rng.random_range(1..=2);
+                let lhs = random_word(&mut rng, &syms, len);
+                let rhs = match rng.random_range(0..10) {
+                    0..=6 => {
+                        let len = rng.random_range(0..=3);
+                        Regex::word(&random_word(&mut rng, &syms, len))
+                    }
+                    7 | 8 => {
+                        let mut cfg = RegexGenConfig::new(syms.clone());
+                        cfg.max_depth = 2;
+                        random_regex(&mut rng, &cfg)
+                    }
+                    _ => Regex::Empty,
+                };
+                lines.push(if rng.random_range(0..2) == 0 {
+                    PathConstraint::inclusion(Regex::word(&lhs), rhs)
+                } else {
+                    PathConstraint::equality(Regex::word(&lhs), rhs)
+                });
+            }
+            let set = ConstraintSet::from_constraints(lines);
+            let letters = rng.random_range(2..=3);
+            let mut cfg = RegexGenConfig::new(syms[..letters].to_vec());
+            cfg.max_depth = 3;
+            let target = Nfa::thompson(&random_regex(&mut rng, &cfg));
+            let rules = set.closure_rules();
+            let usable = usable_rules(rules, &target);
+            filtered += usize::from(usable.contains(&false));
+            with_empty += usize::from(rules.iter().any(|r| matches!(r.rhs, ClosureRhs::Empty)));
+            let kept = rewrite_closure_nfa(&set, &target).nfa;
+            let all = saturate_rules(&set, &target, &vec![true; rules.len()]).nfa;
+            let mut seen = set.symbols();
+            seen.extend(target.symbols());
+            seen.sort();
+            seen.dedup();
+            if let Err(w) = agree_upto(&kept, &all, &seen, 6) {
+                panic!(
+                    "E = {{{}}}, the usable rules' closure {} {} (usable {usable:?})",
+                    set.iter()
+                        .map(|c| c.display(&ab).to_string())
+                        .collect::<Vec<_>>()
+                        .join(", "),
+                    if kept.accepts(&w) {
+                        "accepts"
+                    } else {
+                        "rejects"
+                    },
+                    ab.render_word(&w),
+                );
+            }
+        }
+        assert!(
+            filtered > 80 && with_empty > 60,
+            "of 300 sets, {filtered} filtered, {with_empty} with a `P ⊆ ∅` rule"
+        );
     }
 
     #[test]

@@ -198,6 +198,8 @@ pub(crate) enum ClosureRhs {
 pub(crate) struct ClosureRule {
     /// Thompson automaton of the left-hand side.
     pub(crate) lhs: Nfa,
+    /// The symbols of the left-hand side, sorted.
+    pub(crate) lhs_symbols: Vec<Symbol>,
     pub(crate) rhs: ClosureRhs,
 }
 
@@ -351,6 +353,7 @@ impl ConstraintSet {
                 .flat_map(PathConstraint::as_inclusions)
                 .map(|(lhs, rhs)| ClosureRule {
                     lhs: Nfa::thompson(&lhs),
+                    lhs_symbols: lhs.symbols(),
                     rhs: match rhs.as_word() {
                         Some(word) => ClosureRhs::Word(word),
                         None => {

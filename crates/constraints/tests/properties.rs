@@ -280,8 +280,8 @@ proptest! {
         );
         let p = random_regex(&mut rng, &cfg);
         prop_assert_eq!(
-            word_implies_path(&set, &p, &target).is_implied(),
-            word_implies_path_naive(&set, &p, &target, ab.len()).is_implied(),
+            word_implies_path(&set, &p, &target).unwrap().is_implied(),
+            word_implies_path_naive(&set, &p, &target, ab.len()).unwrap().is_implied(),
             "p={:?} target={:?}",
             p,
             target

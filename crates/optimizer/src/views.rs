@@ -53,6 +53,17 @@
 //!
 //! ## Computing the tail
 //!
+//! A one-word body `u` under a query that spells it, `q = u·t` as a
+//! concatenation whose first `|u|` factors are `u`'s labels, needs no
+//! automaton: its universal tail is `L(t)`, and since `u·t' ≡ u·t` iff
+//! `L(t') = L(t)`, shrinking keeps every word of `L(t)`. When `L(t)` is
+//! finite, non-empty and within the shrinking's bounds (`TAIL_WORD_CAP`
+//! words of at most `TAIL_WORD_LEN` labels), the tail is the union of
+//! those words, read off the tree — the regex the path below returns,
+//! because `Regex::union` sorts its arms. Such a cache is not probed, and
+//! its candidate is still decided and certified like any other. Every
+//! other body, and a one-word body under any other query, takes that path.
+//!
 //! The tail is first sought as the *existential* quotient `E = {w | ∃u ∈
 //! L(r): u·w ∈ L(q)}`: `q`'s Thompson automaton entered at the states some
 //! word of `r` leads to. `E` contains the universal tail whenever `r` has
@@ -234,6 +245,46 @@ fn shrink_tail(tail: &Regex, r: &Regex) -> Regex {
     }
 }
 
+/// The tail of a one-word body `u`, read off the tree: when `body` is a
+/// concatenation of labels, `q` a concatenation whose first `|u|` factors
+/// are those labels, and the rest has a finite, non-empty language of at
+/// most `TAIL_WORD_CAP` words no longer than `TAIL_WORD_LEN`, the union of
+/// those words. That is what
+/// [`universal_tail`] and [`shrink_tail`] return for such a query: the
+/// universal tail is `L(rest)`, `u·t' ≡ u·t` iff `L(t') = L(t)`, so the
+/// shrinking keeps all of `L(rest)`'s words, and [`Regex::union`] sorts
+/// its arms. `None` sends the cache down that path.
+fn word_body_tail(q: &Regex, body: &Regex) -> Option<Regex> {
+    let (Regex::Concat(parts), Regex::Concat(word)) = (q, body) else {
+        return None;
+    };
+    let (head, rest) = parts.split_at_checked(word.len())?;
+    if head != word || !word.iter().all(|s| matches!(s, Regex::Symbol(_))) {
+        return None;
+    }
+    let words = Regex::concat(rest.to_vec()).finite_language(TAIL_WORD_CAP)?;
+    if words.is_empty() || words.iter().any(|w| w.len() > TAIL_WORD_LEN) {
+        return None;
+    }
+    Some(Regex::from_finite_language(words))
+}
+
+/// The shrunk tail of one cache, or `None` when it has none (or the search
+/// gives up on it): a one-word body's read off the tree
+/// ([`word_body_tail`]), any other's computed by the probe,
+/// [`universal_tail`] and [`shrink_tail`]. `first` holds the labels that
+/// begin a word of `q`, when its automaton is trim.
+fn cache_tail(cq: &CompiledQuery<'_>, cache: &CacheDef, first: Option<&[Symbol]>) -> Option<Regex> {
+    if let Some(tail) = word_body_tail(cq.regex(), &cache.body) {
+        return Some(tail);
+    }
+    if first.is_some_and(|first| begins_apart(cache, first)) {
+        return None;
+    }
+    let hits = cq.nfa().reachable_via(&cache.nfa);
+    Some(shrink_tail(&universal_tail(cq, cache, &hits)?, &cache.body))
+}
+
 /// Search for view-based rewritings of `q` under `set`. Results are
 /// verified by the closure test ([`rpq_constraints::Closures::implies`])
 /// and sorted by static cost (best first).
@@ -248,38 +299,36 @@ pub fn rewrite_with_views(
 /// [`rewrite_with_views`] over a query the planner has compiled, within
 /// its pass.
 pub(crate) fn views_compiled(pass: &PlanPass<'_>, cq: &CompiledQuery<'_>) -> Vec<ViewRewriting> {
-    let set = pass.set();
-    let q = cq.regex();
+    let caches = pass.set().caches();
+    // The labels that begin a word of `q`, when its automaton is trim.
+    let first = (!caches.is_empty() && cq.is_trim()).then(|| labels(cq.regex(), false));
+    let tails = caches
+        .iter()
+        .filter_map(|c| Some((c, cache_tail(cq, c, first.as_deref())?)));
+    covers(pass, cq, tails)
+}
 
-    // Per-cache maximal tails (shrunk) and covered languages, for the
-    // first `MAX_CACHES` caches that have a tail.
+/// The verified rewritings of `q` by the non-empty subsets of the first
+/// `MAX_CACHES` of `tails`: each cache with its shrunk tail.
+fn covers<'c>(
+    pass: &PlanPass<'_>,
+    cq: &CompiledQuery<'_>,
+    tails: impl Iterator<Item = (&'c CacheDef, Regex)>,
+) -> Vec<ViewRewriting> {
+    let q = cq.regex();
     struct Usable {
         label: Symbol,
         tail: Regex,
         covered: Regex,
     }
-    let mut usable: Vec<Usable> = Vec::new();
-    // The labels that begin a word of `q`, when its automaton is trim.
-    let first = (!set.caches().is_empty() && cq.is_trim()).then(|| labels(q, false));
-    for c in set.caches() {
-        if usable.len() == MAX_CACHES {
-            break;
-        }
-        if first.as_deref().is_some_and(|first| begins_apart(c, first)) {
-            continue;
-        }
-        let hits = cq.nfa().reachable_via(&c.nfa);
-        let Some(t) = universal_tail(cq, c, &hits) else {
-            continue;
-        };
-        let tail = shrink_tail(&t, &c.body);
-        let covered = c.body.clone().then(tail.clone());
-        usable.push(Usable {
+    let usable: Vec<Usable> = tails
+        .take(MAX_CACHES)
+        .map(|(c, tail)| Usable {
             label: c.label,
+            covered: c.body.clone().then(tail.clone()),
             tail,
-            covered,
-        });
-    }
+        })
+        .collect();
 
     let mut out: Vec<ViewRewriting> = Vec::new();
     // Enumerate nonempty subsets (the "Boolean combinations").
@@ -626,6 +675,62 @@ mod tests {
             }
         }
         assert!(cases >= 160, "{cases} cases");
+    }
+
+    #[test]
+    fn a_word_body_tail_read_off_the_tree_is_the_shrunk_universal_tail() {
+        // Over the one-word bodies and random suffixes: where the tail is
+        // read off the tree it is the regex `universal_tail` + `shrink_tail`
+        // return, and the search's list is the one those tails give.
+        let key = |r: &ViewRewriting| {
+            (
+                r.query.clone(),
+                r.uses.clone(),
+                r.kind,
+                r.proof,
+                r.cost.clone(),
+            )
+        };
+        let (ab, set, cfg) = shape_setup(BODY_SHAPES[0].1);
+        let mut rng = StdRng::seed_from_u64(0x7A11);
+        let (mut read_off, mut rewritten) = (0, 0);
+        for cache in set.caches() {
+            for _ in 0..60 {
+                let q = cache.body.clone().then(random_regex(&mut rng, &cfg));
+                let cq = CompiledQuery::new(&q, ab.len());
+                let reference = |c: &CacheDef| {
+                    let hits = cq.nfa().reachable_via(&c.nfa);
+                    Some(shrink_tail(&universal_tail(&cq, c, &hits)?, &c.body))
+                };
+                if let Some(tail) = word_body_tail(&q, &cache.body) {
+                    read_off += 1;
+                    assert_eq!(
+                        Some(&tail),
+                        reference(cache).as_ref(),
+                        "{} by {}",
+                        q.display(&ab),
+                        cache.body.display(&ab)
+                    );
+                }
+                let expect = covers(
+                    &PlanPass::new(&set),
+                    &cq,
+                    set.caches().iter().filter_map(|c| Some((c, reference(c)?))),
+                );
+                let got = rewrite_with_views(&set, &q, &ab);
+                rewritten += usize::from(!got.is_empty());
+                assert_eq!(
+                    got.iter().map(key).collect::<Vec<_>>(),
+                    expect.iter().map(key).collect::<Vec<_>>(),
+                    "{}",
+                    q.display(&ab)
+                );
+            }
+        }
+        assert!(
+            read_off >= 40 && rewritten >= 100,
+            "{read_off} tails read off, {rewritten} queries rewritten"
+        );
     }
 
     #[test]

@@ -50,6 +50,8 @@ use rpq_automata::{Alphabet, Symbol};
 use rpq_constraints::types::{ConstraintKind, ConstraintSet, PathConstraint};
 use rpq_graph::{Instance, Oid};
 
+pub use crate::implication::NotWordConstraint;
+
 /// Outcome of a deterministic-implication check.
 #[derive(Clone, Debug)]
 pub enum DetImplication {
@@ -90,14 +92,15 @@ pub struct DetModel {
 impl DetModel {
     /// Build and saturate the model of `set` seeded with `def(seed)`.
     ///
-    /// **Precondition:** `set` contains only word constraints (panics
-    /// otherwise — this is the same contract as
-    /// [`crate::implication::word_implies_path`]).
-    pub fn for_premise(set: &ConstraintSet, seed: &[Symbol]) -> DetModel {
-        assert!(
-            set.all_word_constraints(),
-            "deterministic implication requires a word-constraint set"
-        );
+    /// [`NotWordConstraint`] unless `set` contains only word constraints —
+    /// the same contract as [`crate::implication::word_implies_path`].
+    pub fn for_premise(
+        set: &ConstraintSet,
+        seed: &[Symbol],
+    ) -> Result<DetModel, NotWordConstraint> {
+        if !set.all_word_constraints() {
+            return Err(NotWordConstraint);
+        }
         let mut m = DetModel {
             parent: vec![0],
             trans: vec![HashMap::new()],
@@ -105,7 +108,7 @@ impl DetModel {
         };
         m.force(seed);
         m.saturate(set);
-        m
+        Ok(m)
     }
 
     /// Number of union–find classes currently live.
@@ -269,24 +272,32 @@ impl DetModel {
 
 /// Decide `E ⊨_det u ⊆ v` (over deterministic instances). Exact; PTIME.
 ///
-/// **Precondition:** `set` contains only word constraints (panics
-/// otherwise).
-pub fn det_implies_word(set: &ConstraintSet, u: &[Symbol], v: &[Symbol]) -> DetImplication {
-    let mut m = DetModel::for_premise(set, u);
-    if m.same(u, v) {
+/// [`NotWordConstraint`] unless `set` contains only word constraints.
+pub fn det_implies_word(
+    set: &ConstraintSet,
+    u: &[Symbol],
+    v: &[Symbol],
+) -> Result<DetImplication, NotWordConstraint> {
+    let mut m = DetModel::for_premise(set, u)?;
+    Ok(if m.same(u, v) {
         DetImplication::Implied
     } else {
         let (instance, source) = m.to_instance();
         DetImplication::Refuted(DetWitness { instance, source })
-    }
+    })
 }
 
 /// Decide `E ⊨_det u = v`: both inclusion directions, each with its own
 /// seeded model (the premise definedness differs per direction).
-pub fn det_implies_word_eq(set: &ConstraintSet, u: &[Symbol], v: &[Symbol]) -> DetImplication {
-    match det_implies_word(set, u, v) {
+/// [`NotWordConstraint`] unless `set` contains only word constraints.
+pub fn det_implies_word_eq(
+    set: &ConstraintSet,
+    u: &[Symbol],
+    v: &[Symbol],
+) -> Result<DetImplication, NotWordConstraint> {
+    match det_implies_word(set, u, v)? {
         DetImplication::Implied => det_implies_word(set, v, u),
-        refuted => refuted,
+        refuted => Ok(refuted),
     }
 }
 
@@ -297,29 +308,12 @@ pub fn det_implies_constraint(
     set: &ConstraintSet,
     c: &PathConstraint,
 ) -> Result<DetImplication, NotWordConstraint> {
-    if !set.all_word_constraints() {
-        return Err(NotWordConstraint);
-    }
     let (u, v) = c.as_word_pair().ok_or(NotWordConstraint)?;
-    Ok(match c.kind {
+    match c.kind {
         ConstraintKind::Inclusion => det_implies_word(set, &u, &v),
         ConstraintKind::Equality => det_implies_word_eq(set, &u, &v),
-    })
-}
-
-/// [`det_implies_constraint`] was given a premise or a conclusion that is
-/// not a word constraint; the deterministic case is decided for word
-/// constraints only.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub struct NotWordConstraint;
-
-impl std::fmt::Display for NotWordConstraint {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "deterministic implication requires word constraints")
     }
 }
-
-impl std::error::Error for NotWordConstraint {}
 
 /// Check that an instance is deterministic: at most one outgoing edge per
 /// (node, label). Exposed for tests and the workload generators.
@@ -363,7 +357,7 @@ mod tests {
         let (mut ab, set) = setup(&["a <= c", "a.x <= c"]);
         let u = w(&mut ab, "a.x");
         let v = w(&mut ab, "a");
-        assert!(det_implies_word(&set, &u, &v).is_implied());
+        assert!(det_implies_word(&set, &u, &v).unwrap().is_implied());
         assert!(
             !word_implies_word(&set, &u, &v),
             "general implication must NOT hold — this is the separation"
@@ -392,7 +386,7 @@ mod tests {
         let (mut ab, set) = setup(&["a <= b"]);
         let u = w(&mut ab, "b");
         let v = w(&mut ab, "a");
-        match det_implies_word(&set, &u, &v) {
+        match det_implies_word(&set, &u, &v).unwrap() {
             DetImplication::Implied => panic!("b ⊆ a must not follow from a ⊆ b"),
             DetImplication::Refuted(wit) => {
                 assert!(is_deterministic(&wit.instance, &ab));
@@ -413,9 +407,9 @@ mod tests {
         let (mut ab, set) = setup(&["a <= b"]);
         let aw = w(&mut ab, "a.x");
         let bw = w(&mut ab, "b.x");
-        assert!(det_implies_word(&set, &aw, &bw).is_implied());
+        assert!(det_implies_word(&set, &aw, &bw).unwrap().is_implied());
         // But seeded from b·x nothing fires: not implied.
-        assert!(!det_implies_word(&set, &bw, &aw).is_implied());
+        assert!(!det_implies_word(&set, &bw, &aw).unwrap().is_implied());
     }
 
     #[test]
@@ -423,11 +417,11 @@ mod tests {
         let (mut ab, set) = setup(&["a <= b"]);
         let a = w(&mut ab, "a.x");
         let b = w(&mut ab, "b.x");
-        assert!(!det_implies_word_eq(&set, &a, &b).is_implied());
+        assert!(!det_implies_word_eq(&set, &a, &b).unwrap().is_implied());
         let (mut ab2, set2) = setup(&["a = b"]);
         let a2 = w(&mut ab2, "a.x");
         let b2 = w(&mut ab2, "b.x");
-        assert!(det_implies_word_eq(&set2, &a2, &b2).is_implied());
+        assert!(det_implies_word_eq(&set2, &a2, &b2).unwrap().is_implied());
     }
 
     #[test]
@@ -436,9 +430,9 @@ mod tests {
         let (mut ab, set) = setup(&["a.b = ()"]);
         let u = w(&mut ab, "a.b.a.b");
         let eps: Vec<Symbol> = vec![];
-        assert!(det_implies_word(&set, &u, &eps).is_implied());
+        assert!(det_implies_word(&set, &u, &eps).unwrap().is_implied());
         let v = w(&mut ab, "a.b");
-        assert!(det_implies_word(&set, &u, &v).is_implied());
+        assert!(det_implies_word(&set, &u, &v).unwrap().is_implied());
     }
 
     #[test]
@@ -478,12 +472,12 @@ mod tests {
             let v = rand_word(&mut rng, 5);
             if word_implies_word(&set, &u, &v) {
                 assert!(
-                    det_implies_word(&set, &u, &v).is_implied(),
+                    det_implies_word(&set, &u, &v).unwrap().is_implied(),
                     "trial {trial}: general implied but det refuted"
                 );
             }
             if word_implies_word_eq(&set, &u, &v) {
-                assert!(det_implies_word_eq(&set, &u, &v).is_implied());
+                assert!(det_implies_word_eq(&set, &u, &v).unwrap().is_implied());
             }
         }
     }
@@ -508,7 +502,7 @@ mod tests {
             }
             let u = rand_word(&mut rng);
             let v = rand_word(&mut rng);
-            if let DetImplication::Refuted(wit) = det_implies_word(&set, &u, &v) {
+            if let DetImplication::Refuted(wit) = det_implies_word(&set, &u, &v).unwrap() {
                 assert!(is_deterministic(&wit.instance, &ab));
                 assert!(
                     set.holds_at(&wit.instance, wit.source),
@@ -527,7 +521,7 @@ mod tests {
         // States ≤ |seed| + Σ(|lhs|+|rhs|) — check on a chain system.
         let (mut ab, set) = setup(&["a.a <= a", "a.b <= c", "c.a <= a"]);
         let seed = w(&mut ab, "a.a.b");
-        let mut m = DetModel::for_premise(&set, &seed);
+        let mut m = DetModel::for_premise(&set, &seed).unwrap();
         assert!(m.num_classes() <= 3 + 2 + 1 + 2 + 1 + 2 + 1 + 1);
     }
 
@@ -538,10 +532,10 @@ mod tests {
         let (mut ab, set) = setup(&["x.y <= c", "x <= c"]);
         let u = w(&mut ab, "x.y");
         let v = w(&mut ab, "x");
-        assert!(det_implies_word(&set, &u, &v).is_implied());
+        assert!(det_implies_word(&set, &u, &v).unwrap().is_implied());
         // and then x·y·y ~ x·y by congruence (x ~ x·y, append y)
         let uy = w(&mut ab, "x.y.y");
-        assert!(det_implies_word(&set, &uy, &u).is_implied());
+        assert!(det_implies_word(&set, &uy, &u).unwrap().is_implied());
         assert!(!word_implies_word(&set, &uy, &u));
     }
 }

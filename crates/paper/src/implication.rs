@@ -24,7 +24,9 @@
 //! wiring never runs. The saturation is run to its fixpoint, so the closure
 //! accepts `pre*(L(q))`, which is `RewriteTo(q)` by Lemma 4.7 and the set
 //! of words `u` with `E ⊨ u ⊆ q` by Lemma 4.4 (with the `u ⊆ ε` completion
-//! both constructions see in the set). The property test
+//! both constructions see in the set). The closure leaves out the rules no
+//! derivation into `q` can use, which removes no word (the argument is in
+//! `rpq_constraints::rewrite`'s module docs). The property test
 //! `closure_is_rewrite_to_on_word_sets` holds the two constructions equal.
 
 use rpq_automata::ops::included_naive;
@@ -67,50 +69,78 @@ pub fn word_implies_word_eq(set: &ConstraintSet, u: &[Symbol], v: &[Symbol]) -> 
 /// using the antichain inclusion algorithm, with `RewriteTo(q)` read off
 /// the certification closure (exact on word sets; see the module docs).
 ///
-/// **Precondition:** `E` must contain only word constraints (checked;
-/// panics otherwise — route general constraints through
-/// [`crate::general_implication::check`]).
-pub fn word_implies_path(set: &ConstraintSet, p: &Regex, q: &Regex) -> WordImplication {
-    assert!(
-        set.all_word_constraints(),
-        "word_implies_path requires a word-constraint set"
-    );
-    match Closures::new(set).includes(&Nfa::thompson(p), q) {
-        Ok(()) => WordImplication::Implied,
-        Err(w) => WordImplication::Refuted(w),
-    }
+/// [`NotWordConstraint`] unless `E` holds only word constraints — route
+/// general constraints through [`crate::general_implication::check`].
+pub fn word_implies_path(
+    set: &ConstraintSet,
+    p: &Regex,
+    q: &Regex,
+) -> Result<WordImplication, NotWordConstraint> {
+    word_set(set)?;
+    Ok(verdict(Closures::new(set).includes(&Nfa::thompson(p), q)))
 }
 
 /// The same decision through full determinization (the textbook PSPACE
 /// procedure) over the same closure automaton; exists for the bench
 /// ablation and cross-checking. `sigma` must cover every symbol of `p`,
-/// `q`, and `E`.
+/// `q`, and `E`. [`NotWordConstraint`] unless `E` holds only word
+/// constraints.
 pub fn word_implies_path_naive(
     set: &ConstraintSet,
     p: &Regex,
     q: &Regex,
     sigma: usize,
-) -> WordImplication {
-    assert!(set.all_word_constraints());
+) -> Result<WordImplication, NotWordConstraint> {
+    word_set(set)?;
     let rewrite = rewrite_closure_nfa(set, &Nfa::thompson(q));
-    match included_naive(&Nfa::thompson(p), &rewrite.nfa, sigma) {
+    Ok(verdict(included_naive(
+        &Nfa::thompson(p),
+        &rewrite.nfa,
+        sigma,
+    )))
+}
+
+/// Full path-constraint check against a word-constraint set: inclusion or
+/// equality (two inclusions). [`NotWordConstraint`] unless `E` holds only
+/// word constraints.
+pub fn word_implies_constraint(
+    set: &ConstraintSet,
+    c: &PathConstraint,
+) -> Result<WordImplication, NotWordConstraint> {
+    word_set(set)?;
+    Ok(verdict(Closures::new(set).implies(c).map(|_| ())))
+}
+
+/// `Err` unless every constraint of `set` is a word constraint.
+fn word_set(set: &ConstraintSet) -> Result<(), NotWordConstraint> {
+    if set.all_word_constraints() {
+        Ok(())
+    } else {
+        Err(NotWordConstraint)
+    }
+}
+
+/// An inclusion test's outcome as a verdict.
+fn verdict(included: Result<(), Vec<Symbol>>) -> WordImplication {
+    match included {
         Ok(()) => WordImplication::Implied,
         Err(w) => WordImplication::Refuted(w),
     }
 }
 
-/// Full path-constraint check against a word-constraint set: inclusion or
-/// equality (two inclusions).
-pub fn word_implies_constraint(set: &ConstraintSet, c: &PathConstraint) -> WordImplication {
-    assert!(
-        set.all_word_constraints(),
-        "word_implies_constraint requires a word-constraint set"
-    );
-    match Closures::new(set).implies(c) {
-        Ok(_) => WordImplication::Implied,
-        Err(w) => WordImplication::Refuted(w),
+/// A decider for word constraints was given a set or a conclusion that is
+/// not made of word constraints: Theorem 4.3 and the deterministic case
+/// are decided for word constraints only.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub struct NotWordConstraint;
+
+impl std::fmt::Display for NotWordConstraint {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "the decision requires word constraints")
     }
 }
+
+impl std::error::Error for NotWordConstraint {}
 
 #[cfg(test)]
 mod tests {
@@ -129,11 +159,17 @@ mod tests {
         let e = set(&mut ab, &["l.l <= l"]);
         let p = parse_regex(&mut ab, "l*").unwrap();
         let q = parse_regex(&mut ab, "l + ()").unwrap();
-        assert_eq!(word_implies_path(&e, &p, &q), WordImplication::Implied);
-        assert_eq!(word_implies_path(&e, &q, &p), WordImplication::Implied);
+        assert_eq!(
+            word_implies_path(&e, &p, &q).unwrap(),
+            WordImplication::Implied
+        );
+        assert_eq!(
+            word_implies_path(&e, &q, &p).unwrap(),
+            WordImplication::Implied
+        );
         // and via the constraint-level API
         let c = parse_constraint(&mut ab, "l* = l + ()").unwrap();
-        assert!(word_implies_constraint(&e, &c).is_implied());
+        assert!(word_implies_constraint(&e, &c).unwrap().is_implied());
     }
 
     #[test]
@@ -142,7 +178,7 @@ mod tests {
         let e = ConstraintSet::new();
         let p = parse_regex(&mut ab, "l*").unwrap();
         let q = parse_regex(&mut ab, "l + ()").unwrap();
-        match word_implies_path(&e, &p, &q) {
+        match word_implies_path(&e, &p, &q).unwrap() {
             WordImplication::Refuted(w) => assert_eq!(w.len(), 2), // ll
             other => panic!("expected refutation, got {other:?}"),
         }
@@ -178,8 +214,10 @@ mod tests {
         for (ps, qs) in cases {
             let p = parse_regex(&mut ab, ps).unwrap();
             let q = parse_regex(&mut ab, qs).unwrap();
-            let anti = word_implies_path(&e, &p, &q).is_implied();
-            let naive = word_implies_path_naive(&e, &p, &q, sigma).is_implied();
+            let anti = word_implies_path(&e, &p, &q).unwrap().is_implied();
+            let naive = word_implies_path_naive(&e, &p, &q, sigma)
+                .unwrap()
+                .is_implied();
             assert_eq!(anti, naive, "{ps} ⊆ {qs}");
         }
     }
@@ -190,7 +228,7 @@ mod tests {
         let e = set(&mut ab, &["a.b <= c"]);
         let p = parse_regex(&mut ab, "a.b + b.a").unwrap();
         let q = parse_regex(&mut ab, "c").unwrap();
-        let WordImplication::Refuted(w) = word_implies_path(&e, &p, &q) else {
+        let WordImplication::Refuted(w) = word_implies_path(&e, &p, &q).unwrap() else {
             panic!("must refute: b.a does not rewrite to c");
         };
         assert!(Nfa::thompson(&p).accepts(&w));
@@ -205,7 +243,7 @@ mod tests {
         let e = ConstraintSet::new();
         let p = parse_regex(&mut ab, "a").unwrap();
         let q = parse_regex(&mut ab, "b + c").unwrap();
-        assert!(!word_implies_path(&e, &p, &q).is_implied());
+        assert!(!word_implies_path(&e, &p, &q).unwrap().is_implied());
     }
 
     #[test]
@@ -215,8 +253,8 @@ mod tests {
         let e = set(&mut ab, &["l = a.b"]);
         let p = parse_regex(&mut ab, "l.x").unwrap();
         let q = parse_regex(&mut ab, "a.b.x").unwrap();
-        assert!(word_implies_path(&e, &p, &q).is_implied());
-        assert!(word_implies_path(&e, &q, &p).is_implied());
+        assert!(word_implies_path(&e, &p, &q).unwrap().is_implied());
+        assert!(word_implies_path(&e, &q, &p).unwrap().is_implied());
     }
 
     #[test]
@@ -226,17 +264,28 @@ mod tests {
         let e = set(&mut ab, &["home = ()"]);
         let p = parse_regex(&mut ab, "home*").unwrap();
         let q = parse_regex(&mut ab, "()").unwrap();
-        assert!(word_implies_path(&e, &p, &q).is_implied());
-        assert!(word_implies_path(&e, &q, &p).is_implied());
+        assert!(word_implies_path(&e, &p, &q).unwrap().is_implied());
+        assert!(word_implies_path(&e, &q, &p).unwrap().is_implied());
     }
 
     #[test]
-    #[should_panic(expected = "word-constraint set")]
     fn non_word_sets_are_rejected() {
         let mut ab = Alphabet::new();
         let e = set(&mut ab, &["a* <= b"]);
         let p = parse_regex(&mut ab, "a").unwrap();
         let q = parse_regex(&mut ab, "b").unwrap();
-        let _ = word_implies_path(&e, &p, &q);
+        let c = PathConstraint::inclusion(p.clone(), q.clone());
+        assert_eq!(word_implies_path(&e, &p, &q), Err(NotWordConstraint));
+        assert_eq!(
+            word_implies_path_naive(&e, &p, &q, ab.len()),
+            Err(NotWordConstraint)
+        );
+        assert_eq!(word_implies_constraint(&e, &c), Err(NotWordConstraint));
+        let a = ab.get("a").unwrap();
+        assert!(crate::deterministic::DetModel::for_premise(&e, &[a]).is_err());
+        assert!(matches!(
+            crate::deterministic::det_implies_word(&e, &[a], &[a]),
+            Err(NotWordConstraint)
+        ));
     }
 }

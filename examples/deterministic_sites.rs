@@ -30,7 +30,7 @@ fn main() {
 
     // Deterministic instances: yes — a, a·x and c all hit the single
     // c-object, so they coincide (the singleton-target contraction).
-    let det = det_implies_word(&set, &ax, &a);
+    let det = det_implies_word(&set, &ax, &a).unwrap();
     println!(
         "over DETERMINISTIC instances (Section 5): {}",
         det.is_implied()
@@ -38,7 +38,7 @@ fn main() {
     assert!(det.is_implied());
 
     // Show the canonical deterministic model the procedure builds.
-    let mut model = DetModel::for_premise(&set, &ax);
+    let mut model = DetModel::for_premise(&set, &ax).unwrap();
     println!(
         "\ncanonical deterministic model: {} object classes;",
         model.num_classes()
@@ -52,7 +52,7 @@ fn main() {
     // And a refuted implication comes with a concrete deterministic site.
     let b_only = ConstraintSet::parse(&mut ab, ["a <= b"]).unwrap();
     let b = parse_word(&mut ab, "b").unwrap();
-    match det_implies_word(&b_only, &b, &a) {
+    match det_implies_word(&b_only, &b, &a).unwrap() {
         DetImplication::Implied => unreachable!("b ⊆ a does not follow from a ⊆ b"),
         DetImplication::Refuted(w) => {
             println!(

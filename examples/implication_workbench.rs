@@ -38,7 +38,7 @@ fn main() {
     let q = parse_regex(&mut ab, "l + ()").unwrap();
     println!("\nE = {{l.l ⊆ l}}: is l* = l + ε implied?");
     for (x, y, name) in [(&p, &q, "l* ⊆ l+ε"), (&q, &p, "l+ε ⊆ l*")] {
-        match rpq::paper::word_implies_path(&e2, x, y) {
+        match rpq::paper::word_implies_path(&e2, x, y).unwrap() {
             WordImplication::Implied => println!("    {name}: IMPLIED"),
             WordImplication::Refuted(w) => {
                 println!("    {name}: refuted by {}", ab.render_word(&w))

@@ -47,7 +47,7 @@ fn main() {
     )
     .unwrap();
     println!("does E imply {} ?", follow_up.display(&ab));
-    let verdict = word_implies_constraint(&e, &follow_up);
+    let verdict = word_implies_constraint(&e, &follow_up).unwrap();
     println!("Theorem 4.3(i) PTIME answer: {verdict:?}\n");
     assert!(verdict.is_implied());
 
@@ -72,7 +72,7 @@ fn main() {
         "CS-Department.Courses.cs345 = CS-Department.DB-group",
     )
     .unwrap();
-    let v = word_implies_constraint(&e, &bogus);
+    let v = word_implies_constraint(&e, &bogus).unwrap();
     println!("\nnon-implication detected with witness: {v:?}");
     assert!(!v.is_implied());
 }

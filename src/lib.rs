@@ -65,8 +65,8 @@
 //! let e = ConstraintSet::parse(&mut ab, ["l.l <= l"]).unwrap();
 //! let l_star = parse_regex(&mut ab, "l*").unwrap();
 //! let l_or_eps = parse_regex(&mut ab, "l + ()").unwrap();
-//! assert!(word_implies_path(&e, &l_star, &l_or_eps).is_implied());
-//! assert!(word_implies_path(&e, &l_or_eps, &l_star).is_implied());
+//! assert!(word_implies_path(&e, &l_star, &l_or_eps).unwrap().is_implied());
+//! assert!(word_implies_path(&e, &l_or_eps, &l_star).unwrap().is_implied());
 //! ```
 //!
 //! See `examples/` for runnable scenarios and `rpq-bench` for the

@@ -123,7 +123,7 @@ proptest! {
         let cfg = RegexGenConfig::new(syms);
         let p = random_regex(&mut rng, &cfg);
         let q = random_regex(&mut rng, &cfg);
-        match word_implies_path(&set, &p, &q) {
+        match word_implies_path(&set, &p, &q).unwrap() {
             WordImplication::Implied => {}
             WordImplication::Refuted(w) => {
                 prop_assert!(Nfa::thompson(&p).accepts(&w));

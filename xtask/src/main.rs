@@ -31,13 +31,17 @@
 //!   `thread::Builder` are forbidden in `crates/server/src` outside
 //!   `executor.rs` and `#[cfg(test)]` items: a submitted query runs on an
 //!   executor thread or on its joiner, never on a thread of its own.
-//! * **One decider in the planner** — `Prover`, `axioms::`,
-//!   `general::check` and `refute` are forbidden in `crates/optimizer/src`
-//!   outside `#[cfg(test)]` items: the served planner decides every claim
-//!   `E ⊨ q = c` by the two closure inclusions certification runs
-//!   (`PlanPass::decide`), never by `rpq-paper`'s axiomatic prover, nor by
-//!   Theorem 4.2's `check` (`rpq_paper::general_implication`) or its
-//!   refuter.
+//! * **One decider in the planner** — `Prover`, `axioms::` and `refute`
+//!   are forbidden in `crates/optimizer/src` outside `#[cfg(test)]` items:
+//!   the served planner decides every claim `E ⊨ q = c` by the two closure
+//!   inclusions certification runs (`PlanPass::decide`), never by
+//!   `rpq-paper`'s axiomatic prover or its refuter.
+//! * **The served line** — no crate of the served stack (`rpq-server` and
+//!   the `rpq-*` crates it depends on, transitively) names `rpq-paper` in
+//!   its manifest's `[dependencies]`; dev-dependencies may. This is what
+//!   keeps Theorem 4.2's `check` (`rpq_paper::general_implication`) and
+//!   every other paper-only decider out of the planner: non-test code of a
+//!   served crate cannot name them.
 //!
 //! The scanner blanks comments and string/char literals before matching,
 //! so prose like "never unwrap() here" or a format string containing
@@ -106,10 +110,11 @@ const SPAWN_TOKENS: &[&str] = &["thread::spawn", "thread::Builder", "Builder::sp
 const SPAWN_FILE: &str = "executor.rs";
 /// Crate whose non-test sources may decide claims only by the closure test.
 const ONE_DECIDER_DIRS: &[&str] = &["crates/optimizer/src"];
-/// Forbidden tokens for the one-decider rule: the other deciders, all in
-/// `rpq-paper` — the axiomatic prover, Theorem 4.2's `check` and its
-/// refuter — by type, module path or function name.
-const DECIDER_TOKENS: &[&str] = &["Prover", "axioms::", "general::check", "refute"];
+/// Forbidden tokens for the one-decider rule: the axiomatic prover and the
+/// refuter of `rpq-paper`, by type, module path or function name.
+const DECIDER_TOKENS: &[&str] = &["Prover", "axioms::", "refute"];
+/// The crate no served crate may depend on.
+const PAPER_CRATE: &str = "rpq-paper";
 /// Marker that allowlists one line for the no-alloc rule. Checked on the
 /// *original* line text, because the marker lives in a comment.
 const ALLOC_OK: &str = "alloc-ok:";
@@ -148,6 +153,7 @@ fn lint() -> ExitCode {
             scan_file(&file, &mut violations, check_one_decider);
         }
     }
+    check_served_line(&crate_manifests(&root), &mut violations);
     if violations.is_empty() {
         println!("xtask lint: clean");
         return ExitCode::SUCCESS;
@@ -297,11 +303,58 @@ fn manifest_deps(toml: &str) -> (String, Vec<String>) {
         } else if section == "[package]" && line.starts_with("name") {
             name = line.split('"').nth(1).unwrap_or_default().to_string();
         } else if section == "[dependencies]" && line.starts_with("rpq-") {
-            let end = line.find(['.', '=', ' ']).unwrap_or(line.len());
-            deps.push(line[..end].to_string());
+            deps.push(dependency_name(line).to_string());
         }
     }
     (name, deps)
+}
+
+/// Each `crates/*/Cargo.toml` with its text, sorted by path.
+fn crate_manifests(root: &Path) -> Vec<(PathBuf, String)> {
+    let mut out: Vec<(PathBuf, String)> = fs::read_dir(root.join("crates"))
+        .into_iter()
+        .flatten()
+        .flatten()
+        .map(|e| e.path().join("Cargo.toml"))
+        .filter_map(|m| Some((m.clone(), fs::read_to_string(&m).ok()?)))
+        .collect();
+    out.sort();
+    out
+}
+
+/// The served-line rule: every `[dependencies]` line of a served crate's
+/// manifest (one of [`SERVED_ROOT`]'s dependency closure) that names
+/// [`PAPER_CRATE`].
+fn check_served_line(manifests: &[(PathBuf, String)], violations: &mut Vec<Violation>) {
+    let parsed: Vec<(String, Vec<String>)> = manifests
+        .iter()
+        .map(|(_, toml)| manifest_deps(toml))
+        .collect();
+    let served = dependency_closure(&parsed, SERVED_ROOT);
+    for ((file, toml), (package, _)) in manifests.iter().zip(&parsed) {
+        if !served.contains(package) {
+            continue;
+        }
+        let mut section = "";
+        for (i, line) in toml.lines().map(str::trim).enumerate() {
+            if line.starts_with('[') {
+                section = line;
+            } else if section == "[dependencies]" && dependency_name(line) == PAPER_CRATE {
+                violations.push(Violation {
+                    file: file.clone(),
+                    line: i + 1,
+                    rule: "served-line",
+                    text: format!("{package} is served and depends on {PAPER_CRATE}: {line}"),
+                });
+            }
+        }
+    }
+}
+
+/// The package a dependency line names: `name.workspace = true`,
+/// `name = "1"`, `name = { path = ".." }`.
+fn dependency_name(line: &str) -> &str {
+    &line[..line.find(['.', '=', ' ']).unwrap_or(line.len())]
 }
 
 /// `root` and every package it depends on, transitively, over the
@@ -840,7 +893,7 @@ mod tests {
 
     #[test]
     fn other_deciders_are_flagged_in_the_planner_outside_tests() {
-        let src = "use rpq_constraints::axioms::Prover;\nfn decide() {\n  general::check(&set, &c, &b);\n  let w = refute(&set, &c);\n  closures.implies(&c)\n}\n#[cfg(test)]\nmod tests {\n  use rpq_constraints::general::check;\n  fn t() { Prover::new(&set, cfg); }\n}\n";
+        let src = "use rpq_paper::axioms::Prover;\nfn decide() {\n  let d = axioms::prove(&set, &c);\n  let w = refute(&set, &c);\n  closures.implies(&c)\n}\n#[cfg(test)]\nmod tests {\n  use rpq_paper::axioms::Prover;\n  fn t() { Prover::new(&set, cfg); }\n}\n";
         let c = lines(src);
         let m = test_mask(&c);
         let mut v = Vec::new();
@@ -854,6 +907,41 @@ mod tests {
         let flagged: Vec<usize> = v.iter().map(|v| v.line).collect();
         assert_eq!(flagged, [1, 3, 4], "not the closure test, not the tests'");
         assert!(v.iter().all(|v| v.rule == "one-decider"));
+    }
+
+    /// A served crate's `[dependencies]` line naming `rpq-paper` is
+    /// flagged; a dev-dependency, or a crate outside the served stack, is not.
+    #[test]
+    fn a_served_crate_depending_on_the_paper_crate_is_flagged() {
+        let manifest = |name: &str, deps: &[&str], dev: &[&str]| {
+            let mut toml = format!("[package]\nname = \"{name}\"\n\n[dependencies]\n");
+            for d in deps {
+                toml += &format!("{d}.workspace = true\n");
+            }
+            toml += "\n[dev-dependencies]\n";
+            for d in dev {
+                toml += &format!("{d} = {{ path = \"../x\" }}\n");
+            }
+            (PathBuf::from(format!("{name}/Cargo.toml")), toml)
+        };
+        let mut manifests = vec![
+            manifest("rpq-server", &["rpq-optimizer"], &["rpq-paper"]),
+            manifest("rpq-optimizer", &["rpq-constraints"], &["rpq-paper"]),
+            manifest("rpq-constraints", &[], &["rpq-paper"]),
+            manifest("rpq-paper", &["rpq-constraints"], &[]),
+            manifest("rpq-bench", &["rpq-server", "rpq-paper"], &[]),
+        ];
+        let mut v = Vec::new();
+        check_served_line(&manifests, &mut v);
+        assert!(v.is_empty(), "dev-dependencies and unserved crates may");
+        manifests[2] = manifest("rpq-constraints", &["rpq-graph", "rpq-paper"], &[]);
+        check_served_line(&manifests, &mut v);
+        let flagged: Vec<(String, usize)> = v
+            .iter()
+            .map(|v| (v.file.display().to_string(), v.line))
+            .collect();
+        assert_eq!(flagged, [("rpq-constraints/Cargo.toml".to_string(), 6)]);
+        assert_eq!(v[0].rule, "served-line");
     }
 
     #[test]
