@@ -744,42 +744,4 @@ mod tests {
         let dense = from_nfa_dense(&n, 2);
         assert_eq!((d.accept, d.trans), (dense.accept, dense.trans));
     }
-
-    /// [`Dfa::minimize`] against the definition of a minimal DFA: the
-    /// language is kept, every state is reachable, and no two states accept
-    /// the same language from there (the automaton started at one is not
-    /// equivalent to the automaton started at the other).
-    #[test]
-    fn minimize_is_minimal_on_random_regexes() {
-        use crate::ops::equivalent;
-        use crate::random::{random_regex, RegexGenConfig};
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-        let mut ab = Alphabet::new();
-        let syms = vec![ab.intern("a"), ab.intern("b"), ab.intern("c")];
-        let cfg = RegexGenConfig::new(syms);
-        let mut rng = StdRng::seed_from_u64(0x40B);
-        let mut merged = 0;
-        for _ in 0..120 {
-            let r = random_regex(&mut rng, &cfg);
-            let d = Dfa::from_nfa(&Nfa::thompson(&r), 3);
-            let m = d.minimize();
-            assert!(equivalent(&d.to_nfa(), &m.to_nfa()).is_ok(), "{r:?}");
-            assert!(m.reachable().iter().all(|&reached| reached), "{r:?}");
-            let from = |s: usize| {
-                Dfa {
-                    start: s as StateId,
-                    ..m.clone()
-                }
-                .to_nfa()
-            };
-            for s in 0..m.num_states() {
-                for t in s + 1..m.num_states() {
-                    assert!(equivalent(&from(s), &from(t)).is_err(), "{s} ~ {t}: {r:?}");
-                }
-            }
-            merged += usize::from(m.num_states() < d.num_states());
-        }
-        assert!(merged > 0, "no case had states to merge");
-    }
 }

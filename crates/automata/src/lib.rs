@@ -18,7 +18,9 @@
 //! * [`Nfa`] / [`Dfa`] — Thompson construction, subset construction,
 //!   minimization, products, reversal, trimming, finiteness.
 //! * [`ops`] — inclusion and equivalence.
-//! * [`random`] — seeded generators for reproducible workloads.
+//!
+//! The seeded regex and word generators of the tests and benches are
+//! `rpq_testkit::random`, which the server never builds.
 //!
 //! The paper's quotients `p/l` as Brzozowski derivatives, Section 2.4's
 //! character-level label patterns and the growth classification of
@@ -77,7 +79,6 @@ pub mod elim;
 pub mod nfa;
 pub mod ops;
 pub mod parser;
-pub mod random;
 pub mod regex;
 mod sets;
 pub mod simplify;

@@ -259,9 +259,6 @@ mod tests {
     use super::*;
     use crate::alphabet::Alphabet;
     use crate::parser::parse_regex;
-    use crate::random::{random_regex, RegexGenConfig};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     fn simp(src: &str) -> String {
         let mut ab = Alphabet::new();
@@ -325,39 +322,5 @@ mod tests {
         assert_eq!(simp("a.(b+c).d*"), "a.(b+c).d*");
         assert_eq!(simp("()"), "()");
         assert_eq!(simp("[]"), "[]");
-    }
-
-    #[test]
-    fn never_grows_and_stays_equivalent_on_random_inputs() {
-        let mut ab = Alphabet::new();
-        let syms = vec![ab.intern("a"), ab.intern("b"), ab.intern("c")];
-        let cfg = RegexGenConfig::new(syms);
-        let mut rng = StdRng::seed_from_u64(0xA1B2);
-        for _ in 0..200 {
-            let r = random_regex(&mut rng, &cfg);
-            for s in [simplify(&r), simplify_deep(&r)] {
-                assert!(s.size() <= r.size(), "{r:?} grew to {s:?}");
-                assert!(
-                    ops::regex_equivalent(&r, &s),
-                    "unsound: {} vs {}",
-                    r.display(&ab),
-                    s.display(&ab)
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn deep_route_verified_on_random_inputs() {
-        let mut ab = Alphabet::new();
-        let syms = vec![ab.intern("a"), ab.intern("b")];
-        let mut cfg = RegexGenConfig::new(syms);
-        cfg.max_depth = 3;
-        let mut rng = StdRng::seed_from_u64(0xC0FFEE);
-        for _ in 0..60 {
-            let r = random_regex(&mut rng, &cfg);
-            let s = simplify_deep(&r);
-            assert!(ops::regex_equivalent(&r, &s));
-        }
     }
 }

@@ -9,10 +9,10 @@ use rpq_automata::elim::nfa_to_regex;
 use rpq_automata::ops::{
     equivalent, included_antichain, included_naive, regex_included, union_sigma,
 };
-use rpq_automata::random::{random_regex, sample_word, RegexGenConfig};
 use rpq_automata::{Alphabet, Dfa, Nfa, Regex, StateId, Symbol};
 use rpq_paper::derivative::{accepts as re_accepts, derivative};
 use rpq_paper::DerivativeClosure;
+use rpq_testkit::random::{random_regex, sample_word, RegexGenConfig};
 
 fn syms() -> (Alphabet, Vec<Symbol>) {
     let ab = Alphabet::from_names(["a", "b", "c"]);

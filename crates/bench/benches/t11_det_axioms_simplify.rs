@@ -18,7 +18,6 @@ use std::time::Duration;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rpq_automata::random::{random_regex, RegexGenConfig};
 use rpq_automata::simplify::{simplify, simplify_deep};
 use rpq_automata::{parse_regex, Alphabet};
 use rpq_bench::word_system;
@@ -28,6 +27,7 @@ use rpq_paper::axioms::{Prover, ProverConfig};
 use rpq_paper::deterministic::det_implies_word;
 use rpq_paper::general_implication::check;
 use rpq_paper::implication::word_implies_word;
+use rpq_testkit::random::{random_regex, RegexGenConfig};
 
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("t11_det_axioms_simplify");

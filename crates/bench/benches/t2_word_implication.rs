@@ -8,9 +8,9 @@ use std::time::Duration;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rpq_automata::random::random_word;
 use rpq_bench::word_system;
 use rpq_paper::word_implies_word;
+use rpq_testkit::random::random_word;
 
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("t2_word_implication");

@@ -18,8 +18,8 @@ use rpq_automata::{parse_regex, Alphabet, Symbol};
 use rpq_distributed::{
     run_and_check, run_carrying, run_decomposition_checked, Delivery, Partition, Simulator,
 };
-use rpq_graph::generators::web_graph;
 use rpq_graph::{Instance, Oid};
+use rpq_testkit::generators::web_graph;
 
 struct Workload {
     alphabet: Alphabet,

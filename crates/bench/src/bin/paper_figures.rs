@@ -16,10 +16,10 @@ use rpq_constraints::general::Budget;
 use rpq_constraints::{decide_boundedness, parse_constraint, Boundedness, Closures, ConstraintSet};
 use rpq_core::eval_product;
 use rpq_distributed::{render_trace, Delivery, Simulator};
-use rpq_graph::generators::fig2_graph;
 use rpq_graph::InstanceBuilder;
 use rpq_paper::general::{translate, GeneralPathQuery};
 use rpq_paper::{check, lemma44_instance, suggested_radius, ArmstrongSphere, Refutation, Verdict};
+use rpq_testkit::generators::fig2_graph;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();

@@ -10,8 +10,8 @@ use rand::SeedableRng;
 
 use rpq_automata::{parse_regex, Alphabet, Regex, Symbol};
 use rpq_constraints::{ConstraintKind, ConstraintSet, PathConstraint};
-use rpq_graph::generators::web_graph;
 use rpq_graph::{EdgeDelta, Instance, Oid};
+use rpq_testkit::generators::web_graph;
 
 /// A web-like evaluation workload: graph, source, and a query suite over
 /// labels `l0..l2`.

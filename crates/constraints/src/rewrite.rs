@@ -651,7 +651,7 @@ mod tests {
         // words the closure of every rule accepts, up to length 6.
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
-        use rpq_automata::random::{random_regex, random_word, RegexGenConfig};
+        use rpq_testkit::random::{random_regex, random_word, RegexGenConfig};
 
         let ab = Alphabet::from_names(["a", "b", "c", "d", "e"]);
         let syms: Vec<Symbol> = ab.symbols().collect();

@@ -7,18 +7,18 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use rpq_automata::ops::{equivalent, included_antichain};
-use rpq_automata::random::{random_regex, RegexGenConfig};
 use rpq_automata::{Alphabet, Nfa, Regex, Symbol};
 use rpq_constraints::rewrite::{rewrite_closure_nfa, RewriteSystem};
 use rpq_constraints::{
     decide_boundedness, Boundedness, Closures, ConstraintKind, ConstraintSet, PathConstraint,
 };
 use rpq_core::eval_product;
-use rpq_graph::generators::random_graph;
 use rpq_paper::armstrong::shortest_lex_accepted;
 use rpq_paper::implication::{word_implies_path, word_implies_path_naive};
 use rpq_paper::rewrite::{derive, rewrite_to_nfa, rewrite_to_word_nfa, rewrites_to, step};
 use rpq_paper::ArmstrongSphere;
+use rpq_testkit::generators::random_graph;
+use rpq_testkit::random::{random_regex, RegexGenConfig};
 
 fn syms2() -> (Alphabet, Vec<Symbol>) {
     let ab = Alphabet::from_names(["a", "b"]);

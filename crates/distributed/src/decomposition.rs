@@ -248,8 +248,8 @@ mod tests {
     use super::*;
     use crate::sim::{run_and_check, Delivery};
     use rpq_automata::{parse_regex, Alphabet};
-    use rpq_graph::generators::fig2_graph;
     use rpq_graph::InstanceBuilder;
+    use rpq_testkit::generators::fig2_graph;
 
     #[test]
     fn fig2_all_partitions_agree() {

@@ -57,7 +57,7 @@ mod tests {
     use super::*;
     use rpq_automata::Alphabet;
     use rpq_core::ProductEngine;
-    use rpq_graph::generators::fig2_graph;
+    use rpq_testkit::generators::fig2_graph;
 
     #[test]
     fn simulator_engine_agrees_with_product_through_the_trait() {

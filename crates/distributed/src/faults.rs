@@ -115,8 +115,8 @@ pub fn run_with_faults(
 mod tests {
     use super::*;
     use rpq_automata::parse_regex;
-    use rpq_graph::generators::fig2_graph;
     use rpq_graph::InstanceBuilder;
+    use rpq_testkit::generators::fig2_graph;
 
     fn backbone(ab: &mut Alphabet, depth: usize) -> (Instance, Oid) {
         let mut b = InstanceBuilder::new(ab);

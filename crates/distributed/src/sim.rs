@@ -469,8 +469,8 @@ pub fn run_and_check(
 mod tests {
     use super::*;
     use rpq_automata::parse_regex;
-    use rpq_graph::generators::fig2_graph;
     use rpq_graph::InstanceBuilder;
+    use rpq_testkit::generators::fig2_graph;
 
     #[test]
     fn fig3_run_on_fig2_graph() {

@@ -21,8 +21,10 @@
 //!   [`EdgeDelta`] batches in `O(batch)` instead of the `O(V + E)` rebuild,
 //!   with [`DeltaGraph::compact`] folding the overlay into a fresh base by
 //!   one sorted merge per orientation, on the same [`Epoch`] lineage.
-//! * [`generators`] — seeded workloads, including the exact Figure 2 graph
-//!   and the cached-site generator for the Section 3.2 experiments.
+//!
+//! The seeded graphs tests and benches draw (the exact Figure 2 graph
+//! among them) are `rpq_testkit::generators`, which the server never
+//! builds.
 //!
 //! Remark 2.1's lazy, possibly-infinite sources are
 //! `rpq_paper::source::GraphSource` and its synthetic infinite graphs: the
@@ -32,7 +34,6 @@
 
 pub mod csr;
 pub mod delta;
-pub mod generators;
 pub mod instance;
 pub mod view;
 

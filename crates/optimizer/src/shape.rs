@@ -398,8 +398,8 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-    use rpq_automata::random::{random_regex, RegexGenConfig};
     use rpq_automata::Alphabet;
+    use rpq_testkit::random::{random_regex, RegexGenConfig};
     use std::collections::HashMap;
 
     /// A tree the smart constructors never make: duplicate and nested

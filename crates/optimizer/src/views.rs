@@ -401,9 +401,9 @@ mod tests {
     use rand::SeedableRng;
     use rpq_automata::ops::regex_equivalent;
     use rpq_automata::parse_regex;
-    use rpq_automata::random::{random_regex, RegexGenConfig};
     use rpq_constraints::general::Budget;
     use rpq_paper::general_implication::check;
+    use rpq_testkit::random::{random_regex, RegexGenConfig};
 
     fn setup(lines: &[&str], query: &str) -> (Alphabet, ConstraintSet, Regex) {
         let mut ab = Alphabet::new();

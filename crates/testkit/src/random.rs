@@ -5,9 +5,7 @@
 use rand::prelude::*;
 use rand::rngs::StdRng;
 
-use crate::alphabet::Symbol;
-use crate::nfa::Nfa;
-use crate::regex::Regex;
+use rpq_automata::{Nfa, Regex, Symbol};
 
 /// Configuration for [`random_regex`].
 #[derive(Clone, Debug)]
@@ -122,8 +120,8 @@ pub fn random_word(rng: &mut StdRng, symbols: &[Symbol], len: usize) -> Vec<Symb
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::alphabet::Alphabet;
     use rand::SeedableRng;
+    use rpq_automata::Alphabet;
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(42)

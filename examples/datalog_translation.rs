@@ -10,8 +10,8 @@ use rpq::automata::{parse_regex, Alphabet, Nfa};
 use rpq::core::eval_product;
 use rpq::datalog::engine::{eval_naive, eval_seminaive};
 use rpq::datalog::translate::{load_instance, translate_quotient, translate_states};
-use rpq::graph::generators::fig2_graph;
 use rpq::graph::Oid;
+use rpq_testkit::generators::fig2_graph;
 
 fn main() {
     let mut ab = Alphabet::new();

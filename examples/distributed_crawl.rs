@@ -10,7 +10,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rpq::automata::{parse_regex, Alphabet};
 use rpq::distributed::{render_trace, run_and_check, Delivery, Simulator};
-use rpq::graph::generators::{fig2_graph, web_graph};
+use rpq_testkit::generators::{fig2_graph, web_graph};
 
 fn main() {
     // --- Figures 2 & 3 ----------------------------------------------------

@@ -11,7 +11,7 @@
 //! | Module | Paper | Contents |
 //! |---|---|---|
 //! | [`automata`] | §2.2, §4 | regexes, NFA/DFA, inclusion & equivalence, algebraic simplifier |
-//! | [`graph`] | §2.1 | the `Ref(source, label, destination)` data model: mutable [`graph::Instance`] builder, immutable label-indexed [`graph::CsrGraph`] query snapshot, incremental [`graph::DeltaGraph`], generators |
+//! | [`graph`] | §2.1 | the `Ref(source, label, destination)` data model: mutable [`graph::Instance`] builder, immutable label-indexed [`graph::CsrGraph`] query snapshot, incremental [`graph::DeltaGraph`] |
 //! | [`core`] | §2.2 | the unified [`core::Engine`] trait, the product search the server runs, the definitional oracle |
 //! | [`datalog`] | §2.3, §1 | Datalog engine + linear-monadic translations, QSQ, magic sets, `Engine`-trait adapters |
 //! | [`constraints`] | §4 | what the planner runs: path constraints, the closure test that decides and certifies rewrites (exact Theorem 4.3(ii) on word sets), Theorem 4.10 on the Armstrong fold |
@@ -19,6 +19,11 @@
 //! | [`optimizer`] | §3.2, §5 | constraint-based rewriting, static + label-statistics cost models, per-site hooks, cached-view combination search |
 //! | [`server`] | — | the concurrent serving layer: epoch-pinned snapshot catalog, sessions with budgets/cancellation, admission control, per-class metrics |
 //! | [`paper`] | §2.1–2.4, §4, §5 | what the server never runs: explicit quotients (derivatives, quotient engines), infinite sources and streaming evaluation, general path queries (`μ`), content selection, growth classification, the word saturation and Theorems 4.2/4.3 deciders, Lemma 4.4's canonical instance, Lemma 4.9's Armstrong sphere, the FO² encoding, the sound axiomatization, the deterministic special case |
+//!
+//! The inputs the tests, examples and benches draw — seeded graphs (the
+//! Figure 2 graph among them) and regexes, instances built to satisfy a
+//! constraint set, the served-rewrite driver — are the `rpq-testkit`
+//! crate, a dev-dependency that is not re-exported here.
 //!
 //! ## The two graph forms
 //!

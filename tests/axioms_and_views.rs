@@ -19,12 +19,7 @@ use rpq::optimizer::rewrite_with_views;
 use rpq::paper::axioms::{Prover, ProverConfig};
 use rpq::paper::implication::word_implies_word;
 use rpq::paper::{check, Verdict};
-
-fn random_word(rng: &mut StdRng, syms: &[Symbol], max_len: usize) -> Vec<Symbol> {
-    (0..rng.random_range(1..=max_len))
-        .map(|_| syms[rng.random_range(0..syms.len())])
-        .collect()
-}
+use rpq_testkit::draw::random_word_up_to;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
@@ -39,12 +34,12 @@ proptest! {
         let mut set = ConstraintSet::new();
         for _ in 0..rng.random_range(1..4) {
             set.add(PathConstraint::inclusion(
-                Regex::word(&random_word(&mut rng, &syms, 3)),
-                Regex::word(&random_word(&mut rng, &syms, 3)),
+                Regex::word(&random_word_up_to(&mut rng, &syms, 3)),
+                Regex::word(&random_word_up_to(&mut rng, &syms, 3)),
             ));
         }
-        let u = random_word(&mut rng, &syms, 4);
-        let v = random_word(&mut rng, &syms, 4);
+        let u = random_word_up_to(&mut rng, &syms, 4);
+        let v = random_word_up_to(&mut rng, &syms, 4);
         let prover = Prover::new(&set, ProverConfig { max_depth: 8, ..ProverConfig::default() });
         if let Some(d) = prover.prove_inclusion(&Regex::word(&u), &Regex::word(&v)) {
             prop_assert!(d.verify(&prover), "derivation must replay");

@@ -15,43 +15,12 @@ use rand::SeedableRng;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
-use rpq::automata::random::{random_regex, RegexGenConfig};
 use rpq::automata::{Alphabet, Symbol};
-use rpq::core::{EvalControl, EvalScratch, Query};
-use rpq::graph::generators::random_graph;
+use rpq::core::{EvalControl, EvalScratch};
 use rpq::graph::{CsrGraph, DeltaGraph, GraphView, Instance, Oid};
-use rpq::optimizer::{
-    execute_join, execute_naive, plan_join, Crpq, CrpqAtom, HeadBindings, PlannerConfig, Var,
-};
-
-/// A random chain-shaped CRPQ `ans(x0, xn) :- x0 -[r0]-> x1, …` with a
-/// coin-flip extra atom closing a cycle back to `x0` (so cyclic join
-/// graphs are exercised too).
-fn random_crpq(rng: &mut StdRng, ab: &Alphabet, atoms: usize, close_cycle: bool) -> Crpq {
-    let syms: Vec<Symbol> = ab.symbols().collect();
-    let cfg = RegexGenConfig::new(syms);
-    let mut crpq_atoms = Vec::new();
-    for i in 0..atoms {
-        crpq_atoms.push(CrpqAtom {
-            query: Query::new(random_regex(rng, &cfg), ab),
-            src: Var(i as u32),
-            dst: Var(i as u32 + 1),
-        });
-    }
-    if close_cycle {
-        crpq_atoms.push(CrpqAtom {
-            query: Query::new(random_regex(rng, &cfg), ab),
-            src: Var(atoms as u32),
-            dst: Var(0),
-        });
-    }
-    let var_names = (0..=atoms).map(|i| format!("x{i}")).collect();
-    Crpq {
-        atoms: crpq_atoms,
-        head: (Var(0), Var(atoms as u32)),
-        var_names,
-    }
-}
+use rpq::optimizer::{execute_join, execute_naive, plan_join, Crpq, HeadBindings, PlannerConfig};
+use rpq_testkit::draw::random_crpq;
+use rpq_testkit::generators::random_graph;
 
 /// All atom orders for `n ≤ 3` atoms (every permutation), a sample
 /// otherwise.

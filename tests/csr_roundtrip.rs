@@ -10,8 +10,8 @@ use rand::SeedableRng;
 
 use rpq::automata::{parse_regex, Alphabet, Nfa, Symbol};
 use rpq::core::{eval_product_csr, eval_product_scan};
-use rpq::graph::generators::random_graph;
 use rpq::graph::{CsrGraph, Instance, InstanceBuilder, Oid};
+use rpq_testkit::generators::random_graph;
 
 fn random_instance(seed: u64, nodes: usize, edges: usize) -> (Alphabet, Vec<Symbol>, Instance) {
     let ab = Alphabet::from_names(["a", "b", "c", "d"]);

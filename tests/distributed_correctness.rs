@@ -7,11 +7,11 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use rpq::automata::random::{random_regex, RegexGenConfig};
 use rpq::automata::{Alphabet, Nfa, Symbol};
 use rpq::core::eval_product;
 use rpq::distributed::{Delivery, Simulator};
-use rpq::graph::generators::random_graph;
+use rpq_testkit::generators::random_graph;
+use rpq_testkit::random::{random_regex, RegexGenConfig};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
@@ -61,7 +61,7 @@ proptest! {
 #[test]
 fn message_counts_deterministic_for_fixed_seed() {
     let mut ab = Alphabet::new();
-    let (inst, _, o1) = rpq::graph::generators::fig2_graph(&mut ab);
+    let (inst, _, o1) = rpq_testkit::generators::fig2_graph(&mut ab);
     let q = rpq::automata::parse_regex(&mut ab, "a.b*").unwrap();
     let run1 = Simulator::new(
         &inst,

@@ -9,22 +9,23 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use rpq::automata::random::{random_regex, RegexGenConfig};
 use rpq::automata::{Alphabet, Nfa, Regex, Symbol};
 use rpq::core::{
     eval_oracle, eval_product, search_nodes, Answers, Engine, EvalRequest, EvalScratch,
-    OracleEngine, ProductEngine, Query, SearchOpts, SourceSpec, Termination,
+    ProductEngine, Query, SearchOpts, SourceSpec, Termination,
 };
 use rpq::datalog::engine::{eval_naive, eval_seminaive};
 use rpq::datalog::translate::{load_instance, translate_quotient, translate_states};
 use rpq::datalog::{DatalogMagicEngine, DatalogNaiveEngine, DatalogSeminaiveEngine};
 use rpq::distributed::SimulatorEngine;
-use rpq::graph::generators::random_graph;
-use rpq::graph::{CsrGraph, Instance, Oid};
+use rpq::graph::{CsrGraph, Oid};
 use rpq::paper::{
     eval_derivative_csr, eval_quotient_dfa_csr, DerivativeEngine, QuotientDfaEngine,
     StreamingEngine,
 };
+use rpq_testkit::draw::{nine_engines, random_setup};
+use rpq_testkit::generators::random_graph;
+use rpq_testkit::random::{random_regex, RegexGenConfig};
 
 fn alphabet3() -> (Alphabet, Vec<Symbol>) {
     let ab = Alphabet::from_names(["a", "b", "c"]);
@@ -32,21 +33,12 @@ fn alphabet3() -> (Alphabet, Vec<Symbol>) {
     (ab, syms)
 }
 
-fn random_setup(seed: u64, nodes: usize, edges: usize) -> (Alphabet, Instance, Oid, Regex) {
-    let (ab, syms) = alphabet3();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let (inst, src) = random_graph(&mut rng, nodes, edges, &syms);
-    let cfg = RegexGenConfig::new(syms);
-    let q = random_regex(&mut rng, &cfg);
-    (ab, inst, src, q)
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
     fn all_engines_agree_on_random_inputs(seed in 0u64..10_000) {
-        let (ab, inst, src, q) = random_setup(seed, 6, 12);
+        let (ab, inst, src, q) = random_setup(seed, 6, 12, 4);
         let nfa = Nfa::thompson(&q);
 
         let product = eval_product(&nfa, &inst, src).answers;
@@ -99,7 +91,7 @@ proptest! {
     #[test]
     fn engines_match_definitional_oracle(seed in 0u64..10_000) {
         // tiny inputs only: the oracle is exponential
-        let (_, inst, src, q) = random_setup(seed, 4, 7);
+        let (_, inst, src, q) = random_setup(seed, 4, 7, 4);
         let nfa = Nfa::thompson(&q);
         let oracle = eval_oracle(&nfa, &inst, src, Some(10));
         let product = eval_product(&nfa, &inst, src).answers;
@@ -155,7 +147,7 @@ proptest! {
 #[test]
 fn figure2_query_answers_o2_o3_via_all_engines() {
     use rpq::distributed::{Delivery, Simulator};
-    use rpq::graph::generators::fig2_graph;
+    use rpq_testkit::generators::fig2_graph;
 
     let mut ab = Alphabet::new();
     let (inst, _d, o1) = fig2_graph(&mut ab);
@@ -216,25 +208,6 @@ fn figure2_query_answers_o2_o3_via_all_engines() {
     assert_eq!(sim.answers, expected, "distributed simulator");
 }
 
-/// The nine evaluation paths behind the unified `Engine` trait: product,
-/// quotient-DFA, derivative, oracle, streaming, Datalog naive/semi-naive/
-/// magic, and the distributed simulator.
-fn nine_engines() -> Vec<Box<dyn Engine>> {
-    vec![
-        Box::new(ProductEngine),
-        Box::new(QuotientDfaEngine),
-        Box::new(DerivativeEngine),
-        Box::new(OracleEngine {
-            max_word_len: Some(9),
-        }),
-        Box::new(StreamingEngine::default()),
-        Box::new(DatalogNaiveEngine),
-        Box::new(DatalogSeminaiveEngine),
-        Box::new(DatalogMagicEngine),
-        Box::new(SimulatorEngine::default()),
-    ]
-}
-
 /// The agreement suite through the unified `Engine` calling convention,
 /// over larger random graphs (50 nodes / 200 edges) than the per-function
 /// proptests above. The oracle is exponential, so it only *asserts* (as a
@@ -242,7 +215,7 @@ fn nine_engines() -> Vec<Box<dyn Engine>> {
 #[test]
 fn engine_trait_agreement_on_larger_random_graphs() {
     for seed in [3u64, 17, 55, 120, 9001] {
-        let (ab, inst, src, q) = random_setup(seed, 50, 200);
+        let (ab, inst, src, q) = random_setup(seed, 50, 200, 4);
         let graph = CsrGraph::from(&inst);
         assert_eq!(graph.num_nodes(), 50);
         let query = Query::new(q, &ab);
@@ -283,7 +256,7 @@ fn ten_engines(ab: &Alphabet) -> Vec<Box<dyn Engine>> {
 #[test]
 fn all_ten_engines_answer_every_request_shape_like_the_product_engine() {
     for seed in [5u64, 23, 77, 4242] {
-        let (ab, inst, src, q) = random_setup(seed, 6, 12);
+        let (ab, inst, src, q) = random_setup(seed, 6, 12, 4);
         let graph = CsrGraph::from(&inst);
         let query = Query::new(q, &ab);
         let all: Vec<Oid> = graph.nodes().collect();
@@ -353,7 +326,7 @@ proptest! {
     /// (for all engines), with stats aggregated rather than discarded.
     #[test]
     fn sources_request_agrees_with_per_source_eval(seed in 0u64..10_000) {
-        let (ab, inst, _, q) = random_setup(seed, 6, 12);
+        let (ab, inst, _, q) = random_setup(seed, 6, 12, 4);
         let graph = CsrGraph::from(&inst);
         let query = Query::new(q, &ab);
         // a nonempty source subset derived from the seed
@@ -400,7 +373,7 @@ proptest! {
     fn directions_agree_on_random_inputs(seed in 0u64..10_000) {
         use rpq::optimizer::PlannedEngine;
 
-        let (ab, inst, _, q) = random_setup(seed, 6, 12);
+        let (ab, inst, _, q) = random_setup(seed, 6, 12, 4);
         let graph = CsrGraph::from(&inst);
         let query = Query::new(q, &ab);
         // no constraints: the rewrite pass is an identity, so the wrapper
@@ -481,7 +454,7 @@ proptest! {
         use rpq::graph::DeltaGraph;
         use rpq::optimizer::PlannedEngine;
 
-        let (mut ab, inst, src, q0) = random_setup(seed, 6, 12);
+        let (mut ab, inst, src, q0) = random_setup(seed, 6, 12, 4);
         let ghost = ab.intern("ghost");
         let q = Regex::union(vec![q0.clone(), Regex::sym(ghost).then(q0)]);
         let query = Query::new(q.clone(), &ab);
@@ -546,7 +519,7 @@ fn planned_wrapper_never_changes_answers() {
     use rpq::optimizer::PlannedEngine;
 
     for seed in [2u64, 23, 404] {
-        let (ab, inst, src, q) = random_setup(seed, 20, 60);
+        let (ab, inst, src, q) = random_setup(seed, 20, 60, 4);
         let graph = CsrGraph::from(&inst);
         let query = Query::new(q, &ab);
         let expected = ProductEngine.eval(&query, &graph, src).answers;
@@ -608,7 +581,7 @@ fn batched_product_is_the_per_source_loop_on_shared_prefix_graphs() {
 #[test]
 fn streaming_agrees_with_product_on_finite_instances() {
     for seed in 0..20u64 {
-        let (_, inst, src, q) = random_setup(seed, 8, 16);
+        let (_, inst, src, q) = random_setup(seed, 8, 16, 4);
         let nfa = Nfa::thompson(&q);
         let product = eval_product(&nfa, &inst, src).answers;
         let mut stream = rpq::paper::StreamingEval::new(&nfa, &inst, src.index() as u64, 1_000_000);

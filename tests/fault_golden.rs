@@ -16,8 +16,8 @@ use std::fmt::Write as _;
 
 use rpq::automata::{parse_regex, Alphabet, Regex};
 use rpq::distributed::{run_with_faults, Delivery, FaultPlan, MessageKind, Simulator};
-use rpq::graph::generators::fig2_graph;
 use rpq::graph::{Instance, InstanceBuilder, Oid};
+use rpq_testkit::generators::fig2_graph;
 
 const FIXTURE: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),

@@ -8,10 +8,10 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use rpq::automata::random::{random_regex, RegexGenConfig};
 use rpq::automata::simplify::{simplify, simplify_deep};
 use rpq::automata::{Alphabet, Dfa, Nfa, Symbol};
 use rpq::paper::growth::{classify_dfa, classify_regex, Growth};
+use rpq_testkit::random::{random_regex, RegexGenConfig};
 
 fn gen(seed: u64) -> (Alphabet, rpq::automata::Regex) {
     let mut ab = Alphabet::new();

@@ -17,48 +17,16 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use rpq::automata::random::{random_regex, RegexGenConfig};
-use rpq::automata::{Alphabet, Nfa, Regex, Symbol};
+use rpq::automata::{Alphabet, Nfa, Symbol};
 use rpq::core::{
     eval_product_csr, search_nodes, Answers, Engine, EvalControl, EvalRequest, EvalResponse,
-    EvalScratch, EvalStats, OracleEngine, ProductEngine, Query, ScratchPool, SearchOpts,
-    SourceSpec, Termination,
+    EvalScratch, EvalStats, ProductEngine, Query, ScratchPool, SearchOpts, SourceSpec, Termination,
 };
-use rpq::datalog::{DatalogMagicEngine, DatalogNaiveEngine, DatalogSeminaiveEngine};
-use rpq::distributed::SimulatorEngine;
-use rpq::graph::generators::random_graph;
 use rpq::graph::{CsrGraph, DeltaGraph, GraphView, Instance, Oid};
 use rpq::optimizer::{execute_join, parse_crpq, plan_join, HeadBindings, PlannedEngine};
-use rpq::paper::{DerivativeEngine, QuotientDfaEngine, StreamingEngine};
 use rpq::server::{Catalog, Server, ServerConfig};
-
-fn random_setup(seed: u64, nodes: usize, edges: usize) -> (Alphabet, Instance, Oid, Regex) {
-    let ab = Alphabet::from_names(["a", "b", "c"]);
-    let syms: Vec<Symbol> = ab.symbols().collect();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let (inst, src) = random_graph(&mut rng, nodes, edges, &syms);
-    let cfg = RegexGenConfig::new(syms);
-    let q = random_regex(&mut rng, &cfg);
-    (ab, inst, src, q)
-}
-
-/// The nine evaluation paths behind the unified `Engine` trait (the anchor
-/// set of `tests/engines_agree.rs`).
-fn nine_engines() -> Vec<Box<dyn Engine>> {
-    vec![
-        Box::new(ProductEngine),
-        Box::new(QuotientDfaEngine),
-        Box::new(DerivativeEngine),
-        Box::new(OracleEngine {
-            max_word_len: Some(9),
-        }),
-        Box::new(StreamingEngine::default()),
-        Box::new(DatalogNaiveEngine),
-        Box::new(DatalogSeminaiveEngine),
-        Box::new(DatalogMagicEngine),
-        Box::new(SimulatorEngine::default()),
-    ]
-}
+use rpq_testkit::draw::{nine_engines, random_setup};
+use rpq_testkit::generators::random_graph;
 
 /// `p(source, I)` by the product search over `graph`, in a fresh arena.
 fn forward<G: GraphView>(nfa: &Nfa, graph: &G, source: Oid) -> Vec<Oid> {
@@ -88,7 +56,7 @@ proptest! {
     /// snapshot *and* on a post-delta `DeltaGraph` epoch.
     #[test]
     fn the_product_search_agrees_with_all_engines(seed in 0u64..10_000) {
-        let (ab, inst, src, q) = random_setup(seed, 6, 12);
+        let (ab, inst, src, q) = random_setup(seed, 6, 12, 4);
         let graph = CsrGraph::from(&inst);
         let query = Query::new(q.clone(), &ab);
         let nfa = query.nfa();
@@ -149,8 +117,8 @@ fn sources_reaching<G: GraphView>(nfa: &Nfa, graph: &G, nodes: &[Oid], target: O
 /// [`ScratchPool`] counters track checkout reuse independently.
 #[test]
 fn scratch_pool_reuse_across_interleaved_shapes() {
-    let (ab_s, inst_s, src_s, q_s) = random_setup(11, 8, 20);
-    let (ab_l, inst_l, src_l, q_l) = random_setup(23, 60, 240);
+    let (ab_s, inst_s, src_s, q_s) = random_setup(11, 8, 20, 4);
+    let (ab_l, inst_l, src_l, q_l) = random_setup(23, 60, 240, 4);
     let small = (CsrGraph::from(&inst_s), Nfa::thompson(&q_s), src_s);
     let large = (CsrGraph::from(&inst_l), Nfa::thompson(&q_l), src_l);
     drop((ab_s, ab_l));
@@ -188,7 +156,7 @@ fn scratch_pool_reuse_across_interleaved_shapes() {
 /// and batched alike, with answers unchanged.
 #[test]
 fn serving_engines_reuse_their_pools() {
-    let (ab, inst, src, q) = random_setup(7, 40, 160);
+    let (ab, inst, src, q) = random_setup(7, 40, 160, 4);
     let graph = CsrGraph::from(&inst);
     let query = Query::new(q, &ab);
 

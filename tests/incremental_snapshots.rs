@@ -13,15 +13,15 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng as _, SeedableRng};
 
-use rpq::automata::random::{random_regex, RegexGenConfig};
 use rpq::automata::{Alphabet, Symbol};
 use rpq::core::{
     eval_product_csr, search_nodes, EvalRequest, EvalScratch, ProductEngine, Query, SearchOpts,
 };
-use rpq::graph::generators::random_graph;
 use rpq::graph::{CsrGraph, DeltaGraph, EdgeDelta, Instance, Oid, ViewEdges};
 use rpq::optimizer::PlannedEngine;
 use rpq::paper::eval_quotient_dfa_csr;
+use rpq_testkit::generators::random_graph;
+use rpq_testkit::random::{random_regex, RegexGenConfig};
 
 /// Drive `batches` random mutation batches through a `DeltaGraph` while
 /// mirroring them into the `Instance`, checking structural equivalence

@@ -44,11 +44,11 @@ use rpq::core::{
     Answers, Engine, EvalControl, EvalRequest, EvalResponse, EvalScratch, EvalStats, ProductEngine,
     Query, SourceSpec, Termination,
 };
-use rpq::graph::generators::random_graph;
 use rpq::graph::{CsrGraph, DeltaGraph, GraphView, Instance, Oid};
 use rpq::optimizer::{
     execute_join, execute_naive, parse_crpq, plan_join, HeadBindings, PlannedEngine, PlannerConfig,
 };
+use rpq_testkit::generators::random_graph;
 
 const FIXTURE: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),

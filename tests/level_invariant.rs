@@ -36,16 +36,16 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use rpq::automata::random::{random_regex, RegexGenConfig};
 use rpq::automata::{Alphabet, Nfa, StateId, Symbol};
 use rpq::core::{
     eval_oracle, run_request, search_nodes, search_pair, Answers, BatchResult, Direction,
     EvalControl, EvalScratch, MatrixResult, Query, SearchOpts, SourceSpec, Termination,
 };
-use rpq::graph::generators::random_graph;
 use rpq::graph::{
     CsrGraph, DeltaGraph, Epoch, GraphView, Instance, LabelStats, Oid, ViewEdges, ViewGroups,
 };
+use rpq_testkit::generators::random_graph;
+use rpq_testkit::random::{random_regex, RegexGenConfig};
 
 /// The caps checked: every depth a small query's answers can still grow at.
 const CAPS: std::ops::RangeInclusive<usize> = 0..=5;

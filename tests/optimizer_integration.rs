@@ -9,28 +9,28 @@ use rpq::automata::{parse_regex, Alphabet, Nfa};
 use rpq::constraints::ConstraintSet;
 use rpq::core::{eval_product, ProductEngine};
 use rpq::distributed::{Delivery, Simulator};
-use rpq::graph::generators::cached_site;
 use rpq::graph::{CsrGraph, Instance, Oid};
 use rpq::optimizer::{optimize, PlannedEngine};
+use rpq_testkit::generators::web_graph;
+use rpq_testkit::satisfy::{chase, Scope};
 
-/// Build an instance where `l = (a.b)*` holds at the source.
-fn cached_instance(seed: u64, n: usize) -> (Alphabet, Instance, Oid) {
+/// A web graph over `a`, `b` with the view `l = (a.b)*` added at its
+/// source, and that set.
+fn cached_instance(seed: u64, n: usize) -> (Alphabet, ConstraintSet, Instance, Oid) {
     let mut ab = Alphabet::new();
     let a = ab.intern("a");
     let b = ab.intern("b");
-    let l = ab.intern("l");
-    let cached = parse_regex(&mut ab, "(a.b)*").unwrap();
-    let words = Nfa::thompson(&cached).enumerate_words(16, 64);
+    let set = ConstraintSet::parse(&mut ab, ["l = (a.b)*"]).unwrap();
     let mut rng = StdRng::seed_from_u64(seed);
-    let (inst, src) = cached_site(&mut rng, n, 2, &[a, b], l, &words);
-    (ab, inst, src)
+    let (mut inst, src) = web_graph(&mut rng, n, 2, &[a, b]);
+    chase(&mut inst, &set, &Scope::Source(src), 1_000).unwrap();
+    (ab, set, inst, src)
 }
 
 #[test]
 fn cache_constraint_holds_on_generated_sites() {
     for seed in 0..8u64 {
-        let (mut ab, inst, src) = cached_instance(seed, 40);
-        let set = ConstraintSet::parse(&mut ab, ["l = (a.b)*"]).unwrap();
+        let (_, set, inst, src) = cached_instance(seed, 40);
         assert!(set.holds_at(&inst, src), "seed {seed}");
     }
 }
@@ -39,8 +39,7 @@ fn cache_constraint_holds_on_generated_sites() {
 fn optimized_queries_agree_on_cached_sites() {
     let queries = ["(a.b)*", "a.(b.a)*.b", "(a.b)*.a"];
     for seed in 0..6u64 {
-        let (mut ab, inst, src) = cached_instance(seed, 40);
-        let set = ConstraintSet::parse(&mut ab, ["l = (a.b)*"]).unwrap();
+        let (mut ab, set, inst, src) = cached_instance(seed, 40);
         for qs in queries {
             let q = parse_regex(&mut ab, qs).unwrap();
             let opt = optimize(&set, &q, &ab);
@@ -82,8 +81,7 @@ fn boundedness_rewrites_agree_on_conforming_data() {
 
 #[test]
 fn distributed_cache_rewrite_saves_messages() {
-    let (mut ab, inst, src) = cached_instance(3, 60);
-    let set = ConstraintSet::parse(&mut ab, ["l = (a.b)*"]).unwrap();
+    let (mut ab, set, inst, src) = cached_instance(3, 60);
     let q = parse_regex(&mut ab, "(a.b)*").unwrap();
 
     let plain = Simulator::new(&inst, &ab, Delivery::Fifo).run(src, &q);

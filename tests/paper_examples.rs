@@ -9,13 +9,13 @@ use rpq::constraints::{
 };
 use rpq::core::eval_product;
 use rpq::distributed::{Delivery, MessageKind, Simulator};
-use rpq::graph::generators::fig2_graph;
 use rpq::graph::InstanceBuilder;
 use rpq::paper::general::{eval_general, eval_general_direct, translate, GeneralPathQuery};
 use rpq::paper::{
     check, lemma44_instance, suggested_radius, word_implies_path, ArmstrongSphere, Refutation,
     Verdict,
 };
+use rpq_testkit::generators::fig2_graph;
 
 // ---------------------------------------------------------------- F1 ----
 

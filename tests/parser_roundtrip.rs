@@ -11,8 +11,8 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use rpq::automata::random::{random_regex, RegexGenConfig};
 use rpq::automata::{parse_regex, Alphabet};
+use rpq_testkit::random::{random_regex, RegexGenConfig};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(160))]

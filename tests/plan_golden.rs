@@ -29,12 +29,12 @@ use std::fmt::Write as _;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use rpq::automata::random::{random_regex, RegexGenConfig};
 use rpq::automata::{parse_regex, Alphabet, Regex, Symbol};
 use rpq::constraints::general::Budget;
 use rpq::constraints::ConstraintSet;
 use rpq::graph::{Instance, LabelStats};
 use rpq::optimizer::{analyze, optimize_with_stats};
+use rpq_testkit::random::{random_regex, RegexGenConfig};
 
 const FIXTURE: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),

@@ -9,32 +9,20 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use rpq::automata::random::{random_regex, RegexGenConfig};
-use rpq::automata::{Alphabet, Nfa, Regex, Symbol};
+use rpq::automata::{Alphabet, Nfa, Symbol};
 use rpq::core::eval_product;
 use rpq::distributed::{
     run_and_check, run_carrying, run_decomposition_checked, Delivery, Partition,
 };
-use rpq::graph::generators::random_graph;
-use rpq::graph::{Instance, Oid};
-
-fn random_setup(seed: u64, nodes: usize, edges: usize) -> (Alphabet, Instance, Oid, Regex) {
-    let ab = Alphabet::from_names(["a", "b", "c"]);
-    let syms: Vec<Symbol> = ab.symbols().collect();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let (inst, src) = random_graph(&mut rng, nodes, edges, &syms);
-    let mut cfg = RegexGenConfig::new(syms);
-    cfg.max_depth = 3;
-    let q = random_regex(&mut rng, &cfg);
-    (ab, inst, src, q)
-}
+use rpq_testkit::draw::random_setup;
+use rpq_testkit::generators::random_graph;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
     #[test]
     fn all_protocols_compute_the_same_answers(seed in 0u64..10_000) {
-        let (ab, inst, src, q) = random_setup(seed, 7, 14);
+        let (ab, inst, src, q) = random_setup(seed, 7, 14, 3);
         let centralized = eval_product(&Nfa::thompson(&q), &inst, src).answers;
 
         let base = run_and_check(&inst, &ab, src, &q, Delivery::Fifo);
@@ -62,8 +50,8 @@ proptest! {
         // Section 3.1's multi-query remark: per-query answers are exactly
         // the solo answers, and the aggregate message count is the sum
         // (the destination field isolates queries completely).
-        let (ab, inst, src, q1) = random_setup(seed, 6, 12);
-        let (_, _, _, q2) = random_setup(seed.wrapping_add(1), 6, 12);
+        let (ab, inst, src, q1) = random_setup(seed, 6, 12, 3);
+        let (_, _, _, q2) = random_setup(seed.wrapping_add(1), 6, 12, 3);
         let solo1 = run_and_check(&inst, &ab, src, &q1, Delivery::Fifo);
         let solo2 = run_and_check(&inst, &ab, src, &q2, Delivery::Fifo);
         let both = rpq::distributed::run_concurrent(
@@ -85,7 +73,7 @@ proptest! {
     fn carrying_under_random_delivery_order_is_order_independent(seed in 0u64..2_000) {
         // The carrying protocol's skip decisions depend on message order,
         // but its *answers* must not.
-        let (ab, inst, src, q) = random_setup(seed, 6, 12);
+        let (ab, inst, src, q) = random_setup(seed, 6, 12, 3);
         let centralized = eval_product(&Nfa::thompson(&q), &inst, src).answers;
         let res = run_carrying(&inst, &ab, src, &q);
         prop_assert_eq!(&res.answers, &centralized);

@@ -8,9 +8,9 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use rpq::automata::random::{random_regex, RegexGenConfig};
 use rpq::automata::{Alphabet, Symbol};
 use rpq::distributed::message::{codec, Message, Mid};
+use rpq_testkit::random::{random_regex, RegexGenConfig};
 
 #[test]
 fn message_codec_round_trips_random_queries() {

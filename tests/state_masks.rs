@@ -24,14 +24,14 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use rpq::automata::random::{random_regex, RegexGenConfig};
 use rpq::automata::{Alphabet, Nfa, StateId, Symbol};
 use rpq::core::{
     eval_oracle, eval_product_scan, run_request, search_nodes, search_pair, Answers, BatchResult,
     Direction, EvalControl, EvalScratch, Query, SearchOpts, SourceSpec, Termination,
 };
-use rpq::graph::generators::random_graph;
 use rpq::graph::{CsrGraph, DeltaGraph, GraphView, Instance, Oid};
+use rpq_testkit::generators::random_graph;
+use rpq_testkit::random::{random_regex, RegexGenConfig};
 
 const WIDTHS: [usize; 8] = [1, 31, 32, 33, 63, 64, 65, 130];
 

@@ -37,11 +37,12 @@
 //!   inclusions certification runs (`PlanPass::decide`), never by
 //!   `rpq-paper`'s axiomatic prover or its refuter.
 //! * **The served line** — no crate of the served stack (`rpq-server` and
-//!   the `rpq-*` crates it depends on, transitively) names `rpq-paper` in
-//!   its manifest's `[dependencies]`; dev-dependencies may. This is what
-//!   keeps Theorem 4.2's `check` (`rpq_paper::general_implication`) and
-//!   every other paper-only decider out of the planner: non-test code of a
-//!   served crate cannot name them.
+//!   the `rpq-*` crates it depends on, transitively) names a non-served
+//!   crate — `rpq-paper` or `rpq-testkit` — in its manifest's
+//!   `[dependencies]`; dev-dependencies may. This is what keeps Theorem
+//!   4.2's `check` (`rpq_paper::general_implication`) and every other
+//!   paper-only decider out of the planner, and the test inputs out of the
+//!   server: non-test code of a served crate cannot name them.
 //!
 //! The scanner blanks comments and string/char literals before matching,
 //! so prose like "never unwrap() here" or a format string containing
@@ -113,8 +114,9 @@ const ONE_DECIDER_DIRS: &[&str] = &["crates/optimizer/src"];
 /// Forbidden tokens for the one-decider rule: the axiomatic prover and the
 /// refuter of `rpq-paper`, by type, module path or function name.
 const DECIDER_TOKENS: &[&str] = &["Prover", "axioms::", "refute"];
-/// The crate no served crate may depend on.
-const PAPER_CRATE: &str = "rpq-paper";
+/// The crates no served crate may depend on: the paper's reproduction and
+/// the test inputs.
+const NON_SERVED: &[&str] = &["rpq-paper", "rpq-testkit"];
 /// Marker that allowlists one line for the no-alloc rule. Checked on the
 /// *original* line text, because the marker lives in a comment.
 const ALLOC_OK: &str = "alloc-ok:";
@@ -323,8 +325,8 @@ fn crate_manifests(root: &Path) -> Vec<(PathBuf, String)> {
 }
 
 /// The served-line rule: every `[dependencies]` line of a served crate's
-/// manifest (one of [`SERVED_ROOT`]'s dependency closure) that names
-/// [`PAPER_CRATE`].
+/// manifest (one of [`SERVED_ROOT`]'s dependency closure) that names a
+/// crate of [`NON_SERVED`].
 fn check_served_line(manifests: &[(PathBuf, String)], violations: &mut Vec<Violation>) {
     let parsed: Vec<(String, Vec<String>)> = manifests
         .iter()
@@ -339,12 +341,12 @@ fn check_served_line(manifests: &[(PathBuf, String)], violations: &mut Vec<Viola
         for (i, line) in toml.lines().map(str::trim).enumerate() {
             if line.starts_with('[') {
                 section = line;
-            } else if section == "[dependencies]" && dependency_name(line) == PAPER_CRATE {
+            } else if section == "[dependencies]" && NON_SERVED.contains(&dependency_name(line)) {
                 violations.push(Violation {
                     file: file.clone(),
                     line: i + 1,
                     rule: "served-line",
-                    text: format!("{package} is served and depends on {PAPER_CRATE}: {line}"),
+                    text: format!("{package} is served and depends on {line}"),
                 });
             }
         }
@@ -909,8 +911,9 @@ mod tests {
         assert!(v.iter().all(|v| v.rule == "one-decider"));
     }
 
-    /// A served crate's `[dependencies]` line naming `rpq-paper` is
-    /// flagged; a dev-dependency, or a crate outside the served stack, is not.
+    /// A served crate's `[dependencies]` line naming `rpq-paper` or
+    /// `rpq-testkit` is flagged; a dev-dependency, or a crate outside the
+    /// served stack, is not.
     #[test]
     fn a_served_crate_depending_on_the_paper_crate_is_flagged() {
         let manifest = |name: &str, deps: &[&str], dev: &[&str]| {
@@ -929,7 +932,12 @@ mod tests {
             manifest("rpq-optimizer", &["rpq-constraints"], &["rpq-paper"]),
             manifest("rpq-constraints", &[], &["rpq-paper"]),
             manifest("rpq-paper", &["rpq-constraints"], &[]),
-            manifest("rpq-bench", &["rpq-server", "rpq-paper"], &[]),
+            manifest("rpq-testkit", &["rpq-server", "rpq-paper"], &[]),
+            manifest(
+                "rpq-bench",
+                &["rpq-server", "rpq-paper", "rpq-testkit"],
+                &[],
+            ),
         ];
         let mut v = Vec::new();
         check_served_line(&manifests, &mut v);
@@ -942,6 +950,23 @@ mod tests {
             .collect();
         assert_eq!(flagged, [("rpq-constraints/Cargo.toml".to_string(), 6)]);
         assert_eq!(v[0].rule, "served-line");
+
+        // The test inputs may be a served crate's dev-dependency …
+        manifests[2] = manifest("rpq-constraints", &[], &["rpq-paper", "rpq-testkit"]);
+        v.clear();
+        check_served_line(&manifests, &mut v);
+        assert!(v.is_empty(), "a dev-dependency on rpq-testkit may");
+        // … and never one of its dependencies, which would also serve
+        // `rpq-testkit` and so its own dependency on `rpq-paper`.
+        manifests[1] = manifest("rpq-optimizer", &["rpq-constraints", "rpq-testkit"], &[]);
+        check_served_line(&manifests, &mut v);
+        let flagged: Vec<(String, usize)> = v
+            .iter()
+            .map(|v| (v.file.display().to_string(), v.line))
+            .collect();
+        let lines = [("rpq-optimizer", 6), ("rpq-testkit", 6)];
+        assert_eq!(flagged, lines.map(|(c, l)| (format!("{c}/Cargo.toml"), l)));
+        assert!(v[0].text.contains("rpq-testkit"));
     }
 
     #[test]
