@@ -38,7 +38,7 @@
 //! against Brzozowski's double reversal in `tests/growth_and_simplify.rs`.
 
 use crate::alphabet::Symbol;
-use crate::nfa::{strongly_connected_components, Nfa, StateId};
+use crate::nfa::{Nfa, StateId};
 use crate::sets::StateSets;
 
 /// A complete DFA over symbols `0..sigma`.
@@ -200,60 +200,6 @@ impl Dfa {
             }
         }
         None
-    }
-
-    /// True iff the accepted language is finite: no reachable-and-coreachable
-    /// state lies on a cycle.
-    pub fn is_finite_lang(&self) -> bool {
-        let n = self.num_states();
-        let reach = self.reachable();
-        // co-reachable
-        let mut rev: Vec<Vec<StateId>> = vec![Vec::new(); n];
-        for s in 0..n {
-            for sym in 0..self.sigma {
-                let t = self.trans[s * self.sigma + sym];
-                rev[t as usize].push(s as StateId);
-            }
-        }
-        let mut co = vec![false; n];
-        let mut stack: Vec<StateId> = (0..n)
-            .filter(|&s| self.accept[s])
-            .map(|s| s as StateId)
-            .collect();
-        for &s in &stack {
-            co[s as usize] = true;
-        }
-        while let Some(s) = stack.pop() {
-            for &p in &rev[s as usize] {
-                if !co[p as usize] {
-                    co[p as usize] = true;
-                    stack.push(p);
-                }
-            }
-        }
-        let live: Vec<bool> = (0..n).map(|s| reach[s] && co[s]).collect();
-        let comp = strongly_connected_components(n, |s, f| {
-            if live[s] {
-                for sym in 0..self.sigma {
-                    let t = self.trans[s * self.sigma + sym] as usize;
-                    if live[t] {
-                        f(t);
-                    }
-                }
-            }
-        });
-        for s in 0..n {
-            if !live[s] {
-                continue;
-            }
-            for sym in 0..self.sigma {
-                let t = self.trans[s * self.sigma + sym] as usize;
-                if live[t] && comp[s] == comp[t] {
-                    return false;
-                }
-            }
-        }
-        true
     }
 
     fn reachable(&self) -> Vec<bool> {
@@ -513,16 +459,6 @@ mod tests {
         assert!(!diff2.is_empty_lang());
         let cex = diff2.shortest_accepted().unwrap();
         assert!(sup.accepts(&cex) && !sub.accepts(&cex));
-    }
-
-    #[test]
-    fn finiteness() {
-        let mut ab = Alphabet::new();
-        ab.intern("a");
-        ab.intern("b");
-        assert!(dfa(&mut ab, "a.b + b").is_finite_lang());
-        assert!(!dfa(&mut ab, "a*.b").is_finite_lang());
-        assert!(dfa(&mut ab, "[]").is_finite_lang());
     }
 
     #[test]

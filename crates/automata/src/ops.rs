@@ -30,22 +30,10 @@ use crate::sets::{SetId, StateSets};
 /// in `L(a) \ L(b)` is produced.
 pub type InclusionResult = Result<(), Vec<Symbol>>;
 
-/// The smallest complete-DFA alphabet size covering both automata:
-/// `max symbol index + 1` over the transitions of `a` and `b` (at least 1,
-/// so degenerate symbol-free automata still determinize). Deriving sigma
-/// from the automata themselves — instead of a caller guess like
-/// `Alphabet::len()` — keeps [`included_naive`] sound when the interned
-/// alphabet is wider than the expressions under test, and cheap when it is
-/// much wider.
-pub fn union_sigma(a: &Nfa, b: &Nfa) -> usize {
-    let top = |n: &Nfa| n.symbols().last().map_or(0, |s| s.index() + 1);
-    top(a).max(top(b)).max(1)
-}
-
 /// Naive inclusion via full determinization: `L(a) ⊆ L(b)`.
 ///
-/// `sigma` must be at least [`union_sigma`]`(a, b)` — symbols outside it
-/// would silently vanish from the determinized alphabet.
+/// `sigma` must exceed every symbol index on a transition of `a` or `b` —
+/// symbols outside it would silently vanish from the determinized alphabet.
 pub fn included_naive(a: &Nfa, b: &Nfa, sigma: usize) -> InclusionResult {
     let da = Dfa::from_nfa(a, sigma);
     let db = Dfa::from_nfa(b, sigma);

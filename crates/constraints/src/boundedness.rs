@@ -22,9 +22,10 @@
 //!    classes `p` reaches: the representative of each reached fold node,
 //!    and `rep(n)·a·t` for each exit and tail `t`, at most `word_cap` of
 //!    them;
-//! 5. certify `E ⊨ p = q` by the closure test ([`Closures::implies`],
-//!    Theorem 4.3's exact decision on a word set) — the returned result is
-//!    *verified*, not just constructed.
+//! 5. certify `E ⊨ p = q` by [`Closures::implies`] — one rewrite step
+//!    where a direction is a rule of `E` right-concatenated with a tail,
+//!    otherwise the closure test, Theorem 4.3's exact decision on a word
+//!    set — the returned result is *verified*, not just constructed.
 //!
 //! Deciding thus takes one product of `p` with a fold of at most
 //! `1 + Σ|sides|` nodes and a finiteness test, which is polynomial. This
@@ -181,8 +182,9 @@ fn read_on(p: &mut Nfa, exits: &[(usize, Symbol, StateId)]) {
 #[derive(Clone, Debug)]
 pub enum GeneralBoundedness {
     /// `E ⊨ p = equivalent` with `L(equivalent)` finite, certified by the
-    /// named engine (`"word-exact"`, `"regex-saturation"`, or
-    /// `"theorem-4.10"` when the word-equality fast path applied).
+    /// named engine (`"one-step"`, `"word-exact"` or `"regex-saturation"`
+    /// from [`Closures::implies`], or `"theorem-4.10"` when the
+    /// word-equality fast path applied).
     Bounded {
         /// The certified nonrecursive equivalent.
         equivalent: Regex,

@@ -23,6 +23,26 @@
 //! `RewriteTo(p)` itself; the implication deciders read it through the
 //! plan-scoped memo [`Closures`].
 //!
+//! ## One step, before any closure
+//!
+//! A claim `p ⊆ q` that is one rule `P ⊆ R` of `E` right-concatenated
+//! with a tail `t` — `p = P·t` and `q = R·t` as trees — is one rewrite
+//! step `P·t →_E R·t`, and [`Closures::one_step`] proves it without a
+//! closure: `P`'s factors are stripped off the front of `p`'s
+//! concatenation, `R`'s off `q`'s, and the two rests must be equal
+//! regexes. This is Section 3.2's cache substitution `u·t → l·t` under
+//! `l = u`, each direction one step. It is sound for every rule, regex-
+//! sided and `∅` ones too, because rooted constraints are right-congruent:
+//! `P(o) ⊆ R(o)` gives `(P·t)(o) = ∪_{x∈P(o)} t(x) ⊆ (R·t)(o)`. Left
+//! context is never matched — `x·P ⊆ x·R` would need `E` at the nodes `x`
+//! leads to, which a rooted constraint does not give — and neither is a
+//! rule read backwards. The check reads the rules the set compiled once
+//! ([`ConstraintSet`] keeps each inclusion's two sides beside its
+//! automata) and allocates nothing; whatever it does not match goes to the
+//! closure test, so no verdict is lost. Debug builds re-prove every
+//! one-step claim of an all-word set, where the closure is exact, by a
+//! closure built outside the memo, and assert that the two agree.
+//!
 //! ## Only the usable rules are embedded
 //!
 //! A closure embeds only the rules some derivation into its target can
@@ -64,6 +84,7 @@
 //! `{c0 = f0.f1, c1 = f2.f3, c2 ⊆ f1.f2}` embedded all 5 directed rules
 //! where 2 are usable.
 
+use std::borrow::Cow;
 use std::cell::{Cell, RefCell};
 
 use rpq_automata::ops::included_antichain;
@@ -329,8 +350,13 @@ fn saturate_rules(set: &ConstraintSet, target: &Nfa, keep: &[bool]) -> RewriteTo
 /// [`rewrite_closure_nfa`] of one set, memoized by target regex for the
 /// length of one plan, with the inclusion tests run against it: a
 /// rewritten plan decides its claim ([`Closures::implies`]) and certifies
-/// its winner against the closures of the same two regexes, and this is
-/// where the second reader finds what the first one built.
+/// its winner by the same method ([`Closures::proves`]), so whatever
+/// closure the decision built, the certification reads.
+///
+/// A claim that is one rule of the set right-concatenated with a tail is
+/// proved in one step ([`Closures::one_step`], see the module docs) and
+/// builds no closure and runs no inclusion test; every other claim is
+/// decided by the closure test.
 ///
 /// Nothing outlives the memo: it borrows its set, is made by whoever plans
 /// and is dropped with the plan, so no key is ever client text. It counts
@@ -383,24 +409,85 @@ impl<'s> Closures<'s> {
         included_antichain(lhs, &closure.nfa)
     }
 
-    /// Decide `E ⊨ c` by the closures: `L(p) ⊆ L(closure(q))` for each
-    /// inclusion `p ⊆ q` of `c` — `lhs ⊆ rhs`, then `rhs ⊆ lhs` for an
-    /// equality, the two tests certification runs. `Ok` names the method:
-    /// `"word-exact"` on an all-word set, where the closure is `RewriteTo`
-    /// and the test is Theorem 4.3's exact decision, `"regex-saturation"`
-    /// otherwise, where it is sound but not complete. `Err` carries a word
-    /// of the failing left side the closure rejects: on an all-word set a
-    /// counterexample (Lemma 4.6).
-    pub fn implies(&self, c: &PathConstraint) -> Result<&'static str, Vec<Symbol>> {
-        self.includes(&Nfa::thompson(&c.lhs), &c.rhs)?;
-        if c.kind == ConstraintKind::Equality {
-            self.includes(&Nfa::thompson(&c.rhs), &c.lhs)?;
+    /// Is `p ⊆ q` one rule `P ⊆ R` of the set right-concatenated with one
+    /// tail: `P`'s factors begin `p`'s concatenation, `R`'s begin `q`'s,
+    /// and what follows them is the same on both sides? A side that is `∅`
+    /// fixes no tail, for `∅·t` is `∅` whatever `t` is. Sound for every
+    /// rule by right-congruence (module docs); it matches no left context
+    /// and reads no rule backwards. Reads the set's compiled rules and
+    /// allocates nothing.
+    pub fn one_step(&self, p: &Regex, q: &Regex) -> bool {
+        let empty =
+            |side: &Regex, claim: &Regex| matches!((side, claim), (Regex::Empty, Regex::Empty));
+        self.set.closure_rules().iter().any(|rule| {
+            let (big_p, big_r) = &rule.sides;
+            match (after(p, big_p), after(q, big_r)) {
+                (Some(t), Some(u)) => t == u || empty(big_p, p) || empty(big_r, q),
+                _ => false,
+            }
+        })
+    }
+
+    /// Prove `E ⊨ p ⊆ q`: in one step when [`Closures::one_step`] holds,
+    /// otherwise by [`Closures::includes`] on `p`'s automaton, which `p_nfa`
+    /// is asked for only then. `Ok` names the method: `"one-step"`, or the
+    /// closure test's, `"word-exact"` on an all-word set, where the closure
+    /// is `RewriteTo` and the test is Theorem 4.3's exact decision, and
+    /// `"regex-saturation"` otherwise, where it is sound but not complete.
+    /// `Err` carries a word of `L(p)` the closure rejects: on an all-word
+    /// set a counterexample (Lemma 4.6).
+    ///
+    /// This is the one place that chooses between the two; the planner's
+    /// decisions ([`Closures::implies`]) and its certification both call it.
+    pub fn proves<'n>(
+        &self,
+        p: &Regex,
+        q: &Regex,
+        p_nfa: impl FnOnce() -> Cow<'n, Nfa>,
+    ) -> Result<&'static str, Vec<Symbol>> {
+        if self.one_step(p, q) {
+            #[cfg(debug_assertions)]
+            self.check_one_step(p, q);
+            return Ok("one-step");
         }
+        self.includes(&p_nfa(), q)?;
         Ok(if self.set.all_word_constraints() {
             "word-exact"
         } else {
             "regex-saturation"
         })
+    }
+
+    /// Decide `E ⊨ c` by [`Closures::proves`] on each inclusion `p ⊆ q` of
+    /// `c` — `lhs ⊆ rhs`, then `rhs ⊆ lhs` for an equality, the two proofs
+    /// certification runs. `Ok` names the method: `"one-step"` when every
+    /// inclusion was one step, otherwise the closure test's. `Err` carries
+    /// a word of the failing left side the closure rejects.
+    pub fn implies(&self, c: &PathConstraint) -> Result<&'static str, Vec<Symbol>> {
+        let thompson = |r: &Regex| Cow::Owned(Nfa::thompson(r));
+        let method = self.proves(&c.lhs, &c.rhs, || thompson(&c.lhs))?;
+        if c.kind == ConstraintKind::Equality {
+            let back = self.proves(&c.rhs, &c.lhs, || thompson(&c.rhs))?;
+            if method == "one-step" {
+                return Ok(back);
+            }
+        }
+        Ok(method)
+    }
+
+    /// The debug builds' cross-check of a one-step proof of `p ⊆ q`: on an
+    /// all-word set, where the closure is exact, a closure built outside
+    /// the memo — so the counts are the ones release builds read — must
+    /// prove it too.
+    #[cfg(debug_assertions)]
+    fn check_one_step(&self, p: &Regex, q: &Regex) {
+        if self.set.all_word_constraints() {
+            let closure = rewrite_closure_nfa(self.set, &Nfa::thompson(q));
+            assert!(
+                included_antichain(&Nfa::thompson(p), &closure.nfa).is_ok(),
+                "{p:?} ⊆ {q:?} is proved in one step, but the closure rejects it"
+            );
+        }
     }
 
     /// How many closures this memo has built.
@@ -412,6 +499,20 @@ impl<'s> Closures<'s> {
     pub fn inclusions(&self) -> usize {
         self.inclusions.get()
     }
+}
+
+/// The factors of `r`'s concatenation after `prefix`'s, when `prefix`'s
+/// factors begin it. A regex that is not a concatenation is one factor,
+/// and `ε` none.
+fn after<'r>(r: &'r Regex, prefix: &Regex) -> Option<&'r [Regex]> {
+    fn factors(r: &Regex) -> &[Regex] {
+        match r {
+            Regex::Concat(parts) => parts,
+            Regex::Epsilon => &[],
+            other => std::slice::from_ref(other),
+        }
+    }
+    factors(r).strip_prefix(factors(prefix))
 }
 
 /// The universal continuation language `K = {w | ∀y ∈ L(rhs): y·w ∈ L(nfa)}`

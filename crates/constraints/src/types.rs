@@ -196,6 +196,9 @@ pub(crate) enum ClosureRhs {
 /// compiled for [`crate::rewrite_closure_nfa`].
 #[derive(Clone, Debug)]
 pub(crate) struct ClosureRule {
+    /// The two sides as written, for the one-step proof
+    /// ([`crate::Closures::one_step`]).
+    pub(crate) sides: (Regex, Regex),
     /// Thompson automaton of the left-hand side.
     pub(crate) lhs: Nfa,
     /// The symbols of the left-hand side, sorted.
@@ -344,8 +347,8 @@ impl ConstraintSet {
         })
     }
 
-    /// The directed inclusions of the set as automata, in the order
-    /// [`crate::rewrite_closure_nfa`] embeds them.
+    /// The directed inclusions of the set, as written and as automata, in
+    /// the order [`crate::rewrite_closure_nfa`] embeds them.
     pub(crate) fn closure_rules(&self) -> &[ClosureRule] {
         self.compiled.closure_rules.get_or_init(|| {
             self.constraints
@@ -365,6 +368,7 @@ impl ConstraintSet {
                             }
                         }
                     },
+                    sides: (lhs, rhs),
                 })
                 .collect()
         })

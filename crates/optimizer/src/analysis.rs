@@ -5,18 +5,22 @@
 //! decides *how*; this module adds a third static stage that runs between
 //! them, entirely at plan time:
 //!
-//! 1. **Certified rewrites** — the rewrite winner is re-checked against
-//!    the constraint closure ([`rpq_constraints::rewrite_closure_nfa`],
-//!    the Lemma 4.5/4.7 construction) by two antichain inclusion tests.
-//!    A winner that cannot be certified `E ⊨ q = r` is rejected and the
-//!    original query is planned instead — candidate validation bugs can
-//!    cost optimality, never soundness. The two inclusion tests always
-//!    run; the two closures they read come from the plan's
+//! 1. **Certified rewrites** — the rewrite winner is re-checked, one
+//!    inclusion each way, by [`rpq_constraints::Closures::proves`]. A
+//!    direction that is one rule of `E` right-concatenated with a tail —
+//!    each direction of a cache substitution `u·t = l·t` under `l = u` —
+//!    is proved in one rewrite step, with no closure and no inclusion
+//!    test; any other is an antichain inclusion test against the
+//!    constraint closure ([`rpq_constraints::rewrite_closure_nfa`], the
+//!    Lemma 4.5/4.7 construction). A winner that cannot be certified
+//!    `E ⊨ q = r` is rejected and the original query is planned instead —
+//!    candidate validation bugs can cost optimality, never soundness. The
+//!    closures the tests read come from the plan's
 //!    [`rpq_constraints::Closures`] memo, where the rewrite search's
-//!    decision of the same claim — the same two tests — already built
-//!    them, so the planned engine's certification builds none
+//!    decision of the same claim — the same method — already built them,
+//!    so the planned engine's certification builds none
 //!    ([`Analysis::certify_closure_builds`]). [`analyze`] and
-//!    [`certify_rewrite`] start a fresh memo and build both.
+//!    [`certify_rewrite`] start a fresh memo.
 //! 2. **Alphabet restriction** — symbols with zero edges in the
 //!    snapshot's [`LabelStats`] cannot appear on any path, so every
 //!    occurrence is replaced by `∅` and the regex re-simplified. A query
@@ -37,6 +41,7 @@
 //! memo and are stamped into every [`rpq_core::EvalStats`] the planned
 //! engine produces.
 
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 use std::time::Instant;
 
@@ -90,10 +95,12 @@ pub struct Analysis {
     /// The derived facts.
     pub facts: AnalysisFacts,
     /// `RewriteTo` closures certification built; 0 when the plan's memo
-    /// held both already, or when the input won (nothing to certify).
+    /// held them already, when each direction was one step, or when the
+    /// input won (nothing to certify).
     pub certify_closure_builds: usize,
-    /// Inclusion tests certification ran: 2 for a certified winner, 1 or
-    /// 2 for a rejected one, 0 when the input won.
+    /// Inclusion tests certification ran: one per direction not proved in
+    /// one step — 0 for a cache substitution `u·t = l·t` under `l = u`, up
+    /// to 2 for any other winner — and 0 when the input won.
     pub certify_inclusions: usize,
     /// Trims of `regex`'s Thompson automaton the analysis ran: 0 when no
     /// subterm of `regex` denotes `∅`, for then the automaton is trim as
@@ -107,19 +114,22 @@ pub struct Analysis {
     pub(crate) last_symbols: Vec<Symbol>,
 }
 
-/// Certify `E ⊨ original = candidate` against the generalized rewrite
-/// closure: `L(q) ⊆ L(RewriteTo(r))` and `L(r) ⊆ L(RewriteTo(q))`. Every
-/// word of the closure rewrites into the target under `E` (each saturation
-/// step is justified by one constraint plus prefix congruence), so both
-/// inclusions passing means each query's words reach the other's answers
-/// on any instance satisfying `E` — sound to substitute either way. The
-/// closure under-approximates full path implication, so a genuinely valid
-/// rewrite can be rejected (costing only optimality), but an invalid one
-/// is never certified.
+/// Certify `E ⊨ original = candidate`: `q ⊆ r` and `r ⊆ q`, each in one
+/// rewrite step when it is a rule of `E` right-concatenated with a tail
+/// (`q = P·t`, `r = R·t` for a rule `P ⊆ R`; rooted constraints are
+/// right-congruent), otherwise against the generalized rewrite closure,
+/// `L(q) ⊆ L(RewriteTo(r))` and `L(r) ⊆ L(RewriteTo(q))`. Every word of
+/// the closure rewrites into the target under `E` (each saturation step is
+/// justified by one constraint plus prefix congruence), so both inclusions
+/// passing means each query's words reach the other's answers on any
+/// instance satisfying `E` — sound to substitute either way. The closure
+/// under-approximates full path implication, so a genuinely valid rewrite
+/// can be rejected (costing only optimality), but an invalid one is never
+/// certified.
 ///
-/// Both closures are built here; the planned engine certifies through
-/// [`crate::optimize_and_analyze`], which reads them from the memo its
-/// rewrite search filled.
+/// Whatever closure a direction needs is built here; the planned engine
+/// certifies through [`crate::optimize_and_analyze`], which reads them
+/// from the memo its rewrite search filled.
 pub fn certify_rewrite(set: &ConstraintSet, original: &Regex, candidate: &Regex) -> bool {
     let (q, r) = (
         CompiledQuery::new(original, 0),
@@ -128,10 +138,17 @@ pub fn certify_rewrite(set: &ConstraintSet, original: &Regex, candidate: &Regex)
     certify(&Closures::new(set), &q, &r)
 }
 
-/// [`certify_rewrite`] over compiled queries and a plan's closures (the
-/// second inclusion runs only when the first passes).
+/// [`certify_rewrite`] over compiled queries and a plan's closures: each
+/// inclusion by [`Closures::proves`], the method the plan's decisions use,
+/// so a direction that is one step asks for no automaton and no closure
+/// (the second runs only when the first passes).
 fn certify(closures: &Closures<'_>, q: &CompiledQuery<'_>, r: &CompiledQuery<'_>) -> bool {
-    closures.includes(q.nfa(), r.regex()).is_ok() && closures.includes(r.nfa(), q.regex()).is_ok()
+    let proves = |p: &CompiledQuery<'_>, target: &CompiledQuery<'_>| {
+        closures
+            .proves(p.regex(), target.regex(), || Cow::Borrowed(p.nfa()))
+            .is_ok()
+    };
+    proves(q, r) && proves(r, q)
 }
 
 /// Replace every symbol of `q` that has zero edges under `stats` with `∅`

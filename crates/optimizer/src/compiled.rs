@@ -14,8 +14,9 @@
 //! hand it down.
 //!
 //! [`PlanPass`] is the same idea for what a plan proves: the `RewriteTo`
-//! closures by target regex, which deciding a claim builds and
-//! certification reads, and the count of claims decided.
+//! closures by target regex, which deciding a claim builds (unless each
+//! direction is one rewrite step) and certification reads, and the count
+//! of claims decided.
 
 use std::borrow::Cow;
 use std::cell::{Cell, OnceCell};
@@ -54,10 +55,12 @@ impl<'s> PlanPass<'s> {
         &self.closures
     }
 
-    /// Decide `claim` by the plan's closures: the inclusion tests that
-    /// certification runs on a winner ([`Closures::implies`]), so a claim
-    /// decided here and then certified builds each closure once. The
-    /// method that proved it, or `None`; counted once either way.
+    /// Decide `claim` within the plan: by the method certification runs on
+    /// a winner ([`Closures::implies`]) — one rewrite step where a
+    /// direction is a rule of `E` right-concatenated with a tail, the
+    /// closure test otherwise — so a claim decided here and then certified
+    /// builds each closure it needs once. The method that proved it, or
+    /// `None`; counted once either way.
     pub(crate) fn decide(&self, claim: &PathConstraint) -> Option<&'static str> {
         self.claims.set(self.claims.get() + 1);
         self.closures.implies(claim).ok()

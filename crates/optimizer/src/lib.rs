@@ -64,17 +64,22 @@
 //! * **per plan** (a crate-private `PlanPass`, made by
 //!   [`optimize_and_analyze`] and dropped with the plan): closures by
 //!   target, proofs by claim. Every claim `E ⊨ q = c` is decided by the
-//!   two inclusion tests certification runs
-//!   ([`rpq_constraints::Closures::implies`]), so the `RewriteTo` closures
-//!   its decision builds are the two the winner's certification tests
-//!   against ([`Optimized::claims_proved`],
+//!   method certification runs ([`rpq_constraints::Closures::implies`]),
+//!   so the `RewriteTo` closures its decision builds are the ones the
+//!   winner's certification tests against ([`Optimized::claims_proved`],
 //!   [`Optimized::closure_builds`], [`Analysis::certify_closure_builds`]).
 //!   Nothing in it is keyed by client text or outlives the plan.
 //!
 //! No validation is skipped on the way: every distinct candidate claim is
-//! still decided, by the closure test, and every winner still passes
-//! both inclusion tests of [`certify_rewrite`] — against closures built
-//! once per plan, not once per reader.
+//! still decided, and every winner still passes both directions of
+//! [`certify_rewrite`] — against closures built once per plan, not once
+//! per reader. A direction that is one rule `P ⊆ R` of `E`
+//! right-concatenated with a tail `t` (`P·t ⊆ R·t`, as trees) is proved in
+//! one rewrite step, with no closure: rooted constraints are
+//! right-congruent, `P(o) ⊆ R(o)` gives `(P·t)(o) ⊆ (R·t)(o)`. That is
+//! each direction of a cache substitution `u·t = l·t` under `l = u`
+//! (Lemma 4.4's one step `u·t →_E l·t`). Every other direction is the
+//! closure test.
 //!
 //! ## Example (the paper's Example 2)
 //!

@@ -22,12 +22,17 @@
 //! certification and the plan it runs.
 //!
 //! One call is also one proof pass (`PlanPass`): every claim `E ⊨ q = c`
-//! is decided once, by the two inclusion tests certification runs, and
-//! every `RewriteTo` closure those tests build is kept by target, so the
-//! planned engine's certification of the winner reads the two closures
-//! the decision of the same claim built
-//! ([`Optimized::claims_proved`], [`Optimized::closure_builds`] and
-//! [`Analysis::certify_closure_builds`] count them).
+//! is decided once, by the method certification runs, and every
+//! `RewriteTo` closure it builds is kept by target, so the planned
+//! engine's certification of the winner reads the closures the decision
+//! of the same claim built ([`Optimized::claims_proved`],
+//! [`Optimized::closure_builds`] and [`Analysis::certify_closure_builds`]
+//! count them). A direction that is one rule of `E` right-concatenated
+//! with a tail — each direction of a cache substitution `u·t = l·t` under
+//! `l = u` — is one rewrite step and needs no closure
+//! ([`rpq_constraints::Closures::one_step`]; sound because rooted
+//! constraints are right-congruent), so such a plan decides and certifies
+//! its claim with no closure and no inclusion test.
 
 use rpq_automata::{Alphabet, Regex};
 use rpq_constraints::general::Budget;
@@ -64,12 +69,13 @@ pub struct Optimized {
     /// itself) and the simplifier has nothing to look for (no regex of
     /// the query's finite language is smaller than the query).
     pub determinizations: usize,
-    /// Claims `E ⊨ q = c` this call decided by the plan's closure test,
-    /// proved or not.
+    /// Claims `E ⊨ q = c` this call decided, in one rewrite step or by the
+    /// plan's closure test, proved or not.
     pub claims_proved: usize,
     /// `RewriteTo` closures this call's decisions built
-    /// ([`rpq_constraints::Closures`]): at most one per target regex, two
-    /// for a proved claim `q = c`.
+    /// ([`rpq_constraints::Closures`]): at most one per target regex, none
+    /// for a direction of a claim proved in one step, so none for a cache
+    /// substitution `u·t = l·t` and up to two for another claim `q = c`.
     pub closure_builds: usize,
 }
 
@@ -317,18 +323,22 @@ mod tests {
 
     #[test]
     fn a_rewritten_plan_proves_its_claim_once_and_builds_each_closure_once() {
-        // The view search decides the one claim, by the inclusion tests
+        // The view search decides the one claim, by the method
         // certification runs, on the plan's memo, under a word cache and
         // under Example 3's regex cache alike, so certification builds no
-        // closure. Example 3's query is infinite, so the search also
-        // builds the closures of the two general-boundedness cuts it tries
-        // (`a.c`, `a.c + a.b.a.c`) in the same memo. `{l = a.b}` is a word
-        // equality, so family 1 offers its Theorem 4.10 equivalent too: the
-        // same `l.c`, certified on the same two closures, which ties and
-        // leaves the view search's candidate, listed first, the winner.
-        for (lines, query, considered, search_builds, certify_builds) in [
-            (["l = a.b"], "a.b.c", 2, 2, 0),
-            (["l = (a.b)*"], "a.(b.a)*.c", 1, 4, 0),
+        // closure. Under `{l = a.b}` the claim `a.b.c = l.c` is the rule
+        // `a.b = l` right-concatenated with `c` each way: one rewrite step,
+        // no closure and no inclusion test, in the search and in the
+        // certification. `{l = a.b}` is a word equality, so family 1 offers
+        // its Theorem 4.10 equivalent too: the same `l.c`, proved the same
+        // way, which ties and leaves the view search's candidate, listed
+        // first, the winner. Example 3's claim is no such step, so it is
+        // decided by the closure test, and its query is infinite, so the
+        // search also builds the closures of the two general-boundedness
+        // cuts it tries (`a.c`, `a.c + a.b.a.c`) in the same memo.
+        for (lines, query, considered, search_builds, certify_inclusions) in [
+            (["l = a.b"], "a.b.c", 2, 0, 0),
+            (["l = (a.b)*"], "a.(b.a)*.c", 1, 4, 2),
         ] {
             let (ab, set, q) = setup(&lines, query);
             let (opt, analysis) = optimize_and_analyze(&set, &q, &ab, loops(&ab).stats());
@@ -337,8 +347,8 @@ mod tests {
             assert_eq!(opt.claims_proved, 1, "{query}");
             assert_eq!(opt.closure_builds, search_builds, "{query}");
             assert_eq!(analysis.facts.rewrites_certified, 1, "{query}");
-            assert_eq!(analysis.certify_closure_builds, certify_builds, "{query}");
-            assert_eq!(analysis.certify_inclusions, 2, "{query}");
+            assert_eq!(analysis.certify_closure_builds, 0, "{query}");
+            assert_eq!(analysis.certify_inclusions, certify_inclusions, "{query}");
         }
         let (mut ab, set, q) = setup(&["l = a.b"], "a.b.c");
         let families = candidates_compiled(&PlanPass::new(&set), &CompiledQuery::new(&q, ab.len()));

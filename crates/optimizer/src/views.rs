@@ -43,8 +43,14 @@
 //! appended as a plain (cache-free) arm — this is the "partial use"
 //! refinement; when the remainder is empty the rewriting is total. Tails
 //! are shrunk greedily (shortest words first, then the algebraic
-//! simplifier). Every emitted rewriting is *verified* by the plan's closure
-//! test (never trusted by construction), following the crate's policy.
+//! simplifier). Every emitted rewriting is *verified* under `E`
+//! ([`rpq_constraints::Closures::implies`]), following the crate's policy:
+//! shape alone never admits one. A total cover by one cache whose body
+//! `r` begins `q` as a tree, `q = r·t` beside `l·t`, is one rule of `E`
+//! right-concatenated with the tail each way (`r ⊆ l` and `l ⊆ r`), and
+//! is proved in one rewrite step — sound by the right-congruence above,
+//! and checked on the two trees, not assumed of the search. Every other
+//! rewriting is decided by the closure test.
 //!
 //! This search is the only code in the crate that substitutes a cache: the
 //! paper's Example 3 (`l = (ab)*` turns `a(ba)*c` into `l·a·c`) is its
@@ -286,8 +292,9 @@ fn cache_tail(cq: &CompiledQuery<'_>, cache: &CacheDef, first: Option<&[Symbol]>
 }
 
 /// Search for view-based rewritings of `q` under `set`. Results are
-/// verified by the closure test ([`rpq_constraints::Closures::implies`])
-/// and sorted by static cost (best first).
+/// verified under `set` ([`rpq_constraints::Closures::implies`]: in one
+/// rewrite step where the claim is a rule right-concatenated with a tail,
+/// otherwise by the closure test) and sorted by static cost (best first).
 pub fn rewrite_with_views(
     set: &ConstraintSet,
     q: &Regex,
@@ -374,7 +381,7 @@ fn covers<'c>(
             continue;
         }
 
-        // Verify E ⊨ q = candidate by the plan's closure test. Never emit
+        // Verify E ⊨ q = candidate within the plan's pass. Never emit
         // unverified rewritings.
         let claim = PathConstraint::equality(q.clone(), candidate.clone());
         let Some(proof) = pass.decide(&claim) else {
