@@ -1,6 +1,6 @@
 //! T17 — conjunctive RPQs: the cost-based join planner and semijoin
 //! propagation against static orders and the naive independent-atom
-//! evaluator. Four claims, asserted at registration time so `--test`
+//! evaluator. Five claims, asserted at registration time so `--test`
 //! mode (the CI bench smoke) enforces the acceptance criteria without
 //! paying measurement time:
 //!
@@ -20,23 +20,32 @@
 //! * **A join allocates per step, not per row** — the worst static order
 //!   of the skew workload builds a first relation of 4 096 rows; a warm
 //!   `execute_join` asks the allocator for fewer than one buffer per 16 of
-//!   them (counted by this binary's `#[global_allocator]`: 54; a `Vec`
+//!   them (counted by this binary's `#[global_allocator]`: 44; a `Vec`
 //!   per row, as before PR 25, took 5 676).
+//! * **The served chain binds what the oracle binds** — `bench_e2e`'s
+//!   `kernel-scan` CRPQ, `ans(x,z) :- x -[p.p]-> y, y -[q+t]-> w, w -[p]->
+//!   z` from 6 bound sources over a 4 096-node region of permutation
+//!   labels ([`rpq_bench::served_chain_workload`]), returns
+//!   `execute_naive`'s pairs for each of 30 source sets, and a warm op
+//!   asks for fewer than one buffer per 8 of the bindings it joins (64 for
+//!   681).
 //!
 //! Measured series: planned-order vs worst-static-order `execute_join`
-//! wall time over growing hot fan-outs; the per-atom edge split is
-//! printed after each size.
+//! wall time over growing hot fan-outs, the per-atom edge split printed
+//! after each size; and the served chain, one source set per op in turn,
+//! printed as ns per op and ns per binding (the atom bindings the join
+//! reads).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use rpq_bench::crpq_workload;
+use rpq_bench::{crpq_workload, served_chain_workload};
 use rpq_core::{EvalControl, EvalScratch, Termination};
-use rpq_graph::CsrGraph;
+use rpq_graph::{CsrGraph, Oid};
 use rpq_optimizer::{
     execute_join, execute_naive, parse_crpq, plan_join, Direction, HeadBindings, PlannerConfig,
 };
@@ -291,6 +300,84 @@ fn bench(c: &mut Criterion) {
             split.join("; "),
             w.hot_edges
         );
+    }
+
+    // Measured: the served chain, `bench_e2e`'s `kernel-scan` CRPQ from 6
+    // bound sources, one source set per op in turn — ns per op and per
+    // binding (the atoms' bindings the join reads). Acceptance 5 first:
+    // every set binds what the naive oracle binds, and a warm op allocates
+    // per step, not per row.
+    {
+        let w = served_chain_workload(1, 4096, 30, 6);
+        let mut ab = w.alphabet.clone();
+        let crpq = parse_crpq(&mut ab, w.text).expect("workload text parses");
+        let graph = CsrGraph::from(&w.instance);
+        let plan = plan_join(&crpq, graph.stats(), &PlannerConfig::default(), true, false);
+        let run = |sources: &[Oid], scratch: &mut EvalScratch| {
+            let heads = HeadBindings {
+                sources: Some(sources),
+                targets: None,
+            };
+            execute_join(
+                &crpq,
+                &plan.order,
+                &graph,
+                heads,
+                &EvalControl::UNLIMITED,
+                scratch,
+            )
+        };
+        let (naive, _) = execute_naive(&crpq, &graph, HeadBindings::default());
+        let mut scratch = EvalScratch::new();
+        let (mut bindings, mut edges) = (0, 0);
+        for sources in &w.source_sets {
+            let res = run(sources, &mut scratch);
+            let want: Vec<(Oid, Oid)> = naive
+                .iter()
+                .copied()
+                .filter(|(x, _)| sources.contains(x))
+                .collect();
+            assert_eq!(
+                res.pairs, want,
+                "the served chain binds what the oracle binds"
+            );
+            bindings += res.stats.atoms.iter().map(|a| a.bindings).sum::<usize>();
+            edges += res.stats.edges_scanned;
+        }
+        let before = BUFFERS.load(Ordering::Relaxed);
+        let res = run(&w.source_sets[0], &mut scratch);
+        let buffers = BUFFERS.load(Ordering::Relaxed) - before;
+        let rows: usize = res.stats.atoms.iter().map(|a| a.bindings).sum();
+        println!("t17 served_chain allocations: {buffers} buffers for {rows} bindings");
+        assert!(
+            buffers * 8 < rows,
+            "the served chain asked for {buffers} buffers to join {rows} bindings — a \
+             join step must allocate per step, not per row"
+        );
+
+        let (mut spent, mut ops) = (Duration::ZERO, 0u32);
+        group.bench_function("served_chain", |b| {
+            let mut sets = w.source_sets.iter().cycle();
+            b.iter(|| {
+                let sources = sets.next().expect("cycle of a non-empty list");
+                let start = Instant::now();
+                let res = run(sources, &mut scratch);
+                spent += start.elapsed();
+                ops += 1;
+                black_box(res.pairs.len())
+            })
+        });
+        if ops > 0 {
+            let per_op = spent.as_nanos() as f64 / f64::from(ops);
+            let sets = w.source_sets.len();
+            let per_binding = per_op * sets as f64 / bindings as f64;
+            println!(
+                "t17 served_chain: {per_op:.0} ns per op, {per_binding:.1} ns per binding \
+                 ({} bindings and {} edges per op)",
+                bindings / sets,
+                edges / sets
+            );
+        }
     }
 
     group.finish();

@@ -6,7 +6,8 @@
 //! graphs, queries, and constraint systems.
 
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::seq::SliceRandom;
+use rand::{Rng, SeedableRng};
 
 use rpq_automata::{parse_regex, Alphabet, Regex, Symbol};
 use rpq_constraints::{ConstraintKind, ConstraintSet, PathConstraint};
@@ -481,6 +482,81 @@ pub fn crpq_workload(n_src: usize, spread: usize) -> CrpqWorkload {
         hot_edges: n_src * spread,
         answers: n_src,
     }
+}
+
+/// The conjunctive op of `bench_e2e`'s `kernel-scan` workload, alone:
+/// `ans(x,z) :- x -[p.p]-> y, y -[q+t]-> w, w -[p]-> z` from bound
+/// sources, over a region whose labels `p`, `q` and `t` are unions of 3, 2
+/// and 1 disjoint random permutations (out- and in-degree 3 / 2 / 1 at
+/// every node, as `bench_e2e/src/gen.rs` builds its join region).
+pub struct ServedChainWorkload {
+    /// Shared alphabet (`p`, `q`, `t`).
+    pub alphabet: Alphabet,
+    /// The instance (snapshot with `CsrGraph::from`).
+    pub instance: Instance,
+    /// The conjunctive query text.
+    pub text: &'static str,
+    /// One head-source set per op.
+    pub source_sets: Vec<Vec<Oid>>,
+}
+
+/// Build the served-chain workload: `nodes` nodes and `ops` sets of
+/// `sources` random head sources each, seeded.
+pub fn served_chain_workload(
+    seed: u64,
+    nodes: usize,
+    ops: usize,
+    sources: usize,
+) -> ServedChainWorkload {
+    let mut alphabet = Alphabet::new();
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut instance = Instance::new();
+    let region: Vec<Oid> = (0..nodes).map(|_| instance.add_node()).collect();
+    for (name, degree) in [("p", 3), ("q", 2), ("t", 1)] {
+        let label = alphabet.intern(name);
+        for perm in disjoint_permutations(&mut rng, nodes, degree) {
+            for (i, &j) in perm.iter().enumerate() {
+                instance.add_edge(region[i], label, region[j]);
+            }
+        }
+    }
+    let source_sets = (0..ops)
+        .map(|_| {
+            (0..sources)
+                .map(|_| region[rng.random_range(0..nodes)])
+                .collect()
+        })
+        .collect();
+    ServedChainWorkload {
+        alphabet,
+        instance,
+        text: "ans(x,z) :- x -[p.p]-> y, y -[q+t]-> w, w -[p]-> z",
+        source_sets,
+    }
+}
+
+/// `degree` permutations of `0..n` no two of which agree anywhere, so
+/// that their union is a simple digraph with out- and in-degree exactly
+/// `degree`; a clash is repaired by swapping the offending image with a
+/// random other position.
+fn disjoint_permutations(rng: &mut StdRng, n: usize, degree: usize) -> Vec<Vec<usize>> {
+    let mut perms: Vec<Vec<usize>> = Vec::with_capacity(degree);
+    for _ in 0..degree {
+        let mut p: Vec<usize> = (0..n).collect();
+        p.shuffle(rng);
+        let clash = |p: &[usize], i: usize| perms.iter().any(|q| q[i] == p[i]);
+        for i in 0..n {
+            while clash(&p, i) {
+                let j = rng.random_range(0..n);
+                p.swap(i, j);
+                if clash(&p, j) {
+                    p.swap(i, j);
+                }
+            }
+        }
+        perms.push(p);
+    }
+    perms
 }
 
 #[cfg(test)]

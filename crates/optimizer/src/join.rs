@@ -378,9 +378,12 @@ pub fn plan_join(
 
 /// An intermediate join relation: named columns over row-major [`Oid`]
 /// rows — one buffer, `vars.len()` oids a row, so a join step allocates per
-/// step, never per row. `None` in the executor means "no atom executed
-/// yet" (the neutral element of the join) — distinct from an
-/// executed-but-empty relation, which annihilates.
+/// step, never per row. Its rows are sorted (lexicographically, in column
+/// order) and distinct: a first atom's bindings come that way, every
+/// [`join_step`] keeps it, and [`Relation::project`] restores it. `None`
+/// in the executor means "no atom executed yet" (the neutral element of
+/// the join) — distinct from an executed-but-empty relation, which
+/// annihilates.
 struct Relation {
     vars: Vec<Var>,
     /// Row after row, `vars.len()` oids each.
@@ -389,6 +392,12 @@ struct Relation {
     /// column, which holds the empty row or nothing — 0 or 1.
     len: usize,
 }
+
+/// The width of an oid in a projection key.
+const OID_BITS: u32 = u32::BITS;
+
+/// The most kept columns a projection packs into one `u128` key.
+const PACKED_COLS: usize = (u128::BITS / OID_BITS) as usize;
 
 impl Relation {
     fn row(&self, i: usize) -> &[Oid] {
@@ -404,17 +413,27 @@ impl Relation {
         self.vars.iter().position(|&x| x == v)
     }
 
-    /// Distinct values of column `v`, sorted.
+    /// Distinct values of column `v`, sorted. The rows are sorted, so the
+    /// first column comes sorted and needs only the dedup.
     fn distinct(&self, v: Var) -> Vec<Oid> {
         let c = self.col(v).expect("column present");
         let mut out: Vec<Oid> = self.rows().map(|r| r[c]).collect();
-        out.sort_unstable();
+        if c == 0 {
+            debug_assert!(out.is_sorted(), "a relation's first column is sorted");
+        } else {
+            out.sort_unstable();
+        }
         out.dedup();
         out
     }
 
-    /// Project onto `keep` (dropping dead columns) and dedup rows: the kept
-    /// columns are copied out once, and the row indices sorted by them.
+    /// Project onto `keep` (dropping dead columns) and dedup rows. Up to
+    /// [`PACKED_COLS`] kept oids pack big-endian into one `u128` key per
+    /// row, in column order, so the keys sort as the kept rows do
+    /// lexicographically. The rows come sorted, so keys that agree on the
+    /// kept columns leading the relation come in one run, and only each
+    /// run is sorted; the deduplicated keys unpack into the new rows.
+    /// Wider rows sort their indices by the kept oids.
     fn project(&mut self, keep: &[Var]) {
         let cols: Vec<usize> = (0..self.vars.len())
             .filter(|&i| keep.contains(&self.vars[i]))
@@ -422,17 +441,44 @@ impl Relation {
         if cols.len() == self.vars.len() {
             return;
         }
-        let k = cols.len();
-        let mut kept = Vec::with_capacity(self.len * k);
-        for row in self.rows() {
-            kept.extend(cols.iter().map(|&c| row[c]));
+        let mut cells = Vec::with_capacity(self.len * cols.len());
+        if cols.len() <= PACKED_COLS {
+            let pack = |row: &[Oid]| {
+                cols.iter()
+                    .fold(0, |key, &c| key << OID_BITS | u128::from(row[c].0))
+            };
+            let mut keys: Vec<u128> = self.rows().map(pack).collect();
+            let lead = cols
+                .iter()
+                .enumerate()
+                .take_while(|&(i, &c)| i == c)
+                .count();
+            let rest = OID_BITS * (cols.len() - lead) as u32;
+            let run_of = |key: &u128| key.checked_shr(rest);
+            debug_assert!(keys.is_sorted_by_key(run_of), "the rows are sorted");
+            for run in keys.chunk_by_mut(|a, b| run_of(a) == run_of(b)) {
+                run.sort_unstable();
+            }
+            keys.dedup();
+            for &key in &keys {
+                let oid = |j: usize| Oid((key >> (OID_BITS * j as u32)) as u32);
+                cells.extend((0..cols.len()).rev().map(oid));
+            }
+            self.len = keys.len();
+        } else {
+            let kept = |i: usize| {
+                let row = self.row(i);
+                cols.iter().map(move |&c| row[c])
+            };
+            let mut order: Vec<usize> = (0..self.len).collect();
+            order.sort_unstable_by(|&a, &b| kept(a).cmp(kept(b)));
+            order.dedup_by(|a, b| kept(*a).eq(kept(*b)));
+            for &i in &order {
+                cells.extend(kept(i));
+            }
+            self.len = order.len();
         }
-        let key = |i: usize| &kept[i * k..(i + 1) * k];
-        let mut order: Vec<usize> = (0..self.len).collect();
-        order.sort_unstable_by(|&a, &b| key(a).cmp(key(b)));
-        order.dedup_by(|a, b| key(*a) == key(*b));
-        self.cells = order.iter().flat_map(|&i| key(i)).copied().collect();
-        self.len = order.len();
+        self.cells = cells;
         self.vars = cols.iter().map(|&i| self.vars[i]).collect();
     }
 }
@@ -708,24 +754,31 @@ fn eval_atom<G: GraphView>(
 /// both columns new (cross product against the neutral relation or a
 /// genuine disconnected join), one shared column (each row extended from
 /// a range lookup into the pairs, sorted by that column), both shared
-/// (filter).
+/// (filter). `pairs` come sorted and distinct, as [`search_pairs`] returns
+/// them, and reflexive when `u == v`; they are read as they come, and only
+/// their swap `by_dst` is sorted. Rows come out sorted and distinct.
 fn join_step(rel: Option<Relation>, pairs: &[(Oid, Oid)], u: Var, v: Var) -> Relation {
+    debug_assert!(
+        pairs.is_sorted_by(|a, b| a < b),
+        "pairs sorted and distinct"
+    );
     let self_loop = u == v;
+    debug_assert!(!self_loop || pairs.iter().all(|(s, t)| s == t));
     let Some(rel) = rel else {
         // First atom: the relation IS the atom's bindings.
         let (vars, cells) = if self_loop {
-            let mut ss: Vec<Oid> = pairs.iter().map(|&(s, _)| s).collect();
-            ss.sort_unstable();
-            ss.dedup();
-            (vec![u], ss)
+            (vec![u], pairs.iter().map(|&(s, _)| s).collect())
         } else {
-            let mut ps = pairs.to_vec();
-            ps.sort_unstable();
-            ps.dedup();
-            (vec![u, v], ps.iter().flat_map(|&(s, t)| [s, t]).collect())
+            (
+                vec![u, v],
+                pairs.iter().flat_map(|&(s, t)| [s, t]).collect(),
+            )
         };
-        let len = cells.len() / vars.len();
-        return Relation { vars, cells, len };
+        return Relation {
+            vars,
+            cells,
+            len: pairs.len(),
+        };
     };
     let cu = rel.col(u);
     let cv = if self_loop { cu } else { rel.col(v) };
@@ -734,10 +787,8 @@ fn join_step(rel: Option<Relation>, pairs: &[(Oid, Oid)], u: Var, v: Var) -> Rel
     match (cu, cv) {
         (Some(cu), Some(cv)) => {
             // Both bound: the atom is a filter over existing columns.
-            let mut set = pairs.to_vec();
-            set.sort_unstable();
             for row in rel.rows() {
-                if set.binary_search(&(row[cu], row[cv])).is_ok() {
+                if pairs.binary_search(&(row[cu], row[cv])).is_ok() {
                     cells.extend_from_slice(row);
                 }
             }
@@ -745,9 +796,7 @@ fn join_step(rel: Option<Relation>, pairs: &[(Oid, Oid)], u: Var, v: Var) -> Rel
         (Some(cu), None) => {
             // Extend each row by the targets its `u` value reaches.
             vars.push(v);
-            let mut by_src = pairs.to_vec();
-            by_src.sort_unstable();
-            extend_rows(&rel, cu, &by_src, &mut cells);
+            extend_rows(&rel, cu, pairs, &mut cells);
         }
         (None, Some(cv)) => {
             // Extend each row by the sources reaching its `v` value.
@@ -1175,41 +1224,75 @@ mod tests {
         rows
     }
 
-    /// Chains of 1–4 flat join steps over random relations bind exactly
+    /// Whether `r`'s rows are sorted and distinct, as the executor keeps
+    /// every relation.
+    fn sorted_and_distinct(r: &Relation) -> bool {
+        r.rows().zip(r.rows().skip(1)).all(|(a, b)| a < b)
+    }
+
+    /// Chains of 1–7 flat join steps over random relations bind exactly
     /// what the oracle's `Vec`-per-row join binds, step after step: first
     /// atoms, self-loop atoms, closing atoms with both ends bound, atoms
-    /// sharing one end, disconnected atoms (cross products), atoms that
-    /// empty the relation, and duplicate pairs — each shape checked on
-    /// hundreds of chains — and a projection of the result keeps the same
-    /// bindings on both sides.
+    /// sharing one end, disconnected atoms (cross products) and atoms that
+    /// empty the relation — each shape checked on hundreds of chains. The
+    /// pairs come as `search_pairs` returns them: sorted, distinct, and
+    /// reflexive for a self-loop. After a step the relation may drop one or
+    /// two random columns, as the executor drops dead ones, and the
+    /// projection keeps the oracle's bindings; over up to 7 variables each
+    /// of 0–6 kept columns is reached on dozens of chains. Half the chains
+    /// draw oids from `0..4`, half from four values spread over the whole
+    /// `u32` range, three of them equal in their low 16 bits. Every
+    /// relation, joined or projected, is sorted and distinct.
     #[test]
     fn flat_join_steps_bind_like_the_oracle() {
         use rand::rngs::StdRng;
+        use rand::seq::SliceRandom;
         use rand::{Rng, SeedableRng};
 
-        const SHAPES: [&str; 7] = [
+        const SHAPES: [&str; 6] = [
             "first",
             "self-loop",
             "closing",
             "one end",
             "cross",
             "emptied",
-            "dup pairs",
         ];
-        let mut seen = [0usize; 7];
-        for seed in 0..3000u64 {
+        let mut seen = [0usize; 6];
+        let mut kept = [0usize; 7];
+        for seed in 0..4000u64 {
             let mut rng = StdRng::seed_from_u64(seed);
+            let pool: [u32; 4] = if seed % 2 == 0 {
+                [0, 1, 2, 3]
+            } else {
+                let x: u32 = rng.random();
+                [x, x ^ (1 << 16), x ^ (1 << 31), rng.random()]
+            };
             let (mut flat, mut naive): (Option<Relation>, Option<oracle::Relation>) = (None, None);
-            for _ in 0..rng.random_range(1..=4usize) {
-                let u = Var(rng.random_range(0..5));
+            for _ in 0..rng.random_range(1..=7usize) {
+                // Half the sources are new to the relation, so that it grows
+                // wide.
+                let fresh = (0..7)
+                    .map(Var)
+                    .find(|&x| flat.as_ref().is_none_or(|r| r.col(x).is_none()));
+                let u = match fresh {
+                    Some(x) if rng.random_bool(0.5) => x,
+                    _ => Var(rng.random_range(0..7)),
+                };
                 let v = if rng.random_range(0..4) == 0 {
                     u
                 } else {
-                    Var(rng.random_range(0..5))
+                    Var(rng.random_range(0..7))
                 };
                 let n = rng.random_range(0..10);
-                let mut oid = || Oid(rng.random_range(0..4));
-                let pairs: Vec<(Oid, Oid)> = (0..n).map(|_| (oid(), oid())).collect();
+                let mut oid = || Oid(pool[rng.random_range(0..4)]);
+                let mut pairs: Vec<(Oid, Oid)> = (0..n)
+                    .map(|_| {
+                        let s = oid();
+                        (s, if u == v { s } else { oid() })
+                    })
+                    .collect();
+                pairs.sort_unstable();
+                pairs.dedup();
                 let shape = match flat.as_ref() {
                     None => 0,
                     Some(_) if u == v => 1,
@@ -1220,14 +1303,10 @@ mod tests {
                     },
                 };
                 seen[shape] += 1;
-                let mut distinct = pairs.clone();
-                distinct.sort_unstable();
-                distinct.dedup();
-                seen[6] += usize::from(distinct.len() < pairs.len());
                 let before = flat.as_ref().map_or(0, |r| r.len);
 
-                let f = join_step(flat.take(), &pairs, u, v);
-                let o = oracle::join_step(naive.take(), &pairs, u, v);
+                let mut f = join_step(flat.take(), &pairs, u, v);
+                let mut o = oracle::join_step(naive.take(), &pairs, u, v);
                 seen[5] += usize::from(before > 0 && f.len == 0);
                 assert_eq!(f.vars, o.vars, "seed {seed}");
                 assert_eq!(
@@ -1237,31 +1316,41 @@ mod tests {
                     u,
                     v
                 );
+                assert!(sorted_and_distinct(&f), "seed {seed}: joined");
+
+                if rng.random_bool(0.5) {
+                    let mut keep = f.vars.clone();
+                    keep.shuffle(&mut rng);
+                    let dropped = rng.random_range(1..=f.vars.len().min(2));
+                    keep.truncate(f.vars.len() - dropped);
+                    let cols: Vec<usize> = (0..o.vars.len())
+                        .filter(|&i| keep.contains(&o.vars[i]))
+                        .collect();
+                    f.project(&keep);
+                    o.rows = o
+                        .rows
+                        .iter()
+                        .map(|row| cols.iter().map(|&c| row[c]).collect())
+                        .collect();
+                    o.vars = cols.iter().map(|&c| o.vars[c]).collect();
+                    kept[keep.len()] += 1;
+                    assert_eq!(f.vars, o.vars, "seed {seed}");
+                    assert_eq!(
+                        row_set(f.rows().map(<[Oid]>::to_vec)),
+                        row_set(o.rows.iter().cloned()),
+                        "seed {seed}: projected onto {keep:?}"
+                    );
+                    assert!(sorted_and_distinct(&f), "seed {seed}: projected");
+                }
                 (flat, naive) = (Some(f), Some(o));
             }
-            let (mut f, o) = (flat.expect("one step"), naive.expect("one step"));
-            let keep: Vec<Var> = f
-                .vars
-                .iter()
-                .copied()
-                .filter(|_| rng.random_bool(0.5))
-                .collect();
-            let cols: Vec<usize> = (0..o.vars.len())
-                .filter(|&i| keep.contains(&o.vars[i]))
-                .collect();
-            f.project(&keep);
-            let projected = o
-                .rows
-                .iter()
-                .map(|row| cols.iter().map(|&c| row[c]).collect());
-            assert_eq!(
-                row_set(f.rows().map(<[Oid]>::to_vec)),
-                row_set(projected),
-                "seed {seed}: projected onto {keep:?}"
-            );
         }
         for (shape, n) in SHAPES.iter().zip(seen) {
             assert!(n >= 200, "only {n} {shape} steps");
+        }
+        println!("shapes {seen:?}, projections by kept columns: {kept:?}");
+        for (k, n) in kept.into_iter().enumerate() {
+            assert!(n >= 20, "only {n} projections keep {k} columns");
         }
     }
 

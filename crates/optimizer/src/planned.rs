@@ -195,7 +195,9 @@ fn remember<P>(entries: &mut Vec<MemoEntry<P>>, key: MemoKey, plan: &Arc<P>) {
 /// alphabet snapshot — so an unbounded map grows for as long as a server
 /// is sent new texts. On reaching the bound the map is dropped whole;
 /// plans are rebuilt when their query comes back, as with the per-query
-/// eviction above.
+/// eviction above. The path-plan memo is built with room for the bound,
+/// so a stream of new texts never stops to grow it and re-hash every
+/// `Regex` key.
 const MAX_MEMOIZED_QUERIES: usize = 4096;
 
 /// The memo's entry list for `query`, dropping the map first if `query`
@@ -233,7 +235,7 @@ impl<E> PlannedEngine<E> {
             set,
             alphabet: Arc::new(alphabet),
             config: PlannerConfig::default(),
-            memo: Mutex::new(HashMap::new()),
+            memo: Mutex::new(HashMap::with_capacity(MAX_MEMOIZED_QUERIES)),
             crpq_memo: Mutex::new(HashMap::new()),
             hits: AtomicUsize::new(0),
             misses: AtomicUsize::new(0),

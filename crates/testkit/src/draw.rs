@@ -122,3 +122,29 @@ pub fn random_crpq(rng: &mut StdRng, ab: &Alphabet, atoms: usize, close_cycle: b
         var_names,
     }
 }
+
+/// A random star-shaped CRPQ over `ab`'s symbols: `leaves` (at least two)
+/// atoms, each joining the centre `x0` to its own leaf `x1 … xn` through a
+/// random regex, out of the centre or into it at random; the head is the
+/// first two leaves.
+pub fn random_star_crpq(rng: &mut StdRng, ab: &Alphabet, leaves: usize) -> Crpq {
+    assert!(leaves >= 2, "a star's head is two of its leaves");
+    let syms: Vec<Symbol> = ab.symbols().collect();
+    let cfg = RegexGenConfig::new(syms);
+    let atoms = (1..=leaves as u32)
+        .map(|leaf| {
+            let query = Query::new(random_regex(rng, &cfg), ab);
+            let (src, dst) = if rng.random_bool(0.5) {
+                (Var(0), Var(leaf))
+            } else {
+                (Var(leaf), Var(0))
+            };
+            CrpqAtom { query, src, dst }
+        })
+        .collect();
+    Crpq {
+        atoms,
+        head: (Var(1), Var(2)),
+        var_names: (0..=leaves).map(|i| format!("x{i}")).collect(),
+    }
+}

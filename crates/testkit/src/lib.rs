@@ -9,7 +9,8 @@
 //! * [`random`] — seeded regexes and words.
 //! * [`draw`] — the one copy of each input the integration tests draw:
 //!   a random graph with a random query, word-constraint systems, chain
-//!   CRPQs, and the nine evaluation engines the agreement tests anchor on.
+//!   and star CRPQs, and the nine evaluation engines the agreement tests
+//!   anchor on.
 //! * [`satisfy`] — instances *built* to satisfy a constraint set `E`
 //!   instead of drawn and filtered for it: a bounded chase (which builds a
 //!   cache rule's view), at one source or at every node, each output
