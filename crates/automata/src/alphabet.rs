@@ -9,14 +9,12 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// An interned label. Obtained from [`Alphabet::intern`].
 ///
 /// Symbols are only meaningful relative to the alphabet that produced them;
 /// mixing symbols from different alphabets is a logic error (not UB, but the
 /// names will be wrong or out of range).
-#[derive(Copy, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Symbol(pub(crate) u32);
 
 impl Symbol {
@@ -45,10 +43,9 @@ impl fmt::Debug for Symbol {
 /// The alphabet is append-only: interning the same name twice returns the
 /// same [`Symbol`]. Symbols are handed out densely starting at 0, so they can
 /// index `Vec`-based transition tables without hashing.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct Alphabet {
     names: Vec<String>,
-    #[serde(skip)]
     index: HashMap<String, u32>,
 }
 
@@ -119,7 +116,7 @@ impl Alphabet {
             .join(".")
     }
 
-    /// Rebuild the reverse index after deserialization (serde skips it).
+    /// Rebuild the name → symbol index from the name list.
     pub fn rebuild_index(&mut self) {
         self.index = self
             .names

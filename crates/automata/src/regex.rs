@@ -12,8 +12,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::alphabet::{Alphabet, Symbol};
 
 /// A regular expression over interned [`Symbol`]s.
@@ -25,7 +23,7 @@ use crate::alphabet::{Alphabet, Symbol};
 /// * `Union` has ≥ 2 parts, sorted, deduplicated, none of which is `Empty` or
 ///   a nested `Union`.
 /// * `Star` never wraps `Empty`, `Epsilon`, or another `Star`.
-#[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 pub enum Regex {
     /// The empty language ∅.
     Empty,

@@ -1,6 +1,6 @@
 //! T17 — conjunctive RPQs: the cost-based join planner and semijoin
 //! propagation against static orders and the naive independent-atom
-//! evaluator. Five claims, asserted at registration time so `--test`
+//! evaluator. Six claims, asserted at registration time so `--test`
 //! mode (the CI bench smoke) enforces the acceptance criteria without
 //! paying measurement time:
 //!
@@ -29,6 +29,12 @@
 //!   `execute_naive`'s pairs for each of 30 source sets, and a warm op
 //!   asks for fewer than one buffer per 8 of the bindings it joins (64 for
 //!   681).
+//! * **A statically empty atom empties the join without a scan** — on the
+//!   skew workload, `ans(x, w) :- x -[hot]-> y, y -[rare]-> z, z -[ghost]->
+//!   w`, whose `ghost` has no edge, returns no binding, scans 0 edges and
+//!   records all three atoms with no direction, because the atom's plan
+//!   decides it empty ([`rpq_optimizer::JoinPlan::atoms`]);
+//!   `execute_naive` scans the hot fan-out to bind the same nothing.
 //!
 //! Measured series: planned-order vs worst-static-order `execute_join`
 //! wall time over growing hot fan-outs, the per-atom edge split printed
@@ -47,7 +53,8 @@ use rpq_bench::{crpq_workload, served_chain_workload};
 use rpq_core::{EvalControl, EvalScratch, Termination};
 use rpq_graph::{CsrGraph, Oid};
 use rpq_optimizer::{
-    execute_join, execute_naive, parse_crpq, plan_join, Direction, HeadBindings, PlannerConfig,
+    execute_join, execute_naive, parse_crpq, plan_join, Direction, HeadBindings, JoinPlan,
+    PlannerConfig,
 };
 use rpq_server::{Catalog, QueryClass, Server};
 
@@ -88,11 +95,16 @@ fn bench(c: &mut Criterion) {
         let mut ab = w.alphabet.clone();
         let crpq = parse_crpq(&mut ab, w.text).expect("workload text parses");
         let graph = CsrGraph::from(&w.instance);
+        let config = PlannerConfig::default();
+        let plan = JoinPlan {
+            order: vec![0, 1], // the hot atom first, unbound: every hot edge a row
+            ..plan_join(&crpq, graph.stats(), &config, false, false)
+        };
         let mut scratch = EvalScratch::new();
         let mut run = || {
             execute_join(
                 &crpq,
-                &[0, 1], // the hot atom first, unbound: every hot edge a row
+                &plan,
                 &graph,
                 HeadBindings::default(),
                 &EvalControl::UNLIMITED,
@@ -139,17 +151,15 @@ fn bench(c: &mut Criterion) {
             false,
         );
         assert_eq!(plan.order, vec![1, 0], "rare bottleneck atom must go first");
-        assert_eq!(
-            plan.directions[1],
-            Direction::Backward,
-            "the hot atom must run backward from the bound join variable"
-        );
 
         let run = |order: &[usize]| {
             let mut scratch = EvalScratch::new();
             execute_join(
                 &crpq,
-                order,
+                &JoinPlan {
+                    order: order.to_vec(),
+                    ..plan.clone()
+                },
                 &graph,
                 HeadBindings::default(),
                 &EvalControl::UNLIMITED,
@@ -157,6 +167,11 @@ fn bench(c: &mut Criterion) {
             )
         };
         let planned = run(&plan.order);
+        assert_eq!(
+            planned.stats.atoms[1].direction,
+            Some(Direction::Backward),
+            "the hot atom must run backward from the bound join variable"
+        );
         assert_eq!(planned.termination, Termination::Complete);
         assert_eq!(
             planned.pairs.len(),
@@ -196,7 +211,7 @@ fn bench(c: &mut Criterion) {
         let mut scratch = EvalScratch::new();
         let semi = execute_join(
             &crpq,
-            &plan.order,
+            &plan,
             &graph,
             HeadBindings::default(),
             &EvalControl::UNLIMITED,
@@ -210,6 +225,46 @@ fn bench(c: &mut Criterion) {
             semi.stats.edges_scanned,
             naive_edges
         );
+    }
+
+    // Acceptance 6: an atom over a label with no edges is statically
+    // empty, so the join answers without an edge.
+    {
+        let w = crpq_workload(64, 16);
+        let mut ab = w.alphabet.clone();
+        let text = "ans(x, w) :- x -[hot]-> y, y -[rare]-> z, z -[ghost]-> w";
+        let crpq = parse_crpq(&mut ab, text).expect("parses");
+        let graph = CsrGraph::from(&w.instance);
+        let plan = plan_join(
+            &crpq,
+            graph.stats(),
+            &PlannerConfig::default(),
+            false,
+            false,
+        );
+        assert!(plan.atoms[2].facts.statically_empty, "ghost has no edge");
+        let res = execute_join(
+            &crpq,
+            &plan,
+            &graph,
+            HeadBindings::default(),
+            &EvalControl::UNLIMITED,
+            &mut EvalScratch::new(),
+        );
+        let (naive, naive_edges) = execute_naive(&crpq, &graph, HeadBindings::default());
+        assert!(res.pairs.is_empty() && naive.is_empty());
+        assert_eq!(res.termination, Termination::Complete);
+        assert_eq!(
+            res.stats.edges_scanned, 0,
+            "a statically empty atom must empty the join without a scan"
+        );
+        assert_eq!(res.stats.atoms.len(), 3, "one record per atom");
+        assert!(
+            res.stats.atoms.iter().all(|a| a.direction.is_none()),
+            "no atom ran: {:?}",
+            res.stats.atoms
+        );
+        println!("t17 empty atom: 0 edges scanned, execute_naive {naive_edges}");
     }
 
     // Acceptance 3: the text front end serves the CRPQ end-to-end under
@@ -255,15 +310,18 @@ fn bench(c: &mut Criterion) {
             false,
             false,
         );
-        let worst_order = vec![0usize, 1];
+        let worst = JoinPlan {
+            order: vec![0, 1],
+            ..plan.clone()
+        };
 
-        for (name, order) in [("planned", &plan.order), ("worst_static", &worst_order)] {
-            group.bench_with_input(BenchmarkId::new(name, n_src), order, |b, order| {
+        for (name, plan) in [("planned", &plan), ("worst_static", &worst)] {
+            group.bench_with_input(BenchmarkId::new(name, n_src), plan, |b, plan| {
                 let mut scratch = EvalScratch::new();
                 b.iter(|| {
                     let res = execute_join(
                         &crpq,
-                        order,
+                        plan,
                         &graph,
                         HeadBindings::default(),
                         &EvalControl::UNLIMITED,
@@ -277,7 +335,7 @@ fn bench(c: &mut Criterion) {
         let mut scratch = EvalScratch::new();
         let res = execute_join(
             &crpq,
-            &plan.order,
+            &plan,
             &graph,
             HeadBindings::default(),
             &EvalControl::UNLIMITED,
@@ -320,7 +378,7 @@ fn bench(c: &mut Criterion) {
             };
             execute_join(
                 &crpq,
-                &plan.order,
+                &plan,
                 &graph,
                 heads,
                 &EvalControl::UNLIMITED,

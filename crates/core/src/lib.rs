@@ -31,8 +31,9 @@
 //!   [`search_nodes`] (a node set — `p(o, I)` forward, `{o | t ∈ p(o, I)}`
 //!   backward), [`search_pair`] (one verdict: early exit from the source
 //!   or from the target), [`search_pairs`] (the (source, target) binding
-//!   set a conjunctive-query atom induces — the per-atom machinery
-//!   `rpq-optimizer`'s join planner composes) and [`run_request`] (any
+//!   set a conjunctive-query atom induces, from the end
+//!   [`search_bindings`] picks off the bound sides — the per-atom
+//!   machinery `rpq-optimizer`'s join executor composes) and [`run_request`] (any
 //!   [`SourceSpec`]; per-seed sets and the N×M matrix are one
 //!   [`search_nodes`] per seed, reported as [`BatchResult`] /
 //!   [`MatrixResult`]); [`eval_product_csr`] is the default-option
@@ -88,7 +89,7 @@ pub use batch::{BatchResult, MatrixResult};
 pub use engine::{Engine, OracleEngine, ProductEngine, Query};
 pub use oracle::eval_oracle;
 pub use pair::{search_pair, PairResult};
-pub use pairset::{search_pairs, seed_candidates, PairSetResult};
+pub use pairset::{search_bindings, search_pairs, seed_candidates, PairSetResult};
 pub use parallel::{FrontierMode, WorkerLease, WorkerPool, PAR_LEVEL_THRESHOLD};
 pub use product::{
     eval_product, eval_product_csr, eval_product_scan, search_nodes, EvalResult, SearchOpts,

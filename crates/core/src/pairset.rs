@@ -21,6 +21,8 @@
 //! When *neither* variable is bound, [`seed_candidates`] prunes the seed
 //! set to nodes that can take at least one step of the query (or every
 //! node, when the query accepts ε) before the forward loop runs.
+//! [`search_bindings`] picks among the three from the bound sides; it is
+//! the one place that choice is made.
 //!
 //! The seeds share one [`crate::EvalControl`]: one `edges_scanned` budget,
 //! per-level cancellation, and the uniform soundness contract — bindings
@@ -36,7 +38,7 @@ use rpq_graph::{GraphView, Oid};
 use crate::product::{search_nodes_each, SearchOpts};
 use crate::request::Termination;
 use crate::scratch::EvalScratch;
-use crate::stats::EvalStats;
+use crate::stats::{Direction, EvalStats};
 
 /// Result of a set-valued pair evaluation: the (source, target) bindings a
 /// path query induces between the requested endpoint sets.
@@ -124,6 +126,47 @@ pub fn search_pairs<G: GraphView>(
         pairs.extend(kept.map(|&a| orient(seeds[i], a)));
     });
     finish_pairs(pairs, stats, term)
+}
+
+/// The one binding-set decision: all `(s, t)` with `t ∈ p(s, I)`, `s` in
+/// `sources` and `t` in `targets` where given (`None` = that side is
+/// free), and the [`Direction`] it ran. `reversed` is `nfa`'s
+/// [`Nfa::reverse`]. Sources bound → forward from them, probing `targets`
+/// when they are bound too (`Bidirectional`); only targets bound →
+/// backward from them over `reversed` and the reverse adjacency; neither →
+/// forward from [`seed_candidates`]. The sets must name objects of
+/// `graph`. `opts.reverse_adj` is not read, and neither is
+/// `opts.depth_cap` ([`search_pairs`]).
+///
+/// [`crate::run_request`]'s `Conjunctive` arm calls this, and so does
+/// each atom of `rpq-optimizer`'s CRPQ join.
+pub fn search_bindings<G: GraphView>(
+    nfa: &Nfa,
+    reversed: &Nfa,
+    graph: &G,
+    sources: Option<&[Oid]>,
+    targets: Option<&[Oid]>,
+    opts: &SearchOpts<'_>,
+    scratch: &mut EvalScratch,
+) -> (PairSetResult, Direction) {
+    let dir = match (sources, targets) {
+        (Some(_), Some(_)) => Direction::Bidirectional,
+        (None, Some(_)) => Direction::Backward,
+        _ => Direction::Forward,
+    };
+    let opts = SearchOpts {
+        reverse_adj: dir == Direction::Backward,
+        ..*opts
+    };
+    let res = match (sources, targets) {
+        (Some(ss), ts) => search_pairs(nfa, graph, ss, ts, &opts, scratch),
+        (None, Some(ts)) => search_pairs(reversed, graph, ts, None, &opts, scratch),
+        (None, None) => {
+            let seeds = seed_candidates(nfa, graph, scratch);
+            search_pairs(nfa, graph, &seeds, None, &opts, scratch)
+        }
+    };
+    (res, dir)
 }
 
 /// Candidate seeds for an atom whose source variable is unbound: if the

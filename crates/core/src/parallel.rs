@@ -4,7 +4,7 @@
 //! Every BFS level runs on the query's own thread: on the two vCPUs this
 //! repository is measured on, two busy threads do not add up to more than
 //! one, and a fanned-out level lost 28–43 % latency at twice the CPU
-//! (ROADMAP 5(c)). Concurrency lives across queries, on the server's
+//! (`CHANGES.md`, PR 25). Concurrency lives across queries, on the server's
 //! executor. And every level is one push sweep: no level is priced, so
 //! there is no mode to choose and no discount to price a pull with. The
 //! items below keep their signatures only so that the end-to-end benchmark

@@ -35,7 +35,7 @@ use rpq_graph::{CsrGraph, GraphView, Oid};
 use crate::batch::{BatchResult, MatrixResult};
 use crate::engine::{Engine, Query};
 use crate::pair::{search_pair, PairResult};
-use crate::pairset::{search_pairs, seed_candidates, PairSetResult};
+use crate::pairset::{search_bindings, PairSetResult};
 use crate::product::{search_nodes, search_nodes_each, EvalResult, SearchOpts};
 use crate::scratch::EvalScratch;
 use crate::stats::{Direction, EvalStats};
@@ -116,11 +116,12 @@ pub enum SourceSpec {
     },
     /// The *binding set* `{(s, t) | t ∈ p(s, I)}` restricted to optional
     /// endpoint sets — the conjunctive-query form. On a single-atom query
-    /// this asks the atom's set-valued pair question directly
-    /// ([`crate::pairset`]); `rpq-optimizer` routes multi-atom CRPQs
-    /// through the same spec, with `sources` / `targets` restricting the
-    /// head variables. `None` means the endpoint is a free variable
-    /// (unrestricted).
+    /// this asks the atom's set-valued pair question directly, through
+    /// [`crate::search_bindings`], the decision each atom of
+    /// `rpq-optimizer`'s CRPQ join makes too; `rpq-optimizer` routes
+    /// multi-atom CRPQs through the same spec, with `sources` / `targets`
+    /// restricting the head variables. `None` means the endpoint is a free
+    /// variable (unrestricted).
     Conjunctive {
         /// Allowed left-endpoint (head source variable) bindings; `None` =
         /// free.
@@ -532,7 +533,7 @@ pub fn live_oids(oids: &[Oid], num_nodes: usize) -> Cow<'_, [Oid]> {
 /// | `Targets` | per-item loop backward — cap |
 /// | `Pair` | [`search_pair`] early exit by `pair_direction` — no cap |
 /// | `Matrix` | per-item loop forward over the rows — cap |
-/// | `Conjunctive` | [`search_pairs`] per-seed loop: sources bound → forward (target set as `bound`), only targets bound → backward, neither → forward from [`seed_candidates`] — no cap |
+/// | `Conjunctive` | [`search_bindings`]: a [`search_pairs`](crate::search_pairs) per-seed loop, sources bound → forward (target set as `bound`), only targets bound → backward, neither → forward from [`seed_candidates`](crate::seed_candidates) — no cap |
 ///
 /// Deliberately not touched (each moves a served counter, so each is its
 /// own follow-up): the pair arm and the binding-set loop ignore the depth
@@ -600,16 +601,10 @@ pub fn run_request<G: GraphView>(
                 .terminated(term)
         }
         SourceSpec::Conjunctive { sources, targets } => {
-            let live_sources = sources.as_deref().map(|os| live_oids(os, nv));
-            let live_targets = targets.as_deref().map(|os| live_oids(os, nv));
-            let res = match (live_sources, live_targets) {
-                (Some(ss), ts) => search_pairs(nfa, graph, &ss, ts.as_deref(), &forward, scratch),
-                (None, Some(ts)) => search_pairs(reversed, graph, &ts, None, &backward, scratch),
-                (None, None) => {
-                    let seeds = seed_candidates(nfa, graph, scratch);
-                    search_pairs(nfa, graph, &seeds, None, &forward, scratch)
-                }
-            };
+            let sources = sources.as_deref().map(|os| live_oids(os, nv));
+            let targets = targets.as_deref().map(|os| live_oids(os, nv));
+            let (sources, targets) = (sources.as_deref(), targets.as_deref());
+            let (res, _) = search_bindings(nfa, reversed, graph, sources, targets, opts, scratch);
             EvalResponse::from_pairset(res)
         }
     }

@@ -1,10 +1,8 @@
 //! Evaluation statistics shared by all engines.
 
-use serde::{Deserialize, Serialize};
-
 /// A planned traversal direction, as reported in [`EvalStats`] and chosen
 /// by `rpq_optimizer::PlannedEngine` from per-label statistics.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub enum Direction {
     /// Forward product BFS over the forward adjacency — the first label
     /// group is decisively the rare end.
@@ -20,7 +18,7 @@ pub enum Direction {
 /// entry per atom *in execution order*, so the sequence of `atom` indices
 /// IS the join order the planner chose — the join-order telemetry the
 /// server's `Metrics` aggregate.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct AtomStats {
     /// The atom's index in the query's textual atom list (not the
     /// execution position — that is this entry's position in
@@ -40,7 +38,7 @@ pub struct AtomStats {
 /// Work counters reported by every evaluation engine, used by the Section 2
 /// complexity experiments (bench `t1_eval_scaling`) to compare engines on
 /// the same inputs.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct EvalStats {
     /// Distinct (automaton-state, node) or (quotient-class, node) pairs
     /// materialized — the data-complexity driver.

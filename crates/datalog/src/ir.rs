@@ -10,8 +10,6 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A constant of the (untyped) Datalog domain. Encodings of oids and labels
 /// are chosen by the caller; the engine only compares constants.
 pub type Const = u64;
@@ -23,7 +21,7 @@ pub type PredId = usize;
 pub type VarId = u32;
 
 /// A term: variable or constant.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub enum Term {
     /// A rule-local variable.
     Var(VarId),
@@ -32,7 +30,7 @@ pub enum Term {
 }
 
 /// A predicate declaration.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Predicate {
     /// Display name.
     pub name: String,
@@ -43,7 +41,7 @@ pub struct Predicate {
 }
 
 /// An atom `p(t1, …, tk)`.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Atom {
     /// The predicate.
     pub pred: PredId,
@@ -52,7 +50,7 @@ pub struct Atom {
 }
 
 /// A rule `head :- body₁, …, bodyₙ.` (n = 0 means a fact schema).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Rule {
     /// The derived atom.
     pub head: Atom,
@@ -63,7 +61,7 @@ pub struct Rule {
 }
 
 /// A positive Datalog program.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct Program {
     /// Declared predicates.
     pub predicates: Vec<Predicate>,

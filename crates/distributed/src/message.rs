@@ -10,13 +10,12 @@
 //! realistic message-size accounting in the benches.
 
 use rpq_automata::{Alphabet, Regex};
-use serde::{Deserialize, Serialize};
 
 /// Site identity (the client site and every object are sites).
 pub type SiteId = u32;
 
 /// A globally unique message id: (issuing site, per-site counter).
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Mid(pub SiteId, pub u32);
 
 impl std::fmt::Display for Mid {
@@ -26,7 +25,7 @@ impl std::fmt::Display for Mid {
 }
 
 /// A protocol message.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum Message {
     /// Evaluate `query` at `receiver`; report answers to `destination`;
     /// send `done(mid)` back to `sender` when complete.
@@ -140,7 +139,7 @@ impl Message {
 }
 
 /// Message kinds, for accounting.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub enum MessageKind {
     /// `subquery(…)`.
     Subquery,

@@ -44,7 +44,6 @@
 use std::sync::Arc;
 
 use rpq_automata::Symbol;
-use serde::{Deserialize, Serialize};
 
 use crate::instance::{Instance, Oid};
 use crate::view::RowPart;
@@ -62,7 +61,7 @@ use crate::view::RowPart;
 /// (debug builds assert the incremental counters against a recount). So is
 /// their [`LabelStats::fingerprint`], which a planner reads on every
 /// request.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct LabelStats {
     edge_counts: Vec<usize>,
     source_counts: Vec<usize>,
@@ -407,7 +406,7 @@ impl BlockBuilder {
 /// Build one with [`CsrGraph::from`]; evaluate against it through the
 /// `rpq_core::Engine` trait or the `*_csr` entry points. Cloning one copies
 /// a table of block pointers, not the rows.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct CsrGraph {
     num_nodes: usize,
     num_edges: usize,
@@ -772,7 +771,7 @@ impl From<&Instance> for CsrGraph {
         // mutation methods — snapshotting no longer recounts them. The
         // same defensive posture as the row re-sort below applies to
         // instances rehydrated from encodings that predate the stats
-        // field (derived `Deserialize` performs no validation): when the
+        // field (a decoder that does not validate them): when the
         // incremental totals don't even cover the edge count, fall back
         // to a recount instead of freezing stale statistics. On
         // maintained instances the recount stays as a debug-build

@@ -11,12 +11,11 @@ use std::collections::HashMap;
 use std::fmt;
 
 use rpq_automata::{Alphabet, Symbol};
-use serde::{Deserialize, Serialize};
 
 use crate::csr::LabelStats;
 
 /// A dense object identifier within one [`Instance`].
-#[derive(Copy, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Oid(pub u32);
 
 impl Oid {
@@ -47,10 +46,10 @@ impl fmt::Display for Oid {
 /// **Invariant:** every adjacency row is sorted by `(Symbol, Oid)`; the
 /// query and mutation methods rely on it via binary search. Every
 /// constructor in this crate maintains it. If an instance is ever
-/// rehydrated from an external encoding that predates the invariant
-/// (e.g. after swapping the real `serde` back in — derived `Deserialize`
-/// performs no validation), call [`Instance::normalize`] once before use.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+/// rehydrated from an external encoding that predates the invariant (a
+/// decoder that does not validate it), call [`Instance::normalize`] once
+/// before use.
+#[derive(Clone, Debug, Default)]
 pub struct Instance {
     /// `out[o] = [(label, destination), …]` kept sorted by `(Symbol, Oid)`,
     /// so membership is a binary search and label groups are contiguous.

@@ -19,13 +19,12 @@
 use rpq_automata::{Nfa, Regex};
 use rpq_core::eval_product_csr;
 use rpq_graph::{CsrGraph, LabelStats, Oid};
-use serde::{Deserialize, Serialize};
 
 use crate::compiled::CompiledQuery;
 
 /// Static cost of a query: facts of its regex, read without building an
 /// automaton.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct StaticCost {
     /// States of its Thompson NFA (message/bookkeeping size driver).
     pub states: usize,

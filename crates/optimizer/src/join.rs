@@ -19,15 +19,21 @@
 //! *bound* to the few values that survived so far (a semijoin), instead of
 //! binding against the whole graph. [`plan_join`] picks that order
 //! greedily from [`rpq_graph::LabelStats`] — cheapest atom first (by
-//! [`crate::estimated_cost`]), then always the cheapest atom *connected*
-//! to a bound variable — and assigns each atom the traversal direction its
-//! bound side dictates. [`execute_join`] runs any order through
-//! `rpq_core`'s set-valued pair kernels ([`rpq_core::pairset`]), threads
-//! one shared budget/cancellation control through every atom (a truncated
-//! atom contributes a sound subset, so the joined result is a sound subset
-//! of the CRPQ answer), and stamps one [`rpq_core::AtomStats`] record per
-//! atom in execution order — the join-order telemetry the serving layer
-//! aggregates.
+//! [`crate::estimated_cost`] of the atom's text), then always the cheapest
+//! atom *connected* to a bound variable — and plans each atom as a query
+//! of its own ([`crate::Plan`]): the static analysis under no constraint
+//! set prunes its zero-edge labels, trims its automaton and decides its
+//! emptiness, and the plan compiles it once, forward and reversed.
+//! [`execute_join`] runs the order on those plans. A statically empty atom
+//! empties the whole conjunction, so the join answers it without an edge;
+//! otherwise each atom goes through [`rpq_core::search_bindings`], the
+//! binding-set decision `rpq_core::run_request` makes for a
+//! `Conjunctive` request, which picks the direction from the atom's bound
+//! sides. One shared budget/cancellation control runs through every atom
+//! (a truncated atom contributes a sound subset, so the joined result is a
+//! sound subset of the CRPQ answer), and one [`rpq_core::AtomStats`]
+//! record per atom, in execution order, says what ran — the join-order
+//! telemetry the serving layer aggregates.
 //!
 //! [`execute_naive`] is the deliberately-unoptimized reference: every atom
 //! evaluated independently with both sides free, then hash-joined by a
@@ -43,16 +49,19 @@
 
 use std::borrow::Cow;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use rpq_automata::{parse_regex_embedded, Alphabet, ParseError};
+use rpq_constraints::ConstraintSet;
 use rpq_core::{
-    search_pairs, seed_candidates, AtomStats, Direction, EvalControl, EvalScratch, EvalStats,
+    search_bindings, search_pairs, seed_candidates, AtomStats, EvalControl, EvalScratch, EvalStats,
     FrontierMode, PairSetResult, Query, ScratchPool, SearchOpts, Termination,
 };
 use rpq_graph::{GraphView, LabelStats, Oid};
 
+use crate::analysis::analyze;
 use crate::cost::estimated_cost;
-use crate::planned::PlannerConfig;
+use crate::planned::{Plan, PlannerConfig};
 
 /// A CRPQ variable, identified by its index into [`Crpq::var_names`].
 #[derive(Copy, Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -134,19 +143,23 @@ impl Crpq {
     }
 }
 
-/// A planned atom evaluation order with the planner's per-step decisions —
-/// plan-as-data, inspectable and memoizable.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// A planned atom evaluation order and each atom's own plan —
+/// plan-as-data, inspectable and memoizable. Which end an atom runs from
+/// is not planned: the executor reads it off the atom's bound sides, and
+/// [`rpq_core::AtomStats::direction`] records it.
+#[derive(Clone, Debug)]
 pub struct JoinPlan {
     /// Atom indices in execution order.
     pub order: Vec<usize>,
-    /// The traversal direction each step runs in (indexed by execution
-    /// position, not atom index): `Forward` when the source side is bound,
-    /// `Backward` when only the target side is, `Bidirectional` when both
-    /// are (the bound-bound semijoin form).
-    pub directions: Vec<Direction>,
-    /// The planner's estimated per-atom cost, by execution position.
+    /// The planner's estimated cost of each atom (indexed by atom), the
+    /// ranking `order` was picked by.
     pub est_costs: Vec<usize>,
+    /// Each atom planned as a query of its own (indexed by atom), under
+    /// no constraint set: zero-edge labels pruned, the automaton trimmed
+    /// and compiled forward and reversed, emptiness and finiteness
+    /// decided. Its pruned symbols make a join plan valid only under the
+    /// statistics it was built on.
+    pub atoms: Vec<Plan>,
 }
 
 // ---------------------------------------------------------------------------
@@ -189,7 +202,7 @@ pub fn parse_crpq(alphabet: &mut Alphabet, src: &str) -> Result<Crpq, ParseError
     };
     let head = (intern(&h0), intern(&h1));
 
-    let mut atoms = Vec::new();
+    let mut bodies = Vec::new();
     loop {
         let sv = p.ident("an atom source variable")?;
         p.expect("-[")?;
@@ -206,11 +219,7 @@ pub fn parse_crpq(alphabet: &mut Alphabet, src: &str) -> Result<Crpq, ParseError
         p.pos = body_end + "]->".len();
         p.skip_ws();
         let tv = p.ident("an atom target variable")?;
-        atoms.push(CrpqAtom {
-            query: Query::new(regex, alphabet),
-            src: intern(&sv),
-            dst: intern(&tv),
-        });
+        bodies.push((regex, intern(&sv), intern(&tv)));
         p.skip_ws();
         if p.pos >= p.src.len() {
             break;
@@ -218,8 +227,18 @@ pub fn parse_crpq(alphabet: &mut Alphabet, src: &str) -> Result<Crpq, ParseError
         p.expect(",")?;
     }
 
+    // Every body is parsed, so the alphabet holds every label of the text:
+    // one snapshot serves all the atoms.
+    let snapshot = Arc::new(alphabet.clone());
     let crpq = Crpq {
-        atoms,
+        atoms: bodies
+            .into_iter()
+            .map(|(regex, src, dst)| CrpqAtom {
+                query: Query::on_snapshot(regex, Arc::clone(&snapshot)),
+                src,
+                dst,
+            })
+            .collect(),
         head,
         var_names,
     };
@@ -295,18 +314,21 @@ impl<'a> CrpqParser<'a> {
 // ---------------------------------------------------------------------------
 
 /// Pick an atom evaluation order from per-label statistics: cheapest atom
-/// first (by [`estimated_cost`] — edge counts over the atom automaton's
-/// labeled transitions with a recursion penalty), then repeatedly the
-/// cheapest remaining atom that shares a variable with the already-bound
-/// set (semijoin propagation); a disconnected join graph falls back to the
-/// cheapest remaining atom. `src_bound` / `dst_bound` say whether the
-/// request pre-binds the head variables (a bound head variable seeds the
-/// bound set before the first atom, which can flip both the starting atom
-/// and its direction).
+/// first (by [`estimated_cost`] of the atom's text — edge counts over its
+/// automaton's labeled transitions with a recursion penalty), then
+/// repeatedly the cheapest remaining atom that shares a variable with the
+/// already-bound set (semijoin propagation); a disconnected join graph
+/// falls back to the cheapest remaining atom. `src_bound` / `dst_bound`
+/// say whether the request pre-binds the head variables (a bound head
+/// variable seeds the bound set before the first atom, which can flip the
+/// starting atom).
 ///
-/// The direction at each step follows the bound sides: source bound →
-/// `Forward`, target bound → `Backward`, both → `Bidirectional` (the
-/// bound-bound semijoin), neither → `Forward` from pruned seed candidates.
+/// Each atom is planned too ([`JoinPlan::atoms`]): [`crate::analyze`]
+/// under the empty constraint set, with the atom itself as the winner, so
+/// it is pruned, trimmed and classified but never rewritten — an atom's
+/// bound side ranges over many nodes, not the one site `E` is known to
+/// hold at. The ranking stays [`estimated_cost`], not the plans' entry
+/// costs, which do not price recursion.
 pub fn plan_join(
     crpq: &Crpq,
     stats: &LabelStats,
@@ -331,8 +353,6 @@ pub fn plan_join(
 
     let mut remaining: Vec<usize> = (0..n).collect();
     let mut order = Vec::with_capacity(n);
-    let mut directions = Vec::with_capacity(n);
-    let mut est_costs = Vec::with_capacity(n);
     while !remaining.is_empty() {
         // Prefer connected atoms (any variable already bound); among the
         // preferred set take the cheapest, ties to the lower atom index
@@ -351,24 +371,21 @@ pub fn plan_join(
             .iter()
             .min_by_key(|&&i| (costs[i], i))
             .expect("pool is non-empty");
-        let a = &crpq.atoms[pick];
-        let dir = match (bound[a.src.index()], bound[a.dst.index()]) {
-            (true, true) => Direction::Bidirectional,
-            (true, false) => Direction::Forward,
-            (false, true) => Direction::Backward,
-            (false, false) => Direction::Forward,
-        };
-        bound[a.src.index()] = true;
-        bound[a.dst.index()] = true;
+        for v in crpq.atom_vars(pick) {
+            bound[v.index()] = true;
+        }
         order.push(pick);
-        directions.push(dir);
-        est_costs.push(costs[pick]);
         remaining.retain(|&i| i != pick);
     }
+    let plan = |a: &CrpqAtom| {
+        let text = a.query.regex();
+        let analysis = analyze(&ConstraintSet::default(), text, text.clone(), stats);
+        Plan::new(analysis, a.query.alphabet(), stats)
+    };
     JoinPlan {
         order,
-        directions,
-        est_costs,
+        est_costs: costs,
+        atoms: crpq.atoms.iter().map(plan).collect(),
     }
 }
 
@@ -534,11 +551,18 @@ impl<'a> HeadSet<'a> {
     }
 }
 
-/// Execute a CRPQ in the given atom `order` over `graph`, with semijoin
-/// propagation: each atom evaluates with its bound side restricted to the
-/// distinct values surviving the join so far (or to the request's head
-/// bindings — each oid once — before the first atom touches that
-/// variable), through [`rpq_core::search_pairs`].
+/// Execute a CRPQ under `plan` over `graph`, in `plan.order`, with
+/// semijoin propagation: each atom runs on its own plan
+/// (`plan.atoms[atom]`) through [`search_bindings`], with its bound side
+/// restricted to the distinct values surviving the join so far (or to the
+/// request's head bindings — each oid once — before the first atom touches
+/// that variable). A plan whose statistics are not `graph`'s may have
+/// pruned a label `graph` has edges on; [`crate::PlannedEngine::crpq_plan`]
+/// serves a plan only at the statistics it was built on.
+///
+/// If any atom is statically empty, no binding can satisfy the query: the
+/// join returns none, scans no edge, and records every atom with
+/// `direction: None`.
 ///
 /// `control` threads one shared `edges_scanned` budget and cancellation
 /// flag through every atom. A truncated atom contributes a sound *subset*
@@ -546,17 +570,25 @@ impl<'a> HeadSet<'a> {
 /// the join — so the returned bindings are always sound, and
 /// [`PairSetResult::termination`] reports the first non-complete atom
 /// outcome. One [`AtomStats`] record per atom lands in `stats.atoms` in
-/// execution order (atoms never started after a cancellation are recorded
-/// with `direction: None` and zero work).
+/// execution order, with the direction it ran (atoms never started after
+/// the relation emptied are recorded with `direction: None` and zero
+/// work).
 pub fn execute_join<G: GraphView>(
     crpq: &Crpq,
-    order: &[usize],
+    plan: &JoinPlan,
     graph: &G,
     heads: HeadBindings<'_>,
     control: &EvalControl<'_>,
     scratch: &mut EvalScratch,
 ) -> PairSetResult {
-    assert_eq!(order.len(), crpq.atoms.len(), "order must cover every atom");
+    let (order, n) = (&plan.order, crpq.atoms.len());
+    assert_eq!(order.len(), n, "order must cover every atom");
+    assert_eq!(plan.atoms.len(), n, "one plan per atom");
+    let mut pruned = plan.atoms.iter().flat_map(|a| &a.facts.pruned_symbols);
+    debug_assert!(
+        pruned.all(|&s| graph.stats().edge_count(s) == 0),
+        "an atom plan pruned a label this graph has edges on"
+    );
     let mut rel: Option<Relation> = None;
     let mut stats = EvalStats::default();
     let mut term = Termination::Complete;
@@ -586,8 +618,24 @@ pub fn execute_join<G: GraphView>(
         }
     };
 
+    // A statically empty atom empties the conjunction before any atom runs.
+    let mut annihilated = plan.atoms.iter().any(|a| a.facts.statically_empty);
     for (pos, &ai) in order.iter().enumerate() {
+        if annihilated {
+            // No binding can satisfy the query. Record the atoms left
+            // unrun and finish.
+            stats
+                .atoms
+                .extend(order[pos..].iter().map(|&atom| AtomStats {
+                    atom,
+                    direction: None,
+                    edges_scanned: 0,
+                    bindings: 0,
+                }));
+            break;
+        }
         let atom = &crpq.atoms[ai];
+        let atom_plan = &plan.atoms[ai];
         let (u, v) = (atom.src, atom.dst);
         let u_vals = bound_side(rel.as_ref(), u);
         // A self-loop atom binds one variable; it is evaluated via `u`.
@@ -606,8 +654,9 @@ pub fn execute_join<G: GraphView>(
             },
             ..SearchOpts::default()
         };
-        let (mut res, dir) = eval_atom(
-            atom,
+        let (mut res, dir) = search_bindings(
+            atom_plan.query.nfa(),
+            &atom_plan.reversed,
             graph,
             u_vals.as_deref(),
             v_vals.as_deref(),
@@ -641,21 +690,8 @@ pub fn execute_join<G: GraphView>(
             live.extend(crpq.atom_vars(later));
         }
         r.project(&live);
-        let annihilated = r.len == 0;
+        annihilated = r.len == 0;
         rel = Some(r);
-        if annihilated {
-            // No binding can satisfy the query. Record the skipped atoms
-            // and finish.
-            for &skipped in &order[pos + 1..] {
-                stats.atoms.push(AtomStats {
-                    atom: skipped,
-                    direction: None,
-                    edges_scanned: 0,
-                    bindings: 0,
-                });
-            }
-            break;
-        }
     }
 
     // Project the final relation onto the head pair. A head column can be
@@ -687,10 +723,11 @@ pub fn execute_join<G: GraphView>(
     }
 }
 
-/// Inert; deleted with ROADMAP 1(b): [`execute_join`], with a worker grant
-/// nothing spends and a frontier mode nothing reads — `mode`, `dop` and
-/// `pool` are ignored (every atom's searches run on the calling thread,
-/// one push sweep per level).
+/// Inert; deleted with ROADMAP 1(b): [`execute_join`] in `order`, on the
+/// atom plans [`plan_join`] makes under `graph`'s statistics, with a
+/// worker grant nothing spends and a frontier mode nothing reads — `mode`,
+/// `dop` and `pool` are ignored (every atom's searches run on the calling
+/// thread, one push sweep per level).
 #[allow(clippy::too_many_arguments)]
 pub fn execute_join_parallel<G: GraphView>(
     crpq: &Crpq,
@@ -703,50 +740,10 @@ pub fn execute_join_parallel<G: GraphView>(
     _pool: &ScratchPool,
     scratch: &mut EvalScratch,
 ) -> PairSetResult {
-    execute_join(crpq, order, graph, heads, control, scratch)
-}
-
-/// Evaluate one atom with the given bound sides through
-/// [`search_pairs`], returning the binding relation and the direction
-/// actually run: forward from the bound (or, with neither side bound, the
-/// pruned candidate) sources, probing only the bound targets when both
-/// sides are; backward from the targets when only they are bound.
-fn eval_atom<G: GraphView>(
-    atom: &CrpqAtom,
-    graph: &G,
-    u_vals: Option<&[Oid]>,
-    v_vals: Option<&[Oid]>,
-    opts: &SearchOpts<'_>,
-    scratch: &mut EvalScratch,
-) -> (PairSetResult, Direction) {
-    let nfa = atom.query.nfa();
-    match (u_vals, v_vals) {
-        (Some(ss), ts) => (
-            search_pairs(nfa, graph, ss, ts, opts, scratch),
-            if ts.is_some() {
-                Direction::Bidirectional
-            } else {
-                Direction::Forward
-            },
-        ),
-        (None, Some(ts)) => {
-            let backward = SearchOpts {
-                reverse_adj: true,
-                ..*opts
-            };
-            (
-                search_pairs(&nfa.reverse(), graph, ts, None, &backward, scratch),
-                Direction::Backward,
-            )
-        }
-        (None, None) => {
-            let seeds = seed_candidates(nfa, graph, scratch);
-            (
-                search_pairs(nfa, graph, &seeds, None, opts, scratch),
-                Direction::Forward,
-            )
-        }
-    }
+    let (src, dst) = (heads.sources.is_some(), heads.targets.is_some());
+    let mut plan = plan_join(crpq, graph.stats(), &PlannerConfig::default(), src, dst);
+    plan.order = order.to_vec();
+    execute_join(crpq, &plan, graph, heads, control, scratch)
 }
 
 /// One join step: extend `rel` by the atom relation `pairs` over columns
@@ -1032,6 +1029,7 @@ mod oracle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rpq_core::Direction;
     use rpq_graph::{CsrGraph, InstanceBuilder};
 
     fn chain_graph() -> (Alphabet, CsrGraph, std::collections::HashMap<String, Oid>) {
@@ -1060,6 +1058,17 @@ mod tests {
         assert_eq!(q.atoms[0].src, q.head.0);
         assert_eq!(q.atoms[0].dst, q.atoms[1].src);
         assert_eq!(q.atoms[1].dst, q.head.1);
+    }
+
+    #[test]
+    fn parse_snapshots_the_alphabet_once_per_text() {
+        let mut ab = Alphabet::new();
+        let q = parse_crpq(&mut ab, "ans(x, w) :- x -[a]-> y, y -[b*]-> z, z -[c]-> w").unwrap();
+        for a in &q.atoms {
+            assert!(Arc::ptr_eq(a.query.alphabet(), q.atoms[0].query.alphabet()));
+        }
+        // the snapshot holds every label of the text, the last atom's too
+        assert!(q.atoms[0].query.alphabet().get("c").is_some());
     }
 
     #[test]
@@ -1093,7 +1102,7 @@ mod tests {
         let mut scratch = EvalScratch::new();
         let res = execute_join(
             &q,
-            &plan.order,
+            &plan,
             &csr,
             HeadBindings::default(),
             &EvalControl::UNLIMITED,
@@ -1120,6 +1129,7 @@ mod tests {
         ] {
             let q = parse_crpq(&mut ab, text).unwrap();
             let (naive, _) = execute_naive(&q, &csr, HeadBindings::default());
+            let plan = plan_join(&q, csr.stats(), &PlannerConfig::default(), false, false);
             let n = q.atoms.len();
             let mut orders: Vec<Vec<usize>> = vec![(0..n).collect(), (0..n).rev().collect()];
             if n >= 3 {
@@ -1130,7 +1140,10 @@ mod tests {
                 let mut scratch = EvalScratch::new();
                 let res = execute_join(
                     &q,
-                    &order,
+                    &JoinPlan {
+                        order: order.clone(),
+                        ..plan.clone()
+                    },
                     &csr,
                     HeadBindings::default(),
                     &EvalControl::UNLIMITED,
@@ -1152,7 +1165,7 @@ mod tests {
         let plan = plan_join(&q, csr.stats(), &PlannerConfig::default(), true, false);
         let res = execute_join(
             &q,
-            &plan.order,
+            &plan,
             &csr,
             HeadBindings {
                 sources: Some(&sources),
@@ -1182,8 +1195,23 @@ mod tests {
         let q = parse_crpq(&mut ab, "ans(x, z) :- x -[a]-> y, y -[c]-> z").unwrap();
         let plan = plan_join(&q, csr.stats(), &PlannerConfig::default(), false, false);
         assert_eq!(plan.order, vec![1, 0], "rare atom first");
-        assert_eq!(plan.directions[1], Direction::Backward);
-        assert!(plan.est_costs[0] <= plan.est_costs[1]);
+        assert!(plan.est_costs[1] <= plan.est_costs[0]);
+        let control = &EvalControl::UNLIMITED;
+        let heads = HeadBindings::default();
+        let res = execute_join(&q, &plan, &csr, heads, control, &mut EvalScratch::new());
+        let ran: Vec<_> = res
+            .stats
+            .atoms
+            .iter()
+            .map(|a| (a.atom, a.direction))
+            .collect();
+        assert_eq!(
+            ran,
+            [
+                (1, Some(Direction::Forward)),
+                (0, Some(Direction::Backward))
+            ]
+        );
     }
 
     #[test]
@@ -1200,7 +1228,7 @@ mod tests {
             };
             let res = execute_join(
                 &q,
-                &plan.order,
+                &plan,
                 &csr,
                 HeadBindings::default(),
                 &control,
@@ -1368,7 +1396,7 @@ mod tests {
             let plan = plan_join(&q, csr.stats(), &PlannerConfig::default(), src, dst);
             let mut scratch = EvalScratch::new();
             let control = &EvalControl::UNLIMITED;
-            execute_join(&q, &plan.order, &csr, heads, control, &mut scratch)
+            execute_join(&q, &plan, &csr, heads, control, &mut scratch)
         };
         for (dup, once) in [
             ((Some(&[s, m1, s, s][..]), None), (Some(&[s, m1][..]), None)),

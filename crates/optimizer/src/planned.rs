@@ -81,7 +81,7 @@ use rpq_core::{
 };
 use rpq_graph::{CsrGraph, GraphView, LabelStats, Oid};
 
-use crate::analysis::AnalysisFacts;
+use crate::analysis::{Analysis, AnalysisFacts};
 use crate::join::{execute_join, plan_join, Crpq, HeadBindings, JoinPlan};
 use crate::planner::optimize_and_analyze;
 
@@ -129,6 +129,38 @@ pub struct Plan {
     /// Static analysis facts (alphabet pruning, trimming, emptiness,
     /// finiteness, rewrite certification) derived at plan time.
     pub facts: AnalysisFacts,
+}
+
+impl Plan {
+    /// The plan of `analysis` over `alphabet` under `stats`: the analysed
+    /// query compiled once, forward and reversed, and the direction its
+    /// two entry costs decide. Both label groups are facts of the planned
+    /// regex, read off it by the analysis. A path plan's analysis comes
+    /// from the rewrite search under the engine's constraint set
+    /// ([`crate::optimize_and_analyze`]); a CRPQ atom's from
+    /// [`crate::analyze`] under none ([`crate::plan_join`]).
+    pub(crate) fn new(analysis: Analysis, alphabet: &Arc<Alphabet>, stats: &LabelStats) -> Plan {
+        let query = Query::with_nfa(analysis.regex, analysis.nfa, Arc::clone(alphabet));
+        let reversed = query.nfa().reverse();
+        let forward_cost = group_cost(&analysis.first_symbols, stats);
+        let backward_cost = group_cost(&analysis.last_symbols, stats);
+        Plan {
+            query,
+            reversed,
+            improved: analysis.facts.rewrites_certified > 0,
+            direction: choose_direction(forward_cost, backward_cost),
+            first_symbols: analysis.first_symbols,
+            last_symbols: analysis.last_symbols,
+            forward_cost,
+            backward_cost,
+            facts: analysis.facts,
+        }
+    }
+}
+
+/// Entry cost of a label group under `stats`.
+fn group_cost(symbols: &[Symbol], stats: &LabelStats) -> usize {
+    symbols.iter().map(|&s| stats.edge_count(s)).sum()
 }
 
 /// Memo key: the snapshot's epoch lineage plus node/edge counts and the
@@ -330,11 +362,6 @@ impl<E> PlannedEngine<E> {
             .clone()
     }
 
-    /// Entry cost of a label group under `stats`.
-    fn group_cost(symbols: &[Symbol], stats: &LabelStats) -> usize {
-        symbols.iter().map(|&s| stats.edge_count(s)).sum()
-    }
-
     /// Epoch-drift reuse check: under the *current* statistics, would the
     /// memoized plan still be chosen? True when the direction decision is
     /// unchanged and neither entry cost drifted past the decisiveness
@@ -353,8 +380,8 @@ impl<E> PlannedEngine<E> {
         {
             return false;
         }
-        let f = Self::group_cost(&plan.first_symbols, stats);
-        let b = Self::group_cost(&plan.last_symbols, stats);
+        let f = group_cost(&plan.first_symbols, stats);
+        let b = group_cost(&plan.last_symbols, stats);
         choose_direction(f, b) == plan.direction
             && within_factor(plan.forward_cost, f)
             && within_factor(plan.backward_cost, b)
@@ -406,25 +433,7 @@ impl<E> PlannedEngine<E> {
         // it if certification fails), erase zero-edge symbols, trim, and
         // classify the language.
         let (_, analysis) = optimize_and_analyze(&self.set, q, alphabet, stats);
-        let improved = analysis.facts.rewrites_certified > 0;
-        let query = Query::with_nfa(analysis.regex, analysis.nfa, Arc::clone(alphabet));
-        let reversed = query.nfa().reverse();
-        // Both label groups are facts of the planned regex, read off it by
-        // the analysis.
-        let forward_cost = Self::group_cost(&analysis.first_symbols, stats);
-        let backward_cost = Self::group_cost(&analysis.last_symbols, stats);
-        let direction = choose_direction(forward_cost, backward_cost);
-        let plan = Arc::new(Plan {
-            query,
-            reversed,
-            improved,
-            direction,
-            first_symbols: analysis.first_symbols,
-            last_symbols: analysis.last_symbols,
-            forward_cost,
-            backward_cost,
-            facts: analysis.facts,
-        });
+        let plan = Arc::new(Plan::new(analysis, alphabet, stats));
         self.misses.fetch_add(1, Ordering::Relaxed);
         let mut memo = self.memo.lock();
         remember(memo_slot(&mut memo, q.clone()), key, &plan);
@@ -507,10 +516,15 @@ impl<E> PlannedEngine<E> {
     /// whether it was served from the memo. Keyed like [`Plan`]s — by
     /// [`Crpq::signature`], the request's head-boundness flags (a bound
     /// head variable can flip the whole order), and the snapshot's
-    /// `MemoKey` — with the same per-entry snapshot bound. Join plans
-    /// are rankings, never soundness inputs, so any cached order would be
-    /// *correct* on any snapshot; the epoch key only keeps the order in
-    /// step with the statistics that justified it.
+    /// `MemoKey` — with the same per-entry snapshot bound. A join plan
+    /// carries one [`Plan`] per atom ([`JoinPlan::atoms`]), and an atom
+    /// plan's pruned symbols are a soundness input: it erased the labels
+    /// that had no edge under the statistics it was built on. So only an
+    /// exact `MemoKey` match serves a join plan — CRPQ plans get no drift
+    /// reuse — and the first edge on a pruned label, which moves the key,
+    /// plans the query again. Atom plans are made under no constraint
+    /// set, so they share nothing with the path memo, whose plans are made
+    /// under `E`.
     pub fn crpq_plan<G: GraphView>(
         &self,
         crpq: &Crpq,
@@ -544,8 +558,9 @@ impl<E> PlannedEngine<E> {
 
     /// Evaluate a conjunctive query end-to-end over any [`GraphView`]:
     /// memoized join planning ([`PlannedEngine::crpq_plan`]), then the
-    /// semijoin-propagating executor ([`crate::join::execute_join`]) under the
-    /// request's budget/cancellation controls.
+    /// semijoin-propagating executor ([`crate::join::execute_join`]), each
+    /// atom on its own plan, under the request's budget/cancellation
+    /// controls.
     ///
     /// The request's [`SourceSpec`] restricts the *head* variables: source
     /// forms bind the first head variable, target forms the second,
@@ -577,7 +592,7 @@ impl<E> PlannedEngine<E> {
         );
         let res = execute_join(
             crpq,
-            &plan.order,
+            &plan,
             graph,
             heads,
             &req.control(),
@@ -1184,6 +1199,108 @@ mod tests {
             let mut ab3 = ab.clone();
             let ghost_only = Query::parse(&mut ab3, "ghost").unwrap();
             assert_eq!(planned.run_view(&ghost_only, &dg, &from_s).stats.answers, 1);
+        }
+    }
+
+    #[test]
+    fn first_edge_on_a_pruned_label_replans_the_crpq() {
+        // A join plan's atom plans prune by the statistics they were built
+        // on: `ghost` has no edge, so the second atom is `b` alone, and the
+        // third is statically empty. The first ghost edge must make the
+        // next `run_crpq` plan again and bind through it — with or without
+        // a compaction folding the edge in.
+        use crate::join::{execute_naive, parse_crpq, HeadBindings};
+        for fold in [false, true] {
+            let mut ab = Alphabet::new();
+            let mut b = InstanceBuilder::new(&mut ab);
+            for i in 0..8 {
+                b.edge("s", "a", &format!("m{i}"));
+            }
+            b.edge("m0", "b", "t");
+            let (inst, names) = b.finish();
+            let ghost = ab.intern("ghost");
+            let mut dg = DeltaGraph::from_instance(&inst);
+            let planned = PlannedEngine::unconstrained(ProductEngine, ab.clone());
+            let pruned = parse_crpq(
+                &mut ab.clone(),
+                "ans(x, z) :- x -[a]-> y, y -[b + ghost]-> z",
+            )
+            .unwrap();
+            let empty =
+                parse_crpq(&mut ab.clone(), "ans(x, z) :- x -[a]-> y, y -[ghost]-> z").unwrap();
+            let (s, t) = (names["s"], names["t"]);
+            let req = EvalRequest::conjunctive(None, None);
+
+            let first = planned.run_crpq(&pruned, &dg, &req);
+            assert_eq!(first.bindings().unwrap(), [(s, t)]);
+            let (plan, _) = planned.crpq_plan(&pruned, &dg, false, false);
+            assert_eq!(plan.atoms[1].facts.pruned_symbols, vec![ghost]);
+            let none = planned.run_crpq(&empty, &dg, &req);
+            assert!(none.bindings().unwrap().is_empty());
+            assert_eq!(none.stats.edges_scanned, 0, "a statically empty atom");
+
+            // one ghost edge among nine: a new binding (s, m2)
+            assert!(dg.add_edge(names["m1"], ghost, names["m2"]));
+            if fold {
+                dg.compact();
+            }
+            let want = vec![(s, names["m2"]), (s, t)];
+            for crpq in [&pruned, &empty] {
+                let resp = planned.run_crpq(crpq, &dg, &req);
+                assert_eq!(resp.stats.plan_cache_misses, 1, "fold {fold}");
+                let (oracle, _) = execute_naive(crpq, &dg, HeadBindings::default());
+                assert_eq!(resp.bindings().unwrap(), &oracle[..], "fold {fold}");
+            }
+            let resp = planned.run_crpq(&pruned, &dg, &req);
+            assert_eq!(resp.bindings().unwrap(), want, "fold {fold}");
+            assert_eq!(resp.stats.plan_cache_hits, 1, "fold {fold}");
+        }
+    }
+
+    #[test]
+    fn a_one_atom_crpq_is_the_conjunctive_request() {
+        // `run_crpq` on `ans(x, y) :- x -[p]-> y` and `run_view` on `p`
+        // with a `Conjunctive` spec ask one binding-set question through
+        // one decision: same bindings, same edges, for every head shape.
+        use crate::join::parse_crpq;
+        let mut ab = Alphabet::new();
+        let mut b = InstanceBuilder::new(&mut ab);
+        for (from, label, to) in [
+            ("o1", "a", "o2"),
+            ("o2", "b", "o3"),
+            ("o3", "b", "o2"),
+            ("o1", "b", "o3"),
+            ("o3", "a", "o1"),
+            ("o3", "c", "o4"),
+            ("o4", "a", "o4"),
+        ] {
+            b.edge(from, label, to);
+        }
+        let (inst, _) = b.finish();
+        ab.intern("ghost");
+        let graph = CsrGraph::from(&inst);
+        let planned = PlannedEngine::unconstrained(ProductEngine, ab.clone());
+        let all: Vec<Oid> = graph.nodes().collect();
+        let some: Vec<Oid> = all.iter().copied().step_by(2).collect();
+        for text in ["a.b*", "(a+b)*.c", "b + ghost", "a.ghost", "c.a*"] {
+            let mut qab = ab.clone();
+            let query = Query::parse(&mut qab, text).unwrap();
+            let crpq = parse_crpq(&mut qab, &format!("ans(x, y) :- x -[{text}]-> y")).unwrap();
+            for (sources, targets) in [
+                (None, None),
+                (Some(all.clone()), None),
+                (None, Some(some.clone())),
+                (Some(some.clone()), Some(all.clone())),
+            ] {
+                let req = EvalRequest::conjunctive(sources, targets);
+                let join = planned.run_crpq(&crpq, &graph, &req);
+                let view = planned.run_view(&query, &graph, &req);
+                let ctx = format!("[{text}] {:?}", req.spec);
+                assert_eq!(join.answers, view.answers, "{ctx}");
+                assert_eq!(join.stats.answers, view.stats.answers, "{ctx}");
+                let edges = (join.stats.edges_scanned, view.stats.edges_scanned);
+                assert_eq!(edges.0, edges.1, "{ctx}");
+            }
         }
     }
 

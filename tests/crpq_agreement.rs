@@ -19,7 +19,7 @@ use rpq::automata::{Alphabet, Symbol};
 use rpq::core::{EvalControl, EvalScratch};
 use rpq::graph::{CsrGraph, DeltaGraph, GraphView, Instance, Oid};
 use rpq::optimizer::{
-    execute_join, execute_naive, plan_join, Crpq, HeadBindings, PlannerConfig, Var,
+    execute_join, execute_naive, plan_join, Crpq, HeadBindings, JoinPlan, PlannerConfig, Var,
 };
 use rpq_testkit::draw::{random_crpq, random_star_crpq};
 use rpq_testkit::generators::random_graph;
@@ -55,20 +55,26 @@ fn orders(n: usize) -> Vec<Vec<usize>> {
 }
 
 /// Assert `execute_join` under every order (and the planned one) matches
-/// the oracle on `graph`.
+/// the oracle on `graph`. A plan with a statically empty atom must answer
+/// without scanning an edge, every atom recorded as not run.
 fn assert_agreement<G: GraphView + Sync>(
     crpq: &Crpq,
     graph: &G,
     heads: HeadBindings<'_>,
 ) -> Result<Vec<(Oid, Oid)>, TestCaseError> {
     let (oracle, _) = execute_naive(crpq, graph, heads);
+    let plan = plan_join(crpq, graph.stats(), &PlannerConfig::default(), false, false);
+    let empty = plan.atoms.iter().any(|a| a.facts.statically_empty);
     let mut all = orders(crpq.atoms.len());
-    all.push(plan_join(crpq, graph.stats(), &PlannerConfig::default(), false, false).order);
+    all.push(plan.order.clone());
     for order in all {
         let mut scratch = EvalScratch::new();
         let res = execute_join(
             crpq,
-            &order,
+            &JoinPlan {
+                order: order.clone(),
+                ..plan.clone()
+            },
             graph,
             heads,
             &EvalControl::UNLIMITED,
@@ -77,6 +83,10 @@ fn assert_agreement<G: GraphView + Sync>(
         prop_assert_eq!(&res.pairs, &oracle, "order {:?}", order);
         prop_assert!(res.termination.is_complete());
         prop_assert_eq!(res.stats.atoms.len(), crpq.atoms.len());
+        if empty {
+            prop_assert_eq!(res.stats.edges_scanned, 0, "order {:?}", order);
+            prop_assert!(res.stats.atoms.iter().all(|a| a.direction.is_none()));
+        }
     }
     Ok(oracle)
 }
@@ -139,7 +149,7 @@ proptest! {
             let mut scratch = EvalScratch::new();
             let control = EvalControl { budget: Some(budget), cancel: None };
             let res = execute_join(
-                &crpq, &plan.order, &graph, HeadBindings::default(),
+                &crpq, &plan, &graph, HeadBindings::default(),
                 &control, &mut scratch,
             );
             prop_assert!(res.stats.edges_scanned <= budget, "budget {}", budget);
@@ -155,7 +165,7 @@ proptest! {
         let mut scratch = EvalScratch::new();
         let control = EvalControl { budget: None, cancel: Some(&cancelled) };
         let res = execute_join(
-            &crpq, &plan.order, &graph, HeadBindings::default(),
+            &crpq, &plan, &graph, HeadBindings::default(),
             &control, &mut scratch,
         );
         prop_assert!(!res.termination.is_complete());
@@ -226,4 +236,54 @@ fn wide_crpqs_agree_with_the_naive_oracle() {
     }
     println!("{wide} of 96 cases project a relation of five or more columns");
     assert!(wide >= 24, "only {wide} cases project a wide relation");
+}
+
+/// Atoms over a label with no edges: the graph is drawn over `a`, `b` and
+/// `c`, the atoms over those and `ghost`, which the join's atom plans
+/// prune (and, where every word of an atom spells it, decide empty). The
+/// oracle runs every atom's text on its Thompson automaton, so it shares
+/// neither the pruning nor the emptiness decision, and every order of
+/// [`orders`] must bind its pairs, free and source-bound. Floors: cases
+/// whose join a statically empty atom annihilates, and cases whose plans
+/// pruned `ghost` from an atom that still binds, with a non-empty answer.
+#[test]
+fn atoms_over_a_label_with_no_edges_agree_with_the_naive_oracle() {
+    let (mut annihilated, mut pruned) = (0, 0);
+    for seed in 0..300u64 {
+        let ab = Alphabet::from_names(["a", "b", "c", "ghost"]);
+        let syms: Vec<Symbol> = ab.symbols().collect();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (inst, _) = random_graph(&mut rng, 7, 16, &syms[..3]);
+        let crpq = random_crpq(&mut rng, &ab, 1 + seed as usize % 3, seed % 4 == 0);
+        let graph = CsrGraph::from(&inst);
+        let ctx = |e: TestCaseError| panic!("seed {seed}: {e}");
+        let free = assert_agreement(&crpq, &graph, HeadBindings::default()).unwrap_or_else(ctx);
+        let sources: Vec<Oid> = graph.nodes().step_by(2).collect();
+        let bound = HeadBindings {
+            sources: Some(&sources),
+            targets: None,
+        };
+        assert_agreement(&crpq, &graph, bound).unwrap_or_else(ctx);
+
+        let plan = plan_join(
+            &crpq,
+            graph.stats(),
+            &PlannerConfig::default(),
+            false,
+            false,
+        );
+        if plan.atoms.iter().any(|a| a.facts.statically_empty) {
+            annihilated += 1;
+        } else if !free.is_empty()
+            && plan
+                .atoms
+                .iter()
+                .any(|a| !a.facts.pruned_symbols.is_empty())
+        {
+            pruned += 1;
+        }
+    }
+    println!("{annihilated} of 300 cases annihilate, {pruned} prune and bind");
+    assert!(annihilated >= 60, "only {annihilated} cases annihilate");
+    assert!(pruned >= 90, "only {pruned} cases prune a label and bind");
 }

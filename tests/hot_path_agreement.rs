@@ -353,16 +353,10 @@ fn an_unraised_control_changes_nothing() {
             for head in &heads {
                 let (src, dst) = (head.sources.is_some(), head.targets.is_some());
                 let config = planned.config();
-                let order = plan_join(&crpq, csr.stats(), config, src, dst).order;
+                let plan = plan_join(&crpq, csr.stats(), config, src, dst);
                 let run = |control: EvalControl<'_>| {
-                    let res = execute_join(
-                        &crpq,
-                        &order,
-                        &csr,
-                        *head,
-                        &control,
-                        &mut EvalScratch::new(),
-                    );
+                    let res =
+                        execute_join(&crpq, &plan, &csr, *head, &control, &mut EvalScratch::new());
                     outcome(format!("{:?}", res.pairs), res.termination, &res.stats)
                 };
                 let base = run(EvalControl::UNLIMITED);

@@ -1,9 +1,7 @@
-//! Serialization round trips: instances and stats through serde_json-less
-//! serde (using the JSON-like debug of serde's derive is not enough, so we
-//! go through the wire codec for messages and through serde's `Serialize`
-//! via the `serde_test`-style manual checks the workspace can afford
-//! without extra deps: here we use the bytes codec plus structural
-//! equality on re-decoded values).
+//! Wire round trips: the distributed simulator's hand-written `bytes`
+//! codec for messages, checked by structural equality on re-decoded
+//! values, and the alphabet's index rebuild. No serde: the vendored
+//! `serde` is a no-op, and no type of the workspace derives its traits.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -79,7 +77,7 @@ fn control_messages_have_fixed_size() {
 
 #[test]
 fn instance_survives_alphabet_index_rebuild() {
-    // Alphabet serde skips the reverse index; rebuild_index restores it.
+    // rebuild_index recomputes the reverse index from the names.
     let mut ab = Alphabet::from_names(["x", "y"]);
     let before = ab.get("y");
     ab.rebuild_index();
