@@ -34,7 +34,7 @@ fn bench(c: &mut Criterion) {
         // forced-forward one.
         let plan = planned.plan(&query, &graph);
         assert_eq!(
-            plan.direction,
+            plan.record.direction,
             Direction::Backward,
             "planner must choose backward at fanout {fanout}: {plan:?}"
         );
@@ -43,7 +43,7 @@ fn bench(c: &mut Criterion) {
         let chosen = planned.run_view(&query, &graph, &pair);
         let forced = search_pair(
             query.nfa(),
-            &query.nfa().reverse(),
+            query.reversed(),
             &graph,
             w.source,
             w.target,
@@ -71,7 +71,7 @@ fn bench(c: &mut Criterion) {
                     black_box(
                         search_pair(
                             query.nfa(),
-                            &query.nfa().reverse(),
+                            query.reversed(),
                             &graph,
                             w.source,
                             w.target,

@@ -19,19 +19,21 @@
 //!   plan's search builds one Thompson automaton of its query when a cache
 //!   body begins with the query's first label and none otherwise, none of
 //!   a candidate it scores, and no subset construction of it
-//!   (`Optimized::thompson_builds` / `determinizations`): no regex of
+//!   (`PlanRecord::thompson_builds` / `determinizations`): no regex of
 //!   these finite languages is smaller than the text, and a cached text's
 //!   cover is the text itself. The analysis trims no automaton
-//!   (`Analysis::trims`), for none of these queries has an `∅` subterm.
+//!   (`PlanRecord::trims`), for none of these queries has an `∅` subterm.
+//!   Every count is read off the one record `optimize_and_analyze` builds,
+//!   the record a planned engine keeps with the plan.
 //! * **Prove once** — on the same shapes a rewritten cold plan considers
-//!   one candidate and decides its one claim once (`Optimized::considered
+//!   one candidate and decides its one claim once (`PlanRecord::considered
 //!   == 1`, `claims_proved == 1`: the view search, the only code that
 //!   substitutes a cache, proposes and decides it). The claim `u·t = l·t`
 //!   under `l = u` is one rewrite step each way, so the view search
 //!   reports the proof `"one-step"`, the plan builds no `RewriteTo` closure
 //!   (`closure_builds == 0`) and its certification, by the same method,
 //!   builds none and runs no inclusion test
-//!   (`Analysis::certify_closure_builds == 0`, `certify_inclusions == 0`);
+//!   (`PlanRecord::certify_closure_builds == 0`, `certify_inclusions == 0`);
 //!   it took two closures and two certifying inclusion tests before. A
 //!   text no cache prefixes decides nothing and builds nothing. Example 3's
 //!   text under its regex cache `l = (a.b)*` is no such step: its claim is
@@ -162,7 +164,7 @@ fn cold_plan_allocation_gate() {
     // by `k - 1` more copies of itself on both sides (a rewrite applies to
     // a prefix, so `q^k → r·q^(k-1)`): `k` times the pairs, the same arena.
     let q = &w.cached[0];
-    let r = plan(q).0.query;
+    let r = plan(q).record.winner.expect("a cached text is rewritten");
     let closures = Closures::new(&w.constraints);
     let buffers = |k: usize| {
         let tail = vec![q.clone(); k - 1];
@@ -223,7 +225,7 @@ fn bench(c: &mut Criterion) {
         // allocate no frontier.
         let plan = planned.plan(&ghost_query, &graph);
         assert!(
-            plan.facts.statically_empty,
+            plan.record.statically_empty,
             "ghost-crossing query must be statically empty at depth {depth}"
         );
         let res = planned.eval(&ghost_query, &graph, w.source);
@@ -233,7 +235,10 @@ fn bench(c: &mut Criterion) {
             (0, 0),
             "statically empty query must not touch the graph at depth {depth}"
         );
-        assert!(res.stats.symbols_pruned >= 1, "ghost must be pruned");
+        assert!(
+            !plan.record.pruned_symbols.is_empty(),
+            "ghost must be pruned"
+        );
         let batch = planned.run(&ghost_query, &graph, &EvalRequest::sources(vec![w.source]));
         assert_eq!(
             (batch.stats.edges_scanned, batch.stats.pairs_visited),
@@ -247,7 +252,7 @@ fn bench(c: &mut Criterion) {
         // Acceptance 2: the dead arm is trimmed and answers are unchanged.
         let tplan = planned.plan(&trimmed_query, &graph);
         assert!(
-            tplan.facts.states_trimmed > 0,
+            tplan.record.states_trimmed > 0,
             "dead `ghost.hot*` arm must trim NFA states at depth {depth}"
         );
         let tres = planned.eval(&trimmed_query, &graph, w.source);
@@ -321,7 +326,10 @@ fn bench(c: &mut Criterion) {
         let planned = PlannedEngine::new(ProductEngine, w.constraints.clone(), w.alphabet.clone());
         let plan = planned.plan(&query, &graph);
         assert_eq!(
-            (plan.facts.rewrites_certified, plan.facts.rewrites_rejected),
+            (
+                plan.record.rewrites_certified,
+                plan.record.rewrites_rejected
+            ),
             (1, 0),
             "cache-substitution rewrite must certify at depth {depth}"
         );
@@ -371,13 +379,13 @@ fn bench(c: &mut Criterion) {
         for s in ab.symbols() {
             inst.add_edge(o, s, o);
         }
-        let (opt, analysis) = optimize_and_analyze(&set, &q, &ab, inst.stats());
-        assert!(opt.improved(), "Example 3 rewrites to l.a.c");
+        let record = optimize_and_analyze(&set, &q, &ab, inst.stats()).record;
+        assert!(record.applied.is_some(), "Example 3 rewrites to l.a.c");
         assert_eq!(
             (
-                opt.claims_proved,
-                analysis.certify_closure_builds,
-                analysis.certify_inclusions
+                record.claims_proved,
+                record.certify_closure_builds,
+                record.certify_inclusions
             ),
             (1, 0, 2),
             "Example 3's regex cache"
@@ -412,26 +420,25 @@ fn bench(c: &mut Criterion) {
         // and builds no closure for it, nor does certification, which goes
         // through the same method.
         for q in texts.iter() {
-            let (opt, analysis) =
-                optimize_and_analyze(&w.constraints, q, &w.alphabet, graph.stats());
+            let record = optimize_and_analyze(&w.constraints, q, &w.alphabet, graph.stats()).record;
             let probed = name != "cached"
                 && w.constraints
                     .caches()
                     .iter()
                     .any(|c| head(&c.body) == head(q));
-            assert_eq!(opt.thompson_builds, usize::from(probed), "{name}: {q:?}");
-            assert_eq!(analysis.trims, 0, "{name}: {q:?}");
-            assert_eq!(opt.determinizations, 0, "{name}: {q:?}");
-            assert_eq!(opt.improved(), name == "cached", "{name}: {q:?}");
+            assert_eq!(record.thompson_builds, usize::from(probed), "{name}: {q:?}");
+            assert_eq!(record.trims, 0, "{name}: {q:?}");
+            assert_eq!(record.determinizations, 0, "{name}: {q:?}");
+            assert_eq!(record.applied.is_some(), name == "cached", "{name}: {q:?}");
             let work = (
-                opt.claims_proved,
-                opt.closure_builds,
-                analysis.certify_closure_builds,
-                analysis.certify_inclusions,
+                record.claims_proved,
+                record.closure_builds,
+                record.certify_closure_builds,
+                record.certify_inclusions,
             );
             match name {
                 "cached" => {
-                    assert_eq!(opt.considered, 1, "{name}: {q:?}");
+                    assert_eq!(record.considered, 1, "{name}: {q:?}");
                     assert_eq!(work, (1, 0, 0, 0), "{name}: {q:?}");
                     let views = rewrite_with_views(&w.constraints, q, &w.alphabet);
                     assert_eq!(

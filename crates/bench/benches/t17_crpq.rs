@@ -242,7 +242,7 @@ fn bench(c: &mut Criterion) {
             false,
             false,
         );
-        assert!(plan.atoms[2].facts.statically_empty, "ghost has no edge");
+        assert!(plan.atoms[2].record.statically_empty, "ghost has no edge");
         let res = execute_join(
             &crpq,
             &plan,

@@ -38,7 +38,8 @@ use crate::stats::{Direction, EvalStats};
 
 /// A prepared path query: the regex, its Thompson NFA, and the alphabet it
 /// was parsed against — everything any [`Engine`] needs, the NFA compiled
-/// at most once, on the first [`Query::nfa`].
+/// at most once, on the first [`Query::nfa`], and its reversal at most
+/// once, on the first [`Query::reversed`].
 ///
 /// The NFA is built lazily because a planner runs the automaton it plans
 /// ([`Query::with_nfa`]), not the one of the text it was handed: a query
@@ -50,6 +51,7 @@ use crate::stats::{Direction, EvalStats};
 pub struct Query {
     regex: Regex,
     nfa: OnceLock<Nfa>,
+    reversed: OnceLock<Nfa>,
     alphabet: Arc<Alphabet>,
 }
 
@@ -67,6 +69,7 @@ impl Query {
         Query {
             regex,
             nfa: OnceLock::new(),
+            reversed: OnceLock::new(),
             alphabet,
         }
     }
@@ -85,6 +88,7 @@ impl Query {
         Query {
             regex,
             nfa: OnceLock::from(nfa),
+            reversed: OnceLock::new(),
             alphabet,
         }
     }
@@ -104,6 +108,12 @@ impl Query {
     /// first call — or the automaton [`Query::with_nfa`] was given.
     pub fn nfa(&self) -> &Nfa {
         self.nfa.get_or_init(|| Nfa::thompson(&self.regex))
+    }
+
+    /// [`Query::nfa`] reversed ([`Nfa::reverse`]), built on the first call:
+    /// the automaton a backward search runs over the reverse adjacency.
+    pub fn reversed(&self) -> &Nfa {
+        self.reversed.get_or_init(|| self.nfa().reverse())
     }
 
     /// The alphabet snapshot the query was prepared against (a planner
@@ -169,7 +179,7 @@ impl Engine for ProductEngine {
         };
         run_request(
             query.nfa(),
-            &query.nfa().reverse(),
+            query.reversed(),
             graph,
             &req.spec,
             Direction::Bidirectional,

@@ -285,12 +285,11 @@ mod tests {
                 &SearchOpts::default(),
                 &mut scratch,
             );
-            let rev = q.nfa().reverse();
             let backward = SearchOpts {
                 reverse_adj: true,
                 ..SearchOpts::default()
             };
-            let bwd = search_pairs(&rev, &csr, &all, None, &backward, &mut scratch);
+            let bwd = search_pairs(q.reversed(), &csr, &all, None, &backward, &mut scratch);
             assert_eq!(fwd.pairs, bwd.pairs, "{qs}");
         }
     }

@@ -468,7 +468,7 @@ pub fn run_default<E: Engine + ?Sized>(
             };
             run_request(
                 query.nfa(),
-                &query.nfa().reverse(),
+                query.reversed(),
                 graph,
                 spec,
                 Direction::Bidirectional,

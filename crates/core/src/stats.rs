@@ -1,8 +1,9 @@
 //! Evaluation statistics shared by all engines.
 
-/// A planned traversal direction, as reported in [`EvalStats`] and chosen
-/// by `rpq_optimizer::PlannedEngine` from per-label statistics.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
+/// A traversal direction: chosen by `rpq_optimizer::PlannedEngine` from
+/// per-label statistics (its plan records it), and reported per atom in
+/// [`AtomStats`].
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Hash)]
 pub enum Direction {
     /// Forward product BFS over the forward adjacency — the first label
     /// group is decisively the rare end.
@@ -11,6 +12,7 @@ pub enum Direction {
     /// the last label group is decisively the rare end.
     Backward,
     /// Neither end dominates — a pair search then starts from the source.
+    #[default]
     Bidirectional,
 }
 
@@ -57,21 +59,6 @@ pub struct EvalStats {
     /// Plans built from scratch (rewrite search + compilation) during this
     /// evaluation (0 for unplanned engines).
     pub plan_cache_misses: usize,
-    /// The traversal direction the planner chose, when a planner ran
-    /// (`None` for unplanned engines).
-    pub plan_direction: Option<Direction>,
-    /// Distinct query symbols erased by the planner's alphabet restriction
-    /// (zero edges with that label in the snapshot). 0 for unplanned
-    /// engines or when every query symbol occurs in the data.
-    pub symbols_pruned: usize,
-    /// NFA states dropped by the planner's trim pass (not on any
-    /// start→accept path after alphabet restriction). 0 for unplanned
-    /// engines.
-    pub states_trimmed: usize,
-    /// Did static analysis prove the query's language finite? Finite
-    /// queries run the bounded-depth product fast path with an exact depth
-    /// cap from the longest accepted word.
-    pub finite_language: bool,
     /// Rewrite winners certified sound by the both-ways inclusion check
     /// under the constraint closure (0 when no rewrite fired).
     pub rewrites_certified: usize,
@@ -79,10 +66,6 @@ pub struct EvalStats {
     /// original query. Nonzero values are a planner bug tripwire — the
     /// rewrite search validated a candidate certification then refuted.
     pub rewrites_rejected: usize,
-    /// Wall-clock nanoseconds the static analysis pass spent at plan time
-    /// (amortized to zero on plan-memo hits, which re-report the plan-time
-    /// figure).
-    pub analysis_ns: u64,
     /// BFS levels the product search expanded, each by one *push* sweep (0
     /// for non-product engines).
     pub push_levels: usize,
@@ -129,8 +112,7 @@ impl EvalStats {
     /// sum; for per-source batches `answers` is therefore the *total*
     /// across sources (with multiplicity), not the union size, and
     /// `classes_materialized` counts classes touched per constituent run
-    /// (with multiplicity), not distinct classes across the batch. The
-    /// first recorded `plan_direction` wins (one plan serves a batch).
+    /// (with multiplicity), not distinct classes across the batch.
     pub fn merge(&mut self, other: &EvalStats) {
         self.pairs_visited += other.pairs_visited;
         self.edges_scanned += other.edges_scanned;
@@ -138,16 +120,8 @@ impl EvalStats {
         self.answers += other.answers;
         self.plan_cache_hits += other.plan_cache_hits;
         self.plan_cache_misses += other.plan_cache_misses;
-        self.plan_direction = self.plan_direction.or(other.plan_direction);
-        // Analysis facts are per-plan: counters sum (one plan per
-        // constituent run), flags OR (a batch is "finite" if any planned
-        // constituent was), and analysis time sums like any cost counter.
-        self.symbols_pruned += other.symbols_pruned;
-        self.states_trimmed += other.states_trimmed;
-        self.finite_language |= other.finite_language;
         self.rewrites_certified += other.rewrites_certified;
         self.rewrites_rejected += other.rewrites_rejected;
-        self.analysis_ns += other.analysis_ns;
         // Hot-path telemetry: level and reuse counters sum like any work
         // counter; the frontier peak is a high-water mark, so it maxes.
         self.push_levels += other.push_levels;

@@ -80,14 +80,15 @@ fn analysis_facts_flow_through_the_distributed_wrapper() {
     let planned = PlannedEngine::new(SimulatorEngine::default(), set, ab.clone());
     let query = Query::parse(&mut ab, "(a.b)*").unwrap();
 
-    // The cache substitution fires, certifies against the constraint
-    // closure, and its finite winner is recorded in the stats every
-    // distributed entry point reports.
+    // The cache substitution fires and certifies against the constraint
+    // closure: the stats every distributed entry point reports carry the
+    // verdict, and the plan that served them records its finite winner.
     let res = planned.eval(&query, &graph, v0);
     assert_eq!(res.stats.rewrites_certified, 1);
     assert_eq!(res.stats.rewrites_rejected, 0);
-    assert!(res.stats.finite_language);
-    assert!(res.stats.analysis_ns > 0);
+    let record = &planned.plan(&query, &graph).record;
+    assert!(record.finite_language);
+    assert!(record.analysis_ns > 0);
 
     // A query forced through a zero-edge label short-circuits before any
     // site runs: no edges scanned for any source.
@@ -98,5 +99,6 @@ fn analysis_facts_flow_through_the_distributed_wrapper() {
     assert_eq!(batch.per_source().unwrap().len(), sources.len());
     assert!(batch.union().is_empty());
     assert_eq!(resp.stats.edges_scanned, 0);
-    assert_eq!(resp.stats.symbols_pruned, 1);
+    let record = &planned.plan(&ghost, &graph).record;
+    assert_eq!(record.pruned_symbols.len(), 1);
 }

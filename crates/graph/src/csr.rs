@@ -341,6 +341,7 @@ impl BlockBuilder {
     /// Append the next row, given sorted by `(label, endpoint)`.
     fn push_pairs(&mut self, row: &[(Symbol, Oid)]) {
         let end = self.words[self.rows].index() + row.len();
+        // panic-ok: u32 offsets: a block's entry count must fit its header words
         assert!(
             self.rows < BLOCK_ROWS && end <= u32::MAX as usize,
             "a block holds {BLOCK_ROWS} rows and fewer than 2^32 entries"
@@ -359,6 +360,7 @@ impl BlockBuilder {
         };
         let (from, to) = (header[rows.start].index(), header[rows.end].index());
         let end = self.words[self.rows].index();
+        // panic-ok: u32 offsets: a copied block range must fit its header words
         assert!(
             self.rows == rows.start && end + (to - from) <= u32::MAX as usize,
             "rows come in order and a block holds fewer than 2^32 entries"
@@ -627,6 +629,7 @@ impl CsrGraph {
         in_log: &[RowPatch],
         stats: LabelStats,
     ) -> (CsrGraph, usize) {
+        // panic-ok: a fold sizes its blocks by the new node count
         assert!(self.num_nodes <= num_nodes, "a fold drops no row");
         let (out, out_built) =
             fold_blocks(&self.out, self.num_edges, num_nodes, num_edges, out_log);
@@ -669,11 +672,13 @@ fn fold_blocks(
     num_edges: usize,
     log: &[RowPatch],
 ) -> (Vec<RowBlock>, usize) {
+    // panic-ok: the merge walks the log in order
     assert!(
         log.windows(2)
             .all(|w| (w[0].0, w[0].1, w[0].2) < (w[1].0, w[1].1, w[1].2)),
         "overlay log must be strictly ascending by (row, label, endpoint)"
     );
+    // panic-ok: a patch past the last row would index out of the blocks
     assert!(
         log.last().is_none_or(|p| p.0.index() < num_nodes),
         "a fold patches no row past the last"
@@ -712,6 +717,7 @@ fn fold_blocks(
         blocks.push(block);
     }
     carry_over(&mut blocks, num_blocks);
+    // panic-ok: the folded blocks must agree with the edge count served
     assert!(edges == num_edges, "folded rows must hold every edge");
     (blocks, built)
 }
@@ -732,9 +738,11 @@ fn merge_row(
         }
         let in_base = base.peek() == Some(&patch);
         if add {
+            // panic-ok: a fold's add log and the base are disjoint
             assert!(!in_base, "add log must be disjoint from the base");
             merged.push(patch);
         } else {
+            // panic-ok: a fold's tombstones name base edges
             assert!(in_base, "tombstone must name a base edge");
             base.next();
         }

@@ -19,7 +19,7 @@
 //!    [`rpq_constraints::Closures`] memo, where the rewrite search's
 //!    decision of the same claim — the same method — already built them,
 //!    so the planned engine's certification builds none
-//!    ([`Analysis::certify_closure_builds`]). [`analyze`] and
+//!    ([`PlanRecord::certify_closure_builds`]). [`analyze`] and
 //!    [`certify_rewrite`] start a fresh memo.
 //! 2. **Alphabet restriction** — symbols with zero edges in the
 //!    snapshot's [`LabelStats`] cannot appear on any path, so every
@@ -31,15 +31,18 @@
 //!    structure (frontiers, subset universes, reversals). A regex with no
 //!    `∅` subterm — every restricted query the smart constructors leave
 //!    non-empty — has a Thompson automaton that is trim as built, so
-//!    nothing is trimmed ([`Analysis::trims`]).
+//!    nothing is trimmed ([`PlanRecord::trims`]).
 //! 4. **Finite-language detection** — when the language is finite, the
 //!    longest accepted word bounds the product BFS depth exactly
 //!    ([`rpq_automata::Nfa::longest_accepted_len`], read off the regex),
 //!    enabling the bounded fast path.
 //!
-//! The resulting [`AnalysisFacts`] ride on the plan through the epoch
-//! memo and are stamped into every [`rpq_core::EvalStats`] the planned
-//! engine produces.
+//! The results go into the plan's [`PlanRecord`], beside what the rewrite
+//! search learned; the record is built once per plan miss and rides on the
+//! plan through the epoch memo, so every response a plan serves shares it
+//! instead of carrying a copy. Of it, only the two certification counts
+//! are stamped into each [`rpq_core::EvalStats`] the planned engine
+//! produces.
 
 use std::borrow::Cow;
 use std::collections::BTreeSet;
@@ -47,16 +50,61 @@ use std::time::Instant;
 
 use rpq_automata::{Nfa, Regex, Symbol};
 use rpq_constraints::{Closures, ConstraintSet};
+use rpq_core::Direction;
 use rpq_graph::LabelStats;
 
 use crate::compiled::CompiledQuery;
+use crate::rewrites::RewriteRule;
 use crate::shape::any_leaf;
 
-/// Facts derived statically from one query over one snapshot's label
-/// statistics. Attached to every plan; see the module docs for the four
-/// analyses that populate it.
+/// What one plan learned, built once per plan miss and kept with the plan
+/// ([`crate::Plan::record`]), so every response the plan serves shares it
+/// through the memo. Each part has one writer: the rewrite search fills
+/// the search part ([`crate::optimize_and_analyze`]), the static analysis
+/// the certification and analysis parts ([`analyze`]), and the plan the
+/// direction. A CRPQ atom's plan runs no search, so that part stays at
+/// its defaults.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct AnalysisFacts {
+pub struct PlanRecord {
+    /// The rule of the search's winner, `None` when the input won.
+    pub applied: Option<RewriteRule>,
+    /// The search's winner when a candidate beat the input — the query
+    /// certification checked, before alphabet restriction; `None` when
+    /// the input won.
+    pub winner: Option<Regex>,
+    /// All candidates the search considered.
+    pub considered: usize,
+    /// Thompson automata the search built: at most one of the input — for
+    /// the view search's probe, the candidate families and whichever side
+    /// of the certification needs it — and none of the candidates it
+    /// scored, since both cost models read the regex.
+    pub thompson_builds: usize,
+    /// Subset constructions of the input query the search ran: at most
+    /// one, and none when the view search takes no remainder (no cache
+    /// body prefixes a word of the query, or each cover is the query
+    /// itself) and the simplifier has nothing to look for (no regex of the
+    /// query's finite language is smaller than the query).
+    pub determinizations: usize,
+    /// Claims `E ⊨ q = c` the search decided, in one rewrite step or by
+    /// the plan's closure test, proved or not.
+    pub claims_proved: usize,
+    /// `RewriteTo` closures the search's decisions built
+    /// ([`rpq_constraints::Closures`]): at most one per target regex, none
+    /// for a direction of a claim proved in one step, so none for a cache
+    /// substitution `u·t = l·t` and up to two for another claim `q = c`.
+    pub closure_builds: usize,
+    /// Rewrite winners certified equivalent under the constraint closure.
+    pub rewrites_certified: usize,
+    /// Rewrite winners rejected by certification (planned as original).
+    pub rewrites_rejected: usize,
+    /// `RewriteTo` closures certification built; 0 when the plan's memo
+    /// held them already, when each direction was one step, or when the
+    /// input won (nothing to certify).
+    pub certify_closure_builds: usize,
+    /// Inclusion tests certification ran: one per direction not proved in
+    /// one step — 0 for a cache substitution `u·t = l·t` under `l = u`, up
+    /// to 2 for any other winner — and 0 when the input won.
+    pub certify_inclusions: usize,
     /// Query symbols erased because the snapshot has zero edges with that
     /// label (sorted, deduplicated). Pruning is statistics-dependent:
     /// epoch-drift plan reuse must re-check that these labels are still
@@ -66,6 +114,10 @@ pub struct AnalysisFacts {
     /// unanalyzed query's Thompson automaton — dead-arm erasure and
     /// reachable/co-accessible trimming combined.
     pub states_trimmed: usize,
+    /// Trims of the planned regex's Thompson automaton the analysis ran: 0
+    /// when no subterm of the regex denotes `∅`, for then the automaton is
+    /// trim as built.
+    pub trims: usize,
     /// Is the restricted language empty? If so the answer set is empty on
     /// *this snapshot* regardless of source, and evaluation is skipped
     /// entirely (`edges_scanned == 0`, no frontier allocation).
@@ -75,16 +127,21 @@ pub struct AnalysisFacts {
     /// Length of the longest accepted word when the language is finite
     /// and nonempty — the exact product-BFS depth cap.
     pub max_word_len: Option<usize>,
-    /// Rewrite winners certified equivalent under the constraint closure.
-    pub rewrites_certified: usize,
-    /// Rewrite winners rejected by certification (planned as original).
-    pub rewrites_rejected: usize,
-    /// Wall-clock nanoseconds spent in `analyze` (certification included).
+    /// Wall-clock nanoseconds spent in the analysis (certification
+    /// included).
     pub analysis_ns: u64,
+    /// The planned direction for pair/target-bound evaluation.
+    pub direction: Direction,
+    /// Estimated forward entry cost: edges matching the first label group
+    /// under the statistics the plan was built on.
+    pub forward_cost: usize,
+    /// Estimated backward entry cost: edges matching the last label group.
+    pub backward_cost: usize,
 }
 
 /// The output of [`analyze`]: the query actually planned (certified
-/// winner, alphabet-restricted), its trimmed NFA, and the facts.
+/// winner, alphabet-restricted), its trimmed NFA, its two label groups and
+/// the record.
 #[derive(Clone, Debug)]
 pub struct Analysis {
     /// The regex to plan. Language-equal to `nfa` — the
@@ -92,20 +149,9 @@ pub struct Analysis {
     pub regex: Regex,
     /// Trimmed Thompson automaton of `regex`.
     pub nfa: Nfa,
-    /// The derived facts.
-    pub facts: AnalysisFacts,
-    /// `RewriteTo` closures certification built; 0 when the plan's memo
-    /// held them already, when each direction was one step, or when the
-    /// input won (nothing to certify).
-    pub certify_closure_builds: usize,
-    /// Inclusion tests certification ran: one per direction not proved in
-    /// one step — 0 for a cache substitution `u·t = l·t` under `l = u`, up
-    /// to 2 for any other winner — and 0 when the input won.
-    pub certify_inclusions: usize,
-    /// Trims of `regex`'s Thompson automaton the analysis ran: 0 when no
-    /// subterm of `regex` denotes `∅`, for then the automaton is trim as
-    /// built.
-    pub trims: usize,
+    /// What the plan learned so far: the search part (when the analysis
+    /// ran after a search) and the certification and analysis parts.
+    pub record: PlanRecord,
     /// The labels that begin a word of `regex`: [`Nfa::entry_symbols`] of
     /// `nfa`, read off the regex.
     pub(crate) first_symbols: Vec<Symbol>,
@@ -196,36 +242,38 @@ pub fn analyze(
 ) -> Analysis {
     let input = CompiledQuery::new(original, 0);
     let winner = (winner != *original).then(|| CompiledQuery::owned(winner, 0));
-    analyze_compiled(&Closures::new(set), input, winner, stats)
+    let closures = Closures::new(set);
+    analyze_compiled(&closures, input, winner, stats, PlanRecord::default())
 }
 
 /// [`analyze`] over compiled queries and the plan's closures: `winner` is
-/// `None` when the input won the rewrite search. What the search already
-/// built of either query (automaton, trimmed form) and of the closures is
-/// read, not rebuilt, and the planned query's automaton is moved into the
-/// [`Analysis`], not copied.
+/// `None` when the input won the rewrite search, and `record` carries what
+/// the search filled in. What the search already built of either query
+/// (automaton, trimmed form) and of the closures is read, not rebuilt, and
+/// the planned query's automaton is moved into the [`Analysis`], not
+/// copied.
 pub(crate) fn analyze_compiled<'q>(
     closures: &Closures<'_>,
     original: CompiledQuery<'q>,
     winner: Option<CompiledQuery<'q>>,
     stats: &LabelStats,
+    mut record: PlanRecord,
 ) -> Analysis {
     let t0 = Instant::now();
-    let mut facts = AnalysisFacts::default();
     let (builds, inclusions) = (closures.builds(), closures.inclusions());
     let chosen = match winner {
         Some(winner) if certify(closures, &original, &winner) => {
-            facts.rewrites_certified = 1;
+            record.rewrites_certified = 1;
             winner
         }
         Some(_) => {
-            facts.rewrites_rejected = 1;
+            record.rewrites_rejected = 1;
             original
         }
         None => original,
     };
-    let certify_closure_builds = closures.builds() - builds;
-    let certify_inclusions = closures.inclusions() - inclusions;
+    record.certify_closure_builds = closures.builds() - builds;
+    record.certify_inclusions = closures.inclusions() - inclusions;
     // No dead label (a walk over the leaves): the restricted query *is*
     // the chosen one, compiled already. Otherwise symbol erasure
     // simplified the regex structurally (the smart constructors fold `∅`
@@ -235,26 +283,23 @@ pub(crate) fn analyze_compiled<'q>(
     let chosen_states = chosen.states();
     let planned = if any_leaf(chosen.regex(), |s| stats.edge_count(s) == 0) {
         let (restricted, pruned) = restrict_to_live_symbols(chosen.regex(), stats);
-        facts.pruned_symbols = pruned;
+        record.pruned_symbols = pruned;
         CompiledQuery::owned(restricted, 0)
     } else {
         chosen
     };
-    facts.states_trimmed = chosen_states.saturating_sub(planned.trimmed().num_states());
-    facts.statically_empty = planned.is_empty();
-    facts.max_word_len = planned.longest_accepted_len();
-    facts.finite_language = planned.is_finite();
+    record.states_trimmed = chosen_states.saturating_sub(planned.trimmed().num_states());
+    record.statically_empty = planned.is_empty();
+    record.max_word_len = planned.longest_accepted_len();
+    record.finite_language = planned.is_finite();
     let (first_symbols, last_symbols) = planned.label_groups();
-    let trims = planned.trims();
+    record.trims = planned.trims();
     let (regex, nfa) = planned.into_trimmed();
-    facts.analysis_ns = t0.elapsed().as_nanos() as u64;
+    record.analysis_ns = t0.elapsed().as_nanos() as u64;
     Analysis {
         regex,
         nfa,
-        facts,
-        certify_closure_builds,
-        certify_inclusions,
-        trims,
+        record,
         first_symbols,
         last_symbols,
     }
@@ -293,9 +338,9 @@ mod tests {
         let q = parse_regex(&mut ab, "a.ghost + ghost.b").unwrap();
         let stats = stats_for(&[("x", "a", "y"), ("y", "b", "z")], &mut ab);
         let a = analyze(&ConstraintSet::default(), &q, q.clone(), &stats);
-        assert!(a.facts.statically_empty);
-        assert!(a.facts.finite_language);
-        assert_eq!(a.facts.max_word_len, None);
+        assert!(a.record.statically_empty);
+        assert!(a.record.finite_language);
+        assert_eq!(a.record.max_word_len, None);
         assert_eq!(a.regex, Regex::Empty);
         assert!(a.nfa.is_empty_lang());
     }
@@ -306,9 +351,9 @@ mod tests {
         let q = parse_regex(&mut ab, "a.b.a + a").unwrap();
         let stats = stats_for(&[("x", "a", "y"), ("y", "b", "x")], &mut ab);
         let a = analyze(&ConstraintSet::default(), &q, q.clone(), &stats);
-        assert!(a.facts.finite_language);
-        assert_eq!(a.facts.max_word_len, Some(3));
-        assert!(!a.facts.statically_empty);
+        assert!(a.record.finite_language);
+        assert_eq!(a.record.max_word_len, Some(3));
+        assert!(!a.record.statically_empty);
     }
 
     #[test]
@@ -317,8 +362,8 @@ mod tests {
         let q = parse_regex(&mut ab, "a*").unwrap();
         let stats = stats_for(&[("x", "a", "y")], &mut ab);
         let a = analyze(&ConstraintSet::default(), &q, q.clone(), &stats);
-        assert!(!a.facts.finite_language);
-        assert_eq!(a.facts.max_word_len, None);
+        assert!(!a.record.finite_language);
+        assert_eq!(a.record.max_word_len, None);
     }
 
     #[test]
@@ -334,8 +379,8 @@ mod tests {
         // analyze() reverts a rejected winner to the original query
         let stats = stats_for(&[("x", "l", "y")], &mut ab);
         let a = analyze(&set, &q, bad, &stats);
-        assert_eq!(a.facts.rewrites_rejected, 1);
-        assert_eq!(a.facts.rewrites_certified, 0);
+        assert_eq!(a.record.rewrites_rejected, 1);
+        assert_eq!(a.record.rewrites_certified, 0);
         assert_eq!(a.regex, q);
     }
 
@@ -355,8 +400,8 @@ mod tests {
             &mut ab,
         );
         let a = analyze(&set, &q, bad, &stats);
-        assert_eq!(a.facts.rewrites_rejected, 1);
-        assert_eq!(a.facts.rewrites_certified, 0);
+        assert_eq!(a.record.rewrites_rejected, 1);
+        assert_eq!(a.record.rewrites_certified, 0);
         assert_eq!(a.regex, q);
     }
 
@@ -380,9 +425,9 @@ mod tests {
         let stats = stats_for(&[("x", "a", "y")], &mut ab);
         let a = analyze(&ConstraintSet::default(), &q, q.clone(), &stats);
         // `b` and `c` were pruned; the trimmed NFA accepts a* and only a*
-        assert_eq!(a.facts.pruned_symbols.len(), 2);
+        assert_eq!(a.record.pruned_symbols.len(), 2);
         assert!(
-            a.facts.states_trimmed > 0,
+            a.record.states_trimmed > 0,
             "erasure must shrink the automaton vs the unanalyzed query"
         );
         let aa = ab.get("a").unwrap();
@@ -399,6 +444,6 @@ mod tests {
         let q = parse_regex(&mut ab, "l*").unwrap();
         let stats = stats_for(&[("x", "l", "y")], &mut ab);
         let a = analyze(&set, &q, q.clone(), &stats);
-        assert_eq!(a.facts.rewrites_certified + a.facts.rewrites_rejected, 0);
+        assert_eq!(a.record.rewrites_certified + a.record.rewrites_rejected, 0);
     }
 }

@@ -584,7 +584,7 @@ pub fn execute_join<G: GraphView>(
     let (order, n) = (&plan.order, crpq.atoms.len());
     assert_eq!(order.len(), n, "order must cover every atom");
     assert_eq!(plan.atoms.len(), n, "one plan per atom");
-    let mut pruned = plan.atoms.iter().flat_map(|a| &a.facts.pruned_symbols);
+    let mut pruned = plan.atoms.iter().flat_map(|a| &a.record.pruned_symbols);
     debug_assert!(
         pruned.all(|&s| graph.stats().edge_count(s) == 0),
         "an atom plan pruned a label this graph has edges on"
@@ -619,7 +619,7 @@ pub fn execute_join<G: GraphView>(
     };
 
     // A statically empty atom empties the conjunction before any atom runs.
-    let mut annihilated = plan.atoms.iter().any(|a| a.facts.statically_empty);
+    let mut annihilated = plan.atoms.iter().any(|a| a.record.statically_empty);
     for (pos, &ai) in order.iter().enumerate() {
         if annihilated {
             // No binding can satisfy the query. Record the atoms left
@@ -656,7 +656,7 @@ pub fn execute_join<G: GraphView>(
         };
         let (mut res, dir) = search_bindings(
             atom_plan.query.nfa(),
-            &atom_plan.reversed,
+            atom_plan.query.reversed(),
             graph,
             u_vals.as_deref(),
             v_vals.as_deref(),

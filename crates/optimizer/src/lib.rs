@@ -9,7 +9,8 @@
 //! * [`analysis`] — static query analysis run once per plan: rewrite
 //!   certification against the constraint closure, zero-edge alphabet
 //!   pruning (with a statically-empty fast path), NFA trimming, and
-//!   finite-language detection with an exact depth cap;
+//!   finite-language detection with an exact depth cap, and
+//!   [`PlanRecord`], the one record of what a plan learned;
 //! * [`cost`] — static (automaton size + recursion penalty) and measured
 //!   cost models;
 //! * [`rewrites`] — candidate generation: Theorem 4.10 boundedness
@@ -51,8 +52,8 @@
 //!   cost models, the three candidate families, the view search and — for
 //!   whichever query wins — the static analysis read that one value, so
 //!   scoring a candidate builds no automaton
-//!   ([`Optimized::thompson_builds`], [`Optimized::determinizations`] and
-//!   [`Analysis::trims`] count what was built);
+//!   ([`PlanRecord::thompson_builds`], [`PlanRecord::determinizations`]
+//!   and [`PlanRecord::trims`] count what was built);
 //! * **the gate**: the view search probes each cache once, `q ∩ r·Σ*`; a
 //!   cache whose body `r` has a word but leads to no state of `q` prefixes
 //!   no word of `q`, so its universal tail is empty and the search looks
@@ -66,8 +67,8 @@
 //!   target, proofs by claim. Every claim `E ⊨ q = c` is decided by the
 //!   method certification runs ([`rpq_constraints::Closures::implies`]),
 //!   so the `RewriteTo` closures its decision builds are the ones the
-//!   winner's certification tests against ([`Optimized::claims_proved`],
-//!   [`Optimized::closure_builds`], [`Analysis::certify_closure_builds`]).
+//!   winner's certification tests against ([`PlanRecord::claims_proved`],
+//!   [`PlanRecord::closure_builds`], [`PlanRecord::certify_closure_builds`]).
 //!   Nothing in it is keyed by client text or outlives the plan.
 //!
 //! No validation is skipped on the way: every distinct candidate claim is
@@ -108,7 +109,7 @@ pub mod rewrites;
 mod shape;
 pub mod views;
 
-pub use analysis::{analyze, certify_rewrite, restrict_to_live_symbols, Analysis, AnalysisFacts};
+pub use analysis::{analyze, certify_rewrite, restrict_to_live_symbols, Analysis, PlanRecord};
 pub use cost::{estimated_cost, measured_cost, StaticCost};
 pub use join::{
     execute_join, execute_join_parallel, execute_naive, parse_crpq, plan_join, Crpq, CrpqAtom,

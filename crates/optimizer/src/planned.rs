@@ -52,8 +52,18 @@
 //! recompiles whether or not a fold came in between. Hits and misses are
 //! counted on the engine
 //! ([`PlannedEngine::plan_cache_hits`]) and stamped into every
-//! [`rpq_core::EvalStats`] this engine produces, together with the chosen
-//! [`Direction`].
+//! [`rpq_core::EvalStats`] this engine produces, together with the plan's
+//! two certification counts.
+//!
+//! # One record per plan
+//!
+//! Everything else planning learned — the rewrite search's counters, the
+//! certification and analysis facts, the chosen [`Direction`] and its two
+//! entry costs — is one [`PlanRecord`] ([`Plan::record`]), built once per
+//! plan miss and kept in the memoized `Arc<Plan>`. A memo hit or a drift
+//! reuse serves the same `Arc`, so it rebuilds nothing and copies nothing
+//! into the response: a caller that wants the record reads it off
+//! [`PlannedEngine::plan`].
 //!
 //! # Two entry points
 //!
@@ -73,7 +83,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use rpq_automata::{Alphabet, Nfa, Regex, Symbol};
+use rpq_automata::{Alphabet, Regex, Symbol};
 use rpq_constraints::ConstraintSet;
 use rpq_core::{
     live_oids, run_request, Engine, EvalRequest, EvalResponse, EvalResult, EvalStats, Query,
@@ -81,7 +91,7 @@ use rpq_core::{
 };
 use rpq_graph::{CsrGraph, GraphView, LabelStats, Oid};
 
-use crate::analysis::{Analysis, AnalysisFacts};
+use crate::analysis::{Analysis, PlanRecord};
 use crate::join::{execute_join, plan_join, Crpq, HeadBindings, JoinPlan};
 use crate::planner::optimize_and_analyze;
 
@@ -102,58 +112,47 @@ impl Default for PlannerConfig {
 }
 
 /// One planned query over one snapshot: the rewrite winner compiled once
-/// (forward and reversed), plus the direction decision and its cost
-/// inputs.
+/// (its reversal built with the plan), the two label groups the drift
+/// check prices, and the record of what planning learned.
 #[derive(Clone, Debug)]
 pub struct Plan {
-    /// The rewritten (or original) query, compiled.
+    /// The rewritten (or original) query, compiled; its
+    /// [`Query::reversed`] is built with the plan, so a backward or pair
+    /// search reads it, not a reversal of its own.
     pub query: Query,
-    /// The rewritten query's reversed NFA (the backward/pair engines run
-    /// it over the reverse adjacency), compiled once with the plan.
-    pub reversed: Nfa,
-    /// Did the constraint rewrite change the query?
-    pub improved: bool,
-    /// The planned direction for pair/target-bound evaluation.
-    pub direction: Direction,
     /// The first label group: the symbols a word of the query can begin
     /// with (sorted), read off the planned regex once, with the plan.
     pub first_symbols: Vec<Symbol>,
     /// The last label group: the symbols a word of the query can end with
     /// (sorted).
     pub last_symbols: Vec<Symbol>,
-    /// Estimated forward entry cost: edges matching the first label group
-    /// under the statistics the plan was built on.
-    pub forward_cost: usize,
-    /// Estimated backward entry cost: edges matching the last label group.
-    pub backward_cost: usize,
-    /// Static analysis facts (alphabet pruning, trimming, emptiness,
-    /// finiteness, rewrite certification) derived at plan time.
-    pub facts: AnalysisFacts,
+    /// What planning learned: the rewrite search, certification, static
+    /// analysis and direction decision. Built once per plan miss; every
+    /// response the plan serves shares it through the memo.
+    pub record: PlanRecord,
 }
 
 impl Plan {
     /// The plan of `analysis` over `alphabet` under `stats`: the analysed
     /// query compiled once, forward and reversed, and the direction its
-    /// two entry costs decide. Both label groups are facts of the planned
-    /// regex, read off it by the analysis. A path plan's analysis comes
-    /// from the rewrite search under the engine's constraint set
-    /// ([`crate::optimize_and_analyze`]); a CRPQ atom's from
-    /// [`crate::analyze`] under none ([`crate::plan_join`]).
+    /// two entry costs decide, recorded. Both label groups are facts of
+    /// the planned regex, read off it by the analysis. A path plan's
+    /// analysis comes from the rewrite search under the engine's
+    /// constraint set ([`crate::optimize_and_analyze`]); a CRPQ atom's
+    /// from [`crate::analyze`] under none ([`crate::plan_join`]).
     pub(crate) fn new(analysis: Analysis, alphabet: &Arc<Alphabet>, stats: &LabelStats) -> Plan {
         let query = Query::with_nfa(analysis.regex, analysis.nfa, Arc::clone(alphabet));
-        let reversed = query.nfa().reverse();
-        let forward_cost = group_cost(&analysis.first_symbols, stats);
-        let backward_cost = group_cost(&analysis.last_symbols, stats);
+        // Reversed now, with the plan, so no request builds it.
+        query.reversed();
+        let mut record = analysis.record;
+        record.forward_cost = group_cost(&analysis.first_symbols, stats);
+        record.backward_cost = group_cost(&analysis.last_symbols, stats);
+        record.direction = choose_direction(record.forward_cost, record.backward_cost);
         Plan {
             query,
-            reversed,
-            improved: analysis.facts.rewrites_certified > 0,
-            direction: choose_direction(forward_cost, backward_cost),
             first_symbols: analysis.first_symbols,
             last_symbols: analysis.last_symbols,
-            forward_cost,
-            backward_cost,
-            facts: analysis.facts,
+            record,
         }
     }
 }
@@ -372,8 +371,8 @@ impl<E> PlannedEngine<E> {
     /// unlike cost drift, which only risks optimality.
     fn drift_within(&self, plan: &Plan, stats: &LabelStats) -> bool {
         self.drift_checks.fetch_add(1, Ordering::Relaxed);
-        if plan
-            .facts
+        let record = &plan.record;
+        if record
             .pruned_symbols
             .iter()
             .any(|&s| stats.edge_count(s) != 0)
@@ -382,9 +381,9 @@ impl<E> PlannedEngine<E> {
         }
         let f = group_cost(&plan.first_symbols, stats);
         let b = group_cost(&plan.last_symbols, stats);
-        choose_direction(f, b) == plan.direction
-            && within_factor(plan.forward_cost, f)
-            && within_factor(plan.backward_cost, b)
+        choose_direction(f, b) == record.direction
+            && within_factor(record.forward_cost, f)
+            && within_factor(record.backward_cost, b)
     }
 
     /// The memoized plan plus whether it was served from the memo (`true`)
@@ -432,7 +431,7 @@ impl<E> PlannedEngine<E> {
         // winner — certify it against the constraint closure (reverting
         // it if certification fails), erase zero-edge symbols, trim, and
         // classify the language.
-        let (_, analysis) = optimize_and_analyze(&self.set, q, alphabet, stats);
+        let analysis = optimize_and_analyze(&self.set, q, alphabet, stats);
         let plan = Arc::new(Plan::new(analysis, alphabet, stats));
         self.misses.fetch_add(1, Ordering::Relaxed);
         let mut memo = self.memo.lock();
@@ -440,19 +439,14 @@ impl<E> PlannedEngine<E> {
         (plan, false)
     }
 
-    /// Stamp plan observability into an evaluation's counters, analysis
-    /// facts included.
+    /// Stamp plan observability into an evaluation's counters: the memo
+    /// outcome and the plan's two certification counts. The rest of the
+    /// plan's record is read off the plan ([`PlannedEngine::plan`]).
     fn stamp(&self, stats: &mut EvalStats, plan: &Plan, hit: bool) {
         stats.plan_cache_hits += usize::from(hit);
         stats.plan_cache_misses += usize::from(!hit);
-        stats.plan_direction = Some(plan.direction);
-        let facts = &plan.facts;
-        stats.symbols_pruned += facts.pruned_symbols.len();
-        stats.states_trimmed += facts.states_trimmed;
-        stats.finite_language |= facts.finite_language;
-        stats.rewrites_certified += facts.rewrites_certified;
-        stats.rewrites_rejected += facts.rewrites_rejected;
-        stats.analysis_ns += facts.analysis_ns;
+        stats.rewrites_certified += plan.record.rewrites_certified;
+        stats.rewrites_rejected += plan.record.rewrites_rejected;
     }
 
     /// Answer `spec` under `plan`: statically empty plans answer without
@@ -468,15 +462,15 @@ impl<E> PlannedEngine<E> {
         spec: &SourceSpec,
         opts: &SearchOpts<'_>,
     ) -> EvalResponse {
-        let mut resp = if plan.facts.statically_empty {
+        let mut resp = if plan.record.statically_empty {
             EvalResponse::empty_for(spec)
         } else {
             run_request(
                 plan.query.nfa(),
-                &plan.reversed,
+                plan.query.reversed(),
                 graph,
                 spec,
-                plan.direction,
+                plan.record.direction,
                 opts,
                 &mut self.scratch.checkout(),
             )
@@ -608,7 +602,7 @@ impl<E> PlannedEngine<E> {
 /// Default search options carrying `plan`'s finite-language depth cap.
 fn capped(plan: &Plan) -> SearchOpts<'static> {
     SearchOpts {
-        depth_cap: plan.facts.max_word_len,
+        depth_cap: plan.record.max_word_len,
         ..SearchOpts::default()
     }
 }
@@ -664,7 +658,7 @@ impl<E: Engine> Engine for PlannedEngine<E> {
         // language the longest accepted word bounds the product BFS depth
         // exactly, so the bounded search beats any unbounded strategy the
         // inner engine might pick.
-        if plan.facts.statically_empty || plan.facts.max_word_len.is_some() {
+        if plan.record.statically_empty || plan.record.max_word_len.is_some() {
             let spec = SourceSpec::Source(source);
             let opts = capped(&plan);
             return self
@@ -747,7 +741,10 @@ mod tests {
         let opt = planned.eval(&query, &graph, v0);
         assert_eq!(opt.answers, plain.answers);
         let plan = planned.plan(&query, &graph);
-        assert!(plan.improved, "the cache substitution must fire");
+        assert_eq!(
+            plan.record.rewrites_certified, 1,
+            "the cache substitution must fire"
+        );
         assert!(
             opt.stats.edges_scanned < plain.stats.edges_scanned,
             "rewritten query must do less work: {} vs {}",
@@ -776,7 +773,7 @@ mod tests {
     }
 
     #[test]
-    fn eval_stats_record_direction_and_cache_outcome() {
+    fn eval_stats_record_the_cache_outcome_and_the_certification() {
         let (mut ab, set, inst, v0) = cached_workload(4);
         let graph = CsrGraph::from(&inst);
         let planned = PlannedEngine::new(ProductEngine, set, ab.clone());
@@ -784,14 +781,22 @@ mod tests {
         let first = planned.eval(&query, &graph, v0);
         assert_eq!(first.stats.plan_cache_misses, 1);
         assert_eq!(first.stats.plan_cache_hits, 0);
-        assert!(first.stats.plan_direction.is_some());
+        assert_eq!(first.stats.rewrites_certified, 1);
         let second = planned.eval(&query, &graph, v0);
         assert_eq!(second.stats.plan_cache_hits, 1);
         assert_eq!(second.stats.plan_cache_misses, 0);
+        assert_eq!(
+            (
+                second.stats.rewrites_certified,
+                second.stats.rewrites_rejected
+            ),
+            (1, 0),
+            "a hit reports the plan's certification too"
+        );
         // unplanned engines leave the fields untouched
         let raw = ProductEngine.eval(&query, &graph, v0);
         assert_eq!(raw.stats.plan_cache_hits + raw.stats.plan_cache_misses, 0);
-        assert_eq!(raw.stats.plan_direction, None);
+        assert_eq!(raw.stats.rewrites_certified, 0);
     }
 
     #[test]
@@ -808,14 +813,14 @@ mod tests {
         let planned = PlannedEngine::unconstrained(ProductEngine, ab.clone());
         let query = Query::parse(&mut ab, "hot.hot.cold").unwrap();
         let plan = planned.plan(&query, &graph);
-        assert_eq!(plan.direction, Direction::Backward, "{plan:?}");
-        assert!(plan.backward_cost < plan.forward_cost);
+        assert_eq!(plan.record.direction, Direction::Backward, "{plan:?}");
+        assert!(plan.record.backward_cost < plan.record.forward_cost);
 
         let (s, t) = (names["s"], names["t"]);
         let planned_pair = planned.run_view(&query, &graph, &EvalRequest::pair(s, t));
         let forced_forward = rpq_core::search_pair(
             query.nfa(),
-            &query.nfa().reverse(),
+            query.reversed(),
             &graph,
             s,
             t,
@@ -825,7 +830,6 @@ mod tests {
         )
         .0;
         assert!(planned_pair.reachable().unwrap() && forced_forward.reachable);
-        assert_eq!(planned_pair.stats.plan_direction, Some(Direction::Backward));
         assert!(
             planned_pair.stats.edges_scanned * 10 < forced_forward.stats.edges_scanned,
             "backward must win big: {} vs {}",
@@ -851,7 +855,7 @@ mod tests {
         let planned = PlannedEngine::unconstrained(ProductEngine, ab.clone());
         let query = Query::parse(&mut ab, "cold.hot").unwrap();
         let plan = planned.plan(&query, &graph);
-        assert_eq!(plan.direction, Direction::Forward, "{plan:?}");
+        assert_eq!(plan.record.direction, Direction::Forward, "{plan:?}");
     }
 
     #[test]
@@ -865,7 +869,7 @@ mod tests {
         let planned = PlannedEngine::unconstrained(ProductEngine, ab.clone());
         let query = Query::parse(&mut ab, "a.a").unwrap();
         assert_eq!(
-            planned.plan(&query, &graph).direction,
+            planned.plan(&query, &graph).record.direction,
             Direction::Bidirectional
         );
     }
@@ -903,11 +907,11 @@ mod tests {
         let mut ab2 = ab.clone();
         let query = Query::parse(&mut ab2, "hot.cold").unwrap();
         assert_eq!(
-            planned.plan(&query, &skew_backward).direction,
+            planned.plan(&query, &skew_backward).record.direction,
             Direction::Backward
         );
         assert_eq!(
-            planned.plan(&query, &skew_forward).direction,
+            planned.plan(&query, &skew_forward).record.direction,
             Direction::Forward,
             "the second snapshot must get its own plan, not the memo hit"
         );
@@ -980,7 +984,6 @@ mod tests {
         for _ in 0..5 {
             let res = planned.run_view(&query, &dg, &EvalRequest::source(Oid(0)));
             assert_eq!(res.stats.plan_cache_hits, 1);
-            assert_eq!(res.stats.plan_direction, Some(p1.direction));
             assert!(Arc::ptr_eq(&p1, &planned.plan(&query, &dg)));
         }
         assert_eq!(planned.plan_drift_checks(), 1, "one check per epoch");
@@ -1037,7 +1040,7 @@ mod tests {
                 Query::parse(&mut ab2, "hot.cold").unwrap()
             };
             let p1 = planned.plan(&query, &dg);
-            assert_eq!(p1.direction, Direction::Backward);
+            assert_eq!(p1.record.direction, Direction::Backward);
 
             let cold = ab.get("cold").unwrap();
             let t = names["t"];
@@ -1057,7 +1060,7 @@ mod tests {
             }
             let p2 = planned.plan(&query, &dg);
             assert!(!Arc::ptr_eq(&p1, &p2), "decisive drift must recompile");
-            assert_ne!(p2.direction, Direction::Backward);
+            assert_ne!(p2.record.direction, Direction::Backward);
             // the plan was held against the new statistics once, under
             // however many keys it was entered
             assert_eq!(
@@ -1107,8 +1110,9 @@ mod tests {
         assert!(res.answers.is_empty());
         assert_eq!(res.stats.edges_scanned, 0, "no edge may be scanned");
         assert_eq!(res.stats.pairs_visited, 0, "no frontier was allocated");
-        assert_eq!(res.stats.symbols_pruned, 1);
-        assert!(res.stats.finite_language);
+        let record = &planned.plan(&query, &graph).record;
+        assert_eq!(record.pruned_symbols.len(), 1);
+        assert!(record.finite_language);
 
         // `Engine::run` takes the same exit, and the plan is built once —
         // emptiness is decided per plan
@@ -1135,12 +1139,11 @@ mod tests {
         let s = names["s"];
 
         let plan = planned.plan(&query, &graph);
-        assert_eq!(plan.facts.max_word_len, Some(4));
+        assert_eq!(plan.record.max_word_len, Some(4));
+        assert!(plan.record.finite_language);
         let fast = planned.eval(&query, &graph, s);
         let plain = ProductEngine.eval(&query, &graph, s);
         assert_eq!(fast.answers, plain.answers);
-        assert!(fast.stats.finite_language);
-        assert!(!plain.stats.finite_language);
         let to = planned.run_view(&query, &graph, &EvalRequest::target(s));
         let plain_to = ProductEngine.run(&query, &graph, &EvalRequest::target(s));
         assert_eq!(to.nodes(), plain_to.nodes());
@@ -1171,7 +1174,7 @@ mod tests {
             let s = names["s"];
 
             let p1 = planned.plan(&query, &dg);
-            assert_eq!(p1.facts.pruned_symbols, vec![ghost]);
+            assert_eq!(p1.record.pruned_symbols, vec![ghost]);
             let from_s = EvalRequest::source(s);
             assert_eq!(planned.run_view(&query, &dg, &from_s).stats.answers, 32);
 
@@ -1193,13 +1196,62 @@ mod tests {
                 !Arc::ptr_eq(&p1, &p2),
                 "the pruned-label guard must force a rebuild"
             );
-            assert!(p2.facts.pruned_symbols.is_empty());
+            assert!(p2.record.pruned_symbols.is_empty());
             // and the rebuilt plan answers the ghost path
             assert_eq!(planned.run_view(&query, &dg, &from_s).stats.answers, 32);
             let mut ab3 = ab.clone();
             let ghost_only = Query::parse(&mut ab3, "ghost").unwrap();
             assert_eq!(planned.run_view(&ghost_only, &dg, &from_s).stats.answers, 1);
         }
+    }
+
+    #[test]
+    fn a_plan_record_is_built_once_and_shared_by_every_hit() {
+        // Two exact hits and one drift reuse serve the one `Arc<Plan>`, so
+        // they share its record: none is rebuilt (its `analysis_ns` would
+        // move) or restamped. The first edge on the pruned label replans,
+        // and the new plan brings its own record.
+        let mut ab = Alphabet::new();
+        let mut b = InstanceBuilder::new(&mut ab);
+        for i in 0..32 {
+            b.edge("s", "a", &format!("m{i}"));
+        }
+        let (inst, names) = b.finish();
+        let (a, ghost) = (ab.get("a").unwrap(), ab.intern("ghost"));
+        let mut dg = DeltaGraph::from_instance(&inst);
+        let planned = PlannedEngine::unconstrained(ProductEngine, ab.clone());
+        let query = Query::parse(&mut ab.clone(), "a + ghost").unwrap();
+        let (s, m0) = (names["s"], names["m0"]);
+
+        let p1 = planned.plan(&query, &dg);
+        let record = p1.record.clone();
+        assert_eq!(record.pruned_symbols, vec![ghost]);
+        assert!(record.analysis_ns > 0);
+        let from_s = EvalRequest::source(s);
+        for _ in 0..2 {
+            let resp = planned.run_view(&query, &dg, &from_s);
+            assert_eq!(
+                (resp.stats.plan_cache_hits, resp.stats.plan_cache_misses),
+                (1, 0)
+            );
+            let hit = planned.plan(&query, &dg);
+            assert!(Arc::ptr_eq(&p1, &hit));
+            assert_eq!(hit.record, record);
+        }
+
+        assert!(dg.add_edge(m0, a, names["m1"]));
+        let reused = planned.plan(&query, &dg);
+        assert_eq!(planned.plan_drift_checks(), 1);
+        assert!(Arc::ptr_eq(&p1, &reused), "a drift within bounds reuses");
+        assert_eq!(reused.record, record);
+        assert_eq!(planned.plan_cache_misses(), 1);
+
+        assert!(dg.add_edge(s, ghost, m0));
+        let replanned = planned.plan(&query, &dg);
+        assert!(!Arc::ptr_eq(&p1, &replanned));
+        assert!(replanned.record.pruned_symbols.is_empty());
+        assert_eq!(planned.plan_cache_misses(), 2);
+        assert_eq!(p1.record, record, "a replan leaves the old record alone");
     }
 
     #[test]
@@ -1234,7 +1286,7 @@ mod tests {
             let first = planned.run_crpq(&pruned, &dg, &req);
             assert_eq!(first.bindings().unwrap(), [(s, t)]);
             let (plan, _) = planned.crpq_plan(&pruned, &dg, false, false);
-            assert_eq!(plan.atoms[1].facts.pruned_symbols, vec![ghost]);
+            assert_eq!(plan.atoms[1].record.pruned_symbols, vec![ghost]);
             let none = planned.run_crpq(&empty, &dg, &req);
             assert!(none.bindings().unwrap().is_empty());
             assert_eq!(none.stats.edges_scanned, 0, "a statically empty atom");
@@ -1333,7 +1385,7 @@ mod tests {
         seeds: &[Oid],
     ) {
         let plan = planned.plan(query, graph);
-        assert!(!plan.facts.statically_empty);
+        assert!(!plan.record.statically_empty);
         for req in every_shape(seeds) {
             // the first run sizes the pooled arenas; compare warm with warm
             planned.run_view(query, graph, &req);
@@ -1341,15 +1393,15 @@ mod tests {
             let mut want = {
                 let opts = SearchOpts {
                     control: req.control(),
-                    depth_cap: plan.facts.max_word_len,
+                    depth_cap: plan.record.max_word_len,
                     ..SearchOpts::default()
                 };
                 run_request(
                     plan.query.nfa(),
-                    &plan.reversed,
+                    plan.query.reversed(),
                     graph,
                     &req.spec,
-                    plan.direction,
+                    plan.record.direction,
                     &opts,
                     &mut planned.scratch.checkout(),
                 )
@@ -1390,7 +1442,7 @@ mod tests {
             let seeds: Vec<Oid> = graph.nodes().collect();
             assert_run_view_is_run_request(&planned, &cached, &graph, &seeds);
             assert_run_view_is_run_request(&planned, &cached, &dg, &seeds);
-            assert!(planned.plan(&cached, &graph).facts.max_word_len.is_some());
+            assert!(planned.plan(&cached, &graph).record.max_word_len.is_some());
 
             // a batch is its per-item requests, item by item
             let all = planned.run_view(&cached, &dg, &EvalRequest::targets(seeds.clone()));
@@ -1500,8 +1552,9 @@ mod tests {
             if resp.termination == Termination::Complete {
                 assert_eq!(resp.nodes().unwrap(), full);
             }
-            assert!(
-                resp.stats.plan_direction.is_some(),
+            assert_eq!(
+                (resp.stats.plan_cache_hits, resp.stats.rewrites_certified),
+                (1, 1),
                 "controlled paths stamp"
             );
         }

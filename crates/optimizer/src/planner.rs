@@ -25,11 +25,12 @@
 //! is decided once, by the method certification runs, and every
 //! `RewriteTo` closure it builds is kept by target, so the planned
 //! engine's certification of the winner reads the closures the decision
-//! of the same claim built ([`Optimized::claims_proved`],
-//! [`Optimized::closure_builds`] and [`Analysis::certify_closure_builds`]
-//! count them). A direction that is one rule of `E` right-concatenated
-//! with a tail — each direction of a cache substitution `u·t = l·t` under
-//! `l = u` — is one rewrite step and needs no closure
+//! of the same claim built ([`PlanRecord::claims_proved`],
+//! [`PlanRecord::closure_builds`] and
+//! [`PlanRecord::certify_closure_builds`] count them). A direction that is
+//! one rule of `E` right-concatenated with a tail — each direction of a
+//! cache substitution `u·t = l·t` under `l = u` — is one rewrite step and
+//! needs no closure
 //! ([`rpq_constraints::Closures::one_step`]; sound because rooted
 //! constraints are right-congruent), so such a plan decides and certifies
 //! its claim with no closure and no inclusion test.
@@ -39,7 +40,7 @@ use rpq_constraints::general::Budget;
 use rpq_constraints::ConstraintSet;
 use rpq_graph::LabelStats;
 
-use crate::analysis::{analyze_compiled, Analysis};
+use crate::analysis::{analyze_compiled, Analysis, PlanRecord};
 use crate::compiled::{CompiledQuery, PlanPass};
 use crate::cost::{estimated_cost_compiled, StaticCost};
 use crate::rewrites::{candidates_compiled, Candidate, RewriteRule};
@@ -56,27 +57,6 @@ pub struct Optimized {
     pub after: StaticCost,
     /// The applied rule, if any.
     pub applied: Option<RewriteRule>,
-    /// All candidates considered (diagnostics).
-    pub considered: usize,
-    /// Thompson automata this call built: at most one of the input —
-    /// for the view search's probe, the candidate families and whichever
-    /// side of the certification needs it — and none of the candidates it
-    /// scored, since both cost models read the regex.
-    pub thompson_builds: usize,
-    /// Subset constructions of the input query run by this call: at most
-    /// one, and none when the view search takes no remainder (no cache
-    /// body prefixes a word of the query, or each cover is the query
-    /// itself) and the simplifier has nothing to look for (no regex of
-    /// the query's finite language is smaller than the query).
-    pub determinizations: usize,
-    /// Claims `E ⊨ q = c` this call decided, in one rewrite step or by the
-    /// plan's closure test, proved or not.
-    pub claims_proved: usize,
-    /// `RewriteTo` closures this call's decisions built
-    /// ([`rpq_constraints::Closures`]): at most one per target regex, none
-    /// for a direction of a claim proved in one step, so none for a cache
-    /// substitution `u·t = l·t` and up to two for another claim `q = c`.
-    pub closure_builds: usize,
 }
 
 impl Optimized {
@@ -128,34 +108,36 @@ pub fn optimize_with_stats(
 /// rewrite search and then either side of the certification, the winner's
 /// serves its score, the certification and then the plan (its automaton
 /// moves into the [`Analysis`]), and the closures the search's decisions
-/// built serve the certification.
+/// built serve the certification. The search's part of the
+/// [`PlanRecord`] is filled in here, the rest by the analysis.
 pub fn optimize_and_analyze(
     set: &ConstraintSet,
     q: &Regex,
     alphabet: &Alphabet,
     stats: &LabelStats,
-) -> (Optimized, Analysis) {
+) -> Analysis {
     let pass = PlanPass::new(set);
     let input = CompiledQuery::new(q, alphabet.len());
-    let (optimized, winner) = optimize_scored(&pass, &input, alphabet, &|c| {
+    let (optimized, winner, mut record) = optimize_scored(&pass, &input, alphabet, &|c| {
         estimated_cost_compiled(c, stats)
     });
-    let analysis = analyze_compiled(pass.closures(), input, winner, stats);
-    (optimized, analysis)
+    record.winner = winner.is_some().then_some(optimized.query);
+    analyze_compiled(pass.closures(), input, winner, stats, record)
 }
 
 fn static_score(q: &CompiledQuery<'_>) -> usize {
     StaticCost::of_compiled(q).score()
 }
 
-/// The winner of the rewrite search over `input`, and — when a candidate
-/// beat the input — that candidate's compilation.
+/// The winner of the rewrite search over `input`, when a candidate beat
+/// the input that candidate's compilation, and the search's part of the
+/// plan record.
 fn optimize_scored(
     pass: &PlanPass<'_>,
     input: &CompiledQuery<'_>,
     alphabet: &Alphabet,
     score: &dyn Fn(&CompiledQuery<'_>) -> usize,
-) -> (Optimized, Option<CompiledQuery<'static>>) {
+) -> (Optimized, Option<CompiledQuery<'static>>, PlanRecord) {
     let q = input.regex();
     let sigma = alphabet.len();
     let before = StaticCost::of_compiled(input);
@@ -235,18 +217,22 @@ fn optimize_scored(
         ),
         None => (q.clone(), before.clone(), None, None),
     };
-    let optimized = Optimized {
-        query,
-        before,
-        after,
+    let record = PlanRecord {
         applied,
         considered,
         thompson_builds: input.thompson_builds() + scored_builds,
         determinizations: input.determinizations(),
         claims_proved: pass.claims(),
         closure_builds: pass.closures().builds(),
+        ..PlanRecord::default()
     };
-    (optimized, winner)
+    let optimized = Optimized {
+        query,
+        before,
+        after,
+        applied,
+    };
+    (optimized, winner, record)
 }
 
 #[cfg(test)]
@@ -341,14 +327,18 @@ mod tests {
             (["l = (a.b)*"], "a.(b.a)*.c", 1, 4, 2),
         ] {
             let (ab, set, q) = setup(&lines, query);
-            let (opt, analysis) = optimize_and_analyze(&set, &q, &ab, loops(&ab).stats());
-            assert_eq!(opt.considered, considered, "{query}");
-            assert_eq!(opt.applied, Some(RewriteRule::CacheSubstitution), "{query}");
-            assert_eq!(opt.claims_proved, 1, "{query}");
-            assert_eq!(opt.closure_builds, search_builds, "{query}");
-            assert_eq!(analysis.facts.rewrites_certified, 1, "{query}");
-            assert_eq!(analysis.certify_closure_builds, 0, "{query}");
-            assert_eq!(analysis.certify_inclusions, certify_inclusions, "{query}");
+            let record = optimize_and_analyze(&set, &q, &ab, loops(&ab).stats()).record;
+            assert_eq!(record.considered, considered, "{query}");
+            assert_eq!(
+                record.applied,
+                Some(RewriteRule::CacheSubstitution),
+                "{query}"
+            );
+            assert_eq!(record.claims_proved, 1, "{query}");
+            assert_eq!(record.closure_builds, search_builds, "{query}");
+            assert_eq!(record.rewrites_certified, 1, "{query}");
+            assert_eq!(record.certify_closure_builds, 0, "{query}");
+            assert_eq!(record.certify_inclusions, certify_inclusions, "{query}");
         }
         let (mut ab, set, q) = setup(&["l = a.b"], "a.b.c");
         let families = candidates_compiled(&PlanPass::new(&set), &CompiledQuery::new(&q, ab.len()));
@@ -363,10 +353,10 @@ mod tests {
         // Family 1 certifies `l* = l + ε` through the plan's closures, so
         // certifying the winner builds none.
         let (ab, set, q) = setup(&["l.l = l"], "l*");
-        let (opt, analysis) = optimize_and_analyze(&set, &q, &ab, loops(&ab).stats());
-        assert_eq!(opt.applied, Some(RewriteRule::Boundedness));
-        assert_eq!(analysis.facts.rewrites_certified, 1);
-        assert_eq!(analysis.certify_closure_builds, 0);
+        let record = optimize_and_analyze(&set, &q, &ab, loops(&ab).stats()).record;
+        assert_eq!(record.applied, Some(RewriteRule::Boundedness));
+        assert_eq!(record.rewrites_certified, 1);
+        assert_eq!(record.certify_closure_builds, 0);
     }
 
     #[test]

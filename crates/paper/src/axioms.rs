@@ -306,12 +306,10 @@ fn union_arms(p: &Regex) -> Option<Vec<Regex>> {
     match p {
         Regex::Union(parts) => Some(parts.clone()),
         Regex::Concat(parts) => {
-            let idx = parts
-                .iter()
-                .position(|part| matches!(part, Regex::Union(_)))?;
-            let Regex::Union(arms) = &parts[idx] else {
-                unreachable!("position() matched a union");
-            };
+            let (idx, arms) = parts.iter().enumerate().find_map(|(i, part)| match part {
+                Regex::Union(arms) => Some((i, arms)),
+                _ => None,
+            })?;
             Some(
                 arms.iter()
                     .map(|arm| {

@@ -350,12 +350,16 @@ mod tests {
         let session = server.session();
         let q = server.parse("hot.hot.cold").unwrap();
         assert_eq!(
-            server.engine().plan(&q, &**session.snapshot()).direction,
+            server
+                .engine()
+                .plan(&q, &**session.snapshot())
+                .record
+                .direction,
             Direction::Backward
         );
         let forward = search_pair(
             q.nfa(),
-            &q.nfa().reverse(),
+            q.reversed(),
             &**session.snapshot(),
             source,
             target,

@@ -64,7 +64,7 @@ fn assert_agreement<G: GraphView + Sync>(
 ) -> Result<Vec<(Oid, Oid)>, TestCaseError> {
     let (oracle, _) = execute_naive(crpq, graph, heads);
     let plan = plan_join(crpq, graph.stats(), &PlannerConfig::default(), false, false);
-    let empty = plan.atoms.iter().any(|a| a.facts.statically_empty);
+    let empty = plan.atoms.iter().any(|a| a.record.statically_empty);
     let mut all = orders(crpq.atoms.len());
     all.push(plan.order.clone());
     for order in all {
@@ -272,13 +272,13 @@ fn atoms_over_a_label_with_no_edges_agree_with_the_naive_oracle() {
             false,
             false,
         );
-        if plan.atoms.iter().any(|a| a.facts.statically_empty) {
+        if plan.atoms.iter().any(|a| a.record.statically_empty) {
             annihilated += 1;
         } else if !free.is_empty()
             && plan
                 .atoms
                 .iter()
-                .any(|a| !a.facts.pruned_symbols.is_empty())
+                .any(|a| !a.record.pruned_symbols.is_empty())
         {
             pruned += 1;
         }

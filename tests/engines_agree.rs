@@ -462,7 +462,7 @@ proptest! {
 
         let planned = PlannedEngine::unconstrained(ProductEngine, ab.clone());
         let plan = planned.plan(&query, &graph);
-        prop_assert!(plan.facts.pruned_symbols.contains(&ghost));
+        prop_assert!(plan.record.pruned_symbols.contains(&ghost));
         let analyzed = plan.query.clone();
 
         // forward, all nine engines: analyzed == original per engine

@@ -161,11 +161,11 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed ^ 0xbac);
         let cfg = RegexGenConfig::new(syms.clone());
         let query = Query::new(random_regex(&mut rng, &cfg), &ab);
-        let reversed = query.nfa().reverse();
+        let reversed = query.reversed();
         let backward = SearchOpts { reverse_adj: true, ..SearchOpts::default() };
         for t in rebuilt.nodes() {
-            let over = search_nodes(&reversed, &dg, t, &backward, &mut EvalScratch::new()).0;
-            let full = search_nodes(&reversed, &rebuilt, t, &backward, &mut EvalScratch::new()).0;
+            let over = search_nodes(reversed, &dg, t, &backward, &mut EvalScratch::new()).0;
+            let full = search_nodes(reversed, &rebuilt, t, &backward, &mut EvalScratch::new()).0;
             prop_assert_eq!(over.answers, full.answers, "backward from {:?}", t);
         }
     }

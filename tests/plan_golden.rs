@@ -1,9 +1,11 @@
 //! Golden cold plans: what the planner decides, pinned before it moves.
 //!
-//! One line per `(constraint set, query)`: the rewrite winner of
-//! `optimize_with_stats`, the rule that produced it, how many candidates
-//! were considered, and what `analyze` made of the winner (the planned
-//! regex, pruned symbols, certification verdict, depth cap, NFA states).
+//! One line per `(constraint set, query)`, read off one
+//! `optimize_and_analyze` call — the cold plan a planned engine (and so
+//! the server) builds — and its `PlanRecord`: the rewrite winner, the
+//! rule that produced it, how many candidates were considered, and what
+//! the analysis made of the winner (the planned regex, pruned symbols,
+//! certification verdict, depth cap, NFA states).
 //! Four corpora:
 //!
 //! * `bench` / `bench-perm` — the 396 `plan-cold` shapes of `bench_e2e`
@@ -30,10 +32,9 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use rpq::automata::{parse_regex, Alphabet, Regex, Symbol};
-use rpq::constraints::general::Budget;
 use rpq::constraints::ConstraintSet;
 use rpq::graph::{Instance, LabelStats};
-use rpq::optimizer::{analyze, optimize_with_stats};
+use rpq::optimizer::optimize_and_analyze;
 use rpq_testkit::random::{random_regex, RegexGenConfig};
 
 const FIXTURE: &str = concat!(
@@ -74,16 +75,15 @@ fn plan_line(
     stats: &LabelStats,
     q: &Regex,
 ) -> String {
-    let opt = optimize_with_stats(set, q, ab, &Budget::default(), stats);
-    let analysis = analyze(set, q, opt.query.clone(), stats);
-    let f = &analysis.facts;
+    let analysis = optimize_and_analyze(set, q, ab, stats);
+    let f = &analysis.record;
     let pruned: Vec<&str> = f.pruned_symbols.iter().map(|&s| ab.name(s)).collect();
     format!(
         "{case} | {} => {} | applied={} considered={} planned={} pruned=[{}] cert={} rej={} maxlen={} states={}",
         render(q, ab),
-        render(&opt.query, ab),
-        opt.applied.map_or("-".to_string(), |r| format!("{r:?}")),
-        opt.considered,
+        render(f.winner.as_ref().unwrap_or(q), ab),
+        f.applied.map_or("-".to_string(), |r| format!("{r:?}")),
+        f.considered,
         render(&analysis.regex, ab),
         pruned.join(","),
         f.rewrites_certified,

@@ -6,13 +6,17 @@
 //! Token-level source invariants that `clippy` is not configured to
 //! enforce here:
 //!
-//! * **No panicking escapes** — `.unwrap()`, `.expect(` and `panic!` are
+//! * **No panicking escapes** — `.unwrap()`, `.expect(`, `panic!`,
+//!   `assert!(`, `assert_eq!(`, `assert_ne!(` and `unreachable!(` are
 //!   forbidden in `crates/core/src`, `crates/graph/src` and
 //!   `crates/paper/src` outside `#[cfg(test)]` items. The first two crates
 //!   sit under every evaluation, and the third answers the paper's
 //!   questions from arbitrary constraint sets and queries; a malformed
 //!   input must degrade or return an error, not abort the process
-//!   (`debug_assert!` is the sanctioned tripwire).
+//!   (`debug_assert!` is the sanctioned tripwire: a macro token matches
+//!   only where its name starts a word, so `debug_assert!(` is not
+//!   `assert!(`). A release invariant that must stay a release check
+//!   carries an `// panic-ok: <why>` comment, which allowlists it.
 //! * **Documented planner surface** — every `pub fn` in
 //!   `crates/optimizer/src` must carry a `///` doc comment, including
 //!   ones in private modules that `#![warn(missing_docs)]` cannot see.
@@ -21,8 +25,8 @@
 //!   `pairset`) outside tests: all working memory
 //!   must come from the `EvalScratch` arena so warm serving queries never
 //!   touch the allocator. Deliberate exceptions (result vectors,
-//!   non-pooled baseline arenas) carry an `// alloc-ok: <why>` comment on
-//!   the same line, which allowlists it.
+//!   non-pooled baseline arenas) carry an `// alloc-ok: <why>` comment,
+//!   which allowlists it.
 //! * **No blocking sleeps in the serving layer** — `thread::sleep` is
 //!   forbidden in `crates/server/src` outside `#[cfg(test)]` items. The
 //!   server coordinates with locks, atomics, and joins; a sleep in the
@@ -46,9 +50,10 @@
 //!
 //! The scanner blanks comments and string/char literals before matching,
 //! so prose like "never unwrap() here" or a format string containing
-//! braces cannot trip (or hide) a finding. The `alloc-ok:` allowlist is
-//! the one check made on *original* lines — the marker lives in a comment,
-//! which the cleaner blanks.
+//! braces cannot trip (or hide) a finding. The `alloc-ok:` and `panic-ok:`
+//! allowlists are the one check made on *original* lines — the marker
+//! lives in a comment, which the cleaner blanks. A marker allowlists the
+//! line it ends, or, as a comment line of its own, the line below it.
 //!
 //! # The surface report
 //!
@@ -85,8 +90,20 @@ fn main() -> ExitCode {
 const NO_PANIC_DIRS: &[&str] = &["crates/core/src", "crates/graph/src", "crates/paper/src"];
 /// Crate whose `pub fn`s must all be documented.
 const DOC_DIRS: &[&str] = &["crates/optimizer/src"];
-/// Forbidden tokens for the no-panic rule.
-const PANIC_TOKENS: &[&str] = &[".unwrap()", ".expect(", "panic!"];
+/// Forbidden tokens for the no-panic rule: the panicking escapes and the
+/// release assertions.
+const PANIC_TOKENS: &[&str] = &[
+    ".unwrap()",
+    ".expect(",
+    "panic!",
+    "assert!(",
+    "assert_eq!(",
+    "assert_ne!(",
+    "unreachable!(",
+];
+/// Marker that allowlists one line for the no-panic rule: a release
+/// invariant that must stay a release check.
+const PANIC_OK: &str = "panic-ok:";
 /// Hot-path modules that must stay allocation-free: working memory comes
 /// from the `scratch` arena, not per-call `Vec`s. (`scratch.rs` itself is
 /// exempt — it is where construction is supposed to live.)
@@ -437,8 +454,9 @@ fn scan_file(file: &Path, violations: &mut Vec<Violation>, rule: Rule) {
 }
 
 /// A rule that forbids tokens: flags every non-test line of the cleaned
-/// source that contains one of `tokens`, unless its original text carries
-/// the `allow` marker.
+/// source that contains one of `tokens`, unless the `allow` marker is on
+/// it or on the line above it (a comment line of its own, where `rustfmt`
+/// leaves a marker that explains a multi-line call).
 struct TokenRule {
     name: &'static str,
     tokens: &'static [&'static str],
@@ -455,10 +473,17 @@ impl TokenRule {
         violations: &mut Vec<Violation>,
     ) {
         for (i, line) in cleaned.iter().enumerate() {
-            if mask[i] || self.allow.is_some_and(|ok| original[i].contains(ok)) {
+            let marked = |ok: &str| {
+                original[i].contains(ok)
+                    || i.checked_sub(1).is_some_and(|above| {
+                        let above = original[above].trim_start();
+                        above.starts_with("//") && above.contains(ok)
+                    })
+            };
+            if mask[i] || self.allow.is_some_and(marked) {
                 continue;
             }
-            if self.tokens.iter().any(|tok| line.contains(tok)) {
+            if self.tokens.iter().any(|tok| contains_token(line, tok)) {
                 violations.push(Violation {
                     file: file.to_path_buf(),
                     line: i + 1,
@@ -468,6 +493,18 @@ impl TokenRule {
             }
         }
     }
+}
+
+/// Does `line` contain `token`? A macro token (`name!`) matches only where
+/// its name starts a word, so `debug_assert!(` holds no `assert!(`; any
+/// other token matches anywhere.
+fn contains_token(line: &str, token: &str) -> bool {
+    let is_word = |c: char| c.is_alphanumeric() || c == '_';
+    if !token.contains('!') || !token.starts_with(is_word) {
+        return line.contains(token);
+    }
+    line.match_indices(token)
+        .any(|(at, _)| !line[..at].ends_with(is_word))
 }
 
 /// Declare a [`Rule`] function that applies a [`TokenRule`].
@@ -490,7 +527,7 @@ macro_rules! token_rule {
     };
 }
 
-token_rule!(check_no_panics, "no-panic", PANIC_TOKENS, None);
+token_rule!(check_no_panics, "no-panic", PANIC_TOKENS, Some(PANIC_OK));
 token_rule!(
     check_no_hot_path_allocs,
     "hot-path-alloc",
@@ -839,6 +876,34 @@ mod tests {
         let c = lines(src);
         let m = test_mask(&c);
         assert!(!m[4], "the brace inside the raw string must not leak");
+    }
+
+    #[test]
+    fn release_assertions_are_flagged_unless_allowlisted() {
+        let src = "fn live() {\n  debug_assert!(a);\n  debug_assert_eq!(a, b);\n  assert!(a);\n  assert_eq!(a, b);\n  std::assert_ne!(a, b);\n  unreachable!(\"no\");\n  assert!(a, \"fold\"); // panic-ok: a release invariant\n  // panic-ok: a release invariant, over a multi-line call\n  assert!(\n    a,\n  );\n  assert!(b);\n}\n#[cfg(test)]\nmod tests {\n  fn t() { assert!(x); }\n}\n";
+        let original: Vec<String> = src.lines().map(str::to_string).collect();
+        let cleaned = clean_source(src);
+        let mask = test_mask(&cleaned);
+        let mut v = Vec::new();
+        check_no_panics(Path::new("x.rs"), &original, &cleaned, &mask, &mut v);
+        let flagged: Vec<usize> = v.iter().map(|v| v.line).collect();
+        assert_eq!(
+            flagged,
+            vec![4, 5, 6, 7, 13],
+            "debug assertions pass, release ones are flagged, the marker allowlists"
+        );
+        assert!(v.iter().all(|v| v.rule == "no-panic"));
+    }
+
+    #[test]
+    fn macro_tokens_match_on_a_word_boundary() {
+        assert!(contains_token("assert!(x)", "assert!("));
+        assert!(contains_token("  {assert!(x)", "assert!("));
+        assert!(!contains_token("debug_assert!(x)", "assert!("));
+        assert!(!contains_token("my_panic!()", "panic!"));
+        assert!(contains_token("debug_assert!(a); assert!(b)", "assert!("));
+        assert!(contains_token("x.unwrap()", ".unwrap()"));
+        assert!(contains_token("AxiomProver", "Prover"));
     }
 
     #[test]
