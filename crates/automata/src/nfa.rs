@@ -62,11 +62,36 @@ impl Nfa {
     }
 
     /// Thompson construction from a regular expression.
+    ///
+    /// The state tables are sized once, from the regex, before any state is
+    /// added.
     pub fn thompson(r: &Regex) -> Nfa {
-        let mut n = Nfa::empty();
+        let states = 2 + Nfa::fragment_states(r);
+        let mut n = Nfa {
+            start: 0,
+            accept: Vec::with_capacity(states),
+            trans: Vec::with_capacity(states),
+            eps: Vec::with_capacity(states),
+        };
+        n.add_state(false);
         let exit = n.add_state(true);
         n.build_fragment(r, n.start, exit);
+        debug_assert_eq!(n.num_states(), states, "the tables were sized exactly");
         n
+    }
+
+    /// The states [`Nfa::build_fragment`] adds for `r` between its two
+    /// ends: one between each two factors of a concatenation, two per star.
+    fn fragment_states(r: &Regex) -> usize {
+        match r {
+            Regex::Empty | Regex::Epsilon | Regex::Symbol(_) => 0,
+            Regex::Concat(parts) => {
+                parts.len().saturating_sub(1)
+                    + parts.iter().map(Nfa::fragment_states).sum::<usize>()
+            }
+            Regex::Union(parts) => parts.iter().map(Nfa::fragment_states).sum(),
+            Regex::Star(inner) => 2 + Nfa::fragment_states(inner),
+        }
     }
 
     fn build_fragment(&mut self, r: &Regex, from: StateId, to: StateId) {

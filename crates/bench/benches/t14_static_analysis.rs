@@ -16,10 +16,12 @@
 //!   answers match the plain engine's.
 //!
 //! * **Compile once** — on the `plan-cold` shapes of `bench_e2e` a cold
-//!   plan's search builds one Thompson automaton of its query when a cache
-//!   body begins with the query's first label and none otherwise, none of
-//!   a candidate it scores, and no subset construction of it
-//!   (`PlanRecord::thompson_builds` / `determinizations`): no regex of
+//!   plan's search builds no Thompson automaton of its query — a cache
+//!   body that begins with the query's first label is a one-word body
+//!   that a later leading label of the query contradicts, which the view
+//!   search's word gate drops on the regexes (it was probed, one build,
+//!   before) — none of a candidate it scores, and no subset construction
+//!   of it (`PlanRecord::thompson_builds` / `determinizations`): no regex of
 //!   these finite languages is smaller than the text, and a cached text's
 //!   cover is the text itself. The analysis trims no automaton
 //!   (`PlanRecord::trims`), for none of these queries has an `∅` subterm.
@@ -43,7 +45,10 @@
 //! * **Allocate per artefact, not per subset** — on the same shapes a
 //!   warm `optimize_and_analyze` asks the allocator for at most
 //!   [`COLD_PLAN_BUFFERS`] buffers per text of each class (counted by this
-//!   binary's `#[global_allocator]`: 17–20 / 40–52 / 19–22; a cached text
+//!   binary's `#[global_allocator]`: 10 / 35–47 / 11; 17–20 / 40–52 /
+//!   19–22 while the search built an `Optimized`, a word body was probed,
+//!   a cache's first labels were read off its body per plan and the
+//!   Thompson construction grew its tables state by state; a cached text
 //!   took 195–213 while its claim built two closures). The subset
 //!   constructions, inclusion tests, Moore rounds and closure saturations
 //!   of a plan intern their state sets in one arena per construction, and
@@ -61,6 +66,16 @@
 //!   `Vec` per pair took 41 → 701, and one cloned set per antichain node
 //!   16 → 130).
 //!
+//! The counted columns of each class — those buffers, the buffers of one
+//! plan-memo miss of a `PlannedEngine` (search, analysis, plan and memo
+//! entry: 13 / 38–51 / 15), and the Thompson automata and closures the
+//! searches built — are the `cold_plan` rows of the per-layer trajectory
+//! `BENCH_layers.jsonl` (written with `-- --json <file> --pr <n> --side
+//! <parent|change>`). A `--test` run re-counts them and requires them
+//! equal to the class's last committed row, so the file cannot go stale:
+//! a plan miss that builds the reversal again, for one, moves the miss
+//! count.
+//!
 //! The measured series compare the planned engine (analysis amortized via
 //! the plan memo) against the plain product engine on all three shapes;
 //! `cold_plan/{uncached, cached, union_tail}` is the cold planner alone —
@@ -72,8 +87,11 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use rpq_automata::{parse_regex, Alphabet, Nfa, Regex, Symbol};
-use rpq_bench::{cold_plan_workload, distributed_workload, skewed_workload};
+use rpq_automata::{parse_regex, Alphabet, Nfa, Regex};
+use rpq_bench::{
+    cold_plan_workload, distributed_workload, last_layer_row, skewed_workload, ColdPlanWorkload,
+    LAYERS_FILE,
+};
 use rpq_constraints::{Closures, ConstraintSet};
 use rpq_core::{Engine, EvalRequest, ProductEngine, Query};
 use rpq_graph::{CsrGraph, Instance};
@@ -108,9 +126,9 @@ unsafe impl GlobalAlloc for Counting {
 static ALLOCATOR: Counting = Counting;
 
 /// Acceptance 6's bound on the buffers one warm `optimize_and_analyze`
-/// asks for, per class of `plan-cold` text.
+/// asks for, per class of `plan-cold` text: the measured maxima plus one.
 const COLD_PLAN_BUFFERS: [(&str, usize); 3] =
-    [("uncached", 24), ("cached", 60), ("union_tail", 25)];
+    [("uncached", 11), ("cached", 49), ("union_tail", 12)];
 
 /// How many times acceptance 6 repeats a rewritten text to multiply the
 /// pairs its certifying inclusion test visits.
@@ -121,43 +139,118 @@ const REPEATS: usize = 32;
 /// its few buffers, never one per pair.
 const REPEAT_SLACK: usize = 48;
 
-/// Acceptance 6, run first, while this is the only thread that allocates:
-/// every text of each class is planned once to warm the set's compiled
-/// artefacts, then once more under the counter.
-fn cold_plan_allocation_gate() {
-    let w = cold_plan_workload();
-    let graph = CsrGraph::from(&w.instance);
-    let plan = |q| optimize_and_analyze(&w.constraints, q, &w.alphabet, graph.stats());
-    for (name, bound) in COLD_PLAN_BUFFERS {
-        let texts = match name {
-            "uncached" => &w.uncached,
-            "cached" => &w.cached,
-            _ => &w.union_tail,
-        };
-        for q in texts.iter() {
-            black_box(plan(q));
-        }
+/// The texts of one class of the cold-plan workload.
+fn class<'w>(w: &'w ColdPlanWorkload, name: &str) -> &'w [Regex] {
+    match name {
+        "uncached" => &w.uncached,
+        "cached" => &w.cached,
+        _ => &w.union_tail,
+    }
+}
+
+/// The counted work of a cold plan of each text of one class — the
+/// counted columns of its `cold_plan` row in the per-layer trajectory
+/// ([`LAYERS_FILE`]): the buffers one warm `optimize_and_analyze` asks for
+/// and those one plan-memo miss of a `PlannedEngine` asks for (the search,
+/// the analysis, the plan and the memo entry), each as min and max over
+/// the texts, and the Thompson automata and closures the searches built,
+/// summed. Every text is planned once first, to warm the set's compiled
+/// artefacts.
+fn cold_plan_counts(
+    w: &ColdPlanWorkload,
+    graph: &CsrGraph,
+    texts: &[Regex],
+) -> [(&'static str, u64); 6] {
+    let plan = |q: &Regex| optimize_and_analyze(&w.constraints, q, &w.alphabet, graph.stats());
+    let (mut thompson_builds, mut closure_builds) = (0, 0);
+    for q in texts {
+        let record = plan(q).record;
+        thompson_builds += record.thompson_builds;
+        closure_builds += record.closure_builds;
+    }
+    let counted = |f: &mut dyn FnMut(&Regex)| {
         let counts: Vec<usize> = texts
             .iter()
             .map(|q| {
                 let before = BUFFERS.load(Ordering::Relaxed);
-                black_box(plan(q));
+                f(q);
                 BUFFERS.load(Ordering::Relaxed) - before
             })
             .collect();
-        let (min, max) = (counts.iter().min().unwrap(), counts.iter().max().unwrap());
-        let mean = counts.iter().sum::<usize>() as f64 / counts.len() as f64;
+        (*counts.iter().min().unwrap(), *counts.iter().max().unwrap())
+    };
+    let (min, max) = counted(&mut |q| {
+        black_box(plan(q));
+    });
+    let engine = PlannedEngine::new(ProductEngine, w.constraints.clone(), w.alphabet.clone());
+    let queries: Vec<Query> = texts
+        .iter()
+        .map(|q| Query::new(q.clone(), &w.alphabet))
+        .collect();
+    let mut next = queries.iter();
+    let (miss_min, miss_max) = counted(&mut |_| {
+        black_box(engine.plan(next.next().unwrap(), graph));
+    });
+    assert_eq!(engine.plan_cache_misses(), texts.len(), "every plan missed");
+    [
+        ("buffers_min", min),
+        ("buffers_max", max),
+        ("miss_buffers_min", miss_min),
+        ("miss_buffers_max", miss_max),
+        ("thompson_builds", thompson_builds),
+        ("closure_builds", closure_builds),
+    ]
+    .map(|(name, n)| (name, n as u64))
+}
+
+/// Acceptance 6, run first, while this is the only thread that allocates:
+/// the counted work of each class, its buffers held to
+/// [`COLD_PLAN_BUFFERS`]. In a `--test` run the counted columns must also
+/// equal those of the class's last row in [`LAYERS_FILE`], so they cannot
+/// go stale. Returns each class's counts, for its measured row.
+fn cold_plan_allocation_gate(check_layers: bool) -> Vec<[(&'static str, u64); 6]> {
+    let w = cold_plan_workload();
+    let graph = CsrGraph::from(&w.instance);
+    let plan = |q| optimize_and_analyze(&w.constraints, q, &w.alphabet, graph.stats());
+    let layers = if check_layers {
+        std::fs::read_to_string(LAYERS_FILE).expect("the per-layer trajectory is committed")
+    } else {
+        String::new()
+    };
+    let mut all = Vec::new();
+    for (name, bound) in COLD_PLAN_BUFFERS {
+        let counts = cold_plan_counts(&w, &graph, class(&w, name));
+        let field = |k: &str| counts.iter().find(|(n, _)| *n == k).unwrap().1;
+        let (min, max) = (field("buffers_min"), field("buffers_max"));
         println!(
             "t14 cold-plan allocations, {name}: {min}–{max} buffers per plan \
-             (mean {mean:.1}, {} texts, bound {bound})",
-            counts.len()
+             ({}–{} per plan-memo miss, bound {bound})",
+            field("miss_buffers_min"),
+            field("miss_buffers_max"),
         );
         assert!(
-            *max <= bound,
+            max as usize <= bound,
             "a cold {name} plan asked for {max} buffers (bound {bound}) — subset \
              states must be interned in the construction's arena, not allocated \
              one by one, and a regex's facts read off it, not off an automaton"
         );
+        if check_layers {
+            let row = last_layer_row(&layers, "t14_static_analysis/cold_plan", name)
+                .unwrap_or_else(|| panic!("no cold_plan/{name} row in {LAYERS_FILE}"));
+            for (column, n) in counts {
+                let committed = row
+                    .iter()
+                    .find(|(k, _)| k == column)
+                    .map(|(_, v)| v.as_str());
+                assert_eq!(
+                    committed,
+                    Some(n.to_string().as_str()),
+                    "cold_plan/{name}: {column} is {n}; the last committed row says \
+                     {committed:?} — re-measure and append a row with `--json`"
+                );
+            }
+        }
+        all.push(counts);
     }
     // The certifying inclusion test of a rewritten text, `L(q) ⊆
     // L(closure(r))`, against a closure already built, with `q` followed
@@ -189,19 +282,11 @@ fn cold_plan_allocation_gate() {
         "an inclusion test over {REPEATS} times the pairs asked for {repeated} \
          buffers, {once} over one — an antichain node must carry a set id, not a set"
     );
-}
-
-/// The first label of a concatenation of labels.
-fn head(r: &Regex) -> Option<Symbol> {
-    match r {
-        Regex::Symbol(s) => Some(*s),
-        Regex::Concat(parts) => parts.first().and_then(head),
-        _ => None,
-    }
+    all
 }
 
 fn bench(c: &mut Criterion) {
-    cold_plan_allocation_gate();
+    let counts = cold_plan_allocation_gate(c.is_test_mode());
 
     let mut group = c.benchmark_group("t14_static_analysis");
     group.sample_size(10);
@@ -396,21 +481,18 @@ fn bench(c: &mut Criterion) {
     // `plan-cold`): a new engine per pass, so every plan misses the memo.
     let w = cold_plan_workload();
     let graph = CsrGraph::from(&w.instance);
-    for (name, texts) in [
-        ("uncached", &w.uncached),
-        ("cached", &w.cached),
-        ("union_tail", &w.union_tail),
-    ] {
-        // Acceptance 4: a cold plan compiles its query once. One Thompson
-        // automaton, the query's, serves the view search's probe, every
-        // rewrite family and the plan; the search builds it only for a
-        // text some cache body begins with the same label (the probe's
-        // pre-gate drops every other cache on the regex) and that is not
-        // a cached text (a one-word body the text begins with has its tail
-        // read off the tree, so it is not probed), and scoring a
-        // candidate builds none — the cost models read the regex, and
-        // `thompson_builds` counts the scored candidates' builds too. The
-        // automaton is trim as built, so the analysis trims nothing. No
+    for ((name, _), counts) in COLD_PLAN_BUFFERS.into_iter().zip(&counts) {
+        let texts = class(&w, name);
+        // Acceptance 4: a cold plan's search builds no automaton. Every
+        // cache is dropped on the regexes before its probe: a body no
+        // word of the text begins with by the first-label gate, a one-word
+        // body that a leading label of the text contradicts (`f0.f1` under
+        // `f0.f2.f3`) by the word gate, and a cached text's own body has
+        // its tail read off the tree. Scoring a candidate builds none —
+        // the cost models read the regex, and `thompson_builds` counts the
+        // scored candidates' builds too. The planned automaton is built
+        // once, by the analysis, and is trim as built, so the analysis
+        // trims nothing. No
         // subset construction runs: no regex of these finite languages is
         // smaller than the text (the simplifier's count), and a cached
         // text's cover is the text itself, so it has no remainder to take.
@@ -421,12 +503,7 @@ fn bench(c: &mut Criterion) {
         // through the same method.
         for q in texts.iter() {
             let record = optimize_and_analyze(&w.constraints, q, &w.alphabet, graph.stats()).record;
-            let probed = name != "cached"
-                && w.constraints
-                    .caches()
-                    .iter()
-                    .any(|c| head(&c.body) == head(q));
-            assert_eq!(record.thompson_builds, usize::from(probed), "{name}: {q:?}");
+            assert_eq!(record.thompson_builds, 0, "{name}: {q:?}");
             assert_eq!(record.trims, 0, "{name}: {q:?}");
             assert_eq!(record.determinizations, 0, "{name}: {q:?}");
             assert_eq!(record.applied.is_some(), name == "cached", "{name}: {q:?}");
@@ -455,7 +532,7 @@ fn bench(c: &mut Criterion) {
             .iter()
             .map(|q| Query::new(q.clone(), &w.alphabet))
             .collect();
-        group.bench_function(BenchmarkId::new("cold_plan", name), |b| {
+        group.bench_counted(BenchmarkId::new("cold_plan", name), counts, |b| {
             b.iter(|| {
                 let engine =
                     PlannedEngine::new(ProductEngine, w.constraints.clone(), w.alphabet.clone());

@@ -367,6 +367,36 @@ pub fn distributed_workload(depth: usize) -> DistributedWorkload {
     }
 }
 
+/// The committed per-layer trajectory: one JSON line per measured
+/// benchmark row (the criterion shim's `--json` mode), at the repository
+/// root.
+pub const LAYERS_FILE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_layers.jsonl");
+
+/// The fields of the last row of `text` (JSON Lines, one flat object a
+/// line, as the criterion shim writes them) whose `series` and `parameter`
+/// are the ones given, as `(key, value)` pairs with string quotes
+/// stripped; `None` when no row matches.
+pub fn last_layer_row(text: &str, series: &str, parameter: &str) -> Option<Vec<(String, String)>> {
+    let unquote = |s: &str| s.trim().trim_matches('"').to_string();
+    text.lines().rev().find_map(|line| {
+        let body = line.trim().strip_prefix('{')?.strip_suffix('}')?;
+        let fields: Vec<(String, String)> = body
+            .split(',')
+            .filter_map(|field| {
+                let (key, value) = field.split_once(':')?;
+                Some((unquote(key), unquote(value)))
+            })
+            .collect();
+        let field = |k: &str| {
+            fields
+                .iter()
+                .find(|(key, _)| key == k)
+                .map(|(_, v)| v.as_str())
+        };
+        (field("series") == Some(series) && field("parameter") == Some(parameter)).then_some(fields)
+    })
+}
+
 /// The `plan-cold` shape of `bench_e2e` as a microbench input (T14's
 /// `cold_plan` series): its 13-label alphabet, its constraint shape
 /// `{c0 = f0.f1, c1 = f2.f3, c2 ⊆ f1.f2}` and its 396 texts, split by what
@@ -633,6 +663,17 @@ mod tests {
         // hot fan-out plus the single rare bottleneck edge
         assert_eq!(w.instance.num_edges(), 33);
         assert!(w.text.contains(":-"));
+    }
+
+    #[test]
+    fn the_last_matching_layer_row_is_read() {
+        let text = "{\"pr\":1,\"side\":\"change\",\"series\":\"g/f\",\"parameter\":\"a\",\"n\":3}\n\
+                    {\"pr\":1,\"side\":\"change\",\"series\":\"g/f\",\"parameter\":\"b\",\"n\":4}\n\
+                    {\"pr\":2,\"side\":\"parent\",\"series\":\"g/f\",\"parameter\":\"a\",\"n\":5}\n";
+        let row = last_layer_row(text, "g/f", "a").unwrap();
+        assert!(row.contains(&("n".to_string(), "5".to_string())));
+        assert!(row.contains(&("side".to_string(), "parent".to_string())));
+        assert!(last_layer_row(text, "g/f", "c").is_none());
     }
 
     #[test]

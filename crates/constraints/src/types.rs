@@ -177,6 +177,10 @@ pub struct CacheDef {
     pub nfa: Nfa,
     /// Is `L(body)` empty? (Every tail is then vacuously safe.)
     pub empty: bool,
+    /// The labels that begin a word of `body`, sorted and deduplicated
+    /// ([`Nfa::entry_symbols`] of the trimmed automaton): computed once,
+    /// with the set's cache list, for the view search's gates to read.
+    pub first: Vec<Symbol>,
 }
 
 /// The right-hand side of a [`ClosureRule`], by how
@@ -339,6 +343,7 @@ impl ConstraintSet {
                         label,
                         body: body.clone(),
                         empty: nfa.is_empty_lang(),
+                        first: nfa.trim().entry_symbols(),
                         nfa,
                     });
                 }
@@ -505,6 +510,15 @@ mod tests {
         let c = ab.get("c").unwrap();
         let d = ab.get("d").unwrap();
         assert!(set.caches()[1].nfa.accepts(&[c, d]));
+        let a = ab.get("a").unwrap();
+        assert_eq!(
+            set.caches()
+                .iter()
+                .map(|c| c.first.clone())
+                .collect::<Vec<_>>(),
+            [vec![a], vec![c], vec![]],
+            "the labels that begin a word of the body; none of `[]`"
+        );
     }
 
     #[test]

@@ -179,7 +179,7 @@ impl Engine for ProductEngine {
         };
         run_request(
             query.nfa(),
-            query.reversed(),
+            &|| query.reversed(),
             graph,
             &req.spec,
             Direction::Bidirectional,
@@ -234,6 +234,7 @@ impl Engine for OracleEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::request::SourceSpec;
     use rpq_graph::InstanceBuilder;
 
     fn fig2() -> (Alphabet, CsrGraph, Oid) {
@@ -299,6 +300,64 @@ mod tests {
         let planned = Query::with_nfa(q.regex().clone(), Nfa::empty(), Arc::clone(q.alphabet()));
         assert_eq!(planned.nfa().num_states(), 1);
         assert!(planned.nfa().is_empty_lang());
+    }
+
+    #[test]
+    fn only_a_backward_search_builds_the_reversal_and_builds_it_once() {
+        // Bug classes: a request arm that builds the reversed automaton
+        // though it searches forward (a cold plan paying for an automaton
+        // nothing reads), one that builds it again per request, and a
+        // backward arm that reads the forward automaton.
+        let (mut ab, csr, o1) = fig2();
+        let all: Vec<Oid> = csr.nodes().collect();
+        let o3 = *all.last().unwrap();
+        // Every binding, from forward searches alone.
+        let q = Query::parse(&mut ab, "a.b*").unwrap();
+        let bindings: Vec<(Oid, Oid)> = all
+            .iter()
+            .flat_map(|&s| {
+                ProductEngine
+                    .eval(&q, &csr, s)
+                    .answers
+                    .into_iter()
+                    .map(move |t| (s, t))
+            })
+            .collect();
+        let into_o3: Vec<Oid> = bindings.iter().filter(|b| b.1 == o3).map(|b| b.0).collect();
+        for req in [
+            EvalRequest::source(o1),
+            EvalRequest::sources(all.clone()),
+            EvalRequest::matrix(all.clone(), all.clone()),
+            EvalRequest::conjunctive(Some(all.clone()), None),
+            EvalRequest::conjunctive(Some(all.clone()), Some(all.clone())),
+            EvalRequest::conjunctive(None, None),
+        ] {
+            let q = Query::parse(&mut ab, "a.b*").unwrap();
+            ProductEngine.run(&q, &csr, &req);
+            assert!(q.reversed.get().is_none(), "{:?} is forward", req.spec);
+        }
+        for req in [
+            EvalRequest::target(o3),
+            EvalRequest::targets(all.clone()),
+            EvalRequest::pair(o1, o3),
+            EvalRequest::conjunctive(None, Some(all.clone())),
+        ] {
+            let q = Query::parse(&mut ab, "a.b*").unwrap();
+            let first = ProductEngine.run(&q, &csr, &req);
+            let built: *const Nfa = q.reversed.get().expect("a backward search builds it");
+            let again = ProductEngine.run(&q, &csr, &req);
+            assert!(
+                std::ptr::eq(built, q.reversed()),
+                "{:?}: built once",
+                req.spec
+            );
+            assert_eq!(first.answers, again.answers, "{:?}", req.spec);
+            match &req.spec {
+                SourceSpec::Target(_) => assert_eq!(first.nodes().unwrap(), into_o3),
+                SourceSpec::Conjunctive { .. } => assert_eq!(first.bindings().unwrap(), bindings),
+                _ => {}
+            }
+        }
     }
 
     #[test]

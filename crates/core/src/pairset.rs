@@ -130,19 +130,21 @@ pub fn search_pairs<G: GraphView>(
 
 /// The one binding-set decision: all `(s, t)` with `t ∈ p(s, I)`, `s` in
 /// `sources` and `t` in `targets` where given (`None` = that side is
-/// free), and the [`Direction`] it ran. `reversed` is `nfa`'s
-/// [`Nfa::reverse`]. Sources bound → forward from them, probing `targets`
+/// free), and the [`Direction`] it ran. `reversed` yields `nfa`'s
+/// [`Nfa::reverse`], and is called only by the backward search, so a
+/// caller that builds the reversal on demand builds none for the forward
+/// shapes. Sources bound → forward from them, probing `targets`
 /// when they are bound too (`Bidirectional`); only targets bound →
-/// backward from them over `reversed` and the reverse adjacency; neither →
+/// backward from them over `reversed()` and the reverse adjacency; neither →
 /// forward from [`seed_candidates`]. The sets must name objects of
 /// `graph`. `opts.reverse_adj` is not read, and neither is
 /// `opts.depth_cap` ([`search_pairs`]).
 ///
 /// [`crate::run_request`]'s `Conjunctive` arm calls this, and so does
 /// each atom of `rpq-optimizer`'s CRPQ join.
-pub fn search_bindings<G: GraphView>(
-    nfa: &Nfa,
-    reversed: &Nfa,
+pub fn search_bindings<'a, G: GraphView>(
+    nfa: &'a Nfa,
+    reversed: &dyn Fn() -> &'a Nfa,
     graph: &G,
     sources: Option<&[Oid]>,
     targets: Option<&[Oid]>,
@@ -160,7 +162,7 @@ pub fn search_bindings<G: GraphView>(
     };
     let res = match (sources, targets) {
         (Some(ss), ts) => search_pairs(nfa, graph, ss, ts, &opts, scratch),
-        (None, Some(ts)) => search_pairs(reversed, graph, ts, None, &opts, scratch),
+        (None, Some(ts)) => search_pairs(reversed(), graph, ts, None, &opts, scratch),
         (None, None) => {
             let seeds = seed_candidates(nfa, graph, scratch);
             search_pairs(nfa, graph, &seeds, None, &opts, scratch)

@@ -468,7 +468,7 @@ pub fn run_default<E: Engine + ?Sized>(
             };
             run_request(
                 query.nfa(),
-                query.reversed(),
+                &|| query.reversed(),
                 graph,
                 spec,
                 Direction::Bidirectional,
@@ -497,7 +497,11 @@ pub fn live_oids(oids: &[Oid], num_nodes: usize) -> Cow<'_, [Oid]> {
 
 /// The one request executor: answer `spec` over `graph` with the product
 /// BFS, as `opts` directs. `nfa` is the (planned) query automaton and
-/// `reversed` its [`Nfa::reverse`]; `pair_direction` is the end a pair
+/// `reversed` yields its [`Nfa::reverse`], called only by an arm that
+/// searches backward (`Target`, `Targets`, `Pair` and a `Conjunctive`
+/// request with only targets bound) — so a caller that builds the reversal
+/// on demand, as [`crate::Query::reversed`] does, builds none for a
+/// forward shape; `pair_direction` is the end a pair
 /// question starts from (a planner passes its direction decision; an
 /// engine without one, `Bidirectional` — "no decisive end", which runs
 /// forward). The request's controls arrive as `opts.control` and the
@@ -538,9 +542,9 @@ pub fn live_oids(oids: &[Oid], num_nodes: usize) -> Cow<'_, [Oid]> {
 /// Deliberately not touched (each moves a served counter, so each is its
 /// own follow-up): the pair arm and the binding-set loop ignore the depth
 /// cap.
-pub fn run_request<G: GraphView>(
-    nfa: &Nfa,
-    reversed: &Nfa,
+pub fn run_request<'a, G: GraphView>(
+    nfa: &'a Nfa,
+    reversed: &dyn Fn() -> &'a Nfa,
     graph: &G,
     spec: &SourceSpec,
     pair_direction: Direction,
@@ -565,9 +569,9 @@ pub fn run_request<G: GraphView>(
             EvalResponse::empty_for(spec)
         }
         SourceSpec::Source(s) => nodes(search_nodes(nfa, graph, *s, &forward, scratch)),
-        SourceSpec::Target(t) => nodes(search_nodes(reversed, graph, *t, &backward, scratch)),
+        SourceSpec::Target(t) => nodes(search_nodes(reversed(), graph, *t, &backward, scratch)),
         SourceSpec::Sources(ss) => per_seed(nfa, graph, ss, &forward, scratch),
-        SourceSpec::Targets(ts) => per_seed(reversed, graph, ts, &backward, scratch),
+        SourceSpec::Targets(ts) => per_seed(reversed(), graph, ts, &backward, scratch),
         SourceSpec::Pair { source, target } => {
             let opts = SearchOpts {
                 depth_cap: None,
@@ -575,7 +579,7 @@ pub fn run_request<G: GraphView>(
             };
             let (pair, term) = search_pair(
                 nfa,
-                reversed,
+                reversed(),
                 graph,
                 *source,
                 *target,

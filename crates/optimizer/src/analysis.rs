@@ -46,7 +46,6 @@
 
 use std::borrow::Cow;
 use std::collections::BTreeSet;
-use std::time::Instant;
 
 use rpq_automata::{Nfa, Regex, Symbol};
 use rpq_constraints::{Closures, ConstraintSet};
@@ -63,7 +62,9 @@ use crate::shape::any_leaf;
 /// the search part ([`crate::optimize_and_analyze`]), the static analysis
 /// the certification and analysis parts ([`analyze`]), and the plan the
 /// direction. A CRPQ atom's plan runs no search, so that part stays at
-/// its defaults.
+/// its defaults. It holds what planning decided and counted, and no wall
+/// time: a phase's time belongs to a per-query trace, not to a record
+/// every cold plan pays two clock reads to fill.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PlanRecord {
     /// The rule of the search's winner, `None` when the input won.
@@ -76,8 +77,10 @@ pub struct PlanRecord {
     pub considered: usize,
     /// Thompson automata the search built: at most one of the input — for
     /// the view search's probe, the candidate families and whichever side
-    /// of the certification needs it — and none of the candidates it
-    /// scored, since both cost models read the regex.
+    /// of the certification needs it, and none when the view search's
+    /// pre-gates drop every cache the probe would be asked about — and
+    /// none of the candidates it scored, since both cost models read the
+    /// regex.
     pub thompson_builds: usize,
     /// Subset constructions of the input query the search ran: at most
     /// one, and none when the view search takes no remainder (no cache
@@ -127,9 +130,6 @@ pub struct PlanRecord {
     /// Length of the longest accepted word when the language is finite
     /// and nonempty — the exact product-BFS depth cap.
     pub max_word_len: Option<usize>,
-    /// Wall-clock nanoseconds spent in the analysis (certification
-    /// included).
-    pub analysis_ns: u64,
     /// The planned direction for pair/target-bound evaluation.
     pub direction: Direction,
     /// Estimated forward entry cost: edges matching the first label group
@@ -259,7 +259,6 @@ pub(crate) fn analyze_compiled<'q>(
     stats: &LabelStats,
     mut record: PlanRecord,
 ) -> Analysis {
-    let t0 = Instant::now();
     let (builds, inclusions) = (closures.builds(), closures.inclusions());
     let chosen = match winner {
         Some(winner) if certify(closures, &original, &winner) => {
@@ -281,7 +280,7 @@ pub(crate) fn analyze_compiled<'q>(
     // — counting savings against the chosen query's Thompson NFA is what
     // makes the reduction visible.
     let chosen_states = chosen.states();
-    let planned = if any_leaf(chosen.regex(), |s| stats.edge_count(s) == 0) {
+    let mut planned = if any_leaf(chosen.regex(), |s| stats.edge_count(s) == 0) {
         let (restricted, pruned) = restrict_to_live_symbols(chosen.regex(), stats);
         record.pruned_symbols = pruned;
         CompiledQuery::owned(restricted, 0)
@@ -295,7 +294,6 @@ pub(crate) fn analyze_compiled<'q>(
     let (first_symbols, last_symbols) = planned.label_groups();
     record.trims = planned.trims();
     let (regex, nfa) = planned.into_trimmed();
-    record.analysis_ns = t0.elapsed().as_nanos() as u64;
     Analysis {
         regex,
         nfa,

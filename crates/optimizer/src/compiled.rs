@@ -82,6 +82,7 @@ pub(crate) struct CompiledQuery<'q> {
     nfa: OnceCell<Nfa>,
     trimmed: OnceCell<Nfa>,
     dfa: OnceCell<Dfa>,
+    first: OnceCell<Vec<Symbol>>,
 }
 
 impl<'q> CompiledQuery<'q> {
@@ -109,6 +110,7 @@ impl<'q> CompiledQuery<'q> {
             nfa: OnceCell::new(),
             trimmed: OnceCell::new(),
             dfa: OnceCell::new(),
+            first: OnceCell::new(),
         }
     }
 
@@ -192,10 +194,22 @@ impl<'q> CompiledQuery<'q> {
     }
 
     /// The labels that begin a word ([`Nfa::entry_symbols`] of
-    /// [`CompiledQuery::trimmed`]) and those that end one (of its
-    /// reversal), sorted and deduplicated.
-    pub(crate) fn label_groups(&self) -> (Vec<Symbol>, Vec<Symbol>) {
-        (labels(&self.regex, false), labels(&self.regex, true))
+    /// [`CompiledQuery::trimmed`]), sorted and deduplicated: read off the
+    /// tree at most once, for the view search's gate and the plan's first
+    /// label group alike.
+    pub(crate) fn first_labels(&self) -> &[Symbol] {
+        self.first.get_or_init(|| labels(&self.regex, false))
+    }
+
+    /// [`CompiledQuery::first_labels`], moved out of the compilation, and
+    /// the labels that end a word (the entry symbols of the trimmed
+    /// automaton's reversal), sorted and deduplicated.
+    pub(crate) fn label_groups(&mut self) -> (Vec<Symbol>, Vec<Symbol>) {
+        let first = self
+            .first
+            .take()
+            .unwrap_or_else(|| labels(&self.regex, false));
+        (first, labels(&self.regex, true))
     }
 
     /// The complete DFA over the plan's alphabet — every interned label,

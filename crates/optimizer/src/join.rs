@@ -23,7 +23,9 @@
 //! atom *connected* to a bound variable — and plans each atom as a query
 //! of its own ([`crate::Plan`]): the static analysis under no constraint
 //! set prunes its zero-edge labels, trims its automaton and decides its
-//! emptiness, and the plan compiles it once, forward and reversed.
+//! emptiness, and the plan compiles it once; its reversal is built by the
+//! first search that runs the atom backward, and by none that runs it
+//! forward.
 //! [`execute_join`] runs the order on those plans. A statically empty atom
 //! empties the whole conjunction, so the join answers it without an edge;
 //! otherwise each atom goes through [`rpq_core::search_bindings`], the
@@ -156,9 +158,9 @@ pub struct JoinPlan {
     pub est_costs: Vec<usize>,
     /// Each atom planned as a query of its own (indexed by atom), under
     /// no constraint set: zero-edge labels pruned, the automaton trimmed
-    /// and compiled forward and reversed, emptiness and finiteness
-    /// decided. Its pruned symbols make a join plan valid only under the
-    /// statistics it was built on.
+    /// and compiled (reversed on the atom's first backward search),
+    /// emptiness and finiteness decided. Its pruned symbols make a join
+    /// plan valid only under the statistics it was built on.
     pub atoms: Vec<Plan>,
 }
 
@@ -618,6 +620,10 @@ pub fn execute_join<G: GraphView>(
         }
     };
 
+    // Whether the request's source / target restriction seeded the atom
+    // that first bound its head variable: every binding of the variable is
+    // then in the set, so its residual filter has nothing to drop.
+    let mut seeded = (false, false);
     // A statically empty atom empties the conjunction before any atom runs.
     let mut annihilated = plan.atoms.iter().any(|a| a.record.statically_empty);
     for (pos, &ai) in order.iter().enumerate() {
@@ -637,6 +643,12 @@ pub fn execute_join<G: GraphView>(
         let atom = &crpq.atoms[ai];
         let atom_plan = &plan.atoms[ai];
         let (u, v) = (atom.src, atom.dst);
+        for w in [u, v] {
+            if rel.as_ref().is_none_or(|r| r.col(w).is_none()) {
+                seeded.0 |= w == crpq.head.0 && sources.is_some();
+                seeded.1 |= w == crpq.head.1 && w != crpq.head.0 && targets.is_some();
+            }
+        }
         let u_vals = bound_side(rel.as_ref(), u);
         // A self-loop atom binds one variable; it is evaluated via `u`.
         let v_vals = if u == v {
@@ -656,7 +668,7 @@ pub fn execute_join<G: GraphView>(
         };
         let (mut res, dir) = search_bindings(
             atom_plan.query.nfa(),
-            atom_plan.query.reversed(),
+            &|| atom_plan.query.reversed(),
             graph,
             u_vals.as_deref(),
             v_vals.as_deref(),
@@ -697,24 +709,45 @@ pub fn execute_join<G: GraphView>(
     // Project the final relation onto the head pair. A head column can be
     // absent only after an early annihilation (the relation emptied before
     // the atom binding it ran), in which case there are no rows anyway.
-    let mut pairs: Vec<(Oid, Oid)> = match rel {
+    // Sorted, distinct rows over exactly the head columns, in head order,
+    // project onto strictly increasing pairs.
+    let (mut pairs, in_order): (Vec<(Oid, Oid)>, bool) = match rel {
         Some(r) => match (r.col(crpq.head.0), r.col(crpq.head.1)) {
-            (Some(c0), Some(c1)) => r.rows().map(|row| (row[c0], row[c1])).collect(),
-            _ => Vec::new(),
+            (Some(c0), Some(c1)) => (
+                r.rows().map(|row| (row[c0], row[c1])).collect(),
+                r.vars == [crpq.head.0, crpq.head.1]
+                    || (crpq.head.0 == crpq.head.1 && r.vars == [crpq.head.0]),
+            ),
+            _ => (Vec::new(), true),
         },
-        None => Vec::new(),
+        None => (Vec::new(), true),
     };
-    // Residual head filters (e.g. `ans(x, x)` with both sets given, or a
-    // head restriction on a variable whose first atom bound it through the
-    // relation instead).
-    if let Some(ss) = &sources {
+    // Residual head filters, for a restriction that did not seed the atom
+    // first binding its variable (`ans(x, x)` with both sets given filters
+    // the targets).
+    if let Some(ss) = sources.as_ref().filter(|_| !seeded.0) {
         pairs.retain(|(s, _)| ss.contains(s));
     }
-    if let Some(ts) = &targets {
+    if let Some(ts) = targets.as_ref().filter(|_| !seeded.1) {
         pairs.retain(|(_, t)| ts.contains(t));
     }
-    pairs.sort_unstable();
-    pairs.dedup();
+    debug_assert!(
+        sources
+            .as_ref()
+            .is_none_or(|ss| pairs.iter().all(|(s, _)| ss.contains(s)))
+            && targets
+                .as_ref()
+                .is_none_or(|ts| pairs.iter().all(|(_, t)| ts.contains(t))),
+        "a seeding head set bounds its variable's bindings"
+    );
+    if !in_order {
+        pairs.sort_unstable();
+        pairs.dedup();
+    }
+    debug_assert!(
+        pairs.windows(2).all(|w| w[0] < w[1]),
+        "head pairs are strictly increasing"
+    );
     stats.answers = pairs.len();
     PairSetResult {
         pairs,

@@ -13,7 +13,9 @@
 //!    analysis of its winner, as one pass over one compilation of each
 //!    query and one closure per certified target
 //!    ([`crate::optimize_and_analyze`]; see the crate docs);
-//! 2. compiles the winner once ([`Query`]) and estimates the forward cost
+//! 2. compiles the winner once ([`Query`]; its reversal is built by the
+//!    first request that searches backward, not with the plan, so a plan
+//!    miss builds one automaton) and estimates the forward cost
 //!    (edges matching the query's *first* label group) and the backward
 //!    cost (edges matching its *last*) — the *how*: [`Direction::Backward`]
 //!    when the last group is decisively rarer, [`Direction::Forward`] when
@@ -112,13 +114,16 @@ impl Default for PlannerConfig {
 }
 
 /// One planned query over one snapshot: the rewrite winner compiled once
-/// (its reversal built with the plan), the two label groups the drift
-/// check prices, and the record of what planning learned.
+/// (its reversal built on the first backward search, not with the plan),
+/// the two label groups the drift check prices, and the record of what
+/// planning learned.
 #[derive(Clone, Debug)]
 pub struct Plan {
-    /// The rewritten (or original) query, compiled; its
-    /// [`Query::reversed`] is built with the plan, so a backward or pair
-    /// search reads it, not a reversal of its own.
+    /// The rewritten (or original) query, compiled. Its
+    /// [`Query::reversed`] is built by the first request that searches
+    /// backward (a target, targets, a pair, a conjunctive request with
+    /// only targets bound) and kept with the plan, so every later one reads
+    /// it; a plan only ever asked forward questions builds none.
     pub query: Query,
     /// The first label group: the symbols a word of the query can begin
     /// with (sorted), read off the planned regex once, with the plan.
@@ -134,7 +139,8 @@ pub struct Plan {
 
 impl Plan {
     /// The plan of `analysis` over `alphabet` under `stats`: the analysed
-    /// query compiled once, forward and reversed, and the direction its
+    /// query compiled once (its automaton moved in, not rebuilt, and not
+    /// reversed yet), and the direction its
     /// two entry costs decide, recorded. Both label groups are facts of
     /// the planned regex, read off it by the analysis. A path plan's
     /// analysis comes from the rewrite search under the engine's
@@ -142,8 +148,6 @@ impl Plan {
     /// from [`crate::analyze`] under none ([`crate::plan_join`]).
     pub(crate) fn new(analysis: Analysis, alphabet: &Arc<Alphabet>, stats: &LabelStats) -> Plan {
         let query = Query::with_nfa(analysis.regex, analysis.nfa, Arc::clone(alphabet));
-        // Reversed now, with the plan, so no request builds it.
-        query.reversed();
         let mut record = analysis.record;
         record.forward_cost = group_cost(&analysis.first_symbols, stats);
         record.backward_cost = group_cost(&analysis.last_symbols, stats);
@@ -222,8 +226,8 @@ fn remember<P>(entries: &mut Vec<MemoEntry<P>>, key: MemoKey, plan: &Arc<P>) {
 
 /// Bound on distinct queries either plan memo retains. The key is
 /// client-supplied text (`rpq-server`'s `Session::submit_text`), and each
-/// entry keeps a compiled [`Plan`] — two NFAs and a share of the query's
-/// alphabet snapshot — so an unbounded map grows for as long as a server
+/// entry keeps a compiled [`Plan`] — an NFA, its reversal once a backward
+/// search has asked for it, and a share of the query's alphabet snapshot — so an unbounded map grows for as long as a server
 /// is sent new texts. On reaching the bound the map is dropped whole;
 /// plans are rebuilt when their query comes back, as with the per-query
 /// eviction above. The path-plan memo is built with room for the bound,
@@ -467,7 +471,7 @@ impl<E> PlannedEngine<E> {
         } else {
             run_request(
                 plan.query.nfa(),
-                plan.query.reversed(),
+                &|| plan.query.reversed(),
                 graph,
                 spec,
                 plan.record.direction,
@@ -1208,8 +1212,8 @@ mod tests {
     #[test]
     fn a_plan_record_is_built_once_and_shared_by_every_hit() {
         // Two exact hits and one drift reuse serve the one `Arc<Plan>`, so
-        // they share its record: none is rebuilt (its `analysis_ns` would
-        // move) or restamped. The first edge on the pruned label replans,
+        // they share its record: none is rebuilt (`Arc::ptr_eq`) or
+        // restamped. The first edge on the pruned label replans,
         // and the new plan brings its own record.
         let mut ab = Alphabet::new();
         let mut b = InstanceBuilder::new(&mut ab);
@@ -1226,7 +1230,6 @@ mod tests {
         let p1 = planned.plan(&query, &dg);
         let record = p1.record.clone();
         assert_eq!(record.pruned_symbols, vec![ghost]);
-        assert!(record.analysis_ns > 0);
         let from_s = EvalRequest::source(s);
         for _ in 0..2 {
             let resp = planned.run_view(&query, &dg, &from_s);
@@ -1398,7 +1401,7 @@ mod tests {
                 };
                 run_request(
                     plan.query.nfa(),
-                    plan.query.reversed(),
+                    &|| plan.query.reversed(),
                     graph,
                     &req.spec,
                     plan.record.direction,

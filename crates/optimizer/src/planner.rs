@@ -76,7 +76,8 @@ impl Optimized {
 /// under `E`, so their union is too (no extra validation round needed).
 pub fn optimize(set: &ConstraintSet, q: &Regex, alphabet: &Alphabet) -> Optimized {
     let input = CompiledQuery::new(q, alphabet.len());
-    optimize_scored(&PlanPass::new(set), &input, alphabet, &static_score).0
+    let (winner, _) = search(&PlanPass::new(set), &input, alphabet, &static_score);
+    optimized(&input, winner)
 }
 
 /// Like [`optimize`], but rank candidates by the *data-aware* estimated
@@ -97,10 +98,10 @@ pub fn optimize_with_stats(
     stats: &LabelStats,
 ) -> Optimized {
     let input = CompiledQuery::new(q, alphabet.len());
-    optimize_scored(&PlanPass::new(set), &input, alphabet, &|c| {
+    let (winner, _) = search(&PlanPass::new(set), &input, alphabet, &|c| {
         estimated_cost_compiled(c, stats)
-    })
-    .0
+    });
+    optimized(&input, winner)
 }
 
 /// The planned engine's cold plan: [`optimize_with_stats`] and
@@ -109,7 +110,9 @@ pub fn optimize_with_stats(
 /// serves its score, the certification and then the plan (its automaton
 /// moves into the [`Analysis`]), and the closures the search's decisions
 /// built serve the certification. The search's part of the
-/// [`PlanRecord`] is filled in here, the rest by the analysis.
+/// [`PlanRecord`] is filled in here, the rest by the analysis. It builds no
+/// [`Optimized`]: neither a copy of the input nor the static cost of
+/// either side, which nothing of the plan reads.
 pub fn optimize_and_analyze(
     set: &ConstraintSet,
     q: &Regex,
@@ -118,10 +121,11 @@ pub fn optimize_and_analyze(
 ) -> Analysis {
     let pass = PlanPass::new(set);
     let input = CompiledQuery::new(q, alphabet.len());
-    let (optimized, winner, mut record) = optimize_scored(&pass, &input, alphabet, &|c| {
+    let (winner, mut record) = search(&pass, &input, alphabet, &|c| {
         estimated_cost_compiled(c, stats)
     });
-    record.winner = winner.is_some().then_some(optimized.query);
+    let winner = winner.map(|(_, winner)| winner);
+    record.winner = winner.as_ref().map(|w| w.regex().clone());
     analyze_compiled(pass.closures(), input, winner, stats, record)
 }
 
@@ -129,18 +133,41 @@ fn static_score(q: &CompiledQuery<'_>) -> usize {
     StaticCost::of_compiled(q).score()
 }
 
-/// The winner of the rewrite search over `input`, when a candidate beat
-/// the input that candidate's compilation, and the search's part of the
-/// plan record.
-fn optimize_scored(
+/// The search's outcome as [`optimize`] reports it: the winner and its
+/// rule, or the input, with the static cost of each side.
+fn optimized(
+    input: &CompiledQuery<'_>,
+    winner: Option<(RewriteRule, CompiledQuery<'static>)>,
+) -> Optimized {
+    let before = StaticCost::of_compiled(input);
+    match winner {
+        Some((rule, winner)) => Optimized {
+            query: winner.regex().clone(),
+            after: StaticCost::of_compiled(&winner),
+            before,
+            applied: Some(rule),
+        },
+        None => Optimized {
+            query: input.regex().clone(),
+            after: before.clone(),
+            before,
+            applied: None,
+        },
+    }
+}
+
+/// The rewrite search over `input`: the winner and its rule, when a
+/// candidate scored below the input, with that candidate's compilation,
+/// and the search's part of the plan record. The input is scored only
+/// when there is a candidate to compare it with.
+fn search(
     pass: &PlanPass<'_>,
     input: &CompiledQuery<'_>,
     alphabet: &Alphabet,
     score: &dyn Fn(&CompiledQuery<'_>) -> usize,
-) -> (Optimized, Option<CompiledQuery<'static>>, PlanRecord) {
+) -> (Option<(RewriteRule, CompiledQuery<'static>)>, PlanRecord) {
     let q = input.regex();
     let sigma = alphabet.len();
-    let before = StaticCost::of_compiled(input);
     let mut cands: Vec<Candidate> = Vec::new();
 
     // Section 5 view covers (total and partial), verified; one cache
@@ -175,12 +202,16 @@ fn optimize_scored(
         for arm in arms {
             let arm = CompiledQuery::new(arm, sigma);
             let arm_cands = candidates_compiled(pass, &arm);
-            let arm_score = score(&arm);
-            let best_arm = arm_cands
-                .into_iter()
-                .map(|c| (score_candidate(&CompiledQuery::new(&c.query, sigma)), c))
-                .filter(|(s, _)| *s < arm_score)
-                .min_by_key(|(s, _)| *s);
+            let best_arm = if arm_cands.is_empty() {
+                None
+            } else {
+                let arm_score = score(&arm);
+                arm_cands
+                    .into_iter()
+                    .map(|c| (score_candidate(&CompiledQuery::new(&c.query, sigma)), c))
+                    .filter(|(s, _)| *s < arm_score)
+                    .min_by_key(|(s, _)| *s)
+            };
             match best_arm {
                 Some((_, c)) => {
                     rewritten.push(c.query);
@@ -199,26 +230,20 @@ fn optimize_scored(
     }
 
     let considered = cands.len();
-    let input_score = score(input);
     let mut best: Option<(usize, RewriteRule, CompiledQuery<'static>)> = None;
-    for c in cands {
-        let compiled = CompiledQuery::owned(c.query, sigma);
-        let s = score_candidate(&compiled);
-        if s < input_score && best.as_ref().is_none_or(|(b, _, _)| s < *b) {
-            best = Some((s, c.rule, compiled));
+    if !cands.is_empty() {
+        let input_score = score(input);
+        for c in cands {
+            let compiled = CompiledQuery::owned(c.query, sigma);
+            let s = score_candidate(&compiled);
+            if s < input_score && best.as_ref().is_none_or(|(b, _, _)| s < *b) {
+                best = Some((s, c.rule, compiled));
+            }
         }
     }
-    let (query, after, applied, winner) = match best {
-        Some((_, rule, winner)) => (
-            winner.regex().clone(),
-            StaticCost::of_compiled(&winner),
-            Some(rule),
-            Some(winner),
-        ),
-        None => (q.clone(), before.clone(), None, None),
-    };
+    let winner = best.map(|(_, rule, winner)| (rule, winner));
     let record = PlanRecord {
-        applied,
+        applied: winner.as_ref().map(|(rule, _)| *rule),
         considered,
         thompson_builds: input.thompson_builds() + scored_builds,
         determinizations: input.determinizations(),
@@ -226,13 +251,7 @@ fn optimize_scored(
         closure_builds: pass.closures().builds(),
         ..PlanRecord::default()
     };
-    let optimized = Optimized {
-        query,
-        before,
-        after,
-        applied,
-    };
-    (optimized, winner, record)
+    (winner, record)
 }
 
 #[cfg(test)]

@@ -95,11 +95,18 @@
 //! `L(r) ≠ ∅`, some `u ∈ L(r)` prefixes no word of `q`, so no `w` has
 //! `u·w ∈ L(q)`: the universal tail is empty and the cache could not have
 //! been used. The gate drops exactly those caches; a body with an empty
-//! language passes it (its tail is vacuously `Σ*`). When `q` has no `∅`
-//! subterm, so that every state of its automaton begins a word of `q`, a
-//! body without the empty word none of whose first labels begins a word
-//! of `q` is one the probe would find no state for: it is dropped on the
-//! regexes, and the probe is not run.
+//! language passes it (its tail is vacuously `Σ*`). Two pre-gates drop,
+//! on the regexes and without building `q`'s automaton, caches the probe
+//! would find no state for; neither allocates. A one-word body `u` is
+//! dropped when one of `q`'s leading label factors contradicts it
+//! (`q = l₁·…·lₘ·r` with `uᵢ ≠ lᵢ` for some `i`): every word of `q` begins
+//! with `l₁…lₘ`, so none begins with `u`. And when `q` has no `∅` subterm,
+//! so that every state of its automaton begins a word of `q`, a body
+//! without the empty word none of whose first labels begins a word of `q`
+//! is dropped. The body's first labels come with the [`CacheDef`]
+//! ([`CacheDef::first`], computed once per set), and `q`'s are read off
+//! its tree once per compilation and shared with the plan's first label
+//! group.
 //!
 //! `q`'s complete DFA is built only for a remainder that is not `∅` by
 //! construction: a query whose every cover is `q` itself (a body with one
@@ -117,7 +124,6 @@ pub use rpq_constraints::CacheDef;
 
 use crate::compiled::{CompiledQuery, PlanPass};
 use crate::cost::StaticCost;
-use crate::shape::labels;
 
 /// How much of the target the rewriting answers from caches.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -212,16 +218,39 @@ fn universal_tail(cq: &CompiledQuery<'_>, cache: &CacheDef, hits: &[StateId]) ->
 
 /// The probe's pre-gate, read off the regexes, for a query whose
 /// automaton is trim and begins its words with `first`: a cache body with
-/// a word, but not the empty one, none of whose first labels is in
-/// `first`. Every state of a trim automaton begins a word of its language
-/// with the letters that reach it, so no word of the body leads to a state
-/// of `q`: the probe would find no hits, and the universal tail is empty.
+/// a word, but not the empty one, none of whose first labels
+/// ([`CacheDef::first`]) is in `first`. Every state of a trim automaton
+/// begins a word of its language with the letters that reach it, so no
+/// word of the body leads to a state of `q`: the probe would find no hits,
+/// and the universal tail is empty.
 fn begins_apart(cache: &CacheDef, first: &[Symbol]) -> bool {
     !cache.empty
         && !cache.body.nullable()
-        && labels(&cache.body, false)
+        && cache.first.iter().all(|s| first.binary_search(s).is_err())
+}
+
+/// The probe's word gate, read off the trees: a one-word body `u` (a
+/// concatenation of labels) that one of `q`'s leading label factors
+/// contradicts — `q = l₁·…·lₘ·r` and `uᵢ ≠ lᵢ` for some `i` within both.
+/// Every word of `q` begins with `l₁…lₘ`, so `u·w` is a word of `q` for no
+/// `w`: the universal tail is empty, whatever `q`'s automaton is, and the
+/// probe would find no state. Position by position — the same labels in
+/// another order contradict too.
+fn word_body_apart(q: &Regex, body: &Regex) -> bool {
+    let Regex::Concat(word) = body else {
+        return false;
+    };
+    let leading = match q {
+        Regex::Concat(parts) => parts.as_slice(),
+        Regex::Symbol(_) => std::slice::from_ref(q),
+        _ => return false,
+    };
+    word.iter().all(|u| matches!(u, Regex::Symbol(_)))
+        && word
             .iter()
-            .all(|s| first.binary_search(s).is_err())
+            .zip(leading)
+            .take_while(|(_, l)| matches!(l, Regex::Symbol(_)))
+            .any(|(u, l)| u != l)
 }
 
 /// Shrink a tail: greedily try finite unions of its shortest words, then
@@ -277,14 +306,17 @@ fn word_body_tail(q: &Regex, body: &Regex) -> Option<Regex> {
 
 /// The shrunk tail of one cache, or `None` when it has none (or the search
 /// gives up on it): a one-word body's read off the tree
-/// ([`word_body_tail`]), any other's computed by the probe,
-/// [`universal_tail`] and [`shrink_tail`]. `first` holds the labels that
-/// begin a word of `q`, when its automaton is trim.
-fn cache_tail(cq: &CompiledQuery<'_>, cache: &CacheDef, first: Option<&[Symbol]>) -> Option<Regex> {
+/// ([`word_body_tail`]), none for a body either gate drops
+/// ([`word_body_apart`]; [`begins_apart`] when `q`'s automaton is trim),
+/// any other's computed by the probe, [`universal_tail`] and
+/// [`shrink_tail`].
+fn cache_tail(cq: &CompiledQuery<'_>, cache: &CacheDef) -> Option<Regex> {
     if let Some(tail) = word_body_tail(cq.regex(), &cache.body) {
         return Some(tail);
     }
-    if first.is_some_and(|first| begins_apart(cache, first)) {
+    if word_body_apart(cq.regex(), &cache.body)
+        || (cq.is_trim() && begins_apart(cache, cq.first_labels()))
+    {
         return None;
     }
     let hits = cq.nfa().reachable_via(&cache.nfa);
@@ -306,12 +338,11 @@ pub fn rewrite_with_views(
 /// [`rewrite_with_views`] over a query the planner has compiled, within
 /// its pass.
 pub(crate) fn views_compiled(pass: &PlanPass<'_>, cq: &CompiledQuery<'_>) -> Vec<ViewRewriting> {
-    let caches = pass.set().caches();
-    // The labels that begin a word of `q`, when its automaton is trim.
-    let first = (!caches.is_empty() && cq.is_trim()).then(|| labels(cq.regex(), false));
-    let tails = caches
+    let tails = pass
+        .set()
+        .caches()
         .iter()
-        .filter_map(|c| Some((c, cache_tail(cq, c, first.as_deref())?)));
+        .filter_map(|c| Some((c, cache_tail(cq, c)?)));
     covers(pass, cq, tails)
 }
 
@@ -405,7 +436,7 @@ fn covers<'c>(
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
     use rpq_automata::ops::regex_equivalent;
     use rpq_automata::parse_regex;
     use rpq_constraints::general::Budget;
@@ -601,10 +632,9 @@ mod tests {
                         .then(q);
                 }
                 let cq = CompiledQuery::new(&q, ab.len());
-                let first = labels(&q, false);
                 for cache in set.caches() {
                     let hits = cq.nfa().reachable_via(&cache.nfa);
-                    if cq.is_trim() && begins_apart(cache, &first) {
+                    if cq.is_trim() && begins_apart(cache, cq.first_labels()) {
                         pregated += 1;
                         assert!(
                             hits.is_empty(),
@@ -643,6 +673,53 @@ mod tests {
             );
         }
         assert!(pregated > 50, "{pregated} caches pre-gated");
+    }
+
+    #[test]
+    fn the_word_gate_drops_only_bodies_the_probe_finds_no_state_for() {
+        // Bug class: a pre-gate that drops a usable cache, so the search
+        // loses a rewriting — a gate that compares the body's labels as a
+        // set, or past the query's leading label factors, drops `a.b.c`
+        // under `a.b.(c + d)`, whose tail is `ε`. And one that drops too
+        // little, which the floor catches.
+        let mut rng = StdRng::seed_from_u64(0x30D7);
+        let (mut dropped, mut kept) = (0, 0);
+        for round in 0..60 {
+            let (mut ab, _, cfg) = shape_setup(&[]);
+            let names = ["a", "b", "c", "d"];
+            let word = |rng: &mut StdRng, len: usize| -> Vec<&str> {
+                (0..len)
+                    .map(|_| names[rng.random_range(0..names.len())])
+                    .collect()
+            };
+            let lines: Vec<String> = (0..3)
+                .map(|i| format!("l{i} = {}", word(&mut rng, 2 + i % 2).join(".")))
+                .collect();
+            let set = ConstraintSet::parse(&mut ab, lines.iter().map(String::as_str)).unwrap();
+            for _ in 0..8 {
+                let len = 1 + round % 3;
+                let head = parse_regex(&mut ab, &word(&mut rng, len).join(".")).unwrap();
+                let q = head.then(random_regex(&mut rng, &cfg));
+                let cq = CompiledQuery::new(&q, ab.len());
+                for cache in set.caches() {
+                    if !word_body_apart(&q, &cache.body) {
+                        kept += 1;
+                        continue;
+                    }
+                    dropped += 1;
+                    assert!(
+                        cq.nfa().reachable_via(&cache.nfa).is_empty(),
+                        "the word gate dropped {} for {}, which the probe enters",
+                        cache.body.display(&ab),
+                        q.display(&ab)
+                    );
+                }
+            }
+        }
+        assert!(
+            dropped >= 1000 && kept >= 100,
+            "{dropped} dropped, {kept} kept"
+        );
     }
 
     #[test]

@@ -163,7 +163,7 @@ fn check<G: GraphView>(nfa: &Nfa, graph: &G, inst: &Instance, what: &str) -> usi
         for (spec, want) in arms {
             let opts = capped(d, false);
             let dir = Direction::Forward;
-            let got = run_request(nfa, &reversed, graph, &spec, dir, &opts, &mut scratch);
+            let got = run_request(nfa, &|| &reversed, graph, &spec, dir, &opts, &mut scratch);
             assert_eq!(got.termination, Termination::Complete);
             assert_eq!(got.answers, want, "{what}: cap {d}, {spec:?}");
         }

@@ -206,7 +206,15 @@ fn check_all_shapes<G: GraphView>(nfa: &Nfa, graph: &G, all: &[Vec<Oid>], what: 
             _ => &[Direction::Forward],
         };
         for &direction in ends {
-            let got = run_request(nfa, &reversed, graph, &spec, direction, &opts, &mut scratch);
+            let got = run_request(
+                nfa,
+                &|| &reversed,
+                graph,
+                &spec,
+                direction,
+                &opts,
+                &mut scratch,
+            );
             assert_eq!(got.termination, Termination::Complete);
             assert_eq!(
                 got.answers,
@@ -269,10 +277,11 @@ fn wide_automata_fan_out_to_the_same_counters() {
         let nfa = Nfa::star(&word_union(states, &syms));
         let want = eval_product_scan(&nfa, &inst, Oid(0)).answers;
         let spec = SourceSpec::Source(Oid(0));
+        let reversed = nfa.reverse();
         let run = |scratch: &mut EvalScratch| {
             let resp = run_request(
                 &nfa,
-                &nfa.reverse(),
+                &|| &reversed,
                 &csr,
                 &spec,
                 Direction::Forward,
@@ -491,7 +500,7 @@ fn answered_once<G: GraphView>(nfa: &Nfa, graph: &G, what: &str) {
     let reversed = nfa.reverse();
     let mut run = |spec: &SourceSpec, opts: &SearchOpts<'_>| {
         let dir = Direction::Forward;
-        run_request(nfa, &reversed, graph, spec, dir, opts, &mut scratch)
+        run_request(nfa, &|| &reversed, graph, spec, dir, opts, &mut scratch)
     };
     let spec = SourceSpec::Source(Oid(0));
     let full = run(&spec, &SearchOpts::default());

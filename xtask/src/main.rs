@@ -431,9 +431,41 @@ fn rust_files(dir: &Path) -> Vec<PathBuf> {
     out
 }
 
-/// A lint rule over one parsed file: (path, original lines, cleaned
-/// lines, test mask, violations sink).
-type Rule = fn(&Path, &[String], &[String], &[bool], &mut Vec<Violation>);
+/// One source file, parsed for the rules: its lines as written, the same
+/// lines with comments and literals blanked, the text of each line's
+/// comment (from where it starts; empty when the line has none) and which
+/// lines belong to a `#[cfg(test)]` item.
+struct Source {
+    original: Vec<String>,
+    cleaned: Vec<String>,
+    comments: Vec<String>,
+    mask: Vec<bool>,
+}
+
+impl Source {
+    fn parse(text: &str) -> Source {
+        let original: Vec<String> = text.lines().map(str::to_string).collect();
+        let (cleaned, starts) = clean_source(text);
+        let comments = original
+            .iter()
+            .enumerate()
+            .map(|(i, line)| match starts.get(i).copied().flatten() {
+                Some(at) => line.chars().skip(at).collect(),
+                None => String::new(),
+            })
+            .collect();
+        let mask = test_mask(&cleaned);
+        Source {
+            original,
+            cleaned,
+            comments,
+            mask,
+        }
+    }
+}
+
+/// A lint rule over one parsed file: (path, source, violations sink).
+type Rule = fn(&Path, &Source, &mut Vec<Violation>);
 
 /// Parse one file into (original lines, cleaned lines, test mask) and run
 /// a rule over it.
@@ -447,16 +479,15 @@ fn scan_file(file: &Path, violations: &mut Vec<Violation>, rule: Rule) {
         });
         return;
     };
-    let original: Vec<String> = text.lines().map(str::to_string).collect();
-    let cleaned = clean_source(&text);
-    let mask = test_mask(&cleaned);
-    rule(file, &original, &cleaned, &mask, violations);
+    rule(file, &Source::parse(&text), violations);
 }
 
 /// A rule that forbids tokens: flags every non-test line of the cleaned
-/// source that contains one of `tokens`, unless the `allow` marker is on
-/// it or on the line above it (a comment line of its own, where `rustfmt`
-/// leaves a marker that explains a multi-line call).
+/// source that contains one of `tokens`, unless the `allow` marker is in
+/// its comment or in the comment of the line above it when that is a
+/// comment line of its own (where `rustfmt` leaves a marker that explains
+/// a multi-line call). A marker inside a string literal is code, not a
+/// comment, and allowlists nothing.
 struct TokenRule {
     name: &'static str,
     tokens: &'static [&'static str],
@@ -464,23 +495,15 @@ struct TokenRule {
 }
 
 impl TokenRule {
-    fn check(
-        &self,
-        file: &Path,
-        original: &[String],
-        cleaned: &[String],
-        mask: &[bool],
-        violations: &mut Vec<Violation>,
-    ) {
-        for (i, line) in cleaned.iter().enumerate() {
+    fn check(&self, file: &Path, src: &Source, violations: &mut Vec<Violation>) {
+        for (i, line) in src.cleaned.iter().enumerate() {
             let marked = |ok: &str| {
-                original[i].contains(ok)
+                src.comments[i].contains(ok)
                     || i.checked_sub(1).is_some_and(|above| {
-                        let above = original[above].trim_start();
-                        above.starts_with("//") && above.contains(ok)
+                        src.cleaned[above].trim().is_empty() && src.comments[above].contains(ok)
                     })
             };
-            if mask[i] || self.allow.is_some_and(marked) {
+            if src.mask[i] || self.allow.is_some_and(marked) {
                 continue;
             }
             if self.tokens.iter().any(|tok| contains_token(line, tok)) {
@@ -488,7 +511,7 @@ impl TokenRule {
                     file: file.to_path_buf(),
                     line: i + 1,
                     rule: self.name,
-                    text: original[i].clone(),
+                    text: src.original[i].clone(),
                 });
             }
         }
@@ -510,19 +533,13 @@ fn contains_token(line: &str, token: &str) -> bool {
 /// Declare a [`Rule`] function that applies a [`TokenRule`].
 macro_rules! token_rule {
     ($check:ident, $name:literal, $tokens:expr, $allow:expr) => {
-        fn $check(
-            file: &Path,
-            original: &[String],
-            cleaned: &[String],
-            mask: &[bool],
-            violations: &mut Vec<Violation>,
-        ) {
+        fn $check(file: &Path, src: &Source, violations: &mut Vec<Violation>) {
             let rule = TokenRule {
                 name: $name,
                 tokens: $tokens,
                 allow: $allow,
             };
-            rule.check(file, original, cleaned, mask, violations);
+            rule.check(file, src, violations);
         }
     };
 }
@@ -539,27 +556,16 @@ token_rule!(check_spawns, "no-spawn", SPAWN_TOKENS, None);
 token_rule!(check_one_decider, "one-decider", DECIDER_TOKENS, None);
 
 /// The no-spawn rule: [`SPAWN_FILE`] is exempt.
-fn check_no_spawns(
-    file: &Path,
-    original: &[String],
-    cleaned: &[String],
-    mask: &[bool],
-    violations: &mut Vec<Violation>,
-) {
+fn check_no_spawns(file: &Path, src: &Source, violations: &mut Vec<Violation>) {
     if file.file_name().is_none_or(|name| name != SPAWN_FILE) {
-        check_spawns(file, original, cleaned, mask, violations);
+        check_spawns(file, src, violations);
     }
 }
 
-fn check_pub_fn_docs(
-    file: &Path,
-    original: &[String],
-    cleaned: &[String],
-    mask: &[bool],
-    violations: &mut Vec<Violation>,
-) {
-    for (i, line) in cleaned.iter().enumerate() {
-        if mask[i] || !line.trim_start().starts_with("pub fn ") {
+fn check_pub_fn_docs(file: &Path, src: &Source, violations: &mut Vec<Violation>) {
+    let original = &src.original;
+    for (i, line) in src.cleaned.iter().enumerate() {
+        if src.mask[i] || !line.trim_start().starts_with("pub fn ") {
             continue;
         }
         // Walk upward over attributes; the first non-attribute line must
@@ -590,8 +596,10 @@ fn check_pub_fn_docs(
 
 /// Blank out comments and string/char literals, preserving line structure
 /// and everything else byte-for-byte, so token matching and brace counting
-/// only ever see code.
-fn clean_source(text: &str) -> Vec<String> {
+/// only ever see code. Beside each cleaned line: where its comment starts,
+/// as a char index into the line as written (0 for a line a block comment
+/// opened above runs into), or `None` when it has none.
+fn clean_source(text: &str) -> (Vec<String>, Vec<Option<usize>>) {
     #[derive(PartialEq)]
     enum S {
         Code,
@@ -603,7 +611,10 @@ fn clean_source(text: &str) -> Vec<String> {
     }
     let mut state = S::Code;
     let mut out = Vec::new();
+    let mut starts = Vec::new();
     let mut cur = String::new();
+    let mut comment_at = None;
+    let mut line_start = 0;
     let chars: Vec<char> = text.chars().collect();
     let mut i = 0;
     while i < chars.len() {
@@ -613,7 +624,10 @@ fn clean_source(text: &str) -> Vec<String> {
                 state = S::Code;
             }
             out.push(std::mem::take(&mut cur));
+            starts.push(comment_at);
+            comment_at = matches!(state, S::BlockComment(_)).then_some(0);
             i += 1;
+            line_start = i;
             continue;
         }
         match state {
@@ -621,9 +635,11 @@ fn clean_source(text: &str) -> Vec<String> {
                 let next = chars.get(i + 1).copied();
                 if c == '/' && next == Some('/') {
                     state = S::LineComment;
+                    comment_at.get_or_insert(i - line_start);
                     cur.push(' ');
                 } else if c == '/' && next == Some('*') {
                     state = S::BlockComment(1);
+                    comment_at.get_or_insert(i - line_start);
                     cur.push(' ');
                 } else if c == '"' {
                     state = S::Str;
@@ -714,8 +730,9 @@ fn clean_source(text: &str) -> Vec<String> {
     }
     if !cur.is_empty() {
         out.push(cur);
+        starts.push(comment_at);
     }
-    out
+    (out, starts)
 }
 
 /// Mark every line belonging to a `#[cfg(test)]` item (the attribute line
@@ -850,7 +867,7 @@ mod tests {
     }
 
     fn lines(s: &str) -> Vec<String> {
-        clean_source(s)
+        clean_source(s).0
     }
 
     #[test]
@@ -881,11 +898,8 @@ mod tests {
     #[test]
     fn release_assertions_are_flagged_unless_allowlisted() {
         let src = "fn live() {\n  debug_assert!(a);\n  debug_assert_eq!(a, b);\n  assert!(a);\n  assert_eq!(a, b);\n  std::assert_ne!(a, b);\n  unreachable!(\"no\");\n  assert!(a, \"fold\"); // panic-ok: a release invariant\n  // panic-ok: a release invariant, over a multi-line call\n  assert!(\n    a,\n  );\n  assert!(b);\n}\n#[cfg(test)]\nmod tests {\n  fn t() { assert!(x); }\n}\n";
-        let original: Vec<String> = src.lines().map(str::to_string).collect();
-        let cleaned = clean_source(src);
-        let mask = test_mask(&cleaned);
         let mut v = Vec::new();
-        check_no_panics(Path::new("x.rs"), &original, &cleaned, &mask, &mut v);
+        check_no_panics(Path::new("x.rs"), &Source::parse(src), &mut v);
         let flagged: Vec<usize> = v.iter().map(|v| v.line).collect();
         assert_eq!(
             flagged,
@@ -909,34 +923,38 @@ mod tests {
     #[test]
     fn hot_path_alloc_is_flagged_unless_allowlisted() {
         let src = "fn hot() {\n  let a = Vec::new(); // alloc-ok: result vector\n  let b = vec![0u32; n];\n}\n#[cfg(test)]\nmod tests {\n  fn t() { let c = Vec::new(); }\n}\n";
-        let c = lines(src);
-        let m = test_mask(&c);
         let mut v = Vec::new();
-        check_no_hot_path_allocs(
-            Path::new("x.rs"),
-            &src.lines().map(str::to_string).collect::<Vec<_>>(),
-            &c,
-            &m,
-            &mut v,
-        );
+        check_no_hot_path_allocs(Path::new("x.rs"), &Source::parse(src), &mut v);
         assert_eq!(v.len(), 1, "only the untagged non-test alloc is flagged");
         assert_eq!(v[0].line, 3);
         assert_eq!(v[0].rule, "hot-path-alloc");
     }
 
     #[test]
+    fn a_marker_allowlists_only_from_a_comment() {
+        // Bug class: a marker matched anywhere on the raw line, so a
+        // string literal that holds one allowlists its line.
+        let src = "fn hot() {\n  let a = Vec::new(); let s = \"alloc-ok: not a comment\";\n  let b = Vec::new(); /* alloc-ok: a block comment */\n  let m = \"// alloc-ok: still a string\";\n  let c = Vec::new();\n  // alloc-ok: a comment line of its own, for the line below\n  let d = Vec::new();\n  /* a block comment that runs on\n     alloc-ok: into this line */\n  let e = Vec::new();\n}\n";
+        let parsed = Source::parse(src);
+        assert_eq!(parsed.comments[1], "");
+        assert_eq!(parsed.comments[2], "/* alloc-ok: a block comment */");
+        assert_eq!(parsed.comments[3], "");
+        assert_eq!(parsed.comments[8], "     alloc-ok: into this line */");
+        let mut v = Vec::new();
+        check_no_hot_path_allocs(Path::new("x.rs"), &parsed, &mut v);
+        let flagged: Vec<usize> = v.iter().map(|v| v.line).collect();
+        assert_eq!(
+            flagged,
+            [2, 5],
+            "a marker in a string allowlists neither its line nor the next"
+        );
+    }
+
+    #[test]
     fn sleeps_are_flagged_outside_tests_only() {
         let src = "fn serve() {\n  std::thread::sleep(d);\n}\n#[cfg(test)]\nmod tests {\n  fn t() { std::thread::sleep(d); }\n}\n";
-        let c = lines(src);
-        let m = test_mask(&c);
         let mut v = Vec::new();
-        check_no_sleeps(
-            Path::new("x.rs"),
-            &src.lines().map(str::to_string).collect::<Vec<_>>(),
-            &c,
-            &m,
-            &mut v,
-        );
+        check_no_sleeps(Path::new("x.rs"), &Source::parse(src), &mut v);
         assert_eq!(v.len(), 1, "only the non-test sleep is flagged");
         assert_eq!(v[0].line, 2);
         assert_eq!(v[0].rule, "no-sleep");
@@ -945,32 +963,22 @@ mod tests {
     #[test]
     fn spawns_are_flagged_outside_the_executor_and_tests() {
         let src = "use std::thread::Builder;\nfn submit() {\n  let h = std::thread::spawn(job);\n  std::thread::scope(|s| { s.spawn(job); });\n}\n#[cfg(test)]\nmod tests {\n  fn t() { std::thread::spawn(job); }\n}\n";
-        let original: Vec<String> = src.lines().map(str::to_string).collect();
-        let c = lines(src);
-        let m = test_mask(&c);
+        let src = Source::parse(src);
         let mut v = Vec::new();
-        check_no_spawns(Path::new("src/session.rs"), &original, &c, &m, &mut v);
+        check_no_spawns(Path::new("src/session.rs"), &src, &mut v);
         let flagged: Vec<usize> = v.iter().map(|v| v.line).collect();
         assert_eq!(flagged, [1, 3], "not the scoped spawn, not the test's");
         assert!(v.iter().all(|v| v.rule == "no-spawn"));
         // the executor is where serving threads start
-        check_no_spawns(Path::new("src/executor.rs"), &original, &c, &m, &mut v);
+        check_no_spawns(Path::new("src/executor.rs"), &src, &mut v);
         assert_eq!(v.len(), 2);
     }
 
     #[test]
     fn other_deciders_are_flagged_in_the_planner_outside_tests() {
         let src = "use rpq_paper::axioms::Prover;\nfn decide() {\n  let d = axioms::prove(&set, &c);\n  let w = refute(&set, &c);\n  closures.implies(&c)\n}\n#[cfg(test)]\nmod tests {\n  use rpq_paper::axioms::Prover;\n  fn t() { Prover::new(&set, cfg); }\n}\n";
-        let c = lines(src);
-        let m = test_mask(&c);
         let mut v = Vec::new();
-        check_one_decider(
-            Path::new("x.rs"),
-            &src.lines().map(str::to_string).collect::<Vec<_>>(),
-            &c,
-            &m,
-            &mut v,
-        );
+        check_one_decider(Path::new("x.rs"), &Source::parse(src), &mut v);
         let flagged: Vec<usize> = v.iter().map(|v| v.line).collect();
         assert_eq!(flagged, [1, 3, 4], "not the closure test, not the tests'");
         assert!(v.iter().all(|v| v.rule == "one-decider"));
@@ -1037,16 +1045,8 @@ mod tests {
     #[test]
     fn undocumented_pub_fn_is_flagged_documented_is_not() {
         let src = "/// Docs.\npub fn good() {}\n\npub fn bad() {}\n";
-        let c = lines(src);
-        let m = test_mask(&c);
         let mut v = Vec::new();
-        check_pub_fn_docs(
-            Path::new("x.rs"),
-            &src.lines().map(str::to_string).collect::<Vec<_>>(),
-            &c,
-            &m,
-            &mut v,
-        );
+        check_pub_fn_docs(Path::new("x.rs"), &Source::parse(src), &mut v);
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].line, 4);
     }
